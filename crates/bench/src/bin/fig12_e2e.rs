@@ -43,8 +43,10 @@
 //! special: they change only the `selector` stats block — every other
 //! byte of `BENCH_e2e.json` is identical with and without them (the
 //! batched/windowed probes are pure speedups). `IC_REPLAY_THREADS` is
-//! stricter still: the parallel replay is bit-identical to the
-//! sequential one, `selector` block included. The observability knobs
+//! stricter still: it only picks where step regions run, so the replay
+//! is bit-identical at any value, `selector` block included. An
+//! `IC_POOL_OUTAGE` naming a pool the cluster does not have exits 2
+//! before any replay. The observability knobs
 //! are observation only: `BENCH_e2e.json` is byte-identical with and
 //! without them (CI-enforced). `IC_ROUTER_REPLICAS=1` (or unset)
 //! likewise reproduces the pre-replication bytes except the added
@@ -228,8 +230,9 @@ fn write_obs_artifacts(report: &EngineReport, trace_path: Option<&str>, sampled:
 /// an explicit config, returning the report, its wall seconds, and the
 /// measured wall split of the setup that preceded it.
 fn timed_replay(scale: Scale, config: ic_engine::EngineConfig) -> (EngineReport, f64, SetupTiming) {
-    let (mut engine, requests, arrivals, setup) =
-        e2e::engine_e2e_parts_timed(scale, Dataset::MsMarco, config);
+    let (mut engine, requests, arrivals, setup) = e2e::E2eRun::from_env(scale, Dataset::MsMarco)
+        .config(config)
+        .parts();
     let start = Instant::now();
     let report = engine.serve_workload(&requests, &arrivals);
     (report, start.elapsed().as_secs_f64(), setup)
@@ -267,7 +270,10 @@ fn main() {
         None => None,
     };
 
-    let base = e2e::engine_config();
+    let base = e2e::checked_engine_config().unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     let sampled = base.obs_sample_s > 0.0;
     // The overhead pair: one observability-off replay and one with the
     // lifecycle recorder on (sampler as configured), same seed.

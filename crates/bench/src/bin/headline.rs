@@ -20,6 +20,10 @@ use ic_bench::experiments::e2e;
 use ic_bench::write_artifact;
 
 fn main() {
+    if let Err(msg) = e2e::checked_engine_config() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
     let (report, engine_report) = e2e::headline_full(scale);

@@ -279,20 +279,18 @@ fn online_run_from_engine(
 ///   `BENCH_e2e.json` stays byte-identical except its `selector` stats
 ///   block.
 /// - `IC_SELECTOR_WINDOW` — bounded-delay selector look-ahead window
-///   in simulated seconds (`0` = same-tick coalescing only). Arrivals
+///   in simulated seconds (`0` = the zero-width window: same-tick
+///   coalescing only). Arrivals
 ///   within the window of an unprobed arrival are batch-probed in one
 ///   `search_batch` shot and their selections precomputed, each
 ///   re-validated against the selector epochs at its own event
 ///   position. A pure speedup: byte-identical except the `selector`
 ///   stats block (CI-enforced).
-/// - `IC_REPLAY_THREADS` — worker threads for deterministic
-///   pool-parallel stepping (`0`/`1` = sequential). Step-chain regions
-///   between router interactions run on workers and merge in exact
-///   `(time, seq)` order: `BENCH_e2e.json` is bit-identical to the
-///   sequential replay, every stats block included (CI-enforced).
-/// - `IC_REPLAY_SPIN` — adaptive spin-then-park cap on the region
-///   hand-off channels, in spin iterations (`0` = park immediately;
-///   default `4096`). Wall-clock only; irrelevant at one thread.
+/// - `IC_REPLAY_THREADS` — threads executing step regions (`0`/`1` =
+///   every chain inline on the event-loop thread). Step-chain regions
+///   between router interactions merge in exact `(time, seq)` order
+///   wherever they ran: `BENCH_e2e.json` is bit-identical at any
+///   value, every stats block included (CI-enforced).
 /// - `IC_SETUP_THREADS` — worker threads for the deterministic setup
 ///   pipeline (example-bank embedding, k-means, IVF build; `0`/`1` =
 ///   sequential). Bit-identical at any value — a pure setup-wall-clock
@@ -385,9 +383,6 @@ pub fn engine_config() -> EngineConfig {
     if let Some(threads) = parse_env::<usize>("IC_REPLAY_THREADS") {
         config.replay_threads = threads.max(1);
     }
-    if let Some(spin) = parse_env::<u32>("IC_REPLAY_SPIN") {
-        config.replay_spin = spin;
-    }
     if let Some(block) = parse_env::<u32>("IC_KV_BLOCK") {
         config.kv_block_tokens = block;
     }
@@ -442,55 +437,126 @@ pub fn engine_config() -> EngineConfig {
     config
 }
 
-/// Replays the 30-minute trace through the unified [`EventDrivenEngine`]
-/// (IC-Cache policy, sharded example cache, iteration-level batching)
-/// and returns the raw engine report — the `BENCH_e2e.json` payload of
-/// the `fig12_e2e` and `headline` binaries. Deterministic: the same
-/// scale (and untouched [`engine_config`] environment) yields a
-/// byte-identical [`EngineReport::to_json`].
-pub fn engine_e2e_run(scale: Scale, dataset: Dataset) -> EngineReport {
-    let (mut engine, requests, arrivals) = engine_e2e_parts(scale, dataset);
-    engine.serve_workload(&requests, &arrivals)
+/// [`engine_config`] for a binary's `main`, checked against the
+/// Gemma-pair cluster every e2e run replays on. `Err` carries a
+/// message naming the offending knob; the binaries print it and exit
+/// with status 2 — a typo'd fault schedule must not record a
+/// fault-free run.
+pub fn checked_engine_config() -> Result<EngineConfig, String> {
+    let config = engine_config();
+    let pools = ic_cache::IcCacheConfig::gemma_pair().models.len();
+    match config.pool_outages.iter().find(|o| o.pool >= pools) {
+        Some(outage) => Err(format!(
+            "IC_POOL_OUTAGE names pool {} but the cluster has {pools} pools (0..={})",
+            outage.pool,
+            pools - 1
+        )),
+        None => Ok(config),
+    }
 }
 
-/// [`engine_e2e_run`] with an explicit [`EngineConfig`] instead of the
-/// environment-derived [`engine_config`]. Used by the golden tests to
-/// exercise knobs (e.g. `kv_share`) without racing on process-global
-/// environment variables.
-pub fn engine_e2e_run_with(scale: Scale, dataset: Dataset, config: EngineConfig) -> EngineReport {
-    let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
-    let arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
-    let mut setup = PairSetup::gemma(dataset, scale.count(200_000, 2_000), scale.seed ^ 21);
-    setup.warm_up(scale.count(5_000, 300));
-    let requests = setup.generator.generate_requests(arrivals.len());
-    let mut engine = EventDrivenEngine::new(setup.system, config);
-    engine.serve_workload(&requests, &arrivals)
-}
-
-/// [`engine_e2e_run`] with an explicit setup-thread count instead of
-/// the `IC_SETUP_THREADS` environment variable. Used by the golden
-/// tests to pin that the parallel setup pipeline is byte-inert without
-/// racing on process-global environment state. Everything else matches
-/// [`engine_e2e_run`] under an untouched environment.
-pub fn engine_e2e_run_with_setup_threads(
+/// One replay of the 30-minute trace through the unified
+/// [`EventDrivenEngine`] (IC-Cache policy, sharded example cache,
+/// iteration-level batching) — the `BENCH_e2e.json` payload of the
+/// `fig12_e2e` and `headline` binaries. Deterministic: the same scale
+/// and knobs yield a byte-identical [`EngineReport::to_json`].
+///
+/// [`E2eRun::new`] is hermetic (default engine config, natural trace),
+/// so tests can set knobs explicitly without racing on process-global
+/// environment variables; [`E2eRun::from_env`] is what the binaries
+/// run.
+#[derive(Debug, Clone)]
+pub struct E2eRun {
     scale: Scale,
     dataset: Dataset,
+    config: EngineConfig,
     setup_threads: usize,
-) -> EngineReport {
-    let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
-    let arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
-    let mut config = ic_cache::IcCacheConfig::gemma_pair();
-    config.selector.ivf.setup_threads = setup_threads;
-    let mut setup = PairSetup::with_config(
-        config,
-        dataset,
-        scale.count(200_000, 2_000),
-        scale.seed ^ 21,
-    );
-    setup.warm_up(scale.count(5_000, 300));
-    let requests = setup.generator.generate_requests(arrivals.len());
-    let mut engine = EventDrivenEngine::new(setup.system, EngineConfig::default());
-    engine.serve_workload(&requests, &arrivals)
+    burst: usize,
+}
+
+impl E2eRun {
+    /// The knob-free run: [`EngineConfig::default`], the natural trace.
+    /// Only the byte-inert `IC_SETUP_THREADS` is read from the
+    /// environment.
+    pub fn new(scale: Scale, dataset: Dataset) -> Self {
+        Self {
+            scale,
+            dataset,
+            config: EngineConfig::default(),
+            setup_threads: crate::env::setup_threads(),
+            burst: 0,
+        }
+    }
+
+    /// The run the environment asks for: [`engine_config`] plus the
+    /// `IC_SHARE_BURST` trace reshape.
+    pub fn from_env(scale: Scale, dataset: Dataset) -> Self {
+        Self::new(scale, dataset)
+            .config(engine_config())
+            .burst(crate::env::parse_env("IC_SHARE_BURST").unwrap_or(0))
+    }
+
+    /// Replaces the engine configuration.
+    pub fn config(mut self, config: EngineConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Worker threads for the deterministic setup pipeline
+    /// (bit-identical at any value).
+    pub fn setup_threads(mut self, threads: usize) -> Self {
+        self.setup_threads = threads;
+        self
+    }
+
+    /// Reshapes the trace with [`burst_workload`] (`< 2` keeps the
+    /// natural trace) — the acceptance workload for shared-prefix KV
+    /// reuse and the stage-0 stampede guarantee.
+    pub fn burst(mut self, burst: usize) -> Self {
+        self.burst = burst;
+        self
+    }
+
+    /// The pre-replay pieces: the seeded engine, the request stream,
+    /// the arrival trace, and the measured wall-clock split of the
+    /// setup just performed ([`SetupTiming`]). Lets callers time the
+    /// replay itself (`serve_workload`) apart from the setup — at
+    /// paper-scale fractions the setup embeds and indexes tens of
+    /// thousands of examples and would otherwise dominate any
+    /// wall-clock figure.
+    pub fn parts(
+        self,
+    ) -> (
+        EventDrivenEngine,
+        Vec<ic_llmsim::Request>,
+        Vec<f64>,
+        SetupTiming,
+    ) {
+        let t0 = std::time::Instant::now();
+        let scale = self.scale;
+        let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
+        let mut arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
+        let mut sys_config = ic_cache::IcCacheConfig::gemma_pair();
+        sys_config.selector.ivf.setup_threads = self.setup_threads;
+        let (mut setup, mut timing) = PairSetup::with_config_timed(
+            sys_config,
+            self.dataset,
+            scale.count(200_000, 2_000),
+            scale.seed ^ 21,
+        );
+        setup.warm_up(scale.count(5_000, 300));
+        let mut requests = setup.generator.generate_requests(arrivals.len());
+        burst_workload(&mut requests, &mut arrivals, self.burst);
+        let engine = EventDrivenEngine::new(setup.system, self.config);
+        timing.setup_wall_s = t0.elapsed().as_secs_f64();
+        (engine, requests, arrivals, timing)
+    }
+
+    /// Sets up and replays, returning the raw engine report.
+    pub fn run(self) -> EngineReport {
+        let (mut engine, requests, arrivals, _) = self.parts();
+        engine.serve_workload(&requests, &arrivals)
+    }
 }
 
 /// Reshapes a request stream into a shared-prefix-heavy workload:
@@ -514,91 +580,6 @@ pub fn burst_workload(requests: &mut [ic_llmsim::Request], arrivals: &mut [f64],
             arrivals[i] = arrivals[head];
         }
     }
-}
-
-/// A shared-prefix-heavy e2e run: [`engine_e2e_run_with`] over the
-/// [`burst_workload`]-reshaped trace. This is the acceptance workload
-/// for shared-prefix KV reuse — with `config.kv_share` on the report's
-/// `kv` block shows a positive `dedup_ratio` and a strictly lower
-/// `peak_occupancy` than the share-off run at identical traffic.
-pub fn engine_e2e_shared_run(
-    scale: Scale,
-    dataset: Dataset,
-    burst: usize,
-    config: EngineConfig,
-) -> EngineReport {
-    let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
-    let mut arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
-    let mut setup = PairSetup::gemma(dataset, scale.count(200_000, 2_000), scale.seed ^ 21);
-    setup.warm_up(scale.count(5_000, 300));
-    let mut requests = setup.generator.generate_requests(arrivals.len());
-    burst_workload(&mut requests, &mut arrivals, burst);
-    let mut engine = EventDrivenEngine::new(setup.system, config);
-    engine.serve_workload(&requests, &arrivals)
-}
-
-/// The pieces of [`engine_e2e_run`], pre-replay: the seeded engine, the
-/// request stream, and the arrival trace. Lets callers time the replay
-/// itself (`serve_workload`) without the workload-generation and
-/// example-seeding setup — at paper-scale fractions the setup embeds
-/// and indexes tens of thousands of examples and would otherwise
-/// dominate any wall-clock figure.
-pub fn engine_e2e_parts(
-    scale: Scale,
-    dataset: Dataset,
-) -> (EventDrivenEngine, Vec<ic_llmsim::Request>, Vec<f64>) {
-    engine_e2e_parts_with(scale, dataset, engine_config())
-}
-
-/// [`engine_e2e_parts`] with an explicit [`EngineConfig`]. Lets
-/// `fig12_e2e` time the same replay twice with only the observability
-/// knobs toggled (the traced-vs-untraced overhead record in
-/// `BENCH_replay.json`) without mutating process-global environment
-/// between runs.
-pub fn engine_e2e_parts_with(
-    scale: Scale,
-    dataset: Dataset,
-    config: EngineConfig,
-) -> (EventDrivenEngine, Vec<ic_llmsim::Request>, Vec<f64>) {
-    let (engine, requests, arrivals, _) = engine_e2e_parts_timed(scale, dataset, config);
-    (engine, requests, arrivals)
-}
-
-/// [`engine_e2e_parts_with`] plus the measured wall-clock split of the
-/// setup it just performed ([`SetupTiming`]) — what `fig12_e2e` records
-/// in `BENCH_replay.json` beside the replay wall. The setup honors
-/// `IC_SETUP_THREADS`; the returned engine and workload are
-/// byte-identical at any thread count.
-pub fn engine_e2e_parts_timed(
-    scale: Scale,
-    dataset: Dataset,
-    config: EngineConfig,
-) -> (
-    EventDrivenEngine,
-    Vec<ic_llmsim::Request>,
-    Vec<f64>,
-    SetupTiming,
-) {
-    let t0 = std::time::Instant::now();
-    let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
-    let arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
-    let mut sys_config = ic_cache::IcCacheConfig::gemma_pair();
-    sys_config.selector.ivf.setup_threads = crate::env::setup_threads();
-    let (mut setup, mut timing) = PairSetup::with_config_timed(
-        sys_config,
-        dataset,
-        scale.count(200_000, 2_000),
-        scale.seed ^ 21,
-    );
-    setup.warm_up(scale.count(5_000, 300));
-    let mut requests = setup.generator.generate_requests(arrivals.len());
-    let mut arrivals = arrivals;
-    if let Some(burst) = crate::env::parse_env::<usize>("IC_SHARE_BURST") {
-        burst_workload(&mut requests, &mut arrivals, burst);
-    }
-    let engine = EventDrivenEngine::new(setup.system, config);
-    timing.setup_wall_s = t0.elapsed().as_secs_f64();
-    (engine, requests, arrivals, timing)
 }
 
 #[derive(Clone, Copy)]
@@ -1221,7 +1202,7 @@ pub fn headline_full(scale: Scale) -> (Report, EngineReport) {
     // The unified engine's view of the same bursty trace (Fig. 12
     // conditions): sharded cache + continuous batching + closed-loop
     // load feedback.
-    let er = engine_e2e_run(scale, Dataset::MsMarco);
+    let er = E2eRun::from_env(scale, Dataset::MsMarco).run();
     report.finding(format!(
         "unified engine on the 30-min trace: offload {}, p50 {}s, p99 {}s, \
          selection hit rate {}, {} cache shards",
@@ -1259,7 +1240,7 @@ mod tests {
 
     #[test]
     fn engine_e2e_runs_sharded_and_is_byte_identical() {
-        let a = engine_e2e_run(Scale::quick(), Dataset::MsMarco);
+        let a = E2eRun::from_env(Scale::quick(), Dataset::MsMarco).run();
         assert!(a.served > 0);
         assert!(a.cache.shards >= 2, "engine must run a sharded cache");
         assert!(
@@ -1277,7 +1258,7 @@ mod tests {
         assert!(a.to_json().contains("\"kv\":{"));
         assert!(a.kv.total_blocks > 0);
         assert_eq!(a.kv.allocs, a.kv.frees, "blocks conserved over the trace");
-        let b = engine_e2e_run(Scale::quick(), Dataset::MsMarco);
+        let b = E2eRun::from_env(Scale::quick(), Dataset::MsMarco).run();
         assert_eq!(a.to_json(), b.to_json(), "same seed must be byte-identical");
     }
 

@@ -1,7 +1,7 @@
 //! Golden-file regression test for the deterministic e2e payload.
 //!
 //! `fig12_e2e --quick` (and `headline --quick`) write `BENCH_e2e.json`
-//! from the MS MARCO run of [`ic_bench::experiments::e2e::engine_e2e_run`]
+//! from the MS MARCO run of [`ic_bench::experiments::e2e::E2eRun`]
 //! at the default seed. CI's determinism job only checks that two runs
 //! of the *same build* agree; this test additionally pins the exact
 //! bytes in-repo, so an unintended behaviour change to the engine,
@@ -14,14 +14,12 @@
 //! IC_BLESS=1 cargo test -q -p ic-bench --test golden_e2e
 //! ```
 //!
-//! and commit the updated `tests/golden/BENCH_e2e.quick.json`. The test
-//! assumes the `IC_*` engine knobs are unset (they reconfigure the run
-//! and would — correctly — fail the comparison).
+//! and commit the updated `tests/golden/BENCH_e2e.quick.json`. The
+//! runs here are hermetic ([`E2eRun::new`] reads no engine knob), so a
+//! stray `IC_*` variable in the environment cannot fail the comparison.
 
 use ic_bench::Scale;
-use ic_bench::experiments::e2e::{
-    engine_e2e_run, engine_e2e_run_with, engine_e2e_run_with_setup_threads, engine_e2e_shared_run,
-};
+use ic_bench::experiments::e2e::E2eRun;
 use ic_engine::EngineConfig;
 use ic_workloads::Dataset;
 
@@ -58,6 +56,11 @@ const PRESTAGE0_GOLDEN_PATH: &str = concat!(
     "/tests/golden/BENCH_e2e.quick.prestage0.json"
 );
 
+/// The knob-free quick-scale MS MARCO run every golden pins.
+fn quick() -> E2eRun {
+    E2eRun::new(Scale::quick(), Dataset::MsMarco)
+}
+
 /// Strips the `resp_cache` block (appended last to the report) so
 /// payloads can be compared against pre-stage-0 goldens. Mirrors CI's
 /// `sed 's/,"resp_cache":{[^}]*}}/}/'`. Must be applied *before*
@@ -92,7 +95,7 @@ fn strip_dedup_tail(json: &str) -> String {
 
 #[test]
 fn quick_e2e_report_matches_golden() {
-    let json = engine_e2e_run(Scale::quick(), Dataset::MsMarco).to_json();
+    let json = quick().run().to_json();
     // Only the documented `IC_BLESS=1` blesses; any other value (or a
     // typo like `IC_BLESS=0`) still runs the check, matching the
     // repo-wide "malformed == unset" env convention.
@@ -121,9 +124,7 @@ fn quick_e2e_masked_of_router_block_matches_prerouter_golden() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return; // Blessing the sibling golden; this one never reblesses.
     }
-    let json = strip_dedup_tail(&strip_resp_cache_tail(
-        &engine_e2e_run(Scale::quick(), Dataset::MsMarco).to_json(),
-    ));
+    let json = strip_dedup_tail(&strip_resp_cache_tail(&quick().run().to_json()));
     let start = json.find("\"router\":{").expect("router block present");
     let end = start + json[start..].find('}').expect("router block closes") + 2;
     let masked = format!("{}{}", &json[..start], &json[end..]);
@@ -147,7 +148,7 @@ fn quick_e2e_masked_of_dedup_tail_matches_preshare_golden() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return; // Blessing the sibling golden; this one never reblesses.
     }
-    let json = engine_e2e_run(Scale::quick(), Dataset::MsMarco).to_json();
+    let json = quick().run().to_json();
     let masked = strip_dedup_tail(&strip_resp_cache_tail(&json));
     let golden = std::fs::read_to_string(PRESHARE_GOLDEN_PATH)
         .expect("frozen pre-sharing golden exists (never regenerate it)");
@@ -170,7 +171,7 @@ fn quick_e2e_masked_of_resp_cache_block_matches_prestage0_golden() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return; // Blessing the sibling golden; this one never reblesses.
     }
-    let json = engine_e2e_run(Scale::quick(), Dataset::MsMarco).to_json();
+    let json = quick().run().to_json();
     let masked = strip_resp_cache_tail(&json);
     let golden = std::fs::read_to_string(PRESTAGE0_GOLDEN_PATH)
         .expect("frozen pre-stage-0 golden exists (never regenerate it)");
@@ -192,7 +193,7 @@ fn quick_e2e_setup_threads_are_byte_inert() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return; // Blessing the sibling golden; this one never reblesses.
     }
-    let json = engine_e2e_run_with_setup_threads(Scale::quick(), Dataset::MsMarco, 4).to_json();
+    let json = quick().setup_threads(4).run().to_json();
     let golden = std::fs::read_to_string(GOLDEN_PATH).expect(
         "golden file exists; regenerate with IC_BLESS=1 cargo test -p ic-bench --test golden_e2e",
     );
@@ -215,15 +216,13 @@ fn quick_e2e_kv_share_is_byte_inert_on_the_natural_trace() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return;
     }
-    let on = engine_e2e_run_with(
-        Scale::quick(),
-        Dataset::MsMarco,
-        EngineConfig {
+    let on = quick()
+        .config(EngineConfig {
             kv_share: true,
             ..EngineConfig::default()
-        },
-    );
-    let off = engine_e2e_run_with(Scale::quick(), Dataset::MsMarco, EngineConfig::default());
+        })
+        .run();
+    let off = quick().run();
     assert_eq!(
         on.to_json(),
         off.to_json(),
@@ -250,15 +249,15 @@ fn quick_e2e_kv_share_deduplicates_on_shared_prefix_bursts() {
         kv_share: true,
         ..EngineConfig::default()
     };
-    let a = engine_e2e_shared_run(Scale::quick(), Dataset::MsMarco, 8, config.clone());
-    let b = engine_e2e_shared_run(Scale::quick(), Dataset::MsMarco, 8, config);
+    let a = quick().burst(8).config(config.clone()).run();
+    let b = quick().burst(8).config(config).run();
     assert_eq!(
         a.to_json(),
         b.to_json(),
         "kv_share=1 burst replay must be deterministic"
     );
 
-    let off = engine_e2e_shared_run(Scale::quick(), Dataset::MsMarco, 8, EngineConfig::default());
+    let off = quick().burst(8).run();
     assert!(
         a.kv.blocks_saved > 0,
         "8-way bursts of one request must map prefix blocks \

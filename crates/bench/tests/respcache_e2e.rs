@@ -14,7 +14,7 @@
 //!    latency than the cache-off run at identical traffic.
 
 use ic_bench::Scale;
-use ic_bench::experiments::e2e::{engine_e2e_run_with, engine_e2e_shared_run};
+use ic_bench::experiments::e2e::E2eRun;
 use ic_engine::EngineConfig;
 use ic_workloads::Dataset;
 use proptest::prelude::*;
@@ -35,6 +35,10 @@ fn strip_resp_cache_tail(json: &str) -> String {
         "resp_cache must be the last block"
     );
     format!("{}}}", &json[..start])
+}
+
+fn quick() -> E2eRun {
+    E2eRun::new(Scale::quick(), Dataset::MsMarco)
 }
 
 fn cache_on(burst_aware: bool) -> EngineConfig {
@@ -65,7 +69,7 @@ proptest! {
             resp_prepop_min: 1 + packed / 1_000,
             ..EngineConfig::default()
         };
-        let report = engine_e2e_run_with(Scale::quick(), Dataset::MsMarco, config);
+        let report = quick().config(config).run();
         prop_assert_eq!(report.resp_cache.lookups, 0, "cache-off must never look up");
         let golden = std::fs::read_to_string(PRESTAGE0_GOLDEN_PATH)
             .expect("frozen pre-stage-0 golden exists (never regenerate it)");
@@ -79,12 +83,8 @@ proptest! {
     /// insertions ≤ bursts — with byte-deterministic counts.
     #[test]
     fn stampede_bursts_pay_one_insertion_each(n in 2u64..9) {
-        let a = engine_e2e_shared_run(
-            Scale::quick(), Dataset::MsMarco, n as usize, cache_on(true),
-        );
-        let b = engine_e2e_shared_run(
-            Scale::quick(), Dataset::MsMarco, n as usize, cache_on(true),
-        );
+        let a = quick().burst(n as usize).config(cache_on(true)).run();
+        let b = quick().burst(n as usize).config(cache_on(true)).run();
         prop_assert_eq!(a.to_json(), b.to_json(), "hit counts must replay byte-identically");
         let bursts = a.served.div_ceil(n); // Trailing partial burst included.
         prop_assert!(
@@ -106,16 +106,14 @@ proptest! {
 /// end-to-end latency over the identical cache-off run.
 #[test]
 fn trending_workload_hits_and_improves_p50() {
-    let on = engine_e2e_shared_run(Scale::quick(), Dataset::MsMarco, 8, cache_on(true));
-    let off = engine_e2e_shared_run(
-        Scale::quick(),
-        Dataset::MsMarco,
-        8,
-        EngineConfig {
+    let on = quick().burst(8).config(cache_on(true)).run();
+    let off = quick()
+        .burst(8)
+        .config(EngineConfig {
             selector_batch: 8,
             ..EngineConfig::default()
-        },
-    );
+        })
+        .run();
     assert!(
         on.resp_cache.hit_ratio() > 0.0,
         "the trending trace must produce stage-0 hits: {:?}",

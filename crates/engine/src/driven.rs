@@ -1,31 +1,25 @@
 //! The event-driven serving engine (see the crate docs for the event
-//! flow diagram).
+//! flow diagram): configuration, the engine itself, and the replay
+//! entry point. The run-scoped state and the per-event handlers live in
+//! the submodules.
 
-use ic_cache::{IcCacheSystem, Selection, ServeOutcome};
-use ic_desim::{Periodic, SimDuration, SimTime, Simulator};
-use ic_llmsim::{ExampleId, ModelId, Request};
-use ic_obs::{
-    EventKind as ObsKind, LaneBuf, NO_REQUEST, ObsReport, PoolMeta, PoolSample, Recorder,
-    TelemetrySample,
-};
-use ic_respcache::{CachedResponse, RespCacheConfig, ResponseCache};
-use ic_serving::{
-    ChainStep, IterStats, JobId, JobSpec, KvStats, KvSwap, ModelPool, Offer, PoolConfig,
-    SharedPrefix, Watermarks,
-};
-use ic_stats::{PercentileSnapshot, Percentiles, split_mix64};
+mod arrival;
+mod failover;
+mod state;
+mod step;
+
+use ic_cache::IcCacheSystem;
+use ic_llmsim::{ModelId, Request};
+use ic_serving::{KvSwap, ModelPool, PoolConfig, Watermarks};
 use parking_lot::Mutex;
-use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::mpsc;
 
-use ic_serving::busy_interval_rps;
+use crate::engine::ServingEngine;
+use crate::report::EngineReport;
+use state::EngineState;
+use step::RegionWorkers;
 
-use crate::engine::{ServingEngine, cache_stats};
-use crate::report::{
-    EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats, SelectorStats,
-};
+/// Report name of [`EventDrivenEngine`].
+const ENGINE_NAME: &str = "event-driven";
 
 /// A deterministic fault-injection window: `pool` goes down `at_s`
 /// seconds into the run and recovers `duration_s` later. While down, the
@@ -35,6 +29,8 @@ use crate::report::{
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolOutage {
     /// Pool index in routing order (see `EventDrivenEngine` pool layout).
+    /// [`EventDrivenEngine::new`] panics on an index the engine has no
+    /// pool for.
     pub pool: usize,
     /// Failure time, seconds into the run.
     pub at_s: f64,
@@ -65,11 +61,14 @@ pub struct EngineConfig {
     /// multi-query stage-1 probe (env `IC_SELECTOR_BATCH` in the bench
     /// binaries). `0` or `1` disables coalescing. The batch is a pure
     /// speedup — per-request results and the report are byte-identical
-    /// to the sequential path (only the report's `selector` stats block
-    /// reflects the setting). Ignored (treated as `1`) while
-    /// `admit_served_pairs` is on, because a batch member's served pair
-    /// could be indexed before a later member's probe in the sequential
-    /// order, which a hoisted batch probe cannot observe.
+    /// to singleton probes (only the report's `selector` stats block
+    /// reflects the setting). With `resp_cache` on, the same cap also
+    /// bounds the same-tick run the stage-0 trending sketch observes
+    /// before its first member is served (one insertion per stampede).
+    /// Ignored (treated as `1`) while `admit_served_pairs` is on,
+    /// because a batch member's served pair could be indexed before a
+    /// later member's probe in the sequential order, which a hoisted
+    /// batch probe cannot observe.
     pub selector_batch: usize,
     /// Bounded-delay selector look-ahead window, in simulated seconds
     /// (env `IC_SELECTOR_WINDOW` in the bench binaries). On an arrival
@@ -80,32 +79,21 @@ pub struct EngineConfig {
     /// re-validating it against the selector's index/learn epochs (a
     /// learn-epoch bump re-scores stage 2 over the cached stage-1
     /// candidates; an index-epoch bump recomputes from scratch). `0.0`
-    /// (default) keeps the same-tick-only coalescing path byte-for-byte.
-    /// A pure speedup: the report is byte-identical to the sequential
-    /// engine modulo the report's `selector` stats block. Ignored
-    /// (treated as `0`) while `admit_served_pairs` is on, for the same
-    /// reason as `selector_batch`.
+    /// (default) is the zero-width window: same-tick coalescing only.
+    /// A pure speedup at any width: the report is byte-identical to
+    /// the zero-width run modulo the report's `selector` stats block.
+    /// Ignored (treated as `0`) while `admit_served_pairs` is on, for
+    /// the same reason as `selector_batch`.
     pub selector_window_s: f64,
-    /// Worker threads for deterministic pool-parallel stepping (env
-    /// `IC_REPLAY_THREADS` in the bench binaries). Maximal runs of
-    /// `StepComplete` events between router interactions execute as
-    /// per-pool step chains on worker threads and merge back in exact
-    /// `(time, seq)` order, so the report — every stats block included —
-    /// is bit-identical to the sequential replay. `0`/`1` (default)
-    /// keeps the sequential path.
+    /// Threads executing step regions (env `IC_REPLAY_THREADS` in the
+    /// bench binaries). Maximal runs of `StepComplete` events between
+    /// router interactions execute as per-pool step chains and merge
+    /// back in exact `(time, seq)` order; `0`/`1` (default) runs every
+    /// chain inline on the event-loop thread, higher values hand all
+    /// but one chain per region to worker threads. Where the chains
+    /// run cannot change the report — every stats block is
+    /// bit-identical at any value.
     pub replay_threads: usize,
-    /// Upper bound of the adaptive spin-then-park wait on the region
-    /// hand-off channels, in `try_recv` spin iterations (env
-    /// `IC_REPLAY_SPIN` in the bench binaries). Region workers and the
-    /// coordinator spin this long on an empty channel before parking in
-    /// a blocking receive; a message that lands while spinning doubles
-    /// the next wait's spin budget (up to this cap), a park halves it —
-    /// dense step regions stay on the low-latency spin path, idle
-    /// phases decay toward an immediate park. `0` always parks
-    /// immediately (the pre-batching behaviour). Wall-clock only: task
-    /// results are routed by slot, so the replay bytes are identical at
-    /// any value. Irrelevant while `replay_threads <= 1`.
-    pub replay_spin: u32,
     /// Tokens per KV block (paged KV memory; `0` with a zero budget
     /// disables the memory model).
     pub kv_block_tokens: u32,
@@ -212,7 +200,6 @@ impl Default for EngineConfig {
             selector_batch: 0,
             selector_window_s: 0.0,
             replay_threads: 1,
-            replay_spin: 4096,
             kv_block_tokens: 16,
             kv_budget_blocks: 1024,
             kv_watermarks: Watermarks::DEFAULT,
@@ -239,209 +226,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Simulator events.
-#[derive(Debug)]
-enum Event {
-    /// Request `i` of the workload arrives.
-    Arrival(usize),
-    /// The in-flight iteration (token step) of `pool` ends. The second
-    /// field is the pool's failover epoch at arming time: a pool
-    /// failover bumps the epoch, so a step armed before the flush is
-    /// recognisably stale and dropped — otherwise a pool that refills
-    /// before the stale event fires would end up with two step
-    /// lineages advancing it twice per iteration.
-    StepComplete(usize, u64),
-    /// One gossip round of the router tier (periodic; only scheduled
-    /// with more than one replica).
-    GossipRound,
-    /// Fault injection: `pool` goes down — flush its work back through
-    /// the router tier and keep routing off its model.
-    PoolDown(usize),
-    /// Fault injection: `pool` recovers.
-    PoolUp(usize),
-    /// Full offline maintenance (replay + capacity enforcement).
-    Maintenance,
-    /// Capacity-only cross-shard budget rebalance.
-    Rebalance,
-    /// One firing of the periodic telemetry sampler
-    /// (`EngineConfig::obs_sample_s`).
-    ObsSample,
-    /// Request `i`, answered by the stage-0 response cache at its
-    /// arrival tick, completes after the fixed cache-serve latency
-    /// ([`STAGE0_HIT_LATENCY_S`]). Scheduling a real event (instead of
-    /// filling the record inline with a future timestamp) keeps the
-    /// completion bookkeeping — completions list, sampler percentiles,
-    /// Little's-law feedback, the terminal `Finish` lifecycle event —
-    /// in global time order.
-    Stage0Complete(usize),
-}
-
-/// Fixed latency of serving a request from the stage-0 response cache:
-/// the embedding probe plus response streaming, orders of magnitude
-/// below any prefill/decode path but not free.
-const STAGE0_HIT_LATENCY_S: f64 = 0.002;
-
-/// A selection precomputed by the bounded-delay look-ahead window
-/// (`EngineConfig::selector_window_s`), plus the selector epochs it was
-/// certified under. At the arrival's own event position the entry is
-/// re-validated: both epochs unchanged serves the cached [`Selection`]
-/// outright; an unchanged index epoch alone still reuses the cached
-/// stage-1 candidates (stage 2 re-scores); anything else recomputes.
-struct PreSel {
-    stage1: Vec<(ExampleId, f64)>,
-    selection: Selection,
-    index_epoch: u64,
-    learn_epoch: u64,
-}
-
-/// Multiset of pending non-step event times. Its earliest entry is the
-/// barrier a pool-parallel step region must not cross: every router
-/// interaction (arrival, gossip, outage, maintenance, rebalance) is
-/// tracked here, so any run of `StepComplete` chains strictly before it
-/// is provably independent and safe to execute out of line.
-#[derive(Debug, Default)]
-struct BarrierSet(BTreeMap<SimTime, u32>);
-
-impl BarrierSet {
-    fn add(&mut self, t: SimTime) {
-        *self.0.entry(t).or_insert(0) += 1;
-    }
-
-    fn remove(&mut self, t: SimTime) {
-        match self.0.get_mut(&t) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.0.remove(&t);
-            }
-            None => debug_assert!(false, "barrier multiset underflow at {t}"),
-        }
-    }
-
-    fn earliest(&self) -> Option<SimTime> {
-        self.0.keys().next().copied()
-    }
-}
-
-/// One per-pool chain assignment for a region worker.
-struct RegionTask {
-    /// Index into the region's head list (result routing).
-    slot: usize,
-    /// Pool whose chain to advance.
-    pool: usize,
-    /// Time of the chain's first (already-popped) step event.
-    at: SimTime,
-    /// Region barrier: the chain stops before this instant.
-    barrier: Option<SimTime>,
-}
-
-/// Adaptive spin-then-park wait on one region hand-off channel. A step
-/// region's tasks land within microseconds of the coordinator reaching
-/// the dispatch site, and its results come back as fast as the chains
-/// run — parking in the OS between every exchange pays a futex/condvar
-/// round-trip per region. The waiter spins on `try_recv` for up to a
-/// budget of iterations before falling back to a blocking `recv`; a
-/// message that arrives while spinning doubles the next budget (to the
-/// configured cap), a park halves it. Dense regions therefore stay on
-/// the spin path; an idle replay phase decays toward parking right
-/// away. Purely a wall-clock lever — nothing about which messages
-/// arrive, or in what order they are processed, depends on it.
-struct SpinWait {
-    cap: u32,
-    cur: Cell<u32>,
-}
-
-impl SpinWait {
-    /// Smallest non-zero spin budget (a handful of cache-hot polls).
-    const FLOOR: u32 = 16;
-
-    fn new(cap: u32) -> Self {
-        Self {
-            cap,
-            cur: Cell::new(Self::FLOOR.min(cap)),
-        }
-    }
-
-    /// Receives one message: spin up to the current budget, then park.
-    fn recv<T>(&self, rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
-        let budget = self.cur.get();
-        for _ in 0..budget {
-            match rx.try_recv() {
-                Ok(v) => {
-                    self.cur
-                        .set(budget.saturating_mul(2).clamp(Self::FLOOR, self.cap));
-                    return Ok(v);
-                }
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
-            }
-        }
-        self.cur.set((budget / 2).max(Self::FLOOR.min(self.cap)));
-        rx.recv()
-    }
-}
-
-/// Channel endpoints of the persistent region workers spawned for one
-/// `serve_workload` run (`EngineConfig::replay_threads`). Workers hold
-/// `&[Mutex<ModelPool>]` and run [`ModelPool::advance_chain`] per task.
-/// Each region is handed off as **one batch per worker** — a single
-/// channel message carrying every chain assigned to that worker, and a
-/// single reply carrying all of its chains back — so a k-pool region
-/// costs two messages per participating worker instead of 2k, and both
-/// ends wait with the adaptive [`SpinWait`]. Workers exit when the
-/// task senders drop at scope end.
-struct RegionWorkers {
-    task_txs: Vec<mpsc::Sender<Vec<RegionTask>>>,
-    results_rx: mpsc::Receiver<Vec<(usize, Vec<ChainStep>)>>,
-    /// Coordinator-side waiter for result batches (the event loop is
-    /// single-threaded, hence the `Cell` inside).
-    results_spin: SpinWait,
-}
-
-impl RegionWorkers {
-    fn spawn<'scope, 'pools: 'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        pools: &'pools [Mutex<ModelPool>],
-        workers: usize,
-        spin: u32,
-    ) -> Self {
-        let (results_tx, results_rx) = mpsc::channel();
-        let mut task_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (task_tx, task_rx) = mpsc::channel::<Vec<RegionTask>>();
-            let results_tx = results_tx.clone();
-            scope.spawn(move || {
-                let wait = SpinWait::new(spin);
-                while let Ok(batch) = wait.recv(&task_rx) {
-                    let results = batch
-                        .into_iter()
-                        .map(|task| {
-                            let chain =
-                                pools[task.pool].lock().advance_chain(task.at, task.barrier);
-                            (task.slot, chain)
-                        })
-                        .collect();
-                    if results_tx.send(results).is_err() {
-                        break;
-                    }
-                }
-            });
-            task_txs.push(task_tx);
-        }
-        Self {
-            task_txs,
-            results_rx,
-            results_spin: SpinWait::new(spin),
-        }
-    }
-
-    /// Receives one worker's result batch (spin-then-park).
-    fn recv_results(&self) -> Vec<(usize, Vec<ChainStep>)> {
-        self.results_spin
-            .recv(&self.results_rx)
-            .expect("region worker alive")
-    }
-}
-
 /// The production-shaped serving path: IC-Cache admission, selection and
 /// routing run inside a discrete-event simulation whose per-model pools
 /// execute jobs at iteration (token-step) granularity — chunked prefill,
@@ -459,8 +243,22 @@ pub struct EventDrivenEngine {
 
 impl EventDrivenEngine {
     /// Builds the engine over a (typically example-seeded) system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`PoolOutage`] names a pool the engine does not
+    /// have: a fault schedule that silently injects nothing would
+    /// record a fault-free run as if it had survived the outage.
     pub fn new(system: IcCacheSystem, config: EngineConfig) -> Self {
         let sys_cfg = system.config();
+        let pools = sys_cfg.models.len();
+        for outage in &config.pool_outages {
+            assert!(
+                outage.pool < pools,
+                "pool outage names pool {} but the engine has {pools} pool(s)",
+                outage.pool
+            );
+        }
         let primary = sys_cfg.primary;
         let offload = sys_cfg.offload_models();
         let catalog = &sys_cfg.catalog;
@@ -518,223 +316,9 @@ impl EventDrivenEngine {
     }
 }
 
-/// Pool index of `model` in routing order.
-fn pool_index(model_pools: &[(ModelId, usize)], model: ModelId) -> usize {
-    model_pools
-        .iter()
-        .find(|(m, _)| *m == model)
-        .map(|&(_, p)| p)
-        .expect("routed model has a pool")
-}
-
-/// The shareable example-set prefix of a served request's prompt, or
-/// `None` when sharing is off or no injected examples survived the
-/// context-window fit. The set identity is a deterministic
-/// `split_mix64` fold over the *kept* example ids in prompt order —
-/// two requests handed the same examples in the same order (the common
-/// case when concurrent requests hit the same selector entries) hash
-/// to the same set and so map the same hash-consed KV blocks; the
-/// prefix length is the tokens the template + examples occupy.
-fn shared_prefix_of(out: &ServeOutcome, enabled: bool) -> Option<SharedPrefix> {
-    if !enabled || out.outcome.example_tokens == 0 {
-        return None;
-    }
-    let kept = out
-        .selection
-        .ids
-        .len()
-        .saturating_sub(out.outcome.examples_dropped as usize);
-    if kept == 0 {
-        return None;
-    }
-    let mut set = 0x1C_CAC4E_u64; // domain tag: "IC-Cache" prefix sets
-    for id in &out.selection.ids[..kept] {
-        set = split_mix64(set ^ id.0);
-    }
-    Some(SharedPrefix {
-        set,
-        tokens: out.outcome.example_tokens,
-    })
-}
-
-/// The post-selection tail of one arrival, shared by the sequential and
-/// windowed paths: record the decision, offer the job to its routed
-/// pool (arming the step event on an idle-pool start), and fold the
-/// outcome into the run tallies. A queue-cap reject produced no
-/// response: it contributes nothing to the quality/offload/cache
-/// aggregates. Callers running `admit_served_pairs` cache the pair
-/// afterwards, gated on the record not being rejected.
-#[allow(clippy::too_many_arguments)] // run-scoped tallies, not a real API
-fn admit_arrival(
-    i: usize,
-    out: &ServeOutcome,
-    kv_share: bool,
-    at: SimTime,
-    now: f64,
-    sim: &mut Simulator<Event>,
-    pools: &[Mutex<ModelPool>],
-    model_pools: &[(ModelId, usize)],
-    pool_epochs: &[u64],
-    records: &mut [Option<RequestRecord>],
-    completed: &mut usize,
-    offloaded: &mut u64,
-    solicited: &mut u64,
-    selection_hits: &mut u64,
-    examples_used: &mut u64,
-    quality_sum: &mut f64,
-    mut obs: Option<&mut Recorder>,
-) {
-    records[i] = Some(RequestRecord {
-        index: i,
-        model: out.model.0,
-        offloaded: out.offloaded,
-        quality: out.outcome.quality,
-        solicited: out.solicited_feedback,
-        examples: out.selection.ids.len(),
-        arrival_s: now,
-        queue_s: 0.0,
-        ttft_s: 0.0,
-        e2e_s: 0.0,
-        rejected: false,
-    });
-
-    let pool = pool_index(model_pools, out.model);
-    if let Some(rec) = obs.as_mut() {
-        rec.record(
-            at,
-            i as u64,
-            ObsKind::Selected {
-                model: out.model.0 as u32,
-                examples: out.selection.ids.len() as u32,
-                offloaded: out.offloaded,
-            },
-        );
-        rec.record(at, i as u64, ObsKind::RouterDecision { pool: pool as u32 });
-    }
-    let job = JobSpec {
-        id: JobId(i as u64),
-        pool,
-        arrival: at,
-        ttft_secs: out.outcome.latency.ttft,
-        decode_secs: out.outcome.latency.decode,
-        prefill_tokens: out.outcome.input_tokens,
-        decode_tokens: out.outcome.output_tokens,
-        priority: 0,
-        share: shared_prefix_of(out, kv_share),
-    };
-    // Iteration-level admission: an idle pool starts the job (arming
-    // its step event); a busy pool keeps it queued until the next step
-    // boundary.
-    let offer = pools[pool].lock().offer(job, at);
-    if offer == Offer::Rejected {
-        if let Some(rec) = obs.as_mut() {
-            rec.record(at, i as u64, ObsKind::RejectedByCap { retry: false });
-        }
-        let record = records[i].as_mut().expect("record created above");
-        record.rejected = true;
-        *completed += 1;
-    } else {
-        if offer == Offer::Started {
-            arm_step(sim, pools, pool, pool_epochs[pool]);
-        } else if let Some(rec) = obs.as_mut() {
-            rec.record(at, i as u64, ObsKind::Enqueued { pool: pool as u32 });
-        }
-        if out.offloaded {
-            *offloaded += 1;
-        }
-        if out.solicited_feedback {
-            *solicited += 1;
-        }
-        if !out.selection.ids.is_empty() {
-            *selection_hits += 1;
-            *examples_used += out.selection.ids.len() as u64;
-        }
-        *quality_sum += out.outcome.quality;
-    }
-}
-
-/// Serves request `i` from the stage-0 response cache: record the
-/// provenance of the cached response, emit the `Stage0Hit` lifecycle
-/// marker, and schedule the completion event one cache-serve latency
-/// out. No selector, router, or pool state is touched — the hit's only
-/// contribution to the run tallies is its quality (it delivered the
-/// cached response's answer). Timings are filled by `Stage0Complete`.
-#[allow(clippy::too_many_arguments)] // run-scoped tallies, not a real API
-fn serve_stage0_hit(
-    i: usize,
-    resp: &CachedResponse,
-    owner: usize,
-    at: SimTime,
-    now: f64,
-    par_on: bool,
-    sim: &mut Simulator<Event>,
-    barrier: &mut BarrierSet,
-    records: &mut [Option<RequestRecord>],
-    quality_sum: &mut f64,
-    obs: Option<&mut Recorder>,
-) {
-    records[i] = Some(RequestRecord {
-        index: i,
-        model: resp.model,
-        // *This* serving ran nothing: no offload, no examples, no
-        // solicitation — the cached response's provenance lives in the
-        // cache entry, not in the hit's record.
-        offloaded: false,
-        quality: resp.quality,
-        solicited: false,
-        examples: 0,
-        arrival_s: now,
-        queue_s: 0.0,
-        ttft_s: 0.0,
-        e2e_s: 0.0,
-        rejected: false,
-    });
-    *quality_sum += resp.quality;
-    if let Some(rec) = obs {
-        rec.record(
-            at,
-            i as u64,
-            ObsKind::Stage0Hit {
-                replica: owner as u32,
-            },
-        );
-    }
-    let done = at + SimDuration::from_secs_f64(STAGE0_HIT_LATENCY_S);
-    sim.schedule(done, Event::Stage0Complete(i));
-    if par_on {
-        barrier.add(done);
-    }
-}
-
-/// The response a served outcome leaves behind for the stage-0 cache.
-fn cacheable_response(out: &ServeOutcome) -> CachedResponse {
-    CachedResponse {
-        model: out.model.0,
-        offloaded: out.offloaded,
-        quality: out.outcome.quality,
-        examples: out.selection.ids.len(),
-        response_tokens: out.outcome.output_tokens,
-    }
-}
-
-/// Reschedules `pool`'s step event iff it still has a running batch.
-/// Invariant: each busy pool has exactly one *live* `StepComplete`
-/// in flight — armed here and by an `Offer::Started` admission; a
-/// pool failover bumps `epoch` so the flushed lineage's pending
-/// event dies on delivery instead of double-stepping a refilled
-/// pool.
-fn arm_step(sim: &mut Simulator<Event>, pools: &[Mutex<ModelPool>], pool: usize, epoch: u64) {
-    if let Some(dt) = pools[pool].lock().step_secs() {
-        sim.schedule_in(
-            SimDuration::from_secs_f64(dt),
-            Event::StepComplete(pool, epoch),
-        );
-    }
-}
-
 impl ServingEngine for EventDrivenEngine {
     fn name(&self) -> &'static str {
-        "event-driven"
+        ENGINE_NAME
     }
 
     fn serve_workload(&mut self, requests: &[Request], arrivals: &[f64]) -> EngineReport {
@@ -743,1183 +327,21 @@ impl ServingEngine for EventDrivenEngine {
             arrivals.len(),
             "one arrival time per request"
         );
-        let n = requests.len();
-        // Fresh pools per run: queue state never leaks across workloads.
-        // Mutex-wrapped so region workers can advance step chains in
-        // parallel; the sequential path pays only an uncontended lock.
         let pools: Vec<Mutex<ModelPool>> = self
             .pool_configs
             .iter()
             .cloned()
             .map(|pc| Mutex::new(ModelPool::new(pc)))
             .collect();
-        let config = self.config.clone();
-        let model_pools = self.model_pools.clone();
-        let system = &mut self.system;
-
-        // Lifecycle tracing (`IC_OBS_TRACE`): hand each pool its
-        // recording lane and keep the engine lane in the recorder. With
-        // tracing off no lane exists anywhere, so the hot path costs
-        // one `Option` check per would-be record.
-        if config.trace {
-            for (p, pool) in pools.iter().enumerate() {
-                pool.lock()
-                    .set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
-            }
-        }
-        let mut recorder = config.trace.then(|| Recorder::new(config.obs_ring));
-
-        // Shape the router tier for this run. A changed replica count
-        // re-clones the (possibly warmed) primary router into every
-        // replica; an unchanged tier just resets the run-scoped
-        // counters and latency EMAs. With the default single replica
-        // this is behaviourally the pre-refactor engine.
-        let replicas = config.router_replicas.max(1);
-        {
-            let fe = system.front_end_mut();
-            if fe.num_replicas() != replicas {
-                fe.reconfigure(replicas, config.latency_ema_alpha);
-            } else {
-                fe.begin_run(config.latency_ema_alpha);
-            }
-        }
-
-        // Pool-parallel stepping (`IC_REPLAY_THREADS`): while on, every
-        // pending non-step event time is mirrored in `barrier`, whose
-        // earliest entry bounds how far a step region may run ahead.
-        let threads = config.replay_threads.max(1);
-        let par_on = threads > 1;
-        let mut barrier = BarrierSet::default();
-
-        let mut sim: Simulator<Event> = Simulator::new();
-        let times: Vec<SimTime> = arrivals
-            .iter()
-            .map(|&a| SimTime::from_secs_f64(a))
-            .collect();
-        for (i, &t) in times.iter().enumerate() {
-            sim.schedule(t, Event::Arrival(i));
-            if par_on {
-                barrier.add(t);
-            }
-        }
-        // Gossip only exists on a real tier: a single replica has no
-        // peers, so no events are scheduled and the run is event-for-
-        // event identical to the pre-refactor engine.
-        let gossip = if replicas > 1 {
-            Periodic::every_secs(config.gossip_period_s)
-        } else {
-            Periodic::every_secs(0.0)
-        };
-        if gossip.arm(&mut sim, Event::GossipRound) && par_on {
-            barrier.add(sim.now() + gossip.period().expect("armed implies enabled"));
-        }
-        // Telemetry sampler (`IC_OBS_SAMPLE`): periodic cluster-state
-        // snapshots, independent of event tracing.
-        let sampler = Periodic::every_secs(config.obs_sample_s);
-        let sampler_on = sampler.enabled();
-        if sampler.arm(&mut sim, Event::ObsSample) && par_on {
-            barrier.add(sim.now() + sampler.period().expect("armed implies enabled"));
-        }
-        for outage in &config.pool_outages {
-            if outage.duration_s <= 0.0 || outage.pool >= pools.len() {
-                continue;
-            }
-            let down_at = SimTime::from_secs_f64(outage.at_s);
-            let up_at = SimTime::from_secs_f64(outage.at_s + outage.duration_s);
-            sim.schedule(down_at, Event::PoolDown(outage.pool));
-            sim.schedule(up_at, Event::PoolUp(outage.pool));
-            if par_on {
-                barrier.add(down_at);
-                barrier.add(up_at);
-            }
-        }
-        if config.maintenance_period_s > 0.0 {
-            let t = SimTime::from_secs_f64(config.maintenance_period_s);
-            sim.schedule(t, Event::Maintenance);
-            if par_on {
-                barrier.add(t);
-            }
-        }
-        if config.rebalance_period_s > 0.0 {
-            let t = SimTime::from_secs_f64(config.rebalance_period_s);
-            sim.schedule(t, Event::Rebalance);
-            if par_on {
-                barrier.add(t);
-            }
-        }
-
-        // Cross-request selector batching: how many same-tick arrivals
-        // one stage-1 probe may cover. Disabled (singletons) while
-        // served pairs are cached back, because the sequential order
-        // would index a batch member's pair before later members probe.
-        let coalesce = if config.admit_served_pairs {
-            1
-        } else {
-            config.selector_batch.max(1)
-        };
-        // Bounded-delay look-ahead (`IC_SELECTOR_WINDOW`): precompute
-        // selections for arrivals up to `window` ahead of the probing
-        // event, consumed (epoch-validated) at their own positions.
-        // Disabled alongside coalescing while served pairs are cached.
-        let window_s = if config.admit_served_pairs {
-            0.0
-        } else {
-            config.selector_window_s.max(0.0)
-        };
-        let window_on = window_s > 0.0 && window_s.is_finite();
-        let window = SimDuration::from_secs_f64(if window_on { window_s } else { 0.0 });
-        let probe_cap = if config.selector_batch >= 2 {
-            config.selector_batch
-        } else {
-            64
-        };
-        // Arrival indices in firing order — the heap pops `(time, seq)`
-        // and arrivals are scheduled in index order, so this is exactly
-        // `(time, index)`.
-        let mut order: Vec<usize> = (0..n).collect();
-        if window_on {
-            order.sort_by_key(|&i| (times[i], i));
-        }
-        let mut win_cursor = 0usize;
-        let mut presel: Vec<Option<PreSel>> = (0..n).map(|_| None).collect();
-
-        // Stage-0 response cache (`IC_RESP_CACHE`): probed per fresh
-        // arrival before any selector work. `None` (the default) keeps
-        // every path below byte-identical to the pre-stage0 engine.
-        let mut resp_cache = config.resp_cache.then(|| {
-            ResponseCache::new(RespCacheConfig {
-                threshold: config.resp_threshold,
-                budget_bytes: config.resp_budget_bytes,
-                ttl_s: config.resp_ttl_s,
-                prepop_min: config.resp_prepop_min,
-                window_s: config.resp_window_s,
-            })
-        });
-
-        let mut selector_stats = SelectorStats {
-            batch_limit: config.selector_batch as u64,
-            ..SelectorStats::default()
-        };
-        let mut replay_stats = ReplayStats {
-            threads: threads as u64,
-            ..ReplayStats::default()
-        };
-
-        let mut records: Vec<Option<RequestRecord>> = (0..n).map(|_| None).collect();
-        // One arrival window per router replica: each replica estimates
-        // the arrival rate from the requests *it* owns — a stale, local
-        // view by construction (with one replica this is exactly the
-        // old global window).
-        let mut arrival_windows: Vec<VecDeque<f64>> = vec![VecDeque::new(); replicas];
-        let mut completions: Vec<f64> = Vec::with_capacity(n);
-        // Sampler state: running latency recorders behind the periodic
-        // percentile gauges, with the sorted state memoized between
-        // completions (`ic_stats::PercentileSnapshot`) so back-to-back
-        // idle sample ticks reuse one sort.
-        let mut samples: Vec<TelemetrySample> = Vec::new();
-        let mut e2e_pct = Percentiles::new();
-        let mut ttft_pct = Percentiles::new();
-        let mut pct_cache: Option<(usize, PercentileSnapshot, PercentileSnapshot)> = None;
-        let mut completed = 0usize;
-        let mut offloaded = 0u64;
-        let mut solicited = 0u64;
-        let mut selection_hits = 0u64;
-        let mut examples_used = 0u64;
-        let mut evicted = 0u64;
-        let mut quality_sum = 0.0f64;
-        let mut failover_requeues = 0u64;
-        let mut retry_rejects = 0u64;
-        // Failover bookkeeping: `pool_epochs` invalidates a flushed
-        // pool's in-flight step event (see `Event::StepComplete`);
-        // `down_depth` counts overlapping outage windows so a nested
-        // window's `PoolUp` cannot revive a pool an enclosing window
-        // still declares down.
-        let mut pool_epochs: Vec<u64> = vec![0; pools.len()];
-        let mut down_depth: Vec<u32> = vec![0; pools.len()];
-
-        // The event loop, generic over the worker tier: `None` runs
-        // everything inline (sequential replay); `Some` dispatches step
-        // regions to the workers. The loop pops with `next_if_full` so
-        // region merges know each head's exact sequence number.
-        let mut event_loop = |workers: Option<&RegionWorkers>| {
-            while let Some((at, seq, event)) = sim.next_if_full(|_, _| true) {
-                let now = at.as_secs_f64();
-                if par_on && !matches!(event, Event::StepComplete(..)) {
-                    barrier.remove(at);
-                }
-                match event {
-                    Event::Arrival(i) if window_on => {
-                        // --- bounded-delay look-ahead path ---
-                        // Windowed arrival-rate estimate feeds the owning
-                        // replica's load tracker before its routing decision,
-                        // exactly as on the sequential path below.
-                        let owner = system.front_end().replica_of(requests[i].id);
-                        let load_win = &mut arrival_windows[owner];
-                        load_win.push_back(now);
-                        while load_win.len() > config.load_window {
-                            load_win.pop_front();
-                        }
-                        if load_win.len() >= 2 {
-                            let dt = now - load_win.front().expect("non-empty window");
-                            if dt > 0.0 {
-                                system
-                                    .front_end_mut()
-                                    .observe_arrival_load(owner, (load_win.len() - 1) as f64 / dt);
-                            }
-                        }
-
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(
-                                at,
-                                i as u64,
-                                ObsKind::Arrival {
-                                    replica: owner as u32,
-                                },
-                            );
-                        }
-                        // Stage-0 probe: a response-cache hit skips the
-                        // whole selection path. A precomputed look-ahead
-                        // entry is dropped (wasted probe work, nothing
-                        // more); an unconsumed window-cursor slot still
-                        // advances past this arrival.
-                        if let Some(cache) = resp_cache.as_mut() {
-                            cache.observe(&requests[i].embedding, now);
-                            if let Some(resp) = cache.lookup(&requests[i].embedding, now) {
-                                if presel[i].take().is_none()
-                                    && order.get(win_cursor).copied() == Some(i)
-                                {
-                                    win_cursor += 1;
-                                }
-                                serve_stage0_hit(
-                                    i,
-                                    &resp,
-                                    owner,
-                                    at,
-                                    now,
-                                    par_on,
-                                    &mut sim,
-                                    &mut barrier,
-                                    &mut records,
-                                    &mut quality_sum,
-                                    recorder.as_mut(),
-                                );
-                                continue;
-                            }
-                        }
-                        let request = &requests[i];
-                        let out = match presel[i].take() {
-                            // Both epochs unchanged: the precomputed selection
-                            // is exactly what `serve` would compute now.
-                            Some(e)
-                                if e.index_epoch == system.selector().index_epoch()
-                                    && e.learn_epoch == system.selector().learn_epoch() =>
-                            {
-                                replay_stats.preselect_hits += 1;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: 0,
-                                            reused: true,
-                                        },
-                                    );
-                                }
-                                system.serve_with_selection(request, e.selection)
-                            }
-                            // The proxy/threshold learned since the probe but
-                            // the index is untouched: stage-1 candidates are
-                            // still exact; re-score stage 2 only.
-                            Some(e) if e.index_epoch == system.selector().index_epoch() => {
-                                replay_stats.stage1_reuses += 1;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: 0,
-                                            reused: true,
-                                        },
-                                    );
-                                }
-                                system.serve_with_stage1(request, Some(e.stage1))
-                            }
-                            // The index moved (admission/eviction): recompute
-                            // from scratch, as `serve` would.
-                            Some(_) => {
-                                replay_stats.invalidations += 1;
-                                selector_stats.batches += 1;
-                                selector_stats.requests += 1;
-                                selector_stats.max_batch = selector_stats.max_batch.max(1);
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: 1,
-                                            reused: false,
-                                        },
-                                    );
-                                }
-                                system.serve_with_stage1(request, None)
-                            }
-                            // No entry yet: probe stage 1 for every arrival in
-                            // the window in one multi-query shot, precompute
-                            // their full selections, then consume this one's.
-                            None => {
-                                if order.get(win_cursor).copied() != Some(i) {
-                                    debug_assert!(false, "window cursor out of sync at {i}");
-                                    win_cursor = order
-                                        .iter()
-                                        .position(|&j| j == i)
-                                        .expect("arrival is in the firing order");
-                                }
-                                let horizon = at + window;
-                                let mut batch = Vec::new();
-                                while win_cursor < order.len() && batch.len() < probe_cap {
-                                    let j = order[win_cursor];
-                                    if times[j] > horizon {
-                                        break;
-                                    }
-                                    batch.push(j);
-                                    win_cursor += 1;
-                                }
-                                let refs: Vec<&Request> =
-                                    batch.iter().map(|&j| &requests[j]).collect();
-                                let stage1 = system.stage1_batch(&refs);
-                                let index_epoch = system.selector().index_epoch();
-                                let learn_epoch = system.selector().learn_epoch();
-                                for (&j, s1) in batch.iter().zip(stage1) {
-                                    let selection = system.preselect(&requests[j], s1.clone());
-                                    presel[j] = Some(PreSel {
-                                        stage1: s1,
-                                        selection,
-                                        index_epoch,
-                                        learn_epoch,
-                                    });
-                                }
-                                replay_stats.preselects += batch.len() as u64;
-                                selector_stats.batches += 1;
-                                selector_stats.requests += batch.len() as u64;
-                                selector_stats.max_batch =
-                                    selector_stats.max_batch.max(batch.len() as u64);
-                                let e = presel[i].take().expect("the probe covers its own arrival");
-                                replay_stats.preselect_hits += 1;
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: batch.len() as u32,
-                                            reused: false,
-                                        },
-                                    );
-                                }
-                                system.serve_with_selection(request, e.selection)
-                            }
-                        };
-                        admit_arrival(
-                            i,
-                            &out,
-                            config.kv_share,
-                            at,
-                            now,
-                            &mut sim,
-                            &pools,
-                            &model_pools,
-                            &pool_epochs,
-                            &mut records,
-                            &mut completed,
-                            &mut offloaded,
-                            &mut solicited,
-                            &mut selection_hits,
-                            &mut examples_used,
-                            &mut quality_sum,
-                            recorder.as_mut(),
-                        );
-                        if let Some(cache) = resp_cache.as_mut()
-                            && !records[i].as_ref().expect("record created above").rejected
-                        {
-                            cache.admit(&requests[i].embedding, cacheable_response(&out), now);
-                        }
-                    }
-                    Event::Arrival(first) => {
-                        // Coalesce the run of arrivals sharing this event
-                        // tick into one selector batch. Only *consecutive*
-                        // same-tick arrival events are taken, so ordering
-                        // relative to any interleaved step, maintenance or
-                        // rebalance event is untouched.
-                        let mut batch = vec![first];
-                        while batch.len() < coalesce {
-                            match sim.next_if(|t, ev| t == at && matches!(ev, Event::Arrival(_))) {
-                                Some((_, Event::Arrival(j))) => {
-                                    if par_on {
-                                        barrier.remove(at);
-                                    }
-                                    batch.push(j);
-                                }
-                                Some(_) => unreachable!("predicate admits only arrivals"),
-                                None => break,
-                            }
-                        }
-                        if let Some(cache) = resp_cache.as_mut() {
-                            // --- stage-0 over a coalesced batch ---
-                            // Observe every member in the trending sketch
-                            // *before* serving the first: a same-tick
-                            // stampede of N identical arrivals is already at
-                            // count N when its first member misses, so that
-                            // member's served response is admitted and the
-                            // other N−1 members hit it — one insertion per
-                            // stampede.
-                            for &i in &batch {
-                                cache.observe(&requests[i].embedding, now);
-                            }
-                            // The hoisted stage-1 probe is computed lazily at
-                            // the first miss (an all-hit batch does no
-                            // selector work at all) and covers the whole
-                            // batch: the probe is read-only and nothing
-                            // mutates the index within the tick, so each
-                            // entry is exactly what an inline probe at the
-                            // member's own serve would return.
-                            let mut hoisted: Option<Vec<Vec<(ExampleId, f64)>>> = None;
-                            let mut misses = 0u64;
-                            for (k, &i) in batch.iter().enumerate() {
-                                let owner = system.front_end().replica_of(requests[i].id);
-                                let load_win = &mut arrival_windows[owner];
-                                load_win.push_back(now);
-                                while load_win.len() > config.load_window {
-                                    load_win.pop_front();
-                                }
-                                if load_win.len() >= 2 {
-                                    let dt = now - load_win.front().expect("non-empty window");
-                                    if dt > 0.0 {
-                                        system.front_end_mut().observe_arrival_load(
-                                            owner,
-                                            (load_win.len() - 1) as f64 / dt,
-                                        );
-                                    }
-                                }
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Arrival {
-                                            replica: owner as u32,
-                                        },
-                                    );
-                                }
-                                if let Some(resp) = cache.lookup(&requests[i].embedding, now) {
-                                    serve_stage0_hit(
-                                        i,
-                                        &resp,
-                                        owner,
-                                        at,
-                                        now,
-                                        par_on,
-                                        &mut sim,
-                                        &mut barrier,
-                                        &mut records,
-                                        &mut quality_sum,
-                                        recorder.as_mut(),
-                                    );
-                                    continue;
-                                }
-                                misses += 1;
-                                let stage1 = if batch.len() > 1 {
-                                    let probes = hoisted.get_or_insert_with(|| {
-                                        let refs: Vec<&Request> =
-                                            batch.iter().map(|&j| &requests[j]).collect();
-                                        system.stage1_batch(&refs)
-                                    });
-                                    Some(probes[k].clone())
-                                } else {
-                                    None
-                                };
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Stage1Probe {
-                                            batch: batch.len() as u32,
-                                            reused: false,
-                                        },
-                                    );
-                                }
-                                let request = &requests[i];
-                                let out = system.serve_with_stage1(request, stage1);
-                                admit_arrival(
-                                    i,
-                                    &out,
-                                    config.kv_share,
-                                    at,
-                                    now,
-                                    &mut sim,
-                                    &pools,
-                                    &model_pools,
-                                    &pool_epochs,
-                                    &mut records,
-                                    &mut completed,
-                                    &mut offloaded,
-                                    &mut solicited,
-                                    &mut selection_hits,
-                                    &mut examples_used,
-                                    &mut quality_sum,
-                                    recorder.as_mut(),
-                                );
-                                let rejected =
-                                    records[i].as_ref().expect("record created above").rejected;
-                                if config.admit_served_pairs && !rejected {
-                                    let _ =
-                                        system.update_cache(request, &out.outcome, out.model, now);
-                                }
-                                if !rejected {
-                                    cache.admit(
-                                        &requests[i].embedding,
-                                        cacheable_response(&out),
-                                        now,
-                                    );
-                                }
-                            }
-                            // Selector stats count what stage 1 actually
-                            // served; cache-answered members never reached
-                            // it.
-                            if misses > 0 {
-                                selector_stats.batches += 1;
-                                selector_stats.requests += misses;
-                                selector_stats.max_batch = selector_stats.max_batch.max(misses);
-                            }
-                            continue;
-                        }
-                        // One multi-query stage-1 probe for the whole batch.
-                        // Nothing in this path mutates the example index
-                        // between these arrivals, so each entry is exactly
-                        // the stage-1 result the sequential path would
-                        // compute at its serve call; stage 2, routing and
-                        // feedback still run per request below, in order.
-                        // Singletons let `serve` probe inline.
-                        let stage1: Vec<Option<Vec<(ExampleId, f64)>>> = if batch.len() > 1 {
-                            let refs: Vec<&Request> = batch.iter().map(|&j| &requests[j]).collect();
-                            system.stage1_batch(&refs).into_iter().map(Some).collect()
-                        } else {
-                            vec![None]
-                        };
-                        selector_stats.batches += 1;
-                        selector_stats.requests += batch.len() as u64;
-                        selector_stats.max_batch = selector_stats.max_batch.max(batch.len() as u64);
-                        let probe_batch = batch.len() as u32;
-
-                        for (i, stage1) in batch.into_iter().zip(stage1) {
-                            // Windowed arrival-rate estimate feeds the owning
-                            // replica's load tracker before its routing
-                            // decision (each replica sees only its own
-                            // arrivals).
-                            let owner = system.front_end().replica_of(requests[i].id);
-                            let load_win = &mut arrival_windows[owner];
-                            load_win.push_back(now);
-                            while load_win.len() > config.load_window {
-                                load_win.pop_front();
-                            }
-                            if load_win.len() >= 2 {
-                                let dt = now - load_win.front().expect("non-empty window");
-                                if dt > 0.0 {
-                                    system.front_end_mut().observe_arrival_load(
-                                        owner,
-                                        (load_win.len() - 1) as f64 / dt,
-                                    );
-                                }
-                            }
-
-                            if let Some(rec) = recorder.as_mut() {
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::Arrival {
-                                        replica: owner as u32,
-                                    },
-                                );
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::Stage1Probe {
-                                        batch: probe_batch,
-                                        reused: false,
-                                    },
-                                );
-                            }
-                            let request = &requests[i];
-                            let out = system.serve_with_stage1(request, stage1);
-                            admit_arrival(
-                                i,
-                                &out,
-                                config.kv_share,
-                                at,
-                                now,
-                                &mut sim,
-                                &pools,
-                                &model_pools,
-                                &pool_epochs,
-                                &mut records,
-                                &mut completed,
-                                &mut offloaded,
-                                &mut solicited,
-                                &mut selection_hits,
-                                &mut examples_used,
-                                &mut quality_sum,
-                                recorder.as_mut(),
-                            );
-                            if config.admit_served_pairs
-                                && !records[i].as_ref().expect("record created above").rejected
-                            {
-                                let _ = system.update_cache(request, &out.outcome, out.model, now);
-                            }
-                        }
-                    }
-                    Event::Stage0Complete(i) => {
-                        // The cache-served request completes: the same
-                        // bookkeeping a pool finisher gets, with no pool
-                        // state to touch. Queue wait is zero (the cache
-                        // answered at the arrival tick) and first token ==
-                        // completion (the whole response streams at once).
-                        let record = records[i].as_mut().expect("hit recorded at arrival");
-                        record.queue_s = 0.0;
-                        record.ttft_s = STAGE0_HIT_LATENCY_S;
-                        record.e2e_s = STAGE0_HIT_LATENCY_S;
-                        completions.push(now);
-                        completed += 1;
-                        if sampler_on {
-                            e2e_pct.record(record.e2e_s);
-                            ttft_pct.record(record.ttft_s);
-                        }
-                        // Little's-law feedback at the owning replica: the
-                        // stage-0 tier held exactly this request while
-                        // serving it (mirrors the baseline single-request
-                        // path).
-                        let owner = system.front_end().replica_of(requests[i].id);
-                        system
-                            .front_end_mut()
-                            .observe_completion(owner, STAGE0_HIT_LATENCY_S, 1);
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(at, i as u64, ObsKind::Finish { preemptions: 0 });
-                        }
-                    }
-                    Event::StepComplete(pool, epoch) if !par_on => {
-                        if epoch != pool_epochs[pool] {
-                            // A failover flushed the lineage this event was
-                            // armed for; the live lineage (if any) has its
-                            // own pending event.
-                            continue;
-                        }
-                        let step = pools[pool].lock().advance_step(at);
-                        // Loop-invariant across this boundary's finishers:
-                        // the step already ran, so pool occupancy is fixed.
-                        let in_system: u32 = pools
-                            .iter()
-                            .map(|p| {
-                                let p = p.lock();
-                                p.active() + p.queue_len() as u32
-                            })
-                            .sum();
-                        for fin in step.finished {
-                            let i = fin.job.id.0 as usize;
-                            let record = records[i].as_mut().expect("completion follows arrival");
-                            record.queue_s = (fin.started - fin.job.arrival).as_secs_f64();
-                            record.ttft_s = (fin.first_token - fin.job.arrival).as_secs_f64();
-                            record.e2e_s = (fin.completed - fin.job.arrival).as_secs_f64();
-                            completions.push(now);
-                            completed += 1;
-                            if sampler_on {
-                                e2e_pct.record(record.e2e_s);
-                                ttft_pct.record(record.ttft_s);
-                            }
-
-                            // Measured-latency feedback: Little's law turns
-                            // the observed end-to-end latency and the work in
-                            // flight into a demand estimate, recorded at the
-                            // replica that owns the completed request (the
-                            // same path failover retries and the baseline
-                            // `serve_without_ic` feed).
-                            let e2e_s = record.e2e_s;
-                            let owner = system.front_end().replica_of(requests[i].id);
-                            system
-                                .front_end_mut()
-                                .observe_completion(owner, e2e_s, in_system);
-                        }
-                        arm_step(&mut sim, &pools, pool, pool_epochs[pool]);
-                    }
-                    Event::StepComplete(pool, epoch) => {
-                        // --- pool-parallel step region ---
-                        // Gather every consecutive step event off the heap:
-                        // all of them sort before the earliest pending
-                        // non-step event (the region barrier), so each
-                        // pool's chain between here and the barrier depends
-                        // only on that pool's own state.
-                        let mut heads = vec![(at, seq, pool, epoch)];
-                        while let Some((t2, s2, ev)) =
-                            sim.next_if_full(|_, ev| matches!(ev, Event::StepComplete(..)))
-                        {
-                            match ev {
-                                Event::StepComplete(p2, e2) => heads.push((t2, s2, p2, e2)),
-                                _ => unreachable!("predicate admits only step events"),
-                            }
-                        }
-                        // Drop stale lineages (the sequential `continue`).
-                        heads.retain(|&(_, _, p, e)| e == pool_epochs[p]);
-                        if heads.is_empty() {
-                            continue;
-                        }
-                        let region_barrier = barrier.earliest();
-                        debug_assert!(
-                            region_barrier.is_none_or(|b| heads.iter().all(|&(t, ..)| t <= b)),
-                            "step heads must not outrun the barrier"
-                        );
-                        // Occupancy snapshot before any chain advances; the
-                        // merge below updates it in sequential handling
-                        // order so every finisher sees the same `in_system`
-                        // the sequential engine reports.
-                        let mut occ: Vec<u32> = pools
-                            .iter()
-                            .map(|p| {
-                                let p = p.lock();
-                                p.active() + p.queue_len() as u32
-                            })
-                            .collect();
-                        let k = heads.len();
-                        let mut chains: Vec<Option<Vec<ChainStep>>> =
-                            (0..k).map(|_| None).collect();
-                        match workers {
-                            Some(w) if k > 1 => {
-                                // One hand-off per worker: the region's
-                                // chains are grouped into per-worker
-                                // batches and each batch crosses the
-                                // channel as a single message (ditto
-                                // the reply), instead of one send and
-                                // one recv per chain.
-                                let nw = w.task_txs.len();
-                                let mut batches: Vec<Vec<RegionTask>> =
-                                    (0..nw).map(|_| Vec::new()).collect();
-                                for (slot, &(t_h, _, p_h, _)) in heads.iter().enumerate().skip(1) {
-                                    batches[(slot - 1) % nw].push(RegionTask {
-                                        slot,
-                                        pool: p_h,
-                                        at: t_h,
-                                        barrier: region_barrier,
-                                    });
-                                }
-                                let mut outstanding = 0usize;
-                                for (wi, batch) in batches.into_iter().enumerate() {
-                                    if !batch.is_empty() {
-                                        w.task_txs[wi].send(batch).expect("region worker alive");
-                                        outstanding += 1;
-                                    }
-                                }
-                                chains[0] = Some(
-                                    pools[heads[0].2]
-                                        .lock()
-                                        .advance_chain(heads[0].0, region_barrier),
-                                );
-                                for _ in 0..outstanding {
-                                    for (slot, chain) in w.recv_results() {
-                                        chains[slot] = Some(chain);
-                                    }
-                                }
-                            }
-                            _ => {
-                                for (slot, &(t_h, _, p_h, _)) in heads.iter().enumerate() {
-                                    chains[slot] =
-                                        Some(pools[p_h].lock().advance_chain(t_h, region_barrier));
-                                }
-                            }
-                        }
-                        replay_stats.parallel_regions += 1;
-
-                        // Deterministic merge: replay the chains in the exact
-                        // `(time, seq)` order the sequential engine would
-                        // have handled them, burning the same sequence
-                        // numbers it would have assigned — intermediate
-                        // rearms consume a reserved seq, the final rearm per
-                        // pool goes back into the real queue.
-                        let mut merge: BinaryHeap<Reverse<(SimTime, u64, usize, usize)>> = heads
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, &(t, s, _, _))| Reverse((t, s, slot, 0)))
-                            .collect();
-                        while let Some(Reverse((t, _, slot, idx))) = merge.pop() {
-                            let (_, _, p_h, e_h) = heads[slot];
-                            let chain = chains[slot].as_ref().expect("chain collected");
-                            let step = &chain[idx];
-                            debug_assert_eq!(step.at, t, "merge key tracks the chain");
-                            replay_stats.parallel_steps += 1;
-                            occ[p_h] = step.occ_after;
-                            let in_system: u32 = occ.iter().sum();
-                            let t_s = t.as_secs_f64();
-                            for fin in &step.report.finished {
-                                let i = fin.job.id.0 as usize;
-                                let record =
-                                    records[i].as_mut().expect("completion follows arrival");
-                                record.queue_s = (fin.started - fin.job.arrival).as_secs_f64();
-                                record.ttft_s = (fin.first_token - fin.job.arrival).as_secs_f64();
-                                record.e2e_s = (fin.completed - fin.job.arrival).as_secs_f64();
-                                completions.push(t_s);
-                                completed += 1;
-                                if sampler_on {
-                                    e2e_pct.record(record.e2e_s);
-                                    ttft_pct.record(record.ttft_s);
-                                }
-                                let e2e_s = record.e2e_s;
-                                let owner = system.front_end().replica_of(requests[i].id);
-                                system
-                                    .front_end_mut()
-                                    .observe_completion(owner, e2e_s, in_system);
-                            }
-                            if let Some(dt) = step.next_dt {
-                                let next_t = step.at + SimDuration::from_secs_f64(dt);
-                                if idx + 1 < chain.len() {
-                                    let s_next = sim.reserve_seq();
-                                    merge.push(Reverse((next_t, s_next, slot, idx + 1)));
-                                } else {
-                                    // The chain stopped at the barrier: rearm
-                                    // in the real queue, at exactly the seq
-                                    // the sequential engine would assign at
-                                    // this point in its handling order.
-                                    sim.schedule(next_t, Event::StepComplete(p_h, e_h));
-                                }
-                            }
-                        }
-                    }
-                    Event::GossipRound => {
-                        let round = system.run_gossip(now);
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(
-                                at,
-                                NO_REQUEST,
-                                ObsKind::GossipRound {
-                                    merges: round.merges,
-                                    staleness_s: round.staleness_sum_s,
-                                },
-                            );
-                        }
-                        if completed < n && gossip.arm(&mut sim, Event::GossipRound) && par_on {
-                            barrier.add(at + gossip.period().expect("armed implies enabled"));
-                        }
-                    }
-                    Event::PoolDown(pool) => {
-                        // Mark the model down first so the retries below (and
-                        // all future arrivals) route around it, then flush
-                        // everything the pool held — running sequences free
-                        // their KV blocks through the normal kvmem release
-                        // path — and re-enqueue each job through the router
-                        // tier as a retry. Overlapping outage windows nest:
-                        // the depth counter keeps the pool down until the
-                        // last window's recovery. The epoch bump invalidates
-                        // the flushed lineage's in-flight step event.
-                        let model = model_pools[pool].0;
-                        system.failover_mut().set_model_healthy(model, false);
-                        down_depth[pool] += 1;
-                        pool_epochs[pool] += 1;
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(at, NO_REQUEST, ObsKind::PoolDown { pool: pool as u32 });
-                        }
-                        for job_id in pools[pool].lock().fail_over() {
-                            let i = job_id.0 as usize;
-                            failover_requeues += 1;
-                            if let Some(rec) = recorder.as_mut() {
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::FailoverFlush { pool: pool as u32 },
-                                );
-                            }
-                            let old = records[i].as_ref().expect("flushed job was served");
-                            let original_arrival = SimTime::from_secs_f64(old.arrival_s);
-                            // The first serving never completed: withdraw its
-                            // contributions before the retry re-tallies.
-                            if old.offloaded {
-                                offloaded -= 1;
-                            }
-                            if old.solicited {
-                                solicited -= 1;
-                            }
-                            if old.examples > 0 {
-                                selection_hits -= 1;
-                                examples_used -= old.examples as u64;
-                            }
-                            quality_sum -= old.quality;
-                            let arrival_s = old.arrival_s;
-
-                            // Retry: a fresh selection + routing decision at
-                            // the owning replica (the down model is excluded
-                            // by the failover state) and a fresh generation —
-                            // through the stats-neutral retry path, so the
-                            // already-counted request is not double-probed
-                            // into the selector/router stats and no bandit
-                            // feedback is absorbed twice. Retries also bypass
-                            // stage 0: a cached answer cannot be re-offered
-                            // for a request the tier already answered once.
-                            let request = &requests[i];
-                            let out = system.serve_retry(request);
-                            records[i] = Some(RequestRecord {
-                                index: i,
-                                model: out.model.0,
-                                offloaded: out.offloaded,
-                                quality: out.outcome.quality,
-                                solicited: out.solicited_feedback,
-                                examples: out.selection.ids.len(),
-                                arrival_s,
-                                queue_s: 0.0,
-                                ttft_s: 0.0,
-                                e2e_s: 0.0,
-                                rejected: false,
-                            });
-                            let retry_pool = pool_index(&model_pools, out.model);
-                            if let Some(rec) = recorder.as_mut() {
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::Selected {
-                                        model: out.model.0 as u32,
-                                        examples: out.selection.ids.len() as u32,
-                                        offloaded: out.offloaded,
-                                    },
-                                );
-                                rec.record(
-                                    at,
-                                    i as u64,
-                                    ObsKind::RouterDecision {
-                                        pool: retry_pool as u32,
-                                    },
-                                );
-                            }
-                            let job = JobSpec {
-                                id: JobId(i as u64),
-                                pool: retry_pool,
-                                // Latency stays measured from the *original*
-                                // arrival: the outage's lost time is part of
-                                // the user-visible queueing delay.
-                                arrival: original_arrival,
-                                ttft_secs: out.outcome.latency.ttft,
-                                decode_secs: out.outcome.latency.decode,
-                                prefill_tokens: out.outcome.input_tokens,
-                                decode_tokens: out.outcome.output_tokens,
-                                priority: 0,
-                                share: shared_prefix_of(&out, config.kv_share),
-                            };
-                            let offer = pools[retry_pool].lock().offer(job, at);
-                            if offer == Offer::Rejected {
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::RejectedByCap { retry: true },
-                                    );
-                                }
-                                let record = records[i].as_mut().expect("record created above");
-                                record.rejected = true;
-                                completed += 1;
-                                retry_rejects += 1;
-                            } else {
-                                if offer == Offer::Started {
-                                    arm_step(&mut sim, &pools, retry_pool, pool_epochs[retry_pool]);
-                                } else if let Some(rec) = recorder.as_mut() {
-                                    rec.record(
-                                        at,
-                                        i as u64,
-                                        ObsKind::Enqueued {
-                                            pool: retry_pool as u32,
-                                        },
-                                    );
-                                }
-                                // No `update_cache` here: the request's pair
-                                // was already admitted at its arrival (when
-                                // `admit_served_pairs` is on); re-admitting
-                                // the retry outcome would double-cache it.
-                                if out.offloaded {
-                                    offloaded += 1;
-                                }
-                                if out.solicited_feedback {
-                                    solicited += 1;
-                                }
-                                if !out.selection.ids.is_empty() {
-                                    selection_hits += 1;
-                                    examples_used += out.selection.ids.len() as u64;
-                                }
-                                quality_sum += out.outcome.quality;
-                            }
-                        }
-                    }
-                    Event::PoolUp(pool) => {
-                        // Recover only when the outermost outage window
-                        // closes (nested windows each delivered a PoolDown).
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.record(at, NO_REQUEST, ObsKind::PoolUp { pool: pool as u32 });
-                        }
-                        down_depth[pool] = down_depth[pool].saturating_sub(1);
-                        if down_depth[pool] == 0 {
-                            let model = model_pools[pool].0;
-                            system.failover_mut().set_model_healthy(model, true);
-                        }
-                    }
-                    Event::Maintenance => {
-                        let report = system.run_maintenance(now);
-                        evicted += report.evicted as u64;
-                        if completed < n {
-                            let period = SimDuration::from_secs_f64(config.maintenance_period_s);
-                            sim.schedule_in(period, Event::Maintenance);
-                            if par_on {
-                                barrier.add(at + period);
-                            }
-                        }
-                    }
-                    Event::Rebalance => {
-                        evicted += system.run_rebalance(now) as u64;
-                        if completed < n {
-                            let period = SimDuration::from_secs_f64(config.rebalance_period_s);
-                            sim.schedule_in(period, Event::Rebalance);
-                            if par_on {
-                                barrier.add(at + period);
-                            }
-                        }
-                    }
-                    Event::ObsSample => {
-                        // Percentile gauges: reuse the memoized sorted
-                        // snapshot unless a completion landed since the
-                        // last tick.
-                        let cache = match pct_cache.take() {
-                            Some(c) if c.0 == e2e_pct.len() => c,
-                            _ => (e2e_pct.len(), e2e_pct.snapshot(), ttft_pct.snapshot()),
-                        };
-                        let (_, e2e_snap, ttft_snap) = &cache;
-                        let pool_samples: Vec<PoolSample> = pools
-                            .iter()
-                            .map(|p| {
-                                let p = p.lock();
-                                PoolSample {
-                                    queue: p.queue_len() as u32,
-                                    active: p.active(),
-                                    swapped: p.swapped_len() as u32,
-                                    kv_used_blocks: p.kv_used_blocks(),
-                                    kv_occupancy: p.kv_occupancy(),
-                                    kv_shared_blocks: p.kv_shared_blocks(),
-                                    dedup_ratio: p.kv_stats().dedup_ratio(),
-                                    mean_step_batch: p.iter_stats().mean_step_batch(),
-                                }
-                            })
-                            .collect();
-                        // Pool queue caps count every drop, retries
-                        // included; the sample splits them back out.
-                        let total_rejects: u64 = pools.iter().map(|p| p.lock().rejected()).sum();
-                        let fe = system.front_end().stats();
-                        samples.push(TelemetrySample {
-                            t_us: at.as_micros(),
-                            completed: completed as u64,
-                            queue_rejects: total_rejects.saturating_sub(retry_rejects),
-                            retry_rejects,
-                            failover_requeues,
-                            p50_e2e_s: e2e_snap.p50().unwrap_or(0.0),
-                            p99_e2e_s: e2e_snap.p99().unwrap_or(0.0),
-                            p50_ttft_s: ttft_snap.p50().unwrap_or(0.0),
-                            p99_ttft_s: ttft_snap.p99().unwrap_or(0.0),
-                            pools: pool_samples,
-                            load_estimates: fe.load_estimates,
-                            decisions: fe.decisions,
-                            gossip_rounds: fe.gossip_rounds,
-                            mean_staleness_s: if fe.merges == 0 {
-                                0.0
-                            } else {
-                                fe.staleness_sum_s / fe.merges as f64
-                            },
-                        });
-                        pct_cache = Some(cache);
-                        if completed < n && sampler.arm(&mut sim, Event::ObsSample) && par_on {
-                            barrier.add(at + sampler.period().expect("armed implies enabled"));
-                        }
-                    }
-                }
-            }
-        };
-
-        // Sequential replay runs the loop inline; the parallel replay
-        // hosts it inside a thread scope so region workers can borrow
-        // the pools for the duration of the run.
-        if par_on {
-            std::thread::scope(|scope| {
-                let workers = RegionWorkers::spawn(scope, &pools, threads - 1, config.replay_spin);
-                event_loop(Some(&workers));
-            });
-        } else {
-            event_loop(None);
-        }
-
-        let mut iter = IterStats::default();
-        let mut kv = KvStats::default();
-        for p in &pools {
-            let p = p.lock();
-            iter.merge(&p.iter_stats());
-            kv.merge(&p.kv_stats());
-        }
-        let router = RouterStats::from_tier(
-            self.system.front_end().stats(),
-            failover_requeues,
-            retry_rejects,
-        );
-        // Observability block: present whenever tracing or sampling ran,
-        // absent (and the report bit-identical to the pre-observability
-        // engine) otherwise.
-        let obs = (config.trace || sampler_on).then(|| {
-            let (events, dropped) = match recorder {
-                Some(rec) => {
-                    let lanes: Vec<LaneBuf> =
-                        pools.iter().filter_map(|p| p.lock().take_obs()).collect();
-                    rec.finish(lanes)
-                }
-                None => (Vec::new(), 0),
-            };
-            ObsReport {
-                pools: self
-                    .pool_configs
-                    .iter()
-                    .map(|pc| PoolMeta {
-                        name: pc.name.clone(),
-                        replicas: pc.replicas,
-                    })
-                    .collect(),
-                router_replicas: replicas as u32,
-                events,
-                dropped,
-                samples,
-            }
-        });
-        let per_request: Vec<RequestRecord> = records
-            .into_iter()
-            .map(|r| r.expect("every request served"))
-            .collect();
-        let latency = LatencyStats::from_records(&per_request);
-        EngineReport {
-            engine: self.name().to_owned(),
-            served: n as u64,
-            offloaded,
-            solicited,
-            latency,
-            throughput_rps: busy_interval_rps(&completions),
-            // Quality averages over *executed* requests only; queue-cap
-            // rejects never produced a response.
-            mean_quality: {
-                let executed = (n as u64).saturating_sub(iter.queue_rejects);
-                if executed == 0 {
-                    0.0
-                } else {
-                    quality_sum / executed as f64
-                }
-            },
-            cache: cache_stats(&self.system, selection_hits, examples_used, evicted),
-            iter,
-            router,
-            selector: selector_stats,
-            kv,
-            resp_cache: resp_cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
-            replay: replay_stats,
-            obs,
-            per_request,
-        }
+        let workers = self.config.replay_threads.saturating_sub(1);
+        // The scope lets region workers borrow the pools for the run;
+        // with no workers it spawns nothing and chains run inline.
+        std::thread::scope(|scope| {
+            let workers = RegionWorkers::spawn(scope, &pools, workers);
+            let mut state = EngineState::new(self, &pools, workers, requests, arrivals);
+            state.run();
+            state.into_report()
+        })
     }
 
     fn system(&self) -> &IcCacheSystem {
@@ -2297,7 +719,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// One engine run with the replay knobs (look-ahead window, worker
+    /// One engine run with the replay knobs (look-ahead window, region
     /// threads) set on top of the default config.
     fn run_replay(window_s: f64, threads: usize, arrivals: &[f64], seed: u64) -> EngineReport {
         let config = EngineConfig {
@@ -2379,6 +801,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "pool outage names pool 5 but the engine has 2 pool(s)")]
+    fn outage_for_a_pool_the_engine_does_not_have_panics() {
+        let config = EngineConfig {
+            pool_outages: vec![PoolOutage {
+                pool: 5,
+                at_s: 300.0,
+                duration_s: 60.0,
+            }],
+            ..EngineConfig::default()
+        };
+        let _ = seeded_engine(10, config, 463);
+    }
+
+    #[test]
     fn parallel_stepping_is_bit_identical_to_sequential() {
         // Worker-thread stepping touches no selector state, so the
         // whole report — selector block included — must match
@@ -2401,7 +837,15 @@ mod tests {
             parallel.replay
         );
         assert!(parallel.replay.parallel_steps > 0);
-        assert_eq!(sequential.replay.parallel_regions, 0);
+        // One thread runs the very same regions, inline.
+        assert_eq!(
+            sequential.replay.parallel_regions,
+            parallel.replay.parallel_regions
+        );
+        assert_eq!(
+            sequential.replay.parallel_steps,
+            parallel.replay.parallel_steps
+        );
         assert_same_decisions(&sequential, &parallel);
         assert_eq!(sequential.to_json(), parallel.to_json());
     }

@@ -22,24 +22,29 @@
 //! # Event flow (`EventDrivenEngine`)
 //!
 //! ```text
-//!            ┌────────────────────────────────────────────────────┐
-//!            │                  ic_desim::Simulator               │
-//!            └────────────────────────────────────────────────────┘
-//!  Arrival(i) --> admission --> selection --> routing --> pool queue
-//!      |          (rps estimate      (sharded        (ModelPool slots:
-//!      |           -> router load)    example cache)  token-step batching)
-//!      |                                                    |
-//!      v                                                    v
-//!  Maintenance / Rebalance (periodic)               StepComplete(pool)
-//!   - replay best-of-n (off-peak)                    - advance batch one
-//!   - cross-shard budget rebalance                     token step
-//!     (knapsack DP over gain quanta)                 - finishers: TTFT/E2E,
-//!  GossipRound (periodic, R > 1)                       Little's law -> owning
-//!   - router replicas merge bandit deltas              router replica
-//!     + load estimates on a ring                    - boundary admission
-//!  PoolDown / PoolUp (fault injection)                and preemption
-//!   - flush the pool, retry via the tier
+//!  ic_desim::Simulator ──pop──▶ EngineState::run ── one handler per event
+//!
+//!  Arrival(i)                                  StepComplete(pool, epoch)
+//!   ├ owner replica's load window               ├ gather the run of step
+//!   ├ stage 0: pre-observe the tick's run,      │  events up to the barrier
+//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  (earliest pending
+//!   ├ stage 1: look-ahead entry (epoch-         │  non-step event)
+//!   │  validated) or inline probe; a missing    ├ RegionWorkers: one
+//!   │  entry batch-probes the window            │  advance_chain per pool,
+//!   ├ stage 2 + routing + generation            │  inline or on threads
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    ├ merge in (time, seq):
+//!                  arm StepComplete             │  finishers ▶ complete
+//!  PoolDown(p) ─ flush, serve_retry ▶ dispatch  │  (TTFT/E2E, Little's law
+//!  PoolUp(p)                                    │  ▶ owning replica)
+//!  Maintenance / Rebalance / GossipRound /      └ re-arm the pool's next
+//!  ObsSample (periodic, re-armed while work        StepComplete
+//!  remains; each is a region barrier)
 //! ```
+//!
+//! `schedule` mirrors every non-step event time into the barrier set;
+//! `dispatch` is the one tail fresh arrivals and failover retries
+//! share; `complete` is the one finisher bookkeeping pool steps and
+//! stage-0 hits share (see `driven/state.rs`).
 //!
 //! Each **arrival** event runs Algorithm 1 (`IcCacheSystem::serve`):
 //! example selection against the sharded cache, load-aware routing at

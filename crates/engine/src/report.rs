@@ -146,9 +146,9 @@ impl SelectorStats {
     }
 }
 
-/// Replay-acceleration counters for one engine run (bounded-delay
-/// selector windows and pool-parallel stepping; see
-/// `EngineConfig::selector_window_s` / `EngineConfig::replay_threads`).
+/// Replay counters for one engine run (the selector look-ahead and
+/// the step regions; see `EngineConfig::selector_window_s` /
+/// `EngineConfig::replay_threads`).
 ///
 /// Diagnostics only: deliberately **not** serialized by
 /// [`EngineReport::to_json`], so the byte-deterministic report is
@@ -157,9 +157,10 @@ impl SelectorStats {
 /// JSONL summary footer by `fig12_e2e` when sampling is on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Worker threads the run was configured with (`<= 1` = sequential).
+    /// Threads the run's step regions executed on (`1` = inline).
     pub threads: u64,
-    /// Selections precomputed through the look-ahead window.
+    /// Selections precomputed by multi-arrival look-ahead probes (an
+    /// arrival with no neighbour inside its window probes inline).
     pub preselects: u64,
     /// Arrivals served from a still-valid precomputed selection.
     pub preselect_hits: u64,
@@ -170,7 +171,8 @@ pub struct ReplayStats {
     /// Precomputed entries discarded because the example index changed
     /// between the window probe and the arrival.
     pub invalidations: u64,
-    /// Parallel step regions executed between router interactions.
+    /// Step regions executed between router interactions (the same
+    /// count at any thread count).
     pub parallel_regions: u64,
     /// Step boundaries executed inside those regions.
     pub parallel_steps: u64,

@@ -112,6 +112,27 @@ fn stampede_burst_pays_one_insertion_and_serves_the_rest() {
 }
 
 #[test]
+fn stampede_hits_do_not_depend_on_the_selector_window() {
+    // The look-ahead window is a pure speedup: the head of a same-tick
+    // run pre-observes the run in the trending sketch at any window
+    // width, so a stampede pays one insertion either way. (The window
+    // arm used to observe each arrival only at its own position: 6
+    // hits at `selector_window_s: 2.0` against 7 at `0.0`.)
+    let n = 8;
+    let (requests, arrivals) = stampede(n, 99);
+    let run = |selector_window_s: f64| {
+        let config = EngineConfig {
+            selector_window_s,
+            ..cache_on(n)
+        };
+        run_requests(config, &requests, &arrivals).resp_cache
+    };
+    let same_tick = run(0.0);
+    assert_eq!(same_tick.hits, n as u64 - 1, "{same_tick:?}");
+    assert_eq!(same_tick, run(2.0));
+}
+
+#[test]
 fn stage0_hits_skip_the_pool_and_keep_lifecycle_well_formed() {
     let n = 6;
     let (requests, arrivals) = stampede(n, 123);
