@@ -60,7 +60,7 @@ pub fn parse_watermarks(name: &str) -> Option<Watermarks> {
 }
 
 /// Parses `IC_SETUP_THREADS` — worker threads for the deterministic
-/// setup pipeline (example-bank embedding into the slab, k-means, IVF
+/// setup pipeline (example-bank embedding, k-means, IVF
 /// posting-list builds). Unset, `0`, `1`, or malformed all mean
 /// sequential. The setup is bit-identical at any value (the parallel
 /// paths only fan out pure per-row work), so this knob trades wall

@@ -144,7 +144,7 @@ impl PairSetup {
 /// determinism contract — `BENCH_e2e.json` is byte-identical at any
 /// `IC_SETUP_THREADS`). `embed_wall_s` covers generating and embedding
 /// the example bank, `index_build_wall_s` covers seeding it into the
-/// selector (slab bulk insert, k-means fits, IVF posting lists), and
+/// selector (k-means fits, filling the IVF posting lists), and
 /// `setup_wall_s` the whole pre-replay setup including warm-up and
 /// request generation.
 #[derive(Debug, Clone, Copy, Default)]

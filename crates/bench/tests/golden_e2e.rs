@@ -184,7 +184,7 @@ fn quick_e2e_masked_of_resp_cache_block_matches_prestage0_golden() {
 }
 
 /// The parallel-setup acceptance pin: the whole deterministic setup
-/// pipeline (slab embedding, k-means, IVF posting-list builds) run at
+/// pipeline (bank embedding, k-means, IVF posting-list builds) run at
 /// `IC_SETUP_THREADS = 4` must produce an *unmasked* report
 /// byte-identical to the committed single-thread golden. No masking —
 /// threads are a pure wall-clock knob, never a bytes knob.

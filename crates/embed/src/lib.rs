@@ -11,8 +11,8 @@
 //!
 //! Layout:
 //! - [`vector`] — the [`Embedding`] type and dense-vector arithmetic.
-//! - [`slab`] — [`EmbeddingSlab`]: contiguous (SoA) row storage with
-//!   cached norms, the hot-path layout behind the vector index.
+//! - [`slab`] — [`EmbeddingSlab`]: contiguous row-major storage with
+//!   cached norms.
 //! - [`par`] — deterministic contiguous work partitioning for the
 //!   bit-identical parallel setup paths (`IC_SETUP_THREADS`).
 //! - [`topic`] — [`TopicSpace`]: shared-anchor + topic-direction latent
@@ -32,4 +32,4 @@ pub use embedder::Embedder;
 pub use slab::EmbeddingSlab;
 pub use text::{SyntheticText, TextSynthesizer, contains_sensitive, scrub_sensitive};
 pub use topic::{TopicSpace, TopicSpaceConfig};
-pub use vector::{Embedding, cosine_with_norms, dot_slices, norm_slice, sq_dist_slices};
+pub use vector::{Embedding, cosine_from_dot, dot_slices, norm_slice, sq_dist_slices};

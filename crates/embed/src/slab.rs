@@ -24,10 +24,9 @@ use crate::vector::{Embedding, norm_slice};
 /// Contiguous storage for fixed-dimension embedding rows with cached
 /// per-row norms and free-list slot reuse.
 ///
-/// This is the backing store of `ic_vecindex::IvfIndex`'s posting
-/// lists — the single-thread hot path of stage-1 selection — and the
-/// reason a candidate scan costs one dot product plus two cached norms
-/// per item with no pointer chasing.
+/// `ic_vecindex::IvfIndex` kept its rows here until its posting lists
+/// took them over (cluster-major, lane-transposed); the slab remains
+/// the row-major store for callers that address rows by stable slot.
 ///
 /// Invariants the callers lean on:
 ///

@@ -88,11 +88,7 @@ impl Embedding {
 
     /// Cosine similarity in `[-1, 1]`; zero vectors yield 0.0.
     pub fn cosine(&self, other: &Embedding) -> f64 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.dot(other) / denom).clamp(-1.0, 1.0)
+        cosine_from_dot(self.dot(other), self.norm(), other.norm())
     }
 
     /// Scales the vector to unit norm (no-op for the zero vector).
@@ -192,17 +188,19 @@ pub fn norm_slice(a: &[f32]) -> f64 {
     dot_slices(a, a).sqrt()
 }
 
-/// Cosine similarity of two component slices with pre-computed norms —
-/// bit-identical to [`Embedding::cosine`], which evaluates
-/// `(a.dot(b) / (a.norm() * b.norm())).clamp(-1.0, 1.0)` with a zero
-/// check on the denominator. Callers hoist the norms (once per query,
-/// once per stored row) instead of recomputing them per pair.
-pub fn cosine_with_norms(a: &[f32], a_norm: f64, b: &[f32], b_norm: f64) -> f64 {
+/// Cosine similarity from a dot product and the two norms — the one
+/// definition of the zero-denominator guard and the `[-1, 1]` clamp,
+/// behind [`Embedding::cosine`] and every path that hoists the norms
+/// (once per query, once per stored row) or produces the dot product
+/// itself (the vector index's lane scan). With `dot` equal to
+/// `dot_slices(a, b)` and the norms to `norm_slice` of each side, the
+/// result is [`Embedding::cosine`] bit for bit.
+pub fn cosine_from_dot(dot: f64, a_norm: f64, b_norm: f64) -> f64 {
     let denom = a_norm * b_norm;
     if denom == 0.0 {
         return 0.0;
     }
-    (dot_slices(a, b) / denom).clamp(-1.0, 1.0)
+    (dot / denom).clamp(-1.0, 1.0)
 }
 
 #[cfg(test)]
@@ -220,15 +218,13 @@ mod tests {
             a.dot(&b).to_bits()
         );
         assert_eq!(norm_slice(a.as_slice()).to_bits(), a.norm().to_bits());
+        let dot = dot_slices(a.as_slice(), b.as_slice());
         assert_eq!(
-            cosine_with_norms(a.as_slice(), a.norm(), b.as_slice(), b.norm()).to_bits(),
+            cosine_from_dot(dot, norm_slice(a.as_slice()), norm_slice(b.as_slice())).to_bits(),
             a.cosine(&b).to_bits()
         );
         let z = Embedding::zeros(33);
-        assert_eq!(
-            cosine_with_norms(z.as_slice(), z.norm(), b.as_slice(), b.norm()),
-            0.0
-        );
+        assert_eq!(cosine_from_dot(0.0, z.norm(), b.norm()), 0.0);
     }
 
     #[test]

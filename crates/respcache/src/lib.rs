@@ -8,8 +8,8 @@
 //! predictive response caching and embedding-similarity prompt caching,
 //! this crate holds whole served responses keyed by the query
 //! *embedding* and answers a lookup with an approximate-nearest-neighbor
-//! probe over an [`IvfIndex`] (the same index substrate stage 1 uses,
-//! over its own [`ic_embed::EmbeddingSlab`]). A hit above the calibrated
+//! probe over an [`IvfIndex`] of its own (the same index substrate
+//! stage 1 uses). A hit above the calibrated
 //! accept threshold returns the cached response and lets the engine skip
 //! selection, routing, and the entire prefill/decode path.
 //!
@@ -180,8 +180,8 @@ impl FreqSketch {
 }
 
 /// The stage-0 response cache. See the crate docs for the policy
-/// overview; all state is owned (the `IvfIndex` holds its own embedding
-/// slab) and every operation is deterministic.
+/// overview; all state is owned (the `IvfIndex` holds its own rows) and
+/// every operation is deterministic.
 #[derive(Debug)]
 pub struct ResponseCache {
     config: RespCacheConfig,

@@ -22,10 +22,9 @@
 //! Selection also has a cross-request batch path
 //! ([`ExampleSelector::select_batch`] /
 //! [`ExampleSelector::stage1_batch`]): requests arriving together share
-//! one multi-query stage-1 probe (one centroid scan, one traversal per
-//! visited posting list — `ic_vecindex`'s blocked kernel) and then run
-//! the ordinary per-request stage-2. The batch is a pure speedup:
-//! results are byte-identical to selecting each request alone.
+//! one stage-1 `search_batch` call and then run the ordinary
+//! per-request stage-2. Results are byte-identical to selecting each
+//! request alone.
 
 pub mod proxy;
 pub mod threshold;

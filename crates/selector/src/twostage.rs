@@ -206,10 +206,9 @@ impl ExampleSelector {
             .collect()
     }
 
-    /// Stage 1 for a whole batch through the index's multi-query probe
-    /// (shared centroid scan, one traversal per visited posting list).
-    /// `out[i]` is exactly `self.stage1(requests[i])` — the batch is a
-    /// pure speedup, property-tested in `tests/batch_equivalence.rs`.
+    /// Stage 1 for a whole batch through the index's `search_batch`.
+    /// `out[i]` is exactly `self.stage1(requests[i])` —
+    /// property-tested in `tests/batch_equivalence.rs`.
     pub fn stage1_batch(&self, requests: &[&Request]) -> Vec<Vec<(ExampleId, f64)>> {
         let queries: Vec<&Embedding> = requests.iter().map(|r| &r.embedding).collect();
         self.index

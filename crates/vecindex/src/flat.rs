@@ -4,14 +4,13 @@ use std::collections::HashMap;
 
 use ic_embed::Embedding;
 
-use crate::kernel::scan_blocked;
 use crate::{ItemId, SearchHit, VectorIndex, finalize_hits};
 
 /// An exact index that scans every stored vector per query.
 ///
-/// O(N) per search, but exact — it is both the correctness oracle for
-/// [`crate::IvfIndex`] recall tests and the fast path for small pools where
-/// clustering overhead is not worth paying.
+/// O(N) per search, but exact, and deliberately the plain scalar
+/// [`Embedding::cosine`] per item: it is the correctness oracle the lane
+/// scan of [`crate::IvfIndex`] is tested against.
 #[derive(Debug, Default)]
 pub struct FlatIndex {
     items: Vec<(ItemId, Embedding)>,
@@ -84,25 +83,6 @@ impl VectorIndex for FlatIndex {
 
     fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Blocked multi-query scan: one streaming pass over the store per
-    /// query block instead of one per query (see the `kernel` module
-    /// docs). Results are byte-identical to per-query [`Self::search`].
-    fn search_batch(&self, queries: &[&Embedding], k: usize) -> Vec<Vec<SearchHit>> {
-        if k == 0 || self.items.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let query_norms: Vec<f64> = queries.iter().map(|q| q.norm()).collect();
-        let selected: Vec<usize> = (0..queries.len()).collect();
-        let items: Vec<(ItemId, &[f32], f64)> = self
-            .items
-            .iter()
-            .map(|(id, e)| (*id, e.as_slice(), e.norm()))
-            .collect();
-        let mut sinks = vec![Vec::with_capacity(items.len()); queries.len()];
-        scan_blocked(queries, &query_norms, &selected, &items, &mut sinks);
-        sinks.into_iter().map(|h| finalize_hits(h, k)).collect()
     }
 }
 

@@ -6,17 +6,35 @@
 //! and a small probe width this is the paper's claimed sub-1% selection
 //! overhead (§4.1, Fig. 18 "Retrieval stage 1").
 //!
+//! # Layout: the posting lists are the store
+//!
+//! Each posting list owns its members' rows — cluster-major, and within
+//! the list lane-transposed (groups of eight rows, component-major, see
+//! the `kernel` module) — next to parallel `ids` and insert-time `norms`.
+//! A probe therefore streams `nprobe` contiguous blocks with eight
+//! independent accumulators per pass, instead of chasing one hashed id →
+//! row lookup and one dependent 64-step add chain per candidate. One
+//! `id -> (list, position)` map locates a row for removal and
+//! re-insertion; there is no other copy of the rows. The scan is a
+//! schedule change, not a numeric one: every similarity is bit-identical
+//! to [`Embedding::cosine`], so hit lists are byte-identical to scoring
+//! the same candidates one scalar pair at a time.
+//!
+//! An index too small to cluster (or not trained yet) is the same
+//! structure with every list probed — one list before the first
+//! training — so exact search over a small pool is the same scan, not a
+//! second code path.
+//!
 //! The index retrains lazily: inserts are routed to the nearest existing
 //! centroid, and when the pool has grown or shrunk past a configurable
 //! factor since the last training, the next operation retrains with the
-//! sqrt rule. Small pools fall back to exact search automatically.
+//! sqrt rule.
 
 use std::collections::HashMap;
 
-use ic_embed::{Embedding, EmbeddingSlab, cosine_with_norms};
-use parking_lot::Mutex;
+use ic_embed::{Embedding, cosine_from_dot, norm_slice};
 
-use crate::kernel::scan_blocked;
+use crate::kernel::{LaneBlocks, widen};
 use crate::kmeans::{KMeansModel, kmeans_fit_rows};
 use crate::{ItemId, SearchHit, VectorIndex, finalize_hits, sqrt_cluster_count};
 
@@ -34,8 +52,8 @@ pub struct IvfConfig {
     /// Seed for K-means.
     pub seed: u64,
     /// Worker threads for the deterministic build paths (retraining and
-    /// bulk insertion). The pure per-point work — norms, distances,
-    /// cluster assignments — fans out over disjoint contiguous chunks;
+    /// bulk insertion). The pure per-point work — distances, cluster
+    /// assignments — fans out over disjoint contiguous chunks;
     /// every order-sensitive reduction stays sequential, so the built
     /// index is bit-identical to `setup_threads = 1` at any value
     /// (`IC_SETUP_THREADS` in the bench binaries). `0`/`1` = sequential.
@@ -75,34 +93,69 @@ impl Default for IvfConfig {
 #[derive(Debug)]
 pub struct IvfIndex {
     config: IvfConfig,
-    /// Slab slot of each stored item's row.
-    slots: HashMap<ItemId, u32>,
-    /// Contiguous (SoA) row storage with insert-time norm caching — the
-    /// layout every scan streams over.
-    slab: EmbeddingSlab,
     model: Option<KMeansModel>,
-    /// Posting lists: cluster -> member ids. Rebuilt on retrain; patched
-    /// incrementally on insert/remove.
-    lists: Vec<Vec<ItemId>>,
-    /// Cluster of each item (for O(1) removal bookkeeping).
-    cluster_of: HashMap<ItemId, usize>,
+    /// One list per cluster once trained; before that, at most one list
+    /// holding everything. Rebuilt on retrain, patched on insert/remove.
+    lists: Vec<PostingList>,
+    /// Where each stored item lives: `(list, position in the list)`.
+    locator: HashMap<ItemId, (u32, u32)>,
     /// Pool size at the time of the last training.
     trained_at_len: usize,
-    /// Reusable batch-probe buffers; `search_batch` takes `&self`, so
-    /// the scratch lives behind an (uncontended) mutex.
-    scratch: Mutex<BatchScratch>,
 }
 
-/// Per-call allocations of [`IvfIndex::search_batch`], hoisted so a hot
-/// replay loop reuses them across probes instead of reallocating.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Hoisted per-query norms.
-    query_norms: Vec<f64>,
-    /// `Q x K` centroid distance rows for the shared centroid scan.
-    centroid_dists: Vec<Vec<f64>>,
-    /// Cluster-major inversion of the probe sets.
-    probing: Vec<Vec<usize>>,
+/// The members of one cluster: row `i` of `rows` belongs to `ids[i]` and
+/// has Euclidean norm `norms[i]` (computed once, at insert).
+#[derive(Debug)]
+struct PostingList {
+    ids: Vec<ItemId>,
+    norms: Vec<f64>,
+    rows: LaneBlocks<f32>,
+}
+
+impl PostingList {
+    /// An empty list of `dim`-wide rows sized for exactly `n` members.
+    fn with_capacity(dim: usize, n: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(n),
+            norms: Vec::with_capacity(n),
+            rows: LaneBlocks::with_capacity(dim, n),
+        }
+    }
+
+    fn reserve_exact(&mut self, additional: usize) {
+        self.ids.reserve_exact(additional);
+        self.norms.reserve_exact(additional);
+        self.rows.reserve_exact(additional);
+    }
+
+    /// Appends a member; returns its position.
+    fn push(&mut self, id: ItemId, row: &[f32], norm: f64) -> u32 {
+        let pos = u32::try_from(self.ids.len()).expect("posting list overflow");
+        self.ids.push(id);
+        self.norms.push(norm);
+        self.rows.push(row);
+        pos
+    }
+
+    /// Removes the member at `pos` by moving the last member into its
+    /// place; returns the id that moved, if any.
+    fn swap_remove(&mut self, pos: usize) -> Option<ItemId> {
+        self.ids.swap_remove(pos);
+        self.norms.swap_remove(pos);
+        self.rows.swap_remove(pos);
+        self.ids.get(pos).copied()
+    }
+
+    /// Scores every member against the query (`q64` its widened
+    /// components, `q_norm` its norm), one hit per member.
+    fn scan(&self, q64: &[f64], q_norm: f64, hits: &mut Vec<SearchHit>) {
+        self.rows.dots(q64, |i, dot| {
+            hits.push(SearchHit {
+                id: self.ids[i],
+                similarity: cosine_from_dot(dot, q_norm, self.norms[i]),
+            });
+        });
+    }
 }
 
 impl IvfIndex {
@@ -110,13 +163,10 @@ impl IvfIndex {
     pub fn new(config: IvfConfig) -> Self {
         Self {
             config,
-            slots: HashMap::new(),
-            slab: EmbeddingSlab::new(),
             model: None,
             lists: Vec::new(),
-            cluster_of: HashMap::new(),
+            locator: HashMap::new(),
             trained_at_len: 0,
-            scratch: Mutex::new(BatchScratch::default()),
         }
     }
 
@@ -125,45 +175,68 @@ impl IvfIndex {
         self.model.as_ref().map_or(0, |m| m.k())
     }
 
-    /// Whether the next query would use the brute-force path.
+    /// Whether the next query would scan every stored item.
     pub fn is_brute_force(&self) -> bool {
-        self.slots.len() < self.config.brute_force_below || self.model.is_none()
+        self.locator.len() < self.config.brute_force_below || self.model.is_none()
     }
 
     /// Forces retraining with `K = sqrt(N)` clusters.
     pub fn retrain(&mut self) {
-        let n = self.slots.len();
+        let n = self.locator.len();
+        let old = std::mem::take(&mut self.lists);
         if n == 0 {
             self.model = None;
-            self.lists.clear();
-            self.cluster_of.clear();
             self.trained_at_len = 0;
             return;
         }
-        // Deterministic training order: sort by id. K-means runs on the
-        // slab rows in place (same components as the owned vectors it
-        // used to materialize, so the fit is unchanged), parallel over
-        // `setup_threads` and bit-identical to the sequential fit.
-        let mut ids: Vec<ItemId> = self.slots.keys().copied().collect();
-        ids.sort_unstable();
-        let rows: Vec<&[f32]> = ids.iter().map(|id| self.slab.row(self.slots[id])).collect();
+        // Deterministic training order: sort by id. K-means wants
+        // row-major points, so the rows are gathered once into a scratch
+        // buffer; the old lists are dropped before the new ones are
+        // allocated, and the scratch as soon as they are filled.
+        let mut order: Vec<(ItemId, (u32, u32))> =
+            self.locator.iter().map(|(&id, &at)| (id, at)).collect();
+        order.sort_unstable_by_key(|&(id, _)| id);
+        let dim = old[0].rows.dim();
+        let mut points = Vec::with_capacity(n * dim);
+        let mut norms = Vec::with_capacity(n);
+        for &(_, (c, pos)) in &order {
+            let list = &old[c as usize];
+            list.rows.extend_row_into(pos as usize, &mut points);
+            norms.push(list.norms[pos as usize]);
+        }
+        drop(old);
+        let rows: Vec<&[f32]> = (0..n).map(|i| &points[i * dim..(i + 1) * dim]).collect();
         let k = sqrt_cluster_count(n);
         let threads = self.config.setup_threads.max(1);
         let fit = kmeans_fit_rows(&rows, k, self.config.train_iters, self.config.seed, threads)
             .expect("non-empty data trains");
         // The fit's final assignment is exactly `model.assign` per row,
-        // so the posting lists come for free instead of re-scanning the
-        // centroid table once more per point.
-        let mut lists = vec![Vec::new(); fit.model.k()];
-        let mut cluster_of = HashMap::with_capacity(n);
-        for (id, &c) in ids.iter().zip(&fit.assignment) {
-            lists[c].push(*id);
-            cluster_of.insert(*id, c);
+        // so the posting lists come for free — and exactly sized.
+        let mut sizes = vec![0usize; fit.model.k()];
+        for &c in &fit.assignment {
+            sizes[c] += 1;
+        }
+        self.lists = sizes
+            .iter()
+            .map(|&size| PostingList::with_capacity(dim, size))
+            .collect();
+        for i in 0..n {
+            self.place(fit.assignment[i], order[i].0, rows[i], norms[i]);
         }
         self.model = Some(fit.model);
-        self.lists = lists;
-        self.cluster_of = cluster_of;
         self.trained_at_len = n;
+    }
+
+    /// Appends a row to list `c` and records where it went. While the
+    /// index is untrained, `c` is 0: the one catch-all list, created on
+    /// first use.
+    fn place(&mut self, c: usize, id: ItemId, row: &[f32], norm: f64) {
+        if self.lists.is_empty() {
+            self.lists.push(PostingList::with_capacity(row.len(), 0));
+        }
+        let pos = self.lists[c].push(id, row, norm);
+        let c = u32::try_from(c).expect("cluster count fits u32");
+        self.locator.insert(id, (c, pos));
     }
 
     /// Whether [`Self::maybe_retrain`] would retrain at pool size `n`
@@ -185,22 +258,22 @@ impl IvfIndex {
     }
 
     fn maybe_retrain(&mut self) {
-        if self.would_retrain_at(self.slots.len()) {
+        if self.would_retrain_at(self.locator.len()) {
             self.retrain();
         }
     }
 
     /// Bulk [`VectorIndex::insert`]: inserts every item, in order, with
-    /// the pure per-item work — posting-list assignment and slab-row
-    /// norms — fanned out over `setup_threads`. The final index state is
-    /// *identical* to inserting the items one by one (same posting-list
-    /// order, same slab slots, same retrain points): the items are cut
-    /// into segments at exactly the pool sizes where the sequential
+    /// the posting-list assignment fanned out over `setup_threads`. The
+    /// final index state is *identical* to inserting the items one by
+    /// one (same posting-list order, same retrain points): the items are
+    /// cut into segments at exactly the pool sizes where the sequential
     /// loop's lazy `maybe_retrain` would fire (a pure function of the
     /// counts, via `Self::would_retrain_at`), each segment is
     /// batch-assigned under the model that sequential inserts would have
-    /// seen and merged into the lists in item order, and the retrain
-    /// runs at the segment boundary just as it would have mid-loop.
+    /// seen and appended to the lists — grown once, to the exact size —
+    /// in item order, and the retrain runs at the segment boundary just
+    /// as it would have mid-loop.
     ///
     /// Items whose id is already present (or repeated within the batch)
     /// would interleave removals with the growth model, so such batches
@@ -209,7 +282,7 @@ impl IvfIndex {
         let mut fresh = std::collections::HashSet::with_capacity(items.len());
         let pure_growth = items
             .iter()
-            .all(|(id, _)| !self.slots.contains_key(id) && fresh.insert(*id));
+            .all(|(id, _)| !self.locator.contains_key(id) && fresh.insert(*id));
         if !pure_growth {
             for (id, embedding) in items {
                 self.insert(id, embedding);
@@ -221,7 +294,7 @@ impl IvfIndex {
         while start < items.len() {
             // The segment runs up to (and including) the first item whose
             // insertion triggers the lazy retrain.
-            let n0 = self.slots.len();
+            let n0 = self.locator.len();
             let mut end = items.len();
             let mut retrain_after = false;
             for j in start..items.len() {
@@ -234,21 +307,24 @@ impl IvfIndex {
             let segment = &items[start..end];
             let rows: Vec<&[f32]> = segment.iter().map(|(_, e)| e.as_slice()).collect();
             // Sharded assignment (pure per item under the frozen model),
-            // merged into the posting lists in item order — exactly the
+            // appended to the posting lists in item order — exactly the
             // per-item loop's push order.
-            let assigned = self
-                .model
-                .as_ref()
-                .map(|model| model.assign_batch_rows(&rows, threads));
-            if let Some(assigned) = assigned {
-                for ((id, _), c) in segment.iter().zip(assigned) {
-                    self.lists[c].push(*id);
-                    self.cluster_of.insert(*id, c);
+            let assigned = match &self.model {
+                Some(model) => {
+                    let assigned = model.assign_batch_rows(&rows, threads);
+                    let mut growth = vec![0usize; self.lists.len()];
+                    for &c in &assigned {
+                        growth[c] += 1;
+                    }
+                    for (list, additional) in self.lists.iter_mut().zip(growth) {
+                        list.reserve_exact(additional);
+                    }
+                    assigned
                 }
-            }
-            let slots = self.slab.insert_bulk(&rows, threads);
-            for ((id, _), slot) in segment.iter().zip(slots) {
-                self.slots.insert(*id, slot);
+                None => vec![0; rows.len()],
+            };
+            for (((id, _), row), c) in segment.iter().zip(&rows).zip(assigned) {
+                self.place(c, *id, row, norm_slice(row));
             }
             if retrain_after {
                 self.retrain();
@@ -261,157 +337,63 @@ impl IvfIndex {
     /// used by the overhead benchmarks.
     pub fn expected_comparisons(&self) -> f64 {
         if self.is_brute_force() {
-            return self.slots.len() as f64;
+            return self.locator.len() as f64;
         }
         let k = self.num_clusters() as f64;
-        let n = self.slots.len() as f64;
+        let n = self.locator.len() as f64;
         k + self.config.nprobe as f64 * (n / k)
-    }
-
-    /// The slab row and cached norm of a stored item.
-    fn row_of(&self, id: ItemId) -> (&[f32], f64) {
-        let slot = self.slots[&id];
-        (self.slab.row(slot), self.slab.norm(slot))
     }
 }
 
 impl VectorIndex for IvfIndex {
     fn insert(&mut self, id: ItemId, embedding: Embedding) {
-        // Drop any stale posting-list entry first.
-        if self.slots.contains_key(&id) {
-            self.remove(id);
-        }
-        if let Some(model) = &self.model {
-            let c = model.assign(&embedding);
-            self.lists[c].push(id);
-            self.cluster_of.insert(id, c);
-        }
-        let slot = self.slab.insert(embedding.as_slice());
-        self.slots.insert(id, slot);
+        // Drop any stale row first.
+        self.remove(id);
+        let c = self
+            .model
+            .as_ref()
+            .map_or(0, |model| model.assign(&embedding));
+        let row = embedding.as_slice();
+        self.place(c, id, row, norm_slice(row));
         self.maybe_retrain();
     }
 
     fn remove(&mut self, id: ItemId) -> bool {
-        let Some(slot) = self.slots.remove(&id) else {
+        let Some((c, pos)) = self.locator.remove(&id) else {
             return false;
         };
-        self.slab.remove(slot);
-        if let Some(c) = self.cluster_of.remove(&id)
-            && let Some(list) = self.lists.get_mut(c)
-            && let Some(pos) = list.iter().position(|&x| x == id)
-        {
-            list.swap_remove(pos);
+        if let Some(moved) = self.lists[c as usize].swap_remove(pos as usize) {
+            self.locator.insert(moved, (c, pos));
         }
         true
     }
 
     fn search(&self, query: &Embedding, k: usize) -> Vec<SearchHit> {
-        if k == 0 || self.slots.is_empty() {
+        if k == 0 || self.locator.is_empty() {
             return Vec::new();
         }
         // Hoisted once per query (`Embedding::cosine` recomputes it per
-        // pair); item norms come from the slab's insert-time cache. Both
+        // pair); row norms come from the lists' insert-time cache. Both
         // are pure functions of their vectors, so every similarity is
         // bit-identical to `query.cosine(item)`.
-        let q = query.as_slice();
+        let q64 = widen(query.as_slice());
         let q_norm = query.norm();
-        if self.is_brute_force() {
-            let hits = self
-                .slots
-                .iter()
-                .map(|(&id, &slot)| SearchHit {
-                    id,
-                    similarity: cosine_with_norms(
-                        q,
-                        q_norm,
-                        self.slab.row(slot),
-                        self.slab.norm(slot),
-                    ),
-                })
-                .collect();
-            return finalize_hits(hits, k);
-        }
-        let model = self.model.as_ref().expect("checked by is_brute_force");
-        let probes = model.assign_top_n(query, self.config.nprobe.max(1));
-        let mut hits = Vec::new();
-        for c in probes {
-            for &id in &self.lists[c] {
-                let (row, row_norm) = self.row_of(id);
-                hits.push(SearchHit {
-                    id,
-                    similarity: cosine_with_norms(q, q_norm, row, row_norm),
-                });
+        let probes: Vec<usize> = match &self.model {
+            Some(model) if !self.is_brute_force() => {
+                model.assign_top_n(query, self.config.nprobe.max(1))
             }
+            _ => (0..self.lists.len()).collect(),
+        };
+        let candidates = probes.iter().map(|&c| self.lists[c].rows.len()).sum();
+        let mut hits = Vec::with_capacity(candidates);
+        for c in probes {
+            self.lists[c].scan(&q64, q_norm, &mut hits);
         }
         finalize_hits(hits, k)
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Multi-query probe. The centroid table is scanned once for the
-    /// whole batch (shared blocked pass), the probe sets are inverted to
-    /// cluster-major, and each visited posting list is gathered and
-    /// streamed exactly once — scored against every query probing it by
-    /// the blocked kernel — instead of once per query. Results are
-    /// byte-identical to per-query [`Self::search`] (same candidates,
-    /// same scores, same order); the `kernel` module docs spell out why.
-    fn search_batch(&self, queries: &[&Embedding], k: usize) -> Vec<Vec<SearchHit>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        if k == 0 || self.slots.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let mut scratch = self.scratch.lock();
-        let scratch = &mut *scratch;
-        scratch.query_norms.clear();
-        scratch.query_norms.extend(queries.iter().map(|q| q.norm()));
-        let mut sinks: Vec<Vec<SearchHit>> = vec![Vec::new(); queries.len()];
-        if self.is_brute_force() {
-            let selected: Vec<usize> = (0..queries.len()).collect();
-            let items: Vec<(ItemId, &[f32], f64)> = self
-                .slots
-                .iter()
-                .map(|(&id, &slot)| (id, self.slab.row(slot), self.slab.norm(slot)))
-                .collect();
-            scan_blocked(queries, &scratch.query_norms, &selected, &items, &mut sinks);
-            return sinks.into_iter().map(|h| finalize_hits(h, k)).collect();
-        }
-        let model = self.model.as_ref().expect("checked by is_brute_force");
-        let probes = model.assign_top_n_batch_with(
-            queries,
-            self.config.nprobe.max(1),
-            &mut scratch.centroid_dists,
-        );
-        // Invert query -> probes into cluster -> probing queries so each
-        // list is traversed once for the whole batch.
-        for p in scratch.probing.iter_mut() {
-            p.clear();
-        }
-        scratch.probing.resize(self.lists.len(), Vec::new());
-        for (qi, ps) in probes.iter().enumerate() {
-            for &c in ps {
-                scratch.probing[c].push(qi);
-            }
-        }
-        // One id -> row resolution per list member for the whole batch
-        // (the sequential path pays it per query); the gather buffer is
-        // reused across lists.
-        let mut items: Vec<(ItemId, &[f32], f64)> = Vec::new();
-        for (c, qis) in scratch.probing.iter().enumerate() {
-            if qis.is_empty() || self.lists[c].is_empty() {
-                continue;
-            }
-            items.clear();
-            items.extend(self.lists[c].iter().map(|&id| {
-                let slot = self.slots[&id];
-                (id, self.slab.row(slot), self.slab.norm(slot))
-            }));
-            scan_blocked(queries, &scratch.query_norms, qis, &items, &mut sinks);
-        }
-        sinks.into_iter().map(|h| finalize_hits(h, k)).collect()
+        self.locator.len()
     }
 }
 
@@ -554,12 +536,10 @@ mod tests {
     }
 
     /// Deep state equality between two indexes (model centroids, posting
-    /// lists, slab rows/norms, retrain bookkeeping) — byte-level where it
-    /// matters (`f32`/`f64` bit patterns).
+    /// lists with their rows and norms, locator, retrain bookkeeping) —
+    /// byte-level where it matters (`f32`/`f64` bit patterns).
     fn assert_index_state_identical(a: &IvfIndex, b: &IvfIndex, label: &str) {
-        assert_eq!(a.slots, b.slots, "{label}: slot maps differ");
-        assert_eq!(a.lists, b.lists, "{label}: posting lists differ");
-        assert_eq!(a.cluster_of, b.cluster_of, "{label}: cluster map differs");
+        assert_eq!(a.locator, b.locator, "{label}: locators differ");
         assert_eq!(a.trained_at_len, b.trained_at_len, "{label}");
         match (&a.model, &b.model) {
             (None, None) => {}
@@ -571,13 +551,59 @@ mod tests {
             }
             _ => panic!("{label}: one index trained, the other not"),
         }
-        for (&id, &slot) in &a.slots {
-            assert_eq!(a.slab.row(slot), b.slab.row(slot), "{label}: row {id}");
-            assert_eq!(
-                a.slab.norm(slot).to_bits(),
-                b.slab.norm(slot).to_bits(),
-                "{label}: norm {id}"
-            );
+        assert_eq!(a.lists.len(), b.lists.len(), "{label}: list counts differ");
+        for (la, lb) in a.lists.iter().zip(&b.lists) {
+            assert_eq!(la.ids, lb.ids, "{label}: posting lists differ");
+            let bits = |l: &PostingList| l.norms.iter().map(|n| n.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(la), bits(lb), "{label}: norms differ");
+            for i in 0..la.ids.len() {
+                let (mut ra, mut rb) = (Vec::new(), Vec::new());
+                la.rows.extend_row_into(i, &mut ra);
+                lb.rows.extend_row_into(i, &mut rb);
+                assert_eq!(ra, rb, "{label}: row {}", la.ids[i]);
+            }
+        }
+    }
+
+    /// Every stored id is where the locator says it is, and nowhere else.
+    fn assert_locator_consistent(ivf: &IvfIndex) {
+        let members: usize = ivf.lists.iter().map(|l| l.ids.len()).sum();
+        assert_eq!(members, ivf.locator.len());
+        for (&id, &(c, pos)) in &ivf.locator {
+            let list = &ivf.lists[c as usize];
+            assert_eq!(list.ids[pos as usize], id);
+            assert_eq!(list.ids.len(), list.norms.len());
+            assert_eq!(list.ids.len(), list.rows.len());
+        }
+    }
+
+    #[test]
+    fn removal_patches_the_displaced_rows_locator_entry() {
+        // Trained and untrained: remove from the middle of a list, then
+        // the displaced (formerly last) member must still be findable,
+        // removable and scored with its own row.
+        for n in [40usize, 600] {
+            let (mut ivf, mut flat, queries) = build_pair(n);
+            for id in (0..n as ItemId).step_by(3) {
+                assert!(ivf.remove(id));
+                flat.remove(id);
+                assert_locator_consistent(&ivf);
+            }
+            for q in &queries {
+                let exact = flat.search(q, n);
+                let sims: HashMap<ItemId, u64> = exact
+                    .iter()
+                    .map(|h| (h.id, h.similarity.to_bits()))
+                    .collect();
+                for hit in ivf.search(q, n) {
+                    assert_eq!(sims[&hit.id], hit.similarity.to_bits(), "n={n}");
+                }
+            }
+            for id in 0..n as ItemId {
+                assert_eq!(ivf.remove(id), id % 3 != 0);
+            }
+            assert!(ivf.is_empty());
+            assert_locator_consistent(&ivf);
         }
     }
 

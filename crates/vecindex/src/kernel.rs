@@ -1,112 +1,211 @@
-//! The blocked multi-query distance kernel shared by the batch search
-//! paths.
+//! The lane kernel: the one scan behind k-means assignment, centroid
+//! ranking and the IVF posting-list probe.
 //!
-//! # Why a kernel, and why blocked
+//! # Why lanes
 //!
-//! The sequential search paths score one query against a set of stored
-//! vectors by calling [`Embedding::cosine`] per pair, which walks the
-//! item vector three times (query norm, item norm, dot product) and —
-//! on the IVF path — re-reads every posting list once *per query*.
-//! When Q same-tick queries probe overlapping lists, that is Q passes
-//! over the same memory with 3 O(d) reductions per pair.
+//! Scoring one query against a stored row is a reduction over the
+//! components — `sum((c_j - q_j)^2)` for a centroid, `sum(q_j * r_j)` for
+//! a posting-list row — accumulated in `f64`. Row-major storage makes
+//! that one *dependent* add chain per pair: 64 adds at dim 64, each
+//! waiting out the previous add's latency, which is what the scalar probe
+//! spent its time on. [`LaneBlocks`] stores the rows **lane-transposed**
+//! instead: groups of [`LANES`] rows held component-major
+//! (`blocks[g * dim * LANES + j * LANES + lane]` is component `j` of row
+//! `g * LANES + lane`), so one pass over the query's components advances
+//! `LANES` independent accumulators — enough instruction-level
+//! parallelism (and SIMD width) to hide the add latency. The bytes are
+//! the same `f32` components the row-major layout held, in a different
+//! order; nothing is stored twice.
 //!
-//! The batch kernel restructures the same arithmetic around the memory
-//! hierarchy:
+//! # Why it is a schedule change, not a numeric one
 //!
-//! - **Query blocking**: queries are processed in blocks of
-//!   [`QUERY_BLOCK`]; one block's vectors (and their pre-computed
-//!   norms) stay resident in L1 while a whole item range streams past
-//!   them, so each item vector is loaded once per *block* instead of
-//!   once per *query*.
-//! - **Item-major streaming**: within a block the loop is item-major —
-//!   the item is scored against every query in the block while its
-//!   cache lines are hot. Since the index moved to the
-//!   [`ic_embed::EmbeddingSlab`] arena, the streamed rows are
-//!   contiguous `f32` slices and each row's norm arrives pre-computed
-//!   (cached at insert time) instead of being reduced once per block.
-//! - **Norm hoisting**: per-query norms are computed once per batch and
-//!   per-item norms once per row lifetime, collapsing the three O(d)
-//!   reductions per pair down to the single dot product.
-//!
-//! # Byte-for-byte equivalence
-//!
-//! The kernel is a pure speedup: it performs *exactly* the float
-//! operations of [`Embedding::cosine`] for every `(query, item)` pair —
-//! `dot / (norm_q * norm_item)` with the same f64 accumulation order
-//! (via the shared [`ic_embed::cosine_with_norms`] reduction), the same
-//! zero-denominator guard, and the same `[-1, 1]` clamp. Norms and dot
-//! products are pure functions of their operands, so hoisting them out
-//! of the pair loop — or caching them in the slab across calls —
-//! cannot change a single bit of any similarity, and
-//! [`crate::finalize_hits`]' `(similarity desc, id asc)` order is total
-//! over unique ids, so per-query results are independent of the order
-//! in which hits were accumulated. The `batch_equivalence` proptests
-//! pin this down against the sequential paths.
+//! Every pair's accumulator starts from the identity `Iterator::sum`
+//! starts from (`-0.0` since Rust 1.83 — it matters when every product is
+//! `-0.0`), and then receives exactly the scalar loop's terms in
+//! component order: `d = f64::from(c_j) - f64::from(q_j); d * d` as in
+//! [`ic_embed::sq_dist_slices`], `f64::from(q_j) * f64::from(r_j)` as in
+//! [`ic_embed::dot_slices`]. Floating-point addition is not associative,
+//! but nothing is re-associated: the lanes only interleave *different*
+//! pairs' chains. So each sum is bit-identical to the scalar reduction,
+//! and everything derived from it — argmin, probe order, cosine, hit
+//! lists, report bytes — is unchanged. Padding lanes in a partial last
+//! group are computed and then dropped: only the first `len` rows ever
+//! reach a caller.
 
-use ic_embed::{Embedding, cosine_with_norms};
+/// Rows per group, i.e. accumulators advanced per component pass: eight
+/// independent `f64` chains (one AVX-512 register, four SSE2 registers;
+/// either way enough to hide the add latency of the scalar chain).
+const LANES: usize = 8;
 
-use crate::{ItemId, SearchHit};
-
-/// Queries per block: 8 vectors of 64 f32 dims ≈ 2 KB, comfortably L1-
-/// resident alongside the streaming item lines.
-pub(crate) const QUERY_BLOCK: usize = 8;
-
-/// Scores every selected query against every item row, pushing one
-/// [`SearchHit`] per pair into that query's sink.
-///
-/// `selected` indexes into `queries` / `query_norms` / `sinks` (the
-/// IVF path scores only the queries probing the current list; the flat
-/// path selects everything). `query_norms` must be
-/// `queries[i].norm()` for each `i` — callers hoist it once per batch.
-/// Each item is `(id, row components, row norm)` with the norm equal to
-/// `norm_slice(row)` — the slab serves it from its insert-time cache.
-pub(crate) fn scan_blocked(
-    queries: &[&Embedding],
-    query_norms: &[f64],
-    selected: &[usize],
-    items: &[(ItemId, &[f32], f64)],
-    sinks: &mut [Vec<SearchHit>],
-) {
-    debug_assert_eq!(queries.len(), query_norms.len());
-    for block in selected.chunks(QUERY_BLOCK) {
-        for &(id, row, row_norm) in items {
-            for &qi in block {
-                sinks[qi].push(SearchHit {
-                    id,
-                    similarity: cosine_with_norms(
-                        queries[qi].as_slice(),
-                        query_norms[qi],
-                        row,
-                        row_norm,
-                    ),
-                });
-            }
-        }
-    }
+/// The value `Iterator::sum::<f64>()` starts from, so a lane accumulator
+/// and the scalar reductions in `ic-embed` agree on an all-`-0.0` sum
+/// whichever identity the standard library uses.
+#[inline]
+fn sum_identity() -> f64 {
+    std::iter::empty::<f64>().sum()
 }
 
-/// Squared Euclidean distances from every query to every centroid, in
-/// one item-major blocked pass — the shared centroid scan of the IVF
-/// batch probe. Distances land in `out[query][centroid]`, with each
-/// computed by the same [`Embedding::sq_dist`] the sequential
-/// `assign_top_n` uses. `out` is a caller-owned scratch buffer that is
-/// resized and overwritten here, so repeated probes reuse its rows
-/// instead of reallocating per batch.
-pub(crate) fn centroid_distances_blocked(
-    queries: &[&Embedding],
-    centroids: &[Embedding],
-    out: &mut Vec<Vec<f64>>,
-) {
-    out.resize(queries.len(), Vec::new());
-    for row in out.iter_mut() {
-        row.clear();
-        row.resize(centroids.len(), 0.0f64);
+/// `v` widened to `f64` (lossless), the form the lane scans take a
+/// query in so the widening happens once per query, not once per group.
+pub(crate) fn widen(v: &[f32]) -> Vec<f64> {
+    v.iter().map(|&x| f64::from(x)).collect()
+}
+
+/// A growable table of `dim`-wide rows stored lane-transposed (see the
+/// module docs). Rows are addressed by index `0..len`; `push` appends
+/// into the last group and `swap_remove` moves the last row into the
+/// hole, so the live rows are always the dense prefix.
+///
+/// `T` is the stored component type: `f32` for posting lists (the same
+/// bytes the rows arrived as), `f64` for a centroid table (a few
+/// kilobytes, rebuilt per Lloyd iteration and scanned once per point, so
+/// widening at build time rather than in the inner loop is worth ~10 %
+/// of the fit). Either way a component reaches the accumulator as the
+/// same `f64`.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneBlocks<T> {
+    dim: usize,
+    len: usize,
+    /// `len.div_ceil(LANES)` groups of `dim * LANES` components; lanes
+    /// past `len` in the last group hold stale or zero padding.
+    blocks: Vec<T>,
+}
+
+impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
+    /// An empty table of `dim`-wide rows with room for `rows` rows.
+    pub(crate) fn with_capacity(dim: usize, rows: usize) -> Self {
+        Self {
+            dim,
+            len: 0,
+            blocks: Vec::with_capacity(rows.div_ceil(LANES) * dim * LANES),
+        }
     }
-    let all: Vec<usize> = (0..queries.len()).collect();
-    for block in all.chunks(QUERY_BLOCK) {
-        for (ci, c) in centroids.iter().enumerate() {
-            for &qi in block {
-                out[qi][ci] = c.sq_dist(queries[qi]);
+
+    /// A table holding `rows` in order.
+    pub(crate) fn from_rows<'a>(
+        dim: usize,
+        rows: impl ExactSizeIterator<Item = &'a [f32]>,
+    ) -> Self {
+        let mut table = Self::with_capacity(dim, rows.len());
+        for row in rows {
+            table.push(row);
+        }
+        table
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row width.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Reserves room for exactly `additional` more rows.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        let want = (self.len + additional).div_ceil(LANES) * self.dim * LANES;
+        self.blocks
+            .reserve_exact(want.saturating_sub(self.blocks.len()));
+    }
+
+    /// Appends `row` as row `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `dim` wide.
+    pub(crate) fn push(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.dim, "embedding dimension mismatch");
+        let (g, lane) = (self.len / LANES, self.len % LANES);
+        if lane == 0 {
+            self.blocks.resize((g + 1) * self.dim * LANES, T::default());
+        }
+        let block = &mut self.blocks[g * self.dim * LANES..];
+        for (j, &x) in row.iter().enumerate() {
+            block[j * LANES + lane] = T::from(x);
+        }
+        self.len += 1;
+    }
+
+    /// Removes row `pos` by moving the last row into its place.
+    pub(crate) fn swap_remove(&mut self, pos: usize) {
+        assert!(pos < self.len, "row out of range");
+        let last = self.len - 1;
+        if pos != last {
+            let (from, to) = (self.offset(last), self.offset(pos));
+            for j in 0..self.dim {
+                self.blocks[to + j * LANES] = self.blocks[from + j * LANES];
+            }
+        }
+        self.len = last;
+        self.blocks
+            .truncate(self.len.div_ceil(LANES) * self.dim * LANES);
+    }
+
+    /// Appends the components of row `pos` to `out`.
+    pub(crate) fn extend_row_into(&self, pos: usize, out: &mut Vec<T>) {
+        assert!(pos < self.len, "row out of range");
+        let at = self.offset(pos);
+        out.extend((0..self.dim).map(|j| self.blocks[at + j * LANES]));
+    }
+
+    /// Index of component 0 of row `pos`; component `j` is `j * LANES`
+    /// further on.
+    fn offset(&self, pos: usize) -> usize {
+        (pos / LANES) * self.dim * LANES + pos % LANES
+    }
+
+    /// Calls `sink(i, sq_dist(row_i, v))` for every row in index order —
+    /// each value bit-identical to [`ic_embed::sq_dist_slices`].
+    pub(crate) fn sq_dists(&self, v64: &[f64], sink: impl FnMut(usize, f64)) {
+        self.scan(
+            v64,
+            |x, c| {
+                let d = c - x;
+                d * d
+            },
+            sink,
+        );
+    }
+
+    /// Calls `sink(i, dot(v, row_i))` for every row in index order —
+    /// each value bit-identical to [`ic_embed::dot_slices`].
+    pub(crate) fn dots(&self, v64: &[f64], sink: impl FnMut(usize, f64)) {
+        self.scan(v64, |x, c| x * c, sink);
+    }
+
+    /// `(argmin, min)` of [`Self::sq_dists`] with a strict `<` update in
+    /// row order, so ties break to the first row; `(0, INFINITY)` for an
+    /// empty table.
+    pub(crate) fn nearest(&self, v64: &[f64]) -> (usize, f64) {
+        let mut best = (0usize, f64::INFINITY);
+        self.sq_dists(v64, |i, d| {
+            if d < best.1 {
+                best = (i, d);
+            }
+        });
+        best
+    }
+
+    /// The one loop: per group, `LANES` accumulators each summing
+    /// `term(v_j, row_j)` in component order from the `sum` identity;
+    /// live lanes go to `sink` in row order, padding lanes nowhere.
+    #[inline(always)]
+    fn scan(&self, v64: &[f64], term: impl Fn(f64, f64) -> f64, mut sink: impl FnMut(usize, f64)) {
+        assert_eq!(v64.len(), self.dim, "embedding dimension mismatch");
+        let group = self.dim * LANES;
+        for g in 0..self.len.div_ceil(LANES) {
+            let block = &self.blocks[g * group..(g + 1) * group];
+            let mut acc = [sum_identity(); LANES];
+            for (lanes, &x) in block.chunks_exact(LANES).zip(v64) {
+                for (a, &c) in acc.iter_mut().zip(lanes) {
+                    *a += term(x, c.into());
+                }
+            }
+            let live = (self.len - g * LANES).min(LANES);
+            for (lane, &s) in acc[..live].iter().enumerate() {
+                sink(g * LANES + lane, s);
             }
         }
     }
@@ -115,71 +214,94 @@ pub(crate) fn centroid_distances_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_embed::{Embedding, dot_slices, sq_dist_slices};
     use ic_stats::rng::rng_from_seed;
 
+    fn table(rows: &[Embedding], dim: usize) -> LaneBlocks<f32> {
+        LaneBlocks::from_rows(dim, rows.iter().map(Embedding::as_slice))
+    }
+
     #[test]
-    fn kernel_similarities_match_cosine_bitwise() {
+    fn lane_sums_match_the_scalar_reductions_bitwise() {
+        // Row counts around the lane width and dims that are not a
+        // multiple of it: padding lanes must never surface.
         let mut rng = rng_from_seed(11);
-        let queries: Vec<Embedding> = (0..20)
-            .map(|_| Embedding::gaussian(32, 1.0, &mut rng))
-            .collect();
-        let items: Vec<(ItemId, Embedding)> = (0..50)
-            .map(|i| (i as ItemId, Embedding::gaussian(32, 1.0, &mut rng)))
-            .collect();
-        let qrefs: Vec<&Embedding> = queries.iter().collect();
-        let qnorms: Vec<f64> = queries.iter().map(Embedding::norm).collect();
-        let irefs: Vec<(ItemId, &[f32], f64)> = items
-            .iter()
-            .map(|(id, e)| (*id, e.as_slice(), e.norm()))
-            .collect();
-        let selected: Vec<usize> = (0..queries.len()).collect();
-        let mut sinks = vec![Vec::new(); queries.len()];
-        scan_blocked(&qrefs, &qnorms, &selected, &irefs, &mut sinks);
-        for (qi, hits) in sinks.iter().enumerate() {
-            assert_eq!(hits.len(), items.len());
-            for hit in hits {
-                let expect = queries[qi].cosine(&items[hit.id as usize].1);
-                assert_eq!(hit.similarity.to_bits(), expect.to_bits(), "not bitwise");
+        for dim in [1usize, 7, 9, 64, 70] {
+            for n in [0usize, 1, 7, 8, 9, 17] {
+                let rows: Vec<Embedding> = (0..n)
+                    .map(|_| Embedding::gaussian(dim, 1.0, &mut rng))
+                    .collect();
+                let q = Embedding::gaussian(dim, 1.0, &mut rng);
+                let t = table(&rows, dim);
+                let q64 = widen(q.as_slice());
+                let mut seen = 0;
+                t.dots(&q64, |i, d| {
+                    assert_eq!(i, seen);
+                    seen += 1;
+                    let want = dot_slices(q.as_slice(), rows[i].as_slice());
+                    assert_eq!(d.to_bits(), want.to_bits(), "dot dim={dim} n={n}");
+                });
+                assert_eq!(seen, n);
+                t.sq_dists(&q64, |i, d| {
+                    let want = sq_dist_slices(rows[i].as_slice(), q.as_slice());
+                    assert_eq!(d.to_bits(), want.to_bits(), "sq_dist dim={dim} n={n}");
+                });
             }
         }
     }
 
     #[test]
-    fn zero_vectors_follow_the_cosine_guard() {
-        let q = Embedding::zeros(4);
-        let e = Embedding::from_vec(vec![1.0, 0.0, 0.0, 0.0]);
-        let mut sinks = vec![Vec::new()];
-        scan_blocked(
-            &[&q],
-            &[q.norm()],
-            &[0],
-            &[(7, e.as_slice(), e.norm())],
-            &mut sinks,
-        );
-        assert_eq!(sinks[0][0].similarity, 0.0);
+    fn an_all_negative_zero_sum_keeps_its_sign() {
+        // Every product is -0.0; `dot_slices` returns whatever
+        // `Iterator::sum` makes of that, and so must the lanes.
+        let row = Embedding::from_vec(vec![0.0, 0.0, 0.0]);
+        let q = Embedding::from_vec(vec![-1.0, -2.0, -3.0]);
+        let t = table(std::slice::from_ref(&row), 3);
+        t.dots(&widen(q.as_slice()), |_, d| {
+            assert_eq!(
+                d.to_bits(),
+                dot_slices(q.as_slice(), row.as_slice()).to_bits()
+            );
+        });
     }
 
     #[test]
-    fn centroid_scan_matches_sq_dist() {
+    fn swap_remove_keeps_the_dense_prefix() {
         let mut rng = rng_from_seed(12);
-        let queries: Vec<Embedding> = (0..13)
-            .map(|_| Embedding::gaussian(16, 1.0, &mut rng))
+        let mut rows: Vec<Embedding> = (0..19)
+            .map(|_| Embedding::gaussian(5, 1.0, &mut rng))
             .collect();
-        let centroids: Vec<Embedding> = (0..9)
-            .map(|_| Embedding::gaussian(16, 1.0, &mut rng))
-            .collect();
-        let qrefs: Vec<&Embedding> = queries.iter().collect();
-        let mut d = vec![vec![1.0; 50]; 2]; // Dirty scratch must be overwritten.
-        centroid_distances_blocked(&qrefs, &centroids, &mut d);
-        assert_eq!(d.len(), queries.len());
-        for (qi, row) in d.iter().enumerate() {
-            assert_eq!(row.len(), centroids.len());
-            for (ci, &dist) in row.iter().enumerate() {
-                assert_eq!(
-                    dist.to_bits(),
-                    centroids[ci].sq_dist(&queries[qi]).to_bits()
-                );
+        let mut t = table(&rows, 5);
+        for pos in [0usize, 17, 8, 7, 3, 0] {
+            t.swap_remove(pos);
+            rows.swap_remove(pos);
+            assert_eq!(t.len(), rows.len());
+            for (i, want) in rows.iter().enumerate() {
+                let mut got = Vec::new();
+                t.extend_row_into(i, &mut got);
+                assert_eq!(got, want.as_slice());
             }
         }
+        while t.len() > 0 {
+            t.swap_remove(t.len() - 1);
+        }
+        assert!(t.blocks.is_empty());
+        t.push(rows[0].as_slice());
+        let mut got = Vec::new();
+        t.extend_row_into(0, &mut got);
+        assert_eq!(got, rows[0].as_slice());
+    }
+
+    #[test]
+    fn nearest_breaks_ties_to_the_first_row() {
+        let rows = vec![Embedding::from_vec(vec![1.0, 0.0]); 11];
+        let t = table(&rows, 2);
+        assert_eq!(t.nearest(&[1.0, 0.0]), (0, 0.0));
+        assert_eq!(
+            LaneBlocks::<f64>::with_capacity(2, 0)
+                .nearest(&[1.0, 0.0])
+                .0,
+            0
+        );
     }
 }

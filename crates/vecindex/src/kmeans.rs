@@ -7,19 +7,18 @@
 //! # The lane kernel, and why it is byte-for-byte the scalar loop
 //!
 //! The Lloyd assignment step — nearest centroid per point — dominates the
-//! fit. The hot path packs the centroid table into `LaneBlocks`: groups
-//! of `LANES` centroids transposed to component-major `f64`, so one pass
-//! over a point's components advances `LANES` independent distance
-//! accumulators (ILP/SIMD instead of one serial `f64` add chain). This is
-//! a *schedule* change, not a numeric one:
+//! fit. The hot path packs the centroid table into the crate's one
+//! lane-transposed table (`LaneBlocks`, see the `kernel` module docs):
+//! one pass over a point's components advances eight independent
+//! distance accumulators instead of one serial `f64` add chain. Each
+//! per-pair distance is bit-identical to [`Embedding::sq_dist`], and the
+//! argmin scans centroids in index order with the same strict `<` update,
+//! so ties break to the same first index.
 //!
-//! - each centroid's accumulator receives exactly the terms
-//!   `(c_j - v_j)^2` in component order, widened to `f64` before the
-//!   subtract — the same op sequence as [`Embedding::sq_dist`], so every
-//!   per-pair distance is bit-identical to the scalar kernel's;
-//! - the argmin scans centroids in index order (group-major, lane-minor
-//!   = centroid index order) with the same strict `<` update, so ties
-//!   break to the same first index.
+//! A fitted [`KMeansModel`] keeps the table of its final centroids — the
+//! one the fit's last assignment pass ran over, so it is built once — and
+//! every query on the model ([`KMeansModel::assign`], [`KMeansModel::assign_top_n`],
+//! [`KMeansModel::assign_batch_rows`], [`KMeansModel::inertia`]) reads it.
 //!
 //! # Parallelism (`threads`), and why it is bit-identical too
 //!
@@ -39,10 +38,15 @@ use ic_embed::{Embedding, par::chunk_ranges, sq_dist_slices};
 use ic_stats::rng::rng_from_seed;
 use rand::{Rng, RngExt};
 
+use crate::keep_top;
+use crate::kernel::{LaneBlocks, widen};
+
 /// A fitted K-means model.
 #[derive(Debug, Clone)]
 pub struct KMeansModel {
     centroids: Vec<Embedding>,
+    /// `centroids`, lane-transposed for the distance scans.
+    lanes: LaneBlocks<f64>,
 }
 
 impl KMeansModel {
@@ -63,147 +67,42 @@ impl KMeansModel {
     /// Panics if the model has no centroids (cannot happen for models
     /// produced by [`kmeans`]).
     pub fn assign(&self, v: &Embedding) -> usize {
-        nearest_centroid(&self.centroids, v).0
+        assert!(!self.centroids.is_empty(), "model has no centroids");
+        self.lanes.nearest(&widen(v.as_slice())).0
     }
 
-    /// [`Self::assign`] for a whole batch of component rows, through the
-    /// lane kernel over `threads` disjoint contiguous row chunks.
-    /// `out[i]` is exactly `self.assign(&rows[i])` — same distances, same
-    /// strict-`<` first-index tie-break — at any thread count.
+    /// [`Self::assign`] for a whole batch of component rows, over
+    /// `threads` disjoint contiguous row chunks. `out[i]` is exactly
+    /// `self.assign(&rows[i])` at any thread count.
     pub fn assign_batch_rows(&self, rows: &[&[f32]], threads: usize) -> Vec<usize> {
         if rows.is_empty() {
             return Vec::new();
         }
         assert!(!self.centroids.is_empty(), "model has no centroids");
-        let lanes = LaneBlocks::build(&self.centroids, rows[0].len());
         let mut assignment = vec![usize::MAX; rows.len()];
-        assign_pass(&lanes, rows, &mut assignment, &mut [], threads);
+        assign_pass(&self.lanes, rows, &mut assignment, &mut [], threads);
         assignment
     }
 
-    /// Indices of the `n` nearest centroids, closest first.
+    /// Indices of the `n` nearest centroids, closest first (equidistant
+    /// centroids in index order).
     pub fn assign_top_n(&self, v: &Embedding, n: usize) -> Vec<usize> {
-        let mut dists: Vec<(usize, f64)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.sq_dist(v)))
-            .collect();
-        dists.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-        dists.truncate(n);
-        dists.into_iter().map(|(i, _)| i).collect()
-    }
-
-    /// [`Self::assign_top_n`] for a whole batch in one shared centroid
-    /// scan: the centroid table is streamed once per query block rather
-    /// than once per query. `out[i]` is exactly `assign_top_n(queries[i],
-    /// n)` — the distances are the same per-pair [`Embedding::sq_dist`]
-    /// values, sorted with the same stable comparator, so probe sets and
-    /// their order are byte-identical to the sequential path.
-    pub fn assign_top_n_batch(&self, queries: &[&Embedding], n: usize) -> Vec<Vec<usize>> {
-        let mut scratch = Vec::new();
-        self.assign_top_n_batch_with(queries, n, &mut scratch)
-    }
-
-    /// [`Self::assign_top_n_batch`] with a caller-owned distance scratch
-    /// buffer, so a hot probe loop reuses its `Q x K` distance rows
-    /// across batches instead of reallocating them per call.
-    pub fn assign_top_n_batch_with(
-        &self,
-        queries: &[&Embedding],
-        n: usize,
-        dist_scratch: &mut Vec<Vec<f64>>,
-    ) -> Vec<Vec<usize>> {
-        crate::kernel::centroid_distances_blocked(queries, &self.centroids, dist_scratch);
-        dist_scratch
-            .iter()
-            .map(|row| {
-                let mut dists: Vec<(usize, f64)> = row.iter().copied().enumerate().collect();
-                dists.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-                dists.truncate(n);
-                dists.into_iter().map(|(i, _)| i).collect()
-            })
-            .collect()
+        let mut dists = Vec::with_capacity(self.k());
+        self.lanes
+            .sq_dists(&widen(v.as_slice()), |i, d| dists.push((d, i)));
+        keep_top(&mut dists, n, |a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite distances")
+                .then(a.1.cmp(&b.1))
+        });
+        dists.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Total within-cluster squared distance of a dataset under this model.
     pub fn inertia(&self, data: &[Embedding]) -> f64 {
         data.iter()
-            .map(|v| nearest_centroid(&self.centroids, v).1)
+            .map(|v| self.lanes.nearest(&widen(v.as_slice())).1)
             .sum()
-    }
-}
-
-fn nearest_centroid(centroids: &[Embedding], v: &Embedding) -> (usize, f64) {
-    assert!(!centroids.is_empty(), "model has no centroids");
-    let mut best = (0usize, f64::INFINITY);
-    for (i, c) in centroids.iter().enumerate() {
-        let d = c.sq_dist(v);
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    best
-}
-
-/// Distance accumulators advanced per component pass — sized for eight
-/// independent `f64` chains (one AVX-512 register, four SSE2 registers;
-/// either way enough ILP to hide the add latency that serializes the
-/// scalar kernel).
-const LANES: usize = 8;
-
-/// The centroid table transposed for the assignment hot loop: groups of
-/// [`LANES`] centroids stored component-major as `f64`
-/// (`blocks[g * dim * LANES + j * LANES + lane]` = component `j` of
-/// centroid `g * LANES + lane`). Padding lanes in the last group hold
-/// `f64::INFINITY` and are excluded from the argmin. The module docs
-/// argue bit-equivalence with the scalar loop.
-struct LaneBlocks {
-    k: usize,
-    dim: usize,
-    blocks: Vec<f64>,
-}
-
-impl LaneBlocks {
-    fn build(centroids: &[Embedding], dim: usize) -> Self {
-        let k = centroids.len();
-        let groups = k.div_ceil(LANES);
-        let mut blocks = vec![f64::INFINITY; groups * dim * LANES];
-        for (ci, c) in centroids.iter().enumerate() {
-            let (g, lane) = (ci / LANES, ci % LANES);
-            let base = g * dim * LANES;
-            for (j, &x) in c.as_slice().iter().enumerate() {
-                blocks[base + j * LANES + lane] = f64::from(x);
-            }
-        }
-        Self { k, dim, blocks }
-    }
-
-    /// `(argmin, min)` of the squared distances from `v64` (the point's
-    /// components pre-widened to `f64` — lossless) to every centroid.
-    /// Bit-identical to [`nearest_centroid`] on the same point.
-    fn nearest(&self, v64: &[f64]) -> (usize, f64) {
-        debug_assert_eq!(v64.len(), self.dim);
-        let mut best = (0usize, f64::INFINITY);
-        for g in 0..self.k.div_ceil(LANES) {
-            let base = g * self.dim * LANES;
-            let block = &self.blocks[base..base + self.dim * LANES];
-            let mut acc = [0.0f64; LANES];
-            for (j, &x) in v64.iter().enumerate() {
-                let row: &[f64] = &block[j * LANES..(j + 1) * LANES];
-                for (a, &c) in acc.iter_mut().zip(row) {
-                    let d = c - x;
-                    *a += d * d;
-                }
-            }
-            let live = (self.k - g * LANES).min(LANES);
-            for (lane, &s) in acc.iter().take(live).enumerate() {
-                if s < best.1 {
-                    best = (g * LANES + lane, s);
-                }
-            }
-        }
-        best
     }
 }
 
@@ -215,19 +114,19 @@ impl LaneBlocks {
 /// and the frozen `lanes` table, so the output is identical at every
 /// thread count; the `changed` flag is an order-insensitive OR.
 fn assign_pass(
-    lanes: &LaneBlocks,
+    lanes: &LaneBlocks<f64>,
     rows: &[&[f32]],
     assignment: &mut [usize],
     dists: &mut [f64],
     threads: usize,
 ) -> bool {
     fn run_chunk(
-        lanes: &LaneBlocks,
+        lanes: &LaneBlocks<f64>,
         rows: &[&[f32]],
         assignment: &mut [usize],
         dists: &mut [f64],
     ) -> bool {
-        let mut v64 = vec![0.0f64; lanes.dim];
+        let mut v64 = vec![0.0f64; lanes.dim()];
         let mut changed = false;
         for (i, row) in rows.iter().enumerate() {
             for (d, &x) in v64.iter_mut().zip(*row) {
@@ -362,9 +261,9 @@ pub fn kmeans_fit_rows(
     // them).
     let mut current = false;
 
+    let mut lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
     for _ in 0..max_iters {
         // Assignment step (parallel, pure per point).
-        let lanes = LaneBlocks::build(&centroids, dim);
         let changed = assign_pass(&lanes, rows, &mut assignment, &mut dists, threads);
         current = true;
         if !changed {
@@ -395,17 +294,17 @@ pub fn kmeans_fit_rows(
             // Empty clusters keep their previous centroid; k-means++ makes
             // this rare and harmless.
         }
+        lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
         current = false;
     }
     if !current {
         // `max_iters` exhausted after an update: one more pass so the
         // returned assignment/inertia describe the final centroids.
-        let lanes = LaneBlocks::build(&centroids, dim);
         assign_pass(&lanes, rows, &mut assignment, &mut dists, threads);
     }
     let inertia = dists.iter().sum();
     Some(KMeansFit {
-        model: KMeansModel { centroids },
+        model: KMeansModel { centroids, lanes },
         assignment,
         inertia,
     })
@@ -588,18 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_top_n_batch_matches_sequential() {
-        let (data, _) = clustered_data(6, 25);
-        let model = kmeans(&data, 6, 30, 8).unwrap();
-        let queries: Vec<&Embedding> = data.iter().take(40).collect();
-        let batch = model.assign_top_n_batch(&queries, 3);
-        for (q, got) in queries.iter().zip(&batch) {
-            assert_eq!(got, &model.assign_top_n(q, 3));
-        }
-        assert!(model.assign_top_n_batch(&[], 3).is_empty());
-    }
-
-    #[test]
     fn identical_points_do_not_crash() {
         let data = vec![Embedding::from_vec(vec![1.0, 2.0]); 10];
         let model = kmeans(&data, 3, 10, 4).unwrap();
@@ -617,23 +504,32 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernel_matches_scalar_nearest_bitwise() {
+    fn model_queries_match_the_scalar_chain_bitwise() {
         // Awkward k values around the lane width: padding lanes and the
-        // final partial group must never affect the argmin.
+        // final partial group must never affect the argmin or the
+        // probe order. The oracle is the scalar `sq_dist` loop.
         let (data, _) = clustered_data(8, 40);
         for k in [1usize, 7, 8, 9, 15, 17] {
             let model = kmeans(&data, k, 10, 11).unwrap();
-            let lanes = LaneBlocks::build(&model.centroids, data[0].dim());
-            let mut v64 = vec![0.0f64; data[0].dim()];
+            let mut inertia = Vec::new();
             for v in &data {
-                for (d, &x) in v64.iter_mut().zip(v.as_slice()) {
-                    *d = f64::from(x);
+                let mut dists: Vec<(usize, f64)> = model
+                    .centroids()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| (i, c.sq_dist(v)))
+                    .collect();
+                dists.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+                let order: Vec<usize> = dists.iter().map(|&(i, _)| i).collect();
+                assert_eq!(model.assign(v), order[0], "k={k}");
+                for n in [0usize, 1, 4, k, k + 3] {
+                    let want = &order[..n.min(k)];
+                    assert_eq!(model.assign_top_n(v, n), want, "k={k} n={n}");
                 }
-                let (li, ld) = lanes.nearest(&v64);
-                let (si, sd) = nearest_centroid(&model.centroids, v);
-                assert_eq!(li, si, "k={k}");
-                assert_eq!(ld.to_bits(), sd.to_bits(), "k={k}");
+                inertia.push(dists[0].1);
             }
+            let want: f64 = inertia.iter().sum();
+            assert_eq!(model.inertia(&data).to_bits(), want.to_bits(), "k={k}");
         }
     }
 

@@ -8,18 +8,32 @@
 //! nearest clusters.
 //!
 //! This crate provides:
-//! - [`FlatIndex`] — exact brute-force search (the ground truth and the
-//!   small-pool fast path),
+//! - [`FlatIndex`] — exact brute-force search, one scalar
+//!   [`Embedding::cosine`] per stored vector: the ground truth the IVF
+//!   index is tested against,
 //! - [`kmeans()`](kmeans::kmeans) — Lloyd's algorithm with k-means++ seeding,
 //! - [`IvfIndex`] — the inverted-file index with the `sqrt(N)` rule,
 //!   incremental inserts, lazy retraining, and configurable probe width.
 //!
-//! Both indexes also expose a multi-query probe,
-//! [`VectorIndex::search_batch`], which scores a whole batch of queries
-//! in one blocked pass over the visited vectors (shared centroid scan,
-//! one posting-list traversal per list) while returning byte-identical
-//! results to the sequential path — the batching lever for coalescing
-//! same-tick request arrivals upstream.
+//! # One scan
+//!
+//! Everything hot in this crate — the k-means assignment step, ranking
+//! centroids for a probe, and scoring a posting list — is the same loop
+//! over the same layout: rows stored in groups of eight, component-major,
+//! so one pass over the query advances eight independent `f64`
+//! accumulators (the crate-private `kernel` module). It reorders *which
+//! pair's* add comes next, never the adds within a pair, so every
+//! distance and similarity is bit-identical to the scalar reductions in
+//! `ic-embed` and every result list is byte-identical to what
+//! [`FlatIndex`]-style scoring of the same candidates returns. Each IVF
+//! posting list owns its members' rows in that layout; there is no
+//! second copy.
+//!
+//! [`VectorIndex::search_batch`] answers a whole batch of queries with
+//! results byte-identical to per-query [`VectorIndex::search`] — it *is*
+//! per-query `search`; the single-query scan is already faster per query
+//! than a query-blocked pass was — and stays as the entry point for
+//! coalescing same-tick request arrivals upstream.
 //!
 //! # Examples
 //!
@@ -45,6 +59,8 @@ pub use kmeans::{
     KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_best_of_threaded, kmeans_fit_rows,
     kmeans_threaded,
 };
+
+use std::cmp::Ordering;
 
 use ic_embed::Embedding;
 
@@ -73,11 +89,7 @@ pub trait VectorIndex {
     fn search(&self, query: &Embedding, k: usize) -> Vec<SearchHit>;
 
     /// Multi-query probe: `out[i]` is exactly `self.search(queries[i],
-    /// k)` — same hits, same scores, same order — computed in one pass
-    /// over the index so implementations can amortize memory traffic
-    /// across the batch (see the `kernel` module docs for the blocking
-    /// scheme). The default implementation simply loops; [`FlatIndex`]
-    /// and [`IvfIndex`] override it with the blocked kernel.
+    /// k)` — same hits, same scores, same order.
     fn search_batch(&self, queries: &[&Embedding], k: usize) -> Vec<Vec<SearchHit>> {
         queries.iter().map(|q| self.search(q, k)).collect()
     }
@@ -91,17 +103,30 @@ pub trait VectorIndex {
     }
 }
 
-/// Sorts hits by descending similarity, then ascending id, and truncates
-/// to `k`. Shared by the index implementations.
+/// The `k` best hits — descending similarity, then ascending id —
+/// in that order. Shared by the index implementations.
 pub(crate) fn finalize_hits(mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
-    hits.sort_by(|a, b| {
+    keep_top(&mut hits, k, |a, b| {
         b.similarity
             .partial_cmp(&a.similarity)
             .expect("similarities are finite")
             .then(a.id.cmp(&b.id))
     });
-    hits.truncate(k);
     hits
+}
+
+/// Reduces `items` to its `k` least elements under `cmp`, sorted: a
+/// partition around the `k`-th element, then a sort of the kept `k`
+/// only. Under a total order (no two elements compare equal) this is
+/// exactly `sort_by(cmp)` followed by `truncate(k)`.
+pub(crate) fn keep_top<T>(items: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> Ordering) {
+    if k == 0 {
+        items.clear();
+    } else if k < items.len() {
+        items.select_nth_unstable_by(k - 1, &cmp);
+        items.truncate(k);
+    }
+    items.sort_unstable_by(&cmp);
 }
 
 /// The paper's cluster-count rule: `K = sqrt(N)`, minimizing the per-query
@@ -155,5 +180,35 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id, 1); // Tie broken by id.
         assert_eq!(out[1].id, 2);
+    }
+
+    #[test]
+    fn finalize_matches_the_full_sort_under_ties() {
+        // Few distinct similarities (`0.0` and `-0.0` among them, which
+        // compare equal), so ties straddle the cut at every `k`.
+        let sims = [0.5, -0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 0.0, 0.25];
+        let hits: Vec<SearchHit> = (0..200u64)
+            .map(|i| SearchHit {
+                id: (i * 7919) % 200,
+                similarity: sims[(i % 9) as usize],
+            })
+            .collect();
+        let mut sorted = hits.clone();
+        sorted.sort_by(|a, b| {
+            b.similarity
+                .partial_cmp(&a.similarity)
+                .unwrap()
+                .then(a.id.cmp(&b.id))
+        });
+        for k in [0usize, 1, 2, 31, 32, 33, 199, 200, 201, 1000] {
+            let got = finalize_hits(hits.clone(), k);
+            let want = &sorted[..k.min(sorted.len())];
+            assert_eq!(got.len(), want.len(), "k={k}");
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!(g.id, w.id, "k={k}");
+                assert_eq!(g.similarity.to_bits(), w.similarity.to_bits(), "k={k}");
+            }
+        }
+        assert!(finalize_hits(Vec::new(), 5).is_empty());
     }
 }
