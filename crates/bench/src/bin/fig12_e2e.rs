@@ -83,7 +83,9 @@ fn replay_json(
             "{{\"fraction\":{:.6},\"threads\":{},\"served\":{},\"steps\":{},",
             "\"events\":{},\"preselects\":{},\"preselect_hits\":{},",
             "\"stage1_reuses\":{},\"invalidations\":{},\"parallel_regions\":{},",
-            "\"parallel_steps\":{},\"setup_threads\":{},\"setup_wall_s\":{:.3},",
+            "\"parallel_steps\":{},\"index_fits\":{},\"kmeans_passes\":{},",
+            "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
+            "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
             "\"embed_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
@@ -98,6 +100,10 @@ fn replay_json(
         r.invalidations,
         r.parallel_regions,
         r.parallel_steps,
+        setup.index_build.fits,
+        setup.index_build.passes,
+        setup.index_build.group_scans,
+        setup.index_build.group_scans_full,
         setup.setup_threads,
         setup.setup_wall_s,
         setup.embed_wall_s,
@@ -170,6 +176,15 @@ fn print_replay_summary(
         setup.embed_wall_s,
         setup.index_build_wall_s,
         wall_s,
+    );
+    let b = setup.index_build;
+    println!(
+        "index build: {} k-means fit(s), {} assignment passes, {} of {} lane-group scans ({:.1}%)",
+        b.fits,
+        b.passes,
+        b.group_scans,
+        b.group_scans_full,
+        b.group_scans as f64 / b.group_scans_full.max(1) as f64 * 100.0,
     );
     let events = report.served + report.iter.steps;
     let r = &report.replay;

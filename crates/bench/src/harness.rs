@@ -109,6 +109,7 @@ impl PairSetup {
         let t1 = std::time::Instant::now();
         system.seed_examples(examples, 0.0);
         let index_build_wall_s = t1.elapsed().as_secs_f64();
+        let index_build = system.selector().index().build_stats();
         let setup = Self {
             system,
             generator,
@@ -124,6 +125,7 @@ impl PairSetup {
             setup_wall_s: 0.0,
             embed_wall_s,
             index_build_wall_s,
+            index_build,
             setup_threads,
         };
         (setup, timing)
@@ -146,7 +148,8 @@ impl PairSetup {
 /// the example bank, `index_build_wall_s` covers seeding it into the
 /// selector (k-means fits, filling the IVF posting lists), and
 /// `setup_wall_s` the whole pre-replay setup including warm-up and
-/// request generation.
+/// request generation. `index_build` is the exception: deterministic
+/// counts of the training work `index_build_wall_s` paid for.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SetupTiming {
     /// Whole setup wall (embed + index + warm-up + request gen).
@@ -155,6 +158,9 @@ pub struct SetupTiming {
     pub embed_wall_s: f64,
     /// Selector index build wall (`seed_examples`).
     pub index_build_wall_s: f64,
+    /// K-means fits, assignment passes and lane-group scans behind
+    /// `index_build_wall_s` (the same at any `IC_SETUP_THREADS`).
+    pub index_build: ic_vecindex::BuildStats,
     /// Worker threads the setup pipeline ran with.
     pub setup_threads: usize,
 }

@@ -134,6 +134,11 @@ impl ExampleSelector {
         &self.proxy
     }
 
+    /// Read access to the stage-1 index (its structure and build counts).
+    pub fn index(&self) -> &IvfIndex {
+        &self.index
+    }
+
     /// Mutable access to the threshold controller. Conservatively bumps
     /// [`Self::learn_epoch`], like [`Self::proxy_mut`].
     pub fn threshold_mut(&mut self) -> &mut DynamicThreshold {

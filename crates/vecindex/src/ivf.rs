@@ -25,10 +25,32 @@
 //! training — so exact search over a small pool is the same scan, not a
 //! second code path.
 //!
+//! # Retraining, and why a bulk load needs only the last one
+//!
 //! The index retrains lazily: inserts are routed to the nearest existing
 //! centroid, and when the pool has grown or shrunk past a configurable
-//! factor since the last training, the next operation retrains with the
-//! sqrt rule.
+//! factor since the last training, the insert that crosses it retrains
+//! with the sqrt rule — so loading N items one by one fits k-means at
+//! every doubling.
+//!
+//! A retrain is a clean slate. It gathers every stored row, sorts by id,
+//! fits k-means on the rows in that order with the configured seed, and
+//! rebuilds *every* posting list from the fit's assignment, again in id
+//! order; norms are a function of their row. Nothing of the previous
+//! model or list order reaches the result: the state after a retrain is
+//! a function of the *set* of `(id, row)` pairs in the index and of
+//! nothing else. Whether a retrain fires is a function of counts alone
+//! (pool size against the size at the last training). So when
+//! [`IvfIndex::insert_bulk`] loads items with fresh ids, every retrain
+//! the per-item loop would run before its last one is overwritten unread;
+//! the bulk path walks the retrain points arithmetically, hands the
+//! stored rows plus the new items up to the last point to one retrain —
+//! the new rows borrowed where they lie, row-major already, not copied
+//! or assigned anywhere first — and batch-assigns the remaining items
+//! under that model, appending in item order as the loop would have. The
+//! per-item [`VectorIndex::insert`] path keeps its retrain per doubling
+//! and is the reference the equivalence tests compare against
+//! ([`IvfIndex::build_stats`] counts the fits).
 
 use std::collections::HashMap;
 
@@ -101,6 +123,21 @@ pub struct IvfIndex {
     locator: HashMap<ItemId, (u32, u32)>,
     /// Pool size at the time of the last training.
     trained_at_len: usize,
+    stats: BuildStats,
+}
+
+/// What the index has spent on training so far — deterministic counts
+/// (the same at every `setup_threads`), for the perf record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildStats {
+    /// K-means fits run.
+    pub fits: u64,
+    /// Assignment passes over all fits.
+    pub passes: u64,
+    /// Lane groups (eight centroids each) those passes scanned ...
+    pub group_scans: u64,
+    /// ... out of what full scans would have.
+    pub group_scans_full: u64,
 }
 
 /// The members of one cluster: row `i` of `rows` belongs to `ids[i]` and
@@ -167,7 +204,13 @@ impl IvfIndex {
             lists: Vec::new(),
             locator: HashMap::new(),
             trained_at_len: 0,
+            stats: BuildStats::default(),
         }
+    }
+
+    /// Training work done so far.
+    pub fn build_stats(&self) -> BuildStats {
+        self.stats
     }
 
     /// Current number of clusters (0 before first training).
@@ -182,34 +225,57 @@ impl IvfIndex {
 
     /// Forces retraining with `K = sqrt(N)` clusters.
     pub fn retrain(&mut self) {
-        let n = self.locator.len();
+        self.retrain_with(&[]);
+    }
+
+    /// Retrains over the stored items plus `staged` (fresh ids, not in
+    /// the index yet), leaving the index exactly as inserting `staged`
+    /// and then retraining would: the fit sees the rows in id order under
+    /// a fixed seed and every list is rebuilt from it, so nothing of the
+    /// previous lists or model survives into the result.
+    fn retrain_with(&mut self, staged: &[(ItemId, Embedding)]) {
+        let resident = self.locator.len();
+        let n = resident + staged.len();
         let old = std::mem::take(&mut self.lists);
         if n == 0 {
             self.model = None;
             self.trained_at_len = 0;
             return;
         }
-        // Deterministic training order: sort by id. K-means wants
-        // row-major points, so the rows are gathered once into a scratch
-        // buffer; the old lists are dropped before the new ones are
-        // allocated, and the scratch as soon as they are filled.
-        let mut order: Vec<(ItemId, (u32, u32))> =
-            self.locator.iter().map(|(&id, &at)| (id, at)).collect();
-        order.sort_unstable_by_key(|&(id, _)| id);
-        let dim = old[0].rows.dim();
-        let mut points = Vec::with_capacity(n * dim);
-        let mut norms = Vec::with_capacity(n);
-        for &(_, (c, pos)) in &order {
+        // K-means wants row-major points. Stored rows are gathered once
+        // into a scratch buffer (the old lists are dropped before the new
+        // ones are allocated); staged rows are row-major where they are
+        // and are borrowed, not copied.
+        let dim = old
+            .first()
+            .map_or_else(|| staged[0].1.dim(), |l| l.rows.dim());
+        let mut points = Vec::with_capacity(resident * dim);
+        let mut stored = Vec::with_capacity(resident);
+        for (&id, &(c, pos)) in &self.locator {
             let list = &old[c as usize];
             list.rows.extend_row_into(pos as usize, &mut points);
-            norms.push(list.norms[pos as usize]);
+            stored.push((id, list.norms[pos as usize]));
         }
         drop(old);
-        let rows: Vec<&[f32]> = (0..n).map(|i| &points[i * dim..(i + 1) * dim]).collect();
+        // Deterministic training order: sort by id.
+        let mut order: Vec<(ItemId, &[f32], f64)> = (stored.iter().zip(points.chunks_exact(dim)))
+            .map(|(&(id, norm), row)| (id, row, norm))
+            .chain(
+                staged
+                    .iter()
+                    .map(|(id, e)| (*id, e.as_slice(), norm_slice(e.as_slice()))),
+            )
+            .collect();
+        order.sort_unstable_by_key(|&(id, ..)| id);
+        let rows: Vec<&[f32]> = order.iter().map(|&(_, row, _)| row).collect();
         let k = sqrt_cluster_count(n);
         let threads = self.config.setup_threads.max(1);
         let fit = kmeans_fit_rows(&rows, k, self.config.train_iters, self.config.seed, threads)
             .expect("non-empty data trains");
+        self.stats.fits += 1;
+        self.stats.passes += fit.passes;
+        self.stats.group_scans += fit.group_scans;
+        self.stats.group_scans_full += fit.group_scans_full;
         // The fit's final assignment is exactly `model.assign` per row,
         // so the posting lists come for free — and exactly sized.
         let mut sizes = vec![0usize; fit.model.k()];
@@ -220,8 +286,8 @@ impl IvfIndex {
             .iter()
             .map(|&size| PostingList::with_capacity(dim, size))
             .collect();
-        for i in 0..n {
-            self.place(fit.assignment[i], order[i].0, rows[i], norms[i]);
+        for (&(id, row, norm), &c) in order.iter().zip(&fit.assignment) {
+            self.place(c, id, row, norm);
         }
         self.model = Some(fit.model);
         self.trained_at_len = n;
@@ -239,41 +305,39 @@ impl IvfIndex {
         self.locator.insert(id, (c, pos));
     }
 
-    /// Whether [`Self::maybe_retrain`] would retrain at pool size `n`
-    /// under the current model/training state — factored out so the
-    /// bulk-insert path can locate the exact sequential retrain points
-    /// without performing the inserts one by one.
-    fn would_retrain_at(&self, n: usize) -> bool {
+    /// Whether the lazy retrain fires at pool size `n` when the model was
+    /// last trained at `trained_at` items (`None`: never) — a pure
+    /// function of counts, which is what lets the bulk path find the
+    /// sequential loop's retrain points without performing the inserts.
+    fn retrain_due(&self, trained_at: Option<usize>, n: usize) -> bool {
         if n < self.config.brute_force_below {
             return false;
         }
-        match self.model {
-            None => true,
-            Some(_) => {
-                let base = self.trained_at_len.max(1) as f64;
-                let ratio = n as f64 / base;
-                ratio >= self.config.retrain_growth || ratio <= 1.0 / self.config.retrain_growth
-            }
-        }
+        trained_at.is_none_or(|at| {
+            let ratio = n as f64 / at.max(1) as f64;
+            ratio >= self.config.retrain_growth || ratio <= 1.0 / self.config.retrain_growth
+        })
+    }
+
+    /// Pool size at the last training, `None` while untrained.
+    fn trained_at(&self) -> Option<usize> {
+        self.model.as_ref().map(|_| self.trained_at_len)
     }
 
     fn maybe_retrain(&mut self) {
-        if self.would_retrain_at(self.locator.len()) {
+        if self.retrain_due(self.trained_at(), self.locator.len()) {
             self.retrain();
         }
     }
 
-    /// Bulk [`VectorIndex::insert`]: inserts every item, in order, with
-    /// the posting-list assignment fanned out over `setup_threads`. The
-    /// final index state is *identical* to inserting the items one by
-    /// one (same posting-list order, same retrain points): the items are
-    /// cut into segments at exactly the pool sizes where the sequential
-    /// loop's lazy `maybe_retrain` would fire (a pure function of the
-    /// counts, via `Self::would_retrain_at`), each segment is
-    /// batch-assigned under the model that sequential inserts would have
-    /// seen and appended to the lists — grown once, to the exact size —
-    /// in item order, and the retrain runs at the segment boundary just
-    /// as it would have mid-loop.
+    /// Bulk [`VectorIndex::insert`]: the final index state is *identical*
+    /// to inserting the items one by one, for one k-means fit instead of
+    /// one per doubling (see the module docs). The sequential loop's
+    /// retrain points are walked arithmetically; everything up to the
+    /// last one goes into a single retrain, unassigned, and the items
+    /// after it are batch-assigned under that model — fanned out over
+    /// `setup_threads` — and appended to the lists, grown once to the
+    /// exact size, in item order.
     ///
     /// Items whose id is already present (or repeated within the batch)
     /// would interleave removals with the growth model, so such batches
@@ -289,47 +353,39 @@ impl IvfIndex {
             }
             return;
         }
-        let threads = self.config.setup_threads.max(1);
-        let mut start = 0usize;
-        while start < items.len() {
-            // The segment runs up to (and including) the first item whose
-            // insertion triggers the lazy retrain.
-            let n0 = self.locator.len();
-            let mut end = items.len();
-            let mut retrain_after = false;
-            for j in start..items.len() {
-                if self.would_retrain_at(n0 + (j - start) + 1) {
-                    end = j + 1;
-                    retrain_after = true;
-                    break;
+        // `items[..staged]` is what the pool holds, beyond the stored
+        // items, when the sequential loop retrains for the last time.
+        let (mut trained_at, mut staged) = (self.trained_at(), 0);
+        for j in 1..=items.len() {
+            let n = self.locator.len() + j;
+            if self.retrain_due(trained_at, n) {
+                (trained_at, staged) = (Some(n), j);
+            }
+        }
+        if staged > 0 {
+            self.retrain_with(&items[..staged]);
+        }
+        // Sharded assignment (pure per item under the frozen model),
+        // appended in item order — exactly the per-item loop's push order.
+        let tail = &items[staged..];
+        let rows: Vec<&[f32]> = tail.iter().map(|(_, e)| e.as_slice()).collect();
+        let assigned = match &self.model {
+            Some(model) => {
+                let threads = self.config.setup_threads.max(1);
+                let assigned = model.assign_batch_rows(&rows, threads);
+                let mut growth = vec![0usize; self.lists.len()];
+                for &c in &assigned {
+                    growth[c] += 1;
                 }
-            }
-            let segment = &items[start..end];
-            let rows: Vec<&[f32]> = segment.iter().map(|(_, e)| e.as_slice()).collect();
-            // Sharded assignment (pure per item under the frozen model),
-            // appended to the posting lists in item order — exactly the
-            // per-item loop's push order.
-            let assigned = match &self.model {
-                Some(model) => {
-                    let assigned = model.assign_batch_rows(&rows, threads);
-                    let mut growth = vec![0usize; self.lists.len()];
-                    for &c in &assigned {
-                        growth[c] += 1;
-                    }
-                    for (list, additional) in self.lists.iter_mut().zip(growth) {
-                        list.reserve_exact(additional);
-                    }
-                    assigned
+                for (list, additional) in self.lists.iter_mut().zip(growth) {
+                    list.reserve_exact(additional);
                 }
-                None => vec![0; rows.len()],
-            };
-            for (((id, _), row), c) in segment.iter().zip(&rows).zip(assigned) {
-                self.place(c, *id, row, norm_slice(row));
+                assigned
             }
-            if retrain_after {
-                self.retrain();
-            }
-            start = end;
+            None => vec![0; rows.len()],
+        };
+        for (((id, _), row), c) in tail.iter().zip(&rows).zip(assigned) {
+            self.place(c, *id, row, norm_slice(row));
         }
     }
 
@@ -607,10 +663,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn insert_bulk_is_bit_identical_to_sequential_inserts() {
-        // 500 items cross the lazy-retrain cascade at n = 64, 128, 256 —
-        // the bulk path must fire the same retrains at the same points.
+    /// `count` topic-clustered items with ids from `first_id` up.
+    fn topic_items(first_id: ItemId, count: usize, seed: u64) -> Vec<(ItemId, Embedding)> {
         let space = TopicSpace::generate(
             21,
             TopicSpaceConfig {
@@ -618,22 +672,98 @@ mod tests {
                 ..TopicSpaceConfig::default()
             },
         );
-        let mut rng = rng_from_seed(40);
-        let items: Vec<(ItemId, Embedding)> = (0..500)
-            .map(|i| (i as ItemId, space.sample_member(i % 32, &mut rng)))
-            .collect();
+        let mut rng = rng_from_seed(seed);
+        (0..count)
+            .map(|i| {
+                (
+                    first_id + i as ItemId,
+                    space.sample_member(i % 32, &mut rng),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn insert_bulk_is_bit_identical_to_sequential_inserts() {
+        // The per-item loop retrains at every doubling; the bulk load
+        // must land in the same state for one fit. Three starting
+        // points: an empty index (retrains at 64, 128, ... 2048), an
+        // already-trained one (trained at 256 of 300; 512, 1024, 2048),
+        // and one with a shrink retrain pending after a mass removal
+        // (the first insert retrains at 61, then 122, 244, ... 1952).
+        let prepare = |case: usize, config: IvfConfig| {
+            let mut idx = IvfIndex::new(config);
+            if case > 0 {
+                for (id, e) in topic_items(10_000, 300, 39) {
+                    idx.insert(id, e);
+                }
+            }
+            if case == 2 {
+                for id in 10_000..10_240 {
+                    idx.remove(id);
+                }
+            }
+            idx
+        };
+        let batch = topic_items(0, 2_000, 40);
+        let queries = topic_items(0, 20, 42);
+        for case in 0..3 {
+            let mut seq = prepare(case, IvfConfig::default());
+            let fits_before = seq.build_stats().fits;
+            for (id, e) in &batch {
+                seq.insert(*id, e.clone());
+            }
+            assert!(
+                seq.build_stats().fits - fits_before >= 3,
+                "case {case}: the batch must cross at least three retrain points"
+            );
+            for threads in [1usize, 2, 4, 1000] {
+                let label = format!("case={case} threads={threads}");
+                let mut bulk = prepare(
+                    case,
+                    IvfConfig {
+                        setup_threads: threads,
+                        ..IvfConfig::default()
+                    },
+                );
+                let fits_before = bulk.build_stats().fits;
+                bulk.insert_bulk(batch.clone());
+                assert_eq!(bulk.build_stats().fits - fits_before, 1, "{label}");
+                assert_index_state_identical(&seq, &bulk, &label);
+                for (_, q) in &queries {
+                    let bits = |hits: Vec<SearchHit>| {
+                        hits.into_iter()
+                            .map(|h| (h.id, h.similarity.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(seq.search(q, 10)), bits(bulk.search(q, 10)), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn insert_bulk_below_every_retrain_point_fits_nothing() {
         let mut seq = IvfIndex::new(IvfConfig::default());
-        for (id, e) in &items {
+        let mut bulk = IvfIndex::new(IvfConfig::default());
+        for (id, e) in topic_items(0, 100, 43) {
+            seq.insert(id, e.clone());
+            bulk.insert(id, e);
+        }
+        // 100 -> 127 items: trained at 64, next retrain due at 128.
+        let batch = topic_items(500, 27, 44);
+        for (id, e) in &batch {
             seq.insert(*id, e.clone());
         }
-        for threads in [1usize, 2, 4, 1000] {
-            let mut bulk = IvfIndex::new(IvfConfig {
-                setup_threads: threads,
-                ..IvfConfig::default()
-            });
-            bulk.insert_bulk(items.clone());
-            assert_index_state_identical(&seq, &bulk, &format!("threads={threads}"));
-        }
+        bulk.insert_bulk(batch);
+        assert_eq!(bulk.build_stats().fits, 1);
+        assert_index_state_identical(&seq, &bulk, "no retrain point");
+        // Untrained and staying untrained: everything in the one list.
+        let mut small = IvfIndex::new(IvfConfig::default());
+        small.insert_bulk(topic_items(0, 40, 45));
+        assert_eq!(small.build_stats().fits, 0);
+        assert!(small.is_brute_force());
+        assert_locator_consistent(&small);
     }
 
     #[test]
@@ -663,6 +793,9 @@ mod tests {
         bulk.insert_bulk(items);
         assert_index_state_identical(&seq, &bulk, "duplicate ids");
         assert_eq!(bulk.len(), 100);
+        // The per-item path: one fit per retrain point, as `seq` ran.
+        assert_eq!(seq.build_stats().fits, 1);
+        assert_eq!(bulk.build_stats(), seq.build_stats());
     }
 
     #[test]

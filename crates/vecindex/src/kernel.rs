@@ -32,10 +32,12 @@
 //! group are computed and then dropped: only the first `len` rows ever
 //! reach a caller.
 
+use std::ops::Range;
+
 /// Rows per group, i.e. accumulators advanced per component pass: eight
 /// independent `f64` chains (one AVX-512 register, four SSE2 registers;
 /// either way enough to hide the add latency of the scalar chain).
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// The value `Iterator::sum::<f64>()` starts from, so a lane accumulator
 /// and the scalar reductions in `ic-embed` agree on an all-`-0.0` sum
@@ -156,10 +158,27 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
         (pos / LANES) * self.dim * LANES + pos % LANES
     }
 
+    /// Number of lane groups, `len.div_ceil(LANES)`.
+    pub(crate) fn groups(&self) -> usize {
+        self.len.div_ceil(LANES)
+    }
+
     /// Calls `sink(i, sq_dist(row_i, v))` for every row in index order —
     /// each value bit-identical to [`ic_embed::sq_dist_slices`].
     pub(crate) fn sq_dists(&self, v64: &[f64], sink: impl FnMut(usize, f64)) {
+        self.sq_dists_in(0..self.groups(), v64, sink);
+    }
+
+    /// [`Self::sq_dists`] over the rows of lane groups `groups` only —
+    /// the same sums, since a group's accumulators never see another's.
+    pub(crate) fn sq_dists_in(
+        &self,
+        groups: Range<usize>,
+        v64: &[f64],
+        sink: impl FnMut(usize, f64),
+    ) {
         self.scan(
+            groups,
             v64,
             |x, c| {
                 let d = c - x;
@@ -172,7 +191,7 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
     /// Calls `sink(i, dot(v, row_i))` for every row in index order —
     /// each value bit-identical to [`ic_embed::dot_slices`].
     pub(crate) fn dots(&self, v64: &[f64], sink: impl FnMut(usize, f64)) {
-        self.scan(v64, |x, c| x * c, sink);
+        self.scan(0..self.groups(), v64, |x, c| x * c, sink);
     }
 
     /// `(argmin, min)` of [`Self::sq_dists`] with a strict `<` update in
@@ -192,10 +211,16 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
     /// `term(v_j, row_j)` in component order from the `sum` identity;
     /// live lanes go to `sink` in row order, padding lanes nowhere.
     #[inline(always)]
-    fn scan(&self, v64: &[f64], term: impl Fn(f64, f64) -> f64, mut sink: impl FnMut(usize, f64)) {
+    fn scan(
+        &self,
+        groups: Range<usize>,
+        v64: &[f64],
+        term: impl Fn(f64, f64) -> f64,
+        mut sink: impl FnMut(usize, f64),
+    ) {
         assert_eq!(v64.len(), self.dim, "embedding dimension mismatch");
         let group = self.dim * LANES;
-        for g in 0..self.len.div_ceil(LANES) {
+        for g in groups {
             let block = &self.blocks[g * group..(g + 1) * group];
             let mut acc = [sum_identity(); LANES];
             for (lanes, &x) in block.chunks_exact(LANES).zip(v64) {

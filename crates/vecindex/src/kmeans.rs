@@ -12,34 +12,98 @@
 //! one pass over a point's components advances eight independent
 //! distance accumulators instead of one serial `f64` add chain. Each
 //! per-pair distance is bit-identical to [`Embedding::sq_dist`], and the
-//! argmin scans centroids in index order with the same strict `<` update,
-//! so ties break to the same first index.
+//! argmin is the `(distance, index)` minimum — what a strict `<` scan in
+//! index order returns — so ties break to the same first index.
+//! k-means++ seeding is the same scan the other way round: the points
+//! are transposed once and each new centre is one pass over them.
 //!
 //! A fitted [`KMeansModel`] keeps the table of its final centroids — the
 //! one the fit's last assignment pass ran over, so it is built once — and
 //! every query on the model ([`KMeansModel::assign`], [`KMeansModel::assign_top_n`],
 //! [`KMeansModel::assign_batch_rows`], [`KMeansModel::inertia`]) reads it.
 //!
+//! # Bounded passes: scanning only the centroids that could win
+//!
+//! From the second pass on few points change cluster, so most of a full
+//! scan recomputes distances whose outcome is already decided. The fit
+//! keeps, per point, an upper bound `u` on the distance to its own
+//! centroid and one lower bound `l_b` per *bucket* of centroids — a lane
+//! group of eight, or a few adjacent groups once there are more than 16
+//! groups — on the distance to every other centroid of the bucket
+//! (Yinyang k-means' group bounds, with the groups the lane kernel
+//! already scans). After an update step moves centroid `j` by `m_j`, the
+//! triangle inequality keeps them valid as `u + m_a` and
+//! `l_b - max(m_j : j in b)`. A pass then, per point:
+//!
+//! 1. ages the bounds; if every `l_b` still exceeds `u`, no other
+//!    centroid can be as near as the current one and nothing is scanned;
+//! 2. otherwise scans the point's home bucket, which yields the exact
+//!    distance to its centroid (tightening `u`) and to its bucket mates;
+//! 3. scans each further bucket only if `l_b` does not exceed the best
+//!    distance found so far, and refreshes the bounds of what it scanned.
+//!
+//! **Why a skipped bucket cannot change the argmin.** Candidates are
+//! compared on the same bit-identical lane sums as a full scan, in
+//! `(distance, index)` order, so the scan order is immaterial and the
+//! only question is whether a skipped centroid could have been that
+//! minimum. A bucket is skipped only when `l_b > u * (1 + margin)`.
+//! In exact arithmetic `l_b <= d(x, c_j)` for every `j` in the bucket and
+//! `u >= d(x, c_best)`, so `d(x, c_j) > d(x, c_best)` strictly: `j` loses
+//! even the tie-break. In `f64` each quantity carries rounding: a
+//! squared distance is a sum of `dim` non-negative terms (relative error
+//! at most about `dim * 2^-53`), square roots and the aging additions add
+//! `2^-53` each per pass, and a subtraction's error is relative to its
+//! *result*. Two things absorb all of it: every recorded movement is
+//! rounded **up** by the margin (so a bound that has shrunk a lot has
+//! shrunk by more than its accumulated error), and the comparison itself
+//! demands the margin (so a bound that has shrunk little is within a
+//! relative `(dim + passes) * 2^-53` of exact — about `1e-14` at dim 64 —
+//! against a margin of `1e-9`). The margin is sound while
+//! `dim + max_iters` stays below a few million; it costs nothing
+//! measurable in pruning. With the margin at zero and a bound one ulp on
+//! the wrong side, a point exactly midway between two centroids stays
+//! with the higher index — the unit test next to the constant shows it,
+//! and `tests/bounded_fit_equivalence.rs` checks the whole fit against a
+//! plain full-scan Lloyd on such data.
+//!
+//! The bounds table (at most 16 `f64` per point) lives only inside the
+//! fit: it is freed when the per-chunk state is flattened into the
+//! returned assignment, before the caller allocates anything from it.
+//! [`KMeansFit`] reports the passes run and the lane-group scans done
+//! out of those full scans would have done — deterministic counts.
+//!
 //! # Parallelism (`threads`), and why it is bit-identical too
 //!
-//! The `*_threaded` entry points split *pure per-point* work — nearest
-//! centroid, `d2` min-updates in the k-means++ init — over disjoint
-//! contiguous point chunks ([`ic_embed::par::chunk_ranges`]). Each
-//! point's result is a pure function of that point and the (frozen)
-//! centroid table, so the parallel pass writes the very bytes the
+//! The `*_threaded` entry points split *pure per-point* work — the
+//! bounded assignment pass with its per-point bounds, `d2` min-updates
+//! in the k-means++ init — over disjoint contiguous point chunks
+//! ([`ic_embed::par::chunk_ranges`]). Each point's result is a pure
+//! function of that point, its own bounds and the (frozen) centroid
+//! table and movements, so the parallel pass writes the very bytes the
 //! sequential pass would. Everything order-sensitive stays sequential on
 //! the calling thread: RNG draws, the `f32` centroid-update
-//! accumulation, the inertia sum (accumulated in point-index order from
-//! the per-point distances), and the best-of-seeds min scan (seed
-//! order). `kmeans_best_of_threaded` additionally runs whole fits —
-//! independent by construction — one seed per worker.
+//! accumulation, the inertia sum (one exact distance per point, in
+//! point-index order), and the best-of-seeds min scan (seed order).
+//! `kmeans_best_of_threaded` additionally runs whole fits — independent
+//! by construction — one seed per worker.
+
+use std::ops::Range;
 
 use ic_embed::{Embedding, par::chunk_ranges, sq_dist_slices};
 use ic_stats::rng::rng_from_seed;
 use rand::{Rng, RngExt};
 
 use crate::keep_top;
-use crate::kernel::{LaneBlocks, widen};
+use crate::kernel::{LANES, LaneBlocks, widen};
+
+/// Relative slack on every bound comparison and on every recorded
+/// centroid movement; the rounding it has to cover is about
+/// `(dim + passes) * 2^-53` (see "Bounded passes" in the module docs).
+const SKIP_MARGIN: f64 = 1e-9;
+
+/// Lower bounds kept per point: one per lane group up to this many,
+/// beyond that adjacent groups share one — at most 128 bytes a point.
+const MAX_BUCKETS: usize = 16;
 
 /// A fitted K-means model.
 #[derive(Debug, Clone)]
@@ -73,14 +137,38 @@ impl KMeansModel {
 
     /// [`Self::assign`] for a whole batch of component rows, over
     /// `threads` disjoint contiguous row chunks. `out[i]` is exactly
-    /// `self.assign(&rows[i])` at any thread count.
+    /// `self.assign(&rows[i])` at any thread count: each row's result is
+    /// a pure function of the row and the centroid table.
     pub fn assign_batch_rows(&self, rows: &[&[f32]], threads: usize) -> Vec<usize> {
-        if rows.is_empty() {
-            return Vec::new();
+        fn run_chunk(lanes: &LaneBlocks<f64>, rows: &[&[f32]], out: &mut [usize]) {
+            let mut v64 = vec![0.0f64; lanes.dim()];
+            for (slot, row) in out.iter_mut().zip(rows) {
+                for (d, &x) in v64.iter_mut().zip(*row) {
+                    *d = f64::from(x);
+                }
+                *slot = lanes.nearest(&v64).0;
+            }
         }
-        assert!(!self.centroids.is_empty(), "model has no centroids");
+
+        assert!(
+            rows.is_empty() || !self.centroids.is_empty(),
+            "model has no centroids"
+        );
         let mut assignment = vec![usize::MAX; rows.len()];
-        assign_pass(&self.lanes, rows, &mut assignment, &mut [], threads);
+        let ranges = chunk_ranges(rows.len(), threads);
+        if ranges.len() <= 1 {
+            run_chunk(&self.lanes, rows, &mut assignment);
+            return assignment;
+        }
+        std::thread::scope(|s| {
+            let mut rest = assignment.as_mut_slice();
+            for range in ranges {
+                let (chunk, tail) = rest.split_at_mut(range.len());
+                rest = tail;
+                let (lanes, rows) = (&self.lanes, &rows[range]);
+                s.spawn(move || run_chunk(lanes, rows, chunk));
+            }
+        });
         assignment
     }
 
@@ -106,93 +194,144 @@ impl KMeansModel {
     }
 }
 
-/// One assignment pass: nearest centroid per row through the lane
-/// kernel, parallel over `threads` disjoint contiguous row chunks.
-/// Writes each row's cluster into `assignment` (and, when `dists` is
-/// non-empty, its distance into `dists`); returns whether any
-/// assignment changed. Each row's result is a pure function of the row
-/// and the frozen `lanes` table, so the output is identical at every
-/// thread count; the `changed` flag is an order-insensitive OR.
-fn assign_pass(
-    lanes: &LaneBlocks<f64>,
-    rows: &[&[f32]],
-    assignment: &mut [usize],
-    dists: &mut [f64],
-    threads: usize,
-) -> bool {
-    fn run_chunk(
-        lanes: &LaneBlocks<f64>,
-        rows: &[&[f32]],
-        assignment: &mut [usize],
-        dists: &mut [f64],
-    ) -> bool {
-        let mut v64 = vec![0.0f64; lanes.dim()];
-        let mut changed = false;
-        for (i, row) in rows.iter().enumerate() {
-            for (d, &x) in v64.iter_mut().zip(*row) {
-                *d = f64::from(x);
-            }
-            let (a, d) = lanes.nearest(&v64);
-            if a != assignment[i] {
-                assignment[i] = a;
-                changed = true;
-            }
-            if let Some(slot) = dists.get_mut(i) {
-                *slot = d;
-            }
-        }
-        changed
-    }
-
-    let ranges = chunk_ranges(rows.len(), threads);
+/// `d2[i] = min(d2[i], dist(point_i, centre))` — the k-means++
+/// distance-table maintenance — as one lane scan of the transposed
+/// points, over `threads` disjoint contiguous runs of lane groups. Pure
+/// per point, so bit-identical at any thread count.
+fn d2_pass(points: &LaneBlocks<f32>, centre: &[f32], d2: &mut [f64], threads: usize) {
+    let centre = widen(centre);
+    let run = |groups: Range<usize>, d2: &mut [f64]| {
+        let first = groups.start * LANES;
+        points.sq_dists_in(groups, &centre, |i, d| d2[i - first] = d2[i - first].min(d));
+    };
+    let ranges = chunk_ranges(points.groups(), threads);
     if ranges.len() <= 1 {
-        return run_chunk(lanes, rows, assignment, dists);
-    }
-    std::thread::scope(|s| {
-        let mut a_rest = assignment;
-        let mut d_rest = dists;
-        let mut handles = Vec::with_capacity(ranges.len());
-        for range in &ranges {
-            let (a_chunk, a_tail) = a_rest.split_at_mut(range.len());
-            a_rest = a_tail;
-            let (d_chunk, d_tail) = d_rest.split_at_mut(range.len().min(d_rest.len()));
-            d_rest = d_tail;
-            let rows = &rows[range.start..range.end];
-            handles.push(s.spawn(move || run_chunk(lanes, rows, a_chunk, d_chunk)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("assignment worker panicked"))
-            .fold(false, |acc, c| acc | c)
-    })
-}
-
-/// Recomputes `d2[i] = min(d2[i], dist(rows[i], centroid))` (or just the
-/// distance when `init`) over `threads` disjoint contiguous row chunks —
-/// the k-means++ distance-table maintenance. Pure per row, so
-/// bit-identical at any thread count.
-fn d2_pass(rows: &[&[f32]], centroid: &[f32], d2: &mut [f64], init: bool, threads: usize) {
-    fn run_chunk(rows: &[&[f32]], centroid: &[f32], d2: &mut [f64], init: bool) {
-        for (slot, row) in d2.iter_mut().zip(rows) {
-            let d = sq_dist_slices(row, centroid);
-            *slot = if init { d } else { slot.min(d) };
-        }
-    }
-
-    let ranges = chunk_ranges(rows.len(), threads);
-    if ranges.len() <= 1 {
-        run_chunk(rows, centroid, d2, init);
+        run(0..points.groups(), d2);
         return;
     }
     std::thread::scope(|s| {
-        let mut rest = d2;
-        for range in &ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
+        let (mut rest, run) = (d2, &run);
+        for groups in ranges {
+            let rows = (groups.end * LANES).min(points.len()) - groups.start * LANES;
+            let (chunk, tail) = rest.split_at_mut(rows);
             rest = tail;
-            let rows = &rows[range.start..range.end];
-            s.spawn(move || run_chunk(rows, centroid, chunk, init));
+            s.spawn(move || run(groups, chunk));
         }
     });
+}
+
+/// One contiguous chunk of the points being fitted, with the state the
+/// bounded passes carry for each of them from pass to pass. Chunks are
+/// the unit of parallelism: a pass hands each to one worker.
+struct Chunk<'a> {
+    rows: &'a [&'a [f32]],
+    /// Nearest centroid as of the last pass (`usize::MAX` before the first).
+    assignment: Vec<usize>,
+    /// Per point, an upper bound on the distance to its centroid.
+    upper: Vec<f64>,
+    /// Per point and bucket, a lower bound on the distance to every
+    /// *other* centroid of the bucket (`buckets` entries per point).
+    lower: Vec<f64>,
+}
+
+/// The frozen inputs of one bounded assignment pass (see the module docs).
+struct Pass<'a> {
+    lanes: &'a LaneBlocks<f64>,
+    /// Lane groups per bucket.
+    span: usize,
+    /// How far the last update step moved each centroid, rounded up by
+    /// the margin; empty on the first pass.
+    drift: &'a [f64],
+    /// The largest `drift` in each bucket.
+    bucket_drift: &'a [f64],
+    /// `1 + margin`: the factor a lower bound must beat an upper bound
+    /// by, and the one `drift` was rounded up by.
+    slack: f64,
+}
+
+impl Pass<'_> {
+    /// Runs the pass over every chunk, one worker per chunk; returns
+    /// whether any assignment changed and how many lane groups were
+    /// scanned. Each point's outcome is a pure function of its own state
+    /// and the frozen inputs, so the chunking never shows.
+    fn run(&self, chunks: &mut [Chunk]) -> (bool, u64) {
+        if let [chunk] = chunks {
+            return self.run_chunk(chunk);
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = chunks
+                .iter_mut()
+                .map(|chunk| s.spawn(move || self.run_chunk(chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("assignment worker panicked"))
+                .fold((false, 0), |acc, (c, n)| (acc.0 | c, acc.1 + n))
+        })
+    }
+
+    fn run_chunk(&self, chunk: &mut Chunk) -> (bool, u64) {
+        let (lanes, buckets) = (self.lanes, self.bucket_drift.len());
+        let width = self.span * LANES;
+        let mut v64 = vec![0.0f64; lanes.dim()];
+        let (mut changed, mut scans) = (false, 0u64);
+        for (i, row) in chunk.rows.iter().enumerate() {
+            let lower = &mut chunk.lower[i * buckets..(i + 1) * buckets];
+            let a = chunk.assignment[i];
+            // Age the bounds by the centroids' movement; if every other
+            // centroid is still provably farther, the point stays put.
+            // (No movement on record means the first pass: scan it all.)
+            let mut home = 0;
+            if let Some(&moved) = self.drift.get(a) {
+                chunk.upper[i] += moved;
+                for (l, &m) in lower.iter_mut().zip(self.bucket_drift) {
+                    *l -= m;
+                }
+                let reach = chunk.upper[i] * self.slack;
+                if lower.iter().all(|&l| l > reach) {
+                    continue;
+                }
+                home = a / width;
+            }
+            for (d, &x) in v64.iter_mut().zip(*row) {
+                *d = f64::from(x);
+            }
+            // The home bucket first — its exact distances tighten the
+            // upper bound — then every bucket that bound cannot exclude.
+            // `best` is the `(distance, index)` minimum so far, `reach`
+            // its distance with the margin on (infinite until the home
+            // bucket is in), and `runner_up` the second-smallest
+            // distance in its bucket.
+            let (mut best, mut runner_up, mut reach) =
+                ((f64::INFINITY, 0), f64::INFINITY, f64::INFINITY);
+            for b in std::iter::once(home).chain((0..buckets).filter(|&b| b != home)) {
+                if lower[b] > reach {
+                    continue;
+                }
+                let groups = b * self.span..((b + 1) * self.span).min(lanes.groups());
+                scans += groups.len() as u64;
+                let (mut m1, mut m2, mut arg) = (f64::INFINITY, f64::INFINITY, 0);
+                lanes.sq_dists_in(groups, &v64, |j, d| {
+                    if d < m1 {
+                        (m1, m2, arg) = (d, m1, j);
+                    } else if d < m2 {
+                        m2 = d;
+                    }
+                });
+                lower[b] = m1.sqrt();
+                if m1 < best.0 || (m1 == best.0 && arg < best.1) {
+                    (best, runner_up, reach) = ((m1, arg), m2, lower[b] * self.slack);
+                }
+            }
+            lower[best.1 / width] = runner_up.sqrt();
+            chunk.upper[i] = best.0.sqrt();
+            if best.1 != a {
+                chunk.assignment[i] = best.1;
+                changed = true;
+            }
+        }
+        (changed, scans)
+    }
 }
 
 /// A K-means fit together with the by-products the IVF build wants:
@@ -208,6 +347,14 @@ pub struct KMeansFit {
     pub assignment: Vec<usize>,
     /// `model.inertia(data)`, bit for bit (point-index-order sum).
     pub inertia: f64,
+    /// Assignment passes run (Lloyd iterations, plus the closing pass
+    /// when `max_iters` ran out right after an update step).
+    pub passes: u64,
+    /// Lane groups (eight centroids each) those passes scanned ...
+    pub group_scans: u64,
+    /// ... out of the `passes * points * groups` that full scans would
+    /// have — a deterministic count, the same at every thread count.
+    pub group_scans_full: u64,
 }
 
 /// Fits K-means to `data` with k-means++ initialization.
@@ -243,6 +390,19 @@ pub fn kmeans_fit_rows(
     seed: u64,
     threads: usize,
 ) -> Option<KMeansFit> {
+    fit_rows(rows, k, max_iters, seed, threads, SKIP_MARGIN)
+}
+
+/// [`kmeans_fit_rows`] with the skip margin as a parameter, so a unit
+/// test can show that the margin is what keeps ties exact.
+fn fit_rows(
+    rows: &[&[f32]],
+    k: usize,
+    max_iters: usize,
+    seed: u64,
+    threads: usize,
+    margin: f64,
+) -> Option<KMeansFit> {
     if rows.is_empty() || k == 0 {
         return None;
     }
@@ -250,63 +410,101 @@ pub fn kmeans_fit_rows(
     let k = k.min(rows.len());
     let mut rng = rng_from_seed(seed);
     let mut centroids = init_plus_plus(rows, k, &mut rng, threads);
-    let mut assignment = vec![usize::MAX; rows.len()];
-    let mut dists = vec![0.0f64; rows.len()];
-    // Update-step accumulators, hoisted out of the loop (they used to be
-    // reallocated per iteration) and flattened to one `k x dim` buffer.
+    let mut lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
+    let span = lanes.groups().div_ceil(MAX_BUCKETS);
+    let buckets = lanes.groups().div_ceil(span);
+    let mut chunks: Vec<Chunk> = chunk_ranges(rows.len(), threads)
+        .into_iter()
+        .map(|range| Chunk {
+            assignment: vec![usize::MAX; range.len()],
+            upper: vec![f64::INFINITY; range.len()],
+            lower: vec![0.0; range.len() * buckets],
+            rows: &rows[range],
+        })
+        .collect();
+    let mut drift: Vec<f64> = Vec::new();
+    let mut bucket_drift = vec![0.0f64; buckets];
+    // Update-step scratch, hoisted out of the loop: one `k x dim` sum
+    // buffer, the counts, and the centroid about to be overwritten.
     let mut sums = vec![0.0f32; k * dim];
     let mut counts = vec![0usize; k];
-    // Whether `assignment`/`dists` reflect the *current* centroids (true
-    // right after an assignment pass, false once the update step moves
-    // them).
-    let mut current = false;
-
-    let mut lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
-    for _ in 0..max_iters {
+    let mut previous = vec![0.0f32; dim];
+    let slack = 1.0 + margin;
+    let mut group_scans = 0u64;
+    let mut updates = 0;
+    loop {
         // Assignment step (parallel, pure per point).
-        let changed = assign_pass(&lanes, rows, &mut assignment, &mut dists, threads);
-        current = true;
-        if !changed {
+        let pass = Pass {
+            lanes: &lanes,
+            span,
+            drift: &drift,
+            bucket_drift: &bucket_drift,
+            slack,
+        };
+        let (changed, scans) = pass.run(&mut chunks);
+        group_scans += scans;
+        // Converged, or out of update steps: either way the assignment
+        // now describes the final centroids.
+        if !changed || updates == max_iters {
             break;
         }
+        updates += 1;
         // Update step — sequential in point-index order: the `f32` sum
         // accumulation is order-sensitive, and this order is the
         // contract (`add_scaled(v, 1.0)` per point, exactly as before).
         sums.fill(0.0);
         counts.fill(0);
-        for (row, &a) in rows.iter().zip(&assignment) {
-            for (acc, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(*row) {
-                *acc += x;
-            }
-            counts[a] += 1;
-        }
-        for (ci, c) in centroids.iter_mut().enumerate() {
-            if counts[ci] > 0 {
-                let inv = 1.0 / counts[ci] as f64;
-                for (x, &s) in c
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(&sums[ci * dim..(ci + 1) * dim])
-                {
-                    *x = (f64::from(s) * inv) as f32;
+        for chunk in &chunks {
+            for (row, &a) in chunk.rows.iter().zip(&chunk.assignment) {
+                for (acc, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(*row) {
+                    *acc += x;
                 }
+                counts[a] += 1;
             }
+        }
+        drift.clear();
+        for (ci, c) in centroids.iter_mut().enumerate() {
             // Empty clusters keep their previous centroid; k-means++ makes
             // this rare and harmless.
+            if counts[ci] == 0 {
+                drift.push(0.0);
+                continue;
+            }
+            previous.copy_from_slice(c.as_slice());
+            let inv = 1.0 / counts[ci] as f64;
+            for (x, &s) in c
+                .as_mut_slice()
+                .iter_mut()
+                .zip(&sums[ci * dim..(ci + 1) * dim])
+            {
+                *x = (f64::from(s) * inv) as f32;
+            }
+            drift.push(sq_dist_slices(&previous, c.as_slice()).sqrt() * slack);
+        }
+        for (slot, moved) in bucket_drift.iter_mut().zip(drift.chunks(span * LANES)) {
+            *slot = moved.iter().fold(0.0, |m: f64, &d| m.max(d));
         }
         lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
-        current = false;
     }
-    if !current {
-        // `max_iters` exhausted after an update: one more pass so the
-        // returned assignment/inertia describe the final centroids.
-        assign_pass(&lanes, rows, &mut assignment, &mut dists, threads);
-    }
-    let inertia = dists.iter().sum();
+    let passes = updates as u64 + 1;
+    // Flattening the chunks frees the bounds before the caller builds
+    // anything from the assignment.
+    let assignment: Vec<usize> = chunks.into_iter().flat_map(|c| c.assignment).collect();
+    // One exact distance per point — the scalar chain, whose bits the
+    // lane sums share — summed in point order.
+    let inertia = rows
+        .iter()
+        .zip(&assignment)
+        .map(|(row, &a)| sq_dist_slices(centroids[a].as_slice(), row))
+        .sum();
+    let group_scans_full = passes * rows.len() as u64 * lanes.groups() as u64;
     Some(KMeansFit {
         model: KMeansModel { centroids, lanes },
         assignment,
         inertia,
+        passes,
+        group_scans,
+        group_scans_full,
     })
 }
 
@@ -369,15 +567,17 @@ pub fn kmeans_best_of_threaded(
 /// k-means++ seeding: first center uniform, subsequent centers sampled
 /// proportionally to squared distance from the nearest chosen center.
 /// The RNG draws and the weighted scan stay sequential; only the pure
-/// per-point distance-table updates fan out over `threads`.
+/// per-point distance-table updates fan out over `threads`. Every point
+/// is measured against every center, so the points are lane-transposed
+/// once, for the seeding only, and each center costs one lane scan of
+/// them rather than a serial add chain per point. Centers are rows of
+/// the data and are borrowed from it until the end.
 fn init_plus_plus(rows: &[&[f32]], k: usize, rng: &mut impl Rng, threads: usize) -> Vec<Embedding> {
-    let mut centroids: Vec<Embedding> = Vec::with_capacity(k);
-    centroids.push(Embedding::from_vec(
-        rows[rng.random_range(0..rows.len())].to_vec(),
-    ));
-    let mut d2 = vec![0.0f64; rows.len()];
-    d2_pass(rows, centroids[0].as_slice(), &mut d2, true, threads);
-    while centroids.len() < k {
+    let mut picks = vec![rng.random_range(0..rows.len())];
+    let points = LaneBlocks::<f32>::from_rows(rows[0].len(), rows.iter().copied());
+    let mut d2 = vec![f64::INFINITY; rows.len()];
+    while picks.len() < k {
+        d2_pass(&points, rows[picks[picks.len() - 1]], &mut d2, threads);
         let total: f64 = d2.iter().sum();
         let next = if total <= f64::EPSILON {
             // All points coincide with chosen centers; pick uniformly.
@@ -394,11 +594,12 @@ fn init_plus_plus(rows: &[&[f32]], k: usize, rng: &mut impl Rng, threads: usize)
             }
             idx
         };
-        centroids.push(Embedding::from_vec(rows[next].to_vec()));
-        let newest = centroids.last().expect("just pushed").clone();
-        d2_pass(rows, newest.as_slice(), &mut d2, false, threads);
+        picks.push(next);
     }
-    centroids
+    picks
+        .into_iter()
+        .map(|i| Embedding::from_vec(rows[i].to_vec()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -588,5 +789,29 @@ mod tests {
             }
         }
         assert!(model.assign_batch_rows(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn a_bound_one_ulp_short_loses_the_tie() {
+        // Integers on a line, each twice: all arithmetic is exact, and
+        // centroids settle where points sit exactly midway between two of
+        // them. A skip test that treats "bound equals distance" as
+        // "farther" — the margin at zero and a bound one ulp the wrong
+        // way — keeps such a point on the higher index; the real margin
+        // must not.
+        let data: Vec<Embedding> = (0..200)
+            .map(|i| Embedding::from_vec(vec![(i / 2) as f32]))
+            .collect();
+        let rows: Vec<&[f32]> = data.iter().map(|e| e.as_slice()).collect();
+        let wrong_fits = |margin: f64| {
+            (0..20u64)
+                .filter(|&seed| {
+                    let fit = fit_rows(&rows, 9, 15, seed, 1, margin).unwrap();
+                    (data.iter().zip(&fit.assignment)).any(|(v, &a)| fit.model.assign(v) != a)
+                })
+                .count()
+        };
+        assert_eq!(wrong_fits(SKIP_MARGIN), 0);
+        assert!(wrong_fits(-f64::EPSILON) > 0);
     }
 }

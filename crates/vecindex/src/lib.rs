@@ -54,7 +54,7 @@ pub(crate) mod kernel;
 pub mod kmeans;
 
 pub use flat::FlatIndex;
-pub use ivf::{IvfConfig, IvfIndex};
+pub use ivf::{BuildStats, IvfConfig, IvfIndex};
 pub use kmeans::{
     KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_best_of_threaded, kmeans_fit_rows,
     kmeans_threaded,
