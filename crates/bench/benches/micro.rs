@@ -204,6 +204,60 @@ fn bench_serving_step(c: &mut Criterion) {
     g.finish();
 }
 
+/// One pool, two 512-token decodes side by side, KV on, run dry: the
+/// plain `advance_step` / `step_secs` loop (one call per token) against
+/// `advance_chain` (one record per state change, the quiet boundaries
+/// between applied in closed form). Same jobs, same process: CI gates
+/// on the *ratio* `stepwise_2x512 / chain_2x512`, which falls to ~1 if
+/// the chain goes back to one `advance_step` per token.
+fn bench_step_chain(c: &mut Criterion) {
+    use ic_desim::{SimDuration, SimTime};
+    let busy_pool = || {
+        let mut pool = ic_serving::ModelPool::new(PoolConfig::default());
+        for id in 0..2 {
+            pool.offer(
+                ic_serving::JobSpec {
+                    id: ic_serving::JobId(id),
+                    pool: 0,
+                    arrival: SimTime::ZERO,
+                    ttft_secs: 0.1,
+                    decode_secs: 12.0,
+                    prefill_tokens: 200,
+                    decode_tokens: 512,
+                    priority: 0,
+                    share: None,
+                },
+                SimTime::ZERO,
+            );
+        }
+        let first = SimTime::from_secs_f64(pool.step_secs().expect("busy"));
+        (pool, first)
+    };
+    let mut g = c.benchmark_group("step_chain");
+    g.bench_function("stepwise_2x512", |b| {
+        b.iter(|| {
+            let (mut pool, mut at) = busy_pool();
+            let mut finished = 0;
+            loop {
+                finished += pool.advance_step(at).finished.len();
+                let Some(dt) = pool.step_secs() else { break };
+                at += SimDuration::from_secs_f64(dt);
+            }
+            black_box((finished, at))
+        })
+    });
+    let mut chain = Vec::new();
+    g.bench_function("chain_2x512", |b| {
+        b.iter(|| {
+            let (mut pool, first) = busy_pool();
+            pool.advance_chain(first, None, &mut chain);
+            let finished: usize = chain.iter().map(|s| s.report.finished.len()).sum();
+            black_box((finished, chain.last().map(|s| s.at)))
+        })
+    });
+    g.finish();
+}
+
 fn bench_kvmem(c: &mut Criterion) {
     let mut g = c.benchmark_group("kvmem");
     // Allocator churn: claim and release a replica's worth of blocks in
@@ -492,6 +546,7 @@ criterion_group!(
     bench_router,
     bench_knapsack,
     bench_serving_step,
+    bench_step_chain,
     bench_kvmem,
     bench_kv_sharing,
     bench_generation,

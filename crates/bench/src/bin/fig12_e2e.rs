@@ -83,7 +83,8 @@ fn replay_json(
             "{{\"fraction\":{:.6},\"threads\":{},\"served\":{},\"steps\":{},",
             "\"events\":{},\"preselects\":{},\"preselect_hits\":{},",
             "\"stage1_reuses\":{},\"invalidations\":{},\"parallel_regions\":{},",
-            "\"parallel_steps\":{},\"index_fits\":{},\"kmeans_passes\":{},",
+            "\"parallel_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
+            "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
             "\"embed_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
@@ -100,6 +101,8 @@ fn replay_json(
         r.invalidations,
         r.parallel_regions,
         r.parallel_steps,
+        r.step_runs,
+        r.quiet_steps,
         setup.index_build.fits,
         setup.index_build.passes,
         setup.index_build.group_scans,
@@ -202,6 +205,13 @@ fn print_replay_summary(
         r.invalidations,
         r.parallel_regions,
         r.parallel_steps,
+    );
+    println!(
+        "step chains: {} quiet runs coalesced {} of {} steps ({:.1}%)",
+        r.step_runs,
+        r.quiet_steps,
+        r.parallel_steps,
+        r.quiet_steps as f64 / r.parallel_steps.max(1) as f64 * 100.0,
     );
     println!(
         "obs overhead: untraced {:.2}s vs traced {:.2}s wall ({:+.1}%)",

@@ -192,6 +192,19 @@ impl<E> Simulator<E> {
         s
     }
 
+    /// Consumes `n` sequence numbers at once: exactly `n` calls of
+    /// [`Simulator::reserve_seq`] whose values nobody reads (a run of
+    /// externally-simulated events handled back to back).
+    pub fn reserve_seqs(&mut self, n: u64) {
+        self.seq += n;
+    }
+
+    /// Every pending `(time, event)` pair, in no particular order (an
+    /// audit view; the queue is untouched).
+    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.heap.iter().map(|Reverse(s)| (s.at, &s.event))
+    }
+
     /// Runs until the queue is empty, passing each event to `handler`.
     pub fn run(&mut self, mut handler: impl FnMut(&mut Self, E)) {
         while let Some((_, ev)) = self.next() {
@@ -352,6 +365,42 @@ mod tests {
         assert_eq!((seq, e), (1, 11));
         let (_, seq, e) = sim.next_if_full(|_, _| true).expect("head");
         assert_eq!((seq, e), (3, 12));
+    }
+
+    #[test]
+    fn reserve_seqs_equals_repeated_reserve_seq() {
+        let t = SimTime::from_micros(1);
+        for n in [0u64, 1, 2, 17] {
+            let mut bulk: Simulator<u32> = Simulator::new();
+            let mut single: Simulator<u32> = Simulator::new();
+            for sim in [&mut bulk, &mut single] {
+                sim.schedule(t, 0);
+                sim.reserve_seq();
+            }
+            bulk.reserve_seqs(n);
+            for _ in 0..n {
+                single.reserve_seq();
+            }
+            // The next reserved seq and the next scheduled event's seq agree.
+            assert_eq!(bulk.reserve_seq(), single.reserve_seq());
+            bulk.schedule(t, 1);
+            single.schedule(t, 1);
+            let drain = |sim: &mut Simulator<u32>| {
+                std::iter::from_fn(|| sim.next_if_full(|_, _| true)).collect::<Vec<_>>()
+            };
+            assert_eq!(drain(&mut bulk), drain(&mut single));
+        }
+    }
+
+    #[test]
+    fn pending_lists_every_queued_event() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        sim.schedule(SimTime::from_micros(7), 1);
+        sim.schedule(SimTime::from_micros(3), 2);
+        let mut seen: Vec<_> = sim.pending().map(|(t, &e)| (t.as_micros(), e)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(3, 2), (7, 1)]);
+        assert_eq!(sim.len(), 2);
     }
 
     #[test]

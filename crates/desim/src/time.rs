@@ -5,7 +5,7 @@
 //! simulator's behaviour depend on the order operations happened to run in.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// An instant on the simulated clock, in microseconds since simulation
 /// start.
@@ -54,6 +54,18 @@ impl SimTime {
     /// Time elapsed since `earlier`, saturating at zero.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
+    }
+
+    /// How many of the instants `self + j * every` (`j = 1, 2, …`) fall
+    /// strictly before `limit`. A zero `every` never leaves `self`, so
+    /// the count is unbounded (`u64::MAX`) while `self < limit`.
+    pub fn strides_before(self, every: SimDuration, limit: SimTime) -> u64 {
+        if limit.0 <= self.0 {
+            return 0;
+        }
+        (limit.0 - self.0 - 1)
+            .checked_div(every.0)
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -120,6 +132,14 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+impl Mul<u64> for SimDuration {
+    type Output = SimDuration;
+
+    fn mul(self, rhs: u64) -> SimDuration {
+        SimDuration(self.0 * rhs)
+    }
+}
+
 impl Add for SimDuration {
     type Output = SimDuration;
 
@@ -170,6 +190,28 @@ mod tests {
         assert_eq!(t.as_micros(), 1_500_000);
         let d = t - SimTime::from_secs(1);
         assert_eq!(d, SimDuration::from_millis(500));
+    }
+
+    #[test]
+    fn strides_before_counts_strictly_earlier_multiples() {
+        let at = SimTime::from_micros(10);
+        let every = SimDuration::from_micros(5);
+        // 15, 20, 25 < 30; 30 itself is not before the limit.
+        assert_eq!(at.strides_before(every, SimTime::from_micros(30)), 3);
+        assert_eq!(at.strides_before(every, SimTime::from_micros(31)), 4);
+        assert_eq!(at.strides_before(every, SimTime::from_micros(15)), 0);
+        assert_eq!(at.strides_before(every, SimTime::from_micros(16)), 1);
+        assert_eq!(at.strides_before(every, at), 0);
+        assert_eq!(at.strides_before(every, SimTime::ZERO), 0);
+        let still = SimDuration::ZERO;
+        assert_eq!(at.strides_before(still, SimTime::from_micros(11)), u64::MAX);
+        assert_eq!(at.strides_before(still, at), 0);
+        // Agrees with the definition by enumeration.
+        for limit in 0..60 {
+            let limit = SimTime::from_micros(limit);
+            let by_hand = (1..100u64).filter(|&j| at + every * j < limit).count();
+            assert_eq!(at.strides_before(every, limit), by_hand as u64);
+        }
     }
 
     #[test]

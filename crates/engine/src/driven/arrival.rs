@@ -87,6 +87,12 @@ impl Lookahead {
         }
     }
 
+    /// When the next arrival fires, if any is left — one half of the
+    /// step-region barrier (`EngineState::region_barrier`).
+    pub(super) fn next_arrival(&self) -> Option<SimTime> {
+        self.order.get(self.fired).map(|&(t, _)| t)
+    }
+
     /// End (exclusive, in `order`) of the run of arrivals from `pos`
     /// that land no later than `horizon`, at most `cap` long.
     fn run_end(&self, pos: usize, horizon: SimTime, cap: usize) -> usize {

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 
 use super::arrival::Lookahead;
-use super::step::RegionWorkers;
+use super::step::{RegionScratch, RegionWorkers};
 use super::{ENGINE_NAME, EngineConfig, EventDrivenEngine};
 use crate::engine::cache_stats;
 use crate::report::{
@@ -68,6 +68,13 @@ impl Event {
     pub(super) fn is_step(&self) -> bool {
         matches!(self, Event::StepComplete(..))
     }
+
+    /// Whether the event's time is mirrored in the [`BarrierSet`]:
+    /// every non-step event except arrivals, whose times already sit
+    /// sorted in the look-ahead's firing order.
+    fn is_dynamic_barrier(&self) -> bool {
+        !matches!(self, Event::StepComplete(..) | Event::Arrival(_))
+    }
 }
 
 /// Fixed latency of serving a request from the stage-0 response cache:
@@ -75,11 +82,15 @@ impl Event {
 /// below any prefill/decode path but not free.
 const STAGE0_HIT_LATENCY_S: f64 = 0.002;
 
-/// Multiset of pending non-step event times. Its earliest entry is the
-/// barrier a step region must not cross: every router interaction
-/// (arrival, gossip, outage, maintenance, rebalance) is tracked here,
-/// so any run of `StepComplete` chains strictly before it is provably
-/// independent and safe to execute out of line.
+/// Multiset of the pending *dynamic* non-step event times: gossip,
+/// outage, maintenance, rebalance, sampler and stage-0 completion
+/// events, scheduled as the run unfolds. Together with the next
+/// arrival (read off the look-ahead's sorted firing order — failover
+/// retries are served inline, never scheduled) its earliest entry is
+/// the barrier a step region must not cross
+/// ([`EngineState::region_barrier`]): every router interaction is one
+/// or the other, so any run of `StepComplete` chains strictly before it
+/// is provably independent and safe to execute out of line.
 #[derive(Debug, Default)]
 pub(super) struct BarrierSet(BTreeMap<SimTime, u32>);
 
@@ -98,10 +109,15 @@ impl BarrierSet {
         }
     }
 
-    pub(super) fn earliest(&self) -> Option<SimTime> {
+    fn earliest(&self) -> Option<SimTime> {
         self.0.keys().next().copied()
     }
 }
+
+/// Runs at most this long re-derive every region barrier from the
+/// event queue itself in debug builds (a full scan per region).
+#[cfg(debug_assertions)]
+const BARRIER_AUDIT_MAX_REQUESTS: usize = 512;
 
 /// Run aggregates over the requests that actually executed. A
 /// queue-cap reject produced no response and contributes nothing.
@@ -159,8 +175,11 @@ pub(super) struct EngineState<'a> {
     pub(super) requests: &'a [Request],
 
     pub(super) sim: Simulator<Event>,
-    /// Mirror of every pending non-step event time (see `schedule`).
-    pub(super) barrier: BarrierSet,
+    /// Mirror of every pending dynamic non-step event time (see
+    /// `schedule`).
+    barrier: BarrierSet,
+    /// Step-region buffers, reused from region to region.
+    pub(super) region: RegionScratch,
     /// Selector look-ahead over the arrival sequence.
     pub(super) look: Lookahead,
     /// Stage-0 response cache (`EngineConfig::resp_cache`): probed per
@@ -246,6 +265,7 @@ impl<'a> EngineState<'a> {
             requests,
             sim: Simulator::new(),
             barrier: BarrierSet::default(),
+            region: RegionScratch::default(),
             look: Lookahead::new(config, &times),
             resp_cache: config.resp_cache.then(|| {
                 ResponseCache::new(RespCacheConfig {
@@ -281,7 +301,7 @@ impl<'a> EngineState<'a> {
             },
         };
         for (i, &t) in times.iter().enumerate() {
-            state.schedule(t, Event::Arrival(i));
+            state.sim.schedule(t, Event::Arrival(i));
         }
         state.arm_periodic(state.gossip_period_s(), Event::GossipRound);
         state.arm_periodic(config.obs_sample_s, Event::ObsSample);
@@ -310,7 +330,7 @@ impl<'a> EngineState<'a> {
     /// step-region merge knows each head's exact `(time, seq)` key.
     pub(super) fn run(&mut self) {
         while let Some((at, seq, event)) = self.sim.next_if_full(|_, _| true) {
-            if !event.is_step() {
+            if event.is_dynamic_barrier() {
                 self.barrier.remove(at);
             }
             let now = at.as_secs_f64();
@@ -358,14 +378,37 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Queues a non-step event and mirrors its time into the barrier
-    /// set, whose earliest entry bounds how far a step region may run
-    /// ahead. Step events are armed by [`Self::arm_step`] instead: they
-    /// are what regions execute, not what stops them.
+    /// Queues a dynamic non-step event and mirrors its time into the
+    /// barrier set, which bounds how far a step region may run ahead.
+    /// Step events are armed by [`Self::arm_step`] instead: they are
+    /// what regions execute, not what stops them; arrivals are queued
+    /// once, up front, and tracked by the look-ahead cursor.
     pub(super) fn schedule(&mut self, at: SimTime, event: Event) {
-        debug_assert!(!event.is_step(), "steps are armed, not scheduled");
+        debug_assert!(
+            event.is_dynamic_barrier(),
+            "only dynamic events are mirrored"
+        );
         self.sim.schedule(at, event);
         self.barrier.add(at);
+    }
+
+    /// The earliest pending non-step event — the next arrival or the
+    /// earliest dynamic event — which no step region may reach.
+    pub(super) fn region_barrier(&self) -> Option<SimTime> {
+        let barrier = [self.look.next_arrival(), self.barrier.earliest()]
+            .into_iter()
+            .flatten()
+            .min();
+        #[cfg(debug_assertions)]
+        if self.requests.len() <= BARRIER_AUDIT_MAX_REQUESTS {
+            let queued = self.sim.pending().filter(|(_, e)| !e.is_step());
+            debug_assert_eq!(
+                barrier,
+                queued.map(|(t, _)| t).min(),
+                "cursor + multiset must agree with the event queue"
+            );
+        }
+        barrier
     }
 
     /// Queues `event` one period from now; a non-positive or non-finite

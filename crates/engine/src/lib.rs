@@ -27,24 +27,35 @@
 //!  Arrival(i)                                  StepComplete(pool, epoch)
 //!   ├ owner replica's load window               ├ gather the run of step
 //!   ├ stage 0: pre-observe the tick's run,      │  events up to the barrier
-//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  (earliest pending
-//!   ├ stage 1: look-ahead entry (epoch-         │  non-step event)
+//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  (next arrival, or the
+//!   ├ stage 1: look-ahead entry (epoch-         │  earliest dynamic event)
 //!   │  validated) or inline probe; a missing    ├ RegionWorkers: one
 //!   │  entry batch-probes the window            │  advance_chain per pool,
-//!   ├ stage 2 + routing + generation            │  inline or on threads
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    ├ merge in (time, seq):
-//!                  arm StepComplete             │  finishers ▶ complete
-//!  PoolDown(p) ─ flush, serve_retry ▶ dispatch  │  (TTFT/E2E, Little's law
-//!  PoolUp(p)                                    │  ▶ owning replica)
-//!  Maintenance / Rebalance / GossipRound /      └ re-arm the pool's next
-//!  ObsSample (periodic, re-armed while work        StepComplete
-//!  remains; each is a region barrier)
+//!   ├ stage 2 + routing + generation            │  inline or on threads:
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  one record per state
+//!                  arm StepComplete             │  change + a count of the
+//!  PoolDown(p) ─ flush, serve_retry ▶ dispatch  │  quiet boundaries behind it
+//!  PoolUp(p)                                    ├ merge in (time, seq):
+//!  Maintenance / Rebalance / GossipRound /      │  finishers ▶ complete
+//!  ObsSample (periodic, re-armed while work     │  (TTFT/E2E, Little's law
+//!  remains; each is a region barrier)           │  ▶ owning replica); quiet
+//!                                               │  boundaries before the
+//!                                               │  next pending key are
+//!                                               │  counted, their seqs burned
+//!                                               └ re-arm the pool's next
+//!                                                  StepComplete
 //! ```
 //!
-//! `schedule` mirrors every non-step event time into the barrier set;
-//! `dispatch` is the one tail fresh arrivals and failover retries
-//! share; `complete` is the one finisher bookkeeping pool steps and
-//! stage-0 hits share (see `driven/state.rs`).
+//! `schedule` mirrors every dynamic non-step event time into the
+//! barrier set (arrivals are read off the look-ahead's sorted firing
+//! order instead); `dispatch` is the one tail fresh arrivals and
+//! failover retries share; `complete` is the one finisher bookkeeping
+//! pool steps and stage-0 hits share (see `driven/state.rs`). A pool's
+//! chain is run-length encoded — between admission, finish,
+//! block-boundary and pressure events a decode-only batch advances in
+//! closed form (`ic_serving::pool`, "Run-length step chains") — and the
+//! merge keeps every quiet boundary's place in the `(time, seq)` order
+//! without visiting it (`driven/step.rs`).
 //!
 //! Each **arrival** event runs Algorithm 1 (`IcCacheSystem::serve`):
 //! example selection against the sharded cache, load-aware routing at

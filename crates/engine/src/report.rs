@@ -176,6 +176,13 @@ pub struct ReplayStats {
     pub parallel_regions: u64,
     /// Step boundaries executed inside those regions.
     pub parallel_steps: u64,
+    /// Quiet runs the pools applied in closed form: chain records that
+    /// carried at least one quiet boundary (see "Run-length step
+    /// chains" in `ic_serving::pool`).
+    pub step_runs: u64,
+    /// Step boundaries inside those runs — the share of
+    /// `parallel_steps` that never went through `advance_step`.
+    pub quiet_steps: u64,
 }
 
 impl ReplayStats {
@@ -188,7 +195,8 @@ impl ReplayStats {
             concat!(
                 "{{\"threads\":{},\"preselects\":{},\"preselect_hits\":{},",
                 "\"stage1_reuses\":{},\"invalidations\":{},",
-                "\"parallel_regions\":{},\"parallel_steps\":{}}}"
+                "\"parallel_regions\":{},\"parallel_steps\":{},",
+                "\"step_runs\":{},\"quiet_steps\":{}}}"
             ),
             self.threads,
             self.preselects,
@@ -197,6 +205,8 @@ impl ReplayStats {
             self.invalidations,
             self.parallel_regions,
             self.parallel_steps,
+            self.step_runs,
+            self.quiet_steps,
         )
     }
 }

@@ -522,14 +522,36 @@ impl BlockPool {
     /// aggregates: `used_tokens` is the KV entries materialized across
     /// all live sequences (clamped to allocated capacity).
     pub fn note_step(&mut self, used_tokens: u64) {
+        self.note_steps(used_tokens, 0, 1);
+    }
+
+    /// Records `steps` consecutive scheduler steps over an unchanged
+    /// allocation, the `k`-th of which (`k = 0, 1, …`) has
+    /// `used_tokens + k * tokens_per_step` KV entries materialized —
+    /// exactly `steps` calls of [`BlockPool::note_step`], summed in
+    /// closed form (every aggregate is an integer, so the sum is exact).
+    pub fn note_steps(&mut self, used_tokens: u64, tokens_per_step: u64, steps: u64) {
         let used = u64::from(self.used_blocks());
-        self.stats.steps += 1;
-        self.stats.block_steps += used;
-        self.stats.capacity_steps += self.stats.total_blocks;
-        self.stats.peak_blocks = self.stats.peak_blocks.max(used);
+        self.stats.steps += steps;
+        self.stats.block_steps += used * steps;
+        self.stats.capacity_steps += self.stats.total_blocks * steps;
+        if steps > 0 {
+            self.stats.peak_blocks = self.stats.peak_blocks.max(used);
+        }
         let cap_tokens = used * u64::from(self.block_tokens);
-        self.stats.alloc_token_steps += cap_tokens;
-        self.stats.used_token_steps += used_tokens.min(cap_tokens);
+        self.stats.alloc_token_steps += cap_tokens * steps;
+        // Steps whose materialized tokens still fit the allocated
+        // capacity count their own tokens; the rest clamp to it.
+        let under = if used_tokens > cap_tokens {
+            0
+        } else {
+            (cap_tokens - used_tokens)
+                .checked_div(tokens_per_step)
+                .map_or(steps, |k| steps.min(k + 1))
+        };
+        self.stats.used_token_steps += under * used_tokens
+            + tokens_per_step * (under * under.saturating_sub(1) / 2)
+            + (steps - under) * cap_tokens;
     }
 
     /// Host-capacity cap (`0` = unbounded).
@@ -605,6 +627,31 @@ impl BlockPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn note_steps_sums_note_step_exactly() {
+        for (allocated, first, growth, steps) in [
+            (3u32, 10u64, 2u64, 7u64), // crosses the 48-token capacity mid-run
+            (3, 60, 2, 4),             // clamped from the first step
+            (3, 0, 0, 5),              // no growth
+            (3, 40, 4, 3),             // lands exactly on the capacity
+            (2, 5, 3, 0),              // an empty run changes nothing
+            (8, 1, 1, 300),            // a long run crossing the capacity late
+        ] {
+            let mut bulk = BlockPool::new(1, 16, 16);
+            let _held = bulk.try_alloc(0, allocated).unwrap();
+            let mut single = bulk.clone();
+            bulk.note_steps(first, growth, steps);
+            for k in 0..steps {
+                single.note_step(first + k * growth);
+            }
+            assert_eq!(
+                bulk.stats(),
+                single.stats(),
+                "{allocated} {first} {growth} {steps}"
+            );
+        }
+    }
 
     #[test]
     fn alloc_free_roundtrip_accounts_exactly() {

@@ -95,6 +95,42 @@
 //! [`ModelPool::advance_step`] executes it, returning finished sequences
 //! and performing boundary admission/preemption. Per-iteration counters
 //! are aggregated in [`IterStats`].
+//!
+//! # Run-length step chains
+//!
+//! A pool's state only *changes shape* at admission, finish,
+//! block-boundary and pressure events; between them a decode-only batch
+//! emits one token per sequence per iteration and nothing else. A pool
+//! is **quiet** after a boundary when its queue and swapped list are
+//! empty, no swap penalty is pending, and every running sequence is past
+//! prefill with its first token stamped and no copy-on-write
+//! outstanding. [`ModelPool::advance_chain`] applies the next `n` quiet
+//! boundaries in closed form — `n` capped by the earliest finisher
+//! (`min remaining_decode - 1`), by the region barrier, and by the KV
+//! growth each replica's free blocks still cover — and reports them as
+//! a count ([`ChainStep::quiet`]) on the boundary that preceded them,
+//! instead of `n` more `advance_step` calls and `n` more records. The
+//! result is the same pool, byte for byte, because of two facts (pinned
+//! by `tests/run_length_equivalence.rs`):
+//!
+//! 1. **The step time is one integer.** Inside a quiet run slot
+//!    occupancy, every slot's per-token cost and the (zero) penalty are
+//!    constant, so [`ModelPool::step_secs`] returns the same `f64`
+//!    every step and `SimDuration::from_secs_f64` rounds it to the same
+//!    whole microseconds `d`: boundary `j` of the run fires at exactly
+//!    `at + j * d`, no per-step rounding to accumulate.
+//! 2. **Quiet boundaries are invisible.** Each has an empty
+//!    [`StepReport`], leaves running + queued occupancy and the next
+//!    step time unchanged, and touches only integer ledgers
+//!    (`remaining_decode` / `decode_run` / `kv_tokens` ± 1 per slot,
+//!    [`IterStats`], the `BlockPool::note_step` aggregates, one
+//!    `StepEnd` lifecycle record when a lane is attached). Those sum
+//!    exactly; block grants are issued in the per-step `(step, replica,
+//!    slot)` order so the free lists hand out the same ids; and a run
+//!    never includes a step whose growth does not fit (that boundary
+//!    goes through the pressure path in `advance_step`). A driver may
+//!    therefore handle a quiet boundary by counting it, as long as it
+//!    keeps the boundary's place in its own event order.
 
 use std::collections::VecDeque;
 
@@ -353,9 +389,12 @@ pub struct StepReport {
     pub resumed: u32,
 }
 
-/// One boundary produced by [`ModelPool::advance_chain`]: the step's
-/// outcome plus the state a replay driver needs to merge the chain back
-/// into a global event order without re-touching the pool.
+/// One state change produced by [`ModelPool::advance_chain`]: a step
+/// boundary that went through [`ModelPool::advance_step`], plus the
+/// run of quiet boundaries that followed it (see "Run-length step
+/// chains" in the module docs) — everything a replay driver needs to
+/// merge the chain back into a global event order without re-touching
+/// the pool.
 #[derive(Debug)]
 pub struct ChainStep {
     /// Instant the step boundary fired.
@@ -366,6 +405,11 @@ pub struct ChainStep {
     pub occ_after: u32,
     /// Duration of the next iteration, if the pool stays busy.
     pub next_dt: Option<f64>,
+    /// Quiet boundaries applied in closed form right after this one:
+    /// boundary `j` (`1..=quiet`) fired at `at + j * d` with
+    /// `d = SimDuration::from_secs_f64(next_dt)`, reported nothing,
+    /// and left `occ_after` and `next_dt` as they are here.
+    pub quiet: u32,
 }
 
 /// One pooled arena holding every running sequence's KV block table as
@@ -1580,14 +1624,16 @@ impl ModelPool {
     }
 
     /// Runs a chain of step boundaries starting at `from`, stopping before
-    /// the first boundary that would land at or past `barrier`.
+    /// the first boundary that would land at or past `barrier`, and
+    /// writes one [`ChainStep`] per state change into `out` (cleared
+    /// first, so a driver can reuse the buffer).
     ///
     /// Between two router interactions a pool's step chain is completely
     /// self-contained: each [`ModelPool::advance_step`] depends only on the
     /// pool's own state, and the time of the next boundary is `t +
     /// step_secs()`. A replay driver exploits that by executing whole
-    /// chains here — possibly on a worker thread — and merging the returned
-    /// [`ChainStep`]s back into the global `(time, seq)` order.
+    /// chains here — possibly on a worker thread — and merging the
+    /// records back into the global `(time, seq)` order.
     ///
     /// The first step always executes (the caller popped its event, so it
     /// is already committed); follow-up steps run only while their boundary
@@ -1595,20 +1641,32 @@ impl ModelPool {
     /// must not run: the barrier event was scheduled first, so its sequence
     /// number sorts ahead of the rearmed step at the same instant. `None`
     /// means no barrier — the chain runs until the pool idles.
-    pub fn advance_chain(&mut self, from: SimTime, barrier: Option<SimTime>) -> Vec<ChainStep> {
-        let mut out = Vec::new();
+    ///
+    /// Every boundary that can change what a driver observes goes through
+    /// [`ModelPool::advance_step`]; the quiet boundaries between them are
+    /// applied in closed form and only counted ([`ChainStep::quiet`]).
+    pub fn advance_chain(
+        &mut self,
+        from: SimTime,
+        barrier: Option<SimTime>,
+        out: &mut Vec<ChainStep>,
+    ) {
+        out.clear();
         let mut at = from;
         loop {
             let report = self.advance_step(at);
             let next_dt = self.step_secs();
+            let every = next_dt.map(SimDuration::from_secs_f64);
+            let quiet = every.map_or(0, |d| self.advance_quiet(at, d, barrier));
             out.push(ChainStep {
                 at,
                 report,
                 occ_after: self.active() + self.queue_len() as u32,
                 next_dt,
+                quiet,
             });
-            let Some(dt) = next_dt else { break };
-            let next = at + SimDuration::from_secs_f64(dt);
+            let Some(every) = every else { break };
+            let next = at + every * (u64::from(quiet) + 1);
             if let Some(b) = barrier
                 && next >= b
             {
@@ -1616,7 +1674,150 @@ impl ModelPool {
             }
             at = next;
         }
-        out
+    }
+
+    /// Applies the quiet run that follows the boundary just executed at
+    /// `at` and returns its length: the boundaries `at + j * every`
+    /// (`j = 1..=n`) at which nothing but decode progress happens.
+    /// `n` is bounded by the earliest finisher (`min remaining_decode -
+    /// 1`), by the barrier (strictly before it), and by the KV growth
+    /// every replica can still serve from free blocks; `0` when the
+    /// pool is not quiet. See "Run-length step chains" in the module
+    /// docs for why this equals `n` calls of
+    /// [`ModelPool::advance_step`].
+    fn advance_quiet(&mut self, at: SimTime, every: SimDuration, barrier: Option<SimTime>) -> u32 {
+        if !self.queue.is_empty() || !self.swapped.is_empty() || self.pending_penalty_secs != 0.0 {
+            return 0;
+        }
+        let mut n = barrier.map_or(u64::MAX, |b| at.strides_before(every, b));
+        for i in 0..self.run.len() {
+            if self.run.remaining_prefill[i] > 0
+                || self.run.cow_pending[i]
+                || self.run.cold[i].first_token.is_none()
+            {
+                return 0;
+            }
+            n = n.min(u64::from(self.run.remaining_decode[i].saturating_sub(1)));
+        }
+        let n = self.kv_growth_fit(u32::try_from(n).expect("bounded by a u32 decode count"));
+        if n == 0 {
+            return 0;
+        }
+        let batch = self.run.len() as u64;
+        let steps = u64::from(n);
+        self.grow_kv_over(n);
+        for i in 0..self.run.len() {
+            self.run.remaining_decode[i] -= n;
+            self.run.decode_run[i] += n;
+            self.run.kv_tokens[i] += steps;
+        }
+        self.stats.steps += steps;
+        self.stats.seq_steps += steps * batch;
+        self.stats.decode_steps += steps * batch;
+        if let Some(o) = self.obs.as_mut() {
+            for j in 1..=steps {
+                o.push(
+                    at + every * j,
+                    NO_REQUEST,
+                    EventKind::StepEnd {
+                        started: at + every * (j - 1),
+                        batch: batch as u32,
+                    },
+                );
+            }
+            self.step_started = Some(at + every * steps);
+        }
+        n
+    }
+
+    /// The largest `m <= n` such that `m` more decode steps of the
+    /// current batch grow every replica's block tables within its free
+    /// blocks (so no step of the run meets the pressure path). A slot's
+    /// demand through step `j` is `blocks_for(kv_tokens + j)` less the
+    /// table it already holds, and it only ever rises with `j`.
+    fn kv_growth_fit(&self, n: u32) -> u32 {
+        let Some(kv) = &self.kv else {
+            return n;
+        };
+        let fits = |replica: usize, steps: u32| {
+            let demand: u64 = (0..self.run.len())
+                .filter(|&i| self.run.replica[i] == replica)
+                .map(|i| {
+                    let after = self.run.kv_tokens[i] + u64::from(steps);
+                    u64::from(kv.blocks_for(after)).saturating_sub(self.run.kv_len[i] as u64)
+                })
+                .sum();
+            demand <= u64::from(kv.free_blocks(replica))
+        };
+        let mut n = n;
+        for replica in 0..kv.num_replicas() {
+            if n == 0 || fits(replica, n) {
+                continue;
+            }
+            // `fits` is monotone in the step count and holds at 0.
+            let (mut lo, mut hi) = (0, n);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if fits(replica, mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            n = lo;
+        }
+        n
+    }
+
+    /// KV side of a quiet run of `n` steps ([`Self::kv_growth_fit`]
+    /// vouched for them): issues each step's growth grants in the
+    /// per-step order of `serve_kv_growth` — step-major, then
+    /// replica, then slot — so the free lists and the arena see the
+    /// same sequence, and books the `note_step` ledger one
+    /// unchanged-allocation stretch at a time. `kv_tokens` is read, not
+    /// advanced (the caller adds `n` to every slot afterwards).
+    fn grow_kv_over(&mut self, n: u32) {
+        let Some(kv) = &mut self.kv else {
+            return;
+        };
+        let run = &mut self.run;
+        let block_tokens = u64::from(kv.block_tokens());
+        let budget = kv.budget_blocks() as usize;
+        let batch = run.len() as u64;
+        let tokens_at_start: u64 = run.kv_tokens.iter().sum();
+        let n = u64::from(n);
+        let mut done = 0u64;
+        loop {
+            // First step past `done` at which some table must grow.
+            let grow_at = (0..run.len())
+                .filter(|&i| run.kv_len[i] < budget)
+                .map(|i| {
+                    let held = run.kv_len[i] as u64 * block_tokens;
+                    (held.saturating_sub(run.kv_tokens[i]) + 1).max(done + 1)
+                })
+                .min()
+                .unwrap_or(u64::MAX);
+            let flat_until = n.min(grow_at - 1);
+            kv.note_steps(tokens_at_start + done * batch, batch, flat_until - done);
+            done = flat_until;
+            if done == n {
+                return;
+            }
+            for replica in 0..kv.num_replicas() {
+                for i in 0..run.len() {
+                    if run.replica[i] != replica {
+                        continue;
+                    }
+                    let need = kv
+                        .blocks_for(run.kv_tokens[i] + grow_at)
+                        .saturating_sub(run.kv_len[i] as u32);
+                    if need > 0 {
+                        let blocks = kv.try_alloc(replica, need).expect("growth fits");
+                        run.append_blocks(i, &blocks);
+                    }
+                }
+            }
+        }
     }
 
     /// Frees a retiring sequence's KV blocks back to the pool.
@@ -1782,22 +1983,34 @@ mod tests {
         }
         let mut chain_pool = build();
         let from = SimTime::from_secs_f64(chain_pool.step_secs().expect("busy"));
-        let chain = chain_pool.advance_chain(from, Some(barrier_at));
-        assert_eq!(chain.len(), expect.len());
+        let mut chain = Vec::new();
+        chain_pool.advance_chain(from, Some(barrier_at), &mut chain);
+        // One record per state change: the quiet boundaries ride on the
+        // record before them.
+        let quiet: usize = chain.iter().map(|c| c.quiet as usize).sum();
+        assert_eq!(chain.len() + quiet, expect.len());
         assert!(chain.len() > 1, "chain should cover several boundaries");
-        for (got, (t, rep, dt)) in chain.iter().zip(&expect) {
+        let empty = format!("{:?}", StepReport::default());
+        let mut want = expect.iter();
+        for got in &chain {
+            let (t, rep, dt) = want.next().expect("a boundary per record");
             assert_eq!(got.at, *t);
             assert_eq!(format!("{:?}", got.report), *rep);
             assert_eq!(got.next_dt, *dt);
+            let every = SimDuration::from_secs_f64(got.next_dt.unwrap_or(0.0));
+            for j in 1..=u64::from(got.quiet) {
+                let (t, rep, dt) = want.next().expect("a boundary per quiet step");
+                assert_eq!(got.at + every * j, *t);
+                assert_eq!(empty, *rep);
+                assert_eq!(got.next_dt, *dt);
+            }
         }
         // The two pools end in identical shape.
-        assert_eq!(chain_pool.active(), seq_pool.active());
-        assert_eq!(chain_pool.queue_len(), seq_pool.queue_len());
-        assert_eq!(chain_pool.step_secs(), seq_pool.step_secs());
+        assert_eq!(format!("{chain_pool:?}"), format!("{seq_pool:?}"));
         // Without a barrier the chain drains the pool completely.
         let mut free_pool = build();
         let from = SimTime::from_secs_f64(free_pool.step_secs().expect("busy"));
-        let chain = free_pool.advance_chain(from, None);
+        free_pool.advance_chain(from, None, &mut chain);
         assert_eq!(chain.last().expect("nonempty").next_dt, None);
         assert_eq!(free_pool.active(), 0);
     }
