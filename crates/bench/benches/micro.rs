@@ -132,6 +132,13 @@ fn bench_selector(c: &mut Criterion) {
     g.finish();
 }
 
+/// `route_decision` scores both arms off posteriors kept since their
+/// last lesson; `route_after_update` teaches the chosen arm before every
+/// decision, so that arm refactors its precision matrix each time —
+/// what every decision paid before the factors were kept. Same router,
+/// same requests, same process: CI gates on the *ratio*
+/// `route_after_update / route_decision`, which falls to ~1.1 (the
+/// update alone) if decisions go back to a refit each.
 fn bench_router(c: &mut Criterion) {
     let catalog = Catalog::standard();
     let small = catalog.by_name("gemma-2-2b").unwrap();
@@ -148,12 +155,37 @@ fn bench_router(c: &mut Criterion) {
             black_box(router.route(&requests[i], &[0.2, 0.1], &mut rng))
         })
     });
+    g.bench_function("route_after_update", |b| {
+        let mut chosen = small;
+        b.iter(|| {
+            i = (i + 1) % requests.len();
+            router.record_reward(chosen, &requests[i], &[0.2, 0.1], 0.7);
+            let decision = router.route(&requests[i], &[0.2, 0.1], &mut rng);
+            chosen = decision.chosen;
+            black_box(decision)
+        })
+    });
     g.bench_function("reward_update", |b| {
         b.iter(|| {
             i = (i + 1) % requests.len();
             router.record_reward(small, &requests[i], &[0.2], 0.7);
         })
     });
+    g.finish();
+}
+
+/// Synthetic plaintext at a prompt-sized and a response-sized length —
+/// the cost bank generation and `update_cache` pay per example. Printed
+/// in CI, not gated.
+fn bench_text_synth(c: &mut Criterion) {
+    let synth = ic_embed::TextSynthesizer::new(0.04);
+    let mut rng = rng_from_seed(6);
+    let mut g = c.benchmark_group("text_synth");
+    for tokens in [64u32, 256] {
+        g.bench_function(&format!("synthesize_{tokens}_tokens"), |b| {
+            b.iter(|| black_box(synth.synthesize(black_box(123), tokens, &mut rng)))
+        });
+    }
     g.finish();
 }
 
@@ -544,6 +576,7 @@ criterion_group!(
     bench_index_build,
     bench_selector,
     bench_router,
+    bench_text_synth,
     bench_knapsack,
     bench_serving_step,
     bench_step_chain,

@@ -84,6 +84,7 @@ fn replay_json(
             "\"events\":{},\"preselects\":{},\"preselect_hits\":{},",
             "\"stage1_reuses\":{},\"invalidations\":{},\"parallel_regions\":{},",
             "\"parallel_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
+            "\"arm_evaluations\":{},\"posterior_refits\":{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
@@ -103,6 +104,8 @@ fn replay_json(
         r.parallel_steps,
         r.step_runs,
         r.quiet_steps,
+        r.arm_evaluations,
+        r.posterior_refits,
         setup.index_build.fits,
         setup.index_build.passes,
         setup.index_build.group_scans,
@@ -212,6 +215,12 @@ fn print_replay_summary(
         r.quiet_steps,
         r.parallel_steps,
         r.quiet_steps as f64 / r.parallel_steps.max(1) as f64 * 100.0,
+    );
+    println!(
+        "router posteriors: {} refits for {} arm evaluations ({:.1}%)",
+        r.posterior_refits,
+        r.arm_evaluations,
+        r.posterior_refits as f64 / r.arm_evaluations.max(1) as f64 * 100.0,
     );
     println!(
         "obs overhead: untraced {:.2}s vs traced {:.2}s wall ({:+.1}%)",

@@ -322,6 +322,17 @@ impl FrontEnd {
         round
     }
 
+    /// `(arm evaluations, posterior refits)` summed over the replicas'
+    /// bandits since each was constructed (a replica cloned by
+    /// [`FrontEnd::reconfigure`] starts from the primary's counts) —
+    /// callers wanting a run's share subtract a reading from its start.
+    pub fn posterior_counts(&self) -> (u64, u64) {
+        self.replicas.iter().fold((0, 0), |(evals, refits), r| {
+            let (e, f) = r.router.posterior_counts();
+            (evals + e, refits + f)
+        })
+    }
+
     /// Run-scoped tier statistics for the report.
     pub fn stats(&self) -> FrontEndStats {
         FrontEndStats {

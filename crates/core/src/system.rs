@@ -2,6 +2,7 @@
 
 use ic_llmsim::{
     Example, ExampleId, ExampleStore, GenOutcome, GenSetup, ModelId, Request, Skill, SkillMix,
+    signal_noise,
 };
 use ic_manager::ExampleManager;
 use ic_router::RequestRouter;
@@ -645,6 +646,7 @@ impl IcCacheSystem {
             quality: outcome.quality,
             source_model: served_by,
             replay_count: 0,
+            signal_noise: signal_noise(id),
         };
         let embedding = example.embedding.clone();
         let admitted = self.manager.admit(example, now)?;
@@ -724,13 +726,29 @@ fn normalized_cost(config: &IcCacheConfig, model: ModelId) -> f64 {
     (config.catalog.get(model).cost_per_1k_tokens - lo) / (hi - lo)
 }
 
-/// Placeholder response text with realistic byte footprint.
+/// Placeholder response text with realistic byte footprint: word `k`
+/// is `t{topic}r{k % 64}`. Written once into a buffer of exactly its
+/// size — the cache keeps these for as long as the example lives, so
+/// neither growth slack nor a freed scratch next to it is affordable.
 fn render_response_text(topic: usize, tokens: u32) -> String {
-    let mut words = Vec::with_capacity(tokens as usize);
+    let stem = format!("t{topic}r");
+    let n = tokens as usize;
+    // Of every 64 suffixes ten have one digit and 54 have two.
+    let (cycles, rest) = (n / 64, n % 64);
+    let digits = cycles * (10 + 2 * 54) + rest + rest.saturating_sub(10);
+    let mut text = String::with_capacity(n * stem.len() + digits + n.saturating_sub(1));
     for k in 0..tokens {
-        words.push(format!("t{topic}r{}", k % 64));
+        if k > 0 {
+            text.push(' ');
+        }
+        text.push_str(&stem);
+        let r = (k % 64) as u8;
+        if r >= 10 {
+            text.push(char::from(b'0' + r / 10));
+        }
+        text.push(char::from(b'0' + r % 10));
     }
-    words.join(" ")
+    text
 }
 
 /// Convenience for evaluation code: a request's effective skill demand as
@@ -758,6 +776,20 @@ mod tests {
         let mut system = IcCacheSystem::new(config);
         system.seed_examples(examples, 0.0);
         (system, wg)
+    }
+
+    #[test]
+    fn one_buffer_response_text_matches_the_per_word_reference() {
+        for topic in [0usize, 7, 123, 4_096] {
+            for tokens in 0..=400u32 {
+                let per_word: Vec<String> = (0..tokens)
+                    .map(|k| format!("t{topic}r{}", k % 64))
+                    .collect();
+                let got = render_response_text(topic, tokens);
+                assert_eq!(got, per_word.join(" "), "topic {topic} tokens {tokens}");
+                assert_eq!(got.capacity(), got.len(), "sized exactly up front");
+            }
+        }
     }
 
     #[test]

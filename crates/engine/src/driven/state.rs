@@ -201,6 +201,9 @@ pub(super) struct EngineState<'a> {
     retry_rejects: u64,
     pub(super) selector: SelectorStats,
     pub(super) replay: ReplayStats,
+    /// [`ic_cache::FrontEnd::posterior_counts`] when the run began; the
+    /// report carries the growth since.
+    posterior_base: (u64, u64),
     /// Failover bookkeeping: `pool_epochs` invalidates a flushed
     /// pool's in-flight step event (see [`Event::StepComplete`]);
     /// `down_depth` counts overlapping outage windows so a nested
@@ -250,6 +253,7 @@ impl<'a> EngineState<'a> {
         } else {
             fe.begin_run(config.latency_ema_alpha);
         }
+        let posterior_base = fe.posterior_counts();
         let times: Vec<SimTime> = arrivals
             .iter()
             .map(|&a| SimTime::from_secs_f64(a))
@@ -292,6 +296,7 @@ impl<'a> EngineState<'a> {
                 threads: config.replay_threads.max(1) as u64,
                 ..ReplayStats::default()
             },
+            posterior_base,
             pool_epochs: vec![0; pools.len()],
             down_depth: vec![0; pools.len()],
             recorder: config.trace.then(|| Recorder::new(config.obs_ring)),
@@ -713,6 +718,9 @@ impl<'a> EngineState<'a> {
         // Quality averages over *executed* requests only; queue-cap
         // rejects never produced a response.
         let executed = n.saturating_sub(iter.queue_rejects);
+        let (arm_evaluations, posterior_refits) = self.system.front_end().posterior_counts();
+        self.replay.arm_evaluations = arm_evaluations - self.posterior_base.0;
+        self.replay.posterior_refits = posterior_refits - self.posterior_base.1;
         EngineReport {
             engine: ENGINE_NAME.to_owned(),
             served: n,

@@ -183,6 +183,12 @@ pub struct ReplayStats {
     /// Step boundaries inside those runs — the share of
     /// `parallel_steps` that never went through `advance_step`.
     pub quiet_steps: u64,
+    /// Arm scorings the router tier's bandits did this run: one per arm
+    /// per routing decision, retries included.
+    pub arm_evaluations: u64,
+    /// How many of those refactored the arm's precision matrix — the
+    /// arm had learned (feedback or gossip) since its last decision.
+    pub posterior_refits: u64,
 }
 
 impl ReplayStats {
@@ -196,7 +202,8 @@ impl ReplayStats {
                 "{{\"threads\":{},\"preselects\":{},\"preselect_hits\":{},",
                 "\"stage1_reuses\":{},\"invalidations\":{},",
                 "\"parallel_regions\":{},\"parallel_steps\":{},",
-                "\"step_runs\":{},\"quiet_steps\":{}}}"
+                "\"step_runs\":{},\"quiet_steps\":{},",
+                "\"arm_evaluations\":{},\"posterior_refits\":{}}}"
             ),
             self.threads,
             self.preselects,
@@ -207,6 +214,8 @@ impl ReplayStats {
             self.parallel_steps,
             self.step_runs,
             self.quiet_steps,
+            self.arm_evaluations,
+            self.posterior_refits,
         )
     }
 }

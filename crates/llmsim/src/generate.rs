@@ -1,10 +1,11 @@
 //! The generation simulator: one call = one LLM inference.
 
+use ic_embed::cosine_from_dot;
 use ic_stats::dist::Normal;
 use ic_stats::{clamp01, sigmoid};
 use rand::Rng;
 
-use crate::icl::{IclParams, RagDoc, aggregate_boost, example_effectiveness, rag_utility};
+use crate::icl::{IclParams, RagDoc, aggregate_boost, effectiveness_at, rag_utility};
 use crate::latency::{LatencyBreakdown, zero_load_latency};
 use crate::model::ModelSpec;
 use crate::request::{Example, Request};
@@ -145,28 +146,35 @@ impl Generator {
         };
         let fixed = request.input_tokens + rag_tokens + template;
         let budget = spec.context_window.saturating_sub(fixed);
-        let mut kept: Vec<&Example> = Vec::with_capacity(setup.examples.len());
         let mut used = 0u32;
+        let mut kept_len = 0;
         for e in &setup.examples {
             if used + e.prompt_tokens() <= budget {
                 used += e.prompt_tokens();
-                kept.push(e);
+                kept_len += 1;
             } else {
                 break;
             }
         }
+        let kept: &[&Example] = &setup.examples[..kept_len];
         let examples_dropped = (setup.examples.len() - kept.len()) as u32;
 
-        // Latent augmentation mechanics.
+        // Latent augmentation mechanics: one latent cosine per kept
+        // example (the request's norm reduced once) decides both its
+        // effectiveness and whether it distracts — the values of
+        // `icl::example_effectiveness` and `icl::distraction_count`.
+        let request_norm = request.latent.norm();
+        let mut distractions = 0usize;
         let effectiveness: Vec<f64> = kept
             .iter()
-            .map(|e| example_effectiveness(e, request, &self.icl))
+            .map(|e| {
+                let rel =
+                    cosine_from_dot(e.latent.dot(&request.latent), e.latent.norm(), request_norm);
+                distractions += usize::from(rel < self.icl.relevance_floor);
+                effectiveness_at(rel, e, request, &self.icl)
+            })
             .collect();
         let icl_boost = aggregate_boost(&effectiveness, &self.icl);
-        let distractions = kept
-            .iter()
-            .filter(|e| e.latent.cosine(&request.latent) < self.icl.relevance_floor)
-            .count();
         let distraction = distractions as f64 * self.icl.distraction_penalty;
         let knowledge_share = request.skills.weight(Skill::Knowledge);
         let rag_boost = rag_utility(&setup.rag_docs, &self.icl) * knowledge_share;
@@ -261,6 +269,7 @@ mod tests {
             quality,
             source_model: ModelId(0),
             replay_count: 0,
+            signal_noise: crate::signal_noise(ExampleId(0)),
         }
     }
 

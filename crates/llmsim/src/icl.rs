@@ -67,7 +67,23 @@ pub struct RagDoc {
 /// Returns 0.0 for below-floor examples — callers count those separately
 /// as distractions via [`distraction_count`].
 pub fn example_effectiveness(example: &Example, request: &Request, params: &IclParams) -> f64 {
-    let rel = example.latent.cosine(&request.latent);
+    effectiveness_at(
+        example.latent.cosine(&request.latent),
+        example,
+        request,
+        params,
+    )
+}
+
+/// [`example_effectiveness`] given the example/request latent cosine
+/// `rel` — the generator computes that once per kept example and reads
+/// both the effectiveness and the distraction verdict off it.
+pub(crate) fn effectiveness_at(
+    rel: f64,
+    example: &Example,
+    request: &Request,
+    params: &IclParams,
+) -> f64 {
     if rel < params.relevance_floor {
         return 0.0;
     }
@@ -166,6 +182,7 @@ mod tests {
             quality,
             source_model: ModelId(0),
             replay_count: 0,
+            signal_noise: crate::signal_noise(ExampleId(1)),
         }
     }
 

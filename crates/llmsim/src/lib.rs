@@ -38,6 +38,6 @@ pub use generate::{GenOutcome, GenSetup, Generator};
 pub use icl::{IclParams, RagDoc, example_utility, rag_utility};
 pub use latency::{LatencyBreakdown, zero_load_latency};
 pub use model::{Catalog, ModelFamily, ModelId, ModelSpec};
-pub use request::{Example, ExampleId, Request, RequestId, TaskKind};
+pub use request::{Example, ExampleId, Request, RequestId, TaskKind, signal_noise};
 pub use skill::{Skill, SkillMix};
 pub use store::ExampleStore;

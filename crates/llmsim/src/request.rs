@@ -1,6 +1,8 @@
 //! Requests, examples, and their identifiers.
 
 use ic_embed::Embedding;
+use ic_stats::dist::Normal;
+use ic_stats::rng::rng_from_seed;
 
 use crate::model::ModelId;
 use crate::skill::SkillMix;
@@ -121,6 +123,20 @@ pub struct Example {
     pub source_model: ModelId,
     /// How many times the Example Manager has replayed this example.
     pub replay_count: u32,
+    /// [`signal_noise`] of `id`, drawn once when the example is built:
+    /// the selector's textual quality signal reads it per candidate per
+    /// request, and the draw costs an RNG seeding. Whoever sets `id`
+    /// sets this with it.
+    pub signal_noise: f64,
+}
+
+/// The noise through which a small text encoder sees the quality of
+/// example `id`'s stored response (std 0.08: fluency and structure are
+/// readable, correctness is not). A pure function of the id, so every
+/// read of the same "text" agrees.
+pub fn signal_noise(id: ExampleId) -> f64 {
+    let mut rng = rng_from_seed(id.0 ^ 0x51_6E_A1);
+    Normal::new(0.0, 0.08).expect("valid").sample(&mut rng)
 }
 
 impl Example {
@@ -165,6 +181,7 @@ mod tests {
             quality: 0.8,
             source_model: ModelId(0),
             replay_count: 0,
+            signal_noise: signal_noise(ExampleId(1)),
         };
         assert_eq!(e.prompt_tokens(), 3);
         assert_eq!(e.byte_len(), 8);

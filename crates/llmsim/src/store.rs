@@ -61,6 +61,7 @@ mod tests {
             quality: 0.5,
             source_model: ModelId(0),
             replay_count: 0,
+            signal_noise: crate::signal_noise(ExampleId(id)),
         }
     }
 

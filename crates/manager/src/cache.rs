@@ -1,9 +1,7 @@
 //! The example cache: plaintext storage plus utility bookkeeping.
 
-use std::collections::HashMap;
-
 use ic_llmsim::{Example, ExampleId, ExampleStore};
-use ic_stats::{DecayingCounter, Ema};
+use ic_stats::{DecayingCounter, Ema, IdMap};
 
 /// Decay factor for offload gains (§4.3: "a decay factor of 0.9 every
 /// hour").
@@ -47,7 +45,7 @@ pub struct CachedExample {
 /// ```
 #[derive(Debug, Default)]
 pub struct ExampleCache {
-    entries: HashMap<ExampleId, CachedExample>,
+    entries: IdMap<ExampleId, CachedExample>,
     total_bytes: usize,
 }
 

@@ -11,7 +11,7 @@
 //! noise plus a small response-quality penalty.
 
 use ic_embed::Embedding;
-use ic_llmsim::{Example, ExampleId};
+use ic_llmsim::{Example, ExampleId, signal_noise};
 use ic_stats::rng::rng_from_seed;
 
 /// Differential-privacy configuration for pool synthesis.
@@ -79,8 +79,9 @@ pub fn synthesize_pool(originals: &[Example], config: &DpConfig, seed: u64) -> V
                 1.0,
             );
             let embedding = embedding.normalized();
+            let id = ExampleId(0x4000_0000_0000_0000 + i as u64);
             Example {
-                id: ExampleId(0x4000_0000_0000_0000 + i as u64),
+                id,
                 topic: orig.topic,
                 latent,
                 embedding,
@@ -94,6 +95,7 @@ pub fn synthesize_pool(originals: &[Example], config: &DpConfig, seed: u64) -> V
                 quality: (orig.quality - config.quality_penalty).max(0.0),
                 source_model: orig.source_model,
                 replay_count: 0,
+                signal_noise: signal_noise(id),
             }
         })
         .collect()

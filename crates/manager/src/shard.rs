@@ -21,9 +21,8 @@
 //! proportionally to shard occupancy so that gain-less examples are still
 //! kept while space allows, exactly as the unsharded policy did.
 
-use std::collections::HashMap;
-
 use ic_llmsim::{Example, ExampleId, ExampleStore};
+use ic_stats::IdMap;
 use ic_stats::rng::split_mix64;
 
 use crate::cache::{CachedExample, ExampleCache};
@@ -42,7 +41,7 @@ const REBALANCE_QUANTA: usize = 64;
 pub struct ShardedExampleCache {
     shards: Vec<ExampleCache>,
     /// Which shard each cached id lives on.
-    directory: HashMap<ExampleId, usize>,
+    directory: IdMap<ExampleId, usize>,
 }
 
 impl ShardedExampleCache {
@@ -51,7 +50,7 @@ impl ShardedExampleCache {
         let n = shards.max(1);
         Self {
             shards: (0..n).map(|_| ExampleCache::new()).collect(),
-            directory: HashMap::new(),
+            directory: IdMap::default(),
         }
     }
 

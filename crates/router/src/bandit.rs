@@ -7,6 +7,15 @@
 //! "lightweight, data-efficient approach often used in online
 //! recommendation systems" the paper adopts (§4.2), with ~0.5M-parameter
 //! scale replaced by the feature dimension of this reproduction.
+//!
+//! The Cholesky factor of `A` and the mean `A^{-1} b` are functions of
+//! `(A, b)` alone, and an arm's `(A, b)` moves only when that arm
+//! learns — a minority of decisions. Each arm therefore keeps both until
+//! [`ContextualBandit::update`] or [`ContextualBandit::apply_stats`]
+//! touches it; a decision between two lessons pays the `dim` normal
+//! draws, one back substitution and two dot products, nothing else.
+//! [`ContextualBandit::refits`] against [`ContextualBandit::evaluations`]
+//! says how often that was enough.
 
 use ic_llmsim::ModelId;
 use ic_stats::dist::standard_normal;
@@ -21,6 +30,31 @@ struct Arm {
     a: Matrix,
     b: Vec<f64>,
     pulls: u64,
+    /// What a decision reads of the current `(a, b)`. `None` from
+    /// construction and from every change of `a` or `b` until the next
+    /// decision refits it.
+    posterior: Option<Posterior>,
+}
+
+impl Arm {
+    fn new(model: ModelId, dim: usize, lambda: f64) -> Self {
+        Self {
+            model,
+            a: Matrix::scaled_identity(dim, lambda),
+            b: vec![0.0; dim],
+            pulls: 0,
+            posterior: None,
+        }
+    }
+}
+
+/// The part of an arm's posterior a decision samples from.
+#[derive(Debug, Clone)]
+struct Posterior {
+    /// Cholesky factor of `A`.
+    l: Matrix,
+    /// Posterior mean `A^{-1} b`.
+    mu: Vec<f64>,
 }
 
 /// A linear contextual Thompson-sampling bandit.
@@ -51,6 +85,11 @@ pub struct ContextualBandit {
     lambda: f64,
     /// Thompson exploration scale (posterior-noise multiplier).
     pub exploration: f64,
+    /// The `dim` standard normals of the arm being scored, then the
+    /// posterior noise `L^{-T} z` solved in place.
+    z: Vec<f64>,
+    evaluations: u64,
+    refits: u64,
 }
 
 impl ContextualBandit {
@@ -65,18 +104,16 @@ impl ContextualBandit {
         assert!(lambda > 0.0, "ridge prior must be positive");
         let arms = models
             .into_iter()
-            .map(|model| Arm {
-                model,
-                a: Matrix::scaled_identity(dim, lambda),
-                b: vec![0.0; dim],
-                pulls: 0,
-            })
+            .map(|model| Arm::new(model, dim, lambda))
             .collect();
         Self {
             arms,
             dim,
             lambda,
             exploration,
+            z: vec![0.0; dim],
+            evaluations: 0,
+            refits: 0,
         }
     }
 
@@ -105,24 +142,47 @@ impl ContextualBandit {
             .collect()
     }
 
-    /// Thompson-sampled score of every arm on `x`.
-    pub fn sample_scores(&self, x: &[f64], rng: &mut impl Rng) -> Vec<(ModelId, f64)> {
+    /// Thompson-sampled score of every arm on `x`. Refits the factor
+    /// and mean of each arm that learned since its last decision.
+    pub fn sample_scores(&mut self, x: &[f64], rng: &mut impl Rng) -> Vec<(ModelId, f64)> {
         assert_eq!(x.len(), self.dim, "feature dimension mismatch");
-        self.arms
-            .iter()
+        let Self {
+            arms,
+            exploration,
+            z,
+            evaluations,
+            refits,
+            ..
+        } = self;
+        arms.iter_mut()
             .map(|arm| {
-                let l = arm.a.cholesky().expect("A is SPD by construction");
-                let mu = {
+                *evaluations += 1;
+                let Posterior { l, mu } = arm.posterior.get_or_insert_with(|| {
+                    *refits += 1;
+                    let l = arm.a.cholesky().expect("A is SPD by construction");
                     let y = l.solve_lower(&arm.b);
-                    l.solve_lower_transpose(&y)
-                };
+                    let mu = l.solve_lower_transpose(&y);
+                    Posterior { l, mu }
+                });
                 // w = mu + v * L^{-T} z draws from N(mu, v^2 A^{-1}).
-                let z: Vec<f64> = (0..self.dim).map(|_| standard_normal(rng)).collect();
-                let noise = l.solve_lower_transpose(&z);
-                let score = dot(&mu, x) + self.exploration * dot(&noise, x);
+                z.fill_with(|| standard_normal(rng));
+                l.solve_lower_transpose_in_place(z);
+                let score = dot(mu, x) + *exploration * dot(z, x);
                 (arm.model, score)
             })
             .collect()
+    }
+
+    /// Arm scorings done by [`Self::sample_scores`] (one per arm per
+    /// decision) since construction; clones carry the count on.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
+    }
+
+    /// How many of [`Self::evaluations`] had to refactor `A` and re-solve
+    /// the mean because the arm had learned since its last decision.
+    pub fn refits(&self) -> u64 {
+        self.refits
     }
 
     /// Absorbs one observed reward for `(arm, context)`.
@@ -136,6 +196,7 @@ impl ContextualBandit {
             *bi += reward * xi;
         }
         arm.pulls += 1;
+        arm.posterior = None;
     }
 
     /// Feature dimension of the contexts this bandit scores.
@@ -173,6 +234,7 @@ impl ContextualBandit {
             *bi += scale * di;
         }
         arm.pulls += pulls;
+        arm.posterior = None;
     }
 
     /// Registers a new arm at runtime (model fleet changes, §8).
@@ -180,12 +242,7 @@ impl ContextualBandit {
         if self.arms.iter().any(|a| a.model == model) {
             return;
         }
-        self.arms.push(Arm {
-            model,
-            a: Matrix::scaled_identity(self.dim, self.lambda),
-            b: vec![0.0; self.dim],
-            pulls: 0,
-        });
+        self.arms.push(Arm::new(model, self.dim, self.lambda));
     }
 
     /// Removes an arm (model retired).
@@ -226,7 +283,7 @@ mod tests {
     fn exploration_noise_shrinks_with_data() {
         let mut b = ContextualBandit::new(vec![ModelId(0)], 2, 1.0, 1.0);
         let x = [1.0, 0.5];
-        let spread = |b: &ContextualBandit, seed: u64| {
+        let spread = |b: &mut ContextualBandit, seed: u64| {
             let mut rng = rng_from_seed(seed);
             let draws: Vec<f64> = (0..200)
                 .map(|_| b.sample_scores(&x, &mut rng)[0].1)
@@ -234,11 +291,11 @@ mod tests {
             let mean = draws.iter().sum::<f64>() / draws.len() as f64;
             (draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / draws.len() as f64).sqrt()
         };
-        let before = spread(&b, 3);
+        let before = spread(&mut b, 3);
         for _ in 0..500 {
             b.update(ModelId(0), &x, 0.7);
         }
-        let after = spread(&b, 4);
+        let after = spread(&mut b, 4);
         assert!(
             after < before / 3.0,
             "posterior should concentrate: {before} -> {after}"

@@ -109,16 +109,23 @@ impl Matrix {
     /// Solves `LT x = y` for lower-triangular `L` (back substitution on
     /// the transpose).
     pub fn solve_lower_transpose(&self, y: &[f64]) -> Vec<f64> {
+        let mut x = y.to_vec();
+        self.solve_lower_transpose_in_place(&mut x);
+        x
+    }
+
+    /// [`Self::solve_lower_transpose`] overwriting `y` with the
+    /// solution: row `i` reads `y[i]` before writing `x[i]` and only
+    /// solved entries `x[j], j > i` besides, so one buffer serves both.
+    pub fn solve_lower_transpose_in_place(&self, y: &mut [f64]) {
         assert_eq!(y.len(), self.n, "dimension mismatch");
-        let mut x = vec![0.0; self.n];
         for i in (0..self.n).rev() {
             let mut sum = y[i];
             for j in (i + 1)..self.n {
-                sum -= self[(j, i)] * x[j];
+                sum -= self[(j, i)] * y[j];
             }
-            x[i] = sum / self[(i, i)];
+            y[i] = sum / self[(i, i)];
         }
-        x
     }
 
     /// Solves `A x = b` via this matrix's Cholesky factor. Returns `None`

@@ -167,23 +167,22 @@ impl RequestRouter {
         rng: &mut impl Rng,
     ) -> RouteDecision {
         let x = self.features.extract(request, selection_utilities);
-        let sampled = self.bandit.sample_scores(&x, rng);
+        let mut adjusted = self.bandit.sample_scores(&x, rng);
         let load = self.load.current();
         let applied_bias = self.bias.bias(load);
 
-        // Load-adjusted scores (Theorem 4's logits).
-        let adjusted: Vec<(ModelId, f64)> = sampled
-            .iter()
-            .map(|&(m, s)| {
-                let cost = self
-                    .costs
-                    .iter()
-                    .find(|(cm, _)| *cm == m)
-                    .map_or(0.0, |(_, c)| *c);
-                let s = s - self.config.base_cost_weight * cost;
-                (m, self.bias.adjust(s, cost, load))
-            })
-            .collect();
+        // Load-adjusted scores (Theorem 4's logits), over the sampled
+        // ones in place.
+        for (m, s) in &mut adjusted {
+            let cost = self
+                .costs
+                .iter()
+                .find(|(cm, _)| cm == m)
+                .map_or(0.0, |(_, c)| *c);
+            *s = self
+                .bias
+                .adjust(*s - self.config.base_cost_weight * cost, cost, load);
+        }
 
         let chosen = adjusted
             .iter()
@@ -317,6 +316,13 @@ impl RequestRouter {
     /// Updates an arm's posterior has absorbed (local and gossiped).
     pub fn arm_pulls(&self, model: ModelId) -> u64 {
         self.bandit.pulls(model)
+    }
+
+    /// `(arm evaluations, posterior refits)` of this router's bandit
+    /// since construction (see [`crate::ContextualBandit::refits`]); a
+    /// clone starts from its original's counts.
+    pub fn posterior_counts(&self) -> (u64, u64) {
+        (self.bandit.evaluations(), self.bandit.refits())
     }
 
     /// The candidate models.

@@ -8,9 +8,7 @@
 //! noisy function of the stored response, standing in for what a small
 //! encoder reads off the response text).
 
-use ic_llmsim::{Example, ModelSpec, Request};
-use ic_stats::dist::Normal;
-use ic_stats::rng::rng_from_seed;
+use ic_llmsim::{Example, ExampleId, ModelSpec, Request, signal_noise};
 
 /// Number of proxy input features.
 pub const FEATURE_DIM: usize = 8;
@@ -48,6 +46,13 @@ impl ProxyFeatures {
         target: &ModelSpec,
         sim: f64,
     ) -> Self {
+        Self::with_headroom(request, example, sim, headroom_proxy(request, target))
+    }
+
+    /// [`Self::extract_with_sim`] with the request-only feature
+    /// ([`headroom_proxy`]) supplied, so a candidate batch computes it
+    /// once.
+    fn with_headroom(request: &Request, example: &Example, sim: f64, headroom_proxy: f64) -> Self {
         let sim = sim.clamp(-1.0, 1.0);
         let qsig = quality_signal(example);
         let task_match = if request.task == example.task {
@@ -57,7 +62,6 @@ impl ProxyFeatures {
         };
         let skill_sim = request.skills.similarity(&example.skills);
         let len_norm = (f64::from(example.response_tokens).ln() / 8.0).clamp(0.0, 1.5);
-        let headroom_proxy = 1.0 - request.skills.weighted_score(&target.capability);
         Self {
             values: [
                 1.0, // Bias.
@@ -78,16 +82,26 @@ impl ProxyFeatures {
     }
 }
 
+/// How much quality the target model's spec sheet leaves open on the
+/// request's skill mix — the one proxy feature no example enters.
+fn headroom_proxy(request: &Request, target: &ModelSpec) -> f64 {
+    1.0 - request.skills.weighted_score(&target.capability)
+}
+
 /// A stable, noisy textual view of an example's response quality.
 ///
-/// Derived deterministically from the example id so that repeated feature
-/// extraction agrees (the "text" does not change between reads). Noise std
-/// 0.08 reflects that a tiny encoder can read fluency/structure but not
-/// verify correctness.
+/// The noise is [`ic_llmsim::signal_noise`] of the example id — a
+/// function of the id alone, so that repeated feature extraction agrees
+/// (the "text" does not change between reads) — and the example carries
+/// it from the moment it is built.
 pub fn quality_signal(example: &Example) -> f64 {
-    let mut rng = rng_from_seed(example.id.0 ^ 0x51_6E_A1);
-    let noise = Normal::new(0.0, 0.08).expect("valid").sample(&mut rng);
-    (example.quality + noise).clamp(0.0, 1.0)
+    debug_assert_eq!(
+        example.signal_noise.to_bits(),
+        signal_noise(example.id).to_bits(),
+        "example {:?} carries another id's signal noise",
+        example.id
+    );
+    (example.quality + example.signal_noise).clamp(0.0, 1.0)
 }
 
 /// Online ridge-regularized linear regression trained by SGD.
@@ -157,23 +171,24 @@ impl ProxyModel {
         self.predict(&ProxyFeatures::extract(request, example, target).as_array())
     }
 
-    /// Batched stage-2 scoring: predicted helpfulness for a whole
-    /// candidate set `(example, stage1_similarity)` in one call,
-    /// reusing the stage-1 cosine per candidate. `out[i]` is exactly
-    /// `predict_example(request, candidates[i].0, target)` — the proxy
-    /// is read-only here, so batching is a pure hoist.
+    /// Batched stage-2 scoring over resolved stage-1 candidates
+    /// `(id, stage1_similarity, example)`: each similarity is replaced
+    /// by the candidate's predicted helpfulness, exactly
+    /// `predict_example(request, example, target)` — the stage-1 cosine
+    /// is reused per candidate, the request-only feature is computed
+    /// once, and the proxy is read-only here, so batching is a pure
+    /// hoist.
     pub fn predict_candidates(
         &self,
         request: &Request,
-        candidates: &[(&Example, f64)],
+        candidates: &mut [(ExampleId, f64, &Example)],
         target: &ModelSpec,
-    ) -> Vec<f64> {
-        candidates
-            .iter()
-            .map(|&(ex, sim)| {
-                self.predict(&ProxyFeatures::extract_with_sim(request, ex, target, sim).as_array())
-            })
-            .collect()
+    ) {
+        let headroom_proxy = headroom_proxy(request, target);
+        for (_, score, example) in candidates {
+            let features = ProxyFeatures::with_headroom(request, example, *score, headroom_proxy);
+            *score = self.predict(&features.as_array());
+        }
     }
 
     /// One SGD step toward `label` (observed helpfulness from feedback).
@@ -231,12 +246,12 @@ mod tests {
         let reqs = wg.generate_requests(5);
         let model = ProxyModel::standard();
         for r in &reqs {
-            let cands: Vec<(&Example, f64)> = exs
+            let mut batch: Vec<(ExampleId, f64, &Example)> = exs
                 .iter()
-                .map(|e| (e, r.embedding.cosine(&e.embedding)))
+                .map(|e| (e.id, r.embedding.cosine(&e.embedding), e))
                 .collect();
-            let batch = model.predict_candidates(r, &cands, &small);
-            for (e, got) in exs.iter().zip(&batch) {
+            model.predict_candidates(r, &mut batch, &small);
+            for (e, (_, got, _)) in exs.iter().zip(&batch) {
                 let f_a = ProxyFeatures::extract(r, e, &small).as_array();
                 let f_b =
                     ProxyFeatures::extract_with_sim(r, e, &small, r.embedding.cosine(&e.embedding))

@@ -1,6 +1,6 @@
 //! The two-stage selection pipeline (Algorithm 1, `RetrieveExamples`).
 
-use ic_embed::Embedding;
+use ic_embed::{Embedding, cosine_from_dot};
 use ic_llmsim::{Example, ExampleId, ExampleStore, ModelSpec, Request};
 use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex};
 
@@ -305,25 +305,22 @@ impl ExampleSelector {
         // index kernel computes it bit-identically), so scoring reuses
         // it instead of re-reducing the embedding pair per candidate,
         // and candidates resolve against the store exactly once.
-        let resolved: Vec<(ExampleId, f64, &Example)> = candidates
+        let mut scored: Vec<(ExampleId, f64, &Example)> = candidates
             .iter()
             .filter_map(|&(id, sim)| store.get_example(id).map(|ex| (id, sim, ex)))
             .collect();
-        let pairs: Vec<(&Example, f64)> = resolved.iter().map(|&(_, sim, ex)| (ex, sim)).collect();
-        let scores = self.proxy.predict_candidates(request, &pairs, target);
-        let mut scored: Vec<(ExampleId, f64, &Example)> = resolved
-            .iter()
-            .zip(scores)
-            .map(|(&(id, _, ex), s)| (id, s, ex))
-            .collect();
-        scored.sort_by(|a, b| {
+        self.proxy.predict_candidates(request, &mut scored, target);
+        // `(utility, id)` orders distinct candidates strictly, so the
+        // in-place unstable sort has one possible outcome.
+        scored.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("finite predictions")
                 .then(a.0.cmp(&b.0))
         });
 
-        // Threshold + diversity greedy pick.
-        let mut picked: Vec<(ExampleId, f64, &Example)> = Vec::new();
+        // Threshold + diversity greedy pick. Each embedding's norm is
+        // reduced once, when its candidate comes up, not once per pair.
+        let mut picked: Vec<(ExampleId, f64, &Embedding, f64)> = Vec::new();
         for &(id, util, ex) in &scored {
             if picked.len() >= self.config.max_examples {
                 break;
@@ -331,11 +328,12 @@ impl ExampleSelector {
             if util < threshold {
                 break; // Sorted descending: everything after is below too.
             }
-            let redundant = picked.iter().any(|&(_, _, p)| {
-                p.embedding.cosine(&ex.embedding) > self.config.diversity_ceiling
+            let norm = ex.embedding.norm();
+            let redundant = picked.iter().any(|&(_, _, p, p_norm)| {
+                cosine_from_dot(p.dot(&ex.embedding), p_norm, norm) > self.config.diversity_ceiling
             });
             if !redundant {
-                picked.push((id, util, ex));
+                picked.push((id, util, &ex.embedding, norm));
             }
         }
 
@@ -344,8 +342,8 @@ impl ExampleSelector {
             picked.reverse();
         }
         Selection {
-            ids: picked.iter().map(|&(id, _, _)| id).collect(),
-            predicted_utility: picked.iter().map(|&(_, u, _)| u).collect(),
+            ids: picked.iter().map(|&(id, ..)| id).collect(),
+            predicted_utility: picked.iter().map(|&(_, u, ..)| u).collect(),
             stage1_count,
             threshold_used: threshold,
         }
@@ -493,6 +491,7 @@ mod tests {
         for i in 0..10u64 {
             let mut dup = donor.clone();
             dup.id = ExampleId(1_000_000 + i);
+            dup.signal_noise = ic_llmsim::signal_noise(dup.id);
             f.selector.index_example(dup.id, dup.embedding.clone());
             f.store.insert(dup.id, dup);
         }

@@ -28,6 +28,7 @@ pub mod correlation;
 pub mod dist;
 pub mod ema;
 pub mod histogram;
+pub mod idmap;
 pub mod percentile;
 pub mod rng;
 pub mod welford;
@@ -36,6 +37,7 @@ pub use correlation::{pearson, spearman};
 pub use dist::{Beta, Dirichlet, Exponential, Gamma, LogNormal, Normal, Poisson, Zipf};
 pub use ema::{DecayingCounter, Ema};
 pub use histogram::{Cdf, Histogram};
+pub use idmap::IdMap;
 pub use percentile::{PercentileSnapshot, Percentiles};
 pub use rng::{SeedStream, rng_from_seed, split_mix64};
 pub use welford::RunningStats;

@@ -1,8 +1,7 @@
 //! Exact brute-force index.
 
-use std::collections::HashMap;
-
 use ic_embed::Embedding;
+use ic_stats::IdMap;
 
 use crate::{ItemId, SearchHit, VectorIndex, finalize_hits};
 
@@ -14,7 +13,7 @@ use crate::{ItemId, SearchHit, VectorIndex, finalize_hits};
 #[derive(Debug, Default)]
 pub struct FlatIndex {
     items: Vec<(ItemId, Embedding)>,
-    by_id: HashMap<ItemId, usize>,
+    by_id: IdMap<ItemId, usize>,
 }
 
 impl FlatIndex {
@@ -27,7 +26,7 @@ impl FlatIndex {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             items: Vec::with_capacity(n),
-            by_id: HashMap::with_capacity(n),
+            by_id: IdMap::with_capacity_and_hasher(n, Default::default()),
         }
     }
 

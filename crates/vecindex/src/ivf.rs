@@ -52,9 +52,8 @@
 //! and is the reference the equivalence tests compare against
 //! ([`IvfIndex::build_stats`] counts the fits).
 
-use std::collections::HashMap;
-
 use ic_embed::{Embedding, cosine_from_dot, norm_slice};
+use ic_stats::IdMap;
 
 use crate::kernel::{LaneBlocks, widen};
 use crate::kmeans::{KMeansModel, kmeans_fit_rows};
@@ -120,7 +119,7 @@ pub struct IvfIndex {
     /// holding everything. Rebuilt on retrain, patched on insert/remove.
     lists: Vec<PostingList>,
     /// Where each stored item lives: `(list, position in the list)`.
-    locator: HashMap<ItemId, (u32, u32)>,
+    locator: IdMap<ItemId, (u32, u32)>,
     /// Pool size at the time of the last training.
     trained_at_len: usize,
     stats: BuildStats,
@@ -202,7 +201,7 @@ impl IvfIndex {
             config,
             model: None,
             lists: Vec::new(),
-            locator: HashMap::new(),
+            locator: IdMap::default(),
             trained_at_len: 0,
             stats: BuildStats::default(),
         }
@@ -459,6 +458,7 @@ mod tests {
     use crate::FlatIndex;
     use ic_embed::{TopicSpace, TopicSpaceConfig};
     use ic_stats::rng::rng_from_seed;
+    use std::collections::HashMap;
 
     fn build_pair(n: usize) -> (IvfIndex, FlatIndex, Vec<Embedding>) {
         let space = TopicSpace::generate(

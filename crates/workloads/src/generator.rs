@@ -7,7 +7,9 @@
 //! dynamics experiments).
 
 use ic_embed::{Embedder, TextSynthesizer, TopicSpace, TopicSpaceConfig};
-use ic_llmsim::{Example, ExampleId, GenSetup, Generator, ModelId, ModelSpec, Request, RequestId};
+use ic_llmsim::{
+    Example, ExampleId, GenSetup, Generator, ModelId, ModelSpec, Request, RequestId, signal_noise,
+};
 use ic_stats::dist::{Beta, LogNormal, Zipf};
 use ic_stats::rng::SeedStream;
 use rand::rngs::StdRng;
@@ -213,7 +215,7 @@ impl WorkloadGenerator {
                     task: self.spec.task,
                     input_tokens: req_tokens,
                     target_output_tokens: out_tokens,
-                    text: req_text.text.clone(),
+                    text: req_text.text,
                     sensitive: req_text.sensitive,
                 };
                 let outcome = generator.generate(
@@ -242,6 +244,7 @@ impl WorkloadGenerator {
                     quality: outcome.quality,
                     source_model: source_id,
                     replay_count: 0,
+                    signal_noise: signal_noise(id),
                 }
             })
             .collect()
