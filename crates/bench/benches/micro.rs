@@ -404,9 +404,8 @@ fn bench_replay(c: &mut Criterion) {
     use ic_engine::{EngineConfig, EventDrivenEngine, ServingEngine};
     use ic_workloads::fixed_qps_arrivals;
 
-    // A tiny end-to-end replay (same trace, three engine configs) so
-    // the speedup of the look-ahead window and of pool-parallel
-    // stepping is visible in one criterion table. Setup (example
+    // A tiny end-to-end replay (same trace, inline vs worker-thread
+    // step regions) in one criterion table. Setup (example
     // seeding) happens once; each measured iteration replays the trace
     // through a fresh engine sharing the seeded example bank.
     let sys_cfg = IcCacheConfig::gemma_pair();
@@ -427,15 +426,6 @@ fn bench_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("replay");
     g.bench_function("sequential", |b| {
         b.iter(|| black_box(run(EngineConfig::default())))
-    });
-    g.bench_function("windowed_2s", |b| {
-        b.iter(|| {
-            black_box(run(EngineConfig {
-                selector_batch: 8,
-                selector_window_s: 2.0,
-                ..EngineConfig::default()
-            }))
-        })
     });
     g.bench_function("threads_4", |b| {
         b.iter(|| {

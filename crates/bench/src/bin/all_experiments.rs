@@ -6,6 +6,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
+    if let Err(msg) = ic_bench::experiments::e2e::checked_engine_config() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick {
         ic_bench::Scale::quick()

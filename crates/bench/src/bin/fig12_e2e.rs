@@ -9,7 +9,7 @@
 //!
 //! Every run also writes `BENCH_replay.json`: the replay-performance
 //! record (wall-clock seconds, simulator events per second, the
-//! window/parallel-stepping counters, and the tracing-enabled vs
+//! step-region counters, and the tracing-enabled vs
 //! disabled replay walls side by side — the observability overhead is
 //! measured every run, not asserted). Its `wall_s`/`traced_wall_s`/
 //! `events_per_sec` fields are measured wall time and are **not** part
@@ -30,7 +30,7 @@
 //! The iteration-scheduler, KV-memory, router-tier and replay knobs
 //! can be overridden via the environment (`IC_PREFILL_CHUNK`,
 //! `IC_PREEMPT_QUANTUM`, `IC_MAX_QUEUE`, `IC_SELECTOR_BATCH`,
-//! `IC_SELECTOR_WINDOW`, `IC_REPLAY_THREADS`, `IC_KV_BLOCK`,
+//! `IC_REPLAY_THREADS`, `IC_KV_BLOCK`,
 //! `IC_KV_BUDGET`, `IC_KV_WATERMARKS`, `IC_KV_HOST_BLOCKS`,
 //! `IC_ROUTER_REPLICAS`, `IC_GOSSIP_PERIOD`, `IC_POOL_OUTAGE`,
 //! `IC_RESP_CACHE`, `IC_RESP_THRESHOLD`, `IC_RESP_BYTES`,
@@ -39,13 +39,12 @@
 //! `ic_bench::experiments::e2e::engine_config`, parsed by
 //! `ic_bench::env`); leave them unset for the byte-deterministic output
 //! the CI determinism job diffs (including its `selector`, `router`
-//! and `kv` blocks). `IC_SELECTOR_BATCH` and `IC_SELECTOR_WINDOW` are
-//! special: they change only the `selector` stats block — every other
-//! byte of `BENCH_e2e.json` is identical with and without them (the
-//! batched/windowed probes are pure speedups). `IC_REPLAY_THREADS` is
-//! stricter still: it only picks where step regions run, so the replay
-//! is bit-identical at any value, `selector` block included. An
-//! `IC_POOL_OUTAGE` naming a pool the cluster does not have exits 2
+//! and `kv` blocks). `IC_SELECTOR_BATCH` caps the same-tick run the
+//! stage-0 sketch pre-observes: with `IC_RESP_CACHE` off it changes
+//! only the `batch_limit` echoed in the `selector` stats block.
+//! `IC_REPLAY_THREADS` only picks where step regions run, so the
+//! replay is bit-identical at any value. A malformed `IC_*` value, or
+//! an `IC_POOL_OUTAGE` naming a pool the cluster does not have, exits 2
 //! before any replay. The observability knobs
 //! are observation only: `BENCH_e2e.json` is byte-identical with and
 //! without them (CI-enforced). `IC_ROUTER_REPLICAS=1` (or unset)
@@ -81,14 +80,13 @@ fn replay_json(
     format!(
         concat!(
             "{{\"fraction\":{:.6},\"threads\":{},\"served\":{},\"steps\":{},",
-            "\"events\":{},\"preselects\":{},\"preselect_hits\":{},",
-            "\"stage1_reuses\":{},\"invalidations\":{},\"parallel_regions\":{},",
+            "\"events\":{},\"parallel_regions\":{},",
             "\"parallel_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
             "\"arm_evaluations\":{},\"posterior_refits\":{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
-            "\"embed_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
+            "\"bank_gen_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
         fraction,
@@ -96,10 +94,6 @@ fn replay_json(
         report.served,
         report.iter.steps,
         events,
-        r.preselects,
-        r.preselect_hits,
-        r.stage1_reuses,
-        r.invalidations,
         r.parallel_regions,
         r.parallel_steps,
         r.step_runs,
@@ -112,7 +106,7 @@ fn replay_json(
         setup.index_build.group_scans_full,
         setup.setup_threads,
         setup.setup_wall_s,
-        setup.embed_wall_s,
+        setup.bank_gen_wall_s,
         setup.index_build_wall_s,
         wall_s,
         traced_wall_s,
@@ -150,12 +144,8 @@ fn print_engine_summary(report: &EngineReport) {
         report.router.retry_rejects,
     );
     println!(
-        "selector batching: cap {}, {} stage-1 probes over {} requests (max batch {}, mean {:.2})",
-        report.selector.batch_limit,
-        report.selector.batches,
-        report.selector.requests,
-        report.selector.max_batch,
-        report.selector.mean_batch(),
+        "selector: {} stage-1 probes, one per arrival past stage 0 (same-tick cap {})",
+        report.selector.requests, report.selector.batch_limit,
     );
     println!(
         "paged KV memory: peak occupancy {:.1}% (mean {:.1}%), \
@@ -176,10 +166,10 @@ fn print_replay_summary(
     setup: SetupTiming,
 ) {
     println!(
-        "setup: {:.2}s wall at {} thread(s) (embed {:.2}s, index build {:.2}s) vs replay {:.2}s",
+        "setup: {:.2}s wall at {} thread(s) (bank gen {:.2}s, index build {:.2}s) vs replay {:.2}s",
         setup.setup_wall_s,
         setup.setup_threads,
-        setup.embed_wall_s,
+        setup.bank_gen_wall_s,
         setup.index_build_wall_s,
         wall_s,
     );
@@ -196,16 +186,11 @@ fn print_replay_summary(
     let r = &report.replay;
     println!(
         "replay: {} events in {:.2}s wall ({:.0} events/s), {} thread(s), \
-         {} preselects ({} hits / {} stage-1 reuses / {} invalidations), \
          {} parallel regions covering {} steps",
         events,
         wall_s,
         events as f64 / wall_s.max(1e-9),
         r.threads,
-        r.preselects,
-        r.preselect_hits,
-        r.stage1_reuses,
-        r.invalidations,
         r.parallel_regions,
         r.parallel_steps,
     );

@@ -10,10 +10,7 @@
 //! `ic_bench::experiments::e2e::engine_config`, parsed by
 //! `ic_bench::env`); leave them unset for the byte-deterministic output
 //! the CI determinism job diffs (including its `selector` and `kv`
-//! blocks). `IC_SELECTOR_BATCH` is special: it changes only the
-//! `selector` stats block — every other byte of `BENCH_e2e.json` is
-//! identical with and without it (the batched probe is a pure
-//! speedup).
+//! blocks). A malformed value exits 2 before any replay.
 
 use ic_bench::Scale;
 use ic_bench::experiments::e2e;
@@ -47,12 +44,8 @@ fn main() {
         engine_report.iter.queue_rejects,
     );
     println!(
-        "selector batching: cap {}, {} stage-1 probes over {} requests (max batch {}, mean {:.2})",
-        engine_report.selector.batch_limit,
-        engine_report.selector.batches,
-        engine_report.selector.requests,
-        engine_report.selector.max_batch,
-        engine_report.selector.mean_batch(),
+        "selector: {} stage-1 probes, one per arrival past stage 0 (same-tick cap {})",
+        engine_report.selector.requests, engine_report.selector.batch_limit,
     );
     println!(
         "paged KV memory: peak occupancy {:.1}% (mean {:.1}%), \

@@ -11,6 +11,7 @@ use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, fixed_qps_arrivals, thirty_minute_trace};
 use rand::RngExt;
 
+use crate::env::KNOBS_CHECKED;
 use crate::harness::{
     PairSetup, Scale, SetupTiming, mixed_cluster, normalized_throughput, recent_rps, side_by_side,
     single_cluster, to_jobs,
@@ -85,10 +86,13 @@ fn online_run(
         // sweeps, not controlled policy comparisons.
         let mut requests = requests;
         let mut arrivals = arrivals.to_vec();
-        if let Some(burst) = crate::env::parse_env::<usize>("IC_SHARE_BURST") {
-            burst_workload(&mut requests, &mut arrivals, burst);
-        }
-        let mut engine = EventDrivenEngine::new(setup.system, engine_config());
+        burst_workload(
+            &mut requests,
+            &mut arrivals,
+            share_burst().expect(KNOBS_CHECKED),
+        );
+        let mut engine =
+            EventDrivenEngine::new(setup.system, engine_config().expect(KNOBS_CHECKED));
         let report = engine.serve_workload(&requests, &arrivals);
         return online_run_from_engine(name, report, reference_large, judge, &mut rng);
     }
@@ -274,18 +278,11 @@ fn online_run_from_engine(
 /// - `IC_PREFILL_CHUNK` — prefill tokens per iteration (`0` = unchunked)
 /// - `IC_PREEMPT_QUANTUM` — decode tokens before preemption (`0` = off)
 /// - `IC_MAX_QUEUE` — per-pool queue cap (unset = unbounded)
-/// - `IC_SELECTOR_BATCH` — same-tick arrivals coalesced into one
-///   multi-query selector probe (`0`/`1` = off). A pure speedup:
-///   `BENCH_e2e.json` stays byte-identical except its `selector` stats
-///   block.
-/// - `IC_SELECTOR_WINDOW` — bounded-delay selector look-ahead window
-///   in simulated seconds (`0` = the zero-width window: same-tick
-///   coalescing only). Arrivals
-///   within the window of an unprobed arrival are batch-probed in one
-///   `search_batch` shot and their selections precomputed, each
-///   re-validated against the selector epochs at its own event
-///   position. A pure speedup: byte-identical except the `selector`
-///   stats block (CI-enforced).
+/// - `IC_SELECTOR_BATCH` — cap on the same-tick run of arrivals the
+///   stage-0 trending sketch pre-observes, so a stampede pays one
+///   insertion (`0`/`1` = each arrival on its own). With
+///   `IC_RESP_CACHE` off it only changes the `batch_limit` echoed in
+///   the `selector` stats block.
 /// - `IC_REPLAY_THREADS` — threads executing step regions (`0`/`1` =
 ///   every chain inline on the event-loop thread). Step-chain regions
 ///   between router interactions merge in exact `(time, seq)` order
@@ -364,86 +361,93 @@ fn online_run_from_engine(
 /// [`EngineConfig::default`], which keeps `BENCH_e2e.json`
 /// byte-deterministic (the CI determinism job relies on this, and the
 /// `golden_e2e` regression test pins the quick-scale bytes in-repo).
-pub fn engine_config() -> EngineConfig {
+/// A variable that is set but malformed is an `Err` naming it and its
+/// value.
+pub fn engine_config() -> Result<EngineConfig, String> {
     use crate::env::{parse_env, parse_outages, parse_watermarks};
     let mut config = EngineConfig::default();
-    if let Some(chunk) = parse_env::<u32>("IC_PREFILL_CHUNK") {
+    if let Some(chunk) = parse_env::<u32>("IC_PREFILL_CHUNK")? {
         config.prefill_chunk_tokens = chunk;
     }
-    if let Some(quantum) = parse_env::<u32>("IC_PREEMPT_QUANTUM") {
+    if let Some(quantum) = parse_env::<u32>("IC_PREEMPT_QUANTUM")? {
         config.preempt_decode_quantum = quantum;
     }
-    config.max_queue = parse_env::<usize>("IC_MAX_QUEUE");
-    if let Some(batch) = parse_env::<usize>("IC_SELECTOR_BATCH") {
+    config.max_queue = parse_env::<usize>("IC_MAX_QUEUE")?;
+    if let Some(batch) = parse_env::<usize>("IC_SELECTOR_BATCH")? {
         config.selector_batch = batch;
     }
-    if let Some(window) = parse_env::<f64>("IC_SELECTOR_WINDOW") {
-        config.selector_window_s = window;
-    }
-    if let Some(threads) = parse_env::<usize>("IC_REPLAY_THREADS") {
+    if let Some(threads) = parse_env::<usize>("IC_REPLAY_THREADS")? {
         config.replay_threads = threads.max(1);
     }
-    if let Some(block) = parse_env::<u32>("IC_KV_BLOCK") {
+    if let Some(block) = parse_env::<u32>("IC_KV_BLOCK")? {
         config.kv_block_tokens = block;
     }
-    if let Some(budget) = parse_env::<u32>("IC_KV_BUDGET") {
+    if let Some(budget) = parse_env::<u32>("IC_KV_BUDGET")? {
         config.kv_budget_blocks = budget;
     }
-    if let Some(marks) = parse_watermarks("IC_KV_WATERMARKS") {
+    if let Some(marks) = parse_watermarks("IC_KV_WATERMARKS")? {
         config.kv_watermarks = marks;
     }
-    if let Some(host) = parse_env::<u32>("IC_KV_HOST_BLOCKS") {
+    if let Some(host) = parse_env::<u32>("IC_KV_HOST_BLOCKS")? {
         config.kv_swap.host_capacity_blocks = host;
     }
-    if let Some(share) = parse_env::<u8>("IC_KV_SHARE") {
+    if let Some(share) = parse_env::<u8>("IC_KV_SHARE")? {
         config.kv_share = share != 0;
     }
-    if let Some(resp) = parse_env::<u8>("IC_RESP_CACHE") {
+    if let Some(resp) = parse_env::<u8>("IC_RESP_CACHE")? {
         config.resp_cache = resp != 0;
     }
-    if let Some(threshold) = parse_env::<f64>("IC_RESP_THRESHOLD") {
+    if let Some(threshold) = parse_env::<f64>("IC_RESP_THRESHOLD")? {
         config.resp_threshold = threshold;
     }
-    if let Some(bytes) = parse_env::<usize>("IC_RESP_BYTES") {
+    if let Some(bytes) = parse_env::<usize>("IC_RESP_BYTES")? {
         config.resp_budget_bytes = bytes;
     }
-    if let Some(ttl) = parse_env::<f64>("IC_RESP_TTL") {
+    if let Some(ttl) = parse_env::<f64>("IC_RESP_TTL")? {
         config.resp_ttl_s = ttl;
     }
-    if let Some(prepop) = parse_env::<u64>("IC_RESP_PREPOP") {
+    if let Some(prepop) = parse_env::<u64>("IC_RESP_PREPOP")? {
         config.resp_prepop_min = prepop;
     }
-    if let Some(window) = parse_env::<f64>("IC_RESP_WINDOW") {
+    if let Some(window) = parse_env::<f64>("IC_RESP_WINDOW")? {
         config.resp_window_s = window;
     }
-    if let Some(replicas) = parse_env::<usize>("IC_ROUTER_REPLICAS") {
+    if let Some(replicas) = parse_env::<usize>("IC_ROUTER_REPLICAS")? {
         config.router_replicas = replicas.max(1);
     }
-    if let Some(period) = parse_env::<f64>("IC_GOSSIP_PERIOD") {
+    if let Some(period) = parse_env::<f64>("IC_GOSSIP_PERIOD")? {
         config.gossip_period_s = period;
     }
-    if let Some(outages) = parse_outages("IC_POOL_OUTAGE") {
+    if let Some(outages) = parse_outages("IC_POOL_OUTAGE")? {
         config.pool_outages = outages;
     }
-    if let Some(trace) = parse_env::<u8>("IC_OBS_TRACE") {
+    if let Some(trace) = parse_env::<u8>("IC_OBS_TRACE")? {
         config.trace = trace != 0;
     }
-    if let Some(sample) = parse_env::<f64>("IC_OBS_SAMPLE") {
+    if let Some(sample) = parse_env::<f64>("IC_OBS_SAMPLE")? {
         config.obs_sample_s = sample;
     }
-    if let Some(ring) = parse_env::<usize>("IC_OBS_RING") {
+    if let Some(ring) = parse_env::<usize>("IC_OBS_RING")? {
         config.obs_ring = ring;
     }
-    config
+    Ok(config)
 }
 
-/// [`engine_config`] for a binary's `main`, checked against the
-/// Gemma-pair cluster every e2e run replays on. `Err` carries a
-/// message naming the offending knob; the binaries print it and exit
-/// with status 2 — a typo'd fault schedule must not record a
-/// fault-free run.
+/// The `IC_SHARE_BURST` trace reshape (`0` when unset).
+fn share_burst() -> Result<usize, String> {
+    Ok(crate::env::parse_env("IC_SHARE_BURST")?.unwrap_or(0))
+}
+
+/// [`engine_config`] for a binary's `main`, with every other `IC_*`
+/// knob the experiments read validated too and the fault schedule
+/// checked against the Gemma-pair cluster every e2e run replays on.
+/// `Err` carries a message naming the offending knob and value; the
+/// binaries print it and exit with status 2 — a typo'd knob must not
+/// record a default run under its name.
 pub fn checked_engine_config() -> Result<EngineConfig, String> {
-    let config = engine_config();
+    let config = engine_config()?;
+    crate::env::setup_threads()?;
+    share_burst()?;
     let pools = ic_cache::IcCacheConfig::gemma_pair().models.len();
     match config.pool_outages.iter().find(|o| o.pool >= pools) {
         Some(outage) => Err(format!(
@@ -483,7 +487,7 @@ impl E2eRun {
             scale,
             dataset,
             config: EngineConfig::default(),
-            setup_threads: crate::env::setup_threads(),
+            setup_threads: crate::env::setup_threads().expect(KNOBS_CHECKED),
             burst: 0,
         }
     }
@@ -492,8 +496,8 @@ impl E2eRun {
     /// `IC_SHARE_BURST` trace reshape.
     pub fn from_env(scale: Scale, dataset: Dataset) -> Self {
         Self::new(scale, dataset)
-            .config(engine_config())
-            .burst(crate::env::parse_env("IC_SHARE_BURST").unwrap_or(0))
+            .config(engine_config().expect(KNOBS_CHECKED))
+            .burst(share_burst().expect(KNOBS_CHECKED))
     }
 
     /// Replaces the engine configuration.

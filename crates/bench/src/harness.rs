@@ -72,7 +72,8 @@ impl PairSetup {
     /// pipeline (bit-identical at any value; see `env::setup_threads`).
     pub fn gemma(dataset: Dataset, n_examples: usize, seed: u64) -> Self {
         let mut config = IcCacheConfig::gemma_pair();
-        config.selector.ivf.setup_threads = crate::env::setup_threads();
+        config.selector.ivf.setup_threads =
+            crate::env::setup_threads().expect(crate::env::KNOBS_CHECKED);
         Self::with_config(config, dataset, n_examples, seed)
     }
 
@@ -104,7 +105,7 @@ impl PairSetup {
         let mut generator = WorkloadGenerator::sized(dataset, seed, n_examples);
         let t0 = std::time::Instant::now();
         let examples = generator.generate_examples(n_examples, &large_spec, large, &sim);
-        let embed_wall_s = t0.elapsed().as_secs_f64();
+        let bank_gen_wall_s = t0.elapsed().as_secs_f64();
         let mut system = IcCacheSystem::new(config);
         let t1 = std::time::Instant::now();
         system.seed_examples(examples, 0.0);
@@ -123,7 +124,7 @@ impl PairSetup {
         };
         let timing = SetupTiming {
             setup_wall_s: 0.0,
-            embed_wall_s,
+            bank_gen_wall_s,
             index_build_wall_s,
             index_build,
             setup_threads,
@@ -144,18 +145,19 @@ impl PairSetup {
 /// Wall-clock split of the deterministic replay setup (measured time,
 /// recorded in `BENCH_replay.json` beside `wall_s`; **not** part of any
 /// determinism contract — `BENCH_e2e.json` is byte-identical at any
-/// `IC_SETUP_THREADS`). `embed_wall_s` covers generating and embedding
-/// the example bank, `index_build_wall_s` covers seeding it into the
+/// `IC_SETUP_THREADS`). `bank_gen_wall_s` covers generating the example
+/// bank (`WorkloadGenerator::generate_examples`: text synthesis, latent
+/// sampling, embedding), `index_build_wall_s` covers seeding it into the
 /// selector (k-means fits, filling the IVF posting lists), and
 /// `setup_wall_s` the whole pre-replay setup including warm-up and
 /// request generation. `index_build` is the exception: deterministic
 /// counts of the training work `index_build_wall_s` paid for.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SetupTiming {
-    /// Whole setup wall (embed + index + warm-up + request gen).
+    /// Whole setup wall (bank gen + index + warm-up + request gen).
     pub setup_wall_s: f64,
-    /// Example-bank generation + embedding wall.
-    pub embed_wall_s: f64,
+    /// Example-bank generation wall (`generate_examples`).
+    pub bank_gen_wall_s: f64,
     /// Selector index build wall (`seed_examples`).
     pub index_build_wall_s: f64,
     /// K-means fits, assignment passes and lane-group scans behind

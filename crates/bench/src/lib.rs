@@ -54,9 +54,14 @@ pub fn run_by_id(id: &str, scale: Scale) -> Option<Report> {
     Some(report)
 }
 
-/// Shared binary entry point: parses `--quick` / `--full` (default full)
-/// and prints the report to stdout.
+/// Shared binary entry point: checks the `IC_*` knobs (exit 2 on a
+/// malformed one), parses `--quick` / `--full` (default full) and
+/// prints the report to stdout.
 pub fn cli_main(id: &str) {
+    if let Err(msg) = experiments::e2e::checked_engine_config() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
     match run_by_id(id, scale) {

@@ -1,17 +1,28 @@
-//! A fault schedule the cluster cannot run must stop the bench
-//! binaries before any replay: `IC_POOL_OUTAGE=5:300:60` on the
-//! two-pool Gemma cluster used to be skipped silently, recording a
-//! fault-free run as if it had survived the outage.
+//! A knob the run cannot honour must stop the bench binaries before
+//! any replay: a fault schedule naming a pool the cluster does not have
+//! (`IC_POOL_OUTAGE=5:300:60` on the two-pool Gemma cluster used to be
+//! skipped silently, recording a fault-free run as if it had survived
+//! the outage), and any `IC_*` variable that is set but malformed
+//! (which used to replay the defaults under the knob's name).
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn assert_rejects_unknown_pool(bin: &str) {
-    let out = Command::new(bin)
+const BINS: [&str; 2] = [
+    env!("CARGO_BIN_EXE_fig12_e2e"),
+    env!("CARGO_BIN_EXE_headline"),
+];
+
+fn run_quick(bin: &str, var: &str, value: &str) -> Output {
+    Command::new(bin)
         .arg("--quick")
-        .env("IC_POOL_OUTAGE", "5:300:60")
+        .env(var, value)
         .current_dir(std::env::temp_dir())
         .output()
-        .expect("spawn bench binary");
+        .expect("spawn bench binary")
+}
+
+fn assert_rejects_unknown_pool(bin: &str) {
+    let out = run_quick(bin, "IC_POOL_OUTAGE", "5:300:60");
     assert_eq!(out.status.code(), Some(2), "{bin} must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -22,10 +33,60 @@ fn assert_rejects_unknown_pool(bin: &str) {
 
 #[test]
 fn fig12_e2e_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
-    assert_rejects_unknown_pool(env!("CARGO_BIN_EXE_fig12_e2e"));
+    assert_rejects_unknown_pool(BINS[0]);
 }
 
 #[test]
 fn headline_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
-    assert_rejects_unknown_pool(env!("CARGO_BIN_EXE_headline"));
+    assert_rejects_unknown_pool(BINS[1]);
+}
+
+/// Every variable `engine_config()` reads, plus `IC_SETUP_THREADS` and
+/// `IC_SHARE_BURST`, each with a value its type cannot hold.
+const MALFORMED: &[(&str, &str)] = &[
+    ("IC_PREFILL_CHUNK", "abc"),
+    ("IC_PREEMPT_QUANTUM", "-1"),
+    ("IC_MAX_QUEUE", "many"),
+    ("IC_SELECTOR_BATCH", "8.0"),
+    ("IC_REPLAY_THREADS", "four"),
+    ("IC_KV_BLOCK", "16t"),
+    ("IC_KV_BUDGET", "1e3"),
+    ("IC_KV_WATERMARKS", "0.5,0.9"),
+    ("IC_KV_HOST_BLOCKS", "-4"),
+    ("IC_KV_SHARE", "yes"),
+    ("IC_RESP_CACHE", "on"),
+    ("IC_RESP_THRESHOLD", "0,98"),
+    ("IC_RESP_BYTES", "4MiB"),
+    ("IC_RESP_TTL", ""),
+    ("IC_RESP_PREPOP", "2.5"),
+    ("IC_RESP_WINDOW", "60s"),
+    ("IC_ROUTER_REPLICAS", "x4"),
+    ("IC_GOSSIP_PERIOD", "5 s"),
+    ("IC_POOL_OUTAGE", "1:300"),
+    ("IC_OBS_TRACE", "true"),
+    ("IC_OBS_SAMPLE", "1m"),
+    ("IC_OBS_RING", "-1"),
+    ("IC_SETUP_THREADS", "all"),
+    ("IC_SHARE_BURST", "8x"),
+    ("IC_SHARE_BURST", " "),
+];
+
+#[test]
+fn a_malformed_knob_exits_2_naming_variable_and_value() {
+    for bin in BINS {
+        for &(var, value) in MALFORMED {
+            let out = run_quick(bin, var, value);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{bin} must exit 2 on {var}={value:?}"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("{var}={value:?}")),
+                "{bin} must name {var} and {value:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{bin} ran before rejecting {var}");
+        }
+    }
 }

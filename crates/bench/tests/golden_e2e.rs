@@ -16,7 +16,9 @@
 //!
 //! and commit the updated `tests/golden/BENCH_e2e.quick.json`. The
 //! runs here are hermetic ([`E2eRun::new`] reads no engine knob), so a
-//! stray `IC_*` variable in the environment cannot fail the comparison.
+//! stray `IC_*` variable in the environment cannot fail the comparison
+//! (a malformed `IC_SETUP_THREADS`, the one knob read, panics naming
+//! itself).
 
 use ic_bench::Scale;
 use ic_bench::experiments::e2e::E2eRun;
@@ -28,77 +30,16 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/BENCH_e2e.quick.json"
 );
 
-/// The quick-scale payload as the engine produced it *before* the
-/// replicated-router-tier refactor (no `router` block). Frozen — never
-/// reblessed — so the single-replica engine's equivalence with the
-/// pre-refactor engine stays pinned to the actual historical bytes.
-const PREROUTER_GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/BENCH_e2e.quick.prerouter.json"
-);
-
-/// The quick-scale payload as the engine produced it *before* the
-/// shared-prefix KV-reuse layer (no `dedup_ratio`/`shared_blocks_peak`/
-/// `cow_copies`/`blocks_saved` tail in the `kv` block). Frozen — never
-/// reblessed — so the share-off engine's equivalence with the
-/// pre-sharing engine stays pinned to the actual historical bytes.
-const PRESHARE_GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/BENCH_e2e.quick.preshare.json"
-);
-
-/// The quick-scale payload as the engine produced it *before* the
-/// stage-0 response cache (no trailing `resp_cache` block). Frozen —
-/// never reblessed — so the cache-off engine's equivalence with the
-/// pre-stage-0 engine stays pinned to the actual historical bytes.
-const PRESTAGE0_GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/BENCH_e2e.quick.prestage0.json"
-);
-
-/// The knob-free quick-scale MS MARCO run every golden pins.
+/// The knob-free quick-scale MS MARCO run the golden pins.
 fn quick() -> E2eRun {
     E2eRun::new(Scale::quick(), Dataset::MsMarco)
-}
-
-/// Strips the `resp_cache` block (appended last to the report) so
-/// payloads can be compared against pre-stage-0 goldens. Mirrors CI's
-/// `sed 's/,"resp_cache":{[^}]*}}/}/'`. Must be applied *before*
-/// [`strip_dedup_tail`], which asserts its own tail position.
-fn strip_resp_cache_tail(json: &str) -> String {
-    let start = json
-        .find(",\"resp_cache\":{")
-        .expect("resp_cache block present");
-    assert!(
-        json[start..].ends_with("}}"),
-        "the resp_cache block must be the report's last field so a \
-         single splice masks it"
-    );
-    format!("{}}}", &json[..start])
-}
-
-/// Strips the dedup tail (the four sharing counters appended to the end
-/// of the `kv` block) so payloads can be compared against pre-sharing
-/// goldens. Mirrors CI's `sed 's/,"dedup_ratio":[^}]*}}/}}/'` (applied
-/// after the `resp_cache` strip). Expects the `resp_cache` block to be
-/// gone already — [`strip_resp_cache_tail`] comes first.
-fn strip_dedup_tail(json: &str) -> String {
-    let start = json.find(",\"dedup_ratio\":").expect("dedup tail present");
-    assert!(
-        json[start..].ends_with("}}") && !json[start..].contains("resp_cache"),
-        "dedup fields must sit at the end of the kv block (the report's \
-         last fields once resp_cache is stripped) so a single splice \
-         masks them"
-    );
-    format!("{}}}}}", &json[..start])
 }
 
 #[test]
 fn quick_e2e_report_matches_golden() {
     let json = quick().run().to_json();
     // Only the documented `IC_BLESS=1` blesses; any other value (or a
-    // typo like `IC_BLESS=0`) still runs the check, matching the
-    // repo-wide "malformed == unset" env convention.
+    // typo like `IC_BLESS=0`) still runs the check.
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         std::fs::write(GOLDEN_PATH, &json).expect("write golden file");
         return;
@@ -111,75 +52,6 @@ fn quick_e2e_report_matches_golden() {
         golden.trim_end(),
         "BENCH_e2e.json (quick, default seed) drifted from the committed golden. \
          If intentional, regenerate with: IC_BLESS=1 cargo test -q -p ic-bench --test golden_e2e"
-    );
-}
-
-/// The router-tier acceptance pin: with the default single replica, the
-/// engine's output masked of its `router` stats block must match the
-/// *pre-refactor* golden byte for byte. Unlike the blessable golden
-/// above, this file is frozen history — if this test fails, the
-/// replicated front end stopped being inert at `router_replicas = 1`.
-#[test]
-fn quick_e2e_masked_of_router_block_matches_prerouter_golden() {
-    if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
-        return; // Blessing the sibling golden; this one never reblesses.
-    }
-    let json = strip_dedup_tail(&strip_resp_cache_tail(&quick().run().to_json()));
-    let start = json.find("\"router\":{").expect("router block present");
-    let end = start + json[start..].find('}').expect("router block closes") + 2;
-    let masked = format!("{}{}", &json[..start], &json[end..]);
-    let golden = std::fs::read_to_string(PREROUTER_GOLDEN_PATH)
-        .expect("frozen pre-refactor golden exists (never regenerate it)");
-    assert_eq!(
-        masked,
-        golden.trim_end(),
-        "the single-replica engine drifted from the pre-refactor bytes \
-         outside the router block"
-    );
-}
-
-/// The KV-sharing acceptance pin: with `kv_share` off (the default),
-/// the engine's output masked of the appended dedup tail must match
-/// the *pre-sharing* golden byte for byte. Frozen history — if this
-/// test fails, the refcounted block tables stopped being inert with
-/// sharing off (free-list order, pricing, or scheduling drifted).
-#[test]
-fn quick_e2e_masked_of_dedup_tail_matches_preshare_golden() {
-    if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
-        return; // Blessing the sibling golden; this one never reblesses.
-    }
-    let json = quick().run().to_json();
-    let masked = strip_dedup_tail(&strip_resp_cache_tail(&json));
-    let golden = std::fs::read_to_string(PRESHARE_GOLDEN_PATH)
-        .expect("frozen pre-sharing golden exists (never regenerate it)");
-    assert_eq!(
-        masked,
-        golden.trim_end(),
-        "the share-off engine drifted from the pre-sharing bytes outside \
-         the kv block's dedup tail"
-    );
-}
-
-/// The stage-0 acceptance pin: with the response cache off (the
-/// default), the engine's output masked of the appended `resp_cache`
-/// block must match the *pre-stage-0* golden byte for byte. Frozen
-/// history — if this test fails, the cache machinery stopped being
-/// inert with the knob off (arrival handling, selector batching, or
-/// report serialization drifted).
-#[test]
-fn quick_e2e_masked_of_resp_cache_block_matches_prestage0_golden() {
-    if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
-        return; // Blessing the sibling golden; this one never reblesses.
-    }
-    let json = quick().run().to_json();
-    let masked = strip_resp_cache_tail(&json);
-    let golden = std::fs::read_to_string(PRESTAGE0_GOLDEN_PATH)
-        .expect("frozen pre-stage-0 golden exists (never regenerate it)");
-    assert_eq!(
-        masked,
-        golden.trim_end(),
-        "the cache-off engine drifted from the pre-stage-0 bytes outside \
-         the resp_cache block"
     );
 }
 

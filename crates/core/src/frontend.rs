@@ -253,9 +253,8 @@ impl FrontEnd {
     /// Feeds one completion into a replica's latency EMA and converts it
     /// into a Little's-law demand estimate (`lambda = L / W`, with
     /// `in_system` jobs in flight across the cluster). The single
-    /// feedback path shared by the engine's completion handler, its
-    /// failover-retry completions, and `serve_without_ic` — they must
-    /// not drift apart.
+    /// feedback path shared by the engine's completion handler and its
+    /// failover-retry completions — they must not drift apart.
     pub fn observe_completion(&mut self, replica: usize, e2e_s: f64, in_system: u32) {
         let rep = &mut self.replicas[replica];
         rep.latency_ema.observe(e2e_s);

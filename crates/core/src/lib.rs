@@ -40,7 +40,7 @@ pub use failover::{ComponentHealth, FailoverState};
 pub use frontend::{FrontEnd, FrontEndStats};
 pub use prompt::{autorater_prompt, render_prompt};
 pub use system::{IcCacheSystem, MaintenanceReport, ServeOutcome};
-// Selection appears throughout the serving API (`ServeOutcome::selection`,
-// `preselect`, `serve_with_selection`); re-exported so engine-layer crates
-// can name it without a direct ic-selector dependency.
+// Selection appears in the serving API (`ServeOutcome::selection`,
+// `with_selection`); re-exported so engine-layer crates can name it
+// without a direct ic-selector dependency.
 pub use ic_selector::Selection;

@@ -256,175 +256,15 @@ impl IcCacheSystem {
     /// Algorithm 1 `ServeRequests`: select examples, route, generate,
     /// learn, manage.
     pub fn serve(&mut self, request: &Request) -> ServeOutcome {
-        self.serve_with_stage1(request, None)
-    }
-
-    /// One multi-query stage-1 probe over the example index for a batch
-    /// of requests — the engine's cross-request batching hook. Respects
-    /// selector failover (empty candidate lists when bypassed, matching
-    /// what [`IcCacheSystem::serve`] would do). The results feed
-    /// [`IcCacheSystem::serve_with_stage1`]; they stay valid until the
-    /// index changes (an example admission, eviction, or rebalance).
-    pub fn stage1_batch(&self, requests: &[&Request]) -> Vec<Vec<(ExampleId, f64)>> {
-        if !self.failover.selector_healthy() {
-            return vec![Vec::new(); requests.len()];
-        }
-        self.selector.stage1_batch(requests)
-    }
-
-    /// [`IcCacheSystem::serve`] with the stage-1 candidates optionally
-    /// precomputed by [`IcCacheSystem::stage1_batch`]. Stage 2, routing,
-    /// generation and feedback run exactly as in the sequential path —
-    /// in particular the proxy and threshold state a batch member's
-    /// feedback updates is seen by the *next* member's stage 2, so a
-    /// batched probe plus per-request servings is byte-identical to
-    /// serving the batch one by one.
-    ///
-    /// `stage1` must be what `selector.stage1(request)` would return
-    /// against the current index; pass `None` to compute it here.
-    pub fn serve_with_stage1(
-        &mut self,
-        request: &Request,
-        stage1: Option<Vec<(ExampleId, f64)>>,
-    ) -> ServeOutcome {
         // 1. Example Retriever (bypassed when unhealthy, §5).
         //    Examples target the cheapest offload candidate; the router
         //    sees their predicted utilities as context.
-        let selection = if self.failover.selector_healthy() {
-            let spec = self.config.catalog.get(self.offload_target());
-            match stage1 {
-                Some(candidates) => self.selector.select_with_stage1(
-                    request,
-                    candidates,
-                    self.manager.cache(),
-                    spec,
-                ),
-                None => self.selector.select(request, self.manager.cache(), spec),
-            }
-        } else {
-            Selection::empty(0.0)
-        };
-        self.serve_routed(request, selection)
-    }
-
-    /// [`IcCacheSystem::serve`] with the whole selection precomputed by
-    /// [`IcCacheSystem::preselect`] — the replay engine's windowed
-    /// look-ahead hook. Routing, generation, and feedback run exactly as
-    /// in the sequential path.
-    ///
-    /// `selection` must be what the selection step would produce right
-    /// now, i.e. [`IcCacheSystem::preselect`] evaluated against the
-    /// current index, proxy, threshold, and store (the selector's
-    /// `index_epoch`/`learn_epoch` counters certify that window). Under
-    /// that contract the serving is byte-identical to
-    /// [`IcCacheSystem::serve`]: selection is read-only and draws no
-    /// randomness, so hoisting it cannot shift any RNG stream or
-    /// learning update.
-    pub fn serve_with_selection(
-        &mut self,
-        request: &Request,
-        selection: Selection,
-    ) -> ServeOutcome {
-        // Mirror the failover gate: a bypassed selector serves empty
-        // regardless of what was precomputed.
-        let selection = if self.failover.selector_healthy() {
-            selection
-        } else {
-            Selection::empty(0.0)
-        };
-        self.serve_routed(request, selection)
-    }
-
-    /// [`IcCacheSystem::serve`] for a failover *retry* of a request that
-    /// already went through the tier once. The retry recomputes a fresh
-    /// selection and routing decision (the index and the bandit may have
-    /// moved since the original serving, and the original choice's pool
-    /// is down) and generates — but it records *no* serving statistics
-    /// and absorbs *no* feedback: `served`/`offloaded` stay untouched,
-    /// the router tier's per-replica decision counters are not bumped
-    /// ([`crate::frontend::FrontEnd::route_retry`]), no preference
-    /// solicitation happens, no reward/proxy/cache-gain update runs, and
-    /// example accesses are not re-recorded. One logical request leaves
-    /// exactly one set of selector/router stats behind, however many
-    /// times failover re-enqueues it.
-    pub fn serve_retry(&mut self, request: &Request) -> ServeOutcome {
         let selection = if self.failover.selector_healthy() {
             let spec = self.config.catalog.get(self.offload_target());
             self.selector.select(request, self.manager.cache(), spec)
         } else {
             Selection::empty(0.0)
         };
-        // Routing mirrors `serve_routed` (same health override), minus
-        // the decision counting and feedback solicitation.
-        let (chosen, bias) = if self.failover.router_healthy() {
-            let (d, _replica) =
-                self.frontend
-                    .route_retry(request, &selection.predicted_utility, &mut self.rng);
-            let chosen = if self.failover.model_healthy(d.chosen) {
-                d.chosen
-            } else {
-                d.scores
-                    .iter()
-                    .filter(|&&(m, _)| self.failover.model_healthy(m))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|&(m, _)| m)
-                    .unwrap_or(d.chosen)
-            };
-            (chosen, d.applied_bias)
-        } else {
-            (self.config.primary, 0.0)
-        };
-        let offloadable = chosen != self.config.primary;
-        let example_refs: Vec<&Example> = if offloadable {
-            selection.resolve(self.manager.cache())
-        } else {
-            Vec::new()
-        };
-        let setup = GenSetup {
-            examples: example_refs,
-            ..GenSetup::default()
-        };
-        let spec = self.config.catalog.get(chosen);
-        let outcome = self
-            .config
-            .generator
-            .generate(spec, request, &setup, &mut self.rng);
-        ServeOutcome {
-            request_id: request.id,
-            model: chosen,
-            offloaded: offloadable,
-            selection,
-            outcome,
-            solicited_feedback: false,
-            applied_bias: bias,
-        }
-    }
-
-    /// The selection step alone, over caller-supplied stage-1
-    /// candidates, without serving — read-only. Pairs with
-    /// [`IcCacheSystem::serve_with_selection`].
-    pub fn preselect(&self, request: &Request, candidates: Vec<(ExampleId, f64)>) -> Selection {
-        if !self.failover.selector_healthy() {
-            return Selection::empty(0.0);
-        }
-        let spec = self.config.catalog.get(self.offload_target());
-        self.selector
-            .select_with_stage1(request, candidates, self.manager.cache(), spec)
-    }
-
-    /// The offload model selections are computed against (examples
-    /// target the cheapest offload candidate).
-    fn offload_target(&self) -> ModelId {
-        self.config
-            .offload_models()
-            .first()
-            .copied()
-            .unwrap_or(self.config.primary)
-    }
-
-    /// Steps 2–4 of `ServeRequests` — routing, generation, feedback —
-    /// shared by every serve entry point above.
-    fn serve_routed(&mut self, request: &Request, selection: Selection) -> ServeOutcome {
         self.served += 1;
 
         // 2. Request Router (bypassed when unhealthy: straight to
@@ -509,6 +349,81 @@ impl IcCacheSystem {
             solicited_feedback: solicit,
             applied_bias: bias,
         }
+    }
+
+    /// [`IcCacheSystem::serve`] for a failover *retry* of a request that
+    /// already went through the tier once. The retry recomputes a fresh
+    /// selection and routing decision (the index and the bandit may have
+    /// moved since the original serving, and the original choice's pool
+    /// is down) and generates — but it records *no* serving statistics
+    /// and absorbs *no* feedback: `served`/`offloaded` stay untouched,
+    /// the router tier's per-replica decision counters are not bumped
+    /// ([`crate::frontend::FrontEnd::route_retry`]), no preference
+    /// solicitation happens, no reward/proxy/cache-gain update runs, and
+    /// example accesses are not re-recorded. One logical request leaves
+    /// exactly one set of selector/router stats behind, however many
+    /// times failover re-enqueues it.
+    pub fn serve_retry(&mut self, request: &Request) -> ServeOutcome {
+        let selection = if self.failover.selector_healthy() {
+            let spec = self.config.catalog.get(self.offload_target());
+            self.selector.select(request, self.manager.cache(), spec)
+        } else {
+            Selection::empty(0.0)
+        };
+        // Routing mirrors `serve` (same health override), minus
+        // the decision counting and feedback solicitation.
+        let (chosen, bias) = if self.failover.router_healthy() {
+            let (d, _replica) =
+                self.frontend
+                    .route_retry(request, &selection.predicted_utility, &mut self.rng);
+            let chosen = if self.failover.model_healthy(d.chosen) {
+                d.chosen
+            } else {
+                d.scores
+                    .iter()
+                    .filter(|&&(m, _)| self.failover.model_healthy(m))
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    .map(|&(m, _)| m)
+                    .unwrap_or(d.chosen)
+            };
+            (chosen, d.applied_bias)
+        } else {
+            (self.config.primary, 0.0)
+        };
+        let offloadable = chosen != self.config.primary;
+        let example_refs: Vec<&Example> = if offloadable {
+            selection.resolve(self.manager.cache())
+        } else {
+            Vec::new()
+        };
+        let setup = GenSetup {
+            examples: example_refs,
+            ..GenSetup::default()
+        };
+        let spec = self.config.catalog.get(chosen);
+        let outcome = self
+            .config
+            .generator
+            .generate(spec, request, &setup, &mut self.rng);
+        ServeOutcome {
+            request_id: request.id,
+            model: chosen,
+            offloaded: offloadable,
+            selection,
+            outcome,
+            solicited_feedback: false,
+            applied_bias: bias,
+        }
+    }
+
+    /// The offload model selections are computed against (examples
+    /// target the cheapest offload candidate).
+    fn offload_target(&self) -> ModelId {
+        self.config
+            .offload_models()
+            .first()
+            .copied()
+            .unwrap_or(self.config.primary)
     }
 
     /// Feedback path: noisy user signal -> router reward, preference
@@ -689,26 +604,6 @@ impl IcCacheSystem {
         }
         evicted.len()
     }
-
-    /// Serves a request with IC disabled (primary model, no examples) —
-    /// the "w/o IC-Cache" baseline path used by experiments. Completion
-    /// latency feeds the owning replica's load estimate through the same
-    /// [`FrontEnd::observe_completion`] path as the engine's primary and
-    /// failover-retry completions (a standalone zero-load serving has
-    /// one job in flight, so Little's law reads `1 / latency`); the
-    /// baseline path must not starve the load tracker the router biases
-    /// on.
-    pub fn serve_without_ic(&mut self, request: &Request, model: ModelId) -> GenOutcome {
-        let spec = self.config.catalog.get(model);
-        let outcome =
-            self.config
-                .generator
-                .generate(spec, request, &GenSetup::bare(), &mut self.rng);
-        let replica = self.frontend.replica_of(request.id);
-        self.frontend
-            .observe_completion(replica, outcome.latency.total(), 1);
-        outcome
-    }
 }
 
 /// Normalized cost of a model within the configured set.
@@ -848,92 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_stage1_serving_is_byte_identical_to_sequential() {
-        // Two identically-seeded systems; one serves request by
-        // request, the other precomputes stage-1 for groups of five via
-        // the multi-query probe. Every outcome must match bitwise —
-        // including feedback-driven proxy/threshold/router evolution
-        // *within* a group, which only stage 1 may hoist out.
-        let (mut seq, mut wg) = seeded_system(Dataset::MsMarco, 600);
-        let (mut bat, _) = seeded_system(Dataset::MsMarco, 600);
-        let requests = wg.generate_requests(60);
-        for group in requests.chunks(5) {
-            let refs: Vec<&Request> = group.iter().collect();
-            let stage1 = bat.stage1_batch(&refs);
-            for (r, s1) in group.iter().zip(stage1) {
-                let a = seq.serve(r);
-                let b = bat.serve_with_stage1(r, Some(s1));
-                assert_eq!(a.model, b.model);
-                assert_eq!(a.offloaded, b.offloaded);
-                assert_eq!(a.solicited_feedback, b.solicited_feedback);
-                assert_eq!(a.selection.ids, b.selection.ids);
-                assert_eq!(a.selection.stage1_count, b.selection.stage1_count);
-                for (x, y) in a
-                    .selection
-                    .predicted_utility
-                    .iter()
-                    .zip(&b.selection.predicted_utility)
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                assert_eq!(a.outcome.quality.to_bits(), b.outcome.quality.to_bits());
-                assert_eq!(a.outcome.output_tokens, b.outcome.output_tokens);
-                assert_eq!(
-                    a.outcome.latency.total().to_bits(),
-                    b.outcome.latency.total().to_bits()
-                );
-            }
-        }
-        assert_eq!(seq.served(), bat.served());
-        assert_eq!(seq.offload_ratio(), bat.offload_ratio());
-    }
-
-    #[test]
-    fn preselected_serving_is_byte_identical_to_sequential() {
-        // serve_with_selection with a selection preselected from a
-        // batched stage-1 probe must match plain serve() bitwise — the
-        // contract the engine's windowed look-ahead is built on. The
-        // selector's epochs certify the precompute window: no feedback
-        // or index mutation happens between preselect and serve here.
-        let (mut seq, mut wg) = seeded_system(Dataset::MsMarco, 600);
-        let (mut pre, _) = seeded_system(Dataset::MsMarco, 600);
-        let requests = wg.generate_requests(50);
-        for r in &requests {
-            let index_epoch = pre.selector().index_epoch();
-            let learn_epoch = pre.selector().learn_epoch();
-            let stage1 = pre.stage1_batch(&[r]).pop().unwrap();
-            let sel = pre.preselect(r, stage1);
-            assert_eq!(pre.selector().index_epoch(), index_epoch);
-            assert_eq!(pre.selector().learn_epoch(), learn_epoch);
-            let a = seq.serve(r);
-            let b = pre.serve_with_selection(r, sel);
-            assert_eq!(a.model, b.model);
-            assert_eq!(a.offloaded, b.offloaded);
-            assert_eq!(a.solicited_feedback, b.solicited_feedback);
-            assert_eq!(a.selection.ids, b.selection.ids);
-            assert_eq!(
-                a.selection.threshold_used.to_bits(),
-                b.selection.threshold_used.to_bits()
-            );
-            for (x, y) in a
-                .selection
-                .predicted_utility
-                .iter()
-                .zip(&b.selection.predicted_utility)
-            {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(a.outcome.quality.to_bits(), b.outcome.quality.to_bits());
-            assert_eq!(
-                a.outcome.latency.total().to_bits(),
-                b.outcome.latency.total().to_bits()
-            );
-        }
-        assert_eq!(seq.served(), pre.served());
-        assert_eq!(seq.offload_ratio(), pre.offload_ratio());
-    }
-
-    #[test]
     fn update_cache_grows_pool_and_index() {
         let (mut system, mut wg) = seeded_system(Dataset::Alpaca, 50);
         let before = system.cached_examples();
@@ -1014,21 +823,6 @@ mod tests {
         );
         system.run_gossip(10.0);
         assert_eq!(system.front_end().stats().gossip_rounds, 1);
-    }
-
-    #[test]
-    fn serve_without_ic_feeds_the_load_estimate() {
-        let (mut system, mut wg) = seeded_system(Dataset::MsMarco, 50);
-        let primary = system.config().primary;
-        assert_eq!(system.router().current_load(), 0.0);
-        let r = wg.generate_requests(1).pop().unwrap();
-        let out = system.serve_without_ic(&r, primary);
-        let replica = system.front_end().replica_of(r.id);
-        let est = system.front_end().load_estimate(replica);
-        assert!(
-            (est - 1.0 / out.latency.total()).abs() < 1e-9,
-            "baseline completion must feed Little's law: {est}"
-        );
     }
 
     #[test]

@@ -56,35 +56,14 @@ pub struct EngineConfig {
     /// Per-pool admission-queue cap; offers past it are rejected and
     /// counted in the report's `iter.queue_rejects`. `None` is unbounded.
     pub max_queue: Option<usize>,
-    /// Cross-request selector batching: up to this many arrivals landing
-    /// on the same event tick (microsecond) are coalesced into one
-    /// multi-query stage-1 probe (env `IC_SELECTOR_BATCH` in the bench
-    /// binaries). `0` or `1` disables coalescing. The batch is a pure
-    /// speedup — per-request results and the report are byte-identical
-    /// to singleton probes (only the report's `selector` stats block
-    /// reflects the setting). With `resp_cache` on, the same cap also
-    /// bounds the same-tick run the stage-0 trending sketch observes
-    /// before its first member is served (one insertion per stampede).
-    /// Ignored (treated as `1`) while `admit_served_pairs` is on,
-    /// because a batch member's served pair could be indexed before a
-    /// later member's probe in the sequential order, which a hoisted
-    /// batch probe cannot observe.
+    /// Cap on the same-tick (same-microsecond) run of arrivals the
+    /// stage-0 trending sketch observes before the run's first member
+    /// is looked up (env `IC_SELECTOR_BATCH` in the bench binaries), so
+    /// a stampede of identical arrivals pays one insertion; `0` and `1`
+    /// observe each arrival on its own. Inert with `resp_cache` off,
+    /// apart from the `batch_limit` the report's `selector` block
+    /// echoes. Selection itself is strictly per arrival.
     pub selector_batch: usize,
-    /// Bounded-delay selector look-ahead window, in simulated seconds
-    /// (env `IC_SELECTOR_WINDOW` in the bench binaries). On an arrival
-    /// with no precomputed selection, the engine probes stage 1 for
-    /// every arrival landing within the window in one multi-query
-    /// `search_batch` shot and precomputes their full selections; each
-    /// arrival then consumes its entry at its own event position,
-    /// re-validating it against the selector's index/learn epochs (a
-    /// learn-epoch bump re-scores stage 2 over the cached stage-1
-    /// candidates; an index-epoch bump recomputes from scratch). `0.0`
-    /// (default) is the zero-width window: same-tick coalescing only.
-    /// A pure speedup at any width: the report is byte-identical to
-    /// the zero-width run modulo the report's `selector` stats block.
-    /// Ignored (treated as `0`) while `admit_served_pairs` is on, for
-    /// the same reason as `selector_batch`.
-    pub selector_window_s: f64,
     /// Threads executing step regions (env `IC_REPLAY_THREADS` in the
     /// bench binaries). Maximal runs of `StepComplete` events between
     /// router interactions execute as per-pool step chains and merge
@@ -198,7 +177,6 @@ impl Default for EngineConfig {
             preempt_decode_quantum: 64,
             max_queue: None,
             selector_batch: 0,
-            selector_window_s: 0.0,
             replay_threads: 1,
             kv_block_tokens: 16,
             kv_budget_blocks: 1024,
@@ -375,37 +353,6 @@ mod tests {
         (EventDrivenEngine::new(system, config), wg)
     }
 
-    /// `n` arrivals in same-tick groups of `per_tick`, `step` seconds
-    /// apart (each group shares one simulator microsecond).
-    fn tick_burst_arrivals(n: usize, per_tick: usize, step: f64) -> Vec<f64> {
-        (0..n).map(|i| (i / per_tick) as f64 * step).collect()
-    }
-
-    /// One engine run over `arrivals` with the given selector batch cap.
-    fn run_batched(
-        selector_batch: usize,
-        max_queue: Option<usize>,
-        arrivals: &[f64],
-        seed: u64,
-    ) -> EngineReport {
-        let config = EngineConfig {
-            selector_batch,
-            max_queue,
-            ..EngineConfig::default()
-        };
-        let (mut engine, mut wg) = seeded_engine(500, config, seed);
-        let requests = wg.generate_requests(arrivals.len());
-        engine.serve_workload(&requests, arrivals)
-    }
-
-    /// Drops the `selector` stats object — the one block allowed to
-    /// differ between batched and sequential runs — from a report JSON.
-    fn mask_selector_block(json: &str) -> String {
-        let start = json.find("\"selector\":{").expect("selector block present");
-        let end = start + json[start..].find('}').expect("selector block closes") + 2;
-        format!("{}{}", &json[..start], &json[end..])
-    }
-
     /// Field-level equality of the per-request joins (not serialized in
     /// `to_json`, so checked directly).
     fn assert_same_decisions(a: &EngineReport, b: &EngineReport) {
@@ -420,113 +367,6 @@ mod tests {
             assert_eq!(x.e2e_s.to_bits(), y.e2e_s.to_bits());
             assert_eq!(x.ttft_s.to_bits(), y.ttft_s.to_bits());
         }
-    }
-
-    #[test]
-    fn coalesced_selector_batches_are_byte_identical_to_sequential() {
-        // Groups of four arrivals share each microsecond tick: the
-        // batched run must coalesce them into multi-query probes while
-        // changing nothing outside the report's selector block.
-        let arrivals = tick_burst_arrivals(120, 4, 0.5);
-        let sequential = run_batched(0, None, &arrivals, 431);
-        let batched = run_batched(8, None, &arrivals, 431);
-        // The batching left a visible trace...
-        assert_eq!(batched.selector.requests, 120);
-        assert_eq!(batched.selector.max_batch, 4);
-        assert_eq!(batched.selector.batches, 30, "four arrivals per probe");
-        assert!(batched.selector.mean_batch() > 3.9);
-        assert_eq!(sequential.selector.max_batch, 1);
-        assert_eq!(sequential.selector.batches, 120);
-        // ...and everything else is byte-identical.
-        assert_same_decisions(&sequential, &batched);
-        assert_ne!(sequential.to_json(), batched.to_json());
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&batched.to_json())
-        );
-    }
-
-    #[test]
-    fn batch_caps_zero_and_one_disable_coalescing() {
-        let arrivals = tick_burst_arrivals(40, 4, 0.5);
-        for cap in [0usize, 1] {
-            let report = run_batched(cap, None, &arrivals, 433);
-            assert_eq!(report.selector.batch_limit, cap as u64);
-            assert_eq!(report.selector.batches, 40, "cap {cap} must not batch");
-            assert_eq!(report.selector.max_batch, 1);
-            assert!((report.selector.mean_batch() - 1.0).abs() < 1e-12);
-        }
-        // A cap smaller than the tick group splits it.
-        let capped = run_batched(3, None, &arrivals, 433);
-        assert_eq!(capped.selector.max_batch, 3);
-        assert_eq!(capped.selector.requests, 40);
-    }
-
-    #[test]
-    fn arrivals_straddling_tick_boundaries_do_not_coalesce() {
-        // 1 µs apart = adjacent-but-distinct simulator ticks; the batch
-        // window never spans them no matter how large the cap.
-        let arrivals = vec![0.0, 1e-6, 1e-6, 2e-6, 10e-6];
-        let report = run_batched(64, None, &arrivals, 435);
-        assert_eq!(report.selector.requests, 5);
-        assert_eq!(report.selector.batches, 4, "only the tied pair merges");
-        assert_eq!(report.selector.max_batch, 2);
-    }
-
-    #[test]
-    fn batch_of_one_tick_is_trivially_identical() {
-        // All arrivals on distinct ticks: the batched engine runs
-        // singleton probes and the whole report matches byte-for-byte
-        // (selector block included, because nothing ever coalesced —
-        // only batch_limit differs, so mask it).
-        let arrivals = fixed_qps_arrivals(2.0, 30.0, 436);
-        let sequential = run_batched(0, None, &arrivals, 437);
-        let batched = run_batched(8, None, &arrivals, 437);
-        assert_eq!(batched.selector.max_batch, 1, "no same-tick arrivals");
-        assert_eq!(batched.selector.batches, batched.selector.requests);
-        assert_same_decisions(&sequential, &batched);
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&batched.to_json())
-        );
-    }
-
-    #[test]
-    fn coalescing_preserves_queue_cap_rejects() {
-        // A tight queue cap under same-tick bursts: rejects must land on
-        // exactly the same requests with and without batching.
-        let arrivals = tick_burst_arrivals(160, 8, 0.05);
-        let sequential = run_batched(0, Some(2), &arrivals, 439);
-        let batched = run_batched(8, Some(2), &arrivals, 439);
-        assert!(
-            sequential.iter.queue_rejects > 0,
-            "burst must overflow the cap"
-        );
-        assert_eq!(sequential.iter.queue_rejects, batched.iter.queue_rejects);
-        assert!(batched.selector.max_batch > 1, "bursts must coalesce");
-        assert_same_decisions(&sequential, &batched);
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&batched.to_json())
-        );
-    }
-
-    #[test]
-    fn admit_served_pairs_disables_coalescing() {
-        // Caching served pairs mutates the index between sequential
-        // arrivals, which a hoisted batch probe cannot observe: the
-        // engine must fall back to singleton probes.
-        let config = EngineConfig {
-            selector_batch: 8,
-            admit_served_pairs: true,
-            ..EngineConfig::default()
-        };
-        let (mut engine, mut wg) = seeded_engine(300, config, 441);
-        let arrivals = tick_burst_arrivals(40, 4, 0.5);
-        let requests = wg.generate_requests(arrivals.len());
-        let report = engine.serve_workload(&requests, &arrivals);
-        assert_eq!(report.selector.max_batch, 1, "coalescing must be off");
-        assert_eq!(report.selector.batches, 40);
     }
 
     #[test]
@@ -719,87 +559,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// One engine run with the replay knobs (look-ahead window, region
-    /// threads) set on top of the default config.
-    fn run_replay(window_s: f64, threads: usize, arrivals: &[f64], seed: u64) -> EngineReport {
-        let config = EngineConfig {
-            selector_batch: 8,
-            selector_window_s: window_s,
-            replay_threads: threads,
-            ..EngineConfig::default()
-        };
-        let (mut engine, mut wg) = seeded_engine(500, config, seed);
-        let requests = wg.generate_requests(arrivals.len());
-        engine.serve_workload(&requests, arrivals)
-    }
-
-    #[test]
-    fn windowed_lookahead_is_byte_identical_to_sequential() {
-        // A two-second look-ahead window over a 4 QPS trace: probes
-        // hoist ~8 arrivals at a time, every arrival consumes a
-        // precomputed selection, and nothing outside the selector stats
-        // block may move.
-        let arrivals = fixed_qps_arrivals(4.0, 60.0, 452);
-        let sequential = run_batched(0, None, &arrivals, 451);
-        let windowed = run_replay(2.0, 1, &arrivals, 451);
-        assert_eq!(windowed.replay.preselects, arrivals.len() as u64);
-        assert!(windowed.replay.preselect_hits > 0);
-        assert_eq!(
-            windowed.replay.preselects,
-            windowed.replay.preselect_hits
-                + windowed.replay.stage1_reuses
-                + windowed.replay.invalidations,
-            "every precomputed entry is consumed exactly once: {:?}",
-            windowed.replay
-        );
-        assert!(
-            windowed.selector.max_batch > 1,
-            "the window must coalesce probes"
-        );
-        assert_same_decisions(&sequential, &windowed);
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&windowed.to_json())
-        );
-    }
-
-    #[test]
-    fn window_spans_tick_boundaries() {
-        // Same-tick coalescing (window 0) can only merge the four
-        // arrivals sharing a microsecond; a 2 s window must batch
-        // across tick groups, and stay byte-identical.
-        let arrivals = tick_burst_arrivals(96, 4, 0.5);
-        let sequential = run_batched(0, None, &arrivals, 453);
-        let same_tick = run_batched(8, None, &arrivals, 453);
-        let windowed = run_replay(2.0, 1, &arrivals, 453);
-        assert_eq!(same_tick.selector.max_batch, 4);
-        assert!(
-            windowed.selector.max_batch > 4,
-            "the window must straddle ticks: {:?}",
-            windowed.selector
-        );
-        assert_same_decisions(&sequential, &windowed);
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&windowed.to_json())
-        );
-    }
-
-    #[test]
-    fn admit_served_pairs_disables_the_window() {
-        let config = EngineConfig {
-            selector_window_s: 5.0,
-            admit_served_pairs: true,
-            ..EngineConfig::default()
-        };
-        let (mut engine, mut wg) = seeded_engine(300, config, 455);
-        let arrivals = tick_burst_arrivals(40, 4, 0.5);
-        let requests = wg.generate_requests(arrivals.len());
-        let report = engine.serve_workload(&requests, &arrivals);
-        assert_eq!(report.replay.preselects, 0, "window must be off");
-        assert_eq!(report.selector.max_batch, 1);
-    }
-
     #[test]
     #[should_panic(expected = "pool outage names pool 5 but the engine has 2 pool(s)")]
     fn outage_for_a_pool_the_engine_does_not_have_panics() {
@@ -816,9 +575,8 @@ mod tests {
 
     #[test]
     fn parallel_stepping_is_bit_identical_to_sequential() {
-        // Worker-thread stepping touches no selector state, so the
-        // whole report — selector block included — must match
-        // byte-for-byte, not just modulo masking.
+        // Where the chains run cannot change the report: the whole
+        // JSON must match byte-for-byte.
         let arrivals = fixed_qps_arrivals(3.0, 90.0, 457);
         let run = |threads: usize| {
             let config = EngineConfig {
@@ -848,20 +606,6 @@ mod tests {
         );
         assert_same_decisions(&sequential, &parallel);
         assert_eq!(sequential.to_json(), parallel.to_json());
-    }
-
-    #[test]
-    fn parallel_and_windowed_replay_compose() {
-        let arrivals = fixed_qps_arrivals(5.0, 60.0, 459);
-        let sequential = run_batched(0, None, &arrivals, 458);
-        let fast = run_replay(2.0, 4, &arrivals, 458);
-        assert!(fast.replay.preselect_hits > 0);
-        assert!(fast.replay.parallel_steps > 0);
-        assert_same_decisions(&sequential, &fast);
-        assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&fast.to_json())
-        );
     }
 
     #[test]

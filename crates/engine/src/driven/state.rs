@@ -19,7 +19,7 @@ use ic_stats::{PercentileSnapshot, Percentiles, split_mix64};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 
-use super::arrival::Lookahead;
+use super::arrival::ArrivalCursor;
 use super::step::{RegionScratch, RegionWorkers};
 use super::{ENGINE_NAME, EngineConfig, EventDrivenEngine};
 use crate::engine::cache_stats;
@@ -71,7 +71,7 @@ impl Event {
 
     /// Whether the event's time is mirrored in the [`BarrierSet`]:
     /// every non-step event except arrivals, whose times already sit
-    /// sorted in the look-ahead's firing order.
+    /// sorted in the arrival cursor's firing order.
     fn is_dynamic_barrier(&self) -> bool {
         !matches!(self, Event::StepComplete(..) | Event::Arrival(_))
     }
@@ -85,7 +85,7 @@ const STAGE0_HIT_LATENCY_S: f64 = 0.002;
 /// Multiset of the pending *dynamic* non-step event times: gossip,
 /// outage, maintenance, rebalance, sampler and stage-0 completion
 /// events, scheduled as the run unfolds. Together with the next
-/// arrival (read off the look-ahead's sorted firing order — failover
+/// arrival (read off the arrival cursor's sorted firing order — failover
 /// retries are served inline, never scheduled) its earliest entry is
 /// the barrier a step region must not cross
 /// ([`EngineState::region_barrier`]): every router interaction is one
@@ -180,8 +180,8 @@ pub(super) struct EngineState<'a> {
     barrier: BarrierSet,
     /// Step-region buffers, reused from region to region.
     pub(super) region: RegionScratch,
-    /// Selector look-ahead over the arrival sequence.
-    pub(super) look: Lookahead,
+    /// The arrival sequence in firing order.
+    pub(super) cursor: ArrivalCursor,
     /// Stage-0 response cache (`EngineConfig::resp_cache`): probed per
     /// fresh arrival before any selector work. `None` (the default)
     /// keeps every path byte-identical to the pre-stage0 engine.
@@ -199,7 +199,9 @@ pub(super) struct EngineState<'a> {
     evicted: u64,
     pub(super) failover_requeues: u64,
     retry_rejects: u64,
-    pub(super) selector: SelectorStats,
+    /// Arrivals that missed stage 0 and went through
+    /// `IcCacheSystem::serve` — the report's `selector` block.
+    pub(super) stage1_arrivals: u64,
     pub(super) replay: ReplayStats,
     /// [`ic_cache::FrontEnd::posterior_counts`] when the run began; the
     /// report carries the growth since.
@@ -270,7 +272,7 @@ impl<'a> EngineState<'a> {
             sim: Simulator::new(),
             barrier: BarrierSet::default(),
             region: RegionScratch::default(),
-            look: Lookahead::new(config, &times),
+            cursor: ArrivalCursor::new(config, &times),
             resp_cache: config.resp_cache.then(|| {
                 ResponseCache::new(RespCacheConfig {
                     threshold: config.resp_threshold,
@@ -288,10 +290,7 @@ impl<'a> EngineState<'a> {
             evicted: 0,
             failover_requeues: 0,
             retry_rejects: 0,
-            selector: SelectorStats {
-                batch_limit: config.selector_batch as u64,
-                ..SelectorStats::default()
-            },
+            stage1_arrivals: 0,
             replay: ReplayStats {
                 threads: config.replay_threads.max(1) as u64,
                 ..ReplayStats::default()
@@ -387,7 +386,7 @@ impl<'a> EngineState<'a> {
     /// barrier set, which bounds how far a step region may run ahead.
     /// Step events are armed by [`Self::arm_step`] instead: they are
     /// what regions execute, not what stops them; arrivals are queued
-    /// once, up front, and tracked by the look-ahead cursor.
+    /// once, up front, and tracked by the arrival cursor.
     pub(super) fn schedule(&mut self, at: SimTime, event: Event) {
         debug_assert!(
             event.is_dynamic_barrier(),
@@ -400,7 +399,7 @@ impl<'a> EngineState<'a> {
     /// The earliest pending non-step event — the next arrival or the
     /// earliest dynamic event — which no step region may reach.
     pub(super) fn region_barrier(&self) -> Option<SimTime> {
-        let barrier = [self.look.next_arrival(), self.barrier.earliest()]
+        let barrier = [self.cursor.next_arrival(), self.barrier.earliest()]
             .into_iter()
             .flatten()
             .min();
@@ -673,7 +672,6 @@ impl<'a> EngineState<'a> {
 
     /// Folds the finished run into its report.
     pub(super) fn into_report(mut self) -> EngineReport {
-        self.flush_selector_batch();
         let n = self.requests.len() as u64;
         let mut iter = IterStats::default();
         let mut kv = KvStats::default();
@@ -745,7 +743,14 @@ impl<'a> EngineState<'a> {
                 self.failover_requeues,
                 self.retry_rejects,
             ),
-            selector: self.selector,
+            // One probe per arrival that reached the selector; the
+            // block keeps its five keys for the golden's sake.
+            selector: SelectorStats {
+                batch_limit: self.config.selector_batch as u64,
+                batches: self.stage1_arrivals,
+                requests: self.stage1_arrivals,
+                max_batch: self.stage1_arrivals.min(1),
+            },
             kv,
             resp_cache: self.resp_cache.map(|c| c.stats()).unwrap_or_default(),
             replay: self.replay,

@@ -1,17 +1,15 @@
-//! The [`ServingEngine`] trait and the zero-load [`DirectEngine`].
+//! The [`ServingEngine`] trait.
 
 use ic_cache::IcCacheSystem;
 use ic_llmsim::Request;
-use ic_serving::busy_interval_rps;
 
-use crate::report::{CacheStats, EngineReport, LatencyStats, RequestRecord};
+use crate::report::{CacheStats, EngineReport};
 
 /// A serving path that can replay a timed workload through IC-Cache.
 ///
-/// Implementations own an [`IcCacheSystem`] and differ in how execution
-/// time is modelled: [`DirectEngine`] charges zero-load latencies with no
-/// contention; [`crate::EventDrivenEngine`] queues every request on a
-/// simulated GPU cluster with continuous batching.
+/// Implementations own an [`IcCacheSystem`] and decide how execution
+/// time is modelled: [`crate::EventDrivenEngine`] queues every request
+/// on a simulated GPU cluster with continuous batching.
 pub trait ServingEngine {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
@@ -55,174 +53,20 @@ pub(crate) fn cache_stats(
     }
 }
 
-/// The legacy synchronous path behind the common trait: every request is
-/// served the instant it arrives and charged its zero-load latency. No
-/// queueing, no contention — useful as the lower envelope the
-/// event-driven engine degrades from under load.
-#[derive(Debug)]
-pub struct DirectEngine {
-    system: IcCacheSystem,
-    /// Cache served request-response pairs back into the example store.
-    pub admit_served_pairs: bool,
-}
-
-impl DirectEngine {
-    /// Wraps a (typically example-seeded) system.
-    pub fn new(system: IcCacheSystem) -> Self {
-        Self {
-            system,
-            admit_served_pairs: false,
-        }
-    }
-
-    /// Consumes the engine, returning the system.
-    pub fn into_system(self) -> IcCacheSystem {
-        self.system
-    }
-}
-
-impl ServingEngine for DirectEngine {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn serve_workload(&mut self, requests: &[Request], arrivals: &[f64]) -> EngineReport {
-        assert_eq!(
-            requests.len(),
-            arrivals.len(),
-            "one arrival time per request"
-        );
-        let mut per_request = Vec::with_capacity(requests.len());
-        let mut offloaded = 0u64;
-        let mut solicited = 0u64;
-        let mut selection_hits = 0u64;
-        let mut examples_used = 0u64;
-        let mut quality_sum = 0.0f64;
-        let mut completions: Vec<f64> = Vec::with_capacity(requests.len());
-        for (i, (r, &at)) in requests.iter().zip(arrivals).enumerate() {
-            let out = self.system.serve(r);
-            if self.admit_served_pairs {
-                let _ = self.system.update_cache(r, &out.outcome, out.model, at);
-            }
-            if out.offloaded {
-                offloaded += 1;
-            }
-            if out.solicited_feedback {
-                solicited += 1;
-            }
-            if !out.selection.ids.is_empty() {
-                selection_hits += 1;
-                examples_used += out.selection.ids.len() as u64;
-            }
-            quality_sum += out.outcome.quality;
-            let e2e = out.outcome.latency.total();
-            completions.push(at + e2e);
-            per_request.push(RequestRecord {
-                index: i,
-                model: out.model.0,
-                offloaded: out.offloaded,
-                quality: out.outcome.quality,
-                solicited: out.solicited_feedback,
-                examples: out.selection.ids.len(),
-                arrival_s: at,
-                queue_s: 0.0,
-                ttft_s: out.outcome.latency.ttft,
-                e2e_s: e2e,
-                rejected: false,
-            });
-        }
-        let latency = LatencyStats::from_records(&per_request);
-        let throughput = busy_interval_rps(&completions);
-        EngineReport {
-            engine: self.name().to_owned(),
-            served: requests.len() as u64,
-            offloaded,
-            solicited,
-            latency,
-            throughput_rps: throughput,
-            mean_quality: if requests.is_empty() {
-                0.0
-            } else {
-                quality_sum / requests.len() as f64
-            },
-            cache: cache_stats(&self.system, selection_hits, examples_used, 0),
-            // The direct path executes nothing: no iterations to count,
-            // no KV blocks to page, no arrival ticks to coalesce, no
-            // router-tier event loop (it always serves through the
-            // system's single-view path).
-            iter: ic_serving::IterStats::default(),
-            router: crate::report::RouterStats::default(),
-            selector: crate::report::SelectorStats::default(),
-            kv: ic_serving::KvStats::default(),
-            resp_cache: ic_respcache::RespCacheStats::default(),
-            replay: crate::report::ReplayStats::default(),
-            obs: None,
-            per_request,
-        }
-    }
-
-    fn system(&self) -> &IcCacheSystem {
-        &self.system
-    }
-
-    fn system_mut(&mut self) -> &mut IcCacheSystem {
-        &mut self.system
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineConfig, EventDrivenEngine};
     use ic_cache::IcCacheConfig;
-    use ic_llmsim::Generator;
     use ic_workloads::{Dataset, WorkloadGenerator};
 
-    fn seeded_engine(n_examples: usize) -> (DirectEngine, WorkloadGenerator) {
-        let config = IcCacheConfig::gemma_pair();
-        let large = config.primary;
-        let large_spec = config.catalog.get(large).clone();
-        let mut wg = WorkloadGenerator::sized(Dataset::MsMarco, 301, n_examples.max(10));
-        let examples = wg.generate_examples(n_examples, &large_spec, large, &Generator::new());
-        let mut system = ic_cache::IcCacheSystem::new(config);
-        system.seed_examples(examples, 0.0);
-        (DirectEngine::new(system), wg)
-    }
-
-    #[test]
-    fn direct_engine_serves_and_reports() {
-        let (mut engine, mut wg) = seeded_engine(400);
-        let requests = wg.generate_requests(60);
-        let arrivals: Vec<f64> = (0..60).map(|i| i as f64 * 0.5).collect();
-        let report = engine.serve_workload(&requests, &arrivals);
-        assert_eq!(report.served, 60);
-        assert_eq!(report.engine, "direct");
-        assert_eq!(report.per_request.len(), 60);
-        assert!(report.latency.mean_e2e > 0.0);
-        assert!(report.latency.mean_queue == 0.0, "direct path never queues");
-        assert!((0.0..=1.0).contains(&report.offload_ratio()));
-        assert!(report.cache.shards >= 2, "manager defaults to >= 2 shards");
-        assert_eq!(
-            report.cache.shard_sizes.iter().sum::<usize>(),
-            report.cache.examples
-        );
-    }
-
-    #[test]
-    fn admitting_pairs_grows_the_cache() {
-        let (mut engine, mut wg) = seeded_engine(50);
-        engine.admit_served_pairs = true;
-        let before = engine.system().cached_examples();
-        let requests = wg.generate_requests(30);
-        let arrivals: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let _ = engine.serve_workload(&requests, &arrivals);
-        assert!(engine.system().cached_examples() > before);
-    }
-
+    /// The trait's documented panic, on its one implementor.
     #[test]
     #[should_panic(expected = "one arrival time per request")]
     fn mismatched_lengths_panic() {
-        let (mut engine, mut wg) = seeded_engine(20);
-        let requests = wg.generate_requests(3);
+        let system = IcCacheSystem::new(IcCacheConfig::gemma_pair());
+        let mut engine = EventDrivenEngine::new(system, EngineConfig::default());
+        let requests = WorkloadGenerator::sized(Dataset::MsMarco, 301, 10).generate_requests(3);
         let _ = engine.serve_workload(&requests, &[0.0]);
     }
 }

@@ -7,17 +7,11 @@
 //! job traces with no IC-Cache logic). Every load-dependent claim of the
 //! paper — Fig. 12's bursty-trace latency, Fig. 20's completion-time
 //! growth, the router's overload bias — lives in the gap between them.
-//! This crate closes the gap behind one trait, [`ServingEngine`], with
-//! two implementations:
-//!
-//! - [`EventDrivenEngine`] — the production-shaped path. Drives a full
-//!   [`IcCacheSystem`](ic_cache::IcCacheSystem) through
-//!   `ic_desim::Simulator`, with
-//!   iteration-level (token-step) continuous batching on per-model
-//!   [`ic_serving::ModelPool`]s.
-//! - [`DirectEngine`] — the legacy zero-load path (serve immediately, no
-//!   queueing), kept behind the same trait so experiments can quantify
-//!   exactly what queueing adds.
+//! This crate closes the gap behind one trait, [`ServingEngine`], and
+//! its implementation [`EventDrivenEngine`]: it drives a full
+//! [`IcCacheSystem`](ic_cache::IcCacheSystem) through
+//! `ic_desim::Simulator`, with iteration-level (token-step) continuous
+//! batching on per-model [`ic_serving::ModelPool`]s.
 //!
 //! # Event flow (`EventDrivenEngine`)
 //!
@@ -28,17 +22,17 @@
 //!   ├ owner replica's load window               ├ gather the run of step
 //!   ├ stage 0: pre-observe the tick's run,      │  events up to the barrier
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      │  (next arrival, or the
-//!   ├ stage 1: look-ahead entry (epoch-         │  earliest dynamic event)
-//!   │  validated) or inline probe; a missing    ├ RegionWorkers: one
-//!   │  entry batch-probes the window            │  advance_chain per pool,
-//!   ├ stage 2 + routing + generation            │  inline or on threads:
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  one record per state
-//!                  arm StepComplete             │  change + a count of the
-//!  PoolDown(p) ─ flush, serve_retry ▶ dispatch  │  quiet boundaries behind it
-//!  PoolUp(p)                                    ├ merge in (time, seq):
-//!  Maintenance / Rebalance / GossipRound /      │  finishers ▶ complete
-//!  ObsSample (periodic, re-armed while work     │  (TTFT/E2E, Little's law
-//!  remains; each is a region barrier)           │  ▶ owning replica); quiet
+//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  earliest dynamic event)
+//!   │  + routing + generation + feedback        ├ RegionWorkers: one
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  advance_chain per pool,
+//!                  arm StepComplete             │  inline or on threads:
+//!  PoolDown(p) ─ flush, serve_retry ▶ dispatch  │  one record per state
+//!  PoolUp(p)                                    │  change + a count of the
+//!  Maintenance / Rebalance / GossipRound /      │  quiet boundaries behind it
+//!  ObsSample (periodic, re-armed while work     ├ merge in (time, seq):
+//!  remains; each is a region barrier)           │  finishers ▶ complete
+//!                                               │  (TTFT/E2E, Little's law
+//!                                               │  ▶ owning replica); quiet
 //!                                               │  boundaries before the
 //!                                               │  next pending key are
 //!                                               │  counted, their seqs burned
@@ -47,7 +41,7 @@
 //! ```
 //!
 //! `schedule` mirrors every dynamic non-step event time into the
-//! barrier set (arrivals are read off the look-ahead's sorted firing
+//! barrier set (arrivals are read off the arrival cursor's sorted firing
 //! order instead); `dispatch` is the one tail fresh arrivals and
 //! failover retries share; `complete` is the one finisher bookkeeping
 //! pool steps and stage-0 hits share (see `driven/state.rs`). A pool's
@@ -121,7 +115,7 @@ pub mod engine;
 pub mod report;
 
 pub use driven::{EngineConfig, EventDrivenEngine, PoolOutage};
-pub use engine::{DirectEngine, ServingEngine};
+pub use engine::ServingEngine;
 pub use report::{
     CacheStats, EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats, SelectorStats,
 };

@@ -119,24 +119,23 @@ pub struct CacheStats {
     pub evicted: u64,
 }
 
-/// Cross-request selector-batching counters for one engine run (see
-/// `EngineConfig::selector_batch`): how arrivals coalesced into
-/// multi-query stage-1 probes. All-zero for engines that never probe
-/// (e.g. [`crate::DirectEngine`], which reports only `batch_limit`).
+/// The report's `selector` block for one engine run. Selection is one
+/// probe per arrival, so `batches == requests` and `max_batch <= 1`;
+/// the block keeps the five keys the committed golden pins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectorStats {
-    /// Configured coalescing cap (`0`/`1` = batching disabled).
+    /// The configured `EngineConfig::selector_batch`, echoed.
     pub batch_limit: u64,
-    /// Stage-1 probe invocations (each covers >= 1 request).
+    /// Stage-1 probes: arrivals that missed stage 0.
     pub batches: u64,
     /// Requests served through those probes.
     pub requests: u64,
-    /// Largest batch coalesced from one event tick.
+    /// Largest number of requests one probe served.
     pub max_batch: u64,
 }
 
 impl SelectorStats {
-    /// Mean requests per stage-1 probe (1.0 means nothing coalesced).
+    /// Mean requests per stage-1 probe.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -146,9 +145,8 @@ impl SelectorStats {
     }
 }
 
-/// Replay counters for one engine run (the selector look-ahead and
-/// the step regions; see `EngineConfig::selector_window_s` /
-/// `EngineConfig::replay_threads`).
+/// Replay counters for one engine run (the step regions and the
+/// router's kept posteriors; see `EngineConfig::replay_threads`).
 ///
 /// Diagnostics only: deliberately **not** serialized by
 /// [`EngineReport::to_json`], so the byte-deterministic report is
@@ -159,18 +157,6 @@ impl SelectorStats {
 pub struct ReplayStats {
     /// Threads the run's step regions executed on (`1` = inline).
     pub threads: u64,
-    /// Selections precomputed by multi-arrival look-ahead probes (an
-    /// arrival with no neighbour inside its window probes inline).
-    pub preselects: u64,
-    /// Arrivals served from a still-valid precomputed selection.
-    pub preselect_hits: u64,
-    /// Arrivals whose precomputed stage-1 candidates were reused with
-    /// stage 2 re-scored (the selector's learn epoch moved between the
-    /// window probe and the arrival).
-    pub stage1_reuses: u64,
-    /// Precomputed entries discarded because the example index changed
-    /// between the window probe and the arrival.
-    pub invalidations: u64,
     /// Step regions executed between router interactions (the same
     /// count at any thread count).
     pub parallel_regions: u64,
@@ -199,17 +185,12 @@ impl ReplayStats {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"threads\":{},\"preselects\":{},\"preselect_hits\":{},",
-                "\"stage1_reuses\":{},\"invalidations\":{},",
+                "{{\"threads\":{},",
                 "\"parallel_regions\":{},\"parallel_steps\":{},",
                 "\"step_runs\":{},\"quiet_steps\":{},",
                 "\"arm_evaluations\":{},\"posterior_refits\":{}}}"
             ),
             self.threads,
-            self.preselects,
-            self.preselect_hits,
-            self.stage1_reuses,
-            self.invalidations,
             self.parallel_regions,
             self.parallel_steps,
             self.step_runs,
@@ -277,7 +258,7 @@ impl RouterStats {
 /// Aggregate result of one engine run.
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
-    /// Engine name (`"event-driven"` / `"direct"`).
+    /// Engine name (`"event-driven"`).
     pub engine: String,
     /// Requests served.
     pub served: u64,
@@ -299,8 +280,7 @@ pub struct EngineReport {
     /// Router-tier counters (per-replica decisions, gossip rounds, merge
     /// staleness, failover requeues).
     pub router: RouterStats,
-    /// Cross-request selector-batching counters (same-tick arrivals
-    /// coalesced into multi-query stage-1 probes).
+    /// Stage-1 probe counters (one probe per arrival past stage 0).
     pub selector: SelectorStats,
     /// Paged KV-memory counters merged across pools (block occupancy,
     /// pressure preemptions, swap traffic, fragmentation).
@@ -309,8 +289,8 @@ pub struct EngineReport {
     /// pre-populations, stale evictions, stored bytes). All zero when
     /// the tier is off (`EngineConfig::resp_cache`).
     pub resp_cache: ic_respcache::RespCacheStats,
-    /// Replay-acceleration counters (look-ahead windows, parallel step
-    /// regions). Excluded from [`EngineReport::to_json`] by design;
+    /// Replay counters (step regions, run-length chains, router
+    /// posteriors). Excluded from [`EngineReport::to_json`] by design;
     /// persisted through the telemetry artifact instead
     /// ([`ReplayStats::to_json`]).
     pub replay: ReplayStats,

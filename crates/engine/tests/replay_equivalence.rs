@@ -1,10 +1,6 @@
-//! Replay-equivalence properties for the paper-scale replay knobs:
-//! bounded-delay selector windows (`EngineConfig::selector_window_s`)
-//! and the step-region executor (`EngineConfig::replay_threads`). The
-//! windowed replay must match the zero-width window byte-for-byte
-//! modulo the report's `selector` stats block (the same masking the CI
-//! determinism job applies with `sed`); where the step chains run must
-//! not show at all — no masking, trace event stream included.
+//! Replay-equivalence properties for the step-region executor
+//! (`EngineConfig::replay_threads`): where the step chains run must not
+//! show at all — no masking, trace event stream included.
 
 use ic_cache::{IcCacheConfig, IcCacheSystem};
 use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, PoolOutage, ServingEngine};
@@ -54,110 +50,13 @@ fn run_duplicates(
     engine.serve_workload(&requests, arrivals)
 }
 
-/// Drops the `selector` stats object — the one block the window is
-/// allowed to move — from a report JSON.
-fn mask_selector_block(json: &str) -> String {
-    let start = json.find("\"selector\":{").expect("selector block present");
-    let end = start + json[start..].find('}').expect("selector block closes") + 2;
-    format!("{}{}", &json[..start], &json[end..])
-}
-
-/// `n` arrivals in same-tick groups of `per_tick`, `step` seconds apart
-/// — the shape that exercises probes straddling tick boundaries.
+/// `n` arrivals in same-tick groups of `per_tick`, `step` seconds apart.
 fn tick_burst_arrivals(n: usize, per_tick: usize, step: f64) -> Vec<f64> {
     (0..n).map(|i| (i / per_tick) as f64 * step).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any look-ahead window — sub-tick to far beyond the trace — over
-    /// a Poisson trace is byte-identical to the sequential engine
-    /// modulo the selector block.
-    #[test]
-    fn windowed_replay_matches_sequential(
-        seed in 0u64..500,
-        qps in 1.0f64..8.0,
-        window_s in 1e-6f64..40.0,
-    ) {
-        let arrivals = fixed_qps_arrivals(qps, 25.0, seed ^ 0x51d0);
-        let sequential = run(EngineConfig::default(), &arrivals, seed);
-        let windowed = run(
-            EngineConfig {
-                selector_batch: 8,
-                selector_window_s: window_s,
-                ..EngineConfig::default()
-            },
-            &arrivals,
-            seed,
-        );
-        prop_assert_eq!(
-            windowed.replay.preselects,
-            windowed.replay.preselect_hits
-                + windowed.replay.stage1_reuses
-                + windowed.replay.invalidations
-        );
-        prop_assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&windowed.to_json())
-        );
-    }
-
-    /// Windows over same-tick burst traces: probes span tick groups
-    /// (the arrivals a window hoists are *not* aligned with the ticks
-    /// the same-tick coalescer sees) and equivalence must hold for any
-    /// group size and spacing.
-    #[test]
-    fn windowed_replay_matches_on_tick_straddling_bursts(
-        seed in 0u64..500,
-        per_tick in 1usize..6,
-        step in 0.05f64..1.0,
-        window_s in 0.1f64..10.0,
-    ) {
-        let arrivals = tick_burst_arrivals(60, per_tick, step);
-        let sequential = run(EngineConfig::default(), &arrivals, seed);
-        let windowed = run(
-            EngineConfig {
-                selector_batch: 8,
-                selector_window_s: window_s,
-                ..EngineConfig::default()
-            },
-            &arrivals,
-            seed,
-        );
-        prop_assert_eq!(
-            mask_selector_block(&sequential.to_json()),
-            mask_selector_block(&windowed.to_json())
-        );
-    }
-
-    /// Stage 0 under the window: same-tick duplicate bursts with the
-    /// response cache on must hit, insert and serve exactly as at the
-    /// zero-width window — the head of a tick run pre-observes the run
-    /// at any width — so only the selector block may move.
-    #[test]
-    fn windowed_replay_matches_with_the_response_cache_on_duplicate_bursts(
-        seed in 0u64..500,
-        per_tick in 2usize..9,
-        step in 0.05f64..1.0,
-        window_s in 0.1f64..10.0,
-    ) {
-        let arrivals = tick_burst_arrivals(64, per_tick, step);
-        let config = |selector_window_s: f64| EngineConfig {
-            resp_cache: true,
-            selector_batch: 8,
-            selector_window_s,
-            ..EngineConfig::default()
-        };
-        let same_tick = run_duplicates(config(0.0), &arrivals, per_tick, seed);
-        let windowed = run_duplicates(config(window_s), &arrivals, per_tick, seed);
-        prop_assert!(same_tick.resp_cache.hits > 0, "{:?}", same_tick.resp_cache);
-        prop_assert_eq!(same_tick.resp_cache, windowed.resp_cache);
-        prop_assert_eq!(
-            mask_selector_block(&same_tick.to_json()),
-            mask_selector_block(&windowed.to_json())
-        );
-    }
 
     /// Step regions on any number of worker threads are bit-identical
     /// to the inline executor — the full report, no masking.

@@ -48,9 +48,7 @@ proptest! {
     /// default configuration — including the `router` block — no matter
     /// what the gossip period is set to (a single replica schedules no
     /// gossip and owns every request, i.e. the refactor's new machinery
-    /// is provably inert at R = 1). The committed pre-refactor golden
-    /// (`crates/bench/tests/golden/BENCH_e2e.quick.prerouter.json`)
-    /// pins the same property against the actual pre-refactor bytes.
+    /// is provably inert at R = 1).
     #[test]
     fn single_replica_is_byte_identical_to_default(
         seed in 0u64..500,

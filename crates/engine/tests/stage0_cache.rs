@@ -2,8 +2,16 @@
 //! knob must be provably byte-invisible when disabled), deterministic
 //! replay with the cache on, the stampede guarantee (N identical
 //! same-tick arrivals pay one insertion and serve the rest from the
-//! cache), and lifecycle well-formedness of the short-circuited hit
-//! path (`Stage0Hit` → `Finish`, pool never touched).
+//! cache), what `EngineConfig::selector_batch` caps (the same-tick run
+//! the trending sketch pre-observes), and lifecycle well-formedness of
+//! the short-circuited hit path (`Stage0Hit` → `Finish`, pool never
+//! touched).
+//!
+//! The cap tests bite: pre-observing with `cap = 1` whatever the config
+//! says (`tick_cap: 1` in `ArrivalCursor::new`) fails
+//! `same_tick_cap_bounds_the_run_the_sketch_pre_observes` at caps 4, 8
+//! and 64; dropping the `t == at` bound from the run fails
+//! `pre_observation_never_crosses_a_tick_boundary`.
 
 use ic_cache::{IcCacheConfig, IcCacheSystem};
 use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, ServingEngine};
@@ -39,6 +47,20 @@ fn cache_on(selector_batch: usize) -> EngineConfig {
         selector_batch,
         ..EngineConfig::default()
     }
+}
+
+/// Hits of an `n`-member same-tick stampede under same-tick cap `cap`,
+/// derived from the stage-0 rules: the head of every run of `cap`
+/// members observes its run in the sketch, a served miss is admitted
+/// once the sketch counts `prepop_min` sightings, and every member
+/// after the first admission hits.
+fn expected_stampede_hits(n: usize, cap: usize, prepop_min: u64) -> u64 {
+    let cap = cap.max(1);
+    let observed_when_served = |k: usize| ((k / cap + 1) * cap).min(n) as u64;
+    let first_admitted = (0..n)
+        .find(|&k| observed_when_served(k) >= prepop_min)
+        .expect("the stampede reaches prepop_min");
+    (n - first_admitted - 1) as u64
 }
 
 /// A stampede trace: `n` copies of one request, all on the same tick,
@@ -85,9 +107,9 @@ fn cache_off_is_byte_inert_even_with_knobs_set() {
 
 #[test]
 fn stampede_burst_pays_one_insertion_and_serves_the_rest() {
-    // Eight identical arrivals on one tick, coalesced by the selector
-    // batch: the first miss is admitted (the whole batch lands in the
-    // frequency sketch before anyone is served), the other seven hit.
+    // Eight identical arrivals on one tick under a cap of eight: the
+    // first miss is admitted (the whole run lands in the frequency
+    // sketch before anyone is served), the other seven hit.
     let n = 8;
     let (requests, arrivals) = stampede(n, 99);
     let report = run_requests(cache_on(n), &requests, &arrivals);
@@ -103,8 +125,7 @@ fn stampede_burst_pays_one_insertion_and_serves_the_rest() {
         "one insertion, not a stampede"
     );
     assert_eq!(report.served, n as u64);
-    // One stage-1 probe for the whole burst: the selector served only
-    // the single miss.
+    // The selector served only the single miss.
     assert_eq!(report.selector.requests, 1, "{:?}", report.selector);
     // Deterministic replay, hits included.
     let again = run_requests(cache_on(n), &requests, &arrivals);
@@ -112,24 +133,55 @@ fn stampede_burst_pays_one_insertion_and_serves_the_rest() {
 }
 
 #[test]
-fn stampede_hits_do_not_depend_on_the_selector_window() {
-    // The look-ahead window is a pure speedup: the head of a same-tick
-    // run pre-observes the run in the trending sketch at any window
-    // width, so a stampede pays one insertion either way. (The window
-    // arm used to observe each arrival only at its own position: 6
-    // hits at `selector_window_s: 2.0` against 7 at `0.0`.)
-    let n = 8;
+fn same_tick_cap_bounds_the_run_the_sketch_pre_observes() {
+    let n = 12;
     let (requests, arrivals) = stampede(n, 99);
-    let run = |selector_window_s: f64| {
+    let hits_at = |cap: usize, prepop_min: u64| {
         let config = EngineConfig {
-            selector_window_s,
-            ..cache_on(n)
+            resp_prepop_min: prepop_min,
+            ..cache_on(cap)
         };
-        run_requests(config, &requests, &arrivals).resp_cache
+        let report = run_requests(config, &requests, &arrivals);
+        let stats = report.resp_cache;
+        assert_eq!(stats.lookups, n as u64);
+        assert_eq!(
+            stats.hits,
+            expected_stampede_hits(n, cap, prepop_min),
+            "cap {cap}, prepop_min {prepop_min}: {stats:?}"
+        );
+        // Selection is one probe per arrival past stage 0, whatever
+        // the cap; the block only echoes it.
+        let selector = report.selector;
+        assert_eq!(selector.batch_limit, cap as u64);
+        assert_eq!(selector.requests, n as u64 - stats.hits);
+        assert_eq!(selector.batches, selector.requests);
+        assert!(selector.max_batch <= 1, "{selector:?}");
+        stats.hits
     };
-    let same_tick = run(0.0);
-    assert_eq!(same_tick.hits, n as u64 - 1, "{same_tick:?}");
-    assert_eq!(same_tick, run(2.0));
+    // Caps 0 and 1 observe each member on its own, so the default
+    // `prepop_min = 2` admits the second miss; a cap covering two or
+    // more members admits the first.
+    let prepop_min = EngineConfig::default().resp_prepop_min;
+    assert_eq!(hits_at(0, prepop_min), hits_at(1, prepop_min));
+    assert_eq!(hits_at(8, prepop_min), hits_at(64, prepop_min));
+    assert_eq!(hits_at(1, prepop_min) + 1, hits_at(8, prepop_min));
+    // A cap shorter than the run splits it: at `prepop_min = 5` a cap
+    // of 4 leaves the first run under the bar, so its four members
+    // all miss and the second run's head is the first admission.
+    assert_eq!(hits_at(4, 5) + 4, hits_at(64, 5));
+}
+
+#[test]
+fn pre_observation_never_crosses_a_tick_boundary() {
+    // One arrival, then six copies of it 1 µs later. The lone head
+    // sees a sketch count of one and is not admitted however large
+    // the cap; the next tick's head is, and its five followers hit.
+    let later = 6;
+    let (requests, mut arrivals) = stampede(1 + later, 99);
+    arrivals[1..].fill(1e-6);
+    let stats = run_requests(cache_on(64), &requests, &arrivals).resp_cache;
+    assert_eq!(stats.hits, later as u64 - 1, "{stats:?}");
+    assert_eq!(stats.prepopulations, 1);
 }
 
 #[test]

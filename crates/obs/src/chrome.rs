@@ -236,7 +236,7 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
             }
             // Selection/queueing detail lives in the telemetry stream;
             // it has no track of its own on the timeline.
-            EventKind::Stage1Probe { .. }
+            EventKind::Stage1Probe
             | EventKind::Selected { .. }
             | EventKind::RouterDecision { .. }
             | EventKind::Enqueued { .. }

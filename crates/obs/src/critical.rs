@@ -137,7 +137,7 @@ impl Builder {
             // queue-phase time too.
             EventKind::Arrival { .. }
             | EventKind::Stage0Hit { .. }
-            | EventKind::Stage1Probe { .. }
+            | EventKind::Stage1Probe
             | EventKind::Selected { .. }
             | EventKind::RouterDecision { .. }
             | EventKind::Enqueued { .. }

@@ -38,17 +38,9 @@ pub enum EventKind {
         /// Router replica the request hashes to.
         replica: u32,
     },
-    /// The stage-1 selector probe that served this request. `batch` is
-    /// the number of arrivals the live probe covered (`0` when the
-    /// request consumed a selection precomputed by the look-ahead
-    /// window); `reused` marks window-precomputed state (a full
-    /// selection hit or a stage-1 candidate reuse).
-    Stage1Probe {
-        /// Arrivals covered by the live multi-query probe.
-        batch: u32,
-        /// Served from window-precomputed selector state.
-        reused: bool,
-    },
+    /// The request missed stage 0 and ran its stage-1 selector probe
+    /// (one per arrival that reaches the selector).
+    Stage1Probe,
     /// Example selection finished: the request was handed `examples`
     /// in-context examples and routed to `model` (`offloaded` when that
     /// is not the primary).

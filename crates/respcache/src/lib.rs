@@ -231,10 +231,10 @@ impl ResponseCache {
 
     /// Records a sighting of the query in the trending sketch *without*
     /// performing a lookup. The engine calls this for every member of a
-    /// coalesced same-tick batch before serving its first member, so a
-    /// stampede of N identical arrivals is already known to be trending
-    /// when the first miss decides on admission — the batch pays one
-    /// insertion and the remaining N−1 members hit it.
+    /// same-tick run of arrivals before looking up its first member, so
+    /// a stampede of N identical arrivals is already known to be
+    /// trending when the first miss decides on admission — the run pays
+    /// one insertion and the remaining N−1 members hit it.
     pub fn observe(&mut self, embedding: &Embedding, now: f64) -> u64 {
         self.sketch
             .observe(embedding_key(embedding), now, self.config.window_s)
@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn stampede_batch_pays_one_insertion() {
         // N identical same-tick arrivals, observed as a batch up front
-        // (the engine's coalesced path): the first member misses and is
+        // (the engine's same-tick pre-observation): the first member misses and is
         // admitted; the other N−1 hit the single entry.
         let n = 8;
         let mut c = trending_cache(RespCacheConfig::default());

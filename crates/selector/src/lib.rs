@@ -19,12 +19,8 @@
 //! surviving set is de-duplicated for diversity, and examples are ordered
 //! most-helpful-last (recency-biased attention).
 //!
-//! Selection also has a cross-request batch path
-//! ([`ExampleSelector::select_batch`] /
-//! [`ExampleSelector::stage1_batch`]): requests arriving together share
-//! one stage-1 `search_batch` call and then run the ordinary
-//! per-request stage-2. Results are byte-identical to selecting each
-//! request alone.
+//! Selection is strictly per request, in arrival order (Algorithm 1):
+//! [`ExampleSelector::select`] is read-only and draws no randomness.
 
 pub mod proxy;
 pub mod threshold;

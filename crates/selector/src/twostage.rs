@@ -90,10 +90,6 @@ pub struct ExampleSelector {
     index: IvfIndex,
     proxy: ProxyModel,
     threshold: DynamicThreshold,
-    /// Bumped on every index mutation (see [`Self::index_epoch`]).
-    index_epoch: u64,
-    /// Bumped on every learning-state access (see [`Self::learn_epoch`]).
-    learn_epoch: u64,
 }
 
 impl ExampleSelector {
@@ -105,8 +101,6 @@ impl ExampleSelector {
             index: IvfIndex::new(ivf),
             proxy: ProxyModel::standard(),
             threshold: DynamicThreshold::standard(),
-            index_epoch: 0,
-            learn_epoch: 0,
         }
     }
 
@@ -121,11 +115,8 @@ impl ExampleSelector {
     }
 
     /// Mutable access to the proxy (the offline trainer in `ic-cache`
-    /// feeds it feedback batches). Conservatively bumps
-    /// [`Self::learn_epoch`] — any access through here may change
-    /// stage-2 scores.
+    /// feeds it feedback batches).
     pub fn proxy_mut(&mut self) -> &mut ProxyModel {
-        self.learn_epoch += 1;
         &mut self.proxy
     }
 
@@ -139,10 +130,8 @@ impl ExampleSelector {
         &self.index
     }
 
-    /// Mutable access to the threshold controller. Conservatively bumps
-    /// [`Self::learn_epoch`], like [`Self::proxy_mut`].
+    /// Mutable access to the threshold controller.
     pub fn threshold_mut(&mut self) -> &mut DynamicThreshold {
-        self.learn_epoch += 1;
         &mut self.threshold
     }
 
@@ -153,47 +142,22 @@ impl ExampleSelector {
 
     /// Indexes a new example (called by the Example Manager on admission).
     pub fn index_example(&mut self, id: ExampleId, embedding: Embedding) {
-        self.index_epoch += 1;
         self.index.insert(id.0, embedding);
     }
 
     /// Indexes a whole batch of examples through the IVF bulk build —
-    /// identical final state (index bytes and epoch) to calling
+    /// identical final index bytes to calling
     /// [`Self::index_example`] per item, with the pure per-item embed
     /// and assignment work parallelized over the index's
     /// `setup_threads` (the `IC_SETUP_THREADS` path).
     pub fn index_examples(&mut self, items: Vec<(ExampleId, Embedding)>) {
-        self.index_epoch += items.len() as u64;
         self.index
             .insert_bulk(items.into_iter().map(|(id, e)| (id.0, e)).collect());
     }
 
     /// Drops an example from the index (called on eviction).
     pub fn unindex_example(&mut self, id: ExampleId) -> bool {
-        let removed = self.index.remove(id.0);
-        if removed {
-            self.index_epoch += 1;
-        }
-        removed
-    }
-
-    /// Monotone counter bumped on every index mutation
-    /// ([`Self::index_example`] / [`Self::unindex_example`]). While it
-    /// is unchanged, [`Self::stage1`] is a pure function of the request
-    /// — the invariant the replay engine's windowed look-ahead relies
-    /// on to reuse batched stage-1 probes across arrivals.
-    pub fn index_epoch(&self) -> u64 {
-        self.index_epoch
-    }
-
-    /// Monotone counter bumped whenever the learning state (proxy
-    /// weights or threshold controller) may have changed, i.e. on every
-    /// [`Self::proxy_mut`] / [`Self::threshold_mut`] access. While both
-    /// this and [`Self::index_epoch`] are unchanged, [`Self::select`]
-    /// is a pure function of the request and store — so a precomputed
-    /// [`Selection`] can stand in for a fresh one, byte for byte.
-    pub fn learn_epoch(&self) -> u64 {
-        self.learn_epoch
+        self.index.remove(id.0)
     }
 
     /// Number of indexed examples.
@@ -208,22 +172,6 @@ impl ExampleSelector {
             .search(&request.embedding, self.config.stage1_candidates)
             .into_iter()
             .map(|h| (ExampleId(h.id), h.similarity))
-            .collect()
-    }
-
-    /// Stage 1 for a whole batch through the index's `search_batch`.
-    /// `out[i]` is exactly `self.stage1(requests[i])` —
-    /// property-tested in `tests/batch_equivalence.rs`.
-    pub fn stage1_batch(&self, requests: &[&Request]) -> Vec<Vec<(ExampleId, f64)>> {
-        let queries: Vec<&Embedding> = requests.iter().map(|r| &r.embedding).collect();
-        self.index
-            .search_batch(&queries, self.config.stage1_candidates)
-            .into_iter()
-            .map(|hits| {
-                hits.into_iter()
-                    .map(|h| (ExampleId(h.id), h.similarity))
-                    .collect()
-            })
             .collect()
     }
 
@@ -249,32 +197,10 @@ impl ExampleSelector {
         self.select_from_stage1(request, self.stage1(request), store, target, threshold)
     }
 
-    /// Full two-stage selection for a whole batch: one multi-query
-    /// stage-1 probe shared across the requests, then the usual per-
-    /// request stage-2 re-rank under the current global threshold.
-    /// `out[i]` is exactly `self.select(requests[i], ...)` — selection
-    /// is read-only, so nothing a batch member does can perturb the
-    /// next one (the equivalence proptest pins this).
-    pub fn select_batch<S: ExampleStore>(
-        &self,
-        requests: &[&Request],
-        store: &S,
-        target: &ModelSpec,
-    ) -> Vec<Selection> {
-        let threshold = self.threshold.current();
-        requests
-            .iter()
-            .zip(self.stage1_batch(requests))
-            .map(|(r, cands)| self.select_from_stage1(r, cands, store, target, threshold))
-            .collect()
-    }
-
-    /// Two-stage selection with the stage-1 candidates supplied by the
-    /// caller — the hook the serving engine uses to fan one batched
-    /// probe out to per-request servings (whose stage-2 state may learn
-    /// between batch members). `candidates` must be what
-    /// [`ExampleSelector::stage1`] would return right now; the batched
-    /// probe guarantees that while the index is unchanged.
+    /// Stage 2 alone under the current threshold: two-stage selection
+    /// with the stage-1 `candidates` supplied by the caller (what
+    /// [`ExampleSelector::stage1`] returned). Times and differentially
+    /// tests stage 2 apart from the probe (`tests/stage2_oracle.rs`).
     pub fn select_with_stage1<S: ExampleStore>(
         &self,
         request: &Request,
