@@ -404,10 +404,9 @@ fn bench_replay(c: &mut Criterion) {
     use ic_engine::{EngineConfig, EventDrivenEngine, ServingEngine};
     use ic_workloads::fixed_qps_arrivals;
 
-    // A tiny end-to-end replay (same trace, inline vs worker-thread
-    // step regions) in one criterion table. Setup (example
-    // seeding) happens once; each measured iteration replays the trace
-    // through a fresh engine sharing the seeded example bank.
+    // A tiny end-to-end replay. Setup (example seeding) happens once;
+    // each measured iteration replays the trace through a fresh engine
+    // sharing the seeded example bank.
     let sys_cfg = IcCacheConfig::gemma_pair();
     let large = sys_cfg.primary;
     let large_spec = sys_cfg.catalog.get(large).clone();
@@ -426,14 +425,6 @@ fn bench_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("replay");
     g.bench_function("sequential", |b| {
         b.iter(|| black_box(run(EngineConfig::default())))
-    });
-    g.bench_function("threads_4", |b| {
-        b.iter(|| {
-            black_box(run(EngineConfig {
-                replay_threads: 4,
-                ..EngineConfig::default()
-            }))
-        })
     });
     g.finish();
 }

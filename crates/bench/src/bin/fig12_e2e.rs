@@ -27,11 +27,10 @@
 //!   summary footer carrying the replay counters; byte-deterministic
 //!   per seed.
 //!
-//! The iteration-scheduler, KV-memory, router-tier and replay knobs
+//! The iteration-scheduler, KV-memory and router-tier knobs
 //! can be overridden via the environment (`IC_PREFILL_CHUNK`,
 //! `IC_PREEMPT_QUANTUM`, `IC_MAX_QUEUE`, `IC_SELECTOR_BATCH`,
-//! `IC_REPLAY_THREADS`, `IC_KV_BLOCK`,
-//! `IC_KV_BUDGET`, `IC_KV_WATERMARKS`, `IC_KV_HOST_BLOCKS`,
+//! `IC_KV_BLOCK`, `IC_KV_BUDGET`, `IC_KV_WATERMARKS`, `IC_KV_HOST_BLOCKS`,
 //! `IC_ROUTER_REPLICAS`, `IC_GOSSIP_PERIOD`, `IC_POOL_OUTAGE`,
 //! `IC_RESP_CACHE`, `IC_RESP_THRESHOLD`, `IC_RESP_BYTES`,
 //! `IC_RESP_TTL`, `IC_RESP_PREPOP`, `IC_RESP_WINDOW`,
@@ -42,9 +41,9 @@
 //! and `kv` blocks). `IC_SELECTOR_BATCH` caps the same-tick run the
 //! stage-0 sketch pre-observes: with `IC_RESP_CACHE` off it changes
 //! only the `batch_limit` echoed in the `selector` stats block.
-//! `IC_REPLAY_THREADS` only picks where step regions run, so the
-//! replay is bit-identical at any value. A malformed `IC_*` value, or
-//! an `IC_POOL_OUTAGE` naming a pool the cluster does not have, exits 2
+//! A malformed `IC_*` value, a set `IC_*` variable that is not a knob
+//! (a typo, or a retired knob such as `IC_REPLAY_THREADS`), or an
+//! `IC_POOL_OUTAGE` naming a pool the cluster does not have, exits 2
 //! before any replay. The observability knobs
 //! are observation only: `BENCH_e2e.json` is byte-identical with and
 //! without them (CI-enforced). `IC_ROUTER_REPLICAS=1` (or unset)
@@ -79,9 +78,9 @@ fn replay_json(
     let r = &report.replay;
     format!(
         concat!(
-            "{{\"fraction\":{:.6},\"threads\":{},\"served\":{},\"steps\":{},",
-            "\"events\":{},\"parallel_regions\":{},",
-            "\"parallel_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
+            "{{\"fraction\":{:.6},\"served\":{},\"steps\":{},",
+            "\"events\":{},\"regions\":{},",
+            "\"region_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
             "\"arm_evaluations\":{},\"posterior_refits\":{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
@@ -90,12 +89,11 @@ fn replay_json(
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
         fraction,
-        r.threads,
         report.served,
         report.iter.steps,
         events,
-        r.parallel_regions,
-        r.parallel_steps,
+        r.regions,
+        r.region_steps,
         r.step_runs,
         r.quiet_steps,
         r.arm_evaluations,
@@ -185,21 +183,20 @@ fn print_replay_summary(
     let events = report.served + report.iter.steps;
     let r = &report.replay;
     println!(
-        "replay: {} events in {:.2}s wall ({:.0} events/s), {} thread(s), \
-         {} parallel regions covering {} steps",
+        "replay: {} events in {:.2}s wall ({:.0} events/s), \
+         {} step regions covering {} steps",
         events,
         wall_s,
         events as f64 / wall_s.max(1e-9),
-        r.threads,
-        r.parallel_regions,
-        r.parallel_steps,
+        r.regions,
+        r.region_steps,
     );
     println!(
         "step chains: {} quiet runs coalesced {} of {} steps ({:.1}%)",
         r.step_runs,
         r.quiet_steps,
-        r.parallel_steps,
-        r.quiet_steps as f64 / r.parallel_steps.max(1) as f64 * 100.0,
+        r.region_steps,
+        r.quiet_steps as f64 / r.region_steps.max(1) as f64 * 100.0,
     );
     println!(
         "router posteriors: {} refits for {} arm evaluations ({:.1}%)",

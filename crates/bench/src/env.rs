@@ -8,7 +8,9 @@
 //! does not parse is an `Err` naming the variable and its value — the
 //! binaries print it and exit 2, so a typo in a sweep script stops the
 //! run instead of silently recording the defaults under the knob's
-//! name.
+//! name. The same goes for a typo in the *name*, or a knob a later PR
+//! retired: [`unknown_knobs`] names every set `IC_*` variable that is
+//! not in [`KNOBS`].
 
 use ic_engine::PoolOutage;
 use ic_serving::Watermarks;
@@ -18,8 +20,63 @@ use ic_serving::Watermarks;
 /// before it runs anything.
 pub(crate) const KNOBS_CHECKED: &str = "IC_* knobs are checked at startup";
 
+/// Every `IC_*` environment variable the repo reads — the knob column
+/// of `docs/config.md`, row for row. Anything else starting with `IC_`
+/// in a bench binary's environment is a typo or a retired knob.
+pub const KNOBS: &[&str] = &[
+    "IC_PREFILL_CHUNK",
+    "IC_PREEMPT_QUANTUM",
+    "IC_MAX_QUEUE",
+    "IC_SELECTOR_BATCH",
+    "IC_SETUP_THREADS",
+    "IC_KV_BLOCK",
+    "IC_KV_BUDGET",
+    "IC_KV_WATERMARKS",
+    "IC_KV_HOST_BLOCKS",
+    "IC_KV_SHARE",
+    "IC_SHARE_BURST",
+    "IC_RESP_CACHE",
+    "IC_RESP_THRESHOLD",
+    "IC_RESP_BYTES",
+    "IC_RESP_TTL",
+    "IC_RESP_PREPOP",
+    "IC_RESP_WINDOW",
+    "IC_ROUTER_REPLICAS",
+    "IC_GOSSIP_PERIOD",
+    "IC_POOL_OUTAGE",
+    "IC_OBS_TRACE",
+    "IC_OBS_SAMPLE",
+    "IC_OBS_RING",
+    "IC_BLESS",
+];
+
+/// `Err` naming every `IC_*` variable that is set but is not one of
+/// [`KNOBS`] — a misspelled name (`IC_KV_BUDGT`) or a retired knob
+/// (`IC_REPLAY_THREADS`) would otherwise be ignored and the defaults
+/// recorded under its name.
+pub fn unknown_knobs() -> Result<(), String> {
+    let mut unknown: Vec<String> = std::env::vars_os()
+        .map(|(name, value)| (name.to_string_lossy().into_owned(), value))
+        .filter(|(name, _)| name.starts_with("IC_") && !KNOBS.contains(&name.as_str()))
+        .map(|(name, value)| format!("{name}={value:?}"))
+        .collect();
+    unknown.sort_unstable();
+    if unknown.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "not an IC_* knob, so nothing would read it: {} (docs/config.md lists the knobs)",
+            unknown.join(", ")
+        ))
+    }
+}
+
 /// The raw value of `name`; `Ok(None)` when unset.
 fn raw_env(name: &str) -> Result<Option<String>, String> {
+    debug_assert!(
+        KNOBS.contains(&name) || name.starts_with("IC_TEST_"),
+        "{name} is read but not listed in KNOBS"
+    );
     match std::env::var(name) {
         Ok(raw) => Ok(Some(raw)),
         Err(std::env::VarError::NotPresent) => Ok(None),
@@ -115,6 +172,18 @@ mod tests {
 
     // Process-global environment: each test uses its own variable name
     // so parallel test threads cannot race.
+
+    #[test]
+    fn knobs_are_the_rows_of_the_config_doc() {
+        let doc = include_str!("../../../docs/config.md");
+        let rows: Vec<&str> = doc
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `IC_"))
+            .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+            .collect();
+        let knobs: Vec<&str> = KNOBS.iter().map(|k| &k["IC_".len()..]).collect();
+        assert_eq!(rows, knobs, "docs/config.md table vs env::KNOBS");
+    }
 
     #[test]
     fn parses_plain_values() {

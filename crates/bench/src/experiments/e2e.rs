@@ -283,11 +283,6 @@ fn online_run_from_engine(
 ///   insertion (`0`/`1` = each arrival on its own). With
 ///   `IC_RESP_CACHE` off it only changes the `batch_limit` echoed in
 ///   the `selector` stats block.
-/// - `IC_REPLAY_THREADS` — threads executing step regions (`0`/`1` =
-///   every chain inline on the event-loop thread). Step-chain regions
-///   between router interactions merge in exact `(time, seq)` order
-///   wherever they ran: `BENCH_e2e.json` is bit-identical at any
-///   value, every stats block included (CI-enforced).
 /// - `IC_SETUP_THREADS` — worker threads for the deterministic setup
 ///   pipeline (example-bank embedding, k-means, IVF build; `0`/`1` =
 ///   sequential). Bit-identical at any value — a pure setup-wall-clock
@@ -376,9 +371,6 @@ pub fn engine_config() -> Result<EngineConfig, String> {
     if let Some(batch) = parse_env::<usize>("IC_SELECTOR_BATCH")? {
         config.selector_batch = batch;
     }
-    if let Some(threads) = parse_env::<usize>("IC_REPLAY_THREADS")? {
-        config.replay_threads = threads.max(1);
-    }
     if let Some(block) = parse_env::<u32>("IC_KV_BLOCK")? {
         config.kv_block_tokens = block;
     }
@@ -439,12 +431,15 @@ fn share_burst() -> Result<usize, String> {
 }
 
 /// [`engine_config`] for a binary's `main`, with every other `IC_*`
-/// knob the experiments read validated too and the fault schedule
-/// checked against the Gemma-pair cluster every e2e run replays on.
-/// `Err` carries a message naming the offending knob and value; the
-/// binaries print it and exit with status 2 — a typo'd knob must not
-/// record a default run under its name.
+/// knob the experiments read validated too, any set `IC_*` variable
+/// that is not a knob at all rejected ([`crate::env::unknown_knobs`]),
+/// and the fault schedule checked against the Gemma-pair cluster every
+/// e2e run replays on. `Err` carries a message naming the offending
+/// knob and value; the binaries print it and exit with status 2 — a
+/// typo'd, misspelled or retired knob must not record a default run
+/// under its name.
 pub fn checked_engine_config() -> Result<EngineConfig, String> {
+    crate::env::unknown_knobs()?;
     let config = engine_config()?;
     crate::env::setup_threads()?;
     share_burst()?;

@@ -2,8 +2,10 @@
 //! any replay: a fault schedule naming a pool the cluster does not have
 //! (`IC_POOL_OUTAGE=5:300:60` on the two-pool Gemma cluster used to be
 //! skipped silently, recording a fault-free run as if it had survived
-//! the outage), and any `IC_*` variable that is set but malformed
-//! (which used to replay the defaults under the knob's name).
+//! the outage), any `IC_*` variable that is set but malformed, and any
+//! set `IC_*` variable that is not a knob at all — a misspelled or
+//! retired name (each used to replay the defaults under the knob's
+//! name).
 
 use std::process::{Command, Output};
 
@@ -48,7 +50,6 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_PREEMPT_QUANTUM", "-1"),
     ("IC_MAX_QUEUE", "many"),
     ("IC_SELECTOR_BATCH", "8.0"),
-    ("IC_REPLAY_THREADS", "four"),
     ("IC_KV_BLOCK", "16t"),
     ("IC_KV_BUDGET", "1e3"),
     ("IC_KV_WATERMARKS", "0.5,0.9"),
@@ -71,10 +72,11 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_SHARE_BURST", " "),
 ];
 
-#[test]
-fn a_malformed_knob_exits_2_naming_variable_and_value() {
+/// Each `VAR=value` of `table`, set alone, must stop both binaries
+/// with exit 2 and the pair on stderr before anything is printed.
+fn assert_exits_2_naming(table: &[(&str, &str)]) {
     for bin in BINS {
-        for &(var, value) in MALFORMED {
+        for &(var, value) in table {
             let out = run_quick(bin, var, value);
             assert_eq!(
                 out.status.code(),
@@ -89,4 +91,22 @@ fn a_malformed_knob_exits_2_naming_variable_and_value() {
             assert!(out.stdout.is_empty(), "{bin} ran before rejecting {var}");
         }
     }
+}
+
+#[test]
+fn a_malformed_knob_exits_2_naming_variable_and_value() {
+    assert_exits_2_naming(MALFORMED);
+}
+
+/// Well-formed values under names nothing reads: two retired knobs and
+/// a typo of a live one.
+const UNKNOWN: &[(&str, &str)] = &[
+    ("IC_REPLAY_THREADS", "4"),
+    ("IC_SELECTOR_WINDOW", "2"),
+    ("IC_KV_BUDGT", "64"),
+];
+
+#[test]
+fn a_retired_or_misspelled_knob_exits_2_naming_the_variable() {
+    assert_exits_2_naming(UNKNOWN);
 }

@@ -8,9 +8,12 @@
 //! identical execution.
 //!
 //! The serving layer runs on this kernel at iteration (token-step)
-//! granularity: each busy model pool keeps exactly one `StepComplete`
-//! event in flight, whose handler advances the pool's running batch by
-//! one token step and re-arms the next one. Events are scheduled in
+//! granularity: each busy model pool has exactly one pending step
+//! boundary, whose handling advances the pool's running batch by one
+//! token step and arms the next one — queued as an event
+//! (`ic_serving::ClusterSim`) or held outside the queue under a
+//! reserved sequence number ([`Simulator::reserve_seq`],
+//! [`Simulator::peek_key`]; `ic-engine`). Events are scheduled in
 //! whole microseconds ([`SimTime::from_secs_f64`] rounds), which keeps
 //! long event chains — hundreds of thousands of token steps — exactly
 //! reproducible across runs and platforms.

@@ -133,6 +133,17 @@ impl<E> Simulator<E> {
         self.heap.peek().map(|Reverse(s)| s.at)
     }
 
+    /// The `(time, seq)` ordering key of the earliest pending event, if
+    /// any — seq being the same-time tie-break assigned at scheduling.
+    ///
+    /// Drivers that keep some events *outside* the queue (e.g. one armed
+    /// step slot per pool, keyed by [`Simulator::reserve_seq`]) compare
+    /// against it to handle everything in the exact total order a fully
+    /// queued run would have used.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|Reverse(s)| (s.at, s.seq))
+    }
+
     /// Pops the earliest event, advancing the clock to its timestamp.
     ///
     /// Deliberately *not* an `Iterator` impl: drivers interleave `next`
@@ -144,39 +155,6 @@ impl<E> Simulator<E> {
         self.now = s.at;
         self.processed += 1;
         Some((s.at, s.event))
-    }
-
-    /// Pops the earliest event only if `pred` accepts its `(time, event)`
-    /// pair; otherwise the queue is untouched. Lets a driver coalesce a
-    /// run of equal-time events of one kind (e.g. same-tick arrivals)
-    /// without disturbing the FIFO order of whatever follows.
-    pub fn next_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        let Reverse(s) = self.heap.peek()?;
-        if !pred(s.at, &s.event) {
-            return None;
-        }
-        self.next()
-    }
-
-    /// Like [`Simulator::next_if`], but also returns the popped event's
-    /// sequence number — the same-time tie-break assigned at scheduling.
-    ///
-    /// Drivers that simulate a run of events *outside* the queue (e.g. a
-    /// pool of independent step chains advanced on worker threads) need the
-    /// seq to merge externally-produced events back into the exact total
-    /// order `(time, seq)` the sequential simulator would have used.
-    pub fn next_if_full(
-        &mut self,
-        pred: impl FnOnce(SimTime, &E) -> bool,
-    ) -> Option<(SimTime, u64, E)> {
-        let Reverse(s) = self.heap.peek()?;
-        if !pred(s.at, &s.event) {
-            return None;
-        }
-        let Reverse(s) = self.heap.pop().expect("peeked event exists");
-        self.now = s.at;
-        self.processed += 1;
-        Some((s.at, s.seq, s.event))
     }
 
     /// Consumes and returns the next sequence number as if an event had been
@@ -197,12 +175,6 @@ impl<E> Simulator<E> {
     /// externally-simulated events handled back to back).
     pub fn reserve_seqs(&mut self, n: u64) {
         self.seq += n;
-    }
-
-    /// Every pending `(time, event)` pair, in no particular order (an
-    /// audit view; the queue is untouched).
-    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.heap.iter().map(|Reverse(s)| (s.at, &s.event))
     }
 
     /// Runs until the queue is empty, passing each event to `handler`.
@@ -326,45 +298,25 @@ mod tests {
     }
 
     #[test]
-    fn next_if_pops_only_matching_events() {
+    fn peek_key_exposes_seq_and_reserve_seq_matches_schedule() {
         let mut sim: Simulator<u32> = Simulator::new();
-        let t = SimTime::from_micros(3);
-        sim.schedule(t, 1);
-        sim.schedule(t, 2);
-        sim.schedule(SimTime::from_micros(9), 3);
-        // Rejecting predicate leaves the queue untouched.
-        assert_eq!(sim.next_if(|_, &e| e == 99), None);
-        assert_eq!(sim.len(), 3);
-        // Same-tick run drains in FIFO order while the predicate holds.
-        let (at, e) = sim.next().expect("first event");
-        assert_eq!(e, 1);
-        assert_eq!(sim.next_if(|t2, _| t2 == at).map(|(_, e)| e), Some(2));
-        // Event 3 is at a later tick: the run stops.
-        assert_eq!(sim.next_if(|t2, _| t2 == at), None);
-        assert_eq!(sim.next().map(|(_, e)| e), Some(3));
-        assert!(sim.is_empty());
-    }
-
-    #[test]
-    fn next_if_full_exposes_seq_and_reserve_seq_matches_schedule() {
-        let mut sim: Simulator<u32> = Simulator::new();
+        assert_eq!(sim.peek_key(), None);
         let t = SimTime::from_micros(4);
         sim.schedule(t, 10); // seq 0
         sim.schedule(t, 11); // seq 1
-        let got = sim.next_if_full(|_, &e| e == 10).expect("head matches");
-        assert_eq!(got, (t, 0, 10));
-        assert_eq!(sim.now(), t);
-        // Rejecting predicate leaves the queue untouched.
-        assert!(sim.next_if_full(|_, &e| e == 99).is_none());
+        // Peeking leaves the queue and the clock untouched.
+        assert_eq!(sim.peek_key(), Some((t, 0)));
+        assert_eq!((sim.len(), sim.now()), (2, SimTime::ZERO));
+        assert_eq!(sim.next(), Some((t, 10)));
         // reserve_seq burns exactly the seq the next schedule would have used,
         // so a subsequent schedule sorts after it at the same instant.
         let burned = sim.reserve_seq();
         assert_eq!(burned, 2);
         sim.schedule(t, 12); // seq 3
-        let (_, seq, e) = sim.next_if_full(|_, _| true).expect("head");
-        assert_eq!((seq, e), (1, 11));
-        let (_, seq, e) = sim.next_if_full(|_, _| true).expect("head");
-        assert_eq!((seq, e), (3, 12));
+        assert_eq!(sim.peek_key(), Some((t, 1)));
+        assert_eq!(sim.next(), Some((t, 11)));
+        assert_eq!(sim.peek_key(), Some((t, 3)));
+        assert_eq!(sim.next(), Some((t, 12)));
     }
 
     #[test]
@@ -386,21 +338,14 @@ mod tests {
             bulk.schedule(t, 1);
             single.schedule(t, 1);
             let drain = |sim: &mut Simulator<u32>| {
-                std::iter::from_fn(|| sim.next_if_full(|_, _| true)).collect::<Vec<_>>()
+                std::iter::from_fn(|| {
+                    let key = sim.peek_key()?;
+                    sim.next().map(|(_, event)| (key, event))
+                })
+                .collect::<Vec<_>>()
             };
             assert_eq!(drain(&mut bulk), drain(&mut single));
         }
-    }
-
-    #[test]
-    fn pending_lists_every_queued_event() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule(SimTime::from_micros(7), 1);
-        sim.schedule(SimTime::from_micros(3), 2);
-        let mut seen: Vec<_> = sim.pending().map(|(t, &e)| (t.as_micros(), e)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(3, 2), (7, 1)]);
-        assert_eq!(sim.len(), 2);
     }
 
     #[test]

@@ -10,13 +10,11 @@ mod step;
 
 use ic_cache::IcCacheSystem;
 use ic_llmsim::{ModelId, Request};
-use ic_serving::{KvSwap, ModelPool, PoolConfig, Watermarks};
-use parking_lot::Mutex;
+use ic_serving::{KvSwap, PoolConfig, Watermarks};
 
 use crate::engine::ServingEngine;
 use crate::report::EngineReport;
 use state::EngineState;
-use step::RegionWorkers;
 
 /// Report name of [`EventDrivenEngine`].
 const ENGINE_NAME: &str = "event-driven";
@@ -64,14 +62,11 @@ pub struct EngineConfig {
     /// apart from the `batch_limit` the report's `selector` block
     /// echoes. Selection itself is strictly per arrival.
     pub selector_batch: usize,
-    /// Threads executing step regions (env `IC_REPLAY_THREADS` in the
-    /// bench binaries). Maximal runs of `StepComplete` events between
-    /// router interactions execute as per-pool step chains and merge
-    /// back in exact `(time, seq)` order; `0`/`1` (default) runs every
-    /// chain inline on the event-loop thread, higher values hand all
-    /// but one chain per region to worker threads. Where the chains
-    /// run cannot change the report — every stats block is
-    /// bit-identical at any value.
+    /// Inert: nothing reads it. Step regions run on the event-loop
+    /// thread; the field stays only because the frozen
+    /// `benchmark/src/workload.rs` names it in a struct literal, and
+    /// goes when a benchmark-owning PR drops that line.
+    #[doc(hidden)]
     pub replay_threads: usize,
     /// Tokens per KV block (paged KV memory; `0` with a zero budget
     /// disables the memory model).
@@ -305,21 +300,9 @@ impl ServingEngine for EventDrivenEngine {
             arrivals.len(),
             "one arrival time per request"
         );
-        let pools: Vec<Mutex<ModelPool>> = self
-            .pool_configs
-            .iter()
-            .cloned()
-            .map(|pc| Mutex::new(ModelPool::new(pc)))
-            .collect();
-        let workers = self.config.replay_threads.saturating_sub(1);
-        // The scope lets region workers borrow the pools for the run;
-        // with no workers it spawns nothing and chains run inline.
-        std::thread::scope(|scope| {
-            let workers = RegionWorkers::spawn(scope, &pools, workers);
-            let mut state = EngineState::new(self, &pools, workers, requests, arrivals);
-            state.run();
-            state.into_report()
-        })
+        let mut state = EngineState::new(self, requests, arrivals);
+        state.run();
+        state.into_report()
     }
 
     fn system(&self) -> &IcCacheSystem {
@@ -351,22 +334,6 @@ mod tests {
         let mut system = IcCacheSystem::new(sys_cfg);
         system.seed_examples(examples, 0.0);
         (EventDrivenEngine::new(system, config), wg)
-    }
-
-    /// Field-level equality of the per-request joins (not serialized in
-    /// `to_json`, so checked directly).
-    fn assert_same_decisions(a: &EngineReport, b: &EngineReport) {
-        assert_eq!(a.per_request.len(), b.per_request.len());
-        for (x, y) in a.per_request.iter().zip(&b.per_request) {
-            assert_eq!(x.index, y.index);
-            assert_eq!(x.model, y.model);
-            assert_eq!(x.offloaded, y.offloaded);
-            assert_eq!(x.examples, y.examples);
-            assert_eq!(x.rejected, y.rejected);
-            assert_eq!(x.quality.to_bits(), y.quality.to_bits());
-            assert_eq!(x.e2e_s.to_bits(), y.e2e_s.to_bits());
-            assert_eq!(x.ttft_s.to_bits(), y.ttft_s.to_bits());
-        }
     }
 
     #[test]
@@ -571,70 +538,5 @@ mod tests {
             ..EngineConfig::default()
         };
         let _ = seeded_engine(10, config, 463);
-    }
-
-    #[test]
-    fn parallel_stepping_is_bit_identical_to_sequential() {
-        // Where the chains run cannot change the report: the whole
-        // JSON must match byte-for-byte.
-        let arrivals = fixed_qps_arrivals(3.0, 90.0, 457);
-        let run = |threads: usize| {
-            let config = EngineConfig {
-                replay_threads: threads,
-                ..EngineConfig::default()
-            };
-            let (mut engine, mut wg) = seeded_engine(500, config, 456);
-            let requests = wg.generate_requests(arrivals.len());
-            engine.serve_workload(&requests, &arrivals)
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        assert!(
-            parallel.replay.parallel_regions > 0,
-            "regions must form: {:?}",
-            parallel.replay
-        );
-        assert!(parallel.replay.parallel_steps > 0);
-        // One thread runs the very same regions, inline.
-        assert_eq!(
-            sequential.replay.parallel_regions,
-            parallel.replay.parallel_regions
-        );
-        assert_eq!(
-            sequential.replay.parallel_steps,
-            parallel.replay.parallel_steps
-        );
-        assert_same_decisions(&sequential, &parallel);
-        assert_eq!(sequential.to_json(), parallel.to_json());
-    }
-
-    #[test]
-    fn parallel_stepping_survives_outages_and_gossip() {
-        // Failover flushes (pool epochs), retries and multi-replica
-        // gossip rounds all act as region barriers; the parallel replay
-        // must stay bit-identical through them.
-        let arrivals = fixed_qps_arrivals(25.0, 40.0, 461);
-        let run = |threads: usize| {
-            let config = EngineConfig {
-                replay_threads: threads,
-                router_replicas: 3,
-                gossip_period_s: 5.0,
-                pool_outages: vec![PoolOutage {
-                    pool: 0,
-                    at_s: 10.0,
-                    duration_s: 15.0,
-                }],
-                ..EngineConfig::default()
-            };
-            let (mut engine, mut wg) = seeded_engine(500, config, 460);
-            let requests = wg.generate_requests(arrivals.len());
-            engine.serve_workload(&requests, &arrivals)
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        assert!(sequential.router.failover_requeues > 0, "outage must bite");
-        assert!(parallel.replay.parallel_regions > 0);
-        assert_same_decisions(&sequential, &parallel);
-        assert_eq!(sequential.to_json(), parallel.to_json());
     }
 }

@@ -9,8 +9,8 @@ use super::EngineConfig;
 use super::state::EngineState;
 
 /// Cursor over the arrival sequence in firing order: which arrival
-/// fires next (one half of the step-region barrier) and how much of the
-/// sequence the stage-0 trending sketch has already seen.
+/// fires next and how much of the sequence the stage-0 trending sketch
+/// has already seen.
 pub(super) struct ArrivalCursor {
     /// Arrivals `(time, index)` in firing order — the heap pops
     /// `(time, seq)` and arrivals are scheduled first, in index order,
@@ -36,12 +36,6 @@ impl ArrivalCursor {
             observed_until: 0,
             tick_cap: config.selector_batch.max(1),
         }
-    }
-
-    /// When the next arrival fires, if any is left — one half of the
-    /// step-region barrier (`EngineState::region_barrier`).
-    pub(super) fn next_arrival(&self) -> Option<SimTime> {
-        self.order.get(self.fired).map(|&(t, _)| t)
     }
 
     /// End (exclusive, in `order`) of the run of arrivals from `pos`

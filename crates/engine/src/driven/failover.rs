@@ -12,15 +12,15 @@ impl EngineState<'_> {
     /// kvmem release path — and re-enqueues each job through the router
     /// tier as a retry. Overlapping outage windows nest: the depth
     /// counter keeps the pool down until the last window's recovery.
-    /// The epoch bump invalidates the flushed lineage's in-flight step
-    /// event.
+    /// Clearing the armed slot drops the flushed lineage's pending step
+    /// boundary.
     pub(super) fn on_pool_down(&mut self, pool: usize, at: SimTime) {
         let model = self.model_pools[pool].0;
         self.system.failover_mut().set_model_healthy(model, false);
         self.down_depth[pool] += 1;
-        self.pool_epochs[pool] += 1;
+        self.armed[pool] = None;
         self.trace(at, NO_REQUEST, ObsKind::PoolDown { pool: pool as u32 });
-        let flushed = self.pools[pool].lock().fail_over();
+        let flushed = self.pools[pool].fail_over();
         for job in flushed {
             let i = job.0 as usize;
             self.failover_requeues += 1;

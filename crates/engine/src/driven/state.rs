@@ -1,7 +1,6 @@
-//! Run-scoped state of one `serve_workload` replay and the shared
-//! tails every event handler goes through: `schedule` (event queue +
-//! region barrier), `dispatch` (offer a served request to its pool) and
-//! `complete` (finisher bookkeeping).
+//! Run-scoped state of one `serve_workload` replay, its event loop, and
+//! the shared tails the event handlers go through: `dispatch` (offer a
+//! served request to its pool) and `complete` (finisher bookkeeping).
 
 use ic_cache::{IcCacheSystem, ServeOutcome};
 use ic_desim::{Periodic, SimDuration, SimTime, Simulator};
@@ -16,29 +15,23 @@ use ic_serving::{
     busy_interval_rps,
 };
 use ic_stats::{PercentileSnapshot, Percentiles, split_mix64};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use super::arrival::ArrivalCursor;
-use super::step::{RegionScratch, RegionWorkers};
+use super::step::{EventKey, RegionScratch};
 use super::{ENGINE_NAME, EngineConfig, EventDrivenEngine};
 use crate::engine::cache_stats;
 use crate::report::{
     EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats, SelectorStats,
 };
 
-/// Simulator events.
+/// The events of the simulator's heap; every router interaction is one
+/// of them. Step boundaries are not: each pool's next one sits in its
+/// armed slot ([`EngineState::armed`]).
 #[derive(Debug)]
 pub(super) enum Event {
     /// Request `i` of the workload arrives.
     Arrival(usize),
-    /// The in-flight iteration (token step) of `pool` ends. The second
-    /// field is the pool's failover epoch at arming time: a pool
-    /// failover bumps the epoch, so a step armed before the flush is
-    /// recognisably stale and dropped — otherwise a pool that refills
-    /// before the stale event fires would end up with two step
-    /// lineages advancing it twice per iteration.
-    StepComplete(usize, u64),
     /// One gossip round of the router tier (periodic; only scheduled
     /// with more than one replica).
     GossipRound,
@@ -64,60 +57,10 @@ pub(super) enum Event {
     Stage0Complete(usize),
 }
 
-impl Event {
-    pub(super) fn is_step(&self) -> bool {
-        matches!(self, Event::StepComplete(..))
-    }
-
-    /// Whether the event's time is mirrored in the [`BarrierSet`]:
-    /// every non-step event except arrivals, whose times already sit
-    /// sorted in the arrival cursor's firing order.
-    fn is_dynamic_barrier(&self) -> bool {
-        !matches!(self, Event::StepComplete(..) | Event::Arrival(_))
-    }
-}
-
 /// Fixed latency of serving a request from the stage-0 response cache:
 /// the embedding probe plus response streaming, orders of magnitude
 /// below any prefill/decode path but not free.
 const STAGE0_HIT_LATENCY_S: f64 = 0.002;
-
-/// Multiset of the pending *dynamic* non-step event times: gossip,
-/// outage, maintenance, rebalance, sampler and stage-0 completion
-/// events, scheduled as the run unfolds. Together with the next
-/// arrival (read off the arrival cursor's sorted firing order — failover
-/// retries are served inline, never scheduled) its earliest entry is
-/// the barrier a step region must not cross
-/// ([`EngineState::region_barrier`]): every router interaction is one
-/// or the other, so any run of `StepComplete` chains strictly before it
-/// is provably independent and safe to execute out of line.
-#[derive(Debug, Default)]
-pub(super) struct BarrierSet(BTreeMap<SimTime, u32>);
-
-impl BarrierSet {
-    fn add(&mut self, t: SimTime) {
-        *self.0.entry(t).or_insert(0) += 1;
-    }
-
-    fn remove(&mut self, t: SimTime) {
-        match self.0.get_mut(&t) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.0.remove(&t);
-            }
-            None => debug_assert!(false, "barrier multiset underflow at {t}"),
-        }
-    }
-
-    fn earliest(&self) -> Option<SimTime> {
-        self.0.keys().next().copied()
-    }
-}
-
-/// Runs at most this long re-derive every region barrier from the
-/// event queue itself in debug builds (a full scan per region).
-#[cfg(debug_assertions)]
-const BARRIER_AUDIT_MAX_REQUESTS: usize = 512;
 
 /// Run aggregates over the requests that actually executed. A
 /// queue-cap reject produced no response and contributes nothing.
@@ -167,17 +110,19 @@ pub(super) struct EngineState<'a> {
     pub(super) model_pools: &'a [(ModelId, usize)],
     pool_configs: &'a [PoolConfig],
     /// Fresh pools per run: queue state never leaks across workloads.
-    /// Mutex-wrapped so region workers can advance step chains; the
-    /// inline executor pays only an uncontended lock.
-    pub(super) pools: &'a [Mutex<ModelPool>],
-    /// Where step chains run (`EngineConfig::replay_threads`).
-    pub(super) workers: RegionWorkers,
+    pub(super) pools: Vec<ModelPool>,
     pub(super) requests: &'a [Request],
 
     pub(super) sim: Simulator<Event>,
-    /// Mirror of every pending dynamic non-step event time (see
-    /// `schedule`).
-    barrier: BarrierSet,
+    /// Per pool, the `(time, seq)` key of its next step boundary: the
+    /// one copy of every pending step event. Invariant: a pool with a
+    /// running batch has exactly one — armed by [`Self::arm_step`] on an
+    /// `Offer::Started` admission, taken by the step region that runs
+    /// it, re-armed by the region's merge while the pool stays busy,
+    /// and cleared when a failover flushes the pool (so a pool that
+    /// refills within one step time starts a fresh lineage instead of
+    /// being stepped twice per iteration).
+    pub(super) armed: Vec<Option<EventKey>>,
     /// Step-region buffers, reused from region to region.
     pub(super) region: RegionScratch,
     /// The arrival sequence in firing order.
@@ -206,12 +151,9 @@ pub(super) struct EngineState<'a> {
     /// [`ic_cache::FrontEnd::posterior_counts`] when the run began; the
     /// report carries the growth since.
     posterior_base: (u64, u64),
-    /// Failover bookkeeping: `pool_epochs` invalidates a flushed
-    /// pool's in-flight step event (see [`Event::StepComplete`]);
-    /// `down_depth` counts overlapping outage windows so a nested
-    /// window's `PoolUp` cannot revive a pool an enclosing window
-    /// still declares down.
-    pub(super) pool_epochs: Vec<u64>,
+    /// Failover bookkeeping: overlapping outage windows per pool, so a
+    /// nested window's `PoolUp` cannot revive a pool an enclosing
+    /// window still declares down.
     pub(super) down_depth: Vec<u32>,
     /// Lifecycle tracing (`EngineConfig::trace`): the engine lane. With
     /// tracing off no lane exists anywhere, so the hot path costs one
@@ -226,8 +168,6 @@ impl<'a> EngineState<'a> {
     /// schedule (same-instant events fire in this scheduling order).
     pub(super) fn new(
         engine: &'a mut EventDrivenEngine,
-        pools: &'a [Mutex<ModelPool>],
-        workers: RegionWorkers,
         requests: &'a [Request],
         arrivals: &[f64],
     ) -> Self {
@@ -239,10 +179,10 @@ impl<'a> EngineState<'a> {
         } = engine;
         let config: &EngineConfig = config;
         let n = requests.len();
+        let mut pools: Vec<ModelPool> = pool_configs.iter().cloned().map(ModelPool::new).collect();
         if config.trace {
-            for (p, pool) in pools.iter().enumerate() {
-                pool.lock()
-                    .set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
+            for (p, pool) in pools.iter_mut().enumerate() {
+                pool.set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
             }
         }
         // A changed replica count re-clones the (possibly warmed)
@@ -266,11 +206,11 @@ impl<'a> EngineState<'a> {
             system,
             model_pools,
             pool_configs,
+            armed: vec![None; pools.len()],
+            down_depth: vec![0; pools.len()],
             pools,
-            workers,
             requests,
             sim: Simulator::new(),
-            barrier: BarrierSet::default(),
             region: RegionScratch::default(),
             cursor: ArrivalCursor::new(config, &times),
             resp_cache: config.resp_cache.then(|| {
@@ -291,13 +231,8 @@ impl<'a> EngineState<'a> {
             failover_requeues: 0,
             retry_rejects: 0,
             stage1_arrivals: 0,
-            replay: ReplayStats {
-                threads: config.replay_threads.max(1) as u64,
-                ..ReplayStats::default()
-            },
+            replay: ReplayStats::default(),
             posterior_base,
-            pool_epochs: vec![0; pools.len()],
-            down_depth: vec![0; pools.len()],
             recorder: config.trace.then(|| Recorder::new(config.obs_ring)),
             sampler: Sampler {
                 on: Periodic::every_secs(config.obs_sample_s).enabled(),
@@ -312,8 +247,8 @@ impl<'a> EngineState<'a> {
         for outage in config.pool_outages.iter().filter(|o| o.duration_s > 0.0) {
             let down_at = SimTime::from_secs_f64(outage.at_s);
             let up_at = SimTime::from_secs_f64(outage.at_s + outage.duration_s);
-            state.schedule(down_at, Event::PoolDown(outage.pool));
-            state.schedule(up_at, Event::PoolUp(outage.pool));
+            state.sim.schedule(down_at, Event::PoolDown(outage.pool));
+            state.sim.schedule(up_at, Event::PoolUp(outage.pool));
         }
         state.arm_periodic(config.maintenance_period_s, Event::Maintenance);
         state.arm_periodic(config.rebalance_period_s, Event::Rebalance);
@@ -330,17 +265,20 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// The event loop. Pops carry the event's sequence number so the
-    /// step-region merge knows each head's exact `(time, seq)` key.
+    /// The event loop: whichever of {earliest armed step boundary, heap
+    /// head} has the smaller `(time, seq)` key goes next — the step
+    /// boundaries as one region running up to the heap head.
     pub(super) fn run(&mut self) {
-        while let Some((at, seq, event)) = self.sim.next_if_full(|_, _| true) {
-            if event.is_dynamic_barrier() {
-                self.barrier.remove(at);
+        loop {
+            if self.run_step_region() {
+                continue;
             }
+            let Some((at, event)) = self.sim.next() else {
+                return;
+            };
             let now = at.as_secs_f64();
             match event {
                 Event::Arrival(i) => self.on_arrival(i, at),
-                Event::StepComplete(pool, epoch) => self.on_step(at, seq, pool, epoch),
                 Event::Stage0Complete(i) => {
                     // The cache-served request completes: the same
                     // bookkeeping a pool finisher gets, with no pool
@@ -382,44 +320,11 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Queues a dynamic non-step event and mirrors its time into the
-    /// barrier set, which bounds how far a step region may run ahead.
-    /// Step events are armed by [`Self::arm_step`] instead: they are
-    /// what regions execute, not what stops them; arrivals are queued
-    /// once, up front, and tracked by the arrival cursor.
-    pub(super) fn schedule(&mut self, at: SimTime, event: Event) {
-        debug_assert!(
-            event.is_dynamic_barrier(),
-            "only dynamic events are mirrored"
-        );
-        self.sim.schedule(at, event);
-        self.barrier.add(at);
-    }
-
-    /// The earliest pending non-step event — the next arrival or the
-    /// earliest dynamic event — which no step region may reach.
-    pub(super) fn region_barrier(&self) -> Option<SimTime> {
-        let barrier = [self.cursor.next_arrival(), self.barrier.earliest()]
-            .into_iter()
-            .flatten()
-            .min();
-        #[cfg(debug_assertions)]
-        if self.requests.len() <= BARRIER_AUDIT_MAX_REQUESTS {
-            let queued = self.sim.pending().filter(|(_, e)| !e.is_step());
-            debug_assert_eq!(
-                barrier,
-                queued.map(|(t, _)| t).min(),
-                "cursor + multiset must agree with the event queue"
-            );
-        }
-        barrier
-    }
-
     /// Queues `event` one period from now; a non-positive or non-finite
     /// period disables the source.
     fn arm_periodic(&mut self, period_s: f64, event: Event) {
         if let Some(period) = Periodic::every_secs(period_s).period() {
-            self.schedule(self.sim.now() + period, event);
+            self.sim.schedule(self.sim.now() + period, event);
         }
     }
 
@@ -430,18 +335,14 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Reschedules `pool`'s step event iff it has a running batch.
-    /// Invariant: each busy pool has exactly one *live* `StepComplete`
-    /// in flight — armed here on an `Offer::Started` admission and
-    /// re-armed by the step handler; a pool failover bumps the epoch so
-    /// the flushed lineage's pending event dies on delivery instead of
-    /// double-stepping a refilled pool.
+    /// Arms `pool`'s next step boundary iff it has a running batch,
+    /// under the seq a queued event would have drawn here (see
+    /// [`Self::armed`]).
     fn arm_step(&mut self, pool: usize) {
-        if let Some(dt) = self.pools[pool].lock().step_secs() {
-            self.sim.schedule_in(
-                SimDuration::from_secs_f64(dt),
-                Event::StepComplete(pool, self.pool_epochs[pool]),
-            );
+        if let Some(dt) = self.pools[pool].step_secs() {
+            debug_assert!(self.armed[pool].is_none(), "one step lineage per pool");
+            let at = self.sim.now() + SimDuration::from_secs_f64(dt);
+            self.armed[pool] = Some((at, self.sim.reserve_seq()));
         }
     }
 
@@ -528,8 +429,7 @@ impl<'a> EngineState<'a> {
         };
         // Iteration-level admission: an idle pool starts the job; a
         // busy pool keeps it queued until the next step boundary.
-        let offer = self.pools[pool].lock().offer(job, at);
-        match offer {
+        match self.pools[pool].offer(job, at) {
             Offer::Rejected => {
                 self.trace(at, id, ObsKind::RejectedByCap { retry });
                 record.rejected = true;
@@ -580,7 +480,7 @@ impl<'a> EngineState<'a> {
             },
         );
         let done = at + SimDuration::from_secs_f64(STAGE0_HIT_LATENCY_S);
-        self.schedule(done, Event::Stage0Complete(i));
+        self.sim.schedule(done, Event::Stage0Complete(i));
     }
 
     /// Finisher bookkeeping for request `i` completing at `at_s`: fill
@@ -629,23 +529,20 @@ impl<'a> EngineState<'a> {
         let pools: Vec<PoolSample> = self
             .pools
             .iter()
-            .map(|p| {
-                let p = p.lock();
-                PoolSample {
-                    queue: p.queue_len() as u32,
-                    active: p.active(),
-                    swapped: p.swapped_len() as u32,
-                    kv_used_blocks: p.kv_used_blocks(),
-                    kv_occupancy: p.kv_occupancy(),
-                    kv_shared_blocks: p.kv_shared_blocks(),
-                    dedup_ratio: p.kv_stats().dedup_ratio(),
-                    mean_step_batch: p.iter_stats().mean_step_batch(),
-                }
+            .map(|p| PoolSample {
+                queue: p.queue_len() as u32,
+                active: p.active(),
+                swapped: p.swapped_len() as u32,
+                kv_used_blocks: p.kv_used_blocks(),
+                kv_occupancy: p.kv_occupancy(),
+                kv_shared_blocks: p.kv_shared_blocks(),
+                dedup_ratio: p.kv_stats().dedup_ratio(),
+                mean_step_batch: p.iter_stats().mean_step_batch(),
             })
             .collect();
         // Pool queue caps count every drop, retries included; the
         // sample splits them back out.
-        let total_rejects: u64 = self.pools.iter().map(|p| p.lock().rejected()).sum();
+        let total_rejects: u64 = self.pools.iter().map(|p| p.rejected()).sum();
         let fe = self.system.front_end().stats();
         s.samples.push(TelemetrySample {
             t_us: at.as_micros(),
@@ -675,8 +572,7 @@ impl<'a> EngineState<'a> {
         let n = self.requests.len() as u64;
         let mut iter = IterStats::default();
         let mut kv = KvStats::default();
-        for p in self.pools {
-            let p = p.lock();
+        for p in &self.pools {
             iter.merge(&p.iter_stats());
             kv.merge(&p.kv_stats());
         }
@@ -687,8 +583,8 @@ impl<'a> EngineState<'a> {
             let (events, dropped) = match self.recorder {
                 Some(rec) => rec.finish(
                     self.pools
-                        .iter()
-                        .filter_map(|p| p.lock().take_obs())
+                        .iter_mut()
+                        .filter_map(ModelPool::take_obs)
                         .collect(),
                 ),
                 None => (Vec::new(), 0),

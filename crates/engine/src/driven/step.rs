@@ -1,7 +1,16 @@
-//! The step handler: every run of `StepComplete` events between two
-//! router interactions executes as per-pool step chains and merges back
-//! in exact `(time, seq)` order. [`RegionWorkers`] is only *where* the
-//! chains run — inline, or on worker threads.
+//! The step handler: every run of step boundaries between two router
+//! interactions executes as per-pool step chains and merges back in
+//! exact `(time, seq)` order.
+//!
+//! Step events never enter the event heap. A busy pool has one *armed
+//! slot* — the `(time, seq)` key of its next boundary, the seq drawn
+//! from `Simulator::reserve_seq` at the moment a queued event would
+//! have drawn it — and the event loop handles whichever of {earliest
+//! armed slot, heap head} has the smaller key. A region's heads are the
+//! armed slots that sort before the heap head ([`take_heads`]) and its
+//! barrier is the heap head's time: every router interaction is a heap
+//! event, so each pool's chain between its head and the barrier depends
+//! only on that pool's own state.
 //!
 //! A chain is run-length encoded (`ic_serving::ChainStep::quiet`): one
 //! record per boundary that changed something, carrying the count of
@@ -16,126 +25,32 @@
 //! everywhere takes the same code with nothing to count.
 
 use ic_desim::{SimDuration, SimTime, Simulator};
-use ic_serving::{ChainStep, ModelPool};
-use parking_lot::Mutex;
+use ic_serving::ChainStep;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 use super::state::{EngineState, Event};
 
-/// The popped step event heading one pool's chain.
-#[derive(Clone, Copy)]
+/// The `(time, seq)` ordering key of a step boundary or a heap event.
+pub(super) type EventKey = (SimTime, u64);
+
+/// The armed step boundary heading one pool's chain.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Head {
     at: SimTime,
     seq: u64,
     pool: usize,
-    epoch: u64,
 }
 
-/// One per-pool chain assignment for a region worker.
-struct RegionTask {
-    /// Index into the region's head list (result routing).
-    slot: usize,
-    /// Pool whose chain to advance.
-    pool: usize,
-    /// Time of the chain's first (already-popped) step event.
-    at: SimTime,
-    /// Region barrier: the chain stops before this instant.
-    barrier: Option<SimTime>,
-    /// The chain's record buffer: travels out empty, comes back filled.
-    chain: Vec<ChainStep>,
-}
-
-/// The executor of a step region's chains. With no workers
-/// (`EngineConfig::replay_threads <= 1`) every chain runs inline on the
-/// event-loop thread; otherwise the first chain runs inline and the
-/// rest go to persistent worker threads, which hold
-/// `&[Mutex<ModelPool>]` and run [`ModelPool::advance_chain`] per task.
-/// Each region is handed off as **one batch per worker** — a single
-/// channel message carrying every chain assigned to that worker, and
-/// the same batch coming back with its chains filled. Results are
-/// routed by slot, so the executor can never change the replay bytes.
-/// Workers exit when the task senders drop at scope end.
-pub(super) struct RegionWorkers {
-    task_txs: Vec<mpsc::Sender<Vec<RegionTask>>>,
-    done_rx: mpsc::Receiver<(usize, Vec<RegionTask>)>,
-    /// One task batch per worker, reused across regions.
-    batches: Vec<Vec<RegionTask>>,
-}
-
-impl RegionWorkers {
-    pub(super) fn spawn<'scope, 'pools: 'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        pools: &'pools [Mutex<ModelPool>],
-        workers: usize,
-    ) -> Self {
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut task_txs = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (task_tx, task_rx) = mpsc::channel::<Vec<RegionTask>>();
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                while let Ok(mut batch) = task_rx.recv() {
-                    for task in &mut batch {
-                        pools[task.pool].lock().advance_chain(
-                            task.at,
-                            task.barrier,
-                            &mut task.chain,
-                        );
-                    }
-                    if done_tx.send((worker, batch)).is_err() {
-                        break;
-                    }
-                }
-            });
-            task_txs.push(task_tx);
-        }
-        Self {
-            task_txs,
-            done_rx,
-            batches: (0..workers).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Advances every head's chain up to `barrier` into `chains[slot]`
-    /// (`chains` has a buffer per head).
-    fn run(
-        &mut self,
-        pools: &[Mutex<ModelPool>],
-        heads: &[Head],
-        barrier: Option<SimTime>,
-        chains: &mut [Vec<ChainStep>],
-    ) {
-        let workers = self.task_txs.len();
-        let inline = if workers == 0 { heads.len() } else { 1 };
-        for (slot, head) in heads.iter().enumerate().skip(inline) {
-            self.batches[(slot - inline) % workers].push(RegionTask {
-                slot,
-                pool: head.pool,
-                at: head.at,
-                barrier,
-                chain: std::mem::take(&mut chains[slot]),
-            });
-        }
-        let mut outstanding = 0usize;
-        for (tx, batch) in self.task_txs.iter().zip(&mut self.batches) {
-            if !batch.is_empty() {
-                tx.send(std::mem::take(batch)).expect("region worker alive");
-                outstanding += 1;
-            }
-        }
-        for (slot, head) in heads.iter().enumerate().take(inline) {
-            pools[head.pool]
-                .lock()
-                .advance_chain(head.at, barrier, &mut chains[slot]);
-        }
-        for _ in 0..outstanding {
-            let (worker, mut batch) = self.done_rx.recv().expect("region worker alive");
-            for task in batch.drain(..) {
-                chains[task.slot] = task.chain;
-            }
-            self.batches[worker] = batch;
+/// Moves every armed slot that sorts before `heap_head` — the event
+/// heap's earliest key, `None` when the heap is empty — into `heads`.
+/// The comparison is on the whole key: a step boundary and a heap event
+/// at the same instant go in arming order, as if both had been queued.
+fn take_heads(armed: &mut [Option<EventKey>], heap_head: Option<EventKey>, heads: &mut Vec<Head>) {
+    heads.clear();
+    for (pool, slot) in armed.iter_mut().enumerate() {
+        if let Some((at, seq)) = slot.take_if(|key| heap_head.is_none_or(|head| *key < head)) {
+            heads.push(Head { at, seq, pool });
         }
     }
 }
@@ -174,16 +89,17 @@ struct Handled {
 /// Pops the earliest pending boundary and queues its successor at
 /// exactly the seq a one-event-per-step loop would assign: another
 /// merge entry, or — when the chain stopped at the barrier — the
-/// pool's real `StepComplete`, armed in `sim`. Quiet boundaries that
-/// follow the popped one and fall *strictly* before the heap's next
-/// key are handled in the same pop (a tie goes to the pending key: it
-/// was queued first, so its seq is smaller); each burns the one seq its
-/// own handling would have reserved.
+/// pool's armed slot. Quiet boundaries that follow the popped one and
+/// fall *strictly* before the merge heap's next key are handled in the
+/// same pop (a tie goes to the pending key: it was queued first, so its
+/// seq is smaller); each burns the one seq its own handling would have
+/// reserved.
 fn merge_next(
     merge: &mut BinaryHeap<MergeEntry>,
     heads: &[Head],
     chains: &[Vec<ChainStep>],
     sim: &mut Simulator<Event>,
+    armed: &mut [Option<EventKey>],
 ) -> Option<Handled> {
     let Reverse((at, _, slot, record, pos)) = merge.pop()?;
     let step = &chains[slot][record];
@@ -204,9 +120,8 @@ fn merge_next(
         } else if record + 1 < chains[slot].len() {
             merge.push(Reverse((next_at, sim.reserve_seq(), slot, record + 1, 0)));
         } else {
-            // The chain stopped at the barrier: rearm in the real queue.
-            let head = heads[slot];
-            sim.schedule(next_at, Event::StepComplete(head.pool, head.epoch));
+            // The chain stopped at the barrier: re-arm the pool's slot.
+            armed[heads[slot].pool] = Some((next_at, sim.reserve_seq()));
         }
     }
     Some(Handled {
@@ -219,78 +134,53 @@ fn merge_next(
 }
 
 impl EngineState<'_> {
-    pub(super) fn on_step(&mut self, at: SimTime, seq: u64, pool: usize, epoch: u64) {
+    /// Runs the step region that sorts before the heap head, if any
+    /// pool is armed there; returns whether one ran.
+    pub(super) fn run_step_region(&mut self) -> bool {
+        let heap_head = self.sim.peek_key();
+        take_heads(&mut self.armed, heap_head, &mut self.region.heads);
+        if self.region.heads.is_empty() {
+            return false;
+        }
         let mut region = std::mem::take(&mut self.region);
-        // Gather every consecutive step event off the heap: all of them
-        // sort before the earliest pending non-step event (the region
-        // barrier), so each pool's chain between here and the barrier
-        // depends only on that pool's own state.
-        region.heads.clear();
-        region.heads.push(Head {
-            at,
-            seq,
-            pool,
-            epoch,
-        });
-        while let Some((at, seq, event)) = self.sim.next_if_full(|_, event| event.is_step()) {
-            let Event::StepComplete(pool, epoch) = event else {
-                unreachable!("predicate admits only step events")
-            };
-            region.heads.push(Head {
-                at,
-                seq,
-                pool,
-                epoch,
-            });
-        }
-        // A failover flushed the lineage a stale head was armed for;
-        // the live lineage (if any) has its own pending event.
-        region.heads.retain(|h| h.epoch == self.pool_epochs[h.pool]);
-        if !region.heads.is_empty() {
-            self.run_region(&mut region);
-        }
+        self.run_region(&mut region, heap_head.map(|(at, _)| at));
         self.region = region;
+        true
     }
 
-    fn run_region(&mut self, region: &mut RegionScratch) {
+    fn run_region(&mut self, region: &mut RegionScratch, barrier: Option<SimTime>) {
         let RegionScratch {
             heads,
             occ,
             chains,
             merge,
         } = region;
-        let barrier = self.region_barrier();
-        debug_assert!(
-            barrier.is_none_or(|b| heads.iter().all(|h| h.at <= b)),
-            "step heads must not outrun the barrier"
-        );
         // Occupancy snapshot before any chain advances; the merge below
         // updates it in handling order, so every finisher sees the
         // `in_system` of its own step boundary.
         occ.clear();
-        occ.extend(self.pools.iter().map(|p| {
-            let p = p.lock();
-            p.active() + p.queue_len() as u32
-        }));
+        occ.extend(self.pools.iter().map(|p| p.active() + p.queue_len() as u32));
         if chains.len() < heads.len() {
             chains.resize_with(heads.len(), Vec::new);
         }
-        self.workers.run(self.pools, heads, barrier, chains);
-        self.replay.parallel_regions += 1;
+        for (head, chain) in heads.iter().zip(chains.iter_mut()) {
+            self.pools[head.pool].advance_chain(head.at, barrier, chain);
+        }
+        self.replay.regions += 1;
 
         // Deterministic merge: replay the chains in the `(time, seq)`
         // order a one-event-per-step loop would handle them, burning
         // the sequence numbers it would assign — intermediate rearms
-        // consume a reserved seq, the final rearm per pool goes back
-        // into the real queue.
+        // consume a reserved seq, the final rearm per pool lands in the
+        // pool's armed slot.
         merge.extend(
             heads
                 .iter()
                 .enumerate()
                 .map(|(slot, h)| Reverse((h.at, h.seq, slot, 0, 0))),
         );
-        while let Some(handled) = merge_next(merge, heads, chains, &mut self.sim) {
-            self.replay.parallel_steps += handled.steps;
+        while let Some(handled) = merge_next(merge, heads, chains, &mut self.sim, &mut self.armed) {
+            self.replay.region_steps += handled.steps;
             if !handled.own {
                 continue;
             }
@@ -381,7 +271,7 @@ mod tests {
     /// Everything a merge decides: the boundary handling order as
     /// `(time, pool)` — own boundaries flagged — the next seq the
     /// simulator would hand out, and the final rearms `(time, seq,
-    /// pool)` left in the real queue.
+    /// pool)` left in the armed slots, in `(time, seq)` order.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         order: Vec<(SimTime, usize)>,
@@ -390,47 +280,55 @@ mod tests {
         rearms: Vec<(SimTime, u64, usize)>,
     }
 
-    /// Runs the region merge over hand-built chains, one per pool, whose
-    /// heads were armed in pool order.
-    fn drive(chains: &[Vec<ChainStep>]) -> Outcome {
-        let mut sim: Simulator<Event> = Simulator::new();
-        let heads: Vec<Head> = chains
-            .iter()
-            .enumerate()
-            .map(|(pool, c)| Head {
-                at: c[0].at,
-                seq: sim.reserve_seq(),
-                pool,
-                epoch: 7,
-            })
-            .collect();
+    /// Runs one region: the heads are whatever `armed` holds ahead of
+    /// `sim`'s heap head, `chains` has their hand-built chains in pool
+    /// order, and the final rearms land back in `armed`.
+    fn drive_region(
+        sim: &mut Simulator<Event>,
+        armed: &mut [Option<EventKey>],
+        chains: &[Vec<ChainStep>],
+    ) -> Outcome {
+        let mut heads = Vec::new();
+        take_heads(armed, sim.peek_key(), &mut heads);
+        assert_eq!(heads.len(), chains.len(), "one chain per gathered head");
         let mut merge: BinaryHeap<MergeEntry> = heads
             .iter()
             .enumerate()
             .map(|(slot, h)| Reverse((h.at, h.seq, slot, 0, 0)))
             .collect();
         let (mut order, mut own) = (Vec::new(), Vec::new());
-        while let Some(h) = merge_next(&mut merge, &heads, chains, &mut sim) {
+        while let Some(h) = merge_next(&mut merge, &heads, chains, sim, armed) {
             let step = &chains[h.slot][h.record];
             let every = SimDuration::from_secs_f64(step.next_dt.unwrap_or(0.0));
-            order.extend((0..h.steps).map(|k| (h.at + every * k, h.slot)));
+            let pool = heads[h.slot].pool;
+            order.extend((0..h.steps).map(|k| (h.at + every * k, pool)));
             if h.own {
-                own.push((h.at, h.slot));
+                own.push((h.at, pool));
             }
         }
-        let next_seq = sim.reserve_seq();
-        let rearms = std::iter::from_fn(|| sim.next_if_full(|_, _| true))
-            .map(|(at, seq, event)| match event {
-                Event::StepComplete(pool, 7) => (at, seq, pool),
-                other => panic!("unexpected {other:?}"),
-            })
+        let mut rearms: Vec<_> = armed
+            .iter()
+            .enumerate()
+            .filter_map(|(pool, slot)| slot.map(|(at, seq)| (at, seq, pool)))
             .collect();
+        rearms.sort_unstable();
         Outcome {
             order,
             own,
-            next_seq,
+            next_seq: sim.reserve_seq(),
             rearms,
         }
+    }
+
+    /// [`drive_region`] over pools armed in pool order with nothing
+    /// else pending: every chain is in the region.
+    fn drive(chains: &[Vec<ChainStep>]) -> Outcome {
+        let mut sim: Simulator<Event> = Simulator::new();
+        let mut armed: Vec<_> = chains
+            .iter()
+            .map(|c| Some((c[0].at, sim.reserve_seq())))
+            .collect();
+        drive_region(&mut sim, &mut armed, chains)
     }
 
     /// The run-length encoding and its expansion must decide the same
@@ -521,5 +419,55 @@ mod tests {
             vec![record(10, Some(0), 5), record(10, Some(4), 3)],
             chain(9, &[(3, 1), (2, 1)], true),
         ]);
+    }
+
+    #[test]
+    fn a_step_armed_before_a_same_instant_event_is_in_the_region() {
+        // Pool 0's boundary at 100 was armed, then a gossip round was
+        // scheduled for 100, then pool 1's boundary at 100 was armed:
+        // the three keys differ only in seq.
+        let mut sim: Simulator<Event> = Simulator::new();
+        let mut armed = vec![Some((us(100), sim.reserve_seq())), None];
+        sim.schedule(us(100), Event::GossipRound);
+        armed[1] = Some((us(100), sim.reserve_seq()));
+        // Pool 0 goes first and is the whole region; its next boundary
+        // (140) is past the barrier — the round's instant.
+        let first = drive_region(&mut sim, &mut armed, &[chain(100, &[(1, 40)], true)]);
+        assert_eq!(first.order, vec![(us(100), 0)]);
+        assert_eq!(first.rearms, vec![(us(100), 2, 1), (us(140), 3, 0)]);
+        // Nothing else sorts before the round, which is handled next …
+        let mut heads = Vec::new();
+        take_heads(&mut armed, sim.peek_key(), &mut heads);
+        assert!(heads.is_empty(), "the round goes before {heads:?}");
+        assert!(matches!(sim.next(), Some((_, Event::GossipRound))));
+        // … and only then pool 1's boundary at the same instant.
+        take_heads(&mut armed, sim.peek_key(), &mut heads);
+        let head = |at, seq, pool| Head { at, seq, pool };
+        assert_eq!(heads, vec![head(us(140), 3, 0), head(us(100), 2, 1)]);
+    }
+
+    #[test]
+    fn a_step_rearmed_onto_a_pending_events_instant_waits_behind_it() {
+        // A round is pending at 140; the pool's chain from 100 stops
+        // there and its final rearm ties the round in time.
+        let mut sim: Simulator<Event> = Simulator::new();
+        sim.schedule(us(140), Event::GossipRound);
+        let mut armed = vec![Some((us(100), sim.reserve_seq()))];
+        let out = drive_region(&mut sim, &mut armed, &[chain(100, &[(1, 40)], true)]);
+        assert_eq!(out.rearms, vec![(us(140), 2, 0)]);
+        // The round was scheduled first: it is the barrier, not a peer.
+        let mut heads = Vec::new();
+        take_heads(&mut armed, sim.peek_key(), &mut heads);
+        assert!(heads.is_empty(), "the round goes before {heads:?}");
+        assert!(matches!(sim.next(), Some((_, Event::GossipRound))));
+        take_heads(&mut armed, sim.peek_key(), &mut heads);
+        assert_eq!(
+            heads,
+            vec![Head {
+                at: us(140),
+                seq: 2,
+                pool: 0
+            }]
+        );
     }
 }

@@ -1,55 +1,57 @@
 //! The unified IC-Cache serving engine.
 //!
-//! Before this crate, the repository had two serving paths that could not
-//! talk to each other: the synchronous, timeless `IcCacheSystem::serve`
-//! loop (all of the IC-Cache logic, none of the queueing) and the
-//! discrete-event `ClusterSim` (all of the queueing, replaying pre-baked
-//! job traces with no IC-Cache logic). Every load-dependent claim of the
-//! paper — Fig. 12's bursty-trace latency, Fig. 20's completion-time
-//! growth, the router's overload bias — lives in the gap between them.
-//! This crate closes the gap behind one trait, [`ServingEngine`], and
-//! its implementation [`EventDrivenEngine`]: it drives a full
-//! [`IcCacheSystem`](ic_cache::IcCacheSystem) through
+//! One trait, [`ServingEngine`], and its implementation
+//! [`EventDrivenEngine`]: a full
+//! [`IcCacheSystem`](ic_cache::IcCacheSystem) driven through
 //! `ic_desim::Simulator`, with iteration-level (token-step) continuous
-//! batching on per-model [`ic_serving::ModelPool`]s.
+//! batching on per-model [`ic_serving::ModelPool`]s. Every
+//! load-dependent claim of the paper — Fig. 12's bursty-trace latency,
+//! Fig. 20's completion-time growth, the router's overload bias — needs
+//! the IC-Cache logic and the queueing in the same loop; this is it.
 //!
 //! # Event flow (`EventDrivenEngine`)
 //!
 //! ```text
-//!  ic_desim::Simulator ──pop──▶ EngineState::run ── one handler per event
+//!  EngineState::run — next is whichever has the smaller (time, seq) key:
 //!
-//!  Arrival(i)                                  StepComplete(pool, epoch)
-//!   ├ owner replica's load window               ├ gather the run of step
-//!   ├ stage 0: pre-observe the tick's run,      │  events up to the barrier
-//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  (next arrival, or the
-//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  earliest dynamic event)
-//!   │  + routing + generation + feedback        ├ RegionWorkers: one
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  advance_chain per pool,
-//!                  arm StepComplete             │  inline or on threads:
-//!  PoolDown(p) ─ flush, serve_retry ▶ dispatch  │  one record per state
-//!  PoolUp(p)                                    │  change + a count of the
-//!  Maintenance / Rebalance / GossipRound /      │  quiet boundaries behind it
-//!  ObsSample (periodic, re-armed while work     ├ merge in (time, seq):
-//!  remains; each is a region barrier)           │  finishers ▶ complete
-//!                                               │  (TTFT/E2E, Little's law
-//!                                               │  ▶ owning replica); quiet
-//!                                               │  boundaries before the
+//!  the event heap's head                       the earliest armed slot
+//!  (ic_desim::Simulator: every router          (per pool: the key of its
+//!   interaction, one handler per event)         next step boundary)
+//!
+//!  Arrival(i)                                  step region
+//!   ├ owner replica's load window               ├ heads: the armed slots
+//!   ├ stage 0: pre-observe the tick's run,      │  that sort before the heap
+//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  head; barrier: the heap
+//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  head's time
+//!   │  + routing + generation + feedback        ├ one advance_chain per
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  head, up to the barrier:
+//!                  arm the pool's slot          │  one record per state
+//!  PoolDown(p) ─ flush, clear the pool's slot,  │  change + a count of the
+//!                serve_retry ▶ dispatch         │  quiet boundaries behind it
+//!  PoolUp(p)                                    ├ merge in (time, seq):
+//!  Maintenance / Rebalance / GossipRound /      │  finishers ▶ complete
+//!  ObsSample (periodic, re-armed while work     │  (TTFT/E2E, Little's law
+//!  remains)                                     │  ▶ owning replica); quiet
+//!  Stage0Complete(i) ▶ complete                 │  boundaries before the
 //!                                               │  next pending key are
 //!                                               │  counted, their seqs burned
-//!                                               └ re-arm the pool's next
-//!                                                  StepComplete
+//!                                               └ re-arm the slot of every
+//!                                                  pool still busy
 //! ```
 //!
-//! `schedule` mirrors every dynamic non-step event time into the
-//! barrier set (arrivals are read off the arrival cursor's sorted firing
-//! order instead); `dispatch` is the one tail fresh arrivals and
-//! failover retries share; `complete` is the one finisher bookkeeping
-//! pool steps and stage-0 hits share (see `driven/state.rs`). A pool's
-//! chain is run-length encoded — between admission, finish,
-//! block-boundary and pressure events a decode-only batch advances in
-//! closed form (`ic_serving::pool`, "Run-length step chains") — and the
-//! merge keeps every quiet boundary's place in the `(time, seq)` order
-//! without visiting it (`driven/step.rs`).
+//! Step events never enter the heap: a busy pool has exactly one armed
+//! slot, keyed by the seq a queued event would have drawn at that
+//! moment (`Simulator::reserve_seq`), so the handling order is the
+//! `(time, seq)` order of a loop that queued every step — with one copy
+//! of each pending step and nothing to mirror or invalidate.
+//! `dispatch` is the one tail fresh arrivals and failover retries
+//! share; `complete` is the one finisher bookkeeping pool steps and
+//! stage-0 hits share (see `driven/state.rs`). A pool's chain is
+//! run-length encoded — between admission, finish, block-boundary and
+//! pressure events a decode-only batch advances in closed form
+//! (`ic_serving::pool`, "Run-length step chains") — and the merge keeps
+//! every quiet boundary's place in the `(time, seq)` order without
+//! visiting it (`driven/step.rs`).
 //!
 //! Each **arrival** event runs Algorithm 1 (`IcCacheSystem::serve`):
 //! example selection against the sharded cache, load-aware routing at
@@ -58,7 +60,7 @@
 //! simulated generation, producing the job's zero-load prefill/decode
 //! demand and token counts. The job then joins its model's pool at a
 //! step boundary: the pool's `slots_per_replica` concurrent sequences
-//! run Orca-style iteration-level scheduling — each `StepComplete`
+//! run Orca-style iteration-level scheduling — each step boundary
 //! advances every running sequence by one prefill chunk or one decode
 //! token, retires finished sequences, preempts over-quantum decoders
 //! when jobs queue behind, and admits waiting jobs into freed slots.

@@ -145,29 +145,28 @@ impl SelectorStats {
     }
 }
 
-/// Replay counters for one engine run (the step regions and the
-/// router's kept posteriors; see `EngineConfig::replay_threads`).
+/// Replay counters for one engine run: the step regions and the
+/// router's kept posteriors.
 ///
-/// Diagnostics only: deliberately **not** serialized by
-/// [`EngineReport::to_json`], so the byte-deterministic report is
-/// identical whichever replay mode produced it. The telemetry artifact
-/// persists them instead ([`ReplayStats::to_json`], spliced into the
-/// JSONL summary footer by `fig12_e2e` when sampling is on).
+/// Diagnostics of *how* the replay ran, not of what it served:
+/// deliberately **not** serialized by [`EngineReport::to_json`], so a
+/// change to the replay machinery cannot move the byte-deterministic
+/// report. The telemetry artifact persists them instead
+/// ([`ReplayStats::to_json`], spliced into the JSONL summary footer by
+/// `fig12_e2e` when sampling is on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Threads the run's step regions executed on (`1` = inline).
-    pub threads: u64,
-    /// Step regions executed between router interactions (the same
-    /// count at any thread count).
-    pub parallel_regions: u64,
-    /// Step boundaries executed inside those regions.
-    pub parallel_steps: u64,
+    /// Step regions executed between router interactions.
+    pub regions: u64,
+    /// Step boundaries executed inside those regions — every step of
+    /// the run.
+    pub region_steps: u64,
     /// Quiet runs the pools applied in closed form: chain records that
     /// carried at least one quiet boundary (see "Run-length step
     /// chains" in `ic_serving::pool`).
     pub step_runs: u64,
     /// Step boundaries inside those runs — the share of
-    /// `parallel_steps` that never went through `advance_step`.
+    /// `region_steps` that never went through `advance_step`.
     pub quiet_steps: u64,
     /// Arm scorings the router tier's bandits did this run: one per arm
     /// per routing decision, retries included.
@@ -180,19 +179,16 @@ pub struct ReplayStats {
 impl ReplayStats {
     /// Serializes the counters as one JSON object (fixed key order) for
     /// the telemetry artifact — the one place replay counters are
-    /// persisted; [`EngineReport::to_json`] still excludes them so the
-    /// report stays identical across replay modes.
+    /// persisted; [`EngineReport::to_json`] excludes them.
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"threads\":{},",
-                "\"parallel_regions\":{},\"parallel_steps\":{},",
+                "{{\"regions\":{},\"region_steps\":{},",
                 "\"step_runs\":{},\"quiet_steps\":{},",
                 "\"arm_evaluations\":{},\"posterior_refits\":{}}}"
             ),
-            self.threads,
-            self.parallel_regions,
-            self.parallel_steps,
+            self.regions,
+            self.region_steps,
             self.step_runs,
             self.quiet_steps,
             self.arm_evaluations,

@@ -2,12 +2,12 @@
 //!
 //! Each recording component owns one [`LaneBuf`] — the engine holds
 //! lane 0 inside the [`Recorder`], and each serving pool is handed lane
-//! `p + 1` so pool-internal events can be recorded under the pool's own
-//! lock even when pools step on parallel worker threads. Because every
-//! component records in non-decreasing simulation time, each lane is
-//! time-sorted by construction, and the final merge only needs a stable
-//! sort by `(time, lane)` to produce one deterministic global stream
-//! regardless of thread interleaving.
+//! `p + 1` so pool-internal events are recorded by the pool itself,
+//! while a step region advances its chain ahead of the other pools'.
+//! Because every component records in non-decreasing simulation time,
+//! each lane is time-sorted by construction, and the final merge only
+//! needs a stable sort by `(time, lane)` to produce one deterministic
+//! global stream, whatever order the chains were advanced in.
 
 use std::collections::VecDeque;
 

@@ -1632,11 +1632,11 @@ impl ModelPool {
     /// self-contained: each [`ModelPool::advance_step`] depends only on the
     /// pool's own state, and the time of the next boundary is `t +
     /// step_secs()`. A replay driver exploits that by executing whole
-    /// chains here — possibly on a worker thread — and merging the
-    /// records back into the global `(time, seq)` order.
+    /// chains here and merging the records back into the global
+    /// `(time, seq)` order.
     ///
-    /// The first step always executes (the caller popped its event, so it
-    /// is already committed); follow-up steps run only while their boundary
+    /// The first step always executes (it is the caller's next event, so
+    /// it is already committed); follow-up steps run only while their boundary
     /// falls *strictly* before `barrier`. A boundary exactly at the barrier
     /// must not run: the barrier event was scheduled first, so its sequence
     /// number sorts ahead of the rearmed step at the same instant. `None`
@@ -1852,8 +1852,9 @@ impl ModelPool {
     /// the queue — returning the evicted job ids in a deterministic
     /// order (slots, then swapped, then queue) so the caller can
     /// re-enqueue them through the router tier as retries. The pool
-    /// comes back empty and idle; any in-flight `StepComplete` event
-    /// finds an empty batch and simply does not re-arm.
+    /// comes back empty and idle, so the driver must drop the flushed
+    /// batch's pending step boundary — left alone it would double-step
+    /// a pool that refills before it fires.
     pub fn fail_over(&mut self) -> Vec<JobId> {
         let mut ids: Vec<JobId> = Vec::new();
         for mut s in self.run.drain() {
