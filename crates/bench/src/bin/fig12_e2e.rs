@@ -82,6 +82,7 @@ fn replay_json(
             "\"events\":{},\"regions\":{},",
             "\"region_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
             "\"arm_evaluations\":{},\"posterior_refits\":{},",
+            "\"share_admissions\":{},\"prefix_chunks\":{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
@@ -98,6 +99,8 @@ fn replay_json(
         r.quiet_steps,
         r.arm_evaluations,
         r.posterior_refits,
+        r.share_admissions,
+        r.prefix_chunks,
         setup.index_build.fits,
         setup.index_build.passes,
         setup.index_build.group_scans,
@@ -203,6 +206,13 @@ fn print_replay_summary(
         r.posterior_refits,
         r.arm_evaluations,
         r.posterior_refits as f64 / r.arm_evaluations.max(1) as f64 * 100.0,
+    );
+    println!(
+        "kv sharing: {} admissions carried {} prefix chunks, {} found resident ({:.1}%)",
+        r.share_admissions,
+        r.prefix_chunks,
+        report.kv.blocks_saved,
+        report.kv.blocks_saved as f64 / r.prefix_chunks.max(1) as f64 * 100.0,
     );
     println!(
         "obs overhead: untraced {:.2}s vs traced {:.2}s wall ({:+.1}%)",

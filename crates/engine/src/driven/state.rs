@@ -615,6 +615,8 @@ impl<'a> EngineState<'a> {
         let (arm_evaluations, posterior_refits) = self.system.front_end().posterior_counts();
         self.replay.arm_evaluations = arm_evaluations - self.posterior_base.0;
         self.replay.posterior_refits = posterior_refits - self.posterior_base.1;
+        self.replay.share_admissions = iter.share_admissions;
+        self.replay.prefix_chunks = iter.prefix_chunks;
         EngineReport {
             engine: ENGINE_NAME.to_owned(),
             served: n,

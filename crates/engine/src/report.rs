@@ -145,8 +145,8 @@ impl SelectorStats {
     }
 }
 
-/// Replay counters for one engine run: the step regions and the
-/// router's kept posteriors.
+/// Replay counters for one engine run: the step regions, the router's
+/// kept posteriors and the traffic through the KV content table.
 ///
 /// Diagnostics of *how* the replay ran, not of what it served:
 /// deliberately **not** serialized by [`EngineReport::to_json`], so a
@@ -174,6 +174,13 @@ pub struct ReplayStats {
     /// How many of those refactored the arm's precision matrix — the
     /// arm had learned (feedback or gossip) since its last decision.
     pub posterior_refits: u64,
+    /// Pool block allocations that carried a shared example-set prefix
+    /// through the KV content table (`ic_serving::IterStats`): every
+    /// offloaded admission under `kv_share`, `0` with it off.
+    pub share_admissions: u64,
+    /// Prefix chunks (KV blocks) those allocations carried; the
+    /// report's `kv.blocks_saved` counts the ones found resident.
+    pub prefix_chunks: u64,
 }
 
 impl ReplayStats {
@@ -185,7 +192,8 @@ impl ReplayStats {
             concat!(
                 "{{\"regions\":{},\"region_steps\":{},",
                 "\"step_runs\":{},\"quiet_steps\":{},",
-                "\"arm_evaluations\":{},\"posterior_refits\":{}}}"
+                "\"arm_evaluations\":{},\"posterior_refits\":{},",
+                "\"share_admissions\":{},\"prefix_chunks\":{}}}"
             ),
             self.regions,
             self.region_steps,
@@ -193,6 +201,8 @@ impl ReplayStats {
             self.quiet_steps,
             self.arm_evaluations,
             self.posterior_refits,
+            self.share_admissions,
+            self.prefix_chunks,
         )
     }
 }

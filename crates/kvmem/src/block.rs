@@ -1,7 +1,9 @@
 //! The paged block allocator: per-replica budgets, refcounted sharing,
 //! and pool-wide stats.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+
+use ic_stats::IdMap;
 
 /// A physical KV block: `(replica, index)` within that replica's budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,6 +26,12 @@ pub struct BlockId {
 /// to the free list only when the count reaches zero. With no sharing
 /// in play every count is 1 and the budget behaves bit-for-bit like a
 /// plain allocator.
+///
+/// A block also carries its **content tag** — the `(example-set id,
+/// chunk index)` it hash-conses for [`BlockPool`]'s content table, if
+/// any. The pool writes it at registration and clears it when the block
+/// is physically freed or privatized; a block is never on the free list
+/// with a tag.
 #[derive(Debug, Clone)]
 pub struct KvBudget {
     replica: u32,
@@ -34,7 +42,19 @@ pub struct KvBudget {
     /// References held per block (`0` while free, `1` for a private
     /// block, `>= 2` while shared between sequences).
     refcount: Vec<u32>,
+    /// Chunk index of each block's content tag, [`UNTAGGED`] for a
+    /// block backing no table entry. (The tag is split in two arrays:
+    /// 12 bytes a block.)
+    tag_chunk: Vec<u32>,
+    /// Example-set id of each block's content tag; meaningless where
+    /// `tag_chunk` is [`UNTAGGED`].
+    tag_set: Vec<u64>,
 }
+
+/// The `tag_chunk` of a block that backs no content-table entry. A
+/// registered chunk index is below one replica's budget, itself a `u32`
+/// count, so no registration can carry this value.
+const UNTAGGED: u32 = u32::MAX;
 
 impl KvBudget {
     /// A fresh budget of `budget_blocks` free blocks for `replica`.
@@ -46,6 +66,8 @@ impl KvBudget {
             free_list: (0..budget_blocks).rev().collect(),
             allocated: vec![false; budget_blocks as usize],
             refcount: vec![0; budget_blocks as usize],
+            tag_chunk: vec![UNTAGGED; budget_blocks as usize],
+            tag_set: vec![0; budget_blocks as usize],
         }
     }
 
@@ -71,9 +93,19 @@ impl KvBudget {
             return None;
         }
         let mut out = Vec::with_capacity(n as usize);
+        self.pop_into(n, &mut out);
+        Some(out)
+    }
+
+    /// Pops `n` free blocks onto `out`; the caller checked they exist.
+    fn pop_into(&mut self, n: u32, out: &mut Vec<BlockId>) {
         for _ in 0..n {
             let index = self.free_list.pop().expect("free count checked");
             debug_assert!(!self.allocated[index as usize], "free list corrupt");
+            debug_assert!(
+                self.tag_chunk[index as usize] == UNTAGGED,
+                "block {index} left the free list tagged"
+            );
             self.allocated[index as usize] = true;
             self.refcount[index as usize] = 1;
             out.push(BlockId {
@@ -81,7 +113,12 @@ impl KvBudget {
                 index,
             });
         }
-        Some(out)
+    }
+
+    /// Clears a block's content tag and returns what it was.
+    fn take_tag(&mut self, block: BlockId) -> Option<(u64, u32)> {
+        let chunk = std::mem::replace(&mut self.tag_chunk[block.index as usize], UNTAGGED);
+        (chunk != UNTAGGED).then(|| (self.tag_set[block.index as usize], chunk))
     }
 
     /// Takes an extra reference on an allocated block (a shared-prefix
@@ -265,16 +302,66 @@ pub enum Divergence {
     Copied(BlockId),
 }
 
+/// One example set's row of the content table.
+#[derive(Debug, Clone, Default)]
+struct SetChunks {
+    /// `blocks[chunk]` hash-conses that prefill chunk of the set; `None`
+    /// where no such block is resident.
+    blocks: Vec<Option<BlockId>>,
+    /// Occupied slots of `blocks` — the row is dropped at zero.
+    live: u32,
+}
+
+impl SetChunks {
+    fn get(&self, chunk: u32) -> Option<BlockId> {
+        self.blocks.get(chunk as usize).copied().flatten()
+    }
+
+    /// The resident run: how many of chunks `0..limit` are registered,
+    /// consecutive from chunk 0 and on chunk 0's replica. (A set's
+    /// blocks live on one replica — its first carrier allocated them
+    /// together — so a block elsewhere is not mappable with the rest.)
+    fn resident_run(&self, limit: u32) -> u32 {
+        let Some(home) = self.get(0) else {
+            return 0;
+        };
+        self.blocks
+            .iter()
+            .take(limit as usize)
+            .take_while(|b| b.is_some_and(|b| b.replica == home.replica))
+            .count() as u32
+    }
+}
+
+/// What [`BlockPool::alloc_prefixed`] handed a sequence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixAlloc {
+    /// Replica the blocks live on: the resident run's home, or the
+    /// caller's fallback when nothing was resident.
+    pub replica: usize,
+    /// The sequence's logical block table: the mapped run first, then
+    /// the freshly allocated remainder.
+    pub blocks: Vec<BlockId>,
+    /// Leading blocks of `blocks` that were mapped, not allocated.
+    pub mapped: u32,
+}
+
 /// The pool-wide allocator: one [`KvBudget`] per replica plus counters,
 /// the host-side (CPU) ledger swapped-out victims park blocks in, and
 /// the hash-consing **content table** for shared prefill prefixes.
 ///
 /// The content table maps `(example-set id, chunk index)` to the
 /// physical block holding that chunk of the set's prefill KV state. It
-/// holds **no reference of its own**: entries live exactly as long as
-/// some sequence holds the block, and are removed the instant the last
-/// reference drops (so the table can never pin memory). `BTreeMap`
-/// keeps iteration deterministic.
+/// is stored from both ends: one row per resident example set holding
+/// its chunk → block vector, and a `(set, chunk)` tag on every
+/// registered block (in its [`KvBudget`]), so a lookup is one hash of
+/// the set id, and freeing or privatizing a block reads one tag and
+/// touches a row only if the block was registered. The table holds **no
+/// reference of its own**: entries live exactly as long as some
+/// sequence holds the block, and are removed the instant the last
+/// reference drops — a row with its last chunk — so the table can never
+/// pin memory. The rows are never iterated, so their hash order decides
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct BlockPool {
     block_tokens: u32,
@@ -283,12 +370,9 @@ pub struct BlockPool {
     host_capacity: u32,
     /// Host blocks currently parked by swapped-out sequences.
     host_used: u32,
-    /// `(example-set id, prefill chunk index)` -> the physical block
-    /// hash-consing that chunk's KV content.
-    content: BTreeMap<(u64, u32), BlockId>,
-    /// Reverse index of `content` so a block's table entry can be
-    /// dropped in O(log n) when it is physically freed.
-    registered: BTreeMap<BlockId, (u64, u32)>,
+    /// Example-set id -> the row of blocks hash-consing its chunks.
+    /// Set ids are hashes the program computes, never outside input.
+    sets: IdMap<u64, SetChunks>,
     /// Physical blocks currently shared (refcount >= 2); feeds
     /// `shared_blocks_peak`.
     shared_now: u32,
@@ -314,8 +398,7 @@ impl BlockPool {
                 .collect(),
             host_capacity: 0,
             host_used: 0,
-            content: BTreeMap::new(),
-            registered: BTreeMap::new(),
+            sets: IdMap::default(),
             shared_now: 0,
             stats: KvStats {
                 total_blocks: u64::from(replicas) * u64::from(budget_blocks),
@@ -420,14 +503,29 @@ impl BlockPool {
                 self.shared_now -= 1;
             }
             if budget.free_block(b) {
-                if let Some(key) = self.registered.remove(&b) {
-                    self.content.remove(&key);
+                if let Some((set, chunk)) = budget.take_tag(b) {
+                    Self::vacate(&mut self.sets, set, chunk);
                 }
                 self.stats.frees += 1;
                 freed += 1;
             }
         }
         freed
+    }
+
+    /// Empties the table slot a block's tag named, dropping the set's
+    /// row with its last chunk.
+    fn vacate(sets: &mut IdMap<u64, SetChunks>, set: u64, chunk: u32) {
+        let Entry::Occupied(mut row) = sets.entry(set) else {
+            unreachable!("a tagged block's set has a row");
+        };
+        let chunks = row.get_mut();
+        debug_assert!(chunks.blocks[chunk as usize].is_some(), "tag without slot");
+        chunks.blocks[chunk as usize] = None;
+        chunks.live -= 1;
+        if chunks.live == 0 {
+            row.remove();
+        }
     }
 
     /// References currently held on a block (`0` while free).
@@ -437,7 +535,7 @@ impl BlockPool {
 
     /// Whether a block backs a content-table entry.
     pub fn is_registered(&self, block: BlockId) -> bool {
-        self.registered.contains_key(&block)
+        self.replicas[block.replica as usize].tag_chunk[block.index as usize] != UNTAGGED
     }
 
     /// Physical blocks currently shared between sequences (refcount
@@ -446,27 +544,57 @@ impl BlockPool {
         self.shared_now
     }
 
+    /// Example sets with at least one chunk resident — the rows the
+    /// content table holds. `0` whenever no registered block is live.
+    pub fn resident_sets(&self) -> usize {
+        self.sets.len()
+    }
+
     /// The block hash-consing prefill chunk `chunk` of example set
     /// `set`, if one is resident.
     pub fn lookup_prefix(&self, set: u64, chunk: u32) -> Option<BlockId> {
-        self.content.get(&(set, chunk)).copied()
+        self.sets.get(&set)?.get(chunk)
     }
 
     /// Registers an allocated block as the hash-consed home of `(set,
     /// chunk)`. First writer wins: an existing entry for the key, or an
     /// existing key for the block, leaves the table unchanged (returns
-    /// `false`). The entry holds no reference — it dies with the block.
+    /// `false`). So does a chunk index at or past one replica's budget:
+    /// a set's chunks live on one replica, so no such chunk can exist.
+    /// The entry holds no reference — it dies with the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the block is free: its tag would outlive it into the
+    /// block's next owner.
     pub fn register_prefix(&mut self, set: u64, chunk: u32, block: BlockId) -> bool {
-        if self.content.contains_key(&(set, chunk)) || self.registered.contains_key(&block) {
+        let budget = &mut self.replicas[block.replica as usize];
+        assert!(
+            budget.allocated[block.index as usize],
+            "registering free {block:?}"
+        );
+        if chunk >= budget.budget() || budget.tag_chunk[block.index as usize] != UNTAGGED {
             return false;
         }
-        debug_assert!(
-            self.replicas[block.replica as usize].refcount(block) > 0,
-            "registering a free block"
-        );
-        self.content.insert((set, chunk), block);
-        self.registered.insert(block, (set, chunk));
+        let row = self.sets.entry(set).or_default();
+        if row.get(chunk).is_some() {
+            // An existing row is never empty, so nothing was created.
+            return false;
+        }
+        Self::install(row, budget, set, chunk, block);
         true
+    }
+
+    /// Writes one table entry from both ends: the row's slot (which the
+    /// caller found vacant) and the block's tag (likewise).
+    fn install(row: &mut SetChunks, budget: &mut KvBudget, set: u64, chunk: u32, block: BlockId) {
+        if row.blocks.len() <= chunk as usize {
+            row.blocks.resize(chunk as usize + 1, None);
+        }
+        row.blocks[chunk as usize] = Some(block);
+        row.live += 1;
+        budget.tag_chunk[block.index as usize] = chunk;
+        budget.tag_set[block.index as usize] = set;
     }
 
     /// Maps a sequence onto an existing shared-prefix block: takes a
@@ -489,6 +617,82 @@ impl BlockPool {
         }
     }
 
+    /// Allocates the `demand` blocks of a sequence whose prompt starts
+    /// with example set `set`, resolving the carried prefix against the
+    /// content table on one set lookup:
+    ///
+    /// - the **resident run** — the chunks of `0..mappable` that are
+    ///   registered, consecutive from chunk 0 and on chunk 0's replica
+    ///   — is mapped (a [`BlockPool::map_shared`] per block);
+    /// - the other `demand - run` blocks are allocated on the run's
+    ///   replica, `fallback_replica` when nothing was resident;
+    /// - the chunks of `run..register_to` the table does not hold are
+    ///   registered onto the fresh blocks at those positions (first
+    ///   writer wins, as in [`BlockPool::register_prefix`]).
+    ///
+    /// The table, the free lists and the counters end exactly where
+    /// that per-chunk sequence of `lookup_prefix` / `try_alloc` /
+    /// `map_shared` / `register_prefix` calls leaves them. Returns
+    /// `None` — with no state change — when the remainder does not fit.
+    /// `mappable` and `register_to` are clamped to `demand`.
+    pub fn alloc_prefixed(
+        &mut self,
+        set: u64,
+        mappable: u32,
+        register_to: u32,
+        demand: u32,
+        fallback_replica: usize,
+    ) -> Option<PrefixAlloc> {
+        let (mappable, register_to) = (mappable.min(demand), register_to.min(demand));
+        let entry = self.sets.entry(set);
+        let resident: &[Option<BlockId>] = match &entry {
+            Entry::Occupied(row) => {
+                let row = row.get();
+                &row.blocks[..row.resident_run(mappable) as usize]
+            }
+            Entry::Vacant(_) => &[],
+        };
+        let run = resident.len() as u32;
+        let replica = match resident.first() {
+            Some(home) => home.expect("the run is resident").replica as usize,
+            None => fallback_replica,
+        };
+        let budget = &mut self.replicas[replica];
+        let fresh = demand - run;
+        if budget.free() < fresh {
+            return None;
+        }
+        let mut blocks = Vec::with_capacity(demand as usize);
+        for block in resident.iter().flatten() {
+            if budget.incref(*block) == 2 {
+                self.shared_now += 1;
+            }
+            blocks.push(*block);
+        }
+        self.stats.blocks_saved += u64::from(run);
+        self.stats.shared_blocks_peak = self
+            .stats
+            .shared_blocks_peak
+            .max(u64::from(self.shared_now));
+        budget.pop_into(fresh, &mut blocks);
+        self.stats.allocs += u64::from(fresh);
+        if register_to > run {
+            // A block fresh off the free list carries no tag, so the
+            // slot being vacant is all "first writer wins" asks.
+            let row = entry.or_default();
+            for chunk in run..register_to {
+                if row.get(chunk).is_none() {
+                    Self::install(row, budget, set, chunk, blocks[chunk as usize]);
+                }
+            }
+        }
+        Some(PrefixAlloc {
+            replica,
+            blocks,
+            mapped: run,
+        })
+    }
+
     /// Resolves a write into a shared-prefix block (the writer's first
     /// token past the shared prefix, or a differing prefill chunk).
     ///
@@ -507,8 +711,8 @@ impl BlockPool {
     pub fn diverge(&mut self, block: BlockId) -> Option<Divergence> {
         let replica = block.replica as usize;
         if self.replicas[replica].refcount(block) <= 1 {
-            if let Some(key) = self.registered.remove(&block) {
-                self.content.remove(&key);
+            if let Some((set, chunk)) = self.replicas[replica].take_tag(block) {
+                Self::vacate(&mut self.sets, set, chunk);
             }
             return Some(Divergence::InPlace);
         }
@@ -878,6 +1082,69 @@ mod tests {
         assert_eq!(pool.stats().cow_copies, 1, "no copy charged in place");
         pool.free([owner[0], fresh]);
         assert_eq!(pool.used_blocks(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "registering free")]
+    fn registering_a_free_block_panics() {
+        let mut pool = BlockPool::new(1, 2, 16);
+        let b = pool.try_alloc(0, 1).unwrap()[0];
+        pool.free([b]);
+        pool.register_prefix(1, 0, b);
+    }
+
+    #[test]
+    fn chunk_at_or_past_the_budget_is_not_registered() {
+        let mut pool = BlockPool::new(2, 4, 16);
+        let b = pool.try_alloc(1, 1).unwrap()[0];
+        for chunk in [4, 5, u32::MAX] {
+            assert!(!pool.register_prefix(1, chunk, b), "chunk {chunk}");
+            assert_eq!(pool.lookup_prefix(1, chunk), None);
+        }
+        assert!(!pool.is_registered(b));
+        assert_eq!(pool.resident_sets(), 0, "a refusal leaves no row");
+        assert!(pool.register_prefix(1, 3, b), "the last chunk in range");
+        assert_eq!(pool.lookup_prefix(1, 3), Some(b));
+        pool.free([b]);
+        assert_eq!(pool.resident_sets(), 0);
+    }
+
+    #[test]
+    fn alloc_prefixed_maps_the_run_and_registers_the_rest() {
+        let mut pool = BlockPool::new(2, 8, 16);
+        // Nothing resident: all four blocks are fresh, on the fallback
+        // replica, and chunks 0..3 are registered onto the first three.
+        let a = pool.alloc_prefixed(7, 3, 3, 4, 1).expect("fits");
+        assert_eq!((a.replica, a.mapped, a.blocks.len()), (1, 0, 4));
+        for c in 0..3 {
+            assert_eq!(pool.lookup_prefix(7, c), Some(a.blocks[c as usize]));
+        }
+        assert!(!pool.is_registered(a.blocks[3]));
+        // Chunk 1 is privatized: a follower maps chunk 0 only, lands on
+        // the set's replica whatever its fallback, re-registers chunk 1
+        // with its own block and leaves chunk 2 to its first writer.
+        assert_eq!(pool.diverge(a.blocks[1]), Some(Divergence::InPlace));
+        let b = pool.alloc_prefixed(7, 3, 3, 4, 0).expect("fits");
+        assert_eq!((b.replica, b.mapped), (1, 1));
+        assert_eq!(b.blocks[0], a.blocks[0]);
+        assert_eq!(pool.lookup_prefix(7, 1), Some(b.blocks[1]));
+        assert_eq!(pool.lookup_prefix(7, 2), Some(a.blocks[2]));
+        assert!(!pool.is_registered(b.blocks[2]));
+        assert_eq!(pool.stats().blocks_saved, 1);
+        assert_eq!(pool.shared_blocks(), 1);
+        // One block is free on replica 1: a third carrier needing two
+        // past the resident run does not fit, and leaves nothing behind.
+        let before = (pool.stats(), pool.used_blocks(), pool.refcount(a.blocks[0]));
+        assert!(pool.alloc_prefixed(7, 3, 3, 5, 0).is_none());
+        assert!(pool.alloc_prefixed(9, 2, 2, 2, 1).is_none());
+        assert_eq!(
+            (pool.stats(), pool.used_blocks(), pool.refcount(a.blocks[0])),
+            before
+        );
+        assert_eq!(pool.resident_sets(), 1, "a refusal leaves no row");
+        pool.free(a.blocks);
+        pool.free(b.blocks);
+        assert_eq!((pool.used_blocks(), pool.resident_sets()), (0, 0));
     }
 
     #[test]

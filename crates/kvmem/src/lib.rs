@@ -49,7 +49,17 @@
 //!   [`KvStats::blocks_saved`]). Entries hold **no reference of their
 //!   own**: they die when the block is physically freed, so the table
 //!   never pins memory and sharing happens only between sequences that
-//!   are resident at the same time.
+//!   are resident at the same time. The table is stored from both
+//!   ends: a `(set, chunk)` tag per block, in two dense arrays of its
+//!   [`KvBudget`], and one row per resident example set — its chunk →
+//!   block vector and a live count, in an [`ic_stats::IdMap`] keyed by
+//!   the set id, dropped with the set's last chunk. Freeing or
+//!   privatizing a block reads one tag and touches a row only if the
+//!   block was registered; `BlockPool::alloc_prefixed` resolves a
+//!   whole carried prefix — the resident run to map, the remainder to
+//!   allocate, the missing chunks to register — on one row lookup.
+//!   A registration must name live memory: `register_prefix` panics on
+//!   a free block and refuses a chunk index past a replica's budget.
 //! - **Copy-on-write divergence.** The first write past the shared
 //!   prefix goes through `BlockPool::diverge`, which returns a
 //!   [`Divergence`]: `InPlace` for a sole holder (the block is simply
@@ -64,8 +74,12 @@
 //! the number of holders at every step — which
 //! `crates/kvmem/tests/conservation.rs` checks by property test over
 //! arbitrary interleavings of alloc/share/diverge/release.
+//! `crates/kvmem/tests/content_table_oracle.rs` holds the table itself
+//! to a naive model — the two ordered maps it used to be — after every
+//! operation of such interleavings over multi-chunk sets.
 //!
-//! The crate is dependency-free and purely arithmetical: every
+//! The crate is purely arithmetical (its one dependency is `ic-stats`,
+//! for the id-hashed map; the table's rows are never iterated): every
 //! operation is deterministic, so the serving layer's byte-identical
 //! replay guarantees extend to memory pressure events.
 //!
@@ -90,5 +104,5 @@
 pub mod block;
 pub mod pressure;
 
-pub use block::{BlockId, BlockPool, Divergence, KvBudget, KvStats};
+pub use block::{BlockId, BlockPool, Divergence, KvBudget, KvStats, PrefixAlloc};
 pub use pressure::{KvSwap, PressurePolicy, SwapModel, Watermarks};

@@ -135,7 +135,9 @@
 use std::collections::VecDeque;
 
 use ic_desim::{SimDuration, SimTime};
-use ic_kvmem::{BlockId, BlockPool, Divergence, KvStats, KvSwap, PressurePolicy, Watermarks};
+use ic_kvmem::{
+    BlockId, BlockPool, Divergence, KvStats, KvSwap, PrefixAlloc, PressurePolicy, Watermarks,
+};
 use ic_obs::{EventKind, LaneBuf, NO_REQUEST};
 
 use crate::job::{JobId, JobSpec};
@@ -255,6 +257,15 @@ pub struct IterStats {
     pub preemptions: u64,
     /// Offers rejected by the queue cap.
     pub queue_rejects: u64,
+    /// Block allocations — first admissions, re-admissions and resumes
+    /// alike — resolved against the content table: the job carried a
+    /// [`crate::SharedPrefix`] into a pool with
+    /// [`PoolConfig::kv_share`] on.
+    pub share_admissions: u64,
+    /// Prefix chunks those allocations carried (blocks the prefix
+    /// covers, partial tail included, clamped to the sequence's
+    /// demand). `KvStats::blocks_saved` counts the ones found resident.
+    pub prefix_chunks: u64,
 }
 
 impl IterStats {
@@ -285,6 +296,8 @@ impl IterStats {
         self.decode_steps += other.decode_steps;
         self.preemptions += other.preemptions;
         self.queue_rejects += other.queue_rejects;
+        self.share_admissions += other.share_admissions;
+        self.prefix_chunks += other.prefix_chunks;
     }
 }
 
@@ -417,12 +430,13 @@ pub struct ChainStep {
 /// longer carry a private `Vec<BlockId>` while running: admission
 /// appends the table at the arena tail, per-step growth extends a
 /// range in place when it is the tail (relocating it there otherwise),
-/// and eviction/retirement copies the range back out — in its original
-/// order, so the `BlockPool` free-list sees exactly the release order
-/// the AoS layout produced. Dead ranges left by removals and
-/// relocations are garbage; [`BlockArena::maybe_compact`] reclaims
-/// them once they outweigh the live blocks (a pure layout move — block
-/// values and per-range order are untouched, so determinism holds).
+/// eviction copies the range back out and retirement releases it where
+/// it lies — in its original order, so the `BlockPool` free-list sees
+/// exactly the release order the AoS layout produced. Dead ranges left
+/// by removals and relocations are garbage;
+/// [`BlockArena::maybe_compact`] reclaims them once they outweigh the
+/// live blocks (a pure layout move — block values and per-range order
+/// are untouched, so determinism holds).
 #[derive(Debug, Default)]
 struct BlockArena {
     blocks: Vec<BlockId>,
@@ -439,10 +453,11 @@ impl BlockArena {
         (start, blocks.len())
     }
 
-    /// Copies a range back out (original order), leaving a dead hole.
-    fn take(&mut self, start: usize, len: usize) -> Vec<BlockId> {
+    /// Kills a range, leaving a dead hole, and lends its blocks
+    /// (original order) until the arena is next touched.
+    fn retire(&mut self, start: usize, len: usize) -> &[BlockId] {
         self.live -= len;
-        self.blocks[start..start + len].to_vec()
+        &self.blocks[start..start + len]
     }
 
     /// Extends a range by `extra` blocks, in place when the range is
@@ -546,7 +561,7 @@ impl RunSlots {
     /// queue or swap deque), leaving a dead entry behind — the caller
     /// compacts, removes or truncates it away.
     fn extract(&mut self, i: usize) -> Sequence {
-        let kv_blocks = self.arena.take(self.kv_start[i], self.kv_len[i]);
+        let kv_blocks = self.arena.retire(self.kv_start[i], self.kv_len[i]).to_vec();
         self.kv_len[i] = 0;
         let cold = &mut self.cold[i];
         Sequence {
@@ -707,6 +722,7 @@ pub struct ModelPool {
 }
 
 /// The outcome of a sharing-aware block allocation for one sequence.
+#[derive(Debug, PartialEq)]
 struct SharedAlloc {
     /// Replica the blocks live on: pinned to the shared prefix's home
     /// when chunk 0 hit the content table, the caller's placement
@@ -727,12 +743,31 @@ struct SharedAlloc {
 /// [`crate::SharedPrefix`], the longest consecutive run of prefix
 /// chunks already hash-consed in the content table is **mapped**
 /// (references taken, nothing allocated) and only the remainder is
-/// allocated; a pristine sequence then registers any chunks the table
-/// was missing, so the first carrier of a set becomes its owner.
-/// Returns `None` — with no side effects — when the private remainder
-/// does not fit.
+/// allocated; a pristine sequence also registers any chunks the table
+/// was missing, so the first carrier of a set becomes its owner — all
+/// of it one [`BlockPool::alloc_prefixed`], one table lookup whatever
+/// the prefix length. Returns `None` — with no side effects — when the
+/// private remainder does not fit.
 fn alloc_with_sharing(
     kv: &mut BlockPool,
+    stats: &mut IterStats,
+    share_enabled: bool,
+    seq: &Sequence,
+    fallback_replica: usize,
+) -> Option<SharedAlloc> {
+    // In this crate's unit tests every admission is also run, on a
+    // clone, through the per-chunk loop this function used to be.
+    #[cfg(test)]
+    let before = kv.clone();
+    let alloc = alloc_prefix_aware(kv, stats, share_enabled, seq, fallback_replica);
+    #[cfg(test)]
+    tests::assert_per_chunk_loop_agrees(before, kv, share_enabled, seq, fallback_replica, &alloc);
+    alloc
+}
+
+fn alloc_prefix_aware(
+    kv: &mut BlockPool,
+    stats: &mut IterStats,
     share_enabled: bool,
     seq: &Sequence,
     fallback_replica: usize,
@@ -755,59 +790,33 @@ fn alloc_with_sharing(
     // Chunks covering the prefix, partial tail included, clamped to the
     // demand (an over-long prefix degrades to whatever fits).
     let prefix_chunks = (prefix_tokens.div_ceil(bt) as u32).min(demand);
-    // A sequence that already wrote past the prefix (a diverged victim
-    // re-materializing) owns private tokens in the tail block and may
-    // map full chunks only.
-    let mappable = if seq.kv_tokens > prefix_tokens {
-        ((prefix_tokens / bt) as u32).min(demand)
+    let pristine = seq.kv_tokens <= prefix_tokens;
+    let (mappable, register_to) = if pristine {
+        // Its private prefix blocks will hold exactly the set's
+        // content: hash-cons the chunks the table is missing.
+        (prefix_chunks, prefix_chunks)
     } else {
-        prefix_chunks
+        // A sequence that already wrote past the prefix (a diverged
+        // victim re-materializing) owns private tokens in the tail
+        // block: it may map full chunks only, and registers nothing.
+        (((prefix_tokens / bt) as u32).min(demand), 0)
     };
-    // Pure lookups first: take no references until the remainder fits.
-    let mut mapped: Vec<BlockId> = Vec::new();
-    for chunk in 0..mappable {
-        match kv.lookup_prefix(share.set, chunk) {
-            // All of a set's blocks live on one replica (the owner
-            // allocated them together); a cross-replica entry would be
-            // a foreign pool's and is not mappable.
-            Some(b)
-                if mapped
-                    .first()
-                    .is_none_or(|f: &BlockId| f.replica == b.replica) =>
-            {
-                mapped.push(b);
-            }
-            _ => break,
-        }
-    }
-    let replica = mapped
-        .first()
-        .map_or(fallback_replica, |b| b.replica as usize);
-    let fresh = demand - mapped.len() as u32;
-    let private = kv.try_alloc(replica, fresh)?;
-    for &b in &mapped {
-        kv.map_shared(b);
-    }
-    let mapped_count = mapped.len() as u32;
-    let mut blocks = mapped;
-    blocks.extend(private);
-    if seq.kv_tokens <= prefix_tokens {
-        // Pristine sequence: its private prefix blocks will hold
-        // exactly the set's content — hash-cons the chunks the table
-        // was missing (first writer wins).
-        for chunk in mapped_count..prefix_chunks {
-            kv.register_prefix(share.set, chunk, blocks[chunk as usize]);
-        }
-    }
+    let PrefixAlloc {
+        replica,
+        blocks,
+        mapped,
+    } = kv.alloc_prefixed(share.set, mappable, register_to, demand, fallback_replica)?;
+    stats.share_admissions += 1;
+    stats.prefix_chunks += u64::from(prefix_chunks);
     let tail = (prefix_tokens / bt) as usize;
     let cow_pending = prefix_tokens % bt != 0
-        && seq.kv_tokens <= prefix_tokens
+        && pristine
         && tail < blocks.len()
         && kv.is_registered(blocks[tail]);
     Some(SharedAlloc {
         replica,
         blocks,
-        fresh,
+        fresh: demand - mapped,
         cow_pending,
     })
 }
@@ -1035,8 +1044,9 @@ impl ModelPool {
                 // content-table entry can be resident either — entries
                 // die with their blocks — so sharing never maps here.)
                 let replica = kv.least_loaded_replica();
-                let alloc = alloc_with_sharing(kv, self.config.kv_share, &seq, replica)
-                    .expect("idle pool has a free replica");
+                let alloc =
+                    alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, &seq, replica)
+                        .expect("idle pool has a free replica");
                 seq.replica = alloc.replica;
                 seq.kv_blocks = alloc.blocks;
                 seq.cow_pending = alloc.cow_pending;
@@ -1364,10 +1374,10 @@ impl ModelPool {
                 let blocks = self
                     .run
                     .arena
-                    .take(self.run.kv_start[i], self.run.kv_len[i]);
+                    .retire(self.run.kv_start[i], self.run.kv_len[i]);
                 self.run.kv_len[i] = 0;
                 if let Some(kv) = &mut self.kv {
-                    kv.free(blocks);
+                    kv.free(blocks.iter().copied());
                 }
                 if let Some(o) = self.obs.as_mut() {
                     o.push(
@@ -1453,7 +1463,9 @@ impl ModelPool {
             }
             let front = self.swapped.front().expect("checked non-empty");
             let replica = kv.least_loaded_replica();
-            let Some(alloc) = alloc_with_sharing(kv, self.config.kv_share, front, replica) else {
+            let Some(alloc) =
+                alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, front, replica)
+            else {
                 break;
             };
             let mut s = self.swapped.pop_front().expect("checked non-empty");
@@ -1510,7 +1522,8 @@ impl ModelPool {
                 // prefix chunks come from the content table, only the
                 // private remainder must fit in free blocks.
                 let replica = kv.least_loaded_replica();
-                let Some(alloc) = alloc_with_sharing(kv, self.config.kv_share, front, replica)
+                let Some(alloc) =
+                    alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, front, replica)
                 else {
                     break;
                 };
@@ -1580,8 +1593,9 @@ impl ModelPool {
             };
             if let Some(mut s) = seq {
                 let replica = kv.least_loaded_replica();
-                let alloc = alloc_with_sharing(kv, self.config.kv_share, &s, replica)
-                    .expect("an empty pool fits a capped demand");
+                let alloc =
+                    alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, &s, replica)
+                        .expect("an empty pool fits a capped demand");
                 if from_swap || s.kv_tokens > 0 {
                     settle_resume(
                         kv,
@@ -2921,5 +2935,184 @@ mod tests {
         );
         assert_eq!(kv.allocs, kv.frees, "conservation at drain");
         assert_eq!(p.kv.as_ref().expect("kv on").shared_blocks(), 0);
+    }
+
+    /// `alloc_with_sharing` as it read while the content table was two
+    /// ordered maps: a `lookup_prefix` per prefix chunk, then a
+    /// `register_prefix` per chunk the table was missing. Kept as the
+    /// reference [`assert_per_chunk_loop_agrees`] replays every
+    /// admission through.
+    fn per_chunk_alloc(
+        kv: &mut BlockPool,
+        share_enabled: bool,
+        seq: &Sequence,
+        fallback_replica: usize,
+    ) -> Option<SharedAlloc> {
+        let demand = seq.kv_demand(kv);
+        let share = if share_enabled { seq.job.share } else { None };
+        let Some(share) = share.filter(|s| s.tokens > 0) else {
+            return kv
+                .try_alloc(fallback_replica, demand)
+                .map(|blocks| SharedAlloc {
+                    replica: fallback_replica,
+                    blocks,
+                    fresh: demand,
+                    cow_pending: false,
+                });
+        };
+        let bt = u64::from(kv.block_tokens());
+        let prefix_tokens = u64::from(share.tokens);
+        let prefix_chunks = (prefix_tokens.div_ceil(bt) as u32).min(demand);
+        let mappable = if seq.kv_tokens > prefix_tokens {
+            ((prefix_tokens / bt) as u32).min(demand)
+        } else {
+            prefix_chunks
+        };
+        let mut mapped: Vec<BlockId> = Vec::new();
+        for chunk in 0..mappable {
+            match kv.lookup_prefix(share.set, chunk) {
+                Some(b) if mapped.first().is_none_or(|f| f.replica == b.replica) => mapped.push(b),
+                _ => break,
+            }
+        }
+        let replica = mapped
+            .first()
+            .map_or(fallback_replica, |b| b.replica as usize);
+        let fresh = demand - mapped.len() as u32;
+        let private = kv.try_alloc(replica, fresh)?;
+        for &b in &mapped {
+            kv.map_shared(b);
+        }
+        let mapped_count = mapped.len() as u32;
+        let mut blocks = mapped;
+        blocks.extend(private);
+        if seq.kv_tokens <= prefix_tokens {
+            for chunk in mapped_count..prefix_chunks {
+                kv.register_prefix(share.set, chunk, blocks[chunk as usize]);
+            }
+        }
+        let tail = (prefix_tokens / bt) as usize;
+        let cow_pending = prefix_tokens % bt != 0
+            && seq.kv_tokens <= prefix_tokens
+            && tail < blocks.len()
+            && kv.is_registered(blocks[tail]);
+        Some(SharedAlloc {
+            replica,
+            blocks,
+            fresh,
+            cow_pending,
+        })
+    }
+
+    /// Called by `alloc_with_sharing` on every admission of every test
+    /// in this module: `got` (which left the pool as `after`) must be
+    /// what [`per_chunk_alloc`] returns on `before`, and must leave the
+    /// same pool — counters, refcounts, tags, the set's table entries,
+    /// and free lists that hand out the same ids in the same order.
+    pub(super) fn assert_per_chunk_loop_agrees(
+        mut before: BlockPool,
+        after: &BlockPool,
+        share_enabled: bool,
+        seq: &Sequence,
+        fallback_replica: usize,
+        got: &Option<SharedAlloc>,
+    ) {
+        let want = per_chunk_alloc(&mut before, share_enabled, seq, fallback_replica);
+        assert_eq!(got, &want, "admission of job {:?}", seq.job.id);
+        assert_eq!(after.stats(), before.stats());
+        assert_eq!(after.shared_blocks(), before.shared_blocks());
+        assert_eq!(after.resident_sets(), before.resident_sets());
+        let budget = after.budget_blocks();
+        for replica in 0..after.num_replicas() as u32 {
+            for index in 0..budget {
+                let b = BlockId { replica, index };
+                assert_eq!(after.refcount(b), before.refcount(b), "{b:?}");
+                assert_eq!(after.is_registered(b), before.is_registered(b), "{b:?}");
+            }
+        }
+        if let Some(share) = seq.job.share {
+            for chunk in 0..budget {
+                assert_eq!(
+                    after.lookup_prefix(share.set, chunk),
+                    before.lookup_prefix(share.set, chunk),
+                    "chunk {chunk} of set {}",
+                    share.set
+                );
+            }
+        }
+        let mut after = after.clone();
+        for replica in 0..after.num_replicas() {
+            let free = after.free_blocks(replica);
+            assert_eq!(
+                after.try_alloc(replica, free),
+                before.try_alloc(replica, free),
+                "free list of replica {replica}"
+            );
+        }
+    }
+
+    #[test]
+    fn admissions_match_the_per_chunk_loop_under_bursts_and_pressure() {
+        // Two replicas of 24 sixteen-token blocks, prefill in 32-token
+        // chunks (carriers overlap inside their prefixes), a quantum so
+        // decoders yield to the queue, and watermarks that gate
+        // admission and resume. Bursts alternate between one hot set
+        // (unaligned: 40 tokens, 2.5 blocks), a longer one (100 tokens,
+        // 6.25 blocks) and a set of its own per job (aligned and not),
+        // so admissions meet an empty table, a full resident run, a run
+        // cut short by a privatized tail, and — once pressure has
+        // swapped carriers out past their prefix — victims that may map
+        // full chunks only. Every one of them goes through
+        // `assert_per_chunk_loop_agrees` inside `alloc_with_sharing`.
+        // (Mutation only this test catches: let such a victim map the
+        // partial tail too — `prefix_chunks` for `mappable` on the
+        // non-pristine branch.)
+        let mut cfg = share_pool(3, 16, 20, Watermarks::new(0.9, 0.6))
+            .config()
+            .clone();
+        cfg.replicas = 2;
+        cfg.prefill_chunk_tokens = 32;
+        cfg.preempt_decode_quantum = 6;
+        let mut p = ModelPool::new(cfg);
+        let mut now = 0.0f64;
+        let mut done = 0usize;
+        let mut id = 0u64;
+        for burst in 0..12u64 {
+            for k in 0..8u64 {
+                let (set, share_tokens) = match (burst + k) % 4 {
+                    0 | 1 => (1, 40),
+                    2 => (2, 100),
+                    _ => (100 + id, if k % 2 == 0 { 48 } else { 70 }),
+                };
+                let prompt = share_tokens + 10 + (k as u32 * 7) % 30;
+                let decode = 5 + ((burst * 5 + k * 11) % 90) as u32;
+                p.offer(
+                    shared_job(id, set, share_tokens, prompt, decode),
+                    SimTime::from_secs_f64(now),
+                );
+                id += 1;
+            }
+            // Let the burst half-drain so the next one lands on a pool
+            // that is still holding (and sharing) blocks.
+            for _ in 0..40 {
+                let Some(dt) = p.step_secs() else { break };
+                now += dt;
+                done += p.advance_step(SimTime::from_secs_f64(now)).finished.len();
+            }
+        }
+        done += drain(&mut p).0.len();
+        assert_eq!(done as u64, id, "every job completes");
+        let kv = p.kv_stats();
+        assert!(kv.blocks_saved > 0, "resident runs were mapped");
+        assert!(kv.cow_copies > 0, "an unaligned tail was copied");
+        assert!(kv.pressure_preemptions > 0, "pressure swapped carriers out");
+        assert!(
+            kv.swap_outs > kv.pressure_preemptions,
+            "and the quantum did"
+        );
+        assert_eq!(kv.swap_ins, kv.swap_outs, "every victim resumed");
+        assert_eq!(kv.allocs, kv.frees, "conservation at drain");
+        let pool = p.kv.as_ref().expect("kv on");
+        assert_eq!((pool.shared_blocks(), pool.resident_sets()), (0, 0));
     }
 }
