@@ -118,10 +118,16 @@ pub fn plan_eviction(cache: &ExampleCache, capacity_bytes: usize, now: f64) -> V
     }
     let items = items_from_cache(cache, now);
     let keep = greedy_knapsack(&items, capacity_bytes);
+    all_but(&items, keep)
+}
+
+/// The ids of `items` that are not in `keep`, in item order.
+fn all_but(items: &[KnapsackItem], mut keep: Vec<ExampleId>) -> Vec<ExampleId> {
+    keep.sort_unstable();
     items
         .iter()
         .map(|i| i.id)
-        .filter(|id| !keep.contains(id))
+        .filter(|id| keep.binary_search(id).is_err())
         .collect()
 }
 
@@ -129,6 +135,7 @@ pub fn plan_eviction(cache: &ExampleCache, capacity_bytes: usize, now: f64) -> V
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::RngExt;
 
     fn item(id: u64, weight: usize, value: f64) -> KnapsackItem {
         KnapsackItem {
@@ -175,6 +182,29 @@ mod tests {
         let items = [item(1, 1000, 100.0), item(2, 5, 1.0)];
         assert_eq!(dp_knapsack(&items, 10), vec![ExampleId(2)]);
         assert_eq!(greedy_knapsack(&items, 10), vec![ExampleId(2)]);
+    }
+
+    #[test]
+    fn the_evicted_ids_are_the_contains_filters_in_item_order() {
+        // 2 000 items in shuffled id order, weights 1..=8 and only four
+        // distinct densities, so the greedy order is decided by the id
+        // tie-break almost everywhere; half the bytes fit.
+        let mut rng = ic_stats::rng::rng_from_seed(84);
+        let items: Vec<KnapsackItem> = (0..2_000u64)
+            .map(|i| {
+                let weight = rng.random_range(1usize..9);
+                let density = [0.0, 0.5, 0.5, 2.0][rng.random_range(0..4usize)];
+                item((i * 7919) % 2_000, weight, weight as f64 * density)
+            })
+            .collect();
+        let capacity = items.iter().map(|i| i.weight).sum::<usize>() / 2;
+        let keep = greedy_knapsack(&items, capacity);
+        let want: Vec<ExampleId> = (items.iter().map(|i| i.id))
+            .filter(|id| !keep.contains(id))
+            .collect();
+        assert!(want.len() > 500 && want.len() < 1_500);
+        assert_eq!(all_but(&items, keep), want);
+        assert_eq!(all_but(&items, Vec::new()).len(), items.len());
     }
 
     #[test]

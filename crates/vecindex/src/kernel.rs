@@ -17,6 +17,27 @@
 //! the same `f32` components the row-major layout held, in a different
 //! order; nothing is stored twice.
 //!
+//! # Why the body is compiled twice, and why eight chains
+//!
+//! As compiled for baseline x86-64 (SSE2: two `f64` to a register) a
+//! group's eight chains are four accumulator registers, each needing its
+//! own convert, multiply and add per component, and the loop is
+//! *issue-bound*. With AVX2 (four to a register) the same eight chains
+//! are two registers and half the instructions. So the one body is
+//! instantiated twice — as compiled for the build's baseline, and under
+//! `#[target_feature(enable = "avx2")]` — and picked per call by
+//! `is_x86_feature_detected!` (a cached flag; the call is the crate's one
+//! `unsafe`); hosts without AVX2, or off x86-64, run the loop they ran
+//! before there was a choice. With two registers the AVX2 loop is
+//! *latency-bound* on paper (each accumulator waits out its previous add
+//! with one other chain to fill the gap), and walking two groups a pass —
+//! sixteen chains — was built and measured (`docs/replay-perf.md`,
+//! "Stage-1 probe"): a tenth faster on a repeated query whose lists sit
+//! in L1/L2, nothing on distinct queries, whose lists stream from L3 at
+//! the memory floor either way, slower than one group in eight of ten
+//! end-to-end rounds, and slower than eight chains under SSE2; thirty-two
+//! chains no better. One group a pass it stays.
+//!
 //! # Why it is a schedule change, not a numeric one
 //!
 //! Every pair's accumulator starts from the identity `Iterator::sum`
@@ -26,7 +47,9 @@
 //! [`ic_embed::sq_dist_slices`], `f64::from(q_j) * f64::from(r_j)` as in
 //! [`ic_embed::dot_slices`]. Floating-point addition is not associative,
 //! but nothing is re-associated: the lanes only interleave *different*
-//! pairs' chains. So each sum is bit-identical to the scalar reduction,
+//! pairs' chains, and Rust never contracts `a + b * c` into a fused
+//! multiply-add, so wider registers change which chain's add issues next
+//! and nothing else. So each sum is bit-identical to the scalar reduction,
 //! and everything derived from it — argmin, probe order, cosine, hit
 //! lists, report bytes — is unchanged. Padding lanes in a partial last
 //! group are computed and then dropped: only the first `len` rows ever
@@ -35,7 +58,7 @@
 use std::ops::Range;
 
 /// Rows per group, i.e. accumulators advanced per component pass: eight
-/// independent `f64` chains (one AVX-512 register, four SSE2 registers;
+/// independent `f64` chains (two AVX2 registers, four SSE2 registers;
 /// either way enough to hide the add latency of the scalar chain).
 pub(crate) const LANES: usize = 8;
 
@@ -177,21 +200,13 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
         v64: &[f64],
         sink: impl FnMut(usize, f64),
     ) {
-        self.scan(
-            groups,
-            v64,
-            |x, c| {
-                let d = c - x;
-                d * d
-            },
-            sink,
-        );
+        self.scan(groups, v64, sq_dist_term, sink);
     }
 
     /// Calls `sink(i, dot(v, row_i))` for every row in index order —
     /// each value bit-identical to [`ic_embed::dot_slices`].
     pub(crate) fn dots(&self, v64: &[f64], sink: impl FnMut(usize, f64)) {
-        self.scan(0..self.groups(), v64, |x, c| x * c, sink);
+        self.scan(0..self.groups(), v64, dot_term, sink);
     }
 
     /// `(argmin, min)` of [`Self::sq_dists`] with a strict `<` update in
@@ -207,11 +222,45 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
         best
     }
 
-    /// The one loop: per group, `LANES` accumulators each summing
-    /// `term(v_j, row_j)` in component order from the `sum` identity;
-    /// live lanes go to `sink` in row order, padding lanes nowhere.
-    #[inline(always)]
+    /// The one loop, as the host runs it fastest: the eight chains in
+    /// 256-bit registers where the CPU has AVX2, as compiled for the
+    /// build's baseline everywhere else. Same operations in the same order
+    /// either way (see "Why it is a schedule change" in the module docs).
     fn scan(
+        &self,
+        groups: Range<usize>,
+        v64: &[f64],
+        term: impl Fn(f64, f64) -> f64,
+        sink: impl FnMut(usize, f64),
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `scan_avx2` is safe code whose only requirement is
+            // that the CPU executes AVX2, which was just detected.
+            return unsafe { self.scan_avx2(groups, v64, term, sink) };
+        }
+        self.scan_body(groups, v64, term, sink);
+    }
+
+    /// [`Self::scan_body`] compiled with AVX2 on: a group's eight chains
+    /// are two registers instead of four.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn scan_avx2(
+        &self,
+        groups: Range<usize>,
+        v64: &[f64],
+        term: impl Fn(f64, f64) -> f64,
+        sink: impl FnMut(usize, f64),
+    ) {
+        self.scan_body(groups, v64, term, sink);
+    }
+
+    /// Per group, `LANES` accumulators each summing `term(v_j, row_j)`
+    /// over its own row in component order from the `sum` identity; live
+    /// lanes go to `sink` in row order, padding lanes nowhere.
+    #[inline(always)]
+    fn scan_body(
         &self,
         groups: Range<usize>,
         v64: &[f64],
@@ -236,6 +285,21 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
     }
 }
 
+/// One component's term of a squared distance, as
+/// [`ic_embed::sq_dist_slices`] forms it.
+#[inline(always)]
+fn sq_dist_term(x: f64, c: f64) -> f64 {
+    let d = c - x;
+    d * d
+}
+
+/// One component's term of a dot product, as [`ic_embed::dot_slices`]
+/// forms it.
+#[inline(always)]
+fn dot_term(x: f64, c: f64) -> f64 {
+    x * c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,31 +310,94 @@ mod tests {
         LaneBlocks::from_rows(dim, rows.iter().map(Embedding::as_slice))
     }
 
+    fn host_has_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
+    /// What each instantiation of the body sends to its sink for
+    /// `groups`, as `(row, sum bits)`: the portable one always, the AVX2
+    /// one where the host runs it. `term` is a fn item, so both are the
+    /// inlined loops `dots`/`sq_dists_in` compile to.
+    fn each_body(
+        t: &LaneBlocks<f32>,
+        groups: Range<usize>,
+        q64: &[f64],
+        term: impl Fn(f64, f64) -> f64 + Copy,
+    ) -> Vec<(&'static str, Vec<(usize, u64)>)> {
+        let mut out = Vec::new();
+        t.scan_body(groups.clone(), q64, term, |i, s| {
+            out.push((i, s.to_bits()));
+        });
+        let mut bodies = vec![("portable", std::mem::take(&mut out))];
+        #[cfg(target_arch = "x86_64")]
+        if host_has_avx2() {
+            // SAFETY: the host executes AVX2, checked on the line above.
+            unsafe { t.scan_avx2(groups, q64, term, |i, s| out.push((i, s.to_bits()))) };
+            bodies.push(("avx2", out));
+        }
+        bodies
+    }
+
     #[test]
     fn lane_sums_match_the_scalar_reductions_bitwise() {
-        // Row counts around the lane width and dims that are not a
-        // multiple of it: padding lanes must never surface.
+        // Row counts around one, two, three and four groups, dims that are
+        // not a multiple of the lane width, and every sub-range of groups
+        // (the bounded Lloyd pass scans one-group buckets, so ranges start
+        // and end on odd groups): padding lanes must never surface and
+        // every sum must carry the scalar chain's bits — from both
+        // instantiations called directly, and from the dispatching entry
+        // points the crate calls.
+        // Mutation that bites: emit `acc[..LANES]` instead of
+        // `acc[..live]` and n = 1 hands the sink rows 1..8.
+        let avx2 = host_has_avx2();
+        if !avx2 {
+            println!("avx2 not detected: only the portable body is compared");
+        }
         let mut rng = rng_from_seed(11);
         for dim in [1usize, 7, 9, 64, 70] {
-            for n in [0usize, 1, 7, 8, 9, 17] {
+            for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 24, 25, 33] {
                 let rows: Vec<Embedding> = (0..n)
                     .map(|_| Embedding::gaussian(dim, 1.0, &mut rng))
                     .collect();
                 let q = Embedding::gaussian(dim, 1.0, &mut rng);
                 let t = table(&rows, dim);
                 let q64 = widen(q.as_slice());
-                let mut seen = 0;
-                t.dots(&q64, |i, d| {
-                    assert_eq!(i, seen);
-                    seen += 1;
-                    let want = dot_slices(q.as_slice(), rows[i].as_slice());
-                    assert_eq!(d.to_bits(), want.to_bits(), "dot dim={dim} n={n}");
-                });
-                assert_eq!(seen, n);
-                t.sq_dists(&q64, |i, d| {
-                    let want = sq_dist_slices(rows[i].as_slice(), q.as_slice());
-                    assert_eq!(d.to_bits(), want.to_bits(), "sq_dist dim={dim} n={n}");
-                });
+                let dot = |i: usize| (i, dot_slices(q.as_slice(), rows[i].as_slice()).to_bits());
+                let sq_dist = |i: usize| {
+                    (
+                        i,
+                        sq_dist_slices(rows[i].as_slice(), q.as_slice()).to_bits(),
+                    )
+                };
+                for lo in 0..=t.groups() {
+                    for hi in lo..=t.groups() {
+                        let live = lo * LANES..(hi * LANES).min(n);
+                        let want_dot: Vec<_> = live.clone().map(dot).collect();
+                        let want_sq: Vec<_> = live.map(sq_dist).collect();
+                        let at = format!("dim={dim} n={n} groups={lo}..{hi}");
+                        let bodies = each_body(&t, lo..hi, &q64, dot_term);
+                        assert_eq!(bodies.len(), 1 + usize::from(avx2));
+                        for (body, got) in bodies {
+                            assert_eq!(got, want_dot, "dot, {body} {at}");
+                        }
+                        for (body, got) in each_body(&t, lo..hi, &q64, sq_dist_term) {
+                            assert_eq!(got, want_sq, "sq_dist, {body} {at}");
+                        }
+                        let mut got = Vec::new();
+                        t.sq_dists_in(lo..hi, &q64, |i, s| got.push((i, s.to_bits())));
+                        assert_eq!(got, want_sq, "sq_dists_in {at}");
+                    }
+                }
+                let mut got = Vec::new();
+                t.dots(&q64, |i, s| got.push((i, s.to_bits())));
+                assert_eq!(
+                    got,
+                    (0..n).map(dot).collect::<Vec<_>>(),
+                    "dots dim={dim} n={n}"
+                );
             }
         }
     }
@@ -281,13 +408,17 @@ mod tests {
         // `Iterator::sum` makes of that, and so must the lanes.
         let row = Embedding::from_vec(vec![0.0, 0.0, 0.0]);
         let q = Embedding::from_vec(vec![-1.0, -2.0, -3.0]);
-        let t = table(std::slice::from_ref(&row), 3);
-        t.dots(&widen(q.as_slice()), |_, d| {
-            assert_eq!(
-                d.to_bits(),
-                dot_slices(q.as_slice(), row.as_slice()).to_bits()
-            );
-        });
+        let want = dot_slices(q.as_slice(), row.as_slice()).to_bits();
+        let t = table(&vec![row; 9], 3);
+        let q64 = widen(q.as_slice());
+        let mut bodies = each_body(&t, 0..2, &q64, dot_term);
+        let mut dispatched = Vec::new();
+        t.dots(&q64, |i, s| dispatched.push((i, s.to_bits())));
+        bodies.push(("dots", dispatched));
+        for (body, got) in bodies {
+            let want: Vec<_> = (0..9).map(|i| (i, want)).collect();
+            assert_eq!(got, want, "{body}");
+        }
     }
 
     #[test]

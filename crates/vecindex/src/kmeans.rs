@@ -93,7 +93,6 @@ use ic_embed::{Embedding, par::chunk_ranges, sq_dist_slices};
 use ic_stats::rng::rng_from_seed;
 use rand::{Rng, RngExt};
 
-use crate::keep_top;
 use crate::kernel::{LANES, LaneBlocks, widen};
 
 /// Relative slack on every bound comparison and on every recorded
@@ -175,15 +174,25 @@ impl KMeansModel {
     /// Indices of the `n` nearest centroids, closest first (equidistant
     /// centroids in index order).
     pub fn assign_top_n(&self, v: &Embedding, n: usize) -> Vec<usize> {
-        let mut dists = Vec::with_capacity(self.k());
-        self.lanes
-            .sq_dists(&widen(v.as_slice()), |i, d| dists.push((d, i)));
-        keep_top(&mut dists, n, |a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite distances")
-                .then(a.1.cmp(&b.1))
-        });
-        dists.into_iter().map(|(_, i)| i).collect()
+        // The `n` best so far, sorted. Centroids arrive in index order,
+        // so placing a newcomer after every distance that is not larger
+        // keeps equidistant ones in index order — the `(distance, index)`
+        // order a full sort would give.
+        let mut top: Vec<(f64, usize)> = Vec::with_capacity(n.min(self.k()));
+        if n > 0 {
+            self.lanes.sq_dists(&widen(v.as_slice()), |i, d| {
+                debug_assert!(d.is_finite(), "finite distances");
+                if top.len() == n {
+                    if d >= top[n - 1].0 {
+                        return;
+                    }
+                    top.pop();
+                }
+                let at = top.partition_point(|&(kept, _)| kept <= d);
+                top.insert(at, (d, i));
+            });
+        }
+        top.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Total within-cluster squared distance of a dataset under this model.
@@ -606,6 +615,7 @@ fn init_plus_plus(rows: &[&[f32]], k: usize, rng: &mut impl Rng, threads: usize)
 mod tests {
     use super::*;
     use ic_embed::{TopicSpace, TopicSpaceConfig};
+    use proptest::prelude::*;
 
     fn clustered_data(topics: usize, per_topic: usize) -> (Vec<Embedding>, Vec<usize>) {
         let space = TopicSpace::generate(
@@ -684,6 +694,39 @@ mod tests {
             .collect();
         for w in d.windows(2) {
             assert!(w[0] <= w[1]);
+        }
+    }
+
+    proptest! {
+        /// The sorted `n`-slot buffer against a stable sort of every
+        /// `(distance, index)`: centroids drawn from five points, so
+        /// most distances are exactly equal and equidistant centroids
+        /// must come out in index order. Mutation that bites: `<` for
+        /// `<=` in the `partition_point` puts a newcomer before its
+        /// equals.
+        #[test]
+        fn assign_top_n_is_the_stable_sort_truncated(
+            picks in collection::vec(0usize..5, 1..40),
+            query in 0usize..6,
+        ) {
+            let points = [[0.0f32, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0], [0.5, 0.5]];
+            let centroids: Vec<Embedding> = (picks.iter())
+                .map(|&p| Embedding::from_vec(points[p].to_vec()))
+                .collect();
+            let model = KMeansModel {
+                lanes: LaneBlocks::from_rows(2, centroids.iter().map(Embedding::as_slice)),
+                centroids,
+            };
+            let q = Embedding::from_vec(points[query].to_vec());
+            let mut order: Vec<usize> = (0..model.k()).collect();
+            order.sort_by(|&a, &b| {
+                let (da, db) = (model.centroids[a].sq_dist(&q), model.centroids[b].sq_dist(&q));
+                da.partial_cmp(&db).unwrap()
+            });
+            let k = model.k();
+            for n in [0, 1, 4, k, k + 3] {
+                prop_assert_eq!(model.assign_top_n(&q, n), &order[..n.min(k)], "n={}", n);
+            }
         }
     }
 

@@ -21,13 +21,24 @@
 //! centroids for a probe, and scoring a posting list — is the same loop
 //! over the same layout: rows stored in groups of eight, component-major,
 //! so one pass over the query advances eight independent `f64`
-//! accumulators (the crate-private `kernel` module). It reorders *which
-//! pair's* add comes next, never the adds within a pair, so every
+//! accumulators — in 256-bit registers where the host has AVX2 (the
+//! crate-private `kernel` module). It reorders *which pair's* add
+//! comes next, never the adds within a pair, so every
 //! distance and similarity is bit-identical to the scalar reductions in
 //! `ic-embed` and every result list is byte-identical to what
 //! [`FlatIndex`]-style scoring of the same candidates returns. Each IVF
 //! posting list owns its members' rows in that layout; there is no
 //! second copy.
+//!
+//! What follows a scan keeps a few of many — the 32 best of the ≈900
+//! rows a probe scores, the 4 nearest of 128 centroids — and neither
+//! sorts what it drops. The hit list maps each similarity to an integer
+//! key of the same order, finds the `k`-th key with a selection over
+//! the plain integers, keeps the hits at or above it and sorts only
+//! those with the `(similarity desc, id asc)` comparator, which is what
+//! a full stable sort followed by `truncate(k)` returns;
+//! [`KMeansModel::assign_top_n`] keeps its `n` best in a sorted
+//! `n`-slot buffer as the distances arrive.
 //!
 //! [`VectorIndex::search_batch`] answers a whole batch of queries with
 //! results byte-identical to per-query [`VectorIndex::search`] — it *is*
@@ -59,8 +70,6 @@ pub use kmeans::{
     KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_best_of_threaded, kmeans_fit_rows,
     kmeans_threaded,
 };
-
-use std::cmp::Ordering;
 
 use ic_embed::Embedding;
 
@@ -104,29 +113,44 @@ pub trait VectorIndex {
 }
 
 /// The `k` best hits — descending similarity, then ascending id —
-/// in that order. Shared by the index implementations.
+/// in that order: exactly a stable `sort_by` on that order followed by
+/// `truncate(k)`, without sorting what the truncation drops (see "One
+/// scan" in the crate docs). Shared by the index implementations.
 pub(crate) fn finalize_hits(mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
-    keep_top(&mut hits, k, |a, b| {
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < hits.len() {
+        let mut keys: Vec<u64> = hits.iter().map(|h| rank_key(h.similarity)).collect();
+        let cut = *keys.select_nth_unstable(k - 1).1;
+        hits.retain(|h| rank_key(h.similarity) <= cut);
+    }
+    hits.sort_by(|a, b| {
         b.similarity
             .partial_cmp(&a.similarity)
             .expect("similarities are finite")
             .then(a.id.cmp(&b.id))
     });
+    hits.truncate(k);
     hits
 }
 
-/// Reduces `items` to its `k` least elements under `cmp`, sorted: a
-/// partition around the `k`-th element, then a sort of the kept `k`
-/// only. Under a total order (no two elements compare equal) this is
-/// exactly `sort_by(cmp)` followed by `truncate(k)`.
-pub(crate) fn keep_top<T>(items: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> Ordering) {
-    if k == 0 {
-        items.clear();
-    } else if k < items.len() {
-        items.select_nth_unstable_by(k - 1, &cmp);
-        items.truncate(k);
+/// `similarity` as an integer that sorts the other way round: a smaller
+/// key is a larger similarity, and two similarities get the same key
+/// exactly when `partial_cmp` calls them equal (`+ 0.0` turns `-0.0`
+/// into `0.0`, the one pair of finite values with different bits that
+/// compare equal).
+#[inline]
+fn rank_key(similarity: f64) -> u64 {
+    debug_assert!(similarity.is_finite(), "similarities are finite");
+    let bits = (similarity + 0.0).to_bits();
+    // Non-negative values count down from the top of the lower half;
+    // negative ones already ascend with their magnitude in the upper.
+    if bits >> 63 == 0 {
+        (u64::MAX >> 1) - bits
+    } else {
+        bits
     }
-    items.sort_unstable_by(&cmp);
 }
 
 /// The paper's cluster-count rule: `K = sqrt(N)`, minimizing the per-query
@@ -138,6 +162,7 @@ pub fn sqrt_cluster_count(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sqrt_rule_matches_paper_argument() {
@@ -210,5 +235,45 @@ mod tests {
             }
         }
         assert!(finalize_hits(Vec::new(), 5).is_empty());
+    }
+
+    proptest! {
+        /// Select-k against the full sort: seven similarities (`0.0` and
+        /// `-0.0` equal but not bit-equal, `±1.0` at the ends), one of
+        /// them `heavy` so that more than `k` hits sit on the cut key,
+        /// ids from a small range so that they repeat. A stable sort is
+        /// the reference, so hits the order cannot tell apart keep their
+        /// input order. Mutations that bite: `rank_key` without `+ 0.0`
+        /// (cuts between `0.0` and `-0.0`), `<` for `<=` in the `retain`
+        /// (drops the ties the cut falls among).
+        #[test]
+        fn finalize_is_the_stable_sort_truncated(
+            picks in collection::vec(0usize..12, 0..140),
+            ids in collection::vec(0u64..60, 140),
+            heavy in 0usize..7,
+        ) {
+            let sims = [1.0, 0.5, 0.0, -0.0, -0.5, -1.0, 0.25];
+            let hits: Vec<SearchHit> = (picks.iter().zip(&ids))
+                .map(|(&p, &id)| SearchHit {
+                    id,
+                    similarity: sims[if p < 7 { p } else { heavy }],
+                })
+                .collect();
+            let mut sorted = hits.clone();
+            sorted.sort_by(|a, b| {
+                b.similarity
+                    .partial_cmp(&a.similarity)
+                    .unwrap()
+                    .then(a.id.cmp(&b.id))
+            });
+            let bits = |hits: &[SearchHit]| -> Vec<(ItemId, u64)> {
+                hits.iter().map(|h| (h.id, h.similarity.to_bits())).collect()
+            };
+            let n = hits.len();
+            for k in [0, 1, 2, 31, 32, 33, n.saturating_sub(1), n, n + 1] {
+                let got = finalize_hits(hits.clone(), k);
+                prop_assert_eq!(bits(&got), bits(&sorted[..k.min(n)]), "k={} n={}", k, n);
+            }
+        }
     }
 }
