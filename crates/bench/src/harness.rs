@@ -187,11 +187,6 @@ pub fn side_by_side(
     (eval.average_score(), eval.win_rate())
 }
 
-/// GPU-seconds one request consumes on a model (zero-load).
-pub fn gpu_seconds(spec: &ModelSpec, e2e_secs: f64) -> f64 {
-    e2e_secs * f64::from(spec.gpus_per_replica)
-}
-
 /// Normalized serving throughput of a policy that offloads fraction `p`
 /// of requests to the small model, relative to always-large (Fig. 13's
 /// x-axis): the reciprocal of relative GPU-time per request.

@@ -124,11 +124,6 @@ impl IcCacheClient {
     pub fn stop(&self) {
         *self.stopped.lock() = true;
     }
-
-    /// Direct system access for experiments that need internals.
-    pub fn with_system<T>(&self, f: impl FnOnce(&mut IcCacheSystem) -> T) -> T {
-        f(&mut self.system.lock())
-    }
 }
 
 #[cfg(test)]

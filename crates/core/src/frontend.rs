@@ -177,33 +177,21 @@ impl FrontEnd {
     }
 
     /// Routes a request through its owning replica. Returns the decision
-    /// and the replica index that made it.
+    /// and the replica index that made it. `counted` is false for a
+    /// failover *retry* of an already-counted request: the decision is
+    /// computed identically (same replica, same bandit state, same RNG
+    /// stream) but the replica's decision counter is not bumped — one
+    /// logical request appears once in the per-replica decision stats.
     pub fn route(
         &mut self,
         request: &Request,
         selection_utilities: &[f64],
         rng: &mut impl Rng,
+        counted: bool,
     ) -> (RouteDecision, usize) {
         let r = self.replica_of(request.id);
         let replica = &mut self.replicas[r];
-        replica.decisions += 1;
-        (replica.router.route(request, selection_utilities, rng), r)
-    }
-
-    /// [`FrontEnd::route`] for a failover *retry* of an already-counted
-    /// request: the routing decision is computed identically (same
-    /// replica, same bandit state, same RNG stream) but the replica's
-    /// decision counter is *not* bumped — a retried request is one
-    /// logical request and must appear exactly once in the per-replica
-    /// decision stats.
-    pub fn route_retry(
-        &mut self,
-        request: &Request,
-        selection_utilities: &[f64],
-        rng: &mut impl Rng,
-    ) -> (RouteDecision, usize) {
-        let r = self.replica_of(request.id);
-        let replica = &mut self.replicas[r];
+        replica.decisions += u64::from(counted);
         (replica.router.route(request, selection_utilities, rng), r)
     }
 
@@ -495,7 +483,7 @@ mod tests {
             fe.record_reward(large, r, &[], 0.9);
         }
         let mut rng = rng_from_seed(5);
-        let (_, replica) = fe.route(&requests[0], &[], &mut rng);
+        let (_, replica) = fe.route(&requests[0], &[], &mut rng, true);
         assert_eq!(replica, 0);
         assert_eq!(fe.stats().decisions, vec![1]);
         fe.reconfigure(3, 0.2);

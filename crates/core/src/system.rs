@@ -1,8 +1,7 @@
 //! The assembled IC-Cache system: Algorithm 1's `ServeRequests`.
 
 use ic_llmsim::{
-    Example, ExampleId, ExampleStore, GenOutcome, GenSetup, ModelId, Request, Skill, SkillMix,
-    signal_noise,
+    Example, ExampleId, ExampleStore, GenOutcome, GenSetup, ModelId, Request, signal_noise,
 };
 use ic_manager::ExampleManager;
 use ic_router::RequestRouter;
@@ -72,6 +71,9 @@ pub struct IcCacheSystem {
     /// Normalized per-model costs, precomputed at build time — the
     /// feedback path used to rebuild the whole cost vector per call.
     cost_norm: HashMap<ModelId, f64>,
+    /// The model selections are computed against: examples target the
+    /// cheapest offload candidate (the primary when there is none).
+    offload_target: ModelId,
 }
 
 impl std::fmt::Debug for IcCacheSystem {
@@ -101,6 +103,7 @@ impl IcCacheSystem {
             .iter()
             .map(|&m| (m, normalized_cost(&config, m)))
             .collect();
+        let offload_target = (config.offload_models().first().copied()).unwrap_or(config.primary);
         Self {
             selector,
             frontend: FrontEnd::new(router),
@@ -112,6 +115,7 @@ impl IcCacheSystem {
             served: 0,
             offloaded: 0,
             cost_norm,
+            offload_target,
             config,
         }
     }
@@ -192,13 +196,7 @@ impl IcCacheSystem {
     /// learning) — used by ablations and baselines that reuse the example
     /// cache without the router.
     pub fn with_selection(&self, request: &Request) -> Selection {
-        let offload_model = self
-            .config
-            .offload_models()
-            .first()
-            .copied()
-            .unwrap_or(self.config.primary);
-        let spec = self.config.catalog.get(offload_model);
+        let spec = self.config.catalog.get(self.offload_target);
         self.selector.select(request, self.manager.cache(), spec)
     }
 
@@ -244,6 +242,7 @@ impl IcCacheSystem {
         // admit/index interleaving — and lets the index fan the embed and
         // assignment work out over its `setup_threads`.
         let mut admitted = Vec::with_capacity(examples.len());
+        self.manager.reserve(examples.len());
         for e in examples {
             let embedding = e.embedding.clone();
             if let Some(id) = self.manager.admit(e, now) {
@@ -256,16 +255,37 @@ impl IcCacheSystem {
     /// Algorithm 1 `ServeRequests`: select examples, route, generate,
     /// learn, manage.
     pub fn serve(&mut self, request: &Request) -> ServeOutcome {
+        self.serve_as(request, true)
+    }
+
+    /// [`IcCacheSystem::serve`] for a failover *retry* of a request that
+    /// already went through the tier once. The retry recomputes a fresh
+    /// selection and routing decision (the index and the bandit may have
+    /// moved since the original serving, and the original choice's pool
+    /// is down) and generates — but it records *no* serving statistics
+    /// and absorbs *no* feedback: `served`/`offloaded` stay untouched,
+    /// the router tier's per-replica decision counters are not bumped,
+    /// no preference solicitation happens, no reward/proxy/cache-gain
+    /// update runs, and example accesses are not re-recorded. One
+    /// logical request leaves exactly one set of selector/router stats
+    /// behind, however many times failover re-enqueues it.
+    pub fn serve_retry(&mut self, request: &Request) -> ServeOutcome {
+        self.serve_as(request, false)
+    }
+
+    /// One serving; `fresh` is false for a failover retry, which skips
+    /// every piece of bookkeeping and learning (see
+    /// [`IcCacheSystem::serve_retry`]).
+    fn serve_as(&mut self, request: &Request, fresh: bool) -> ServeOutcome {
         // 1. Example Retriever (bypassed when unhealthy, §5).
         //    Examples target the cheapest offload candidate; the router
         //    sees their predicted utilities as context.
         let selection = if self.failover.selector_healthy() {
-            let spec = self.config.catalog.get(self.offload_target());
+            let spec = self.config.catalog.get(self.offload_target);
             self.selector.select(request, self.manager.cache(), spec)
         } else {
             Selection::empty(0.0)
         };
-        self.served += 1;
 
         // 2. Request Router (bypassed when unhealthy: straight to
         //    primary). The decision comes from the replica that owns the
@@ -274,10 +294,10 @@ impl IcCacheSystem {
         //    (retries after a pool failover must not land back on the
         //    dead pool), falling back to the original choice only when
         //    every arm is down.
-        let (chosen, solicit, second, bias) = if self.failover.router_healthy() {
+        let (chosen, second, bias) = if self.failover.router_healthy() {
             let (d, _replica) =
                 self.frontend
-                    .route(request, &selection.predicted_utility, &mut self.rng);
+                    .route(request, &selection.predicted_utility, &mut self.rng, fresh);
             let chosen = if self.failover.model_healthy(d.chosen) {
                 d.chosen
             } else {
@@ -293,23 +313,18 @@ impl IcCacheSystem {
             // `chosen` onto the sampled second choice (a self-comparison
             // would record contradictory rewards on one arm), and a down
             // second choice cannot generate a comparison response.
-            let (solicit, second) = match d.second_choice {
-                Some(other)
-                    if d.solicit_feedback
-                        && other != chosen
-                        && self.failover.model_healthy(other) =>
-                {
-                    (true, Some(other))
-                }
-                _ => (false, None),
-            };
-            (chosen, solicit, second, d.applied_bias)
+            let second = d.second_choice.filter(|&other| {
+                fresh && d.solicit_feedback && other != chosen && self.failover.model_healthy(other)
+            });
+            (chosen, second, d.applied_bias)
         } else {
-            (self.config.primary, false, None, 0.0)
+            (self.config.primary, None, 0.0)
         };
+        let solicit = second.is_some();
         let offloadable = chosen != self.config.primary;
-        if offloadable {
-            self.offloaded += 1;
+        if fresh {
+            self.served += 1;
+            self.offloaded += u64::from(offloadable);
         }
 
         // 3. Generate (examples only on the offload path).
@@ -329,15 +344,17 @@ impl IcCacheSystem {
             .generator
             .generate(spec, request, &setup, &mut self.rng);
 
-        // 4. Learn from feedback. User feedback arrives for solicited
-        //    requests and for a sampled fraction of the rest.
-        let give_feedback = solicit || self.rng.random::<f64>() < self.config.feedback_sample_rate;
-        if give_feedback {
-            self.absorb_feedback(request, &selection, chosen, second, &outcome, &used_ids);
-        }
-
-        for id in &used_ids {
-            self.manager.cache_mut().record_access(*id);
+        if fresh {
+            // 4. Learn from feedback. User feedback arrives for solicited
+            //    requests and for a sampled fraction of the rest.
+            let give_feedback =
+                solicit || self.rng.random::<f64>() < self.config.feedback_sample_rate;
+            if give_feedback {
+                self.absorb_feedback(request, &selection, chosen, second, &outcome, &used_ids);
+            }
+            for id in &used_ids {
+                self.manager.cache_mut().record_access(*id);
+            }
         }
 
         ServeOutcome {
@@ -349,81 +366,6 @@ impl IcCacheSystem {
             solicited_feedback: solicit,
             applied_bias: bias,
         }
-    }
-
-    /// [`IcCacheSystem::serve`] for a failover *retry* of a request that
-    /// already went through the tier once. The retry recomputes a fresh
-    /// selection and routing decision (the index and the bandit may have
-    /// moved since the original serving, and the original choice's pool
-    /// is down) and generates — but it records *no* serving statistics
-    /// and absorbs *no* feedback: `served`/`offloaded` stay untouched,
-    /// the router tier's per-replica decision counters are not bumped
-    /// ([`crate::frontend::FrontEnd::route_retry`]), no preference
-    /// solicitation happens, no reward/proxy/cache-gain update runs, and
-    /// example accesses are not re-recorded. One logical request leaves
-    /// exactly one set of selector/router stats behind, however many
-    /// times failover re-enqueues it.
-    pub fn serve_retry(&mut self, request: &Request) -> ServeOutcome {
-        let selection = if self.failover.selector_healthy() {
-            let spec = self.config.catalog.get(self.offload_target());
-            self.selector.select(request, self.manager.cache(), spec)
-        } else {
-            Selection::empty(0.0)
-        };
-        // Routing mirrors `serve` (same health override), minus
-        // the decision counting and feedback solicitation.
-        let (chosen, bias) = if self.failover.router_healthy() {
-            let (d, _replica) =
-                self.frontend
-                    .route_retry(request, &selection.predicted_utility, &mut self.rng);
-            let chosen = if self.failover.model_healthy(d.chosen) {
-                d.chosen
-            } else {
-                d.scores
-                    .iter()
-                    .filter(|&&(m, _)| self.failover.model_healthy(m))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|&(m, _)| m)
-                    .unwrap_or(d.chosen)
-            };
-            (chosen, d.applied_bias)
-        } else {
-            (self.config.primary, 0.0)
-        };
-        let offloadable = chosen != self.config.primary;
-        let example_refs: Vec<&Example> = if offloadable {
-            selection.resolve(self.manager.cache())
-        } else {
-            Vec::new()
-        };
-        let setup = GenSetup {
-            examples: example_refs,
-            ..GenSetup::default()
-        };
-        let spec = self.config.catalog.get(chosen);
-        let outcome = self
-            .config
-            .generator
-            .generate(spec, request, &setup, &mut self.rng);
-        ServeOutcome {
-            request_id: request.id,
-            model: chosen,
-            offloaded: offloadable,
-            selection,
-            outcome,
-            solicited_feedback: false,
-            applied_bias: bias,
-        }
-    }
-
-    /// The offload model selections are computed against (examples
-    /// target the cheapest offload candidate).
-    fn offload_target(&self) -> ModelId {
-        self.config
-            .offload_models()
-            .first()
-            .copied()
-            .unwrap_or(self.config.primary)
     }
 
     /// Feedback path: noisy user signal -> router reward, preference
@@ -644,12 +586,6 @@ fn render_response_text(topic: usize, tokens: u32) -> String {
         text.push(char::from(b'0' + r % 10));
     }
     text
-}
-
-/// Convenience for evaluation code: a request's effective skill demand as
-/// seen by a model (re-exported to keep experiments terse).
-pub fn effective_capability(skills: &SkillMix, capability: &[f64; Skill::COUNT]) -> f64 {
-    skills.weighted_score(capability)
 }
 
 #[cfg(test)]

@@ -157,6 +157,19 @@ impl<E> Simulator<E> {
         Some((s.at, s.event))
     }
 
+    /// Moves the clock to `at` for an event the driver keeps outside the
+    /// queue (it was never scheduled, so nothing is popped or counted).
+    /// Like [`Simulator::schedule`], a time in the past is a logic error:
+    /// debug builds assert and the clock never runs backwards.
+    pub fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(
+            at >= self.now,
+            "advanced into the past: {at} < {}",
+            self.now
+        );
+        self.now = self.now.max(at);
+    }
+
     /// Consumes and returns the next sequence number as if an event had been
     /// scheduled, without enqueueing anything.
     ///
@@ -317,6 +330,18 @@ mod tests {
         assert_eq!(sim.next(), Some((t, 11)));
         assert_eq!(sim.peek_key(), Some((t, 3)));
         assert_eq!(sim.next(), Some((t, 12)));
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_and_nothing_else() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        sim.schedule(SimTime::from_micros(9), 1);
+        sim.advance_to(SimTime::from_micros(4));
+        assert_eq!(sim.now(), SimTime::from_micros(4));
+        assert_eq!((sim.len(), sim.processed()), (1, 0));
+        // An event scheduled from there keeps the next seq and fires first.
+        sim.schedule_in(SimDuration::from_micros(1), 2);
+        assert_eq!(sim.peek_key(), Some((SimTime::from_micros(5), 1)));
     }
 
     #[test]

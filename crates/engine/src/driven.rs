@@ -337,6 +337,22 @@ mod tests {
     }
 
     #[test]
+    fn a_step_armed_earlier_for_an_arrivals_instant_waits_behind_it() {
+        let (mut engine, mut wg) = seeded_engine(50, EngineConfig::default(), 431);
+        let requests = wg.generate_requests(2);
+        let mut state = state::EngineState::new(&mut engine, &requests, &[100e-6, 100e-6]);
+        // The arrivals hold seqs 0 and 1; a pool armed at time zero for
+        // their instant drew a later one, as did the rebalance at 60 s.
+        let at = ic_desim::SimTime::from_micros(100);
+        state.armed[0] = Some((at, state.sim.reserve_seq()));
+        assert_eq!(state.next_interaction(), Some((at, 0)));
+        // The barrier is the arrival, not the heap head behind it (which
+        // would run the step past both arrivals): no region yet.
+        assert!(!state.run_step_region(), "the arrival goes first");
+        assert_eq!(state.armed[0].map(|(at, _)| at), Some(at));
+    }
+
+    #[test]
     fn serves_a_trace_end_to_end() {
         let (mut engine, mut wg) = seeded_engine(600, EngineConfig::default(), 401);
         let arrivals = fixed_qps_arrivals(2.0, 60.0, 402);

@@ -7,14 +7,17 @@ use ic_respcache::CachedResponse;
 
 use super::EngineConfig;
 use super::state::EngineState;
+use super::step::EventKey;
 
-/// Cursor over the arrival sequence in firing order: which arrival
-/// fires next and how much of the sequence the stage-0 trending sketch
-/// has already seen.
+/// The arrival sequence in firing order, and the one copy of it: which
+/// arrival fires next and how much of the sequence the stage-0 trending
+/// sketch has already seen. Arrivals never enter the event heap.
 pub(super) struct ArrivalCursor {
-    /// Arrivals `(time, index)` in firing order — the heap pops
-    /// `(time, seq)` and arrivals are scheduled first, in index order,
-    /// so sorting the pairs is exactly that order.
+    /// Arrivals `(time, index)`, sorted: arrival `i` fires under the key
+    /// `(time, i)` — the seq it would have drawn had the workload been
+    /// scheduled first, in index order (`EngineState::new` reserves
+    /// `0..n` for that), so it goes before any event scheduled for the
+    /// same instant.
     order: Vec<(SimTime, usize)>,
     /// Arrivals fired so far: the current arrival's position in `order`.
     fired: usize,
@@ -27,8 +30,9 @@ pub(super) struct ArrivalCursor {
 }
 
 impl ArrivalCursor {
-    pub(super) fn new(config: &EngineConfig, times: &[SimTime]) -> Self {
-        let mut order: Vec<(SimTime, usize)> = times.iter().copied().zip(0..).collect();
+    pub(super) fn new(config: &EngineConfig, arrivals: &[f64]) -> Self {
+        let times = arrivals.iter().map(|&a| SimTime::from_secs_f64(a));
+        let mut order: Vec<(SimTime, usize)> = times.zip(0..).collect();
         order.sort_unstable();
         Self {
             order,
@@ -36,6 +40,12 @@ impl ArrivalCursor {
             observed_until: 0,
             tick_cap: config.selector_batch.max(1),
         }
+    }
+
+    /// The `(time, seq)` key of the next arrival, if any is left.
+    pub(super) fn peek_key(&self) -> Option<EventKey> {
+        let next = self.order.get(self.fired);
+        next.map(|&(at, i)| (at, i as u64))
     }
 
     /// End (exclusive, in `order`) of the run of arrivals from `pos`
@@ -50,11 +60,13 @@ impl ArrivalCursor {
 }
 
 impl EngineState<'_> {
-    pub(super) fn on_arrival(&mut self, i: usize, at: SimTime) {
-        let now = at.as_secs_f64();
+    /// Fires the cursor's next arrival.
+    pub(super) fn on_arrival(&mut self) {
         let pos = self.cursor.fired;
+        let (at, i) = self.cursor.order[pos];
         self.cursor.fired += 1;
-        debug_assert_eq!(self.cursor.order[pos], (at, i), "arrivals fire in `order`");
+        self.sim.advance_to(at);
+        let now = at.as_secs_f64();
         let request = &self.requests[i];
         let owner = self.system.front_end().replica_of(request.id);
         self.observe_arrival(owner, now);

@@ -25,13 +25,11 @@ use crate::report::{
     EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats, SelectorStats,
 };
 
-/// The events of the simulator's heap; every router interaction is one
-/// of them. Step boundaries are not: each pool's next one sits in its
-/// armed slot ([`EngineState::armed`]).
+/// The events of the simulator's heap: every router interaction but an
+/// arrival. Arrivals come from the cursor ([`EngineState::cursor`]) and
+/// step boundaries from the armed slots ([`EngineState::armed`]).
 #[derive(Debug)]
 pub(super) enum Event {
-    /// Request `i` of the workload arrives.
-    Arrival(usize),
     /// One gossip round of the router tier (periodic; only scheduled
     /// with more than one replica).
     GossipRound,
@@ -164,8 +162,9 @@ pub(super) struct EngineState<'a> {
 
 impl<'a> EngineState<'a> {
     /// Shapes the router tier for the run and queues the initial
-    /// events: every arrival, then the periodic sources and the outage
-    /// schedule (same-instant events fire in this scheduling order).
+    /// events: the periodic sources and the outage schedule, behind the
+    /// seqs `0..n` the cursor's arrivals fire under (same-instant events
+    /// fire in this order).
     pub(super) fn new(
         engine: &'a mut EventDrivenEngine,
         requests: &'a [Request],
@@ -196,10 +195,6 @@ impl<'a> EngineState<'a> {
             fe.begin_run(config.latency_ema_alpha);
         }
         let posterior_base = fe.posterior_counts();
-        let times: Vec<SimTime> = arrivals
-            .iter()
-            .map(|&a| SimTime::from_secs_f64(a))
-            .collect();
 
         let mut state = Self {
             config,
@@ -212,7 +207,7 @@ impl<'a> EngineState<'a> {
             requests,
             sim: Simulator::new(),
             region: RegionScratch::default(),
-            cursor: ArrivalCursor::new(config, &times),
+            cursor: ArrivalCursor::new(config, arrivals),
             resp_cache: config.resp_cache.then(|| {
                 ResponseCache::new(RespCacheConfig {
                     threshold: config.resp_threshold,
@@ -239,9 +234,7 @@ impl<'a> EngineState<'a> {
                 ..Sampler::default()
             },
         };
-        for (i, &t) in times.iter().enumerate() {
-            state.sim.schedule(t, Event::Arrival(i));
-        }
+        state.sim.reserve_seqs(n as u64);
         state.arm_periodic(state.gossip_period_s(), Event::GossipRound);
         state.arm_periodic(config.obs_sample_s, Event::ObsSample);
         for outage in config.pool_outages.iter().filter(|o| o.duration_s > 0.0) {
@@ -265,12 +258,25 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// The event loop: whichever of {earliest armed step boundary, heap
-    /// head} has the smaller `(time, seq)` key goes next — the step
-    /// boundaries as one region running up to the heap head.
+    /// The `(time, seq)` key of the next router interaction: the earlier
+    /// of the next arrival and the heap head.
+    pub(super) fn next_interaction(&self) -> Option<EventKey> {
+        let pending = [self.cursor.peek_key(), self.sim.peek_key()];
+        pending.into_iter().flatten().min()
+    }
+
+    /// The event loop: whichever of {earliest armed step boundary, next
+    /// arrival, heap head} has the smallest `(time, seq)` key goes next
+    /// — the step boundaries as one region running up to the next
+    /// router interaction.
     pub(super) fn run(&mut self) {
         loop {
             if self.run_step_region() {
+                continue;
+            }
+            let arrival = self.cursor.peek_key();
+            if arrival.is_some() && arrival == self.next_interaction() {
+                self.on_arrival();
                 continue;
             }
             let Some((at, event)) = self.sim.next() else {
@@ -278,7 +284,6 @@ impl<'a> EngineState<'a> {
             };
             let now = at.as_secs_f64();
             match event {
-                Event::Arrival(i) => self.on_arrival(i, at),
                 Event::Stage0Complete(i) => {
                     // The cache-served request completes: the same
                     // bookkeeping a pool finisher gets, with no pool

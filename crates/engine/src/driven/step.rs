@@ -6,11 +6,12 @@
 //! slot* — the `(time, seq)` key of its next boundary, the seq drawn
 //! from `Simulator::reserve_seq` at the moment a queued event would
 //! have drawn it — and the event loop handles whichever of {earliest
-//! armed slot, heap head} has the smaller key. A region's heads are the
-//! armed slots that sort before the heap head ([`take_heads`]) and its
-//! barrier is the heap head's time: every router interaction is a heap
-//! event, so each pool's chain between its head and the barrier depends
-//! only on that pool's own state.
+//! armed slot, next arrival, heap head} has the smallest key. A region's
+//! heads are the armed slots that sort before the next router
+//! interaction ([`take_heads`]) and its barrier is that interaction's
+//! time: every router interaction is the cursor's next arrival or a
+//! heap event, so each pool's chain between its head and the barrier
+//! depends only on that pool's own state.
 //!
 //! A chain is run-length encoded (`ic_serving::ChainStep::quiet`): one
 //! record per boundary that changed something, carrying the count of
@@ -42,14 +43,15 @@ struct Head {
     pool: usize,
 }
 
-/// Moves every armed slot that sorts before `heap_head` — the event
-/// heap's earliest key, `None` when the heap is empty — into `heads`.
-/// The comparison is on the whole key: a step boundary and a heap event
-/// at the same instant go in arming order, as if both had been queued.
-fn take_heads(armed: &mut [Option<EventKey>], heap_head: Option<EventKey>, heads: &mut Vec<Head>) {
+/// Moves every armed slot that sorts before `barrier` — the key of the
+/// next router interaction, `None` when nothing else is pending — into
+/// `heads`. The comparison is on the whole key: a step boundary and an
+/// arrival or heap event at the same instant go in seq order, as if all
+/// had been queued.
+fn take_heads(armed: &mut [Option<EventKey>], barrier: Option<EventKey>, heads: &mut Vec<Head>) {
     heads.clear();
     for (pool, slot) in armed.iter_mut().enumerate() {
-        if let Some((at, seq)) = slot.take_if(|key| heap_head.is_none_or(|head| *key < head)) {
+        if let Some((at, seq)) = slot.take_if(|key| barrier.is_none_or(|next| *key < next)) {
             heads.push(Head { at, seq, pool });
         }
     }
@@ -134,16 +136,16 @@ fn merge_next(
 }
 
 impl EngineState<'_> {
-    /// Runs the step region that sorts before the heap head, if any
-    /// pool is armed there; returns whether one ran.
+    /// Runs the step region that sorts before the next router
+    /// interaction, if any pool is armed there; returns whether one ran.
     pub(super) fn run_step_region(&mut self) -> bool {
-        let heap_head = self.sim.peek_key();
-        take_heads(&mut self.armed, heap_head, &mut self.region.heads);
+        let barrier = self.next_interaction();
+        take_heads(&mut self.armed, barrier, &mut self.region.heads);
         if self.region.heads.is_empty() {
             return false;
         }
         let mut region = std::mem::take(&mut self.region);
-        self.run_region(&mut region, heap_head.map(|(at, _)| at));
+        self.run_region(&mut region, barrier.map(|(at, _)| at));
         self.region = region;
         true
     }

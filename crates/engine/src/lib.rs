@@ -12,33 +12,37 @@
 //! # Event flow (`EventDrivenEngine`)
 //!
 //! ```text
-//!  EngineState::run — next is whichever has the smaller (time, seq) key:
+//!  EngineState::run — next is whichever has the smallest (time, seq) key:
 //!
-//!  the event heap's head                       the earliest armed slot
-//!  (ic_desim::Simulator: every router          (per pool: the key of its
-//!   interaction, one handler per event)         next step boundary)
-//!
-//!  Arrival(i)                                  step region
-//!   ├ owner replica's load window               ├ heads: the armed slots
-//!   ├ stage 0: pre-observe the tick's run,      │  that sort before the heap
-//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  head; barrier: the heap
-//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  head's time
-//!   │  + routing + generation + feedback        ├ one advance_chain per
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  head, up to the barrier:
-//!                  arm the pool's slot          │  one record per state
-//!  PoolDown(p) ─ flush, clear the pool's slot,  │  change + a count of the
-//!                serve_retry ▶ dispatch         │  quiet boundaries behind it
-//!  PoolUp(p)                                    ├ merge in (time, seq):
-//!  Maintenance / Rebalance / GossipRound /      │  finishers ▶ complete
-//!  ObsSample (periodic, re-armed while work     │  (TTFT/E2E, Little's law
-//!  remains)                                     │  ▶ owning replica); quiet
-//!  Stage0Complete(i) ▶ complete                 │  boundaries before the
-//!                                               │  next pending key are
-//!                                               │  counted, their seqs burned
+//!  the arrival cursor's head                   the earliest armed slot
+//!  (the workload sorted by (time, i), its      (per pool: the key of its
+//!   one copy; arrival i holds seq i, below      next step boundary)
+//!   every seq the run hands out)
+//!   ├ owner replica's load window              step region
+//!   ├ stage 0: pre-observe the tick's run,      ├ heads: the armed slots
+//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  that sort before the next
+//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  router interaction (cursor
+//!   │  + routing + generation + feedback        │  head or heap head);
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  barrier: its time
+//!                  arm the pool's slot          ├ one advance_chain per
+//!                                               │  head, up to the barrier:
+//!  the event heap's head                        │  one record per state
+//!  (ic_desim::Simulator: every other router     │  change + a count of the
+//!   interaction, one handler per event)         │  quiet boundaries behind it
+//!  PoolDown(p) ─ flush, clear the pool's slot,  ├ merge in (time, seq):
+//!                serve_retry ▶ dispatch         │  finishers ▶ complete
+//!  PoolUp(p)                                    │  (TTFT/E2E, Little's law
+//!  Maintenance / Rebalance / GossipRound /      │  ▶ owning replica); quiet
+//!  ObsSample (periodic, re-armed while work     │  boundaries before the
+//!  remains)                                     │  next pending key are
+//!  Stage0Complete(i) ▶ complete                 │  counted, their seqs burned
 //!                                               └ re-arm the slot of every
 //!                                                  pool still busy
 //! ```
 //!
+//! Arrivals never enter the heap either: the cursor
+//! (`driven/arrival.rs`) is the workload's one copy, and
+//! `Simulator::advance_to` moves the clock when its head fires.
 //! Step events never enter the heap: a busy pool has exactly one armed
 //! slot, keyed by the seq a queued event would have drawn at that
 //! moment (`Simulator::reserve_seq`), so the handling order is the
@@ -99,10 +103,10 @@
 //! # Shard layout
 //!
 //! The example cache behind the engine is an
-//! `ic_manager::ShardedExampleCache`: `split_mix64(topic) % N` buckets,
-//! per-shard eviction, cross-shard budget rebalance. [`CacheStats`] in
-//! the report exposes per-shard sizes so scaling experiments can watch
-//! the layout.
+//! `ic_manager::ShardedExampleCache`: one store whose entries carry a
+//! `split_mix64(topic) % N` shard tag, per-shard counters, per-shard
+//! eviction, cross-shard budget rebalance. [`CacheStats`] in the report
+//! exposes per-shard sizes so scaling experiments can watch the layout.
 //!
 //! # Determinism
 //!

@@ -24,6 +24,9 @@ pub struct CachedExample {
     pub accesses: u64,
     /// Insertion timestamp (seconds).
     pub inserted_at: f64,
+    /// The topic-hash shard the entry counts towards (see
+    /// [`crate::shard`]); always 0 in a standalone [`ExampleCache`].
+    pub shard: usize,
 }
 
 /// The example cache.
@@ -55,30 +58,51 @@ impl ExampleCache {
         Self::default()
     }
 
+    /// Room for `additional` more entries without regrowing the table.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
     /// Inserts an example at time `now`; replaces any entry with the same
     /// id. Returns false if it replaced an existing entry.
     pub fn insert(&mut self, example: Example, now: f64) -> bool {
-        let bytes = example.byte_len();
+        self.insert_tagged(0, example, now).is_none()
+    }
+
+    /// [`ExampleCache::insert`] under a shard tag, returning the entry it
+    /// replaced.
+    pub(crate) fn insert_tagged(
+        &mut self,
+        shard: usize,
+        example: Example,
+        now: f64,
+    ) -> Option<CachedExample> {
+        self.total_bytes += example.byte_len();
         let entry = CachedExample {
             example,
             offload_gain: DecayingCounter::new(GAIN_DECAY, GAIN_PERIOD_S),
             replay_gain: Ema::new(0.2),
             accesses: 0,
             inserted_at: now,
+            shard,
         };
         let old = self.entries.insert(entry.example.id, entry);
         if let Some(old) = &old {
             self.total_bytes -= old.example.byte_len();
         }
-        self.total_bytes += bytes;
-        old.is_none()
+        old
     }
 
     /// Removes an example, returning it.
     pub fn remove(&mut self, id: ExampleId) -> Option<Example> {
+        self.remove_entry(id).map(|e| e.example)
+    }
+
+    /// Removes an example, returning its whole entry.
+    pub(crate) fn remove_entry(&mut self, id: ExampleId) -> Option<CachedExample> {
         let entry = self.entries.remove(&id)?;
         self.total_bytes -= entry.example.byte_len();
-        Some(entry.example)
+        Some(entry)
     }
 
     /// Looks up an entry.

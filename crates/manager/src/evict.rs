@@ -13,8 +13,6 @@
 
 use ic_llmsim::ExampleId;
 
-use crate::cache::ExampleCache;
-
 /// One knapsack item: an example's id, byte weight, and retention value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnapsackItem {
@@ -95,34 +93,9 @@ pub fn total_value(items: &[KnapsackItem], kept: &[ExampleId]) -> f64 {
         .sum()
 }
 
-/// Builds knapsack items from the cache at time `now` (values are the
-/// decayed offload gains).
-pub fn items_from_cache(cache: &ExampleCache, now: f64) -> Vec<KnapsackItem> {
-    let mut items: Vec<KnapsackItem> = cache
-        .iter()
-        .map(|(&id, e)| KnapsackItem {
-            id,
-            weight: e.example.byte_len(),
-            value: e.offload_gain.value_at(now),
-        })
-        .collect();
-    items.sort_by_key(|i| i.id);
-    items
-}
-
-/// Plans an eviction: returns the ids to EVICT so the cache fits in
-/// `capacity_bytes`, maximizing retained gain (greedy solver).
-pub fn plan_eviction(cache: &ExampleCache, capacity_bytes: usize, now: f64) -> Vec<ExampleId> {
-    if cache.total_bytes() <= capacity_bytes {
-        return Vec::new();
-    }
-    let items = items_from_cache(cache, now);
-    let keep = greedy_knapsack(&items, capacity_bytes);
-    all_but(&items, keep)
-}
-
-/// The ids of `items` that are not in `keep`, in item order.
-fn all_but(items: &[KnapsackItem], mut keep: Vec<ExampleId>) -> Vec<ExampleId> {
+/// The ids of `items` that are not in `keep`, in item order — what a
+/// knapsack solution evicts.
+pub(crate) fn all_but(items: &[KnapsackItem], mut keep: Vec<ExampleId>) -> Vec<ExampleId> {
     keep.sort_unstable();
     items
         .iter()

@@ -5,10 +5,11 @@
 //! - [`cache`] — the plaintext example cache with access statistics,
 //!   decayed offload-gain counters (0.9/hour, §4.3), and the replay-gain
 //!   EMA `G(e) = (1 - normalized_response_quality) * normalized_model_cost`.
-//! - [`shard`] — N topic-hash shards over that cache with per-shard
-//!   eviction and a periodic cross-shard budget rebalance (the knapsack DP
-//!   re-divides the global byte budget by where the gains live), so
-//!   selection and eviction bookkeeping scale with shard size.
+//! - [`shard`] — N topic-hash shards over that cache: a shard is a tag on
+//!   the entry and three counters (entries, bytes, hits) beside the one
+//!   store, with per-shard eviction and a periodic cross-shard budget
+//!   rebalance (the knapsack DP re-divides the global byte budget by
+//!   where the gains live).
 //! - [`replay`] — cost-aware example replay: rank by `G(e)`, replay
 //!   best-of-n during off-peak hours, stop at the online cut-off where
 //!   resource savings no longer exceed the one-time replay cost, and cap

@@ -119,6 +119,12 @@ impl ExampleManager {
         }
     }
 
+    /// Makes room for `additional` more examples up front — for a caller
+    /// that knows how many it is about to admit (seeding a bank).
+    pub fn reserve(&mut self, additional: usize) {
+        self.cache.reserve(additional);
+    }
+
     /// `(admitted, rejected)` counters.
     pub fn admission_stats(&self) -> (u64, u64) {
         (self.admitted, self.rejected)
@@ -130,32 +136,16 @@ impl ExampleManager {
         self.config.capacity_bytes = bytes;
     }
 
-    /// Plans and executes one off-peak replay round on the source model.
-    ///
-    /// Planning runs per shard (each plan is O(shard size)), then the
-    /// per-shard plans merge by replay gain so the global off-peak budget
-    /// (`replay.batch_limit`) still goes to the highest-G(e) examples.
+    /// Plans and executes one off-peak replay round on the source model:
+    /// the store's `replay.batch_limit` highest-G(e) examples, whichever
+    /// shards they count towards.
     pub fn run_replay(
         &mut self,
         source_spec: &ModelSpec,
         generator: &Generator,
         rng: &mut impl Rng,
     ) -> ReplayReport {
-        let mut ranked: Vec<(ExampleId, f64)> = Vec::new();
-        for s in 0..self.cache.num_shards() {
-            let shard = self.cache.shard(s);
-            for id in plan_replay(shard, &self.config.replay) {
-                let gain = shard.entry(id).map_or(0.0, |e| e.replay_gain.value());
-                ranked.push((id, gain));
-            }
-        }
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite gains")
-                .then(a.0.cmp(&b.0))
-        });
-        ranked.truncate(self.config.replay.batch_limit);
-        let plan: Vec<ExampleId> = ranked.into_iter().map(|(id, _)| id).collect();
+        let plan = plan_replay(&self.cache, &self.config.replay);
         let mut report = ReplayReport::default();
         for id in plan {
             if let Some(entry) = self.cache.entry_mut(id) {

@@ -3,11 +3,14 @@
 //! "Efficient Prompt Caching via Embedding Similarity" motivates
 //! partitioning an example store by embedding locality; here the workload
 //! generators give every request/example a ground-truth topic whose hash
-//! is the cheapest locality key, so the cache is split into `N` shards by
-//! `split_mix64(topic) % N`. Same-topic examples land on the same shard,
-//! which keeps each shard's content semantically clustered and lets
-//! selection/eviction bookkeeping scale with shard size instead of store
-//! size.
+//! is the cheapest locality key, so each entry is tagged with the shard
+//! `split_mix64(topic) % N`. Same-topic examples carry the same tag,
+//! which keeps each shard's content semantically clustered.
+//!
+//! A shard is that tag and three counters — entries, plaintext bytes,
+//! retrieval hits — kept exact by every verb that changes them. The
+//! entries themselves live in **one** [`ExampleCache`]: a lookup by id is
+//! one probe, and nothing has to keep a second map consistent with it.
 //!
 //! Capacity is enforced per shard, but budgets are *not* static: a
 //! periodic cross-shard rebalance ([`ShardedExampleCache::rebalance`])
@@ -19,14 +22,15 @@
 //! that retains the most gain. Any capacity the DP leaves unclaimed —
 //! quanta with zero gain are never *worth* taking — is handed back
 //! proportionally to shard occupancy so that gain-less examples are still
-//! kept while space allows, exactly as the unsharded policy did.
+//! kept while space allows, exactly as the unsharded policy did. One walk
+//! of the store builds the knapsack items of a capacity pass, bucketed by
+//! shard; the budget division and the per-shard eviction both read them.
 
 use ic_llmsim::{Example, ExampleId, ExampleStore};
-use ic_stats::IdMap;
 use ic_stats::rng::split_mix64;
 
 use crate::cache::{CachedExample, ExampleCache};
-use crate::evict::{KnapsackItem, dp_knapsack, items_from_cache, plan_eviction};
+use crate::evict::{KnapsackItem, all_but, dp_knapsack, greedy_knapsack};
 
 /// Default shard count for new managers.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -36,22 +40,45 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// that allocation error is under 2% of capacity).
 const REBALANCE_QUANTA: usize = 64;
 
+/// What one shard holds: the sums, over the entries tagged with it, of
+/// one, `example.byte_len()` and `accesses`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardCounters {
+    len: usize,
+    bytes: usize,
+    hits: u64,
+}
+
 /// An example cache split into topic-hash shards.
 #[derive(Debug)]
 pub struct ShardedExampleCache {
-    shards: Vec<ExampleCache>,
-    /// Which shard each cached id lives on.
-    directory: IdMap<ExampleId, usize>,
+    store: ExampleCache,
+    shards: Vec<ShardCounters>,
+}
+
+/// Every read that is not per shard — `entry`, `len`, `total_bytes`,
+/// `sorted_ids`, `iter` — is the store's own; writes go through the
+/// verbs below, which keep the counters.
+impl std::ops::Deref for ShardedExampleCache {
+    type Target = ExampleCache;
+
+    fn deref(&self) -> &ExampleCache {
+        &self.store
+    }
 }
 
 impl ShardedExampleCache {
     /// Creates a cache with `shards` (at least 1) empty shards.
     pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
         Self {
-            shards: (0..n).map(|_| ExampleCache::new()).collect(),
-            directory: IdMap::default(),
+            store: ExampleCache::new(),
+            shards: vec![ShardCounters::default(); shards.max(1)],
         }
+    }
+
+    /// Room for `additional` more entries without regrowing the store.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.store.reserve(additional);
     }
 
     /// Number of shards.
@@ -64,23 +91,14 @@ impl ShardedExampleCache {
         (split_mix64(topic as u64) % self.shards.len() as u64) as usize
     }
 
-    /// The shard a cached id lives on, if present.
+    /// The shard a cached id is tagged with, if present.
     pub fn shard_of(&self, id: ExampleId) -> Option<usize> {
-        self.directory.get(&id).copied()
-    }
-
-    /// Read access to one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range shard index.
-    pub fn shard(&self, index: usize) -> &ExampleCache {
-        &self.shards[index]
+        self.entry(id).map(|e| e.shard)
     }
 
     /// Per-shard example counts (engine/report diagnostics).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(ExampleCache::len).collect()
+        self.shards.iter().map(|c| c.len).collect()
     }
 
     /// Per-shard retrieval-hit totals (sum of entry access counts) —
@@ -88,113 +106,100 @@ impl ShardedExampleCache {
     /// share, and the first input to the ROADMAP's shard-autoscaling
     /// item.
     pub fn shard_hits(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.access_counts().iter().sum())
-            .collect()
+        self.shards.iter().map(|c| c.hits).collect()
     }
 
     /// Per-shard plaintext bytes.
     pub fn shard_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(ExampleCache::total_bytes).collect()
+        self.shards.iter().map(|c| c.bytes).collect()
     }
 
-    /// Inserts an example at time `now`, routed by topic hash; replaces
-    /// any entry with the same id. Returns false if it replaced one.
+    /// Inserts an example at time `now`, tagged by topic hash; replaces
+    /// any entry with the same id (whichever shard it counted towards).
+    /// Returns false if it replaced one.
     pub fn insert(&mut self, example: Example, now: f64) -> bool {
-        let id = example.id;
-        let target = self.shard_for_topic(example.topic);
-        // A replaced example whose topic changed must leave its old shard
-        // (and still count as a replacement, not a fresh insert).
-        let mut fresh = true;
-        if let Some(old) = self.directory.get(&id).copied()
-            && old != target
-        {
-            self.shards[old].remove(id);
-            fresh = false;
+        let shard = self.shard_for_topic(example.topic);
+        let bytes = example.byte_len();
+        let old = self.store.insert_tagged(shard, example, now);
+        if let Some(old) = &old {
+            self.uncount(old);
         }
-        self.directory.insert(id, target);
-        self.shards[target].insert(example, now) && fresh
+        let counters = &mut self.shards[shard];
+        counters.len += 1;
+        counters.bytes += bytes;
+        old.is_none()
     }
 
     /// Removes an example, returning it.
     pub fn remove(&mut self, id: ExampleId) -> Option<Example> {
-        let shard = self.directory.remove(&id)?;
-        self.shards[shard].remove(id)
+        let entry = self.store.remove_entry(id)?;
+        self.uncount(&entry);
+        Some(entry.example)
     }
 
-    /// Looks up an entry.
-    pub fn entry(&self, id: ExampleId) -> Option<&CachedExample> {
-        self.shards[self.shard_of(id)?].entry(id)
+    /// Takes an entry that left the store out of its shard's counters.
+    fn uncount(&mut self, entry: &CachedExample) {
+        let counters = &mut self.shards[entry.shard];
+        counters.len -= 1;
+        counters.bytes -= entry.example.byte_len();
+        counters.hits -= entry.accesses;
     }
 
-    /// Mutable entry access (used by the replay executor).
-    pub fn entry_mut(&mut self, id: ExampleId) -> Option<&mut CachedExample> {
-        let shard = self.shard_of(id)?;
-        self.shards[shard].entry_mut(id)
+    /// Mutable entry access for the replay executor, which refines an
+    /// example's quality in place; the text (its bytes), `accesses` and
+    /// `shard` are what the counters sum and must not change through it.
+    pub(crate) fn entry_mut(&mut self, id: ExampleId) -> Option<&mut CachedExample> {
+        self.store.entry_mut(id)
     }
 
     /// Records a retrieval hit.
     pub fn record_access(&mut self, id: ExampleId) {
-        if let Some(s) = self.shard_of(id) {
-            self.shards[s].record_access(id);
+        if let Some(e) = self.store.entry_mut(id) {
+            e.accesses += 1;
+            self.shards[e.shard].hits += 1;
         }
     }
 
     /// Records a successful offload enabled by this example.
     pub fn record_offload_gain(&mut self, id: ExampleId, now: f64, gain: f64) {
-        if let Some(s) = self.shard_of(id) {
-            self.shards[s].record_offload_gain(id, now, gain);
-        }
+        self.store.record_offload_gain(id, now, gain);
     }
 
     /// Records usage feedback (folds into the replay-gain EMA).
     pub fn record_usage_feedback(&mut self, id: ExampleId, response_quality: f64, model_cost: f64) {
-        if let Some(s) = self.shard_of(id) {
-            self.shards[s].record_usage_feedback(id, response_quality, model_cost);
+        self.store
+            .record_usage_feedback(id, response_quality, model_cost);
+    }
+
+    /// The knapsack items of one capacity pass at time `now` (values are
+    /// the decayed offload gains), bucketed by shard, each bucket in id
+    /// order.
+    fn shard_items(&self, now: f64) -> Vec<Vec<KnapsackItem>> {
+        let mut buckets: Vec<Vec<KnapsackItem>> = (self.shards.iter())
+            .map(|c| Vec::with_capacity(c.len))
+            .collect();
+        for (&id, e) in self.store.iter() {
+            buckets[e.shard].push(KnapsackItem {
+                id,
+                weight: e.example.byte_len(),
+                value: e.offload_gain.value_at(now),
+            });
         }
-    }
-
-    /// Number of cached examples across all shards.
-    pub fn len(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.directory.is_empty()
-    }
-
-    /// Total plaintext bytes across all shards.
-    pub fn total_bytes(&self) -> usize {
-        self.shards.iter().map(ExampleCache::total_bytes).sum()
-    }
-
-    /// Iterates over entries, shard by shard.
-    pub fn iter(&self) -> impl Iterator<Item = (&ExampleId, &CachedExample)> {
-        self.shards.iter().flat_map(ExampleCache::iter)
-    }
-
-    /// All ids, sorted (deterministic order for planners).
-    pub fn sorted_ids(&self) -> Vec<ExampleId> {
-        let mut ids: Vec<ExampleId> = self.directory.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Access counts across all shards (Fig. 10 histogram source).
-    pub fn access_counts(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .flat_map(ExampleCache::access_counts)
-            .collect()
+        for bucket in &mut buckets {
+            bucket.sort_unstable_by_key(|i| i.id);
+        }
+        buckets
     }
 
     /// Divides `capacity` bytes across shards by retained-gain value at
     /// time `now` (see the module docs for the quantum-knapsack scheme).
     /// The returned budgets sum to at most `capacity`.
     pub fn plan_shard_budgets(&self, capacity: usize, now: f64) -> Vec<usize> {
-        let n = self.shards.len();
+        self.budgets_for(&self.shard_items(now), capacity)
+    }
+
+    /// [`Self::plan_shard_budgets`] over the pass's items.
+    fn budgets_for(&self, items: &[Vec<KnapsackItem>], capacity: usize) -> Vec<usize> {
         let quantum = (capacity / REBALANCE_QUANTA).max(1);
 
         // Cut each shard's density-sorted gain curve into quanta.
@@ -205,9 +210,9 @@ impl ShardedExampleCache {
             gain: f64,
         }
         let mut chunks: Vec<Chunk> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut items: Vec<KnapsackItem> = items_from_cache(shard, now);
-            items.sort_by(|a, b| {
+        for (s, bucket) in items.iter().enumerate() {
+            let mut by_density: Vec<&KnapsackItem> = bucket.iter().collect();
+            by_density.sort_unstable_by(|a, b| {
                 let da = a.value / a.weight.max(1) as f64;
                 let db = b.value / b.weight.max(1) as f64;
                 db.partial_cmp(&da)
@@ -221,7 +226,7 @@ impl ShardedExampleCache {
             // per ~1 quantum and let the DP place only half the capacity
             // gain-aware.)
             let (mut bytes, mut gain) = (0usize, 0.0f64);
-            for item in &items {
+            for item in by_density {
                 if bytes > 0 && bytes + item.weight > quantum {
                     chunks.push(Chunk {
                         shard: s,
@@ -259,7 +264,7 @@ impl ShardedExampleCache {
             })
             .collect();
         let kept = dp_knapsack(&dp_items, capacity / quantum);
-        let mut budgets = vec![0usize; n];
+        let mut budgets = vec![0usize; self.shards.len()];
         for id in &kept {
             let c = &chunks[id.0 as usize];
             budgets[c.shard] += c.bytes;
@@ -279,7 +284,7 @@ impl ShardedExampleCache {
             .shards
             .iter()
             .zip(&budgets)
-            .map(|(shard, &b)| shard.total_bytes().saturating_sub(b))
+            .map(|(shard, &b)| shard.bytes.saturating_sub(b))
             .collect();
         let unmet_total: usize = unmet.iter().sum();
         if unmet_total > 0 {
@@ -287,16 +292,14 @@ impl ShardedExampleCache {
             /// holding every hit weighs `1 + HIT_WEIGHT` times its
             /// bytes.
             const HIT_WEIGHT: u128 = 3;
-            let hits = self.shard_hits();
-            let hits_total: u128 = hits.iter().map(|&h| u128::from(h)).sum();
-            let weight = |u: usize, h: u64| -> u128 {
-                let base = u as u128 * hits_total.max(1);
-                base + u as u128 * HIT_WEIGHT * u128::from(h)
-            };
+            let hits_total: u128 = self.shards.iter().map(|c| u128::from(c.hits)).sum();
             let weights: Vec<u128> = unmet
                 .iter()
-                .zip(&hits)
-                .map(|(&u, &h)| weight(u, h))
+                .zip(&self.shards)
+                .map(|(&u, c)| {
+                    let base = u as u128 * hits_total.max(1);
+                    base + u as u128 * HIT_WEIGHT * u128::from(c.hits)
+                })
                 .collect();
             let weight_total: u128 = weights.iter().sum();
             let grants: Vec<usize> = weights
@@ -321,18 +324,22 @@ impl ShardedExampleCache {
     }
 
     /// Cross-shard budget rebalance + per-shard knapsack eviction so the
-    /// cache fits in `capacity` bytes. Returns evicted ids (callers must
-    /// unindex them from the selector).
+    /// cache fits in `capacity` bytes. Returns evicted ids, shard by
+    /// shard and id-ascending within one (callers must unindex them from
+    /// the selector).
     pub fn rebalance(&mut self, capacity: usize, now: f64) -> Vec<ExampleId> {
         if self.total_bytes() <= capacity {
             return Vec::new();
         }
-        let budgets = self.plan_shard_budgets(capacity, now);
+        let items = self.shard_items(now);
+        let budgets = self.budgets_for(&items, capacity);
         let mut evicted = Vec::new();
-        for (s, budget) in budgets.iter().enumerate() {
-            for id in plan_eviction(&self.shards[s], *budget, now) {
-                self.shards[s].remove(id);
-                self.directory.remove(&id);
+        for (s, (bucket, &budget)) in items.iter().zip(&budgets).enumerate() {
+            if self.shards[s].bytes <= budget {
+                continue;
+            }
+            for id in all_but(bucket, greedy_knapsack(bucket, budget)) {
+                self.remove(id);
                 evicted.push(id);
             }
         }
@@ -342,11 +349,11 @@ impl ShardedExampleCache {
 
 impl ExampleStore for ShardedExampleCache {
     fn get_example(&self, id: ExampleId) -> Option<&Example> {
-        self.shards[self.shard_of(id)?].get_example(id)
+        self.store.get_example(id)
     }
 
     fn example_count(&self) -> usize {
-        self.directory.len()
+        self.store.len()
     }
 }
 

@@ -75,18 +75,6 @@ impl BetaBandit {
             .0
     }
 
-    /// Samples all arms and returns `(model, draw)` pairs (used by the
-    /// feedback-solicitation path to pick a second candidate).
-    pub fn sample_all(&self, rng: &mut impl Rng) -> Vec<(ModelId, f64)> {
-        self.arms
-            .iter()
-            .map(|a| {
-                let d = Beta::new(1.0 + a.wins, 1.0 + a.losses).expect("valid posterior");
-                (a.model, d.sample(rng))
-            })
-            .collect()
-    }
-
     /// Records a win (true) or loss (false) for an arm.
     pub fn update(&mut self, model: ModelId, win: bool) {
         if let Some(a) = self.arms.iter_mut().find(|a| a.model == model) {

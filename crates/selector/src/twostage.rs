@@ -59,16 +59,6 @@ impl Selection {
         }
     }
 
-    /// Sum of predicted utilities — the router's augmentation context.
-    pub fn total_predicted_utility(&self) -> f64 {
-        self.predicted_utility.iter().sum()
-    }
-
-    /// Highest single predicted utility (0.0 if empty).
-    pub fn max_predicted_utility(&self) -> f64 {
-        self.predicted_utility.iter().fold(0.0f64, |a, &b| a.max(b))
-    }
-
     /// Resolves ids against a store, preserving order; silently drops ids
     /// that were evicted between selection and use (the race is benign).
     pub fn resolve<'s, S: ExampleStore>(&self, store: &'s S) -> Vec<&'s Example> {

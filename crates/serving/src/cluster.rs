@@ -67,11 +67,6 @@ impl ClusterSim {
         &self.pools[id]
     }
 
-    /// Number of pools.
-    pub fn num_pools(&self) -> usize {
-        self.pools.len()
-    }
-
     /// Per-iteration scheduler counters summed across pools.
     pub fn iter_stats(&self) -> IterStats {
         let mut total = IterStats::default();

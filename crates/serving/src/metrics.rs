@@ -93,11 +93,6 @@ impl ServingMetrics {
         self.e2e.quantile(q).unwrap_or(0.0)
     }
 
-    /// Latency quantile of TTFT.
-    pub fn ttft_quantile(&mut self, q: f64) -> f64 {
-        self.ttft.quantile(q).unwrap_or(0.0)
-    }
-
     /// Mean queueing delay in seconds.
     pub fn mean_queue_wait(&self) -> f64 {
         self.queue_wait.mean().unwrap_or(0.0)

@@ -151,11 +151,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// The underlying sorted samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Hash maps keyed by one program-generated integer id.
 //!
-//! The example stores and the vector index look an id up ≈100 times per
-//! arrival (`directory → shard.entries` per stage-2 candidate, the
-//! locator per insert/remove). The default SipHash is keyed per process
-//! to resist crafted collisions; these ids are counters the program
-//! itself hands out, so one [`split_mix64`] finalizer is all the mixing
-//! a lookup needs. Iteration order stops being per-process random — the
+//! The example store and the vector index look an id up ≈50 times per
+//! arrival (`ExampleCache::entries` per stage-2 candidate and per used
+//! example, the locator per insert/remove). The default SipHash is
+//! keyed per process to resist crafted collisions; these ids are
+//! counters the program itself hands out, so one [`split_mix64`]
+//! finalizer is all the mixing a lookup needs. Iteration order stops being per-process random — the
 //! same history of inserts and removes iterates the same way in every
 //! run — but it is still no order a caller may rely on: whoever needs a
 //! *particular* order sorts, as under the default hasher.

@@ -92,11 +92,6 @@ impl Percentiles {
         self.quantile(0.50)
     }
 
-    /// P90.
-    pub fn p90(&mut self) -> Option<f64> {
-        self.quantile(0.90)
-    }
-
     /// P99.
     pub fn p99(&mut self) -> Option<f64> {
         self.quantile(0.99)
@@ -204,11 +199,6 @@ impl PercentileSnapshot {
     /// Median (P50).
     pub fn p50(&self) -> Option<f64> {
         self.quantile(0.50)
-    }
-
-    /// P90.
-    pub fn p90(&self) -> Option<f64> {
-        self.quantile(0.90)
     }
 
     /// P99.

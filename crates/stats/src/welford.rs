@@ -99,15 +99,6 @@ impl RunningStats {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sample_variance() / self.count as f64).sqrt()
-        }
-    }
-
     /// Smallest observation (+inf when empty).
     pub fn min(&self) -> f64 {
         self.min

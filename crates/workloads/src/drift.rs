@@ -37,11 +37,6 @@ impl DriftingWorkload {
         }
     }
 
-    /// The wrapped generator.
-    pub fn inner_mut(&mut self) -> &mut WorkloadGenerator {
-        &mut self.inner
-    }
-
     /// Which topic a popularity rank maps to at drift progress `t`.
     pub fn topic_at(&self, rank: usize, progress: f64) -> usize {
         let topics = self.inner.space().num_topics();
