@@ -83,6 +83,7 @@ fn replay_json(
             "\"region_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
             "\"arm_evaluations\":{},\"posterior_refits\":{},",
             "\"share_admissions\":{},\"prefix_chunks\":{},",
+            "\"probe_memo_lookups\":{},\"probe_memo_hits\":{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
@@ -101,6 +102,8 @@ fn replay_json(
         r.posterior_refits,
         r.share_admissions,
         r.prefix_chunks,
+        r.probe_memo_lookups,
+        r.probe_memo_hits,
         setup.index_build.fits,
         setup.index_build.passes,
         setup.index_build.group_scans,
@@ -145,7 +148,7 @@ fn print_engine_summary(report: &EngineReport) {
         report.router.retry_rejects,
     );
     println!(
-        "selector: {} stage-1 probes, one per arrival past stage 0 (same-tick cap {})",
+        "selector: {} stage-1 lookups, one per arrival past stage 0 (same-tick cap {})",
         report.selector.requests, report.selector.batch_limit,
     );
     println!(
@@ -213,6 +216,12 @@ fn print_replay_summary(
         r.prefix_chunks,
         report.kv.blocks_saved,
         report.kv.blocks_saved as f64 / r.prefix_chunks.max(1) as f64 * 100.0,
+    );
+    println!(
+        "probe memo: {} of {} stage-1 lookups answered without a probe ({:.1}%)",
+        r.probe_memo_hits,
+        r.probe_memo_lookups,
+        r.probe_memo_hits as f64 / r.probe_memo_lookups.max(1) as f64 * 100.0,
     );
     println!(
         "obs overhead: untraced {:.2}s vs traced {:.2}s wall ({:+.1}%)",

@@ -44,7 +44,7 @@ fn main() {
         engine_report.iter.queue_rejects,
     );
     println!(
-        "selector: {} stage-1 probes, one per arrival past stage 0 (same-tick cap {})",
+        "selector: {} stage-1 lookups, one per arrival past stage 0 (same-tick cap {})",
         engine_report.selector.requests, engine_report.selector.batch_limit,
     );
     println!(

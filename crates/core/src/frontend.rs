@@ -24,7 +24,7 @@
 
 use ic_llmsim::{ModelId, Request, RequestId};
 use ic_router::gossip::{DeltaBatch, GossipConfig, GossipRoundReport};
-use ic_router::{RequestRouter, RouteDecision};
+use ic_router::{ROUTE_FEATURE_DIM, RequestRouter, RouteDecision};
 use ic_stats::{Ema, split_mix64};
 use rand::Rng;
 
@@ -195,6 +195,19 @@ impl FrontEnd {
         (replica.router.route(request, selection_utilities, rng), r)
     }
 
+    /// The routing context vector of a request and its selection's
+    /// utilities — what [`FrontEnd::route`]'s decision carries as
+    /// `features`; every replica projects with the same seed.
+    pub fn features(
+        &self,
+        request: &Request,
+        selection_utilities: &[f64],
+    ) -> [f64; ROUTE_FEATURE_DIM] {
+        self.replicas[0]
+            .router
+            .features(request, selection_utilities)
+    }
+
     /// Records an observed reward at the owning replica only.
     pub fn record_reward(
         &mut self,
@@ -203,24 +216,36 @@ impl FrontEnd {
         selection_utilities: &[f64],
         reward: f64,
     ) {
-        let r = self.replica_of(request.id);
-        self.replicas[r]
-            .router
-            .record_reward(model, request, selection_utilities, reward);
+        let x = self.features(request, selection_utilities);
+        self.record_reward_on(model, request.id, &x, reward);
     }
 
-    /// Records a pairwise preference at the owning replica only.
-    pub fn record_preference(
+    /// [`FrontEnd::record_reward`] on the context vector the request was
+    /// routed on ([`RouteDecision::features`]).
+    pub fn record_reward_on(
         &mut self,
-        request: &Request,
-        selection_utilities: &[f64],
+        model: ModelId,
+        id: RequestId,
+        x: &[f64; ROUTE_FEATURE_DIM],
+        reward: f64,
+    ) {
+        let r = self.replica_of(id);
+        self.replicas[r].router.record_reward_on(model, x, reward);
+    }
+
+    /// Records a pairwise preference at the owning replica only, on the
+    /// context vector the request was routed on.
+    pub fn record_preference_on(
+        &mut self,
+        id: RequestId,
+        x: &[f64; ROUTE_FEATURE_DIM],
         preferred: ModelId,
         other: ModelId,
     ) {
-        let r = self.replica_of(request.id);
+        let r = self.replica_of(id);
         self.replicas[r]
             .router
-            .record_preference(request, selection_utilities, preferred, other);
+            .record_preference_on(x, preferred, other);
     }
 
     /// Feeds a load observation (requests/second) to every replica — the

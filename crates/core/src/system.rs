@@ -4,7 +4,7 @@ use ic_llmsim::{
     Example, ExampleId, ExampleStore, GenOutcome, GenSetup, ModelId, Request, signal_noise,
 };
 use ic_manager::ExampleManager;
-use ic_router::RequestRouter;
+use ic_router::{ROUTE_FEATURE_DIM, RequestRouter};
 use ic_selector::{ExampleSelector, ProxyFeatures, Selection};
 use ic_stats::Ema;
 use ic_stats::rng::rng_from_seed;
@@ -159,6 +159,13 @@ impl IcCacheSystem {
         &self.selector
     }
 
+    /// Test support: [`ExampleSelector::disable_probe_memo`] on the
+    /// system's selector — the memo-less reference run.
+    #[doc(hidden)]
+    pub fn disable_probe_memo(&mut self) {
+        self.selector.disable_probe_memo();
+    }
+
     /// Read access to the primary router (replica 0 of the front end).
     pub fn router(&self) -> &RequestRouter {
         self.frontend.router(0)
@@ -294,7 +301,7 @@ impl IcCacheSystem {
         //    (retries after a pool failover must not land back on the
         //    dead pool), falling back to the original choice only when
         //    every arm is down.
-        let (chosen, second, bias) = if self.failover.router_healthy() {
+        let (chosen, second, bias, routed_on) = if self.failover.router_healthy() {
             let (d, _replica) =
                 self.frontend
                     .route(request, &selection.predicted_utility, &mut self.rng, fresh);
@@ -316,9 +323,9 @@ impl IcCacheSystem {
             let second = d.second_choice.filter(|&other| {
                 fresh && d.solicit_feedback && other != chosen && self.failover.model_healthy(other)
             });
-            (chosen, second, d.applied_bias)
+            (chosen, second, d.applied_bias, Some(d.features))
         } else {
-            (self.config.primary, None, 0.0)
+            (self.config.primary, None, 0.0, None)
         };
         let solicit = second.is_some();
         let offloadable = chosen != self.config.primary;
@@ -350,7 +357,14 @@ impl IcCacheSystem {
             let give_feedback =
                 solicit || self.rng.random::<f64>() < self.config.feedback_sample_rate;
             if give_feedback {
-                self.absorb_feedback(request, &selection, chosen, second, &outcome, &used_ids);
+                // The router learns on the vector it decided on; a
+                // bypassed router decided on none, so extract it now.
+                let x = routed_on.unwrap_or_else(|| {
+                    self.frontend
+                        .features(request, &selection.predicted_utility)
+                });
+                let fb = self.router_feedback(request, &selection, &x, chosen, second, &outcome);
+                self.example_feedback(request, &selection, chosen, fb, &used_ids);
             }
             for id in &used_ids {
                 self.manager.cache_mut().record_access(*id);
@@ -368,23 +382,25 @@ impl IcCacheSystem {
         }
     }
 
-    /// Feedback path: noisy user signal -> router reward, preference
-    /// comparison, proxy labels, cache gain bookkeeping.
-    fn absorb_feedback(
+    /// Feedback path, router half: noisy user signal -> router reward
+    /// and, when solicited, the preference comparison — both learned on
+    /// `route_features`, the vector the request was routed on. Returns
+    /// the feedback value.
+    fn router_feedback(
         &mut self,
         request: &Request,
         selection: &Selection,
+        route_features: &[f64; ROUTE_FEATURE_DIM],
         chosen: ModelId,
         second: Option<ModelId>,
         outcome: &GenOutcome,
-        used_ids: &[ExampleId],
-    ) {
+    ) -> f64 {
         // Thumbs-style feedback: latent quality seen through noise.
         // Rewards and preferences are recorded only at the replica that
         // owns the request — peers learn of them through gossip.
         let fb = (outcome.quality + 0.1 * (self.rng.random::<f64>() - 0.5)).clamp(0.0, 1.0);
         self.frontend
-            .record_reward(chosen, request, &selection.predicted_utility, fb);
+            .record_reward_on(chosen, request.id, route_features, fb);
 
         // Preference solicitation: generate with the sampled second choice
         // and record which the (simulated) user preferred.
@@ -403,23 +419,28 @@ impl IcCacheSystem {
                     .generator
                     .generate(other_spec, request, &other_setup, &mut self.rng);
             let alt_fb = (alt.quality + 0.1 * (self.rng.random::<f64>() - 0.5)).clamp(0.0, 1.0);
-            if fb >= alt_fb {
-                self.frontend.record_preference(
-                    request,
-                    &selection.predicted_utility,
-                    chosen,
-                    other,
-                );
+            let (preferred, loser) = if fb >= alt_fb {
+                (chosen, other)
             } else {
-                self.frontend.record_preference(
-                    request,
-                    &selection.predicted_utility,
-                    other,
-                    chosen,
-                );
-            }
+                (other, chosen)
+            };
+            self.frontend
+                .record_preference_on(request.id, route_features, preferred, loser);
         }
+        fb
+    }
 
+    /// Feedback path, example half: proxy labels, cache gain
+    /// bookkeeping and the threshold controller, from the feedback value
+    /// `fb` of [`Self::router_feedback`].
+    fn example_feedback(
+        &mut self,
+        request: &Request,
+        selection: &Selection,
+        chosen: ModelId,
+        fb: f64,
+        used_ids: &[ExampleId],
+    ) {
         let chosen_cost = self.cost_norm.get(&chosen).copied().unwrap_or(0.0);
         if used_ids.is_empty() {
             // Bare serving: update the per-model baseline.

@@ -149,6 +149,8 @@ pub(super) struct EngineState<'a> {
     /// [`ic_cache::FrontEnd::posterior_counts`] when the run began; the
     /// report carries the growth since.
     posterior_base: (u64, u64),
+    /// The selector's `probe_memo_counts` when the run began, likewise.
+    probe_memo_base: (u64, u64),
     /// Failover bookkeeping: overlapping outage windows per pool, so a
     /// nested window's `PoolUp` cannot revive a pool an enclosing
     /// window still declares down.
@@ -195,6 +197,7 @@ impl<'a> EngineState<'a> {
             fe.begin_run(config.latency_ema_alpha);
         }
         let posterior_base = fe.posterior_counts();
+        let probe_memo_base = system.selector().probe_memo_counts();
 
         let mut state = Self {
             config,
@@ -228,6 +231,7 @@ impl<'a> EngineState<'a> {
             stage1_arrivals: 0,
             replay: ReplayStats::default(),
             posterior_base,
+            probe_memo_base,
             recorder: config.trace.then(|| Recorder::new(config.obs_ring)),
             sampler: Sampler {
                 on: Periodic::every_secs(config.obs_sample_s).enabled(),
@@ -622,6 +626,9 @@ impl<'a> EngineState<'a> {
         self.replay.posterior_refits = posterior_refits - self.posterior_base.1;
         self.replay.share_admissions = iter.share_admissions;
         self.replay.prefix_chunks = iter.prefix_chunks;
+        let (memo_lookups, memo_hits) = self.system.selector().probe_memo_counts();
+        self.replay.probe_memo_lookups = memo_lookups - self.probe_memo_base.0;
+        self.replay.probe_memo_hits = memo_hits - self.probe_memo_base.1;
         EngineReport {
             engine: ENGINE_NAME.to_owned(),
             served: n,

@@ -126,7 +126,9 @@ pub struct CacheStats {
 pub struct SelectorStats {
     /// The configured `EngineConfig::selector_batch`, echoed.
     pub batch_limit: u64,
-    /// Stage-1 probes: arrivals that missed stage 0.
+    /// Stage-1 calls: arrivals that missed stage 0 — a probe each,
+    /// less the ones the selector's probe memo answered
+    /// ([`ReplayStats::probe_memo_hits`]).
     pub batches: u64,
     /// Requests served through those probes.
     pub requests: u64,
@@ -146,7 +148,8 @@ impl SelectorStats {
 }
 
 /// Replay counters for one engine run: the step regions, the router's
-/// kept posteriors and the traffic through the KV content table.
+/// kept posteriors, the traffic through the KV content table and the
+/// selector's probe memo.
 ///
 /// Diagnostics of *how* the replay ran, not of what it served:
 /// deliberately **not** serialized by [`EngineReport::to_json`], so a
@@ -181,6 +184,14 @@ pub struct ReplayStats {
     /// Prefix chunks (KV blocks) those allocations carried; the
     /// report's `kv.blocks_saved` counts the ones found resident.
     pub prefix_chunks: u64,
+    /// Stage-1 calls that consulted the selector's probe memo: every
+    /// arrival past stage 0 while the index expects a probe to cost
+    /// more than remembering one, `0` below that bar (a bank of 100).
+    pub probe_memo_lookups: u64,
+    /// How many of those were answered from the memo — the same query
+    /// bits, probed under the same index generation — instead of
+    /// running the probe.
+    pub probe_memo_hits: u64,
 }
 
 impl ReplayStats {
@@ -193,7 +204,8 @@ impl ReplayStats {
                 "{{\"regions\":{},\"region_steps\":{},",
                 "\"step_runs\":{},\"quiet_steps\":{},",
                 "\"arm_evaluations\":{},\"posterior_refits\":{},",
-                "\"share_admissions\":{},\"prefix_chunks\":{}}}"
+                "\"share_admissions\":{},\"prefix_chunks\":{},",
+                "\"probe_memo_lookups\":{},\"probe_memo_hits\":{}}}"
             ),
             self.regions,
             self.region_steps,
@@ -203,6 +215,8 @@ impl ReplayStats {
             self.posterior_refits,
             self.share_admissions,
             self.prefix_chunks,
+            self.probe_memo_lookups,
+            self.probe_memo_hits,
         )
     }
 }
@@ -286,7 +300,7 @@ pub struct EngineReport {
     /// Router-tier counters (per-replica decisions, gossip rounds, merge
     /// staleness, failover requeues).
     pub router: RouterStats,
-    /// Stage-1 probe counters (one probe per arrival past stage 0).
+    /// Stage-1 counters (one stage-1 call per arrival past stage 0).
     pub selector: SelectorStats,
     /// Paged KV-memory counters merged across pools (block occupancy,
     /// pressure preemptions, swap traffic, fragmentation).

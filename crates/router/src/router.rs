@@ -70,6 +70,13 @@ pub struct RouteDecision {
     pub second_choice: Option<ModelId>,
     /// The bias magnitude that was applied (auto-scaling signal).
     pub applied_bias: f64,
+    /// The context vector the arms were scored on —
+    /// [`RequestRouter::features`] of the routed pair. Feedback for this
+    /// decision is learned on the same vector
+    /// ([`RequestRouter::record_reward_on`],
+    /// [`RequestRouter::record_preference_on`]) instead of extracting it
+    /// a second time.
+    pub features: [f64; ROUTE_FEATURE_DIM],
 }
 
 /// The load- and quality-aware request router.
@@ -158,6 +165,16 @@ impl RequestRouter {
         self.load.current()
     }
 
+    /// The bandit's context vector for a request and the selector's
+    /// predicted utilities — a pure function of the pair.
+    pub fn features(
+        &self,
+        request: &Request,
+        selection_utilities: &[f64],
+    ) -> [f64; ROUTE_FEATURE_DIM] {
+        self.features.extract(request, selection_utilities)
+    }
+
     /// Routes one request given the selector's predicted utilities for the
     /// examples that would accompany it.
     pub fn route(
@@ -235,6 +252,7 @@ impl RequestRouter {
             solicit_feedback: solicit,
             second_choice,
             applied_bias,
+            features: x,
         }
     }
 
@@ -248,8 +266,14 @@ impl RequestRouter {
         reward: f64,
     ) {
         let x = self.features.extract(request, selection_utilities);
-        self.bandit.update(model, &x, reward);
-        self.gossip.record(model, &x, reward);
+        self.record_reward_on(model, &x, reward);
+    }
+
+    /// [`Self::record_reward`] on a context vector already in hand
+    /// ([`RouteDecision::features`]).
+    pub fn record_reward_on(&mut self, model: ModelId, x: &[f64; ROUTE_FEATURE_DIM], reward: f64) {
+        self.bandit.update(model, x, reward);
+        self.gossip.record(model, x, reward);
     }
 
     /// Absorbs a pairwise preference ("which response do you prefer?"):
@@ -263,10 +287,21 @@ impl RequestRouter {
         other: ModelId,
     ) {
         let x = self.features.extract(request, selection_utilities);
-        self.bandit.update(preferred, &x, 1.0);
-        self.bandit.update(other, &x, 0.0);
-        self.gossip.record(preferred, &x, 1.0);
-        self.gossip.record(other, &x, 0.0);
+        self.record_preference_on(&x, preferred, other);
+    }
+
+    /// [`Self::record_preference`] on a context vector already in hand
+    /// ([`RouteDecision::features`]).
+    pub fn record_preference_on(
+        &mut self,
+        x: &[f64; ROUTE_FEATURE_DIM],
+        preferred: ModelId,
+        other: ModelId,
+    ) {
+        self.bandit.update(preferred, x, 1.0);
+        self.bandit.update(other, x, 0.0);
+        self.gossip.record(preferred, x, 1.0);
+        self.gossip.record(other, x, 0.0);
     }
 
     /// Seals the local updates since the last gossip round into a batch
@@ -582,6 +617,44 @@ mod tests {
         }
         b.merge_load(a.current_load(), 0.5);
         assert!(b.current_load() > 0.0);
+    }
+
+    #[test]
+    fn a_decision_carries_the_vector_its_feedback_is_learned_on() {
+        // Router `carried` learns on `RouteDecision::features`, router
+        // `fresh` re-extracts from the same `(request, utilities)` pair
+        // as every caller did before the decision carried them. The
+        // vector must be a fresh extract bit for bit, and the two
+        // routers' posteriors (their next sampled scores under equal RNG
+        // streams) and gossip deltas must stay indistinguishable.
+        let (catalog, small, large, mut wg) = setup();
+        let mk = || RequestRouter::new(vec![small, large], &catalog, 64, RouterConfig::default());
+        let (mut carried, mut fresh) = (mk(), mk());
+        let (mut rng_c, mut rng_f) = (rng_from_seed(37), rng_from_seed(37));
+        let utilities: [&[f64]; 3] = [&[], &[0.4], &[0.1, 0.35, 0.2]];
+        for (i, r) in wg.generate_requests(120).iter().enumerate() {
+            let u = utilities[i % 3];
+            let dc = carried.route(r, u, &mut rng_c);
+            let df = fresh.route(r, u, &mut rng_f);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dc.features), bits(&carried.features(r, u)));
+            assert_eq!(dc.chosen, df.chosen);
+            for ((_, sc), (_, sf)) in dc.scores.iter().zip(&df.scores) {
+                assert_eq!(sc.to_bits(), sf.to_bits(), "request {i}");
+            }
+            let reward = 0.3 + 0.005 * i as f64;
+            carried.record_reward_on(dc.chosen, &dc.features, reward);
+            fresh.record_reward(df.chosen, r, u, reward);
+            if i % 4 == 0 {
+                carried.record_preference_on(&dc.features, small, large);
+                fresh.record_preference(r, u, small, large);
+            }
+        }
+        let (bc, bf) = (carried.gossip_take(9.0, 1), fresh.gossip_take(9.0, 1));
+        assert!(bc.is_some());
+        // `Debug` prints every statistic in shortest round-trip form.
+        assert_eq!(format!("{bc:?}"), format!("{bf:?}"));
+        assert_eq!(carried.posterior_counts(), fresh.posterior_counts());
     }
 
     #[test]

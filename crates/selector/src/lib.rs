@@ -20,8 +20,14 @@
 //! most-helpful-last (recency-biased attention).
 //!
 //! Selection is strictly per request, in arrival order (Algorithm 1):
-//! [`ExampleSelector::select`] is read-only and draws no randomness.
+//! [`ExampleSelector::select`] draws no randomness and changes nothing
+//! a selection depends on. The one thing it writes is the stage-1 probe
+//! memo (the `memo` module): a small generation-stamped table that
+//! answers a query whose bits were probed against the unchanged index
+//! with that probe's own bytes, consulted only while a probe costs more
+//! than remembering one.
 
+mod memo;
 pub mod proxy;
 pub mod threshold;
 pub mod twostage;

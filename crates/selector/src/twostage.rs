@@ -1,9 +1,12 @@
 //! The two-stage selection pipeline (Algorithm 1, `RetrieveExamples`).
 
+use std::cell::RefCell;
+
 use ic_embed::{Embedding, cosine_from_dot};
 use ic_llmsim::{Example, ExampleId, ExampleStore, ModelSpec, Request};
 use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex};
 
+use crate::memo::{self, ProbeMemo};
 use crate::proxy::ProxyModel;
 use crate::threshold::DynamicThreshold;
 
@@ -78,6 +81,11 @@ impl Selection {
 pub struct ExampleSelector {
     config: SelectorConfig,
     index: IvfIndex,
+    /// Recent stage-1 results, stamped with the index generation they
+    /// were probed under (see the `memo` module). Behind a `RefCell`
+    /// because selection reads the selector through `&self`; `None` only
+    /// after [`Self::disable_probe_memo`].
+    memo: Option<RefCell<ProbeMemo>>,
     proxy: ProxyModel,
     threshold: DynamicThreshold,
 }
@@ -89,6 +97,7 @@ impl ExampleSelector {
         Self {
             config,
             index: IvfIndex::new(ivf),
+            memo: Some(RefCell::new(ProbeMemo::new())),
             proxy: ProxyModel::standard(),
             threshold: DynamicThreshold::standard(),
         }
@@ -157,12 +166,45 @@ impl ExampleSelector {
 
     /// Stage 1 only: relevance-ranked candidates. Public for the Fig. 9
     /// ablation (stage-1-only selection).
+    ///
+    /// While a probe is expensive enough to be worth remembering, a
+    /// query whose bits were probed under the index's current generation
+    /// is answered from the probe memo with the probe's own bytes (see
+    /// the `memo` module); below that bar the memo is not consulted.
     pub fn stage1(&self, request: &Request) -> Vec<(ExampleId, f64)> {
-        self.index
-            .search(&request.embedding, self.config.stage1_candidates)
-            .into_iter()
-            .map(|h| (ExampleId(h.id), h.similarity))
-            .collect()
+        let probe = || {
+            self.index
+                .search(&request.embedding, self.config.stage1_candidates)
+                .into_iter()
+                .map(|h| (ExampleId(h.id), h.similarity))
+                .collect()
+        };
+        match &self.memo {
+            Some(memo) if self.index.expected_comparisons() >= memo::MIN_COMPARISONS => memo
+                .borrow_mut()
+                .get_or_probe(request.embedding.as_slice(), self.index.generation(), probe),
+            _ => probe(),
+        }
+    }
+
+    /// `(lookups, hits)` of the probe memo since construction: stage-1
+    /// calls that consulted it, and how many of those it answered.
+    /// Lookups minus hits ran the probe; calls below the memo's
+    /// comparison bar count as neither.
+    pub fn probe_memo_counts(&self) -> (u64, u64) {
+        self.memo.as_ref().map_or((0, 0), |memo| {
+            let memo = memo.borrow();
+            (memo.lookups, memo.hits)
+        })
+    }
+
+    /// Test support: drops the probe memo, so every stage-1 call runs the
+    /// probe and the counters stay at zero — the reference a memoized
+    /// run's bytes are compared against. Not reachable from any
+    /// configuration.
+    #[doc(hidden)]
+    pub fn disable_probe_memo(&mut self) {
+        self.memo = None;
     }
 
     /// Full two-stage selection with the globally-adapted threshold.

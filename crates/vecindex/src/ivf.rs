@@ -25,6 +25,18 @@
 //! training — so exact search over a small pool is the same scan, not a
 //! second code path.
 //!
+//! # One widen a probe, and a generation stamp for whoever keeps a result
+//!
+//! A probe widens its query to `f64` once: the centroid rank
+//! ([`KMeansModel::assign_top_n_widened`]) and every list scan read the
+//! same buffer. A search is a pure function of the query's bits and the
+//! index contents, and [`IvfIndex::generation`] names the contents: it
+//! advances on every row placed or removed and on every retrain, from
+//! inside the three private mutators all writes go through, so a caller
+//! that keeps a hit list next to the generation it was computed under
+//! (`ic-selector`'s probe memo) can tell a still-valid list from a
+//! stale one by comparing two integers.
+//!
 //! # Retraining, and why a bulk load needs only the last one
 //!
 //! The index retrains lazily: inserts are routed to the nearest existing
@@ -122,6 +134,9 @@ pub struct IvfIndex {
     locator: IdMap<ItemId, (u32, u32)>,
     /// Pool size at the time of the last training.
     trained_at_len: usize,
+    /// Advanced by every change to what a search reads (see
+    /// [`IvfIndex::generation`]).
+    generation: u64,
     stats: BuildStats,
 }
 
@@ -203,8 +218,24 @@ impl IvfIndex {
             lists: Vec::new(),
             locator: IdMap::default(),
             trained_at_len: 0,
+            generation: 0,
             stats: BuildStats::default(),
         }
+    }
+
+    /// The mutation generation: a counter that advances whenever the
+    /// stored rows, the posting lists or the model change — every row a
+    /// [`VectorIndex::insert`], [`IvfIndex::insert_bulk`] or retrain
+    /// places, every row a [`VectorIndex::remove`] takes out, every
+    /// retrain. [`VectorIndex::search`] is a pure function of the query's
+    /// bits and the index contents, so two searches for the same bits
+    /// under one generation return the same bytes; a caller that keeps a
+    /// result keeps this stamp with it (`ic-selector`'s probe memo). The
+    /// bumps sit in the three private mutators everything else goes
+    /// through (`place`, `remove`'s success path, `retrain_with`), so no
+    /// new entry point can change the index without advancing it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Training work done so far.
@@ -233,6 +264,7 @@ impl IvfIndex {
     /// a fixed seed and every list is rebuilt from it, so nothing of the
     /// previous lists or model survives into the result.
     fn retrain_with(&mut self, staged: &[(ItemId, Embedding)]) {
+        self.generation += 1;
         let resident = self.locator.len();
         let n = resident + staged.len();
         let old = std::mem::take(&mut self.lists);
@@ -302,6 +334,7 @@ impl IvfIndex {
         let pos = self.lists[c].push(id, row, norm);
         let c = u32::try_from(c).expect("cluster count fits u32");
         self.locator.insert(id, (c, pos));
+        self.generation += 1;
     }
 
     /// Whether the lazy retrain fires at pool size `n` when the model was
@@ -420,6 +453,7 @@ impl VectorIndex for IvfIndex {
         if let Some(moved) = self.lists[c as usize].swap_remove(pos as usize) {
             self.locator.insert(moved, (c, pos));
         }
+        self.generation += 1;
         true
     }
 
@@ -435,7 +469,7 @@ impl VectorIndex for IvfIndex {
         let q_norm = query.norm();
         let probes: Vec<usize> = match &self.model {
             Some(model) if !self.is_brute_force() => {
-                model.assign_top_n(query, self.config.nprobe.max(1))
+                model.assign_top_n_widened(&q64, self.config.nprobe.max(1))
             }
             _ => (0..self.lists.len()).collect(),
         };

@@ -174,13 +174,22 @@ impl KMeansModel {
     /// Indices of the `n` nearest centroids, closest first (equidistant
     /// centroids in index order).
     pub fn assign_top_n(&self, v: &Embedding, n: usize) -> Vec<usize> {
+        self.assign_top_n_widened(&widen(v.as_slice()), n)
+    }
+
+    /// [`Self::assign_top_n`] over components the caller has already
+    /// widened to `f64` (`f64::from` per component — exact, so the
+    /// distances and the order are those of the `f32` row): the IVF
+    /// probe widens its query once, for the centroid rank and the list
+    /// scans alike.
+    pub fn assign_top_n_widened(&self, v64: &[f64], n: usize) -> Vec<usize> {
         // The `n` best so far, sorted. Centroids arrive in index order,
         // so placing a newcomer after every distance that is not larger
         // keeps equidistant ones in index order — the `(distance, index)`
         // order a full sort would give.
         let mut top: Vec<(f64, usize)> = Vec::with_capacity(n.min(self.k()));
         if n > 0 {
-            self.lanes.sq_dists(&widen(v.as_slice()), |i, d| {
+            self.lanes.sq_dists(v64, |i, d| {
                 debug_assert!(d.is_finite(), "finite distances");
                 if top.len() == n {
                     if d >= top[n - 1].0 {

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use ic_embed::Embedding;
-use ic_vecindex::{ItemId, IvfConfig, IvfIndex, SearchHit, VectorIndex};
+use ic_vecindex::{ItemId, IvfConfig, IvfIndex, SearchHit, VectorIndex, kmeans};
 use proptest::prelude::*;
 
 /// Components from a tiny signed set, so zero vectors, duplicate rows
@@ -184,6 +184,39 @@ proptest! {
         for q in [&negative_query(dim), &ones, &Embedding::zeros(dim)] {
             check(&idx, &store, q, 32, &format!("dim={dim} n={n} trained={trained}"));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The probe ranks centroids over the `f64` query it already holds
+    /// (`assign_top_n_widened`) instead of widening the `f32` row a
+    /// second time: same distances, same order as the scalar
+    /// `Embedding::sq_dist` chain sorted by `(distance, index)` — tiny
+    /// component sets make equidistant centroids routine — and as
+    /// `assign_top_n` on the row itself.
+    #[test]
+    fn centroid_rank_over_the_widened_query_matches_the_scalar_chain(
+        dim in (0usize..5).prop_map(|i| DIMS[i]),
+        rows in proptest::collection::vec(proptest::collection::vec(-2i32..3, 70), 1..40),
+        k in 1usize..20,
+        query in proptest::collection::vec(-2i32..3, 70),
+        n in 0usize..24,
+    ) {
+        let data: Vec<Embedding> = rows.iter().map(|raw| embedding(raw, dim)).collect();
+        let model = kmeans(&data, k, 4, 17).expect("non-empty data trains");
+        let q = embedding(&query, dim);
+        let q64: Vec<f64> = q.as_slice().iter().map(|&x| f64::from(x)).collect();
+        let mut want: Vec<usize> = (0..model.k()).collect();
+        want.sort_by(|&a, &b| {
+            let (da, db) = (model.centroids()[a].sq_dist(&q), model.centroids()[b].sq_dist(&q));
+            da.partial_cmp(&db).unwrap()
+        });
+        want.truncate(n);
+        let got = model.assign_top_n_widened(&q64, n);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got, model.assign_top_n(&q, n));
     }
 }
 

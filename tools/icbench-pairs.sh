@@ -2,7 +2,7 @@
 # Alternating parent/change icbench pairs — the protocol behind every
 # "same bytes, host metrics not worse" line in docs/replay-perf.md.
 #
-#   tools/icbench-pairs.sh <parent-rev|parent-dir> <workload> \
+#   tools/icbench-pairs.sh <parent-rev|parent-dir> <workload|--all> \
 #       [--seed N] [--pairs N] [--seconds N]
 #
 # Builds the parent (a revision is checked out as a detached `git
@@ -14,6 +14,9 @@
 # simulated-clock metrics are then bit-identical and are not repeated);
 # for the host metrics it prints each side's median and quartiles, the
 # parent's inter-quartile spread, and how many pairs the change won.
+# `--all` runs the four workloads in turn and ends with one table of
+# those rows, so the workload a change targets and the ones it should
+# not move come from one command.
 # Offline; nothing under benchmark/ is left modified.
 set -euo pipefail
 
@@ -22,7 +25,8 @@ usage() {
     exit 2
 }
 [ $# -ge 2 ] || usage
-parent=$1 workload=$2
+parent=$1 workloads=$2
+[ "$workloads" != --all ] || workloads="coldstart_lowload bigbank_select trending_dups churn_writes"
 shift 2
 seed=7 pairs=10 seconds=20
 while [ $# -gt 0 ]; do
@@ -59,12 +63,10 @@ build "$parent_tree" "$work/target-parent"
 build "$repo" "$work/target-change"
 
 metrics="setup_s replay_s peak_rss_mb"
-: >"$work/parent.runs"
-: >"$work/change.runs"
-run() { # <side> <pair>
+run() { # <side> <workload> <pair>
     local out hash failed row
     out=$("$work/target-$1/release/icbench" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+        --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0)
     hash=$(sed -n 's/.*report fnv64 \([0-9a-f]*\).*/\1/p' <<<"$out")
     failed=$(sed -n 's/.* failed \([0-9]*\) (failed_share.*/\1/p' <<<"$out")
     row=$hash
@@ -72,23 +74,8 @@ run() { # <side> <pair>
         row="$row $(awk -v m="$m" '$1 == m { print $2 }' <<<"$out")"
     done
     echo "$row $failed" >>"$work/$1.runs"
-    printf 'pair %2d %-6s %s failed %s\n' "$2" "$1" "$row" "$failed"
+    printf 'pair %2d %-6s %s failed %s\n' "$3" "$1" "$row" "$failed"
 }
-echo "# $workload seed $seed, $seconds s, $pairs pairs: hash $metrics"
-for ((k = 1; k <= pairs; k++)); do
-    if ((k % 2)); then
-        run parent "$k" && run change "$k"
-    else
-        run change "$k" && run parent "$k"
-    fi
-done
-
-hashes=$(cat "$work/parent.runs" "$work/change.runs" | cut -d' ' -f1 | sort -u)
-if [ "$(wc -l <<<"$hashes")" != 1 ]; then
-    echo "report hashes differ:" $hashes >&2
-    exit 1
-fi
-echo "# report hash $hashes on every run of both sides"
 # "q1 median q3" of column <col> of <file>, linearly interpolated.
 quartiles() { # <file> <col>
     cut -d' ' -f"$2" "$1" | sort -g | awk '
@@ -99,18 +86,43 @@ quartiles() { # <file> <col>
         }
         END { print at(0.25), at(0.5), at(0.75) }'
 }
-col=2
-for m in $metrics; do
-    read -r pq1 pmed pq3 <<<"$(quartiles "$work/parent.runs" $col)"
-    read -r cq1 cmed cq3 <<<"$(quartiles "$work/change.runs" $col)"
-    paste -d' ' "$work/parent.runs" "$work/change.runs" | awk -v m="$m" -v col=$col \
-        -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cq1="$cq1" -v cmed="$cmed" -v cq3="$cq3" '
-        { p = $col; c = $(NF / 2 + col); if (c < p) won++; else if (c == p) tied++ }
-        END {
-            printf "%-12s parent %.4f (%.4f-%.4f, spread %.4f)  change %.4f (%.4f-%.4f)  %+.1f%%  won %d tied %d of %d\n",
-                m, pmed, pq1, pq3, pq3 - pq1, cmed, cq1, cq3, 100 * (cmed - pmed) / pmed, won, tied, NR
-        }'
-    col=$((col + 1))
+
+: >"$work/summary"
+for workload in $workloads; do
+    : >"$work/parent.runs"
+    : >"$work/change.runs"
+    echo "# $workload seed $seed, $seconds s, $pairs pairs: hash $metrics"
+    for ((k = 1; k <= pairs; k++)); do
+        if ((k % 2)); then
+            run parent "$workload" "$k" && run change "$workload" "$k"
+        else
+            run change "$workload" "$k" && run parent "$workload" "$k"
+        fi
+    done
+
+    hashes=$(cat "$work/parent.runs" "$work/change.runs" | cut -d' ' -f1 | sort -u)
+    if [ "$(wc -l <<<"$hashes")" != 1 ]; then
+        echo "$workload: report hashes differ:" $hashes >&2
+        exit 1
+    fi
+    {
+        echo "# $workload: report hash $hashes on every run of both sides"
+        col=2
+        for m in $metrics; do
+            read -r pq1 pmed pq3 <<<"$(quartiles "$work/parent.runs" $col)"
+            read -r cq1 cmed cq3 <<<"$(quartiles "$work/change.runs" $col)"
+            paste -d' ' "$work/parent.runs" "$work/change.runs" | awk -v w="$workload" -v m="$m" -v col=$col \
+                -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cq1="$cq1" -v cmed="$cmed" -v cq3="$cq3" '
+                { p = $col; c = $(NF / 2 + col); if (c < p) won++; else if (c == p) tied++ }
+                END {
+                    printf "%-18s %-12s parent %.4f (%.4f-%.4f, spread %.4f)  change %.4f (%.4f-%.4f)  %+.1f%%  won %d tied %d of %d\n",
+                        w, m, pmed, pq1, pq3, pq3 - pq1, cmed, cq1, cq3, 100 * (cmed - pmed) / pmed, won, tied, NR
+                }'
+            col=$((col + 1))
+        done
+        awk -v w="$workload" '{ failed += $NF } END { printf "%-18s failed operations: parent %d, ", w, failed }' "$work/parent.runs"
+        awk '{ failed += $NF } END { printf "change %d\n", failed }' "$work/change.runs"
+    } >>"$work/summary"
 done
-awk '{ failed += $NF } END { printf "failed operations: parent %d, ", failed }' "$work/parent.runs"
-awk '{ failed += $NF } END { printf "change %d\n", failed }' "$work/change.runs"
+echo "# summary, seed $seed: median (quartiles), parent spread = q3 - q1, change vs parent, pairs won"
+cat "$work/summary"
