@@ -330,6 +330,57 @@ fn bench_router(c: &mut Criterion) {
     g.finish();
 }
 
+/// One 64-component Gaussian vector at σ = 0.38/√64, a latent's
+/// per-component noise: `libm_64` is the per-component libm Box–Muller
+/// loop `Embedding::gaussian` ran before (written out here), `kernel_64`
+/// the certified vector estimate that replaced it, with the same bytes.
+/// Same RNG stream shape, same process: CI gates on
+/// `libm_64 / kernel_64`, which falls to ≈1 if the estimate stops
+/// vectorizing or falls back on every component. The `shape` line counts
+/// the components of a fixed stream that fell back to libm.
+fn bench_embed_gaussian(c: &mut Criterion) {
+    use rand::RngExt;
+    const SIGMA: f64 = 0.0475;
+    let mut rng = rng_from_seed(8);
+    let mut g = c.benchmark_group("embed_gaussian");
+    g.bench_function("libm_64", |b| {
+        b.iter(|| {
+            let data = (0..64)
+                .map(|_| {
+                    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+                    let u2: f64 = rng.random();
+                    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                    (z * black_box(SIGMA)) as f32
+                })
+                .collect();
+            black_box(Embedding::from_vec(data))
+        })
+    });
+    g.bench_function("kernel_64", |b| {
+        let mut stream = rng_from_seed(9);
+        let fallbacks: usize = (0..16_384)
+            .map(|_| Embedding::gaussian_counted(64, SIGMA, &mut stream).1)
+            .sum();
+        println!(
+            "embed_gaussian shape: 16384 vectors of 64 components at sigma {SIGMA}: {fallbacks} fell back to libm"
+        );
+        b.iter(|| black_box(Embedding::gaussian(64, black_box(SIGMA), &mut rng)))
+    });
+    g.finish();
+}
+
+/// Request generation as set-up runs it (MS MARCO, a thousand requests a
+/// call): two Gaussian vectors, the other draws and a synthetic text per
+/// request. Printed in CI, not gated.
+fn bench_workloads(c: &mut Criterion) {
+    let mut wg = WorkloadGenerator::new(Dataset::MsMarco, 9);
+    let mut g = c.benchmark_group("workloads");
+    g.bench_function("generate_requests_1k", |b| {
+        b.iter(|| black_box(wg.generate_requests(1_000)))
+    });
+    g.finish();
+}
+
 /// Synthetic plaintext at a prompt-sized and a response-sized length —
 /// the cost bank generation and `update_cache` pay per example. Printed
 /// in CI, not gated.
@@ -722,6 +773,8 @@ criterion_group!(
     bench_index_build,
     bench_selector,
     bench_router,
+    bench_embed_gaussian,
+    bench_workloads,
     bench_text_synth,
     bench_knapsack,
     bench_serving_step,

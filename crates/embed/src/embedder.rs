@@ -60,10 +60,12 @@ impl Embedder {
             return latent.normalized();
         }
         let per_component = self.noise / (latent.dim() as f64).sqrt();
-        let mut v = latent.clone();
-        let noise = Embedding::gaussian(latent.dim(), per_component, rng);
-        v.add_scaled(&noise, 1.0);
-        v.normalized()
+        // `noise + latent` has the bits of `latent + noise` (IEEE addition
+        // commutes), so the noise vector takes the sum in place.
+        let mut v = Embedding::gaussian(latent.dim(), per_component, rng);
+        v.add_scaled(latent, 1.0);
+        v.normalize();
+        v
     }
 }
 
@@ -104,6 +106,27 @@ mod tests {
         assert!(same.mean() > cross.mean() + 0.15);
         // But with visible degradation versus the noiseless case.
         assert!(same.mean() < 0.95);
+    }
+
+    #[test]
+    fn embed_is_the_latent_plus_noise_form() {
+        // The old form cloned the latent, added the noise and normalized
+        // a copy; `embed` sums into the noise vector in place. Same bits,
+        // same draws.
+        let e = Embedder::standard();
+        let mut rng = rng_from_seed(4);
+        let mut oracle = rng.clone();
+        for dim in [1usize, 7, 64, 65] {
+            let latent = Embedding::gaussian(dim, 1.0, &mut rng).normalized();
+            let _ = Embedding::gaussian(dim, 1.0, &mut oracle);
+            let got = e.embed(&latent, &mut rng);
+            let mut want = latent.clone();
+            let sigma = e.noise() / (dim as f64).sqrt();
+            want.add_scaled(&Embedding::gaussian(dim, sigma, &mut oracle), 1.0);
+            let bits = |v: &Embedding| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want.normalized()), "dim {dim}");
+        }
+        assert_eq!(rng.next_u64(), oracle.next_u64());
     }
 
     #[test]

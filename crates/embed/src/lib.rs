@@ -11,6 +11,10 @@
 //!
 //! Layout:
 //! - [`vector`] — the [`Embedding`] type and dense-vector arithmetic.
+//! - `boxmuller` (private) — the kernel behind
+//!   [`Embedding::gaussian`]: a vectorized Box–Muller estimate whose error
+//!   margin certifies the exact libm expression's `f32` bits, with that
+//!   expression as the fallback.
 //! - [`slab`] — [`EmbeddingSlab`]: contiguous row-major storage with
 //!   cached norms.
 //! - [`par`] — deterministic contiguous work partitioning for the
@@ -21,6 +25,7 @@
 //! - [`text`] — synthetic plaintext with token/byte accounting and optional
 //!   sensitive-span injection for the admission-control path.
 
+mod boxmuller;
 pub mod embedder;
 pub mod par;
 pub mod slab;

@@ -62,8 +62,11 @@ impl Default for TopicSpaceConfig {
 #[derive(Debug, Clone)]
 pub struct TopicSpace {
     config: TopicSpaceConfig,
-    anchor: Embedding,
-    topic_dirs: Vec<Embedding>,
+    /// Each topic's noiseless centre, computed once at generation (every
+    /// latent sample starts from one). They take the place of the topic
+    /// directions and the anchor they are built from, so the space is no
+    /// larger: ≈460 KB at the largest topic count, 1 801 topics.
+    centers: Vec<Embedding>,
 }
 
 impl TopicSpace {
@@ -80,27 +83,30 @@ impl TopicSpace {
             "anchor_weight must be in [0, 1)"
         );
         let mut rng = rng_from_seed(seed);
-        let anchor = Embedding::gaussian(config.dim, 1.0, &mut rng).normalized();
-        let topic_dirs = (0..config.num_topics)
+        let mut anchor = Embedding::gaussian(config.dim, 1.0, &mut rng);
+        anchor.normalize();
+        let w = config.anchor_weight;
+        let centers = (0..config.num_topics)
             .map(|_| {
                 let mut dir = Embedding::gaussian(config.dim, 1.0, &mut rng);
                 // Project out the anchor so the anchor weight fully controls
                 // the cross-topic floor.
                 let proj = dir.dot(&anchor);
                 dir.add_scaled(&anchor, -proj);
-                dir.normalized()
+                dir.normalize();
+                let mut center = Embedding::zeros(config.dim);
+                center.add_scaled(&anchor, w.sqrt());
+                center.add_scaled(&dir, (1.0 - w).sqrt());
+                center.normalize();
+                center
             })
             .collect();
-        Self {
-            config,
-            anchor,
-            topic_dirs,
-        }
+        Self { config, centers }
     }
 
     /// Number of topics.
     pub fn num_topics(&self) -> usize {
-        self.topic_dirs.len()
+        self.centers.len()
     }
 
     /// Embedding dimensionality.
@@ -119,11 +125,7 @@ impl TopicSpace {
     ///
     /// Panics if `topic` is out of range.
     pub fn topic_center(&self, topic: usize) -> Embedding {
-        let w = self.config.anchor_weight;
-        let mut v = Embedding::zeros(self.config.dim);
-        v.add_scaled(&self.anchor, w.sqrt());
-        v.add_scaled(&self.topic_dirs[topic], (1.0 - w).sqrt());
-        v.normalized()
+        self.centers[topic].clone()
     }
 
     /// Samples a latent vector for one request/example of the given topic.
@@ -132,26 +134,36 @@ impl TopicSpace {
     ///
     /// Panics if `topic` is out of range.
     pub fn sample_member(&self, topic: usize, rng: &mut impl Rng) -> Embedding {
-        let mut v = self.topic_center(topic);
-        let per_component = self.config.member_noise / (self.config.dim as f64).sqrt();
-        let noise = Embedding::gaussian(self.config.dim, per_component, rng);
-        v.add_scaled(&noise, 1.0);
-        v.normalized()
+        let center = &self.centers[topic];
+        // `noise + center` has the bits of `center + noise`: IEEE addition
+        // commutes, so the noise vector takes the sum in place.
+        let mut v = Embedding::gaussian(self.config.dim, self.member_sigma(), rng);
+        v.add_scaled(center, 1.0);
+        v.normalize();
+        v
     }
 
     /// Samples a latent vector that interpolates two topics (used for
     /// "drifting" request distributions in the dynamics experiments).
     pub fn sample_blend(&self, a: usize, b: usize, t: f64, rng: &mut impl Rng) -> Embedding {
-        let mut v = self.topic_center(a);
-        let vb = self.topic_center(b);
         let t = t.clamp(0.0, 1.0);
-        for (x, &y) in v.as_mut_slice().iter_mut().zip(vb.as_slice()) {
-            *x = (1.0 - t) as f32 * *x + t as f32 * y;
-        }
-        let per_component = self.config.member_noise / (self.config.dim as f64).sqrt();
-        let noise = Embedding::gaussian(self.config.dim, per_component, rng);
+        let mut v = Embedding::from_vec(
+            self.centers[a]
+                .as_slice()
+                .iter()
+                .zip(self.centers[b].as_slice())
+                .map(|(&x, &y)| (1.0 - t) as f32 * x + t as f32 * y)
+                .collect(),
+        );
+        let noise = Embedding::gaussian(self.config.dim, self.member_sigma(), rng);
         v.add_scaled(&noise, 1.0);
-        v.normalized()
+        v.normalize();
+        v
+    }
+
+    /// Per-component standard deviation of a member's latent noise.
+    fn member_sigma(&self) -> f64 {
+        self.config.member_noise / (self.config.dim as f64).sqrt()
     }
 }
 
@@ -169,6 +181,71 @@ mod tests {
         let a = space();
         let b = space();
         assert_eq!(a.topic_center(3), b.topic_center(3));
+    }
+
+    fn bits(e: &Embedding) -> Vec<u32> {
+        e.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn stored_centers_have_the_from_scratch_bits() {
+        // The space used to keep the anchor and the topic directions and
+        // build a centre on every call; this is that computation, for
+        // every topic, at the default shape and at an odd one.
+        let odd = TopicSpaceConfig {
+            dim: 33,
+            num_topics: 40,
+            anchor_weight: 0.3,
+            member_noise: 0.5,
+        };
+        for (seed, config) in [(42, TopicSpaceConfig::default()), (3, odd)] {
+            let space = TopicSpace::generate(seed, config.clone());
+            let mut rng = rng_from_seed(seed);
+            let anchor = Embedding::gaussian(config.dim, 1.0, &mut rng).normalized();
+            let w = config.anchor_weight;
+            for t in 0..config.num_topics {
+                let mut dir = Embedding::gaussian(config.dim, 1.0, &mut rng);
+                let proj = dir.dot(&anchor);
+                dir.add_scaled(&anchor, -proj);
+                let dir = dir.normalized();
+                let mut v = Embedding::zeros(config.dim);
+                v.add_scaled(&anchor, w.sqrt());
+                v.add_scaled(&dir, (1.0 - w).sqrt());
+                assert_eq!(
+                    bits(&space.topic_center(t)),
+                    bits(&v.normalized()),
+                    "topic {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn samples_are_the_center_plus_noise_form() {
+        // `sample_member` sums into the noise vector and normalizes in
+        // place; the old form cloned the centre, added the noise and
+        // normalized a copy. Same bits, same draws.
+        let s = space();
+        let sigma = s.config().member_noise / (s.dim() as f64).sqrt();
+        let mut rng = rng_from_seed(21);
+        let mut oracle = rng.clone();
+        for t in 0..64 {
+            let got = s.sample_member(t, &mut rng);
+            let mut want = s.topic_center(t);
+            want.add_scaled(&Embedding::gaussian(s.dim(), sigma, &mut oracle), 1.0);
+            assert_eq!(bits(&got), bits(&want.normalized()), "member of topic {t}");
+
+            let tb = (t + 17) % s.num_topics();
+            let got = s.sample_blend(t, tb, 0.3, &mut rng);
+            let mut want = s.topic_center(t);
+            let vb = s.topic_center(tb);
+            for (x, &y) in want.as_mut_slice().iter_mut().zip(vb.as_slice()) {
+                *x = (1.0 - 0.3f64) as f32 * *x + 0.3f64 as f32 * y;
+            }
+            want.add_scaled(&Embedding::gaussian(s.dim(), sigma, &mut oracle), 1.0);
+            assert_eq!(bits(&got), bits(&want.normalized()), "blend of {t}, {tb}");
+        }
+        assert_eq!(rng.next_u64(), oracle.next_u64());
     }
 
     #[test]

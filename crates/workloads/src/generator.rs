@@ -207,8 +207,8 @@ impl WorkloadGenerator {
                 let hist_request = Request {
                     id: RequestId(u64::MAX), // Historical; never served online.
                     topic,
-                    latent: latent.clone(),
-                    embedding: embedding.clone(),
+                    latent,
+                    embedding,
                     difficulty,
                     complexity_signal: difficulty,
                     skills: self.spec.task.default_skill_mix(),
@@ -232,8 +232,8 @@ impl WorkloadGenerator {
                 Example {
                     id,
                     topic,
-                    latent,
-                    embedding,
+                    latent: hist_request.latent,
+                    embedding: hist_request.embedding,
                     skills: hist_request.skills,
                     task: hist_request.task,
                     origin_difficulty: difficulty,
