@@ -14,7 +14,7 @@ use ic_router::{RequestRouter, RouterConfig};
 use ic_selector::ExampleSelector;
 use ic_serving::{ClusterSim, PoolConfig};
 use ic_stats::rng::rng_from_seed;
-use ic_vecindex::{FlatIndex, IvfConfig, IvfIndex, VectorIndex};
+use ic_vecindex::{FlatIndex, IvfConfig, IvfIndex, VectorIndex, kmeans_fit_rows};
 use ic_workloads::{Dataset, WorkloadGenerator};
 use std::collections::HashMap;
 
@@ -210,6 +210,15 @@ fn bench_stage1_repeat(c: &mut Criterion) {
 /// bounds prune least — printed, not gated, so a slowdown there shows.
 /// Every variant builds bit-identical indexes (`parallel_determinism`,
 /// the bulk-equivalence tests), so this group measures wall time only.
+///
+/// The kernel lines time one nearest-centroid pass over the rows the
+/// bulk load fits on (16 384 rows, k = 128, 16 lane groups): `exact`
+/// with the lane scan over every group, what each point of a fit's first
+/// pass paid before the certified scan, and `certified` with the `f32`
+/// estimate and its exact resolves, what the bulk tail and a pass's
+/// widely open points pay now. Same assignment either way (asserted
+/// here once); CI gates the ratio. The `shape` line counts the resolves,
+/// the same on every host.
 fn bench_index_build(c: &mut Criterion) {
     let mut rng = rng_from_seed(12);
     let space = TopicSpace::generate(13, TopicSpaceConfig::default());
@@ -248,6 +257,36 @@ fn bench_index_build(c: &mut Criterion) {
     g.bench_function("gaussian_bulk_20k_t1", |b| {
         b.iter(|| black_box(bulk(&gaussian, 1)))
     });
+    // Fitted by the first kernel line a run measures.
+    let fitted = std::cell::OnceCell::new();
+    let fixture = || {
+        let rows: Vec<&[f32]> = rows[..16_384].iter().map(|(_, e)| e.as_slice()).collect();
+        let model = kmeans_fit_rows(&rows, 128, 15, 0x1CC0FFEE, 1)
+            .unwrap()
+            .model;
+        let (exact, _) = model.assign_rows_counted(&rows, false);
+        let (certified, resolves) = model.assign_rows_counted(&rows, true);
+        assert_eq!(
+            exact, certified,
+            "the certified scan must pick the exact centroid"
+        );
+        println!(
+            "index_build shape: {} rows x {} centroids x {} dims: {resolves} resolved exactly",
+            rows.len(),
+            model.k(),
+            rows[0].len(),
+        );
+        (rows, model)
+    };
+    for (line, certify) in [
+        ("nearest_exact_16k_x128", false),
+        ("nearest_certified_16k_x128", true),
+    ] {
+        g.bench_function(line, |b| {
+            let (rows, model) = fitted.get_or_init(fixture);
+            b.iter(|| black_box(model.assign_rows_counted(rows, certify)))
+        });
+    }
     g.finish();
 }
 

@@ -86,6 +86,7 @@ fn replay_json(
             "\"probe_memo_lookups\":{},\"probe_memo_hits\":{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
+            "\"certified_scans\":{},\"exact_resolves\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
             "\"bank_gen_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
@@ -108,6 +109,8 @@ fn replay_json(
         setup.index_build.passes,
         setup.index_build.group_scans,
         setup.index_build.group_scans_full,
+        setup.index_build.certified_scans,
+        setup.index_build.exact_resolves,
         setup.setup_threads,
         setup.setup_wall_s,
         setup.bank_gen_wall_s,
@@ -179,12 +182,15 @@ fn print_replay_summary(
     );
     let b = setup.index_build;
     println!(
-        "index build: {} k-means fit(s), {} assignment passes, {} of {} lane-group scans ({:.1}%)",
+        "index build: {} k-means fit(s), {} assignment passes, {} of {} lane-group scans ({:.1}%), \
+         {} certified point scans, {} exact resolves",
         b.fits,
         b.passes,
         b.group_scans,
         b.group_scans_full,
         b.group_scans as f64 / b.group_scans_full.max(1) as f64 * 100.0,
+        b.certified_scans,
+        b.exact_resolves,
     );
     let events = report.served + report.iter.steps;
     let r = &report.replay;

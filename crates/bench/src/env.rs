@@ -155,13 +155,14 @@ pub fn parse_watermarks(name: &str) -> Result<Option<Watermarks>, String> {
         .ok_or_else(|| format!("{name}={raw:?} is not a `high,low` pair with 0 < low < high <= 1"))
 }
 
-/// Parses `IC_SETUP_THREADS` — worker threads for the deterministic
-/// setup pipeline (example-bank embedding, k-means, IVF
-/// posting-list builds). Unset, `0` and `1` all mean sequential; a
-/// malformed value is an `Err`. The setup is bit-identical at any value
-/// (the parallel paths only fan out pure per-row work), so this knob
-/// trades wall clock, never bytes — `BENCH_e2e.json` is unchanged
-/// (CI-enforced).
+/// Parses `IC_SETUP_THREADS` — worker threads for the IVF index's
+/// k-means fit when the bank is seeded: the k-means++ distance updates,
+/// the assignment passes and the bulk-tail assignment fan out; bank
+/// generation and embedding stay sequential. Unset, `0` and `1` all mean
+/// sequential; a malformed value is an `Err`. The index is bit-identical
+/// at any value (the parallel paths only fan out pure per-row work), so
+/// this knob trades wall clock, never bytes — `BENCH_e2e.json` is
+/// unchanged (CI-enforced).
 pub fn setup_threads() -> Result<usize, String> {
     Ok(parse_env::<usize>("IC_SETUP_THREADS")?.unwrap_or(1).max(1))
 }

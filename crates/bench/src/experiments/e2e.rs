@@ -1261,11 +1261,35 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json(), "same seed must be byte-identical");
     }
 
+    /// A `pct` cell (`"64.8%"`) as a share.
+    fn share(cell: &str) -> f64 {
+        let pct: f64 = cell
+            .trim_end_matches('%')
+            .parse()
+            .expect("a percentage cell");
+        pct / 100.0
+    }
+
     #[test]
     fn fig13_ic_dominates_routellm_at_high_throughput() {
+        // Per dataset, the best judged win rate at >= 2x normalized
+        // throughput: IC-Cache's must beat RouteLLM's (quick scale:
+        // 64.8-72.8 % against 14.8-30.0 %).
         let r = fig13_tradeoff_curves(Scale::quick());
         assert_eq!(r.tables.len(), 4);
-        assert!(!r.findings.is_empty());
+        for t in &r.tables {
+            let best = |system: &str| {
+                t.rows
+                    .iter()
+                    .filter(|row| row[0] == system)
+                    .filter(|row| row[1].parse::<f64>().expect("a throughput cell") >= 2.0)
+                    .map(|row| share(&row[2]))
+                    .fold(f64::NEG_INFINITY, f64::max)
+            };
+            let (ic, rl) = (best("IC-Cache"), best("RouteLLM"));
+            assert!(ic.is_finite(), "{}: IC-Cache never reaches 2x", t.caption);
+            assert!(ic > rl, "{}: IC-Cache {ic} vs RouteLLM {rl}", t.caption);
+        }
     }
 
     #[test]
@@ -1285,8 +1309,29 @@ mod tests {
 
     #[test]
     fn headline_produces_throughput_band() {
+        // Every dataset's quality-neutral throughput gain is at least the
+        // paper's 1.4x (quick scale: 18.2-30.9x, far above its 5.9x
+        // ceiling, which is not asserted: docs/paper-claims.md), and
+        // the zero-load latency reduction lies in the paper's 28-71 %
+        // (quick scale: 41.0 %).
         let r = headline(Scale::quick());
-        assert!(r.findings.iter().any(|f| f.contains("throughput")));
-        assert!(r.findings.iter().any(|f| f.contains("latency")));
+        let gains = &r.tables[0];
+        assert_eq!(gains.rows.len(), 3);
+        for row in &gains.rows {
+            let gain: f64 = row[1]
+                .parse()
+                .unwrap_or_else(|_| panic!("{}: no gain", row[0]));
+            assert!(gain >= 1.4, "{}: throughput gain {gain}", row[0]);
+        }
+        let latency = r
+            .findings
+            .iter()
+            .find_map(|f| f.split_once("zero-load reduction = "))
+            .map(|(_, cell)| share(cell))
+            .expect("a zero-load latency finding");
+        assert!(
+            (0.28..=0.71).contains(&latency),
+            "latency reduction {latency}"
+        );
     }
 }

@@ -68,8 +68,10 @@ pub struct PairSetup {
 
 impl PairSetup {
     /// Builds a Gemma-pair setup on `dataset` with `n_examples` seeded
-    /// examples. Honors `IC_SETUP_THREADS` for the deterministic setup
-    /// pipeline (bit-identical at any value; see `env::setup_threads`).
+    /// examples. `IC_SETUP_THREADS` becomes the IVF index's
+    /// `setup_threads`: the threads its k-means fit and bulk-tail
+    /// assignment fan out over (bit-identical at any value; see
+    /// `env::setup_threads`). The bank is generated sequentially.
     pub fn gemma(dataset: Dataset, n_examples: usize, seed: u64) -> Self {
         let mut config = IcCacheConfig::gemma_pair();
         config.selector.ivf.setup_threads =

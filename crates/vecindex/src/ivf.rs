@@ -152,6 +152,10 @@ pub struct BuildStats {
     pub group_scans: u64,
     /// ... out of what full scans would have.
     pub group_scans_full: u64,
+    /// Point scans run as certified scans instead ...
+    pub certified_scans: u64,
+    /// ... and how many of them exact distances decided.
+    pub exact_resolves: u64,
 }
 
 /// The members of one cluster: row `i` of `rows` belongs to `ids[i]` and
@@ -307,6 +311,8 @@ impl IvfIndex {
         self.stats.passes += fit.passes;
         self.stats.group_scans += fit.group_scans;
         self.stats.group_scans_full += fit.group_scans_full;
+        self.stats.certified_scans += fit.certified_scans;
+        self.stats.exact_resolves += fit.exact_resolves;
         // The fit's final assignment is exactly `model.assign` per row,
         // so the posting lists come for free — and exactly sized.
         let mut sizes = vec![0usize; fit.model.k()];

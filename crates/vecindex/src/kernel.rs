@@ -26,9 +26,10 @@
 //! are two registers and half the instructions. So the one body is
 //! instantiated twice — as compiled for the build's baseline, and under
 //! `#[target_feature(enable = "avx2")]` — and picked per call by
-//! `is_x86_feature_detected!` (a cached flag; the call is the crate's one
-//! `unsafe`); hosts without AVX2, or off x86-64, run the loop they ran
-//! before there was a choice. With two registers the AVX2 loop is
+//! `is_x86_feature_detected!` (a cached flag; the call is one of the
+//! crate's two `unsafe`s, the `certified` scan's dispatch the other);
+//! hosts without AVX2, or off x86-64, run the loop they ran before there
+//! was a choice. With two registers the AVX2 loop is
 //! *latency-bound* on paper (each accumulator waits out its previous add
 //! with one other chain to fill the gap), and walking two groups a pass —
 //! sixteen chains — was built and measured (`docs/replay-perf.md`,

@@ -17,10 +17,11 @@
 //! k-means++ seeding is the same scan the other way round: the points
 //! are transposed once and each new centre is one pass over them.
 //!
-//! A fitted [`KMeansModel`] keeps the table of its final centroids — the
-//! one the fit's last assignment pass ran over, so it is built once — and
-//! every query on the model ([`KMeansModel::assign`], [`KMeansModel::assign_top_n`],
-//! [`KMeansModel::assign_batch_rows`], [`KMeansModel::inertia`]) reads it.
+//! A fitted [`KMeansModel`] keeps the tables of its final centroids — the
+//! ones the fit's last assignment pass ran over, so they are built once —
+//! and every query on the model ([`KMeansModel::assign`],
+//! [`KMeansModel::assign_top_n`], [`KMeansModel::assign_batch_rows`],
+//! [`KMeansModel::inertia`]) reads them.
 //!
 //! # Bounded passes: scanning only the centroids that could win
 //!
@@ -69,14 +70,45 @@
 //! The bounds table (at most 16 `f64` per point) lives only inside the
 //! fit: it is freed when the per-chunk state is flattened into the
 //! returned assignment, before the caller allocates anything from it.
-//! [`KMeansFit`] reports the passes run and the lane-group scans done
-//! out of those full scans would have done — deterministic counts.
+//!
+//! # Certified scans: the comparisons already decided, in `f32`
+//!
+//! Bounds cannot help where they are loose: the first pass scans every
+//! group of every point, and the first updates move the centroids far
+//! enough that passes 1–4 still scan 6–13 of 16 groups a point (a
+//! 16 384-row, 128-centroid fit of the 20 000-example bank). Yet over that
+//! whole fit only about one point scan in a thousand has a runner-up close
+//! enough that the exact `f64` chains are needed to separate the two. So a
+//! point whose aged bounds leave more than `CERTIFY_ABOVE` (three) lane
+//! groups open — every point of the first pass — runs the `certified`
+//! module's scan instead: an `f32` estimate of its squared distance to
+//! every centroid, each with a derived error bound, which either names the
+//! `(distance, index)` minimum outright (**certified**) or leaves a few
+//! candidates that `sq_dist_slices` scores exactly (**resolved**); an
+//! estimate that is not finite falls back to the exact bucket scan below.
+//! Either way the winner is the exact scan's, so the fit's bytes do not
+//! change. The scan's intervals then refresh every bound of the point: `u`
+//! from the winner's upper end (or its exact distance when resolved), each
+//! `l_b` from the smallest lower end among the bucket's other centroids —
+//! true bounds on the exact distances, which is all "Bounded passes" asks
+//! of them. A point with few groups open keeps the exact bucket scan, which
+//! is cheaper there. The bulk tail ([`KMeansModel::assign_batch_rows`]) and
+//! per-item inserts ([`KMeansModel::assign`]) take the certified scan
+//! whenever the model has more than three groups; a model with fewer (a
+//! bank of a few hundred) never builds the `f32` table.
+//!
+//! [`KMeansFit`] reports the passes run, the lane-group scans done out of
+//! those full scans would have done, the certified point scans and how
+//! many of them resolved exactly — deterministic counts, the same at
+//! every thread count and on every host (both builds of the estimate
+//! compute the same bits).
 //!
 //! # Parallelism (`threads`), and why it is bit-identical too
 //!
 //! The `*_threaded` entry points split *pure per-point* work — the
-//! bounded assignment pass with its per-point bounds, `d2` min-updates
-//! in the k-means++ init — over disjoint contiguous point chunks
+//! bounded assignment pass with its per-point bounds and certified
+//! scans, `d2` min-updates in the k-means++ init — over disjoint
+//! contiguous point chunks
 //! ([`ic_embed::par::chunk_ranges`]). Each point's result is a pure
 //! function of that point, its own bounds and the (frozen) centroid
 //! table and movements, so the parallel pass writes the very bytes the
@@ -87,12 +119,14 @@
 //! `kmeans_best_of_threaded` additionally runs whole fits — independent
 //! by construction — one seed per worker.
 
+use std::iter::zip;
 use std::ops::Range;
 
 use ic_embed::{Embedding, par::chunk_ranges, sq_dist_slices};
 use ic_stats::rng::rng_from_seed;
 use rand::{Rng, RngExt};
 
+use crate::certified::{CentroidTable, Decision, min_of};
 use crate::kernel::{LANES, LaneBlocks, widen};
 
 /// Relative slack on every bound comparison and on every recorded
@@ -104,15 +138,110 @@ const SKIP_MARGIN: f64 = 1e-9;
 /// beyond that adjacent groups share one — at most 128 bytes a point.
 const MAX_BUCKETS: usize = 16;
 
+/// A point scan open over more lane groups than this runs the certified
+/// scan instead (module docs, "Certified scans"); so does every point of
+/// a model with more groups than this, and never one of a model with
+/// fewer. Measured on the 2-CPU AVX2 host: the exact scan pays ≈0.07 µs
+/// a lane group over all 16 groups of a 128-centroid table (≈0.1 µs a
+/// group in a pass's bucket loop), the certified scan ≈0.1 µs plus
+/// ≈0.025 µs a group (0.50–0.55 µs at 128 centroids), so a four-group
+/// model is where it first pays: a 1 024 × 32 fit (the quick bank) took
+/// 2.9 ms at 3 against 3.5 ms at 4 (medians of nine), and a 16 384 × 128
+/// fit read 133–178 ms at 3, 139–148 ms at 4 and 147–164 ms at 8.
+const CERTIFY_ABOVE: usize = 3;
+
 /// A fitted K-means model.
 #[derive(Debug, Clone)]
 pub struct KMeansModel {
     centroids: Vec<Embedding>,
-    /// `centroids`, lane-transposed for the distance scans.
+    /// `centroids`, lane-transposed for the exact distance scans.
     lanes: LaneBlocks<f64>,
+    /// `centroids` for the certified scan, when there are more than
+    /// [`CERTIFY_ABOVE`] lane groups of them.
+    table: Option<CentroidTable>,
+}
+
+/// Scan work, for the perf record: deterministic counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Work {
+    /// Exact lane groups scanned.
+    group_scans: u64,
+    /// Point scans run by the certified scan ...
+    certified_scans: u64,
+    /// ... and how many of those exact distances had to decide.
+    exact_resolves: u64,
+}
+
+impl std::ops::AddAssign for Work {
+    fn add_assign(&mut self, other: Self) {
+        self.group_scans += other.group_scans;
+        self.certified_scans += other.certified_scans;
+        self.exact_resolves += other.exact_resolves;
+    }
 }
 
 impl KMeansModel {
+    /// A model over `centroids` (each `dim` wide), with its scan tables.
+    fn new(dim: usize, centroids: Vec<Embedding>) -> Self {
+        let mut model = Self {
+            centroids,
+            lanes: LaneBlocks::with_capacity(dim, 0),
+            table: None,
+        };
+        model.rebuild_tables();
+        model
+    }
+
+    /// Rebuilds both scan tables from `centroids`.
+    fn rebuild_tables(&mut self) {
+        let dim = self.lanes.dim();
+        let rows = || self.centroids.iter().map(Embedding::as_slice);
+        self.lanes = LaneBlocks::from_rows(dim, rows());
+        self.table = if self.lanes.groups() > CERTIFY_ABOVE {
+            CentroidTable::new(dim, rows())
+        } else {
+            None
+        };
+    }
+
+    /// `out[i]` = the nearest centroid to `rows[i]`, the `(distance,
+    /// index)` minimum: by the certified scan where `certify` and the
+    /// model has a table, by the exact lane scan otherwise and wherever
+    /// an estimate is not finite. Returns the certified scans that
+    /// needed exact distances.
+    fn assign_rows_into(&self, rows: &[&[f32]], certify: bool, out: &mut [usize]) -> u64 {
+        let table = self.table.as_ref().filter(|_| certify);
+        let mut lo = table.map(CentroidTable::lo_buffer).unwrap_or_default();
+        let mut v64 = vec![0.0f64; self.lanes.dim()];
+        let mut resolves = 0;
+        for (slot, &row) in zip(out, rows) {
+            if let Some(table) = table {
+                let exact = |j: usize| sq_dist_slices(self.centroids[j].as_slice(), row);
+                if let Some(d) = table.nearest(row, &mut lo, exact) {
+                    resolves += u64::from(d.resolved);
+                    *slot = d.best;
+                    continue;
+                }
+                resolves += 1;
+            }
+            for (d, &x) in zip(&mut v64, row) {
+                *d = f64::from(x);
+            }
+            *slot = self.lanes.nearest(&v64).0;
+        }
+        resolves
+    }
+
+    /// Bench and test hook, not API: [`Self::assign_batch_rows`] at one
+    /// thread with the certified scan on or off, and how many rows it
+    /// resolved with exact distances.
+    #[doc(hidden)]
+    pub fn assign_rows_counted(&self, rows: &[&[f32]], certify: bool) -> (Vec<usize>, u64) {
+        let mut out = vec![usize::MAX; rows.len()];
+        let resolves = self.assign_rows_into(rows, certify, &mut out);
+        (out, resolves)
+    }
+
     /// The cluster centroids.
     pub fn centroids(&self) -> &[Embedding] {
         &self.centroids
@@ -131,7 +260,9 @@ impl KMeansModel {
     /// produced by [`kmeans`]).
     pub fn assign(&self, v: &Embedding) -> usize {
         assert!(!self.centroids.is_empty(), "model has no centroids");
-        self.lanes.nearest(&widen(v.as_slice())).0
+        let mut out = [0];
+        self.assign_rows_into(&[v.as_slice()], true, &mut out);
+        out[0]
     }
 
     /// [`Self::assign`] for a whole batch of component rows, over
@@ -139,16 +270,6 @@ impl KMeansModel {
     /// `self.assign(&rows[i])` at any thread count: each row's result is
     /// a pure function of the row and the centroid table.
     pub fn assign_batch_rows(&self, rows: &[&[f32]], threads: usize) -> Vec<usize> {
-        fn run_chunk(lanes: &LaneBlocks<f64>, rows: &[&[f32]], out: &mut [usize]) {
-            let mut v64 = vec![0.0f64; lanes.dim()];
-            for (slot, row) in out.iter_mut().zip(rows) {
-                for (d, &x) in v64.iter_mut().zip(*row) {
-                    *d = f64::from(x);
-                }
-                *slot = lanes.nearest(&v64).0;
-            }
-        }
-
         assert!(
             rows.is_empty() || !self.centroids.is_empty(),
             "model has no centroids"
@@ -156,7 +277,7 @@ impl KMeansModel {
         let mut assignment = vec![usize::MAX; rows.len()];
         let ranges = chunk_ranges(rows.len(), threads);
         if ranges.len() <= 1 {
-            run_chunk(&self.lanes, rows, &mut assignment);
+            self.assign_rows_into(rows, true, &mut assignment);
             return assignment;
         }
         std::thread::scope(|s| {
@@ -164,8 +285,8 @@ impl KMeansModel {
             for range in ranges {
                 let (chunk, tail) = rest.split_at_mut(range.len());
                 rest = tail;
-                let (lanes, rows) = (&self.lanes, &rows[range]);
-                s.spawn(move || run_chunk(lanes, rows, chunk));
+                let rows = &rows[range];
+                s.spawn(move || self.assign_rows_into(rows, true, chunk));
             }
         });
         assignment
@@ -254,7 +375,8 @@ struct Chunk<'a> {
 
 /// The frozen inputs of one bounded assignment pass (see the module docs).
 struct Pass<'a> {
-    lanes: &'a LaneBlocks<f64>,
+    /// The centroids as they stand, with both scan tables.
+    model: &'a KMeansModel,
     /// Lane groups per bucket.
     span: usize,
     /// How far the last update step moved each centroid, rounded up by
@@ -269,10 +391,10 @@ struct Pass<'a> {
 
 impl Pass<'_> {
     /// Runs the pass over every chunk, one worker per chunk; returns
-    /// whether any assignment changed and how many lane groups were
-    /// scanned. Each point's outcome is a pure function of its own state
-    /// and the frozen inputs, so the chunking never shows.
-    fn run(&self, chunks: &mut [Chunk]) -> (bool, u64) {
+    /// whether any assignment changed and the scan work done. Each
+    /// point's outcome is a pure function of its own state and the
+    /// frozen inputs, so the chunking never shows.
+    fn run(&self, chunks: &mut [Chunk]) -> (bool, Work) {
         if let [chunk] = chunks {
             return self.run_chunk(chunk);
         }
@@ -281,74 +403,138 @@ impl Pass<'_> {
                 .iter_mut()
                 .map(|chunk| s.spawn(move || self.run_chunk(chunk)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("assignment worker panicked"))
-                .fold((false, 0), |acc, (c, n)| (acc.0 | c, acc.1 + n))
+            let mut total = (false, Work::default());
+            for h in handles {
+                let (changed, work) = h.join().expect("assignment worker panicked");
+                total.0 |= changed;
+                total.1 += work;
+            }
+            total
         })
     }
 
-    fn run_chunk(&self, chunk: &mut Chunk) -> (bool, u64) {
-        let (lanes, buckets) = (self.lanes, self.bucket_drift.len());
+    fn run_chunk(&self, chunk: &mut Chunk) -> (bool, Work) {
+        let (model, buckets) = (self.model, self.bucket_drift.len());
+        let groups = model.lanes.groups();
         let width = self.span * LANES;
-        let mut v64 = vec![0.0f64; lanes.dim()];
-        let (mut changed, mut scans) = (false, 0u64);
-        for (i, row) in chunk.rows.iter().enumerate() {
+        let mut lo = model
+            .table
+            .as_ref()
+            .map(CentroidTable::lo_buffer)
+            .unwrap_or_default();
+        let mut v64 = vec![0.0f64; model.lanes.dim()];
+        let (mut changed, mut work) = (false, Work::default());
+        for (i, &row) in chunk.rows.iter().enumerate() {
             let lower = &mut chunk.lower[i * buckets..(i + 1) * buckets];
+            let upper = &mut chunk.upper[i];
             let a = chunk.assignment[i];
             // Age the bounds by the centroids' movement; if every other
             // centroid is still provably farther, the point stays put.
             // (No movement on record means the first pass: scan it all.)
-            let mut home = 0;
+            let (mut home, mut open) = (0, groups);
             if let Some(&moved) = self.drift.get(a) {
-                chunk.upper[i] += moved;
+                *upper += moved;
                 for (l, &m) in lower.iter_mut().zip(self.bucket_drift) {
                     *l -= m;
                 }
-                let reach = chunk.upper[i] * self.slack;
+                let reach = *upper * self.slack;
                 if lower.iter().all(|&l| l > reach) {
                     continue;
                 }
                 home = a / width;
+                open = (0..buckets)
+                    .filter(|&b| b == home || lower[b] <= reach)
+                    .map(|b| ((b + 1) * self.span).min(groups) - b * self.span)
+                    .sum();
             }
-            for (d, &x) in v64.iter_mut().zip(*row) {
-                *d = f64::from(x);
-            }
-            // The home bucket first — its exact distances tighten the
-            // upper bound — then every bucket that bound cannot exclude.
-            // `best` is the `(distance, index)` minimum so far, `reach`
-            // its distance with the margin on (infinite until the home
-            // bucket is in), and `runner_up` the second-smallest
-            // distance in its bucket.
-            let (mut best, mut runner_up, mut reach) =
-                ((f64::INFINITY, 0), f64::INFINITY, f64::INFINITY);
-            for b in std::iter::once(home).chain((0..buckets).filter(|&b| b != home)) {
-                if lower[b] > reach {
-                    continue;
+            // Many groups open: the certified scan, unless its estimate
+            // is not finite; few, or that: the exact bucket scan.
+            let certified = match &model.table {
+                Some(table) if open > CERTIFY_ABOVE => {
+                    work.certified_scans += 1;
+                    let exact = |j: usize| sq_dist_slices(model.centroids[j].as_slice(), row);
+                    let decision = table.nearest(row, &mut lo, exact);
+                    work.exact_resolves += u64::from(decision.is_none_or(|d| d.resolved));
+                    decision
                 }
-                let groups = b * self.span..((b + 1) * self.span).min(lanes.groups());
-                scans += groups.len() as u64;
-                let (mut m1, mut m2, mut arg) = (f64::INFINITY, f64::INFINITY, 0);
-                lanes.sq_dists_in(groups, &v64, |j, d| {
-                    if d < m1 {
-                        (m1, m2, arg) = (d, m1, j);
-                    } else if d < m2 {
-                        m2 = d;
+                _ => None,
+            };
+            let best = match certified {
+                Some(d) => Self::refresh(&d, &mut lo, width, lower, upper),
+                None => {
+                    for (d, &x) in zip(&mut v64, row) {
+                        *d = f64::from(x);
                     }
-                });
-                lower[b] = m1.sqrt();
-                if m1 < best.0 || (m1 == best.0 && arg < best.1) {
-                    (best, runner_up, reach) = ((m1, arg), m2, lower[b] * self.slack);
+                    self.scan_buckets(&v64, home, lower, upper, &mut work)
                 }
-            }
-            lower[best.1 / width] = runner_up.sqrt();
-            chunk.upper[i] = best.0.sqrt();
-            if best.1 != a {
-                chunk.assignment[i] = best.1;
+            };
+            if best != a {
+                chunk.assignment[i] = best;
                 changed = true;
             }
         }
-        (changed, scans)
+        (changed, work)
+    }
+
+    /// Every bound of a point from a certified scan's intervals: the
+    /// upper from the decision, each bucket's lower from the smallest
+    /// `‖x‖² + lo_j` over its centroids other than the winner (padding
+    /// centroids have `lo_j = ∞`). Returns the winner.
+    fn refresh(
+        d: &Decision,
+        lo: &mut [f64],
+        width: usize,
+        lower: &mut [f64],
+        upper: &mut f64,
+    ) -> usize {
+        lo[d.best] = f64::INFINITY;
+        for (l, bucket) in zip(lower, lo.chunks(width)) {
+            *l = (d.nx2 + min_of(bucket)).max(0.0).sqrt();
+        }
+        *upper = d.upper.sqrt();
+        d.best
+    }
+
+    /// The exact bucket scan (module docs, "Bounded passes"): the home
+    /// bucket first — its exact distances tighten the upper bound — then
+    /// every bucket that bound cannot exclude, refreshing the bounds of
+    /// what it scanned. Returns the `(distance, index)` minimum.
+    fn scan_buckets(
+        &self,
+        v64: &[f64],
+        home: usize,
+        lower: &mut [f64],
+        upper: &mut f64,
+        work: &mut Work,
+    ) -> usize {
+        let lanes = &self.model.lanes;
+        // `best` is the `(distance, index)` minimum so far, `reach` its
+        // distance with the margin on (infinite until the home bucket is
+        // in), and `runner_up` the second-smallest distance in its bucket.
+        let (mut best, mut runner_up, mut reach) =
+            ((f64::INFINITY, 0), f64::INFINITY, f64::INFINITY);
+        for b in std::iter::once(home).chain((0..lower.len()).filter(|&b| b != home)) {
+            if lower[b] > reach {
+                continue;
+            }
+            let groups = b * self.span..((b + 1) * self.span).min(lanes.groups());
+            work.group_scans += groups.len() as u64;
+            let (mut m1, mut m2, mut arg) = (f64::INFINITY, f64::INFINITY, 0);
+            lanes.sq_dists_in(groups, v64, |j, d| {
+                if d < m1 {
+                    (m1, m2, arg) = (d, m1, j);
+                } else if d < m2 {
+                    m2 = d;
+                }
+            });
+            lower[b] = m1.sqrt();
+            if m1 < best.0 || (m1 == best.0 && arg < best.1) {
+                (best, runner_up, reach) = ((m1, arg), m2, lower[b] * self.slack);
+            }
+        }
+        lower[best.1 / (self.span * LANES)] = runner_up.sqrt();
+        *upper = best.0.sqrt();
+        best.1
     }
 }
 
@@ -373,6 +559,12 @@ pub struct KMeansFit {
     /// ... out of the `passes * points * groups` that full scans would
     /// have — a deterministic count, the same at every thread count.
     pub group_scans_full: u64,
+    /// Point scans those passes ran as certified scans instead (each
+    /// scans no lane group) ...
+    pub certified_scans: u64,
+    /// ... and how many of them exact distances decided: a near tie, or
+    /// an estimate that was not finite. Deterministic too.
+    pub exact_resolves: u64,
 }
 
 /// Fits K-means to `data` with k-means++ initialization.
@@ -427,10 +619,10 @@ fn fit_rows(
     let dim = rows[0].len();
     let k = k.min(rows.len());
     let mut rng = rng_from_seed(seed);
-    let mut centroids = init_plus_plus(rows, k, &mut rng, threads);
-    let mut lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
-    let span = lanes.groups().div_ceil(MAX_BUCKETS);
-    let buckets = lanes.groups().div_ceil(span);
+    let mut model = KMeansModel::new(dim, init_plus_plus(rows, k, &mut rng, threads));
+    let groups = model.lanes.groups();
+    let span = groups.div_ceil(MAX_BUCKETS);
+    let buckets = groups.div_ceil(span);
     let mut chunks: Vec<Chunk> = chunk_ranges(rows.len(), threads)
         .into_iter()
         .map(|range| Chunk {
@@ -448,19 +640,19 @@ fn fit_rows(
     let mut counts = vec![0usize; k];
     let mut previous = vec![0.0f32; dim];
     let slack = 1.0 + margin;
-    let mut group_scans = 0u64;
+    let mut work = Work::default();
     let mut updates = 0;
     loop {
         // Assignment step (parallel, pure per point).
         let pass = Pass {
-            lanes: &lanes,
+            model: &model,
             span,
             drift: &drift,
             bucket_drift: &bucket_drift,
             slack,
         };
-        let (changed, scans) = pass.run(&mut chunks);
-        group_scans += scans;
+        let (changed, pass_work) = pass.run(&mut chunks);
+        work += pass_work;
         // Converged, or out of update steps: either way the assignment
         // now describes the final centroids.
         if !changed || updates == max_iters {
@@ -481,7 +673,7 @@ fn fit_rows(
             }
         }
         drift.clear();
-        for (ci, c) in centroids.iter_mut().enumerate() {
+        for (ci, c) in model.centroids.iter_mut().enumerate() {
             // Empty clusters keep their previous centroid; k-means++ makes
             // this rare and harmless.
             if counts[ci] == 0 {
@@ -502,7 +694,7 @@ fn fit_rows(
         for (slot, moved) in bucket_drift.iter_mut().zip(drift.chunks(span * LANES)) {
             *slot = moved.iter().fold(0.0, |m: f64, &d| m.max(d));
         }
-        lanes = LaneBlocks::from_rows(dim, centroids.iter().map(Embedding::as_slice));
+        model.rebuild_tables();
     }
     let passes = updates as u64 + 1;
     // Flattening the chunks frees the bounds before the caller builds
@@ -513,16 +705,17 @@ fn fit_rows(
     let inertia = rows
         .iter()
         .zip(&assignment)
-        .map(|(row, &a)| sq_dist_slices(centroids[a].as_slice(), row))
+        .map(|(row, &a)| sq_dist_slices(model.centroids[a].as_slice(), row))
         .sum();
-    let group_scans_full = passes * rows.len() as u64 * lanes.groups() as u64;
     Some(KMeansFit {
-        model: KMeansModel { centroids, lanes },
+        model,
         assignment,
         inertia,
         passes,
-        group_scans,
-        group_scans_full,
+        group_scans: work.group_scans,
+        group_scans_full: passes * rows.len() as u64 * groups as u64,
+        certified_scans: work.certified_scans,
+        exact_resolves: work.exact_resolves,
     })
 }
 
@@ -722,10 +915,7 @@ mod tests {
             let centroids: Vec<Embedding> = (picks.iter())
                 .map(|&p| Embedding::from_vec(points[p].to_vec()))
                 .collect();
-            let model = KMeansModel {
-                lanes: LaneBlocks::from_rows(2, centroids.iter().map(Embedding::as_slice)),
-                centroids,
-            };
+            let model = KMeansModel::new(2, centroids);
             let q = Embedding::from_vec(points[query].to_vec());
             let mut order: Vec<usize> = (0..model.k()).collect();
             order.sort_by(|&a, &b| {

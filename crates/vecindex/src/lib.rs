@@ -30,6 +30,13 @@
 //! posting list owns its members' rows in that layout; there is no
 //! second copy.
 //!
+//! The k-means fit has a second scan for the comparisons whose outcome
+//! is not close (the crate-private `certified` module): an `f32` estimate
+//! of every centroid distance with a derived error bound, which names
+//! the exact scan's nearest centroid or hands the few it cannot separate
+//! to exact distances — the same winner either way, for about half the
+//! arithmetic.
+//!
 //! What follows a scan keeps a few of many — the 32 best of the ≈900
 //! rows a probe scores, the 4 nearest of 128 centroids — and neither
 //! sorts what it drops. The hit list maps each similarity to an integer
@@ -59,6 +66,7 @@
 //! assert_eq!(hits[0].id, 1);
 //! ```
 
+pub(crate) mod certified;
 pub mod flat;
 pub mod ivf;
 pub(crate) mod kernel;

@@ -14,6 +14,18 @@
 //! vectors, and clusters that go empty. That the skip margin is what
 //! keeps them right is shown next to the margin itself
 //! (`kmeans.rs::tests::a_bound_one_ulp_short_loses_the_tie`).
+//!
+//! A model of more than three lane groups (k > 24) decides most points
+//! with the certified `f32` scan (`certified.rs`), and its adversaries
+//! are here too: near-duplicate centroids, which only exact distances
+//! can tell apart; magnitudes from 1e-20, where every `f32` product is
+//! subnormal and only the bound's absolute term holds, to 1e15, and past
+//! `f32`'s range at 1e20, where no estimate is finite and every point
+//! falls back to the exact scan; zero rows; and `dim` and `k` off every
+//! multiple of 8 and 64. Mutation that fails them (it was run): the
+//! error bound scaled down — `REL` times 2⁻²⁰ in `CentroidTable::new` —
+//! certifies the wrong twin of a near-duplicate pair, and
+//! `near_duplicate_centroids_resolve_exactly` sees the wrong assignment.
 
 use ic_embed::{Embedding, TopicSpace, TopicSpaceConfig, sq_dist_slices};
 use ic_stats::rng::rng_from_seed;
@@ -105,6 +117,7 @@ fn oracle(rows: &[&[f32]], k: usize, max_iters: usize, seed: u64) -> Fit {
 fn fitted(rows: &[&[f32]], k: usize, max_iters: usize, seed: u64, threads: usize) -> Fit {
     let fit = kmeans_fit_rows(rows, k, max_iters, seed, threads).expect("non-empty data");
     assert!(fit.group_scans <= fit.group_scans_full);
+    assert!(fit.exact_resolves <= fit.certified_scans);
     Fit {
         centroids: fit
             .model
@@ -255,4 +268,118 @@ fn pruning_actually_prunes_on_clustered_data() {
         fit.group_scans,
         fit.group_scans_full
     );
+}
+
+/// The fit's certified point scans and exact resolves at one thread.
+fn certified_counts(data: &[Embedding], k: usize, seed: u64) -> (u64, u64) {
+    let rows: Vec<&[f32]> = data.iter().map(Embedding::as_slice).collect();
+    let fit = kmeans_fit_rows(&rows, k, 15, seed, 1).unwrap();
+    (fit.certified_scans, fit.exact_resolves)
+}
+
+/// `data` with every component multiplied by `scale`.
+fn scaled(data: &[Embedding], scale: f32) -> Vec<Embedding> {
+    data.iter()
+        .map(|e| Embedding::from_vec(e.as_slice().iter().map(|&x| x * scale).collect()))
+        .collect()
+}
+
+#[test]
+fn near_duplicate_centroids_resolve_exactly() {
+    // Forty points, each beside a twin one `f32` ulp away in a few
+    // components, and k = n: k-means++ picks every point, so every
+    // centroid has a near-duplicate whose distance differs from its own
+    // by far less than the estimate's rounding. Only exact distances can
+    // decide, and they must pick the point itself. Then the same pairs
+    // among noisy neighbours at a k that leaves clusters to fit.
+    for dim in [9usize, 64] {
+        let base = bank(40, dim, false, 21);
+        let mut pairs = Vec::new();
+        for e in &base {
+            let mut twin = e.as_slice().to_vec();
+            for x in twin.iter_mut().step_by(5) {
+                *x = f32::from_bits(x.to_bits() + 1);
+            }
+            pairs.push(e.clone());
+            pairs.push(Embedding::from_vec(twin));
+        }
+        assert_matches_oracle(&pairs, pairs.len(), 15, 3, 5);
+        let (scans, resolves) = certified_counts(&pairs, pairs.len(), 3);
+        assert!(
+            resolves * 2 > scans,
+            "dim={dim}: {resolves} of {scans} resolved"
+        );
+        let mut noisy = pairs.clone();
+        noisy.extend(
+            scaled(&bank(120, dim, false, 22), 0.05)
+                .iter()
+                .enumerate()
+                .map(|(i, n)| {
+                    let p = pairs[i % pairs.len()].as_slice();
+                    Embedding::from_vec(p.iter().zip(n.as_slice()).map(|(&a, &b)| a + b).collect())
+                }),
+        );
+        for k in [33usize, 80] {
+            assert_matches_oracle(&noisy, k, 15, 4, 8);
+        }
+    }
+}
+
+#[test]
+fn magnitudes_from_subnormal_products_to_past_f32() {
+    // At 1e-20 every `f32` product underflows (the bound's absolute
+    // term); at 1e15 the squares near 1e31; at 1e20 they overflow, no
+    // estimate is finite, and every certified scan falls back.
+    for dim in [7usize, 64] {
+        let data = bank(600, dim, true, 23);
+        for scale in [1e-20f32, 1e-10, 1.0, 1e5, 1e15, 1e20] {
+            let data = scaled(&data, scale);
+            for k in [33usize, 45] {
+                assert_matches_oracle(&data, k, 15, 6, 3);
+            }
+            let (scans, resolves) = certified_counts(&data, 45, 6);
+            assert!(
+                scans > 0,
+                "dim={dim} scale={scale}: the certified scan never ran"
+            );
+            if scale == 1e20 {
+                assert_eq!(
+                    resolves, scans,
+                    "dim={dim}: a non-finite estimate certified"
+                );
+            } else {
+                assert!(
+                    resolves * 10 < scans,
+                    "dim={dim} scale={scale}: {resolves} of {scans}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_rows_among_the_points_and_as_all_of_them() {
+    for dim in [1usize, 9, 70] {
+        let mut data = bank(300, dim, true, 24);
+        for i in (0..data.len()).step_by(3) {
+            data[i] = Embedding::from_vec(vec![0.0; dim]);
+        }
+        for k in [25usize, 33, 71] {
+            assert_matches_oracle(&data, k, 15, 7, 4);
+        }
+        let zeros = vec![Embedding::from_vec(vec![0.0; dim]); 90];
+        assert_matches_oracle(&zeros, 40, 15, 7, 2);
+    }
+}
+
+#[test]
+fn dims_and_ks_off_every_multiple_of_8_and_64() {
+    for dim in [7usize, 9, 63, 65, 70] {
+        let data = bank(900, dim, true, 25);
+        for k in [25usize, 31, 45, 71, 129] {
+            for threads in [1usize, 3, 8] {
+                assert_matches_oracle(&data, k, 15, 8, threads);
+            }
+        }
+    }
 }
