@@ -484,10 +484,11 @@ fn bench_serving_step(c: &mut Criterion) {
 
 /// One pool, two 512-token decodes side by side, KV on, run dry: the
 /// plain `advance_step` / `step_secs` loop (one call per token) against
-/// `advance_chain` (one record per state change, the quiet boundaries
-/// between applied in closed form). Same jobs, same process: CI gates
-/// on the *ratio* `stepwise_2x512 / chain_2x512`, which falls to ~1 if
-/// the chain goes back to one `advance_step` per token.
+/// the engine's calls (`advance_step` per state change, the quiet
+/// boundaries behind it applied in closed form by `advance_quiet`).
+/// Same jobs, same process: CI gates on the *ratio* `stepwise_2x512 /
+/// chain_2x512`, which falls to ~1 if quiet runs go back to one
+/// `advance_step` per token.
 fn bench_step_chain(c: &mut Criterion) {
     use ic_desim::{SimDuration, SimTime};
     let busy_pool = || {
@@ -524,13 +525,18 @@ fn bench_step_chain(c: &mut Criterion) {
             black_box((finished, at))
         })
     });
-    let mut chain = Vec::new();
     g.bench_function("chain_2x512", |b| {
         b.iter(|| {
-            let (mut pool, first) = busy_pool();
-            pool.advance_chain(first, None, &mut chain);
-            let finished: usize = chain.iter().map(|s| s.report.finished.len()).sum();
-            black_box((finished, chain.last().map(|s| s.at)))
+            let (mut pool, mut at) = busy_pool();
+            let mut finished = 0;
+            loop {
+                finished += pool.advance_step(at).finished.len();
+                let Some(dt) = pool.step_secs() else { break };
+                let every = SimDuration::from_secs_f64(dt);
+                let quiet = pool.advance_quiet(at, every, None);
+                at += every * (u64::from(quiet) + 1);
+            }
+            black_box((finished, at))
         })
     });
     g.finish();

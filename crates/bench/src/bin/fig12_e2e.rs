@@ -9,7 +9,7 @@
 //!
 //! Every run also writes `BENCH_replay.json`: the replay-performance
 //! record (wall-clock seconds, simulator events per second, the
-//! step-region counters, and the tracing-enabled vs
+//! replay counters, and the tracing-enabled vs
 //! disabled replay walls side by side — the observability overhead is
 //! measured every run, not asserted). Its `wall_s`/`traced_wall_s`/
 //! `events_per_sec` fields are measured wall time and are **not** part
@@ -79,8 +79,7 @@ fn replay_json(
     format!(
         concat!(
             "{{\"fraction\":{:.6},\"served\":{},\"steps\":{},",
-            "\"events\":{},\"regions\":{},",
-            "\"region_steps\":{},\"step_runs\":{},\"quiet_steps\":{},",
+            "\"events\":{},\"step_runs\":{},\"quiet_steps\":{},",
             "\"arm_evaluations\":{},\"posterior_refits\":{},",
             "\"share_admissions\":{},\"prefix_chunks\":{},",
             "\"probe_memo_lookups\":{},\"probe_memo_hits\":{},",
@@ -95,8 +94,6 @@ fn replay_json(
         report.served,
         report.iter.steps,
         events,
-        r.regions,
-        r.region_steps,
         r.step_runs,
         r.quiet_steps,
         r.arm_evaluations,
@@ -194,21 +191,20 @@ fn print_replay_summary(
     );
     let events = report.served + report.iter.steps;
     let r = &report.replay;
+    let steps = report.iter.steps;
     println!(
-        "replay: {} events in {:.2}s wall ({:.0} events/s), \
-         {} step regions covering {} steps",
+        "replay: {} events in {:.2}s wall ({:.0} events/s), {} steps",
         events,
         wall_s,
         events as f64 / wall_s.max(1e-9),
-        r.regions,
-        r.region_steps,
+        steps,
     );
     println!(
         "step chains: {} quiet runs coalesced {} of {} steps ({:.1}%)",
         r.step_runs,
         r.quiet_steps,
-        r.region_steps,
-        r.quiet_steps as f64 / r.region_steps.max(1) as f64 * 100.0,
+        steps,
+        r.quiet_steps as f64 / steps.max(1) as f64 * 100.0,
     );
     println!(
         "router posteriors: {} refits for {} arm evaluations ({:.1}%)",

@@ -62,8 +62,8 @@ pub struct EngineConfig {
     /// apart from the `batch_limit` the report's `selector` block
     /// echoes. Selection itself is strictly per arrival.
     pub selector_batch: usize,
-    /// Inert: nothing reads it. Step regions run on the event-loop
-    /// thread; the field stays only because the frozen
+    /// Inert: nothing reads it. Step boundaries are handled on the
+    /// event-loop thread; the field stays only because the frozen
     /// `benchmark/src/workload.rs` names it in a struct literal, and
     /// goes when a benchmark-owning PR drops that line.
     #[doc(hidden)]
@@ -321,7 +321,7 @@ mod tests {
     use ic_llmsim::Generator;
     use ic_workloads::{Dataset, WorkloadGenerator, fixed_qps_arrivals};
 
-    fn seeded_engine(
+    pub(super) fn seeded_engine(
         n_examples: usize,
         config: EngineConfig,
         seed: u64,
@@ -344,12 +344,15 @@ mod tests {
         // The arrivals hold seqs 0 and 1; a pool armed at time zero for
         // their instant drew a later one, as did the rebalance at 60 s.
         let at = ic_desim::SimTime::from_micros(100);
-        state.armed[0] = Some((at, state.sim.reserve_seq()));
+        let key = (at, state.sim.reserve_seq());
+        state.armed[0] = Some(step::Armed {
+            key,
+            ..Default::default()
+        });
         assert_eq!(state.next_interaction(), Some((at, 0)));
-        // The barrier is the arrival, not the heap head behind it (which
-        // would run the step past both arrivals): no region yet.
-        assert!(!state.run_step_region(), "the arrival goes first");
-        assert_eq!(state.armed[0].map(|(at, _)| at), Some(at));
+        // The step is compared with the arrival, not with the heap head
+        // behind it (which would run the step past both arrivals).
+        assert_eq!(state.due_step(), None, "the arrival goes first");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use ic_stats::{PercentileSnapshot, Percentiles, split_mix64};
 use std::collections::VecDeque;
 
 use super::arrival::ArrivalCursor;
-use super::step::{EventKey, RegionScratch};
+use super::step::{Armed, EventKey};
 use super::{ENGINE_NAME, EngineConfig, EventDrivenEngine};
 use crate::engine::cache_stats;
 use crate::report::{
@@ -112,17 +112,15 @@ pub(super) struct EngineState<'a> {
     pub(super) requests: &'a [Request],
 
     pub(super) sim: Simulator<Event>,
-    /// Per pool, the `(time, seq)` key of its next step boundary: the
-    /// one copy of every pending step event. Invariant: a pool with a
-    /// running batch has exactly one — armed by [`Self::arm_step`] on an
-    /// `Offer::Started` admission, taken by the step region that runs
-    /// it, re-armed by the region's merge while the pool stays busy,
-    /// and cleared when a failover flushes the pool (so a pool that
-    /// refills within one step time starts a fresh lineage instead of
-    /// being stepped twice per iteration).
-    pub(super) armed: Vec<Option<EventKey>>,
-    /// Step-region buffers, reused from region to region.
-    pub(super) region: RegionScratch,
+    /// Per pool, its next step boundary: the one copy of every pending
+    /// step event. Invariant: a pool with a running batch has exactly
+    /// one — armed by [`Self::arm_step`] on an `Offer::Started`
+    /// admission, taken by `on_step` when it is the smallest pending
+    /// key, re-armed there while the pool stays busy, and cleared when
+    /// a failover flushes the pool (so a pool that refills within one
+    /// step time starts a fresh lineage instead of being stepped twice
+    /// per iteration).
+    pub(super) armed: Vec<Option<Armed>>,
     /// The arrival sequence in firing order.
     pub(super) cursor: ArrivalCursor,
     /// Stage-0 response cache (`EngineConfig::resp_cache`): probed per
@@ -146,6 +144,10 @@ pub(super) struct EngineState<'a> {
     /// `IcCacheSystem::serve` — the report's `selector` block.
     pub(super) stage1_arrivals: u64,
     pub(super) replay: ReplayStats,
+    /// Test-only: send every step boundary through `advance_step`, no
+    /// quiet run coalesced.
+    #[cfg(test)]
+    pub(super) stepwise: bool,
     /// [`ic_cache::FrontEnd::posterior_counts`] when the run began; the
     /// report carries the growth since.
     posterior_base: (u64, u64),
@@ -209,7 +211,6 @@ impl<'a> EngineState<'a> {
             pools,
             requests,
             sim: Simulator::new(),
-            region: RegionScratch::default(),
             cursor: ArrivalCursor::new(config, arrivals),
             resp_cache: config.resp_cache.then(|| {
                 ResponseCache::new(RespCacheConfig {
@@ -230,6 +231,8 @@ impl<'a> EngineState<'a> {
             retry_rejects: 0,
             stage1_arrivals: 0,
             replay: ReplayStats::default(),
+            #[cfg(test)]
+            stepwise: false,
             posterior_base,
             probe_memo_base,
             recorder: config.trace.then(|| Recorder::new(config.obs_ring)),
@@ -270,12 +273,11 @@ impl<'a> EngineState<'a> {
     }
 
     /// The event loop: whichever of {earliest armed step boundary, next
-    /// arrival, heap head} has the smallest `(time, seq)` key goes next
-    /// — the step boundaries as one region running up to the next
-    /// router interaction.
+    /// arrival, heap head} has the smallest `(time, seq)` key goes next.
     pub(super) fn run(&mut self) {
         loop {
-            if self.run_step_region() {
+            if let Some(pool) = self.due_step() {
+                self.on_step(pool);
                 continue;
             }
             let arrival = self.cursor.peek_key();
@@ -347,11 +349,15 @@ impl<'a> EngineState<'a> {
     /// Arms `pool`'s next step boundary iff it has a running batch,
     /// under the seq a queued event would have drawn here (see
     /// [`Self::armed`]).
-    fn arm_step(&mut self, pool: usize) {
+    pub(super) fn arm_step(&mut self, pool: usize) {
         if let Some(dt) = self.pools[pool].step_secs() {
             debug_assert!(self.armed[pool].is_none(), "one step lineage per pool");
             let at = self.sim.now() + SimDuration::from_secs_f64(dt);
-            self.armed[pool] = Some((at, self.sim.reserve_seq()));
+            let key = (at, self.sim.reserve_seq());
+            self.armed[pool] = Some(Armed {
+                key,
+                ..Armed::default()
+            });
         }
     }
 

@@ -14,30 +14,28 @@
 //! ```text
 //!  EngineState::run — next is whichever has the smallest (time, seq) key:
 //!
-//!  the arrival cursor's head                   the earliest armed slot
-//!  (the workload sorted by (time, i), its      (per pool: the key of its
-//!   one copy; arrival i holds seq i, below      next step boundary)
-//!   every seq the run hands out)
-//!   ├ owner replica's load window              step region
-//!   ├ stage 0: pre-observe the tick's run,      ├ heads: the armed slots
-//!   │  lookup ── hit ──▶ Stage0Complete(i)      │  that sort before the next
-//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  router interaction (cursor
-//!   │  + routing + generation + feedback        │  head or heap head);
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  barrier: its time
-//!                  arm the pool's slot          ├ one advance_chain per
-//!                                               │  head, up to the barrier:
-//!  the event heap's head                        │  one record per state
-//!  (ic_desim::Simulator: every other router     │  change + a count of the
-//!   interaction, one handler per event)         │  quiet boundaries behind it
-//!  PoolDown(p) ─ flush, clear the pool's slot,  ├ merge in (time, seq):
-//!                serve_retry ▶ dispatch         │  finishers ▶ complete
-//!  PoolUp(p)                                    │  (TTFT/E2E, Little's law
-//!  Maintenance / Rebalance / GossipRound /      │  ▶ owning replica); quiet
-//!  ObsSample (periodic, re-armed while work     │  boundaries before the
-//!  remains)                                     │  next pending key are
-//!  Stage0Complete(i) ▶ complete                 │  counted, their seqs burned
-//!                                               └ re-arm the slot of every
-//!                                                  pool still busy
+//!  the arrival cursor's head                    the earliest armed slot
+//!  (the workload sorted by (time, i), its       (per pool: the key of its
+//!   one copy; arrival i holds seq i, below       next step boundary, plus the
+//!   every seq the run hands out)                 stride and count of the quiet
+//!   ├ owner replica's load window                run it is in)
+//!   ├ stage 0: pre-observe the tick's run,      on_step(pool)
+//!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
+//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  run, the pool applied it
+//!   │  + routing + generation + feedback        ├ else advance_step: finishers
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  ▶ complete (TTFT/E2E, Little's
+//!                  arm the pool's slot          │  law ▶ owning replica); then
+//!                                               │  advance_quiet applies the quiet
+//!  the event heap's head                        │  run behind it in closed form,
+//!  (ic_desim::Simulator: every other router     │  up to the next router
+//!   interaction, one handler per event)         │  interaction
+//!  PoolDown(p) ─ flush, clear the pool's slot,  ├ the quiet boundaries before the
+//!                serve_retry ▶ dispatch         │  next pending key are counted,
+//!  PoolUp(p)                                    │  their seqs burned
+//!  Maintenance / Rebalance / GossipRound /      └ re-arm the slot while the pool
+//!  ObsSample (periodic, re-armed while work        stays busy
+//!  remains)
+//!  Stage0Complete(i) ▶ complete
 //! ```
 //!
 //! Arrivals never enter the heap either: the cursor
@@ -50,12 +48,12 @@
 //! of each pending step and nothing to mirror or invalidate.
 //! `dispatch` is the one tail fresh arrivals and failover retries
 //! share; `complete` is the one finisher bookkeeping pool steps and
-//! stage-0 hits share (see `driven/state.rs`). A pool's chain is
+//! stage-0 hits share (see `driven/state.rs`). A pool's steps are
 //! run-length encoded — between admission, finish, block-boundary and
 //! pressure events a decode-only batch advances in closed form
-//! (`ic_serving::pool`, "Run-length step chains") — and the merge keeps
-//! every quiet boundary's place in the `(time, seq)` order without
-//! visiting it (`driven/step.rs`).
+//! (`ic_serving::pool`, "Run-length quiet runs") — and the armed slot
+//! keeps every quiet boundary's place in the `(time, seq)` order
+//! without visiting it (`driven/step.rs`).
 //!
 //! Each **arrival** event runs Algorithm 1 (`IcCacheSystem::serve`):
 //! example selection against the sharded cache, load-aware routing at

@@ -126,9 +126,8 @@ pub struct CacheStats {
 pub struct SelectorStats {
     /// The configured `EngineConfig::selector_batch`, echoed.
     pub batch_limit: u64,
-    /// Stage-1 calls: arrivals that missed stage 0 — a probe each,
-    /// less the ones the selector's probe memo answered
-    /// ([`ReplayStats::probe_memo_hits`]).
+    /// Stage-1 calls: every arrival that missed stage 0, a probe memo
+    /// hit ([`ReplayStats::probe_memo_hits`]) included.
     pub batches: u64,
     /// Requests served through those probes.
     pub requests: u64,
@@ -147,9 +146,9 @@ impl SelectorStats {
     }
 }
 
-/// Replay counters for one engine run: the step regions, the router's
-/// kept posteriors, the traffic through the KV content table and the
-/// selector's probe memo.
+/// Replay counters for one engine run: the pools' quiet runs, the
+/// router's kept posteriors, the traffic through the KV content table
+/// and the selector's probe memo.
 ///
 /// Diagnostics of *how* the replay ran, not of what it served:
 /// deliberately **not** serialized by [`EngineReport::to_json`], so a
@@ -159,17 +158,12 @@ impl SelectorStats {
 /// `fig12_e2e` when sampling is on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Step regions executed between router interactions.
-    pub regions: u64,
-    /// Step boundaries executed inside those regions — every step of
-    /// the run.
-    pub region_steps: u64,
-    /// Quiet runs the pools applied in closed form: chain records that
-    /// carried at least one quiet boundary (see "Run-length step
-    /// chains" in `ic_serving::pool`).
+    /// Quiet runs the pools applied in closed form: boundaries through
+    /// `advance_step` that at least one quiet boundary followed (see
+    /// "Run-length quiet runs" in `ic_serving::pool`).
     pub step_runs: u64,
-    /// Step boundaries inside those runs — the share of
-    /// `region_steps` that never went through `advance_step`.
+    /// Step boundaries inside those runs — the share of the report's
+    /// `iter.steps` that never went through `advance_step`.
     pub quiet_steps: u64,
     /// Arm scorings the router tier's bandits did this run: one per arm
     /// per routing decision, retries included.
@@ -201,14 +195,11 @@ impl ReplayStats {
     pub fn to_json(&self) -> String {
         format!(
             concat!(
-                "{{\"regions\":{},\"region_steps\":{},",
-                "\"step_runs\":{},\"quiet_steps\":{},",
+                "{{\"step_runs\":{},\"quiet_steps\":{},",
                 "\"arm_evaluations\":{},\"posterior_refits\":{},",
                 "\"share_admissions\":{},\"prefix_chunks\":{},",
                 "\"probe_memo_lookups\":{},\"probe_memo_hits\":{}}}"
             ),
-            self.regions,
-            self.region_steps,
             self.step_runs,
             self.quiet_steps,
             self.arm_evaluations,
@@ -309,8 +300,8 @@ pub struct EngineReport {
     /// pre-populations, stale evictions, stored bytes). All zero when
     /// the tier is off (`EngineConfig::resp_cache`).
     pub resp_cache: ic_respcache::RespCacheStats,
-    /// Replay counters (step regions, run-length chains, router
-    /// posteriors). Excluded from [`EngineReport::to_json`] by design;
+    /// Replay counters (quiet runs, router posteriors, KV sharing,
+    /// probe memo). Excluded from [`EngineReport::to_json`] by design;
     /// persisted through the telemetry artifact instead
     /// ([`ReplayStats::to_json`]).
     pub replay: ReplayStats,

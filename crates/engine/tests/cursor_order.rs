@@ -112,7 +112,7 @@ fn an_empty_workload_runs_to_an_empty_report() {
     );
     assert_eq!(report.served, 0);
     assert!(report.per_request.is_empty());
-    assert_eq!(report.replay.regions, 0);
+    assert_eq!(report.iter.steps, 0);
 }
 
 #[test]

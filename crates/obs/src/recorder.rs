@@ -3,11 +3,11 @@
 //! Each recording component owns one [`LaneBuf`] — the engine holds
 //! lane 0 inside the [`Recorder`], and each serving pool is handed lane
 //! `p + 1` so pool-internal events are recorded by the pool itself,
-//! while a step region advances its chain ahead of the other pools'.
-//! Because every component records in non-decreasing simulation time,
-//! each lane is time-sorted by construction, and the final merge only
-//! needs a stable sort by `(time, lane)` to produce one deterministic
-//! global stream, whatever order the chains were advanced in.
+//! a quiet run's records ahead of the other pools'. Because every
+//! component records in non-decreasing simulation time, each lane is
+//! time-sorted by construction, and the final merge only needs a stable
+//! sort by `(time, lane)` to produce one deterministic global stream,
+//! whatever order the lanes were filled in.
 
 use std::collections::VecDeque;
 

@@ -38,4 +38,4 @@ pub use cluster::{ClusterSim, PoolId, jobs_from_tuples};
 pub use ic_kvmem::{KvStats, KvSwap, PressurePolicy, SwapModel, Watermarks};
 pub use job::{JobId, JobResult, JobSpec, SharedPrefix};
 pub use metrics::{ServingMetrics, busy_interval_rps};
-pub use pool::{ChainStep, FinishedSeq, IterStats, ModelPool, Offer, PoolConfig, StepReport};
+pub use pool::{FinishedSeq, IterStats, ModelPool, Offer, PoolConfig, StepReport};

@@ -89,14 +89,15 @@
 //! swap counts, internal fragmentation) is surfaced via
 //! [`ModelPool::kv_stats`].
 //!
-//! The driver loop (in `ic-engine` and [`crate::ClusterSim`]) schedules
-//! one `StepComplete` event per busy pool on the `ic_desim` kernel:
-//! [`ModelPool::step_secs`] prices the next iteration, and
+//! A driver keeps one pending step boundary per busy pool: the
+//! [`crate::ClusterSim`] loop as a `StepComplete` event on the
+//! `ic_desim` kernel, `ic-engine` as the pool's armed slot in its event
+//! loop. [`ModelPool::step_secs`] prices the next iteration, and
 //! [`ModelPool::advance_step`] executes it, returning finished sequences
 //! and performing boundary admission/preemption. Per-iteration counters
 //! are aggregated in [`IterStats`].
 //!
-//! # Run-length step chains
+//! # Run-length quiet runs
 //!
 //! A pool's state only *changes shape* at admission, finish,
 //! block-boundary and pressure events; between them a decode-only batch
@@ -104,14 +105,13 @@
 //! is **quiet** after a boundary when its queue and swapped list are
 //! empty, no swap penalty is pending, and every running sequence is past
 //! prefill with its first token stamped and no copy-on-write
-//! outstanding. [`ModelPool::advance_chain`] applies the next `n` quiet
+//! outstanding. [`ModelPool::advance_quiet`] applies the next `n` quiet
 //! boundaries in closed form — `n` capped by the earliest finisher
-//! (`min remaining_decode - 1`), by the region barrier, and by the KV
-//! growth each replica's free blocks still cover — and reports them as
-//! a count ([`ChainStep::quiet`]) on the boundary that preceded them,
-//! instead of `n` more `advance_step` calls and `n` more records. The
-//! result is the same pool, byte for byte, because of two facts (pinned
-//! by `tests/run_length_equivalence.rs`):
+//! (`min remaining_decode - 1`), by the driver's barrier, and by the KV
+//! growth each replica's free blocks still cover — and returns `n`,
+//! instead of `n` more `advance_step` calls. The result is the same
+//! pool, byte for byte, because of two facts (pinned by
+//! `tests/run_length_equivalence.rs`):
 //!
 //! 1. **The step time is one integer.** Inside a quiet run slot
 //!    occupancy, every slot's per-token cost and the (zero) penalty are
@@ -400,29 +400,6 @@ pub struct StepReport {
     pub pressure_preempted: u32,
     /// Swapped-out sequences brought back at this boundary.
     pub resumed: u32,
-}
-
-/// One state change produced by [`ModelPool::advance_chain`]: a step
-/// boundary that went through [`ModelPool::advance_step`], plus the
-/// run of quiet boundaries that followed it (see "Run-length step
-/// chains" in the module docs) — everything a replay driver needs to
-/// merge the chain back into a global event order without re-touching
-/// the pool.
-#[derive(Debug)]
-pub struct ChainStep {
-    /// Instant the step boundary fired.
-    pub at: SimTime,
-    /// What happened at the boundary.
-    pub report: StepReport,
-    /// Running + queued sequences immediately after the boundary.
-    pub occ_after: u32,
-    /// Duration of the next iteration, if the pool stays busy.
-    pub next_dt: Option<f64>,
-    /// Quiet boundaries applied in closed form right after this one:
-    /// boundary `j` (`1..=quiet`) fired at `at + j * d` with
-    /// `d = SimDuration::from_secs_f64(next_dt)`, reported nothing,
-    /// and left `occ_after` and `next_dt` as they are here.
-    pub quiet: u32,
 }
 
 /// One pooled arena holding every running sequence's KV block table as
@@ -909,8 +886,7 @@ impl ModelPool {
     }
 
     /// Installs the lifecycle-event recording lane. Every scheduler
-    /// transition from here on is recorded into it (under whatever lock
-    /// guards the pool, so parallel chain execution stays safe).
+    /// transition from here on is recorded into it.
     pub fn set_obs(&mut self, lane: LaneBuf) {
         self.obs = Some(lane);
     }
@@ -1031,7 +1007,7 @@ impl ModelPool {
     }
 
     /// Offers a job. If the pool is idle the job starts immediately and
-    /// the caller must schedule the first `StepComplete` at
+    /// the caller must arm the pool's first step boundary at
     /// [`ModelPool::step_secs`]; otherwise it queues until a step
     /// boundary (or is rejected by the queue cap).
     pub fn offer(&mut self, job: JobSpec, now: SimTime) -> Offer {
@@ -1263,8 +1239,8 @@ impl ModelPool {
     /// boundary. With KV modeling on, the boundary first ensures the
     /// step's token growth fits in free blocks (swapping out victims
     /// under pressure), and resume/admission are additionally gated on
-    /// the block budget and its watermarks. The caller reschedules the
-    /// next `StepComplete` iff [`ModelPool::active`] stays positive.
+    /// the block budget and its watermarks. The caller arms the next
+    /// boundary iff [`ModelPool::step_secs`] is `Some`.
     pub fn advance_step(&mut self, now: SimTime) -> StepReport {
         let batch = self.run.len();
         let mut report = StepReport::default();
@@ -1637,69 +1613,24 @@ impl ModelPool {
         report
     }
 
-    /// Runs a chain of step boundaries starting at `from`, stopping before
-    /// the first boundary that would land at or past `barrier`, and
-    /// writes one [`ChainStep`] per state change into `out` (cleared
-    /// first, so a driver can reuse the buffer).
-    ///
-    /// Between two router interactions a pool's step chain is completely
-    /// self-contained: each [`ModelPool::advance_step`] depends only on the
-    /// pool's own state, and the time of the next boundary is `t +
-    /// step_secs()`. A replay driver exploits that by executing whole
-    /// chains here and merging the records back into the global
-    /// `(time, seq)` order.
-    ///
-    /// The first step always executes (it is the caller's next event, so
-    /// it is already committed); follow-up steps run only while their boundary
-    /// falls *strictly* before `barrier`. A boundary exactly at the barrier
-    /// must not run: the barrier event was scheduled first, so its sequence
-    /// number sorts ahead of the rearmed step at the same instant. `None`
-    /// means no barrier — the chain runs until the pool idles.
-    ///
-    /// Every boundary that can change what a driver observes goes through
-    /// [`ModelPool::advance_step`]; the quiet boundaries between them are
-    /// applied in closed form and only counted ([`ChainStep::quiet`]).
-    pub fn advance_chain(
-        &mut self,
-        from: SimTime,
-        barrier: Option<SimTime>,
-        out: &mut Vec<ChainStep>,
-    ) {
-        out.clear();
-        let mut at = from;
-        loop {
-            let report = self.advance_step(at);
-            let next_dt = self.step_secs();
-            let every = next_dt.map(SimDuration::from_secs_f64);
-            let quiet = every.map_or(0, |d| self.advance_quiet(at, d, barrier));
-            out.push(ChainStep {
-                at,
-                report,
-                occ_after: self.active() + self.queue_len() as u32,
-                next_dt,
-                quiet,
-            });
-            let Some(every) = every else { break };
-            let next = at + every * (u64::from(quiet) + 1);
-            if let Some(b) = barrier
-                && next >= b
-            {
-                break;
-            }
-            at = next;
-        }
-    }
-
     /// Applies the quiet run that follows the boundary just executed at
     /// `at` and returns its length: the boundaries `at + j * every`
     /// (`j = 1..=n`) at which nothing but decode progress happens.
+    /// `every` is `SimDuration::from_secs_f64` of [`Self::step_secs`].
     /// `n` is bounded by the earliest finisher (`min remaining_decode -
-    /// 1`), by the barrier (strictly before it), and by the KV growth
-    /// every replica can still serve from free blocks; `0` when the
-    /// pool is not quiet. See "Run-length step chains" in the module
-    /// docs for why this equals `n` calls of
-    /// [`ModelPool::advance_step`].
-    fn advance_quiet(&mut self, at: SimTime, every: SimDuration, barrier: Option<SimTime>) -> u32 {
+    /// 1`), by `barrier` (strictly before it: an event already pending
+    /// there sorts ahead of a boundary at its instant; `None` is no
+    /// bound), and by the KV growth every replica can still serve from
+    /// free blocks; `0` when the pool is not quiet. See "Run-length
+    /// quiet runs" in the module docs for why this equals `n` calls of
+    /// [`ModelPool::advance_step`]; the driver still owes each of the
+    /// `n` boundaries its place in its own event order.
+    pub fn advance_quiet(
+        &mut self,
+        at: SimTime,
+        every: SimDuration,
+        barrier: Option<SimTime>,
+    ) -> u32 {
         if !self.queue.is_empty() || !self.swapped.is_empty() || self.pending_penalty_secs != 0.0 {
             return 0;
         }
@@ -1970,8 +1901,42 @@ mod tests {
         (done, now)
     }
 
+    /// One boundary through `advance_step` and the quiet run
+    /// `advance_quiet` applied behind it.
+    struct Record {
+        at: SimTime,
+        report: StepReport,
+        next_dt: Option<f64>,
+        quiet: u32,
+    }
+
+    /// The pool's boundaries from `from` while they fall strictly before
+    /// `barrier`, one [`Record`] per `advance_step`.
+    fn chain(pool: &mut ModelPool, from: SimTime, barrier: Option<SimTime>) -> Vec<Record> {
+        let mut out = Vec::new();
+        let mut at = from;
+        loop {
+            let report = pool.advance_step(at);
+            let next_dt = pool.step_secs();
+            let every = next_dt.map(SimDuration::from_secs_f64);
+            let quiet = every.map_or(0, |d| pool.advance_quiet(at, d, barrier));
+            out.push(Record {
+                at,
+                report,
+                next_dt,
+                quiet,
+            });
+            let Some(every) = every else { break out };
+            let next = at + every * (u64::from(quiet) + 1);
+            if barrier.is_some_and(|b| next >= b) {
+                break out;
+            }
+            at = next;
+        }
+    }
+
     #[test]
-    fn advance_chain_matches_stepwise_advance() {
+    fn quiet_runs_match_stepwise_advance() {
         let build = || {
             let mut p = pool_with(2, 64, 3, None);
             for i in 0..6 {
@@ -1981,7 +1946,7 @@ mod tests {
         };
         let barrier_at = SimTime::from_secs_f64(1.7);
         // Reference: manual advance_step loop under the same strict-barrier
-        // rule the chain uses.
+        // rule the quiet runs use.
         let mut seq_pool = build();
         let mut expect = Vec::new();
         let mut at = SimTime::from_secs_f64(seq_pool.step_secs().expect("busy"));
@@ -1998,16 +1963,15 @@ mod tests {
         }
         let mut chain_pool = build();
         let from = SimTime::from_secs_f64(chain_pool.step_secs().expect("busy"));
-        let mut chain = Vec::new();
-        chain_pool.advance_chain(from, Some(barrier_at), &mut chain);
+        let records = chain(&mut chain_pool, from, Some(barrier_at));
         // One record per state change: the quiet boundaries ride on the
         // record before them.
-        let quiet: usize = chain.iter().map(|c| c.quiet as usize).sum();
-        assert_eq!(chain.len() + quiet, expect.len());
-        assert!(chain.len() > 1, "chain should cover several boundaries");
+        let quiet: usize = records.iter().map(|c| c.quiet as usize).sum();
+        assert_eq!(records.len() + quiet, expect.len());
+        assert!(records.len() > 1, "should cover several boundaries");
         let empty = format!("{:?}", StepReport::default());
         let mut want = expect.iter();
-        for got in &chain {
+        for got in &records {
             let (t, rep, dt) = want.next().expect("a boundary per record");
             assert_eq!(got.at, *t);
             assert_eq!(format!("{:?}", got.report), *rep);
@@ -2022,11 +1986,11 @@ mod tests {
         }
         // The two pools end in identical shape.
         assert_eq!(format!("{chain_pool:?}"), format!("{seq_pool:?}"));
-        // Without a barrier the chain drains the pool completely.
+        // Without a barrier the pool drains completely.
         let mut free_pool = build();
         let from = SimTime::from_secs_f64(free_pool.step_secs().expect("busy"));
-        free_pool.advance_chain(from, None, &mut chain);
-        assert_eq!(chain.last().expect("nonempty").next_dt, None);
+        let records = chain(&mut free_pool, from, None);
+        assert_eq!(records.last().expect("nonempty").next_dt, None);
         assert_eq!(free_pool.active(), 0);
     }
 

@@ -1,14 +1,16 @@
-//! Property tests: run-length step chains are an encoding change, not a
+//! Property tests: run-length quiet runs are an encoding change, not a
 //! scheduling one. Two identically built pools live through the same
-//! random schedule of offers and region barriers; one is driven by the
-//! plain `advance_step` / `step_secs` loop (one call per token step —
-//! the reference), the other by `advance_chain`. Expanding the chain's
-//! records (`quiet` boundaries at `at + j * d`, empty report, unchanged
-//! occupancy and step time) must reproduce the reference boundary for
-//! boundary — `at`, `report`, `occ_after`, `next_dt.to_bits()` — and the
-//! two pools must end every region with equal `IterStats`, `KvStats`
-//! and `{:?}` state (free lists, block tables, arena layout, lifecycle
-//! lane included).
+//! random schedule of offers and barriers; one is driven by the plain
+//! `advance_step` / `step_secs` loop (one call per token step — the
+//! reference), the other by [`chain`]: `advance_step`, then the quiet
+//! run `advance_quiet` applies behind it, the way the engine's step
+//! handler drives a pool. Expanding the chain's records (`quiet`
+//! boundaries at `at + j * d`, empty report, unchanged occupancy and
+//! step time) must reproduce the reference boundary for boundary —
+//! `at`, `report`, `occ_after`, `next_dt.to_bits()` — and the two pools
+//! must end every region between barriers with equal `IterStats`,
+//! `KvStats` and `{:?}` state (free lists, block tables, arena layout,
+//! lifecycle lane included).
 //!
 //! The generators aim at the places a closed-form run goes wrong: KV
 //! off / roomy / tight enough for pressure swaps and last-resident
@@ -34,7 +36,7 @@
 use ic_desim::{SimDuration, SimTime};
 use ic_kvmem::{KvSwap, SwapModel, Watermarks};
 use ic_obs::LaneBuf;
-use ic_serving::{ChainStep, JobId, JobSpec, ModelPool, PoolConfig, SharedPrefix, StepReport};
+use ic_serving::{JobId, JobSpec, ModelPool, PoolConfig, SharedPrefix, StepReport};
 use proptest::prelude::*;
 
 /// One observed step boundary: `(at, report, occ_after, next_dt bits)`.
@@ -127,10 +129,48 @@ fn job(id: u64, raw: &[u32], prompt_cap: u32) -> JobSpec {
     }
 }
 
-/// One region of the reference pool: the plain per-token loop
-/// `advance_chain` used to be. `exact_after = Some(k)` ignores
-/// `barrier` for `k` boundaries and then *declares* the barrier exactly
-/// on the next one, returning it.
+/// One boundary through `advance_step` and the quiet run
+/// `advance_quiet` applied behind it.
+struct Record {
+    at: SimTime,
+    report: StepReport,
+    /// Running + queued sequences right after the boundary.
+    occ_after: u32,
+    next_dt: Option<f64>,
+    quiet: u32,
+}
+
+/// The pool's boundaries from `from` while they fall strictly before
+/// `barrier` (`None`: until the pool idles), one [`Record`] per
+/// `advance_step`: a boundary exactly on the barrier must not run, as
+/// the event pending there sorts ahead of it.
+fn chain(pool: &mut ModelPool, from: SimTime, barrier: Option<SimTime>) -> Vec<Record> {
+    let mut out = Vec::new();
+    let mut at = from;
+    loop {
+        let report = pool.advance_step(at);
+        let next_dt = pool.step_secs();
+        let every = next_dt.map(SimDuration::from_secs_f64);
+        let quiet = every.map_or(0, |d| pool.advance_quiet(at, d, barrier));
+        out.push(Record {
+            at,
+            report,
+            occ_after: pool.active() + pool.queue_len() as u32,
+            next_dt,
+            quiet,
+        });
+        let Some(every) = every else { break out };
+        let next = at + every * (u64::from(quiet) + 1);
+        if barrier.is_some_and(|b| next >= b) {
+            break out;
+        }
+        at = next;
+    }
+}
+
+/// One region of the reference pool: the plain per-token loop.
+/// `exact_after = Some(k)` ignores `barrier` for `k` boundaries and then
+/// *declares* the barrier exactly on the next one, returning it.
 fn stepwise_region(
     pool: &mut ModelPool,
     from: SimTime,
@@ -172,7 +212,7 @@ fn stepwise_region(
 }
 
 /// Expands run-length records into one [`Boundary`] per step.
-fn expand(chain: &[ChainStep], out: &mut Vec<Boundary>) {
+fn expand(chain: &[Record], out: &mut Vec<Boundary>) {
     let empty = format!("{:?}", StepReport::default());
     for step in chain {
         let bits = step.next_dt.map(f64::to_bits);
@@ -229,7 +269,6 @@ proptest! {
         offer(1 + knobs[7] as usize % 4, now, &mut armed, &mut reference, &mut chained);
 
         let last_region = regions.len() - 1;
-        let mut chain = Vec::new();
         for (r, region) in regions.iter().enumerate() {
             let (kind, reach_ms, offers) = (region[0] % 4, region[1], region[2] as usize % 4);
             // The last region has no barrier: the chain runs the pool dry.
@@ -242,9 +281,8 @@ proptest! {
             if let Some(from) = armed.filter(|&t| barrier.is_none_or(|b| t <= b)) {
                 let mut want = Vec::new();
                 barrier = stepwise_region(&mut reference, from, barrier, exact_after, &mut want);
-                chained.advance_chain(from, barrier, &mut chain);
                 let mut got = Vec::new();
-                expand(&chain, &mut got);
+                expand(&chain(&mut chained, from, barrier), &mut got);
                 prop_assert_eq!(&got, &want, "region {} (barrier {:?})", r, barrier);
                 armed = next_boundary(want.last().expect("the first step always runs"));
                 prop_assert!(
@@ -285,15 +323,14 @@ fn a_decode_only_batch_is_one_record_per_state_change() {
     };
     let mut pool = build();
     let from = SimTime::from_secs_f64(pool.step_secs().expect("busy"));
-    let mut chain = Vec::new();
-    pool.advance_chain(from, None, &mut chain);
+    let records = chain(&mut pool, from, None);
     let steps = pool.iter_stats().steps;
-    let quiet: u64 = chain.iter().map(|c| u64::from(c.quiet)).sum();
-    assert_eq!(chain.len() as u64 + quiet, steps);
+    let quiet: u64 = records.iter().map(|c| u64::from(c.quiet)).sum();
+    assert_eq!(records.len() as u64 + quiet, steps);
     assert!(
-        chain.len() <= 6,
+        records.len() <= 6,
         "{} records for {steps} steps",
-        chain.len()
+        records.len()
     );
     assert!(quiet * 100 >= steps * 95, "{quiet} of {steps} steps quiet");
     let lane = format!("{:?}", pool.take_obs().expect("lane attached"));
