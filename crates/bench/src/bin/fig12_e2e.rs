@@ -27,16 +27,8 @@
 //!   summary footer carrying the replay counters; byte-deterministic
 //!   per seed.
 //!
-//! The iteration-scheduler, KV-memory and router-tier knobs
-//! can be overridden via the environment (`IC_PREFILL_CHUNK`,
-//! `IC_PREEMPT_QUANTUM`, `IC_MAX_QUEUE`, `IC_SELECTOR_BATCH`,
-//! `IC_KV_BLOCK`, `IC_KV_BUDGET`, `IC_KV_WATERMARKS`, `IC_KV_HOST_BLOCKS`,
-//! `IC_ROUTER_REPLICAS`, `IC_GOSSIP_PERIOD`, `IC_POOL_OUTAGE`,
-//! `IC_RESP_CACHE`, `IC_RESP_THRESHOLD`, `IC_RESP_BYTES`,
-//! `IC_RESP_TTL`, `IC_RESP_PREPOP`, `IC_RESP_WINDOW`,
-//! `IC_OBS_TRACE`, `IC_OBS_SAMPLE`, `IC_OBS_RING` — see
-//! `ic_bench::experiments::e2e::engine_config`, parsed by
-//! `ic_bench::env`); leave them unset for the byte-deterministic output
+//! Every `IC_*` knob is listed, with its default and effect, in
+//! `docs/config.md`; leave them unset for the byte-deterministic output
 //! the CI determinism job diffs (including its `selector`, `router`
 //! and `kv` blocks). `IC_SELECTOR_BATCH` caps the same-tick run the
 //! stage-0 sketch pre-observes: with `IC_RESP_CACHE` off it changes

@@ -3,14 +3,11 @@
 //! engine metrics — including the iteration-level scheduler stats — are
 //! written to `BENCH_e2e.json`. Pass `--quick` for a fast run.
 //!
-//! The iteration-scheduler and KV-memory knobs can be overridden via
-//! the environment (`IC_PREFILL_CHUNK`, `IC_PREEMPT_QUANTUM`,
-//! `IC_MAX_QUEUE`, `IC_SELECTOR_BATCH`, `IC_KV_BLOCK`, `IC_KV_BUDGET`,
-//! `IC_KV_WATERMARKS`, `IC_KV_HOST_BLOCKS` — see
-//! `ic_bench::experiments::e2e::engine_config`, parsed by
-//! `ic_bench::env`); leave them unset for the byte-deterministic output
+//! Every `IC_*` knob is listed, with its default and effect, in
+//! `docs/config.md`; leave them unset for the byte-deterministic output
 //! the CI determinism job diffs (including its `selector` and `kv`
-//! blocks). A malformed value exits 2 before any replay.
+//! blocks). A malformed or unknown `IC_*` variable exits 2 before any
+//! replay.
 
 use ic_bench::Scale;
 use ic_bench::experiments::e2e;

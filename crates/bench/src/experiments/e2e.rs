@@ -267,90 +267,16 @@ fn online_run_from_engine(
 }
 
 /// The engine configuration used by every unified-engine run in this
-/// module, with the iteration-scheduler and KV-memory knobs overridable
-/// from the environment (parsed by the shared [`crate::env`] helpers)
-/// for ad-hoc sweeps. The knobs reconfigure only the IC-Cache
+/// module, with the `IC_*` knobs read from the environment (parsed by
+/// the shared [`crate::env`] helpers). `docs/config.md` is the one list
+/// of knobs, with each one's default and effect; two of them are not
+/// engine fields and are read by the set-up instead (`IC_SETUP_THREADS`,
+/// the index build's threads, and `IC_SHARE_BURST`, the trace reshape).
+/// The knobs reconfigure only the IC-Cache
 /// (unified-engine) runs; baseline policies replayed through
 /// `ClusterSim` keep the `PoolConfig::for_gpus` defaults, so treat
 /// swept-vs-baseline deltas as scheduler sweeps of IC-Cache, not
-/// controlled policy comparisons:
-///
-/// - `IC_PREFILL_CHUNK` — prefill tokens per iteration (`0` = unchunked)
-/// - `IC_PREEMPT_QUANTUM` — decode tokens before preemption (`0` = off)
-/// - `IC_MAX_QUEUE` — per-pool queue cap (unset = unbounded)
-/// - `IC_SELECTOR_BATCH` — cap on the same-tick run of arrivals the
-///   stage-0 trending sketch pre-observes, so a stampede pays one
-///   insertion (`0`/`1` = each arrival on its own). With
-///   `IC_RESP_CACHE` off it only changes the `batch_limit` echoed in
-///   the `selector` stats block.
-/// - `IC_SETUP_THREADS` — worker threads for the deterministic setup
-///   pipeline (example-bank embedding, k-means, IVF build; `0`/`1` =
-///   sequential). Bit-identical at any value — a pure setup-wall-clock
-///   knob (CI-enforced unmasked).
-/// - `IC_KV_BLOCK` — tokens per KV block (`0` disables the memory model)
-/// - `IC_KV_BUDGET` — KV blocks per replica (`0` disables)
-/// - `IC_KV_WATERMARKS` — `high,low` occupancy gates (e.g. `0.9,0.7`)
-/// - `IC_KV_HOST_BLOCKS` — host (CPU) blocks swapped-out KV state may
-///   occupy (`0` = unbounded); overflowing victims are evicted
-///   recompute-priced
-/// - `IC_KV_SHARE` — shared-prefix KV reuse (`1` = on, default off).
-///   Requests carrying the same injected example set map the same
-///   hash-consed physical blocks for the shared prefix and
-///   copy-on-write at divergence; the report's `kv` block gains
-///   non-zero `dedup_ratio`/`shared_blocks_peak`/`cow_copies`/
-///   `blocks_saved`. With the knob off the allocator is untouched and
-///   `BENCH_e2e.json` is byte-identical to the pre-sharing engine
-///   (CI-enforced).
-/// - `IC_SHARE_BURST` — reshapes the trace into a shared-prefix-heavy
-///   workload: every `n` consecutive arrivals land at one instant
-///   carrying the same request, hence the same example set (`0`/`1` =
-///   natural trace, which almost never repeats a set). Combine with
-///   `IC_KV_SHARE=1` to see non-zero dedup counters.
-/// - `IC_RESP_CACHE` — stage-0 predictive response cache in front of
-///   the selector (`1` = on, default off). Trending queries are
-///   pre-populated from a windowed frequency sketch; an
-///   embedding-similarity hit returns the cached response and skips
-///   selection, routing and the pool path entirely. With the knob off
-///   the engine is untouched and `BENCH_e2e.json` is byte-identical to
-///   the pre-stage-0 engine except the appended all-zero `resp_cache`
-///   stats block (CI-enforced). Combine with `IC_SHARE_BURST` to see a
-///   non-zero hit ratio on the quick trace.
-/// - `IC_RESP_THRESHOLD` — minimum cosine similarity for a stage-0 hit
-///   (default `0.98`; calibration in `docs/response-cache.md`)
-/// - `IC_RESP_BYTES` — response-store byte budget (default `4194304`);
-///   exceeding it evicts least-recently-hit entries first
-/// - `IC_RESP_TTL` — seconds before a cached response goes stale and
-///   is evicted on lookup (default `300`)
-/// - `IC_RESP_PREPOP` — sightings inside the sketch window before a
-///   query counts as trending and its response is admitted (default
-///   `2`; `1` admits everything)
-/// - `IC_RESP_WINDOW` — frequency-sketch window in simulated seconds
-///   (default `60`); the sketch forgets a window's counts wholesale
-///   when it rolls over
-/// - `IC_ROUTER_REPLICAS` — router replicas in the front-end tier.
-///   Unset/`1` is the single-router topology and reproduces the
-///   no-replication `BENCH_e2e.json` byte-for-byte except the report's
-///   `router` stats block (CI-enforced); higher values run gossiped,
-///   deterministically-assigned replicas.
-/// - `IC_GOSSIP_PERIOD` — seconds between router-tier gossip rounds
-///   (`0` disables; irrelevant at one replica)
-/// - `IC_POOL_OUTAGE` — deterministic pool-failover injections,
-///   `pool:at:duration[;...]` (e.g. `1:300:120`); flushed jobs are
-///   retried through the router tier and counted in the `router`
-///   block's `failover_requeues`
-/// - `IC_OBS_TRACE` — request-lifecycle event tracing (`1` = on,
-///   default off; `fig12_e2e --trace <path>` sets it and writes the
-///   Chrome trace-event timeline to `<path>`). Recording is observation
-///   only: `BENCH_e2e.json` stays byte-identical with and without it
-///   (CI-enforced), and the trace artifact itself is byte-deterministic
-///   per seed.
-/// - `IC_OBS_SAMPLE` — telemetry sampler period in simulated seconds
-///   (`0`/unset = off). `fig12_e2e` writes the samples as
-///   `BENCH_telemetry.jsonl` (one JSONL line per sample plus a summary
-///   footer carrying the replay counters); byte-deterministic per seed.
-/// - `IC_OBS_RING` — per-lane event ring capacity in events (default
-///   `1048576`); a full ring drops oldest-first and counts the drops in
-///   the telemetry summary.
+/// controlled policy comparisons.
 ///
 /// With none of the variables set this is exactly
 /// [`EngineConfig::default`], which keeps `BENCH_e2e.json`

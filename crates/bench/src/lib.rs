@@ -4,8 +4,11 @@
 //! `run(scale) -> Report`; every report prints the paper's expected
 //! numbers next to this reproduction's measured ones so the *shape* of
 //! each result (who wins, by what factor, where crossovers fall) can be
-//! checked at a glance. `cargo run -p ic-bench --release --bin
-//! all_experiments` regenerates everything and rewrites `EXPERIMENTS.md`.
+//! checked at a glance. One binary serves them all:
+//! `cargo run -p ic-bench --release --bin repro -- <id> [--quick]` prints
+//! one report, and `repro all` regenerates everything and rewrites
+//! `EXPERIMENTS.md` (see [`cli_main`]). `fig12_e2e` and `headline` are
+//! binaries of their own because they also write `BENCH_*` artifacts.
 //!
 //! Criterion micro-benchmarks (selector stages, router decisions, knapsack
 //! solvers, IVF search, serving steps) live under `benches/`.
@@ -16,6 +19,9 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 
+use std::fmt::Write as _;
+use std::time::Instant;
+
 pub use artifact::write_artifact;
 pub use env::{parse_env, parse_watermarks};
 pub use harness::{PairSetup, Scale, side_by_side};
@@ -23,52 +29,82 @@ pub use report::{Report, Table};
 
 /// Runs one experiment by id, if it exists.
 pub fn run_by_id(id: &str, scale: Scale) -> Option<Report> {
-    use experiments as x;
-    let report = match id {
-        "fig01_tradeoff" => x::motivation::fig01_tradeoff(scale),
-        "fig02_trace" => x::motivation::fig02_trace(scale),
-        "fig03_similarity" => x::motivation::fig03_similarity(scale),
-        "fig04_icl_gain" => x::motivation::fig04_icl_gain(scale),
-        "fig07_correlation" => x::motivation::fig07_correlation(scale),
-        "fig09_twostage" => x::selection::fig09_twostage(scale),
-        "fig10_longtail" => x::selection::fig10_longtail(scale),
-        "fig11_replay" => x::selection::fig11_replay(scale),
-        "fig12_e2e" => x::e2e::fig12_e2e(scale),
-        "fig13_tradeoff_curves" => x::e2e::fig13_tradeoff_curves(scale),
-        "fig14_semantic_ic" => x::quality::fig14_semantic_ic(scale),
-        "fig15_sft_rag" => x::quality::fig15_sft_rag(scale),
-        "fig16_ablation" => x::e2e::fig16_ablation(scale),
-        "fig17_sidebyside" => x::quality::fig17_sidebyside(scale),
-        "fig18_breakdown" => x::e2e::fig18_breakdown(scale),
-        "fig19_cachesize" => x::selection::fig19_cachesize(scale),
-        "fig20_loads" => x::e2e::fig20_loads(scale),
-        "fig21_dp" => x::quality::fig21_dp(scale),
-        "fig27_distributions" => x::quality::fig27_distributions(scale),
-        "tab01_datasets" => x::tables::tab01_datasets(scale),
-        "tab02_rag" => x::quality::tab02_rag(scale),
-        "tab03_sft" => x::quality::tab03_sft(scale),
-        "tab04_judges" => x::tables::tab04_judges(scale),
-        "headline" => x::e2e::headline(scale),
-        _ => return None,
-    };
-    Some(report)
+    experiments::EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, run)| run(scale))
 }
 
-/// Shared binary entry point: checks the `IC_*` knobs (exit 2 on a
-/// malformed one), parses `--quick` / `--full` (default full) and
-/// prints the report to stdout.
-pub fn cli_main(id: &str) {
+/// The `repro <id>|all [--quick]` entry point. Checks the `IC_*` knobs
+/// first (exit 2 on a malformed or unknown one), then runs at quick
+/// scale with `--quick` and full scale otherwise. `<id>` prints that
+/// experiment's report; `all` runs every experiment and writes
+/// `EXPERIMENTS.md` plus `results/<id>.md` into the current directory
+/// (with `--quick` it prints the document instead). Anything else exits
+/// 2 with the list of ids.
+pub fn cli_main() {
     if let Err(msg) = experiments::e2e::checked_engine_config() {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    match run_by_id(id, scale) {
-        Some(report) => println!("{}", report.to_markdown()),
-        None => {
-            eprintln!("unknown experiment id: {id}");
-            std::process::exit(2);
-        }
+    let ids: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    let report = match ids[..] {
+        ["all"] => return run_all(scale, quick),
+        [id] => run_by_id(id, scale),
+        _ => None,
+    };
+    let Some(report) = report else {
+        let known: Vec<&str> = experiments::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!("usage: repro <id>|all [--quick]\nids: {}", known.join(", "));
+        std::process::exit(2);
+    };
+    println!("{}", report.to_markdown());
+}
+
+/// `repro all`: every report in one markdown document.
+fn run_all(scale: Scale, quick: bool) {
+    let t0 = Instant::now();
+    let reports = experiments::all(scale);
+    let mut doc = String::new();
+    writeln!(doc, "# EXPERIMENTS: paper vs. measured\n").unwrap();
+    writeln!(
+        doc,
+        "Regenerated by `cargo run -p ic-bench --release --bin repro -- all` \
+         (scale fraction {}, seed {}). Absolute numbers come from the simulator \
+         substrate (DESIGN.md section 2); the *shape* of every result — orderings, \
+         factors, crossovers — is the reproduction target.\n",
+        scale.fraction, scale.seed
+    )
+    .unwrap();
+    for r in &reports {
+        doc.push_str(&r.to_markdown());
+        doc.push('\n');
     }
+    writeln!(
+        doc,
+        "---\nTotal wall time: {:.1}s",
+        t0.elapsed().as_secs_f64()
+    )
+    .unwrap();
+    if quick {
+        println!("{doc}");
+        return;
+    }
+    std::fs::create_dir_all("results").expect("create results dir");
+    for r in &reports {
+        std::fs::write(format!("results/{}.md", r.id), r.to_markdown()).expect("write result file");
+    }
+    std::fs::write("EXPERIMENTS.md", &doc).expect("write EXPERIMENTS.md");
+    println!(
+        "wrote EXPERIMENTS.md and results/ ({} experiments, {:.1}s)",
+        reports.len(),
+        t0.elapsed().as_secs_f64()
+    );
 }

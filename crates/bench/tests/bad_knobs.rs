@@ -9,9 +9,10 @@
 
 use std::process::{Command, Output};
 
-const BINS: [&str; 2] = [
+const BINS: [&str; 3] = [
     env!("CARGO_BIN_EXE_fig12_e2e"),
     env!("CARGO_BIN_EXE_headline"),
+    env!("CARGO_BIN_EXE_repro"),
 ];
 
 fn run_quick(bin: &str, var: &str, value: &str) -> Output {
@@ -43,6 +44,11 @@ fn headline_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
     assert_rejects_unknown_pool(BINS[1]);
 }
 
+#[test]
+fn repro_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
+    assert_rejects_unknown_pool(BINS[2]);
+}
+
 /// Every variable `engine_config()` reads, plus `IC_SETUP_THREADS` and
 /// `IC_SHARE_BURST`, each with a value its type cannot hold.
 const MALFORMED: &[(&str, &str)] = &[
@@ -72,7 +78,7 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_SHARE_BURST", " "),
 ];
 
-/// Each `VAR=value` of `table`, set alone, must stop both binaries
+/// Each `VAR=value` of `table`, set alone, must stop every binary
 /// with exit 2 and the pair on stderr before anything is printed.
 fn assert_exits_2_naming(table: &[(&str, &str)]) {
     for bin in BINS {

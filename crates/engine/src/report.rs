@@ -1,6 +1,6 @@
 //! Engine output: per-request records and byte-stable aggregate metrics.
 
-use ic_serving::{IterStats, JobResult, KvStats};
+use ic_serving::{IterStats, KvStats};
 use ic_stats::Percentiles;
 
 /// What happened to one request, joining the serving decision (model,
@@ -52,15 +52,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Computes the aggregates from job results.
-    pub fn from_results(results: &[JobResult]) -> Self {
-        Self::from_samples(
-            results
-                .iter()
-                .map(|r| (r.e2e_secs(), r.ttft_secs(), r.queue_wait_secs())),
-        )
-    }
-
     /// Computes the aggregates from per-request records, excluding
     /// queue-cap rejects (which never execute).
     pub fn from_records(records: &[RequestRecord]) -> Self {
@@ -459,24 +450,32 @@ impl EngineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_desim::SimTime;
-    use ic_serving::JobId;
 
-    fn result(arrival: f64, start: f64, first: f64, done: f64) -> JobResult {
-        JobResult {
-            id: JobId(0),
-            pool: 0,
-            arrival: SimTime::from_secs_f64(arrival),
-            started: SimTime::from_secs_f64(start),
-            first_token: SimTime::from_secs_f64(first),
-            completed: SimTime::from_secs_f64(done),
+    fn record(queue_s: f64, ttft_s: f64, e2e_s: f64, rejected: bool) -> RequestRecord {
+        RequestRecord {
+            index: 0,
+            model: 0,
+            offloaded: false,
+            quality: 0.0,
+            solicited: false,
+            examples: 0,
+            arrival_s: 0.0,
+            queue_s,
+            ttft_s,
+            e2e_s,
+            rejected,
         }
     }
 
     #[test]
     fn latency_stats_aggregate() {
-        let rs = vec![result(0.0, 0.0, 0.5, 2.0), result(1.0, 2.0, 2.5, 4.0)];
-        let s = LatencyStats::from_results(&rs);
+        let rs = vec![
+            record(0.0, 0.5, 2.0, false),
+            record(1.0, 1.5, 3.0, false),
+            // A queue-cap reject never executed: left out.
+            record(0.0, 0.0, 0.0, true),
+        ];
+        let s = LatencyStats::from_records(&rs);
         assert!((s.mean_e2e - 2.5).abs() < 1e-9);
         assert!((s.mean_ttft - 1.0).abs() < 1e-9);
         assert!((s.mean_queue - 0.5).abs() < 1e-9);
@@ -485,7 +484,7 @@ mod tests {
 
     #[test]
     fn empty_results_are_neutral() {
-        let s = LatencyStats::from_results(&[]);
+        let s = LatencyStats::from_records(&[]);
         assert_eq!(s.mean_e2e, 0.0);
         assert_eq!(s.p99_e2e, 0.0);
     }

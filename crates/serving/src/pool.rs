@@ -57,12 +57,18 @@
 //! non-zero the pool runs an `ic_kvmem::BlockPool` beside the slot
 //! machine (vLLM's PagedAttention discipline):
 //!
-//! - **Admission** allocates a sequence's *projected prefill block
-//!   demand* (`ceil(prefill_tokens / kv_block_tokens)`, capped at one
-//!   replica budget) on the replica with the most free blocks; a job
-//!   whose demand does not fit — or that arrives with pool occupancy at
-//!   the high watermark — waits in the queue *even when slots are
-//!   free*.
+//! - **Admission** is one first-come-first-served loop over two lists
+//!   (`fill_slots`, run at every step boundary and by an idle
+//!   [`ModelPool::offer`]): the swapped front while any sequence is
+//!   swapped, the queue front otherwise. A candidate allocates its
+//!   *projected block demand* (`ceil(prefill_tokens / kv_block_tokens)`,
+//!   or its materialized tokens when more, capped at one replica budget)
+//!   on the replica with the most free blocks. A queued candidate waits
+//!   while occupancy is at the high watermark, a swapped one until
+//!   occupancy drains below the low watermark, and either while its
+//!   demand does not fit — *even when slots are free*. The first refusal
+//!   ends the loop, so fresh work never overtakes a swapped victim
+//!   (vLLM admits nothing while its swapped queue is non-empty).
 //! - **Growth**: each iteration a sequence's KV footprint grows by its
 //!   prefill chunk or by one decode token. Before the step's work is
 //!   accounted, the pool ensures every survivor's growth can be served
@@ -76,11 +82,13 @@
 //!   a victim that does not fit is evicted recompute-priced instead —
 //!   free at the boundary, with its KV state rebuilt at the overflow
 //!   recompute rate when it resumes.
-//! - **Resume**: swapped sequences return (blocks re-allocated, resume
-//!   penalty charged) once occupancy drains below the low watermark —
-//!   before any fresh admission, and unconditionally when the pool
-//!   would otherwise go idle with work parked (so tiny budgets degrade
-//!   instead of deadlocking).
+//! - **Resume**: every sequence enters a slot through one placement
+//!   (`place`); one coming back from the swapped list, or from the
+//!   queue with KV state already materialized (a quantum victim), pays
+//!   the resume penalty there. When the batch is empty the loop places a
+//!   refused candidate anyway and stops after it, so tiny budgets
+//!   degrade instead of deadlocking (no live sequence holds a block
+//!   then, so the capped demand always fits).
 //! - A sequence longer than a whole replica budget runs with the full
 //!   budget and windows its tail into the last block, so a budget
 //!   smaller than one prefill chunk still makes progress.
@@ -226,6 +234,16 @@ impl PoolConfig {
     /// Whether KV-memory modeling is on.
     pub fn kv_enabled(&self) -> bool {
         self.kv_block_tokens > 0 && self.kv_budget_blocks > 0
+    }
+
+    /// Prefill tokens the next iteration processes for a sequence with
+    /// `remaining` prompt tokens.
+    fn chunk_of(&self, remaining: u32) -> u32 {
+        if self.prefill_chunk_tokens == 0 {
+            remaining
+        } else {
+            remaining.min(self.prefill_chunk_tokens)
+        }
     }
 }
 
@@ -626,6 +644,16 @@ impl RunSlots {
         self.kv_len[i] += extra.len();
     }
 
+    /// KV tokens slot `i` holds after its next iteration: its prefill
+    /// chunk, or one decode token (what Phase 1 charges).
+    fn kv_after_step(&self, i: usize, config: &PoolConfig) -> u64 {
+        let growth = match self.remaining_prefill[i] {
+            0 => 1,
+            remaining => config.chunk_of(remaining),
+        };
+        self.kv_tokens[i] + u64::from(growth)
+    }
+
     /// The block at offset `off` of slot `i`'s table.
     fn block_at(&self, i: usize, off: usize) -> BlockId {
         debug_assert!(off < self.kv_len[i]);
@@ -685,10 +713,6 @@ pub struct ModelPool {
     /// Swap/recompute seconds accrued at the last boundary, charged to
     /// the next iteration's wall clock.
     pending_penalty_secs: f64,
-    /// Peak queue length observed (diagnostics).
-    peak_queue: usize,
-    /// Total jobs granted a slot for the first time.
-    admitted: u64,
     stats: IterStats,
     /// Lifecycle-event recording lane (`None` keeps every hook a dead
     /// branch — tracing off costs one pointer-sized check per site).
@@ -877,8 +901,6 @@ impl ModelPool {
             kv,
             policy,
             pending_penalty_secs: 0.0,
-            peak_queue: 0,
-            admitted: 0,
             stats: IterStats::default(),
             obs: None,
             step_started: None,
@@ -909,16 +931,6 @@ impl ModelPool {
     /// Queued (not yet admitted, or preempted) jobs.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Largest queue seen.
-    pub fn peak_queue(&self) -> usize {
-        self.peak_queue
-    }
-
-    /// Jobs admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
     }
 
     /// Offers rejected by the queue cap so far.
@@ -965,14 +977,6 @@ impl ModelPool {
         self.kv.as_ref().map_or(0, BlockPool::shared_blocks)
     }
 
-    /// Blocks a job's projected prefill demand would claim at admission
-    /// (`0` when KV modeling is off).
-    pub fn projected_prefill_blocks(&self, job: &JobSpec) -> u32 {
-        self.kv
-            .as_ref()
-            .map_or(0, |kv| kv.blocks_for(u64::from(job.prefill_tokens.max(1))))
-    }
-
     /// Occupancy fraction in `[0, 1]`.
     pub fn occupancy(&self) -> f64 {
         f64::from(self.active()) / f64::from(self.config.total_slots().max(1))
@@ -990,55 +994,18 @@ impl ModelPool {
         job.ttft_secs + job.decode_secs * stretch
     }
 
-    /// Prefill portion of the service (TTFT is not stretched by decode
-    /// contention in chunked-prefill engines; queueing dominates instead).
-    pub fn prefill_secs(&self, job: &JobSpec) -> f64 {
-        job.ttft_secs
-    }
-
-    /// Prefill tokens the next iteration would process for a sequence
-    /// with `remaining` prompt tokens.
-    fn chunk_of(&self, remaining: u32) -> u32 {
-        if self.config.prefill_chunk_tokens == 0 {
-            remaining
-        } else {
-            remaining.min(self.config.prefill_chunk_tokens)
-        }
-    }
-
     /// Offers a job. If the pool is idle the job starts immediately and
     /// the caller must arm the pool's first step boundary at
     /// [`ModelPool::step_secs`]; otherwise it queues until a step
     /// boundary (or is rejected by the queue cap).
     pub fn offer(&mut self, job: JobSpec, now: SimTime) -> Offer {
         if self.run.is_empty() && self.queue.is_empty() && self.swapped.is_empty() {
-            let mut seq = Sequence::new(job);
-            seq.started = Some(now);
-            if let Some(kv) = &mut self.kv {
-                // The pool is fully idle, so every replica is empty and
-                // the (budget-capped) prefill demand always fits. (No
-                // content-table entry can be resident either — entries
-                // die with their blocks — so sharing never maps here.)
-                let replica = kv.least_loaded_replica();
-                let alloc =
-                    alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, &seq, replica)
-                        .expect("idle pool has a free replica");
-                seq.replica = alloc.replica;
-                seq.kv_blocks = alloc.blocks;
-                seq.cow_pending = alloc.cow_pending;
-            }
-            self.admitted += 1;
-            if let Some(o) = self.obs.as_mut() {
-                o.push(
-                    now,
-                    seq.job.id.0,
-                    EventKind::SlotStart {
-                        replica: seq.replica as u32,
-                    },
-                );
+            // An empty batch places its candidate whatever the gates say.
+            self.queue.push_back(Sequence::new(job));
+            self.fill_slots(now, &mut StepReport::default());
+            if self.obs.is_some() {
                 self.step_started = Some(now);
             }
-            self.run.push(seq);
             return Offer::Started;
         }
         if let Some(cap) = self.config.max_queue
@@ -1048,7 +1015,6 @@ impl ModelPool {
             return Offer::Rejected;
         }
         self.queue.push_back(Sequence::new(job));
-        self.peak_queue = self.peak_queue.max(self.queue.len());
         Offer::Queued
     }
 
@@ -1066,7 +1032,7 @@ impl ModelPool {
         for i in 0..self.run.len() {
             let remaining = self.run.remaining_prefill[i];
             let cost = if remaining > 0 {
-                let chunk = self.chunk_of(remaining);
+                let chunk = self.config.chunk_of(remaining);
                 self.run.ttft_secs[i] * f64::from(chunk) / f64::from(self.run.prefill_total[i])
             } else {
                 // Invariant: a slot past prefill has decode left (zero-
@@ -1084,22 +1050,6 @@ impl ModelPool {
     /// when it cannot, then performs the growth allocations. Returns
     /// the number of sequences pressure-preempted.
     fn serve_kv_growth(&mut self, now: SimTime) -> u32 {
-        let chunk_cfg = self.config.prefill_chunk_tokens;
-        // KV tokens the iteration materializes for a sequence: its
-        // prefill chunk, or one decode token (must mirror what Phase 1
-        // actually charges).
-        let tokens_after_growth = |remaining_prefill: u32, kv_tokens: u64| -> u64 {
-            kv_tokens
-                + u64::from(if remaining_prefill > 0 {
-                    if chunk_cfg == 0 {
-                        remaining_prefill
-                    } else {
-                        remaining_prefill.min(chunk_cfg)
-                    }
-                } else {
-                    1
-                })
-        };
         let Some(kv) = &mut self.kv else {
             return 0;
         };
@@ -1133,8 +1083,7 @@ impl ModelPool {
                         continue;
                     }
                     residents += 1;
-                    let after =
-                        tokens_after_growth(self.run.remaining_prefill[i], self.run.kv_tokens[i]);
+                    let after = self.run.kv_after_step(i, &self.config);
                     needed += kv
                         .blocks_for(after)
                         .saturating_sub(self.run.kv_len[i] as u32)
@@ -1187,8 +1136,7 @@ impl ModelPool {
                 if self.run.replica[i] != replica {
                     continue;
                 }
-                let after =
-                    tokens_after_growth(self.run.remaining_prefill[i], self.run.kv_tokens[i]);
+                let after = self.run.kv_after_step(i, &self.config);
                 // Resolve a pending divergence before the step writes
                 // past the shared prefix: privatize in place when this
                 // sequence is the sole holder, copy-on-write otherwise.
@@ -1232,15 +1180,16 @@ impl ModelPool {
         preempted
     }
 
-    /// Executes the iteration ending at `now`: advances every running
-    /// sequence by one token step, retires finished sequences, preempts
-    /// over-quantum decoders when more jobs wait than slots freed, and
-    /// admits waiting sequences into free slots — all at this single step
-    /// boundary. With KV modeling on, the boundary first ensures the
-    /// step's token growth fits in free blocks (swapping out victims
-    /// under pressure), and resume/admission are additionally gated on
-    /// the block budget and its watermarks. The caller arms the next
-    /// boundary iff [`ModelPool::step_secs`] is `Some`.
+    /// Executes the iteration ending at `now`, all at this one step
+    /// boundary: with KV modeling on it first serves the step's token
+    /// growth from free blocks (swapping out victims under pressure);
+    /// then it advances every running sequence by one token step,
+    /// retires the finished ones, preempts over-quantum decoders when
+    /// more jobs wait than slots freed, and fills the free slots through
+    /// the one admission loop (`fill_slots`: swapped sequences first,
+    /// then the queue, gated on the block budget and its watermarks when
+    /// KV modeling is on). The caller arms the next boundary iff
+    /// [`ModelPool::step_secs`] is `Some`.
     pub fn advance_step(&mut self, now: SimTime) -> StepReport {
         let batch = self.run.len();
         let mut report = StepReport::default();
@@ -1292,18 +1241,21 @@ impl ModelPool {
         // retired where they stand, survivors compact down to the
         // front (swaps against already-dead entries), preserving slot
         // order exactly like the old take-and-repush loop.
-        let chunk_cfg = self.config.prefill_chunk_tokens;
         let n = self.run.len();
         let mut w = 0;
         for i in 0..n {
-            let mut finished = false;
-            if self.run.remaining_prefill[i] > 0 {
-                let remaining = self.run.remaining_prefill[i];
-                let chunk = if chunk_cfg == 0 {
-                    remaining
-                } else {
-                    remaining.min(chunk_cfg)
-                };
+            let decoding = self.run.remaining_prefill[i] == 0;
+            if decoding {
+                debug_assert!(
+                    self.run.remaining_decode[i] > 0,
+                    "drained sequence kept a slot"
+                );
+                self.run.remaining_decode[i] -= 1;
+                self.run.decode_run[i] += 1;
+                self.run.kv_tokens[i] += 1;
+                self.stats.decode_steps += 1;
+            } else {
+                let chunk = self.config.chunk_of(self.run.remaining_prefill[i]);
                 self.run.remaining_prefill[i] -= chunk;
                 self.run.kv_tokens[i] += u64::from(chunk);
                 self.stats.chunk_steps += 1;
@@ -1314,39 +1266,18 @@ impl ModelPool {
                         EventKind::PrefillChunk { tokens: chunk },
                     );
                 }
-                if self.run.remaining_prefill[i] == 0 && self.run.remaining_decode[i] == 0 {
-                    // Zero-output job: the prompt's forward pass is the
-                    // entire service; first token falls at prefill end.
-                    finished = true;
+            }
+            let finished = self.run.remaining_prefill[i] == 0 && self.run.remaining_decode[i] == 0;
+            // The first token is the first decode step's, or — for a
+            // zero-output job, whose prompt's forward pass is the entire
+            // service — prefill end.
+            if (decoding || finished) && self.run.cold[i].first_token.is_none() {
+                self.run.cold[i].first_token = Some(now);
+                if let Some(o) = self.obs.as_mut() {
+                    o.push(now, self.run.cold[i].job.id.0, EventKind::FirstToken);
                 }
-            } else {
-                debug_assert!(
-                    self.run.remaining_decode[i] > 0,
-                    "drained sequence kept a slot"
-                );
-                self.run.remaining_decode[i] -= 1;
-                self.run.decode_run[i] += 1;
-                self.run.kv_tokens[i] += 1;
-                self.stats.decode_steps += 1;
-                if self.run.cold[i].first_token.is_none() {
-                    self.run.cold[i].first_token = Some(now);
-                    if let Some(o) = self.obs.as_mut() {
-                        o.push(now, self.run.cold[i].job.id.0, EventKind::FirstToken);
-                    }
-                }
-                finished = self.run.remaining_decode[i] == 0;
             }
             if finished {
-                if self.run.remaining_decode[i] == 0 && self.run.remaining_prefill[i] == 0 {
-                    // Zero-output jobs stamp their first token at
-                    // prefill end (decode jobs stamped it above).
-                    if self.run.cold[i].first_token.is_none() {
-                        self.run.cold[i].first_token = Some(now);
-                        if let Some(o) = self.obs.as_mut() {
-                            o.push(now, self.run.cold[i].job.id.0, EventKind::FirstToken);
-                        }
-                    }
-                }
                 let blocks = self
                     .run
                     .arena
@@ -1424,193 +1355,121 @@ impl ModelPool {
                     }
                 }
                 self.run.truncate(w);
-                self.peak_queue = self.peak_queue.max(self.queue.len());
             }
         }
 
-        // Phase 3a: resume swapped-out sequences ahead of any fresh
-        // admission, once memory has drained below the low watermark.
-        while (self.run.len() as u32) < self.config.total_slots() && !self.swapped.is_empty() {
-            let Some(kv) = &mut self.kv else {
-                unreachable!("swapped sequences only exist with KV modeling on");
-            };
-            if !self.policy.can_resume(kv.occupancy()) {
-                break;
-            }
-            let front = self.swapped.front().expect("checked non-empty");
-            let replica = kv.least_loaded_replica();
-            let Some(alloc) =
-                alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, front, replica)
-            else {
-                break;
-            };
-            let mut s = self.swapped.pop_front().expect("checked non-empty");
-            settle_resume(
-                kv,
-                &self.policy,
-                &mut self.pending_penalty_secs,
-                &mut s,
-                alloc.fresh,
-            );
-            s.replica = alloc.replica;
-            s.kv_blocks = alloc.blocks;
-            s.cow_pending = alloc.cow_pending;
-            report.resumed += 1;
-            if let Some(o) = self.obs.as_mut() {
-                o.push(
-                    now,
-                    s.job.id.0,
-                    EventKind::Resumed {
-                        replica: s.replica as u32,
-                    },
-                );
-            }
-            self.run.push(s);
-        }
-
-        // Phase 3b: boundary admission into freed slots, FIFO. Under KV
-        // modeling every queue entry is blockless (fresh, or evicted by
-        // a quantum preemption), so admission allocates its demand —
-        // gated on the high watermark and on the blocks actually
-        // fitting; an evicted sequence re-entering is a swap-in and
-        // pays the resume price.
-        while (self.run.len() as u32) < self.config.total_slots() {
-            let Some(front) = self.queue.front() else {
-                break;
-            };
-            if let Some(kv) = &mut self.kv {
-                debug_assert!(
-                    front.kv_blocks.is_empty(),
-                    "queued sequences hold no blocks"
-                );
-                // Swapped-out victims have strict priority: admitting
-                // fresh work while they wait would hold occupancy in
-                // the [low, high) band and starve already-started
-                // sequences indefinitely (vLLM likewise admits nothing
-                // while its swapped queue is non-empty).
-                if !self.swapped.is_empty() {
-                    break;
-                }
-                if self.policy.under_pressure(kv.occupancy()) {
-                    break;
-                }
-                // Admission projects *deduplicated* demand: mapped
-                // prefix chunks come from the content table, only the
-                // private remainder must fit in free blocks.
-                let replica = kv.least_loaded_replica();
-                let Some(alloc) =
-                    alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, front, replica)
-                else {
-                    break;
-                };
-                let mut s = self.queue.pop_front().expect("front exists");
-                if s.kv_tokens > 0 {
-                    // Quantum-evicted earlier: bringing its KV state
-                    // back is a swap-in.
-                    settle_resume(
-                        kv,
-                        &self.policy,
-                        &mut self.pending_penalty_secs,
-                        &mut s,
-                        alloc.fresh,
-                    );
-                }
-                s.replica = alloc.replica;
-                s.kv_blocks = alloc.blocks;
-                s.cow_pending = alloc.cow_pending;
-                if s.started.is_none() {
-                    s.started = Some(now);
-                    self.admitted += 1;
-                }
-                report.admitted += 1;
-                if let Some(o) = self.obs.as_mut() {
-                    o.push(
-                        now,
-                        s.job.id.0,
-                        EventKind::SlotStart {
-                            replica: s.replica as u32,
-                        },
-                    );
-                }
-                self.run.push(s);
-                continue;
-            }
-            let mut s = self.queue.pop_front().expect("front exists");
-            if s.started.is_none() {
-                s.started = Some(now);
-                self.admitted += 1;
-            }
-            report.admitted += 1;
-            if let Some(o) = self.obs.as_mut() {
-                o.push(
-                    now,
-                    s.job.id.0,
-                    EventKind::SlotStart {
-                        replica: s.replica as u32,
-                    },
-                );
-            }
-            self.run.push(s);
-        }
-
-        // Phase 3c: progress guarantee. If every gate above refused and
-        // the pool is about to idle with work parked, force one
-        // admission so a step event stays armed: the swapped front
-        // first, then the queue front. No live sequence holds a block
-        // here, so a budget-capped demand always fits.
-        if self.run.is_empty()
-            && let Some(kv) = &mut self.kv
-        {
-            let from_swap = !self.swapped.is_empty();
-            let seq = if from_swap {
-                self.swapped.pop_front()
-            } else {
-                self.queue.pop_front()
-            };
-            if let Some(mut s) = seq {
-                let replica = kv.least_loaded_replica();
-                let alloc =
-                    alloc_with_sharing(kv, &mut self.stats, self.config.kv_share, &s, replica)
-                        .expect("an empty pool fits a capped demand");
-                if from_swap || s.kv_tokens > 0 {
-                    settle_resume(
-                        kv,
-                        &self.policy,
-                        &mut self.pending_penalty_secs,
-                        &mut s,
-                        alloc.fresh,
-                    );
-                }
-                s.replica = alloc.replica;
-                s.kv_blocks = alloc.blocks;
-                s.cow_pending = alloc.cow_pending;
-                if s.started.is_none() {
-                    s.started = Some(now);
-                    self.admitted += 1;
-                }
-                if from_swap {
-                    report.resumed += 1;
-                } else {
-                    report.admitted += 1;
-                }
-                if let Some(o) = self.obs.as_mut() {
-                    let replica = s.replica as u32;
-                    let kind = if from_swap {
-                        EventKind::Resumed { replica }
-                    } else {
-                        EventKind::SlotStart { replica }
-                    };
-                    o.push(now, s.job.id.0, kind);
-                }
-                self.run.push(s);
-            }
-        }
+        // Phase 3: fill the free slots.
+        self.fill_slots(now, &mut report);
         if self.obs.is_some() {
             // Anchor the next step span; the pool idling leaves no span
             // open until `offer` restarts the clock.
             self.step_started = (!self.run.is_empty()).then_some(now);
         }
         report
+    }
+
+    /// Admits waiting sequences into free slots at `now`, first come
+    /// first served: the swapped front while any sequence is swapped,
+    /// the queue front otherwise. With KV modeling on, a swapped
+    /// candidate waits for occupancy below the low watermark, a queued
+    /// one for occupancy below the high watermark, and both for their
+    /// demand to fit (deduplicated: mapped prefix chunks come from the
+    /// content table); the first refusal ends the loop. Progress
+    /// guarantee: when the batch is empty a refused candidate is placed
+    /// anyway — no live sequence holds a block, so its capped demand
+    /// fits — and the loop stops after it.
+    fn fill_slots(&mut self, now: SimTime, report: &mut StepReport) {
+        while self.run.is_empty() || (self.run.len() as u32) < self.config.total_slots() {
+            let resumed = !self.swapped.is_empty();
+            let waiting = if resumed {
+                &mut self.swapped
+            } else {
+                &mut self.queue
+            };
+            let Some(front) = waiting.front() else {
+                break;
+            };
+            let mut forced = false;
+            let alloc = match &mut self.kv {
+                None => None,
+                Some(kv) => {
+                    debug_assert!(
+                        front.kv_blocks.is_empty(),
+                        "waiting sequences hold no blocks"
+                    );
+                    let occupancy = kv.occupancy();
+                    let open = if resumed {
+                        self.policy.can_resume(occupancy)
+                    } else {
+                        !self.policy.under_pressure(occupancy)
+                    };
+                    if !open && !self.run.is_empty() {
+                        break;
+                    }
+                    forced = !open;
+                    let replica = kv.least_loaded_replica();
+                    let Some(alloc) = alloc_with_sharing(
+                        kv,
+                        &mut self.stats,
+                        self.config.kv_share,
+                        front,
+                        replica,
+                    ) else {
+                        assert!(!self.run.is_empty(), "an empty pool fits a capped demand");
+                        break;
+                    };
+                    Some(alloc)
+                }
+            };
+            let seq = waiting.pop_front().expect("front exists");
+            self.place(seq, alloc, now, resumed);
+            if resumed {
+                report.resumed += 1;
+            } else {
+                report.admitted += 1;
+            }
+            if forced {
+                break;
+            }
+        }
+    }
+
+    /// Puts `seq` into a slot with its blocks (`alloc`, `None` with KV
+    /// modeling off): a sequence coming back from the swapped list, or
+    /// holding materialized KV state (a quantum victim), pays the
+    /// resume price; a first admission stamps `started`.
+    fn place(
+        &mut self,
+        mut seq: Sequence,
+        alloc: Option<SharedAlloc>,
+        now: SimTime,
+        resumed: bool,
+    ) {
+        if let (Some(kv), Some(alloc)) = (&mut self.kv, alloc) {
+            if resumed || seq.kv_tokens > 0 {
+                settle_resume(
+                    kv,
+                    &self.policy,
+                    &mut self.pending_penalty_secs,
+                    &mut seq,
+                    alloc.fresh,
+                );
+            }
+            seq.replica = alloc.replica;
+            seq.kv_blocks = alloc.blocks;
+            seq.cow_pending = alloc.cow_pending;
+        }
+        seq.started.get_or_insert(now);
+        if let Some(o) = self.obs.as_mut() {
+            let replica = seq.replica as u32;
+            let kind = if resumed {
+                EventKind::Resumed { replica }
+            } else {
+                EventKind::SlotStart { replica }
+            };
+            o.push(now, seq.job.id.0, kind);
+        }
+        self.run.push(seq);
     }
 
     /// Applies the quiet run that follows the boundary just executed at
@@ -1886,19 +1745,24 @@ mod tests {
         })
     }
 
+    /// Runs the pool to drain, returning every boundary's report and
+    /// the final clock.
+    fn boundaries(pool: &mut ModelPool) -> (Vec<StepReport>, f64) {
+        let mut now = 0.0f64;
+        let mut reports = Vec::new();
+        while let Some(dt) = pool.step_secs() {
+            now += dt;
+            reports.push(pool.advance_step(SimTime::from_secs_f64(now)));
+            assert!(reports.len() < 100_000, "runaway step loop");
+        }
+        (reports, now)
+    }
+
     /// Runs the pool to drain, returning finished sequences in
     /// completion order and the final clock.
     fn drain(pool: &mut ModelPool) -> (Vec<FinishedSeq>, f64) {
-        let mut now = 0.0f64;
-        let mut done = Vec::new();
-        let mut guard = 0;
-        while let Some(dt) = pool.step_secs() {
-            now += dt;
-            done.extend(pool.advance_step(SimTime::from_secs_f64(now)).finished);
-            guard += 1;
-            assert!(guard < 100_000, "runaway step loop");
-        }
-        (done, now)
+        let (reports, now) = boundaries(pool);
+        (reports.into_iter().flat_map(|r| r.finished).collect(), now)
     }
 
     /// One boundary through `advance_step` and the quiet run
@@ -2006,7 +1870,7 @@ mod tests {
         let report = p.advance_step(SimTime::from_secs_f64(0.1));
         assert_eq!(report.admitted, 1, "boundary admits the queued job");
         assert_eq!(p.active(), 2);
-        assert_eq!(p.admitted(), 2);
+        assert_eq!(drain(&mut p).0.len(), 2, "both jobs complete");
     }
 
     #[test]
@@ -2086,7 +1950,14 @@ mod tests {
         let mut p = pool_with(1, 0, 3, None);
         p.offer(job_with(1, 0.0, 1.0, 1, 12), SimTime::ZERO);
         p.offer(job_with(2, 0.0, 1.0, 1, 12), SimTime::ZERO);
-        let (done, _) = drain(&mut p);
+        let (reports, _) = boundaries(&mut p);
+        // A yielding decoder re-queues behind the waiter, which takes
+        // its slot at the same boundary.
+        assert!(
+            reports.iter().any(|r| r.preempted == 1 && r.admitted == 1),
+            "a preemption hands its slot to the waiter"
+        );
+        let done: Vec<FinishedSeq> = reports.into_iter().flat_map(|r| r.finished).collect();
         assert_eq!(done.len(), 2);
         let stats = p.iter_stats();
         assert!(stats.preemptions > 0, "quantum must trigger preemption");
@@ -2096,8 +1967,9 @@ mod tests {
         assert_eq!(stats.chunk_steps, 2);
         let by_id = |id: u64| done.iter().find(|f| f.job.id == JobId(id)).unwrap();
         assert!(by_id(1).preemptions > 0);
-        // Preemption push-backs count toward the peak-queue diagnostic.
-        assert!(p.peak_queue() >= 2, "peak queue {}", p.peak_queue());
+        // Re-admission keeps the first admission's start, so queueing
+        // delay is measured once.
+        assert_eq!(by_id(1).started, SimTime::ZERO);
         // Round-robin: both make progress; neither finishes only after
         // the other's full runtime (strict FIFO would give 1.0 and 2.0).
         assert!(by_id(1).completed.as_secs_f64() > 1.0);
@@ -2138,10 +2010,18 @@ mod tests {
         p.offer(job_with(1, 0.0, 0.1, 1, 1), SimTime::ZERO);
         p.offer(job_with(2, 0.0, 0.1, 1, 1), SimTime::ZERO);
         p.offer(job_with(3, 0.0, 0.1, 1, 1), SimTime::ZERO);
-        let (done, _) = drain(&mut p);
-        let order: Vec<u64> = done.iter().map(|f| f.job.id.0).collect();
+        let (reports, _) = boundaries(&mut p);
+        let admitted: u32 = reports.iter().map(|r| r.admitted).sum();
+        assert_eq!(
+            admitted, 2,
+            "the offer started job 1; boundaries admit 2 and 3"
+        );
+        let order: Vec<u64> = reports
+            .iter()
+            .flat_map(|r| &r.finished)
+            .map(|f| f.job.id.0)
+            .collect();
         assert_eq!(order, vec![1, 2, 3], "FIFO admission order");
-        assert_eq!(p.admitted(), 3);
     }
 
     #[test]
@@ -2195,7 +2075,6 @@ mod tests {
         let e0 = q.service_secs(&job(1));
         q.offer(job(0), SimTime::ZERO);
         assert!(q.service_secs(&job(1)) > e0);
-        assert!((q.prefill_secs(&job(1)) - 0.1).abs() < 1e-12);
     }
 
     /// The acceptance-criterion scenario: memory pressure — not slot
@@ -2266,15 +2145,18 @@ mod tests {
         p.offer(job_with(3, 0.1, 1.0, 16, 40), SimTime::ZERO);
         let mut now = 0.0;
         let mut guard = 0;
+        let mut finished = 0;
         let mut saw_swapped_with_fresh_waiting = false;
         while let Some(dt) = p.step_secs() {
             now += dt;
             let report = p.advance_step(SimTime::from_secs_f64(now));
+            finished += report.finished.len();
             if p.swapped_len() > 0 && p.queue_len() > 0 {
                 saw_swapped_with_fresh_waiting = true;
             }
             // Any boundary that admits queue work must have emptied the
-            // swapped queue first (phase 3a resumes outrank 3b admits).
+            // swapped queue first (the admission loop takes the swapped
+            // front while one waits).
             assert!(
                 report.admitted == 0 || p.swapped_len() == 0,
                 "fresh admission while a victim waited swapped out"
@@ -2286,8 +2168,51 @@ mod tests {
             saw_swapped_with_fresh_waiting,
             "scenario must exercise the contested state"
         );
-        assert_eq!(p.admitted(), 3, "the fresh job runs once victims drain");
+        assert_eq!(finished, 3, "the fresh job runs once victims drain");
         assert_eq!(p.kv_stats().allocs, p.kv_stats().frees);
+    }
+
+    #[test]
+    fn an_emptied_batch_resumes_exactly_one_victim() {
+        // `low = 0` shuts the resume gate for good (`Watermarks::new`
+        // rejects it, so only a literal builds such a pool): a swapped
+        // victim comes back only through the progress guarantee, when
+        // the batch empties. The loop places that one sequence and
+        // stops, though the high watermark would admit the queued job.
+        let mut p = kv_pool(
+            2,
+            8,
+            8,
+            Watermarks {
+                high: 1.0,
+                low: 0.0,
+            },
+        );
+        for i in 1..=3 {
+            p.offer(job_with(i, 0.1, 1.0, 16, 40), SimTime::ZERO);
+        }
+        let mut now = 0.0;
+        let mut finished = 0;
+        let mut forced_with_work_queued = 0;
+        while let Some(dt) = p.step_secs() {
+            now += dt;
+            let report = p.advance_step(SimTime::from_secs_f64(now));
+            finished += report.finished.len();
+            if report.resumed > 0 {
+                assert_eq!(
+                    (report.resumed, report.admitted, p.active()),
+                    (1, 0, 1),
+                    "one forced resume into an emptied batch, and nothing after it"
+                );
+                forced_with_work_queued += usize::from(p.queue_len() > 0);
+            }
+            assert!(finished <= 3 && now < 1e3, "runaway loop");
+        }
+        assert!(forced_with_work_queued > 0, "the stop must be exercised");
+        assert_eq!(finished, 3, "every job completes");
+        let kv = p.kv_stats();
+        assert_eq!(kv.swap_ins, kv.swap_outs, "every victim resumed");
+        assert_eq!(kv.allocs, kv.frees, "blocks conserved");
     }
 
     #[test]
@@ -2574,7 +2499,6 @@ mod tests {
         let _ = drain(&mut p);
         assert_eq!(p.kv_stats(), ic_kvmem::KvStats::default());
         assert_eq!(p.kv_occupancy(), 0.0);
-        assert_eq!(p.projected_prefill_blocks(&job(2)), 0);
     }
 
     #[test]
