@@ -421,8 +421,9 @@ fn bench_workloads(c: &mut Criterion) {
 }
 
 /// Synthetic plaintext at a prompt-sized and a response-sized length —
-/// the cost bank generation and `update_cache` pay per example. Printed
-/// in CI, not gated.
+/// the cost bank generation pays per text — and the rendering of a
+/// response-sized one, which only prompts and tests pay. Printed in CI,
+/// not gated.
 fn bench_text_synth(c: &mut Criterion) {
     let synth = ic_embed::TextSynthesizer::new(0.04);
     let mut rng = rng_from_seed(6);
@@ -432,6 +433,10 @@ fn bench_text_synth(c: &mut Criterion) {
             b.iter(|| black_box(synth.synthesize(black_box(123), tokens, &mut rng)))
         });
     }
+    let text = synth.synthesize(123, 256, &mut rng);
+    g.bench_function("render_256_tokens", |b| {
+        b.iter(|| black_box(black_box(&text).to_string()))
+    });
     g.finish();
 }
 

@@ -9,12 +9,13 @@
 //!
 //! Every run also writes `BENCH_replay.json`: the replay-performance
 //! record (wall-clock seconds, simulator events per second, the
-//! replay counters, and the tracing-enabled vs
-//! disabled replay walls side by side — the observability overhead is
-//! measured every run, not asserted). Its `wall_s`/`traced_wall_s`/
-//! `events_per_sec` fields are measured wall time and are **not** part
-//! of any determinism contract — the CI determinism job diffs only
-//! `BENCH_e2e.json` and the observability artifacts.
+//! replay counters, the process's peak resident set, and the
+//! tracing-enabled vs disabled replay walls side by side — the
+//! observability overhead is measured every run, not asserted). Its
+//! `peak_rss_mb`/`wall_s`/`traced_wall_s`/`events_per_sec` fields are
+//! measurements and are **not** part of any determinism contract — the
+//! CI determinism job diffs only `BENCH_e2e.json` and the observability
+//! artifacts.
 //!
 //! Observability (`docs/observability.md`):
 //!
@@ -53,8 +54,22 @@ use ic_bench::write_artifact;
 use ic_engine::{EngineReport, ServingEngine};
 use ic_workloads::Dataset;
 
+/// Peak resident set of this process so far in MiB (`VmHWM`; 0 where
+/// `/proc` is unavailable).
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// The replay-performance record. Deterministic fields first, measured
-/// wall-clock fields last; only `BENCH_e2e.json` and the observability
+/// fields last; only `BENCH_e2e.json` and the observability
 /// artifacts carry determinism guarantees. `wall_s` times the
 /// observability-off replay, `traced_wall_s` the identical replay with
 /// the lifecycle recorder on — side by side, so the tracing-overhead
@@ -65,6 +80,7 @@ fn replay_json(
     wall_s: f64,
     traced_wall_s: f64,
     setup: SetupTiming,
+    peak_rss_mb: f64,
 ) -> String {
     let events = report.served + report.iter.steps;
     let r = &report.replay;
@@ -78,7 +94,7 @@ fn replay_json(
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"certified_scans\":{},\"exact_resolves\":{},",
-            "\"setup_threads\":{},\"setup_wall_s\":{:.3},",
+            "\"setup_threads\":{},\"setup_wall_s\":{:.3},\"peak_rss_mb\":{:.1},",
             "\"bank_gen_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
@@ -102,6 +118,7 @@ fn replay_json(
         setup.index_build.exact_resolves,
         setup.setup_threads,
         setup.setup_wall_s,
+        peak_rss_mb,
         setup.bank_gen_wall_s,
         setup.index_build_wall_s,
         wall_s,
@@ -160,14 +177,17 @@ fn print_replay_summary(
     wall_s: f64,
     traced_wall_s: f64,
     setup: SetupTiming,
+    peak_rss_mb: f64,
 ) {
     println!(
-        "setup: {:.2}s wall at {} thread(s) (bank gen {:.2}s, index build {:.2}s) vs replay {:.2}s",
+        "setup: {:.2}s wall at {} thread(s) (bank gen {:.2}s, index build {:.2}s) vs replay {:.2}s, \
+         peak RSS {:.1} MiB",
         setup.setup_wall_s,
         setup.setup_threads,
         setup.bank_gen_wall_s,
         setup.index_build_wall_s,
         wall_s,
+        peak_rss_mb,
     );
     let b = setup.index_build;
     println!(
@@ -327,13 +347,14 @@ fn main() {
         };
         let (engine_report, wall_s, setup) = timed_replay(scale, obs_off);
         let (traced, traced_wall_s, _) = timed_replay(scale, obs_on);
+        let peak = peak_rss_mb();
         write_artifact(
             "BENCH_replay.json",
-            replay_json(fraction, &engine_report, wall_s, traced_wall_s, setup),
+            replay_json(fraction, &engine_report, wall_s, traced_wall_s, setup, peak),
         );
         write_obs_artifacts(&traced, trace_path.as_deref(), sampled);
         print_engine_summary(&engine_report);
-        print_replay_summary(&engine_report, wall_s, traced_wall_s, setup);
+        print_replay_summary(&engine_report, wall_s, traced_wall_s, setup, peak);
         println!("wrote BENCH_replay.json (fraction {fraction})");
         return;
     }
@@ -352,12 +373,13 @@ fn main() {
     // events-per-second figure.
     let (timed, wall_s, setup) = timed_replay(scale, obs_off);
     let (_, traced_wall_s, _) = timed_replay(scale, obs_on);
+    let peak = peak_rss_mb();
     write_artifact(
         "BENCH_replay.json",
-        replay_json(scale.fraction, &timed, wall_s, traced_wall_s, setup),
+        replay_json(scale.fraction, &timed, wall_s, traced_wall_s, setup, peak),
     );
     println!("{}", report.to_markdown());
     println!("wrote BENCH_e2e.json and BENCH_replay.json");
     print_engine_summary(&engine_report);
-    print_replay_summary(&timed, wall_s, traced_wall_s, setup);
+    print_replay_summary(&timed, wall_s, traced_wall_s, setup, peak);
 }

@@ -9,12 +9,14 @@ use ic_selector::{ExampleSelector, ProxyFeatures};
 use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator};
 use rand::RngExt;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::harness::{Scale, side_by_side};
 use crate::report::{Report, Table, f3, pct};
 
-/// Builds a trained selector plus a store for a dataset.
+/// Builds a trained selector plus a store for a dataset. The store
+/// iterates in id order, so whatever is drawn per example lands on the
+/// same example every run.
 fn trained_selector(
     ds: Dataset,
     n_examples: usize,
@@ -22,7 +24,7 @@ fn trained_selector(
     seed: u64,
 ) -> (
     ExampleSelector,
-    HashMap<ic_llmsim::ExampleId, ic_llmsim::Example>,
+    BTreeMap<ic_llmsim::ExampleId, ic_llmsim::Example>,
     WorkloadGenerator,
     Generator,
     ModelSpec,
@@ -33,17 +35,13 @@ fn trained_selector(
     let mut wg = WorkloadGenerator::sized(ds, seed, n_examples);
     let examples = wg.generate_examples(n_examples, &large, ic_llmsim::ModelId(1), &sim);
     let mut selector = ExampleSelector::standard();
-    let mut store = HashMap::new();
+    let mut store = BTreeMap::new();
     for e in examples {
         selector.index_example(e.id, e.embedding.clone());
         store.insert(e.id, e);
     }
     let icl = IclParams::default();
-    let all_ids: Vec<ic_llmsim::ExampleId> = {
-        let mut ids: Vec<_> = store.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    };
+    let all_ids: Vec<ic_llmsim::ExampleId> = store.keys().copied().collect();
     let mut neg_rng = rng_from_seed(seed ^ 0x5E1F);
     for r in &wg.generate_requests(n_train) {
         let base = sim.base_quality(&small, r);
@@ -234,7 +232,7 @@ pub fn fig11_replay(scale: Scale) -> Report {
         let large = ModelSpec::gemma_2_27b();
         let mut rng = rng_from_seed(scale.seed ^ 13);
         let requests = wg.generate_requests(scale.count(2_500, 120));
-        let measure = |store: &HashMap<ic_llmsim::ExampleId, ic_llmsim::Example>,
+        let measure = |store: &BTreeMap<ic_llmsim::ExampleId, ic_llmsim::Example>,
                        rng: &mut rand::rngs::StdRng| {
             let mut q_ic = Vec::new();
             let mut q_large = Vec::new();
@@ -328,10 +326,8 @@ pub fn fig19_cachesize(scale: Scale) -> Report {
             let smart_keep: std::collections::HashSet<_> =
                 greedy_knapsack(&items, budget).into_iter().collect();
             // Naive: keep a random subset of the same size.
-            let mut ids: Vec<_> = store.keys().copied().collect();
-            ids.sort_unstable();
-            let naive_keep: std::collections::HashSet<_> = ids
-                .iter()
+            let naive_keep: std::collections::HashSet<_> = store
+                .keys()
                 .filter(|_| rng.random::<f64>() < keep_frac)
                 .copied()
                 .collect();
@@ -404,6 +400,15 @@ mod tests {
                 "replay regressed: {before} -> {after}"
             );
         }
+    }
+
+    /// Fails if the replay walks the store in hash order again: the
+    /// replay RNG's draws then land on other examples in each run.
+    #[test]
+    fn fig11_replay_is_deterministic() {
+        let a = fig11_replay(Scale::quick()).to_markdown();
+        let b = fig11_replay(Scale::quick()).to_markdown();
+        assert_eq!(a, b);
     }
 
     #[test]

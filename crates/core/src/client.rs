@@ -160,7 +160,7 @@ mod tests {
         let (client, mut wg) = client_with_examples();
         let requests = wg.generate_requests(5);
         for (r, resp) in requests.iter().zip(client.generate(&requests)) {
-            assert!(resp.prompt.contains(&r.text));
+            assert!(resp.prompt.contains(&r.text.to_string()));
             if resp.offloaded && !resp.prompt.contains("[Example 1]") {
                 // Offloaded with an empty selection is legal (no useful
                 // examples found); otherwise the prompt embeds examples.

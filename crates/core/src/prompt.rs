@@ -5,6 +5,8 @@
 //! and the repeated instruction (Fig. 24), and the autorater's
 //! side-by-side evaluation prompt (Fig. 25).
 
+use std::fmt::Write as _;
+
 use ic_llmsim::{Example, Request};
 
 /// System preamble shared by both generation templates (Fig. 23/24).
@@ -40,8 +42,11 @@ instruction is very similar to the examples.";
 pub fn render_prompt(request: &Request, examples: &[&Example]) -> String {
     let mut out = String::with_capacity(512);
     out.push_str(PREAMBLE);
-    out.push_str("\n\nBelow is an instruction that describes a task:\n");
-    out.push_str(&request.text);
+    let _ = write!(
+        out,
+        "\n\nBelow is an instruction that describes a task:\n{}",
+        request.text
+    );
     if examples.is_empty() {
         return out;
     }
@@ -49,16 +54,20 @@ pub fn render_prompt(request: &Request, examples: &[&Example]) -> String {
     out.push_str(IC_GUIDANCE);
     out.push_str("\n\n");
     for (i, e) in examples.iter().enumerate() {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "[Example {}]\nInstruction: {}\nResponse: {}\n\n",
             i + 1,
             e.request_text,
             e.response_text
-        ));
+        );
     }
     out.push_str(IC_REMINDER);
-    out.push_str("\n\nBelow is an instruction that describes a task again:\n");
-    out.push_str(&request.text);
+    let _ = write!(
+        out,
+        "\n\nBelow is an instruction that describes a task again:\n{}",
+        request.text
+    );
     out
 }
 
@@ -104,7 +113,7 @@ mod tests {
         let (r, _) = fixture();
         let p = render_prompt(&r, &[]);
         assert!(p.contains("[System]"));
-        assert!(p.contains(&r.text));
+        assert!(p.contains(&r.text.to_string()));
         assert!(!p.contains("**Relevance"));
         assert!(!p.contains("[Example"));
     }
@@ -120,11 +129,11 @@ mod tests {
         assert!(p.contains("[Example 1]"));
         assert!(p.contains("[Example 3]"));
         for e in &exs {
-            assert!(p.contains(&e.request_text));
-            assert!(p.contains(&e.response_text));
+            assert!(p.contains(&e.request_text.to_string()));
+            assert!(p.contains(&e.response_text.to_string()));
         }
         // The instruction appears twice (Fig. 24 repeats it at the end).
-        assert_eq!(p.matches(&r.text).count(), 2);
+        assert_eq!(p.matches(&r.text.to_string()).count(), 2);
     }
 
     #[test]

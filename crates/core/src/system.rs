@@ -518,7 +518,7 @@ impl IcCacheSystem {
             task: request.task,
             origin_difficulty: request.difficulty,
             request_text: request.text.clone(),
-            response_text: render_response_text(request.topic, outcome.output_tokens),
+            response_text: render_response_text(request.topic, outcome.output_tokens).into(),
             request_tokens: request.input_tokens,
             response_tokens: outcome.output_tokens,
             quality: outcome.quality,

@@ -22,7 +22,8 @@
 //! - [`topic`] — [`TopicSpace`]: shared-anchor + topic-direction latent
 //!   construction with tunable cross-topic and within-topic similarity.
 //! - [`embedder`] — the observable embedding extractor (imperfect view).
-//! - [`text`] — synthetic plaintext with token/byte accounting and optional
+//! - [`text`] — synthetic plaintext ([`Plaintext`]: one code byte per word,
+//!   rendered on demand) with byte accounting and optional
 //!   sensitive-span injection for the admission-control path.
 
 mod boxmuller;
@@ -35,6 +36,6 @@ pub mod vector;
 
 pub use embedder::Embedder;
 pub use slab::EmbeddingSlab;
-pub use text::{SyntheticText, TextSynthesizer, contains_sensitive, scrub_sensitive};
+pub use text::{Plaintext, TextSynthesizer, contains_sensitive, scrub_sensitive};
 pub use topic::{TopicSpace, TopicSpaceConfig};
 pub use vector::{Embedding, cosine_from_dot, dot_slices, norm_slice, sq_dist_slices};

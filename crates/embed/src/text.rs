@@ -8,8 +8,14 @@
 //! signals: topic-specific vocabulary, realistic length distributions
 //! (supplied by callers), and optional injected sensitive spans that the
 //! scrubber must find.
+//!
+//! A synthesized text is kept as a [`Plaintext`]: its topic, one code byte
+//! per word and at most one sensitive (or redacted) span. It renders, on
+//! demand, exactly the words it stands for, and knows its rendered length
+//! without rendering — a bank holds tens of thousands of these for the
+//! whole run, at a byte a word instead of the words themselves.
 
-use std::cell::RefCell;
+use std::fmt::{self, Write as _};
 
 use rand::{Rng, RngExt};
 
@@ -17,21 +23,183 @@ use rand::{Rng, RngExt};
 /// numbers. Kept textual so plaintext-size accounting stays realistic.
 const SENSITIVE_MARKERS: [&str; 3] = ["email:", "phone:", "ssn:"];
 
-/// A piece of synthetic text plus its accounting metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyntheticText {
-    /// Rendered plaintext.
-    pub text: String,
-    /// Number of whitespace-delimited tokens (the simulator's token unit).
-    pub tokens: u32,
-    /// Whether a sensitive span was injected.
-    pub sensitive: bool,
+/// What a scrubbed sensitive span renders as.
+const REDACTED: &str = "[REDACTED]";
+
+/// Function words shared across topics, mimicking natural-language filler.
+const FUNCTION_WORDS: [&str; 12] = [
+    "the", "a", "of", "to", "and", "in", "how", "what", "for", "is", "on", "with",
+];
+
+/// Topic stems per topic: word `t{topic}w{n}` for `n` in `0..STEMS`.
+const STEMS: u32 = 48;
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-impl SyntheticText {
-    /// Plaintext size in bytes — the knapsack weight unit.
-    pub fn byte_len(&self) -> usize {
-        self.text.len()
+/// A text as the cache stores it: a synthesized text in compact form, or
+/// any other text verbatim. [`Display`](fmt::Display) renders it;
+/// [`len`](Plaintext::len) is the rendered length in bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plaintext(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Repr {
+    /// Word `k` is `FUNCTION_WORDS[codes[k]]` for a code below 12 and
+    /// `t{topic}w{codes[k] - 12}` above, except that `span` replaces
+    /// its word; words are joined by single spaces. `len` is the
+    /// rendered length.
+    Coded {
+        codes: Box<[u8]>,
+        topic: u32,
+        len: u32,
+        span: Option<Span>,
+    },
+    Verbatim(Box<str>),
+}
+
+/// The one injected span of a synthesized text, in place of word `word`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Span {
+    /// `{SENSITIVE_MARKERS[marker]}user{user}@example.com`.
+    Sensitive { word: u32, marker: u8, user: u16 },
+    /// The same span after scrubbing: `[REDACTED]`.
+    Redacted { word: u32 },
+}
+
+impl Span {
+    fn word(self) -> usize {
+        match self {
+            Span::Sensitive { word, .. } | Span::Redacted { word } => word as usize,
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Span::Sensitive { marker, user, .. } => {
+                SENSITIVE_MARKERS[usize::from(marker)].len()
+                    + "user".len()
+                    + digits(u64::from(user))
+                    + "@example.com".len()
+            }
+            Span::Redacted { .. } => REDACTED.len(),
+        }
+    }
+}
+
+impl fmt::Display for Span {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Span::Sensitive { marker, user, .. } => write!(
+                f,
+                "{}user{user}@example.com",
+                SENSITIVE_MARKERS[usize::from(marker)]
+            ),
+            Span::Redacted { .. } => f.write_str(REDACTED),
+        }
+    }
+}
+
+/// Rendered length of word `code` of a text about a topic with
+/// `topic_digits` decimal digits.
+fn word_len(code: u8, topic_digits: usize) -> usize {
+    match FUNCTION_WORDS.get(usize::from(code)) {
+        Some(w) => w.len(),
+        None => "tw".len() + topic_digits + digits(u64::from(code) - FUNCTION_WORDS.len() as u64),
+    }
+}
+
+impl Plaintext {
+    /// Rendered length in bytes, without rendering.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Coded { len, .. } => *len as usize,
+            Repr::Verbatim(s) => s.len(),
+        }
+    }
+
+    /// Whether the rendering is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`contains_sensitive`] of the rendering, without rendering.
+    pub fn contains_sensitive(&self) -> bool {
+        match &self.0 {
+            Repr::Coded { span, .. } => matches!(span, Some(Span::Sensitive { .. })),
+            Repr::Verbatim(s) => contains_sensitive(s),
+        }
+    }
+
+    /// The text [`scrub_sensitive`] makes of the rendering: a synthesized
+    /// text's span turns into `[REDACTED]` without rendering anything.
+    pub fn scrubbed(&self) -> Plaintext {
+        match &self.0 {
+            Repr::Coded {
+                codes,
+                topic,
+                len,
+                span,
+            } => {
+                let (span, len) = match *span {
+                    Some(s @ Span::Sensitive { word, .. }) => {
+                        let redacted = Span::Redacted { word };
+                        let len = *len as usize - s.len() + redacted.len();
+                        (Some(redacted), len as u32)
+                    }
+                    other => (other, *len),
+                };
+                Plaintext(Repr::Coded {
+                    codes: codes.clone(),
+                    topic: *topic,
+                    len,
+                    span,
+                })
+            }
+            Repr::Verbatim(s) => scrub_sensitive(s).into(),
+        }
+    }
+}
+
+impl Default for Plaintext {
+    fn default() -> Self {
+        Self(Repr::Verbatim(Box::default()))
+    }
+}
+
+impl From<String> for Plaintext {
+    fn from(text: String) -> Self {
+        Self(Repr::Verbatim(text.into_boxed_str()))
+    }
+}
+
+impl From<&str> for Plaintext {
+    fn from(text: &str) -> Self {
+        Self(Repr::Verbatim(text.into()))
+    }
+}
+
+impl fmt::Display for Plaintext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (codes, topic, span) = match &self.0 {
+            Repr::Coded {
+                codes, topic, span, ..
+            } => (codes, *topic, *span),
+            Repr::Verbatim(s) => return f.write_str(s),
+        };
+        for (k, &code) in codes.iter().enumerate() {
+            if k > 0 {
+                f.write_char(' ')?;
+            }
+            match (span, FUNCTION_WORDS.get(usize::from(code))) {
+                (Some(s), _) if s.word() == k => write!(f, "{s}")?,
+                (_, Some(w)) => f.write_str(w)?,
+                (_, None) => write!(f, "t{topic}w{}", usize::from(code) - FUNCTION_WORDS.len())?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -46,29 +214,16 @@ impl SyntheticText {
 /// let synth = TextSynthesizer::new(0.0);
 /// let mut rng = rng_from_seed(5);
 /// let t = synth.synthesize(3, 12, &mut rng);
-/// assert_eq!(t.tokens, 12);
-/// assert!(!t.sensitive);
+/// let rendered = t.to_string();
+/// assert_eq!(rendered.split(' ').count(), 12);
+/// assert_eq!(t.len(), rendered.len());
+/// assert!(!t.contains_sensitive());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TextSynthesizer {
     /// Probability that a generated text contains one sensitive span.
     sensitive_rate: f64,
 }
-
-thread_local! {
-    /// The buffer one text's words are written into, reused across
-    /// calls so that the only allocation outliving
-    /// [`TextSynthesizer::synthesize`] is its exact-size result. A fresh
-    /// scratch per call, freed after the copy, leaves a scratch-sized
-    /// hole in front of every long-lived text (+3.5 MiB peak RSS on a
-    /// 20 000-example bank).
-    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
-/// Function words shared across topics, mimicking natural-language filler.
-const FUNCTION_WORDS: [&str; 12] = [
-    "the", "a", "of", "to", "and", "in", "how", "what", "for", "is", "on", "with",
-];
 
 impl TextSynthesizer {
     /// Creates a synthesizer that injects sensitive spans at the given rate.
@@ -84,86 +239,41 @@ impl TextSynthesizer {
         Self { sensitive_rate }
     }
 
-    /// Synthesizes `tokens` whitespace-delimited tokens about `topic`.
-    ///
-    /// The words go straight into one scratch buffer (draw order: every
-    /// word, then the sensitive flag, marker, position and user number,
-    /// the span spliced over word `pos`), and the result is an
-    /// exact-size copy of it: a bank holds tens of thousands of these
-    /// for the whole run, so none may keep growth slack.
-    pub fn synthesize(&self, topic: usize, tokens: u32, rng: &mut impl Rng) -> SyntheticText {
-        SCRATCH.with_borrow_mut(|buf| self.synthesize_into(buf, topic, tokens, rng))
-    }
-
-    fn synthesize_into(
-        &self,
-        buf: &mut String,
-        topic: usize,
-        tokens: u32,
-        rng: &mut impl Rng,
-    ) -> SyntheticText {
+    /// Synthesizes `tokens` (at least one) space-separated words about
+    /// `topic`. Draw order: every word, then the sensitive flag, and for
+    /// a sensitive text its marker, the word it replaces and the user
+    /// number.
+    pub fn synthesize(&self, topic: usize, tokens: u32, rng: &mut impl Rng) -> Plaintext {
         let tokens = tokens.max(1);
-        // Topic-specific pseudo-words share a stem: stable vocabulary
-        // per topic.
-        let stem = format!("t{topic}w");
-        buf.clear();
-        for k in 0..tokens {
-            if k > 0 {
-                buf.push(' ');
-            }
-            if rng.random::<f64>() < 0.35 {
-                buf.push_str(FUNCTION_WORDS[rng.random_range(0..FUNCTION_WORDS.len())]);
+        let topic_digits = digits(topic as u64);
+        let mut codes = Vec::with_capacity(tokens as usize);
+        // The spaces between words.
+        let mut len = tokens as usize - 1;
+        for _ in 0..tokens {
+            let code = if rng.random::<f64>() < 0.35 {
+                rng.random_range(0..FUNCTION_WORDS.len()) as u8
             } else {
-                buf.push_str(&stem);
-                push_decimal(buf, rng.random_range(0..48u32));
-            }
-        }
-        let sensitive = rng.random::<f64>() < self.sensitive_rate;
-        if sensitive {
-            let marker = SENSITIVE_MARKERS[rng.random_range(0..SENSITIVE_MARKERS.len())];
-            let pos = rng.random_range(0..tokens as usize);
-            let mut span = String::with_capacity(32);
-            span.push_str(marker);
-            span.push_str("user");
-            push_decimal(&mut span, rng.random_range(0..10_000u32));
-            span.push_str("@example.com");
-            // Word `pos` starts after the `pos`-th space and runs to the
-            // next one (or the end).
-            let start = match pos {
-                0 => 0,
-                _ => {
-                    buf.match_indices(' ')
-                        .nth(pos - 1)
-                        .expect("word pos exists")
-                        .0
-                        + 1
-                }
+                (FUNCTION_WORDS.len() as u32 + rng.random_range(0..STEMS)) as u8
             };
-            let end = buf[start..].find(' ').map_or(buf.len(), |i| start + i);
-            buf.replace_range(start..end, &span);
+            len += word_len(code, topic_digits);
+            codes.push(code);
         }
-        SyntheticText {
-            text: buf.as_str().to_owned(),
-            tokens,
-            sensitive,
+        let span = (rng.random::<f64>() < self.sensitive_rate).then(|| {
+            let marker = rng.random_range(0..SENSITIVE_MARKERS.len()) as u8;
+            let word = rng.random_range(0..tokens as usize) as u32;
+            let user = rng.random_range(0..10_000u32) as u16;
+            Span::Sensitive { word, marker, user }
+        });
+        if let Some(s) = span {
+            len = len - word_len(codes[s.word()], topic_digits) + s.len();
         }
+        Plaintext(Repr::Coded {
+            codes: codes.into_boxed_slice(),
+            topic: u32::try_from(topic).expect("topic index fits in u32"),
+            len: u32::try_from(len).expect("text length fits in u32"),
+            span,
+        })
     }
-}
-
-/// Appends `n` in decimal — `write!(buf, "{n}")` without the formatter.
-fn push_decimal(buf: &mut String, n: u32) {
-    let mut digits = [0u8; 10];
-    let mut at = digits.len();
-    let mut rest = n;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    buf.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Returns true if the text contains an injected sensitive span.
@@ -179,7 +289,7 @@ pub fn scrub_sensitive(text: &str) -> String {
     text.split_whitespace()
         .map(|w| {
             if SENSITIVE_MARKERS.iter().any(|m| w.starts_with(m)) {
-                "[REDACTED]"
+                REDACTED
             } else {
                 w
             }
@@ -193,13 +303,14 @@ mod tests {
     use super::*;
     use ic_stats::rng::rng_from_seed;
 
-    /// `synthesize` as it was: one `String` per word, joined.
+    /// `synthesize` as a `String`: one per word, joined. Returns the text,
+    /// whether it is sensitive and which word the span replaced.
     fn synthesize_per_word(
         sensitive_rate: f64,
         topic: usize,
         tokens: u32,
         rng: &mut impl Rng,
-    ) -> (SyntheticText, Option<usize>) {
+    ) -> (String, bool, Option<usize>) {
         let tokens = tokens.max(1);
         let mut words: Vec<String> = Vec::with_capacity(tokens as usize);
         for _ in 0..tokens {
@@ -218,14 +329,12 @@ mod tests {
             words[pos] = format!("{marker}user{}@example.com", rng.random_range(0..10_000u32));
             span_at = Some(pos);
         }
-        let text = SyntheticText {
-            text: words.join(" "),
-            tokens,
-            sensitive,
-        };
-        (text, span_at)
+        (words.join(" "), sensitive, span_at)
     }
 
+    /// Fails if a stem is counted as one digit for `n >= 10`, if
+    /// `scrubbed()` keeps the span's old length, if the rendering ignores
+    /// the span, or if the span's word is drawn before its marker.
     #[test]
     fn one_buffer_synthesis_matches_the_per_word_reference() {
         let (mut first_word_spans, mut last_word_spans) = (0, 0);
@@ -236,10 +345,28 @@ mod tests {
                     let seed = (r as u64) << 40 | (topic as u64) << 16 | u64::from(tokens);
                     let (mut rng_new, mut rng_old) = (rng_from_seed(seed), rng_from_seed(seed));
                     let got = synth.synthesize(topic, tokens, &mut rng_new);
-                    let (want, span_at) = synthesize_per_word(rate, topic, tokens, &mut rng_old);
-                    assert_eq!(got, want, "rate {rate} topic {topic} tokens {tokens}");
-                    assert_eq!(rng_new.next_u64(), rng_old.next_u64());
-                    assert_eq!(got.text.capacity(), got.text.len(), "exact-size copy");
+                    let (want, sensitive, span_at) =
+                        synthesize_per_word(rate, topic, tokens, &mut rng_old);
+                    let at = format!("rate {rate} topic {topic} tokens {tokens}");
+                    let rendered = got.to_string();
+                    assert_eq!(rendered, want, "{at}");
+                    assert_eq!(got.len(), rendered.len(), "{at}");
+                    assert_eq!(got.contains_sensitive(), sensitive, "{at}");
+                    assert_eq!(
+                        got.contains_sensitive(),
+                        contains_sensitive(&rendered),
+                        "{at}"
+                    );
+                    let scrubbed = got.scrubbed();
+                    let want_scrubbed = scrub_sensitive(&rendered);
+                    assert_eq!(scrubbed.to_string(), want_scrubbed, "{at}");
+                    assert_eq!(scrubbed.len(), want_scrubbed.len(), "{at}");
+                    assert_eq!(
+                        scrubbed.contains_sensitive(),
+                        contains_sensitive(&want_scrubbed),
+                        "{at}"
+                    );
+                    assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "{at}");
                     // Multi-word texts only: on one word, first is last.
                     if tokens > 1 {
                         first_word_spans += u32::from(span_at == Some(0));
@@ -257,8 +384,7 @@ mod tests {
         let mut rng = rng_from_seed(1);
         for n in [1u32, 5, 64, 300] {
             let t = synth.synthesize(0, n, &mut rng);
-            assert_eq!(t.tokens, n);
-            assert_eq!(t.text.split_whitespace().count(), n as usize);
+            assert_eq!(t.to_string().split_whitespace().count(), n as usize);
         }
     }
 
@@ -267,18 +393,18 @@ mod tests {
         let synth = TextSynthesizer::new(0.0);
         let mut rng = rng_from_seed(2);
         let t = synth.synthesize(0, 0, &mut rng);
-        assert_eq!(t.tokens, 1);
+        assert_eq!(t.to_string().split_whitespace().count(), 1);
     }
 
     #[test]
     fn topics_have_distinct_vocabulary() {
         let synth = TextSynthesizer::new(0.0);
         let mut rng = rng_from_seed(3);
-        let a = synth.synthesize(1, 200, &mut rng);
-        let b = synth.synthesize(2, 200, &mut rng);
-        assert!(a.text.contains("t1w"));
-        assert!(!a.text.contains("t2w"));
-        assert!(b.text.contains("t2w"));
+        let a = synth.synthesize(1, 200, &mut rng).to_string();
+        let b = synth.synthesize(2, 200, &mut rng).to_string();
+        assert!(a.contains("t1w"));
+        assert!(!a.contains("t2w"));
+        assert!(b.contains("t2w"));
     }
 
     #[test]
@@ -286,8 +412,8 @@ mod tests {
         let synth = TextSynthesizer::new(1.0);
         let mut rng = rng_from_seed(4);
         let t = synth.synthesize(0, 20, &mut rng);
-        assert!(t.sensitive);
-        assert!(contains_sensitive(&t.text));
+        assert!(t.contains_sensitive());
+        assert!(contains_sensitive(&t.to_string()));
     }
 
     #[test]
@@ -296,9 +422,10 @@ mod tests {
         let mut rng = rng_from_seed(5);
         for _ in 0..50 {
             let t = synth.synthesize(0, 15, &mut rng);
-            let clean = scrub_sensitive(&t.text);
+            let clean = t.scrubbed().to_string();
             assert!(!contains_sensitive(&clean), "leak in {clean}");
-            assert!(clean.contains("[REDACTED]"));
+            assert!(clean.contains(REDACTED));
+            assert_eq!(scrub_sensitive(&t.to_string()), clean);
         }
     }
 
@@ -307,7 +434,11 @@ mod tests {
         let synth = TextSynthesizer::new(0.0);
         let mut rng = rng_from_seed(6);
         let t = synth.synthesize(7, 30, &mut rng);
-        assert_eq!(scrub_sensitive(&t.text), t.text);
+        assert_eq!(t.scrubbed(), t);
+        assert_eq!(scrub_sensitive(&t.to_string()), t.to_string());
+        let verbatim = Plaintext::from("ask  phone:x\tnow");
+        assert!(verbatim.contains_sensitive());
+        assert_eq!(verbatim.scrubbed(), Plaintext::from("ask [REDACTED] now"));
     }
 
     #[test]
@@ -315,7 +446,7 @@ mod tests {
         let synth = TextSynthesizer::new(0.25);
         let mut rng = rng_from_seed(7);
         let hits = (0..4000)
-            .filter(|_| synth.synthesize(0, 10, &mut rng).sensitive)
+            .filter(|_| synth.synthesize(0, 10, &mut rng).contains_sensitive())
             .count();
         let rate = hits as f64 / 4000.0;
         assert!((rate - 0.25).abs() < 0.03, "rate {rate}");
@@ -326,7 +457,13 @@ mod tests {
         let synth = TextSynthesizer::new(0.0);
         let mut rng = rng_from_seed(8);
         let t = synth.synthesize(0, 10, &mut rng);
-        assert_eq!(t.byte_len(), t.text.len());
-        assert!(t.byte_len() > 10);
+        assert_eq!(t.len(), t.to_string().len());
+        assert!(t.len() > 10);
+        let verbatim = Plaintext::from("ab cd");
+        assert_eq!(
+            (verbatim.len(), verbatim.to_string().as_str()),
+            (5, "ab cd")
+        );
+        assert!(Plaintext::default().is_empty());
     }
 }

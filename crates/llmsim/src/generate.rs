@@ -247,8 +247,7 @@ mod tests {
             task: TaskKind::QuestionAnswering,
             input_tokens: 120,
             target_output_tokens: 150,
-            text: String::new(),
-            sensitive: false,
+            text: Default::default(),
         }
     }
 

@@ -161,8 +161,7 @@ mod tests {
             task: TaskKind::QuestionAnswering,
             input_tokens: 30,
             target_output_tokens: 100,
-            text: String::new(),
-            sensitive: false,
+            text: Default::default(),
         }
     }
 
@@ -175,8 +174,8 @@ mod tests {
             skills,
             task: TaskKind::QuestionAnswering,
             origin_difficulty: 0.6,
-            request_text: String::new(),
-            response_text: String::new(),
+            request_text: Default::default(),
+            response_text: Default::default(),
             request_tokens: 30,
             response_tokens: 100,
             quality,

@@ -1,6 +1,6 @@
 //! Requests, examples, and their identifiers.
 
-use ic_embed::Embedding;
+use ic_embed::{Embedding, Plaintext};
 use ic_stats::dist::Normal;
 use ic_stats::rng::rng_from_seed;
 
@@ -83,10 +83,8 @@ pub struct Request {
     pub input_tokens: u32,
     /// Target response length in tokens.
     pub target_output_tokens: u32,
-    /// Rendered plaintext of the prompt.
-    pub text: String,
-    /// Whether the prompt contains sensitive spans (admission control).
-    pub sensitive: bool,
+    /// Plaintext of the prompt.
+    pub text: Plaintext,
 }
 
 /// A cached request–response pair usable as an in-context example.
@@ -108,9 +106,9 @@ pub struct Example {
     /// re-generate the response during cost-aware replay, §4.3).
     pub origin_difficulty: f64,
     /// Plaintext of the original request.
-    pub request_text: String,
+    pub request_text: Plaintext,
     /// Plaintext of the stored response.
-    pub response_text: String,
+    pub response_text: Plaintext,
     /// Token length of the original request.
     pub request_tokens: u32,
     /// Token length of the stored response.
@@ -145,7 +143,9 @@ impl Example {
         self.request_tokens + self.response_tokens
     }
 
-    /// Plaintext size in bytes — the eviction knapsack weight.
+    /// Plaintext size in bytes — the eviction knapsack weight (§4.3).
+    /// The bytes of the rendered request and response, which
+    /// [`Plaintext::len`] knows without rendering either.
     pub fn byte_len(&self) -> usize {
         self.request_text.len() + self.response_text.len()
     }

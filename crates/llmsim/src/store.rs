@@ -4,7 +4,7 @@
 //! only needs lookups during retrieval; this trait is the seam between
 //! them (the paper runs them as separate gRPC services, §5).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::request::{Example, ExampleId};
 
@@ -18,6 +18,16 @@ pub trait ExampleStore {
 }
 
 impl ExampleStore for HashMap<ExampleId, Example> {
+    fn get_example(&self, id: ExampleId) -> Option<&Example> {
+        self.get(&id)
+    }
+
+    fn example_count(&self) -> usize {
+        self.len()
+    }
+}
+
+impl ExampleStore for BTreeMap<ExampleId, Example> {
     fn get_example(&self, id: ExampleId) -> Option<&Example> {
         self.get(&id)
     }
@@ -54,8 +64,8 @@ mod tests {
             skills: SkillMix::uniform(),
             task: TaskKind::Conversation,
             origin_difficulty: 0.5,
-            request_text: String::new(),
-            response_text: String::new(),
+            request_text: Default::default(),
+            response_text: Default::default(),
             request_tokens: 1,
             response_tokens: 1,
             quality: 0.5,

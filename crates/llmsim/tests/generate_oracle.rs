@@ -127,8 +127,7 @@ fn generate_matches_the_per_example_definitions() {
             task: TaskKind::QuestionAnswering,
             input_tokens: draw.random_range(10..400u32),
             target_output_tokens: draw.random_range(8..300u32),
-            text: String::new(),
-            sensitive: false,
+            text: Default::default(),
         };
         let n = draw.random_range(0..9usize);
         let examples: Vec<Example> = (0..n)

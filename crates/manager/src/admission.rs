@@ -5,7 +5,6 @@
 //! the paper's client-side spaCy scrubbing. Applications choose between
 //! rejecting sensitive traffic outright and scrubbing it.
 
-use ic_embed::text::{contains_sensitive, scrub_sensitive};
 use ic_llmsim::Example;
 
 /// What happened to a candidate example at admission.
@@ -67,15 +66,13 @@ impl AdmissionPolicy {
         if example.response_tokens < self.min_response_tokens {
             return Admission::Reject("response too short");
         }
-        let sensitive =
-            contains_sensitive(&example.request_text) || contains_sensitive(&example.response_text);
-        if sensitive {
+        if example.request_text.contains_sensitive() || example.response_text.contains_sensitive() {
             if self.reject_sensitive {
                 return Admission::Reject("sensitive content");
             }
             if self.scrub_pii {
-                example.request_text = scrub_sensitive(&example.request_text);
-                example.response_text = scrub_sensitive(&example.response_text);
+                example.request_text = example.request_text.scrubbed();
+                example.response_text = example.response_text.scrubbed();
             }
         }
         Admission::Admit(Box::new(example))
@@ -85,6 +82,7 @@ impl AdmissionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_embed::text::{contains_sensitive, scrub_sensitive};
     use ic_llmsim::{Generator, ModelId, ModelSpec};
     use ic_workloads::{Dataset, WorkloadGenerator};
 
@@ -98,11 +96,17 @@ mod tests {
         )
     }
 
+    /// The string scan admission ran on the rendered texts.
+    fn renders_sensitive(e: &Example) -> bool {
+        contains_sensitive(&e.request_text.to_string())
+            || contains_sensitive(&e.response_text.to_string())
+    }
+
     #[test]
     fn clean_examples_are_admitted_unchanged() {
         let policy = AdmissionPolicy::default();
         for e in examples(50) {
-            if !contains_sensitive(&e.request_text) && !contains_sensitive(&e.response_text) {
+            if !renders_sensitive(&e) {
                 let text = e.request_text.clone();
                 match policy.evaluate(e) {
                     Admission::Admit(out) => assert_eq!(out.request_text, text),
@@ -117,17 +121,16 @@ mod tests {
         let policy = AdmissionPolicy::default();
         let mut seen_sensitive = false;
         for e in examples(400) {
-            let was_sensitive =
-                contains_sensitive(&e.request_text) || contains_sensitive(&e.response_text);
+            let was_sensitive = renders_sensitive(&e);
+            let (request, response) = (e.request_text.to_string(), e.response_text.to_string());
             if let Admission::Admit(out) = policy.evaluate(e) {
-                assert!(!contains_sensitive(&out.request_text));
-                assert!(!contains_sensitive(&out.response_text));
+                assert!(!renders_sensitive(&out));
                 if was_sensitive {
                     seen_sensitive = true;
-                    assert!(
-                        out.request_text.contains("[REDACTED]")
-                            || out.response_text.contains("[REDACTED]")
-                    );
+                    // The bytes the string scrubber made of the rendering.
+                    assert_eq!(out.request_text.to_string(), scrub_sensitive(&request));
+                    assert_eq!(out.response_text.to_string(), scrub_sensitive(&response));
+                    assert!((request + &response).len() > out.byte_len());
                 }
             }
         }
@@ -139,8 +142,7 @@ mod tests {
         let policy = AdmissionPolicy::strict();
         let mut rejected = 0;
         for e in examples(400) {
-            let was_sensitive =
-                contains_sensitive(&e.request_text) || contains_sensitive(&e.response_text);
+            let was_sensitive = renders_sensitive(&e);
             let out = policy.evaluate(e);
             if was_sensitive {
                 assert!(!out.is_admitted());

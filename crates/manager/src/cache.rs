@@ -232,7 +232,7 @@ mod tests {
         let mut e = sample_examples(1).pop().unwrap();
         cache.insert(e.clone(), 0.0);
         let before = cache.total_bytes();
-        e.response_text.push_str(" extended response text");
+        e.response_text = format!("{} extended response text", e.response_text).into();
         assert!(!cache.insert(e.clone(), 1.0));
         assert_eq!(cache.len(), 1);
         assert!(cache.total_bytes() > before);

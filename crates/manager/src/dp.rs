@@ -88,8 +88,8 @@ pub fn synthesize_pool(originals: &[Example], config: &DpConfig, seed: u64) -> V
                 skills: orig.skills,
                 task: orig.task,
                 origin_difficulty: orig.origin_difficulty,
-                request_text: format!("dp-synthetic request #{i}"),
-                response_text: format!("dp-synthetic response #{i}"),
+                request_text: format!("dp-synthetic request #{i}").into(),
+                response_text: format!("dp-synthetic response #{i}").into(),
                 request_tokens: orig.request_tokens,
                 response_tokens: orig.response_tokens,
                 quality: (orig.quality - config.quality_penalty).max(0.0),
@@ -183,8 +183,8 @@ mod tests {
         let orig = originals(5);
         let synth = synthesize_pool(&orig, &DpConfig::default(), 4);
         for s in &synth {
-            assert!(s.request_text.starts_with("dp-synthetic"));
-            assert!(s.response_text.starts_with("dp-synthetic"));
+            assert!(s.request_text.to_string().starts_with("dp-synthetic"));
+            assert!(s.response_text.to_string().starts_with("dp-synthetic"));
         }
     }
 

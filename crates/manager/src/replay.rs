@@ -72,7 +72,6 @@ fn reconstruct_request(example: &Example) -> Request {
         input_tokens: example.request_tokens,
         target_output_tokens: example.response_tokens.max(8),
         text: example.request_text.clone(),
-        sensitive: false,
     }
 }
 

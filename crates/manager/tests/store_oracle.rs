@@ -304,7 +304,8 @@ proptest! {
                     // another size.
                     let mut moved = example.clone();
                     moved.topic += 1 + pick(24, 5) as usize;
-                    moved.response_text.push_str(&"x".repeat(pick(32, 40) as usize));
+                    let pad = "x".repeat(pick(32, 40) as usize);
+                    moved.response_text = format!("{}{pad}", moved.response_text).into();
                     prop_assert_eq!(
                         real.insert(moved.clone(), now),
                         model.insert(moved, now)

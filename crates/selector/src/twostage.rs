@@ -466,8 +466,7 @@ mod tests {
             task: probe.task,
             input_tokens: 30,
             target_output_tokens: 80,
-            text: String::new(),
-            sensitive: false,
+            text: Default::default(),
         };
         let sel = f
             .selector

@@ -158,8 +158,7 @@ impl WorkloadGenerator {
             task: self.spec.task,
             input_tokens,
             target_output_tokens: output_tokens,
-            sensitive: text.sensitive,
-            text: text.text,
+            text,
         }
     }
 
@@ -215,8 +214,7 @@ impl WorkloadGenerator {
                     task: self.spec.task,
                     input_tokens: req_tokens,
                     target_output_tokens: out_tokens,
-                    text: req_text.text,
-                    sensitive: req_text.sensitive,
+                    text: req_text,
                 };
                 let outcome = generator.generate(
                     source_spec,
@@ -238,7 +236,7 @@ impl WorkloadGenerator {
                     task: hist_request.task,
                     origin_difficulty: difficulty,
                     request_text: hist_request.text,
-                    response_text: resp_text.text,
+                    response_text: resp_text,
                     request_tokens: req_tokens,
                     response_tokens: outcome.output_tokens,
                     quality: outcome.quality,
@@ -407,10 +405,15 @@ mod tests {
     fn sensitive_rate_flows_through() {
         let mut g = small_gen(Dataset::LmsysChat); // 4% sensitive.
         let rs = g.generate_requests(2000);
-        let rate = rs.iter().filter(|r| r.sensitive).count() as f64 / 2000.0;
+        let rate = rs.iter().filter(|r| r.text.contains_sensitive()).count() as f64 / 2000.0;
         assert!((rate - 0.04).abs() < 0.02, "rate {rate}");
         let mut clean = small_gen(Dataset::Wmt16); // 0%.
-        assert!(clean.generate_requests(300).iter().all(|r| !r.sensitive));
+        assert!(
+            clean
+                .generate_requests(300)
+                .iter()
+                .all(|r| !r.text.contains_sensitive())
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! at σ = 0, which this stream never draws; the kernel's own oracle
 //! tests catch it.
 
+use ic_embed::Plaintext;
 use ic_llmsim::{Generator, ModelId, ModelSpec};
 use ic_workloads::{Dataset, WorkloadGenerator};
 
@@ -51,7 +52,10 @@ impl Fnv {
         }
     }
 
-    fn text(&mut self, s: &str) {
+    /// The rendered text, whose length `len()` must know unrendered.
+    fn text(&mut self, t: &Plaintext) {
+        let s = t.to_string();
+        assert_eq!(t.len(), s.len(), "{s}");
         self.u64(s.len() as u64);
         self.bytes(s.as_bytes());
     }
@@ -71,7 +75,7 @@ fn ms_marco_requests_and_bank_keep_their_bytes() {
         h.u64(u64::from(r.input_tokens));
         h.u64(u64::from(r.target_output_tokens));
         h.text(&r.text);
-        h.u64(u64::from(r.sensitive));
+        h.u64(u64::from(r.text.contains_sensitive()));
     }
     let examples = wg.generate_examples(
         500,

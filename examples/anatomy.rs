@@ -66,7 +66,7 @@ fn main() {
             id.0,
             e.topic,
             util,
-            &e.request_text[..e.request_text.len().min(40)]
+            &e.request_text.to_string()[..e.request_text.len().min(40)]
         );
     }
     let outcome = system.serve(&request);

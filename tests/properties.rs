@@ -37,8 +37,7 @@ fn request_with(difficulty: f64, tokens: u32, latent: Embedding) -> Request {
         task: TaskKind::Conversation,
         input_tokens: tokens,
         target_output_tokens: tokens.max(8),
-        text: String::new(),
-        sensitive: false,
+        text: Default::default(),
     }
 }
 
