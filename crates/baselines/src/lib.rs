@@ -11,16 +11,12 @@
 //!   them to the prompt (Table 2).
 //! - [`sft`] — supervised fine-tuning of the small model on large-model
 //!   outputs: in-domain gain, out-of-domain regression (Table 3).
-//! - [`always`] — the static Always-Small / Always-Large policies and the
-//!   [`always::RoutePolicy`] trait shared by all routing baselines.
 
-pub mod always;
 pub mod rag;
 pub mod routellm;
 pub mod semantic_cache;
 pub mod sft;
 
-pub use always::{Always, RoutePolicy};
 pub use rag::LongRag;
 pub use routellm::RouteLlm;
 pub use semantic_cache::{CacheHit, SemanticCache, SemanticCacheConfig};

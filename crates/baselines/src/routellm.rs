@@ -9,9 +9,6 @@
 
 use ic_llmsim::{ModelId, Request};
 use ic_stats::sigmoid;
-use rand::rngs::StdRng;
-
-use crate::always::RoutePolicy;
 
 /// Feature count of the classifier (bias, complexity, log-lengths, task
 /// one-hot).
@@ -46,7 +43,6 @@ pub struct RouteLlm {
     small: ModelId,
     large: ModelId,
     threshold: f64,
-    label: String,
 }
 
 impl RouteLlm {
@@ -57,7 +53,6 @@ impl RouteLlm {
             small,
             large,
             threshold,
-            label: "routellm".to_owned(),
         }
     }
 
@@ -111,16 +106,6 @@ impl RouteLlm {
         } else {
             self.large
         }
-    }
-}
-
-impl RoutePolicy for RouteLlm {
-    fn choose(&mut self, request: &Request, _load_rps: f64, _rng: &mut StdRng) -> ModelId {
-        self.route(request)
-    }
-
-    fn name(&self) -> &str {
-        &self.label
     }
 }
 
@@ -217,16 +202,5 @@ mod tests {
         assert!(aggressive >= mid);
         assert!(mid >= conservative);
         assert!(aggressive > conservative, "threshold must matter");
-    }
-
-    #[test]
-    fn routing_is_load_oblivious() {
-        let mut wg = WorkloadGenerator::new(Dataset::Alpaca, 106);
-        let r = wg.generate_requests(1).pop().unwrap();
-        let mut router = RouteLlm::new(ModelId(0), ModelId(1), 0.5);
-        let mut rng = rng_from_seed(107);
-        let at_low = router.choose(&r, 0.0, &mut rng);
-        let at_high = router.choose(&r, 1_000.0, &mut rng);
-        assert_eq!(at_low, at_high, "RouteLLM must ignore load");
     }
 }

@@ -83,14 +83,14 @@ fn replay_json(
     peak_rss_mb: f64,
 ) -> String {
     let events = report.served + report.iter.steps;
-    let r = &report.replay;
+    // The replay counters are `ReplayStats::to_json`'s keys, spliced in
+    // without its braces, so a new counter is serialized in one place.
+    let counters = report.replay.to_json();
+    let counters = &counters[1..counters.len() - 1];
     format!(
         concat!(
             "{{\"fraction\":{:.6},\"served\":{},\"steps\":{},",
-            "\"events\":{},\"step_runs\":{},\"quiet_steps\":{},",
-            "\"arm_evaluations\":{},\"posterior_refits\":{},",
-            "\"share_admissions\":{},\"prefix_chunks\":{},",
-            "\"probe_memo_lookups\":{},\"probe_memo_hits\":{},",
+            "\"events\":{},{},",
             "\"index_fits\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"certified_scans\":{},\"exact_resolves\":{},",
@@ -102,14 +102,7 @@ fn replay_json(
         report.served,
         report.iter.steps,
         events,
-        r.step_runs,
-        r.quiet_steps,
-        r.arm_evaluations,
-        r.posterior_refits,
-        r.share_admissions,
-        r.prefix_chunks,
-        r.probe_memo_lookups,
-        r.probe_memo_hits,
+        counters,
         setup.index_build.fits,
         setup.index_build.passes,
         setup.index_build.group_scans,
@@ -287,37 +280,46 @@ fn timed_replay(scale: Scale, config: ic_engine::EngineConfig) -> (EngineReport,
     (report, start.elapsed().as_secs_f64(), setup)
 }
 
+/// Exits 2 with `msg` and the usage line: an argument this binary does
+/// not take must not run a different experiment than the one asked for.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\nusage: fig12_e2e [--quick] [--fraction F] [--trace PATH]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let mut quick = false;
+    let mut fraction = None;
+    let mut trace_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || match args.next() {
+            Some(value) if !value.starts_with("--") => value,
+            _ => usage_error(&format!("{arg} requires a value")),
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            // A malformed, non-finite or non-positive fraction must fail
+            // loudly instead of silently falling through to the full
+            // paper-scale run.
+            "--fraction" => {
+                let raw = value();
+                match raw.parse::<f64>() {
+                    Ok(f) if f.is_finite() && f > 0.0 => fraction = Some(f),
+                    _ => usage_error(&format!(
+                        "--fraction must be a finite positive number, got {raw:?}"
+                    )),
+                }
+            }
+            "--trace" => trace_path = Some(value()),
+            _ => usage_error(&format!("unexpected argument {arg:?}")),
+        }
+    }
     if trace_path.is_some() {
         // Single-threaded this early; makes every engine_config() in
         // the process (suite run included) record the event stream.
         unsafe { std::env::set_var("IC_OBS_TRACE", "1") };
     }
-    // `--fraction` is validated up front: a malformed, non-finite or
-    // non-positive value must fail loudly instead of silently falling
-    // through to the full paper-scale run.
-    let fraction = match args.iter().position(|a| a == "--fraction") {
-        Some(i) => {
-            let Some(raw) = args.get(i + 1) else {
-                eprintln!("error: --fraction requires a value (e.g. --fraction 0.2)");
-                std::process::exit(2);
-            };
-            match raw.parse::<f64>() {
-                Ok(f) if f.is_finite() && f > 0.0 => Some(f),
-                _ => {
-                    eprintln!("error: --fraction must be a finite positive number, got {raw:?}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => None,
-    };
 
     let base = e2e::checked_engine_config().unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
@@ -359,7 +361,6 @@ fn main() {
         return;
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
     let (report, engine_report) = e2e::fig12_e2e_full(scale);
     write_artifact("BENCH_e2e.json", engine_report.to_json());

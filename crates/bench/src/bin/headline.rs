@@ -1,7 +1,8 @@
 //! Regenerates the `headline` experiment (abstract-level claims), which
 //! replays the bursty trace through the unified `ServingEngine`; the
 //! engine metrics — including the iteration-level scheduler stats — are
-//! written to `BENCH_e2e.json`. Pass `--quick` for a fast run.
+//! written to `BENCH_e2e.json`. Pass `--quick` for a fast run; any
+//! other argument exits 2.
 //!
 //! Every `IC_*` knob is listed, with its default and effect, in
 //! `docs/config.md`; leave them unset for the byte-deterministic output
@@ -18,7 +19,14 @@ fn main() {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        if arg != "--quick" {
+            eprintln!("error: unexpected argument {arg:?}\nusage: headline [--quick]");
+            std::process::exit(2);
+        }
+        quick = true;
+    }
     let scale = if quick { Scale::quick() } else { Scale::full() };
     let (report, engine_report) = e2e::headline_full(scale);
     write_artifact("BENCH_e2e.json", engine_report.to_json());

@@ -87,15 +87,34 @@ fn raw_env(name: &str) -> Result<Option<String>, String> {
 /// Parses `name` from the environment: `Ok(None)` when unset, `Err`
 /// naming the variable and its value when set but malformed.
 pub fn parse_env<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
+    parse_env_in(name, "", |_| true)
+}
+
+/// [`parse_env`] for a knob whose type holds values the run cannot
+/// honour: a value that parses but fails `accepts` is an `Err` too,
+/// naming the variable, its value and `domain` (`nan` parses as an
+/// `f64`, and a stage-0 threshold of `nan` serves every nearest entry).
+pub(crate) fn parse_env_in<T: std::str::FromStr>(
+    name: &str,
+    domain: &str,
+    accepts: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
     let Some(raw) = raw_env(name)? else {
         return Ok(None);
     };
-    raw.trim().parse().map(Some).map_err(|_| {
-        format!(
+    match raw.trim().parse() {
+        Ok(value) if accepts(&value) => Ok(Some(value)),
+        Ok(_) => Err(format!("{name}={raw:?} is not {domain}")),
+        Err(_) => Err(format!(
             "{name}={raw:?} is not a valid {}",
             std::any::type_name::<T>()
-        )
-    })
+        )),
+    }
+}
+
+/// A switch knob: exactly `0` (off) or `1` (on); `Ok(None)` when unset.
+pub(crate) fn parse_switch(name: &str) -> Result<Option<bool>, String> {
+    Ok(parse_env_in::<u8>(name, "0 or 1", |v| *v <= 1)?.map(|v| v == 1))
 }
 
 /// Parses a pool-outage schedule (e.g.

@@ -1,7 +1,7 @@
 //! End-to-end serving experiments: Figs. 12, 13, 16, 18, 20 and the
 //! abstract's headline claims.
 
-use ic_baselines::{RouteLlm, RoutePolicy};
+use ic_baselines::RouteLlm;
 
 use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, ServingEngine};
 use ic_judge::Autorater;
@@ -13,7 +13,7 @@ use rand::RngExt;
 
 use crate::env::KNOBS_CHECKED;
 use crate::harness::{
-    PairSetup, Scale, SetupTiming, mixed_cluster, normalized_throughput, recent_rps, side_by_side,
+    PairSetup, Scale, SetupTiming, mixed_cluster, normalized_throughput, side_by_side,
     single_cluster, to_jobs,
 };
 use crate::report::{Report, Table, f3, pct};
@@ -101,14 +101,12 @@ fn online_run(
     let mut qualities = Vec::new();
     let mut offloaded_flags = Vec::new();
     for (i, (r, &at)) in requests.iter().zip(arrivals).enumerate() {
-        let rps = recent_rps(arrivals, i, 30);
         let (pool, outcome) = match policy {
             Policy::IcCache => unreachable!("handled by the engine path above"),
             Policy::RouteLlmPlus => {
                 // RouteLLM decides; offloaded requests still benefit from
                 // the example cache (the "+"), but routing ignores load.
-                let chosen = routellm.choose(r, rps, &mut rng);
-                if chosen == setup.small {
+                if routellm.route(r) == setup.small {
                     let sel = setup.system.with_selection(r);
                     let refs = sel.resolve(setup.system.manager().cache());
                     let out = setup.sim.generate(
@@ -282,10 +280,13 @@ fn online_run_from_engine(
 /// [`EngineConfig::default`], which keeps `BENCH_e2e.json`
 /// byte-deterministic (the CI determinism job relies on this, and the
 /// `golden_e2e` regression test pins the quick-scale bytes in-repo).
-/// A variable that is set but malformed is an `Err` naming it and its
-/// value.
+/// A variable that is set but malformed, or outside the domain
+/// `docs/config.md` states for it, is an `Err` naming it and its value.
 pub fn engine_config() -> Result<EngineConfig, String> {
-    use crate::env::{parse_env, parse_outages, parse_watermarks};
+    use crate::env::{parse_env, parse_env_in, parse_outages, parse_switch, parse_watermarks};
+    let positive = |v: &f64| v.is_finite() && *v > 0.0;
+    let non_negative = |v: &f64| v.is_finite() && *v >= 0.0;
+    let cosine = |v: &f64| (-1.0..=1.0).contains(v);
     let mut config = EngineConfig::default();
     if let Some(chunk) = parse_env::<u32>("IC_PREFILL_CHUNK")? {
         config.prefill_chunk_tokens = chunk;
@@ -309,40 +310,40 @@ pub fn engine_config() -> Result<EngineConfig, String> {
     if let Some(host) = parse_env::<u32>("IC_KV_HOST_BLOCKS")? {
         config.kv_swap.host_capacity_blocks = host;
     }
-    if let Some(share) = parse_env::<u8>("IC_KV_SHARE")? {
-        config.kv_share = share != 0;
+    if let Some(share) = parse_switch("IC_KV_SHARE")? {
+        config.kv_share = share;
     }
-    if let Some(resp) = parse_env::<u8>("IC_RESP_CACHE")? {
-        config.resp_cache = resp != 0;
+    if let Some(resp) = parse_switch("IC_RESP_CACHE")? {
+        config.resp_cache = resp;
     }
-    if let Some(threshold) = parse_env::<f64>("IC_RESP_THRESHOLD")? {
+    if let Some(threshold) = parse_env_in("IC_RESP_THRESHOLD", "a cosine in [-1, 1]", cosine)? {
         config.resp_threshold = threshold;
     }
     if let Some(bytes) = parse_env::<usize>("IC_RESP_BYTES")? {
         config.resp_budget_bytes = bytes;
     }
-    if let Some(ttl) = parse_env::<f64>("IC_RESP_TTL")? {
+    if let Some(ttl) = parse_env_in("IC_RESP_TTL", "a finite number > 0", positive)? {
         config.resp_ttl_s = ttl;
     }
     if let Some(prepop) = parse_env::<u64>("IC_RESP_PREPOP")? {
         config.resp_prepop_min = prepop;
     }
-    if let Some(window) = parse_env::<f64>("IC_RESP_WINDOW")? {
+    if let Some(window) = parse_env_in("IC_RESP_WINDOW", "a finite number > 0", positive)? {
         config.resp_window_s = window;
     }
-    if let Some(replicas) = parse_env::<usize>("IC_ROUTER_REPLICAS")? {
-        config.router_replicas = replicas.max(1);
+    if let Some(replicas) = parse_env_in("IC_ROUTER_REPLICAS", "at least 1", |r| *r >= 1)? {
+        config.router_replicas = replicas;
     }
-    if let Some(period) = parse_env::<f64>("IC_GOSSIP_PERIOD")? {
+    if let Some(period) = parse_env_in("IC_GOSSIP_PERIOD", "a finite number >= 0", non_negative)? {
         config.gossip_period_s = period;
     }
     if let Some(outages) = parse_outages("IC_POOL_OUTAGE")? {
         config.pool_outages = outages;
     }
-    if let Some(trace) = parse_env::<u8>("IC_OBS_TRACE")? {
-        config.trace = trace != 0;
+    if let Some(trace) = parse_switch("IC_OBS_TRACE")? {
+        config.trace = trace;
     }
-    if let Some(sample) = parse_env::<f64>("IC_OBS_SAMPLE")? {
+    if let Some(sample) = parse_env_in("IC_OBS_SAMPLE", "a finite number >= 0", non_negative)? {
         config.obs_sample_s = sample;
     }
     if let Some(ring) = parse_env::<usize>("IC_OBS_RING")? {

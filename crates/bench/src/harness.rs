@@ -230,20 +230,6 @@ pub fn to_jobs(rows: &[(u64, usize, f64, f64, f64, u32, u32)]) -> Vec<JobSpec> {
     ic_serving::jobs_from_tuples(rows)
 }
 
-/// Instantaneous offered load (requests/second) estimated from the last
-/// `window` arrivals before index `i`.
-pub fn recent_rps(arrivals: &[f64], i: usize, window: usize) -> f64 {
-    if i == 0 {
-        return 0.0;
-    }
-    let lo = i.saturating_sub(window);
-    let dt = arrivals[i] - arrivals[lo];
-    if dt <= 0.0 {
-        return 0.0;
-    }
-    (i - lo) as f64 / dt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,14 +259,6 @@ mod tests {
         let (score, wr) = side_by_side(&judge, &a, &b, &mut rng);
         assert!(score > 1.0);
         assert!(wr > 0.9);
-    }
-
-    #[test]
-    fn recent_rps_estimates_rate() {
-        let arrivals: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect(); // 2 rps.
-        let rps = recent_rps(&arrivals, 50, 20);
-        assert!((rps - 2.0).abs() < 0.2);
-        assert_eq!(recent_rps(&arrivals, 0, 10), 0.0);
     }
 
     #[test]

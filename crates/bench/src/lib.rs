@@ -40,8 +40,9 @@ pub fn run_by_id(id: &str, scale: Scale) -> Option<Report> {
 /// scale with `--quick` and full scale otherwise. `<id>` prints that
 /// experiment's report; `all` runs every experiment and writes
 /// `EXPERIMENTS.md` plus `results/<id>.md` into the current directory
-/// (with `--quick` it prints the document instead). Anything else exits
-/// 2 with the list of ids.
+/// (with `--quick` it prints the document instead). Anything else — an
+/// unknown id, a second id, any other flag — exits 2 naming it and
+/// listing the ids, before anything runs.
 pub fn cli_main() {
     if let Err(msg) = experiments::e2e::checked_engine_config() {
         eprintln!("error: {msg}");
@@ -50,10 +51,12 @@ pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::quick() } else { Scale::full() };
+    // Everything but `--quick` counts as an id, so a misspelled flag is
+    // an unknown id that runs nothing, not a full-scale run.
     let ids: Vec<&str> = args
         .iter()
         .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
+        .filter(|a| *a != "--quick")
         .collect();
     let report = match ids[..] {
         ["all"] => return run_all(scale, quick),
@@ -62,7 +65,11 @@ pub fn cli_main() {
     };
     let Some(report) = report else {
         let known: Vec<&str> = experiments::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-        eprintln!("usage: repro <id>|all [--quick]\nids: {}", known.join(", "));
+        eprintln!(
+            "error: expected one experiment id or `all`, got {ids:?}\n\
+             usage: repro <id>|all [--quick]\nids: {}",
+            known.join(", ")
+        );
         std::process::exit(2);
     };
     println!("{}", report.to_markdown());

@@ -5,9 +5,10 @@
 //! the outage), any `IC_*` variable that is set but malformed, and any
 //! set `IC_*` variable that is not a knob at all — a misspelled or
 //! retired name (each used to replay the defaults under the knob's
-//! name).
+//! name). So must any argument a binary does not take.
 
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 const BINS: [&str; 3] = [
     env!("CARGO_BIN_EXE_fig12_e2e"),
@@ -50,7 +51,10 @@ fn repro_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
 }
 
 /// Every variable `engine_config()` reads, plus `IC_SETUP_THREADS` and
-/// `IC_SHARE_BURST`, each with a value its type cannot hold.
+/// `IC_SHARE_BURST`, each with a value its type cannot hold, and each
+/// knob whose type holds values outside its `docs/config.md` domain
+/// with such values (each used to run: `IC_RESP_THRESHOLD=nan` served
+/// every stage-0 nearest entry, `IC_ROUTER_REPLICAS=0` ran one replica).
 const MALFORMED: &[(&str, &str)] = &[
     ("IC_PREFILL_CHUNK", "abc"),
     ("IC_PREEMPT_QUANTUM", "-1"),
@@ -76,6 +80,21 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_SETUP_THREADS", "all"),
     ("IC_SHARE_BURST", "8x"),
     ("IC_SHARE_BURST", " "),
+    ("IC_KV_SHARE", "7"),
+    ("IC_RESP_CACHE", "2"),
+    ("IC_OBS_TRACE", "255"),
+    ("IC_RESP_THRESHOLD", "nan"),
+    ("IC_RESP_THRESHOLD", "1.5"),
+    ("IC_RESP_THRESHOLD", "-inf"),
+    ("IC_RESP_TTL", "0"),
+    ("IC_RESP_TTL", "inf"),
+    ("IC_RESP_WINDOW", "-60"),
+    ("IC_RESP_WINDOW", "NaN"),
+    ("IC_ROUTER_REPLICAS", "0"),
+    ("IC_GOSSIP_PERIOD", "-5"),
+    ("IC_GOSSIP_PERIOD", "inf"),
+    ("IC_OBS_SAMPLE", "-5"),
+    ("IC_OBS_SAMPLE", "nan"),
 ];
 
 /// Each `VAR=value` of `table`, set alone, must stop every binary
@@ -115,4 +134,42 @@ const UNKNOWN: &[(&str, &str)] = &[
 #[test]
 fn a_retired_or_misspelled_knob_exits_2_naming_the_variable() {
     assert_exits_2_naming(UNKNOWN);
+}
+
+/// An argument a binary does not take must stop it with exit 2 naming
+/// the argument, before it runs or writes anything: each of these used
+/// to run (`--fracton 0.2` and `--quikc` ran the full-scale experiment,
+/// `--trace --quick` wrote the trace to a file named `--quick`).
+#[test]
+fn an_argument_a_binary_does_not_take_exits_2_naming_it() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        (BINS[0], &["--fracton", "0.2"], "--fracton"),
+        (BINS[0], &["--trace", "--quick"], "--trace"),
+        (BINS[1], &["--quikc"], "--quikc"),
+        (BINS[2], &["tab01_datasets", "--quikc"], "--quikc"),
+    ];
+    for (i, (bin, args, named)) in cases.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("bad_args_{}_{i}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let start = Instant::now();
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn bench binary");
+        let elapsed = start.elapsed();
+        let written = std::fs::read_dir(&dir).expect("read scratch dir").count();
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{bin} must name {named}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran before rejecting");
+        assert_eq!(written, 0, "{bin} {args:?} wrote into its directory");
+        // Rejection is argument parsing alone (milliseconds); a second
+        // is far below any run the argument could have started.
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{bin} {args:?}: {elapsed:?}"
+        );
+    }
 }

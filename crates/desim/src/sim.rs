@@ -38,7 +38,7 @@ impl<E> Ord for Scheduled<E> {
 ///
 /// The simulator owns a virtual clock and a priority queue of pending
 /// events. Callers either drive it manually with [`Simulator::next`] or hand
-/// a handler to [`Simulator::run`] / [`Simulator::run_until`]. Handlers may
+/// a handler to [`Simulator::run`]. Handlers may
 /// schedule further events, including at the current instant (which fire
 /// after already-queued same-instant events).
 ///
@@ -64,7 +64,6 @@ pub struct Simulator<E> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    processed: u64,
 }
 
 impl<E> Default for Simulator<E> {
@@ -80,18 +79,12 @@ impl<E> Simulator<E> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            processed: 0,
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Number of pending events.
@@ -128,11 +121,6 @@ impl<E> Simulator<E> {
         self.schedule(self.now + delay, event);
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
     /// The `(time, seq)` ordering key of the earliest pending event, if
     /// any — seq being the same-time tie-break assigned at scheduling.
     ///
@@ -153,12 +141,11 @@ impl<E> Simulator<E> {
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         let Reverse(s) = self.heap.pop()?;
         self.now = s.at;
-        self.processed += 1;
         Some((s.at, s.event))
     }
 
     /// Moves the clock to `at` for an event the driver keeps outside the
-    /// queue (it was never scheduled, so nothing is popped or counted).
+    /// queue (it was never scheduled, so nothing is popped).
     /// Like [`Simulator::schedule`], a time in the past is a logic error:
     /// debug builds assert and the clock never runs backwards.
     pub fn advance_to(&mut self, at: SimTime) {
@@ -195,28 +182,6 @@ impl<E> Simulator<E> {
         while let Some((_, ev)) = self.next() {
             handler(self, ev);
         }
-    }
-
-    /// Runs until the queue is empty or the next event is strictly after
-    /// `end`. Events exactly at `end` are processed. On return, the clock is
-    /// at the last processed event (or `end` if nothing remained earlier
-    /// than it).
-    pub fn run_until(&mut self, end: SimTime, mut handler: impl FnMut(&mut Self, E)) {
-        while let Some(t) = self.peek_time() {
-            if t > end {
-                break;
-            }
-            let (_, ev) = self.next().expect("peeked event exists");
-            handler(self, ev);
-        }
-        if self.now < end {
-            self.now = end;
-        }
-    }
-
-    /// Discards all pending events without running them.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -269,7 +234,6 @@ mod tests {
         });
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_micros(9));
-        assert_eq!(sim.processed(), 10);
     }
 
     #[test]
@@ -285,29 +249,6 @@ mod tests {
             }
         });
         assert_eq!(out, vec!["a", "b", "a-followup"]);
-    }
-
-    #[test]
-    fn run_until_stops_at_boundary() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        for i in 1..=10 {
-            sim.schedule(SimTime::from_secs(i), i as u32);
-        }
-        let mut out = Vec::new();
-        sim.run_until(SimTime::from_secs(5), |_, e| out.push(e));
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert_eq!(sim.len(), 5);
-        // Resume picks up where it left off.
-        sim.run_until(SimTime::from_secs(20), |_, e| out.push(e));
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_idle() {
-        let mut sim: Simulator<()> = Simulator::new();
-        sim.run_until(SimTime::from_secs(7), |_, _| {});
-        assert_eq!(sim.now(), SimTime::from_secs(7));
     }
 
     #[test]
@@ -338,7 +279,7 @@ mod tests {
         sim.schedule(SimTime::from_micros(9), 1);
         sim.advance_to(SimTime::from_micros(4));
         assert_eq!(sim.now(), SimTime::from_micros(4));
-        assert_eq!((sim.len(), sim.processed()), (1, 0));
+        assert_eq!(sim.len(), 1);
         // An event scheduled from there keeps the next seq and fires first.
         sim.schedule_in(SimDuration::from_micros(1), 2);
         assert_eq!(sim.peek_key(), Some((SimTime::from_micros(5), 1)));
@@ -371,15 +312,6 @@ mod tests {
             };
             assert_eq!(drain(&mut bulk), drain(&mut single));
         }
-    }
-
-    #[test]
-    fn clear_discards_pending() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule(SimTime::from_secs(1), 1);
-        sim.clear();
-        assert!(sim.is_empty());
-        assert_eq!(sim.next().map(|(_, e)| e), None);
     }
 
     #[test]

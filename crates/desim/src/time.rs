@@ -103,11 +103,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scales the duration by a non-negative factor.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -238,13 +233,6 @@ mod tests {
                 SimTime::from_micros(5),
             ]
         );
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_secs(2).mul_f64(0.25);
-        assert_eq!(d, SimDuration::from_millis(500));
-        assert_eq!(SimDuration::from_secs(1).mul_f64(-3.0), SimDuration::ZERO);
     }
 
     #[test]

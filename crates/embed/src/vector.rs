@@ -135,20 +135,6 @@ impl Embedding {
         }
     }
 
-    /// Component-wise midpoint with another vector, used by K-means.
-    pub fn mean_of(vectors: &[&Embedding]) -> Option<Embedding> {
-        let first = vectors.first()?;
-        let mut acc = Embedding::zeros(first.dim());
-        for v in vectors {
-            acc.add_scaled(v, 1.0);
-        }
-        let inv = 1.0 / vectors.len() as f64;
-        for c in &mut acc.data {
-            *c = (f64::from(*c) * inv) as f32;
-        }
-        Some(acc)
-    }
-
     /// Squared Euclidean distance.
     ///
     /// Delegates to [`sq_dist_slices`] so the owned and slab-resident
@@ -290,15 +276,6 @@ mod tests {
         let b = Embedding::from_vec(vec![2.0, -2.0]);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.as_slice(), &[2.0, 0.0]);
-    }
-
-    #[test]
-    fn mean_of_averages() {
-        let a = Embedding::from_vec(vec![0.0, 2.0]);
-        let b = Embedding::from_vec(vec![4.0, 0.0]);
-        let m = Embedding::mean_of(&[&a, &b]).unwrap();
-        assert_eq!(m.as_slice(), &[2.0, 1.0]);
-        assert!(Embedding::mean_of(&[]).is_none());
     }
 
     #[test]

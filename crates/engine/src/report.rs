@@ -181,8 +181,9 @@ pub struct ReplayStats {
 
 impl ReplayStats {
     /// Serializes the counters as one JSON object (fixed key order) for
-    /// the telemetry artifact — the one place replay counters are
-    /// persisted; [`EngineReport::to_json`] excludes them.
+    /// the telemetry artifact and `fig12_e2e`'s `BENCH_replay.json` —
+    /// the one serializer of the replay counters;
+    /// [`EngineReport::to_json`] excludes them.
     pub fn to_json(&self) -> String {
         format!(
             concat!(

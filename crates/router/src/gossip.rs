@@ -16,8 +16,7 @@
 //!   [`GossipState`] buffer (`sum(x xT)`, `sum(r x)` per arm — exactly
 //!   the Bayesian linear posterior's sufficient statistics, so addition
 //!   is the correct posterior merge, cf.
-//!   [`crate::ContextualBandit::apply_stats`]; the Beta–Bernoulli
-//!   analogue is [`crate::BetaBandit::merge_discounted`]). At a gossip
+//!   [`crate::ContextualBandit::apply_stats`]). At a gossip
 //!   round the buffer is sealed into a [`DeltaBatch`] and handed one hop
 //!   along the ring; every hop applies it discounted by
 //!   [`GossipConfig::staleness_discount`] and forwards the discounted

@@ -15,26 +15,20 @@
 //! - **Uncertainty-gated feedback**: preference feedback is solicited only
 //!   when the arm-score distribution is nearly uniform (std below a gate),
 //!   pairing the top choice with a Thompson-sampled second ([`router`]).
-//! - A **Beta–Bernoulli bandit** ([`beta`]) matching Appendix A.2's
-//!   analysis, used for convergence tests and as a context-free ablation.
 //! - **Gossip dissemination** ([`gossip`]) for replicated front ends:
 //!   each router replica buffers its local bandit updates and ships them
 //!   around a deterministic ring with per-hop staleness discounting,
 //!   while load estimates blend by consensus — replicas converge on
 //!   stale views instead of sharing one mutable bandit.
 
-pub mod autoscale;
 pub mod bandit;
-pub mod beta;
 pub mod features;
 pub mod gossip;
 pub mod linalg;
 pub mod load;
 pub mod router;
 
-pub use autoscale::{AutoscaleSignal, ScaleAdvice};
 pub use bandit::ContextualBandit;
-pub use beta::BetaBandit;
 pub use features::{ROUTE_FEATURE_DIM, RouteFeatures};
 pub use gossip::{ArmDelta, DeltaBatch, GossipConfig, GossipRoundReport, GossipState, ring_blend};
 pub use linalg::Matrix;

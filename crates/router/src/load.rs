@@ -89,12 +89,6 @@ impl LoadBias {
     pub fn adjust(&self, score: f64, normalized_cost: f64, load: f64) -> f64 {
         score - self.bias(load) * normalized_cost.clamp(0.0, 1.0)
     }
-
-    /// Whether the controller is actively biasing (load above threshold) —
-    /// the paper's auto-scaling signal.
-    pub fn is_active(&self, load: f64) -> bool {
-        load > self.threshold
-    }
 }
 
 /// Normalizes per-model costs into `[0, 1]` for [`LoadBias::adjust`].
@@ -116,7 +110,6 @@ mod tests {
         let b = LoadBias::new(2.0, 0.5, 10.0);
         assert_eq!(b.bias(5.0), 0.0);
         assert_eq!(b.bias(10.0), 0.0);
-        assert!(!b.is_active(10.0));
     }
 
     #[test]
@@ -130,7 +123,6 @@ mod tests {
         assert!(b3 > b2);
         assert!(b3 <= 2.0, "bias must saturate at lambda0");
         assert!((b3 - 2.0).abs() < 1e-6, "extreme load should reach lambda0");
-        assert!(b.is_active(11.0));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   zero-load prefill/decode costs + token counts, produced upstream by
 //!   `ic-llmsim`) through the pools, driving one `StepComplete` event per
 //!   busy pool on the deterministic `ic-desim` kernel.
-//! - [`metrics`] — per-request TTFT/E2E recording, windowed throughput,
+//! - [`metrics`] — per-request TTFT/E2E recording, throughput,
 //!   queue-cap reject counts, and block-level KV counters ([`KvStats`]).
 
 pub mod cluster;

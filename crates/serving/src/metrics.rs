@@ -1,4 +1,4 @@
-//! Serving metrics: latency percentiles and windowed throughput.
+//! Serving metrics: latency percentiles and throughput.
 
 use ic_kvmem::KvStats;
 use ic_stats::Percentiles;
@@ -13,8 +13,6 @@ pub struct ServingMetrics {
     queue_wait: Percentiles,
     completions: Vec<f64>,
     rejected: u64,
-    requeued: u64,
-    retry_rejects: u64,
     kv: KvStats,
 }
 
@@ -46,24 +44,6 @@ impl ServingMetrics {
     /// [`crate::PoolConfig::max_queue`]).
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Records jobs preempted by a pool failover and re-enqueued through
-    /// the router tier as retries (see [`crate::ModelPool::fail_over`]),
-    /// and how many of those retries were then dropped by queue caps.
-    pub fn set_requeued(&mut self, requeued: u64, retry_rejects: u64) {
-        self.requeued = requeued;
-        self.retry_rejects = retry_rejects;
-    }
-
-    /// Jobs flushed by pool failovers and retried on a healthy pool.
-    pub fn requeued(&self) -> u64 {
-        self.requeued
-    }
-
-    /// Failover retries that were subsequently rejected by queue caps.
-    pub fn retry_rejects(&self) -> u64 {
-        self.retry_rejects
     }
 
     /// Attaches the cluster's KV-memory counters (see
@@ -102,18 +82,6 @@ impl ServingMetrics {
     pub fn throughput_rps(&self) -> f64 {
         busy_interval_rps(&self.completions)
     }
-
-    /// Completions per window of `window_secs` over `[0, horizon_secs)`.
-    pub fn windowed_throughput(&self, window_secs: f64, horizon_secs: f64) -> Vec<usize> {
-        assert!(window_secs > 0.0, "window must be positive");
-        let n = (horizon_secs / window_secs).ceil().max(1.0) as usize;
-        let mut counts = vec![0usize; n];
-        for &c in &self.completions {
-            let idx = ((c / window_secs) as usize).min(n - 1);
-            counts[idx] += 1;
-        }
-        counts
-    }
 }
 
 /// Completions per second over the busy interval of a completion-time
@@ -145,16 +113,6 @@ mod tests {
         assert_eq!(m.rejected(), 0);
         m.set_rejected(7);
         assert_eq!(m.rejected(), 7);
-    }
-
-    #[test]
-    fn requeue_counts_are_surfaced() {
-        let mut m = ServingMetrics::from_results(&[]);
-        assert_eq!(m.requeued(), 0);
-        assert_eq!(m.retry_rejects(), 0);
-        m.set_requeued(5, 2);
-        assert_eq!(m.requeued(), 5);
-        assert_eq!(m.retry_rejects(), 2);
     }
 
     fn result(id: u64, arrival: f64, start: f64, first: f64, done: f64) -> JobResult {
@@ -189,17 +147,6 @@ mod tests {
         let m = ServingMetrics::from_results(&rs);
         // 3 completions over [1, 3] => 1.5 rps.
         assert!((m.throughput_rps() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn windowed_throughput_buckets_completions() {
-        let rs = vec![
-            result(0, 0.0, 0.0, 0.1, 0.5),
-            result(1, 0.0, 0.0, 0.1, 1.5),
-            result(2, 0.0, 0.0, 0.1, 1.7),
-        ];
-        let m = ServingMetrics::from_results(&rs);
-        assert_eq!(m.windowed_throughput(1.0, 2.0), vec![1, 2]);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Figure 7 of the paper reports the Pearson correlation between example
 //! similarity and example helpfulness across five datasets (weak, 0.04 to
 //! 0.22), which motivates the two-stage selector. `fig07_correlation`
-//! regenerates that figure with [`pearson`]; [`spearman`] is provided for
-//! the rank-based sanity checks in tests.
+//! regenerates that figure with [`pearson`].
 
 /// Pearson product-moment correlation coefficient of two equal-length
 /// slices. Returns `None` if lengths differ, fewer than 2 points are
@@ -42,37 +41,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     Some(sxy / (sxx.sqrt() * syy.sqrt()))
 }
 
-/// Spearman rank correlation (Pearson over average ranks, handling ties).
-pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let rx = ranks(x);
-    let ry = ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Average ranks (1-based) with ties sharing the mean rank.
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite inputs"));
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        // Ranks i+1 ..= j+1 tie; assign their mean.
-        let mean_rank = (i + j) as f64 / 2.0 + 1.0;
-        for k in i..=j {
-            out[idx[k]] = mean_rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,26 +76,5 @@ mod tests {
         let y = [1.2, 0.5, 2.1, 0.8, 1.3, 0.1];
         let r = pearson(&x, &y).unwrap();
         assert!((-1.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn spearman_is_invariant_to_monotone_transform() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = [1.0, 8.0, 27.0, 64.0, 125.0]; // x^3: monotone, nonlinear.
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        // Pearson of the same data is < 1 because the relation is nonlinear.
-        assert!(pearson(&x, &y).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 2.0, 3.0];
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        assert_eq!(ranks(&[10.0, 20.0, 20.0, 30.0]), vec![1.0, 2.5, 2.5, 4.0]);
     }
 }

@@ -7,9 +7,8 @@
 //! - [`Exponential`] — inverse CDF.
 //! - [`Poisson`] — Knuth's product method for small means, normal
 //!   approximation with continuity correction for large means.
-//! - [`Gamma`] — Marsaglia–Tsang squeeze method, with the alpha < 1 boost.
-//! - [`Beta`] — ratio of gammas, used by the Thompson-sampling router.
-//! - [`Dirichlet`] — normalized gammas, used for skill mixes.
+//! - [`Beta`] — ratio of Marsaglia–Tsang gammas (with the alpha < 1
+//!   boost), used for request difficulty and document quality.
 //! - [`Zipf`] — inverse-CDF over precomputed weights, used for topic
 //!   popularity (long-tail example reuse, Fig. 10).
 //!
@@ -161,28 +160,6 @@ impl Poisson {
     }
 }
 
-/// Gamma distribution (shape/scale parameterization), Marsaglia–Tsang.
-#[derive(Debug, Clone, Copy)]
-pub struct Gamma {
-    shape: f64,
-    scale: f64,
-}
-
-impl Gamma {
-    /// Creates a gamma distribution with `shape > 0` and `scale > 0`.
-    pub fn new(shape: f64, scale: f64) -> Result<Self, ParamError> {
-        if !(shape > 0.0) || !(scale > 0.0) || !shape.is_finite() || !scale.is_finite() {
-            return Err(ParamError("Gamma requires shape > 0 and scale > 0"));
-        }
-        Ok(Self { shape, scale })
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
-        self.scale * sample_gamma_shape(self.shape, rng)
-    }
-}
-
 /// Samples `Gamma(shape, 1)` with the Marsaglia–Tsang method.
 fn sample_gamma_shape(shape: f64, rng: &mut impl Rng) -> f64 {
     if shape < 1.0 {
@@ -206,9 +183,6 @@ fn sample_gamma_shape(shape: f64, rng: &mut impl Rng) -> f64 {
 }
 
 /// Beta distribution, sampled as a ratio of gammas.
-///
-/// Used by the Beta–Bernoulli Thompson-sampling bandit (Appendix A.2 of the
-/// paper maintains a Beta posterior per model).
 #[derive(Debug, Clone, Copy)]
 pub struct Beta {
     a: f64,
@@ -237,46 +211,6 @@ impl Beta {
     /// The mean `alpha / (alpha + beta)`.
     pub fn mean(&self) -> f64 {
         self.a / (self.a + self.b)
-    }
-}
-
-/// Dirichlet distribution over `k` categories, sampled via gammas.
-#[derive(Debug, Clone)]
-pub struct Dirichlet {
-    alpha: Vec<f64>,
-}
-
-impl Dirichlet {
-    /// Creates a Dirichlet with the given concentration vector (all > 0,
-    /// at least two entries).
-    pub fn new(alpha: Vec<f64>) -> Result<Self, ParamError> {
-        if alpha.len() < 2 {
-            return Err(ParamError("Dirichlet needs at least 2 categories"));
-        }
-        if alpha.iter().any(|&a| !(a > 0.0) || !a.is_finite()) {
-            return Err(ParamError("Dirichlet concentrations must be > 0"));
-        }
-        Ok(Self { alpha })
-    }
-
-    /// Creates a symmetric Dirichlet with `k` categories and concentration
-    /// `alpha`.
-    pub fn symmetric(k: usize, alpha: f64) -> Result<Self, ParamError> {
-        Self::new(vec![alpha; k])
-    }
-
-    /// Draws one probability vector (entries sum to 1).
-    pub fn sample(&self, rng: &mut impl Rng) -> Vec<f64> {
-        let mut out: Vec<f64> = self
-            .alpha
-            .iter()
-            .map(|&a| sample_gamma_shape(a, rng).max(1e-300))
-            .collect();
-        let sum: f64 = out.iter().sum();
-        for v in &mut out {
-            *v /= sum;
-        }
-        out
     }
 }
 
@@ -421,8 +355,7 @@ mod tests {
     fn gamma_moments_match() {
         // Gamma(shape k, scale th): mean k*th, var k*th^2.
         for (k, th) in [(0.5, 2.0), (2.0, 1.5), (9.0, 0.5)] {
-            let d = Gamma::new(k, th).unwrap();
-            let s = stats_of(|r| d.sample(r), 60_000);
+            let s = stats_of(|r| th * sample_gamma_shape(k, r), 60_000);
             assert!(
                 (s.mean() - k * th).abs() < 0.05 * (k * th),
                 "k={k} mean {}",
@@ -447,18 +380,6 @@ mod tests {
             s.push(x);
         }
         assert!((s.mean() - 0.25).abs() < 0.01, "mean {}", s.mean());
-    }
-
-    #[test]
-    fn dirichlet_sums_to_one() {
-        let d = Dirichlet::symmetric(4, 0.5).unwrap();
-        let mut rng = rng_from_seed(9);
-        for _ in 0..100 {
-            let v = d.sample(&mut rng);
-            let sum: f64 = v.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9);
-            assert!(v.iter().all(|&x| x >= 0.0));
-        }
     }
 
     #[test]

@@ -47,15 +47,6 @@ impl Ema {
         }
     }
 
-    /// Creates an EMA that starts from a prior value instead of the first
-    /// observation (useful when a sensible operating point is known).
-    pub fn with_initial(alpha: f64, initial: f64) -> Self {
-        let mut e = Self::new(alpha);
-        e.value = initial;
-        e.initialized = true;
-        e
-    }
-
     /// Feeds one observation.
     pub fn observe(&mut self, x: f64) {
         if self.initialized {
@@ -66,8 +57,7 @@ impl Ema {
         }
     }
 
-    /// Current smoothed value (0.0 before any observation unless a prior
-    /// was supplied).
+    /// Current smoothed value (0.0 before any observation).
     pub fn value(&self) -> f64 {
         self.value
     }
@@ -186,14 +176,6 @@ mod tests {
         assert!((e.value() - 5.0).abs() < 1e-12);
         e.observe(10.0);
         assert!((e.value() - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ema_with_initial_uses_prior() {
-        let mut e = Ema::with_initial(0.5, 4.0);
-        assert_eq!(e.value(), 4.0);
-        e.observe(8.0);
-        assert!((e.value() - 6.0).abs() < 1e-12);
     }
 
     #[test]

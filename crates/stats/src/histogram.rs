@@ -70,14 +70,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Midpoint of each bin, for plotting.
-    pub fn bin_centers(&self) -> Vec<f64> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (0..self.counts.len())
-            .map(|i| self.lo + w * (i as f64 + 0.5))
-            .collect()
-    }
-
     /// The `[lo, hi)` range.
     pub fn range(&self) -> (f64, f64) {
         (self.lo, self.hi)
@@ -192,12 +184,6 @@ mod tests {
         assert!(Histogram::new(1.0, 1.0, 4).is_none());
         assert!(Histogram::new(2.0, 1.0, 4).is_none());
         assert!(Histogram::new(0.0, 1.0, 0).is_none());
-    }
-
-    #[test]
-    fn histogram_bin_centers_are_midpoints() {
-        let h = Histogram::new(0.0, 1.0, 2).unwrap();
-        assert_eq!(h.bin_centers(), vec![0.25, 0.75]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! random distributions used by the workload generators and the simulator.
 //!
 //! Only the `rand` crate is available offline, so the distributions that
-//! would normally come from `rand_distr` (Normal, Gamma, Beta, Dirichlet,
-//! Zipf, Poisson, ...) are implemented here from scratch, together with the
-//! small numeric utilities the rest of the workspace shares.
+//! would normally come from `rand_distr` (Normal, Beta, Zipf, Poisson, ...)
+//! are implemented here from scratch, together with the small numeric
+//! utilities the rest of the workspace shares.
 //!
 //! # Examples
 //!
@@ -33,8 +33,8 @@ pub mod percentile;
 pub mod rng;
 pub mod welford;
 
-pub use correlation::{pearson, spearman};
-pub use dist::{Beta, Dirichlet, Exponential, Gamma, LogNormal, Normal, Poisson, Zipf};
+pub use correlation::pearson;
+pub use dist::{Beta, Exponential, LogNormal, Normal, Poisson, Zipf};
 pub use ema::{DecayingCounter, Ema};
 pub use histogram::{Cdf, Histogram};
 pub use idmap::IdMap;
@@ -61,12 +61,6 @@ pub fn sigmoid(x: f64) -> f64 {
 #[inline]
 pub fn clamp01(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
-}
-
-/// Linear interpolation between `a` and `b` by `t in [0, 1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
 }
 
 #[cfg(test)]
@@ -104,12 +98,5 @@ mod tests {
         assert_eq!(clamp01(-0.5), 0.0);
         assert_eq!(clamp01(1.5), 1.0);
         assert_eq!(clamp01(0.25), 0.25);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        assert_eq!(lerp(2.0, 4.0, 0.0), 2.0);
-        assert_eq!(lerp(2.0, 4.0, 1.0), 4.0);
-        assert_eq!(lerp(2.0, 4.0, 0.5), 3.0);
     }
 }

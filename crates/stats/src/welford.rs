@@ -85,15 +85,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance with Bessel's correction.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -175,7 +166,6 @@ mod tests {
         let mut s = RunningStats::new();
         s.push(42.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.mean(), 42.0);
     }
 

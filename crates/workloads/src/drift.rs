@@ -50,22 +50,6 @@ impl DriftingWorkload {
         let topic = self.topic_at(rank, progress);
         self.inner.generate_request_for_topic(topic)
     }
-
-    /// Draws a batch spread uniformly across `[t0, t1]`.
-    pub fn generate_window(
-        &mut self,
-        t0: f64,
-        t1: f64,
-        n: usize,
-        rng: &mut impl Rng,
-    ) -> Vec<Request> {
-        (0..n)
-            .map(|i| {
-                let t = t0 + (t1 - t0) * i as f64 / n.max(1) as f64;
-                self.generate_at(t, rng)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,13 +104,5 @@ mod tests {
         let none = w.topic_at(0, 0.0);
         // A full rotation returns to the start (modulo topic count).
         assert_eq!(full, none);
-    }
-
-    #[test]
-    fn window_spans_progress() {
-        let mut w = drifting();
-        let mut rng = rng_from_seed(173);
-        let batch = w.generate_window(0.0, 1.0, 50, &mut rng);
-        assert_eq!(batch.len(), 50);
     }
 }

@@ -16,15 +16,6 @@ use rand::rngs::StdRng;
 
 use crate::dataset::{Dataset, DatasetSpec};
 
-/// A generated workload: the example bank plus the online request stream.
-#[derive(Debug)]
-pub struct GeneratedWorkload {
-    /// Cached examples (responses from the large model).
-    pub examples: Vec<Example>,
-    /// Online requests in arrival order.
-    pub requests: Vec<Request>,
-}
-
 /// Deterministic generator for one dataset.
 ///
 /// # Examples
@@ -247,26 +238,6 @@ impl WorkloadGenerator {
             })
             .collect()
     }
-
-    /// Full workload at a fraction of the Table 1 sizes (1.0 = paper
-    /// scale). Experiments use 0.01–0.1 to keep runtimes reasonable; the
-    /// similarity structure is scale-free because the topic space is sized
-    /// for the full dataset.
-    pub fn generate_scaled(
-        &mut self,
-        fraction: f64,
-        source_spec: &ModelSpec,
-        source_id: ModelId,
-        generator: &Generator,
-    ) -> GeneratedWorkload {
-        let f = fraction.clamp(0.0, 1.0);
-        let n_ex = ((self.spec.example_size as f64 * f).round() as usize).max(1);
-        let n_req = ((self.spec.request_size as f64 * f).round() as usize).max(1);
-        GeneratedWorkload {
-            examples: self.generate_examples(n_ex, source_spec, source_id, generator),
-            requests: self.generate_requests(n_req),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -390,15 +361,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 20);
-    }
-
-    #[test]
-    fn scaled_workload_respects_fraction() {
-        let mut g = small_gen(Dataset::Nl2Bash);
-        let generator = Generator::new();
-        let w = g.generate_scaled(0.1, &ModelSpec::qwen_25_32b(), ModelId(0), &generator);
-        assert_eq!(w.examples.len(), 809);
-        assert_eq!(w.requests.len(), 61);
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod trace;
 
 pub use dataset::{Dataset, DatasetSpec, table1};
 pub use drift::DriftingWorkload;
-pub use generator::{GeneratedWorkload, WorkloadGenerator};
+pub use generator::WorkloadGenerator;
 pub use rag::RagCorpus;
 pub use trace::{TraceConfig, fixed_qps_arrivals, thirty_minute_trace, window_counts};

@@ -1,9 +1,8 @@
-//! §8 dynamics: query-distribution drift, model updates, and the
-//! auto-scaling signal, exercised end-to-end.
+//! §8 dynamics: query-distribution drift and model updates, exercised
+//! end-to-end.
 
 use ic_cache::{IcCacheConfig, IcCacheSystem};
 use ic_llmsim::Generator;
-use ic_router::{AutoscaleSignal, ScaleAdvice};
 use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, DriftingWorkload, WorkloadGenerator};
 
@@ -51,34 +50,6 @@ fn system_keeps_serving_through_topic_drift() {
         system.cached_examples() > 3_000,
         "cache should absorb fresh-topic pairs"
     );
-}
-
-#[test]
-fn autoscale_signal_fires_only_under_sustained_overload() {
-    let (mut system, mut drift) = drifting_system();
-    let mut rng = rng_from_seed(2003);
-    let mut signal = AutoscaleSignal::standard();
-    // Calm phase: well under the large fleet's capacity.
-    for _ in 0..150 {
-        system.observe_load(0.3);
-        let r = drift.generate_at(0.0, &mut rng);
-        let out = system.serve(&r);
-        signal.observe(out.applied_bias);
-    }
-    assert_ne!(
-        signal.advice(),
-        ScaleAdvice::ScaleOut,
-        "calm traffic must not trip scale-out"
-    );
-    // Sustained overload: bias persists, the §4.2 auto-scaling signal.
-    for _ in 0..300 {
-        system.observe_load(12.0);
-        let r = drift.generate_at(0.1, &mut rng);
-        let out = system.serve(&r);
-        signal.observe(out.applied_bias);
-    }
-    assert_eq!(signal.advice(), ScaleAdvice::ScaleOut);
-    assert!(signal.persistent_bias() > 0.4);
 }
 
 #[test]
