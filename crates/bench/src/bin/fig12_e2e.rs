@@ -20,7 +20,7 @@
 //! Observability (`docs/observability.md`):
 //!
 //! - `--trace <path>` records the request-lifecycle event stream
-//!   (setting `IC_OBS_TRACE=1` for every engine run in the process) and
+//!   (as `IC_OBS_TRACE=1` does, for every engine run of the process) and
 //!   writes the Chrome trace-event timeline to `<path>` —
 //!   Perfetto-loadable, byte-deterministic per seed.
 //! - `IC_OBS_SAMPLE=<secs>` arms the periodic telemetry sampler and
@@ -48,6 +48,7 @@
 use std::time::Instant;
 
 use ic_bench::Scale;
+use ic_bench::env::Knobs;
 use ic_bench::experiments::e2e;
 use ic_bench::harness::SetupTiming;
 use ic_bench::write_artifact;
@@ -269,12 +270,11 @@ fn write_obs_artifacts(report: &EngineReport, trace_path: Option<&str>, sampled:
 }
 
 /// Times `serve_workload` over the standard MS MARCO replay parts under
-/// an explicit config, returning the report, its wall seconds, and the
-/// measured wall split of the setup that preceded it.
-fn timed_replay(scale: Scale, config: ic_engine::EngineConfig) -> (EngineReport, f64, SetupTiming) {
-    let (mut engine, requests, arrivals, setup) = e2e::E2eRun::from_env(scale, Dataset::MsMarco)
-        .config(config)
-        .parts();
+/// `knobs`, returning the report, its wall seconds, and the measured
+/// wall split of the setup that preceded it.
+fn timed_replay(scale: Scale, knobs: &Knobs) -> (EngineReport, f64, SetupTiming) {
+    let (mut engine, requests, arrivals, setup) =
+        e2e::E2eRun::with(scale, Dataset::MsMarco, knobs).parts();
     let start = Instant::now();
     let report = engine.serve_workload(&requests, &arrivals);
     (report, start.elapsed().as_secs_f64(), setup)
@@ -288,6 +288,10 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
+    let mut knobs = Knobs::from_env().unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     let mut quick = false;
     let mut fraction = None;
     let mut trace_path = None;
@@ -315,30 +319,17 @@ fn main() {
             _ => usage_error(&format!("unexpected argument {arg:?}")),
         }
     }
-    if trace_path.is_some() {
-        // Single-threaded this early; makes every engine_config() in
-        // the process (suite run included) record the event stream.
-        unsafe { std::env::set_var("IC_OBS_TRACE", "1") };
-    }
-
-    let base = e2e::checked_engine_config().unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    });
-    let sampled = base.obs_sample_s > 0.0;
+    // Every engine run of the process (suite run included) records the
+    // event stream.
+    knobs.engine.trace |= trace_path.is_some();
+    let sampled = knobs.engine.obs_sample_s > 0.0;
     // The overhead pair: one observability-off replay and one with the
     // lifecycle recorder on (sampler as configured), same seed.
-    let obs_off = {
-        let mut c = base.clone();
-        c.trace = false;
-        c.obs_sample_s = 0.0;
-        c
-    };
-    let obs_on = {
-        let mut c = base.clone();
-        c.trace = true;
-        c
-    };
+    let mut obs_off = knobs.clone();
+    obs_off.engine.trace = false;
+    obs_off.engine.obs_sample_s = 0.0;
+    let mut obs_on = knobs.clone();
+    obs_on.engine.trace = true;
 
     if let Some(fraction) = fraction {
         // Engine-replay-only fast path: one event-driven run at an
@@ -347,8 +338,8 @@ fn main() {
             fraction,
             seed: 20_250_613,
         };
-        let (engine_report, wall_s, setup) = timed_replay(scale, obs_off);
-        let (traced, traced_wall_s, _) = timed_replay(scale, obs_on);
+        let (engine_report, wall_s, setup) = timed_replay(scale, &obs_off);
+        let (traced, traced_wall_s, _) = timed_replay(scale, &obs_on);
         let peak = peak_rss_mb();
         write_artifact(
             "BENCH_replay.json",
@@ -362,7 +353,7 @@ fn main() {
     }
 
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let (report, engine_report) = e2e::fig12_e2e_full(scale);
+    let (report, engine_report) = e2e::fig12_e2e_full(scale, &knobs);
     write_artifact("BENCH_e2e.json", engine_report.to_json());
     // The suite's engine run already carries the observability block
     // when tracing/sampling is on; the artifacts come from it so the
@@ -372,8 +363,8 @@ fn main() {
     // dedicated run, so neither the suite's baseline policies and
     // judging nor the workload-generation setup pollute the
     // events-per-second figure.
-    let (timed, wall_s, setup) = timed_replay(scale, obs_off);
-    let (_, traced_wall_s, _) = timed_replay(scale, obs_on);
+    let (timed, wall_s, setup) = timed_replay(scale, &obs_off);
+    let (_, traced_wall_s, _) = timed_replay(scale, &obs_on);
     let peak = peak_rss_mb();
     write_artifact(
         "BENCH_replay.json",

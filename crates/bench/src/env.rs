@@ -1,131 +1,182 @@
-//! Shared `IC_*` environment-knob parsing for the bench binaries.
+//! The bench binaries' `IC_*` environment knobs: one table ([`KNOBS`]),
+//! one parsed value ([`Knobs`]) and one reader ([`Knobs::from_env`]).
 //!
-//! The bench binaries (via
-//! [`crate::experiments::e2e::checked_engine_config`]) accept scheduler
-//! and KV-memory overrides from the environment. This module is the
-//! single implementation: an unset variable is `Ok(None)` (the
-//! byte-deterministic defaults win), and a variable that is set but
-//! does not parse is an `Err` naming the variable and its value — the
+//! Each binary calls [`Knobs::from_env`] once, before anything runs, and
+//! hands the value to the run; nothing below `main` reads the
+//! environment. An unset knob keeps its default (the byte-deterministic
+//! run). A knob that is set but does not parse, or lies outside its
+//! `accepts` domain, is an `Err` naming the variable and its value — the
 //! binaries print it and exit 2, so a typo in a sweep script stops the
-//! run instead of silently recording the defaults under the knob's
-//! name. The same goes for a typo in the *name*, or a knob a later PR
-//! retired: [`unknown_knobs`] names every set `IC_*` variable that is
-//! not in [`KNOBS`].
+//! run instead of silently recording the defaults under the knob's name.
+//! The same goes for a typo in the *name*, or a knob a later change
+//! retired: every set `IC_*` variable that is no row of [`KNOBS`] is an
+//! `Err` too.
 
-use ic_engine::PoolOutage;
+use ic_engine::{EngineConfig, PoolOutage};
 use ic_serving::Watermarks;
 
-/// Why a knob read below a binary's `main` may `expect`: every bench
-/// binary calls [`crate::experiments::e2e::checked_engine_config`]
-/// before it runs anything.
-pub(crate) const KNOBS_CHECKED: &str = "IC_* knobs are checked at startup";
+/// The knobs of one run: the unified engine's configuration plus the
+/// two knobs the set-up reads.
+#[derive(Debug, Clone)]
+pub struct Knobs {
+    /// Every engine knob, applied to [`EngineConfig::default`].
+    pub engine: EngineConfig,
+    /// `IC_SETUP_THREADS`: worker threads for the IVF index's k-means
+    /// fit when the example bank is seeded (at least 1). The index is
+    /// bit-identical at any value, so this trades wall clock, never
+    /// bytes.
+    pub setup_threads: usize,
+    /// `IC_SHARE_BURST`: the
+    /// [`burst_workload`](crate::experiments::e2e::burst_workload)
+    /// reshape of the IC-Cache replay's trace (`< 2` keeps the natural
+    /// trace).
+    pub burst: usize,
+}
 
-/// Every `IC_*` environment variable the repo reads — the knob column
-/// of `docs/config.md`, row for row. Anything else starting with `IC_`
-/// in a bench binary's environment is a typo or a retired knob.
-pub const KNOBS: &[&str] = &[
-    "IC_PREFILL_CHUNK",
-    "IC_PREEMPT_QUANTUM",
-    "IC_MAX_QUEUE",
-    "IC_SELECTOR_BATCH",
-    "IC_SETUP_THREADS",
-    "IC_KV_BLOCK",
-    "IC_KV_BUDGET",
-    "IC_KV_WATERMARKS",
-    "IC_KV_HOST_BLOCKS",
-    "IC_KV_SHARE",
-    "IC_SHARE_BURST",
-    "IC_RESP_CACHE",
-    "IC_RESP_THRESHOLD",
-    "IC_RESP_BYTES",
-    "IC_RESP_TTL",
-    "IC_RESP_PREPOP",
-    "IC_RESP_WINDOW",
-    "IC_ROUTER_REPLICAS",
-    "IC_GOSSIP_PERIOD",
-    "IC_POOL_OUTAGE",
-    "IC_OBS_TRACE",
-    "IC_OBS_SAMPLE",
-    "IC_OBS_RING",
-    "IC_BLESS",
+impl Default for Knobs {
+    fn default() -> Self {
+        Self {
+            engine: EngineConfig::default(),
+            setup_threads: 1,
+            burst: 0,
+        }
+    }
+}
+
+/// One `IC_*` knob: its name, the values it accepts (`docs/config.md`'s
+/// `accepts` column, word for word) and how a trimmed value sets it
+/// (`None` when the value is not one it accepts).
+pub struct Knob {
+    /// The environment variable.
+    pub name: &'static str,
+    /// The values it accepts, as the error message and the doc say them.
+    pub accepts: &'static str,
+    /// Applies a trimmed value to the knobs.
+    pub set: fn(&mut Knobs, &str) -> Option<()>,
+}
+
+/// A finite `f64` that `ok` accepts (`nan` and `inf` parse as `f64`s,
+/// and a stage-0 threshold of `nan` would serve every nearest entry).
+fn number(value: &str, ok: fn(f64) -> bool) -> Option<f64> {
+    value.parse().ok().filter(|x: &f64| x.is_finite() && ok(*x))
+}
+
+/// A switch: exactly `0` (off) or `1` (on).
+fn switch(value: &str) -> Option<bool> {
+    value.parse().ok().filter(|s: &u8| *s <= 1).map(|s| s == 1)
+}
+
+/// Every `IC_*` environment variable the repo reads — the rows of
+/// `docs/config.md`'s table, in its order. Anything else starting with
+/// `IC_` in a bench binary's environment is a typo or a retired knob.
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob { name: "IC_PREFILL_CHUNK", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.prefill_chunk_tokens = n) },
+    Knob { name: "IC_PREEMPT_QUANTUM", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.preempt_decode_quantum = n) },
+    Knob { name: "IC_MAX_QUEUE", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.max_queue = Some(n)) },
+    Knob { name: "IC_SELECTOR_BATCH", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.selector_batch = n) },
+    Knob { name: "IC_SETUP_THREADS", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n: usize| k.setup_threads = n.max(1)) },
+    Knob { name: "IC_KV_BLOCK", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.kv_block_tokens = n) },
+    Knob { name: "IC_KV_BUDGET", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.kv_budget_blocks = n) },
+    Knob { name: "IC_KV_WATERMARKS", accepts: "`high,low`, 0 < low < high ≤ 1",
+        set: |k, v| parse_watermarks(v).map(|w| k.engine.kv_watermarks = w) },
+    Knob { name: "IC_KV_HOST_BLOCKS", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.kv_swap.host_capacity_blocks = n) },
+    Knob { name: "IC_KV_SHARE", accepts: "`0` or `1`",
+        set: |k, v| switch(v).map(|on| k.engine.kv_share = on) },
+    Knob { name: "IC_SHARE_BURST", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.burst = n) },
+    Knob { name: "IC_RESP_CACHE", accepts: "`0` or `1`",
+        set: |k, v| switch(v).map(|on| k.engine.resp_cache = on) },
+    Knob { name: "IC_RESP_THRESHOLD", accepts: "number in [−1, 1]",
+        set: |k, v| number(v, |x| x.abs() <= 1.0).map(|x| k.engine.resp_threshold = x) },
+    Knob { name: "IC_RESP_BYTES", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.resp_budget_bytes = n) },
+    Knob { name: "IC_RESP_TTL", accepts: "finite number > 0",
+        set: |k, v| number(v, |x| x > 0.0).map(|x| k.engine.resp_ttl_s = x) },
+    Knob { name: "IC_RESP_PREPOP", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.resp_prepop_min = n) },
+    Knob { name: "IC_RESP_WINDOW", accepts: "finite number > 0",
+        set: |k, v| number(v, |x| x > 0.0).map(|x| k.engine.resp_window_s = x) },
+    Knob { name: "IC_ROUTER_REPLICAS", accepts: "integer ≥ 1",
+        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.router_replicas = n) },
+    Knob { name: "IC_GOSSIP_PERIOD", accepts: "finite number ≥ 0",
+        set: |k, v| number(v, |x| x >= 0.0).map(|x| k.engine.gossip_period_s = x) },
+    Knob { name: "IC_POOL_OUTAGE",
+        accepts: "`pool:at:duration[;...]`, a pool the cluster has, finite at ≥ 0, \
+                  finite duration > 0",
+        set: |k, v| parse_outages(v).map(|o| k.engine.pool_outages = o) },
+    Knob { name: "IC_OBS_TRACE", accepts: "`0` or `1`",
+        set: |k, v| switch(v).map(|on| k.engine.trace = on) },
+    Knob { name: "IC_OBS_SAMPLE", accepts: "finite number ≥ 0",
+        set: |k, v| number(v, |x| x >= 0.0).map(|x| k.engine.obs_sample_s = x) },
+    Knob { name: "IC_OBS_RING", accepts: "integer ≥ 0",
+        set: |k, v| v.parse().ok().map(|n| k.engine.obs_ring = n) },
+    // Read by the golden tests, not by a run: a row so that setting it
+    // is not a typo.
+    Knob { name: "IC_BLESS", accepts: "any (only `1` blesses)", set: |_, _| Some(()) },
 ];
 
-/// `Err` naming every `IC_*` variable that is set but is not one of
-/// [`KNOBS`] — a misspelled name (`IC_KV_BUDGT`) or a retired knob
-/// (`IC_REPLAY_THREADS`) would otherwise be ignored and the defaults
-/// recorded under its name.
-pub fn unknown_knobs() -> Result<(), String> {
-    let mut unknown: Vec<String> = std::env::vars_os()
-        .map(|(name, value)| (name.to_string_lossy().into_owned(), value))
-        .filter(|(name, _)| name.starts_with("IC_") && !KNOBS.contains(&name.as_str()))
-        .map(|(name, value)| format!("{name}={value:?}"))
-        .collect();
-    unknown.sort_unstable();
-    if unknown.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "not an IC_* knob, so nothing would read it: {} (docs/config.md lists the knobs)",
-            unknown.join(", ")
-        ))
+impl Knobs {
+    /// The knobs the environment sets: every set `IC_*` variable through
+    /// its [`KNOBS`] row, and the fault schedule checked against the
+    /// Gemma-pair cluster every e2e run replays on. `Err` names the
+    /// offending variable and value; the binaries print it and exit 2
+    /// before anything runs.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(std::env::vars_os().map(|(name, value)| {
+            (
+                name.to_string_lossy().into_owned(),
+                value.to_string_lossy().into_owned(),
+            )
+        }))
+    }
+
+    /// [`Knobs::from_env`] over explicit `(name, value)` pairs.
+    fn from_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<Self, String> {
+        let mut knobs = Self::default();
+        let mut vars: Vec<_> = vars
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("IC_"))
+            .collect();
+        // In name order, so the variable an error names does not depend
+        // on the environment's order.
+        vars.sort_unstable();
+        for (name, value) in vars {
+            let Some(knob) = KNOBS.iter().find(|k| k.name == name) else {
+                return Err(format!(
+                    "{name}={value:?} is not an IC_* knob, so nothing would read it \
+                     (docs/config.md lists the knobs)"
+                ));
+            };
+            if (knob.set)(&mut knobs, value.trim()).is_none() {
+                return Err(format!("{name}={value:?} is not {}", knob.accepts));
+            }
+        }
+        let pools = ic_cache::IcCacheConfig::gemma_pair().models.len();
+        if let Some(outage) = knobs.engine.pool_outages.iter().find(|o| o.pool >= pools) {
+            return Err(format!(
+                "IC_POOL_OUTAGE names pool {} but the cluster has {pools} pools (0..={})",
+                outage.pool,
+                pools - 1
+            ));
+        }
+        Ok(knobs)
     }
 }
 
-/// The raw value of `name`; `Ok(None)` when unset.
-fn raw_env(name: &str) -> Result<Option<String>, String> {
-    debug_assert!(
-        KNOBS.contains(&name) || name.starts_with("IC_TEST_"),
-        "{name} is read but not listed in KNOBS"
-    );
-    match std::env::var(name) {
-        Ok(raw) => Ok(Some(raw)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(format!("{name}={raw:?} is not unicode")),
-    }
-}
-
-/// Parses `name` from the environment: `Ok(None)` when unset, `Err`
-/// naming the variable and its value when set but malformed.
-pub fn parse_env<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
-    parse_env_in(name, "", |_| true)
-}
-
-/// [`parse_env`] for a knob whose type holds values the run cannot
-/// honour: a value that parses but fails `accepts` is an `Err` too,
-/// naming the variable, its value and `domain` (`nan` parses as an
-/// `f64`, and a stage-0 threshold of `nan` serves every nearest entry).
-pub(crate) fn parse_env_in<T: std::str::FromStr>(
-    name: &str,
-    domain: &str,
-    accepts: impl Fn(&T) -> bool,
-) -> Result<Option<T>, String> {
-    let Some(raw) = raw_env(name)? else {
-        return Ok(None);
-    };
-    match raw.trim().parse() {
-        Ok(value) if accepts(&value) => Ok(Some(value)),
-        Ok(_) => Err(format!("{name}={raw:?} is not {domain}")),
-        Err(_) => Err(format!(
-            "{name}={raw:?} is not a valid {}",
-            std::any::type_name::<T>()
-        )),
-    }
-}
-
-/// A switch knob: exactly `0` (off) or `1` (on); `Ok(None)` when unset.
-pub(crate) fn parse_switch(name: &str) -> Result<Option<bool>, String> {
-    Ok(parse_env_in::<u8>(name, "0 or 1", |v| *v <= 1)?.map(|v| v == 1))
-}
-
-/// Parses a pool-outage schedule (e.g.
-/// `IC_POOL_OUTAGE=1:300:120;0:900:60` — pool 1 down at t=300s for
-/// 120s, pool 0 down at t=900s for 60s). `Ok(None)` when unset; `Err`
-/// when any entry is malformed or non-positive-duration, or no entry is
-/// given (a typo must not half-apply a fault schedule).
-pub fn parse_outages(name: &str) -> Result<Option<Vec<PoolOutage>>, String> {
-    let Some(raw) = raw_env(name)? else {
-        return Ok(None);
-    };
+/// Parses a pool-outage schedule (e.g. `1:300:120;0:900:60` — pool 1
+/// down at t=300s for 120s, pool 0 down at t=900s for 60s). `None` when
+/// any entry is malformed or non-positive-duration, or no entry is given
+/// (a typo must not half-apply a fault schedule).
+pub fn parse_outages(value: &str) -> Option<Vec<PoolOutage>> {
     let parse_entry = |entry: &str| {
         let mut parts = entry.split(':');
         let pool: usize = parts.next()?.trim().parse().ok()?;
@@ -142,149 +193,131 @@ pub fn parse_outages(name: &str) -> Result<Option<Vec<PoolOutage>>, String> {
             duration_s,
         })
     };
-    let outages: Option<Vec<PoolOutage>> = raw
+    let outages: Vec<PoolOutage> = value
         .split(';')
         .filter(|e| !e.trim().is_empty())
         .map(parse_entry)
-        .collect();
-    match outages {
-        Some(outages) if !outages.is_empty() => Ok(Some(outages)),
-        _ => Err(format!(
-            "{name}={raw:?} is not a `pool:at:duration[;...]` schedule with positive durations"
-        )),
-    }
+        .collect::<Option<_>>()?;
+    (!outages.is_empty()).then_some(outages)
 }
 
-/// Parses a `"high,low"` watermark pair (e.g. `IC_KV_WATERMARKS=0.9,0.7`):
-/// `Ok(None)` when unset, `Err` when malformed or violating
-/// `0 < low < high <= 1`. Inverted *and equal* pairs are malformed:
-/// `low == high` is legal at the kvmem level (a pinned band) but as an
-/// env override it is always a sweep-script typo that silently kills
-/// the pressure band.
-pub fn parse_watermarks(name: &str) -> Result<Option<Watermarks>, String> {
-    let Some(raw) = raw_env(name)? else {
-        return Ok(None);
-    };
-    let pair = raw.split_once(',').and_then(|(high, low)| {
-        let high: f64 = high.trim().parse().ok()?;
-        let low: f64 = low.trim().parse().ok()?;
-        (low > 0.0 && low < high && high <= 1.0).then(|| Watermarks::new(high, low))
-    });
-    pair.map(Some)
-        .ok_or_else(|| format!("{name}={raw:?} is not a `high,low` pair with 0 < low < high <= 1"))
-}
-
-/// Parses `IC_SETUP_THREADS` — worker threads for the IVF index's
-/// k-means fit when the bank is seeded: the k-means++ distance updates,
-/// the assignment passes and the bulk-tail assignment fan out; bank
-/// generation and embedding stay sequential. Unset, `0` and `1` all mean
-/// sequential; a malformed value is an `Err`. The index is bit-identical
-/// at any value (the parallel paths only fan out pure per-row work), so
-/// this knob trades wall clock, never bytes — `BENCH_e2e.json` is
-/// unchanged (CI-enforced).
-pub fn setup_threads() -> Result<usize, String> {
-    Ok(parse_env::<usize>("IC_SETUP_THREADS")?.unwrap_or(1).max(1))
+/// Parses a `"high,low"` watermark pair (e.g. `0.9,0.7`): `None` when
+/// malformed or violating `0 < low < high <= 1`. Inverted *and equal*
+/// pairs are malformed: `low == high` is legal at the kvmem level (a
+/// pinned band) but as a knob value it is always a sweep-script typo that
+/// silently kills the pressure band.
+pub fn parse_watermarks(value: &str) -> Option<Watermarks> {
+    let (high, low) = value.split_once(',')?;
+    let high: f64 = high.trim().parse().ok()?;
+    let low: f64 = low.trim().parse().ok()?;
+    (low > 0.0 && low < high && high <= 1.0).then(|| Watermarks::new(high, low))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Process-global environment: each test uses its own variable name
-    // so parallel test threads cannot race.
+    fn knobs(vars: &[(&str, &str)]) -> Result<Knobs, String> {
+        Knobs::from_vars(vars.iter().map(|&(n, v)| (n.to_owned(), v.to_owned())))
+    }
 
+    /// `docs/config.md`'s table is [`KNOBS`]: the same names in the same
+    /// order, each row's `accepts` column word for word, and every
+    /// documented default that is not `unset`, set through its row,
+    /// leaves [`Knobs::default`] as it is.
     #[test]
     fn knobs_are_the_rows_of_the_config_doc() {
         let doc = include_str!("../../../docs/config.md");
-        let rows: Vec<&str> = doc
+        // `| `NAME` | default | accepts | acts on | effect |`
+        let rows: Vec<Vec<&str>> = doc
             .lines()
-            .filter_map(|line| line.strip_prefix("| `IC_"))
-            .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+            .filter(|line| line.starts_with("| `IC_"))
+            .map(|line| line.split(" | ").collect())
             .collect();
-        let knobs: Vec<&str> = KNOBS.iter().map(|k| &k["IC_".len()..]).collect();
-        assert_eq!(rows, knobs, "docs/config.md table vs env::KNOBS");
+        let names: Vec<&str> = rows
+            .iter()
+            .map(|r| r[0].trim_matches(['|', ' ', '`']))
+            .collect();
+        let knobs: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+        assert_eq!(names, knobs, "docs/config.md table vs env::KNOBS");
+        let default = format!("{:?}", Knobs::default());
+        for (row, knob) in rows.iter().zip(KNOBS) {
+            assert_eq!(row[2], knob.accepts, "{}: accepts column", knob.name);
+            let documented = row[1].trim_matches('`');
+            if documented != "unset" {
+                let mut set = Knobs::default();
+                assert_eq!((knob.set)(&mut set, documented), Some(()), "{}", knob.name);
+                assert_eq!(format!("{set:?}"), default, "{}: default column", knob.name);
+            }
+        }
     }
 
     #[test]
     fn parses_plain_values() {
-        unsafe { std::env::set_var("IC_TEST_ENV_U32", " 42 ") };
-        assert_eq!(parse_env::<u32>("IC_TEST_ENV_U32"), Ok(Some(42)));
-        assert_eq!(parse_env::<u32>("IC_TEST_ENV_UNSET"), Ok(None));
+        // Values are trimmed; names outside `IC_*` are not knobs.
+        let k = knobs(&[
+            ("IC_PREFILL_CHUNK", " 42 "),
+            ("IC_MAX_QUEUE", "7\n"),
+            ("PATH", "x"),
+        ])
+        .expect("valid");
+        assert_eq!(k.engine.prefill_chunk_tokens, 42);
+        assert_eq!(k.engine.max_queue, Some(7));
+        let unset = knobs(&[]).expect("nothing set");
+        assert_eq!(format!("{unset:?}"), format!("{:?}", Knobs::default()));
     }
 
     #[test]
     fn malformed_values_are_errors_naming_variable_and_value() {
-        unsafe { std::env::set_var("IC_TEST_ENV_BAD", "forty-two") };
-        let err = parse_env::<u32>("IC_TEST_ENV_BAD").expect_err("malformed");
-        assert!(err.contains("IC_TEST_ENV_BAD") && err.contains("forty-two"));
+        let err = knobs(&[("IC_KV_BUDGET", "forty-two")]).expect_err("malformed");
+        assert_eq!(err, "IC_KV_BUDGET=\"forty-two\" is not integer ≥ 0");
+        let err = knobs(&[("IC_KV_BUDGT", "64")]).expect_err("unknown");
+        assert!(err.contains("IC_KV_BUDGT=\"64\""), "{err}");
     }
 
     #[test]
     fn parses_watermark_pairs() {
-        unsafe { std::env::set_var("IC_TEST_WM_OK", "0.95, 0.6") };
-        let wm = parse_watermarks("IC_TEST_WM_OK")
-            .expect("valid pair")
-            .expect("set");
+        let wm = parse_watermarks("0.95, 0.6").expect("valid pair");
         assert!((wm.high - 0.95).abs() < 1e-12);
         assert!((wm.low - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn parses_outage_schedules() {
-        unsafe { std::env::set_var("IC_TEST_OUTAGE_OK", "1:300:120; 0:900:60") };
-        let outages = parse_outages("IC_TEST_OUTAGE_OK")
-            .expect("valid schedule")
-            .expect("set");
-        assert_eq!(
-            outages,
-            vec![
-                PoolOutage {
-                    pool: 1,
-                    at_s: 300.0,
-                    duration_s: 120.0
-                },
-                PoolOutage {
-                    pool: 0,
-                    at_s: 900.0,
-                    duration_s: 60.0
-                },
-            ]
-        );
-        assert_eq!(parse_outages("IC_TEST_OUTAGE_UNSET"), Ok(None));
+        let outages = parse_outages("1:300:120; 0:900:60").expect("valid schedule");
+        let entries: Vec<_> = outages
+            .iter()
+            .map(|o| (o.pool, o.at_s, o.duration_s))
+            .collect();
+        assert_eq!(entries, [(1, 300.0, 120.0), (0, 900.0, 60.0)]);
+        let err = knobs(&[("IC_POOL_OUTAGE", "5:300:60")]).expect_err("no pool 5");
+        assert!(err.contains("pool 5"), "{err}");
     }
 
     #[test]
     fn malformed_outage_schedules_are_errors() {
-        for (name, value) in [
-            ("IC_TEST_OUTAGE_BAD1", "1:300"),          // Missing duration.
-            ("IC_TEST_OUTAGE_BAD2", "1:300:0"),        // Zero duration.
-            ("IC_TEST_OUTAGE_BAD3", "1:300:-5"),       // Negative duration.
-            ("IC_TEST_OUTAGE_BAD4", "x:300:10"),       // Non-numeric pool.
-            ("IC_TEST_OUTAGE_BAD5", "1:300:10:9"),     // Extra field.
-            ("IC_TEST_OUTAGE_BAD6", "1:300:10;2:bad"), // One bad entry poisons all.
-            ("IC_TEST_OUTAGE_BAD7", ";"),              // Empty entries only.
+        for value in [
+            "1:300",          // Missing duration.
+            "1:300:0",        // Zero duration.
+            "1:300:-5",       // Negative duration.
+            "x:300:10",       // Non-numeric pool.
+            "1:300:10:9",     // Extra field.
+            "1:300:10;2:bad", // One bad entry poisons all.
+            ";",              // Empty entries only.
         ] {
-            unsafe { std::env::set_var(name, value) };
-            let err = parse_outages(name).expect_err(value);
-            assert!(err.contains(name) && err.contains(value), "{err}");
+            assert_eq!(parse_outages(value), None, "{value}");
         }
     }
 
     #[test]
     fn rejects_inverted_or_malformed_watermarks() {
-        for (name, value) in [
-            ("IC_TEST_WM_INV", "0.5,0.9"),
+        for value in [
+            "0.5,0.9",
             // Regression: an equal pair used to parse, pinning a dead
             // (zero-width) pressure band.
-            ("IC_TEST_WM_EQ", "0.8,0.8"),
-            ("IC_TEST_WM_ONE", "0.9"),
-            ("IC_TEST_WM_ZERO", "0.9,0"),
-            ("IC_TEST_WM_BIG", "1.2,0.5"),
+            "0.8,0.8", "0.9", "0.9,0", "1.2,0.5",
         ] {
-            unsafe { std::env::set_var(name, value) };
-            let err = parse_watermarks(name).expect_err(value);
-            assert!(err.contains(name) && err.contains(value), "{err}");
+            assert_eq!(parse_watermarks(value), None, "{value}");
         }
-        assert_eq!(parse_watermarks("IC_TEST_WM_UNSET"), Ok(None));
     }
 }

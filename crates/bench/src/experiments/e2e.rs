@@ -3,15 +3,15 @@
 
 use ic_baselines::RouteLlm;
 
-use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, ServingEngine};
+use ic_engine::{EngineReport, EventDrivenEngine, ServingEngine};
 use ic_judge::Autorater;
 use ic_llmsim::GenSetup;
 use ic_serving::ServingMetrics;
 use ic_stats::rng::rng_from_seed;
-use ic_workloads::{Dataset, fixed_qps_arrivals, thirty_minute_trace};
+use ic_workloads::{Dataset, WorkloadGenerator, fixed_qps_arrivals, thirty_minute_trace};
 use rand::RngExt;
 
-use crate::env::KNOBS_CHECKED;
+use crate::env::Knobs;
 use crate::harness::{
     PairSetup, Scale, SetupTiming, mixed_cluster, normalized_throughput, side_by_side,
     single_cluster, to_jobs,
@@ -44,9 +44,23 @@ fn online_run(
     reference_large: &[f64],
     scale: Scale,
     judge: &Autorater,
+    knobs: &Knobs,
 ) -> OnlineRun {
-    let mut setup = PairSetup::gemma(dataset, scale.count(200_000, 2_000), scale.seed ^ 21);
-    setup.warm_up(scale.count(5_000, 300));
+    let mut rng = rng_from_seed(scale.seed ^ 23);
+
+    // IC-Cache runs through the unified event-driven engine — the
+    // [`E2eRun`] `BENCH_e2e.json` records: admission, selection, routing,
+    // iteration-level batching and completion feedback all happen inside
+    // the simulation clock. The knobs act on this run alone; the other
+    // policies have no load-adaptive logic and keep the replay path
+    // below, so treat knob runs as IC-Cache scheduler sweeps, not
+    // controlled policy comparisons.
+    if matches!(policy, Policy::IcCache) {
+        let report = E2eRun::with(scale, dataset, knobs).run();
+        return online_run_from_engine(name, report, reference_large, judge, &mut rng);
+    }
+
+    let (mut setup, _) = warmed_pair(dataset, scale, knobs.setup_threads);
     let requests = setup.generator.generate_requests(arrivals.len());
 
     // RouteLLM needs offline training on preference data.
@@ -71,30 +85,6 @@ fn online_run(
         let data: Vec<(&ic_llmsim::Request, bool)> =
             train.iter().zip(labels.iter().copied()).collect();
         routellm.train(&data, 20, 0.1);
-    }
-
-    let mut rng = rng_from_seed(scale.seed ^ 23);
-
-    // IC-Cache runs through the unified event-driven engine: admission,
-    // selection, routing, iteration-level batching and completion
-    // feedback all happen inside the simulation clock (the other policies
-    // have no load-adaptive logic, so they keep the replay path below).
-    if matches!(policy, Policy::IcCache) {
-        // `IC_SHARE_BURST` reshapes only this engine run — the policy
-        // the KV-sharing knobs act on. Baseline policies keep the
-        // natural trace, so treat burst runs as IC-Cache scheduler
-        // sweeps, not controlled policy comparisons.
-        let mut requests = requests;
-        let mut arrivals = arrivals.to_vec();
-        burst_workload(
-            &mut requests,
-            &mut arrivals,
-            share_burst().expect(KNOBS_CHECKED),
-        );
-        let mut engine =
-            EventDrivenEngine::new(setup.system, engine_config().expect(KNOBS_CHECKED));
-        let report = engine.serve_workload(&requests, &arrivals);
-        return online_run_from_engine(name, report, reference_large, judge, &mut rng);
     }
 
     let mut rows = Vec::new();
@@ -264,183 +254,33 @@ fn online_run_from_engine(
     }
 }
 
-/// The engine configuration used by every unified-engine run in this
-/// module, with the `IC_*` knobs read from the environment (parsed by
-/// the shared [`crate::env`] helpers). `docs/config.md` is the one list
-/// of knobs, with each one's default and effect; two of them are not
-/// engine fields and are read by the set-up instead (`IC_SETUP_THREADS`,
-/// the index build's threads, and `IC_SHARE_BURST`, the trace reshape).
-/// The knobs reconfigure only the IC-Cache
-/// (unified-engine) runs; baseline policies replayed through
-/// `ClusterSim` keep the `PoolConfig::for_gpus` defaults, so treat
-/// swept-vs-baseline deltas as scheduler sweeps of IC-Cache, not
-/// controlled policy comparisons.
-///
-/// With none of the variables set this is exactly
-/// [`EngineConfig::default`], which keeps `BENCH_e2e.json`
-/// byte-deterministic (the CI determinism job relies on this, and the
-/// `golden_e2e` regression test pins the quick-scale bytes in-repo).
-/// A variable that is set but malformed, or outside the domain
-/// `docs/config.md` states for it, is an `Err` naming it and its value.
-pub fn engine_config() -> Result<EngineConfig, String> {
-    use crate::env::{parse_env, parse_env_in, parse_outages, parse_switch, parse_watermarks};
-    let positive = |v: &f64| v.is_finite() && *v > 0.0;
-    let non_negative = |v: &f64| v.is_finite() && *v >= 0.0;
-    let cosine = |v: &f64| (-1.0..=1.0).contains(v);
-    let mut config = EngineConfig::default();
-    if let Some(chunk) = parse_env::<u32>("IC_PREFILL_CHUNK")? {
-        config.prefill_chunk_tokens = chunk;
-    }
-    if let Some(quantum) = parse_env::<u32>("IC_PREEMPT_QUANTUM")? {
-        config.preempt_decode_quantum = quantum;
-    }
-    config.max_queue = parse_env::<usize>("IC_MAX_QUEUE")?;
-    if let Some(batch) = parse_env::<usize>("IC_SELECTOR_BATCH")? {
-        config.selector_batch = batch;
-    }
-    if let Some(block) = parse_env::<u32>("IC_KV_BLOCK")? {
-        config.kv_block_tokens = block;
-    }
-    if let Some(budget) = parse_env::<u32>("IC_KV_BUDGET")? {
-        config.kv_budget_blocks = budget;
-    }
-    if let Some(marks) = parse_watermarks("IC_KV_WATERMARKS")? {
-        config.kv_watermarks = marks;
-    }
-    if let Some(host) = parse_env::<u32>("IC_KV_HOST_BLOCKS")? {
-        config.kv_swap.host_capacity_blocks = host;
-    }
-    if let Some(share) = parse_switch("IC_KV_SHARE")? {
-        config.kv_share = share;
-    }
-    if let Some(resp) = parse_switch("IC_RESP_CACHE")? {
-        config.resp_cache = resp;
-    }
-    if let Some(threshold) = parse_env_in("IC_RESP_THRESHOLD", "a cosine in [-1, 1]", cosine)? {
-        config.resp_threshold = threshold;
-    }
-    if let Some(bytes) = parse_env::<usize>("IC_RESP_BYTES")? {
-        config.resp_budget_bytes = bytes;
-    }
-    if let Some(ttl) = parse_env_in("IC_RESP_TTL", "a finite number > 0", positive)? {
-        config.resp_ttl_s = ttl;
-    }
-    if let Some(prepop) = parse_env::<u64>("IC_RESP_PREPOP")? {
-        config.resp_prepop_min = prepop;
-    }
-    if let Some(window) = parse_env_in("IC_RESP_WINDOW", "a finite number > 0", positive)? {
-        config.resp_window_s = window;
-    }
-    if let Some(replicas) = parse_env_in("IC_ROUTER_REPLICAS", "at least 1", |r| *r >= 1)? {
-        config.router_replicas = replicas;
-    }
-    if let Some(period) = parse_env_in("IC_GOSSIP_PERIOD", "a finite number >= 0", non_negative)? {
-        config.gossip_period_s = period;
-    }
-    if let Some(outages) = parse_outages("IC_POOL_OUTAGE")? {
-        config.pool_outages = outages;
-    }
-    if let Some(trace) = parse_switch("IC_OBS_TRACE")? {
-        config.trace = trace;
-    }
-    if let Some(sample) = parse_env_in("IC_OBS_SAMPLE", "a finite number >= 0", non_negative)? {
-        config.obs_sample_s = sample;
-    }
-    if let Some(ring) = parse_env::<usize>("IC_OBS_RING")? {
-        config.obs_ring = ring;
-    }
-    Ok(config)
-}
-
-/// The `IC_SHARE_BURST` trace reshape (`0` when unset).
-fn share_burst() -> Result<usize, String> {
-    Ok(crate::env::parse_env("IC_SHARE_BURST")?.unwrap_or(0))
-}
-
-/// [`engine_config`] for a binary's `main`, with every other `IC_*`
-/// knob the experiments read validated too, any set `IC_*` variable
-/// that is not a knob at all rejected ([`crate::env::unknown_knobs`]),
-/// and the fault schedule checked against the Gemma-pair cluster every
-/// e2e run replays on. `Err` carries a message naming the offending
-/// knob and value; the binaries print it and exit with status 2 — a
-/// typo'd, misspelled or retired knob must not record a default run
-/// under its name.
-pub fn checked_engine_config() -> Result<EngineConfig, String> {
-    crate::env::unknown_knobs()?;
-    let config = engine_config()?;
-    crate::env::setup_threads()?;
-    share_burst()?;
-    let pools = ic_cache::IcCacheConfig::gemma_pair().models.len();
-    match config.pool_outages.iter().find(|o| o.pool >= pools) {
-        Some(outage) => Err(format!(
-            "IC_POOL_OUTAGE names pool {} but the cluster has {pools} pools (0..={})",
-            outage.pool,
-            pools - 1
-        )),
-        None => Ok(config),
-    }
-}
-
 /// One replay of the 30-minute trace through the unified
 /// [`EventDrivenEngine`] (IC-Cache policy, sharded example cache,
-/// iteration-level batching) — the `BENCH_e2e.json` payload of the
-/// `fig12_e2e` and `headline` binaries. Deterministic: the same scale
-/// and knobs yield a byte-identical [`EngineReport::to_json`].
-///
-/// [`E2eRun::new`] is hermetic (default engine config, natural trace),
-/// so tests can set knobs explicitly without racing on process-global
-/// environment variables; [`E2eRun::from_env`] is what the binaries
-/// run.
+/// iteration-level batching) — the `BENCH_e2e.json` payload of
+/// `fig12_e2e`. Deterministic: the same scale and knobs yield a
+/// byte-identical [`EngineReport::to_json`].
 #[derive(Debug, Clone)]
 pub struct E2eRun {
     scale: Scale,
     dataset: Dataset,
-    config: EngineConfig,
-    setup_threads: usize,
-    burst: usize,
+    knobs: Knobs,
 }
 
 impl E2eRun {
-    /// The knob-free run: [`EngineConfig::default`], the natural trace.
-    /// Only the byte-inert `IC_SETUP_THREADS` is read from the
-    /// environment.
+    /// The knob-free run: [`Knobs::default`] (the engine defaults, the
+    /// natural trace). Reads nothing from the environment.
     pub fn new(scale: Scale, dataset: Dataset) -> Self {
+        Self::with(scale, dataset, &Knobs::default())
+    }
+
+    /// The run `knobs` ask for: their engine configuration, set-up
+    /// threads and [`burst_workload`] reshape.
+    pub fn with(scale: Scale, dataset: Dataset, knobs: &Knobs) -> Self {
         Self {
             scale,
             dataset,
-            config: EngineConfig::default(),
-            setup_threads: crate::env::setup_threads().expect(KNOBS_CHECKED),
-            burst: 0,
+            knobs: knobs.clone(),
         }
-    }
-
-    /// The run the environment asks for: [`engine_config`] plus the
-    /// `IC_SHARE_BURST` trace reshape.
-    pub fn from_env(scale: Scale, dataset: Dataset) -> Self {
-        Self::new(scale, dataset)
-            .config(engine_config().expect(KNOBS_CHECKED))
-            .burst(share_burst().expect(KNOBS_CHECKED))
-    }
-
-    /// Replaces the engine configuration.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Worker threads for the deterministic setup pipeline
-    /// (bit-identical at any value).
-    pub fn setup_threads(mut self, threads: usize) -> Self {
-        self.setup_threads = threads;
-        self
-    }
-
-    /// Reshapes the trace with [`burst_workload`] (`< 2` keeps the
-    /// natural trace) — the acceptance workload for shared-prefix KV
-    /// reuse and the stage-0 stampede guarantee.
-    pub fn burst(mut self, burst: usize) -> Self {
-        self.burst = burst;
-        self
     }
 
     /// The pre-replay pieces: the seeded engine, the request stream,
@@ -459,21 +299,12 @@ impl E2eRun {
         SetupTiming,
     ) {
         let t0 = std::time::Instant::now();
-        let scale = self.scale;
-        let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
-        let mut arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
-        let mut sys_config = ic_cache::IcCacheConfig::gemma_pair();
-        sys_config.selector.ivf.setup_threads = self.setup_threads;
-        let (mut setup, mut timing) = PairSetup::with_config_timed(
-            sys_config,
-            self.dataset,
-            scale.count(200_000, 2_000),
-            scale.seed ^ 21,
-        );
-        setup.warm_up(scale.count(5_000, 300));
+        let mut arrivals = trace_arrivals(self.scale);
+        let (mut setup, mut timing) =
+            warmed_pair(self.dataset, self.scale, self.knobs.setup_threads);
         let mut requests = setup.generator.generate_requests(arrivals.len());
-        burst_workload(&mut requests, &mut arrivals, self.burst);
-        let engine = EventDrivenEngine::new(setup.system, self.config);
+        burst_workload(&mut requests, &mut arrivals, self.knobs.burst);
+        let engine = EventDrivenEngine::new(setup.system, self.knobs.engine);
         timing.setup_wall_s = t0.elapsed().as_secs_f64();
         (engine, requests, arrivals, timing)
     }
@@ -485,6 +316,45 @@ impl E2eRun {
     }
 }
 
+/// The 30-minute bursty arrival trace every fig12 policy replays.
+fn trace_arrivals(scale: Scale) -> Vec<f64> {
+    let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
+    thirty_minute_trace(rps_scale, scale.seed ^ 25)
+}
+
+/// `(example-bank size, generator seed, warm-up draws)` of the Gemma
+/// pair every fig12 replay of a dataset runs on.
+fn pair_shape(scale: Scale) -> (usize, u64, usize) {
+    (
+        scale.count(200_000, 2_000),
+        scale.seed ^ 21,
+        scale.count(5_000, 300),
+    )
+}
+
+/// The Gemma pair a fig12 replay of `dataset` runs on, its example bank
+/// seeded with `setup_threads` and warmed up, and the measured split of
+/// that setup. The requests it serves next are [`served_requests`].
+fn warmed_pair(dataset: Dataset, scale: Scale, setup_threads: usize) -> (PairSetup, SetupTiming) {
+    let mut config = ic_cache::IcCacheConfig::gemma_pair();
+    config.selector.ivf.setup_threads = setup_threads;
+    let (bank, seed, warm_up) = pair_shape(scale);
+    let (mut setup, timing) = PairSetup::with_config_timed(config, dataset, bank, seed);
+    setup.warm_up(warm_up);
+    (setup, timing)
+}
+
+/// The `n` requests a [`warmed_pair`] of `dataset` serves, drawn without
+/// its example bank: requests and examples come from separate streams of
+/// the pair's generator, so a generator seeded like it and past the
+/// warm-up draws yields the same requests.
+fn served_requests(dataset: Dataset, scale: Scale, n: usize) -> Vec<ic_llmsim::Request> {
+    let (bank, seed, warm_up) = pair_shape(scale);
+    let mut generator = WorkloadGenerator::sized(dataset, seed, bank);
+    generator.generate_requests(warm_up);
+    generator.generate_requests(n)
+}
+
 /// Reshapes a request stream into a shared-prefix-heavy workload:
 /// every run of `burst` consecutive arrivals collapses onto the run's
 /// first arrival instant, all carrying the run's first *request* — so
@@ -493,8 +363,8 @@ impl E2eRun {
 /// Traffic volume is unchanged (same request count, same trace span);
 /// `burst < 2` is a no-op. The natural trace almost never repeats an
 /// example set (selections are query-specific), so this is the
-/// workload shape that actually exercises `kv_share` — env knob
-/// `IC_SHARE_BURST` in the bench binaries.
+/// workload shape that actually exercises `kv_share` — the
+/// `IC_SHARE_BURST` knob ([`Knobs::burst`]).
 pub fn burst_workload(requests: &mut [ic_llmsim::Request], arrivals: &mut [f64], burst: usize) {
     if burst < 2 {
         return;
@@ -516,31 +386,29 @@ enum Policy {
     AlwaysLarge,
 }
 
-/// Computes the always-large quality reference for a request stream.
+/// The always-large answers' quality on the `n` requests every fig12
+/// policy serves on `dataset` — the reference each is judged against.
 fn large_reference(dataset: Dataset, n: usize, scale: Scale) -> Vec<f64> {
-    let mut setup = PairSetup::gemma(dataset, 10, scale.seed ^ 21);
-    let requests = setup.generator.generate_requests(n);
+    let config = ic_cache::IcCacheConfig::gemma_pair();
+    let large = config.catalog.get(config.primary);
+    let sim = ic_llmsim::Generator::new();
     let mut rng = rng_from_seed(scale.seed ^ 24);
-    requests
+    served_requests(dataset, scale, n)
         .iter()
-        .map(|r| {
-            setup
-                .sim
-                .generate(&setup.large_spec, r, &GenSetup::bare(), &mut rng)
-                .quality
-        })
+        .map(|r| sim.generate(large, r, &GenSetup::bare(), &mut rng).quality)
         .collect()
 }
 
 /// Fig. 12: online offload ratio, latency and quality under the
-/// 30-minute bursty trace.
+/// 30-minute bursty trace, at the knob-free defaults.
 pub fn fig12_e2e(scale: Scale) -> Report {
-    fig12_e2e_full(scale).0
+    fig12_e2e_full(scale, &Knobs::default()).0
 }
 
-/// [`fig12_e2e`] plus the raw engine report of the MS MARCO IC-Cache run
-/// — the `BENCH_e2e.json` payload — so binaries do not re-run the trace.
-pub fn fig12_e2e_full(scale: Scale) -> (Report, EngineReport) {
+/// [`fig12_e2e`] with `knobs` applied to the IC-Cache run, plus that
+/// run's raw engine report on MS MARCO — the `BENCH_e2e.json` payload —
+/// so the binary does not re-run the trace.
+pub fn fig12_e2e_full(scale: Scale, knobs: &Knobs) -> (Report, EngineReport) {
     let mut report = Report::new(
         "fig12_e2e",
         "Online offloading, latency and quality under a bursty trace",
@@ -549,8 +417,7 @@ pub fn fig12_e2e_full(scale: Scale) -> (Report, EngineReport) {
     let mut engine_report: Option<EngineReport> = None;
     let judge = Autorater::standard();
     for dataset in [Dataset::MsMarco, Dataset::NaturalQuestions] {
-        let rps_scale = (scale.fraction * 50.0).clamp(0.4, 1.0);
-        let arrivals = thirty_minute_trace(rps_scale, scale.seed ^ 25);
+        let arrivals = trace_arrivals(scale);
         let reference = large_reference(dataset, arrivals.len(), scale);
         let mut runs: Vec<OnlineRun> = [
             ("IC-Cache", Policy::IcCache),
@@ -559,7 +426,11 @@ pub fn fig12_e2e_full(scale: Scale) -> (Report, EngineReport) {
             ("Always-Large", Policy::AlwaysLarge),
         ]
         .into_iter()
-        .map(|(name, p)| online_run(name, dataset, &arrivals, p, &reference, scale, &judge))
+        .map(|(name, p)| {
+            online_run(
+                name, dataset, &arrivals, p, &reference, scale, &judge, knobs,
+            )
+        })
         .collect();
         if engine_report.is_none() {
             engine_report = runs[0].engine.take();
@@ -1049,12 +920,6 @@ pub fn fig20_loads(scale: Scale) -> Report {
 /// The abstract's headline claims: 1.4-5.9x throughput, 28-71% latency
 /// reduction, no quality loss.
 pub fn headline(scale: Scale) -> Report {
-    headline_full(scale).0
-}
-
-/// [`headline`] plus the raw engine report of its unified-engine trace
-/// run, so binaries can write `BENCH_e2e.json` without re-running it.
-pub fn headline_full(scale: Scale) -> (Report, EngineReport) {
     let mut report = Report::new(
         "headline",
         "Headline claims: throughput, latency, quality",
@@ -1128,7 +993,7 @@ pub fn headline_full(scale: Scale) -> (Report, EngineReport) {
     // The unified engine's view of the same bursty trace (Fig. 12
     // conditions): sharded cache + continuous batching + closed-loop
     // load feedback.
-    let er = E2eRun::from_env(scale, Dataset::MsMarco).run();
+    let er = E2eRun::new(scale, Dataset::MsMarco).run();
     report.finding(format!(
         "unified engine on the 30-min trace: offload {}, p50 {}s, p99 {}s, \
          selection hit rate {}, {} cache shards",
@@ -1157,7 +1022,7 @@ pub fn headline_full(scale: Scale) -> (Report, EngineReport) {
         er.kv.swap_ins,
         pct(er.kv.fragmentation_ratio())
     ));
-    (report, er)
+    report
 }
 
 #[cfg(test)]
@@ -1166,7 +1031,7 @@ mod tests {
 
     #[test]
     fn engine_e2e_runs_sharded_and_is_byte_identical() {
-        let a = E2eRun::from_env(Scale::quick(), Dataset::MsMarco).run();
+        let a = E2eRun::new(Scale::quick(), Dataset::MsMarco).run();
         assert!(a.served > 0);
         assert!(a.cache.shards >= 2, "engine must run a sharded cache");
         assert!(
@@ -1184,8 +1049,26 @@ mod tests {
         assert!(a.to_json().contains("\"kv\":{"));
         assert!(a.kv.total_blocks > 0);
         assert_eq!(a.kv.allocs, a.kv.frees, "blocks conserved over the trace");
-        let b = E2eRun::from_env(Scale::quick(), Dataset::MsMarco).run();
+        let b = E2eRun::new(Scale::quick(), Dataset::MsMarco).run();
         assert_eq!(a.to_json(), b.to_json(), "same seed must be byte-identical");
+    }
+
+    /// fig12 judges every policy against always-large answers to the
+    /// requests the policies serve (the reference once came from a
+    /// 10-example generator without the warm-up, so it judged other
+    /// requests).
+    #[test]
+    fn the_reference_requests_are_the_served_requests() {
+        let scale = Scale::quick();
+        let (_, served, _, _) = E2eRun::new(scale, Dataset::MsMarco).parts();
+        let reference = served_requests(Dataset::MsMarco, scale, served.len());
+        let rendered = |r: &ic_llmsim::Request| format!("{r:?}");
+        assert!(
+            served
+                .iter()
+                .map(rendered)
+                .eq(reference.iter().map(rendered))
+        );
     }
 
     /// A `pct` cell (`"64.8%"`) as a share.

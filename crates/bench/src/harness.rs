@@ -68,15 +68,9 @@ pub struct PairSetup {
 
 impl PairSetup {
     /// Builds a Gemma-pair setup on `dataset` with `n_examples` seeded
-    /// examples. `IC_SETUP_THREADS` becomes the IVF index's
-    /// `setup_threads`: the threads its k-means fit and bulk-tail
-    /// assignment fan out over (bit-identical at any value; see
-    /// `env::setup_threads`). The bank is generated sequentially.
+    /// examples.
     pub fn gemma(dataset: Dataset, n_examples: usize, seed: u64) -> Self {
-        let mut config = IcCacheConfig::gemma_pair();
-        config.selector.ivf.setup_threads =
-            crate::env::setup_threads().expect(crate::env::KNOBS_CHECKED);
-        Self::with_config(config, dataset, n_examples, seed)
+        Self::with_config(IcCacheConfig::gemma_pair(), dataset, n_examples, seed)
     }
 
     /// Builds a setup from any two-model config.

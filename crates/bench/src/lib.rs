@@ -7,8 +7,8 @@
 //! checked at a glance. One binary serves them all:
 //! `cargo run -p ic-bench --release --bin repro -- <id> [--quick]` prints
 //! one report, and `repro all` regenerates everything and rewrites
-//! `EXPERIMENTS.md` (see [`cli_main`]). `fig12_e2e` and `headline` are
-//! binaries of their own because they also write `BENCH_*` artifacts.
+//! `EXPERIMENTS.md` (see [`cli_main`]). `fig12_e2e` is a binary of its
+//! own because it also writes the `BENCH_*` artifacts.
 //!
 //! Criterion micro-benchmarks (selector stages, router decisions, knapsack
 //! solvers, IVF search, serving steps) live under `benches/`.
@@ -23,7 +23,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 pub use artifact::write_artifact;
-pub use env::{parse_env, parse_watermarks};
 pub use harness::{PairSetup, Scale, side_by_side};
 pub use report::{Report, Table};
 
@@ -36,15 +35,16 @@ pub fn run_by_id(id: &str, scale: Scale) -> Option<Report> {
 }
 
 /// The `repro <id>|all [--quick]` entry point. Checks the `IC_*` knobs
-/// first (exit 2 on a malformed or unknown one), then runs at quick
-/// scale with `--quick` and full scale otherwise. `<id>` prints that
+/// first (exit 2 on a malformed or unknown one; the reports themselves
+/// run at the knob-free defaults), then runs at quick scale with
+/// `--quick` and full scale otherwise. `<id>` prints that
 /// experiment's report; `all` runs every experiment and writes
 /// `EXPERIMENTS.md` plus `results/<id>.md` into the current directory
 /// (with `--quick` it prints the document instead). Anything else — an
 /// unknown id, a second id, any other flag — exits 2 naming it and
 /// listing the ids, before anything runs.
 pub fn cli_main() {
-    if let Err(msg) = experiments::e2e::checked_engine_config() {
+    if let Err(msg) = env::Knobs::from_env() {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }

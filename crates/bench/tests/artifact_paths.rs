@@ -2,9 +2,8 @@
 //! (`ic_bench::artifact::write_artifact`): `fig12_e2e --trace
 //! runs/out.json` used to panic with a bare `io::Error` after the whole
 //! replay had run whenever the trace path's parent directory was
-//! missing, and `headline` shared the same write idiom for
-//! `BENCH_e2e.json`. Both binaries now create missing parent
-//! directories and write into an arbitrary working directory.
+//! missing. The binary now creates missing parent directories and writes
+//! its `BENCH_*` files into an arbitrary working directory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -59,12 +58,12 @@ fn fig12_trace_path_with_missing_parent_dirs_succeeds() {
 }
 
 #[test]
-fn headline_writes_its_report_into_an_arbitrary_cwd() {
-    let cwd = scratch("headline");
-    let out = run_bin(env!("CARGO_BIN_EXE_headline"), &["--quick"], &cwd);
+fn fig12_writes_its_report_into_an_arbitrary_cwd() {
+    let cwd = scratch("fig12-quick");
+    let out = run_bin(env!("CARGO_BIN_EXE_fig12_e2e"), &["--quick"], &cwd);
     assert!(
         out.status.success(),
-        "headline failed:\n{}",
+        "fig12_e2e failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let json = std::fs::read_to_string(cwd.join("BENCH_e2e.json")).expect("BENCH_e2e.json");

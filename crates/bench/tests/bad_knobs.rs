@@ -10,11 +10,7 @@
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
-const BINS: [&str; 3] = [
-    env!("CARGO_BIN_EXE_fig12_e2e"),
-    env!("CARGO_BIN_EXE_headline"),
-    env!("CARGO_BIN_EXE_repro"),
-];
+const BINS: [&str; 2] = [env!("CARGO_BIN_EXE_fig12_e2e"), env!("CARGO_BIN_EXE_repro")];
 
 fn run_quick(bin: &str, var: &str, value: &str) -> Output {
     Command::new(bin)
@@ -41,20 +37,15 @@ fn fig12_e2e_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
 }
 
 #[test]
-fn headline_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
+fn repro_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
     assert_rejects_unknown_pool(BINS[1]);
 }
 
-#[test]
-fn repro_exits_2_on_an_outage_for_a_pool_it_does_not_have() {
-    assert_rejects_unknown_pool(BINS[2]);
-}
-
-/// Every variable `engine_config()` reads, plus `IC_SETUP_THREADS` and
-/// `IC_SHARE_BURST`, each with a value its type cannot hold, and each
-/// knob whose type holds values outside its `docs/config.md` domain
-/// with such values (each used to run: `IC_RESP_THRESHOLD=nan` served
-/// every stage-0 nearest entry, `IC_ROUTER_REPLICAS=0` ran one replica).
+/// Every knob a run reads, each with a value its type cannot hold, and
+/// each knob whose type holds values outside its `docs/config.md`
+/// domain with such values (each used to run: `IC_RESP_THRESHOLD=nan`
+/// served every stage-0 nearest entry, `IC_ROUTER_REPLICAS=0` ran one
+/// replica).
 const MALFORMED: &[(&str, &str)] = &[
     ("IC_PREFILL_CHUNK", "abc"),
     ("IC_PREEMPT_QUANTUM", "-1"),
@@ -123,6 +114,16 @@ fn a_malformed_knob_exits_2_naming_variable_and_value() {
     assert_exits_2_naming(MALFORMED);
 }
 
+/// A new knob needs a malformed case above: every row of the knob table
+/// but `IC_BLESS`, which accepts any value, has one.
+#[test]
+fn every_knob_has_a_malformed_case() {
+    for knob in ic_bench::env::KNOBS {
+        let covered = MALFORMED.iter().any(|(var, _)| *var == knob.name);
+        assert_eq!(covered, knob.name != "IC_BLESS", "{}", knob.name);
+    }
+}
+
 /// Well-formed values under names nothing reads: two retired knobs and
 /// a typo of a live one.
 const UNKNOWN: &[(&str, &str)] = &[
@@ -145,8 +146,8 @@ fn an_argument_a_binary_does_not_take_exits_2_naming_it() {
     let cases: [(&str, &[&str], &str); 4] = [
         (BINS[0], &["--fracton", "0.2"], "--fracton"),
         (BINS[0], &["--trace", "--quick"], "--trace"),
-        (BINS[1], &["--quikc"], "--quikc"),
-        (BINS[2], &["tab01_datasets", "--quikc"], "--quikc"),
+        (BINS[0], &["--quikc"], "--quikc"),
+        (BINS[1], &["tab01_datasets", "--quikc"], "--quikc"),
     ];
     for (i, (bin, args, named)) in cases.into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!("bad_args_{}_{i}", std::process::id()));

@@ -1,12 +1,14 @@
 //! Golden-file regression test for the deterministic e2e payload.
 //!
-//! `fig12_e2e --quick` (and `headline --quick`) write `BENCH_e2e.json`
-//! from the MS MARCO run of [`ic_bench::experiments::e2e::E2eRun`]
-//! at the default seed. CI's determinism job only checks that two runs
-//! of the *same build* agree; this test additionally pins the exact
-//! bytes in-repo, so an unintended behaviour change to the engine,
-//! scheduler, KV model or report serialization fails `cargo test -q`
-//! locally — before CI, and with a diffable artifact.
+//! `fig12_e2e --quick` writes `BENCH_e2e.json` from the IC-Cache row of
+//! its suite: the MS MARCO run of [`ic_bench::experiments::e2e::E2eRun`]
+//! at the default seed. CI's determinism job checks that two runs of
+//! the *same build* agree and `cmp`s the binary's file against the
+//! golden; this test pins the exact bytes in-repo, both from `E2eRun`
+//! and from the suite run the binary writes, so an unintended behaviour
+//! change to the engine, scheduler, KV model or report serialization
+//! fails `cargo test -q` locally — before CI, and with a diffable
+//! artifact.
 //!
 //! When a change intentionally moves the metrics, regenerate with:
 //!
@@ -15,14 +17,14 @@
 //! ```
 //!
 //! and commit the updated `tests/golden/BENCH_e2e.quick.json`. The
-//! runs here are hermetic ([`E2eRun::new`] reads no engine knob), so a
-//! stray `IC_*` variable in the environment cannot fail the comparison
-//! (a malformed `IC_SETUP_THREADS`, the one knob read, panics naming
-//! itself).
+//! runs here are hermetic (each takes its knobs as a value; nothing reads
+//! the environment but the `IC_BLESS` check), so a stray `IC_*` variable
+//! cannot fail the comparison.
 
 use ic_bench::Scale;
-use ic_bench::experiments::e2e::E2eRun;
-use ic_engine::EngineConfig;
+use ic_bench::env::Knobs;
+use ic_bench::experiments::e2e::{E2eRun, fig12_e2e_full};
+use ic_engine::{EngineConfig, EngineReport};
 use ic_workloads::Dataset;
 
 const GOLDEN_PATH: &str = concat!(
@@ -30,28 +32,54 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/BENCH_e2e.quick.json"
 );
 
-/// The knob-free quick-scale MS MARCO run the golden pins.
-fn quick() -> E2eRun {
-    E2eRun::new(Scale::quick(), Dataset::MsMarco)
+/// The quick-scale MS MARCO run under `engine`, its trace reshaped by
+/// `burst`.
+fn quick(engine: EngineConfig, burst: usize) -> EngineReport {
+    let knobs = Knobs {
+        engine,
+        burst,
+        ..Knobs::default()
+    };
+    E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs).run()
+}
+
+fn golden() -> String {
+    std::fs::read_to_string(GOLDEN_PATH).expect(
+        "golden file exists; regenerate with IC_BLESS=1 cargo test -p ic-bench --test golden_e2e",
+    )
 }
 
 #[test]
 fn quick_e2e_report_matches_golden() {
-    let json = quick().run().to_json();
+    let json = E2eRun::new(Scale::quick(), Dataset::MsMarco)
+        .run()
+        .to_json();
     // Only the documented `IC_BLESS=1` blesses; any other value (or a
     // typo like `IC_BLESS=0`) still runs the check.
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         std::fs::write(GOLDEN_PATH, &json).expect("write golden file");
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH).expect(
-        "golden file exists; regenerate with IC_BLESS=1 cargo test -p ic-bench --test golden_e2e",
-    );
     assert_eq!(
         json,
-        golden.trim_end(),
+        golden().trim_end(),
         "BENCH_e2e.json (quick, default seed) drifted from the committed golden. \
          If intentional, regenerate with: IC_BLESS=1 cargo test -q -p ic-bench --test golden_e2e"
+    );
+}
+
+/// The file `fig12_e2e --quick` writes is the golden: the suite's
+/// IC-Cache row is the run [`quick_e2e_report_matches_golden`] pins.
+#[test]
+fn fig12_writes_the_golden_run() {
+    if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
+        return;
+    }
+    let (_, report) = fig12_e2e_full(Scale::quick(), &Knobs::default());
+    assert_eq!(
+        report.to_json(),
+        golden().trim_end(),
+        "fig12_e2e's BENCH_e2e.json drifted from the E2eRun the golden pins"
     );
 }
 
@@ -65,13 +93,16 @@ fn quick_e2e_setup_threads_are_byte_inert() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return; // Blessing the sibling golden; this one never reblesses.
     }
-    let json = quick().setup_threads(4).run().to_json();
-    let golden = std::fs::read_to_string(GOLDEN_PATH).expect(
-        "golden file exists; regenerate with IC_BLESS=1 cargo test -p ic-bench --test golden_e2e",
-    );
+    let knobs = Knobs {
+        setup_threads: 4,
+        ..Knobs::default()
+    };
+    let json = E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs)
+        .run()
+        .to_json();
     assert_eq!(
         json,
-        golden.trim_end(),
+        golden().trim_end(),
         "the 4-thread setup pipeline drifted from the single-thread \
          golden — a parallel path stopped being bit-exact"
     );
@@ -88,13 +119,14 @@ fn quick_e2e_kv_share_is_byte_inert_on_the_natural_trace() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return;
     }
-    let on = quick()
-        .config(EngineConfig {
+    let on = quick(
+        EngineConfig {
             kv_share: true,
             ..EngineConfig::default()
-        })
-        .run();
-    let off = quick().run();
+        },
+        0,
+    );
+    let off = quick(EngineConfig::default(), 0);
     assert_eq!(
         on.to_json(),
         off.to_json(),
@@ -121,15 +153,15 @@ fn quick_e2e_kv_share_deduplicates_on_shared_prefix_bursts() {
         kv_share: true,
         ..EngineConfig::default()
     };
-    let a = quick().burst(8).config(config.clone()).run();
-    let b = quick().burst(8).config(config).run();
+    let a = quick(config.clone(), 8);
+    let b = quick(config, 8);
     assert_eq!(
         a.to_json(),
         b.to_json(),
         "kv_share=1 burst replay must be deterministic"
     );
 
-    let off = quick().burst(8).run();
+    let off = quick(EngineConfig::default(), 8);
     assert!(
         a.kv.blocks_saved > 0,
         "8-way bursts of one request must map prefix blocks \

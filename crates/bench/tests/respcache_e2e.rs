@@ -14,8 +14,9 @@
 //!    latency than the cache-off run at identical traffic.
 
 use ic_bench::Scale;
+use ic_bench::env::Knobs;
 use ic_bench::experiments::e2e::E2eRun;
-use ic_engine::EngineConfig;
+use ic_engine::{EngineConfig, EngineReport};
 use ic_workloads::Dataset;
 use proptest::prelude::*;
 
@@ -24,8 +25,15 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/BENCH_e2e.quick.json"
 );
 
-fn quick() -> E2eRun {
-    E2eRun::new(Scale::quick(), Dataset::MsMarco)
+/// The quick-scale MS MARCO run under `engine`, its trace reshaped by
+/// `burst`.
+fn quick(engine: EngineConfig, burst: usize) -> EngineReport {
+    let knobs = Knobs {
+        engine,
+        burst,
+        ..Knobs::default()
+    };
+    E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs).run()
 }
 
 fn cache_on(burst_aware: bool) -> EngineConfig {
@@ -56,7 +64,7 @@ proptest! {
             resp_prepop_min: 1 + packed / 1_000,
             ..EngineConfig::default()
         };
-        let report = quick().config(config).run();
+        let report = quick(config, 0);
         prop_assert_eq!(report.resp_cache.lookups, 0, "cache-off must never look up");
         let golden = std::fs::read_to_string(GOLDEN_PATH).expect("golden file exists");
         prop_assert_eq!(report.to_json(), golden.trim_end());
@@ -69,8 +77,8 @@ proptest! {
     /// insertions ≤ bursts — with byte-deterministic counts.
     #[test]
     fn stampede_bursts_pay_one_insertion_each(n in 2u64..9) {
-        let a = quick().burst(n as usize).config(cache_on(true)).run();
-        let b = quick().burst(n as usize).config(cache_on(true)).run();
+        let a = quick(cache_on(true), n as usize);
+        let b = quick(cache_on(true), n as usize);
         prop_assert_eq!(a.to_json(), b.to_json(), "hit counts must replay byte-identically");
         let bursts = a.served.div_ceil(n); // Trailing partial burst included.
         prop_assert!(
@@ -92,14 +100,14 @@ proptest! {
 /// end-to-end latency over the identical cache-off run.
 #[test]
 fn trending_workload_hits_and_improves_p50() {
-    let on = quick().burst(8).config(cache_on(true)).run();
-    let off = quick()
-        .burst(8)
-        .config(EngineConfig {
+    let on = quick(cache_on(true), 8);
+    let off = quick(
+        EngineConfig {
             selector_batch: 8,
             ..EngineConfig::default()
-        })
-        .run();
+        },
+        8,
+    );
     assert!(
         on.resp_cache.hit_ratio() > 0.0,
         "the trending trace must produce stage-0 hits: {:?}",

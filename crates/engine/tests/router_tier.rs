@@ -32,8 +32,8 @@ fn run(config: EngineConfig, qps: f64, duration: f64, seed: u64) -> EngineReport
 }
 
 /// Drops the `router` stats object — the one block the replicated tier
-/// adds — from a report JSON (the same masking pattern the CI
-/// determinism job applies with `sed`).
+/// adds — from a report JSON (the flat block CI's
+/// `grep -o '"router":{[^}]*}'` isolates).
 fn mask_router_block(json: &str) -> String {
     let start = json.find("\"router\":{").expect("router block present");
     let end = start + json[start..].find('}').expect("router block closes") + 2;
