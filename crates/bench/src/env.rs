@@ -81,10 +81,10 @@ pub const KNOBS: &[Knob] = &[
         set: |k, v| v.parse().ok().map(|n| k.engine.selector_batch = n) },
     Knob { name: "IC_SETUP_THREADS", accepts: "integer ≥ 0",
         set: |k, v| v.parse().ok().map(|n: usize| k.setup_threads = n.max(1)) },
-    Knob { name: "IC_KV_BLOCK", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.kv_block_tokens = n) },
-    Knob { name: "IC_KV_BUDGET", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.kv_budget_blocks = n) },
+    Knob { name: "IC_KV_BLOCK", accepts: "integer ≥ 1",
+        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.kv_block_tokens = n) },
+    Knob { name: "IC_KV_BUDGET", accepts: "integer ≥ 1",
+        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.kv_budget_blocks = n) },
     Knob { name: "IC_KV_WATERMARKS", accepts: "`high,low`, 0 < low < high ≤ 1",
         set: |k, v| parse_watermarks(v).map(|w| k.engine.kv_watermarks = w) },
     Knob { name: "IC_KV_HOST_BLOCKS", accepts: "integer ≥ 0",
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn malformed_values_are_errors_naming_variable_and_value() {
         let err = knobs(&[("IC_KV_BUDGET", "forty-two")]).expect_err("malformed");
-        assert_eq!(err, "IC_KV_BUDGET=\"forty-two\" is not integer ≥ 0");
+        assert_eq!(err, "IC_KV_BUDGET=\"forty-two\" is not integer ≥ 1");
         let err = knobs(&[("IC_KV_BUDGT", "64")]).expect_err("unknown");
         assert!(err.contains("IC_KV_BUDGT=\"64\""), "{err}");
     }

@@ -82,6 +82,8 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_RESP_WINDOW", "-60"),
     ("IC_RESP_WINDOW", "NaN"),
     ("IC_ROUTER_REPLICAS", "0"),
+    ("IC_KV_BLOCK", "0"),
+    ("IC_KV_BUDGET", "0"),
     ("IC_GOSSIP_PERIOD", "-5"),
     ("IC_GOSSIP_PERIOD", "inf"),
     ("IC_OBS_SAMPLE", "-5"),

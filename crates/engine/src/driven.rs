@@ -68,16 +68,16 @@ pub struct EngineConfig {
     /// goes when a benchmark-owning PR drops that line.
     #[doc(hidden)]
     pub replay_threads: usize,
-    /// Tokens per KV block (paged KV memory; `0` with a zero budget
-    /// disables the memory model).
+    /// Tokens per KV block of the paged KV memory (at least one).
     pub kv_block_tokens: u32,
     /// KV blocks per replica — the memory budget that makes preemption
-    /// pressure-driven rather than slot-driven. `0` disables.
+    /// pressure-driven rather than slot-driven (at least one).
     pub kv_budget_blocks: u32,
     /// High/low occupancy watermarks gating admission and swap resume.
     pub kv_watermarks: Watermarks,
-    /// Swap-vs-recompute pricing for pressure preemptions, plus the
-    /// host-side swap capacity (`KvSwap::host_capacity_blocks`).
+    /// Per-block swap pricing for preemption victims, plus the host-side
+    /// swap capacity (`KvSwap::host_capacity_blocks`) past which victims
+    /// are evicted recompute-priced.
     pub kv_swap: KvSwap,
     /// Shared-prefix KV reuse (env `IC_KV_SHARE` in the bench
     /// binaries). When on, every served request carries the identity of
@@ -221,8 +221,13 @@ impl EventDrivenEngine {
     ///
     /// Panics if a [`PoolOutage`] names a pool the engine does not
     /// have: a fault schedule that silently injects nothing would
-    /// record a fault-free run as if it had survived the outage.
+    /// record a fault-free run as if it had survived the outage. Panics
+    /// on zero router replicas too, rather than running one.
     pub fn new(system: IcCacheSystem, config: EngineConfig) -> Self {
+        assert!(
+            config.router_replicas > 0,
+            "the router tier needs at least one replica"
+        );
         let sys_cfg = system.config();
         let pools = sys_cfg.models.len();
         for outage in &config.pool_outages {
@@ -471,7 +476,7 @@ mod tests {
         let arrivals = fixed_qps_arrivals(2.0, 60.0, 422);
         let requests = wg.generate_requests(arrivals.len());
         let report = engine.serve_workload(&requests, &arrivals);
-        assert!(report.kv.total_blocks > 0, "KV modeling on by default");
+        assert!(report.kv.total_blocks > 0, "every pool pages its KV");
         assert!(report.kv.allocs > 0, "sequences claimed blocks");
         assert_eq!(report.kv.allocs, report.kv.frees, "blocks conserved");
         assert!(report.kv.peak_blocks > 0);
@@ -554,6 +559,16 @@ mod tests {
                 at_s: 300.0,
                 duration_s: 60.0,
             }],
+            ..EngineConfig::default()
+        };
+        let _ = seeded_engine(10, config, 463);
+    }
+
+    #[test]
+    #[should_panic(expected = "the router tier needs at least one replica")]
+    fn zero_router_replicas_panics() {
+        let config = EngineConfig {
+            router_replicas: 0,
             ..EngineConfig::default()
         };
         let _ = seeded_engine(10, config, 463);

@@ -191,7 +191,7 @@ impl<'a> EngineState<'a> {
         // A changed replica count re-clones the (possibly warmed)
         // primary router into every replica; an unchanged tier just
         // resets the run-scoped counters and latency EMAs.
-        let replicas = config.router_replicas.max(1);
+        let replicas = config.router_replicas;
         let fe = system.front_end_mut();
         if fe.num_replicas() != replicas {
             fe.reconfigure(replicas, config.latency_ema_alpha);
@@ -559,6 +559,7 @@ impl<'a> EngineState<'a> {
         // sample splits them back out.
         let total_rejects: u64 = self.pools.iter().map(|p| p.rejected()).sum();
         let fe = self.system.front_end().stats();
+        let mean_staleness_s = fe.mean_staleness_s();
         s.samples.push(TelemetrySample {
             t_us: at.as_micros(),
             completed: self.completed as u64,
@@ -573,11 +574,7 @@ impl<'a> EngineState<'a> {
             load_estimates: fe.load_estimates,
             decisions: fe.decisions,
             gossip_rounds: fe.gossip_rounds,
-            mean_staleness_s: if fe.merges == 0 {
-                0.0
-            } else {
-                fe.staleness_sum_s / fe.merges as f64
-            },
+            mean_staleness_s,
         });
         s.snapshot = Some(snapshot);
     }
@@ -613,7 +610,7 @@ impl<'a> EngineState<'a> {
                         replicas: pc.replicas,
                     })
                     .collect(),
-                router_replicas: self.config.router_replicas.max(1) as u32,
+                router_replicas: self.config.router_replicas as u32,
                 events,
                 dropped,
                 samples: self.sampler.samples,

@@ -115,7 +115,7 @@ mod tests {
     use crate::driven::tests::seeded_engine;
     use crate::driven::{EngineConfig, PoolOutage};
     use crate::report::RequestRecord;
-    use ic_serving::{JobId, JobSpec, ModelPool, Offer, PoolConfig};
+    use ic_serving::{JobId, JobSpec, KvSwap, ModelPool, Offer, PoolConfig};
     use ic_workloads::fixed_qps_arrivals;
 
     fn ms(t: f64) -> SimTime {
@@ -124,8 +124,8 @@ mod tests {
 
     /// Runs `body` over a replay whose only router interactions are
     /// `arrivals` (none of which the tests fire) and whose two pools are
-    /// identical: no congestion stretch, no KV model, the whole prompt
-    /// in one step.
+    /// identical: no congestion stretch, a KV budget these tests never
+    /// bind with free swaps, the whole prompt in one step.
     fn with_pools(arrivals: &[f64], body: impl FnOnce(&mut EngineState<'_>)) {
         let config = EngineConfig {
             rebalance_period_s: 0.0,
@@ -139,7 +139,11 @@ mod tests {
             slots_per_replica: 4,
             congestion_beta: 0.0,
             prefill_chunk_tokens: 0,
-            kv_budget_blocks: 0,
+            kv_swap: KvSwap {
+                out_secs_per_block: 0.0,
+                in_secs_per_block: 0.0,
+                ..KvSwap::DEFAULT
+            },
             ..PoolConfig::default()
         };
         state.pools = vec![ModelPool::new(pool.clone()), ModelPool::new(pool)];

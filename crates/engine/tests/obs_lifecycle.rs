@@ -95,7 +95,7 @@ proptest! {
         qps in 8.0f64..20.0,
         // 0 disables the quantum; 1..6 force preemption churn.
         quantum in 0u32..6,
-        // 0 disables the KV model; otherwise a tight 24..56-block budget.
+        // 0 keeps the default budget; otherwise a tight 24..56-block one.
         kv_budget in (0u32..5).prop_map(|b| if b == 0 { 0 } else { 16 + 8 * b }),
         outage in (0u32..2).prop_map(|v| v == 1),
     ) {

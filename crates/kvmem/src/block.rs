@@ -385,8 +385,7 @@ impl BlockPool {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero — a zero-size pool means "KV
-    /// modeling off" and callers must not construct one.
+    /// Panics if any dimension is zero.
     pub fn new(replicas: u32, budget_blocks: u32, block_tokens: u32) -> Self {
         assert!(replicas > 0, "at least one replica");
         assert!(budget_blocks > 0, "at least one block per replica");

@@ -16,12 +16,12 @@
 //! - [`BlockPool`] — the pool-wide view: one [`KvBudget`] per replica,
 //!   block-granular [`KvStats`] (peak/mean occupancy, fragmentation,
 //!   swap counts), and placement (least-loaded replica first).
-//! - [`PressurePolicy`] — high/low watermarks plus a configurable
-//!   swap-vs-recompute cost model ([`SwapModel`], wrapped with host
-//!   capacity in [`KvSwap`]): the high watermark gates new admissions,
-//!   allocation failure triggers victim preemption (longest remaining
-//!   decode first, chosen by the caller), and swapped sequences resume
-//!   only once occupancy drains below the low watermark. The policy
+//! - [`PressurePolicy`] — high/low watermarks plus per-block swap
+//!   prices and a host capacity ([`KvSwap`]): the high watermark gates
+//!   new admissions, allocation failure triggers victim preemption
+//!   (longest remaining decode first, chosen by the caller), and
+//!   swapped sequences resume only once occupancy drains below the low
+//!   watermark. The policy
 //!   prices swap-out and resume penalties in simulated seconds so the
 //!   scheduler can charge them to the step clock. Swapped-out blocks
 //!   occupy a host-side (CPU) ledger capped by
@@ -105,4 +105,4 @@ pub mod block;
 pub mod pressure;
 
 pub use block::{BlockId, BlockPool, Divergence, KvBudget, KvStats, PrefixAlloc};
-pub use pressure::{KvSwap, PressurePolicy, SwapModel, Watermarks};
+pub use pressure::{KvSwap, PressurePolicy, Watermarks};

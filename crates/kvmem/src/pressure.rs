@@ -1,5 +1,4 @@
-//! Watermark-driven pressure policy and the swap-vs-recompute cost
-//! model.
+//! Watermark-driven pressure policy and the swap cost model.
 
 /// High/low occupancy watermarks over a block budget, as fractions of
 /// the total block capacity.
@@ -48,62 +47,24 @@ impl Default for Watermarks {
     }
 }
 
-/// What a pressure preemption costs in simulated seconds: either the
-/// KV blocks are swapped to host memory and back (cost proportional to
-/// blocks moved, both directions), or they are dropped and the prefix
-/// is recomputed at resume (cost proportional to the tokens whose KV
-/// must be rebuilt, nothing at swap-out). This is the classic
-/// vLLM swap-vs-recompute trade: recompute is cheaper for short
-/// sequences and fast prefill, swapping for long sequences.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SwapModel {
-    /// Copy blocks out to host memory and back in on resume.
-    Swap {
-        /// Seconds per block swapped out (GPU -> host).
-        out_secs_per_block: f64,
-        /// Seconds per block swapped in (host -> GPU).
-        in_secs_per_block: f64,
-    },
-    /// Drop the KV state and rebuild it by re-running prefill over the
-    /// materialized tokens at resume time.
-    Recompute {
-        /// Seconds per token of KV state recomputed at resume.
-        secs_per_token: f64,
-    },
-}
-
-impl SwapModel {
-    /// The default cost model: PCIe-ish block copies in both
-    /// directions.
-    pub const DEFAULT: SwapModel = SwapModel::Swap {
-        out_secs_per_block: 5e-4,
-        in_secs_per_block: 5e-4,
-    };
-}
-
-impl Default for SwapModel {
-    fn default() -> Self {
-        Self::DEFAULT
-    }
-}
-
-/// The full swap configuration: the pricing model plus the CPU-side
-/// (host) capacity that swapped-out KV blocks actually occupy.
+/// What a pressure preemption costs in simulated seconds, plus the
+/// CPU-side (host) capacity that swapped-out KV blocks occupy.
 ///
-/// Real engines do not get free host memory: vLLM's `swap_space` caps
-/// how many blocks can be parked in CPU RAM, and a victim that does not
-/// fit must drop its KV state and rebuild it by recompute at resume.
-/// `host_capacity_blocks` models that cap; `0` means unbounded (the
-/// historical behaviour, and the default so existing replays are
-/// unchanged). Victims that overflow the cap are evicted
-/// recompute-priced: the swap-out is free (state is dropped) and resume
+/// A victim's exclusively-held blocks are copied out to host memory
+/// and back in on resume, each direction priced per block moved. Real
+/// engines do not get free host memory: vLLM's `swap_space` caps how
+/// many blocks can be parked in CPU RAM. `host_capacity_blocks` models
+/// that cap; `0` means unbounded (the default). A victim that does not
+/// fit drops its KV state instead: the swap-out is free and resume
 /// charges [`KvSwap::overflow_recompute_secs_per_token`] per
-/// materialized KV token instead of the swap-in price.
+/// materialized KV token to rebuild it (vLLM's recompute preemption,
+/// here the overflow price).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvSwap {
-    /// Pricing for victims that fit in host memory (or for the pure
-    /// recompute policy, which never touches host memory).
-    pub model: SwapModel,
+    /// Seconds per block swapped out (GPU -> host).
+    pub out_secs_per_block: f64,
+    /// Seconds per block swapped in (host -> GPU).
+    pub in_secs_per_block: f64,
     /// Host blocks available to park swapped-out KV state; `0` is
     /// unbounded.
     pub host_capacity_blocks: u32,
@@ -113,32 +74,20 @@ pub struct KvSwap {
 }
 
 impl KvSwap {
-    /// Default configuration: the default [`SwapModel`], unbounded host
-    /// space, and a prefill-rate-ish overflow recompute price.
+    /// Default configuration: PCIe-ish block copies in both directions,
+    /// unbounded host space, and a prefill-rate-ish overflow recompute
+    /// price.
     pub const DEFAULT: KvSwap = KvSwap {
-        model: SwapModel::DEFAULT,
+        out_secs_per_block: 5e-4,
+        in_secs_per_block: 5e-4,
         host_capacity_blocks: 0,
         overflow_recompute_secs_per_token: 2e-5,
     };
-
-    /// Wraps a pricing model with unbounded host capacity.
-    pub const fn unbounded(model: SwapModel) -> Self {
-        Self {
-            model,
-            ..Self::DEFAULT
-        }
-    }
 }
 
 impl Default for KvSwap {
     fn default() -> Self {
         Self::DEFAULT
-    }
-}
-
-impl From<SwapModel> for KvSwap {
-    fn from(model: SwapModel) -> Self {
-        Self::unbounded(model)
     }
 }
 
@@ -149,7 +98,7 @@ impl From<SwapModel> for KvSwap {
 pub struct PressurePolicy {
     /// Admission / resume gates.
     pub watermarks: Watermarks,
-    /// Swap-vs-recompute pricing plus host-side swap capacity.
+    /// Swap pricing plus host-side swap capacity.
     pub swap: KvSwap,
 }
 
@@ -175,34 +124,15 @@ impl PressurePolicy {
     }
 
     /// Seconds charged at the boundary where a victim's `blocks` are
-    /// swapped out to host memory (zero under recompute: dropping state
-    /// is free).
+    /// swapped out to host memory.
     pub fn swap_out_penalty(&self, blocks: u32) -> f64 {
-        match self.swap.model {
-            SwapModel::Swap {
-                out_secs_per_block, ..
-            } => out_secs_per_block * f64::from(blocks),
-            SwapModel::Recompute { .. } => 0.0,
-        }
+        self.swap.out_secs_per_block * f64::from(blocks)
     }
 
-    /// Seconds charged at the boundary where a victim resumes:
-    /// swapping `blocks` back in, or recomputing `kv_tokens` of
-    /// dropped state.
-    pub fn resume_penalty(&self, blocks: u32, kv_tokens: u64) -> f64 {
-        match self.swap.model {
-            SwapModel::Swap {
-                in_secs_per_block, ..
-            } => in_secs_per_block * f64::from(blocks),
-            SwapModel::Recompute { secs_per_token } => secs_per_token * kv_tokens as f64,
-        }
-    }
-
-    /// Whether swap-outs should try to park blocks in host memory at
-    /// all (only the `Swap` pricing model holds host state; recompute
-    /// drops it by definition).
-    pub fn parks_on_host(&self) -> bool {
-        matches!(self.swap.model, SwapModel::Swap { .. })
+    /// Seconds charged at the boundary where a parked victim's `blocks`
+    /// are swapped back in.
+    pub fn swap_in_penalty(&self, blocks: u32) -> f64 {
+        self.swap.in_secs_per_block * f64::from(blocks)
     }
 
     /// Seconds charged when a victim that overflowed host capacity
@@ -244,27 +174,14 @@ mod tests {
     fn swap_model_prices_both_directions() {
         let p = PressurePolicy {
             watermarks: Watermarks::DEFAULT,
-            swap: KvSwap::unbounded(SwapModel::Swap {
+            swap: KvSwap {
                 out_secs_per_block: 1e-3,
                 in_secs_per_block: 2e-3,
-            }),
+                ..KvSwap::DEFAULT
+            },
         };
         assert!((p.swap_out_penalty(10) - 0.01).abs() < 1e-12);
-        assert!((p.resume_penalty(10, 999) - 0.02).abs() < 1e-12);
-        assert!(p.parks_on_host(), "block swaps hold host memory");
-    }
-
-    #[test]
-    fn recompute_model_prices_tokens_at_resume_only() {
-        let p = PressurePolicy {
-            watermarks: Watermarks::DEFAULT,
-            swap: KvSwap::unbounded(SwapModel::Recompute {
-                secs_per_token: 1e-4,
-            }),
-        };
-        assert_eq!(p.swap_out_penalty(10), 0.0, "dropping state is free");
-        assert!((p.resume_penalty(10, 500) - 0.05).abs() < 1e-12);
-        assert!(!p.parks_on_host(), "recompute never touches host memory");
+        assert!((p.swap_in_penalty(10) - 0.02).abs() < 1e-12);
     }
 
     #[test]
@@ -284,11 +201,5 @@ mod tests {
     fn kvswap_defaults_are_unbounded() {
         let swap = KvSwap::default();
         assert_eq!(swap.host_capacity_blocks, 0, "0 = unbounded host space");
-        assert_eq!(swap.model, SwapModel::DEFAULT);
-        let converted: KvSwap = SwapModel::Recompute {
-            secs_per_token: 1e-4,
-        }
-        .into();
-        assert_eq!(converted.host_capacity_blocks, 0);
     }
 }

@@ -76,8 +76,7 @@ impl ClusterSim {
         total
     }
 
-    /// KV-memory counters merged across pools (all-zero when every pool
-    /// runs with KV modeling off).
+    /// KV-memory counters merged across pools.
     pub fn kv_stats(&self) -> KvStats {
         let mut total = KvStats::default();
         for p in &self.pools {
@@ -160,6 +159,15 @@ mod tests {
     use super::*;
     use crate::job::JobId;
     use ic_desim::SimTime;
+    use ic_kvmem::KvSwap;
+
+    /// Swaps that cost nothing; with the default budget, which these
+    /// tests' jobs never bind, the slot machine alone sets every time.
+    const FREE_SWAPS: KvSwap = KvSwap {
+        out_secs_per_block: 0.0,
+        in_secs_per_block: 0.0,
+        ..KvSwap::DEFAULT
+    };
 
     fn one_slot_pool() -> Vec<PoolConfig> {
         vec![PoolConfig {
@@ -170,7 +178,7 @@ mod tests {
             prefill_chunk_tokens: 0,
             preempt_decode_quantum: 0,
             max_queue: None,
-            kv_budget_blocks: 0,
+            kv_swap: FREE_SWAPS,
             ..PoolConfig::default()
         }]
     }
@@ -231,7 +239,7 @@ mod tests {
             prefill_chunk_tokens: 0,
             preempt_decode_quantum: 0,
             max_queue: None,
-            kv_budget_blocks: 0,
+            kv_swap: FREE_SWAPS,
             ..PoolConfig::default()
         }];
         // Capacity = 4 concurrent 1s jobs = 4 jobs/s.
@@ -275,7 +283,7 @@ mod tests {
                 prefill_chunk_tokens: 0,
                 preempt_decode_quantum: 0,
                 max_queue: None,
-                kv_budget_blocks: 0,
+                kv_swap: FREE_SWAPS,
                 ..PoolConfig::default()
             }]);
             let rs = c.run(jobs.clone());
@@ -310,7 +318,7 @@ mod tests {
                 prefill_chunk_tokens: 0,
                 preempt_decode_quantum: 0,
                 max_queue: None,
-                kv_budget_blocks: 0,
+                kv_swap: FREE_SWAPS,
                 ..PoolConfig::default()
             }]);
             let rs = c.run(jobs.clone());
@@ -329,7 +337,7 @@ mod tests {
             prefill_chunk_tokens: 0,
             preempt_decode_quantum: 0,
             max_queue: None,
-            kv_budget_blocks: 0,
+            kv_swap: FREE_SWAPS,
             ..PoolConfig::default()
         };
         let mut cluster = ClusterSim::new(vec![mk("a"), mk("b")]);

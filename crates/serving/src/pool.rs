@@ -53,9 +53,9 @@
 //! # Paged KV memory
 //!
 //! Slots bound concurrency, but the true capacity constraint of a
-//! replica is KV-cache memory. When [`PoolConfig::kv_budget_blocks`] is
-//! non-zero the pool runs an `ic_kvmem::BlockPool` beside the slot
-//! machine (vLLM's PagedAttention discipline):
+//! replica is KV-cache memory. Every pool runs an `ic_kvmem::BlockPool`
+//! of [`PoolConfig::kv_budget_blocks`] blocks per replica beside the
+//! slot machine (vLLM's PagedAttention discipline):
 //!
 //! - **Admission** is one first-come-first-served loop over two lists
 //!   (`fill_slots`, run at every step boundary and by an idle
@@ -75,7 +75,7 @@
 //!   from free blocks; when it cannot, the [`PressurePolicy`] preempts
 //!   victims — **longest remaining decode first** — swapping their
 //!   blocks out (freed to the pool) and parking them on a swapped
-//!   queue. Swap-out/swap-in/recompute penalties are priced by the
+//!   queue. Swap-out and swap-in penalties are priced per block by the
 //!   configured [`KvSwap`] and charged to the next step's wall
 //!   clock. Swapped-out blocks occupy a bounded host-side (CPU)
 //!   ledger (`KvSwap::host_capacity_blocks`, vLLM's `swap_space`);
@@ -173,15 +173,13 @@ pub struct PoolConfig {
     /// Admission-queue cap: offers past it are rejected and counted in
     /// [`IterStats::queue_rejects`]. `None` is unbounded.
     pub max_queue: Option<usize>,
-    /// Tokens per KV block. Together with `kv_budget_blocks == 0` a zero
-    /// disables KV-memory modeling entirely (slot-only scheduling).
+    /// Tokens per KV block (at least one).
     pub kv_block_tokens: u32,
-    /// KV blocks per replica (the memory budget). `0` disables KV
-    /// modeling.
+    /// KV blocks per replica, the memory budget (at least one).
     pub kv_budget_blocks: u32,
     /// High/low occupancy watermarks gating admission and resume.
     pub kv_watermarks: Watermarks,
-    /// Swap-vs-recompute pricing for pressure preemptions, plus the
+    /// Per-block swap pricing for preemption victims, plus the
     /// host-side (CPU) block capacity swapped-out state may occupy;
     /// victims overflowing it are evicted recompute-priced.
     pub kv_swap: KvSwap,
@@ -229,11 +227,6 @@ impl PoolConfig {
     /// Total concurrent sequences across replicas.
     pub fn total_slots(&self) -> u32 {
         self.replicas * self.slots_per_replica
-    }
-
-    /// Whether KV-memory modeling is on.
-    pub fn kv_enabled(&self) -> bool {
-        self.kv_block_tokens > 0 && self.kv_budget_blocks > 0
     }
 
     /// Prefill tokens the next iteration processes for a sequence with
@@ -339,12 +332,11 @@ struct Sequence {
     /// Replica whose KV budget holds this sequence's blocks (meaningful
     /// only while `kv_blocks` is non-empty).
     replica: usize,
-    /// Allocated KV blocks (empty when KV modeling is off, or while
-    /// swapped out).
+    /// Allocated KV blocks (empty while waiting or swapped out).
     kv_blocks: Vec<BlockId>,
     /// Host blocks this sequence's swapped-out KV state occupies (`0`
-    /// while resident, and for victims whose state was dropped — the
-    /// recompute policy, or a host-capacity overflow).
+    /// while resident, and for victims whose state was dropped on a
+    /// host-capacity overflow).
     host_blocks: u32,
     /// KV entries materialized so far (processed prefill tokens plus
     /// decoded tokens). Survives swap-out — it is what resume must
@@ -706,8 +698,8 @@ pub struct ModelPool {
     /// Sequences swapped out under memory pressure, in swap order; they
     /// resume ahead of any fresh admission.
     swapped: VecDeque<Sequence>,
-    /// The paged KV allocator (`None` when KV modeling is off).
-    kv: Option<BlockPool>,
+    /// The paged KV allocator.
+    kv: BlockPool,
     /// Watermark gates + swap pricing.
     policy: PressurePolicy,
     /// Swap/recompute seconds accrued at the last boundary, charged to
@@ -824,13 +816,12 @@ fn alloc_prefix_aware(
 
 /// Frees a victim's device blocks and settles its swap-out: the
 /// exclusively-held blocks are parked on the host ledger (swap-out
-/// priced) when the policy swaps and host capacity has room; otherwise
-/// the KV state is dropped — free now, recompute-priced at resume
-/// ([`settle_resume`]). Host overflows are counted as recompute
-/// fallbacks. Shared-prefix blocks other sequences still read are only
-/// released (they stay resident for their readers — the victim re-maps
-/// them from the content table at resume), so a swap-out can never
-/// strand another reader's prefix.
+/// priced) when host capacity has room; otherwise the KV state is
+/// dropped — free now, recompute-priced at resume ([`settle_resume`])
+/// and counted as a recompute fallback. Shared-prefix blocks other
+/// sequences still read are only released (they stay resident for
+/// their readers — the victim re-maps them from the content table at
+/// resume), so a swap-out can never strand another reader's prefix.
 fn settle_swap_out(
     kv: &mut BlockPool,
     policy: &PressurePolicy,
@@ -840,23 +831,19 @@ fn settle_swap_out(
     let blocks = std::mem::take(&mut seq.kv_blocks);
     seq.cow_pending = false;
     let n = kv.release(blocks);
-    if policy.parks_on_host() {
-        if kv.try_host_park(n) {
-            *pending_penalty_secs += policy.swap_out_penalty(n);
-            seq.host_blocks = n;
-            return;
-        }
+    if kv.try_host_park(n) {
+        *pending_penalty_secs += policy.swap_out_penalty(n);
+        seq.host_blocks = n;
+    } else {
+        // Host overflow: dropping state costs nothing at this boundary.
         kv.note_recompute_fallback();
+        seq.host_blocks = 0;
     }
-    // Recompute policy, or host overflow: dropping state costs nothing
-    // at this boundary.
-    seq.host_blocks = 0;
 }
 
 /// Prices a victim's return and releases its host ledger entry: the
-/// swap-in (or recompute-policy rebuild) price for state the policy
-/// kept, the overflow recompute price for state dropped when the host
-/// ledger was full.
+/// swap-in price for state parked on the host, the overflow recompute
+/// price for state dropped when the host ledger was full.
 fn settle_resume(
     kv: &mut BlockPool,
     policy: &PressurePolicy,
@@ -868,27 +855,27 @@ fn settle_resume(
     *pending_penalty_secs += if seq.host_blocks > 0 {
         kv.host_unpark(seq.host_blocks);
         seq.host_blocks = 0;
-        policy.resume_penalty(need, seq.kv_tokens)
-    } else if policy.parks_on_host() {
-        // The swap policy wanted to park this state but the host was
-        // full at eviction time: rebuild it by recompute.
-        policy.overflow_resume_penalty(seq.kv_tokens)
+        policy.swap_in_penalty(need)
     } else {
-        policy.resume_penalty(need, seq.kv_tokens)
+        // The host was full at eviction time: rebuild by recompute.
+        policy.overflow_resume_penalty(seq.kv_tokens)
     };
 }
 
 impl ModelPool {
     /// Creates an idle pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero KV block size or budget (through
+    /// [`BlockPool::new`]).
     pub fn new(config: PoolConfig) -> Self {
-        let kv = config.kv_enabled().then(|| {
-            BlockPool::new(
-                config.replicas.max(1),
-                config.kv_budget_blocks,
-                config.kv_block_tokens,
-            )
-            .with_host_capacity(config.kv_swap.host_capacity_blocks)
-        });
+        let kv = BlockPool::new(
+            config.replicas.max(1),
+            config.kv_budget_blocks,
+            config.kv_block_tokens,
+        )
+        .with_host_capacity(config.kv_swap.host_capacity_blocks);
         let policy = PressurePolicy {
             watermarks: config.kv_watermarks,
             swap: config.kv_swap,
@@ -943,9 +930,9 @@ impl ModelPool {
         self.stats
     }
 
-    /// KV-memory counters (all-zero when KV modeling is off).
+    /// KV-memory counters.
     pub fn kv_stats(&self) -> KvStats {
-        self.kv.as_ref().map(BlockPool::stats).unwrap_or_default()
+        self.kv.stats()
     }
 
     /// Sequences currently swapped out under memory pressure.
@@ -953,28 +940,25 @@ impl ModelPool {
         self.swapped.len()
     }
 
-    /// Fraction of the KV block budget in use (`0` when KV modeling is
-    /// off).
+    /// Fraction of the KV block budget in use.
     pub fn kv_occupancy(&self) -> f64 {
-        self.kv.as_ref().map_or(0.0, BlockPool::occupancy)
+        self.kv.occupancy()
     }
 
-    /// Host (CPU) blocks currently parked by swapped-out sequences
-    /// (`0` when KV modeling is off).
+    /// Host (CPU) blocks currently parked by swapped-out sequences.
     pub fn kv_host_blocks(&self) -> u32 {
-        self.kv.as_ref().map_or(0, BlockPool::host_used_blocks)
+        self.kv.host_used_blocks()
     }
 
-    /// Device blocks currently allocated across the pool's replicas
-    /// (`0` when KV modeling is off).
+    /// Device blocks currently allocated across the pool's replicas.
     pub fn kv_used_blocks(&self) -> u64 {
-        self.kv.as_ref().map_or(0, |kv| u64::from(kv.used_blocks()))
+        u64::from(self.kv.used_blocks())
     }
 
-    /// Blocks currently mapped by more than one sequence (`0` when KV
-    /// modeling or sharing is off).
+    /// Blocks currently mapped by more than one sequence (`0` with
+    /// sharing off).
     pub fn kv_shared_blocks(&self) -> u32 {
-        self.kv.as_ref().map_or(0, BlockPool::shared_blocks)
+        self.kv.shared_blocks()
     }
 
     /// Occupancy fraction in `[0, 1]`.
@@ -1050,9 +1034,7 @@ impl ModelPool {
     /// when it cannot, then performs the growth allocations. Returns
     /// the number of sequences pressure-preempted.
     fn serve_kv_growth(&mut self, now: SimTime) -> u32 {
-        let Some(kv) = &mut self.kv else {
-            return 0;
-        };
+        let kv = &mut self.kv;
         // Copy-on-write demand this step adds for a sequence: one block
         // when its growth first writes past a shared prefix whose tail
         // block other sequences still read (a sole-holder divergence
@@ -1181,15 +1163,14 @@ impl ModelPool {
     }
 
     /// Executes the iteration ending at `now`, all at this one step
-    /// boundary: with KV modeling on it first serves the step's token
-    /// growth from free blocks (swapping out victims under pressure);
-    /// then it advances every running sequence by one token step,
-    /// retires the finished ones, preempts over-quantum decoders when
-    /// more jobs wait than slots freed, and fills the free slots through
-    /// the one admission loop (`fill_slots`: swapped sequences first,
-    /// then the queue, gated on the block budget and its watermarks when
-    /// KV modeling is on). The caller arms the next boundary iff
-    /// [`ModelPool::step_secs`] is `Some`.
+    /// boundary: it first serves the step's token growth from free
+    /// blocks (swapping out victims under pressure); then it advances
+    /// every running sequence by one token step, retires the finished
+    /// ones, preempts over-quantum decoders when more jobs wait than
+    /// slots freed, and fills the free slots through the one admission
+    /// loop (`fill_slots`: swapped sequences first, then the queue,
+    /// gated on the block budget and its watermarks). The caller arms
+    /// the next boundary iff [`ModelPool::step_secs`] is `Some`.
     pub fn advance_step(&mut self, now: SimTime) -> StepReport {
         let batch = self.run.len();
         let mut report = StepReport::default();
@@ -1231,10 +1212,8 @@ impl ModelPool {
         // prefill allocation, freed below) still register in the
         // peak/mean aggregates. Post-Phase-0 allocation state is
         // exactly the memory held while the step executed.
-        if let Some(kv) = &mut self.kv {
-            let used_tokens: u64 = self.run.kv_tokens.iter().sum();
-            kv.note_step(used_tokens);
-        }
+        let used_tokens: u64 = self.run.kv_tokens.iter().sum();
+        self.kv.note_step(used_tokens);
 
         // Phase 1: every batch member advances one unit of work. The
         // sweep runs in place over the arrays: finished sequences are
@@ -1283,9 +1262,7 @@ impl ModelPool {
                     .arena
                     .retire(self.run.kv_start[i], self.run.kv_len[i]);
                 self.run.kv_len[i] = 0;
-                if let Some(kv) = &mut self.kv {
-                    kv.free(blocks.iter().copied());
-                }
+                self.kv.free(blocks.iter().copied());
                 if let Some(o) = self.obs.as_mut() {
                     o.push(
                         now,
@@ -1313,10 +1290,10 @@ impl ModelPool {
         // Phase 2: per-token preemption. Only when demand exceeds the
         // slots this boundary freed does an over-quantum decoder yield;
         // it re-queues behind the waiters with its progress intact.
-        // Under KV modeling a yielding sequence also releases its
-        // blocks (a paged engine cannot park KV state in a queue
-        // without pinning memory above the watermarks), paying the
-        // swap-out price now and the swap-in price at re-admission.
+        // A yielding sequence also releases its blocks (a paged engine
+        // cannot park KV state in a queue without pinning memory above
+        // the watermarks), paying the swap-out price now and the
+        // swap-in price at re-admission.
         let quantum = self.config.preempt_decode_quantum;
         if quantum > 0 && !self.queue.is_empty() {
             let free = self.config.total_slots() as usize - self.run.len();
@@ -1336,15 +1313,13 @@ impl ModelPool {
                         self.stats.preemptions += 1;
                         report.preempted += 1;
                         need -= 1;
-                        if let Some(kv) = &mut self.kv {
-                            settle_swap_out(
-                                kv,
-                                &self.policy,
-                                &mut self.pending_penalty_secs,
-                                &mut s,
-                            );
-                            kv.note_swap_out();
-                        }
+                        settle_swap_out(
+                            &mut self.kv,
+                            &self.policy,
+                            &mut self.pending_penalty_secs,
+                            &mut s,
+                        );
+                        self.kv.note_swap_out();
                         if let Some(o) = self.obs.as_mut() {
                             o.push(now, s.job.id.0, EventKind::QuantumPreempt);
                         }
@@ -1370,11 +1345,11 @@ impl ModelPool {
 
     /// Admits waiting sequences into free slots at `now`, first come
     /// first served: the swapped front while any sequence is swapped,
-    /// the queue front otherwise. With KV modeling on, a swapped
-    /// candidate waits for occupancy below the low watermark, a queued
-    /// one for occupancy below the high watermark, and both for their
-    /// demand to fit (deduplicated: mapped prefix chunks come from the
-    /// content table); the first refusal ends the loop. Progress
+    /// the queue front otherwise. A swapped candidate waits for
+    /// occupancy below the low watermark, a queued one for occupancy
+    /// below the high watermark, and both for their demand to fit
+    /// (deduplicated: mapped prefix chunks come from the content
+    /// table); the first refusal ends the loop. Progress
     /// guarantee: when the batch is empty a refused candidate is placed
     /// anyway — no live sequence holds a block, so its capped demand
     /// fits — and the loop stops after it.
@@ -1389,37 +1364,29 @@ impl ModelPool {
             let Some(front) = waiting.front() else {
                 break;
             };
-            let mut forced = false;
-            let alloc = match &mut self.kv {
-                None => None,
-                Some(kv) => {
-                    debug_assert!(
-                        front.kv_blocks.is_empty(),
-                        "waiting sequences hold no blocks"
-                    );
-                    let occupancy = kv.occupancy();
-                    let open = if resumed {
-                        self.policy.can_resume(occupancy)
-                    } else {
-                        !self.policy.under_pressure(occupancy)
-                    };
-                    if !open && !self.run.is_empty() {
-                        break;
-                    }
-                    forced = !open;
-                    let replica = kv.least_loaded_replica();
-                    let Some(alloc) = alloc_with_sharing(
-                        kv,
-                        &mut self.stats,
-                        self.config.kv_share,
-                        front,
-                        replica,
-                    ) else {
-                        assert!(!self.run.is_empty(), "an empty pool fits a capped demand");
-                        break;
-                    };
-                    Some(alloc)
-                }
+            debug_assert!(
+                front.kv_blocks.is_empty(),
+                "waiting sequences hold no blocks"
+            );
+            let occupancy = self.kv.occupancy();
+            let open = if resumed {
+                self.policy.can_resume(occupancy)
+            } else {
+                !self.policy.under_pressure(occupancy)
+            };
+            if !open && !self.run.is_empty() {
+                break;
+            }
+            let replica = self.kv.least_loaded_replica();
+            let Some(alloc) = alloc_with_sharing(
+                &mut self.kv,
+                &mut self.stats,
+                self.config.kv_share,
+                front,
+                replica,
+            ) else {
+                assert!(!self.run.is_empty(), "an empty pool fits a capped demand");
+                break;
             };
             let seq = waiting.pop_front().expect("front exists");
             self.place(seq, alloc, now, resumed);
@@ -1428,37 +1395,29 @@ impl ModelPool {
             } else {
                 report.admitted += 1;
             }
-            if forced {
+            if !open {
                 break;
             }
         }
     }
 
-    /// Puts `seq` into a slot with its blocks (`alloc`, `None` with KV
-    /// modeling off): a sequence coming back from the swapped list, or
-    /// holding materialized KV state (a quantum victim), pays the
-    /// resume price; a first admission stamps `started`.
-    fn place(
-        &mut self,
-        mut seq: Sequence,
-        alloc: Option<SharedAlloc>,
-        now: SimTime,
-        resumed: bool,
-    ) {
-        if let (Some(kv), Some(alloc)) = (&mut self.kv, alloc) {
-            if resumed || seq.kv_tokens > 0 {
-                settle_resume(
-                    kv,
-                    &self.policy,
-                    &mut self.pending_penalty_secs,
-                    &mut seq,
-                    alloc.fresh,
-                );
-            }
-            seq.replica = alloc.replica;
-            seq.kv_blocks = alloc.blocks;
-            seq.cow_pending = alloc.cow_pending;
+    /// Puts `seq` into a slot with its blocks (`alloc`): a sequence
+    /// coming back from the swapped list, or holding materialized KV
+    /// state (a quantum victim), pays the resume price; a first
+    /// admission stamps `started`.
+    fn place(&mut self, mut seq: Sequence, alloc: SharedAlloc, now: SimTime, resumed: bool) {
+        if resumed || seq.kv_tokens > 0 {
+            settle_resume(
+                &mut self.kv,
+                &self.policy,
+                &mut self.pending_penalty_secs,
+                &mut seq,
+                alloc.fresh,
+            );
         }
+        seq.replica = alloc.replica;
+        seq.kv_blocks = alloc.blocks;
+        seq.cow_pending = alloc.cow_pending;
         seq.started.get_or_insert(now);
         if let Some(o) = self.obs.as_mut() {
             let replica = seq.replica as u32;
@@ -1540,9 +1499,7 @@ impl ModelPool {
     /// demand through step `j` is `blocks_for(kv_tokens + j)` less the
     /// table it already holds, and it only ever rises with `j`.
     fn kv_growth_fit(&self, n: u32) -> u32 {
-        let Some(kv) = &self.kv else {
-            return n;
-        };
+        let kv = &self.kv;
         let fits = |replica: usize, steps: u32| {
             let demand: u64 = (0..self.run.len())
                 .filter(|&i| self.run.replica[i] == replica)
@@ -1581,9 +1538,7 @@ impl ModelPool {
     /// unchanged-allocation stretch at a time. `kv_tokens` is read, not
     /// advanced (the caller adds `n` to every slot afterwards).
     fn grow_kv_over(&mut self, n: u32) {
-        let Some(kv) = &mut self.kv else {
-            return;
-        };
+        let kv = &mut self.kv;
         let run = &mut self.run;
         let block_tokens = u64::from(kv.block_tokens());
         let budget = kv.budget_blocks() as usize;
@@ -1624,13 +1579,6 @@ impl ModelPool {
         }
     }
 
-    /// Frees a retiring sequence's KV blocks back to the pool.
-    fn retire_kv(&mut self, s: &mut Sequence) {
-        if let Some(kv) = &mut self.kv {
-            kv.free(std::mem::take(&mut s.kv_blocks));
-        }
-    }
-
     /// Drops every queued job (failover drain); running sequences keep
     /// their slots and swapped-out sequences stay parked for resume.
     /// Queued sequences hold no device blocks, but quantum-evicted ones
@@ -1638,15 +1586,11 @@ impl ModelPool {
     /// host blocks are conserved.
     pub fn drain_queue(&mut self) -> Vec<JobId> {
         let ids = self.queue.iter().map(|s| s.job.id).collect();
-        if let Some(kv) = &mut self.kv {
-            for s in &mut self.queue {
-                if s.host_blocks > 0 {
-                    kv.host_unpark(s.host_blocks);
-                    s.host_blocks = 0;
-                }
+        for s in self.queue.drain(..) {
+            if s.host_blocks > 0 {
+                self.kv.host_unpark(s.host_blocks);
             }
         }
-        self.queue.clear();
         ids
     }
 
@@ -1661,16 +1605,13 @@ impl ModelPool {
     /// a pool that refills before it fires.
     pub fn fail_over(&mut self) -> Vec<JobId> {
         let mut ids: Vec<JobId> = Vec::new();
-        for mut s in self.run.drain() {
-            self.retire_kv(&mut s);
+        for s in self.run.drain() {
+            self.kv.free(s.kv_blocks);
             ids.push(s.job.id);
         }
-        for mut s in std::mem::take(&mut self.swapped) {
-            if let Some(kv) = &mut self.kv
-                && s.host_blocks > 0
-            {
-                kv.host_unpark(s.host_blocks);
-                s.host_blocks = 0;
+        for s in std::mem::take(&mut self.swapped) {
+            if s.host_blocks > 0 {
+                self.kv.host_unpark(s.host_blocks);
             }
             ids.push(s.job.id);
         }
@@ -1687,7 +1628,13 @@ impl ModelPool {
 mod tests {
     use super::*;
     use ic_desim::SimTime;
-    use ic_kvmem::SwapModel;
+
+    /// Swaps that cost nothing, so timing tests stay exact.
+    const FREE_SWAPS: KvSwap = KvSwap {
+        out_secs_per_block: 0.0,
+        in_secs_per_block: 0.0,
+        ..KvSwap::DEFAULT
+    };
 
     fn job(id: u64) -> JobSpec {
         job_with(id, 0.1, 1.0, 100, 10)
@@ -1707,7 +1654,9 @@ mod tests {
         }
     }
 
-    /// Slot-only pool (KV modeling off) for the scheduler-shape tests.
+    /// Pool for the scheduler-shape tests: the default KV budget, which
+    /// their few short jobs never bind, and free swaps, so the slot
+    /// machine alone sets every time.
     fn pool_with(slots: u32, chunk: u32, quantum: u32, max_queue: Option<usize>) -> ModelPool {
         ModelPool::new(PoolConfig {
             name: "test".into(),
@@ -1717,13 +1666,13 @@ mod tests {
             prefill_chunk_tokens: chunk,
             preempt_decode_quantum: quantum,
             max_queue,
-            kv_budget_blocks: 0,
+            kv_swap: FREE_SWAPS,
             ..PoolConfig::default()
         })
     }
 
-    /// Pool with KV modeling on: `budget` blocks of `block_tokens`
-    /// tokens per replica, free-cost swaps (timing tests stay exact).
+    /// Pool with `budget` blocks of `block_tokens` tokens per replica
+    /// and free swaps (timing tests stay exact).
     fn kv_pool(slots: u32, block_tokens: u32, budget: u32, marks: Watermarks) -> ModelPool {
         ModelPool::new(PoolConfig {
             name: "kv".into(),
@@ -1737,11 +1686,7 @@ mod tests {
             kv_block_tokens: block_tokens,
             kv_budget_blocks: budget,
             kv_watermarks: marks,
-            kv_swap: SwapModel::Swap {
-                out_secs_per_block: 0.0,
-                in_secs_per_block: 0.0,
-            }
-            .into(),
+            kv_swap: FREE_SWAPS,
         })
     }
 
@@ -2035,7 +1980,7 @@ mod tests {
                 prefill_chunk_tokens: 0,
                 preempt_decode_quantum: 0,
                 max_queue: None,
-                kv_budget_blocks: 0,
+                kv_swap: FREE_SWAPS,
                 ..PoolConfig::default()
             });
             for i in 0..n_jobs {
@@ -2271,11 +2216,11 @@ mod tests {
                 kv_block_tokens: 8,
                 kv_budget_blocks: 8,
                 kv_watermarks: Watermarks::new(1.0, 1.0),
-                kv_swap: SwapModel::Swap {
+                kv_swap: KvSwap {
                     out_secs_per_block: out_cost,
                     in_secs_per_block: in_cost,
-                }
-                .into(),
+                    ..KvSwap::DEFAULT
+                },
             });
             p.offer(job_with(1, 0.1, 1.0, 16, 40), SimTime::ZERO);
             p.offer(job_with(2, 0.1, 1.0, 16, 40), SimTime::ZERO);
@@ -2293,41 +2238,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn recompute_model_charges_resume_only() {
-        let run = |secs_per_token: f64| {
-            let mut p = ModelPool::new(PoolConfig {
-                name: "kv".into(),
-                kv_share: false,
-                replicas: 1,
-                slots_per_replica: 4,
-                congestion_beta: 0.0,
-                prefill_chunk_tokens: 0,
-                preempt_decode_quantum: 0,
-                max_queue: None,
-                kv_block_tokens: 8,
-                kv_budget_blocks: 8,
-                kv_watermarks: Watermarks::new(1.0, 1.0),
-                kv_swap: SwapModel::Recompute { secs_per_token }.into(),
-            });
-            p.offer(job_with(1, 0.1, 1.0, 16, 40), SimTime::ZERO);
-            p.offer(job_with(2, 0.1, 1.0, 16, 40), SimTime::ZERO);
-            let (done, now) = drain(&mut p);
-            assert_eq!(done.len(), 2);
-            (p.kv_stats(), now)
-        };
-        let (free_kv, free_secs) = run(0.0);
-        let (paid_kv, paid_secs) = run(1e-3);
-        assert!(free_kv.swap_ins > 0, "scenario must thrash");
-        assert_eq!(free_kv.swap_ins, paid_kv.swap_ins, "same schedule");
-        // Each resume recomputes tens of KV tokens at 1ms each.
-        assert!(
-            paid_secs > free_secs + 0.01,
-            "recompute time must be charged: {free_secs} vs {paid_secs}"
-        );
-    }
-
-    /// Pool whose swap model parks blocks on a bounded host ledger.
+    /// Pool that parks victims on a bounded host ledger.
     fn host_capped_pool(budget: u32, host_capacity: u32) -> ModelPool {
         ModelPool::new(PoolConfig {
             name: "kv".into(),
@@ -2342,12 +2253,9 @@ mod tests {
             kv_budget_blocks: budget,
             kv_watermarks: Watermarks::new(1.0, 1.0),
             kv_swap: KvSwap {
-                model: SwapModel::Swap {
-                    out_secs_per_block: 0.0,
-                    in_secs_per_block: 0.0,
-                },
                 host_capacity_blocks: host_capacity,
                 overflow_recompute_secs_per_token: 0.0,
+                ..FREE_SWAPS
             },
         })
     }
@@ -2402,10 +2310,8 @@ mod tests {
         let run = |host_capacity: u32| {
             let mut p = ModelPool::new(PoolConfig {
                 kv_swap: KvSwap {
-                    model: SwapModel::Swap {
-                        out_secs_per_block: 0.05,
-                        in_secs_per_block: 0.05,
-                    },
+                    out_secs_per_block: 0.05,
+                    in_secs_per_block: 0.05,
                     host_capacity_blocks: host_capacity,
                     overflow_recompute_secs_per_token: 0.0,
                 },
@@ -2430,12 +2336,9 @@ mod tests {
         let run_overflow_price = |secs_per_token: f64| {
             let mut p = ModelPool::new(PoolConfig {
                 kv_swap: KvSwap {
-                    model: SwapModel::Swap {
-                        out_secs_per_block: 0.0,
-                        in_secs_per_block: 0.0,
-                    },
                     host_capacity_blocks: 1,
                     overflow_recompute_secs_per_token: secs_per_token,
+                    ..FREE_SWAPS
                 },
                 ..host_capped_pool(8, 0).config().clone()
             });
@@ -2455,7 +2358,7 @@ mod tests {
 
     #[test]
     fn quantum_eviction_parks_and_drain_releases_host_blocks() {
-        // One slot, quantum 2, parking swap model: the quantum victim
+        // One slot, quantum 2: the quantum victim
         // sits in the queue with its state parked on the host ledger;
         // draining the queue must release the ledger entry.
         let mut p = ModelPool::new(PoolConfig {
@@ -2490,15 +2393,6 @@ mod tests {
         assert_eq!(p.kv_host_blocks(), 0, "drain must release host blocks");
         let (done, _) = drain(&mut p);
         assert_eq!(done.len(), 1, "the resident sequence still completes");
-    }
-
-    #[test]
-    fn kv_disabled_pool_reports_zero_stats() {
-        let mut p = pool_with(2, 0, 0, None);
-        p.offer(job(1), SimTime::ZERO);
-        let _ = drain(&mut p);
-        assert_eq!(p.kv_stats(), ic_kvmem::KvStats::default());
-        assert_eq!(p.kv_occupancy(), 0.0);
     }
 
     #[test]
@@ -2560,7 +2454,7 @@ mod tests {
         assert!(large.prefill_chunk_tokens > 0, "chunked prefill on");
         assert!(large.preempt_decode_quantum > 0, "preemption on");
         assert!(large.max_queue.is_none(), "unbounded queue by default");
-        assert!(large.kv_enabled(), "paged KV memory on by default");
+        assert!(large.kv_budget_blocks > 0 && large.kv_block_tokens > 0);
         assert!(large.kv_watermarks.low <= large.kv_watermarks.high);
         // A model bigger than the cluster still gets one replica.
         let huge = PoolConfig::for_gpus("huge", 4, 16, 8);
@@ -2685,13 +2579,23 @@ mod tests {
     }
 
     #[test]
-    fn fail_over_on_slot_only_pool_returns_all_jobs() {
+    fn fail_over_returns_running_then_queued_ids() {
         let mut p = pool_with(1, 0, 0, None);
         p.offer(job(1), SimTime::ZERO);
         p.offer(job(2), SimTime::ZERO);
         let flushed = p.fail_over();
         assert_eq!(flushed, vec![JobId(1), JobId(2)]);
         assert_eq!(p.active(), 0);
+        assert_eq!(p.kv_stats().allocs, p.kv_stats().frees, "blocks conserved");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one block per replica")]
+    fn zero_kv_budget_panics() {
+        let _ = ModelPool::new(PoolConfig {
+            kv_budget_blocks: 0,
+            ..PoolConfig::default()
+        });
     }
 
     #[test]
@@ -2796,7 +2700,7 @@ mod tests {
         assert_eq!(kv.cow_copies, 1, "exactly one diverger pays a copy");
         assert_eq!(kv.allocs, kv.frees, "conservation at drain");
         assert_eq!(
-            p.kv.as_ref().expect("kv on").shared_blocks(),
+            p.kv.shared_blocks(),
             0,
             "no shared blocks survive the drain"
         );
@@ -2822,7 +2726,7 @@ mod tests {
             "the 9-block budget must not fit the 10-block shared peak"
         );
         assert_eq!(kv.allocs, kv.frees, "conservation at drain");
-        assert_eq!(p.kv.as_ref().expect("kv on").shared_blocks(), 0);
+        assert_eq!(p.kv.shared_blocks(), 0);
     }
 
     /// `alloc_with_sharing` as it read while the content table was two
@@ -3000,7 +2904,7 @@ mod tests {
         );
         assert_eq!(kv.swap_ins, kv.swap_outs, "every victim resumed");
         assert_eq!(kv.allocs, kv.frees, "conservation at drain");
-        let pool = p.kv.as_ref().expect("kv on");
+        let pool = &p.kv;
         assert_eq!((pool.shared_blocks(), pool.resident_sets()), (0, 0));
     }
 }

@@ -12,9 +12,9 @@
 //! `KvStats` and `{:?}` state (free lists, block tables, arena layout,
 //! lifecycle lane included).
 //!
-//! The generators aim at the places a closed-form run goes wrong: KV
-//! off / roomy / tight enough for pressure swaps and last-resident
-//! windowing, `kv_share` with prefixes that end mid-block (pending
+//! The generators aim at the places a closed-form run goes wrong: a KV
+//! budget that never binds (free swaps, or priced ones) / tight enough
+//! for pressure swaps and last-resident windowing, `kv_share` with prefixes that end mid-block (pending
 //! copy-on-write), a decode quantum with a queue behind it, chunked and
 //! unchunked prefill, zero- and one-token decodes, several replicas,
 //! swap penalties (a non-zero `pending_penalty_secs`), and barriers that
@@ -34,7 +34,7 @@
 //!   first region with an exact barrier expands to one boundary too many.
 
 use ic_desim::{SimDuration, SimTime};
-use ic_kvmem::{KvSwap, SwapModel, Watermarks};
+use ic_kvmem::{KvSwap, Watermarks};
 use ic_obs::LaneBuf;
 use ic_serving::{JobId, JobSpec, ModelPool, PoolConfig, SharedPrefix, StepReport};
 use proptest::prelude::*;
@@ -45,8 +45,8 @@ type Boundary = (SimTime, String, u32, Option<u64>);
 /// The flavour whose KV budget is a few sequences' worth.
 const TIGHT: usize = 2;
 
-/// The pool flavours the issue names, by index; everything a flavour
-/// does not pin is drawn from `knobs`.
+/// The pool flavours, by index; everything a flavour does not pin is
+/// drawn from `knobs`.
 fn config(flavour: usize, knobs: &[u32]) -> PoolConfig {
     let pick = |i: usize, of: &[u32]| of[knobs[i] as usize % of.len()];
     let mut c = PoolConfig {
@@ -58,13 +58,22 @@ fn config(flavour: usize, knobs: &[u32]) -> PoolConfig {
         preempt_decode_quantum: pick(4, &[0, 0, 3, 64]),
         max_queue: None,
         kv_block_tokens: pick(5, &[4, 16]),
-        kv_budget_blocks: pick(6, &[0, 256, 64]),
+        kv_budget_blocks: pick(6, &[1024, 256, 64]),
         kv_watermarks: Watermarks::DEFAULT,
         kv_swap: KvSwap::DEFAULT,
         kv_share: false,
     };
     match flavour {
-        0 => c.kv_budget_blocks = 0,
+        0 => {
+            // Roomy and free: the KV layer never binds and never adds
+            // to a step's time.
+            c.kv_budget_blocks = 1024;
+            c.kv_swap = KvSwap {
+                out_secs_per_block: 0.0,
+                in_secs_per_block: 0.0,
+                ..KvSwap::DEFAULT
+            };
+        }
         1 => c.kv_budget_blocks = 256,
         TIGHT => {
             // Tight: a few sequences' worth, so growth meets pressure,
@@ -74,14 +83,14 @@ fn config(flavour: usize, knobs: &[u32]) -> PoolConfig {
             c.kv_block_tokens = 4;
             c.slots_per_replica = c.slots_per_replica.max(2);
             c.kv_watermarks = Watermarks::new(1.0, 1.0);
+            let (out_secs_per_block, in_secs_per_block) = if knobs[7].is_multiple_of(2) {
+                (5e-4, 5e-4)
+            } else {
+                (2e-4, 8e-4)
+            };
             c.kv_swap = KvSwap {
-                model: if knobs[7].is_multiple_of(2) {
-                    SwapModel::DEFAULT
-                } else {
-                    SwapModel::Recompute {
-                        secs_per_token: 1e-4,
-                    }
-                },
+                out_secs_per_block,
+                in_secs_per_block,
                 host_capacity_blocks: pick(7, &[0, 0, 3]),
                 ..KvSwap::DEFAULT
             };

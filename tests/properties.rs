@@ -234,11 +234,11 @@ proptest! {
                 f64::from(high_tenths) / 10.0,
                 f64::from(high_tenths) / 10.0,
             ),
-            kv_swap: ic_serving::SwapModel::Swap {
+            kv_swap: ic_serving::KvSwap {
                 out_secs_per_block: 1e-4,
                 in_secs_per_block: 1e-4,
-            }
-            .into(),
+                ..ic_serving::KvSwap::DEFAULT
+            },
             kv_share: false,
         };
         let jobs: Vec<JobSpec> = (0..n_jobs as u64)
@@ -306,11 +306,11 @@ proptest! {
                 f64::from(high_tenths) / 10.0,
                 f64::from(high_tenths) / 10.0,
             ),
-            kv_swap: ic_serving::SwapModel::Swap {
+            kv_swap: ic_serving::KvSwap {
                 out_secs_per_block: 1e-4,
                 in_secs_per_block: 1e-4,
-            }
-            .into(),
+                ..ic_serving::KvSwap::DEFAULT
+            },
             kv_share: true,
         };
         let jobs: Vec<JobSpec> = (0..n_jobs as u64)
