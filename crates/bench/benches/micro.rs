@@ -204,19 +204,20 @@ fn bench_stage1_repeat(c: &mut Criterion) {
 ///
 /// `seq_20k_t1` loads the same 20k rows through per-item `insert`,
 /// which retrains at every doubling where `insert_bulk` fits once: CI
-/// gates on `seq_20k_t1 / bulk_20k_t1` measured in the same job (the
-/// retrain geometry alone makes it about 1.5). `gaussian_bulk_20k_t1`
+/// gates on `seq_20k_t1 / bulk_20k_t1` measured in the same job (about
+/// 2.5 on a 2-CPU host; 1 if the bulk load fitted once per doubling). `gaussian_bulk_20k_t1`
 /// is the same bulk load on unstructured data, where the distance
 /// bounds prune least — printed, not gated, so a slowdown there shows.
 /// Every variant builds bit-identical indexes (`parallel_determinism`,
 /// the bulk-equivalence tests), so this group measures wall time only.
 ///
-/// The kernel lines time one nearest-centroid pass over the rows the
-/// bulk load fits on (16 384 rows, k = 128, 16 lane groups): `exact`
-/// with the lane scan over every group, what each point of a fit's first
-/// pass paid before the certified scan, and `certified` with the `f32`
-/// estimate and its exact resolves, what the bulk tail and a pass's
-/// widely open points pay now. Same assignment either way (asserted
+/// The kernel lines time one nearest-centroid pass over the rows of the
+/// bulk load's retrain (16 384 rows, k = 128, 16 lane groups; the fit
+/// itself trains on 4 992 of them): `exact` with the lane scan over
+/// every group, what each point of a fit's first pass paid before the
+/// certified scan, and `certified` with the `f32` estimate and its exact
+/// resolves, what the retrain's assignment of every row, the bulk tail
+/// and a pass's widely open points pay now. Same assignment either way (asserted
 /// here once); CI gates the ratio. The `shape` line counts the resolves,
 /// the same on every host.
 fn bench_index_build(c: &mut Criterion) {

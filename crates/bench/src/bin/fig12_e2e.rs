@@ -92,7 +92,7 @@ fn replay_json(
         concat!(
             "{{\"fraction\":{:.6},\"served\":{},\"steps\":{},",
             "\"events\":{},{},",
-            "\"index_fits\":{},\"kmeans_passes\":{},",
+            "\"index_fits\":{},\"kmeans_trained_rows\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"certified_scans\":{},\"exact_resolves\":{},",
             "\"setup_threads\":{},\"setup_wall_s\":{:.3},\"peak_rss_mb\":{:.1},",
@@ -105,6 +105,7 @@ fn replay_json(
         events,
         counters,
         setup.index_build.fits,
+        setup.index_build.trained_rows,
         setup.index_build.passes,
         setup.index_build.group_scans,
         setup.index_build.group_scans_full,
@@ -185,9 +186,11 @@ fn print_replay_summary(
     );
     let b = setup.index_build;
     println!(
-        "index build: {} k-means fit(s), {} assignment passes, {} of {} lane-group scans ({:.1}%), \
-         {} certified point scans, {} exact resolves",
+        "index build: {} k-means fit(s) on {} of {} rows, {} assignment passes, \
+         {} of {} lane-group scans ({:.1}%), {} certified point scans, {} exact resolves",
         b.fits,
+        b.trained_rows,
+        b.clustered_rows,
         b.passes,
         b.group_scans,
         b.group_scans_full,

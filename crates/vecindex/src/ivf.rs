@@ -47,29 +47,69 @@
 //!
 //! A retrain is a clean slate. It gathers every stored row, sorts by id,
 //! fits k-means on the rows in that order with the configured seed, and
-//! rebuilds *every* posting list from the fit's assignment, again in id
-//! order; norms are a function of their row. Nothing of the previous
-//! model or list order reaches the result: the state after a retrain is
-//! a function of the *set* of `(id, row)` pairs in the index and of
-//! nothing else. Whether a retrain fires is a function of counts alone
-//! (pool size against the size at the last training). So when
-//! [`IvfIndex::insert_bulk`] loads items with fresh ids, every retrain
-//! the per-item loop would run before its last one is overwritten unread;
-//! the bulk path walks the retrain points arithmetically, hands the
-//! stored rows plus the new items up to the last point to one retrain —
-//! the new rows borrowed where they lie, row-major already, not copied
+//! rebuilds *every* posting list from the assignment under the fitted
+//! model, again in id order; norms are a function of their row. Nothing
+//! of the previous model or list order reaches the result: the state
+//! after a retrain is a function of the *set* of `(id, row)` pairs in the
+//! index and of nothing else. Whether a retrain fires is a function of
+//! counts alone (pool size against the size at the last training). So
+//! when [`IvfIndex::insert_bulk`] loads items with fresh ids, every
+//! retrain the per-item loop would run before its last one is overwritten
+//! unread; the bulk path walks the retrain points arithmetically, hands
+//! the stored rows plus the new items up to the last point to one retrain
+//! — the new rows borrowed where they lie, row-major already, not copied
 //! or assigned anywhere first — and batch-assigns the remaining items
 //! under that model, appending in item order as the loop would have. The
 //! per-item [`VectorIndex::insert`] path keeps its retrain per doubling
 //! and is the reference the equivalence tests compare against
 //! ([`IvfIndex::build_stats`] counts the fits).
+//!
+//! # The training sample
+//!
+//! The sqrt rule leaves about `sqrt(N)` rows a centroid — 128 at the
+//! 16 384-row retrain of a 20 000-example bank, 362 at 131 072 — and a
+//! centroid is placed about as well from a few dozen of them. So a
+//! retrain over `n` rows into `k` clusters with `n > 39 k` fits k-means
+//! on `m = 39 k` of them, a uniform sample drawn under the configured
+//! seed from the id-sorted rows and kept in that order (selection
+//! sampling: one draw a row, exactly `m` taken), and then assigns
+//! *every* row, the sampled ones included, under the fitted model
+//! ([`KMeansModel::assign_batch_rows`]: certified, sharded over
+//! `setup_threads`, exactly `model.assign` per row); the lists are built
+//! from that assignment. Thirty-nine is FAISS's `min_points_per_centroid`,
+//! the fewest rows a centroid it trains without a warning. FAISS also
+//! caps a fit at 256 rows a centroid by default, which would not change
+//! anything here: with `sqrt(N)` rows a centroid that cap applies only
+//! past `N = 65 536`, while 39 applies from `N = 1 522` on. Below the
+//! threshold — the first retrains of every bank, and every retrain of a
+//! bank under 1 522 rows — the fit sees every row as before.
+//!
+//! The sample is random rather than every `n / m`-th row because a
+//! stride aliases with structure in the ids: at `n = 16 384` the stride
+//! is `128 / 39`, so on a bank whose ids cycle through 256 topics the
+//! rows at `floor(i n / m)` cover 78 of the topics, and recall@16 of a
+//! 20 000-row bank falls from 1.00 to 0.73
+//! (`tests/sampled_training_recall.rs` holds it).
+//!
+//! The sample is a function of the seed and the id-sorted set, so
+//! everything above holds as it did: a retrain is still a clean slate,
+//! one bulk retrain still equals the per-item loop's last one, and the
+//! thread count still changes no bit. Sampling changes the index (which
+//! centroids a bank gets, hence which lists a probe reads), not how it
+//! is searched.
 
 use ic_embed::{Embedding, cosine_from_dot, norm_slice};
 use ic_stats::IdMap;
+use ic_stats::rng::rng_from_seed;
+use rand::RngExt;
 
 use crate::kernel::{LaneBlocks, widen};
 use crate::kmeans::{KMeansModel, kmeans_fit_rows};
 use crate::{ItemId, SearchHit, VectorIndex, finalize_hits, sqrt_cluster_count};
+
+/// A retrain fits k-means on at most this many rows a centroid (module
+/// docs, "The training sample").
+const TRAIN_ROWS_PER_CENTROID: usize = 39;
 
 /// Tuning knobs for [`IvfIndex`].
 #[derive(Debug, Clone)]
@@ -141,11 +181,18 @@ pub struct IvfIndex {
 }
 
 /// What the index has spent on training so far — deterministic counts
-/// (the same at every `setup_threads`), for the perf record.
+/// (the same at every `setup_threads`), for the perf record. The pass
+/// and scan counts are the fits' own, over the rows each fit trained
+/// on; the assignment of the other rows under a sampled fit's model is
+/// not counted in them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// K-means fits run.
     pub fits: u64,
+    /// Rows those fits trained on ...
+    pub trained_rows: u64,
+    /// ... out of the rows their retrains placed in posting lists.
+    pub clustered_rows: u64,
     /// Assignment passes over all fits.
     pub passes: u64,
     /// Lane groups (eight centroids each) those passes scanned ...
@@ -264,9 +311,10 @@ impl IvfIndex {
 
     /// Retrains over the stored items plus `staged` (fresh ids, not in
     /// the index yet), leaving the index exactly as inserting `staged`
-    /// and then retraining would: the fit sees the rows in id order under
-    /// a fixed seed and every list is rebuilt from it, so nothing of the
-    /// previous lists or model survives into the result.
+    /// and then retraining would: the fit sees the rows (or the sample of
+    /// them) in id order under a fixed seed and every list is rebuilt from
+    /// it, so nothing of the previous lists or model survives into the
+    /// result.
     fn retrain_with(&mut self, staged: &[(ItemId, Embedding)]) {
         self.generation += 1;
         let resident = self.locator.len();
@@ -305,16 +353,36 @@ impl IvfIndex {
         let rows: Vec<&[f32]> = order.iter().map(|&(_, row, _)| row).collect();
         let k = sqrt_cluster_count(n);
         let threads = self.config.setup_threads.max(1);
-        let fit = kmeans_fit_rows(&rows, k, self.config.train_iters, self.config.seed, threads)
+        // Selection sampling: row `i` is kept with probability `still
+        // wanted / rows left`, so exactly `m` are, in id order (module
+        // docs, "The training sample"). Unsampled, the fit's own final
+        // assignment is already `model.assign` per row.
+        let m = TRAIN_ROWS_PER_CENTROID * k;
+        let sample = (n > m).then(|| {
+            let mut rng = rng_from_seed(self.config.seed);
+            let mut sample = Vec::with_capacity(m);
+            for (i, &row) in rows.iter().enumerate() {
+                if rng.random_range(0..n - i) < m - sample.len() {
+                    sample.push(row);
+                }
+            }
+            sample
+        });
+        let train = sample.as_deref().unwrap_or(&rows);
+        let mut fit = kmeans_fit_rows(train, k, self.config.train_iters, self.config.seed, threads)
             .expect("non-empty data trains");
+        if sample.is_some() {
+            fit.assignment = fit.model.assign_batch_rows(&rows, threads);
+        }
         self.stats.fits += 1;
+        self.stats.trained_rows += train.len() as u64;
+        self.stats.clustered_rows += n as u64;
         self.stats.passes += fit.passes;
         self.stats.group_scans += fit.group_scans;
         self.stats.group_scans_full += fit.group_scans_full;
         self.stats.certified_scans += fit.certified_scans;
         self.stats.exact_resolves += fit.exact_resolves;
-        // The fit's final assignment is exactly `model.assign` per row,
-        // so the posting lists come for free — and exactly sized.
+        // Every row's list, exactly sized.
         let mut sizes = vec![0usize; fit.model.k()];
         for &c in &fit.assignment {
             sizes[c] += 1;
@@ -726,14 +794,17 @@ mod tests {
     #[test]
     fn insert_bulk_is_bit_identical_to_sequential_inserts() {
         // The per-item loop retrains at every doubling; the bulk load
-        // must land in the same state for one fit. Three starting
-        // points: an empty index (retrains at 64, 128, ... 2048), an
+        // must land in the same state for one fit. Four starting points:
+        // an empty index (retrains at 64, 128, ... 1024), an
         // already-trained one (trained at 256 of 300; 512, 1024, 2048),
-        // and one with a shrink retrain pending after a mass removal
-        // (the first insert retrains at 61, then 122, 244, ... 1952).
+        // one with a shrink retrain pending after a mass removal (the
+        // first insert retrains at 61, then 122, 244, ... 1952), and an
+        // empty index loading 6 000 items, whose last retrain (4 096
+        // rows, 64 centroids) trains on 2 496 rows — the last retrains
+        // of cases 1 and 2 sample too, at about 45 rows a centroid.
         let prepare = |case: usize, config: IvfConfig| {
             let mut idx = IvfIndex::new(config);
-            if case > 0 {
+            if case == 1 || case == 2 {
                 for (id, e) in topic_items(10_000, 300, 39) {
                     idx.insert(id, e);
                 }
@@ -745,9 +816,9 @@ mod tests {
             }
             idx
         };
-        let batch = topic_items(0, 2_000, 40);
         let queries = topic_items(0, 20, 42);
-        for case in 0..3 {
+        for case in 0..4 {
+            let batch = topic_items(0, if case == 3 { 6_000 } else { 2_000 }, 40);
             let mut seq = prepare(case, IvfConfig::default());
             let fits_before = seq.build_stats().fits;
             for (id, e) in &batch {
@@ -766,9 +837,18 @@ mod tests {
                         ..IvfConfig::default()
                     },
                 );
-                let fits_before = bulk.build_stats().fits;
+                let before = bulk.build_stats();
                 bulk.insert_bulk(batch.clone());
-                assert_eq!(bulk.build_stats().fits - fits_before, 1, "{label}");
+                let after = bulk.build_stats();
+                assert_eq!(after.fits - before.fits, 1, "{label}");
+                if case == 3 {
+                    assert_eq!(after.trained_rows - before.trained_rows, 2_496, "{label}");
+                    assert_eq!(
+                        after.clustered_rows - before.clustered_rows,
+                        4_096,
+                        "{label}"
+                    );
+                }
                 assert_index_state_identical(&seq, &bulk, &label);
                 for (_, q) in &queries {
                     let bits = |hits: Vec<SearchHit>| {

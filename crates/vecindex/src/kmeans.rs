@@ -101,7 +101,10 @@
 //! those full scans would have done, the certified point scans and how
 //! many of them resolved exactly — deterministic counts, the same at
 //! every thread count and on every host (both builds of the estimate
-//! compute the same bits).
+//! compute the same bits). They are over the rows the fit was given:
+//! the IVF retrain trains on a sample past 39 rows a centroid (see
+//! [`crate::IvfIndex`], "The training sample"), so its counts are over
+//! that sample, not over the bank.
 //!
 //! # Parallelism (`threads`), and why it is bit-identical too
 //!
