@@ -200,7 +200,9 @@ fn bench_stage1_repeat(c: &mut Criterion) {
 /// The deterministic index build — the k-means fits and filling the
 /// IVF posting lists, what the replay harness times as
 /// `index_build_wall_s` — over a topic-clustered bank (the shape of the
-/// example pool), at 2k and 20k rows, one and four set-up threads.
+/// example pool), at 2k and 20k rows. The `_t1` suffixes date from
+/// when the build could also run threaded; they stay so that recorded
+/// numbers remain comparable.
 ///
 /// `seq_20k_t1` loads the same 20k rows through per-item `insert`,
 /// which retrains at every doubling where `insert_bulk` fits once: CI
@@ -208,8 +210,8 @@ fn bench_stage1_repeat(c: &mut Criterion) {
 /// 2.5 on a 2-CPU host; 1 if the bulk load fitted once per doubling). `gaussian_bulk_20k_t1`
 /// is the same bulk load on unstructured data, where the distance
 /// bounds prune least — printed, not gated, so a slowdown there shows.
-/// Every variant builds bit-identical indexes (`parallel_determinism`,
-/// the bulk-equivalence tests), so this group measures wall time only.
+/// The bulk and per-item loads build bit-identical indexes (the
+/// bulk-equivalence tests), so this group measures wall time only.
 ///
 /// The kernel lines time one nearest-centroid pass over the rows of the
 /// bulk load's retrain (16 384 rows, k = 128, 16 lane groups; the fit
@@ -230,21 +232,16 @@ fn bench_index_build(c: &mut Criterion) {
     let gaussian: Vec<(u64, Embedding)> = (0..20_000u64)
         .map(|i| (i, Embedding::gaussian(64, 1.0, &mut rng).normalized()))
         .collect();
-    let bulk = |items: &[(u64, Embedding)], threads: usize| {
-        let mut ivf = IvfIndex::new(IvfConfig {
-            setup_threads: threads,
-            ..IvfConfig::default()
-        });
+    let bulk = |items: &[(u64, Embedding)]| {
+        let mut ivf = IvfIndex::new(IvfConfig::default());
         ivf.insert_bulk(items.to_vec());
         ivf.len()
     };
     let mut g = c.benchmark_group("index_build");
     for n in [2_000usize, 20_000] {
-        for threads in [1usize, 4] {
-            g.bench_function(&format!("bulk_{}k_t{threads}", n / 1_000), |b| {
-                b.iter(|| black_box(bulk(&rows[..n], threads)))
-            });
-        }
+        g.bench_function(&format!("bulk_{}k_t1", n / 1_000), |b| {
+            b.iter(|| black_box(bulk(&rows[..n])))
+        });
     }
     g.bench_function("seq_20k_t1", |b| {
         b.iter(|| {
@@ -256,15 +253,13 @@ fn bench_index_build(c: &mut Criterion) {
         })
     });
     g.bench_function("gaussian_bulk_20k_t1", |b| {
-        b.iter(|| black_box(bulk(&gaussian, 1)))
+        b.iter(|| black_box(bulk(&gaussian)))
     });
     // Fitted by the first kernel line a run measures.
     let fitted = std::cell::OnceCell::new();
     let fixture = || {
         let rows: Vec<&[f32]> = rows[..16_384].iter().map(|(_, e)| e.as_slice()).collect();
-        let model = kmeans_fit_rows(&rows, 128, 15, 0x1CC0FFEE, 1)
-            .unwrap()
-            .model;
+        let model = kmeans_fit_rows(&rows, 128, 15, 0x1CC0FFEE).unwrap().model;
         let (exact, _) = model.assign_rows_counted(&rows, false);
         let (certified, resolves) = model.assign_rows_counted(&rows, true);
         assert_eq!(

@@ -39,11 +39,9 @@
 //! `IC_POOL_OUTAGE` naming a pool the cluster does not have, exits 2
 //! before any replay. The observability knobs
 //! are observation only: `BENCH_e2e.json` is byte-identical with and
-//! without them (CI-enforced). `IC_ROUTER_REPLICAS=1` (or unset)
-//! likewise reproduces the pre-replication bytes except the added
-//! `router` block; higher replica counts route on genuinely diverged,
-//! gossiped state and are deterministic per seed rather than byte-equal
-//! to the single-router run.
+//! without them (CI-enforced). `IC_ROUTER_REPLICAS` above 1 routes on
+//! genuinely diverged, gossiped state and is deterministic per seed
+//! rather than byte-equal to the single-router run.
 
 use std::time::Instant;
 
@@ -95,7 +93,7 @@ fn replay_json(
             "\"index_fits\":{},\"kmeans_trained_rows\":{},\"kmeans_passes\":{},",
             "\"lane_group_scans\":{},\"lane_group_scans_full\":{},",
             "\"certified_scans\":{},\"exact_resolves\":{},",
-            "\"setup_threads\":{},\"setup_wall_s\":{:.3},\"peak_rss_mb\":{:.1},",
+            "\"setup_wall_s\":{:.3},\"peak_rss_mb\":{:.1},",
             "\"bank_gen_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
             "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
@@ -111,7 +109,6 @@ fn replay_json(
         setup.index_build.group_scans_full,
         setup.index_build.certified_scans,
         setup.index_build.exact_resolves,
-        setup.setup_threads,
         setup.setup_wall_s,
         peak_rss_mb,
         setup.bank_gen_wall_s,
@@ -175,14 +172,9 @@ fn print_replay_summary(
     peak_rss_mb: f64,
 ) {
     println!(
-        "setup: {:.2}s wall at {} thread(s) (bank gen {:.2}s, index build {:.2}s) vs replay {:.2}s, \
+        "setup: {:.2}s wall (bank gen {:.2}s, index build {:.2}s) vs replay {:.2}s, \
          peak RSS {:.1} MiB",
-        setup.setup_wall_s,
-        setup.setup_threads,
-        setup.bank_gen_wall_s,
-        setup.index_build_wall_s,
-        wall_s,
-        peak_rss_mb,
+        setup.setup_wall_s, setup.bank_gen_wall_s, setup.index_build_wall_s, wall_s, peak_rss_mb,
     );
     let b = setup.index_build;
     println!(

@@ -16,31 +16,16 @@ use ic_engine::{EngineConfig, PoolOutage};
 use ic_serving::Watermarks;
 
 /// The knobs of one run: the unified engine's configuration plus the
-/// two knobs the set-up reads.
-#[derive(Debug, Clone)]
+/// one knob the set-up reads.
+#[derive(Debug, Clone, Default)]
 pub struct Knobs {
     /// Every engine knob, applied to [`EngineConfig::default`].
     pub engine: EngineConfig,
-    /// `IC_SETUP_THREADS`: worker threads for the IVF index's k-means
-    /// fit when the example bank is seeded (at least 1). The index is
-    /// bit-identical at any value, so this trades wall clock, never
-    /// bytes.
-    pub setup_threads: usize,
     /// `IC_SHARE_BURST`: the
     /// [`burst_workload`](crate::experiments::e2e::burst_workload)
     /// reshape of the IC-Cache replay's trace (`< 2` keeps the natural
     /// trace).
     pub burst: usize,
-}
-
-impl Default for Knobs {
-    fn default() -> Self {
-        Self {
-            engine: EngineConfig::default(),
-            setup_threads: 1,
-            burst: 0,
-        }
-    }
 }
 
 /// One `IC_*` knob: its name, the values it accepts (`docs/config.md`'s
@@ -79,8 +64,6 @@ pub const KNOBS: &[Knob] = &[
         set: |k, v| v.parse().ok().map(|n| k.engine.max_queue = Some(n)) },
     Knob { name: "IC_SELECTOR_BATCH", accepts: "integer ≥ 0",
         set: |k, v| v.parse().ok().map(|n| k.engine.selector_batch = n) },
-    Knob { name: "IC_SETUP_THREADS", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n: usize| k.setup_threads = n.max(1)) },
     Knob { name: "IC_KV_BLOCK", accepts: "integer ≥ 1",
         set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.kv_block_tokens = n) },
     Knob { name: "IC_KV_BUDGET", accepts: "integer ≥ 1",

@@ -60,7 +60,7 @@ fn online_run(
         return online_run_from_engine(name, report, reference_large, judge, &mut rng);
     }
 
-    let (mut setup, _) = warmed_pair(dataset, scale, knobs.setup_threads);
+    let (mut setup, _) = warmed_pair(dataset, scale);
     let requests = setup.generator.generate_requests(arrivals.len());
 
     // RouteLLM needs offline training on preference data.
@@ -300,8 +300,7 @@ impl E2eRun {
     ) {
         let t0 = std::time::Instant::now();
         let mut arrivals = trace_arrivals(self.scale);
-        let (mut setup, mut timing) =
-            warmed_pair(self.dataset, self.scale, self.knobs.setup_threads);
+        let (mut setup, mut timing) = warmed_pair(self.dataset, self.scale);
         let mut requests = setup.generator.generate_requests(arrivals.len());
         burst_workload(&mut requests, &mut arrivals, self.knobs.burst);
         let engine = EventDrivenEngine::new(setup.system, self.knobs.engine);
@@ -333,11 +332,10 @@ fn pair_shape(scale: Scale) -> (usize, u64, usize) {
 }
 
 /// The Gemma pair a fig12 replay of `dataset` runs on, its example bank
-/// seeded with `setup_threads` and warmed up, and the measured split of
-/// that setup. The requests it serves next are [`served_requests`].
-fn warmed_pair(dataset: Dataset, scale: Scale, setup_threads: usize) -> (PairSetup, SetupTiming) {
-    let mut config = ic_cache::IcCacheConfig::gemma_pair();
-    config.selector.ivf.setup_threads = setup_threads;
+/// seeded and warmed up, and the measured split of that setup. The
+/// requests it serves next are [`served_requests`].
+fn warmed_pair(dataset: Dataset, scale: Scale) -> (PairSetup, SetupTiming) {
+    let config = ic_cache::IcCacheConfig::gemma_pair();
     let (bank, seed, warm_up) = pair_shape(scale);
     let (mut setup, timing) = PairSetup::with_config_timed(config, dataset, bank, seed);
     setup.warm_up(warm_up);

@@ -96,7 +96,6 @@ impl PairSetup {
         let large = config.primary;
         let small_spec = config.catalog.get(small).clone();
         let large_spec = config.catalog.get(large).clone();
-        let setup_threads = config.selector.ivf.setup_threads.max(1);
         let sim = Generator::new();
         let mut generator = WorkloadGenerator::sized(dataset, seed, n_examples);
         let t0 = std::time::Instant::now();
@@ -123,7 +122,6 @@ impl PairSetup {
             bank_gen_wall_s,
             index_build_wall_s,
             index_build,
-            setup_threads,
         };
         (setup, timing)
     }
@@ -140,8 +138,7 @@ impl PairSetup {
 
 /// Wall-clock split of the deterministic replay setup (measured time,
 /// recorded in `BENCH_replay.json` beside `wall_s`; **not** part of any
-/// determinism contract — `BENCH_e2e.json` is byte-identical at any
-/// `IC_SETUP_THREADS`). `bank_gen_wall_s` covers generating the example
+/// determinism contract). `bank_gen_wall_s` covers generating the example
 /// bank (`WorkloadGenerator::generate_examples`: text synthesis, latent
 /// sampling, embedding), `index_build_wall_s` covers seeding it into the
 /// selector (k-means fits, filling the IVF posting lists), and
@@ -157,10 +154,8 @@ pub struct SetupTiming {
     /// Selector index build wall (`seed_examples`).
     pub index_build_wall_s: f64,
     /// K-means fits, assignment passes and lane-group scans behind
-    /// `index_build_wall_s` (the same at any `IC_SETUP_THREADS`).
+    /// `index_build_wall_s` (deterministic counts).
     pub index_build: ic_vecindex::BuildStats,
-    /// Worker threads the setup pipeline ran with.
-    pub setup_threads: usize,
 }
 
 /// Salt for evaluation RNGs (kept separate from workload seeds).

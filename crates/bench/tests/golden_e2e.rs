@@ -35,11 +35,7 @@ const GOLDEN_PATH: &str = concat!(
 /// The quick-scale MS MARCO run under `engine`, its trace reshaped by
 /// `burst`.
 fn quick(engine: EngineConfig, burst: usize) -> EngineReport {
-    let knobs = Knobs {
-        engine,
-        burst,
-        ..Knobs::default()
-    };
+    let knobs = Knobs { engine, burst };
     E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs).run()
 }
 
@@ -80,31 +76,6 @@ fn fig12_writes_the_golden_run() {
         report.to_json(),
         golden().trim_end(),
         "fig12_e2e's BENCH_e2e.json drifted from the E2eRun the golden pins"
-    );
-}
-
-/// The parallel-setup acceptance pin: the whole deterministic setup
-/// pipeline (bank embedding, k-means, IVF posting-list builds) run at
-/// `IC_SETUP_THREADS = 4` must produce an *unmasked* report
-/// byte-identical to the committed single-thread golden. No masking —
-/// threads are a pure wall-clock knob, never a bytes knob.
-#[test]
-fn quick_e2e_setup_threads_are_byte_inert() {
-    if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
-        return; // Blessing the sibling golden; this one never reblesses.
-    }
-    let knobs = Knobs {
-        setup_threads: 4,
-        ..Knobs::default()
-    };
-    let json = E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs)
-        .run()
-        .to_json();
-    assert_eq!(
-        json,
-        golden().trim_end(),
-        "the 4-thread setup pipeline drifted from the single-thread \
-         golden — a parallel path stopped being bit-exact"
     );
 }
 

@@ -28,11 +28,7 @@ const GOLDEN_PATH: &str = concat!(
 /// The quick-scale MS MARCO run under `engine`, its trace reshaped by
 /// `burst`.
 fn quick(engine: EngineConfig, burst: usize) -> EngineReport {
-    let knobs = Knobs {
-        engine,
-        burst,
-        ..Knobs::default()
-    };
+    let knobs = Knobs { engine, burst };
     E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs).run()
 }
 

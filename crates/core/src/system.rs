@@ -246,8 +246,8 @@ impl IcCacheSystem {
         // Admission never consults the index and indexing never consults
         // the manager, so admitting the whole bank first and indexing it
         // in one bulk build is state-identical to the per-example
-        // admit/index interleaving — and lets the index fan the embed and
-        // assignment work out over its `setup_threads`.
+        // admit/index interleaving — and lets the index fit k-means once
+        // for the whole bank.
         let mut admitted = Vec::with_capacity(examples.len());
         self.manager.reserve(examples.len());
         for e in examples {

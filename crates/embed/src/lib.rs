@@ -17,8 +17,6 @@
 //!   expression as the fallback.
 //! - [`slab`] — [`EmbeddingSlab`]: contiguous row-major storage with
 //!   cached norms.
-//! - [`par`] — deterministic contiguous work partitioning for the
-//!   bit-identical parallel setup paths (`IC_SETUP_THREADS`).
 //! - [`topic`] — [`TopicSpace`]: shared-anchor + topic-direction latent
 //!   construction with tunable cross-topic and within-topic similarity.
 //! - [`embedder`] — the observable embedding extractor (imperfect view).
@@ -28,7 +26,6 @@
 
 mod boxmuller;
 pub mod embedder;
-pub mod par;
 pub mod slab;
 pub mod text;
 pub mod topic;

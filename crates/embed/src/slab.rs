@@ -114,63 +114,18 @@ impl EmbeddingSlab {
     }
 
     /// Bulk [`insert`](Self::insert): copies every row (in order) and
-    /// returns their slots. Slot assignment, data placement and the
-    /// free-list evolution are exactly the per-row loop's; the only
-    /// difference is that the per-row norms — pure functions of their
-    /// rows — are computed up front over `threads` disjoint contiguous
-    /// row chunks, so the final state is bit-identical to sequential
-    /// inserts at any thread count.
+    /// returns their slots, exactly as the per-row loop does.
+    ///
+    /// `_threads` is inert: nothing reads it. The parameter stays only
+    /// because the frozen `benchmark/src/layers.rs` passes it, and goes
+    /// when a benchmark-owning change drops that argument.
     ///
     /// # Panics
     ///
     /// Panics if any row does not match the slab's established
     /// dimension.
-    pub fn insert_bulk(&mut self, rows: &[&[f32]], threads: usize) -> Vec<u32> {
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        let dim = *self.dim.get_or_insert(rows[0].len());
-        for row in rows {
-            assert_eq!(row.len(), dim, "embedding dimension mismatch");
-        }
-        let mut norms = vec![0.0f64; rows.len()];
-        let ranges = crate::par::chunk_ranges(rows.len(), threads);
-        if ranges.len() <= 1 {
-            for (n, row) in norms.iter_mut().zip(rows) {
-                *n = norm_slice(row);
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut rest = norms.as_mut_slice();
-                for range in &ranges {
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    let rows = &rows[range.start..range.end];
-                    s.spawn(move || {
-                        for (n, row) in chunk.iter_mut().zip(rows) {
-                            *n = norm_slice(row);
-                        }
-                    });
-                }
-            });
-        }
-        rows.iter()
-            .zip(&norms)
-            .map(|(row, &norm)| match self.free.pop() {
-                Some(slot) => {
-                    let start = slot as usize * dim;
-                    self.data[start..start + dim].copy_from_slice(row);
-                    self.norms[slot as usize] = norm;
-                    slot
-                }
-                None => {
-                    let slot = u32::try_from(self.norms.len()).expect("slab slot overflow");
-                    self.data.extend_from_slice(row);
-                    self.norms.push(norm);
-                    slot
-                }
-            })
-            .collect()
+    pub fn insert_bulk(&mut self, rows: &[&[f32]], _threads: usize) -> Vec<u32> {
+        rows.iter().map(|row| self.insert(row)).collect()
     }
 
     /// Releases `slot` for reuse. The caller owns the id → slot map and
@@ -258,28 +213,21 @@ mod tests {
             .map(|_| Embedding::gaussian(16, 1.0, &mut rng))
             .collect();
         let rows: Vec<&[f32]> = embeddings.iter().map(|e| e.as_slice()).collect();
-        // More threads than rows must still tile the work correctly.
-        for threads in [1usize, 2, 4, 64] {
-            let mut seq = EmbeddingSlab::new();
-            // Churn first so the bulk path exercises free-list reuse.
-            let a = seq.insert(&[0.0f32; 16]);
-            let b = seq.insert(&[1.0f32; 16]);
-            seq.remove(a);
-            seq.remove(b);
-            let mut par = seq.clone();
-            let seq_slots: Vec<u32> = rows.iter().map(|r| seq.insert(r)).collect();
-            let par_slots = par.insert_bulk(&rows, threads);
-            assert_eq!(seq_slots, par_slots, "threads={threads}");
-            for &slot in &par_slots {
-                assert_eq!(par.row(slot), seq.row(slot), "threads={threads}");
-                assert_eq!(
-                    par.norm(slot).to_bits(),
-                    seq.norm(slot).to_bits(),
-                    "threads={threads}"
-                );
-            }
-            assert_eq!(par.len(), seq.len());
+        let mut seq = EmbeddingSlab::new();
+        // Churn first so the bulk path exercises free-list reuse.
+        let a = seq.insert(&[0.0f32; 16]);
+        let b = seq.insert(&[1.0f32; 16]);
+        seq.remove(a);
+        seq.remove(b);
+        let mut bulk = seq.clone();
+        let seq_slots: Vec<u32> = rows.iter().map(|r| seq.insert(r)).collect();
+        let bulk_slots = bulk.insert_bulk(&rows, 1);
+        assert_eq!(seq_slots, bulk_slots);
+        for &slot in &bulk_slots {
+            assert_eq!(bulk.row(slot), seq.row(slot));
+            assert_eq!(bulk.norm(slot).to_bits(), seq.norm(slot).to_bits());
         }
+        assert_eq!(bulk.len(), seq.len());
     }
 
     #[test]

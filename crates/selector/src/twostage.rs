@@ -146,9 +146,8 @@ impl ExampleSelector {
 
     /// Indexes a whole batch of examples through the IVF bulk build —
     /// identical final index bytes to calling
-    /// [`Self::index_example`] per item, with the pure per-item embed
-    /// and assignment work parallelized over the index's
-    /// `setup_threads` (the `IC_SETUP_THREADS` path).
+    /// [`Self::index_example`] per item, for one k-means fit instead of
+    /// one per doubling.
     pub fn index_examples(&mut self, items: Vec<(ExampleId, Embedding)>) {
         self.index
             .insert_bulk(items.into_iter().map(|(id, e)| (id.0, e)).collect());

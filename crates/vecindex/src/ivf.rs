@@ -74,9 +74,8 @@
 //! seed from the id-sorted rows and kept in that order (selection
 //! sampling: one draw a row, exactly `m` taken), and then assigns
 //! *every* row, the sampled ones included, under the fitted model
-//! ([`KMeansModel::assign_batch_rows`]: certified, sharded over
-//! `setup_threads`, exactly `model.assign` per row); the lists are built
-//! from that assignment. Thirty-nine is FAISS's `min_points_per_centroid`,
+//! ([`KMeansModel::assign_batch_rows`]: certified, exactly
+//! `model.assign` per row); the lists are built from that assignment. Thirty-nine is FAISS's `min_points_per_centroid`,
 //! the fewest rows a centroid it trains without a warning. FAISS also
 //! caps a fit at 256 rows a centroid by default, which would not change
 //! anything here: with `sqrt(N)` rows a centroid that cap applies only
@@ -93,8 +92,8 @@
 //!
 //! The sample is a function of the seed and the id-sorted set, so
 //! everything above holds as it did: a retrain is still a clean slate,
-//! one bulk retrain still equals the per-item loop's last one, and the
-//! thread count still changes no bit. Sampling changes the index (which
+//! and one bulk retrain still equals the per-item loop's last one.
+//! Sampling changes the index (which
 //! centroids a bank gets, hence which lists a probe reads), not how it
 //! is searched.
 
@@ -124,13 +123,6 @@ pub struct IvfConfig {
     pub train_iters: usize,
     /// Seed for K-means.
     pub seed: u64,
-    /// Worker threads for the deterministic build paths (retraining and
-    /// bulk insertion). The pure per-point work — distances, cluster
-    /// assignments — fans out over disjoint contiguous chunks;
-    /// every order-sensitive reduction stays sequential, so the built
-    /// index is bit-identical to `setup_threads = 1` at any value
-    /// (`IC_SETUP_THREADS` in the bench binaries). `0`/`1` = sequential.
-    pub setup_threads: usize,
 }
 
 impl Default for IvfConfig {
@@ -141,7 +133,6 @@ impl Default for IvfConfig {
             retrain_growth: 2.0,
             train_iters: 15,
             seed: 0x1CC0FFEE,
-            setup_threads: 1,
         }
     }
 }
@@ -180,8 +171,8 @@ pub struct IvfIndex {
     stats: BuildStats,
 }
 
-/// What the index has spent on training so far — deterministic counts
-/// (the same at every `setup_threads`), for the perf record. The pass
+/// What the index has spent on training so far — deterministic counts,
+/// for the perf record. The pass
 /// and scan counts are the fits' own, over the rows each fit trained
 /// on; the assignment of the other rows under a sampled fit's model is
 /// not counted in them.
@@ -352,7 +343,6 @@ impl IvfIndex {
         order.sort_unstable_by_key(|&(id, ..)| id);
         let rows: Vec<&[f32]> = order.iter().map(|&(_, row, _)| row).collect();
         let k = sqrt_cluster_count(n);
-        let threads = self.config.setup_threads.max(1);
         // Selection sampling: row `i` is kept with probability `still
         // wanted / rows left`, so exactly `m` are, in id order (module
         // docs, "The training sample"). Unsampled, the fit's own final
@@ -369,10 +359,10 @@ impl IvfIndex {
             sample
         });
         let train = sample.as_deref().unwrap_or(&rows);
-        let mut fit = kmeans_fit_rows(train, k, self.config.train_iters, self.config.seed, threads)
+        let mut fit = kmeans_fit_rows(train, k, self.config.train_iters, self.config.seed)
             .expect("non-empty data trains");
         if sample.is_some() {
-            fit.assignment = fit.model.assign_batch_rows(&rows, threads);
+            fit.assignment = fit.model.assign_batch_rows(&rows);
         }
         self.stats.fits += 1;
         self.stats.trained_rows += train.len() as u64;
@@ -441,9 +431,8 @@ impl IvfIndex {
     /// one per doubling (see the module docs). The sequential loop's
     /// retrain points are walked arithmetically; everything up to the
     /// last one goes into a single retrain, unassigned, and the items
-    /// after it are batch-assigned under that model — fanned out over
-    /// `setup_threads` — and appended to the lists, grown once to the
-    /// exact size, in item order.
+    /// after it are batch-assigned under that model and appended to the
+    /// lists, grown once to the exact size, in item order.
     ///
     /// Items whose id is already present (or repeated within the batch)
     /// would interleave removals with the growth model, so such batches
@@ -471,14 +460,13 @@ impl IvfIndex {
         if staged > 0 {
             self.retrain_with(&items[..staged]);
         }
-        // Sharded assignment (pure per item under the frozen model),
-        // appended in item order — exactly the per-item loop's push order.
+        // Batch assignment under the frozen model, appended in item
+        // order — exactly the per-item loop's push order.
         let tail = &items[staged..];
         let rows: Vec<&[f32]> = tail.iter().map(|(_, e)| e.as_slice()).collect();
         let assigned = match &self.model {
             Some(model) => {
-                let threads = self.config.setup_threads.max(1);
-                let assigned = model.assign_batch_rows(&rows, threads);
+                let assigned = model.assign_batch_rows(&rows);
                 let mut growth = vec![0usize; self.lists.len()];
                 for &c in &assigned {
                     growth[c] += 1;
@@ -802,8 +790,8 @@ mod tests {
         // empty index loading 6 000 items, whose last retrain (4 096
         // rows, 64 centroids) trains on 2 496 rows — the last retrains
         // of cases 1 and 2 sample too, at about 45 rows a centroid.
-        let prepare = |case: usize, config: IvfConfig| {
-            let mut idx = IvfIndex::new(config);
+        let prepare = |case: usize| {
+            let mut idx = IvfIndex::new(IvfConfig::default());
             if case == 1 || case == 2 {
                 for (id, e) in topic_items(10_000, 300, 39) {
                     idx.insert(id, e);
@@ -819,7 +807,7 @@ mod tests {
         let queries = topic_items(0, 20, 42);
         for case in 0..4 {
             let batch = topic_items(0, if case == 3 { 6_000 } else { 2_000 }, 40);
-            let mut seq = prepare(case, IvfConfig::default());
+            let mut seq = prepare(case);
             let fits_before = seq.build_stats().fits;
             for (id, e) in &batch {
                 seq.insert(*id, e.clone());
@@ -828,36 +816,28 @@ mod tests {
                 seq.build_stats().fits - fits_before >= 3,
                 "case {case}: the batch must cross at least three retrain points"
             );
-            for threads in [1usize, 2, 4, 1000] {
-                let label = format!("case={case} threads={threads}");
-                let mut bulk = prepare(
-                    case,
-                    IvfConfig {
-                        setup_threads: threads,
-                        ..IvfConfig::default()
-                    },
+            let label = format!("case={case}");
+            let mut bulk = prepare(case);
+            let before = bulk.build_stats();
+            bulk.insert_bulk(batch.clone());
+            let after = bulk.build_stats();
+            assert_eq!(after.fits - before.fits, 1, "{label}");
+            if case == 3 {
+                assert_eq!(after.trained_rows - before.trained_rows, 2_496, "{label}");
+                assert_eq!(
+                    after.clustered_rows - before.clustered_rows,
+                    4_096,
+                    "{label}"
                 );
-                let before = bulk.build_stats();
-                bulk.insert_bulk(batch.clone());
-                let after = bulk.build_stats();
-                assert_eq!(after.fits - before.fits, 1, "{label}");
-                if case == 3 {
-                    assert_eq!(after.trained_rows - before.trained_rows, 2_496, "{label}");
-                    assert_eq!(
-                        after.clustered_rows - before.clustered_rows,
-                        4_096,
-                        "{label}"
-                    );
-                }
-                assert_index_state_identical(&seq, &bulk, &label);
-                for (_, q) in &queries {
-                    let bits = |hits: Vec<SearchHit>| {
-                        hits.into_iter()
-                            .map(|h| (h.id, h.similarity.to_bits()))
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(seq.search(q, 10)), bits(bulk.search(q, 10)), "{label}");
-                }
+            }
+            assert_index_state_identical(&seq, &bulk, &label);
+            for (_, q) in &queries {
+                let bits = |hits: Vec<SearchHit>| {
+                    hits.into_iter()
+                        .map(|h| (h.id, h.similarity.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(seq.search(q, 10)), bits(bulk.search(q, 10)), "{label}");
             }
         }
     }
@@ -906,10 +886,7 @@ mod tests {
         for (id, e) in &items {
             seq.insert(*id, e.clone());
         }
-        let mut bulk = IvfIndex::new(IvfConfig {
-            setup_threads: 4,
-            ..IvfConfig::default()
-        });
+        let mut bulk = IvfIndex::new(IvfConfig::default());
         bulk.insert_bulk(items);
         assert_index_state_identical(&seq, &bulk, "duplicate ids");
         assert_eq!(bulk.len(), 100);

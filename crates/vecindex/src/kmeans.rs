@@ -68,8 +68,8 @@
 //! plain full-scan Lloyd on such data.
 //!
 //! The bounds table (at most 16 `f64` per point) lives only inside the
-//! fit: it is freed when the per-chunk state is flattened into the
-//! returned assignment, before the caller allocates anything from it.
+//! fit: it is freed before the assignment is returned, so before the
+//! caller allocates anything from it.
 //!
 //! # Certified scans: the comparisons already decided, in `f32`
 //!
@@ -99,33 +99,16 @@
 //!
 //! [`KMeansFit`] reports the passes run, the lane-group scans done out of
 //! those full scans would have done, the certified point scans and how
-//! many of them resolved exactly — deterministic counts, the same at
-//! every thread count and on every host (both builds of the estimate
-//! compute the same bits). They are over the rows the fit was given:
-//! the IVF retrain trains on a sample past 39 rows a centroid (see
-//! [`crate::IvfIndex`], "The training sample"), so its counts are over
-//! that sample, not over the bank.
-//!
-//! # Parallelism (`threads`), and why it is bit-identical too
-//!
-//! The `*_threaded` entry points split *pure per-point* work — the
-//! bounded assignment pass with its per-point bounds and certified
-//! scans, `d2` min-updates in the k-means++ init — over disjoint
-//! contiguous point chunks
-//! ([`ic_embed::par::chunk_ranges`]). Each point's result is a pure
-//! function of that point, its own bounds and the (frozen) centroid
-//! table and movements, so the parallel pass writes the very bytes the
-//! sequential pass would. Everything order-sensitive stays sequential on
-//! the calling thread: RNG draws, the `f32` centroid-update
-//! accumulation, the inertia sum (one exact distance per point, in
-//! point-index order), and the best-of-seeds min scan (seed order).
-//! `kmeans_best_of_threaded` additionally runs whole fits — independent
-//! by construction — one seed per worker.
+//! many of them resolved exactly — deterministic counts, the same on
+//! every host (both builds of the estimate compute the same bits). They
+//! are over the rows the fit was given: the IVF retrain trains on a
+//! sample past 39 rows a centroid (see [`crate::IvfIndex`], "The
+//! training sample"), so its counts are over that sample, not over the
+//! bank.
 
 use std::iter::zip;
-use std::ops::Range;
 
-use ic_embed::{Embedding, par::chunk_ranges, sq_dist_slices};
+use ic_embed::{Embedding, sq_dist_slices};
 use ic_stats::rng::rng_from_seed;
 use rand::{Rng, RngExt};
 
@@ -173,14 +156,6 @@ struct Work {
     certified_scans: u64,
     /// ... and how many of those exact distances had to decide.
     exact_resolves: u64,
-}
-
-impl std::ops::AddAssign for Work {
-    fn add_assign(&mut self, other: Self) {
-        self.group_scans += other.group_scans;
-        self.certified_scans += other.certified_scans;
-        self.exact_resolves += other.exact_resolves;
-    }
 }
 
 impl KMeansModel {
@@ -235,9 +210,9 @@ impl KMeansModel {
         resolves
     }
 
-    /// Bench and test hook, not API: [`Self::assign_batch_rows`] at one
-    /// thread with the certified scan on or off, and how many rows it
-    /// resolved with exact distances.
+    /// Bench and test hook, not API: [`Self::assign_batch_rows`] with
+    /// the certified scan on or off, and how many rows it resolved with
+    /// exact distances.
     #[doc(hidden)]
     pub fn assign_rows_counted(&self, rows: &[&[f32]], certify: bool) -> (Vec<usize>, u64) {
         let mut out = vec![usize::MAX; rows.len()];
@@ -268,30 +243,15 @@ impl KMeansModel {
         out[0]
     }
 
-    /// [`Self::assign`] for a whole batch of component rows, over
-    /// `threads` disjoint contiguous row chunks. `out[i]` is exactly
-    /// `self.assign(&rows[i])` at any thread count: each row's result is
-    /// a pure function of the row and the centroid table.
-    pub fn assign_batch_rows(&self, rows: &[&[f32]], threads: usize) -> Vec<usize> {
+    /// [`Self::assign`] for a whole batch of component rows: `out[i]`
+    /// is exactly `self.assign(&rows[i])`.
+    pub fn assign_batch_rows(&self, rows: &[&[f32]]) -> Vec<usize> {
         assert!(
             rows.is_empty() || !self.centroids.is_empty(),
             "model has no centroids"
         );
         let mut assignment = vec![usize::MAX; rows.len()];
-        let ranges = chunk_ranges(rows.len(), threads);
-        if ranges.len() <= 1 {
-            self.assign_rows_into(rows, true, &mut assignment);
-            return assignment;
-        }
-        std::thread::scope(|s| {
-            let mut rest = assignment.as_mut_slice();
-            for range in ranges {
-                let (chunk, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let rows = &rows[range];
-                s.spawn(move || self.assign_rows_into(rows, true, chunk));
-            }
-        });
+        self.assign_rows_into(rows, true, &mut assignment);
         assignment
     }
 
@@ -338,34 +298,15 @@ impl KMeansModel {
 
 /// `d2[i] = min(d2[i], dist(point_i, centre))` — the k-means++
 /// distance-table maintenance — as one lane scan of the transposed
-/// points, over `threads` disjoint contiguous runs of lane groups. Pure
-/// per point, so bit-identical at any thread count.
-fn d2_pass(points: &LaneBlocks<f32>, centre: &[f32], d2: &mut [f64], threads: usize) {
+/// points.
+fn d2_pass(points: &LaneBlocks<f32>, centre: &[f32], d2: &mut [f64]) {
     let centre = widen(centre);
-    let run = |groups: Range<usize>, d2: &mut [f64]| {
-        let first = groups.start * LANES;
-        points.sq_dists_in(groups, &centre, |i, d| d2[i - first] = d2[i - first].min(d));
-    };
-    let ranges = chunk_ranges(points.groups(), threads);
-    if ranges.len() <= 1 {
-        run(0..points.groups(), d2);
-        return;
-    }
-    std::thread::scope(|s| {
-        let (mut rest, run) = (d2, &run);
-        for groups in ranges {
-            let rows = (groups.end * LANES).min(points.len()) - groups.start * LANES;
-            let (chunk, tail) = rest.split_at_mut(rows);
-            rest = tail;
-            s.spawn(move || run(groups, chunk));
-        }
-    });
+    points.sq_dists_in(0..points.groups(), &centre, |i, d| d2[i] = d2[i].min(d));
 }
 
-/// One contiguous chunk of the points being fitted, with the state the
-/// bounded passes carry for each of them from pass to pass. Chunks are
-/// the unit of parallelism: a pass hands each to one worker.
-struct Chunk<'a> {
+/// The points being fitted, with the state the bounded passes carry for
+/// each of them from pass to pass.
+struct Points<'a> {
     rows: &'a [&'a [f32]],
     /// Nearest centroid as of the last pass (`usize::MAX` before the first).
     assignment: Vec<usize>,
@@ -393,30 +334,9 @@ struct Pass<'a> {
 }
 
 impl Pass<'_> {
-    /// Runs the pass over every chunk, one worker per chunk; returns
-    /// whether any assignment changed and the scan work done. Each
-    /// point's outcome is a pure function of its own state and the
-    /// frozen inputs, so the chunking never shows.
-    fn run(&self, chunks: &mut [Chunk]) -> (bool, Work) {
-        if let [chunk] = chunks {
-            return self.run_chunk(chunk);
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter_mut()
-                .map(|chunk| s.spawn(move || self.run_chunk(chunk)))
-                .collect();
-            let mut total = (false, Work::default());
-            for h in handles {
-                let (changed, work) = h.join().expect("assignment worker panicked");
-                total.0 |= changed;
-                total.1 += work;
-            }
-            total
-        })
-    }
-
-    fn run_chunk(&self, chunk: &mut Chunk) -> (bool, Work) {
+    /// Runs the pass over every point, adding its scan work to `work`;
+    /// returns whether any assignment changed.
+    fn run(&self, points: &mut Points, work: &mut Work) -> bool {
         let (model, buckets) = (self.model, self.bucket_drift.len());
         let groups = model.lanes.groups();
         let width = self.span * LANES;
@@ -426,11 +346,11 @@ impl Pass<'_> {
             .map(CentroidTable::lo_buffer)
             .unwrap_or_default();
         let mut v64 = vec![0.0f64; model.lanes.dim()];
-        let (mut changed, mut work) = (false, Work::default());
-        for (i, &row) in chunk.rows.iter().enumerate() {
-            let lower = &mut chunk.lower[i * buckets..(i + 1) * buckets];
-            let upper = &mut chunk.upper[i];
-            let a = chunk.assignment[i];
+        let mut changed = false;
+        for (i, &row) in points.rows.iter().enumerate() {
+            let lower = &mut points.lower[i * buckets..(i + 1) * buckets];
+            let upper = &mut points.upper[i];
+            let a = points.assignment[i];
             // Age the bounds by the centroids' movement; if every other
             // centroid is still provably farther, the point stays put.
             // (No movement on record means the first pass: scan it all.)
@@ -468,15 +388,15 @@ impl Pass<'_> {
                     for (d, &x) in zip(&mut v64, row) {
                         *d = f64::from(x);
                     }
-                    self.scan_buckets(&v64, home, lower, upper, &mut work)
+                    self.scan_buckets(&v64, home, lower, upper, work)
                 }
             };
             if best != a {
-                chunk.assignment[i] = best;
+                points.assignment[i] = best;
                 changed = true;
             }
         }
-        (changed, work)
+        changed
     }
 
     /// Every bound of a point from a certified scan's intervals: the
@@ -560,7 +480,7 @@ pub struct KMeansFit {
     /// Lane groups (eight centroids each) those passes scanned ...
     pub group_scans: u64,
     /// ... out of the `passes * points * groups` that full scans would
-    /// have — a deterministic count, the same at every thread count.
+    /// have — a deterministic count.
     pub group_scans_full: u64,
     /// Point scans those passes ran as certified scans instead (each
     /// scans no lane group) ...
@@ -576,21 +496,8 @@ pub struct KMeansFit {
 /// is not allowed — returns `None` instead. Runs at most `max_iters` Lloyd
 /// iterations, stopping early when assignments stabilize.
 pub fn kmeans(data: &[Embedding], k: usize, max_iters: usize, seed: u64) -> Option<KMeansModel> {
-    kmeans_threaded(data, k, max_iters, seed, 1)
-}
-
-/// [`kmeans`] with the pure per-point passes split over `threads`
-/// worker threads. The fitted model is bit-identical to `threads = 1`
-/// (see the module docs); `threads <= 1` runs inline.
-pub fn kmeans_threaded(
-    data: &[Embedding],
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-    threads: usize,
-) -> Option<KMeansModel> {
     let rows: Vec<&[f32]> = data.iter().map(|e| e.as_slice()).collect();
-    kmeans_fit_rows(&rows, k, max_iters, seed, threads).map(|fit| fit.model)
+    kmeans_fit_rows(&rows, k, max_iters, seed).map(|fit| fit.model)
 }
 
 /// The full fit over component rows (the slab-resident form — no
@@ -601,9 +508,8 @@ pub fn kmeans_fit_rows(
     k: usize,
     max_iters: usize,
     seed: u64,
-    threads: usize,
 ) -> Option<KMeansFit> {
-    fit_rows(rows, k, max_iters, seed, threads, SKIP_MARGIN)
+    fit_rows(rows, k, max_iters, seed, SKIP_MARGIN)
 }
 
 /// [`kmeans_fit_rows`] with the skip margin as a parameter, so a unit
@@ -613,7 +519,6 @@ fn fit_rows(
     k: usize,
     max_iters: usize,
     seed: u64,
-    threads: usize,
     margin: f64,
 ) -> Option<KMeansFit> {
     if rows.is_empty() || k == 0 {
@@ -622,19 +527,16 @@ fn fit_rows(
     let dim = rows[0].len();
     let k = k.min(rows.len());
     let mut rng = rng_from_seed(seed);
-    let mut model = KMeansModel::new(dim, init_plus_plus(rows, k, &mut rng, threads));
+    let mut model = KMeansModel::new(dim, init_plus_plus(rows, k, &mut rng));
     let groups = model.lanes.groups();
     let span = groups.div_ceil(MAX_BUCKETS);
     let buckets = groups.div_ceil(span);
-    let mut chunks: Vec<Chunk> = chunk_ranges(rows.len(), threads)
-        .into_iter()
-        .map(|range| Chunk {
-            assignment: vec![usize::MAX; range.len()],
-            upper: vec![f64::INFINITY; range.len()],
-            lower: vec![0.0; range.len() * buckets],
-            rows: &rows[range],
-        })
-        .collect();
+    let mut points = Points {
+        rows,
+        assignment: vec![usize::MAX; rows.len()],
+        upper: vec![f64::INFINITY; rows.len()],
+        lower: vec![0.0; rows.len() * buckets],
+    };
     let mut drift: Vec<f64> = Vec::new();
     let mut bucket_drift = vec![0.0f64; buckets];
     // Update-step scratch, hoisted out of the loop: one `k x dim` sum
@@ -646,7 +548,7 @@ fn fit_rows(
     let mut work = Work::default();
     let mut updates = 0;
     loop {
-        // Assignment step (parallel, pure per point).
+        // Assignment step.
         let pass = Pass {
             model: &model,
             span,
@@ -654,26 +556,23 @@ fn fit_rows(
             bucket_drift: &bucket_drift,
             slack,
         };
-        let (changed, pass_work) = pass.run(&mut chunks);
-        work += pass_work;
+        let changed = pass.run(&mut points, &mut work);
         // Converged, or out of update steps: either way the assignment
         // now describes the final centroids.
         if !changed || updates == max_iters {
             break;
         }
         updates += 1;
-        // Update step — sequential in point-index order: the `f32` sum
-        // accumulation is order-sensitive, and this order is the
-        // contract (`add_scaled(v, 1.0)` per point, exactly as before).
+        // Update step, in point-index order: the `f32` sum accumulation
+        // is order-sensitive, and this order is the contract
+        // (`add_scaled(v, 1.0)` per point, exactly as before).
         sums.fill(0.0);
         counts.fill(0);
-        for chunk in &chunks {
-            for (row, &a) in chunk.rows.iter().zip(&chunk.assignment) {
-                for (acc, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(*row) {
-                    *acc += x;
-                }
-                counts[a] += 1;
+        for (row, &a) in rows.iter().zip(&points.assignment) {
+            for (acc, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(*row) {
+                *acc += x;
             }
+            counts[a] += 1;
         }
         drift.clear();
         for (ci, c) in model.centroids.iter_mut().enumerate() {
@@ -700,9 +599,9 @@ fn fit_rows(
         model.rebuild_tables();
     }
     let passes = updates as u64 + 1;
-    // Flattening the chunks frees the bounds before the caller builds
-    // anything from the assignment.
-    let assignment: Vec<usize> = chunks.into_iter().flat_map(|c| c.assignment).collect();
+    // Taking the assignment frees the bounds before the caller builds
+    // anything from it.
+    let assignment = points.assignment;
     // One exact distance per point — the scalar chain, whose bits the
     // lane sums share — summed in point order.
     let inertia = rows
@@ -724,7 +623,8 @@ fn fit_rows(
 
 /// Best-of-`n_init` k-means: runs [`kmeans`] from `n_init` different
 /// seeds and keeps the model with the lowest inertia — the standard
-/// defence against an unlucky k-means++ draw merging true clusters.
+/// defence against an unlucky k-means++ draw merging true clusters. The
+/// first seed wins a tie.
 pub fn kmeans_best_of(
     data: &[Embedding],
     k: usize,
@@ -732,46 +632,13 @@ pub fn kmeans_best_of(
     seed: u64,
     n_init: usize,
 ) -> Option<KMeansModel> {
-    kmeans_best_of_threaded(data, k, max_iters, seed, n_init, 1)
-}
-
-/// [`kmeans_best_of`] with the independent seeds fitted one per worker
-/// thread (each fit sequential inside). The winner is picked by a
-/// sequential strict-`<` scan in seed order — the same first-minimum
-/// rule as the sequential `min_by` — over per-fit inertias that are
-/// bit-identical to the sequential runs', so the chosen model is too.
-pub fn kmeans_best_of_threaded(
-    data: &[Embedding],
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-    n_init: usize,
-    threads: usize,
-) -> Option<KMeansModel> {
     let rows: Vec<&[f32]> = data.iter().map(|e| e.as_slice()).collect();
-    let n_init = n_init.max(1) as u64;
-    let fits: Vec<Option<KMeansFit>> = if threads > 1 && n_init > 1 {
-        std::thread::scope(|s| {
-            let rows = &rows;
-            let handles: Vec<_> = (0..n_init)
-                .map(|i| {
-                    s.spawn(move || kmeans_fit_rows(rows, k, max_iters, seed.wrapping_add(i), 1))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kmeans seed worker panicked"))
-                .collect()
-        })
-    } else {
-        (0..n_init)
-            .map(|i| kmeans_fit_rows(&rows, k, max_iters, seed.wrapping_add(i), threads))
-            .collect()
-    };
     let mut best: Option<KMeansFit> = None;
-    for fit in fits.into_iter().flatten() {
-        let better = best.as_ref().is_none_or(|b| fit.inertia < b.inertia);
-        if better {
+    for i in 0..n_init.max(1) as u64 {
+        let Some(fit) = kmeans_fit_rows(&rows, k, max_iters, seed.wrapping_add(i)) else {
+            continue;
+        };
+        if best.as_ref().is_none_or(|b| fit.inertia < b.inertia) {
             best = Some(fit);
         }
     }
@@ -780,18 +647,16 @@ pub fn kmeans_best_of_threaded(
 
 /// k-means++ seeding: first center uniform, subsequent centers sampled
 /// proportionally to squared distance from the nearest chosen center.
-/// The RNG draws and the weighted scan stay sequential; only the pure
-/// per-point distance-table updates fan out over `threads`. Every point
-/// is measured against every center, so the points are lane-transposed
-/// once, for the seeding only, and each center costs one lane scan of
-/// them rather than a serial add chain per point. Centers are rows of
-/// the data and are borrowed from it until the end.
-fn init_plus_plus(rows: &[&[f32]], k: usize, rng: &mut impl Rng, threads: usize) -> Vec<Embedding> {
+/// Every point is measured against every center, so the points are
+/// lane-transposed once, for the seeding only, and each center costs one
+/// lane scan of them rather than a serial add chain per point. Centers
+/// are rows of the data and are borrowed from it until the end.
+fn init_plus_plus(rows: &[&[f32]], k: usize, rng: &mut impl Rng) -> Vec<Embedding> {
     let mut picks = vec![rng.random_range(0..rows.len())];
     let points = LaneBlocks::<f32>::from_rows(rows[0].len(), rows.iter().copied());
     let mut d2 = vec![f64::INFINITY; rows.len()];
     while picks.len() < k {
-        d2_pass(&points, rows[picks[picks.len() - 1]], &mut d2, threads);
+        d2_pass(&points, rows[picks[picks.len() - 1]], &mut d2);
         let total: f64 = d2.iter().sum();
         let next = if total <= f64::EPSILON {
             // All points coincide with chosen centers; pick uniformly.
@@ -980,37 +845,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_fit_is_bit_identical_to_sequential() {
-        let (data, _) = clustered_data(6, 40);
-        let seq = kmeans(&data, 6, 25, 13).unwrap();
-        // Thread counts beyond the point count degrade to per-point
-        // chunks and must still produce the same fit.
-        for threads in [2usize, 3, 4, 1000] {
-            let par = kmeans_threaded(&data, 6, 25, 13, threads).unwrap();
-            for (cs, cp) in seq.centroids().iter().zip(par.centroids()) {
-                assert_eq!(cs.as_slice(), cp.as_slice(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_best_of_is_bit_identical_to_sequential() {
-        let (data, _) = clustered_data(4, 30);
-        let seq = kmeans_best_of(&data, 4, 20, 7, 3).unwrap();
-        let par = kmeans_best_of_threaded(&data, 4, 20, 7, 3, 4).unwrap();
-        for (cs, cp) in seq.centroids().iter().zip(par.centroids()) {
-            assert_eq!(cs.as_slice(), cp.as_slice());
-        }
-    }
-
-    #[test]
     fn fit_rows_assignment_and_inertia_match_model_queries() {
         let (data, _) = clustered_data(5, 30);
         let rows: Vec<&[f32]> = data.iter().map(|e| e.as_slice()).collect();
         // max_iters=2 exhausts before convergence, forcing the extra
         // final assignment pass; 50 converges and reuses the last one.
         for iters in [2usize, 50] {
-            let fit = kmeans_fit_rows(&rows, 5, iters, 3, 1).unwrap();
+            let fit = kmeans_fit_rows(&rows, 5, iters, 3).unwrap();
             for (v, &a) in data.iter().zip(&fit.assignment) {
                 assert_eq!(a, fit.model.assign(v), "iters={iters}");
             }
@@ -1027,13 +868,11 @@ mod tests {
         let (data, _) = clustered_data(6, 30);
         let model = kmeans(&data, 6, 20, 5).unwrap();
         let rows: Vec<&[f32]> = data.iter().map(|e| e.as_slice()).collect();
-        for threads in [1usize, 3, 500] {
-            let batch = model.assign_batch_rows(&rows, threads);
-            for (v, &a) in data.iter().zip(&batch) {
-                assert_eq!(a, model.assign(v), "threads={threads}");
-            }
+        let batch = model.assign_batch_rows(&rows);
+        for (v, &a) in data.iter().zip(&batch) {
+            assert_eq!(a, model.assign(v));
         }
-        assert!(model.assign_batch_rows(&[], 4).is_empty());
+        assert!(model.assign_batch_rows(&[]).is_empty());
     }
 
     #[test]
@@ -1051,7 +890,7 @@ mod tests {
         let wrong_fits = |margin: f64| {
             (0..20u64)
                 .filter(|&seed| {
-                    let fit = fit_rows(&rows, 9, 15, seed, 1, margin).unwrap();
+                    let fit = fit_rows(&rows, 9, 15, seed, margin).unwrap();
                     (data.iter().zip(&fit.assignment)).any(|(v, &a)| fit.model.assign(v) != a)
                 })
                 .count()

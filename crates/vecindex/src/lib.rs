@@ -74,10 +74,7 @@ pub mod kmeans;
 
 pub use flat::FlatIndex;
 pub use ivf::{BuildStats, IvfConfig, IvfIndex};
-pub use kmeans::{
-    KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_best_of_threaded, kmeans_fit_rows,
-    kmeans_threaded,
-};
+pub use kmeans::{KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_fit_rows};
 
 use ic_embed::Embedding;
 

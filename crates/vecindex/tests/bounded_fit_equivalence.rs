@@ -2,11 +2,11 @@
 //!
 //! `kmeans_fit_rows` prunes its assignment passes with distance bounds
 //! and seeds with a lane scan of the transposed points; the contract is
-//! that none of it shows. The oracle here is the algorithm stated plainly — k-means++
-//! on scalar `sq_dist_slices`, then Lloyd with a full scalar scan per
-//! point per pass and a strict `<` in index order — and the fit must
-//! agree with it on every centroid bit, every assignment and the
-//! inertia bits, at every thread count.
+//! that none of it shows. The oracle here is the algorithm stated
+//! plainly — k-means++ on scalar `sq_dist_slices`, then Lloyd with a
+//! full scalar scan per point per pass and a strict `<` in index order —
+//! and the fit must agree with it on every centroid bit, every
+//! assignment and the inertia bits.
 //!
 //! The adversarial cases are the ones a sloppy bound gets wrong: exact
 //! ties (identical points, points duplicating a centroid, lattice points
@@ -114,8 +114,8 @@ fn oracle(rows: &[&[f32]], k: usize, max_iters: usize, seed: u64) -> Fit {
     }
 }
 
-fn fitted(rows: &[&[f32]], k: usize, max_iters: usize, seed: u64, threads: usize) -> Fit {
-    let fit = kmeans_fit_rows(rows, k, max_iters, seed, threads).expect("non-empty data");
+fn fitted(rows: &[&[f32]], k: usize, max_iters: usize, seed: u64) -> Fit {
+    let fit = kmeans_fit_rows(rows, k, max_iters, seed).expect("non-empty data");
     assert!(fit.group_scans <= fit.group_scans_full);
     assert!(fit.exact_resolves <= fit.certified_scans);
     Fit {
@@ -130,26 +130,16 @@ fn fitted(rows: &[&[f32]], k: usize, max_iters: usize, seed: u64, threads: usize
     }
 }
 
-/// The fit agrees with the oracle at one thread and at `threads`.
-fn assert_matches_oracle(
-    data: &[Embedding],
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-    threads: usize,
-) {
+/// The fit agrees with the oracle.
+fn assert_matches_oracle(data: &[Embedding], k: usize, max_iters: usize, seed: u64) {
     let rows: Vec<&[f32]> = data.iter().map(Embedding::as_slice).collect();
-    let want = oracle(&rows, k, max_iters, seed);
-    for t in [1, threads] {
-        let got = fitted(&rows, k, max_iters, seed, t);
-        assert_eq!(
-            got,
-            want,
-            "n={} dim={} k={k} iters={max_iters} seed={seed} threads={t}",
-            rows.len(),
-            rows[0].len(),
-        );
-    }
+    assert_eq!(
+        fitted(&rows, k, max_iters, seed),
+        oracle(&rows, k, max_iters, seed),
+        "n={} dim={} k={k} iters={max_iters} seed={seed}",
+        rows.len(),
+        rows[0].len(),
+    );
 }
 
 /// Topic-clustered (`clustered`) or unstructured Gaussian points.
@@ -192,14 +182,13 @@ proptest! {
         iters in 0usize..ITERS.len(),
         clustered in 0usize..2,
         seed in 0u64..1_000,
-        threads in 1usize..9,
     ) {
         let n = SIZES[size];
         // Small banks take every k from 1 to past n; the large ones a
         // spread that keeps the oracle's n * k * dim * passes affordable.
         let k = if n <= 65 { 1 + k_pick % (n + 3) } else { LARGE_K[k_pick % LARGE_K.len()] };
         let data = bank(n, DIMS[dim], clustered == 1, seed);
-        assert_matches_oracle(&data, k, ITERS[iters], seed, threads);
+        assert_matches_oracle(&data, k, ITERS[iters], seed);
     }
 
     /// Small integer coordinates: every distance is exact, so points
@@ -211,20 +200,19 @@ proptest! {
         k in 1usize..40,
         iters in 0usize..ITERS.len(),
         seed in 0u64..1_000,
-        threads in 1usize..9,
     ) {
         let data: Vec<Embedding> = raw
             .iter()
             .map(|r| Embedding::from_vec(r.iter().map(|&v| v as f32).collect()))
             .collect();
-        assert_matches_oracle(&data, k, ITERS[iters], seed, threads);
+        assert_matches_oracle(&data, k, ITERS[iters], seed);
     }
 }
 
 #[test]
 fn more_clusters_than_points_on_a_large_bank() {
     let data = bank(500, 9, true, 3);
-    assert_matches_oracle(&data, 503, 2, 3, 4);
+    assert_matches_oracle(&data, 503, 2, 3);
 }
 
 #[test]
@@ -233,8 +221,8 @@ fn identical_points_and_zero_vectors() {
         let same = vec![Embedding::from_vec(vec![1.5; dim]); 70];
         let zeros = vec![Embedding::from_vec(vec![0.0; dim]); 70];
         for k in [1usize, 3, 9, 20] {
-            assert_matches_oracle(&same, k, 15, 5, 3);
-            assert_matches_oracle(&zeros, k, 15, 5, 3);
+            assert_matches_oracle(&same, k, 15, 5);
+            assert_matches_oracle(&zeros, k, 15, 5);
         }
     }
 }
@@ -250,7 +238,7 @@ fn a_line_of_points_equidistant_between_centroids() {
             .collect();
         for k in [2usize, 9, 17, 40] {
             for seed in 0..6 {
-                assert_matches_oracle(&data, k, 15, seed, 2);
+                assert_matches_oracle(&data, k, 15, seed);
             }
         }
     }
@@ -260,7 +248,7 @@ fn a_line_of_points_equidistant_between_centroids() {
 fn pruning_actually_prunes_on_clustered_data() {
     let data = bank(3_000, 64, true, 9);
     let rows: Vec<&[f32]> = data.iter().map(Embedding::as_slice).collect();
-    let fit = kmeans_fit_rows(&rows, 54, 15, 9, 1).unwrap();
+    let fit = kmeans_fit_rows(&rows, 54, 15, 9).unwrap();
     assert!(fit.passes >= 2);
     assert!(
         fit.group_scans * 2 < fit.group_scans_full,
@@ -270,10 +258,10 @@ fn pruning_actually_prunes_on_clustered_data() {
     );
 }
 
-/// The fit's certified point scans and exact resolves at one thread.
+/// The fit's certified point scans and exact resolves.
 fn certified_counts(data: &[Embedding], k: usize, seed: u64) -> (u64, u64) {
     let rows: Vec<&[f32]> = data.iter().map(Embedding::as_slice).collect();
-    let fit = kmeans_fit_rows(&rows, k, 15, seed, 1).unwrap();
+    let fit = kmeans_fit_rows(&rows, k, 15, seed).unwrap();
     (fit.certified_scans, fit.exact_resolves)
 }
 
@@ -303,7 +291,7 @@ fn near_duplicate_centroids_resolve_exactly() {
             pairs.push(e.clone());
             pairs.push(Embedding::from_vec(twin));
         }
-        assert_matches_oracle(&pairs, pairs.len(), 15, 3, 5);
+        assert_matches_oracle(&pairs, pairs.len(), 15, 3);
         let (scans, resolves) = certified_counts(&pairs, pairs.len(), 3);
         assert!(
             resolves * 2 > scans,
@@ -320,7 +308,7 @@ fn near_duplicate_centroids_resolve_exactly() {
                 }),
         );
         for k in [33usize, 80] {
-            assert_matches_oracle(&noisy, k, 15, 4, 8);
+            assert_matches_oracle(&noisy, k, 15, 4);
         }
     }
 }
@@ -335,7 +323,7 @@ fn magnitudes_from_subnormal_products_to_past_f32() {
         for scale in [1e-20f32, 1e-10, 1.0, 1e5, 1e15, 1e20] {
             let data = scaled(&data, scale);
             for k in [33usize, 45] {
-                assert_matches_oracle(&data, k, 15, 6, 3);
+                assert_matches_oracle(&data, k, 15, 6);
             }
             let (scans, resolves) = certified_counts(&data, 45, 6);
             assert!(
@@ -365,10 +353,10 @@ fn zero_rows_among_the_points_and_as_all_of_them() {
             data[i] = Embedding::from_vec(vec![0.0; dim]);
         }
         for k in [25usize, 33, 71] {
-            assert_matches_oracle(&data, k, 15, 7, 4);
+            assert_matches_oracle(&data, k, 15, 7);
         }
         let zeros = vec![Embedding::from_vec(vec![0.0; dim]); 90];
-        assert_matches_oracle(&zeros, 40, 15, 7, 2);
+        assert_matches_oracle(&zeros, 40, 15, 7);
     }
 }
 
@@ -377,9 +365,7 @@ fn dims_and_ks_off_every_multiple_of_8_and_64() {
     for dim in [7usize, 9, 63, 65, 70] {
         let data = bank(900, dim, true, 25);
         for k in [25usize, 31, 45, 71, 129] {
-            for threads in [1usize, 3, 8] {
-                assert_matches_oracle(&data, k, 15, 8, threads);
-            }
+            assert_matches_oracle(&data, k, 15, 8);
         }
     }
 }

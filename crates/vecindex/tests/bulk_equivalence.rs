@@ -1,15 +1,10 @@
-//! Property tests: every `IC_SETUP_THREADS` parallel build path —
-//! slab-row embedding (norm caching), k-means fitting, and the IVF
-//! bulk insert — is *bit-identical* to the sequential path at any
-//! thread count, including thread counts exceeding the row count.
-//!
-//! These pin the tentpole contract of the parallel setup pipeline: the
-//! partition is deterministic, per-row work is pure, and every
-//! order-sensitive reduction stays sequential — so the only thing
-//! threads may change is wall-clock time, never a byte of the index.
+//! Property tests: the bulk build paths — the slab's `insert_bulk` and
+//! the IVF index's `insert_bulk` — leave exactly the state one-by-one
+//! inserts leave, bit for bit, under ties and across the IVF index's
+//! brute-force boundary and lazy retrain cascade.
 
 use ic_embed::{Embedding, EmbeddingSlab};
-use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex, kmeans, kmeans_threaded};
+use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex};
 use proptest::prelude::*;
 
 /// Components from a tiny discrete set so duplicate rows (assignment
@@ -22,56 +17,34 @@ fn embedding(raw: &[i32]) -> Embedding {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Parallel slab building: same slots, same row bytes, same norm
-    /// bits as one-by-one inserts.
+    /// Bulk slab building: same slots, same row bytes, same norm bits
+    /// as one-by-one inserts.
     #[test]
     fn slab_bulk_insert_matches_sequential(
         rows in proptest::collection::vec(proptest::collection::vec(-2i32..3, 5), 1..80),
-        threads in 1usize..12,
     ) {
         let embs: Vec<Embedding> = rows.iter().map(|r| embedding(r)).collect();
         let slices: Vec<&[f32]> = embs.iter().map(|e| e.as_slice()).collect();
         let mut seq = EmbeddingSlab::new();
         let seq_slots: Vec<u32> = slices.iter().map(|r| seq.insert(r)).collect();
-        let mut par = EmbeddingSlab::new();
-        let par_slots = par.insert_bulk(&slices, threads);
-        prop_assert_eq!(seq_slots, par_slots);
+        let mut bulk = EmbeddingSlab::new();
+        let bulk_slots = bulk.insert_bulk(&slices, 1);
+        prop_assert_eq!(seq_slots, bulk_slots);
         for (i, _) in slices.iter().enumerate() {
             let slot = i as u32;
-            prop_assert_eq!(par.row(slot), seq.row(slot));
-            prop_assert_eq!(par.norm(slot).to_bits(), seq.norm(slot).to_bits());
+            prop_assert_eq!(bulk.row(slot), seq.row(slot));
+            prop_assert_eq!(bulk.norm(slot).to_bits(), seq.norm(slot).to_bits());
         }
     }
 
-    /// Parallel k-means: centroids identical to the sequential fit, bit
-    /// for bit, at any thread count (including threads > points).
-    #[test]
-    fn threaded_kmeans_matches_sequential(
-        rows in proptest::collection::vec(proptest::collection::vec(-2i32..3, 4), 1..60),
-        k in 1usize..10,
-        iters in 0usize..12,
-        seed in 0u64..50,
-        threads in 2usize..200,
-    ) {
-        let data: Vec<Embedding> = rows.iter().map(|r| embedding(r)).collect();
-        let seq = kmeans(&data, k, iters, seed).unwrap();
-        let par = kmeans_threaded(&data, k, iters, seed, threads).unwrap();
-        prop_assert_eq!(seq.k(), par.k());
-        for (cs, cp) in seq.centroids().iter().zip(par.centroids()) {
-            prop_assert_eq!(cs.as_slice(), cp.as_slice());
-        }
-    }
-
-    /// Parallel IVF bulk build: search results (ids, similarity bits,
-    /// order) and structure statistics identical to the sequential
-    /// per-item build, across the brute-force boundary and the lazy
-    /// retrain cascade.
+    /// IVF bulk build: search results (ids, similarity bits, order) and
+    /// structure statistics identical to the per-item build, across the
+    /// brute-force boundary and the lazy retrain cascade.
     #[test]
     fn ivf_bulk_build_matches_sequential(
         rows in proptest::collection::vec(proptest::collection::vec(-2i32..3, 5), 1..200),
         queries in proptest::collection::vec(proptest::collection::vec(-2i32..3, 5), 1..8),
         brute_below in 1usize..40,
-        threads in 2usize..64,
     ) {
         let items: Vec<(u64, Embedding)> = rows
             .iter()
@@ -86,10 +59,7 @@ proptest! {
         for (id, e) in &items {
             seq.insert(*id, e.clone());
         }
-        let mut bulk = IvfIndex::new(IvfConfig {
-            setup_threads: threads,
-            ..config
-        });
+        let mut bulk = IvfIndex::new(config);
         bulk.insert_bulk(items);
         prop_assert_eq!(seq.len(), bulk.len());
         prop_assert_eq!(seq.num_clusters(), bulk.num_clusters());

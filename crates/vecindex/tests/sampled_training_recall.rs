@@ -57,10 +57,7 @@ fn sampled_training_keeps_recall_of_the_full_data_fit() {
         .map(|i| space.sample_member((i * 7) % topics, &mut rng))
         .collect();
 
-    let config = IvfConfig {
-        setup_threads: 2,
-        ..IvfConfig::default()
-    };
+    let config = IvfConfig::default();
     let mut ivf = IvfIndex::new(config.clone());
     ivf.insert_bulk(bank.clone());
     let stats = ivf.build_stats();
@@ -79,7 +76,7 @@ fn sampled_training_keeps_recall_of_the_full_data_fit() {
 
     // The full-data reference: every row trains, every row is assigned.
     let rows: Vec<&[f32]> = bank.iter().map(|(_, e)| e.as_slice()).collect();
-    let fit = kmeans_fit_rows(&rows, 128, config.train_iters, config.seed, 2).unwrap();
+    let fit = kmeans_fit_rows(&rows, 128, config.train_iters, config.seed).unwrap();
     let mut lists = vec![Vec::new(); fit.model.k()];
     for (i, &c) in fit.assignment.iter().enumerate() {
         lists[c].push(i);
