@@ -11,7 +11,7 @@ use ic_kvmem::BlockPool;
 use ic_llmsim::{Catalog, ExampleId, Generator, ModelSpec};
 use ic_manager::{KnapsackItem, dp_knapsack, greedy_knapsack};
 use ic_router::{RequestRouter, RouterConfig};
-use ic_selector::ExampleSelector;
+use ic_selector::{ExampleSelector, STAGE1_CANDIDATES};
 use ic_serving::{ClusterSim, PoolConfig};
 use ic_stats::rng::rng_from_seed;
 use ic_vecindex::{FlatIndex, IvfConfig, IvfIndex, VectorIndex, kmeans_fit_rows};
@@ -166,7 +166,7 @@ fn bench_stage1_repeat(c: &mut Criterion) {
     let mut turn = 0usize;
     g.bench_function("plain", |b| {
         let f = cell.get_or_init(fixture);
-        let k = f.selector.config().stage1_candidates;
+        let k = STAGE1_CANDIDATES;
         b.iter(|| {
             turn = (turn + 1) % f.distinct.len();
             let hits = f.selector.index().search(&f.distinct[turn].embedding, k);

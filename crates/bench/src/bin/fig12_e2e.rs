@@ -149,8 +149,14 @@ fn print_engine_summary(report: &EngineReport) {
         report.router.retry_rejects,
     );
     println!(
-        "selector: {} stage-1 lookups, one per arrival past stage 0 (same-tick cap {})",
-        report.selector.requests, report.selector.batch_limit,
+        "selector: {} stage-1 lookups, one per arrival past stage 0 (same-tick cap {}); \
+         {} selections with >= 1 example ({:.1}% of {} served), {} examples selected",
+        report.selector.requests,
+        report.selector.batch_limit,
+        report.cache.selection_hits,
+        report.selection_hit_rate() * 100.0,
+        report.served,
+        report.cache.examples_used,
     );
     println!(
         "paged KV memory: peak occupancy {:.1}% (mean {:.1}%), \

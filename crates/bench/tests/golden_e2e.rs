@@ -16,10 +16,11 @@
 //! IC_BLESS=1 cargo test -q -p ic-bench --test golden_e2e
 //! ```
 //!
-//! and commit the updated `tests/golden/BENCH_e2e.quick.json`. The
-//! runs here are hermetic (each takes its knobs as a value; nothing reads
-//! the environment but the `IC_BLESS` check), so a stray `IC_*` variable
-//! cannot fail the comparison.
+//! and commit the updated `tests/golden/BENCH_e2e.quick.json`. A run
+//! whose selector serves an example to under half its requests fails
+//! before it can be blessed. The runs here are hermetic (each takes its
+//! knobs as a value; nothing reads the environment but the `IC_BLESS`
+//! check), so a stray `IC_*` variable cannot fail the comparison.
 
 use ic_bench::Scale;
 use ic_bench::env::Knobs;
@@ -47,9 +48,16 @@ fn golden() -> String {
 
 #[test]
 fn quick_e2e_report_matches_golden() {
-    let json = E2eRun::new(Scale::quick(), Dataset::MsMarco)
-        .run()
-        .to_json();
+    let report = E2eRun::new(Scale::quick(), Dataset::MsMarco).run();
+    // The byte compare below says the run drifted; this says whether the
+    // drift matters. A selector that stops serving examples must not be
+    // blessable (quick MS MARCO selects for 76 % of its requests).
+    assert!(
+        report.selection_hit_rate() >= 0.5,
+        "only {:.1}% of selections returned an example: the selector collapsed",
+        report.selection_hit_rate() * 100.0
+    );
+    let json = report.to_json();
     // Only the documented `IC_BLESS=1` blesses; any other value (or a
     // typo like `IC_BLESS=0`) still runs the check.
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {

@@ -3,10 +3,10 @@
 use ic_llmsim::{Catalog, Generator, ModelId};
 use ic_manager::ManagerConfig;
 use ic_router::RouterConfig;
-use ic_selector::SelectorConfig;
 
-/// Full IC-Cache configuration: which models serve, and the three
-/// components' knobs.
+/// Full IC-Cache configuration: which models serve, and the router's and
+/// manager's knobs (the Example Selector's settings are constants of
+/// `ic_selector`).
 #[derive(Debug)]
 pub struct IcCacheConfig {
     /// The model catalog.
@@ -18,8 +18,6 @@ pub struct IcCacheConfig {
     /// (Algorithm 1: "prepend examples to the request if offloading
     /// occurs").
     pub primary: ModelId,
-    /// Example Selector knobs.
-    pub selector: SelectorConfig,
     /// Request Router knobs.
     pub router: RouterConfig,
     /// Example Manager knobs.
@@ -52,7 +50,6 @@ impl IcCacheConfig {
             catalog,
             models: vec![small_id, large_id],
             primary: large_id,
-            selector: SelectorConfig::default(),
             router: RouterConfig::default(),
             manager: ManagerConfig::default(),
             generator: Generator::new(),

@@ -89,7 +89,7 @@ impl std::fmt::Debug for IcCacheSystem {
 impl IcCacheSystem {
     /// Builds the system from a configuration.
     pub fn new(config: IcCacheConfig) -> Self {
-        let selector = ExampleSelector::new(config.selector.clone());
+        let selector = ExampleSelector::standard();
         let router = RequestRouter::new(
             config.models.clone(),
             &config.catalog,
@@ -430,9 +430,9 @@ impl IcCacheSystem {
         fb
     }
 
-    /// Feedback path, example half: proxy labels, cache gain
-    /// bookkeeping and the threshold controller, from the feedback value
-    /// `fb` of [`Self::router_feedback`].
+    /// Feedback path, example half: the bare-quality baseline, proxy
+    /// labels and cache gain bookkeeping, from the feedback value `fb` of
+    /// [`Self::router_feedback`].
     fn example_feedback(
         &mut self,
         request: &Request,
@@ -485,16 +485,6 @@ impl IcCacheSystem {
                     );
                 }
             }
-            // Threshold controller: efficiency gain of this serving =
-            // cost saving (if offloaded and good) minus quality shortfall.
-            let gain = if chosen != self.config.primary && fb >= baseline - 0.05 {
-                1.0 - chosen_cost
-            } else {
-                0.0
-            };
-            self.selector
-                .threshold_mut()
-                .observe(selection.threshold_used, gain);
         }
     }
 

@@ -13,11 +13,14 @@
 //!    feedback) predicts each candidate's end-to-end helpfulness for this
 //!    specific request and target model.
 //!
-//! On top of the two stages, a [`DynamicThreshold`] adapts how many
-//! examples are worth prepending (§4.1 "Selecting Example Combinations"):
-//! candidates below the current utility threshold are dropped, the
-//! surviving set is de-duplicated for diversity, and examples are ordered
-//! most-helpful-last (recency-biased attention).
+//! On top of the two stages, [`ExampleSelector::select`] decides how many
+//! examples are worth prepending (§4.1 "Selecting Example Combinations")
+//! with fixed settings: candidates below [`UTILITY_CUT`] are dropped, the
+//! survivors are picked greedily up to [`MAX_EXAMPLES`], skipping any
+//! more similar than [`DIVERSITY_CEILING`] to one already picked, and the
+//! pick is ordered most-helpful-last (recency-biased attention). Stage 1
+//! hands stage 2 [`STAGE1_CANDIDATES`] candidates. The paper adapts the
+//! cut online; here it is a constant (`docs/paper-claims.md`).
 //!
 //! Selection is strictly per request, in arrival order (Algorithm 1):
 //! [`ExampleSelector::select`] draws no randomness and changes nothing
@@ -29,9 +32,10 @@
 
 mod memo;
 pub mod proxy;
-pub mod threshold;
 pub mod twostage;
 
 pub use proxy::{ProxyFeatures, ProxyModel, quality_signal};
-pub use threshold::DynamicThreshold;
-pub use twostage::{ExampleSelector, Selection, SelectorConfig};
+pub use twostage::{
+    DIVERSITY_CEILING, ExampleSelector, MAX_EXAMPLES, STAGE1_CANDIDATES, Selection, SelectorConfig,
+    UTILITY_CUT,
+};

@@ -1,14 +1,14 @@
 //! The stage-1 probe memo: a repeated query is probed once.
 //!
 //! Stage 1 is a pure function of two things — the bits of the request
-//! embedding and the contents of the index (`stage1_candidates` and the
-//! IVF configuration are fixed when the selector is built). Most
-//! requests have counterparts the system has already seen, and the
-//! degenerate counterpart is the same query arriving again; when it
-//! does and the index has not changed in between, the ≈500–900
-//! comparisons of a probe recompute bytes the selector held a moment
-//! ago. The memo keeps them: a fixed table of [`SLOTS`] direct-mapped
-//! slots, each holding
+//! embedding and the contents of the index (the width is the constant
+//! [`crate::STAGE1_CANDIDATES`], and the IVF configuration is fixed when
+//! the selector is built). Most requests have counterparts the system
+//! has already seen, and the degenerate counterpart is the same query
+//! arriving again; when it does and the index has not changed in
+//! between, the ≈500–900 comparisons of a probe recompute bytes the
+//! selector held a moment ago. The memo keeps them: a fixed table of
+//! [`SLOTS`] direct-mapped slots, each holding
 //!
 //! - **key** — the embedding's components. A cheap hash of the first
 //!   [`HASHED_PREFIX`] components' bits picks the slot; a hit counts

@@ -8,34 +8,29 @@ use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex};
 
 use crate::memo::{self, ProbeMemo};
 use crate::proxy::ProxyModel;
-use crate::threshold::DynamicThreshold;
 
-/// Tuning knobs of the Example Selector.
-#[derive(Debug, Clone)]
+/// Stage-1 candidate count (relevance pre-selection width).
+pub const STAGE1_CANDIDATES: usize = 32;
+
+/// Maximum examples prepended to one request (the paper uses 5).
+pub const MAX_EXAMPLES: usize = 5;
+
+/// Candidates more similar than this to an already-picked example are
+/// skipped (diversity, Algorithm 1's `RetrieveComb`).
+pub const DIVERSITY_CEILING: f64 = 0.97;
+
+/// The utility cut of [`ExampleSelector::select`]: candidates whose
+/// predicted helpfulness falls below it are not prepended. The paper
+/// adapts this threshold online (§4.1); here it is one fixed value
+/// (`docs/paper-claims.md`).
+pub const UTILITY_CUT: f64 = 0.1;
+
+/// Configuration of the Example Selector: its stage-1 index. The
+/// selection policy itself is the constants above.
+#[derive(Debug, Clone, Default)]
 pub struct SelectorConfig {
-    /// Stage-1 candidate count (relevance pre-selection width).
-    pub stage1_candidates: usize,
-    /// Maximum examples prepended to one request (the paper uses 5).
-    pub max_examples: usize,
-    /// Candidates more similar than this to an already-picked example are
-    /// skipped (diversity, Algorithm 1's `RetrieveComb`).
-    pub diversity_ceiling: f64,
-    /// Order the final set most-helpful-last (recency-biased attention).
-    pub best_last: bool,
     /// IVF index configuration.
     pub ivf: IvfConfig,
-}
-
-impl Default for SelectorConfig {
-    fn default() -> Self {
-        Self {
-            stage1_candidates: 32,
-            max_examples: 5,
-            diversity_ceiling: 0.97,
-            best_last: true,
-            ivf: IvfConfig::default(),
-        }
-    }
 }
 
 /// The outcome of one selection.
@@ -79,7 +74,6 @@ impl Selection {
 /// reached through [`ExampleStore`].
 #[derive(Debug)]
 pub struct ExampleSelector {
-    config: SelectorConfig,
     index: IvfIndex,
     /// Recent stage-1 results, stamped with the index generation they
     /// were probed under (see the `memo` module). Behind a `RefCell`
@@ -87,30 +81,21 @@ pub struct ExampleSelector {
     /// after [`Self::disable_probe_memo`].
     memo: Option<RefCell<ProbeMemo>>,
     proxy: ProxyModel,
-    threshold: DynamicThreshold,
 }
 
 impl ExampleSelector {
     /// Creates a selector with an untrained proxy.
     pub fn new(config: SelectorConfig) -> Self {
-        let ivf = config.ivf.clone();
         Self {
-            config,
-            index: IvfIndex::new(ivf),
+            index: IvfIndex::new(config.ivf),
             memo: Some(RefCell::new(ProbeMemo::new())),
             proxy: ProxyModel::standard(),
-            threshold: DynamicThreshold::standard(),
         }
     }
 
     /// Default-configured selector.
     pub fn standard() -> Self {
         Self::new(SelectorConfig::default())
-    }
-
-    /// The selector configuration.
-    pub fn config(&self) -> &SelectorConfig {
-        &self.config
     }
 
     /// Mutable access to the proxy (the offline trainer in `ic-cache`
@@ -127,16 +112,6 @@ impl ExampleSelector {
     /// Read access to the stage-1 index (its structure and build counts).
     pub fn index(&self) -> &IvfIndex {
         &self.index
-    }
-
-    /// Mutable access to the threshold controller.
-    pub fn threshold_mut(&mut self) -> &mut DynamicThreshold {
-        &mut self.threshold
-    }
-
-    /// Read access to the threshold controller.
-    pub fn threshold(&self) -> &DynamicThreshold {
-        &self.threshold
     }
 
     /// Indexes a new example (called by the Example Manager on admission).
@@ -173,7 +148,7 @@ impl ExampleSelector {
     pub fn stage1(&self, request: &Request) -> Vec<(ExampleId, f64)> {
         let probe = || {
             self.index
-                .search(&request.embedding, self.config.stage1_candidates)
+                .search(&request.embedding, STAGE1_CANDIDATES)
                 .into_iter()
                 .map(|h| (ExampleId(h.id), h.similarity))
                 .collect()
@@ -206,18 +181,18 @@ impl ExampleSelector {
         self.memo = None;
     }
 
-    /// Full two-stage selection with the globally-adapted threshold.
+    /// Full two-stage selection at [`UTILITY_CUT`].
     pub fn select<S: ExampleStore>(
         &self,
         request: &Request,
         store: &S,
         target: &ModelSpec,
     ) -> Selection {
-        self.select_with_threshold(request, store, target, self.threshold.current())
+        self.select_with_threshold(request, store, target, UTILITY_CUT)
     }
 
-    /// Two-stage selection under an explicit utility threshold (used by
-    /// probe traffic and the threshold-sweep experiments).
+    /// Two-stage selection under an explicit utility threshold in place
+    /// of [`UTILITY_CUT`] (the experiments select at 0.0).
     pub fn select_with_threshold<S: ExampleStore>(
         &self,
         request: &Request,
@@ -228,7 +203,7 @@ impl ExampleSelector {
         self.select_from_stage1(request, self.stage1(request), store, target, threshold)
     }
 
-    /// Stage 2 alone under the current threshold: two-stage selection
+    /// Stage 2 alone at [`UTILITY_CUT`]: two-stage selection
     /// with the stage-1 `candidates` supplied by the caller (what
     /// [`ExampleSelector::stage1`] returned). Times and differentially
     /// tests stage 2 apart from the probe (`tests/stage2_oracle.rs`).
@@ -239,7 +214,7 @@ impl ExampleSelector {
         store: &S,
         target: &ModelSpec,
     ) -> Selection {
-        self.select_from_stage1(request, candidates, store, target, self.threshold.current())
+        self.select_from_stage1(request, candidates, store, target, UTILITY_CUT)
     }
 
     /// Stage 2 + threshold + diversity over the given stage-1
@@ -279,7 +254,7 @@ impl ExampleSelector {
         // reduced once, when its candidate comes up, not once per pair.
         let mut picked: Vec<(ExampleId, f64, &Embedding, f64)> = Vec::new();
         for &(id, util, ex) in &scored {
-            if picked.len() >= self.config.max_examples {
+            if picked.len() >= MAX_EXAMPLES {
                 break;
             }
             if util < threshold {
@@ -287,7 +262,7 @@ impl ExampleSelector {
             }
             let norm = ex.embedding.norm();
             let redundant = picked.iter().any(|&(_, _, p, p_norm)| {
-                cosine_from_dot(p.dot(&ex.embedding), p_norm, norm) > self.config.diversity_ceiling
+                cosine_from_dot(p.dot(&ex.embedding), p_norm, norm) > DIVERSITY_CEILING
             });
             if !redundant {
                 picked.push((id, util, &ex.embedding, norm));
@@ -295,9 +270,7 @@ impl ExampleSelector {
         }
 
         // Prompt order: most helpful last, so it sits closest to the query.
-        if self.config.best_last {
-            picked.reverse();
-        }
+        picked.reverse();
         Selection {
             ids: picked.iter().map(|&(id, ..)| id).collect(),
             predicted_utility: picked.iter().map(|&(_, u, ..)| u).collect(),
@@ -373,7 +346,7 @@ mod tests {
             let sel = f
                 .selector
                 .select_with_threshold(r, &f.store, &f.small, 0.05);
-            assert!(sel.ids.len() <= f.selector.config().max_examples);
+            assert!(sel.ids.len() <= MAX_EXAMPLES);
             for &u in &sel.predicted_utility {
                 assert!(u >= 0.05 - 1e-9, "picked below threshold: {u}");
             }

@@ -46,7 +46,7 @@ use std::collections::HashSet;
 
 use ic_embed::Embedding;
 use ic_llmsim::{ExampleId, Request};
-use ic_selector::{ExampleSelector, SelectorConfig};
+use ic_selector::{ExampleSelector, STAGE1_CANDIDATES, SelectorConfig};
 use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex};
 use ic_workloads::{Dataset, WorkloadGenerator};
 use proptest::prelude::*;
@@ -101,10 +101,7 @@ struct Pair {
 
 impl Pair {
     fn new(ivf: IvfConfig, rows: Vec<(u64, Embedding)>) -> Self {
-        let mut selector = ExampleSelector::new(SelectorConfig {
-            ivf: ivf.clone(),
-            ..SelectorConfig::default()
-        });
+        let mut selector = ExampleSelector::new(SelectorConfig { ivf: ivf.clone() });
         let mut twin = IvfIndex::new(ivf);
         selector.index_examples(
             rows.iter()
@@ -138,9 +135,7 @@ impl Pair {
         };
         let (lookups, hits) = self.selector.probe_memo_counts();
         let got = self.selector.stage1(&request);
-        let want = self
-            .twin
-            .search(q, self.selector.config().stage1_candidates);
+        let want = self.twin.search(q, STAGE1_CANDIDATES);
         let flat = |id: u64, sim: f64| (id, sim.to_bits());
         assert_eq!(
             got.iter()

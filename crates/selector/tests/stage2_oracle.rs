@@ -13,15 +13,16 @@
 //! whose quality signal saturates at 1.0 tie on every feature, so only
 //! the id orders them — the case an unstable sort must still get
 //! right), zero-norm embeddings that reach the pick (the cosine guard),
-//! candidates whose id is not in the store, and thresholds of 0.1 and
-//! 0.0.
+//! candidates whose id is not in the store, all at `UTILITY_CUT`; and
+//! threshold 0.0 through `select_with_threshold` over stage 1's own
+//! candidates.
 
 use std::collections::HashMap;
 
 use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, Generator, ModelId, ModelSpec, Request, signal_noise};
 use ic_selector::proxy::FEATURE_DIM;
-use ic_selector::{ExampleSelector, quality_signal};
+use ic_selector::{DIVERSITY_CEILING, ExampleSelector, MAX_EXAMPLES, UTILITY_CUT, quality_signal};
 use ic_stats::dist::Normal;
 use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator};
@@ -63,15 +64,16 @@ fn oracle_features(
     ]
 }
 
-/// `select_from_stage1` as it was: `(ids, utilities)` in prompt order.
+/// `select_from_stage1` as it was, under `threshold`: `(ids, utilities)`
+/// in prompt order.
 fn oracle_select(
     selector: &ExampleSelector,
     request: &Request,
     candidates: &[(ExampleId, f64)],
     store: &HashMap<ExampleId, Example>,
     target: &ModelSpec,
+    threshold: f64,
 ) -> (Vec<ExampleId>, Vec<f64>) {
-    let threshold = selector.threshold().current();
     let mut scored: Vec<(ExampleId, f64, &Example)> = candidates
         .iter()
         .filter_map(|&(id, sim)| store.get(&id).map(|ex| (id, sim, ex)))
@@ -87,23 +89,26 @@ fn oracle_select(
     });
     let mut picked: Vec<(ExampleId, f64, &Example)> = Vec::new();
     for &(id, util, ex) in &scored {
-        if picked.len() >= selector.config().max_examples || util < threshold {
+        if picked.len() >= MAX_EXAMPLES || util < threshold {
             break;
         }
-        let redundant = picked.iter().any(|&(_, _, p)| {
-            p.embedding.cosine(&ex.embedding) > selector.config().diversity_ceiling
-        });
+        let redundant = picked
+            .iter()
+            .any(|&(_, _, p)| p.embedding.cosine(&ex.embedding) > DIVERSITY_CEILING);
         if !redundant {
             picked.push((id, util, ex));
         }
     }
-    if selector.config().best_last {
-        picked.reverse();
-    }
+    picked.reverse();
     (
         picked.iter().map(|&(id, ..)| id).collect(),
         picked.iter().map(|&(_, u, _)| u).collect(),
     )
+}
+
+/// Utilities as bits, so a comparison is exact.
+fn utility_bits(utilities: &[f64]) -> Vec<u64> {
+    utilities.iter().map(|u| u.to_bits()).collect()
 }
 
 /// `donor` under a fresh id (the carried noise follows the id).
@@ -170,19 +175,12 @@ proptest! {
         for id in &ids {
             selector.index_example(*id, store[id].embedding.clone());
         }
-        // Optionally move the proxy off its prior and the threshold to
-        // the bottom of its grid.
+        // Optionally move the proxy off its prior.
         for (i, r) in wg.generate_requests(train).iter().enumerate() {
             if let Some(&(id, sim)) = selector.stage1(r).first() {
                 let f = ic_selector::ProxyFeatures::extract(r, &store[&id], &small).as_array();
                 selector.proxy_mut().update(&f, (sim * (i % 3) as f64 / 3.0).clamp(0.0, 1.0));
             }
-        }
-        if zero_threshold == 1 {
-            for _ in 0..200 {
-                selector.threshold_mut().observe(0.0, 1.0);
-            }
-            prop_assert_eq!(selector.threshold().current(), 0.0);
         }
 
         // One request per donor topic (its duplicates are its nearest
@@ -210,14 +208,22 @@ proptest! {
             candidates.push((ExampleId(u64::MAX), 0.99));
 
             let got = selector.select_with_stage1(request, candidates.clone(), &store, &small);
-            let (want_ids, want_utils) = oracle_select(&selector, request, &candidates, &store, &small);
-            prop_assert_eq!(&got.ids, &want_ids);
-            prop_assert_eq!(
-                got.predicted_utility.iter().map(|u| u.to_bits()).collect::<Vec<_>>(),
-                want_utils.iter().map(|u| u.to_bits()).collect::<Vec<_>>()
-            );
+            let want = oracle_select(&selector, request, &candidates, &store, &small, UTILITY_CUT);
+            prop_assert_eq!(&got.ids, &want.0);
+            prop_assert_eq!(utility_bits(&got.predicted_utility), utility_bits(&want.1));
             prop_assert_eq!(got.stage1_count, candidates.len());
-            prop_assert_eq!(got.threshold_used.to_bits(), selector.threshold().current().to_bits());
+            prop_assert_eq!(got.threshold_used.to_bits(), UTILITY_CUT.to_bits());
+
+            // Threshold 0.0, through the whole pipeline.
+            if zero_threshold == 1 {
+                let got = selector.select_with_threshold(request, &store, &small, 0.0);
+                let probed = selector.stage1(request);
+                let want = oracle_select(&selector, request, &probed, &store, &small, 0.0);
+                prop_assert_eq!(&got.ids, &want.0);
+                prop_assert_eq!(utility_bits(&got.predicted_utility), utility_bits(&want.1));
+                prop_assert_eq!(got.stage1_count, probed.len());
+                prop_assert_eq!(got.threshold_used.to_bits(), 0.0f64.to_bits());
+            }
         }
     }
 }
@@ -258,7 +264,14 @@ fn the_generated_banks_hit_duplicates_ties_and_zero_norms() {
     candidates.sort_unstable_by_key(|&(id, _)| std::cmp::Reverse(id));
     candidates.push((zero.id, 0.9));
     let got = selector.select_with_stage1(&request, candidates.clone(), &store, &small);
-    let (want_ids, _) = oracle_select(&selector, &request, &candidates, &store, &small);
+    let (want_ids, _) = oracle_select(
+        &selector,
+        &request,
+        &candidates,
+        &store,
+        &small,
+        UTILITY_CUT,
+    );
     assert_eq!(got.ids, want_ids);
     // One of the twelve duplicates survives (the smallest saturated id:
     // ties break by id), and the zero-norm entry — cosine 0 to it — is
