@@ -88,10 +88,6 @@ pub const KNOBS: &[Knob] = &[
         set: |k, v| v.parse().ok().map(|n| k.engine.resp_prepop_min = n) },
     Knob { name: "IC_RESP_WINDOW", accepts: "finite number > 0",
         set: |k, v| number(v, |x| x > 0.0).map(|x| k.engine.resp_window_s = x) },
-    Knob { name: "IC_ROUTER_REPLICAS", accepts: "integer ≥ 1",
-        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.router_replicas = n) },
-    Knob { name: "IC_GOSSIP_PERIOD", accepts: "finite number ≥ 0",
-        set: |k, v| number(v, |x| x >= 0.0).map(|x| k.engine.gossip_period_s = x) },
     Knob { name: "IC_POOL_OUTAGE",
         accepts: "`pool:at:duration[;...]`, a pool the cluster has, finite at ≥ 0, \
                   finite duration > 0",

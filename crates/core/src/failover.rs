@@ -30,7 +30,7 @@ impl ComponentHealth {
 
 /// Tracks the selector's and router's health, plus the health of the
 /// model pools behind them (a pool failover drains the pool's work back
-/// through the router tier and keeps new routing decisions off the
+/// through the router and keeps new routing decisions off the
 /// model until it recovers).
 #[derive(Debug, Clone)]
 pub struct FailoverState {

@@ -30,14 +30,12 @@
 pub mod client;
 pub mod config;
 pub mod failover;
-pub mod frontend;
 pub mod prompt;
 pub mod system;
 
 pub use client::{IcCacheClient, Response};
 pub use config::IcCacheConfig;
 pub use failover::{ComponentHealth, FailoverState};
-pub use frontend::{FrontEnd, FrontEndStats};
 pub use prompt::{autorater_prompt, render_prompt};
 pub use system::{IcCacheSystem, MaintenanceReport, ServeOutcome};
 // Selection appears in the serving API (`ServeOutcome::selection`,

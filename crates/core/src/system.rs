@@ -14,7 +14,6 @@ use std::collections::HashMap;
 
 use crate::config::IcCacheConfig;
 use crate::failover::FailoverState;
-use crate::frontend::FrontEnd;
 
 /// The outcome of serving one request.
 #[derive(Debug)]
@@ -47,15 +46,26 @@ pub struct MaintenanceReport {
     pub evicted: usize,
 }
 
+/// Smoothing of the completion-latency EMA until the first
+/// [`IcCacheSystem::begin_run`] (the engine's `latency_ema_alpha`
+/// default).
+const DEFAULT_LATENCY_ALPHA: f64 = 0.2;
+
 /// The IC-Cache serving system (single-process reference implementation;
 /// the paper's deployment shards these components across gRPC services,
 /// §5).
 pub struct IcCacheSystem {
     config: IcCacheConfig,
     selector: ExampleSelector,
-    /// The (possibly replicated) router tier; replica 0 is the primary
-    /// the single-router accessors expose.
-    frontend: FrontEnd,
+    /// The Request Router: one logical router owns every request.
+    router: RequestRouter,
+    /// EMA of observed end-to-end completion latency; with the work in
+    /// flight it turns into the router's Little's-law demand estimate
+    /// ([`IcCacheSystem::observe_completion`]).
+    latency_ema: Ema,
+    /// Routing decisions of fresh servings since the last
+    /// [`IcCacheSystem::begin_run`] (failover retries are not counted).
+    run_decisions: u64,
     manager: ExampleManager,
     failover: FailoverState,
     /// EMA of feedback quality for *bare* (unaugmented) servings per
@@ -106,7 +116,9 @@ impl IcCacheSystem {
         let offload_target = (config.offload_models().first().copied()).unwrap_or(config.primary);
         Self {
             selector,
-            frontend: FrontEnd::new(router),
+            router,
+            latency_ema: Ema::new(DEFAULT_LATENCY_ALPHA),
+            run_decisions: 0,
             manager,
             failover: FailoverState::default(),
             bare_quality: HashMap::new(),
@@ -166,37 +178,42 @@ impl IcCacheSystem {
         self.selector.disable_probe_memo();
     }
 
-    /// Read access to the primary router (replica 0 of the front end).
+    /// Read access to the router.
     pub fn router(&self) -> &RequestRouter {
-        self.frontend.router(0)
+        &self.router
     }
 
-    /// Read access to the replicated router tier.
-    pub fn front_end(&self) -> &FrontEnd {
-        &self.frontend
-    }
-
-    /// Mutable access to the router tier (the engine feeds per-replica
-    /// load observations and reshapes the tier between runs).
-    pub fn front_end_mut(&mut self) -> &mut FrontEnd {
-        &mut self.frontend
-    }
-
-    /// Feeds a serving-load observation (requests/second) to every
-    /// router replica — the single-view path used by warm-up loops and
-    /// experiments outside the event-driven engine. The engine itself
-    /// feeds per-replica observations through
-    /// [`FrontEnd::observe_arrival_load`] /
-    /// [`FrontEnd::observe_completion`].
+    /// Feeds a serving-load observation (requests/second) to the
+    /// router: the engine's windowed arrival rate, or a warm-up loop's
+    /// fixed load.
     pub fn observe_load(&mut self, rps: f64) {
-        self.frontend.observe_load_all(rps);
+        self.router.observe_load(rps);
     }
 
-    /// One gossip round of the router tier at simulation time `now`
-    /// (no-op with a single replica), returning the round's
-    /// merge/staleness delta. See [`crate::frontend`].
-    pub fn run_gossip(&mut self, now: f64) -> ic_router::GossipRoundReport {
-        self.frontend.gossip_round(now)
+    /// Feeds one completion into the latency EMA and converts it into a
+    /// Little's-law demand estimate for the router (`lambda = L / W`,
+    /// with `in_system` jobs in flight across the cluster).
+    pub fn observe_completion(&mut self, e2e_s: f64, in_system: u32) {
+        self.latency_ema.observe(e2e_s);
+        let w = self.latency_ema.value();
+        if w > 0.0 {
+            self.router.observe_load(f64::from(in_system) / w);
+        }
+    }
+
+    /// Starts a run: re-arms the completion-latency EMA with
+    /// `latency_alpha` and zeroes the run's decision count, keeping the
+    /// router's learned posterior and load view.
+    pub fn begin_run(&mut self, latency_alpha: f64) {
+        self.latency_ema = Ema::new(latency_alpha);
+        self.run_decisions = 0;
+    }
+
+    /// Routing decisions of fresh servings since the last
+    /// [`IcCacheSystem::begin_run`]; a failover retry's decision is not
+    /// counted, so one logical request counts once.
+    pub fn run_decisions(&self) -> u64 {
+        self.run_decisions
     }
 
     /// Runs the selection step only (no routing, no generation, no
@@ -218,25 +235,16 @@ impl IcCacheSystem {
             .collect()
     }
 
-    /// Replaces the router configuration (rebuilding every replica's
-    /// bandit from a fresh prior) — used by the Fig. 13
-    /// offload-aggressiveness sweep. Call before warm-up: learned state
-    /// is discarded; the replica count and gossip tuning of the tier
-    /// are preserved.
+    /// Replaces the router configuration (rebuilding the bandit from a
+    /// fresh prior) — used by the Fig. 13 offload-aggressiveness sweep.
+    /// Call before warm-up: learned state is discarded.
     pub fn set_router_config(&mut self, cfg: ic_router::RouterConfig) {
-        let replicas = self.frontend.num_replicas();
-        let gossip = self.frontend.gossip_config();
-        let mut frontend = FrontEnd::new(RequestRouter::new(
+        self.router = RequestRouter::new(
             self.config.models.clone(),
             &self.config.catalog,
             64,
             cfg.clone(),
-        ));
-        frontend.set_gossip_config(gossip);
-        if replicas > 1 {
-            frontend.reconfigure(replicas, crate::frontend::DEFAULT_LATENCY_ALPHA);
-        }
-        self.frontend = frontend;
+        );
         self.config.router = cfg;
     }
 
@@ -266,14 +274,15 @@ impl IcCacheSystem {
     }
 
     /// [`IcCacheSystem::serve`] for a failover *retry* of a request that
-    /// already went through the tier once. The retry recomputes a fresh
+    /// already went through the router once. The retry recomputes a fresh
     /// selection and routing decision (the index and the bandit may have
     /// moved since the original serving, and the original choice's pool
     /// is down) and generates — but it records *no* serving statistics
     /// and absorbs *no* feedback: `served`/`offloaded` stay untouched,
-    /// the router tier's per-replica decision counters are not bumped,
-    /// no preference solicitation happens, no reward/proxy/cache-gain
-    /// update runs, and example accesses are not re-recorded. One
+    /// the run's decision count ([`IcCacheSystem::run_decisions`]) is
+    /// not bumped, no preference solicitation happens, no
+    /// reward/proxy/cache-gain update runs, and example accesses are not
+    /// re-recorded. One
     /// logical request leaves exactly one set of selector/router stats
     /// behind, however many times failover re-enqueues it.
     pub fn serve_retry(&mut self, request: &Request) -> ServeOutcome {
@@ -295,16 +304,16 @@ impl IcCacheSystem {
         };
 
         // 2. Request Router (bypassed when unhealthy: straight to
-        //    primary). The decision comes from the replica that owns the
-        //    request id; a chosen model whose pool is marked down by the
+        //    primary). A chosen model whose pool is marked down by the
         //    failover state is overridden by the best-scoring healthy arm
         //    (retries after a pool failover must not land back on the
         //    dead pool), falling back to the original choice only when
         //    every arm is down.
         let (chosen, second, bias, routed_on) = if self.failover.router_healthy() {
-            let (d, _replica) =
-                self.frontend
-                    .route(request, &selection.predicted_utility, &mut self.rng, fresh);
+            self.run_decisions += u64::from(fresh);
+            let d = self
+                .router
+                .route(request, &selection.predicted_utility, &mut self.rng);
             let chosen = if self.failover.model_healthy(d.chosen) {
                 d.chosen
             } else {
@@ -359,10 +368,8 @@ impl IcCacheSystem {
             if give_feedback {
                 // The router learns on the vector it decided on; a
                 // bypassed router decided on none, so extract it now.
-                let x = routed_on.unwrap_or_else(|| {
-                    self.frontend
-                        .features(request, &selection.predicted_utility)
-                });
+                let x = routed_on
+                    .unwrap_or_else(|| self.router.features(request, &selection.predicted_utility));
                 let fb = self.router_feedback(request, &selection, &x, chosen, second, &outcome);
                 self.example_feedback(request, &selection, chosen, fb, &used_ids);
             }
@@ -396,11 +403,8 @@ impl IcCacheSystem {
         outcome: &GenOutcome,
     ) -> f64 {
         // Thumbs-style feedback: latent quality seen through noise.
-        // Rewards and preferences are recorded only at the replica that
-        // owns the request — peers learn of them through gossip.
         let fb = (outcome.quality + 0.1 * (self.rng.random::<f64>() - 0.5)).clamp(0.0, 1.0);
-        self.frontend
-            .record_reward_on(chosen, request.id, route_features, fb);
+        self.router.record_reward_on(chosen, route_features, fb);
 
         // Preference solicitation: generate with the sampled second choice
         // and record which the (simulated) user preferred.
@@ -424,8 +428,8 @@ impl IcCacheSystem {
             } else {
                 (other, chosen)
             };
-            self.frontend
-                .record_preference_on(request.id, route_features, preferred, loser);
+            self.router
+                .record_preference_on(route_features, preferred, loser);
         }
         fb
     }
@@ -752,24 +756,16 @@ mod tests {
     }
 
     #[test]
-    fn replicated_tier_serves_and_spreads_decisions() {
-        let (mut system, mut wg) = seeded_system(Dataset::MsMarco, 500);
-        system
-            .front_end_mut()
-            .reconfigure(4, crate::frontend::DEFAULT_LATENCY_ALPHA);
-        for r in wg.generate_requests(200) {
-            let _ = system.serve(&r);
-        }
-        let stats = system.front_end().stats();
-        assert_eq!(stats.replicas, 4);
-        assert_eq!(stats.decisions.iter().sum::<u64>(), 200);
-        assert!(
-            stats.decisions.iter().all(|&d| d > 0),
-            "hash assignment should hit every replica: {:?}",
-            stats.decisions
-        );
-        system.run_gossip(10.0);
-        assert_eq!(system.front_end().stats().gossip_rounds, 1);
+    fn observe_completion_drives_the_load_estimate() {
+        let mut system = IcCacheSystem::new(IcCacheConfig::gemma_pair());
+        system.begin_run(0.2);
+        // 10 jobs in flight at 2 s latency: lambda = 5 rps.
+        system.observe_completion(2.0, 10);
+        assert!((system.router().current_load() - 5.0).abs() < 1e-9);
+        // The EMA smooths subsequent observations.
+        system.observe_completion(4.0, 10);
+        let est = system.router().current_load();
+        assert!(est < 5.0 && est > 2.5, "smoothed estimate: {est}");
     }
 
     #[test]

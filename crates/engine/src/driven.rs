@@ -22,7 +22,7 @@ const ENGINE_NAME: &str = "event-driven";
 /// A deterministic fault-injection window: `pool` goes down `at_s`
 /// seconds into the run and recovers `duration_s` later. While down, the
 /// pool's queued + running jobs are preempted (their KV blocks released)
-/// and re-enqueued through the router tier as retries, and new routing
+/// and re-enqueued through the router as retries, and new routing
 /// decisions avoid the pool's model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolOutage {
@@ -88,18 +88,13 @@ pub struct EngineConfig {
     /// diverging block. Off (the default) the allocator is untouched
     /// and the report is byte-identical to the pre-sharing engine.
     pub kv_share: bool,
-    /// Router replicas in the front-end tier. `1` (the default) is the
-    /// pre-refactor topology — one router owning every request — and is
-    /// byte-identical to it modulo the report's `router` stats block.
-    /// With more replicas, arrivals are assigned by a deterministic hash
-    /// of the request id, each replica learns only from its own
-    /// requests' feedback, and replicas converge through gossip rounds
-    /// (env `IC_ROUTER_REPLICAS` in the bench binaries).
+    /// Must be `1`: one logical router owns every request
+    /// ([`EventDrivenEngine::new`] panics otherwise). The field stays
+    /// only because the frozen `benchmark/src/workload.rs` names it in a
+    /// struct literal, and goes when a benchmark-owning PR drops that
+    /// line.
+    #[doc(hidden)]
     pub router_replicas: usize,
-    /// Period of the router tier's gossip rounds, seconds (env
-    /// `IC_GOSSIP_PERIOD`); `0` disables gossip. Irrelevant (never
-    /// scheduled) with a single replica.
-    pub gossip_period_s: f64,
     /// Deterministic pool-failover injections (env `IC_POOL_OUTAGE`,
     /// `pool:at:duration[;...]`). Empty by default: no failovers, no
     /// behaviour change.
@@ -179,7 +174,6 @@ impl Default for EngineConfig {
             kv_swap: KvSwap::DEFAULT,
             kv_share: false,
             router_replicas: 1,
-            gossip_period_s: 5.0,
             pool_outages: Vec::new(),
             maintenance_period_s: 0.0,
             rebalance_period_s: 60.0,
@@ -222,11 +216,13 @@ impl EventDrivenEngine {
     /// Panics if a [`PoolOutage`] names a pool the engine does not
     /// have: a fault schedule that silently injects nothing would
     /// record a fault-free run as if it had survived the outage. Panics
-    /// on zero router replicas too, rather than running one.
+    /// on a router replica count other than 1: the replicated router
+    /// tier was deleted, and a run that silently used one router would
+    /// be recorded as a tier's.
     pub fn new(system: IcCacheSystem, config: EngineConfig) -> Self {
-        assert!(
-            config.router_replicas > 0,
-            "the router tier needs at least one replica"
+        assert_eq!(
+            config.router_replicas, 1,
+            "the replicated router tier was deleted: one router owns every request"
         );
         let sys_cfg = system.config();
         let pools = sys_cfg.models.len();
@@ -565,10 +561,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "the router tier needs at least one replica")]
-    fn zero_router_replicas_panics() {
+    #[should_panic(expected = "the replicated router tier was deleted")]
+    fn a_replicated_router_tier_panics() {
         let config = EngineConfig {
-            router_replicas: 0,
+            router_replicas: 4,
             ..EngineConfig::default()
         };
         let _ = seeded_engine(10, config, 463);

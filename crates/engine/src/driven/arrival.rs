@@ -1,4 +1,4 @@
-//! The arrival handler: prologue (owner load window, stage 0) →
+//! The arrival handler: prologue (load window, stage 0) →
 //! `IcCacheSystem::serve` → epilogue (`dispatch`, cache admissions).
 
 use ic_desim::SimTime;
@@ -68,18 +68,11 @@ impl EngineState<'_> {
         self.sim.advance_to(at);
         let now = at.as_secs_f64();
         let request = &self.requests[i];
-        let owner = self.system.front_end().replica_of(request.id);
-        self.observe_arrival(owner, now);
-        self.trace(
-            at,
-            i as u64,
-            ObsKind::Arrival {
-                replica: owner as u32,
-            },
-        );
+        self.observe_arrival(now);
+        self.trace(at, i as u64, ObsKind::Arrival);
         // Stage 0: a response-cache hit skips the whole selection path.
         if let Some(resp) = self.stage0_lookup(i, pos, at) {
-            self.serve_stage0_hit(i, &resp, owner);
+            self.serve_stage0_hit(i, &resp);
             return;
         }
 

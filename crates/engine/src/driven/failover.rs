@@ -10,7 +10,7 @@ impl EngineState<'_> {
     /// arrivals) route around it, then flushes everything the pool held
     /// — running sequences free their KV blocks through the normal
     /// kvmem release path — and re-enqueues each job through the router
-    /// tier as a retry. Overlapping outage windows nest: the depth
+    /// as a retry. Overlapping outage windows nest: the depth
     /// counter keeps the pool down until the last window's recovery.
     /// Clearing the armed slot drops the flushed lineage's pending step
     /// boundary.
@@ -30,14 +30,14 @@ impl EngineState<'_> {
             let old = self.records[i].as_ref().expect("flushed job was served");
             let arrival = SimTime::from_secs_f64(old.arrival_s);
             self.tally.apply(old, false);
-            // Retry: a fresh selection + routing decision at the owning
-            // replica (the down model is excluded by the failover
-            // state) and a fresh generation — through the stats-neutral
+            // Retry: a fresh selection + routing decision (the down
+            // model is excluded by the failover state) and a fresh
+            // generation — through the stats-neutral
             // retry path, so the already-counted request is not
             // double-probed into the selector/router stats and no
             // bandit feedback is absorbed twice. Retries bypass stage 0
             // (a cached answer cannot be re-offered for a request the
-            // tier already answered once) and `update_cache` (the
+            // router already answered once) and `update_cache` (the
             // request's pair was already admitted at its arrival).
             let out = self.system.serve_retry(&self.requests[i]);
             self.dispatch(i, &out, arrival, true);

@@ -6,8 +6,7 @@ use ic_cache::{IcCacheSystem, ServeOutcome};
 use ic_desim::{Periodic, SimDuration, SimTime, Simulator};
 use ic_llmsim::{ModelId, Request};
 use ic_obs::{
-    EventKind as ObsKind, LaneBuf, NO_REQUEST, ObsReport, PoolMeta, PoolSample, Recorder,
-    TelemetrySample,
+    EventKind as ObsKind, LaneBuf, ObsReport, PoolMeta, PoolSample, Recorder, TelemetrySample,
 };
 use ic_respcache::{CachedResponse, RespCacheConfig, ResponseCache};
 use ic_serving::{
@@ -30,11 +29,8 @@ use crate::report::{
 /// step boundaries from the armed slots ([`EngineState::armed`]).
 #[derive(Debug)]
 pub(super) enum Event {
-    /// One gossip round of the router tier (periodic; only scheduled
-    /// with more than one replica).
-    GossipRound,
     /// Fault injection: `pool` goes down — flush its work back through
-    /// the router tier and keep routing off its model.
+    /// the router and keep routing off its model.
     PoolDown(usize),
     /// Fault injection: `pool` recovers.
     PoolUp(usize),
@@ -129,11 +125,9 @@ pub(super) struct EngineState<'a> {
     pub(super) resp_cache: Option<ResponseCache>,
 
     pub(super) records: Vec<Option<RequestRecord>>,
-    /// One arrival window per router replica: each replica estimates
-    /// the arrival rate from the requests *it* owns — a stale, local
-    /// view by construction (with one replica this is exactly a global
-    /// window).
-    arrival_windows: Vec<VecDeque<f64>>,
+    /// The last `EngineConfig::load_window` arrival times: the router's
+    /// arrival-rate estimate.
+    arrival_window: VecDeque<f64>,
     completions: Vec<f64>,
     completed: usize,
     pub(super) tally: Tally,
@@ -148,8 +142,8 @@ pub(super) struct EngineState<'a> {
     /// quiet run coalesced.
     #[cfg(test)]
     pub(super) stepwise: bool,
-    /// [`ic_cache::FrontEnd::posterior_counts`] when the run began; the
-    /// report carries the growth since.
+    /// The router's `posterior_counts` when the run began; the report
+    /// carries the growth since.
     posterior_base: (u64, u64),
     /// The selector's `probe_memo_counts` when the run began, likewise.
     probe_memo_base: (u64, u64),
@@ -165,10 +159,10 @@ pub(super) struct EngineState<'a> {
 }
 
 impl<'a> EngineState<'a> {
-    /// Shapes the router tier for the run and queues the initial
-    /// events: the periodic sources and the outage schedule, behind the
-    /// seqs `0..n` the cursor's arrivals fire under (same-instant events
-    /// fire in this order).
+    /// Starts the system's run and queues the initial events: the
+    /// periodic sources and the outage schedule, behind the seqs `0..n`
+    /// the cursor's arrivals fire under (same-instant events fire in
+    /// this order).
     pub(super) fn new(
         engine: &'a mut EventDrivenEngine,
         requests: &'a [Request],
@@ -188,17 +182,8 @@ impl<'a> EngineState<'a> {
                 pool.set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
             }
         }
-        // A changed replica count re-clones the (possibly warmed)
-        // primary router into every replica; an unchanged tier just
-        // resets the run-scoped counters and latency EMAs.
-        let replicas = config.router_replicas;
-        let fe = system.front_end_mut();
-        if fe.num_replicas() != replicas {
-            fe.reconfigure(replicas, config.latency_ema_alpha);
-        } else {
-            fe.begin_run(config.latency_ema_alpha);
-        }
-        let posterior_base = fe.posterior_counts();
+        system.begin_run(config.latency_ema_alpha);
+        let posterior_base = system.router().posterior_counts();
         let probe_memo_base = system.selector().probe_memo_counts();
 
         let mut state = Self {
@@ -222,7 +207,7 @@ impl<'a> EngineState<'a> {
                 })
             }),
             records: (0..n).map(|_| None).collect(),
-            arrival_windows: vec![VecDeque::new(); replicas],
+            arrival_window: VecDeque::new(),
             completions: Vec::with_capacity(n),
             completed: 0,
             tally: Tally::default(),
@@ -242,7 +227,6 @@ impl<'a> EngineState<'a> {
             },
         };
         state.sim.reserve_seqs(n as u64);
-        state.arm_periodic(state.gossip_period_s(), Event::GossipRound);
         state.arm_periodic(config.obs_sample_s, Event::ObsSample);
         for outage in config.pool_outages.iter().filter(|o| o.duration_s > 0.0) {
             let down_at = SimTime::from_secs_f64(outage.at_s);
@@ -253,16 +237,6 @@ impl<'a> EngineState<'a> {
         state.arm_periodic(config.maintenance_period_s, Event::Maintenance);
         state.arm_periodic(config.rebalance_period_s, Event::Rebalance);
         state
-    }
-
-    /// Gossip only exists on a real tier: a single replica has no
-    /// peers, so no rounds are ever scheduled.
-    fn gossip_period_s(&self) -> f64 {
-        if self.config.router_replicas > 1 {
-            self.config.gossip_period_s
-        } else {
-            0.0
-        }
     }
 
     /// The `(time, seq)` key of the next router interaction: the earlier
@@ -300,18 +274,6 @@ impl<'a> EngineState<'a> {
                     let lat = STAGE0_HIT_LATENCY_S;
                     self.complete(i, now, 0.0, lat, lat, 1);
                     self.trace(at, i as u64, ObsKind::Finish { preemptions: 0 });
-                }
-                Event::GossipRound => {
-                    let round = self.system.run_gossip(now);
-                    self.trace(
-                        at,
-                        NO_REQUEST,
-                        ObsKind::GossipRound {
-                            merges: round.merges,
-                            staleness_s: round.staleness_sum_s,
-                        },
-                    );
-                    self.rearm_periodic(self.gossip_period_s(), Event::GossipRound);
                 }
                 Event::PoolDown(pool) => self.on_pool_down(pool, at),
                 Event::PoolUp(pool) => self.on_pool_up(pool, at),
@@ -368,11 +330,10 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    /// Feeds the owning replica's load tracker a windowed arrival-rate
-    /// estimate before its routing decision (each replica sees only its
-    /// own arrivals).
-    pub(super) fn observe_arrival(&mut self, owner: usize, now: f64) {
-        let window = &mut self.arrival_windows[owner];
+    /// Feeds the router's load tracker a windowed arrival-rate estimate
+    /// before its routing decision.
+    pub(super) fn observe_arrival(&mut self, now: f64) {
+        let window = &mut self.arrival_window;
         window.push_back(now);
         while window.len() > self.config.load_window {
             window.pop_front();
@@ -381,7 +342,7 @@ impl<'a> EngineState<'a> {
             let dt = now - window.front().expect("non-empty window");
             if dt > 0.0 {
                 let rps = (window.len() - 1) as f64 / dt;
-                self.system.front_end_mut().observe_arrival_load(owner, rps);
+                self.system.observe_load(rps);
             }
         }
     }
@@ -468,7 +429,7 @@ impl<'a> EngineState<'a> {
     /// pool state is touched — the hit's only contribution to the run
     /// tallies is its quality (it delivered the cached response's
     /// answer). Timings are filled by `Stage0Complete`.
-    pub(super) fn serve_stage0_hit(&mut self, i: usize, resp: &CachedResponse, owner: usize) {
+    pub(super) fn serve_stage0_hit(&mut self, i: usize, resp: &CachedResponse) {
         let at = self.sim.now();
         self.records[i] = Some(RequestRecord {
             index: i,
@@ -487,13 +448,7 @@ impl<'a> EngineState<'a> {
             rejected: false,
         });
         self.tally.quality_sum += resp.quality;
-        self.trace(
-            at,
-            i as u64,
-            ObsKind::Stage0Hit {
-                replica: owner as u32,
-            },
-        );
+        self.trace(at, i as u64, ObsKind::Stage0Hit);
         let done = at + SimDuration::from_secs_f64(STAGE0_HIT_LATENCY_S);
         self.sim.schedule(done, Event::Stage0Complete(i));
     }
@@ -501,8 +456,7 @@ impl<'a> EngineState<'a> {
     /// Finisher bookkeeping for request `i` completing at `at_s`: fill
     /// the record's timings, then feed measured latency back — Little's
     /// law turns the observed end-to-end latency and the work in flight
-    /// (`in_system`) into a demand estimate at the replica that owns
-    /// the request.
+    /// (`in_system`) into the router's demand estimate.
     pub(super) fn complete(
         &mut self,
         i: usize,
@@ -524,10 +478,7 @@ impl<'a> EngineState<'a> {
             self.sampler.e2e.record(e2e_s);
             self.sampler.ttft.record(ttft_s);
         }
-        let owner = self.system.front_end().replica_of(self.requests[i].id);
-        self.system
-            .front_end_mut()
-            .observe_completion(owner, e2e_s, in_system);
+        self.system.observe_completion(e2e_s, in_system);
     }
 
     /// One telemetry sample: cluster-state gauges plus the latency
@@ -558,8 +509,6 @@ impl<'a> EngineState<'a> {
         // Pool queue caps count every drop, retries included; the
         // sample splits them back out.
         let total_rejects: u64 = self.pools.iter().map(|p| p.rejected()).sum();
-        let fe = self.system.front_end().stats();
-        let mean_staleness_s = fe.mean_staleness_s();
         s.samples.push(TelemetrySample {
             t_us: at.as_micros(),
             completed: self.completed as u64,
@@ -571,10 +520,8 @@ impl<'a> EngineState<'a> {
             p50_ttft_s: ttft.p50().unwrap_or(0.0),
             p99_ttft_s: ttft.p99().unwrap_or(0.0),
             pools,
-            load_estimates: fe.load_estimates,
-            decisions: fe.decisions,
-            gossip_rounds: fe.gossip_rounds,
-            mean_staleness_s,
+            load_estimate: self.system.router().current_load(),
+            decisions: self.system.run_decisions(),
         });
         s.snapshot = Some(snapshot);
     }
@@ -610,7 +557,6 @@ impl<'a> EngineState<'a> {
                         replicas: pc.replicas,
                     })
                     .collect(),
-                router_replicas: self.config.router_replicas as u32,
                 events,
                 dropped,
                 samples: self.sampler.samples,
@@ -624,7 +570,7 @@ impl<'a> EngineState<'a> {
         // Quality averages over *executed* requests only; queue-cap
         // rejects never produced a response.
         let executed = n.saturating_sub(iter.queue_rejects);
-        let (arm_evaluations, posterior_refits) = self.system.front_end().posterior_counts();
+        let (arm_evaluations, posterior_refits) = self.system.router().posterior_counts();
         self.replay.arm_evaluations = arm_evaluations - self.posterior_base.0;
         self.replay.posterior_refits = posterior_refits - self.posterior_base.1;
         self.replay.share_admissions = iter.share_admissions;
@@ -651,11 +597,11 @@ impl<'a> EngineState<'a> {
                 self.evicted,
             ),
             iter,
-            router: RouterStats::from_tier(
-                self.system.front_end().stats(),
-                self.failover_requeues,
-                self.retry_rejects,
-            ),
+            router: RouterStats {
+                decisions: vec![self.system.run_decisions()],
+                failover_requeues: self.failover_requeues,
+                retry_rejects: self.retry_rejects,
+            },
             // One probe per arrival that reached the selector; the
             // block keeps its five keys for the golden's sake.
             selector: SelectorStats {

@@ -283,21 +283,21 @@ mod tests {
     #[test]
     fn a_step_armed_before_a_same_instant_event_goes_first() {
         with_pools(&[1.0; 2], |state| {
-            // Pool 0's boundary at 100 ms was armed, then a gossip round
+            // Pool 0's boundary at 100 ms was armed, then a rebalance
             // was scheduled for 100 ms, then pool 1's boundary at 100 ms
             // was armed: the three keys differ only in seq.
             offer(state, 0, 0, 100.0, 5, 40.0);
-            state.sim.schedule(ms(100.0), Event::GossipRound);
+            state.sim.schedule(ms(100.0), Event::Rebalance);
             offer(state, 1, 1, 100.0, 5, 40.0);
             assert_eq!(state.due_step(), Some(0));
             state.on_step(0);
-            // Pool 0's next boundary (140 ms) is past the round, which
-            // goes before pool 1's boundary at its own instant.
+            // Pool 0's next boundary (140 ms) is past the rebalance,
+            // which goes before pool 1's boundary at its own instant.
             let (a, b) = (state.armed[0].expect("busy"), state.armed[1].expect("busy"));
             assert_eq!((a.key.0, b.key.0), (ms(140.0), ms(100.0)));
             assert!(a.key.1 > b.key.1);
-            assert_eq!(state.due_step(), None, "the round goes next");
-            assert!(matches!(state.sim.next(), Some((_, Event::GossipRound))));
+            assert_eq!(state.due_step(), None, "the rebalance goes next");
+            assert!(matches!(state.sim.next(), Some((_, Event::Rebalance))));
             assert_eq!(state.due_step(), Some(1));
         });
     }
@@ -305,19 +305,19 @@ mod tests {
     #[test]
     fn a_step_rearmed_onto_a_pending_events_instant_waits_behind_it() {
         with_pools(&[1.0], |state| {
-            // A round is pending at 50 ms; the pool's boundary at 10 ms
-            // re-arms onto the round's instant.
+            // A rebalance is pending at 50 ms; the pool's boundary at
+            // 10 ms re-arms onto the rebalance's instant.
             offer(state, 0, 0, 10.0, 5, 40.0);
-            state.sim.schedule(ms(50.0), Event::GossipRound);
-            let (_, round) = state.sim.peek_key().expect("scheduled");
+            state.sim.schedule(ms(50.0), Event::Rebalance);
+            let (_, rebalance) = state.sim.peek_key().expect("scheduled");
             assert_eq!(state.due_step(), Some(0));
             state.on_step(0);
             let key = state.armed[0].expect("busy").key;
             assert_eq!(key.0, ms(50.0));
-            assert!(key.1 > round);
-            // The round was scheduled first: it goes before the step.
-            assert_eq!(state.due_step(), None, "the round goes first");
-            assert!(matches!(state.sim.next(), Some((_, Event::GossipRound))));
+            assert!(key.1 > rebalance);
+            // The rebalance was scheduled first: it goes before the step.
+            assert_eq!(state.due_step(), None, "the rebalance goes first");
+            assert!(matches!(state.sim.next(), Some((_, Event::Rebalance))));
             assert_eq!(state.due_step(), Some(0));
         });
     }
@@ -328,7 +328,7 @@ mod tests {
     fn replay(stepwise: bool) -> (String, String, u64, u64) {
         let config = EngineConfig {
             trace: true,
-            router_replicas: 2,
+            obs_sample_s: 5.0,
             pool_outages: vec![PoolOutage {
                 pool: 0,
                 at_s: 20.0,
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn mixed_step_times_interleave_like_single_steps() {
         // Two pools of different step times, finishers, a failover and
-        // gossip rounds between: counting quiet boundaries must decide
+        // telemetry samples between: counting quiet boundaries must decide
         // what handling each one on its own decides, seqs included.
         let (json, lanes, seq, quiet) = replay(false);
         let (want_json, want_lanes, want_seq, none) = replay(true);

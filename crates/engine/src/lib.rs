@@ -18,13 +18,13 @@
 //!  (the workload sorted by (time, i), its       (per pool: the key of its
 //!   one copy; arrival i holds seq i, below       next step boundary, plus the
 //!   every seq the run hands out)                 stride and count of the quiet
-//!   ├ owner replica's load window                run it is in)
+//!   ├ the router's arrival-rate window           run it is in)
 //!   ├ stage 0: pre-observe the tick's run,      on_step(pool)
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
 //!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  run, the pool applied it
 //!   │  + routing + generation + feedback        ├ else advance_step: finishers
 //!   └ dispatch ──▶ pool.offer ── Started ──▶    │  ▶ complete (TTFT/E2E, Little's
-//!                  arm the pool's slot          │  law ▶ owning replica); then
+//!                  arm the pool's slot          │  law ▶ the router); then
 //!                                               │  advance_quiet applies the quiet
 //!  the event heap's head                        │  run behind it in closed form,
 //!  (ic_desim::Simulator: every other router     │  up to the next router
@@ -32,9 +32,8 @@
 //!  PoolDown(p) ─ flush, clear the pool's slot,  ├ the quiet boundaries before the
 //!                serve_retry ▶ dispatch         │  next pending key are counted,
 //!  PoolUp(p)                                    │  their seqs burned
-//!  Maintenance / Rebalance / GossipRound /      └ re-arm the slot while the pool
-//!  ObsSample (periodic, re-armed while work        stays busy
-//!  remains)
+//!  Maintenance / Rebalance / ObsSample          └ re-arm the slot while the pool
+//!  (periodic, re-armed while work remains)         stays busy
 //!  Stage0Complete(i) ▶ complete
 //! ```
 //!
@@ -56,9 +55,8 @@
 //! without visiting it (`driven/step.rs`).
 //!
 //! Each **arrival** event runs Algorithm 1 (`IcCacheSystem::serve`):
-//! example selection against the sharded cache, load-aware routing at
-//! the router replica that owns the request id (the engine has just fed
-//! that replica a windowed arrival-rate estimate), and
+//! example selection against the sharded cache, load-aware routing (the
+//! engine has just fed the router a windowed arrival-rate estimate), and
 //! simulated generation, producing the job's zero-load prefill/decode
 //! demand and token counts. The job then joins its model's pool at a
 //! step boundary: the pool's `slots_per_replica` concurrent sequences
@@ -85,17 +83,13 @@
 //! byte budgets re-divided by the knapsack DP according to where the
 //! decayed offload gains currently live (see `ic_manager::shard`).
 //!
-//! With `EngineConfig::router_replicas > 1` the front end is a
-//! replicated router tier (`ic_cache::FrontEnd`): requests are assigned
-//! to replicas by a deterministic id hash, feedback lands only at the
-//! owner, and periodic **gossip-round** events merge bandit
-//! sufficient-statistic deltas and load estimates across the ring (see
-//! `ic_router::gossip`). **Pool-outage** events
-//! ([`driven::PoolOutage`]) model pool failover: the dead pool's
-//! queued + running jobs are preempted — their KV blocks released
-//! through the normal `ic_kvmem` path — and re-enqueued through the
-//! tier as retries that route around the down model; the requeue counts
-//! and the tier's decisions/gossip statistics ride in the report's
+//! One logical router owns every request, as in the paper: one bandit
+//! posterior, one arrival-rate window, one completion-latency EMA.
+//! **Pool-outage** events ([`driven::PoolOutage`]) model pool failover:
+//! the dead pool's queued + running jobs are preempted — their KV
+//! blocks released through the normal `ic_kvmem` path — and re-enqueued
+//! through the router as retries that route around the down model; the
+//! requeue counts and the router's decision count ride in the report's
 //! `router` block.
 //!
 //! # Shard layout

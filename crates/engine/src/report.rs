@@ -156,11 +156,11 @@ pub struct ReplayStats {
     /// Step boundaries inside those runs — the share of the report's
     /// `iter.steps` that never went through `advance_step`.
     pub quiet_steps: u64,
-    /// Arm scorings the router tier's bandits did this run: one per arm
+    /// Arm scorings the router's bandit did this run: one per arm
     /// per routing decision, retries included.
     pub arm_evaluations: u64,
     /// How many of those refactored the arm's precision matrix — the
-    /// arm had learned (feedback or gossip) since its last decision.
+    /// arm had learned (feedback) since its last decision.
     pub posterior_refits: u64,
     /// Pool block allocations that carried a shared example-set prefix
     /// through the KV content table (`ic_serving::IterStats`): every
@@ -204,58 +204,20 @@ impl ReplayStats {
     }
 }
 
-/// Router-tier counters for one engine run (see
-/// `EngineConfig::router_replicas`): how the replicated front end
-/// routed, gossiped, and absorbed pool failovers. A single-replica tier
-/// (the default) reports its decisions with zero gossip traffic.
+/// Router counters for one engine run: how the router decided and
+/// absorbed pool failovers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouterStats {
-    /// Router replicas in the tier.
-    pub replicas: u64,
-    /// Routing decisions per replica, in replica order (deterministic
-    /// request-id hash assignment).
+    /// Routing decisions of fresh servings (failover retries are not
+    /// counted), as a one-element list: the frozen
+    /// `benchmark/src/layers.rs` sums it, so it keeps its list type
+    /// until a benchmark-owning PR makes it a scalar.
     pub decisions: Vec<u64>,
-    /// Gossip rounds executed on the ring.
-    pub gossip_rounds: u64,
-    /// Delta-batch deliveries (one batch applied at one replica).
-    pub merges: u64,
-    /// Summed age in seconds of delivered batches at application time.
-    pub staleness_sum_s: f64,
     /// Jobs preempted by pool failovers and re-enqueued through the
-    /// router tier as retries.
+    /// router as retries.
     pub failover_requeues: u64,
     /// Failover retries subsequently dropped by pool queue caps.
     pub retry_rejects: u64,
-}
-
-impl RouterStats {
-    /// Builds the report block from the tier's own run counters plus
-    /// the engine-side failover tallies (the one place the two sets of
-    /// counters are joined).
-    pub fn from_tier(
-        tier: ic_cache::FrontEndStats,
-        failover_requeues: u64,
-        retry_rejects: u64,
-    ) -> Self {
-        Self {
-            replicas: tier.replicas as u64,
-            decisions: tier.decisions,
-            gossip_rounds: tier.gossip_rounds,
-            merges: tier.merges,
-            staleness_sum_s: tier.staleness_sum_s,
-            failover_requeues,
-            retry_rejects,
-        }
-    }
-
-    /// Mean age of a gossip batch at delivery, seconds.
-    pub fn mean_staleness_s(&self) -> f64 {
-        if self.merges == 0 {
-            0.0
-        } else {
-            self.staleness_sum_s / self.merges as f64
-        }
-    }
 }
 
 /// Aggregate result of one engine run.
@@ -280,8 +242,8 @@ pub struct EngineReport {
     /// Iteration-level scheduler counters summed across pools (token
     /// steps, batch sizes, chunked-prefill mix, preemptions, rejects).
     pub iter: IterStats,
-    /// Router-tier counters (per-replica decisions, gossip rounds, merge
-    /// staleness, failover requeues).
+    /// Router counters (decisions, failover requeues and rejected
+    /// retries).
     pub router: RouterStats,
     /// Stage-1 counters (one stage-1 call per arrival past stage 0).
     pub selector: SelectorStats,
@@ -359,8 +321,7 @@ impl EngineReport {
                 "\"iter\":{{\"steps\":{},\"mean_step_batch\":{},",
                 "\"chunk_steps\":{},\"decode_steps\":{},\"chunked_prefill_ratio\":{},",
                 "\"preemptions\":{},\"queue_rejects\":{}}},",
-                "\"router\":{{\"replicas\":{},\"decisions\":[{}],",
-                "\"gossip_rounds\":{},\"merges\":{},\"mean_staleness_s\":{},",
+                "\"router\":{{\"decisions\":[{}],",
                 "\"failover_requeues\":{},\"retry_rejects\":{}}},",
                 "\"selector\":{{\"batch_limit\":{},\"batches\":{},\"requests\":{},",
                 "\"max_batch\":{},\"mean_batch\":{}}},",
@@ -405,16 +366,12 @@ impl EngineReport {
             f6(self.iter.chunked_prefill_ratio()),
             self.iter.preemptions,
             self.iter.queue_rejects,
-            self.router.replicas,
             self.router
                 .decisions
                 .iter()
                 .map(u64::to_string)
                 .collect::<Vec<_>>()
                 .join(","),
-            self.router.gossip_rounds,
-            self.router.merges,
-            f6(self.router.mean_staleness_s()),
             self.router.failover_requeues,
             self.router.retry_rejects,
             self.selector.batch_limit,
@@ -519,11 +476,7 @@ mod tests {
         r.selector.batches = 6;
         r.selector.requests = 10;
         r.selector.max_batch = 3;
-        r.router.replicas = 2;
-        r.router.decisions = vec![6, 4];
-        r.router.gossip_rounds = 3;
-        r.router.merges = 4;
-        r.router.staleness_sum_s = 2.0;
+        r.router.decisions = vec![6];
         r.router.failover_requeues = 1;
         let a = r.to_json();
         let b = r.to_json();
@@ -539,9 +492,7 @@ mod tests {
              \"max_batch\":3,\"mean_batch\":1.666667}"
         ));
         assert!(a.contains(
-            "\"router\":{\"replicas\":2,\"decisions\":[6,4],\"gossip_rounds\":3,\
-             \"merges\":4,\"mean_staleness_s\":0.500000,\"failover_requeues\":1,\
-             \"retry_rejects\":0}"
+            "\"router\":{\"decisions\":[6],\"failover_requeues\":1,\"retry_rejects\":0}"
         ));
         // The router block stays flat (no nested objects): CI isolates
         // it with `grep -o '"router":{[^}]*}'`.
@@ -575,17 +526,6 @@ mod tests {
         );
         // Balanced braces (cheap well-formedness check without a parser).
         assert_eq!(a.matches('{').count(), a.matches('}').count());
-    }
-
-    #[test]
-    fn router_stats_mean_staleness() {
-        let r = RouterStats {
-            merges: 4,
-            staleness_sum_s: 6.0,
-            ..RouterStats::default()
-        };
-        assert!((r.mean_staleness_s() - 1.5).abs() < 1e-12);
-        assert_eq!(RouterStats::default().mean_staleness_s(), 0.0);
     }
 
     #[test]

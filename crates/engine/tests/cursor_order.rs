@@ -9,8 +9,8 @@
 //!
 //! Mutations that bite: comparing the cursor and the heap head on time
 //! alone with the heap first, or dropping `sim.reserve_seqs(n)` in
-//! `EngineState::new` (the first gossip round then draws seq 0), puts
-//! the round and the outage edge before their same-instant arrival;
+//! `EngineState::new` (the outage edges then draw seqs 0 and 1), puts
+//! the outage edge before its same-instant arrival;
 //! building the cursor without sorting fails the unsorted workload.
 
 use ic_cache::{IcCacheConfig, IcCacheSystem};
@@ -51,29 +51,32 @@ fn position(lane: &[&ObsEvent], what: &str, pred: impl Fn(&ObsEvent) -> bool) ->
 }
 
 #[test]
-fn an_arrival_goes_before_a_periodic_event_at_its_microsecond() {
-    // The first gossip round is scheduled for exactly 5 s — where the
-    // workload's *last* arrival (index 7, the largest seq) lands too.
+fn an_arrival_goes_before_a_cluster_event_at_its_microsecond() {
+    // Pool 0 goes down at exactly 5 s — where the workload's *last*
+    // arrival (index 7, the largest seq) lands too.
     let arrivals = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0];
     let report = run(
         EngineConfig {
-            router_replicas: 2,
-            gossip_period_s: 5.0,
+            pool_outages: vec![PoolOutage {
+                pool: 0,
+                at_s: 5.0,
+                duration_s: 2.0,
+            }],
             ..traced()
         },
         &arrivals,
     );
     let lane = engine_lane(&report);
-    let round = position(&lane, "gossip round", |e| {
-        matches!(e.kind, EventKind::GossipRound { .. })
+    let down = position(&lane, "pool-down edge", |e| {
+        matches!(e.kind, EventKind::PoolDown { .. })
     });
     let arrival = position(&lane, "arrival of request 7", |e| {
-        e.request == 7 && matches!(e.kind, EventKind::Arrival { .. })
+        e.request == 7 && matches!(e.kind, EventKind::Arrival)
     });
-    assert_eq!(lane[round].at, lane[arrival].at, "same microsecond");
+    assert_eq!(lane[down].at, lane[arrival].at, "same microsecond");
     assert!(
-        arrival < round,
-        "arrival at {arrival}, round at {round}: {lane:?}"
+        arrival < down,
+        "arrival at {arrival}, pool down at {down}: {lane:?}"
     );
     assert_eq!(report.served, 8);
 }
@@ -84,7 +87,7 @@ fn unsorted_arrivals_with_exact_ties_fire_in_time_then_index_order() {
     let report = run(traced(), &arrivals);
     let fired: Vec<u64> = engine_lane(&report)
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Arrival { .. }))
+        .filter(|e| matches!(e.kind, EventKind::Arrival))
         .map(|e| e.request)
         .collect();
     assert_eq!(fired, vec![5, 1, 2, 4, 3, 0, 6]);
@@ -98,7 +101,6 @@ fn unsorted_arrivals_with_exact_ties_fire_in_time_then_index_order() {
 fn an_empty_workload_runs_to_an_empty_report() {
     let report = run(
         EngineConfig {
-            router_replicas: 2,
             maintenance_period_s: 30.0,
             obs_sample_s: 10.0,
             pool_outages: vec![PoolOutage {
@@ -139,7 +141,7 @@ fn an_outage_at_time_zero_starts_behind_the_arrivals_of_time_zero() {
     });
     let before: Vec<u64> = lane[..down]
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Arrival { .. }))
+        .filter(|e| matches!(e.kind, EventKind::Arrival))
         .map(|e| e.request)
         .collect();
     assert_eq!(before, vec![0, 1, 2]);

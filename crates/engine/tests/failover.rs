@@ -1,13 +1,12 @@
-//! Replicated-router-tier integration tests: single-replica equivalence
-//! with the pre-refactor engine (masked-JSON pattern, as for
-//! `selector_batch`), gossip convergence, deterministic replay at
-//! R > 1, and failover preemption with retry requeues.
+//! Pool-failover integration tests: outage windows flush a pool's work
+//! and requeue it through the router as retries, which count once in
+//! the router's decisions, route around the down model, and replay
+//! deterministically.
 
 use ic_cache::{IcCacheConfig, IcCacheSystem};
 use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, PoolOutage, ServingEngine};
 use ic_llmsim::Generator;
 use ic_workloads::{Dataset, WorkloadGenerator, fixed_qps_arrivals};
-use proptest::prelude::*;
 
 fn seeded_engine(
     n_examples: usize,
@@ -31,147 +30,12 @@ fn run(config: EngineConfig, qps: f64, duration: f64, seed: u64) -> EngineReport
     engine.serve_workload(&requests, &arrivals)
 }
 
-/// Drops the `router` stats object — the one block the replicated tier
-/// adds — from a report JSON (the flat block CI's
-/// `grep -o '"router":{[^}]*}'` isolates).
-fn mask_router_block(json: &str) -> String {
-    let start = json.find("\"router\":{").expect("router block present");
-    let end = start + json[start..].find('}').expect("router block closes") + 2;
-    format!("{}{}", &json[..start], &json[end..])
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The pre-refactor-equivalence property: an engine explicitly
-    /// configured with one router replica is byte-identical to the
-    /// default configuration — including the `router` block — no matter
-    /// what the gossip period is set to (a single replica schedules no
-    /// gossip and owns every request, i.e. the refactor's new machinery
-    /// is provably inert at R = 1).
-    #[test]
-    fn single_replica_is_byte_identical_to_default(
-        seed in 0u64..500,
-        qps in 1.0f64..6.0,
-        gossip_period_s in 0.0f64..30.0,
-    ) {
-        let default = run(EngineConfig::default(), qps, 30.0, seed);
-        let explicit = run(
-            EngineConfig {
-                router_replicas: 1,
-                gossip_period_s,
-                pool_outages: Vec::new(),
-                ..EngineConfig::default()
-            },
-            qps,
-            30.0,
-            seed,
-        );
-        prop_assert_eq!(default.to_json(), explicit.to_json());
-    }
-}
-
 #[test]
-fn replicated_run_is_deterministic_and_differs_only_in_shape_not_bytes() {
-    // Same seed, same config, R = 4: byte-identical replay (the tier's
-    // hash assignment, gossip ring and per-replica feedback are all
-    // deterministic).
-    let config = || EngineConfig {
-        router_replicas: 4,
-        gossip_period_s: 2.0,
-        ..EngineConfig::default()
-    };
-    let a = run(config(), 4.0, 60.0, 77);
-    let b = run(config(), 4.0, 60.0, 77);
-    assert_eq!(a.to_json(), b.to_json());
-    // The tier leaves a visible trace...
-    assert_eq!(a.router.replicas, 4);
-    assert_eq!(a.router.decisions.len(), 4);
-    assert_eq!(
-        a.router.decisions.iter().sum::<u64>(),
-        a.served,
-        "every request routed exactly once (no failovers injected)"
-    );
-    assert!(
-        a.router.decisions.iter().all(|&d| d > 0),
-        "hash assignment should hit every replica: {:?}",
-        a.router.decisions
-    );
-    assert!(a.router.gossip_rounds > 0, "gossip must run at R > 1");
-    assert!(a.router.merges > 0, "feedback must travel the ring");
-    assert!(a.router.mean_staleness_s() >= 0.0);
-    // ...and the masked report still carries the same schema as R = 1.
-    let single = run(EngineConfig::default(), 4.0, 60.0, 77);
-    assert_eq!(single.router.replicas, 1);
-    assert_eq!(single.router.gossip_rounds, 0);
-    assert_ne!(mask_router_block(&a.to_json()), a.to_json());
-    assert_ne!(
-        a.to_json(),
-        single.to_json(),
-        "four diverging bandits should route differently"
-    );
-}
-
-#[test]
-fn gossip_converges_replica_load_views_under_steady_traffic() {
-    // Steady 6 rps for two minutes, four replicas gossiping every 2s:
-    // by the end of the run every replica's smoothed load estimate must
-    // sit within a tight band — the gossip-convergence acceptance test.
-    let config = EngineConfig {
-        router_replicas: 4,
-        gossip_period_s: 2.0,
-        ..EngineConfig::default()
-    };
-    let (mut engine, mut wg) = seeded_engine(400, config, 131);
-    let arrivals = fixed_qps_arrivals(6.0, 120.0, 132);
-    let requests = wg.generate_requests(arrivals.len());
-    let report = engine.serve_workload(&requests, &arrivals);
-    assert!(report.router.gossip_rounds >= 50);
-    let estimates = engine.system().front_end().stats().load_estimates;
-    assert_eq!(estimates.len(), 4);
-    let lo = estimates.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = estimates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        lo > 0.0,
-        "every replica must have a load view: {estimates:?}"
-    );
-    // Fresh local observations land between rounds, so the band is
-    // looser than the pure-contraction bound pinned by the FrontEnd
-    // unit test (`gossip_converges_load_estimates`) — but it must stay
-    // a band, not a scatter.
-    assert!(
-        hi - lo < 0.5 * hi,
-        "gossiped views must converge: {estimates:?}"
-    );
-    // Control: the same run with gossip disabled leaves the views
-    // further apart (each replica only ever sees its own quarter of the
-    // traffic and its own completions).
-    let config = EngineConfig {
-        router_replicas: 4,
-        gossip_period_s: 0.0,
-        ..EngineConfig::default()
-    };
-    let (mut engine2, mut wg2) = seeded_engine(400, config, 131);
-    let requests2 = wg2.generate_requests(arrivals.len());
-    let report2 = engine2.serve_workload(&requests2, &arrivals);
-    assert_eq!(report2.router.gossip_rounds, 0);
-    let isolated = engine2.system().front_end().stats().load_estimates;
-    let lo2 = isolated.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi2 = isolated.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        (hi2 - lo2) / hi2.max(1e-9) > (hi - lo) / hi.max(1e-9),
-        "gossip must tighten the spread: with {estimates:?} without {isolated:?}"
-    );
-}
-
-#[test]
-fn pool_failover_preempts_and_requeues_through_the_tier() {
+fn pool_failover_preempts_and_requeues_through_the_router() {
     // Saturate the cluster, then take the offload pool (pool 0, where
     // the shed traffic lives) down mid-run: its queued + running jobs
     // must be flushed, retried on the healthy pool, and counted.
     let config = EngineConfig {
-        router_replicas: 2,
-        gossip_period_s: 2.0,
         pool_outages: vec![PoolOutage {
             pool: 0,
             at_s: 10.0,
@@ -208,15 +72,13 @@ fn pool_failover_preempts_and_requeues_through_the_tier() {
 
 #[test]
 fn failover_retries_record_router_decisions_exactly_once() {
-    // Regression: a failover retry used to re-enter the tier as a fresh
-    // arrival, rolling a second routing decision (and a second round of
-    // selector/bandit bookkeeping) for the same logical request. The
-    // retry path must leave per-replica decision counts untouched, so
-    // even with requeues in flight the tier records exactly one
+    // Regression: a failover retry used to re-enter the router as a
+    // fresh arrival, rolling a second routing decision (and a second
+    // round of selector/bandit bookkeeping) for the same logical
+    // request. The retry path must leave the decision count untouched,
+    // so even with requeues in flight the router records exactly one
     // decision per request.
     let config = EngineConfig {
-        router_replicas: 2,
-        gossip_period_s: 2.0,
         pool_outages: vec![PoolOutage {
             pool: 0,
             at_s: 10.0,
@@ -231,8 +93,8 @@ fn failover_retries_record_router_decisions_exactly_once() {
         report.router
     );
     assert_eq!(
-        report.router.decisions.iter().sum::<u64>(),
-        report.served,
+        report.router.decisions,
+        vec![report.served],
         "retries must not double-count routing decisions: {:?}",
         report.router.decisions
     );
@@ -246,7 +108,6 @@ fn rejected_retries_count_once_in_queue_rejects_and_again_in_retry_rejects() {
     // one router-level retry reject (the failover-specific view).
     let config = || EngineConfig {
         max_queue: Some(2),
-        router_replicas: 2,
         pool_outages: vec![PoolOutage {
             pool: 0,
             at_s: 8.0,
@@ -345,7 +206,6 @@ fn outage_window_moves_traffic_off_the_dead_pool() {
     // While pool 0 (the offload side) is down, arrivals must route to
     // the primary; after recovery the offload path resumes.
     let config = EngineConfig {
-        router_replicas: 1,
         pool_outages: vec![PoolOutage {
             pool: 0,
             at_s: 20.0,

@@ -109,7 +109,6 @@ proptest! {
             config.kv_budget_blocks = kv_budget;
         }
         if outage {
-            config.router_replicas = 2;
             config.pool_outages = vec![PoolOutage {
                 pool: 0,
                 at_s: 5.0,
@@ -180,8 +179,6 @@ fn failover_events_are_recorded_and_streams_stay_well_formed() {
     let report = run(
         EngineConfig {
             trace: true,
-            router_replicas: 2,
-            gossip_period_s: 2.0,
             pool_outages: vec![PoolOutage {
                 pool: 0,
                 at_s: 10.0,

@@ -199,7 +199,7 @@ fn stage0_hits_skip_the_pool_and_keep_lifecycle_well_formed() {
     let hits = obs
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Stage0Hit { .. }))
+        .filter(|e| matches!(e.kind, EventKind::Stage0Hit))
         .count();
     assert_eq!(hits as u64, report.resp_cache.hits);
     // Hit requests never touch a pool: no SlotStart on their streams,
@@ -208,7 +208,7 @@ fn stage0_hits_skip_the_pool_and_keep_lifecycle_well_formed() {
     assert_eq!(paths.len(), n);
     let mut stage0_paths = 0;
     for ev in &obs.events {
-        if matches!(ev.kind, EventKind::Stage0Hit { .. }) {
+        if matches!(ev.kind, EventKind::Stage0Hit) {
             assert!(
                 !obs.events
                     .iter()

@@ -1,11 +1,11 @@
 //! Chrome trace-event JSON export (Perfetto-loadable).
 //!
 //! Maps the merged event stream onto the trace-event model: one
-//! *process* per component (pid 0 is the router tier, pid `p + 1` is
-//! serving pool `p`), one *thread* per track inside it (router
-//! replicas plus a gossip track; a pool scheduler track plus one track
-//! per serving replica). Step iterations and request residencies become
-//! `"X"` complete spans, preemptions/swaps/CoW/outages/gossip become
+//! *process* per component (pid 0 is the router, pid `p + 1` is
+//! serving pool `p`), one *thread* per track inside it (the router's
+//! arrivals track; a pool scheduler track plus one track per serving
+//! replica). Step iterations and request residencies become
+//! `"X"` complete spans, preemptions/swaps/CoW/outages become
 //! `"s"`-scoped `"i"` instants, and track names are declared with
 //! `"M"` metadata events. All timestamps are the simulator's integer
 //! microseconds, so the export is byte-deterministic by construction.
@@ -15,7 +15,6 @@ use std::fmt::Write as _;
 
 use crate::ObsReport;
 use crate::event::EventKind;
-use crate::telemetry::f6;
 
 /// Escapes a string for embedding in a JSON string literal.
 fn esc(s: &str) -> String {
@@ -79,12 +78,9 @@ impl OpenSpan {
 pub fn chrome_trace_json(report: &ObsReport) -> String {
     let mut out: Vec<String> = Vec::new();
 
-    // Track declarations. pid 0: router tier.
+    // Track declarations. pid 0: the router.
     meta(&mut out, 0, 0, "process_name", "router");
-    for r in 0..report.router_replicas {
-        meta(&mut out, 0, r, "thread_name", &format!("replica {r}"));
-    }
-    meta(&mut out, 0, report.router_replicas, "thread_name", "gossip");
+    meta(&mut out, 0, 0, "thread_name", "arrivals");
     // pid p + 1: serving pool p.
     for (p, pool) in report.pools.iter().enumerate() {
         let pid = p as u32 + 1;
@@ -101,7 +97,6 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
         }
     }
 
-    let gossip_tid = report.router_replicas;
     let mut open: BTreeMap<u64, OpenSpan> = BTreeMap::new();
     // Requests past their first token: spans they reopen are decode,
     // not prefill, even across a swap-out/resume gap.
@@ -109,38 +104,14 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
     for ev in &report.events {
         let at_us = ev.at.as_micros();
         match ev.kind {
-            EventKind::Arrival { replica } => {
-                instant(
-                    &mut out,
-                    "arrival",
-                    0,
-                    replica,
-                    at_us,
-                    &format!("\"request\":{}", ev.request),
-                );
-            }
-            EventKind::Stage0Hit { replica } => {
-                instant(
-                    &mut out,
-                    "stage0_hit",
-                    0,
-                    replica,
-                    at_us,
-                    &format!("\"request\":{}", ev.request),
-                );
-            }
-            EventKind::GossipRound {
-                merges,
-                staleness_s,
-            } => {
-                instant(
-                    &mut out,
-                    "gossip",
-                    0,
-                    gossip_tid,
-                    at_us,
-                    &format!("\"merges\":{merges},\"staleness_s\":{}", f6(staleness_s)),
-                );
+            EventKind::Arrival | EventKind::Stage0Hit => {
+                let name = if ev.kind == EventKind::Arrival {
+                    "arrival"
+                } else {
+                    "stage0_hit"
+                };
+                let args = format!("\"request\":{}", ev.request);
+                instant(&mut out, name, 0, 0, at_us, &args);
             }
             EventKind::PoolDown { pool } => {
                 instant(&mut out, "pool_down", pool + 1, 0, at_us, "");
@@ -271,7 +242,6 @@ mod tests {
                 name: "gemma-27b".into(),
                 replicas: 2,
             }],
-            router_replicas: 1,
             events,
             dropped: 0,
             samples: Vec::new(),
@@ -281,7 +251,7 @@ mod tests {
     #[test]
     fn emits_tracks_spans_and_instants() {
         let json = chrome_trace_json(&report(vec![
-            ev(0, 0, 1, EventKind::Arrival { replica: 0 }),
+            ev(0, 0, 1, EventKind::Arrival),
             ev(10, 1, 1, EventKind::SlotStart { replica: 0 }),
             ev(40, 1, 1, EventKind::FirstToken),
             ev(60, 1, 1, EventKind::QuantumPreempt),
@@ -318,7 +288,7 @@ mod tests {
         assert_eq!(
             json,
             chrome_trace_json(&report(vec![
-                ev(0, 0, 1, EventKind::Arrival { replica: 0 }),
+                ev(0, 0, 1, EventKind::Arrival),
                 ev(10, 1, 1, EventKind::SlotStart { replica: 0 }),
                 ev(40, 1, 1, EventKind::FirstToken),
                 ev(60, 1, 1, EventKind::QuantumPreempt),

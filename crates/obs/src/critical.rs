@@ -135,8 +135,8 @@ impl Builder {
             // time stays in the queue bucket. A stage-0 cache hit never
             // occupies a slot, so its whole (fixed) serve latency is
             // queue-phase time too.
-            EventKind::Arrival { .. }
-            | EventKind::Stage0Hit { .. }
+            EventKind::Arrival
+            | EventKind::Stage0Hit
             | EventKind::Stage1Probe
             | EventKind::Selected { .. }
             | EventKind::RouterDecision { .. }
@@ -190,10 +190,7 @@ impl Builder {
                 self.phase = Phase::Done;
             }
             // Cluster-scoped kinds never reach a request builder.
-            EventKind::StepEnd { .. }
-            | EventKind::GossipRound { .. }
-            | EventKind::PoolDown { .. }
-            | EventKind::PoolUp { .. } => {}
+            EventKind::StepEnd { .. } | EventKind::PoolDown { .. } | EventKind::PoolUp { .. } => {}
         }
     }
 }
@@ -209,7 +206,7 @@ pub fn critical_paths(events: &[ObsEvent]) -> BTreeMap<u64, CriticalPath> {
         if ev.request == crate::event::NO_REQUEST {
             continue;
         }
-        if let EventKind::Arrival { .. } = ev.kind {
+        if let EventKind::Arrival = ev.kind {
             builders.insert(ev.request, Builder::new(ev.at));
             continue;
         }
@@ -237,7 +234,7 @@ mod tests {
     #[test]
     fn simple_lifecycle_sums_exactly() {
         let events = vec![
-            ev(100, 0, 1, EventKind::Arrival { replica: 0 }),
+            ev(100, 0, 1, EventKind::Arrival),
             ev(
                 100,
                 0,
@@ -269,7 +266,7 @@ mod tests {
     #[test]
     fn preempt_swap_and_failover_partition_the_span() {
         let events = vec![
-            ev(0, 0, 2, EventKind::Arrival { replica: 1 }),
+            ev(0, 0, 2, EventKind::Arrival),
             ev(10, 1, 2, EventKind::SlotStart { replica: 0 }),
             ev(30, 1, 2, EventKind::FirstToken),
             // Quantum preemption: 30..50 decoded, 50..60 queued again.
@@ -298,8 +295,8 @@ mod tests {
     #[test]
     fn stage0_hit_charges_queue_only() {
         let events = vec![
-            ev(100, 0, 7, EventKind::Arrival { replica: 0 }),
-            ev(100, 0, 7, EventKind::Stage0Hit { replica: 0 }),
+            ev(100, 0, 7, EventKind::Arrival),
+            ev(100, 0, 7, EventKind::Stage0Hit),
             ev(2100, 0, 7, EventKind::Finish { preemptions: 0 }),
         ];
         let paths = critical_paths(&events);
@@ -313,7 +310,7 @@ mod tests {
     #[test]
     fn rejection_is_terminal_and_charges_queue() {
         let events = vec![
-            ev(0, 0, 3, EventKind::Arrival { replica: 0 }),
+            ev(0, 0, 3, EventKind::Arrival),
             ev(0, 0, 3, EventKind::RouterDecision { pool: 1 }),
             ev(0, 0, 3, EventKind::RejectedByCap { retry: false }),
         ];
@@ -327,7 +324,7 @@ mod tests {
     #[test]
     fn double_terminal_and_regressions_flagged() {
         let events = vec![
-            ev(10, 0, 4, EventKind::Arrival { replica: 0 }),
+            ev(10, 0, 4, EventKind::Arrival),
             ev(20, 1, 4, EventKind::Finish { preemptions: 0 }),
             ev(15, 1, 4, EventKind::Finish { preemptions: 0 }),
         ];

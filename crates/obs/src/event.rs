@@ -14,7 +14,7 @@
 use ic_desim::SimTime;
 
 /// Sentinel request id for events that concern the cluster rather than
-/// one request (step spans, gossip rounds, outage edges).
+/// one request (step spans, outage edges).
 pub const NO_REQUEST: u64 = u64::MAX;
 
 /// What happened. Request-scoped kinds carry only the payload the lane
@@ -23,21 +23,14 @@ pub const NO_REQUEST: u64 = u64::MAX;
 /// serves every pool).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// The request entered the system, owned by router replica
-    /// `replica`.
-    Arrival {
-        /// Router replica the request hashes to.
-        replica: u32,
-    },
+    /// The request entered the system.
+    Arrival,
     /// The stage-0 response cache answered this request: a stored
     /// response within the similarity threshold was found, so selection,
     /// routing, and the pool path are skipped entirely. Non-terminal —
     /// the request still finishes (with `Finish`) after the fixed
     /// cache-serve latency.
-    Stage0Hit {
-        /// Router replica the request hashes to.
-        replica: u32,
-    },
+    Stage0Hit,
     /// The request missed stage 0 and ran its stage-1 selector probe
     /// (one per arrival that reaches the selector).
     Stage1Probe,
@@ -70,7 +63,7 @@ pub enum EventKind {
         retry: bool,
     },
     /// A pool failover flushed this request's in-flight state; the
-    /// router tier re-enqueues it as a retry.
+    /// router re-enqueues it as a retry.
     FailoverFlush {
         /// Pool index that went down.
         pool: u32,
@@ -125,14 +118,6 @@ pub enum EventKind {
         /// Sequences in the batch.
         batch: u32,
     },
-    /// One gossip round of the router tier: `merges` delta batches
-    /// delivered, `staleness_s` their summed age. Cluster scoped.
-    GossipRound {
-        /// Delta batches applied this round.
-        merges: u64,
-        /// Summed batch age at delivery, seconds.
-        staleness_s: f64,
-    },
     /// Fault injection: the pool went down. Cluster scoped.
     PoolDown {
         /// Pool index in routing order.
@@ -177,8 +162,8 @@ mod tests {
     fn terminal_kinds() {
         assert!(EventKind::Finish { preemptions: 0 }.is_terminal());
         assert!(EventKind::RejectedByCap { retry: true }.is_terminal());
-        assert!(!EventKind::Arrival { replica: 0 }.is_terminal());
-        assert!(!EventKind::Stage0Hit { replica: 0 }.is_terminal());
+        assert!(!EventKind::Arrival.is_terminal());
+        assert!(!EventKind::Stage0Hit.is_terminal());
         assert!(!EventKind::FirstToken.is_terminal());
     }
 }

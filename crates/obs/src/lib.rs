@@ -12,10 +12,11 @@
 //!    retry overhead.
 //! 2. **Timeline export** — [`ObsReport::chrome_trace_json`] serializes
 //!    the stream as Chrome trace-event JSON, loadable in Perfetto with
-//!    one track per pool replica and router replica.
+//!    one track per pool replica and one for the router's arrivals.
 //! 3. **Time-series telemetry** — an `ic_desim::Periodic`-driven
 //!    sampler snapshots queue depth, KV occupancy and dedup, batch
-//!    size, and router load/staleness into [`TelemetrySample`]s;
+//!    size, and the router's load estimate and decision count into
+//!    [`TelemetrySample`]s;
 //!    [`ObsReport::telemetry_jsonl`] renders them as JSONL.
 //!
 //! Everything downstream of recording is a pure function of the event
@@ -53,8 +54,6 @@ pub struct PoolMeta {
 pub struct ObsReport {
     /// Serving pools, in routing order (lane `p + 1` is `pools[p]`).
     pub pools: Vec<PoolMeta>,
-    /// Router tier replicas.
-    pub router_replicas: u32,
     /// The merged, `(time, lane)`-ordered event stream (empty when only
     /// the sampler ran).
     pub events: Vec<ObsEvent>,
@@ -110,7 +109,6 @@ mod tests {
     fn telemetry_jsonl_has_summary_footer() {
         let report = ObsReport {
             pools: Vec::new(),
-            router_replicas: 1,
             events: Vec::new(),
             dropped: 2,
             samples: Vec::new(),

@@ -97,7 +97,7 @@ impl Recorder {
     }
 
     /// Records one engine-lane event (arrival, selection, routing,
-    /// failover, gossip, outage edges).
+    /// failover, outage edges).
     pub fn record(&mut self, at: SimTime, request: u64, kind: EventKind) {
         self.engine.push(at, request, kind);
     }
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn merge_orders_by_time_then_lane_stably() {
         let mut rec = Recorder::new(16);
-        rec.record(t(5), 1, EventKind::Arrival { replica: 0 });
+        rec.record(t(5), 1, EventKind::Arrival);
         rec.record(t(5), 1, EventKind::RouterDecision { pool: 0 });
         let mut pool = LaneBuf::new(1, 16);
         pool.push(t(5), 1, EventKind::SlotStart { replica: 0 });
@@ -166,7 +166,7 @@ mod tests {
         let key: Vec<(u64, u32)> = events.iter().map(|e| (e.at.as_micros(), e.lane)).collect();
         assert_eq!(key, vec![(5, 0), (5, 0), (5, 1), (5, 2), (9, 1)]);
         // Stable within (time, lane): arrival precedes the router decision.
-        assert_eq!(events[0].kind, EventKind::Arrival { replica: 0 });
+        assert_eq!(events[0].kind, EventKind::Arrival);
         assert_eq!(events[1].kind, EventKind::RouterDecision { pool: 0 });
     }
 }

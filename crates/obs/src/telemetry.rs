@@ -80,14 +80,10 @@ pub struct TelemetrySample {
     pub p99_ttft_s: f64,
     /// Per-pool gauges, in routing order.
     pub pools: Vec<PoolSample>,
-    /// Per-router-replica smoothed load estimates.
-    pub load_estimates: Vec<f64>,
-    /// Per-router-replica routing decisions so far.
-    pub decisions: Vec<u64>,
-    /// Gossip rounds completed so far.
-    pub gossip_rounds: u64,
-    /// Mean delta-batch staleness at merge so far, seconds.
-    pub mean_staleness_s: f64,
+    /// The router's smoothed load estimate.
+    pub load_estimate: f64,
+    /// Routing decisions so far.
+    pub decisions: u64,
 }
 
 impl TelemetrySample {
@@ -119,25 +115,11 @@ impl TelemetrySample {
             }
             p.write_json(&mut out);
         }
-        out.push_str("],\"router\":{\"load_estimates\":[");
-        for (i, l) in self.load_estimates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f6(*l));
-        }
-        out.push_str("],\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{d}");
-        }
         let _ = write!(
             out,
-            "],\"gossip_rounds\":{},\"mean_staleness_s\":{}}}}}",
-            self.gossip_rounds,
-            f6(self.mean_staleness_s),
+            "],\"router\":{{\"load_estimate\":{},\"decisions\":{}}}}}",
+            f6(self.load_estimate),
+            self.decisions,
         );
         out
     }
@@ -168,10 +150,8 @@ mod tests {
                 dedup_ratio: 0.125,
                 mean_step_batch: 7.5,
             }],
-            load_estimates: vec![0.5, 1.0],
-            decisions: vec![20, 22],
-            gossip_rounds: 12,
-            mean_staleness_s: 2.5,
+            load_estimate: 0.5,
+            decisions: 20,
         }
     }
 
@@ -181,8 +161,7 @@ mod tests {
         assert_eq!(line, sample().to_json());
         assert!(line.starts_with("{\"kind\":\"sample\",\"t_s\":60.000000,"));
         assert!(line.contains("\"pools\":[{\"queue\":2,\"active\":8,\"swapped\":1,"));
-        assert!(line.contains("\"router\":{\"load_estimates\":[0.500000,1.000000],"));
-        assert!(line.contains("\"decisions\":[20,22],\"gossip_rounds\":12,"));
+        assert!(line.ends_with(",\"router\":{\"load_estimate\":0.500000,\"decisions\":20}}"));
         let opens = line.matches(['{', '[']).count();
         let closes = line.matches(['}', ']']).count();
         assert_eq!(opens, closes);

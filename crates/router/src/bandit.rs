@@ -11,9 +11,9 @@
 //! The Cholesky factor of `A` and the mean `A^{-1} b` are functions of
 //! `(A, b)` alone, and an arm's `(A, b)` moves only when that arm
 //! learns — a minority of decisions. Each arm therefore keeps both until
-//! [`ContextualBandit::update`] or [`ContextualBandit::apply_stats`]
-//! touches it; a decision between two lessons pays the `dim` normal
-//! draws, one back substitution and two dot products, nothing else.
+//! [`ContextualBandit::update`] touches it; a decision between two
+//! lessons pays the `dim` normal draws, one back substitution and two
+//! dot products, nothing else.
 //! [`ContextualBandit::refits`] against [`ContextualBandit::evaluations`]
 //! says how often that was enough.
 
@@ -204,39 +204,6 @@ impl ContextualBandit {
         self.dim
     }
 
-    /// Folds a peer replica's sufficient-statistic delta for one arm into
-    /// this posterior, scaled by `scale` (the gossip staleness discount):
-    /// `A += scale * d_a`, `b += scale * d_b`. The delta must be the pure
-    /// observation part (`sum(x xT)`, `sum(r x)`) — never the peer's
-    /// ridge prior, which every replica already owns — so merging keeps
-    /// `A` SPD and never double-counts the prior. Unknown arms are
-    /// ignored (a replica may learn of a fleet change late).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dimension mismatch or a negative scale.
-    pub fn apply_stats(
-        &mut self,
-        model: ModelId,
-        d_a: &Matrix,
-        d_b: &[f64],
-        pulls: u64,
-        scale: f64,
-    ) {
-        assert_eq!(d_a.n(), self.dim, "feature dimension mismatch");
-        assert_eq!(d_b.len(), self.dim, "feature dimension mismatch");
-        assert!(scale >= 0.0, "scale must be non-negative, got {scale}");
-        let Some(arm) = self.arms.iter_mut().find(|a| a.model == model) else {
-            return;
-        };
-        arm.a.add_scaled(d_a, scale);
-        for (bi, di) in arm.b.iter_mut().zip(d_b) {
-            *bi += scale * di;
-        }
-        arm.pulls += pulls;
-        arm.posterior = None;
-    }
-
     /// Registers a new arm at runtime (model fleet changes, §8).
     pub fn add_arm(&mut self, model: ModelId) {
         if self.arms.iter().any(|a| a.model == model) {
@@ -322,37 +289,6 @@ mod tests {
         }
         let best_frac = last_100.iter().filter(|m| m.0 == 1).count() as f64 / 100.0;
         assert!(best_frac > 0.9, "best-arm rate {best_frac}");
-    }
-
-    #[test]
-    fn apply_stats_matches_direct_updates() {
-        // A posterior rebuilt from a shipped delta at scale 1 must be
-        // bitwise what the same updates produce applied directly.
-        let mut direct = ContextualBandit::new(vec![ModelId(0)], 2, 1.0, 0.2);
-        let mut merged = ContextualBandit::new(vec![ModelId(0)], 2, 1.0, 0.2);
-        let mut d_a = Matrix::zeros(2);
-        let mut d_b = vec![0.0; 2];
-        let updates = [([1.0, 0.5], 0.8), ([0.2, 1.0], 0.3), ([1.0, 1.0], 0.6)];
-        for (x, r) in &updates {
-            direct.update(ModelId(0), x, *r);
-            d_a.add_outer(x);
-            for (bi, xi) in d_b.iter_mut().zip(x) {
-                *bi += r * xi;
-            }
-        }
-        merged.apply_stats(ModelId(0), &d_a, &d_b, updates.len() as u64, 1.0);
-        assert_eq!(merged.pulls(ModelId(0)), 3);
-        let a = direct.mean_scores(&[1.0, 0.7]);
-        let b = merged.mean_scores(&[1.0, 0.7]);
-        assert_eq!(a[0].1.to_bits(), b[0].1.to_bits());
-        // A discounted merge moves the posterior less than the full one.
-        let mut half = ContextualBandit::new(vec![ModelId(0)], 2, 1.0, 0.2);
-        half.apply_stats(ModelId(0), &d_a, &d_b, 3, 0.5);
-        let h = half.mean_scores(&[1.0, 0.7]);
-        assert!(h[0].1 > 0.0 && h[0].1 < b[0].1);
-        // Unknown arms are ignored.
-        half.apply_stats(ModelId(9), &d_a, &d_b, 3, 1.0);
-        assert_eq!(half.pulls(ModelId(9)), 0);
     }
 
     #[test]

@@ -15,22 +15,18 @@
 //! - **Uncertainty-gated feedback**: preference feedback is solicited only
 //!   when the arm-score distribution is nearly uniform (std below a gate),
 //!   pairing the top choice with a Thompson-sampled second ([`router`]).
-//! - **Gossip dissemination** ([`gossip`]) for replicated front ends:
-//!   each router replica buffers its local bandit updates and ships them
-//!   around a deterministic ring with per-hop staleness discounting,
-//!   while load estimates blend by consensus — replicas converge on
-//!   stale views instead of sharing one mutable bandit.
+//!
+//! The serving system routes through one logical router, as the paper
+//! does: one bandit posterior and one load view.
 
 pub mod bandit;
 pub mod features;
-pub mod gossip;
 pub mod linalg;
 pub mod load;
 pub mod router;
 
 pub use bandit::ContextualBandit;
 pub use features::{ROUTE_FEATURE_DIM, RouteFeatures};
-pub use gossip::{ArmDelta, DeltaBatch, GossipConfig, GossipRoundReport, GossipState, ring_blend};
 pub use linalg::Matrix;
 pub use load::{LoadBias, LoadTracker};
 pub use router::{RequestRouter, RouteDecision, RouterConfig};

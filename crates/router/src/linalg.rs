@@ -51,22 +51,6 @@ impl Matrix {
         }
     }
 
-    /// Scaled accumulation: `self += k * other`. The gossip merge path
-    /// uses this to fold a peer replica's (staleness-discounted)
-    /// sufficient-statistic delta `sum(x xT)` into a local precision
-    /// matrix; adding a PSD delta with `k >= 0` preserves positive
-    /// definiteness.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dimension mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix, k: f64) {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        for (d, o) in self.data.iter_mut().zip(&other.data) {
-            *d += k * o;
-        }
-    }
-
     /// Cholesky factorization `A = L LT` for symmetric positive-definite
     /// `A`. Returns the lower-triangular factor, or `None` if the matrix
     /// is not positive definite (within tolerance).
@@ -254,29 +238,5 @@ mod tests {
     #[test]
     fn dot_matches_hand_computation() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-    }
-
-    #[test]
-    fn add_scaled_accumulates_discounted_outer_products() {
-        let mut a = Matrix::scaled_identity(2, 1.0);
-        let mut delta = Matrix::zeros(2);
-        delta.add_outer(&[2.0, 1.0]);
-        a.add_scaled(&delta, 0.5);
-        assert!((a[(0, 0)] - 3.0).abs() < 1e-12); // 1 + 0.5 * 4.
-        assert!((a[(0, 1)] - 1.0).abs() < 1e-12); // 0.5 * 2.
-        assert!((a[(1, 1)] - 1.5).abs() < 1e-12); // 1 + 0.5 * 1.
-        // A PSD delta scaled non-negatively keeps the matrix SPD.
-        assert!(a.cholesky().is_some());
-        // Zero scale is a no-op.
-        let before = a.clone();
-        a.add_scaled(&delta, 0.0);
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn add_scaled_rejects_dimension_mismatch() {
-        let mut a = Matrix::zeros(2);
-        a.add_scaled(&Matrix::zeros(3), 1.0);
     }
 }

@@ -36,13 +36,6 @@ impl LoadTracker {
     pub fn current(&self) -> f64 {
         self.ema.value()
     }
-
-    /// Gossip merge: blends a peer replica's smoothed estimate into this
-    /// one (`current = (1 - weight) * current + weight * peer`). A
-    /// tracker that has seen no traffic adopts the peer estimate.
-    pub fn merge(&mut self, peer: f64, weight: f64) {
-        self.ema.merge(peer.max(0.0), weight);
-    }
 }
 
 /// The tanh feedback controller.
@@ -167,23 +160,6 @@ mod tests {
             t.observe(50.0);
         }
         assert!(t.current() > 45.0, "sustained load should pass through");
-    }
-
-    #[test]
-    fn merge_blends_peer_estimates() {
-        let mut t = LoadTracker::new(0.2);
-        for _ in 0..20 {
-            t.observe(4.0);
-        }
-        t.merge(8.0, 0.5);
-        assert!((t.current() - 6.0).abs() < 1e-9);
-        // A fresh tracker adopts the peer view.
-        let mut fresh = LoadTracker::new(0.2);
-        fresh.merge(3.0, 0.5);
-        assert!((fresh.current() - 3.0).abs() < 1e-12);
-        // Negative peer estimates are clamped like observations.
-        fresh.merge(-10.0, 1.0);
-        assert_eq!(fresh.current(), 0.0);
     }
 
     #[test]

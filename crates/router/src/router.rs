@@ -6,7 +6,6 @@ use rand::{Rng, RngExt};
 
 use crate::bandit::ContextualBandit;
 use crate::features::{ROUTE_FEATURE_DIM, RouteFeatures};
-use crate::gossip::{DeltaBatch, GossipState};
 use crate::load::{LoadBias, LoadTracker, normalize_costs};
 
 /// Router configuration.
@@ -112,9 +111,6 @@ pub struct RequestRouter {
     bias: LoadBias,
     costs: Vec<(ModelId, f64)>,
     config: RouterConfig,
-    /// Local bandit updates since the last gossip round (the shippable
-    /// sufficient-statistic delta of a replicated front end).
-    gossip: GossipState,
     decisions: u64,
     solicited: u64,
 }
@@ -134,7 +130,6 @@ impl RequestRouter {
         let normalized = normalize_costs(&raw_costs);
         let costs = models.iter().copied().zip(normalized).collect();
         Self {
-            gossip: GossipState::new(&models, ROUTE_FEATURE_DIM),
             bandit: ContextualBandit::new(
                 models,
                 ROUTE_FEATURE_DIM,
@@ -273,7 +268,6 @@ impl RequestRouter {
     /// ([`RouteDecision::features`]).
     pub fn record_reward_on(&mut self, model: ModelId, x: &[f64; ROUTE_FEATURE_DIM], reward: f64) {
         self.bandit.update(model, x, reward);
-        self.gossip.record(model, x, reward);
     }
 
     /// Absorbs a pairwise preference ("which response do you prefer?"):
@@ -300,38 +294,6 @@ impl RequestRouter {
     ) {
         self.bandit.update(preferred, x, 1.0);
         self.bandit.update(other, x, 0.0);
-        self.gossip.record(preferred, x, 1.0);
-        self.gossip.record(other, x, 0.0);
-    }
-
-    /// Seals the local updates since the last gossip round into a batch
-    /// for the ring (see [`crate::gossip`]); `None` when nothing was
-    /// learned locally. `ttl` is the number of ring hops the batch lives
-    /// (replica count minus one visits every peer exactly once).
-    pub fn gossip_take(&mut self, now_s: f64, ttl: u32) -> Option<DeltaBatch> {
-        self.gossip.take(now_s, ttl)
-    }
-
-    /// Folds a peer's delta batch into this replica's posterior at the
-    /// given staleness `discount` (see
-    /// [`crate::ContextualBandit::apply_stats`]).
-    pub fn gossip_apply(&mut self, batch: &DeltaBatch, discount: f64) {
-        for arm in &batch.arms {
-            self.bandit
-                .apply_stats(arm.model, &arm.a, &arm.b, arm.pulls, discount);
-        }
-    }
-
-    /// Gossip merge of the load estimate: blends a peer replica's
-    /// smoothed value into this tracker.
-    pub fn merge_load(&mut self, peer: f64, weight: f64) {
-        self.load.merge(peer, weight);
-    }
-
-    /// Discards the unsent gossip buffer (cloned replicas already share
-    /// the posterior the buffer describes).
-    pub fn gossip_clear(&mut self) {
-        self.gossip.clear();
     }
 
     /// Fraction of decisions that requested feedback — the data-efficiency
@@ -348,7 +310,7 @@ impl RequestRouter {
         self.decisions
     }
 
-    /// Updates an arm's posterior has absorbed (local and gossiped).
+    /// Updates an arm's posterior has absorbed.
     pub fn arm_pulls(&self, model: ModelId) -> u64 {
         self.bandit.pulls(model)
     }
@@ -368,7 +330,6 @@ impl RequestRouter {
     /// Adds a model at runtime (fleet upgrade, §8).
     pub fn add_model(&mut self, model: ModelId, catalog: &Catalog) {
         self.bandit.add_arm(model);
-        self.gossip.add_arm(model);
         let raw: Vec<f64> = self
             .bandit
             .models()
@@ -575,58 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn gossiped_rewards_move_a_peer_replica() {
-        // Replica A learns that the large model wins; replica B never
-        // sees a reward. After B applies A's gossip batch at full
-        // discount, B's posterior must match what the same updates
-        // applied directly would give — the additive sufficient-statistic
-        // merge is exact.
-        let (catalog, small, large, mut wg) = setup();
-        let mk = || RequestRouter::new(vec![small, large], &catalog, 64, RouterConfig::default());
-        let mut a = mk();
-        let mut b = mk();
-        let mut direct = mk();
-        let train = wg.generate_requests(50);
-        for r in &train {
-            a.record_reward(large, r, &[], 0.9);
-            a.record_reward(small, r, &[], 0.2);
-            direct.record_reward(large, r, &[], 0.9);
-            direct.record_reward(small, r, &[], 0.2);
-        }
-        let batch = a.gossip_take(10.0, 1).expect("a learned locally");
-        assert!(a.gossip_take(10.0, 1).is_none(), "buffer drains on take");
-        b.gossip_apply(&batch, 1.0);
-        // Same posterior on fresh contexts (up to the float-summation
-        // order: the batch pre-sums outer products before the single
-        // `apply_stats` addition, direct updates add one at a time).
-        let probe = wg.generate_requests(5);
-        let mut rng_b = rng_from_seed(91);
-        let mut rng_d = rng_from_seed(91);
-        for r in &probe {
-            let db = b.route(r, &[], &mut rng_b);
-            let dd = direct.route(r, &[], &mut rng_d);
-            assert_eq!(db.chosen, dd.chosen);
-            for ((m1, s1), (m2, s2)) in db.scores.iter().zip(&dd.scores) {
-                assert_eq!(m1, m2);
-                assert!((s1 - s2).abs() < 1e-9, "posterior drifted: {s1} vs {s2}");
-            }
-        }
-        // Load merges blend the peer estimate in.
-        for _ in 0..50 {
-            a.observe_load(12.0);
-        }
-        b.merge_load(a.current_load(), 0.5);
-        assert!(b.current_load() > 0.0);
-    }
-
-    #[test]
     fn a_decision_carries_the_vector_its_feedback_is_learned_on() {
         // Router `carried` learns on `RouteDecision::features`, router
         // `fresh` re-extracts from the same `(request, utilities)` pair
         // as every caller did before the decision carried them. The
         // vector must be a fresh extract bit for bit, and the two
         // routers' posteriors (their next sampled scores under equal RNG
-        // streams) and gossip deltas must stay indistinguishable.
+        // streams, and every learned statistic) must stay
+        // indistinguishable.
         let (catalog, small, large, mut wg) = setup();
         let mk = || RequestRouter::new(vec![small, large], &catalog, 64, RouterConfig::default());
         let (mut carried, mut fresh) = (mk(), mk());
@@ -650,10 +567,8 @@ mod tests {
                 fresh.record_preference(r, u, small, large);
             }
         }
-        let (bc, bf) = (carried.gossip_take(9.0, 1), fresh.gossip_take(9.0, 1));
-        assert!(bc.is_some());
         // `Debug` prints every statistic in shortest round-trip form.
-        assert_eq!(format!("{bc:?}"), format!("{bf:?}"));
+        assert_eq!(format!("{carried:?}"), format!("{fresh:?}"));
         assert_eq!(carried.posterior_counts(), fresh.posterior_counts());
     }
 

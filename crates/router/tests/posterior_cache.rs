@@ -3,19 +3,18 @@
 //! `ContextualBandit` and an in-test bandit that refactors `A` and
 //! re-solves `A^{-1} b` on *every* decision (the code `sample_scores`
 //! used to be) live through the same random interleaving of decisions,
-//! `update`s, `apply_stats` merges (scale 0, 1 and fractional), arm
-//! additions and removals, and clones (the subject is replaced by its
-//! clone mid-sequence, so a clone must carry the kept factors, the
-//! scratch and the counters). Every decision's scores must agree by
+//! `update`s, arm additions and removals, and clones (the subject is
+//! replaced by its clone mid-sequence, so a clone must carry the kept
+//! factors, the scratch and the counters). Every decision's scores must agree by
 //! `to_bits()`, both RNGs must have advanced identically, and the
 //! subject may have refit at most once per arm created plus once per
 //! invalidating call — which, with decisions outnumbering lessons, a
 //! bandit that refits per decision cannot meet.
 //!
 //! Mutations that make this test fail (each was tried):
-//! - `apply_stats` not dropping the arm's kept posterior: the first
-//!   decision after a merge at a non-zero scale scores against the stale
-//!   factor and mean, and the `to_bits()` comparison fails on that arm.
+//! - `update` not dropping the arm's kept posterior: the first decision
+//!   after a lesson scores against the stale factor and mean, and the
+//!   `to_bits()` comparison fails on that arm.
 //! - `sample_scores` dropping the kept posterior before every scoring
 //!   (a refit per decision again): same scores, "104 refits for 104
 //!   evaluations, budget 20".
@@ -78,17 +77,6 @@ impl Refactoring {
         true
     }
 
-    fn apply_stats(&mut self, model: ModelId, d_a: &Matrix, d_b: &[f64], scale: f64) -> bool {
-        let Some((_, a, b)) = self.arm(model) else {
-            return false;
-        };
-        a.add_scaled(d_a, scale);
-        for (bi, di) in b.iter_mut().zip(d_b) {
-            *bi += scale * di;
-        }
-        true
-    }
-
     fn add_arm(&mut self, model: ModelId) -> bool {
         if self.arm(model).is_some() {
             return false;
@@ -106,8 +94,7 @@ impl Refactoring {
     }
 }
 
-/// A context (or a delta's moment vector) in `[-1, 1]^dim` from raw
-/// draws.
+/// A context in `[-1, 1]^dim` from raw draws.
 fn vector(raw: &[u32], salt: u32, dim: usize) -> Vec<f64> {
     (0..dim)
         .map(|i| {
@@ -126,7 +113,7 @@ proptest! {
     fn kept_posteriors_score_like_a_refit_per_decision(
         dim_pick in 0usize..3,
         seed in 0u64..1_000_000,
-        // Per op: (kind, arm, then draws for vectors, reward, scale).
+        // Per op: (kind, arm, then draws for the vector and reward).
         ops in collection::vec(collection::vec(0u32..100_000, 6), 1..80),
     ) {
         let dim = [1usize, 3, 16][dim_pick];
@@ -156,21 +143,11 @@ proptest! {
                     }
                     evaluations += want.len() as u64;
                 }
-                6 | 7 => {
+                6..=9 => {
                     let x = vector(raw, 2, dim);
                     let reward = f64::from(raw[4] % 101) / 100.0;
                     subject.update(model, &x, reward);
                     refit_budget += u64::from(reference.update(model, &x, reward));
-                }
-                8 | 9 => {
-                    let mut d_a = Matrix::zeros(dim);
-                    for k in 0..1 + raw[2] % 3 {
-                        d_a.add_outer(&vector(raw, 10 + k, dim));
-                    }
-                    let d_b = vector(raw, 3, dim);
-                    let scale = [0.0, 1.0, f64::from(raw[5] % 1_000) / 1_000.0][(raw[4] % 3) as usize];
-                    subject.apply_stats(model, &d_a, &d_b, u64::from(raw[2] % 5), scale);
-                    refit_budget += u64::from(reference.apply_stats(model, &d_a, &d_b, scale));
                 }
                 10 => {
                     if raw[2] % 2 == 0 {

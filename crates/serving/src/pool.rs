@@ -1599,7 +1599,7 @@ impl ModelPool {
     /// swapped-out sequences (their host-ledger entries released), and
     /// the queue — returning the evicted job ids in a deterministic
     /// order (slots, then swapped, then queue) so the caller can
-    /// re-enqueue them through the router tier as retries. The pool
+    /// re-enqueue them through the router as retries. The pool
     /// comes back empty and idle, so the driver must drop the flushed
     /// batch's pending step boundary — left alone it would double-step
     /// a pool that refills before it fires.

@@ -62,29 +62,6 @@ impl Ema {
         self.value
     }
 
-    /// Blends a peer estimate into this EMA:
-    /// `value = (1 - weight) * value + weight * peer`. This is the gossip
-    /// merge used by replicated load trackers — unlike [`Ema::observe`]
-    /// it ignores `alpha` (the blend weight is the consensus step size,
-    /// not the smoothing factor) and it adopts the peer value outright
-    /// when this EMA has seen nothing yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside `[0, 1]` (programming error).
-    pub fn merge(&mut self, peer: f64, weight: f64) {
-        assert!(
-            (0.0..=1.0).contains(&weight),
-            "merge weight must be in [0, 1], got {weight}"
-        );
-        if self.initialized {
-            self.value = (1.0 - weight) * self.value + weight * peer;
-        } else {
-            self.value = peer;
-            self.initialized = true;
-        }
-    }
-
     /// Whether at least one observation (or a prior) has been absorbed.
     pub fn is_initialized(&self) -> bool {
         self.initialized
@@ -191,33 +168,6 @@ mod tests {
     #[should_panic(expected = "EMA alpha")]
     fn ema_rejects_zero_alpha() {
         let _ = Ema::new(0.0);
-    }
-
-    #[test]
-    fn merge_blends_toward_peer() {
-        let mut e = Ema::new(0.2);
-        e.observe(10.0);
-        e.merge(20.0, 0.5);
-        assert!((e.value() - 15.0).abs() < 1e-12);
-        e.merge(15.0, 0.0);
-        assert!((e.value() - 15.0).abs() < 1e-12, "zero weight is a no-op");
-        e.merge(3.0, 1.0);
-        assert!((e.value() - 3.0).abs() < 1e-12, "unit weight adopts peer");
-    }
-
-    #[test]
-    fn merge_into_uninitialized_adopts_peer() {
-        let mut e = Ema::new(0.2);
-        e.merge(7.0, 0.25);
-        assert!(e.is_initialized());
-        assert!((e.value() - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "merge weight")]
-    fn merge_rejects_out_of_range_weight() {
-        let mut e = Ema::new(0.2);
-        e.merge(1.0, 1.5);
     }
 
     #[test]
