@@ -30,13 +30,10 @@
 //!
 //! Every `IC_*` knob is listed, with its default and effect, in
 //! `docs/config.md`; leave them unset for the byte-deterministic output
-//! the CI determinism job diffs (including its `selector`, `router`
-//! and `kv` blocks). `IC_SELECTOR_BATCH` caps the same-tick run the
-//! stage-0 sketch pre-observes: with `IC_RESP_CACHE` off it changes
-//! only the `batch_limit` echoed in the `selector` stats block.
-//! A malformed `IC_*` value, a set `IC_*` variable that is not a knob
-//! (a typo, or a retired knob such as `IC_REPLAY_THREADS`), or an
-//! `IC_POOL_OUTAGE` naming a pool the cluster does not have, exits 2
+//! the CI determinism job diffs (including its `router` and `kv`
+//! blocks). A malformed `IC_*` value, a set `IC_*` variable that is not
+//! a knob (a typo, or a retired knob such as `IC_REPLAY_THREADS`), or
+//! an `IC_POOL_OUTAGE` naming a pool the cluster does not have, exits 2
 //! before any replay. The observability knobs
 //! are observation only: `BENCH_e2e.json` is byte-identical with and
 //! without them (CI-enforced). One logical router owns every request;
@@ -46,11 +43,10 @@
 use std::time::Instant;
 
 use ic_bench::Scale;
-use ic_bench::env::Knobs;
 use ic_bench::experiments::e2e;
 use ic_bench::harness::SetupTiming;
 use ic_bench::write_artifact;
-use ic_engine::{EngineReport, ServingEngine};
+use ic_engine::{EngineConfig, EngineReport, ServingEngine};
 use ic_workloads::Dataset;
 
 /// Peak resident set of this process so far in MiB (`VmHWM`; 0 where
@@ -143,15 +139,21 @@ fn print_engine_summary(report: &EngineReport) {
         report.router.failover_requeues,
         report.router.retry_rejects,
     );
+    // Each cell's health number: the offloads the small model served
+    // with in-context examples.
+    let offloads: Vec<_> = report.per_request.iter().filter(|r| r.offloaded).collect();
+    let with_examples = offloads.iter().filter(|r| r.examples > 0).count();
     println!(
-        "selector: {} stage-1 lookups, one per arrival past stage 0 (same-tick cap {}); \
-         {} selections with >= 1 example ({:.1}% of {} served), {} examples selected",
-        report.selector.requests,
-        report.selector.batch_limit,
+        "selector: {} stage-1 lookups, one per arrival past stage 0; \
+         {} selections with >= 1 example ({:.1}% of {} served), {} examples selected; \
+         {} of {} offloads carried >= 1 example",
+        report.served - report.resp_cache.hits,
         report.cache.selection_hits,
         report.selection_hit_rate() * 100.0,
         report.served,
         report.cache.examples_used,
+        with_examples,
+        offloads.len(),
     );
     println!(
         "paged KV memory: peak occupancy {:.1}% (mean {:.1}%), \
@@ -266,11 +268,11 @@ fn write_obs_artifacts(report: &EngineReport, trace_path: Option<&str>, sampled:
 }
 
 /// Times `serve_workload` over the standard MS MARCO replay parts under
-/// `knobs`, returning the report, its wall seconds, and the measured
+/// `config`, returning the report, its wall seconds, and the measured
 /// wall split of the setup that preceded it.
-fn timed_replay(scale: Scale, knobs: &Knobs) -> (EngineReport, f64, SetupTiming) {
+fn timed_replay(scale: Scale, config: &EngineConfig) -> (EngineReport, f64, SetupTiming) {
     let (mut engine, requests, arrivals, setup) =
-        e2e::E2eRun::with(scale, Dataset::MsMarco, knobs).parts();
+        e2e::E2eRun::with(scale, Dataset::MsMarco, config).parts();
     let start = Instant::now();
     let report = engine.serve_workload(&requests, &arrivals);
     (report, start.elapsed().as_secs_f64(), setup)
@@ -284,7 +286,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut knobs = Knobs::from_env().unwrap_or_else(|msg| {
+    let mut config = ic_bench::env::from_env().unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
     });
@@ -317,15 +319,15 @@ fn main() {
     }
     // Every engine run of the process (suite run included) records the
     // event stream.
-    knobs.engine.trace |= trace_path.is_some();
-    let sampled = knobs.engine.obs_sample_s > 0.0;
+    config.trace |= trace_path.is_some();
+    let sampled = config.obs_sample_s > 0.0;
     // The overhead pair: one observability-off replay and one with the
     // lifecycle recorder on (sampler as configured), same seed.
-    let mut obs_off = knobs.clone();
-    obs_off.engine.trace = false;
-    obs_off.engine.obs_sample_s = 0.0;
-    let mut obs_on = knobs.clone();
-    obs_on.engine.trace = true;
+    let mut obs_off = config.clone();
+    obs_off.trace = false;
+    obs_off.obs_sample_s = 0.0;
+    let mut obs_on = config.clone();
+    obs_on.trace = true;
 
     if let Some(fraction) = fraction {
         // Engine-replay-only fast path: one event-driven run at an
@@ -349,7 +351,7 @@ fn main() {
     }
 
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let (report, engine_report) = e2e::fig12_e2e_full(scale, &knobs);
+    let (report, engine_report) = e2e::fig12_e2e_full(scale, &config);
     write_artifact("BENCH_e2e.json", engine_report.to_json());
     // The suite's engine run already carries the observability block
     // when tracing/sampling is on; the artifacts come from it so the

@@ -1,7 +1,8 @@
-//! The bench binaries' `IC_*` environment knobs: one table ([`KNOBS`]),
-//! one parsed value ([`Knobs`]) and one reader ([`Knobs::from_env`]).
+//! The bench binaries' `IC_*` environment knobs: one table ([`KNOBS`])
+//! and one reader ([`from_env`]), which yields the run's
+//! [`EngineConfig`].
 //!
-//! Each binary calls [`Knobs::from_env`] once, before anything runs, and
+//! Each binary calls [`from_env`] once, before anything runs, and
 //! hands the value to the run; nothing below `main` reads the
 //! environment. An unset knob keeps its default (the byte-deterministic
 //! run). A knob that is set but does not parse, or lies outside its
@@ -15,19 +16,6 @@
 use ic_engine::{EngineConfig, PoolOutage};
 use ic_serving::Watermarks;
 
-/// The knobs of one run: the unified engine's configuration plus the
-/// one knob the set-up reads.
-#[derive(Debug, Clone, Default)]
-pub struct Knobs {
-    /// Every engine knob, applied to [`EngineConfig::default`].
-    pub engine: EngineConfig,
-    /// `IC_SHARE_BURST`: the
-    /// [`burst_workload`](crate::experiments::e2e::burst_workload)
-    /// reshape of the IC-Cache replay's trace (`< 2` keeps the natural
-    /// trace).
-    pub burst: usize,
-}
-
 /// One `IC_*` knob: its name, the values it accepts (`docs/config.md`'s
 /// `accepts` column, word for word) and how a trimmed value sets it
 /// (`None` when the value is not one it accepts).
@@ -36,8 +24,8 @@ pub struct Knob {
     pub name: &'static str,
     /// The values it accepts, as the error message and the doc say them.
     pub accepts: &'static str,
-    /// Applies a trimmed value to the knobs.
-    pub set: fn(&mut Knobs, &str) -> Option<()>,
+    /// Applies a trimmed value to the configuration.
+    pub set: fn(&mut EngineConfig, &str) -> Option<()>,
 }
 
 /// A finite `f64` that `ok` accepts (`nan` and `inf` parse as `f64`s,
@@ -57,98 +45,91 @@ fn switch(value: &str) -> Option<bool> {
 #[rustfmt::skip]
 pub const KNOBS: &[Knob] = &[
     Knob { name: "IC_PREFILL_CHUNK", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.prefill_chunk_tokens = n) },
+        set: |k, v| v.parse().ok().map(|n| k.prefill_chunk_tokens = n) },
     Knob { name: "IC_PREEMPT_QUANTUM", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.preempt_decode_quantum = n) },
+        set: |k, v| v.parse().ok().map(|n| k.preempt_decode_quantum = n) },
     Knob { name: "IC_MAX_QUEUE", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.max_queue = Some(n)) },
-    Knob { name: "IC_SELECTOR_BATCH", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.selector_batch = n) },
+        set: |k, v| v.parse().ok().map(|n| k.max_queue = Some(n)) },
     Knob { name: "IC_KV_BLOCK", accepts: "integer ≥ 1",
-        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.kv_block_tokens = n) },
+        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.kv_block_tokens = n) },
     Knob { name: "IC_KV_BUDGET", accepts: "integer ≥ 1",
-        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.engine.kv_budget_blocks = n) },
+        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.kv_budget_blocks = n) },
     Knob { name: "IC_KV_WATERMARKS", accepts: "`high,low`, 0 < low < high ≤ 1",
-        set: |k, v| parse_watermarks(v).map(|w| k.engine.kv_watermarks = w) },
+        set: |k, v| parse_watermarks(v).map(|w| k.kv_watermarks = w) },
     Knob { name: "IC_KV_HOST_BLOCKS", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.kv_swap.host_capacity_blocks = n) },
-    Knob { name: "IC_KV_SHARE", accepts: "`0` or `1`",
-        set: |k, v| switch(v).map(|on| k.engine.kv_share = on) },
-    Knob { name: "IC_SHARE_BURST", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.burst = n) },
+        set: |k, v| v.parse().ok().map(|n| k.kv_swap.host_capacity_blocks = n) },
     Knob { name: "IC_RESP_CACHE", accepts: "`0` or `1`",
-        set: |k, v| switch(v).map(|on| k.engine.resp_cache = on) },
+        set: |k, v| switch(v).map(|on| k.resp_cache = on) },
     Knob { name: "IC_RESP_THRESHOLD", accepts: "number in [−1, 1]",
-        set: |k, v| number(v, |x| x.abs() <= 1.0).map(|x| k.engine.resp_threshold = x) },
+        set: |k, v| number(v, |x| x.abs() <= 1.0).map(|x| k.resp_threshold = x) },
     Knob { name: "IC_RESP_BYTES", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.resp_budget_bytes = n) },
+        set: |k, v| v.parse().ok().map(|n| k.resp_budget_bytes = n) },
     Knob { name: "IC_RESP_TTL", accepts: "finite number > 0",
-        set: |k, v| number(v, |x| x > 0.0).map(|x| k.engine.resp_ttl_s = x) },
+        set: |k, v| number(v, |x| x > 0.0).map(|x| k.resp_ttl_s = x) },
     Knob { name: "IC_RESP_PREPOP", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.resp_prepop_min = n) },
+        set: |k, v| v.parse().ok().map(|n| k.resp_prepop_min = n) },
     Knob { name: "IC_RESP_WINDOW", accepts: "finite number > 0",
-        set: |k, v| number(v, |x| x > 0.0).map(|x| k.engine.resp_window_s = x) },
+        set: |k, v| number(v, |x| x > 0.0).map(|x| k.resp_window_s = x) },
     Knob { name: "IC_POOL_OUTAGE",
         accepts: "`pool:at:duration[;...]`, a pool the cluster has, finite at ≥ 0, \
                   finite duration > 0",
-        set: |k, v| parse_outages(v).map(|o| k.engine.pool_outages = o) },
+        set: |k, v| parse_outages(v).map(|o| k.pool_outages = o) },
     Knob { name: "IC_OBS_TRACE", accepts: "`0` or `1`",
-        set: |k, v| switch(v).map(|on| k.engine.trace = on) },
+        set: |k, v| switch(v).map(|on| k.trace = on) },
     Knob { name: "IC_OBS_SAMPLE", accepts: "finite number ≥ 0",
-        set: |k, v| number(v, |x| x >= 0.0).map(|x| k.engine.obs_sample_s = x) },
+        set: |k, v| number(v, |x| x >= 0.0).map(|x| k.obs_sample_s = x) },
     Knob { name: "IC_OBS_RING", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.engine.obs_ring = n) },
+        set: |k, v| v.parse().ok().map(|n| k.obs_ring = n) },
     // Read by the golden tests, not by a run: a row so that setting it
     // is not a typo.
     Knob { name: "IC_BLESS", accepts: "any (only `1` blesses)", set: |_, _| Some(()) },
 ];
 
-impl Knobs {
-    /// The knobs the environment sets: every set `IC_*` variable through
-    /// its [`KNOBS`] row, and the fault schedule checked against the
-    /// Gemma-pair cluster every e2e run replays on. `Err` names the
-    /// offending variable and value; the binaries print it and exit 2
-    /// before anything runs.
-    pub fn from_env() -> Result<Self, String> {
-        Self::from_vars(std::env::vars_os().map(|(name, value)| {
-            (
-                name.to_string_lossy().into_owned(),
-                value.to_string_lossy().into_owned(),
-            )
-        }))
-    }
+/// The engine configuration the environment sets: every set `IC_*`
+/// variable through its [`KNOBS`] row, applied to
+/// [`EngineConfig::default`], and the fault schedule checked against the
+/// Gemma-pair cluster every e2e run replays on. `Err` names the
+/// offending variable and value; the binaries print it and exit 2
+/// before anything runs.
+pub fn from_env() -> Result<EngineConfig, String> {
+    from_vars(std::env::vars_os().map(|(name, value)| {
+        (
+            name.to_string_lossy().into_owned(),
+            value.to_string_lossy().into_owned(),
+        )
+    }))
+}
 
-    /// [`Knobs::from_env`] over explicit `(name, value)` pairs.
-    fn from_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<Self, String> {
-        let mut knobs = Self::default();
-        let mut vars: Vec<_> = vars
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("IC_"))
-            .collect();
-        // In name order, so the variable an error names does not depend
-        // on the environment's order.
-        vars.sort_unstable();
-        for (name, value) in vars {
-            let Some(knob) = KNOBS.iter().find(|k| k.name == name) else {
-                return Err(format!(
-                    "{name}={value:?} is not an IC_* knob, so nothing would read it \
-                     (docs/config.md lists the knobs)"
-                ));
-            };
-            if (knob.set)(&mut knobs, value.trim()).is_none() {
-                return Err(format!("{name}={value:?} is not {}", knob.accepts));
-            }
-        }
-        let pools = ic_cache::IcCacheConfig::gemma_pair().models.len();
-        if let Some(outage) = knobs.engine.pool_outages.iter().find(|o| o.pool >= pools) {
+/// [`from_env`] over explicit `(name, value)` pairs.
+fn from_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<EngineConfig, String> {
+    let mut config = EngineConfig::default();
+    let mut vars: Vec<_> = vars
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("IC_"))
+        .collect();
+    // In name order, so the variable an error names does not depend on
+    // the environment's order.
+    vars.sort_unstable();
+    for (name, value) in vars {
+        let Some(knob) = KNOBS.iter().find(|k| k.name == name) else {
             return Err(format!(
-                "IC_POOL_OUTAGE names pool {} but the cluster has {pools} pools (0..={})",
-                outage.pool,
-                pools - 1
+                "{name}={value:?} is not an IC_* knob, so nothing would read it \
+                 (docs/config.md lists the knobs)"
             ));
+        };
+        if (knob.set)(&mut config, value.trim()).is_none() {
+            return Err(format!("{name}={value:?} is not {}", knob.accepts));
         }
-        Ok(knobs)
     }
+    let pools = ic_cache::IcCacheConfig::gemma_pair().models.len();
+    if let Some(outage) = config.pool_outages.iter().find(|o| o.pool >= pools) {
+        return Err(format!(
+            "IC_POOL_OUTAGE names pool {} but the cluster has {pools} pools (0..={})",
+            outage.pool,
+            pools - 1
+        ));
+    }
+    Ok(config)
 }
 
 /// Parses a pool-outage schedule (e.g. `1:300:120;0:900:60` — pool 1
@@ -196,14 +177,14 @@ pub fn parse_watermarks(value: &str) -> Option<Watermarks> {
 mod tests {
     use super::*;
 
-    fn knobs(vars: &[(&str, &str)]) -> Result<Knobs, String> {
-        Knobs::from_vars(vars.iter().map(|&(n, v)| (n.to_owned(), v.to_owned())))
+    fn knobs(vars: &[(&str, &str)]) -> Result<EngineConfig, String> {
+        from_vars(vars.iter().map(|&(n, v)| (n.to_owned(), v.to_owned())))
     }
 
     /// `docs/config.md`'s table is [`KNOBS`]: the same names in the same
     /// order, each row's `accepts` column word for word, and every
     /// documented default that is not `unset`, set through its row,
-    /// leaves [`Knobs::default`] as it is.
+    /// leaves [`EngineConfig::default`] as it is.
     #[test]
     fn knobs_are_the_rows_of_the_config_doc() {
         let doc = include_str!("../../../docs/config.md");
@@ -219,12 +200,12 @@ mod tests {
             .collect();
         let knobs: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
         assert_eq!(names, knobs, "docs/config.md table vs env::KNOBS");
-        let default = format!("{:?}", Knobs::default());
+        let default = format!("{:?}", EngineConfig::default());
         for (row, knob) in rows.iter().zip(KNOBS) {
             assert_eq!(row[2], knob.accepts, "{}: accepts column", knob.name);
             let documented = row[1].trim_matches('`');
             if documented != "unset" {
-                let mut set = Knobs::default();
+                let mut set = EngineConfig::default();
                 assert_eq!((knob.set)(&mut set, documented), Some(()), "{}", knob.name);
                 assert_eq!(format!("{set:?}"), default, "{}: default column", knob.name);
             }
@@ -240,10 +221,13 @@ mod tests {
             ("PATH", "x"),
         ])
         .expect("valid");
-        assert_eq!(k.engine.prefill_chunk_tokens, 42);
-        assert_eq!(k.engine.max_queue, Some(7));
+        assert_eq!(k.prefill_chunk_tokens, 42);
+        assert_eq!(k.max_queue, Some(7));
         let unset = knobs(&[]).expect("nothing set");
-        assert_eq!(format!("{unset:?}"), format!("{:?}", Knobs::default()));
+        assert_eq!(
+            format!("{unset:?}"),
+            format!("{:?}", EngineConfig::default())
+        );
     }
 
     #[test]

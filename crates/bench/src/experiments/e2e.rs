@@ -3,7 +3,7 @@
 
 use ic_baselines::RouteLlm;
 
-use ic_engine::{EngineReport, EventDrivenEngine, ServingEngine};
+use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, ServingEngine};
 use ic_judge::Autorater;
 use ic_llmsim::GenSetup;
 use ic_serving::ServingMetrics;
@@ -11,7 +11,6 @@ use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator, fixed_qps_arrivals, thirty_minute_trace};
 use rand::RngExt;
 
-use crate::env::Knobs;
 use crate::harness::{
     PairSetup, Scale, SetupTiming, mixed_cluster, normalized_throughput, side_by_side,
     single_cluster, to_jobs,
@@ -44,19 +43,19 @@ fn online_run(
     reference_large: &[f64],
     scale: Scale,
     judge: &Autorater,
-    knobs: &Knobs,
+    config: &EngineConfig,
 ) -> OnlineRun {
     let mut rng = rng_from_seed(scale.seed ^ 23);
 
     // IC-Cache runs through the unified event-driven engine — the
     // [`E2eRun`] `BENCH_e2e.json` records: admission, selection, routing,
     // iteration-level batching and completion feedback all happen inside
-    // the simulation clock. The knobs act on this run alone; the other
+    // the simulation clock. `config` acts on this run alone; the other
     // policies have no load-adaptive logic and keep the replay path
     // below, so treat knob runs as IC-Cache scheduler sweeps, not
     // controlled policy comparisons.
     if matches!(policy, Policy::IcCache) {
-        let report = E2eRun::with(scale, dataset, knobs).run();
+        let report = E2eRun::with(scale, dataset, config).run();
         return online_run_from_engine(name, report, reference_large, judge, &mut rng);
     }
 
@@ -257,29 +256,28 @@ fn online_run_from_engine(
 /// One replay of the 30-minute trace through the unified
 /// [`EventDrivenEngine`] (IC-Cache policy, sharded example cache,
 /// iteration-level batching) — the `BENCH_e2e.json` payload of
-/// `fig12_e2e`. Deterministic: the same scale and knobs yield a
+/// `fig12_e2e`. Deterministic: the same scale and configuration yield a
 /// byte-identical [`EngineReport::to_json`].
 #[derive(Debug, Clone)]
 pub struct E2eRun {
     scale: Scale,
     dataset: Dataset,
-    knobs: Knobs,
+    config: EngineConfig,
 }
 
 impl E2eRun {
-    /// The knob-free run: [`Knobs::default`] (the engine defaults, the
-    /// natural trace). Reads nothing from the environment.
+    /// The knob-free run: [`EngineConfig::default`]. Reads nothing from
+    /// the environment.
     pub fn new(scale: Scale, dataset: Dataset) -> Self {
-        Self::with(scale, dataset, &Knobs::default())
+        Self::with(scale, dataset, &EngineConfig::default())
     }
 
-    /// The run `knobs` ask for: their engine configuration, set-up
-    /// threads and [`burst_workload`] reshape.
-    pub fn with(scale: Scale, dataset: Dataset, knobs: &Knobs) -> Self {
+    /// The run under the engine configuration `config`.
+    pub fn with(scale: Scale, dataset: Dataset, config: &EngineConfig) -> Self {
         Self {
             scale,
             dataset,
-            knobs: knobs.clone(),
+            config: config.clone(),
         }
     }
 
@@ -299,11 +297,10 @@ impl E2eRun {
         SetupTiming,
     ) {
         let t0 = std::time::Instant::now();
-        let mut arrivals = trace_arrivals(self.scale);
+        let arrivals = trace_arrivals(self.scale);
         let (mut setup, mut timing) = warmed_pair(self.dataset, self.scale);
-        let mut requests = setup.generator.generate_requests(arrivals.len());
-        burst_workload(&mut requests, &mut arrivals, self.knobs.burst);
-        let engine = EventDrivenEngine::new(setup.system, self.knobs.engine);
+        let requests = setup.generator.generate_requests(arrivals.len());
+        let engine = EventDrivenEngine::new(setup.system, self.config);
         timing.setup_wall_s = t0.elapsed().as_secs_f64();
         (engine, requests, arrivals, timing)
     }
@@ -353,29 +350,6 @@ fn served_requests(dataset: Dataset, scale: Scale, n: usize) -> Vec<ic_llmsim::R
     generator.generate_requests(n)
 }
 
-/// Reshapes a request stream into a shared-prefix-heavy workload:
-/// every run of `burst` consecutive arrivals collapses onto the run's
-/// first arrival instant, all carrying the run's first *request* — so
-/// the selector hands each burst member the identical example set and
-/// the KV pools see `burst` concurrent sequences sharing one prefix.
-/// Traffic volume is unchanged (same request count, same trace span);
-/// `burst < 2` is a no-op. The natural trace almost never repeats an
-/// example set (selections are query-specific), so this is the
-/// workload shape that actually exercises `kv_share` — the
-/// `IC_SHARE_BURST` knob ([`Knobs::burst`]).
-pub fn burst_workload(requests: &mut [ic_llmsim::Request], arrivals: &mut [f64], burst: usize) {
-    if burst < 2 {
-        return;
-    }
-    for i in 0..requests.len() {
-        let head = i - i % burst;
-        if head != i {
-            requests[i] = requests[head].clone();
-            arrivals[i] = arrivals[head];
-        }
-    }
-}
-
 #[derive(Clone, Copy)]
 enum Policy {
     IcCache,
@@ -400,13 +374,13 @@ fn large_reference(dataset: Dataset, n: usize, scale: Scale) -> Vec<f64> {
 /// Fig. 12: online offload ratio, latency and quality under the
 /// 30-minute bursty trace, at the knob-free defaults.
 pub fn fig12_e2e(scale: Scale) -> Report {
-    fig12_e2e_full(scale, &Knobs::default()).0
+    fig12_e2e_full(scale, &EngineConfig::default()).0
 }
 
-/// [`fig12_e2e`] with `knobs` applied to the IC-Cache run, plus that
+/// [`fig12_e2e`] with `config` applied to the IC-Cache run, plus that
 /// run's raw engine report on MS MARCO — the `BENCH_e2e.json` payload —
 /// so the binary does not re-run the trace.
-pub fn fig12_e2e_full(scale: Scale, knobs: &Knobs) -> (Report, EngineReport) {
+pub fn fig12_e2e_full(scale: Scale, config: &EngineConfig) -> (Report, EngineReport) {
     let mut report = Report::new(
         "fig12_e2e",
         "Online offloading, latency and quality under a bursty trace",
@@ -426,7 +400,7 @@ pub fn fig12_e2e_full(scale: Scale, knobs: &Knobs) -> (Report, EngineReport) {
         .into_iter()
         .map(|(name, p)| {
             online_run(
-                name, dataset, &arrivals, p, &reference, scale, &judge, knobs,
+                name, dataset, &arrivals, p, &reference, scale, &judge, config,
             )
         })
         .collect();

@@ -44,7 +44,7 @@ pub fn run_by_id(id: &str, scale: Scale) -> Option<Report> {
 /// unknown id, a second id, any other flag — exits 2 naming it and
 /// listing the ids, before anything runs.
 pub fn cli_main() {
-    if let Err(msg) = env::Knobs::from_env() {
+    if let Err(msg) = env::from_env() {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }

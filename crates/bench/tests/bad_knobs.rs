@@ -49,12 +49,10 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_PREFILL_CHUNK", "abc"),
     ("IC_PREEMPT_QUANTUM", "-1"),
     ("IC_MAX_QUEUE", "many"),
-    ("IC_SELECTOR_BATCH", "8.0"),
     ("IC_KV_BLOCK", "16t"),
     ("IC_KV_BUDGET", "1e3"),
     ("IC_KV_WATERMARKS", "0.5,0.9"),
     ("IC_KV_HOST_BLOCKS", "-4"),
-    ("IC_KV_SHARE", "yes"),
     ("IC_RESP_CACHE", "on"),
     ("IC_RESP_THRESHOLD", "0,98"),
     ("IC_RESP_BYTES", "4MiB"),
@@ -65,9 +63,6 @@ const MALFORMED: &[(&str, &str)] = &[
     ("IC_OBS_TRACE", "true"),
     ("IC_OBS_SAMPLE", "1m"),
     ("IC_OBS_RING", "-1"),
-    ("IC_SHARE_BURST", "8x"),
-    ("IC_SHARE_BURST", " "),
-    ("IC_KV_SHARE", "7"),
     ("IC_RESP_CACHE", "2"),
     ("IC_OBS_TRACE", "255"),
     ("IC_RESP_THRESHOLD", "nan"),
@@ -119,7 +114,7 @@ fn every_knob_has_a_malformed_case() {
     }
 }
 
-/// Well-formed values under names nothing reads: five retired knobs
+/// Well-formed values under names nothing reads: eight retired knobs
 /// and a typo of a live one.
 const UNKNOWN: &[(&str, &str)] = &[
     ("IC_REPLAY_THREADS", "4"),
@@ -127,6 +122,9 @@ const UNKNOWN: &[(&str, &str)] = &[
     ("IC_SETUP_THREADS", "4"),
     ("IC_ROUTER_REPLICAS", "4"),
     ("IC_GOSSIP_PERIOD", "5"),
+    ("IC_SHARE_BURST", "8"),
+    ("IC_KV_SHARE", "1"),
+    ("IC_SELECTOR_BATCH", "8"),
     ("IC_KV_BUDGT", "64"),
 ];
 

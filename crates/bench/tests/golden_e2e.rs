@@ -22,23 +22,18 @@
 //! knobs as a value; nothing reads the environment but the `IC_BLESS`
 //! check), so a stray `IC_*` variable cannot fail the comparison.
 
+mod common;
+
+use common::quick;
 use ic_bench::Scale;
-use ic_bench::env::Knobs;
 use ic_bench::experiments::e2e::{E2eRun, fig12_e2e_full};
-use ic_engine::{EngineConfig, EngineReport};
+use ic_engine::EngineConfig;
 use ic_workloads::Dataset;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/BENCH_e2e.quick.json"
 );
-
-/// The quick-scale MS MARCO run under `engine`, its trace reshaped by
-/// `burst`.
-fn quick(engine: EngineConfig, burst: usize) -> EngineReport {
-    let knobs = Knobs { engine, burst };
-    E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs).run()
-}
 
 fn golden() -> String {
     std::fs::read_to_string(GOLDEN_PATH).expect(
@@ -79,7 +74,7 @@ fn fig12_writes_the_golden_run() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return;
     }
-    let (_, report) = fig12_e2e_full(Scale::quick(), &Knobs::default());
+    let (_, report) = fig12_e2e_full(Scale::quick(), &EngineConfig::default());
     assert_eq!(
         report.to_json(),
         golden().trim_end(),
@@ -120,7 +115,8 @@ fn quick_e2e_kv_share_is_byte_inert_on_the_natural_trace() {
 /// one instant carrying the same request (≥ 8 concurrent sequences per
 /// example set). With `kv_share` on the replay must be (a)
 /// deterministic across runs, (b) actually deduplicating
-/// (`dedup_ratio > 0`), and (c) strictly lighter on memory than the
+/// (`dedup_ratio > 0`, and the first write past a shared prefix
+/// copies the block), and (c) strictly lighter on memory than the
 /// share-off run at identical traffic (`peak_occupancy` and `allocs`
 /// both undercut it).
 #[test]
@@ -149,6 +145,11 @@ fn quick_e2e_kv_share_deduplicates_on_shared_prefix_bursts() {
     assert!(
         a.kv.dedup_ratio() > 0.0,
         "dedup_ratio must be positive when blocks were saved"
+    );
+    assert!(
+        a.kv.cow_copies > 0,
+        "burst members diverge past their shared prefix, so some \
+         shared block must have been copied on write"
     );
     assert!(
         a.kv.shared_blocks_peak > 0,

@@ -7,17 +7,17 @@
 //!    (proptest).
 //! 2. **Stampede** — on the burst-reshaped trace (every `n` same-tick
 //!    arrivals carry one request) each burst pays at most one cache
-//!    insertion and serves at least `n - 1` members from it, with
-//!    byte-deterministic hit counts.
+//!    insertion and serves at least the `n - prepop_min` members after
+//!    it from the cache, with byte-deterministic hit counts.
 //! 3. **Latency** — on the trending workload the cache-on run has a
-//!    non-zero hit ratio and a strictly better served-path p50 e2e
-//!    latency than the cache-off run at identical traffic.
+//!    non-zero hit ratio, admits trending responses and has a strictly
+//!    better served-path p50 e2e latency than the cache-off run at
+//!    identical traffic.
 
-use ic_bench::Scale;
-use ic_bench::env::Knobs;
-use ic_bench::experiments::e2e::E2eRun;
-use ic_engine::{EngineConfig, EngineReport};
-use ic_workloads::Dataset;
+mod common;
+
+use common::quick;
+use ic_engine::EngineConfig;
 use proptest::prelude::*;
 
 const GOLDEN_PATH: &str = concat!(
@@ -25,19 +25,9 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/BENCH_e2e.quick.json"
 );
 
-/// The quick-scale MS MARCO run under `engine`, its trace reshaped by
-/// `burst`.
-fn quick(engine: EngineConfig, burst: usize) -> EngineReport {
-    let knobs = Knobs { engine, burst };
-    E2eRun::with(Scale::quick(), Dataset::MsMarco, &knobs).run()
-}
-
-fn cache_on(burst_aware: bool) -> EngineConfig {
+fn cache_on() -> EngineConfig {
     EngineConfig {
         resp_cache: true,
-        // The cap on the same-tick run the trending sketch pre-observes:
-        // a burst of duplicates must fit under it to pay one insertion.
-        selector_batch: if burst_aware { 8 } else { 0 },
         ..EngineConfig::default()
     }
 }
@@ -68,19 +58,22 @@ proptest! {
 
     /// The stampede guarantee at e2e scale: with every `n` consecutive
     /// arrivals collapsed onto one instant carrying one request, each
-    /// burst pays at most one insertion and serves at least `n - 1`
-    /// members from the cache — so hits ≥ (n − 1) · bursts and
-    /// insertions ≤ bursts — with byte-deterministic counts.
+    /// arrival is one sighting in the trending sketch, so a burst
+    /// misses until the sketch counts `prepop_min` members, admits
+    /// that miss's response and serves the rest from it — hits ≥
+    /// (n − prepop_min) · bursts and insertions ≤ bursts — with
+    /// byte-deterministic counts.
     #[test]
     fn stampede_bursts_pay_one_insertion_each(n in 2u64..9) {
-        let a = quick(cache_on(true), n as usize);
-        let b = quick(cache_on(true), n as usize);
+        let a = quick(cache_on(), n as usize);
+        let b = quick(cache_on(), n as usize);
         prop_assert_eq!(a.to_json(), b.to_json(), "hit counts must replay byte-identically");
         let bursts = a.served.div_ceil(n); // Trailing partial burst included.
+        let hits_per_burst = n.saturating_sub(cache_on().resp_prepop_min);
         prop_assert!(
-            a.resp_cache.hits >= (n - 1) * (a.served / n),
+            a.resp_cache.hits >= hits_per_burst * (a.served / n),
             "each full {}-burst must serve at least {} hits: {:?} over {} served",
-            n, n - 1, a.resp_cache, a.served
+            n, hits_per_burst, a.resp_cache, a.served
         );
         prop_assert!(
             a.resp_cache.prepopulations <= bursts,
@@ -96,17 +89,16 @@ proptest! {
 /// end-to-end latency over the identical cache-off run.
 #[test]
 fn trending_workload_hits_and_improves_p50() {
-    let on = quick(cache_on(true), 8);
-    let off = quick(
-        EngineConfig {
-            selector_batch: 8,
-            ..EngineConfig::default()
-        },
-        8,
-    );
+    let on = quick(cache_on(), 8);
+    let off = quick(EngineConfig::default(), 8);
     assert!(
         on.resp_cache.hit_ratio() > 0.0,
         "the trending trace must produce stage-0 hits: {:?}",
+        on.resp_cache
+    );
+    assert!(
+        on.resp_cache.prepopulations > 0,
+        "trending misses must be admitted into the store: {:?}",
         on.resp_cache
     );
     assert_eq!(on.served, off.served, "identical traffic on both sides");

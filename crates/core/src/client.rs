@@ -7,12 +7,10 @@
 //! client.stop()
 //! ```
 //!
-//! The Rust client wraps [`IcCacheSystem`] behind a mutex so callers can
-//! share it across threads, mirroring the client-session model of the
-//! paper's prototype.
+//! The Rust client owns one [`IcCacheSystem`], a stop flag and a
+//! logical clock; the calls that change any of them take `&mut self`.
 
 use ic_llmsim::{GenOutcome, ModelId, Request};
-use parking_lot::Mutex;
 
 use crate::config::IcCacheConfig;
 use crate::prompt::render_prompt;
@@ -33,25 +31,24 @@ pub struct Response {
 
 /// A client session to the IC-Cache service.
 pub struct IcCacheClient {
-    system: Mutex<IcCacheSystem>,
-    stopped: Mutex<bool>,
-    clock: Mutex<f64>,
+    system: IcCacheSystem,
+    stopped: bool,
+    clock: f64,
 }
 
 impl IcCacheClient {
     /// Creates a client session (Fig. 6 line 5).
     pub fn new(config: IcCacheConfig) -> Self {
         Self {
-            system: Mutex::new(IcCacheSystem::new(config)),
-            stopped: Mutex::new(false),
-            clock: Mutex::new(0.0),
+            system: IcCacheSystem::new(config),
+            stopped: false,
+            clock: 0.0,
         }
     }
 
     /// Pre-populates the example cache (Appendix A.4 initialization).
-    pub fn seed_examples(&self, examples: Vec<ic_llmsim::Example>) {
-        let now = *self.clock.lock();
-        self.system.lock().seed_examples(examples, now);
+    pub fn seed_examples(&mut self, examples: Vec<ic_llmsim::Example>) {
+        self.system.seed_examples(examples, self.clock);
     }
 
     /// Generates responses for a batch of requests (Fig. 6 line 8).
@@ -59,9 +56,9 @@ impl IcCacheClient {
     /// # Panics
     ///
     /// Panics if called after [`IcCacheClient::stop`].
-    pub fn generate(&self, requests: &[Request]) -> Vec<Response> {
-        assert!(!*self.stopped.lock(), "client session is stopped");
-        let mut system = self.system.lock();
+    pub fn generate(&mut self, requests: &[Request]) -> Vec<Response> {
+        assert!(!self.stopped, "client session is stopped");
+        let system = &mut self.system;
         requests
             .iter()
             .map(|r| {
@@ -85,44 +82,43 @@ impl IcCacheClient {
     /// Registers request–response pairs into the cache (Fig. 6 line 11).
     /// Pairs are admitted through the privacy policy; rejected pairs are
     /// skipped silently.
-    pub fn update_cache(&self, requests: &[Request], responses: &[Response]) {
-        let now = *self.clock.lock();
-        let mut system = self.system.lock();
+    pub fn update_cache(&mut self, requests: &[Request], responses: &[Response]) {
         for (r, resp) in requests.iter().zip(responses) {
-            let _ = system.update_cache(r, &resp.outcome, resp.model, now);
+            let _ = self
+                .system
+                .update_cache(r, &resp.outcome, resp.model, self.clock);
         }
     }
 
     /// Advances the client's logical clock (seconds) — drives decay and
     /// maintenance timing in long-running sessions.
-    pub fn advance_clock(&self, seconds: f64) {
-        *self.clock.lock() += seconds.max(0.0);
+    pub fn advance_clock(&mut self, seconds: f64) {
+        self.clock += seconds.max(0.0);
     }
 
     /// Runs one offline maintenance cycle (replay + eviction).
-    pub fn run_maintenance(&self) -> crate::system::MaintenanceReport {
-        let now = *self.clock.lock();
-        self.system.lock().run_maintenance(now)
+    pub fn run_maintenance(&mut self) -> crate::system::MaintenanceReport {
+        self.system.run_maintenance(self.clock)
     }
 
     /// Feeds a load observation to the router.
-    pub fn observe_load(&self, rps: f64) {
-        self.system.lock().observe_load(rps);
+    pub fn observe_load(&mut self, rps: f64) {
+        self.system.observe_load(rps);
     }
 
     /// Number of cached examples.
     pub fn cached_examples(&self) -> usize {
-        self.system.lock().cached_examples()
+        self.system.cached_examples()
     }
 
     /// Fraction of served requests that were offloaded.
     pub fn offload_ratio(&self) -> f64 {
-        self.system.lock().offload_ratio()
+        self.system.offload_ratio()
     }
 
     /// Ends the session (Fig. 6 line 12). Further `generate` calls panic.
-    pub fn stop(&self) {
-        *self.stopped.lock() = true;
+    pub fn stop(&mut self) {
+        self.stopped = true;
     }
 }
 
@@ -138,14 +134,14 @@ mod tests {
         let mut wg = WorkloadGenerator::new(Dataset::MsMarco, 161);
         let examples =
             wg.generate_examples(300, &ModelSpec::gemma_2_27b(), large, &Generator::new());
-        let client = IcCacheClient::new(config);
+        let mut client = IcCacheClient::new(config);
         client.seed_examples(examples);
         (client, wg)
     }
 
     #[test]
     fn fig6_workflow_round_trips() {
-        let (client, mut wg) = client_with_examples();
+        let (mut client, mut wg) = client_with_examples();
         let requests = wg.generate_requests(10);
         let responses = client.generate(&requests);
         assert_eq!(responses.len(), 10);
@@ -157,7 +153,7 @@ mod tests {
 
     #[test]
     fn responses_carry_rendered_prompts() {
-        let (client, mut wg) = client_with_examples();
+        let (mut client, mut wg) = client_with_examples();
         let requests = wg.generate_requests(5);
         for (r, resp) in requests.iter().zip(client.generate(&requests)) {
             assert!(resp.prompt.contains(&r.text.to_string()));
@@ -172,14 +168,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "stopped")]
     fn generate_after_stop_panics() {
-        let (client, mut wg) = client_with_examples();
+        let (mut client, mut wg) = client_with_examples();
         client.stop();
         let _ = client.generate(&wg.generate_requests(1));
     }
 
     #[test]
     fn clock_advances_monotonically() {
-        let (client, _) = client_with_examples();
+        let (mut client, _) = client_with_examples();
         client.advance_clock(5.0);
         client.advance_clock(-10.0); // Negative deltas are ignored.
         client.advance_clock(1.0);

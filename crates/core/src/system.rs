@@ -46,10 +46,9 @@ pub struct MaintenanceReport {
     pub evicted: usize,
 }
 
-/// Smoothing of the completion-latency EMA until the first
-/// [`IcCacheSystem::begin_run`] (the engine's `latency_ema_alpha`
-/// default).
-const DEFAULT_LATENCY_ALPHA: f64 = 0.2;
+/// Smoothing factor of the completion-latency EMA that drives the
+/// Little's-law load estimate.
+const LATENCY_EMA_ALPHA: f64 = 0.2;
 
 /// The IC-Cache serving system (single-process reference implementation;
 /// the paper's deployment shards these components across gRPC services,
@@ -117,7 +116,7 @@ impl IcCacheSystem {
         Self {
             selector,
             router,
-            latency_ema: Ema::new(DEFAULT_LATENCY_ALPHA),
+            latency_ema: Ema::new(LATENCY_EMA_ALPHA),
             run_decisions: 0,
             manager,
             failover: FailoverState::default(),
@@ -201,11 +200,11 @@ impl IcCacheSystem {
         }
     }
 
-    /// Starts a run: re-arms the completion-latency EMA with
-    /// `latency_alpha` and zeroes the run's decision count, keeping the
-    /// router's learned posterior and load view.
-    pub fn begin_run(&mut self, latency_alpha: f64) {
-        self.latency_ema = Ema::new(latency_alpha);
+    /// Starts a run: re-arms the completion-latency EMA and zeroes the
+    /// run's decision count, keeping the router's learned posterior and
+    /// load view.
+    pub fn begin_run(&mut self) {
+        self.latency_ema = Ema::new(LATENCY_EMA_ALPHA);
         self.run_decisions = 0;
     }
 
@@ -758,7 +757,7 @@ mod tests {
     #[test]
     fn observe_completion_drives_the_load_estimate() {
         let mut system = IcCacheSystem::new(IcCacheConfig::gemma_pair());
-        system.begin_run(0.2);
+        system.begin_run();
         // 10 jobs in flight at 2 s latency: lambda = 5 rps.
         system.observe_completion(2.0, 10);
         assert!((system.router().current_load() - 5.0).abs() < 1e-9);

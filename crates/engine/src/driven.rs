@@ -54,13 +54,11 @@ pub struct EngineConfig {
     /// Per-pool admission-queue cap; offers past it are rejected and
     /// counted in the report's `iter.queue_rejects`. `None` is unbounded.
     pub max_queue: Option<usize>,
-    /// Cap on the same-tick (same-microsecond) run of arrivals the
-    /// stage-0 trending sketch observes before the run's first member
-    /// is looked up (env `IC_SELECTOR_BATCH` in the bench binaries), so
-    /// a stampede of identical arrivals pays one insertion; `0` and `1`
-    /// observe each arrival on its own. Inert with `resp_cache` off,
-    /// apart from the `batch_limit` the report's `selector` block
-    /// echoes. Selection itself is strictly per arrival.
+    /// Inert: nothing reads it. Every arrival is observed in the
+    /// stage-0 trending sketch and looked up on its own; the field
+    /// stays only because the frozen `benchmark/src/workload.rs` sets
+    /// it, and goes when a benchmark-owning PR drops that line.
+    #[doc(hidden)]
     pub selector_batch: usize,
     /// Inert: nothing reads it. Step boundaries are handled on the
     /// event-loop thread; the field stays only because the frozen
@@ -79,9 +77,10 @@ pub struct EngineConfig {
     /// swap capacity (`KvSwap::host_capacity_blocks`) past which victims
     /// are evicted recompute-priced.
     pub kv_swap: KvSwap,
-    /// Shared-prefix KV reuse (env `IC_KV_SHARE` in the bench
-    /// binaries). When on, every served request carries the identity of
-    /// its injected example set and the pools hash-cons the KV blocks
+    /// Shared-prefix KV reuse (no environment knob: natural traces
+    /// never hold two requests with one example set resident at once).
+    /// When on, every served request carries the identity of its
+    /// injected example set and the pools hash-cons the KV blocks
     /// covering that prefix: concurrent requests handed the same
     /// example set map the same physical blocks instead of allocating
     /// copies, and the first write past the prefix copy-on-writes the
@@ -105,11 +104,6 @@ pub struct EngineConfig {
     /// Period of the cheap capacity-only cross-shard rebalance, seconds;
     /// `0` disables. A no-op while the manager has no byte cap.
     pub rebalance_period_s: f64,
-    /// Arrivals in the sliding window of the arrival-rate estimator.
-    pub load_window: usize,
-    /// Smoothing factor of the completion-latency EMA that drives the
-    /// Little's-law load estimate.
-    pub latency_ema_alpha: f64,
     /// Cache served request-response pairs back into the example store
     /// (Fig. 6 `update_cache`) at completion time.
     pub admit_served_pairs: bool,
@@ -177,8 +171,6 @@ impl Default for EngineConfig {
             pool_outages: Vec::new(),
             maintenance_period_s: 0.0,
             rebalance_period_s: 60.0,
-            load_window: 30,
-            latency_ema_alpha: 0.2,
             admit_served_pairs: false,
             trace: false,
             obs_sample_s: 0.0,

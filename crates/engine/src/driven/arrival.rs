@@ -5,13 +5,11 @@ use ic_desim::SimTime;
 use ic_obs::EventKind as ObsKind;
 use ic_respcache::CachedResponse;
 
-use super::EngineConfig;
 use super::state::EngineState;
 use super::step::EventKey;
 
 /// The arrival sequence in firing order, and the one copy of it: which
-/// arrival fires next and how much of the sequence the stage-0 trending
-/// sketch has already seen. Arrivals never enter the event heap.
+/// arrival fires next. Arrivals never enter the event heap.
 pub(super) struct ArrivalCursor {
     /// Arrivals `(time, index)`, sorted: arrival `i` fires under the key
     /// `(time, i)` — the seq it would have drawn had the workload been
@@ -21,25 +19,14 @@ pub(super) struct ArrivalCursor {
     order: Vec<(SimTime, usize)>,
     /// Arrivals fired so far: the current arrival's position in `order`.
     fired: usize,
-    /// `order[..observed_until]` is already in the stage-0 trending
-    /// sketch.
-    observed_until: usize,
-    /// Cap on the same-tick run the sketch pre-observes
-    /// (`EngineConfig::selector_batch`).
-    tick_cap: usize,
 }
 
 impl ArrivalCursor {
-    pub(super) fn new(config: &EngineConfig, arrivals: &[f64]) -> Self {
+    pub(super) fn new(arrivals: &[f64]) -> Self {
         let times = arrivals.iter().map(|&a| SimTime::from_secs_f64(a));
         let mut order: Vec<(SimTime, usize)> = times.zip(0..).collect();
         order.sort_unstable();
-        Self {
-            order,
-            fired: 0,
-            observed_until: 0,
-            tick_cap: config.selector_batch.max(1),
-        }
+        Self { order, fired: 0 }
     }
 
     /// The `(time, seq)` key of the next arrival, if any is left.
@@ -47,23 +34,12 @@ impl ArrivalCursor {
         let next = self.order.get(self.fired);
         next.map(|&(at, i)| (at, i as u64))
     }
-
-    /// End (exclusive, in `order`) of the run of arrivals from `pos`
-    /// that share the tick `at`, at most `tick_cap` long.
-    fn tick_run_end(&self, pos: usize, at: SimTime) -> usize {
-        let run = self.order[pos..]
-            .iter()
-            .take(self.tick_cap)
-            .take_while(|&&(t, _)| t == at);
-        pos + run.count()
-    }
 }
 
 impl EngineState<'_> {
     /// Fires the cursor's next arrival.
     pub(super) fn on_arrival(&mut self) {
-        let pos = self.cursor.fired;
-        let (at, i) = self.cursor.order[pos];
+        let (at, i) = self.cursor.order[self.cursor.fired];
         self.cursor.fired += 1;
         self.sim.advance_to(at);
         let now = at.as_secs_f64();
@@ -71,13 +47,12 @@ impl EngineState<'_> {
         self.observe_arrival(now);
         self.trace(at, i as u64, ObsKind::Arrival);
         // Stage 0: a response-cache hit skips the whole selection path.
-        if let Some(resp) = self.stage0_lookup(i, pos, at) {
+        if let Some(resp) = self.stage0_lookup(i, now) {
             self.serve_stage0_hit(i, &resp);
             return;
         }
 
         let out = self.system.serve(request);
-        self.stage1_arrivals += 1;
         self.trace(at, i as u64, ObsKind::Stage1Probe);
 
         if self.dispatch(i, &out, at, false) {
@@ -99,22 +74,15 @@ impl EngineState<'_> {
         }
     }
 
-    /// The stage-0 probe of arrival `i` (at `pos` in firing order).
-    /// The head of a same-tick run first observes the whole run in the
-    /// trending sketch: a stampede of N identical arrivals is already
-    /// at count N when its first member misses, so that member's served
-    /// response is admitted and the other N−1 hit it — one insertion
+    /// The stage-0 probe of arrival `i`: one sighting in the trending
+    /// sketch, then the lookup. A stampede of N identical arrivals
+    /// misses until the sketch counts `prepop_min` of them; that miss's
+    /// served response is admitted and the rest hit it — one insertion
     /// per stampede.
-    fn stage0_lookup(&mut self, i: usize, pos: usize, at: SimTime) -> Option<CachedResponse> {
+    fn stage0_lookup(&mut self, i: usize, now: f64) -> Option<CachedResponse> {
         let cache = self.resp_cache.as_mut()?;
-        let now = at.as_secs_f64();
-        if pos >= self.cursor.observed_until {
-            let end = self.cursor.tick_run_end(pos, at);
-            for &(_, j) in &self.cursor.order[pos..end] {
-                cache.observe(&self.requests[j].embedding, now);
-            }
-            self.cursor.observed_until = end;
-        }
-        cache.lookup(&self.requests[i].embedding, now)
+        let embedding = &self.requests[i].embedding;
+        cache.observe(embedding, now);
+        cache.lookup(embedding, now)
     }
 }

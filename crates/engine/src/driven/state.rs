@@ -20,9 +20,7 @@ use super::arrival::ArrivalCursor;
 use super::step::{Armed, EventKey};
 use super::{ENGINE_NAME, EngineConfig, EventDrivenEngine};
 use crate::engine::cache_stats;
-use crate::report::{
-    EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats, SelectorStats,
-};
+use crate::report::{EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats};
 
 /// The events of the simulator's heap: every router interaction but an
 /// arrival. Arrivals come from the cursor ([`EngineState::cursor`]) and
@@ -55,6 +53,9 @@ pub(super) enum Event {
 /// the embedding probe plus response streaming, orders of magnitude
 /// below any prefill/decode path but not free.
 const STAGE0_HIT_LATENCY_S: f64 = 0.002;
+
+/// Arrivals in the sliding window of the arrival-rate estimator.
+const LOAD_WINDOW: usize = 30;
 
 /// Run aggregates over the requests that actually executed. A
 /// queue-cap reject produced no response and contributes nothing.
@@ -125,7 +126,7 @@ pub(super) struct EngineState<'a> {
     pub(super) resp_cache: Option<ResponseCache>,
 
     pub(super) records: Vec<Option<RequestRecord>>,
-    /// The last `EngineConfig::load_window` arrival times: the router's
+    /// The last [`LOAD_WINDOW`] arrival times: the router's
     /// arrival-rate estimate.
     arrival_window: VecDeque<f64>,
     completions: Vec<f64>,
@@ -134,9 +135,6 @@ pub(super) struct EngineState<'a> {
     evicted: u64,
     pub(super) failover_requeues: u64,
     retry_rejects: u64,
-    /// Arrivals that missed stage 0 and went through
-    /// `IcCacheSystem::serve` — the report's `selector` block.
-    pub(super) stage1_arrivals: u64,
     pub(super) replay: ReplayStats,
     /// Test-only: send every step boundary through `advance_step`, no
     /// quiet run coalesced.
@@ -182,7 +180,7 @@ impl<'a> EngineState<'a> {
                 pool.set_obs(LaneBuf::new(p as u32 + 1, config.obs_ring));
             }
         }
-        system.begin_run(config.latency_ema_alpha);
+        system.begin_run();
         let posterior_base = system.router().posterior_counts();
         let probe_memo_base = system.selector().probe_memo_counts();
 
@@ -196,7 +194,7 @@ impl<'a> EngineState<'a> {
             pools,
             requests,
             sim: Simulator::new(),
-            cursor: ArrivalCursor::new(config, arrivals),
+            cursor: ArrivalCursor::new(arrivals),
             resp_cache: config.resp_cache.then(|| {
                 ResponseCache::new(RespCacheConfig {
                     threshold: config.resp_threshold,
@@ -214,7 +212,6 @@ impl<'a> EngineState<'a> {
             evicted: 0,
             failover_requeues: 0,
             retry_rejects: 0,
-            stage1_arrivals: 0,
             replay: ReplayStats::default(),
             #[cfg(test)]
             stepwise: false,
@@ -335,7 +332,7 @@ impl<'a> EngineState<'a> {
     pub(super) fn observe_arrival(&mut self, now: f64) {
         let window = &mut self.arrival_window;
         window.push_back(now);
-        while window.len() > self.config.load_window {
+        while window.len() > LOAD_WINDOW {
             window.pop_front();
         }
         if window.len() >= 2 {
@@ -601,14 +598,6 @@ impl<'a> EngineState<'a> {
                 decisions: vec![self.system.run_decisions()],
                 failover_requeues: self.failover_requeues,
                 retry_rejects: self.retry_rejects,
-            },
-            // One probe per arrival that reached the selector; the
-            // block keeps its five keys for the golden's sake.
-            selector: SelectorStats {
-                batch_limit: self.config.selector_batch as u64,
-                batches: self.stage1_arrivals,
-                requests: self.stage1_arrivals,
-                max_batch: self.stage1_arrivals.min(1),
             },
             kv,
             resp_cache: self.resp_cache.map(|c| c.stats()).unwrap_or_default(),

@@ -19,7 +19,7 @@
 //!   one copy; arrival i holds seq i, below       next step boundary, plus the
 //!   every seq the run hands out)                 stride and count of the quiet
 //!   ├ the router's arrival-rate window           run it is in)
-//!   ├ stage 0: pre-observe the tick's run,      on_step(pool)
+//!   ├ stage 0: observe in the sketch, then      on_step(pool)
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
 //!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  run, the pool applied it
 //!   │  + routing + generation + feedback        ├ else advance_step: finishers
@@ -114,6 +114,4 @@ pub mod report;
 
 pub use driven::{EngineConfig, EventDrivenEngine, PoolOutage};
 pub use engine::ServingEngine;
-pub use report::{
-    CacheStats, EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats, SelectorStats,
-};
+pub use report::{CacheStats, EngineReport, LatencyStats, ReplayStats, RequestRecord, RouterStats};

@@ -110,33 +110,6 @@ pub struct CacheStats {
     pub evicted: u64,
 }
 
-/// The report's `selector` block for one engine run. Selection is one
-/// probe per arrival, so `batches == requests` and `max_batch <= 1`;
-/// the block keeps the five keys the committed golden pins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectorStats {
-    /// The configured `EngineConfig::selector_batch`, echoed.
-    pub batch_limit: u64,
-    /// Stage-1 calls: every arrival that missed stage 0, a probe memo
-    /// hit ([`ReplayStats::probe_memo_hits`]) included.
-    pub batches: u64,
-    /// Requests served through those probes.
-    pub requests: u64,
-    /// Largest number of requests one probe served.
-    pub max_batch: u64,
-}
-
-impl SelectorStats {
-    /// Mean requests per stage-1 probe.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
-        }
-    }
-}
-
 /// Replay counters for one engine run: the pools' quiet runs, the
 /// router's kept posteriors, the traffic through the KV content table
 /// and the selector's probe memo.
@@ -245,8 +218,6 @@ pub struct EngineReport {
     /// Router counters (decisions, failover requeues and rejected
     /// retries).
     pub router: RouterStats,
-    /// Stage-1 counters (one stage-1 call per arrival past stage 0).
-    pub selector: SelectorStats,
     /// Paged KV-memory counters merged across pools (block occupancy,
     /// pressure preemptions, swap traffic, fragmentation).
     pub kv: KvStats,
@@ -323,8 +294,6 @@ impl EngineReport {
                 "\"preemptions\":{},\"queue_rejects\":{}}},",
                 "\"router\":{{\"decisions\":[{}],",
                 "\"failover_requeues\":{},\"retry_rejects\":{}}},",
-                "\"selector\":{{\"batch_limit\":{},\"batches\":{},\"requests\":{},",
-                "\"max_batch\":{},\"mean_batch\":{}}},",
                 "\"kv\":{{\"total_blocks\":{},\"peak_blocks\":{},",
                 "\"peak_occupancy\":{},\"mean_occupancy\":{},",
                 "\"pressure_preemptions\":{},\"swap_outs\":{},\"swap_ins\":{},",
@@ -374,11 +343,6 @@ impl EngineReport {
                 .join(","),
             self.router.failover_requeues,
             self.router.retry_rejects,
-            self.selector.batch_limit,
-            self.selector.batches,
-            self.selector.requests,
-            self.selector.max_batch,
-            f6(self.selector.mean_batch()),
             self.kv.total_blocks,
             self.kv.peak_blocks,
             f6(self.kv.peak_occupancy()),
@@ -472,10 +436,6 @@ mod tests {
         r.kv.blocks_saved = 10;
         r.kv.shared_blocks_peak = 5;
         r.kv.cow_copies = 4;
-        r.selector.batch_limit = 8;
-        r.selector.batches = 6;
-        r.selector.requests = 10;
-        r.selector.max_batch = 3;
         r.router.decisions = vec![6];
         r.router.failover_requeues = 1;
         let a = r.to_json();
@@ -487,10 +447,6 @@ mod tests {
         assert!(a.contains("\"mean_step_batch\":2.500000"));
         assert!(a.contains("\"chunked_prefill_ratio\":0.200000"));
         assert!(a.contains("\"preemptions\":0"));
-        assert!(a.contains(
-            "\"selector\":{\"batch_limit\":8,\"batches\":6,\"requests\":10,\
-             \"max_batch\":3,\"mean_batch\":1.666667}"
-        ));
         assert!(a.contains(
             "\"router\":{\"decisions\":[6],\"failover_requeues\":1,\"retry_rejects\":0}"
         ));
@@ -526,18 +482,6 @@ mod tests {
         );
         // Balanced braces (cheap well-formedness check without a parser).
         assert_eq!(a.matches('{').count(), a.matches('}').count());
-    }
-
-    #[test]
-    fn selector_stats_mean_batch() {
-        let s = SelectorStats {
-            batch_limit: 8,
-            batches: 4,
-            requests: 10,
-            max_batch: 4,
-        };
-        assert!((s.mean_batch() - 2.5).abs() < 1e-12);
-        assert_eq!(SelectorStats::default().mean_batch(), 0.0);
     }
 
     #[test]

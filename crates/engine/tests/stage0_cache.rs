@@ -1,17 +1,11 @@
 //! Stage-0 response-cache integration tests: cache-off inertness (the
 //! knob must be provably byte-invisible when disabled), deterministic
 //! replay with the cache on, the stampede guarantee (N identical
-//! same-tick arrivals pay one insertion and serve the rest from the
-//! cache), what `EngineConfig::selector_batch` caps (the same-tick run
-//! the trending sketch pre-observes), and lifecycle well-formedness of
-//! the short-circuited hit path (`Stage0Hit` → `Finish`, pool never
-//! touched).
-//!
-//! The cap tests bite: pre-observing with `cap = 1` whatever the config
-//! says (`tick_cap: 1` in `ArrivalCursor::new`) fails
-//! `same_tick_cap_bounds_the_run_the_sketch_pre_observes` at caps 4, 8
-//! and 64; dropping the `t == at` bound from the run fails
-//! `pre_observation_never_crosses_a_tick_boundary`.
+//! same-tick arrivals, each observed in the trending sketch as it is
+//! looked up, miss until the sketch counts `prepop_min` of them, pay one
+//! insertion and serve the rest from the cache), and lifecycle
+//! well-formedness of the short-circuited hit path (`Stage0Hit` →
+//! `Finish`, pool never touched).
 
 use ic_cache::{IcCacheConfig, IcCacheSystem};
 use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, ServingEngine};
@@ -41,24 +35,21 @@ fn run_requests(config: EngineConfig, requests: &[Request], arrivals: &[f64]) ->
     engine.serve_workload(requests, arrivals)
 }
 
-fn cache_on(selector_batch: usize) -> EngineConfig {
+fn cache_on() -> EngineConfig {
     EngineConfig {
         resp_cache: true,
-        selector_batch,
         ..EngineConfig::default()
     }
 }
 
-/// Hits of an `n`-member same-tick stampede under same-tick cap `cap`,
-/// derived from the stage-0 rules: the head of every run of `cap`
-/// members observes its run in the sketch, a served miss is admitted
-/// once the sketch counts `prepop_min` sightings, and every member
-/// after the first admission hits.
-fn expected_stampede_hits(n: usize, cap: usize, prepop_min: u64) -> u64 {
-    let cap = cap.max(1);
-    let observed_when_served = |k: usize| ((k / cap + 1) * cap).min(n) as u64;
+/// Hits of an `n`-member same-tick stampede, derived from the stage-0
+/// rules: member `k` is the sketch's `k + 1`-th sighting when it is
+/// looked up, a served miss is admitted once the sketch counts
+/// `prepop_min` sightings, and every member after the first admission
+/// hits.
+fn expected_stampede_hits(n: usize, prepop_min: u64) -> u64 {
     let first_admitted = (0..n)
-        .find(|&k| observed_when_served(k) >= prepop_min)
+        .find(|&k| k as u64 + 1 >= prepop_min)
         .expect("the stampede reaches prepop_min");
     (n - first_admitted - 1) as u64
 }
@@ -107,81 +98,26 @@ fn cache_off_is_byte_inert_even_with_knobs_set() {
 
 #[test]
 fn stampede_burst_pays_one_insertion_and_serves_the_rest() {
-    // Eight identical arrivals on one tick under a cap of eight: the
-    // first miss is admitted (the whole run lands in the frequency
-    // sketch before anyone is served), the other seven hit.
+    // Eight identical arrivals on one tick: each is one sighting in the
+    // frequency sketch, so the members miss until it counts
+    // `prepop_min` of them, that miss is admitted and the rest hit.
     let n = 8;
+    let prepop_min = EngineConfig::default().resp_prepop_min;
     let (requests, arrivals) = stampede(n, 99);
-    let report = run_requests(cache_on(n), &requests, &arrivals);
+    let report = run_requests(cache_on(), &requests, &arrivals);
     assert_eq!(report.resp_cache.lookups, n as u64);
-    assert_eq!(
-        report.resp_cache.hits,
-        n as u64 - 1,
-        "{:?}",
-        report.resp_cache
-    );
+    let hits = expected_stampede_hits(n, prepop_min);
+    assert_eq!(report.resp_cache.hits, hits, "{:?}", report.resp_cache);
     assert_eq!(
         report.resp_cache.prepopulations, 1,
         "one insertion, not a stampede"
     );
     assert_eq!(report.served, n as u64);
-    // The selector served only the single miss.
-    assert_eq!(report.selector.requests, 1, "{:?}", report.selector);
+    // Only the misses reached the selector and the router.
+    assert_eq!(report.router.decisions, [n as u64 - hits]);
     // Deterministic replay, hits included.
-    let again = run_requests(cache_on(n), &requests, &arrivals);
+    let again = run_requests(cache_on(), &requests, &arrivals);
     assert_eq!(report.to_json(), again.to_json());
-}
-
-#[test]
-fn same_tick_cap_bounds_the_run_the_sketch_pre_observes() {
-    let n = 12;
-    let (requests, arrivals) = stampede(n, 99);
-    let hits_at = |cap: usize, prepop_min: u64| {
-        let config = EngineConfig {
-            resp_prepop_min: prepop_min,
-            ..cache_on(cap)
-        };
-        let report = run_requests(config, &requests, &arrivals);
-        let stats = report.resp_cache;
-        assert_eq!(stats.lookups, n as u64);
-        assert_eq!(
-            stats.hits,
-            expected_stampede_hits(n, cap, prepop_min),
-            "cap {cap}, prepop_min {prepop_min}: {stats:?}"
-        );
-        // Selection is one probe per arrival past stage 0, whatever
-        // the cap; the block only echoes it.
-        let selector = report.selector;
-        assert_eq!(selector.batch_limit, cap as u64);
-        assert_eq!(selector.requests, n as u64 - stats.hits);
-        assert_eq!(selector.batches, selector.requests);
-        assert!(selector.max_batch <= 1, "{selector:?}");
-        stats.hits
-    };
-    // Caps 0 and 1 observe each member on its own, so the default
-    // `prepop_min = 2` admits the second miss; a cap covering two or
-    // more members admits the first.
-    let prepop_min = EngineConfig::default().resp_prepop_min;
-    assert_eq!(hits_at(0, prepop_min), hits_at(1, prepop_min));
-    assert_eq!(hits_at(8, prepop_min), hits_at(64, prepop_min));
-    assert_eq!(hits_at(1, prepop_min) + 1, hits_at(8, prepop_min));
-    // A cap shorter than the run splits it: at `prepop_min = 5` a cap
-    // of 4 leaves the first run under the bar, so its four members
-    // all miss and the second run's head is the first admission.
-    assert_eq!(hits_at(4, 5) + 4, hits_at(64, 5));
-}
-
-#[test]
-fn pre_observation_never_crosses_a_tick_boundary() {
-    // One arrival, then six copies of it 1 µs later. The lone head
-    // sees a sketch count of one and is not admitted however large
-    // the cap; the next tick's head is, and its five followers hit.
-    let later = 6;
-    let (requests, mut arrivals) = stampede(1 + later, 99);
-    arrivals[1..].fill(1e-6);
-    let stats = run_requests(cache_on(64), &requests, &arrivals).resp_cache;
-    assert_eq!(stats.hits, later as u64 - 1, "{stats:?}");
-    assert_eq!(stats.prepopulations, 1);
 }
 
 #[test]
@@ -190,10 +126,14 @@ fn stage0_hits_skip_the_pool_and_keep_lifecycle_well_formed() {
     let (requests, arrivals) = stampede(n, 123);
     let config = EngineConfig {
         trace: true,
-        ..cache_on(n)
+        ..cache_on()
     };
+    let prepop_min = config.resp_prepop_min;
     let report = run_requests(config, &requests, &arrivals);
-    assert_eq!(report.resp_cache.hits, n as u64 - 1);
+    assert_eq!(
+        report.resp_cache.hits,
+        expected_stampede_hits(n, prepop_min)
+    );
     let obs = report.obs.as_ref().expect("tracing was on");
     assert_eq!(obs.dropped, 0);
     let hits = obs
@@ -224,7 +164,7 @@ fn stage0_hits_skip_the_pool_and_keep_lifecycle_well_formed() {
     }
     assert_eq!(stage0_paths as u64, report.resp_cache.hits);
     // The served hits carry the fixed cache latency in the report.
-    for rec in report.per_request.iter().skip(1) {
+    for rec in report.per_request.iter().skip(n - hits) {
         assert!(rec.e2e_s > 0.0 && rec.e2e_s < 0.01, "{:?}", rec.e2e_s);
     }
 }
@@ -233,17 +173,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The stampede guarantee for any burst size and seed: N identical
-    /// same-tick arrivals produce exactly one cache insertion and
-    /// N − 1 hits, deterministically.
+    /// same-tick arrivals produce exactly one cache insertion and the
+    /// hits the stage-0 rules derive, deterministically.
     #[test]
     fn stampede_hits_are_deterministic(packed in 0u64..1_500) {
         let n = 2 + (packed % 7) as usize; // 2..=8
         let seed = packed / 7;
         let (requests, arrivals) = stampede(n, seed);
-        let report = run_requests(cache_on(8), &requests, &arrivals);
-        prop_assert_eq!(report.resp_cache.hits, n as u64 - 1);
+        let report = run_requests(cache_on(), &requests, &arrivals);
+        let prepop_min = cache_on().resp_prepop_min;
+        prop_assert_eq!(report.resp_cache.hits, expected_stampede_hits(n, prepop_min));
         prop_assert_eq!(report.resp_cache.prepopulations, 1);
-        let again = run_requests(cache_on(8), &requests, &arrivals);
+        let again = run_requests(cache_on(), &requests, &arrivals);
         prop_assert_eq!(report.to_json(), again.to_json());
     }
 }

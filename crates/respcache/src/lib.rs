@@ -30,9 +30,10 @@
 //!   lookups per exact-duplicate key; only queries seen at least
 //!   `prepop_min` times inside the current `window_s` window are
 //!   *admitted* on a miss. One-off queries never pollute the store, and
-//!   a same-tick stampede of N identical arrivals — observed in the
-//!   sketch as a batch before the first member is served — pays exactly
-//!   one insertion and serves the other N−1 members from it.
+//!   a same-tick stampede of N identical arrivals — each observed in the
+//!   sketch as it is looked up — misses until the sketch counts
+//!   `prepop_min` of them, pays exactly one insertion and serves the
+//!   other members from it.
 //!
 //! Every counter the engine surfaces ([`RespCacheStats`]) is a plain
 //! integer accumulated in arrival order, so the `resp_cache` block of
@@ -230,11 +231,12 @@ impl ResponseCache {
     }
 
     /// Records a sighting of the query in the trending sketch *without*
-    /// performing a lookup. The engine calls this for every member of a
-    /// same-tick run of arrivals before looking up its first member, so
-    /// a stampede of N identical arrivals is already known to be
-    /// trending when the first miss decides on admission — the run pays
-    /// one insertion and the remaining N−1 members hit it.
+    /// performing a lookup, and returns the query's count in the
+    /// window. The engine calls this once per arrival, right before its
+    /// [`ResponseCache::lookup`], so a stampede of N identical arrivals
+    /// misses until the sketch counts `prepop_min` of them; that miss
+    /// is admitted and the remaining members hit it — one insertion per
+    /// stampede.
     pub fn observe(&mut self, embedding: &Embedding, now: f64) -> u64 {
         self.sketch
             .observe(embedding_key(embedding), now, self.config.window_s)
@@ -490,25 +492,22 @@ mod tests {
 
     #[test]
     fn stampede_batch_pays_one_insertion() {
-        // N identical same-tick arrivals, observed as a batch up front
-        // (the engine's same-tick pre-observation): the first member misses and is
-        // admitted; the other N−1 hit the single entry.
+        // N identical same-tick arrivals, each observed as it is looked
+        // up (the engine's sequence): the members miss until the sketch
+        // counts `prepop_min = 2` of them, the second miss is admitted
+        // and the other N−2 hit the single entry.
         let n = 8;
         let mut c = trending_cache(RespCacheConfig::default());
         let q = unit(8, 3);
-        for _ in 0..n {
-            c.observe(&q, 0.0);
-        }
         let mut hits = 0;
-        for _ in 0..n {
+        for k in 0..n {
+            c.observe(&q, 0.0);
             match c.lookup(&q, 0.0) {
                 Some(_) => hits += 1,
-                None => {
-                    assert!(c.admit(&q, resp(50), 0.0));
-                }
+                None => assert_eq!(c.admit(&q, resp(50), 0.0), k == 1),
             }
         }
-        assert_eq!(hits, n - 1);
+        assert_eq!(hits, n - 2);
         assert_eq!(c.stats().prepopulations, 1);
         assert_eq!(c.len(), 1);
     }

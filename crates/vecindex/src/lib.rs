@@ -50,8 +50,8 @@
 //! [`VectorIndex::search_batch`] answers a whole batch of queries with
 //! results byte-identical to per-query [`VectorIndex::search`] — it *is*
 //! per-query `search`; the single-query scan is already faster per query
-//! than a query-blocked pass was — and stays as the entry point for
-//! coalescing same-tick request arrivals upstream.
+//! than a query-blocked pass was — and stays as the batch entry point
+//! icbench times (`vecindex.search_batch8_us_per_query`).
 //!
 //! # Examples
 //!

@@ -70,7 +70,7 @@ fn full_client_lifecycle_with_maintenance() {
     let config = IcCacheConfig::gemma_pair();
     let large = config.primary;
     let large_spec = config.catalog.get(large).clone();
-    let client = IcCacheClient::new(config);
+    let mut client = IcCacheClient::new(config);
     let mut wg = WorkloadGenerator::sized(Dataset::Alpaca, 1002, 800);
     client.seed_examples(wg.generate_examples(800, &large_spec, large, &Generator::new()));
 
