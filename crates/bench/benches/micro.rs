@@ -592,57 +592,6 @@ fn bench_kvmem(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_kv_sharing(c: &mut Criterion) {
-    // Private vs shared allocation churn on the prefix shape the engine
-    // admits (icbench `trending_dups`, `docs/replay-perf.md` "KV sharing
-    // path"): a 73-block prompt whose first 70 blocks are the carried
-    // example set — unaligned, so the tail block copies on write — and
-    // about one job in fifteen repeating a set that is still resident.
-    // Fourteen in fifteen admissions therefore find nothing to map and
-    // pay the content table for 70 registrations and, at retirement,
-    // 70 removals: the shared run does more bookkeeping than the
-    // private one at identical traffic, and the ratio of the two says
-    // how much a block of it costs. CI gates that ratio, not a time.
-    let run = |share: bool| {
-        let mut cfg = PoolConfig::for_gpus("m", 4, 1, 8);
-        cfg.preempt_decode_quantum = 0;
-        cfg.kv_block_tokens = 16;
-        cfg.kv_budget_blocks = 1024;
-        cfg.kv_share = share;
-        let mut cluster = ClusterSim::new(vec![cfg]);
-        let jobs: Vec<ic_serving::JobSpec> = (0..480u64)
-            .map(|i| ic_serving::JobSpec {
-                id: ic_serving::JobId(i),
-                pool: 0,
-                arrival: ic_desim::SimTime::from_secs_f64((i / 8) as f64 * 0.5),
-                ttft_secs: 0.1,
-                decode_secs: 1.5,
-                prefill_tokens: 73 * 16,
-                decode_tokens: 60,
-                priority: 0,
-                share: Some(ic_serving::SharedPrefix {
-                    // Every fifteenth job carries its predecessor's set.
-                    set: i - u64::from(i % 15 == 14),
-                    tokens: 70 * 16 - 8,
-                }),
-            })
-            .collect();
-        let results = cluster.run(jobs);
-        (results.len(), cluster.kv_stats(), cluster.iter_stats())
-    };
-    let mut g = c.benchmark_group("kv_sharing");
-    g.bench_function("private_churn_480x73", |b| b.iter(|| black_box(run(false))));
-    g.bench_function("shared_churn_480x73", |b| {
-        let (_, kv, iter) = run(true);
-        println!(
-            "kv_sharing shape: {} admissions carried {} prefix chunks, {} found resident, {} copied on write",
-            iter.share_admissions, iter.prefix_chunks, kv.blocks_saved, kv.cow_copies,
-        );
-        b.iter(|| black_box(run(true)))
-    });
-    g.finish();
-}
-
 fn bench_generation(c: &mut Criterion) {
     let sim = Generator::new();
     let spec = ModelSpec::gemma_2_2b();
@@ -826,7 +775,6 @@ criterion_group!(
     bench_serving_step,
     bench_step_chain,
     bench_kvmem,
-    bench_kv_sharing,
     bench_generation,
     bench_replay,
     bench_obs,

@@ -217,13 +217,6 @@ fn print_replay_summary(
         r.posterior_refits as f64 / r.arm_evaluations.max(1) as f64 * 100.0,
     );
     println!(
-        "kv sharing: {} admissions carried {} prefix chunks, {} found resident ({:.1}%)",
-        r.share_admissions,
-        r.prefix_chunks,
-        report.kv.blocks_saved,
-        report.kv.blocks_saved as f64 / r.prefix_chunks.max(1) as f64 * 100.0,
-    );
-    println!(
         "probe memo: {} of {} stage-1 lookups answered without a probe ({:.1}%)",
         r.probe_memo_hits,
         r.probe_memo_lookups,

@@ -10,10 +10,10 @@ use ic_workloads::Dataset;
 /// run of `burst` consecutive arrivals collapses onto the run's first
 /// arrival instant, all carrying the run's first request: the selector
 /// hands each member the same example set, the KV pools see `burst`
-/// concurrent sequences sharing one prefix, and stage 0 sees a
+/// concurrent sequences with one example prefix, and stage 0 sees a
 /// stampede. Traffic volume is unchanged. The natural trace has
 /// neither (no two arrivals share a microsecond), so this is the
-/// traffic the sharing and stampede tests need.
+/// traffic the stampede tests and the `kv_share` inertness pin need.
 pub fn quick(config: EngineConfig, burst: usize) -> EngineReport {
     let (mut engine, mut requests, mut arrivals, _) =
         E2eRun::with(Scale::quick(), Dataset::MsMarco, &config).parts();

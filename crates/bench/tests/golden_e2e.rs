@@ -82,12 +82,9 @@ fn fig12_writes_the_golden_run() {
     );
 }
 
-/// Sharing on the *natural* quick trace is inert: example-set repeats
-/// exist (the selection cache re-serves popular sets) but almost never
-/// overlap in time, and content-table entries die with their blocks —
-/// so nothing maps and the share-on report is byte-identical to the
-/// share-off run. The knob only pays on overlapping traffic, which is
-/// exactly what makes it safe to leave on.
+/// Sharing on the *natural* quick trace is inert: every sequence
+/// allocates its KV privately, so nothing maps and the share-on report
+/// is byte-identical to the share-off run.
 #[test]
 fn quick_e2e_kv_share_is_byte_inert_on_the_natural_trace() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
@@ -104,70 +101,32 @@ fn quick_e2e_kv_share_is_byte_inert_on_the_natural_trace() {
     assert_eq!(
         on.to_json(),
         off.to_json(),
-        "no two requests with the same example set are concurrently \
-         resident on the natural quick trace, so sharing must map \
-         nothing and perturb nothing"
+        "kv_share must map nothing and perturb nothing on the natural trace"
     );
     assert_eq!(on.kv.blocks_saved, 0);
 }
 
-/// The acceptance workload: every 8 consecutive arrivals collapse onto
-/// one instant carrying the same request (≥ 8 concurrent sequences per
-/// example set). With `kv_share` on the replay must be (a)
-/// deterministic across runs, (b) actually deduplicating
-/// (`dedup_ratio > 0`, and the first write past a shared prefix
-/// copies the block), and (c) strictly lighter on memory than the
-/// share-off run at identical traffic (`peak_occupancy` and `allocs`
-/// both undercut it).
+/// `EngineConfig::kv_share` is inert: every sequence allocates its KV
+/// privately. The 8-way burst is the traffic that would dedup if
+/// sharing were still wired in (eight concurrent sequences per example
+/// set), and the report must still equal the default run's byte for
+/// byte.
 #[test]
-fn quick_e2e_kv_share_deduplicates_on_shared_prefix_bursts() {
+fn kv_share_is_inert_on_shared_prefix_bursts() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return;
     }
-    let config = EngineConfig {
-        kv_share: true,
-        ..EngineConfig::default()
-    };
-    let a = quick(config.clone(), 8);
-    let b = quick(config, 8);
-    assert_eq!(
-        a.to_json(),
-        b.to_json(),
-        "kv_share=1 burst replay must be deterministic"
+    let on = quick(
+        EngineConfig {
+            kv_share: true,
+            ..EngineConfig::default()
+        },
+        8,
     );
-
     let off = quick(EngineConfig::default(), 8);
-    assert!(
-        a.kv.blocks_saved > 0,
-        "8-way bursts of one request must map prefix blocks \
-         (got blocks_saved=0)"
-    );
-    assert!(
-        a.kv.dedup_ratio() > 0.0,
-        "dedup_ratio must be positive when blocks were saved"
-    );
-    assert!(
-        a.kv.cow_copies > 0,
-        "burst members diverge past their shared prefix, so some \
-         shared block must have been copied on write"
-    );
-    assert!(
-        a.kv.shared_blocks_peak > 0,
-        "burst members are concurrently resident, so some block must \
-         have been shared at its peak"
-    );
-    assert!(
-        a.kv.peak_occupancy() < off.kv.peak_occupancy(),
-        "dedup must strictly lower peak occupancy at identical traffic: \
-         share-on {} vs share-off {}",
-        a.kv.peak_occupancy(),
-        off.kv.peak_occupancy()
-    );
-    assert!(
-        a.kv.allocs < off.kv.allocs,
-        "every saved block is an allocation the share-off run performed: \
-         share-on allocs ({}) must undercut share-off allocs ({})",
-        a.kv.allocs,
-        off.kv.allocs
+    assert_eq!(
+        on.to_json(),
+        off.to_json(),
+        "kv_share must change nothing, even where example sets overlap"
     );
 }

@@ -77,15 +77,12 @@ pub struct EngineConfig {
     /// swap capacity (`KvSwap::host_capacity_blocks`) past which victims
     /// are evicted recompute-priced.
     pub kv_swap: KvSwap,
-    /// Shared-prefix KV reuse (no environment knob: natural traces
-    /// never hold two requests with one example set resident at once).
-    /// When on, every served request carries the identity of its
-    /// injected example set and the pools hash-cons the KV blocks
-    /// covering that prefix: concurrent requests handed the same
-    /// example set map the same physical blocks instead of allocating
-    /// copies, and the first write past the prefix copy-on-writes the
-    /// diverging block. Off (the default) the allocator is untouched
-    /// and the report is byte-identical to the pre-sharing engine.
+    /// Inert: nothing reads it. Every sequence allocates its KV
+    /// privately (natural traces never hold two requests with one
+    /// example set resident at once). The field stays only because the
+    /// frozen `benchmark/src/workload.rs` sets it for `trending_dups`,
+    /// and goes when a benchmark-owning PR drops that line.
+    #[doc(hidden)]
     pub kv_share: bool,
     /// Must be `1`: one logical router owns every request
     /// ([`EventDrivenEngine::new`] panics otherwise). The field stays
@@ -260,7 +257,6 @@ impl EventDrivenEngine {
             pc.kv_budget_blocks = config.kv_budget_blocks;
             pc.kv_watermarks = config.kv_watermarks;
             pc.kv_swap = config.kv_swap;
-            pc.kv_share = config.kv_share;
             pool_configs.push(pc);
         }
         Self {

@@ -10,10 +10,9 @@ use ic_obs::{
 };
 use ic_respcache::{CachedResponse, RespCacheConfig, ResponseCache};
 use ic_serving::{
-    IterStats, JobId, JobSpec, KvStats, ModelPool, Offer, PoolConfig, SharedPrefix,
-    busy_interval_rps,
+    IterStats, JobId, JobSpec, KvStats, ModelPool, Offer, PoolConfig, busy_interval_rps,
 };
-use ic_stats::{PercentileSnapshot, Percentiles, split_mix64};
+use ic_stats::{PercentileSnapshot, Percentiles};
 use std::collections::VecDeque;
 
 use super::arrival::ArrivalCursor;
@@ -398,7 +397,7 @@ impl<'a> EngineState<'a> {
             prefill_tokens: out.outcome.input_tokens,
             decode_tokens: out.outcome.output_tokens,
             priority: 0,
-            share: shared_prefix_of(out, self.config.kv_share),
+            share: None,
         };
         // Iteration-level admission: an idle pool starts the job; a
         // busy pool keeps it queued until the next step boundary.
@@ -498,8 +497,6 @@ impl<'a> EngineState<'a> {
                 swapped: p.swapped_len() as u32,
                 kv_used_blocks: p.kv_used_blocks(),
                 kv_occupancy: p.kv_occupancy(),
-                kv_shared_blocks: p.kv_shared_blocks(),
-                dedup_ratio: p.kv_stats().dedup_ratio(),
                 mean_step_batch: p.iter_stats().mean_step_batch(),
             })
             .collect();
@@ -570,8 +567,6 @@ impl<'a> EngineState<'a> {
         let (arm_evaluations, posterior_refits) = self.system.router().posterior_counts();
         self.replay.arm_evaluations = arm_evaluations - self.posterior_base.0;
         self.replay.posterior_refits = posterior_refits - self.posterior_base.1;
-        self.replay.share_admissions = iter.share_admissions;
-        self.replay.prefix_chunks = iter.prefix_chunks;
         let (memo_lookups, memo_hits) = self.system.selector().probe_memo_counts();
         self.replay.probe_memo_lookups = memo_lookups - self.probe_memo_base.0;
         self.replay.probe_memo_hits = memo_hits - self.probe_memo_base.1;
@@ -606,34 +601,4 @@ impl<'a> EngineState<'a> {
             per_request,
         }
     }
-}
-
-/// The shareable example-set prefix of a served request's prompt, or
-/// `None` when sharing is off or no injected examples survived the
-/// context-window fit. The set identity is a deterministic
-/// `split_mix64` fold over the *kept* example ids in prompt order —
-/// two requests handed the same examples in the same order (the common
-/// case when concurrent requests hit the same selector entries) hash
-/// to the same set and so map the same hash-consed KV blocks; the
-/// prefix length is the tokens the template + examples occupy.
-fn shared_prefix_of(out: &ServeOutcome, enabled: bool) -> Option<SharedPrefix> {
-    if !enabled || out.outcome.example_tokens == 0 {
-        return None;
-    }
-    let kept = out
-        .selection
-        .ids
-        .len()
-        .saturating_sub(out.outcome.examples_dropped as usize);
-    if kept == 0 {
-        return None;
-    }
-    let mut set = 0x1C_CAC4E_u64; // domain tag: "IC-Cache" prefix sets
-    for id in &out.selection.ids[..kept] {
-        set = split_mix64(set ^ id.0);
-    }
-    Some(SharedPrefix {
-        set,
-        tokens: out.outcome.example_tokens,
-    })
 }

@@ -111,8 +111,7 @@ pub struct CacheStats {
 }
 
 /// Replay counters for one engine run: the pools' quiet runs, the
-/// router's kept posteriors, the traffic through the KV content table
-/// and the selector's probe memo.
+/// router's kept posteriors and the selector's probe memo.
 ///
 /// Diagnostics of *how* the replay ran, not of what it served:
 /// deliberately **not** serialized by [`EngineReport::to_json`], so a
@@ -135,13 +134,6 @@ pub struct ReplayStats {
     /// How many of those refactored the arm's precision matrix — the
     /// arm had learned (feedback) since its last decision.
     pub posterior_refits: u64,
-    /// Pool block allocations that carried a shared example-set prefix
-    /// through the KV content table (`ic_serving::IterStats`): every
-    /// offloaded admission under `kv_share`, `0` with it off.
-    pub share_admissions: u64,
-    /// Prefix chunks (KV blocks) those allocations carried; the
-    /// report's `kv.blocks_saved` counts the ones found resident.
-    pub prefix_chunks: u64,
     /// Stage-1 calls that consulted the selector's probe memo: every
     /// arrival past stage 0 while the index expects a probe to cost
     /// more than remembering one, `0` below that bar (a bank of 100).
@@ -162,15 +154,12 @@ impl ReplayStats {
             concat!(
                 "{{\"step_runs\":{},\"quiet_steps\":{},",
                 "\"arm_evaluations\":{},\"posterior_refits\":{},",
-                "\"share_admissions\":{},\"prefix_chunks\":{},",
                 "\"probe_memo_lookups\":{},\"probe_memo_hits\":{}}}"
             ),
             self.step_runs,
             self.quiet_steps,
             self.arm_evaluations,
             self.posterior_refits,
-            self.share_admissions,
-            self.prefix_chunks,
             self.probe_memo_lookups,
             self.probe_memo_hits,
         )
@@ -298,9 +287,7 @@ impl EngineReport {
                 "\"peak_occupancy\":{},\"mean_occupancy\":{},",
                 "\"pressure_preemptions\":{},\"swap_outs\":{},\"swap_ins\":{},",
                 "\"fragmentation\":{},\"allocs\":{},\"frees\":{},",
-                "\"host_peak_blocks\":{},\"recompute_fallbacks\":{},",
-                "\"dedup_ratio\":{},\"shared_blocks_peak\":{},",
-                "\"cow_copies\":{},\"blocks_saved\":{}}},",
+                "\"host_peak_blocks\":{},\"recompute_fallbacks\":{}}},",
                 "\"resp_cache\":{{\"lookups\":{},\"hits\":{},\"hit_ratio\":{},",
                 "\"prepopulations\":{},\"stale_evictions\":{},\"bytes\":{}}}}}"
             ),
@@ -355,10 +342,6 @@ impl EngineReport {
             self.kv.frees,
             self.kv.host_peak_blocks,
             self.kv.recompute_fallbacks,
-            f6(self.kv.dedup_ratio()),
-            self.kv.shared_blocks_peak,
-            self.kv.cow_copies,
-            self.kv.blocks_saved,
             self.resp_cache.lookups,
             self.resp_cache.hits,
             f6(self.resp_cache.hit_ratio()),
@@ -433,9 +416,6 @@ mod tests {
         r.kv.host_peak_blocks = 12;
         r.kv.recompute_fallbacks = 2;
         r.kv.allocs = 30;
-        r.kv.blocks_saved = 10;
-        r.kv.shared_blocks_peak = 5;
-        r.kv.cow_copies = 4;
         r.router.decisions = vec![6];
         r.router.failover_requeues = 1;
         let a = r.to_json();
@@ -460,13 +440,9 @@ mod tests {
         assert!(a.contains("\"peak_occupancy\":0.500000"));
         assert!(a.contains("\"pressure_preemptions\":3"));
         assert!(a.contains("\"fragmentation\":0.250000"));
-        assert!(a.contains("\"host_peak_blocks\":12,\"recompute_fallbacks\":2"));
-        // The dedup fields close the kv block, which CI reads with
+        // The ledger fields close the kv block, which CI reads with
         // `grep -o '"kv":{[^}]*}'` and so holds no nested object.
-        assert!(a.contains(
-            "\"dedup_ratio\":0.250000,\"shared_blocks_peak\":5,\
-             \"cow_copies\":4,\"blocks_saved\":10}"
-        ));
+        assert!(a.contains("\"host_peak_blocks\":12,\"recompute_fallbacks\":2}"));
         // The resp_cache block ends the report, flat: CI isolates it
         // with `grep -o '"resp_cache":{[^}]*}'`.
         assert!(a.ends_with(

@@ -93,12 +93,6 @@ impl KvBudget {
             return None;
         }
         let mut out = Vec::with_capacity(n as usize);
-        self.pop_into(n, &mut out);
-        Some(out)
-    }
-
-    /// Pops `n` free blocks onto `out`; the caller checked they exist.
-    fn pop_into(&mut self, n: u32, out: &mut Vec<BlockId>) {
         for _ in 0..n {
             let index = self.free_list.pop().expect("free count checked");
             debug_assert!(!self.allocated[index as usize], "free list corrupt");
@@ -113,6 +107,7 @@ impl KvBudget {
                 index,
             });
         }
+        Some(out)
     }
 
     /// Clears a block's content tag and returns what it was.
@@ -316,34 +311,6 @@ impl SetChunks {
     fn get(&self, chunk: u32) -> Option<BlockId> {
         self.blocks.get(chunk as usize).copied().flatten()
     }
-
-    /// The resident run: how many of chunks `0..limit` are registered,
-    /// consecutive from chunk 0 and on chunk 0's replica. (A set's
-    /// blocks live on one replica — its first carrier allocated them
-    /// together — so a block elsewhere is not mappable with the rest.)
-    fn resident_run(&self, limit: u32) -> u32 {
-        let Some(home) = self.get(0) else {
-            return 0;
-        };
-        self.blocks
-            .iter()
-            .take(limit as usize)
-            .take_while(|b| b.is_some_and(|b| b.replica == home.replica))
-            .count() as u32
-    }
-}
-
-/// What [`BlockPool::alloc_prefixed`] handed a sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefixAlloc {
-    /// Replica the blocks live on: the resident run's home, or the
-    /// caller's fallback when nothing was resident.
-    pub replica: usize,
-    /// The sequence's logical block table: the mapped run first, then
-    /// the freshly allocated remainder.
-    pub blocks: Vec<BlockId>,
-    /// Leading blocks of `blocks` that were mapped, not allocated.
-    pub mapped: u32,
 }
 
 /// The pool-wide allocator: one [`KvBudget`] per replica plus counters,
@@ -580,13 +547,8 @@ impl BlockPool {
             // An existing row is never empty, so nothing was created.
             return false;
         }
-        Self::install(row, budget, set, chunk, block);
-        true
-    }
-
-    /// Writes one table entry from both ends: the row's slot (which the
-    /// caller found vacant) and the block's tag (likewise).
-    fn install(row: &mut SetChunks, budget: &mut KvBudget, set: u64, chunk: u32, block: BlockId) {
+        // One entry, written from both ends: the row's slot and the
+        // block's tag, both found vacant above.
         if row.blocks.len() <= chunk as usize {
             row.blocks.resize(chunk as usize + 1, None);
         }
@@ -594,6 +556,7 @@ impl BlockPool {
         row.live += 1;
         budget.tag_chunk[block.index as usize] = chunk;
         budget.tag_set[block.index as usize] = set;
+        true
     }
 
     /// Maps a sequence onto an existing shared-prefix block: takes a
@@ -616,82 +579,6 @@ impl BlockPool {
         }
     }
 
-    /// Allocates the `demand` blocks of a sequence whose prompt starts
-    /// with example set `set`, resolving the carried prefix against the
-    /// content table on one set lookup:
-    ///
-    /// - the **resident run** — the chunks of `0..mappable` that are
-    ///   registered, consecutive from chunk 0 and on chunk 0's replica
-    ///   — is mapped (a [`BlockPool::map_shared`] per block);
-    /// - the other `demand - run` blocks are allocated on the run's
-    ///   replica, `fallback_replica` when nothing was resident;
-    /// - the chunks of `run..register_to` the table does not hold are
-    ///   registered onto the fresh blocks at those positions (first
-    ///   writer wins, as in [`BlockPool::register_prefix`]).
-    ///
-    /// The table, the free lists and the counters end exactly where
-    /// that per-chunk sequence of `lookup_prefix` / `try_alloc` /
-    /// `map_shared` / `register_prefix` calls leaves them. Returns
-    /// `None` — with no state change — when the remainder does not fit.
-    /// `mappable` and `register_to` are clamped to `demand`.
-    pub fn alloc_prefixed(
-        &mut self,
-        set: u64,
-        mappable: u32,
-        register_to: u32,
-        demand: u32,
-        fallback_replica: usize,
-    ) -> Option<PrefixAlloc> {
-        let (mappable, register_to) = (mappable.min(demand), register_to.min(demand));
-        let entry = self.sets.entry(set);
-        let resident: &[Option<BlockId>] = match &entry {
-            Entry::Occupied(row) => {
-                let row = row.get();
-                &row.blocks[..row.resident_run(mappable) as usize]
-            }
-            Entry::Vacant(_) => &[],
-        };
-        let run = resident.len() as u32;
-        let replica = match resident.first() {
-            Some(home) => home.expect("the run is resident").replica as usize,
-            None => fallback_replica,
-        };
-        let budget = &mut self.replicas[replica];
-        let fresh = demand - run;
-        if budget.free() < fresh {
-            return None;
-        }
-        let mut blocks = Vec::with_capacity(demand as usize);
-        for block in resident.iter().flatten() {
-            if budget.incref(*block) == 2 {
-                self.shared_now += 1;
-            }
-            blocks.push(*block);
-        }
-        self.stats.blocks_saved += u64::from(run);
-        self.stats.shared_blocks_peak = self
-            .stats
-            .shared_blocks_peak
-            .max(u64::from(self.shared_now));
-        budget.pop_into(fresh, &mut blocks);
-        self.stats.allocs += u64::from(fresh);
-        if register_to > run {
-            // A block fresh off the free list carries no tag, so the
-            // slot being vacant is all "first writer wins" asks.
-            let row = entry.or_default();
-            for chunk in run..register_to {
-                if row.get(chunk).is_none() {
-                    Self::install(row, budget, set, chunk, blocks[chunk as usize]);
-                }
-            }
-        }
-        Some(PrefixAlloc {
-            replica,
-            blocks,
-            mapped: run,
-        })
-    }
-
     /// Resolves a write into a shared-prefix block (the writer's first
     /// token past the shared prefix, or a differing prefill chunk).
     ///
@@ -704,9 +591,8 @@ impl BlockPool {
     ///   the table keeps pointing at it.
     ///
     /// Returns `None` — with no state change — when a copy is needed
-    /// but the replica has no free block; the caller retries after its
-    /// next pressure round (the victim loop accounts copy-on-write
-    /// demand, so this is reachable only transiently).
+    /// but the replica has no free block; the caller may retry once
+    /// blocks are freed.
     pub fn diverge(&mut self, block: BlockId) -> Option<Divergence> {
         let replica = block.replica as usize;
         if self.replicas[replica].refcount(block) <= 1 {
@@ -1106,44 +992,6 @@ mod tests {
         assert_eq!(pool.lookup_prefix(1, 3), Some(b));
         pool.free([b]);
         assert_eq!(pool.resident_sets(), 0);
-    }
-
-    #[test]
-    fn alloc_prefixed_maps_the_run_and_registers_the_rest() {
-        let mut pool = BlockPool::new(2, 8, 16);
-        // Nothing resident: all four blocks are fresh, on the fallback
-        // replica, and chunks 0..3 are registered onto the first three.
-        let a = pool.alloc_prefixed(7, 3, 3, 4, 1).expect("fits");
-        assert_eq!((a.replica, a.mapped, a.blocks.len()), (1, 0, 4));
-        for c in 0..3 {
-            assert_eq!(pool.lookup_prefix(7, c), Some(a.blocks[c as usize]));
-        }
-        assert!(!pool.is_registered(a.blocks[3]));
-        // Chunk 1 is privatized: a follower maps chunk 0 only, lands on
-        // the set's replica whatever its fallback, re-registers chunk 1
-        // with its own block and leaves chunk 2 to its first writer.
-        assert_eq!(pool.diverge(a.blocks[1]), Some(Divergence::InPlace));
-        let b = pool.alloc_prefixed(7, 3, 3, 4, 0).expect("fits");
-        assert_eq!((b.replica, b.mapped), (1, 1));
-        assert_eq!(b.blocks[0], a.blocks[0]);
-        assert_eq!(pool.lookup_prefix(7, 1), Some(b.blocks[1]));
-        assert_eq!(pool.lookup_prefix(7, 2), Some(a.blocks[2]));
-        assert!(!pool.is_registered(b.blocks[2]));
-        assert_eq!(pool.stats().blocks_saved, 1);
-        assert_eq!(pool.shared_blocks(), 1);
-        // One block is free on replica 1: a third carrier needing two
-        // past the resident run does not fit, and leaves nothing behind.
-        let before = (pool.stats(), pool.used_blocks(), pool.refcount(a.blocks[0]));
-        assert!(pool.alloc_prefixed(7, 3, 3, 5, 0).is_none());
-        assert!(pool.alloc_prefixed(9, 2, 2, 2, 1).is_none());
-        assert_eq!(
-            (pool.stats(), pool.used_blocks(), pool.refcount(a.blocks[0])),
-            before
-        );
-        assert_eq!(pool.resident_sets(), 1, "a refusal leaves no row");
-        pool.free(a.blocks);
-        pool.free(b.blocks);
-        assert_eq!((pool.used_blocks(), pool.resident_sets()), (0, 0));
     }
 
     #[test]

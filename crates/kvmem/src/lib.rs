@@ -28,55 +28,39 @@
 //!   `KvSwap::host_capacity_blocks`; victims that overflow it are
 //!   evicted recompute-priced instead (vLLM's bounded `swap_space`).
 //!
-//! # Shared-prefix reuse
+//! # Shared-prefix verbs
 //!
-//! On top of the private allocator sits an opt-in sharing layer
-//! (`docs/kv-sharing.md` holds the full contract). Its pieces:
+//! The serving pools allocate privately: no natural trace holds two
+//! requests with one example set resident at once
+//! (`docs/paper-claims.md`, "No shared-prefix KV"). The per-chunk
+//! sharing verbs stay in this crate only because the benchmark's
+//! `kvmem.share` span calls them directly:
 //!
 //! - **Refcounted physical blocks.** [`KvBudget`] tracks a reference
 //!   count per block — `1` private, `>= 2` shared. `KvBudget::incref`
 //!   adds a reference; `KvBudget::free_block` drops one and returns
 //!   the block to the free list only at zero (and still panics on a
-//!   free past zero). With every count at 1 the budget behaves
-//!   bit-for-bit like the plain allocator, which is what keeps the
-//!   share-off engine byte-identical to the pre-sharing golden.
-//! - **A hash-consed content table.** [`BlockPool`] maps
-//!   `(example-set id, prefill chunk index)` to the [`BlockId`]
-//!   holding that chunk's KV. `BlockPool::register_prefix` installs a
-//!   pristine prefill block (first writer wins),
-//!   `BlockPool::lookup_prefix` finds a still-resident chunk, and
-//!   `BlockPool::map_shared` takes a reference on it (counted in
-//!   [`KvStats::blocks_saved`]). Entries hold **no reference of their
-//!   own**: they die when the block is physically freed, so the table
-//!   never pins memory and sharing happens only between sequences that
-//!   are resident at the same time. The table is stored from both
-//!   ends: a `(set, chunk)` tag per block, in two dense arrays of its
-//!   [`KvBudget`], and one row per resident example set — its chunk →
-//!   block vector and a live count, in an [`ic_stats::IdMap`] keyed by
-//!   the set id, dropped with the set's last chunk. Freeing or
-//!   privatizing a block reads one tag and touches a row only if the
-//!   block was registered; `BlockPool::alloc_prefixed` resolves a
-//!   whole carried prefix — the resident run to map, the remainder to
-//!   allocate, the missing chunks to register — on one row lookup.
-//!   A registration must name live memory: `register_prefix` panics on
-//!   a free block and refuses a chunk index past a replica's budget.
-//! - **Copy-on-write divergence.** The first write past the shared
-//!   prefix goes through `BlockPool::diverge`, which returns a
-//!   [`Divergence`]: `InPlace` for a sole holder (the block is simply
-//!   unregistered), `Copied(fresh)` for a shared block (a private
-//!   replacement is allocated and the writer's reference moves to it,
-//!   counted in [`KvStats::cow_copies`]), or `None` when the replica
-//!   has no free block for the copy — the caller defers and retries
-//!   after the next pressure round.
+//!   free past zero). With every count at 1, as in the pools, the
+//!   budget is a plain allocator.
+//! - **A content table.** [`BlockPool`] maps `(example-set id, chunk
+//!   index)` to a [`BlockId`]: `BlockPool::register_prefix` installs a
+//!   block (first writer wins; it panics on a free block and refuses a
+//!   chunk index past a replica's budget), `BlockPool::lookup_prefix`
+//!   finds a resident chunk, and `BlockPool::map_shared` takes a
+//!   reference on it (counted in [`KvStats::blocks_saved`]). Entries
+//!   hold no reference of their own and die when the block is
+//!   physically freed. The table is a `(set, chunk)` tag per block plus
+//!   one row per resident set in an [`ic_stats::IdMap`].
+//! - **Copy-on-write.** `BlockPool::diverge` returns a [`Divergence`]:
+//!   `InPlace` for a sole holder (the block is unregistered),
+//!   `Copied(fresh)` for a shared block (counted in
+//!   [`KvStats::cow_copies`]), or `None` when the replica has no free
+//!   block for the copy.
 //!
-//! The sharing verbs preserve the conservation law the private
-//! allocator already had — `allocs == frees` at drain, refcount equals
-//! the number of holders at every step — which
-//! `crates/kvmem/tests/conservation.rs` checks by property test over
-//! arbitrary interleavings of alloc/share/diverge/release.
-//! `crates/kvmem/tests/content_table_oracle.rs` holds the table itself
-//! to a naive model — the two ordered maps it used to be — after every
-//! operation of such interleavings over multi-chunk sets.
+//! `crates/kvmem/tests/conservation.rs` checks by property test that
+//! these verbs conserve blocks and refcounts over arbitrary
+//! interleavings, and `crates/kvmem/tests/content_table_oracle.rs`
+//! holds the table to a naive two-map model after every operation.
 //!
 //! The crate is purely arithmetical (its one dependency is `ic-stats`,
 //! for the id-hashed map; the table's rows are never iterated): every
@@ -104,5 +88,5 @@
 pub mod block;
 pub mod pressure;
 
-pub use block::{BlockId, BlockPool, Divergence, KvBudget, KvStats, PrefixAlloc};
+pub use block::{BlockId, BlockPool, Divergence, KvBudget, KvStats};
 pub use pressure::{KvSwap, PressurePolicy, Watermarks};

@@ -85,19 +85,6 @@ impl NaiveTable {
         }
     }
 
-    /// The resident run as `alloc_with_sharing` used to find it: one
-    /// lookup per chunk, stopping at a hole or a foreign replica.
-    fn resident_run(&self, set: u64, mappable: u32) -> Vec<BlockId> {
-        let mut run: Vec<BlockId> = Vec::new();
-        for chunk in 0..mappable {
-            match self.content.get(&(set, chunk)) {
-                Some(b) if run.first().is_none_or(|f| f.replica == b.replica) => run.push(*b),
-                _ => break,
-            }
-        }
-        run
-    }
-
     fn stats(&self, total_blocks: u64) -> KvStats {
         KvStats {
             total_blocks,
@@ -133,7 +120,7 @@ proptest! {
             // Chunks run two past the budget so refusals are drawn too.
             let chunk = pick(16, u64::from(budget) + 2) as u32;
             let handle = (!handles.is_empty()).then(|| pick(24, handles.len() as u64) as usize);
-            match pick(0, 8) {
+            match pick(0, 7) {
                 0 => {
                     let replica = pool.least_loaded_replica();
                     if let Some(blocks) = pool.try_alloc(replica, 1 + pick(32, 3) as u32) {
@@ -182,40 +169,12 @@ proptest! {
                         }
                     }
                 }
-                5 | 6 => {
+                _ => {
                     if let Some(i) = handle {
                         let b = handles.swap_remove(i);
                         let frees = model.frees;
                         model.release(b);
                         prop_assert_eq!(u64::from(pool.release([b])), model.frees - frees);
-                    }
-                }
-                _ => {
-                    // The bulk admission verb against the per-chunk
-                    // loop it replaced, run on the model.
-                    let demand = 1 + pick(32, u64::from(budget)) as u32;
-                    let mappable = pick(40, u64::from(demand) + 1) as u32;
-                    let register_to = pick(48, u64::from(demand) + 1) as u32;
-                    let fallback = pool.least_loaded_replica();
-                    let run = model.resident_run(set, mappable);
-                    let replica = run.first().map_or(fallback, |b| b.replica as usize);
-                    let fresh = demand - run.len() as u32;
-                    let fits = pool.free_blocks(replica) >= fresh;
-                    let got = pool.alloc_prefixed(set, mappable, register_to, demand, fallback);
-                    prop_assert_eq!(got.is_some(), fits, "fit of {} on {}", fresh, replica);
-                    if let Some(got) = got {
-                        prop_assert_eq!(got.replica, replica);
-                        prop_assert_eq!(got.mapped as usize, run.len());
-                        prop_assert_eq!(got.blocks.len() as u32, demand);
-                        prop_assert_eq!(&got.blocks[..run.len()], &run[..]);
-                        model.allocated(&got.blocks[run.len()..]);
-                        for &b in &run {
-                            model.map(b);
-                        }
-                        for c in got.mapped..register_to {
-                            model.register(budget, set, c, got.blocks[c as usize]);
-                        }
-                        handles.extend(got.blocks);
                     }
                 }
             }

@@ -180,18 +180,6 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
                     );
                 }
             }
-            EventKind::CowDiverged { copied } => {
-                if let Some(s) = open.get(&ev.request) {
-                    instant(
-                        &mut out,
-                        "cow",
-                        s.pid,
-                        s.tid,
-                        at_us,
-                        &format!("\"request\":{},\"copied\":{copied}", ev.request),
-                    );
-                }
-            }
             EventKind::FailoverFlush { .. } => {
                 // Failover voids the sequence's progress; it restarts
                 // from prefill when re-admitted.

@@ -141,8 +141,7 @@ impl Builder {
             | EventKind::Selected { .. }
             | EventKind::RouterDecision { .. }
             | EventKind::Enqueued { .. }
-            | EventKind::PrefillChunk { .. }
-            | EventKind::CowDiverged { .. } => {
+            | EventKind::PrefillChunk { .. } => {
                 if at < self.mark {
                     self.path.monotone = false;
                 }

@@ -97,13 +97,6 @@ pub enum EventKind {
         /// Serving replica within the pool.
         replica: u32,
     },
-    /// The sequence's first write past its shared prefix resolved a
-    /// divergence (`copied` = copy-on-write; otherwise privatized in
-    /// place).
-    CowDiverged {
-        /// A fresh block was copied (other readers kept the original).
-        copied: bool,
-    },
     /// Terminal: the sequence emitted its last token.
     Finish {
         /// Times the sequence was preempted over its lifetime.

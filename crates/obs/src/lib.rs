@@ -14,10 +14,10 @@
 //!    the stream as Chrome trace-event JSON, loadable in Perfetto with
 //!    one track per pool replica and one for the router's arrivals.
 //! 3. **Time-series telemetry** — an `ic_desim::Periodic`-driven
-//!    sampler snapshots queue depth, KV occupancy and dedup, batch
-//!    size, and the router's load estimate and decision count into
-//!    [`TelemetrySample`]s;
-//!    [`ObsReport::telemetry_jsonl`] renders them as JSONL.
+//!    sampler snapshots queue depth, KV occupancy, batch size, and the
+//!    router's load estimate and decision count into
+//!    [`TelemetrySample`]s; [`ObsReport::telemetry_jsonl`] renders them
+//!    as JSONL.
 //!
 //! Everything downstream of recording is a pure function of the event
 //! stream, so two replays of the same seed yield byte-identical

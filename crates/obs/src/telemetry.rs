@@ -27,10 +27,6 @@ pub struct PoolSample {
     pub kv_used_blocks: u64,
     /// Allocated fraction of the pool's KV budget (0 when unpaged).
     pub kv_occupancy: f64,
-    /// Blocks currently mapped by more than one sequence.
-    pub kv_shared_blocks: u32,
-    /// Logical-to-physical dedup ratio so far.
-    pub dedup_ratio: f64,
     /// Mean sequences per iteration since the run started.
     pub mean_step_batch: f64,
 }
@@ -41,16 +37,13 @@ impl PoolSample {
             out,
             concat!(
                 "{{\"queue\":{},\"active\":{},\"swapped\":{},",
-                "\"kv_used_blocks\":{},\"kv_occupancy\":{},\"kv_shared_blocks\":{},",
-                "\"dedup_ratio\":{},\"mean_step_batch\":{}}}"
+                "\"kv_used_blocks\":{},\"kv_occupancy\":{},\"mean_step_batch\":{}}}"
             ),
             self.queue,
             self.active,
             self.swapped,
             self.kv_used_blocks,
             f6(self.kv_occupancy),
-            self.kv_shared_blocks,
-            f6(self.dedup_ratio),
             f6(self.mean_step_batch),
         );
     }
@@ -146,8 +139,6 @@ mod tests {
                 swapped: 1,
                 kv_used_blocks: 120,
                 kv_occupancy: 0.46875,
-                kv_shared_blocks: 6,
-                dedup_ratio: 0.125,
                 mean_step_batch: 7.5,
             }],
             load_estimate: 0.5,

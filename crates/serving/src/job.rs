@@ -6,29 +6,6 @@ use ic_desim::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-/// A job's shareable prompt prefix: the injected in-context example
-/// set (plus its template), identical across every request the
-/// selector hands the same examples in the same order.
-///
-/// When [`crate::PoolConfig::kv_share`] is on, the pool hash-conses
-/// the KV blocks covering the first `tokens` prompt tokens in its
-/// content table keyed by `(set, chunk index)`: the first sequence
-/// carrying a set allocates and registers them, later sequences map
-/// the registered blocks instead of allocating, and a write past the
-/// prefix copy-on-writes the diverging block. Requests whose prompts
-/// share no example set (or with sharing off) carry `None` and
-/// allocate privately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedPrefix {
-    /// Stable identity of the example set: a deterministic hash of the
-    /// kept example ids in prompt order.
-    pub set: u64,
-    /// Prompt tokens the set occupies (template + example tokens) —
-    /// the prefix length up to which KV content is identical across
-    /// requests carrying the same `set`.
-    pub tokens: u32,
-}
-
 /// One request's execution demand, computed upstream from the generation
 /// simulator (zero-load costs; the cluster adds queueing and contention).
 ///
@@ -54,15 +31,19 @@ pub struct JobSpec {
     /// Output length in tokens (decode work; zero-output jobs finish at
     /// the end of prefill).
     pub decode_tokens: u32,
-    /// Victim-selection priority class: under KV-memory pressure the
-    /// pool swaps out the *lowest* priority residents first (ties broken
-    /// by longest remaining decode). `0` — the default for all engine
-    /// traffic — is the lowest class; latency-critical jobs ride higher.
+    /// Inert: nothing reads it (pressure victims are the longest
+    /// remaining decode first). The field stays only because the frozen
+    /// `benchmark/src/layers.rs` (`priority: 0`) names it in a struct
+    /// literal, and goes when a benchmark-owning PR drops that line.
+    #[doc(hidden)]
     pub priority: u8,
-    /// The shareable example-set prefix of this job's prompt, if any
-    /// (see [`SharedPrefix`]). Ignored unless the pool runs with
-    /// `kv_share` on.
-    pub share: Option<SharedPrefix>,
+    /// Inert and always `None`: its type holds no value. Every sequence
+    /// allocates its KV privately. The field stays only because the
+    /// frozen `benchmark/src/layers.rs` (`share: None`) names it in a
+    /// struct literal, and goes when a benchmark-owning PR drops that
+    /// line.
+    #[doc(hidden)]
+    pub share: Option<std::convert::Infallible>,
 }
 
 /// The measured outcome of one job.

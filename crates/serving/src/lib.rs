@@ -36,6 +36,6 @@ pub mod pool;
 
 pub use cluster::{ClusterSim, PoolId, jobs_from_tuples};
 pub use ic_kvmem::{KvStats, KvSwap, PressurePolicy, Watermarks};
-pub use job::{JobId, JobResult, JobSpec, SharedPrefix};
+pub use job::{JobId, JobResult, JobSpec};
 pub use metrics::{ServingMetrics, busy_interval_rps};
 pub use pool::{FinishedSeq, IterStats, ModelPool, Offer, PoolConfig, StepReport};

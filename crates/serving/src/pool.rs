@@ -112,14 +112,13 @@
 //! emits one token per sequence per iteration and nothing else. A pool
 //! is **quiet** after a boundary when its queue and swapped list are
 //! empty, no swap penalty is pending, and every running sequence is past
-//! prefill with its first token stamped and no copy-on-write
-//! outstanding. [`ModelPool::advance_quiet`] applies the next `n` quiet
-//! boundaries in closed form — `n` capped by the earliest finisher
-//! (`min remaining_decode - 1`), by the driver's barrier, and by the KV
-//! growth each replica's free blocks still cover — and returns `n`,
-//! instead of `n` more `advance_step` calls. The result is the same
-//! pool, byte for byte, because of two facts (pinned by
-//! `tests/run_length_equivalence.rs`):
+//! prefill with its first token stamped. [`ModelPool::advance_quiet`]
+//! applies the next `n` quiet boundaries in closed form — `n` capped by
+//! the earliest finisher (`min remaining_decode - 1`), by the driver's
+//! barrier, and by the KV growth each replica's free blocks still
+//! cover — and returns `n`, instead of `n` more `advance_step` calls.
+//! The result is the same pool, byte for byte, because of two facts
+//! (pinned by `tests/run_length_equivalence.rs`):
 //!
 //! 1. **The step time is one integer.** Inside a quiet run slot
 //!    occupancy, every slot's per-token cost and the (zero) penalty are
@@ -143,9 +142,7 @@
 use std::collections::VecDeque;
 
 use ic_desim::{SimDuration, SimTime};
-use ic_kvmem::{
-    BlockId, BlockPool, Divergence, KvStats, KvSwap, PrefixAlloc, PressurePolicy, Watermarks,
-};
+use ic_kvmem::{BlockId, BlockPool, KvStats, KvSwap, PressurePolicy, Watermarks};
 use ic_obs::{EventKind, LaneBuf, NO_REQUEST};
 
 use crate::job::{JobId, JobSpec};
@@ -183,11 +180,12 @@ pub struct PoolConfig {
     /// host-side (CPU) block capacity swapped-out state may occupy;
     /// victims overflowing it are evicted recompute-priced.
     pub kv_swap: KvSwap,
-    /// Shared-prefix KV reuse: when on, sequences whose jobs carry the
-    /// same [`crate::SharedPrefix`] map their prefix blocks onto one
-    /// hash-consed physical copy (copy-on-write at divergence) instead
-    /// of allocating privately. Off by default — the share-off
-    /// scheduler is bit-identical to the pre-sharing pool.
+    /// Inert: nothing reads it. Every sequence allocates its KV
+    /// privately. The field stays only because the frozen
+    /// `benchmark/src/layers.rs` (`kv_share: engine.kv_share`) names it
+    /// in a struct literal, and goes when a benchmark-owning PR drops
+    /// that line.
+    #[doc(hidden)]
     pub kv_share: bool,
 }
 
@@ -268,15 +266,6 @@ pub struct IterStats {
     pub preemptions: u64,
     /// Offers rejected by the queue cap.
     pub queue_rejects: u64,
-    /// Block allocations — first admissions, re-admissions and resumes
-    /// alike — resolved against the content table: the job carried a
-    /// [`crate::SharedPrefix`] into a pool with
-    /// [`PoolConfig::kv_share`] on.
-    pub share_admissions: u64,
-    /// Prefix chunks those allocations carried (blocks the prefix
-    /// covers, partial tail included, clamped to the sequence's
-    /// demand). `KvStats::blocks_saved` counts the ones found resident.
-    pub prefix_chunks: u64,
 }
 
 impl IterStats {
@@ -307,8 +296,6 @@ impl IterStats {
         self.decode_steps += other.decode_steps;
         self.preemptions += other.preemptions;
         self.queue_rejects += other.queue_rejects;
-        self.share_admissions += other.share_admissions;
-        self.prefix_chunks += other.prefix_chunks;
     }
 }
 
@@ -342,14 +329,6 @@ struct Sequence {
     /// decoded tokens). Survives swap-out — it is what resume must
     /// restore.
     kv_tokens: u64,
-    /// With `kv_share` on: this sequence's last shared-prefix block is
-    /// partial (the prefix ends mid-block), so its first write past the
-    /// prefix must resolve a divergence (copy-on-write when other
-    /// sequences still read the block). Cleared once resolved, on
-    /// swap-out (mappings are re-established at resume), and for
-    /// block-aligned prefixes (divergent tokens open a fresh private
-    /// block — nothing shared is ever written).
-    cow_pending: bool,
 }
 
 impl Sequence {
@@ -369,7 +348,6 @@ impl Sequence {
             kv_blocks: Vec::new(),
             host_blocks: 0,
             kv_tokens: 0,
-            cow_pending: false,
         }
     }
 
@@ -497,7 +475,6 @@ struct RunSlots {
     decode_run: Vec<u32>,
     kv_tokens: Vec<u64>,
     replica: Vec<usize>,
-    cow_pending: Vec<bool>,
     // Hot, immutable pricing inputs (hoisted out of `JobSpec`).
     prefill_total: Vec<u32>,
     ttft_secs: Vec<f64>,
@@ -528,7 +505,6 @@ impl RunSlots {
         self.decode_run.push(seq.decode_run);
         self.kv_tokens.push(seq.kv_tokens);
         self.replica.push(seq.replica);
-        self.cow_pending.push(seq.cow_pending);
         self.prefill_total.push(seq.prefill_total);
         self.ttft_secs.push(seq.job.ttft_secs);
         self.decode_secs.push(seq.job.decode_secs);
@@ -564,7 +540,6 @@ impl RunSlots {
             kv_blocks,
             host_blocks: cold.host_blocks,
             kv_tokens: self.kv_tokens[i],
-            cow_pending: self.cow_pending[i],
         }
     }
 
@@ -577,7 +552,6 @@ impl RunSlots {
         self.decode_run.remove(i);
         self.kv_tokens.remove(i);
         self.replica.remove(i);
-        self.cow_pending.remove(i);
         self.prefill_total.remove(i);
         self.ttft_secs.remove(i);
         self.decode_secs.remove(i);
@@ -600,7 +574,6 @@ impl RunSlots {
         self.decode_run.swap(a, b);
         self.kv_tokens.swap(a, b);
         self.replica.swap(a, b);
-        self.cow_pending.swap(a, b);
         self.prefill_total.swap(a, b);
         self.ttft_secs.swap(a, b);
         self.decode_secs.swap(a, b);
@@ -619,7 +592,6 @@ impl RunSlots {
         self.decode_run.truncate(n);
         self.kv_tokens.truncate(n);
         self.replica.truncate(n);
-        self.cow_pending.truncate(n);
         self.prefill_total.truncate(n);
         self.ttft_secs.truncate(n);
         self.decode_secs.truncate(n);
@@ -644,19 +616,6 @@ impl RunSlots {
             remaining => config.chunk_of(remaining),
         };
         self.kv_tokens[i] + u64::from(growth)
-    }
-
-    /// The block at offset `off` of slot `i`'s table.
-    fn block_at(&self, i: usize, off: usize) -> BlockId {
-        debug_assert!(off < self.kv_len[i]);
-        self.arena.blocks[self.kv_start[i] + off]
-    }
-
-    /// Overwrites the block at offset `off` of slot `i`'s table (the
-    /// copy-on-write divergence swap).
-    fn set_block_at(&mut self, i: usize, off: usize, b: BlockId) {
-        debug_assert!(off < self.kv_len[i]);
-        self.arena.blocks[self.kv_start[i] + off] = b;
     }
 
     /// Reassembles every running sequence, in slot order, emptying the
@@ -714,123 +673,18 @@ pub struct ModelPool {
     step_started: Option<SimTime>,
 }
 
-/// The outcome of a sharing-aware block allocation for one sequence.
-#[derive(Debug, PartialEq)]
-struct SharedAlloc {
-    /// Replica the blocks live on: pinned to the shared prefix's home
-    /// when chunk 0 hit the content table, the caller's placement
-    /// choice otherwise.
-    replica: usize,
-    /// The sequence's logical block table, prefix-mapped blocks first.
-    blocks: Vec<BlockId>,
-    /// Blocks freshly allocated (the private remainder) — what swap-in
-    /// pricing charges; equals `blocks.len()` with sharing off.
-    fresh: u32,
-    /// Whether the last shared block is partial (see
-    /// `Sequence::cow_pending`).
-    cow_pending: bool,
-}
-
-/// Allocates a sequence's (re)materialization demand
-/// ([`Sequence::kv_demand`]). With sharing on and the job carrying a
-/// [`crate::SharedPrefix`], the longest consecutive run of prefix
-/// chunks already hash-consed in the content table is **mapped**
-/// (references taken, nothing allocated) and only the remainder is
-/// allocated; a pristine sequence also registers any chunks the table
-/// was missing, so the first carrier of a set becomes its owner — all
-/// of it one [`BlockPool::alloc_prefixed`], one table lookup whatever
-/// the prefix length. Returns `None` — with no side effects — when the
-/// private remainder does not fit.
-fn alloc_with_sharing(
-    kv: &mut BlockPool,
-    stats: &mut IterStats,
-    share_enabled: bool,
-    seq: &Sequence,
-    fallback_replica: usize,
-) -> Option<SharedAlloc> {
-    // In this crate's unit tests every admission is also run, on a
-    // clone, through the per-chunk loop this function used to be.
-    #[cfg(test)]
-    let before = kv.clone();
-    let alloc = alloc_prefix_aware(kv, stats, share_enabled, seq, fallback_replica);
-    #[cfg(test)]
-    tests::assert_per_chunk_loop_agrees(before, kv, share_enabled, seq, fallback_replica, &alloc);
-    alloc
-}
-
-fn alloc_prefix_aware(
-    kv: &mut BlockPool,
-    stats: &mut IterStats,
-    share_enabled: bool,
-    seq: &Sequence,
-    fallback_replica: usize,
-) -> Option<SharedAlloc> {
-    let demand = seq.kv_demand(kv);
-    let plain = |kv: &mut BlockPool, replica: usize| {
-        kv.try_alloc(replica, demand).map(|blocks| SharedAlloc {
-            replica,
-            blocks,
-            fresh: demand,
-            cow_pending: false,
-        })
-    };
-    let share = if share_enabled { seq.job.share } else { None };
-    let Some(share) = share.filter(|s| s.tokens > 0) else {
-        return plain(kv, fallback_replica);
-    };
-    let bt = u64::from(kv.block_tokens());
-    let prefix_tokens = u64::from(share.tokens);
-    // Chunks covering the prefix, partial tail included, clamped to the
-    // demand (an over-long prefix degrades to whatever fits).
-    let prefix_chunks = (prefix_tokens.div_ceil(bt) as u32).min(demand);
-    let pristine = seq.kv_tokens <= prefix_tokens;
-    let (mappable, register_to) = if pristine {
-        // Its private prefix blocks will hold exactly the set's
-        // content: hash-cons the chunks the table is missing.
-        (prefix_chunks, prefix_chunks)
-    } else {
-        // A sequence that already wrote past the prefix (a diverged
-        // victim re-materializing) owns private tokens in the tail
-        // block: it may map full chunks only, and registers nothing.
-        (((prefix_tokens / bt) as u32).min(demand), 0)
-    };
-    let PrefixAlloc {
-        replica,
-        blocks,
-        mapped,
-    } = kv.alloc_prefixed(share.set, mappable, register_to, demand, fallback_replica)?;
-    stats.share_admissions += 1;
-    stats.prefix_chunks += u64::from(prefix_chunks);
-    let tail = (prefix_tokens / bt) as usize;
-    let cow_pending = prefix_tokens % bt != 0
-        && pristine
-        && tail < blocks.len()
-        && kv.is_registered(blocks[tail]);
-    Some(SharedAlloc {
-        replica,
-        blocks,
-        fresh: demand - mapped,
-        cow_pending,
-    })
-}
-
-/// Frees a victim's device blocks and settles its swap-out: the
-/// exclusively-held blocks are parked on the host ledger (swap-out
-/// priced) when host capacity has room; otherwise the KV state is
-/// dropped — free now, recompute-priced at resume ([`settle_resume`])
-/// and counted as a recompute fallback. Shared-prefix blocks other
-/// sequences still read are only released (they stay resident for
-/// their readers — the victim re-maps them from the content table at
-/// resume), so a swap-out can never strand another reader's prefix.
+/// Frees a victim's device blocks and settles its swap-out: the blocks
+/// are parked on the host ledger (swap-out priced) when host capacity
+/// has room; otherwise the KV state is dropped — free now,
+/// recompute-priced at resume ([`settle_resume`]) and counted as a
+/// recompute fallback.
 fn settle_swap_out(
     kv: &mut BlockPool,
     policy: &PressurePolicy,
     pending_penalty_secs: &mut f64,
     seq: &mut Sequence,
 ) {
-    let blocks = std::mem::take(&mut seq.kv_blocks);
-    seq.cow_pending = false;
-    let n = kv.release(blocks);
+    let n = kv.release(std::mem::take(&mut seq.kv_blocks));
     if kv.try_host_park(n) {
         *pending_penalty_secs += policy.swap_out_penalty(n);
         seq.host_blocks = n;
@@ -955,12 +809,6 @@ impl ModelPool {
         u64::from(self.kv.used_blocks())
     }
 
-    /// Blocks currently mapped by more than one sequence (`0` with
-    /// sharing off).
-    pub fn kv_shared_blocks(&self) -> u32 {
-        self.kv.shared_blocks()
-    }
-
     /// Occupancy fraction in `[0, 1]`.
     pub fn occupancy(&self) -> f64 {
         f64::from(self.active()) / f64::from(self.config.total_slots().max(1))
@@ -1035,25 +883,6 @@ impl ModelPool {
     /// the number of sequences pressure-preempted.
     fn serve_kv_growth(&mut self, now: SimTime) -> u32 {
         let kv = &mut self.kv;
-        // Copy-on-write demand this step adds for a sequence: one block
-        // when its growth first writes past a shared prefix whose tail
-        // block other sequences still read (a sole-holder divergence
-        // privatizes in place and costs nothing). Recomputed inside the
-        // victim loop — evicting a co-reader drops the refcount and the
-        // demand with it.
-        let cow_extra = |kv: &BlockPool, run: &RunSlots, i: usize, tokens_after: u64| -> u32 {
-            if !run.cow_pending[i] {
-                return 0;
-            }
-            let Some(share) = run.cold[i].job.share else {
-                return 0;
-            };
-            if tokens_after <= u64::from(share.tokens) {
-                return 0;
-            }
-            let tail = (u64::from(share.tokens) / u64::from(kv.block_tokens())) as usize;
-            u32::from(kv.refcount(run.block_at(i, tail)) > 1)
-        };
         let mut preempted = 0u32;
         for replica in 0..kv.num_replicas() {
             // Swap out victims until the replica's growth demand fits.
@@ -1065,11 +894,9 @@ impl ModelPool {
                         continue;
                     }
                     residents += 1;
-                    let after = self.run.kv_after_step(i, &self.config);
                     needed += kv
-                        .blocks_for(after)
-                        .saturating_sub(self.run.kv_len[i] as u32)
-                        + cow_extra(kv, &self.run, i, after);
+                        .blocks_for(self.run.kv_after_step(i, &self.config))
+                        .saturating_sub(self.run.kv_len[i] as u32);
                 }
                 if needed <= kv.free_blocks(replica) {
                     break;
@@ -1079,19 +906,13 @@ impl ModelPool {
                     // its tail into its allocated blocks instead.
                     break;
                 }
-                // Victim: lowest priority class first, then longest
-                // remaining decode, earliest slot on remaining ties
-                // (deterministic). Priority outranks the decode
-                // heuristic: a background job always yields before a
-                // latency-critical one regardless of remaining work.
+                // Victim: longest remaining decode, earliest slot on
+                // ties (deterministic).
                 let victim = (0..self.run.len())
                     .filter(|&i| self.run.replica[i] == replica)
                     .max_by(|&ia, &ib| {
-                        self.run.cold[ib]
-                            .job
-                            .priority
-                            .cmp(&self.run.cold[ia].job.priority)
-                            .then(self.run.remaining_decode[ia].cmp(&self.run.remaining_decode[ib]))
+                        self.run.remaining_decode[ia]
+                            .cmp(&self.run.remaining_decode[ib])
                             .then(ib.cmp(&ia))
                     })
                     .expect("residents > 1");
@@ -1118,39 +939,8 @@ impl ModelPool {
                 if self.run.replica[i] != replica {
                     continue;
                 }
-                let after = self.run.kv_after_step(i, &self.config);
-                // Resolve a pending divergence before the step writes
-                // past the shared prefix: privatize in place when this
-                // sequence is the sole holder, copy-on-write otherwise.
-                // An exhausted free list defers the copy to the next
-                // boundary's pressure round (only reachable
-                // transiently: a refcount > 1 implies a co-resident
-                // reader the victim loop above could still evict).
-                if self.run.cow_pending[i]
-                    && let Some(share) = self.run.cold[i].job.share
-                    && after > u64::from(share.tokens)
-                {
-                    let tail = (u64::from(share.tokens) / u64::from(kv.block_tokens())) as usize;
-                    let outcome = kv.diverge(self.run.block_at(i, tail));
-                    match outcome {
-                        Some(Divergence::InPlace) => self.run.cow_pending[i] = false,
-                        Some(Divergence::Copied(fresh)) => {
-                            self.run.set_block_at(i, tail, fresh);
-                            self.run.cow_pending[i] = false;
-                        }
-                        None => {}
-                    }
-                    if let (Some(o), Some(d)) = (self.obs.as_mut(), outcome) {
-                        let copied = matches!(d, Divergence::Copied(_));
-                        o.push(
-                            now,
-                            self.run.cold[i].job.id.0,
-                            EventKind::CowDiverged { copied },
-                        );
-                    }
-                }
                 let need = kv
-                    .blocks_for(after)
+                    .blocks_for(self.run.kv_after_step(i, &self.config))
                     .saturating_sub(self.run.kv_len[i] as u32);
                 let grant = need.min(kv.free_blocks(replica));
                 if grant > 0 {
@@ -1347,9 +1137,8 @@ impl ModelPool {
     /// first served: the swapped front while any sequence is swapped,
     /// the queue front otherwise. A swapped candidate waits for
     /// occupancy below the low watermark, a queued one for occupancy
-    /// below the high watermark, and both for their demand to fit
-    /// (deduplicated: mapped prefix chunks come from the content
-    /// table); the first refusal ends the loop. Progress
+    /// below the high watermark, and both for their demand to fit; the
+    /// first refusal ends the loop. Progress
     /// guarantee: when the batch is empty a refused candidate is placed
     /// anyway — no live sequence holds a block, so its capped demand
     /// fits — and the loop stops after it.
@@ -1378,18 +1167,12 @@ impl ModelPool {
                 break;
             }
             let replica = self.kv.least_loaded_replica();
-            let Some(alloc) = alloc_with_sharing(
-                &mut self.kv,
-                &mut self.stats,
-                self.config.kv_share,
-                front,
-                replica,
-            ) else {
+            let Some(blocks) = self.kv.try_alloc(replica, front.kv_demand(&self.kv)) else {
                 assert!(!self.run.is_empty(), "an empty pool fits a capped demand");
                 break;
             };
             let seq = waiting.pop_front().expect("front exists");
-            self.place(seq, alloc, now, resumed);
+            self.place(seq, replica, blocks, now, resumed);
             if resumed {
                 report.resumed += 1;
             } else {
@@ -1401,23 +1184,29 @@ impl ModelPool {
         }
     }
 
-    /// Puts `seq` into a slot with its blocks (`alloc`): a sequence
-    /// coming back from the swapped list, or holding materialized KV
-    /// state (a quantum victim), pays the resume price; a first
-    /// admission stamps `started`.
-    fn place(&mut self, mut seq: Sequence, alloc: SharedAlloc, now: SimTime, resumed: bool) {
+    /// Puts `seq` into a slot with its `blocks` on `replica`: a
+    /// sequence coming back from the swapped list, or holding
+    /// materialized KV state (a quantum victim), pays the resume price;
+    /// a first admission stamps `started`.
+    fn place(
+        &mut self,
+        mut seq: Sequence,
+        replica: usize,
+        blocks: Vec<BlockId>,
+        now: SimTime,
+        resumed: bool,
+    ) {
         if resumed || seq.kv_tokens > 0 {
             settle_resume(
                 &mut self.kv,
                 &self.policy,
                 &mut self.pending_penalty_secs,
                 &mut seq,
-                alloc.fresh,
+                blocks.len() as u32,
             );
         }
-        seq.replica = alloc.replica;
-        seq.kv_blocks = alloc.blocks;
-        seq.cow_pending = alloc.cow_pending;
+        seq.replica = replica;
+        seq.kv_blocks = blocks;
         seq.started.get_or_insert(now);
         if let Some(o) = self.obs.as_mut() {
             let replica = seq.replica as u32;
@@ -1454,10 +1243,7 @@ impl ModelPool {
         }
         let mut n = barrier.map_or(u64::MAX, |b| at.strides_before(every, b));
         for i in 0..self.run.len() {
-            if self.run.remaining_prefill[i] > 0
-                || self.run.cow_pending[i]
-                || self.run.cold[i].first_token.is_none()
-            {
+            if self.run.remaining_prefill[i] > 0 || self.run.cold[i].first_token.is_none() {
                 return 0;
             }
             n = n.min(u64::from(self.run.remaining_decode[i].saturating_sub(1)));
@@ -1576,6 +1362,10 @@ impl ModelPool {
                     }
                 }
             }
+            // A step boundary checks the arena for compaction after its
+            // grants (`advance_step`'s `truncate`), so this step does too:
+            // the arena layout stays the one `advance_step` leaves.
+            run.maybe_compact();
         }
     }
 
@@ -1676,7 +1466,6 @@ mod tests {
     fn kv_pool(slots: u32, block_tokens: u32, budget: u32, marks: Watermarks) -> ModelPool {
         ModelPool::new(PoolConfig {
             name: "kv".into(),
-            kv_share: false,
             replicas: 1,
             slots_per_replica: slots,
             congestion_beta: 0.0,
@@ -1687,6 +1476,7 @@ mod tests {
             kv_budget_blocks: budget,
             kv_watermarks: marks,
             kv_swap: FREE_SWAPS,
+            ..PoolConfig::default()
         })
     }
 
@@ -2206,7 +1996,6 @@ mod tests {
         let run = |out_cost: f64, in_cost: f64| {
             let mut p = ModelPool::new(PoolConfig {
                 name: "kv".into(),
-                kv_share: false,
                 replicas: 1,
                 slots_per_replica: 4,
                 congestion_beta: 0.0,
@@ -2221,6 +2010,7 @@ mod tests {
                     in_secs_per_block: in_cost,
                     ..KvSwap::DEFAULT
                 },
+                ..PoolConfig::default()
             });
             p.offer(job_with(1, 0.1, 1.0, 16, 40), SimTime::ZERO);
             p.offer(job_with(2, 0.1, 1.0, 16, 40), SimTime::ZERO);
@@ -2242,7 +2032,6 @@ mod tests {
     fn host_capped_pool(budget: u32, host_capacity: u32) -> ModelPool {
         ModelPool::new(PoolConfig {
             name: "kv".into(),
-            kv_share: false,
             replicas: 1,
             slots_per_replica: 4,
             congestion_beta: 0.0,
@@ -2257,6 +2046,7 @@ mod tests {
                 overflow_recompute_secs_per_token: 0.0,
                 ..FREE_SWAPS
             },
+            ..PoolConfig::default()
         })
     }
 
@@ -2363,7 +2153,6 @@ mod tests {
         // draining the queue must release the ledger entry.
         let mut p = ModelPool::new(PoolConfig {
             name: "kv".into(),
-            kv_share: false,
             replicas: 1,
             slots_per_replica: 1,
             congestion_beta: 0.0,
@@ -2374,6 +2163,7 @@ mod tests {
             kv_budget_blocks: 64,
             kv_watermarks: Watermarks::DEFAULT,
             kv_swap: KvSwap::DEFAULT,
+            ..PoolConfig::default()
         });
         p.offer(job_with(1, 0.0, 1.0, 8, 12), SimTime::ZERO);
         p.offer(job_with(2, 0.0, 1.0, 8, 12), SimTime::ZERO);
@@ -2402,7 +2192,6 @@ mod tests {
         // and re-admission counts as a swap-in.
         let mut p = ModelPool::new(PoolConfig {
             name: "kv".into(),
-            kv_share: false,
             replicas: 1,
             slots_per_replica: 1,
             congestion_beta: 0.0,
@@ -2413,6 +2202,7 @@ mod tests {
             kv_budget_blocks: 64,
             kv_watermarks: Watermarks::DEFAULT,
             kv_swap: KvSwap::DEFAULT,
+            ..PoolConfig::default()
         });
         p.offer(job_with(1, 0.0, 1.0, 8, 12), SimTime::ZERO);
         p.offer(job_with(2, 0.0, 1.0, 8, 12), SimTime::ZERO);
@@ -2461,7 +2251,8 @@ mod tests {
         assert_eq!(huge.replicas, 1);
     }
 
-    /// Like `job_with` but carrying a victim-selection priority class.
+    /// Like `job_with` but carrying a priority class, which the victim
+    /// order ignores.
     fn prio_job(id: u64, priority: u8, ptoks: u32, dtoks: u32) -> JobSpec {
         JobSpec {
             priority,
@@ -2490,25 +2281,8 @@ mod tests {
     }
 
     #[test]
-    fn pressure_victims_are_lowest_priority_first() {
-        // Three residents on a budget that forces one victim: the
-        // low-priority job must yield even though a higher-priority
-        // peer has strictly more decode remaining.
-        let mut p = kv_pool(4, 8, 12, Watermarks::new(1.0, 1.0));
-        p.offer(prio_job(1, 2, 16, 60), SimTime::ZERO); // Most decode, high prio.
-        p.offer(prio_job(2, 0, 16, 30), SimTime::ZERO); // Lowest priority.
-        p.offer(prio_job(3, 1, 16, 45), SimTime::ZERO);
-        let victims = victims_under_pressure(&mut p, 1);
-        assert_eq!(victims, vec![2], "lowest priority class yields first");
-        let (done, _) = drain(&mut p);
-        assert_eq!(done.len(), 3, "victim still completes");
-        assert_eq!(p.kv_stats().allocs, p.kv_stats().frees);
-    }
-
-    #[test]
     fn equal_priority_ties_break_by_longest_remaining_decode() {
-        // Same class everywhere: the pre-existing rule must be
-        // unchanged — longest remaining decode goes first.
+        // Longest remaining decode goes first.
         let mut p = kv_pool(4, 8, 12, Watermarks::new(1.0, 1.0));
         p.offer(prio_job(1, 3, 16, 30), SimTime::ZERO);
         p.offer(prio_job(2, 3, 16, 60), SimTime::ZERO); // Longest decode.
@@ -2519,8 +2293,7 @@ mod tests {
 
     #[test]
     fn priority_zero_everywhere_matches_the_legacy_rule() {
-        // The engine threads priority 0 for all traffic: the victim
-        // schedule must be identical to the pre-priority behaviour
+        // Priority is inert: any class gives the one victim schedule
         // (longest remaining decode, earliest slot on ties).
         let run = |prio: u8| {
             let mut p = kv_pool(4, 8, 8, Watermarks::new(1.0, 1.0));
@@ -2608,303 +2381,5 @@ mod tests {
         assert_eq!(dropped, vec![JobId(2), JobId(3)]);
         assert_eq!(p.queue_len(), 0);
         assert_eq!(p.active(), 1, "running sequence keeps its slot");
-    }
-
-    /// `kv_pool` with shared-prefix reuse on.
-    fn share_pool(slots: u32, block_tokens: u32, budget: u32, marks: Watermarks) -> ModelPool {
-        let mut cfg = kv_pool(slots, block_tokens, budget, marks).config().clone();
-        cfg.kv_share = true;
-        ModelPool::new(cfg)
-    }
-
-    use crate::job::SharedPrefix;
-
-    /// A job whose first `share_tokens` prompt tokens are the example
-    /// set `set` (identical across jobs carrying the same `set`).
-    fn shared_job(id: u64, set: u64, share_tokens: u32, ptoks: u32, dtoks: u32) -> JobSpec {
-        JobSpec {
-            share: Some(SharedPrefix {
-                set,
-                tokens: share_tokens,
-            }),
-            ..job_with(id, 0.1, 1.0, ptoks, dtoks)
-        }
-    }
-
-    #[test]
-    fn same_set_concurrent_jobs_dedup_prefix_blocks() {
-        // 8 concurrent jobs inject the same 64-token example set
-        // (4 blocks of 16). The first allocates + registers the prefix;
-        // the other 7 map it: 7 x 4 = 28 blocks saved, and the peak
-        // footprint undercuts the share-off twin by exactly those
-        // blocks.
-        let run = |share: bool| {
-            let mut p = if share {
-                share_pool(8, 16, 256, Watermarks::new(1.0, 1.0))
-            } else {
-                kv_pool(8, 16, 256, Watermarks::new(1.0, 1.0))
-            };
-            for i in 0..8 {
-                p.offer(shared_job(i, 42, 64, 100, 8), SimTime::ZERO);
-            }
-            let (done, _) = drain(&mut p);
-            assert_eq!(done.len(), 8);
-            p.kv_stats()
-        };
-        let shared = run(true);
-        let private = run(false);
-
-        assert_eq!(private.blocks_saved, 0);
-        assert_eq!(
-            shared.blocks_saved,
-            7 * 4,
-            "7 followers map 4 prefix blocks each"
-        );
-        assert!(shared.dedup_ratio() > 0.0);
-        assert_eq!(
-            shared.shared_blocks_peak, 4,
-            "the 4 registered prefix blocks are the shared set"
-        );
-        assert_eq!(
-            private.peak_blocks - shared.peak_blocks,
-            28,
-            "every saved block comes off the peak footprint"
-        );
-        // Aligned prefix (64 % 16 == 0): growth past the set lands in
-        // fresh private blocks, never a shared one — no copies.
-        assert_eq!(shared.cow_copies, 0);
-        assert_eq!(shared.allocs, shared.frees, "conservation at drain");
-    }
-
-    #[test]
-    fn growth_past_unaligned_prefix_copy_on_writes() {
-        // A 40-token set on 16-token blocks: the third prefix block is
-        // shared but only 8 of its tokens belong to the set. Prefill is
-        // chunked (32 tokens/iteration) so job 2 is admitted — and maps
-        // all 3 prefix blocks — while job 1 still sits at 32 tokens,
-        // inside the prefix. Job 1 then grows past token 40 with the
-        // tail block at refcount 2: it must copy-on-write (job 2 still
-        // reads the original). Job 2 diverges later as sole holder and
-        // privatizes in place — exactly one copy overall.
-        let mut cfg = share_pool(4, 16, 64, Watermarks::new(1.0, 1.0))
-            .config()
-            .clone();
-        cfg.prefill_chunk_tokens = 32;
-        let mut p = ModelPool::new(cfg);
-        p.offer(shared_job(1, 7, 40, 80, 4), SimTime::ZERO);
-        p.offer(shared_job(2, 7, 40, 80, 4), SimTime::ZERO);
-        let (done, _) = drain(&mut p);
-        assert_eq!(done.len(), 2);
-        let kv = p.kv_stats();
-        assert_eq!(kv.blocks_saved, 3, "follower maps ceil(40/16) = 3 blocks");
-        assert_eq!(kv.cow_copies, 1, "exactly one diverger pays a copy");
-        assert_eq!(kv.allocs, kv.frees, "conservation at drain");
-        assert_eq!(
-            p.kv.shared_blocks(),
-            0,
-            "no shared blocks survive the drain"
-        );
-    }
-
-    #[test]
-    fn swap_out_of_a_shared_reader_keeps_blocks_for_the_other() {
-        // Two jobs share a 4-block set on a budget that forces one out
-        // mid-decode even *with* dedup (9 blocks vs a peak shared
-        // footprint of 10). The victim's swap-out must only release its
-        // *references*: the survivor keeps reading the shared blocks,
-        // and the victim re-maps them at resume. Everything completes
-        // and the ledger balances.
-        let mut p = share_pool(4, 16, 9, Watermarks::new(1.0, 1.0));
-        p.offer(shared_job(1, 9, 64, 64, 40), SimTime::ZERO);
-        p.offer(shared_job(2, 9, 64, 64, 40), SimTime::ZERO);
-        let (done, _) = drain(&mut p);
-        assert_eq!(done.len(), 2, "both shared readers complete");
-        let kv = p.kv_stats();
-        assert!(kv.blocks_saved > 0, "the follower mapped the set");
-        assert!(
-            kv.pressure_preemptions > 0 || kv.swap_outs > 0,
-            "the 9-block budget must not fit the 10-block shared peak"
-        );
-        assert_eq!(kv.allocs, kv.frees, "conservation at drain");
-        assert_eq!(p.kv.shared_blocks(), 0);
-    }
-
-    /// `alloc_with_sharing` as it read while the content table was two
-    /// ordered maps: a `lookup_prefix` per prefix chunk, then a
-    /// `register_prefix` per chunk the table was missing. Kept as the
-    /// reference [`assert_per_chunk_loop_agrees`] replays every
-    /// admission through.
-    fn per_chunk_alloc(
-        kv: &mut BlockPool,
-        share_enabled: bool,
-        seq: &Sequence,
-        fallback_replica: usize,
-    ) -> Option<SharedAlloc> {
-        let demand = seq.kv_demand(kv);
-        let share = if share_enabled { seq.job.share } else { None };
-        let Some(share) = share.filter(|s| s.tokens > 0) else {
-            return kv
-                .try_alloc(fallback_replica, demand)
-                .map(|blocks| SharedAlloc {
-                    replica: fallback_replica,
-                    blocks,
-                    fresh: demand,
-                    cow_pending: false,
-                });
-        };
-        let bt = u64::from(kv.block_tokens());
-        let prefix_tokens = u64::from(share.tokens);
-        let prefix_chunks = (prefix_tokens.div_ceil(bt) as u32).min(demand);
-        let mappable = if seq.kv_tokens > prefix_tokens {
-            ((prefix_tokens / bt) as u32).min(demand)
-        } else {
-            prefix_chunks
-        };
-        let mut mapped: Vec<BlockId> = Vec::new();
-        for chunk in 0..mappable {
-            match kv.lookup_prefix(share.set, chunk) {
-                Some(b) if mapped.first().is_none_or(|f| f.replica == b.replica) => mapped.push(b),
-                _ => break,
-            }
-        }
-        let replica = mapped
-            .first()
-            .map_or(fallback_replica, |b| b.replica as usize);
-        let fresh = demand - mapped.len() as u32;
-        let private = kv.try_alloc(replica, fresh)?;
-        for &b in &mapped {
-            kv.map_shared(b);
-        }
-        let mapped_count = mapped.len() as u32;
-        let mut blocks = mapped;
-        blocks.extend(private);
-        if seq.kv_tokens <= prefix_tokens {
-            for chunk in mapped_count..prefix_chunks {
-                kv.register_prefix(share.set, chunk, blocks[chunk as usize]);
-            }
-        }
-        let tail = (prefix_tokens / bt) as usize;
-        let cow_pending = prefix_tokens % bt != 0
-            && seq.kv_tokens <= prefix_tokens
-            && tail < blocks.len()
-            && kv.is_registered(blocks[tail]);
-        Some(SharedAlloc {
-            replica,
-            blocks,
-            fresh,
-            cow_pending,
-        })
-    }
-
-    /// Called by `alloc_with_sharing` on every admission of every test
-    /// in this module: `got` (which left the pool as `after`) must be
-    /// what [`per_chunk_alloc`] returns on `before`, and must leave the
-    /// same pool — counters, refcounts, tags, the set's table entries,
-    /// and free lists that hand out the same ids in the same order.
-    pub(super) fn assert_per_chunk_loop_agrees(
-        mut before: BlockPool,
-        after: &BlockPool,
-        share_enabled: bool,
-        seq: &Sequence,
-        fallback_replica: usize,
-        got: &Option<SharedAlloc>,
-    ) {
-        let want = per_chunk_alloc(&mut before, share_enabled, seq, fallback_replica);
-        assert_eq!(got, &want, "admission of job {:?}", seq.job.id);
-        assert_eq!(after.stats(), before.stats());
-        assert_eq!(after.shared_blocks(), before.shared_blocks());
-        assert_eq!(after.resident_sets(), before.resident_sets());
-        let budget = after.budget_blocks();
-        for replica in 0..after.num_replicas() as u32 {
-            for index in 0..budget {
-                let b = BlockId { replica, index };
-                assert_eq!(after.refcount(b), before.refcount(b), "{b:?}");
-                assert_eq!(after.is_registered(b), before.is_registered(b), "{b:?}");
-            }
-        }
-        if let Some(share) = seq.job.share {
-            for chunk in 0..budget {
-                assert_eq!(
-                    after.lookup_prefix(share.set, chunk),
-                    before.lookup_prefix(share.set, chunk),
-                    "chunk {chunk} of set {}",
-                    share.set
-                );
-            }
-        }
-        let mut after = after.clone();
-        for replica in 0..after.num_replicas() {
-            let free = after.free_blocks(replica);
-            assert_eq!(
-                after.try_alloc(replica, free),
-                before.try_alloc(replica, free),
-                "free list of replica {replica}"
-            );
-        }
-    }
-
-    #[test]
-    fn admissions_match_the_per_chunk_loop_under_bursts_and_pressure() {
-        // Two replicas of 24 sixteen-token blocks, prefill in 32-token
-        // chunks (carriers overlap inside their prefixes), a quantum so
-        // decoders yield to the queue, and watermarks that gate
-        // admission and resume. Bursts alternate between one hot set
-        // (unaligned: 40 tokens, 2.5 blocks), a longer one (100 tokens,
-        // 6.25 blocks) and a set of its own per job (aligned and not),
-        // so admissions meet an empty table, a full resident run, a run
-        // cut short by a privatized tail, and — once pressure has
-        // swapped carriers out past their prefix — victims that may map
-        // full chunks only. Every one of them goes through
-        // `assert_per_chunk_loop_agrees` inside `alloc_with_sharing`.
-        // (Mutation only this test catches: let such a victim map the
-        // partial tail too — `prefix_chunks` for `mappable` on the
-        // non-pristine branch.)
-        let mut cfg = share_pool(3, 16, 20, Watermarks::new(0.9, 0.6))
-            .config()
-            .clone();
-        cfg.replicas = 2;
-        cfg.prefill_chunk_tokens = 32;
-        cfg.preempt_decode_quantum = 6;
-        let mut p = ModelPool::new(cfg);
-        let mut now = 0.0f64;
-        let mut done = 0usize;
-        let mut id = 0u64;
-        for burst in 0..12u64 {
-            for k in 0..8u64 {
-                let (set, share_tokens) = match (burst + k) % 4 {
-                    0 | 1 => (1, 40),
-                    2 => (2, 100),
-                    _ => (100 + id, if k % 2 == 0 { 48 } else { 70 }),
-                };
-                let prompt = share_tokens + 10 + (k as u32 * 7) % 30;
-                let decode = 5 + ((burst * 5 + k * 11) % 90) as u32;
-                p.offer(
-                    shared_job(id, set, share_tokens, prompt, decode),
-                    SimTime::from_secs_f64(now),
-                );
-                id += 1;
-            }
-            // Let the burst half-drain so the next one lands on a pool
-            // that is still holding (and sharing) blocks.
-            for _ in 0..40 {
-                let Some(dt) = p.step_secs() else { break };
-                now += dt;
-                done += p.advance_step(SimTime::from_secs_f64(now)).finished.len();
-            }
-        }
-        done += drain(&mut p).0.len();
-        assert_eq!(done as u64, id, "every job completes");
-        let kv = p.kv_stats();
-        assert!(kv.blocks_saved > 0, "resident runs were mapped");
-        assert!(kv.cow_copies > 0, "an unaligned tail was copied");
-        assert!(kv.pressure_preemptions > 0, "pressure swapped carriers out");
-        assert!(
-            kv.swap_outs > kv.pressure_preemptions,
-            "and the quantum did"
-        );
-        assert_eq!(kv.swap_ins, kv.swap_outs, "every victim resumed");
-        assert_eq!(kv.allocs, kv.frees, "conservation at drain");
-        let pool = &p.kv;
-        assert_eq!((pool.shared_blocks(), pool.resident_sets()), (0, 0));
     }
 }
