@@ -1,6 +1,6 @@
 //! Regenerates the `fig12_e2e` experiment through the unified
 //! `ServingEngine` and writes `BENCH_e2e.json` (p50/p99 latency, offload
-//! ratio, cache hit + shard stats, and per-iteration scheduler stats
+//! ratio, example-cache stats, and per-iteration scheduler stats
 //! from the event-driven run). Pass `--quick` for a fast run, or
 //! `--fraction F` for an engine-replay-only run at an arbitrary
 //! fraction of the paper-scale workload (skips the baseline-policy

@@ -254,7 +254,7 @@ fn online_run_from_engine(
 }
 
 /// One replay of the 30-minute trace through the unified
-/// [`EventDrivenEngine`] (IC-Cache policy, sharded example cache,
+/// [`EventDrivenEngine`] (IC-Cache policy, one example cache,
 /// iteration-level batching) — the `BENCH_e2e.json` payload of
 /// `fig12_e2e`. Deterministic: the same scale and configuration yield a
 /// byte-identical [`EngineReport::to_json`].
@@ -963,17 +963,17 @@ pub fn headline(scale: Scale) -> Report {
         pct(1.0 - ic_lat / large_lat)
     ));
     // The unified engine's view of the same bursty trace (Fig. 12
-    // conditions): sharded cache + continuous batching + closed-loop
+    // conditions): example cache + continuous batching + closed-loop
     // load feedback.
     let er = E2eRun::new(scale, Dataset::MsMarco).run();
     report.finding(format!(
         "unified engine on the 30-min trace: offload {}, p50 {}s, p99 {}s, \
-         selection hit rate {}, {} cache shards",
+         selection hit rate {}, {} cached examples",
         pct(er.offload_ratio()),
         f3(er.latency.p50_e2e),
         f3(er.latency.p99_e2e),
         pct(er.selection_hit_rate()),
-        er.cache.shards
+        er.cache.examples
     ));
     report.finding(format!(
         "iteration-level scheduler: {} token steps at mean batch {}, \
@@ -1002,10 +1002,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_e2e_runs_sharded_and_is_byte_identical() {
+    fn engine_e2e_run_is_byte_identical() {
         let a = E2eRun::new(Scale::quick(), Dataset::MsMarco).run();
         assert!(a.served > 0);
-        assert!(a.cache.shards >= 2, "engine must run a sharded cache");
         assert!(
             a.offload_ratio() > 0.0,
             "IC-Cache should offload some traffic"

@@ -126,9 +126,9 @@ impl PairSetup {
         (setup, timing)
     }
 
-    /// Warm-up: serve `n` requests so the proxy, bandit and threshold
-    /// controller have converged before measurement (the paper's systems
-    /// are long-running; experiments measure steady state).
+    /// Warm-up: serve `n` requests so the stage-2 proxy and the router's
+    /// bandit have learned before measurement (the paper's systems are
+    /// long-running; experiments measure steady state).
     pub fn warm_up(&mut self, n: usize) {
         for r in self.generator.generate_requests(n) {
             let _ = self.system.serve(&r);

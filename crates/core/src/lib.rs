@@ -35,7 +35,7 @@ pub mod system;
 
 pub use client::{IcCacheClient, Response};
 pub use config::IcCacheConfig;
-pub use failover::{ComponentHealth, FailoverState};
+pub use failover::FailoverState;
 pub use prompt::{autorater_prompt, render_prompt};
 pub use system::{IcCacheSystem, MaintenanceReport, ServeOutcome};
 // Selection appears in the serving API (`ServeOutcome::selection`,

@@ -136,7 +136,8 @@ impl IcCacheSystem {
         &self.config
     }
 
-    /// The failover state (fault-injection hooks for tests, §5).
+    /// The model-pool health the router avoids down models by (driven by
+    /// pool outages).
     pub fn failover_mut(&mut self) -> &mut FailoverState {
         &mut self.failover
     }
@@ -292,49 +293,39 @@ impl IcCacheSystem {
     /// every piece of bookkeeping and learning (see
     /// [`IcCacheSystem::serve_retry`]).
     fn serve_as(&mut self, request: &Request, fresh: bool) -> ServeOutcome {
-        // 1. Example Retriever (bypassed when unhealthy, §5).
-        //    Examples target the cheapest offload candidate; the router
-        //    sees their predicted utilities as context.
-        let selection = if self.failover.selector_healthy() {
-            let spec = self.config.catalog.get(self.offload_target);
-            self.selector.select(request, self.manager.cache(), spec)
-        } else {
-            Selection::empty(0.0)
-        };
+        // 1. Example Retriever. Examples target the cheapest offload
+        //    candidate; the router sees their predicted utilities as
+        //    context.
+        let spec = self.config.catalog.get(self.offload_target);
+        let selection = self.selector.select(request, self.manager.cache(), spec);
 
-        // 2. Request Router (bypassed when unhealthy: straight to
-        //    primary). A chosen model whose pool is marked down by the
-        //    failover state is overridden by the best-scoring healthy arm
-        //    (retries after a pool failover must not land back on the
+        // 2. Request Router. A chosen model whose pool is marked down by
+        //    the failover state is overridden by the best-scoring healthy
+        //    arm (retries after a pool failover must not land back on the
         //    dead pool), falling back to the original choice only when
         //    every arm is down.
-        let (chosen, second, bias, routed_on) = if self.failover.router_healthy() {
-            self.run_decisions += u64::from(fresh);
-            let d = self
-                .router
-                .route(request, &selection.predicted_utility, &mut self.rng);
-            let chosen = if self.failover.model_healthy(d.chosen) {
-                d.chosen
-            } else {
-                d.scores
-                    .iter()
-                    .filter(|&&(m, _)| self.failover.model_healthy(m))
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|&(m, _)| m)
-                    .unwrap_or(d.chosen)
-            };
-            // Preference solicitation only makes sense against a live,
-            // *distinct* alternative: the health override may have moved
-            // `chosen` onto the sampled second choice (a self-comparison
-            // would record contradictory rewards on one arm), and a down
-            // second choice cannot generate a comparison response.
-            let second = d.second_choice.filter(|&other| {
-                fresh && d.solicit_feedback && other != chosen && self.failover.model_healthy(other)
-            });
-            (chosen, second, d.applied_bias, Some(d.features))
+        self.run_decisions += u64::from(fresh);
+        let d = self
+            .router
+            .route(request, &selection.predicted_utility, &mut self.rng);
+        let chosen = if self.failover.model_healthy(d.chosen) {
+            d.chosen
         } else {
-            (self.config.primary, None, 0.0, None)
+            d.scores
+                .iter()
+                .filter(|&&(m, _)| self.failover.model_healthy(m))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|&(m, _)| m)
+                .unwrap_or(d.chosen)
         };
+        // Preference solicitation only makes sense against a live,
+        // *distinct* alternative: the health override may have moved
+        // `chosen` onto the sampled second choice (a self-comparison
+        // would record contradictory rewards on one arm), and a down
+        // second choice cannot generate a comparison response.
+        let second = d.second_choice.filter(|&other| {
+            fresh && d.solicit_feedback && other != chosen && self.failover.model_healthy(other)
+        });
         let solicit = second.is_some();
         let offloadable = chosen != self.config.primary;
         if fresh {
@@ -365,11 +356,15 @@ impl IcCacheSystem {
             let give_feedback =
                 solicit || self.rng.random::<f64>() < self.config.feedback_sample_rate;
             if give_feedback {
-                // The router learns on the vector it decided on; a
-                // bypassed router decided on none, so extract it now.
-                let x = routed_on
-                    .unwrap_or_else(|| self.router.features(request, &selection.predicted_utility));
-                let fb = self.router_feedback(request, &selection, &x, chosen, second, &outcome);
+                // The router learns on the vector it decided on.
+                let fb = self.router_feedback(
+                    request,
+                    &selection,
+                    &d.features,
+                    chosen,
+                    second,
+                    &outcome,
+                );
                 self.example_feedback(request, &selection, chosen, fb, &used_ids);
             }
             for id in &used_ids {
@@ -384,7 +379,7 @@ impl IcCacheSystem {
             selection,
             outcome,
             solicited_feedback: solicit,
-            applied_bias: bias,
+            applied_bias: d.applied_bias,
         }
     }
 
@@ -548,9 +543,9 @@ impl IcCacheSystem {
         self.config.manager.capacity_bytes = bytes;
     }
 
-    /// Periodic cross-shard budget rebalance: enforces the byte budget
-    /// through the manager's quantum-knapsack division and unindexes the
-    /// evicted examples. Capacity-only maintenance — no replay — so an
+    /// The periodic capacity pass: enforces the byte budget with the
+    /// manager's one knapsack over the whole cache and unindexes every
+    /// evicted example. Capacity-only maintenance — no replay — so an
     /// event-driven engine can run it far more often than
     /// [`IcCacheSystem::run_maintenance`]. Returns the eviction count.
     pub fn run_rebalance(&mut self, now: f64) -> usize {
@@ -703,28 +698,6 @@ mod tests {
         }
         assert!(system.cached_examples() > before);
         assert!(system.selector().indexed_count() >= system.cached_examples());
-    }
-
-    #[test]
-    fn selector_failure_bypasses_examples() {
-        let (mut system, mut wg) = seeded_system(Dataset::MsMarco, 300);
-        system.failover_mut().set_selector_healthy(false);
-        for r in wg.generate_requests(20) {
-            let out = system.serve(&r);
-            assert!(out.selection.ids.is_empty(), "selector must be bypassed");
-        }
-    }
-
-    #[test]
-    fn router_failure_routes_to_primary() {
-        let (mut system, mut wg) = seeded_system(Dataset::MsMarco, 300);
-        system.failover_mut().set_router_healthy(false);
-        let primary = system.config().primary;
-        for r in wg.generate_requests(20) {
-            let out = system.serve(&r);
-            assert_eq!(out.model, primary);
-            assert!(!out.offloaded);
-        }
     }
 
     #[test]

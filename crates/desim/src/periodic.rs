@@ -1,7 +1,7 @@
 //! Periodic event scheduling on the simulation kernel.
 //!
 //! Several subsystems fire on a fixed cadence — cache maintenance,
-//! cross-shard rebalance, and the telemetry sampler. The
+//! the capacity-only rebalance, and the telemetry sampler. The
 //! pattern is always the same: schedule the first occurrence one period
 //! in, and re-arm from the handler while work remains. [`Periodic`]
 //! captures that pattern (including the "period zero disables the

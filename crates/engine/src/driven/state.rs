@@ -33,7 +33,9 @@ pub(super) enum Event {
     PoolUp(usize),
     /// Full offline maintenance (replay + capacity enforcement).
     Maintenance,
-    /// Capacity-only cross-shard budget rebalance.
+    /// The periodic capacity pass: one knapsack over the whole example
+    /// cache (`IcCacheSystem::run_rebalance`), every evicted id unindexed
+    /// from the selector; timed by `EngineConfig::rebalance_period_s`.
     Rebalance,
     /// One firing of the periodic telemetry sampler
     /// (`EngineConfig::obs_sample_s`).

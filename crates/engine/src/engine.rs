@@ -40,11 +40,8 @@ pub(crate) fn cache_stats(
     let cache = system.manager().cache();
     let (admitted, rejected) = system.manager().admission_stats();
     CacheStats {
-        shards: cache.num_shards(),
         examples: cache.len(),
         bytes: cache.total_bytes(),
-        shard_sizes: cache.shard_sizes(),
-        shard_hits: cache.shard_hits(),
         selection_hits,
         examples_used,
         admitted,

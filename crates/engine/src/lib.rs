@@ -55,7 +55,7 @@
 //! without visiting it (`driven/step.rs`).
 //!
 //! Each **arrival** event runs Algorithm 1 (`IcCacheSystem::serve`):
-//! example selection against the sharded cache, load-aware routing (the
+//! example selection against the example cache, load-aware routing (the
 //! engine has just fed the router a windowed arrival-rate estimate), and
 //! simulated generation, producing the job's zero-load prefill/decode
 //! demand and token counts. The job then joins its model's pool at a
@@ -79,9 +79,9 @@
 //!
 //! **Maintenance** events run cost-aware replay plus capacity
 //! enforcement off the hot path; **rebalance** events run the cheaper
-//! capacity-only pass: the example cache's N topic-hash shards get their
-//! byte budgets re-divided by the knapsack DP according to where the
-//! decayed offload gains currently live (see `ic_manager::shard`).
+//! capacity-only pass: under a byte cap, one greedy knapsack over every
+//! cached example keeps the densest decayed offload gains and the
+//! selector unindexes every id it evicts (see `ic_manager::evict`).
 //!
 //! One logical router owns every request, as in the paper: one bandit
 //! posterior, one arrival-rate window, one completion-latency EMA.
@@ -92,13 +92,14 @@
 //! requeue counts and the router's decision count ride in the report's
 //! `router` block.
 //!
-//! # Shard layout
+//! # Example cache
 //!
-//! The example cache behind the engine is an
-//! `ic_manager::ShardedExampleCache`: one store whose entries carry a
-//! `split_mix64(topic) % N` shard tag, per-shard counters, per-shard
-//! eviction, cross-shard budget rebalance. [`CacheStats`] in the report
-//! exposes per-shard sizes so scaling experiments can watch the layout.
+//! The example cache behind the engine is one `ic_manager::ExampleCache`:
+//! an id-hashed store of entries with their access, offload-gain and
+//! replay-gain statistics. Stage 1 finds neighbours through the
+//! selector's IVF index, not through the store's layout. [`CacheStats`]
+//! in the report carries its size, bytes, selection hits, admissions and
+//! evictions.
 //!
 //! # Determinism
 //!

@@ -87,17 +87,10 @@ impl LatencyStats {
 /// Example-cache statistics at the end of a run.
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
-    /// Number of topic-hash shards.
-    pub shards: usize,
-    /// Cached examples across all shards.
+    /// Cached examples.
     pub examples: usize,
-    /// Plaintext bytes across all shards.
+    /// Plaintext bytes.
     pub bytes: usize,
-    /// Examples per shard.
-    pub shard_sizes: Vec<usize>,
-    /// Retrieval hits per shard (the demand signal feeding the
-    /// cross-shard budget rebalance).
-    pub shard_hits: Vec<u64>,
     /// Requests whose selection returned at least one example.
     pub selection_hits: u64,
     /// Total examples prepended across all requests.
@@ -260,13 +253,6 @@ impl EngineReport {
     /// a deterministic, byte-stable JSON object: fixed key order, fixed
     /// float precision, no whitespace variation.
     pub fn to_json(&self) -> String {
-        let shard_sizes: Vec<String> = self
-            .cache
-            .shard_sizes
-            .iter()
-            .map(usize::to_string)
-            .collect();
-        let shard_hits: Vec<String> = self.cache.shard_hits.iter().map(u64::to_string).collect();
         format!(
             concat!(
                 "{{\"engine\":\"{}\",\"served\":{},\"offloaded\":{},",
@@ -274,8 +260,7 @@ impl EngineReport {
                 "\"latency\":{{\"mean_e2e_s\":{},\"p50_e2e_s\":{},\"p99_e2e_s\":{},",
                 "\"mean_ttft_s\":{},\"p99_ttft_s\":{},\"mean_queue_s\":{}}},",
                 "\"throughput_rps\":{},\"mean_quality\":{},",
-                "\"cache\":{{\"shards\":{},\"examples\":{},\"bytes\":{},",
-                "\"shard_sizes\":[{}],\"shard_hits\":[{}],",
+                "\"cache\":{{\"examples\":{},\"bytes\":{},",
                 "\"selection_hits\":{},\"selection_hit_rate\":{},",
                 "\"examples_used\":{},\"admitted\":{},\"rejected\":{},\"evicted\":{}}},",
                 "\"iter\":{{\"steps\":{},\"mean_step_batch\":{},",
@@ -304,11 +289,8 @@ impl EngineReport {
             f6(self.latency.mean_queue),
             f6(self.throughput_rps),
             f6(self.mean_quality),
-            self.cache.shards,
             self.cache.examples,
             self.cache.bytes,
-            shard_sizes.join(","),
-            shard_hits.join(","),
             self.cache.selection_hits,
             f6(self.selection_hit_rate()),
             self.cache.examples_used,
@@ -402,8 +384,7 @@ mod tests {
             offloaded: 4,
             ..EngineReport::default()
         };
-        r.cache.shard_sizes = vec![3, 7];
-        r.cache.shards = 2;
+        r.cache.examples = 10;
         r.iter.steps = 4;
         r.iter.seq_steps = 10;
         r.iter.chunk_steps = 2;
@@ -423,7 +404,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with('{') && a.ends_with('}'));
         assert!(a.contains("\"offload_ratio\":0.400000"));
-        assert!(a.contains("\"shard_sizes\":[3,7]"));
+        assert!(a.contains("\"cache\":{\"examples\":10,\"bytes\":0,\"selection_hits\""));
         assert!(a.contains("\"mean_step_batch\":2.500000"));
         assert!(a.contains("\"chunked_prefill_ratio\":0.200000"));
         assert!(a.contains("\"preemptions\":0"));

@@ -24,9 +24,6 @@ pub struct CachedExample {
     pub accesses: u64,
     /// Insertion timestamp (seconds).
     pub inserted_at: f64,
-    /// The topic-hash shard the entry counts towards (see
-    /// [`crate::shard`]); always 0 in a standalone [`ExampleCache`].
-    pub shard: usize,
 }
 
 /// The example cache.
@@ -72,17 +69,6 @@ impl ExampleCache {
     /// Inserts an example at time `now`; replaces any entry with the same
     /// id. Returns false if it replaced an existing entry.
     pub fn insert(&mut self, example: Example, now: f64) -> bool {
-        self.insert_tagged(0, example, now).is_none()
-    }
-
-    /// [`ExampleCache::insert`] under a shard tag, returning the entry it
-    /// replaced.
-    pub(crate) fn insert_tagged(
-        &mut self,
-        shard: usize,
-        example: Example,
-        now: f64,
-    ) -> Option<CachedExample> {
         self.total_bytes += example.byte_len();
         let entry = CachedExample {
             example,
@@ -90,23 +76,19 @@ impl ExampleCache {
             replay_gain: Ema::new(0.2),
             accesses: 0,
             inserted_at: now,
-            shard,
         };
-        let old = self.entries.insert(entry.example.id, Box::new(entry))?;
+        let Some(old) = self.entries.insert(entry.example.id, Box::new(entry)) else {
+            return true;
+        };
         self.total_bytes -= old.example.byte_len();
-        Some(*old)
+        false
     }
 
     /// Removes an example, returning it.
     pub fn remove(&mut self, id: ExampleId) -> Option<Example> {
-        self.remove_entry(id).map(|e| e.example)
-    }
-
-    /// Removes an example, returning its whole entry.
-    pub(crate) fn remove_entry(&mut self, id: ExampleId) -> Option<CachedExample> {
         let entry = self.entries.remove(&id)?;
         self.total_bytes -= entry.example.byte_len();
-        Some(*entry)
+        Some(entry.example)
     }
 
     /// Looks up an entry.
@@ -174,6 +156,15 @@ impl ExampleCache {
     /// Access counts (Fig. 10's long-tail histogram source).
     pub fn access_counts(&self) -> Vec<u64> {
         self.entries.values().map(|e| e.accesses).collect()
+    }
+
+    /// The byte budget of one capacity pass: all of `capacity`, since the
+    /// pass runs one knapsack over the whole cache
+    /// ([`crate::ExampleManager::enforce_capacity`]). Kept only because
+    /// `benchmark/src/layers.rs` times it as `manager.rebalance`.
+    #[doc(hidden)]
+    pub fn plan_shard_budgets(&self, capacity: usize, _now: f64) -> Vec<usize> {
+        vec![capacity]
     }
 }
 

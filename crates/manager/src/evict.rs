@@ -7,11 +7,14 @@
 //!
 //! The production path is a greedy value-density solver (near-optimal for
 //! knapsacks whose item weights are small relative to capacity, which
-//! plaintext examples always are). An exact dynamic-programming solver is
-//! provided for validation and small instances; a property test in this
-//! module pins the greedy solution to within a provable bound of optimal.
+//! plaintext examples always are), run once over every cached example by
+//! [`crate::ExampleManager::enforce_capacity`]. An exact dynamic-programming solver is provided for
+//! validation and small instances; a property test in this module pins
+//! the greedy solution to within a provable bound of optimal.
 
 use ic_llmsim::ExampleId;
+
+use crate::cache::ExampleCache;
 
 /// One knapsack item: an example's id, byte weight, and retention value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,13 +98,36 @@ pub fn total_value(items: &[KnapsackItem], kept: &[ExampleId]) -> f64 {
 
 /// The ids of `items` that are not in `keep`, in item order — what a
 /// knapsack solution evicts.
-pub(crate) fn all_but(items: &[KnapsackItem], mut keep: Vec<ExampleId>) -> Vec<ExampleId> {
+fn all_but(items: &[KnapsackItem], mut keep: Vec<ExampleId>) -> Vec<ExampleId> {
     keep.sort_unstable();
     items
         .iter()
         .map(|i| i.id)
         .filter(|id| keep.binary_search(id).is_err())
         .collect()
+}
+
+/// One capacity pass at time `now`: when `cache` holds more than
+/// `capacity` bytes, keeps [`greedy_knapsack`]'s solution over every entry
+/// (weight = plaintext bytes, value = decayed offload gain) and removes
+/// the rest. Returns the evicted ids in id order.
+pub(crate) fn evict_to(cache: &mut ExampleCache, capacity: usize, now: f64) -> Vec<ExampleId> {
+    if cache.total_bytes() <= capacity {
+        return Vec::new();
+    }
+    let mut items: Vec<KnapsackItem> = (cache.iter())
+        .map(|(&id, e)| KnapsackItem {
+            id,
+            weight: e.example.byte_len(),
+            value: e.offload_gain.value_at(now),
+        })
+        .collect();
+    items.sort_unstable_by_key(|i| i.id);
+    let evicted = all_but(&items, greedy_knapsack(&items, capacity));
+    for &id in &evicted {
+        cache.remove(id);
+    }
+    evicted
 }
 
 #[cfg(test)]

@@ -4,33 +4,20 @@ use ic_llmsim::{Example, ExampleId, Generator, ModelSpec};
 use rand::Rng;
 
 use crate::admission::{Admission, AdmissionPolicy};
+use crate::cache::ExampleCache;
+use crate::evict::evict_to;
 use crate::replay::{ReplayConfig, plan_replay, replay_example};
-use crate::shard::{DEFAULT_SHARDS, ShardedExampleCache};
 
 /// Manager configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ManagerConfig {
     /// Byte cap on the plaintext cache; `None` = unbounded (§4.3 notes
     /// plaintext footprints are small, so many deployments can skip caps).
     pub capacity_bytes: Option<usize>,
-    /// Number of topic-hash cache shards (at least 1; see
-    /// [`crate::shard`]).
-    pub shards: usize,
     /// Admission policy.
     pub admission: AdmissionPolicy,
     /// Replay policy.
     pub replay: ReplayConfig,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        Self {
-            capacity_bytes: None,
-            shards: DEFAULT_SHARDS,
-            admission: AdmissionPolicy::default(),
-            replay: ReplayConfig::default(),
-        }
-    }
 }
 
 /// Result of one offline replay round.
@@ -66,7 +53,7 @@ pub struct ReplayReport {
 /// ```
 #[derive(Debug)]
 pub struct ExampleManager {
-    cache: ShardedExampleCache,
+    cache: ExampleCache,
     config: ManagerConfig,
     admitted: u64,
     rejected: u64,
@@ -76,23 +63,23 @@ impl ExampleManager {
     /// Creates a manager.
     pub fn new(config: ManagerConfig) -> Self {
         Self {
-            cache: ShardedExampleCache::new(config.shards),
+            cache: ExampleCache::new(),
             config,
             admitted: 0,
             rejected: 0,
         }
     }
 
-    /// The underlying sharded cache (read access; also the
-    /// [`ExampleStore`] the selector resolves against).
+    /// The underlying cache (read access; also the [`ExampleStore`] the
+    /// selector resolves against).
     ///
     /// [`ExampleStore`]: ic_llmsim::ExampleStore
-    pub fn cache(&self) -> &ShardedExampleCache {
+    pub fn cache(&self) -> &ExampleCache {
         &self.cache
     }
 
     /// Mutable cache access for feedback recording.
-    pub fn cache_mut(&mut self) -> &mut ShardedExampleCache {
+    pub fn cache_mut(&mut self) -> &mut ExampleCache {
         &mut self.cache
     }
 
@@ -137,8 +124,7 @@ impl ExampleManager {
     }
 
     /// Plans and executes one off-peak replay round on the source model:
-    /// the store's `replay.batch_limit` highest-G(e) examples, whichever
-    /// shards they count towards.
+    /// the store's `replay.batch_limit` highest-G(e) examples.
     pub fn run_replay(
         &mut self,
         source_spec: &ModelSpec,
@@ -166,14 +152,14 @@ impl ExampleManager {
         report
     }
 
-    /// Enforces the byte capacity: cross-shard budget rebalance followed
-    /// by per-shard knapsack eviction. Returns evicted ids (callers must
-    /// unindex them from the selector).
+    /// Enforces the byte capacity with one knapsack over the whole cache
+    /// (§4.3; [`crate::evict`]). Returns the evicted ids in id order
+    /// (callers must unindex them from the selector).
     pub fn enforce_capacity(&mut self, now: f64) -> Vec<ExampleId> {
         let Some(cap) = self.config.capacity_bytes else {
             return Vec::new();
         };
-        self.cache.rebalance(cap, now)
+        evict_to(&mut self.cache, cap, now)
     }
 }
 

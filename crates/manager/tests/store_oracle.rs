@@ -1,214 +1,101 @@
-//! Differential test of [`ShardedExampleCache`] — one store, a shard tag
-//! per entry, three counters per shard — against the layout it replaced,
-//! written here, in the test, as the reference: a directory
-//! `id -> shard` in front of one plain [`ExampleCache`] per shard, with
-//! `shard_hits` re-summed from the entries, the knapsack items rebuilt
-//! per shard for the budget division and again for each shard's
-//! eviction, and replay planned per shard, merged, re-sorted and
-//! re-truncated. Random interleavings of every verb run on both, and
-//! after **every** op the two must agree on `len`, `total_bytes`,
-//! `shard_sizes`, `shard_hits`, `shard_bytes`, `sorted_ids`, each
-//! entry's shard and statistics, and `plan_shard_budgets`; a rebalance
-//! must evict the same ids *in the same order*, and a replay round must
-//! refine the same examples with the same RNG draws.
+//! Differential test of the manager's one [`ExampleCache`] against a
+//! plain ordered map of `id -> entry` that re-derives everything from
+//! scratch: the byte total summed over the entries, the replay plan
+//! ranked over all of them, and the capacity pass as the greedy knapsack
+//! over every entry in id order.
 //!
-//! Ids and topics are drawn from a few values on purpose: live ids are
-//! re-inserted, also under a topic that hashes to another shard, so an
-//! entry's counters have to leave one shard and join another.
+//! A random sequence of inserts (fresh and replacing, also with another
+//! topic and size), removals, accesses, offload gains, usage feedback,
+//! replay rounds and capacity passes runs on both; after every op the
+//! test compares `len`, `total_bytes`, `sorted_ids`, `access_counts` and
+//! each entry's statistics. A capacity pass must evict exactly the ids
+//! the model evicts, in id order, leave `total_bytes() <= cap`, and do
+//! nothing when the cache already fits.
 //!
-//! Mutation that bites: in `ShardedExampleCache::uncount`, drop
-//! `counters.hits -= entry.accesses` — the first removal, replacement
-//! or eviction of an entry that was ever accessed leaves its shard's
-//! `shard_hits` above the re-summed reference.
+//! Mutation that bites: in `ExampleCache::insert`, drop the line that
+//! takes a replaced entry's bytes off `total_bytes`; the first
+//! replacement leaves the total above the re-summed reference.
 
 use ic_llmsim::{Example, ExampleId, Generator, ModelId, ModelSpec};
+use ic_manager::cache::{GAIN_DECAY, GAIN_PERIOD_S};
 use ic_manager::{
-    ExampleCache, ExampleManager, KnapsackItem, ManagerConfig, ReplayConfig, ShardedExampleCache,
-    dp_knapsack, greedy_knapsack, plan_replay, replay_example,
+    ExampleCache, ExampleManager, KnapsackItem, ManagerConfig, ReplayConfig, greedy_knapsack,
+    replay_example,
 };
-use ic_stats::rng::{rng_from_seed, split_mix64};
+use ic_stats::rng::rng_from_seed;
+use ic_stats::{DecayingCounter, Ema};
 use ic_workloads::{Dataset, WorkloadGenerator};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-const QUANTA: usize = 64;
-
-/// The store as it read before the shard became a tag.
-struct TwoLevelStore {
-    shards: Vec<ExampleCache>,
-    directory: BTreeMap<ExampleId, usize>,
+/// One entry of the model, with the statistics the cache keeps.
+struct ModelEntry {
+    example: Example,
+    offload_gain: DecayingCounter,
+    replay_gain: Ema,
+    accesses: u64,
+    inserted_at: f64,
 }
 
-fn items_from_cache(cache: &ExampleCache, now: f64) -> Vec<KnapsackItem> {
-    let mut items: Vec<KnapsackItem> = cache
-        .iter()
-        .map(|(&id, e)| KnapsackItem {
-            id,
-            weight: e.example.byte_len(),
-            value: e.offload_gain.value_at(now),
-        })
-        .collect();
-    items.sort_by_key(|i| i.id);
-    items
+/// The cache as a plain ordered map.
+#[derive(Default)]
+struct MapStore {
+    entries: BTreeMap<ExampleId, ModelEntry>,
 }
 
-fn plan_eviction(cache: &ExampleCache, capacity_bytes: usize, now: f64) -> Vec<ExampleId> {
-    if cache.total_bytes() <= capacity_bytes {
-        return Vec::new();
-    }
-    let items = items_from_cache(cache, now);
-    let keep = greedy_knapsack(&items, capacity_bytes);
-    (items.iter().map(|i| i.id))
-        .filter(|id| !keep.contains(id))
-        .collect()
-}
-
-impl TwoLevelStore {
-    fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards).map(|_| ExampleCache::new()).collect(),
-            directory: BTreeMap::new(),
-        }
-    }
-
-    fn shard_for_topic(&self, topic: usize) -> usize {
-        (split_mix64(topic as u64) % self.shards.len() as u64) as usize
-    }
-
+impl MapStore {
     fn insert(&mut self, example: Example, now: f64) -> bool {
-        let id = example.id;
-        let target = self.shard_for_topic(example.topic);
-        let mut fresh = true;
-        if let Some(&old) = self.directory.get(&id)
-            && old != target
-        {
-            self.shards[old].remove(id);
-            fresh = false;
-        }
-        self.directory.insert(id, target);
-        self.shards[target].insert(example, now) && fresh
-    }
-
-    fn remove(&mut self, id: ExampleId) -> Option<Example> {
-        let shard = self.directory.remove(&id)?;
-        self.shards[shard].remove(id)
-    }
-
-    fn shard_mut(&mut self, id: ExampleId) -> Option<&mut ExampleCache> {
-        let shard = *self.directory.get(&id)?;
-        Some(&mut self.shards[shard])
-    }
-
-    fn shard_hits(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.access_counts().iter().sum())
-            .collect()
+        let entry = ModelEntry {
+            example,
+            offload_gain: DecayingCounter::new(GAIN_DECAY, GAIN_PERIOD_S),
+            replay_gain: Ema::new(0.2),
+            accesses: 0,
+            inserted_at: now,
+        };
+        self.entries.insert(entry.example.id, entry).is_none()
     }
 
     fn total_bytes(&self) -> usize {
-        self.shards.iter().map(ExampleCache::total_bytes).sum()
+        self.entries.values().map(|e| e.example.byte_len()).sum()
     }
 
-    fn plan_shard_budgets(&self, capacity: usize, now: f64) -> Vec<usize> {
-        let quantum = (capacity / QUANTA).max(1);
-        // (shard, bytes, units, gain) per chunk of a density-sorted curve.
-        let mut chunks: Vec<(usize, usize, usize, f64)> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut items = items_from_cache(shard, now);
-            items.sort_by(|a, b| {
-                let da = a.value / a.weight.max(1) as f64;
-                let db = b.value / b.weight.max(1) as f64;
-                db.partial_cmp(&da).unwrap().then(a.id.cmp(&b.id))
-            });
-            let (mut bytes, mut gain) = (0usize, 0.0f64);
-            for item in &items {
-                if bytes > 0 && bytes + item.weight > quantum {
-                    chunks.push((s, bytes, bytes.div_ceil(quantum), gain));
-                    bytes = 0;
-                    gain = 0.0;
-                }
-                bytes += item.weight;
-                gain += item.value;
-            }
-            if bytes > 0 {
-                chunks.push((s, bytes, bytes.div_ceil(quantum), gain));
-            }
-        }
-        let dp_items: Vec<KnapsackItem> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| KnapsackItem {
-                id: ExampleId(i as u64),
-                weight: c.2,
-                value: c.3,
-            })
-            .collect();
-        let mut budgets = vec![0usize; self.shards.len()];
-        for id in dp_knapsack(&dp_items, capacity / quantum) {
-            let c = &chunks[id.0 as usize];
-            budgets[c.0] += c.1;
-        }
-        let spent: usize = budgets.iter().sum();
-        let mut leftover = capacity.saturating_sub(spent);
-        let unmet: Vec<usize> = (self.shards.iter().zip(&budgets))
-            .map(|(shard, &b)| shard.total_bytes().saturating_sub(b))
-            .collect();
-        if unmet.iter().sum::<usize>() > 0 {
-            let hits = self.shard_hits();
-            let hits_total: u128 = hits.iter().map(|&h| u128::from(h)).sum();
-            let weights: Vec<u128> = (unmet.iter().zip(&hits))
-                .map(|(&u, &h)| u as u128 * hits_total.max(1) + u as u128 * 3 * u128::from(h))
-                .collect();
-            let weight_total: u128 = weights.iter().sum();
-            let grants: Vec<usize> = weights
-                .iter()
-                .map(|&w| ((w * leftover as u128) / weight_total.max(1)) as usize)
-                .collect();
-            for (b, g) in budgets.iter_mut().zip(&grants) {
-                *b += g;
-            }
-            leftover -= grants.iter().sum::<usize>();
-            for (b, &u) in budgets.iter_mut().zip(&unmet) {
-                let grant = leftover.min(u);
-                *b += grant;
-                leftover -= grant;
-            }
-        }
-        budgets
-    }
-
-    fn rebalance(&mut self, capacity: usize, now: f64) -> Vec<ExampleId> {
+    /// The capacity pass: the greedy knapsack over every entry.
+    fn evict_to(&mut self, capacity: usize, now: f64) -> Vec<ExampleId> {
         if self.total_bytes() <= capacity {
             return Vec::new();
         }
-        let budgets = self.plan_shard_budgets(capacity, now);
-        let mut evicted = Vec::new();
-        for (s, budget) in budgets.iter().enumerate() {
-            for id in plan_eviction(&self.shards[s], *budget, now) {
-                self.shards[s].remove(id);
-                self.directory.remove(&id);
-                evicted.push(id);
-            }
+        let items: Vec<KnapsackItem> = (self.entries.iter())
+            .map(|(&id, e)| KnapsackItem {
+                id,
+                weight: e.example.byte_len(),
+                value: e.offload_gain.value_at(now),
+            })
+            .collect();
+        let keep = greedy_knapsack(&items, capacity);
+        let evicted: Vec<ExampleId> = (items.iter().map(|i| i.id))
+            .filter(|id| !keep.contains(id))
+            .collect();
+        for id in &evicted {
+            self.entries.remove(id);
         }
         evicted
     }
 
-    /// `(replayed, total_improvement)` of one round.
+    /// `(replayed, total_improvement)` of one round: the `batch_limit`
+    /// highest-G(e) entries at or above the cut-off, best first.
     fn run_replay(&mut self, config: &ReplayConfig, seed: u64) -> (usize, f64) {
-        let mut ranked: Vec<(ExampleId, f64)> = Vec::new();
-        for shard in &self.shards {
-            for id in plan_replay(shard, config) {
-                ranked.push((id, shard.entry(id).unwrap().replay_gain.value()));
-            }
-        }
+        let mut ranked: Vec<(ExampleId, f64)> = (self.entries.iter())
+            .filter(|(_, e)| e.example.replay_count < config.max_replays)
+            .map(|(&id, e)| (id, e.replay_gain.value()))
+            .filter(|&(_, g)| g >= config.replay_cost)
+            .collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         ranked.truncate(config.batch_limit);
         let (spec, generator) = (ModelSpec::gemma_2_27b(), Generator::new());
         let mut rng = rng_from_seed(seed);
         let (mut replayed, mut improvement) = (0, 0.0);
         for (id, _) in ranked {
-            let entry = self.shard_mut(id).unwrap().entry_mut(id).unwrap();
+            let entry = self.entries.get_mut(&id).unwrap();
             improvement += replay_example(
                 &mut entry.example,
                 &spec,
@@ -217,30 +104,26 @@ impl TwoLevelStore {
                 &mut rng,
             );
             replayed += 1;
-            entry.replay_gain = ic_stats::Ema::new(0.2);
+            entry.replay_gain = Ema::new(0.2);
         }
         (replayed, improvement)
     }
 }
 
-/// Everything observable without evicting, compared field by field.
-fn assert_same(real: &ShardedExampleCache, model: &TwoLevelStore, now: f64, cap_share: usize) {
-    assert_eq!(real.len(), model.directory.len());
-    assert_eq!(real.is_empty(), model.directory.is_empty());
+/// Everything observable, compared field by field.
+fn assert_same(real: &ExampleCache, model: &MapStore, now: f64) {
+    assert_eq!(real.len(), model.entries.len());
+    assert_eq!(real.is_empty(), model.entries.is_empty());
     assert_eq!(real.total_bytes(), model.total_bytes());
-    let sizes: Vec<usize> = model.shards.iter().map(ExampleCache::len).collect();
-    assert_eq!(real.shard_sizes(), sizes);
-    assert_eq!(real.shard_hits(), model.shard_hits());
-    let bytes: Vec<usize> = model.shards.iter().map(ExampleCache::total_bytes).collect();
-    assert_eq!(real.shard_bytes(), bytes);
-    let ids: Vec<ExampleId> = model.directory.keys().copied().collect();
+    let ids: Vec<ExampleId> = model.entries.keys().copied().collect();
     assert_eq!(real.sorted_ids(), ids);
-    for (&id, &shard) in &model.directory {
-        assert_eq!(real.shard_of(id), Some(shard));
-        let (got, want) = (
-            real.entry(id).unwrap(),
-            model.shards[shard].entry(id).unwrap(),
-        );
+    let mut counts = real.access_counts();
+    counts.sort_unstable();
+    let mut want: Vec<u64> = model.entries.values().map(|e| e.accesses).collect();
+    want.sort_unstable();
+    assert_eq!(counts, want);
+    for (&id, want) in &model.entries {
+        let got = real.entry(id).unwrap();
         assert_eq!(got.accesses, want.accesses);
         assert_eq!(got.inserted_at, want.inserted_at);
         assert_eq!(got.example.byte_len(), want.example.byte_len());
@@ -253,20 +136,13 @@ fn assert_same(real: &ShardedExampleCache, model: &TwoLevelStore, now: f64, cap_
             want.offload_gain.value_at(now)
         );
     }
-    let capacity = real.total_bytes() * cap_share / 8;
-    assert_eq!(
-        real.plan_shard_budgets(capacity, now),
-        model.plan_shard_budgets(capacity, now),
-        "budgets at capacity {capacity}"
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn one_store_matches_the_directory_and_per_shard_maps(
-        shards in 1usize..6,
+    fn one_cache_matches_a_plain_map(
         batch_limit in 1usize..7,
         ops in proptest::collection::vec(0u64..u64::MAX, 1..160),
     ) {
@@ -278,11 +154,10 @@ proptest! {
         );
         let replay = ReplayConfig { batch_limit, ..ReplayConfig::default() };
         let mut manager = ExampleManager::new(ManagerConfig {
-            shards,
             replay: replay.clone(),
             ..ManagerConfig::default()
         });
-        let mut model = TwoLevelStore::new(shards);
+        let mut model = MapStore::default();
         let mut now = 0.0f64;
         for word in ops {
             // Independent fields of the op, cut from one random word.
@@ -300,8 +175,7 @@ proptest! {
                     );
                 }
                 2 => {
-                    // Same id, another topic (often another shard) and
-                    // another size.
+                    // Same id, another topic and another size.
                     let mut moved = example.clone();
                     moved.topic += 1 + pick(24, 5) as usize;
                     let pad = "x".repeat(pick(32, 40) as usize);
@@ -312,20 +186,21 @@ proptest! {
                     );
                 }
                 3 => {
-                    let (got, want) = (real.remove(id), model.remove(id));
-                    prop_assert_eq!(got.map(|e| e.byte_len()), want.map(|e| e.byte_len()));
+                    let got = real.remove(id).map(|e| e.byte_len());
+                    let want = model.entries.remove(&id).map(|e| e.example.byte_len());
+                    prop_assert_eq!(got, want);
                 }
                 4 | 5 => {
                     real.record_access(id);
-                    if let Some(shard) = model.shard_mut(id) {
-                        shard.record_access(id);
+                    if let Some(e) = model.entries.get_mut(&id) {
+                        e.accesses += 1;
                     }
                 }
                 6 | 7 => {
                     let gain = pick(24, 50) as f64 / 10.0;
                     real.record_offload_gain(id, now, gain);
-                    if let Some(shard) = model.shard_mut(id) {
-                        shard.record_offload_gain(id, now, gain);
+                    if let Some(e) = model.entries.get_mut(&id) {
+                        e.offload_gain.add(now, gain);
                     }
                 }
                 8..=10 => {
@@ -333,17 +208,31 @@ proptest! {
                     // the replay cut-off often enough to fill a batch.
                     let (quality, cost) = (pick(24, 13) as f64 / 16.0, pick(32, 13) as f64 / 12.0);
                     real.record_usage_feedback(id, quality, cost);
-                    if let Some(shard) = model.shard_mut(id) {
-                        shard.record_usage_feedback(id, quality, cost);
+                    if let Some(e) = model.entries.get_mut(&id) {
+                        e.replay_gain.observe((1.0 - quality) * cost.min(1.0));
                     }
                 }
                 11 => {
+                    // Caps from 0 to 9/8 of the current bytes: some passes
+                    // must evict, some must leave the cache alone.
                     let capacity = real.total_bytes() * pick(24, 10) as usize / 8;
+                    let before = real.len();
+                    manager.set_capacity_bytes(Some(capacity));
+                    let evicted = manager.enforce_capacity(now);
                     prop_assert_eq!(
-                        real.rebalance(capacity, now),
-                        model.rebalance(capacity, now),
+                        &evicted,
+                        &model.evict_to(capacity, now),
                         "evicted ids, in order, at capacity {}", capacity
                     );
+                    let cache = manager.cache();
+                    prop_assert!(cache.total_bytes() <= capacity);
+                    prop_assert_eq!(cache.len() + evicted.len(), before);
+                    for id in &evicted {
+                        prop_assert!(cache.entry(*id).is_none());
+                    }
+                    // A second pass at the same cap finds nothing to do.
+                    prop_assert!(manager.enforce_capacity(now).is_empty());
+                    manager.set_capacity_bytes(None);
                 }
                 _ => {
                     let seed = pick(24, 1 << 20);
@@ -356,7 +245,7 @@ proptest! {
                     prop_assert_eq!((got.replayed, got.total_improvement), want);
                 }
             }
-            assert_same(manager.cache(), &model, now, 1 + pick(40, 8) as usize);
+            assert_same(manager.cache(), &model, now);
         }
     }
 }

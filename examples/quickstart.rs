@@ -3,7 +3,7 @@
 //! Builds the Gemma-2 pair system, seeds the example cache with
 //! historical large-model responses (Appendix A.4 initialization), then
 //! replays a Poisson request trace through the event-driven engine:
-//! arrivals flow admission → selection (sharded cache) → routing →
+//! arrivals flow admission → selection (example cache) → routing →
 //! continuous-batching pool queues → completions that feed measured
 //! latency back into the router.
 //!
@@ -19,8 +19,8 @@ fn main() {
     let config = IcCacheConfig::gemma_pair();
     let large = config.primary;
 
-    // 2. Seed the example cache (topic-hash sharded) with historical
-    //    request-response pairs answered by the large model.
+    // 2. Seed the example cache with historical request-response pairs
+    //    answered by the large model.
     let mut workload = WorkloadGenerator::new(Dataset::MsMarco, 42);
     let examples =
         workload.generate_examples(2_000, &ModelSpec::gemma_2_27b(), large, &Generator::new());
@@ -55,10 +55,9 @@ fn main() {
     );
     println!("mean latent response quality: {:.3}", report.mean_quality);
     println!(
-        "example cache: {} examples over {} shards {:?}, selection hit rate {:.1}%",
+        "example cache: {} examples ({} bytes), selection hit rate {:.1}%",
         report.cache.examples,
-        report.cache.shards,
-        report.cache.shard_sizes,
+        report.cache.bytes,
         report.selection_hit_rate() * 100.0
     );
 }
