@@ -249,21 +249,24 @@ impl IcCacheSystem {
     }
 
     /// Seeds the example cache from a pre-generated bank (Appendix A.4's
-    /// example-pool initialization) and indexes admitted entries.
+    /// example-pool initialization) and indexes admitted entries: the
+    /// manager's cache keeps each example's plaintext and metadata, the
+    /// selector's index its vector.
     pub fn seed_examples(&mut self, examples: Vec<Example>, now: f64) {
         // Admission never consults the index and indexing never consults
         // the manager, so admitting the whole bank first and indexing it
         // in one bulk build is state-identical to the per-example
         // admit/index interleaving — and lets the index fit k-means once
-        // for the whole bank.
+        // for the whole bank. Each admitted example's embedding comes
+        // back from the cache, which keeps none, and moves into the
+        // index: one copy.
         let mut admitted = Vec::with_capacity(examples.len());
         self.manager.reserve(examples.len());
-        for e in examples {
-            let embedding = e.embedding.clone();
-            if let Some(id) = self.manager.admit(e, now) {
-                admitted.push((id, embedding));
-            }
-        }
+        admitted.extend(
+            examples
+                .into_iter()
+                .filter_map(|e| self.manager.admit(e, now)),
+        );
         self.selector.index_examples(admitted);
     }
 
@@ -463,12 +466,18 @@ impl IcCacheSystem {
                 .fold(0.0f64, |a, &b| a.max(b))
                 .max(1e-6);
             let spec = self.config.catalog.get(chosen);
-            for (id, pred) in selection.ids.iter().zip(&selection.predicted_utility) {
+            // A cached example carries no vector: the features take the
+            // request/example cosine stage 1 computed for each pick.
+            let picks = (selection.ids.iter())
+                .zip(&selection.predicted_utility)
+                .zip(&selection.stage1_similarity);
+            for ((id, pred), &sim) in picks {
                 let Some(example) = self.manager.cache().get_example(*id) else {
                     continue;
                 };
                 let label = (lift * (pred / max_pred).clamp(0.0, 1.0)).clamp(0.0, 1.0);
-                let features = ProxyFeatures::extract(request, example, spec).as_array();
+                let features =
+                    ProxyFeatures::extract_with_sim(request, example, spec, sim).as_array();
                 self.selector.proxy_mut().update(&features, label);
                 // Cache bookkeeping for the manager's policies.
                 self.manager
@@ -514,8 +523,7 @@ impl IcCacheSystem {
             replay_count: 0,
             signal_noise: signal_noise(id),
         };
-        let embedding = example.embedding.clone();
-        let admitted = self.manager.admit(example, now)?;
+        let (admitted, embedding) = self.manager.admit(example, now)?;
         self.selector.index_example(admitted, embedding);
         Some(admitted)
     }

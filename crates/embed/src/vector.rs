@@ -20,7 +20,7 @@ use crate::boxmuller;
 /// assert_eq!(a.cosine(&b), 0.0);
 /// assert_eq!(a.cosine(&a), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Embedding {
     data: Vec<f32>,
 }

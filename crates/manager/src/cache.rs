@@ -1,5 +1,6 @@
 //! The example cache: plaintext storage plus utility bookkeeping.
 
+use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, ExampleStore};
 use ic_stats::{DecayingCounter, Ema, IdMap};
 
@@ -13,7 +14,9 @@ pub const GAIN_PERIOD_S: f64 = 3600.0;
 /// One cached example with its management metadata.
 #[derive(Debug, Clone)]
 pub struct CachedExample {
-    /// The example payload.
+    /// The example's plaintext and metadata. Its `embedding` is
+    /// zero-length: [`ExampleCache::insert`] hands the vector to the
+    /// selector's index, which keeps the one copy (§4.1).
     pub example: Example,
     /// Decayed count of successful offloads this example enabled — the
     /// knapsack value (§4.3).
@@ -31,7 +34,9 @@ pub struct CachedExample {
 /// Stores plaintext examples (≈1 GB per million LMSys examples in the
 /// paper, §4.3) with the statistics the replay planner and eviction policy
 /// need. Capacity enforcement itself lives in [`crate::evict`]; the cache
-/// only tracks byte totals.
+/// only tracks byte totals. It holds no vectors: an example's embedding
+/// lives only in the Example Selector's index (§4.1), and
+/// [`ExampleCache::insert`] returns it for the caller to index.
 ///
 /// # Examples
 ///
@@ -67,8 +72,11 @@ impl ExampleCache {
     }
 
     /// Inserts an example at time `now`; replaces any entry with the same
-    /// id. Returns false if it replaced an existing entry.
-    pub fn insert(&mut self, example: Example, now: f64) -> bool {
+    /// id. The cache keeps the plaintext and metadata only: the
+    /// example's embedding is taken out here and returned, for the
+    /// selector's index to own as the one copy of the vector.
+    pub fn insert(&mut self, mut example: Example, now: f64) -> Embedding {
+        let embedding = std::mem::take(&mut example.embedding);
         self.total_bytes += example.byte_len();
         let entry = CachedExample {
             example,
@@ -77,11 +85,10 @@ impl ExampleCache {
             accesses: 0,
             inserted_at: now,
         };
-        let Some(old) = self.entries.insert(entry.example.id, Box::new(entry)) else {
-            return true;
-        };
-        self.total_bytes -= old.example.byte_len();
-        false
+        if let Some(old) = self.entries.insert(entry.example.id, Box::new(entry)) {
+            self.total_bytes -= old.example.byte_len();
+        }
+        embedding
     }
 
     /// Removes an example, returning it.
@@ -198,9 +205,12 @@ mod tests {
         let mut cache = ExampleCache::new();
         let exs = sample_examples(5);
         for e in &exs {
-            assert!(cache.insert(e.clone(), 0.0));
+            assert_eq!(cache.insert(e.clone(), 0.0), e.embedding);
         }
         assert_eq!(cache.len(), 5);
+        let cached = cache.get_example(exs[1].id).unwrap();
+        assert_eq!(cached.embedding.dim(), 0, "the cache keeps no vector");
+        assert_eq!(cached.request_text, exs[1].request_text);
         assert!(cache.get_example(exs[0].id).is_some());
         let removed = cache.remove(exs[0].id).unwrap();
         assert_eq!(removed.id, exs[0].id);
@@ -228,7 +238,7 @@ mod tests {
         cache.insert(e.clone(), 0.0);
         let before = cache.total_bytes();
         e.response_text = format!("{} extended response text", e.response_text).into();
-        assert!(!cache.insert(e.clone(), 1.0));
+        cache.insert(e.clone(), 1.0);
         assert_eq!(cache.len(), 1);
         assert!(cache.total_bytes() > before);
         assert_eq!(cache.total_bytes(), e.byte_len());

@@ -1,5 +1,6 @@
 //! The [`ExampleManager`] facade: admission, feedback, replay, eviction.
 
+use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, Generator, ModelSpec};
 use rand::Rng;
 
@@ -89,15 +90,16 @@ impl ExampleManager {
     }
 
     /// Runs admission control and caches the example if admitted.
-    /// Returns the admitted example's id (callers index it in the
-    /// selector) or `None` when rejected.
-    pub fn admit(&mut self, example: Example, now: f64) -> Option<ExampleId> {
+    /// Returns the admitted example's id and its embedding, which the
+    /// cache does not keep (callers move it into the selector's index),
+    /// or `None` when rejected.
+    pub fn admit(&mut self, example: Example, now: f64) -> Option<(ExampleId, Embedding)> {
         match self.config.admission.evaluate(example) {
             Admission::Admit(clean) => {
                 let id = clean.id;
-                self.cache.insert(*clean, now);
+                let embedding = self.cache.insert(*clean, now);
                 self.admitted += 1;
-                Some(id)
+                Some((id, embedding))
             }
             Admission::Reject(_) => {
                 self.rejected += 1;
@@ -174,7 +176,9 @@ mod tests {
         let mut wg = WorkloadGenerator::new(Dataset::NaturalQuestions, 81);
         let exs = wg.generate_examples(n, &ModelSpec::gemma_2_27b(), ModelId(0), &Generator::new());
         let mut m = ExampleManager::new(config);
-        let ids = exs.into_iter().filter_map(|e| m.admit(e, 0.0)).collect();
+        let ids = (exs.into_iter())
+            .filter_map(|e| m.admit(e, 0.0).map(|(id, _)| id))
+            .collect();
         (m, ids)
     }
 

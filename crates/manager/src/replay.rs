@@ -8,6 +8,7 @@
 //! generation cost. Examples that have already been replayed five times
 //! are skipped (§5's outlier filter).
 
+use ic_embed::Embedding;
 use ic_llmsim::{Example, GenSetup, Generator, ModelSpec, Request, RequestId};
 use rand::Rng;
 
@@ -58,13 +59,15 @@ pub fn plan_replay(cache: &ExampleCache, config: &ReplayConfig) -> Vec<ExampleId
     ranked.into_iter().map(|(id, _)| id).collect()
 }
 
-/// Reconstructs the historical request an example was answering.
+/// Reconstructs the historical request an example was answering. Its
+/// embedding stays empty: a cached example carries none (the selector's
+/// index keeps the vector), and generation does not read it.
 fn reconstruct_request(example: &Example) -> Request {
     Request {
         id: RequestId(u64::MAX),
         topic: example.topic,
         latent: example.latent.clone(),
-        embedding: example.embedding.clone(),
+        embedding: Embedding::default(),
         difficulty: example.origin_difficulty,
         complexity_signal: example.origin_difficulty,
         skills: example.skills,

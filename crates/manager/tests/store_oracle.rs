@@ -8,7 +8,8 @@
 //! topic and size), removals, accesses, offload gains, usage feedback,
 //! replay rounds and capacity passes runs on both; after every op the
 //! test compares `len`, `total_bytes`, `sorted_ids`, `access_counts` and
-//! each entry's statistics. A capacity pass must evict exactly the ids
+//! each entry's statistics, and that no entry keeps a vector (`insert`
+//! hands it back). A capacity pass must evict exactly the ids
 //! the model evicts, in id order, leave `total_bytes() <= cap`, and do
 //! nothing when the cache already fits.
 //!
@@ -130,6 +131,7 @@ fn assert_same(real: &ExampleCache, model: &MapStore, now: f64) {
         assert_eq!(got.example.topic, want.example.topic);
         assert_eq!(got.example.quality, want.example.quality);
         assert_eq!(got.example.replay_count, want.example.replay_count);
+        assert_eq!(got.example.embedding.dim(), 0, "the cache keeps no vector");
         assert_eq!(got.replay_gain.value(), want.replay_gain.value());
         assert_eq!(
             got.offload_gain.value_at(now),
@@ -169,10 +171,9 @@ proptest! {
             let real = manager.cache_mut();
             match pick(0, 13) {
                 0 | 1 => {
-                    prop_assert_eq!(
-                        real.insert(example.clone(), now),
-                        model.insert(example.clone(), now)
-                    );
+                    prop_assert_eq!(real.entry(id).is_none(), model.insert(example.clone(), now));
+                    let embedding = real.insert(example.clone(), now);
+                    prop_assert_eq!(&embedding, &example.embedding, "insert hands the vector back");
                 }
                 2 => {
                     // Same id, another topic and another size.
@@ -180,10 +181,8 @@ proptest! {
                     moved.topic += 1 + pick(24, 5) as usize;
                     let pad = "x".repeat(pick(32, 40) as usize);
                     moved.response_text = format!("{}{pad}", moved.response_text).into();
-                    prop_assert_eq!(
-                        real.insert(moved.clone(), now),
-                        model.insert(moved, now)
-                    );
+                    prop_assert_eq!(real.entry(id).is_none(), model.insert(moved.clone(), now));
+                    real.insert(moved, now);
                 }
                 3 => {
                     let got = real.remove(id).map(|e| e.byte_len());

@@ -23,6 +23,12 @@ impl ProxyFeatures {
     /// Extracts features. All inputs are observable by a real deployment:
     /// embeddings, task tags, response text (via the quality signal),
     /// response length, and the target model's spec sheet.
+    ///
+    /// Reads `example.embedding`, so it needs an example that still
+    /// carries its vector — a generator-built one. A cached example
+    /// carries none (the Example Manager's cache hands the vector to the
+    /// selector's index at admission); the serving path calls
+    /// [`Self::extract_with_sim`] with stage 1's similarity instead.
     pub fn extract(request: &Request, example: &Example, target: &ModelSpec) -> Self {
         Self::extract_with_sim(
             request,
@@ -36,10 +42,12 @@ impl ProxyFeatures {
     /// supplied by the caller. Stage 1 already computed exactly this
     /// value for every candidate it returned (the index kernel is
     /// bit-identical to [`ic_embed::Embedding::cosine`]), so stage-2
-    /// scoring passes it in rather than re-reducing the embedding pair
-    /// per candidate. `sim` must be `request.embedding.cosine(&example
-    /// .embedding)` — bit-equality with [`Self::extract`] is pinned by a
-    /// test below.
+    /// scoring and the feedback path pass it in (the latter from
+    /// `Selection::stage1_similarity`) rather than re-reducing the
+    /// embedding pair — which a cached example no longer carries. `sim`
+    /// must be `request.embedding.cosine(&example.embedding)` of the
+    /// embedding the example was indexed with — bit-equality with
+    /// [`Self::extract`] is pinned by a test below.
     pub fn extract_with_sim(
         request: &Request,
         example: &Example,
@@ -166,28 +174,23 @@ impl ProxyModel {
         self.weights.iter().zip(features).map(|(w, x)| w * x).sum()
     }
 
-    /// Convenience: extract-and-predict.
-    pub fn predict_example(&self, request: &Request, example: &Example, target: &ModelSpec) -> f64 {
-        self.predict(&ProxyFeatures::extract(request, example, target).as_array())
-    }
-
     /// Batched stage-2 scoring over resolved stage-1 candidates
-    /// `(id, stage1_similarity, example)`: each similarity is replaced
-    /// by the candidate's predicted helpfulness, exactly
-    /// `predict_example(request, example, target)` — the stage-1 cosine
-    /// is reused per candidate, the request-only feature is computed
-    /// once, and the proxy is read-only here, so batching is a pure
-    /// hoist.
+    /// `(id, utility, stage1_similarity, example)`: each utility is
+    /// written as the candidate's predicted helpfulness, exactly
+    /// `predict(&ProxyFeatures::extract_with_sim(request, example,
+    /// target, stage1_similarity).as_array())` — the stage-1 cosine is
+    /// reused per candidate, the request-only feature is computed once,
+    /// and the proxy is read-only here, so batching is a pure hoist.
     pub fn predict_candidates(
         &self,
         request: &Request,
-        candidates: &mut [(ExampleId, f64, &Example)],
+        candidates: &mut [(ExampleId, f64, f64, &Example)],
         target: &ModelSpec,
     ) {
         let headroom_proxy = headroom_proxy(request, target);
-        for (_, score, example) in candidates {
-            let features = ProxyFeatures::with_headroom(request, example, *score, headroom_proxy);
-            *score = self.predict(&features.as_array());
+        for (_, utility, sim, example) in candidates {
+            let features = ProxyFeatures::with_headroom(request, example, *sim, headroom_proxy);
+            *utility = self.predict(&features.as_array());
         }
     }
 
@@ -246,20 +249,18 @@ mod tests {
         let reqs = wg.generate_requests(5);
         let model = ProxyModel::standard();
         for r in &reqs {
-            let mut batch: Vec<(ExampleId, f64, &Example)> = exs
+            let mut batch: Vec<(ExampleId, f64, f64, &Example)> = exs
                 .iter()
-                .map(|e| (e.id, r.embedding.cosine(&e.embedding), e))
+                .map(|e| (e.id, 0.0, r.embedding.cosine(&e.embedding), e))
                 .collect();
             model.predict_candidates(r, &mut batch, &small);
-            for (e, (_, got, _)) in exs.iter().zip(&batch) {
+            for (e, &(_, got, sim, _)) in exs.iter().zip(&batch) {
                 let f_a = ProxyFeatures::extract(r, e, &small).as_array();
-                let f_b =
-                    ProxyFeatures::extract_with_sim(r, e, &small, r.embedding.cosine(&e.embedding))
-                        .as_array();
+                let f_b = ProxyFeatures::extract_with_sim(r, e, &small, sim).as_array();
                 for (a, b) in f_a.iter().zip(&f_b) {
                     assert_eq!(a.to_bits(), b.to_bits(), "feature drift");
                 }
-                assert_eq!(got.to_bits(), model.predict_example(r, e, &small).to_bits());
+                assert_eq!(got.to_bits(), model.predict(&f_a).to_bits());
             }
         }
     }
@@ -354,7 +355,7 @@ mod tests {
         for (r, e) in reqs.iter().zip(&exs).skip(600) {
             let base = generator.base_quality(&small, r);
             truths.push(example_utility(e, r, base, &icl));
-            preds.push(model.predict_example(r, e, &small));
+            preds.push(model.predict(&ProxyFeatures::extract(r, e, &small).as_array()));
             sims.push(r.embedding.cosine(&e.embedding));
         }
         let r_proxy = pearson(&preds, &truths).unwrap();

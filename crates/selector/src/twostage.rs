@@ -2,9 +2,9 @@
 
 use std::cell::RefCell;
 
-use ic_embed::{Embedding, cosine_from_dot};
+use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, ExampleStore, ModelSpec, Request};
-use ic_vecindex::{IvfConfig, IvfIndex, VectorIndex};
+use ic_vecindex::{IvfConfig, IvfIndex, StoredRow, VectorIndex};
 
 use crate::memo::{self, ProbeMemo};
 use crate::proxy::ProxyModel;
@@ -40,6 +40,12 @@ pub struct Selection {
     pub ids: Vec<ExampleId>,
     /// Predicted helpfulness of each chosen example (same order).
     pub predicted_utility: Vec<f64>,
+    /// Stage-1 similarity of each chosen example to the request (same
+    /// order): the request/example cosine, bit-identical to
+    /// [`Embedding::cosine`] of the two embeddings. The feedback path
+    /// builds its proxy features from it, since a cached example carries
+    /// no vector of its own.
+    pub stage1_similarity: Vec<f64>,
     /// Number of stage-1 candidates considered.
     pub stage1_count: usize,
     /// The utility threshold that was applied.
@@ -52,6 +58,7 @@ impl Selection {
         Self {
             ids: Vec::new(),
             predicted_utility: Vec::new(),
+            stage1_similarity: Vec::new(),
             stage1_count: 0,
             threshold_used: threshold,
         }
@@ -69,9 +76,11 @@ impl Selection {
 
 /// The Example Selector service.
 ///
-/// Owns the similarity index (stage 1) and the proxy model (stage 2); the
-/// example payloads themselves live in the Example Manager's cache and are
-/// reached through [`ExampleStore`].
+/// Owns the similarity index (stage 1) and the proxy model (stage 2). The
+/// index holds the one copy of every example's vector (§4.1): the
+/// diversity pick reads its stored rows. The plaintext and metadata live
+/// in the Example Manager's cache, whose examples carry no vector, and
+/// are reached through [`ExampleStore`].
 #[derive(Debug)]
 pub struct ExampleSelector {
     index: IvfIndex,
@@ -114,7 +123,8 @@ impl ExampleSelector {
         &self.index
     }
 
-    /// Indexes a new example (called by the Example Manager on admission).
+    /// Indexes a new example (called on admission with the embedding the
+    /// Example Manager's cache gave back: the index keeps the one copy).
     pub fn index_example(&mut self, id: ExampleId, embedding: Embedding) {
         self.index.insert(id.0, embedding);
     }
@@ -207,6 +217,13 @@ impl ExampleSelector {
     /// with the stage-1 `candidates` supplied by the caller (what
     /// [`ExampleSelector::stage1`] returned). Times and differentially
     /// tests stage 2 apart from the probe (`tests/stage2_oracle.rs`).
+    ///
+    /// # Panics
+    ///
+    /// If a candidate that `store` resolves is not in this selector's
+    /// index: the diversity pick reads each candidate's vector from its
+    /// index row, the one copy (a cached example carries none). Ids that
+    /// came from [`ExampleSelector::stage1`] always are.
     pub fn select_with_stage1<S: ExampleStore>(
         &self,
         request: &Request,
@@ -219,6 +236,8 @@ impl ExampleSelector {
 
     /// Stage 2 + threshold + diversity over the given stage-1
     /// candidates — the shared tail of every selection path above.
+    /// Panics if a candidate `store` resolves has no index row (see
+    /// [`ExampleSelector::select_with_stage1`]).
     fn select_from_stage1<S: ExampleStore>(
         &self,
         request: &Request,
@@ -236,10 +255,12 @@ impl ExampleSelector {
         // The stage-1 similarity *is* the request/example cosine (the
         // index kernel computes it bit-identically), so scoring reuses
         // it instead of re-reducing the embedding pair per candidate,
-        // and candidates resolve against the store exactly once.
-        let mut scored: Vec<(ExampleId, f64, &Example)> = candidates
+        // and candidates resolve against the store exactly once. Each
+        // entry is `(id, utility, stage-1 similarity, example)`; the
+        // batch writes the utilities.
+        let mut scored: Vec<(ExampleId, f64, f64, &Example)> = candidates
             .iter()
-            .filter_map(|&(id, sim)| store.get_example(id).map(|ex| (id, sim, ex)))
+            .filter_map(|&(id, sim)| store.get_example(id).map(|ex| (id, 0.0, sim, ex)))
             .collect();
         self.proxy.predict_candidates(request, &mut scored, target);
         // `(utility, id)` orders distinct candidates strictly, so the
@@ -250,22 +271,26 @@ impl ExampleSelector {
                 .then(a.0.cmp(&b.0))
         });
 
-        // Threshold + diversity greedy pick. Each embedding's norm is
-        // reduced once, when its candidate comes up, not once per pair.
-        let mut picked: Vec<(ExampleId, f64, &Embedding, f64)> = Vec::new();
-        for &(id, util, ex) in &scored {
+        // Threshold + diversity greedy pick, on the index's stored rows:
+        // each cosine reads the two rows in place and their insert-time
+        // norms, bit-identical to `Embedding::cosine` and allocating
+        // nothing.
+        let mut picked: Vec<(ExampleId, f64, f64, StoredRow<'_>)> =
+            Vec::with_capacity(MAX_EXAMPLES);
+        for &(id, util, sim, _) in &scored {
             if picked.len() >= MAX_EXAMPLES {
                 break;
             }
             if util < threshold {
                 break; // Sorted descending: everything after is below too.
             }
-            let norm = ex.embedding.norm();
-            let redundant = picked.iter().any(|&(_, _, p, p_norm)| {
-                cosine_from_dot(p.dot(&ex.embedding), p_norm, norm) > DIVERSITY_CEILING
-            });
+            let row = self
+                .index
+                .row(id.0)
+                .unwrap_or_else(|| panic!("stage-1 candidate {id:?} is not in the index"));
+            let redundant = (picked.iter()).any(|(.., p)| p.cosine(&row) > DIVERSITY_CEILING);
             if !redundant {
-                picked.push((id, util, &ex.embedding, norm));
+                picked.push((id, util, sim, row));
             }
         }
 
@@ -274,6 +299,7 @@ impl ExampleSelector {
         Selection {
             ids: picked.iter().map(|&(id, ..)| id).collect(),
             predicted_utility: picked.iter().map(|&(_, u, ..)| u).collect(),
+            stage1_similarity: picked.iter().map(|&(_, _, sim, _)| sim).collect(),
             stage1_count,
             threshold_used: threshold,
         }

@@ -15,7 +15,9 @@
 //! right), zero-norm embeddings that reach the pick (the cosine guard),
 //! candidates whose id is not in the store, all at `UTILITY_CUT`; and
 //! threshold 0.0 through `select_with_threshold` over stage 1's own
-//! candidates.
+//! candidates. The pick reads the vectors from the selector's index, so
+//! every bank is indexed there; the oracle keeps reading the store's
+//! examples, which still carry theirs.
 
 use std::collections::HashMap;
 
@@ -253,7 +255,11 @@ fn the_generated_banks_hit_duplicates_ties_and_zero_norms() {
     zero.embedding = Embedding::zeros(donor.embedding.dim());
     store.insert(zero.id, zero.clone());
 
-    let selector = ExampleSelector::standard();
+    // The diversity pick reads the vectors from the selector's index.
+    let mut selector = ExampleSelector::standard();
+    for e in store.values() {
+        selector.index_example(e.id, e.embedding.clone());
+    }
     let mut request = wg.generate_request_for_topic(donor.topic);
     request.embedding = donor.embedding.clone();
     let mut candidates: Vec<(ExampleId, f64)> = store

@@ -102,7 +102,7 @@ use ic_stats::IdMap;
 use ic_stats::rng::rng_from_seed;
 use rand::RngExt;
 
-use crate::kernel::{LaneBlocks, widen};
+use crate::kernel::{LANES, LaneBlocks, widen};
 use crate::kmeans::{KMeansModel, kmeans_fit_rows};
 use crate::{ItemId, SearchHit, VectorIndex, finalize_hits, sqrt_cluster_count};
 
@@ -251,6 +251,55 @@ impl PostingList {
     }
 }
 
+/// One stored row, read where it lies in its posting list, with the
+/// norm computed when it was placed ([`IvfIndex::row`]).
+///
+/// [`StoredRow::dot`] walks the two rows' components in order with the
+/// `f64` widening and accumulator of [`ic_embed::dot_slices`], so it and
+/// [`StoredRow::cosine`] are bit-identical to [`Embedding::dot`] and
+/// [`Embedding::cosine`] on the embeddings the rows were inserted as.
+/// Nothing is copied: the row is a borrow of the lane-transposed list.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredRow<'a> {
+    /// The list's blocks from the row's component 0 on; component `j`
+    /// sits `j * LANES` elements in.
+    lanes: &'a [f32],
+    dim: usize,
+    norm: f64,
+}
+
+impl<'a> StoredRow<'a> {
+    /// The components in order, as they were inserted.
+    pub fn components(&self) -> impl Iterator<Item = f32> + 'a {
+        self.lanes.iter().step_by(LANES).take(self.dim).copied()
+    }
+
+    /// The row's Euclidean norm — [`Embedding::norm`] of the inserted
+    /// embedding, computed once at insert.
+    pub fn norm(&self) -> f64 {
+        self.norm
+    }
+
+    /// Dot product with `other`, bit-identical to [`Embedding::dot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in width.
+    pub fn dot(&self, other: &StoredRow<'_>) -> f64 {
+        assert_eq!(self.dim, other.dim, "embedding dimension mismatch");
+        self.components()
+            .zip(other.components())
+            .map(|(a, b)| f64::from(a) * f64::from(b))
+            .sum()
+    }
+
+    /// Cosine similarity with `other` from the two insert-time norms,
+    /// bit-identical to [`Embedding::cosine`].
+    pub fn cosine(&self, other: &StoredRow<'_>) -> f64 {
+        cosine_from_dot(self.dot(other), self.norm, other.norm)
+    }
+}
+
 impl IvfIndex {
     /// Creates an empty index.
     pub fn new(config: IvfConfig) -> Self {
@@ -283,6 +332,20 @@ impl IvfIndex {
     /// Training work done so far.
     pub fn build_stats(&self) -> BuildStats {
         self.stats
+    }
+
+    /// The stored row of `id` and its insert-time norm, read in place;
+    /// `None` if `id` is not indexed. The index holds the one copy of
+    /// each vector, so whoever needs an indexed item's vector after
+    /// insert reads it here.
+    pub fn row(&self, id: ItemId) -> Option<StoredRow<'_>> {
+        let &(c, pos) = self.locator.get(&id)?;
+        let list = &self.lists[c as usize];
+        Some(StoredRow {
+            lanes: list.rows.row_lanes(pos as usize),
+            dim: list.rows.dim(),
+            norm: list.norms[pos as usize],
+        })
     }
 
     /// Current number of clusters (0 before first training).
@@ -756,6 +819,50 @@ mod tests {
             }
             assert!(ivf.is_empty());
             assert_locator_consistent(&ivf);
+        }
+    }
+
+    /// `row` reads back the inserted bits, and its dot, norm and cosine
+    /// are the `Embedding` reductions bit for bit — untrained, trained,
+    /// after a forced retrain, and for rows a removal moved.
+    #[test]
+    fn stored_rows_are_the_inserted_embeddings_bit_for_bit() {
+        for n in [40usize, 600] {
+            let mut ivf = IvfIndex::new(IvfConfig::default());
+            let mut rng = rng_from_seed(77);
+            let items: Vec<Embedding> = (0..n)
+                .map(|_| Embedding::gaussian(32, 1.0, &mut rng))
+                .collect();
+            for (id, e) in items.iter().enumerate() {
+                ivf.insert(id as ItemId, e.clone());
+            }
+            let check = |ivf: &IvfIndex, label: &str| {
+                for (id, e) in items.iter().enumerate() {
+                    let id = id as ItemId;
+                    let Some(row) = ivf.row(id) else {
+                        assert!(id.is_multiple_of(5), "{label}: {id} lost");
+                        continue;
+                    };
+                    let bits: Vec<u32> = row.components().map(f32::to_bits).collect();
+                    let want: Vec<u32> = e.as_slice().iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(bits, want, "{label}: row {id}");
+                    assert_eq!(row.norm().to_bits(), e.norm().to_bits(), "{label}");
+                    let other = (id + 1) % n as ItemId;
+                    if let Some(o) = ivf.row(other) {
+                        let oe = &items[other as usize];
+                        assert_eq!(row.dot(&o).to_bits(), e.dot(oe).to_bits(), "{label}");
+                        assert_eq!(row.cosine(&o).to_bits(), e.cosine(oe).to_bits());
+                    }
+                }
+            };
+            check(&ivf, "inserted");
+            for id in (0..n as ItemId).step_by(5) {
+                assert!(ivf.remove(id));
+            }
+            check(&ivf, "after removals");
+            ivf.retrain();
+            check(&ivf, "retrained");
+            assert!(ivf.row(n as ItemId).is_none());
         }
     }
 

@@ -176,6 +176,13 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
         out.extend((0..self.dim).map(|j| self.blocks[at + j * LANES]));
     }
 
+    /// The table from component 0 of row `pos` on: component `j` of the
+    /// row is element `j * LANES` of the slice.
+    pub(crate) fn row_lanes(&self, pos: usize) -> &[T] {
+        assert!(pos < self.len, "row out of range");
+        &self.blocks[self.offset(pos)..]
+    }
+
     /// Index of component 0 of row `pos`; component `j` is `j * LANES`
     /// further on.
     fn offset(&self, pos: usize) -> usize {

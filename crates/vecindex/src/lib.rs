@@ -73,7 +73,7 @@ pub(crate) mod kernel;
 pub mod kmeans;
 
 pub use flat::FlatIndex;
-pub use ivf::{BuildStats, IvfConfig, IvfIndex};
+pub use ivf::{BuildStats, IvfConfig, IvfIndex, StoredRow};
 pub use kmeans::{KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_fit_rows};
 
 use ic_embed::Embedding;
