@@ -96,9 +96,12 @@ impl SemanticCache {
         self.config.similarity_threshold = t;
     }
 
-    /// Inserts a past request–response pair.
-    pub fn insert(&mut self, example: Example) {
-        self.index.insert(example.id.0, example.embedding.clone());
+    /// Inserts a past request–response pair. The index owns its one
+    /// copy of the vector: the stored entry keeps a zero-length
+    /// embedding.
+    pub fn insert(&mut self, mut example: Example) {
+        let embedding = std::mem::take(&mut example.embedding);
+        self.index.insert(example.id.0, embedding);
         self.entries.insert(example.id, example);
     }
 
@@ -210,6 +213,46 @@ mod tests {
             mean(&same_topic),
             mean(&off_topic)
         );
+    }
+
+    /// The index is the one copy of each vector: entries keep a
+    /// zero-length embedding, and every lookup returns the hit (id and
+    /// similarity bits) of a flat index over the inserted vectors.
+    #[test]
+    fn entries_keep_no_vector_and_lookups_match_the_inserted_vectors() {
+        let mut wg = WorkloadGenerator::new(Dataset::MsMarco, 111);
+        let exs = wg.generate_examples(
+            500,
+            &ModelSpec::gemma_2_27b(),
+            ModelId(0),
+            &Generator::new(),
+        );
+        let mut reference = FlatIndex::new();
+        let mut cache = SemanticCache::new(SemanticCacheConfig {
+            similarity_threshold: 0.8,
+        });
+        for e in &exs {
+            reference.insert(e.id.0, e.embedding.clone());
+            cache.insert(e.clone());
+        }
+        for e in &exs {
+            assert_eq!(cache.entry(e.id).expect("inserted").embedding.dim(), 0);
+        }
+        let mut hits = 0;
+        for r in wg.generate_requests(200) {
+            let want = reference
+                .search(&r.embedding, 1)
+                .into_iter()
+                .next()
+                .filter(|h| h.similarity >= 0.8)
+                .map(|h| (h.id, h.similarity.to_bits()));
+            let got = cache
+                .lookup(&r)
+                .map(|h| (h.entry.0, h.similarity.to_bits()));
+            assert_eq!(got, want);
+            hits += usize::from(got.is_some());
+        }
+        assert!(hits > 0, "the threshold admits some hits");
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! comparisons and `BENCH_e2e.json`; writes only `BENCH_replay.json`
 //! and any requested observability artifacts).
 //!
-//! Every run also writes `BENCH_replay.json`: the replay-performance
-//! record (wall-clock seconds, simulator events per second, the
-//! replay counters, the process's peak resident set, and the
-//! tracing-enabled vs disabled replay walls side by side — the
-//! observability overhead is measured every run, not asserted). Its
-//! `peak_rss_mb`/`wall_s`/`traced_wall_s`/`events_per_sec` fields are
-//! measurements and are **not** part of any determinism contract — the
-//! CI determinism job diffs only `BENCH_e2e.json` and the observability
-//! artifacts.
+//! Every run replays the IC-Cache workload once and also writes
+//! `BENCH_replay.json` from that replay: the replay-performance record
+//! (the replay counters, the set-up's split, wall-clock seconds,
+//! simulator events per second and the process's peak resident set),
+//! measured under the configuration given — a traced run times the
+//! traced replay. Its `peak_rss_mb`/`wall_s`/`events_per_sec` fields
+//! (and the other `*_wall_s`) are measurements and are **not** part of
+//! any determinism contract — the CI determinism job diffs only
+//! `BENCH_e2e.json` and the observability artifacts. Tracing overhead
+//! is measured by the `obs` micro-benchmarks, not here
+//! (`docs/observability.md`).
 //!
 //! Observability (`docs/observability.md`):
 //!
@@ -40,13 +42,10 @@
 //! `IC_POOL_OUTAGE` flushes a pool's work back through it as retries,
 //! counted in the `router` block.
 
-use std::time::Instant;
-
 use ic_bench::Scale;
-use ic_bench::experiments::e2e;
-use ic_bench::harness::SetupTiming;
+use ic_bench::experiments::e2e::{self, TimedReplay};
 use ic_bench::write_artifact;
-use ic_engine::{EngineConfig, EngineReport, ServingEngine};
+use ic_engine::EngineReport;
 use ic_workloads::Dataset;
 
 /// Peak resident set of this process so far in MiB (`VmHWM`; 0 where
@@ -65,18 +64,13 @@ fn peak_rss_mb() -> f64 {
 
 /// The replay-performance record. Deterministic fields first, measured
 /// fields last; only `BENCH_e2e.json` and the observability
-/// artifacts carry determinism guarantees. `wall_s` times the
-/// observability-off replay, `traced_wall_s` the identical replay with
-/// the lifecycle recorder on — side by side, so the tracing-overhead
-/// claim is a measurement.
-fn replay_json(
-    fraction: f64,
-    report: &EngineReport,
-    wall_s: f64,
-    traced_wall_s: f64,
-    setup: SetupTiming,
-    peak_rss_mb: f64,
-) -> String {
+/// artifacts carry determinism guarantees.
+fn replay_json(fraction: f64, replay: &TimedReplay, peak_rss_mb: f64) -> String {
+    let TimedReplay {
+        report,
+        setup,
+        wall_s,
+    } = replay;
     let events = report.served + report.iter.steps;
     // The replay counters are `ReplayStats::to_json`'s keys, spliced in
     // without its braces, so a new counter is serialized in one place.
@@ -91,7 +85,7 @@ fn replay_json(
             "\"certified_scans\":{},\"exact_resolves\":{},",
             "\"setup_wall_s\":{:.3},\"peak_rss_mb\":{:.1},",
             "\"bank_gen_wall_s\":{:.3},\"index_build_wall_s\":{:.3},",
-            "\"wall_s\":{:.3},\"traced_wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
+            "\"wall_s\":{:.3},\"events_per_sec\":{:.1}}}"
         ),
         fraction,
         report.served,
@@ -110,7 +104,6 @@ fn replay_json(
         setup.bank_gen_wall_s,
         setup.index_build_wall_s,
         wall_s,
-        traced_wall_s,
         events as f64 / wall_s.max(1e-9),
     )
 }
@@ -167,13 +160,12 @@ fn print_engine_summary(report: &EngineReport) {
     );
 }
 
-fn print_replay_summary(
-    report: &EngineReport,
-    wall_s: f64,
-    traced_wall_s: f64,
-    setup: SetupTiming,
-    peak_rss_mb: f64,
-) {
+fn print_replay_summary(replay: &TimedReplay, peak_rss_mb: f64) {
+    let TimedReplay {
+        report,
+        setup,
+        wall_s,
+    } = replay;
     println!(
         "setup: {:.2}s wall (bank gen {:.2}s, index build {:.2}s) vs replay {:.2}s, \
          peak RSS {:.1} MiB",
@@ -222,12 +214,6 @@ fn print_replay_summary(
         r.probe_memo_lookups,
         r.probe_memo_hits as f64 / r.probe_memo_lookups.max(1) as f64 * 100.0,
     );
-    println!(
-        "obs overhead: untraced {:.2}s vs traced {:.2}s wall ({:+.1}%)",
-        wall_s,
-        traced_wall_s,
-        (traced_wall_s / wall_s.max(1e-9) - 1.0) * 100.0,
-    );
 }
 
 /// Writes the observability artifacts a traced/sampled report carries:
@@ -258,17 +244,6 @@ fn write_obs_artifacts(report: &EngineReport, trace_path: Option<&str>, sampled:
             obs.samples.len()
         );
     }
-}
-
-/// Times `serve_workload` over the standard MS MARCO replay parts under
-/// `config`, returning the report, its wall seconds, and the measured
-/// wall split of the setup that preceded it.
-fn timed_replay(scale: Scale, config: &EngineConfig) -> (EngineReport, f64, SetupTiming) {
-    let (mut engine, requests, arrivals, setup) =
-        e2e::E2eRun::with(scale, Dataset::MsMarco, config).parts();
-    let start = Instant::now();
-    let report = engine.serve_workload(&requests, &arrivals);
-    (report, start.elapsed().as_secs_f64(), setup)
 }
 
 /// Exits 2 with `msg` and the usage line: an argument this binary does
@@ -313,56 +288,45 @@ fn main() {
     // Every engine run of the process (suite run included) records the
     // event stream.
     config.trace |= trace_path.is_some();
-    let sampled = config.obs_sample_s > 0.0;
-    // The overhead pair: one observability-off replay and one with the
-    // lifecycle recorder on (sampler as configured), same seed.
-    let mut obs_off = config.clone();
-    obs_off.trace = false;
-    obs_off.obs_sample_s = 0.0;
-    let mut obs_on = config.clone();
-    obs_on.trace = true;
-
-    if let Some(fraction) = fraction {
-        // Engine-replay-only fast path: one event-driven run at an
-        // arbitrary workload fraction, timed with and without tracing.
-        let scale = Scale {
+    // `--fraction` is the engine-replay-only run: the IC-Cache replay at
+    // an arbitrary fraction of the paper-scale workload, without the
+    // baseline policies and `BENCH_e2e.json`.
+    let scale = match fraction {
+        Some(fraction) => Scale {
             fraction,
             seed: 20_250_613,
-        };
-        let (engine_report, wall_s, setup) = timed_replay(scale, &obs_off);
-        let (traced, traced_wall_s, _) = timed_replay(scale, &obs_on);
-        let peak = peak_rss_mb();
-        write_artifact(
-            "BENCH_replay.json",
-            replay_json(fraction, &engine_report, wall_s, traced_wall_s, setup, peak),
-        );
-        write_obs_artifacts(&traced, trace_path.as_deref(), sampled);
-        print_engine_summary(&engine_report);
-        print_replay_summary(&engine_report, wall_s, traced_wall_s, setup, peak);
-        println!("wrote BENCH_replay.json (fraction {fraction})");
-        return;
-    }
-
-    let scale = if quick { Scale::quick() } else { Scale::full() };
-    let (report, engine_report) = e2e::fig12_e2e_full(scale, &config);
-    write_artifact("BENCH_e2e.json", engine_report.to_json());
-    // The suite's engine run already carries the observability block
-    // when tracing/sampling is on; the artifacts come from it so the
-    // timed overhead pair below stays measurement-only.
-    write_obs_artifacts(&engine_report, trace_path.as_deref(), sampled);
-    // The replay-performance record times the engine replay alone — a
-    // dedicated run, so neither the suite's baseline policies and
-    // judging nor the workload-generation setup pollute the
-    // events-per-second figure.
-    let (timed, wall_s, setup) = timed_replay(scale, &obs_off);
-    let (_, traced_wall_s, _) = timed_replay(scale, &obs_on);
+        },
+        None if quick => Scale::quick(),
+        None => Scale::full(),
+    };
+    let (suite, replay) = match fraction {
+        Some(_) => (
+            None,
+            e2e::E2eRun::with(scale, Dataset::MsMarco, &config).timed(),
+        ),
+        None => {
+            let (suite, replay) = e2e::fig12_e2e_full(scale, &config);
+            (Some(suite), replay)
+        }
+    };
     let peak = peak_rss_mb();
     write_artifact(
         "BENCH_replay.json",
-        replay_json(scale.fraction, &timed, wall_s, traced_wall_s, setup, peak),
+        replay_json(scale.fraction, &replay, peak),
     );
-    println!("{}", report.to_markdown());
-    println!("wrote BENCH_e2e.json and BENCH_replay.json");
-    print_engine_summary(&engine_report);
-    print_replay_summary(&timed, wall_s, traced_wall_s, setup, peak);
+    write_obs_artifacts(
+        &replay.report,
+        trace_path.as_deref(),
+        config.obs_sample_s > 0.0,
+    );
+    if let Some(suite) = &suite {
+        write_artifact("BENCH_e2e.json", replay.report.to_json());
+        println!("{}", suite.to_markdown());
+        println!("wrote BENCH_e2e.json and BENCH_replay.json");
+    }
+    print_engine_summary(&replay.report);
+    print_replay_summary(&replay, peak);
+    if let Some(fraction) = fraction {
+        println!("wrote BENCH_replay.json (fraction {fraction})");
+    }
 }

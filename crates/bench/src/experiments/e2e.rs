@@ -1,19 +1,24 @@
 //! End-to-end serving experiments: Figs. 12, 13, 16, 18, 20 and the
 //! abstract's headline claims.
 
+use std::time::Instant;
+
 use ic_baselines::RouteLlm;
 
-use ic_engine::{EngineConfig, EngineReport, EventDrivenEngine, ServingEngine};
+use ic_engine::{
+    EngineConfig, EngineReport, EventDrivenEngine, LatencyStats, RequestRecord, ServingEngine,
+};
 use ic_judge::Autorater;
-use ic_llmsim::GenSetup;
-use ic_serving::ServingMetrics;
+use ic_llmsim::{GenOutcome, GenSetup};
+use ic_serving::jobs_from_tuples;
 use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator, fixed_qps_arrivals, thirty_minute_trace};
 use rand::RngExt;
+use rand::rngs::StdRng;
 
 use crate::harness::{
     PairSetup, Scale, SetupTiming, mixed_cluster, normalized_throughput, side_by_side,
-    single_cluster, to_jobs,
+    single_cluster,
 };
 use crate::report::{Report, Table, f3, pct};
 
@@ -28,199 +33,29 @@ struct OnlineRun {
     offload_series: Vec<f64>,
     /// Mean latency per 5-minute bucket (Fig. 12c/d).
     latency_series: Vec<f64>,
-    /// The raw engine report, when this run went through the unified
-    /// engine (the IC-Cache policy).
-    engine: Option<EngineReport>,
 }
 
-/// Replays the 30-minute trace under one policy and measures everything.
-#[allow(clippy::too_many_arguments)]
-fn online_run(
+/// One fig12 policy's row and 5-minute bucket series from its
+/// per-request records (in request order, paired with
+/// `reference_large`), judged with `rng`.
+fn policy_row(
     name: &str,
-    dataset: Dataset,
-    arrivals: &[f64],
-    policy: Policy,
-    reference_large: &[f64],
-    scale: Scale,
-    judge: &Autorater,
-    config: &EngineConfig,
-) -> OnlineRun {
-    let mut rng = rng_from_seed(scale.seed ^ 23);
-
-    // IC-Cache runs through the unified event-driven engine — the
-    // [`E2eRun`] `BENCH_e2e.json` records: admission, selection, routing,
-    // iteration-level batching and completion feedback all happen inside
-    // the simulation clock. `config` acts on this run alone; the other
-    // policies have no load-adaptive logic and keep the replay path
-    // below, so treat knob runs as IC-Cache scheduler sweeps, not
-    // controlled policy comparisons.
-    if matches!(policy, Policy::IcCache) {
-        let report = E2eRun::with(scale, dataset, config).run();
-        return online_run_from_engine(name, report, reference_large, judge, &mut rng);
-    }
-
-    let (mut setup, _) = warmed_pair(dataset, scale);
-    let requests = setup.generator.generate_requests(arrivals.len());
-
-    // RouteLLM needs offline training on preference data.
-    let mut routellm = RouteLlm::new(setup.small, setup.large, 0.5);
-    if matches!(policy, Policy::RouteLlmPlus) {
-        let train = setup.generator.generate_requests(scale.count(5_000, 300));
-        let mut rng = rng_from_seed(scale.seed ^ 22);
-        let labels: Vec<bool> = train
-            .iter()
-            .map(|r| {
-                let qs = setup
-                    .sim
-                    .generate(&setup.small_spec, r, &GenSetup::bare(), &mut rng)
-                    .quality;
-                let ql = setup
-                    .sim
-                    .generate(&setup.large_spec, r, &GenSetup::bare(), &mut rng)
-                    .quality;
-                qs >= ql - 0.25
-            })
-            .collect();
-        let data: Vec<(&ic_llmsim::Request, bool)> =
-            train.iter().zip(labels.iter().copied()).collect();
-        routellm.train(&data, 20, 0.1);
-    }
-
-    let mut rows = Vec::new();
-    let mut qualities = Vec::new();
-    let mut offloaded_flags = Vec::new();
-    for (i, (r, &at)) in requests.iter().zip(arrivals).enumerate() {
-        let (pool, outcome) = match policy {
-            Policy::IcCache => unreachable!("handled by the engine path above"),
-            Policy::RouteLlmPlus => {
-                // RouteLLM decides; offloaded requests still benefit from
-                // the example cache (the "+"), but routing ignores load.
-                if routellm.route(r) == setup.small {
-                    let sel = setup.system.with_selection(r);
-                    let refs = sel.resolve(setup.system.manager().cache());
-                    let out = setup.sim.generate(
-                        &setup.small_spec,
-                        r,
-                        &GenSetup::with_examples(refs),
-                        &mut rng,
-                    );
-                    (0, out)
-                } else {
-                    let out = setup
-                        .sim
-                        .generate(&setup.large_spec, r, &GenSetup::bare(), &mut rng);
-                    (1, out)
-                }
-            }
-            Policy::AlwaysSmall => (
-                0,
-                setup
-                    .sim
-                    .generate(&setup.small_spec, r, &GenSetup::bare(), &mut rng),
-            ),
-            Policy::AlwaysLarge => (
-                1,
-                setup
-                    .sim
-                    .generate(&setup.large_spec, r, &GenSetup::bare(), &mut rng),
-            ),
-        };
-        qualities.push(outcome.quality);
-        offloaded_flags.push(pool == 0);
-        rows.push((
-            i as u64,
-            pool,
-            at,
-            outcome.latency.ttft,
-            outcome.latency.decode,
-            outcome.input_tokens,
-            outcome.output_tokens,
-        ));
-    }
-
-    // Replay through the cluster. Static single-model policies get the
-    // whole 16-GPU cluster for their model; mixed policies split it.
-    let mut cluster = match policy {
-        Policy::AlwaysSmall => single_cluster(&setup.small_spec, 16),
-        Policy::AlwaysLarge => single_cluster(&setup.large_spec, 16),
-        _ => mixed_cluster(&setup.small_spec, &setup.large_spec, 16),
-    };
-    // Single-model clusters have one pool: remap pool ids.
-    let rows: Vec<_> = match policy {
-        Policy::AlwaysSmall | Policy::AlwaysLarge => rows
-            .into_iter()
-            .map(|(id, _, at, ttft, dec, pt, dt)| (id, 0usize, at, ttft, dec, pt, dt))
-            .collect(),
-        _ => rows,
-    };
-    let results = cluster.run(to_jobs(&rows));
-    let mut metrics = ServingMetrics::from_results(&results);
-
-    // Win rate vs the always-large reference on the same requests.
-    let (_, wr) = side_by_side(judge, &qualities, reference_large, &mut rng);
-
-    // Time series per 5-minute bucket.
-    let horizon = arrivals.last().copied().unwrap_or(1.0);
-    let n_buckets = 6usize;
-    let mut off_series = vec![0.0; n_buckets];
-    let mut off_count = vec![0usize; n_buckets];
-    for (&at, &off) in arrivals.iter().zip(&offloaded_flags) {
-        let b = ((at / horizon * n_buckets as f64) as usize).min(n_buckets - 1);
-        off_count[b] += 1;
-        if off {
-            off_series[b] += 1.0;
-        }
-    }
-    for (s, c) in off_series.iter_mut().zip(&off_count) {
-        *s /= (*c).max(1) as f64;
-    }
-    let mut lat_series = vec![0.0; n_buckets];
-    let mut lat_count = vec![0usize; n_buckets];
-    for r in &results {
-        let b =
-            ((r.arrival.as_secs_f64() / horizon * n_buckets as f64) as usize).min(n_buckets - 1);
-        lat_series[b] += r.e2e_secs();
-        lat_count[b] += 1;
-    }
-    for (s, c) in lat_series.iter_mut().zip(&lat_count) {
-        *s /= (*c).max(1) as f64;
-    }
-
-    OnlineRun {
-        name: name.to_owned(),
-        offload_ratio: offloaded_flags.iter().filter(|&&o| o).count() as f64
-            / offloaded_flags.len().max(1) as f64,
-        mean_latency: metrics.mean_e2e(),
-        p99_latency: metrics.e2e_quantile(0.99),
-        win_rate_vs_large: wr,
-        offload_series: off_series,
-        latency_series: lat_series,
-        engine: None,
-    }
-}
-
-/// Converts an engine report into the per-policy result shape shared
-/// with the replay-path baselines.
-fn online_run_from_engine(
-    name: &str,
-    report: EngineReport,
+    records: &[RequestRecord],
     reference_large: &[f64],
     judge: &Autorater,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut StdRng,
 ) -> OnlineRun {
     // Queue-cap rejects never executed: keep them (and their paired
     // always-large reference entries) out of the judged win rate and the
     // time series, matching the latency aggregates' population.
-    let (qualities, reference): (Vec<f64>, Vec<f64>) = report
-        .per_request
+    let (qualities, reference): (Vec<f64>, Vec<f64>) = records
         .iter()
         .zip(reference_large)
         .filter(|(r, _)| !r.rejected)
         .map(|(r, &q)| (r.quality, q))
         .unzip();
     let (_, wr) = side_by_side(judge, &qualities, &reference, rng);
-    let horizon = report
-        .per_request
+    let horizon = records
         .iter()
         .map(|r| r.arrival_s)
         .fold(0.0f64, f64::max)
@@ -229,7 +64,7 @@ fn online_run_from_engine(
     let mut off_series = vec![0.0; n_buckets];
     let mut off_count = vec![0usize; n_buckets];
     let mut lat_series = vec![0.0; n_buckets];
-    for r in report.per_request.iter().filter(|r| !r.rejected) {
+    for r in records.iter().filter(|r| !r.rejected) {
         let b = ((r.arrival_s / horizon * n_buckets as f64) as usize).min(n_buckets - 1);
         off_count[b] += 1;
         if r.offloaded {
@@ -241,16 +76,162 @@ fn online_run_from_engine(
         *o /= (*c).max(1) as f64;
         *l /= (*c).max(1) as f64;
     }
+    let latency = LatencyStats::from_records(records);
     OnlineRun {
         name: name.to_owned(),
-        offload_ratio: report.offload_ratio(),
-        mean_latency: report.latency.mean_e2e,
-        p99_latency: report.latency.p99_e2e,
+        offload_ratio: records.iter().filter(|r| r.offloaded).count() as f64
+            / records.len().max(1) as f64,
+        mean_latency: latency.mean_e2e,
+        p99_latency: latency.p99_e2e,
         win_rate_vs_large: wr,
         offload_series: off_series,
         latency_series: lat_series,
-        engine: Some(report),
     }
+}
+
+/// The baselines fig12 compares IC-Cache against. None has load-adaptive
+/// logic: each request's model is decided up front and a 16-GPU
+/// `ClusterSim` replays the decisions.
+#[derive(Clone, Copy)]
+enum Baseline {
+    RouteLlmPlus,
+    AlwaysSmall,
+    AlwaysLarge,
+}
+
+/// Replays the 30-minute trace under one baseline and measures its row.
+/// Static single-model policies get the whole cluster for their model;
+/// RouteLLM+ splits it (pool 0 small, pool 1 large).
+fn baseline_run(
+    name: &str,
+    baseline: Baseline,
+    dataset: Dataset,
+    arrivals: &[f64],
+    reference_large: &[f64],
+    scale: Scale,
+    judge: &Autorater,
+) -> OnlineRun {
+    let mut rng = rng_from_seed(scale.seed ^ 23);
+    let config = ic_cache::IcCacheConfig::gemma_pair();
+    let (small, large) = (config.offload_models()[0], config.primary);
+    let (small_spec, large_spec) = (config.catalog.get(small), config.catalog.get(large));
+    // `(offloaded, examples, outcome)` per request.
+    let served: Vec<(bool, usize, GenOutcome)> = match baseline {
+        Baseline::RouteLlmPlus => routellm_plus(dataset, arrivals.len(), scale, &mut rng),
+        Baseline::AlwaysSmall | Baseline::AlwaysLarge => {
+            let offloaded = matches!(baseline, Baseline::AlwaysSmall);
+            let spec = if offloaded { small_spec } else { large_spec };
+            let sim = ic_llmsim::Generator::new();
+            served_requests(dataset, scale, arrivals.len())
+                .iter()
+                .map(|r| {
+                    let out = sim.generate(spec, r, &GenSetup::bare(), &mut rng);
+                    (offloaded, 0, out)
+                })
+                .collect()
+        }
+    };
+    let mut cluster = match baseline {
+        Baseline::RouteLlmPlus => mixed_cluster(small_spec, large_spec, 16),
+        Baseline::AlwaysSmall => single_cluster(small_spec, 16),
+        Baseline::AlwaysLarge => single_cluster(large_spec, 16),
+    };
+    let mixed = matches!(baseline, Baseline::RouteLlmPlus);
+    let rows: Vec<_> = served
+        .iter()
+        .zip(arrivals)
+        .enumerate()
+        .map(|(i, ((offloaded, _, out), &at))| {
+            (
+                i as u64,
+                usize::from(mixed && !offloaded),
+                at,
+                out.latency.ttft,
+                out.latency.decode,
+                out.input_tokens,
+                out.output_tokens,
+            )
+        })
+        .collect();
+    let jobs = jobs_from_tuples(&rows);
+    // A request counts as a queue-cap reject until its job completes.
+    let mut records: Vec<RequestRecord> = jobs
+        .iter()
+        .zip(&served)
+        .map(|(job, &(offloaded, examples, ref out))| RequestRecord {
+            index: job.id.0 as usize,
+            model: if offloaded { small.0 } else { large.0 },
+            offloaded,
+            quality: out.quality,
+            solicited: false,
+            examples,
+            arrival_s: job.arrival.as_secs_f64(),
+            queue_s: 0.0,
+            ttft_s: 0.0,
+            e2e_s: 0.0,
+            rejected: true,
+        })
+        .collect();
+    for done in cluster.run(jobs) {
+        let record = &mut records[done.id.0 as usize];
+        record.queue_s = done.queue_wait_secs();
+        record.ttft_s = done.ttft_secs();
+        record.e2e_s = done.e2e_secs();
+        record.rejected = false;
+    }
+    policy_row(name, &records, reference_large, judge, &mut rng)
+}
+
+/// RouteLLM+'s `(offloaded, examples, outcome)` for the `n` requests a
+/// [`warmed_pair`] serves: RouteLLM decides; offloaded requests still
+/// benefit from the example cache (the "+"), but routing ignores load.
+fn routellm_plus(
+    dataset: Dataset,
+    n: usize,
+    scale: Scale,
+    rng: &mut StdRng,
+) -> Vec<(bool, usize, GenOutcome)> {
+    let (mut setup, _) = warmed_pair(dataset, scale);
+    let requests = setup.generator.generate_requests(n);
+    // RouteLLM needs offline training on preference data.
+    let mut routellm = RouteLlm::new(setup.small, setup.large, 0.5);
+    let train = setup.generator.generate_requests(scale.count(5_000, 300));
+    let mut train_rng = rng_from_seed(scale.seed ^ 22);
+    let labels: Vec<bool> = train
+        .iter()
+        .map(|r| {
+            let qs = setup
+                .sim
+                .generate(&setup.small_spec, r, &GenSetup::bare(), &mut train_rng)
+                .quality;
+            let ql = setup
+                .sim
+                .generate(&setup.large_spec, r, &GenSetup::bare(), &mut train_rng)
+                .quality;
+            qs >= ql - 0.25
+        })
+        .collect();
+    let data: Vec<(&ic_llmsim::Request, bool)> = train.iter().zip(labels.iter().copied()).collect();
+    routellm.train(&data, 20, 0.1);
+
+    let mut served = Vec::with_capacity(requests.len());
+    for r in &requests {
+        if routellm.route(r) == setup.small {
+            let sel = setup.system.with_selection(r);
+            let refs = sel.resolve(setup.system.manager().cache());
+            let examples = refs.len();
+            let out = setup
+                .sim
+                .generate(&setup.small_spec, r, &GenSetup::with_examples(refs), rng);
+            served.push((true, examples, out));
+        } else {
+            let out = setup
+                .sim
+                .generate(&setup.large_spec, r, &GenSetup::bare(), rng);
+            served.push((false, 0, out));
+        }
+    }
+    served
 }
 
 /// One replay of the 30-minute trace through the unified
@@ -263,6 +244,20 @@ pub struct E2eRun {
     scale: Scale,
     dataset: Dataset,
     config: EngineConfig,
+}
+
+/// An [`E2eRun`]'s report with the host time it took: the measured
+/// split of the setup ([`SetupTiming`]) and the replay's wall seconds
+/// (`serve_workload` alone). Both are measurements, outside every
+/// determinism contract.
+#[derive(Debug)]
+pub struct TimedReplay {
+    /// The engine report.
+    pub report: EngineReport,
+    /// The setup before the replay.
+    pub setup: SetupTiming,
+    /// Wall seconds of the replay.
+    pub wall_s: f64,
 }
 
 impl E2eRun {
@@ -283,11 +278,7 @@ impl E2eRun {
 
     /// The pre-replay pieces: the seeded engine, the request stream,
     /// the arrival trace, and the measured wall-clock split of the
-    /// setup just performed ([`SetupTiming`]). Lets callers time the
-    /// replay itself (`serve_workload`) apart from the setup — at
-    /// paper-scale fractions the setup embeds and indexes tens of
-    /// thousands of examples and would otherwise dominate any
-    /// wall-clock figure.
+    /// setup just performed ([`SetupTiming`]).
     pub fn parts(
         self,
     ) -> (
@@ -296,7 +287,7 @@ impl E2eRun {
         Vec<f64>,
         SetupTiming,
     ) {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let arrivals = trace_arrivals(self.scale);
         let (mut setup, mut timing) = warmed_pair(self.dataset, self.scale);
         let requests = setup.generator.generate_requests(arrivals.len());
@@ -307,8 +298,22 @@ impl E2eRun {
 
     /// Sets up and replays, returning the raw engine report.
     pub fn run(self) -> EngineReport {
-        let (mut engine, requests, arrivals, _) = self.parts();
-        engine.serve_workload(&requests, &arrivals)
+        self.timed().report
+    }
+
+    /// Sets up and replays, timing the replay apart from the setup — at
+    /// paper-scale fractions the setup embeds and indexes tens of
+    /// thousands of examples and would otherwise dominate any
+    /// wall-clock figure.
+    pub fn timed(self) -> TimedReplay {
+        let (mut engine, requests, arrivals, setup) = self.parts();
+        let start = Instant::now();
+        let report = engine.serve_workload(&requests, &arrivals);
+        TimedReplay {
+            report,
+            setup,
+            wall_s: start.elapsed().as_secs_f64(),
+        }
     }
 }
 
@@ -350,14 +355,6 @@ fn served_requests(dataset: Dataset, scale: Scale, n: usize) -> Vec<ic_llmsim::R
     generator.generate_requests(n)
 }
 
-#[derive(Clone, Copy)]
-enum Policy {
-    IcCache,
-    RouteLlmPlus,
-    AlwaysSmall,
-    AlwaysLarge,
-}
-
 /// The always-large answers' quality on the `n` requests every fig12
 /// policy serves on `dataset` — the reference each is judged against.
 fn large_reference(dataset: Dataset, n: usize, scale: Scale) -> Vec<f64> {
@@ -378,35 +375,43 @@ pub fn fig12_e2e(scale: Scale) -> Report {
 }
 
 /// [`fig12_e2e`] with `config` applied to the IC-Cache run, plus that
-/// run's raw engine report on MS MARCO — the `BENCH_e2e.json` payload —
+/// run on MS MARCO, timed — its report is the `BENCH_e2e.json` payload —
 /// so the binary does not re-run the trace.
-pub fn fig12_e2e_full(scale: Scale, config: &EngineConfig) -> (Report, EngineReport) {
+pub fn fig12_e2e_full(scale: Scale, config: &EngineConfig) -> (Report, TimedReplay) {
     let mut report = Report::new(
         "fig12_e2e",
         "Online offloading, latency and quality under a bursty trace",
         "Fig. 12",
     );
-    let mut engine_report: Option<EngineReport> = None;
+    let mut replay: Option<TimedReplay> = None;
     let judge = Autorater::standard();
     for dataset in [Dataset::MsMarco, Dataset::NaturalQuestions] {
         let arrivals = trace_arrivals(scale);
         let reference = large_reference(dataset, arrivals.len(), scale);
-        let mut runs: Vec<OnlineRun> = [
-            ("IC-Cache", Policy::IcCache),
-            ("RouteLLM+", Policy::RouteLlmPlus),
-            ("Always-Small", Policy::AlwaysSmall),
-            ("Always-Large", Policy::AlwaysLarge),
-        ]
-        .into_iter()
-        .map(|(name, p)| {
-            online_run(
-                name, dataset, &arrivals, p, &reference, scale, &judge, config,
+        // IC-Cache runs through the unified event-driven engine:
+        // admission, selection, routing, iteration-level batching and
+        // completion feedback all happen inside the simulation clock.
+        // `config` acts on this run alone, so treat knob runs as
+        // IC-Cache scheduler sweeps, not controlled policy comparisons.
+        let ic = E2eRun::with(scale, dataset, config).timed();
+        let baseline = |name, baseline| {
+            baseline_run(
+                name, baseline, dataset, &arrivals, &reference, scale, &judge,
             )
-        })
-        .collect();
-        if engine_report.is_none() {
-            engine_report = runs[0].engine.take();
-        }
+        };
+        let runs = [
+            policy_row(
+                "IC-Cache",
+                &ic.report.per_request,
+                &reference,
+                &judge,
+                &mut rng_from_seed(scale.seed ^ 23),
+            ),
+            baseline("RouteLLM+", Baseline::RouteLlmPlus),
+            baseline("Always-Small", Baseline::AlwaysSmall),
+            baseline("Always-Large", Baseline::AlwaysLarge),
+        ];
+        replay.get_or_insert(ic);
         let ds_name = Dataset::ALL
             .iter()
             .find(|d| **d == dataset)
@@ -461,8 +466,10 @@ pub fn fig12_e2e_full(scale: Scale, config: &EngineConfig) -> (Report, EngineRep
         }
         report.table(ts);
     }
-    let engine_report = engine_report.expect("the IC-Cache policy always runs through the engine");
-    (report, engine_report)
+    (
+        report,
+        replay.expect("the loop replays MS MARCO under IC-Cache"),
+    )
 }
 
 /// Sweeps an IC-Cache-style policy over offload aggressiveness and
@@ -871,13 +878,17 @@ pub fn fig20_loads(scale: Scale) -> Report {
                 "gemma-2-27b" => single_cluster(&setup.large_spec, 16),
                 _ => mixed_cluster(&setup.small_spec, &setup.large_spec, 16),
             };
-            let results = cluster.run(to_jobs(&rows));
-            let mut m = ServingMetrics::from_results(&results);
+            let latency = LatencyStats::from_samples(
+                cluster
+                    .run(jobs_from_tuples(&rows))
+                    .iter()
+                    .map(|r| (r.e2e_secs(), r.ttft_secs(), r.queue_wait_secs())),
+            );
             t.row(vec![
                 format!("{qps}"),
                 system_kind.into(),
-                f3(m.e2e_quantile(0.5)),
-                f3(m.e2e_quantile(0.99)),
+                f3(latency.p50_e2e),
+                f3(latency.p99_e2e),
             ]);
         }
     }

@@ -436,14 +436,18 @@ pub fn fig27_distributions(scale: Scale) -> Report {
             "IC P(-3)",
         ],
     );
-    let pairs: Vec<(IcCacheConfig, &str)> = vec![
-        (IcCacheConfig::gemini_pair(), "Gemini"),
-        (IcCacheConfig::gemma_pair(), "Gemma-2"),
-        (IcCacheConfig::phi_pair(), "Phi-3"),
-    ];
-    for (config, family) in pairs {
+    // Presets, not configs: `IcCacheConfig` owns its catalog and is not
+    // `Clone`, so each dataset builds the pair afresh.
+    for (preset, family) in [
+        (
+            IcCacheConfig::gemini_pair as fn() -> IcCacheConfig,
+            "Gemini",
+        ),
+        (IcCacheConfig::gemma_pair, "Gemma-2"),
+        (IcCacheConfig::phi_pair, "Phi-3"),
+    ] {
         for dataset in [Dataset::MsMarco, Dataset::NaturalQuestions] {
-            let (bare, ic, large) = pair_qualities(config_clone(&config), dataset, scale, 0x81);
+            let (bare, ic, large) = pair_qualities(preset(), dataset, scale, 0x81);
             let mut rng = rng_from_seed(scale.seed ^ 0x82);
             let mut hist_bare = Histogram::new(-3.0, 3.001, 7).expect("valid range");
             let mut hist_ic = Histogram::new(-3.0, 3.001, 7).expect("valid range");
@@ -476,14 +480,6 @@ pub fn fig27_distributions(scale: Scale) -> Report {
          family/dataset cell (paper Fig. 28: mean -2.33 -> -0.89 on Phi-3/NQ)",
     );
     report
-}
-
-/// Rebuild a config (IcCacheConfig is deliberately not Clone: it owns a
-/// catalog; experiments reconstruct from the same preset instead).
-fn config_clone(c: &IcCacheConfig) -> IcCacheConfig {
-    let small = c.catalog.get(c.offload_models()[0]).name.clone();
-    let large = c.catalog.get(c.primary).name.clone();
-    IcCacheConfig::pair(&small, &large)
 }
 
 /// Table 2: IC vs RAG vs IC+RAG on MS MARCO.

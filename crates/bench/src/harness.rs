@@ -3,7 +3,7 @@
 use ic_cache::{IcCacheConfig, IcCacheSystem};
 use ic_judge::{Autorater, PairwiseEval};
 use ic_llmsim::{Generator, ModelId, ModelSpec};
-use ic_serving::{ClusterSim, JobSpec, PoolConfig};
+use ic_serving::{ClusterSim, PoolConfig};
 use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator};
 use rand::rngs::StdRng;
@@ -210,13 +210,6 @@ pub fn single_cluster(spec: &ModelSpec, total_gpus: u32) -> ClusterSim {
         spec.gpus_per_replica,
         8,
     )])
-}
-
-/// Turns `(id, pool, arrival, ttft, decode, prefill_tokens,
-/// decode_tokens)` decisions into cluster jobs for the iteration-level
-/// scheduler.
-pub fn to_jobs(rows: &[(u64, usize, f64, f64, f64, u32, u32)]) -> Vec<JobSpec> {
-    ic_serving::jobs_from_tuples(rows)
 }
 
 #[cfg(test)]

@@ -54,6 +54,18 @@ fn fig12_trace_path_with_missing_parent_dirs_succeeds() {
             .len();
         assert!(len > 0, "{artifact} is empty");
     }
+    // One replay per run: the record carries that replay's one wall,
+    // and the summary prints one `replay:` line and no overhead pair.
+    let replay = std::fs::read_to_string(cwd.join("BENCH_replay.json")).expect("BENCH_replay.json");
+    assert!(replay.contains("\"wall_s\":"), "{replay}");
+    assert!(!replay.contains("\"traced_wall_s\""), "{replay}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("replay:")).count(),
+        1,
+        "{stdout}"
+    );
+    assert!(!stdout.contains("obs overhead:"), "{stdout}");
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 

@@ -94,9 +94,9 @@ fn fig12_writes_the_golden_run() {
     if std::env::var("IC_BLESS").is_ok_and(|v| v.trim() == "1") {
         return;
     }
-    let (_, report) = fig12_e2e_full(Scale::quick(), &EngineConfig::default());
+    let (_, replay) = fig12_e2e_full(Scale::quick(), &EngineConfig::default());
     assert_eq!(
-        report.to_json(),
+        replay.report.to_json(),
         golden().trim_end(),
         "fig12_e2e's BENCH_e2e.json drifted from the E2eRun the golden pins"
     );

@@ -34,7 +34,9 @@ pub struct RequestRecord {
     pub rejected: bool,
 }
 
-/// Latency aggregates over one run, in seconds.
+/// Latency aggregates over one run, in seconds: the one latency
+/// summary of the engine, the bench's `ClusterSim` replays and the
+/// examples.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencyStats {
     /// Mean end-to-end completion time.
@@ -63,8 +65,9 @@ impl LatencyStats {
         )
     }
 
-    /// Single-pass aggregation over `(e2e, ttft, queue)` samples.
-    fn from_samples(samples: impl Iterator<Item = (f64, f64, f64)>) -> Self {
+    /// Single-pass aggregation over `(e2e, ttft, queue)` samples, in
+    /// the order given (the means sum in that order).
+    pub fn from_samples(samples: impl IntoIterator<Item = (f64, f64, f64)>) -> Self {
         let mut e2e = Percentiles::default();
         let mut ttft = Percentiles::default();
         let mut queue = Percentiles::default();
@@ -374,6 +377,36 @@ mod tests {
         let s = LatencyStats::from_records(&[]);
         assert_eq!(s.mean_e2e, 0.0);
         assert_eq!(s.p99_e2e, 0.0);
+        let s = LatencyStats::from_samples([]);
+        assert_eq!(
+            [
+                s.mean_e2e,
+                s.p50_e2e,
+                s.p99_e2e,
+                s.mean_ttft,
+                s.p99_ttft,
+                s.mean_queue
+            ],
+            [0.0; 6]
+        );
+    }
+
+    /// A `ClusterSim` replay's jobs, as `(e2e, ttft, queue)` samples:
+    /// one job queued 0 s, first token at 0.5 s, done at 2 s; one that
+    /// arrived at 1 s, started at 2 s, first token at 2.5 s, done at 4 s.
+    #[test]
+    fn job_samples_aggregate() {
+        let s = LatencyStats::from_samples([(2.0, 0.5, 0.0), (3.0, 1.5, 1.0)]);
+        assert!((s.mean_ttft - 1.0).abs() < 1e-9);
+        assert!((s.mean_e2e - 2.5).abs() < 1e-9);
+        assert!((s.mean_queue - 0.5).abs() < 1e-9);
+        assert!(s.p99_e2e >= s.p50_e2e && s.p50_e2e > 2.0);
+        // `from_records` is this constructor over the executed records.
+        let rs = [record(0.0, 0.5, 2.0, false), record(1.0, 1.5, 3.0, false)];
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{:?}", LatencyStats::from_records(&rs))
+        );
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   zero-load prefill/decode costs + token counts, produced upstream by
 //!   `ic-llmsim`) through the pools, driving one `StepComplete` event per
 //!   busy pool on the deterministic `ic-desim` kernel.
-//! - [`metrics`] — per-request TTFT/E2E recording, throughput,
-//!   queue-cap reject counts, and block-level KV counters ([`KvStats`]).
+//! - [`metrics`] — throughput over a replay's busy interval; the
+//!   cluster itself counts queue-cap rejects ([`ClusterSim::rejected`])
+//!   and block-level KV traffic ([`ClusterSim::kv_stats`], [`KvStats`]).
 
 pub mod cluster;
 pub mod job;
@@ -37,5 +38,5 @@ pub mod pool;
 pub use cluster::{ClusterSim, PoolId, jobs_from_tuples};
 pub use ic_kvmem::{KvStats, KvSwap, PressurePolicy, Watermarks};
 pub use job::{JobId, JobResult, JobSpec};
-pub use metrics::{ServingMetrics, busy_interval_rps};
+pub use metrics::busy_interval_rps;
 pub use pool::{FinishedSeq, IterStats, ModelPool, Offer, PoolConfig, StepReport};

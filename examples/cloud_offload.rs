@@ -10,10 +10,22 @@
 use ic_cache::IcCacheConfig;
 use ic_cache::IcCacheSystem;
 use ic_desim::SimTime;
+use ic_engine::LatencyStats;
 use ic_llmsim::{GenSetup, Generator};
-use ic_serving::{ClusterSim, JobId, JobSpec, PoolConfig, ServingMetrics};
+use ic_serving::{ClusterSim, JobId, JobResult, JobSpec, PoolConfig, busy_interval_rps};
 use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator, thirty_minute_trace};
+
+/// The latency summary and busy-interval throughput of one cluster replay.
+fn summarize(results: &[JobResult]) -> (LatencyStats, f64) {
+    let latency = LatencyStats::from_samples(
+        results
+            .iter()
+            .map(|r| (r.e2e_secs(), r.ttft_secs(), r.queue_wait_secs())),
+    );
+    let completions: Vec<f64> = results.iter().map(|r| r.completed.as_secs_f64()).collect();
+    (latency, busy_interval_rps(&completions))
+}
 
 fn main() {
     let config = IcCacheConfig::gemma_pair();
@@ -81,9 +93,7 @@ fn main() {
         PoolConfig::for_gpus(&small_spec.name, 8, small_spec.gpus_per_replica, 8),
         PoolConfig::for_gpus(&large_spec.name, 8, large_spec.gpus_per_replica, 8),
     ]);
-    let mut ic_metrics = ServingMetrics::from_results(&cluster.run(jobs));
-    ic_metrics.set_rejected(cluster.rejected());
-    ic_metrics.set_kv(cluster.kv_stats());
+    let (ic, ic_rps) = summarize(&cluster.run(jobs));
 
     // Always-large baseline on the same 16 GPUs.
     let mut large_cluster = ClusterSim::new(vec![PoolConfig::for_gpus(
@@ -92,7 +102,7 @@ fn main() {
         large_spec.gpus_per_replica,
         8,
     )]);
-    let mut large_metrics = ServingMetrics::from_results(&large_cluster.run(large_jobs));
+    let (large, large_rps) = summarize(&large_cluster.run(large_jobs));
 
     println!("\n              IC-Cache    Always-Large");
     println!(
@@ -101,22 +111,16 @@ fn main() {
     );
     println!(
         "mean latency  {:>7.2}s    {:>10.2}s",
-        ic_metrics.mean_e2e(),
-        large_metrics.mean_e2e()
+        ic.mean_e2e, large.mean_e2e
     );
     println!(
         "P99 latency   {:>7.2}s    {:>10.2}s",
-        ic_metrics.e2e_quantile(0.99),
-        large_metrics.e2e_quantile(0.99)
+        ic.p99_e2e, large.p99_e2e
     );
-    println!(
-        "throughput    {:>7.2} rps {:>8.2} rps",
-        ic_metrics.throughput_rps(),
-        large_metrics.throughput_rps()
-    );
+    println!("throughput    {:>7.2} rps {:>8.2} rps", ic_rps, large_rps);
     println!(
         "\nlatency reduction: {:.0}%  (paper reports 28-71%)",
-        (1.0 - ic_metrics.mean_e2e() / large_metrics.mean_e2e()) * 100.0
+        (1.0 - ic.mean_e2e / large.mean_e2e) * 100.0
     );
     let iter = cluster.iter_stats();
     println!(
@@ -126,9 +130,9 @@ fn main() {
         iter.mean_step_batch(),
         iter.chunked_prefill_ratio() * 100.0,
         iter.preemptions,
-        ic_metrics.rejected(),
+        cluster.rejected(),
     );
-    let kv = ic_metrics.kv();
+    let kv = cluster.kv_stats();
     println!(
         "paged KV memory: {}/{} peak blocks ({:.1}% peak, {:.1}% mean occupancy), \
          {} pressure preemptions, {} swap-outs / {} swap-ins, fragmentation {:.1}%",

@@ -2,7 +2,7 @@
 # Alternating parent/change icbench pairs — the protocol behind every
 # "same bytes, host metrics not worse" line in docs/replay-perf.md.
 #
-#   tools/icbench-pairs.sh <parent-rev|parent-dir> <workload|--all> \
+#   tools/icbench-pairs.sh [--aa] <parent-rev|parent-dir> <workload|--all> \
 #       [--seed N] [--pairs N] [--seconds N]
 #
 # Builds the parent (a revision is checked out as a detached `git
@@ -16,7 +16,10 @@
 # parent's inter-quartile spread, and how many pairs the change won.
 # `--all` runs the four workloads in turn and ends with one table of
 # those rows, so the workload a change targets and the ones it should
-# not move come from one command.
+# not move come from one command. `--aa` builds the given revision (or
+# directory) into both target dirs instead of the working tree, and
+# prints the same rotation and table: the host's own A/A spread and
+# "won k of n", to read a change's rows against.
 # Offline; nothing under benchmark/ is left modified.
 set -euo pipefail
 
@@ -24,6 +27,8 @@ usage() {
     sed -n '2,6p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
+aa=0
+[ "${1:-}" != --aa ] || { aa=1; shift; }
 [ $# -ge 2 ] || usage
 parent=$1 workloads=$2
 [ "$workloads" != --all ] || workloads="coldstart_lowload bigbank_select trending_dups churn_writes"
@@ -59,8 +64,10 @@ build() { # <tree> <target-dir>
         --manifest-path "$1/benchmark/Cargo.toml" --target-dir "$2" >&2
     [ $clean = 0 ] || git -C "$1" checkout -- benchmark/Cargo.lock
 }
+change_tree=$repo
+[ $aa = 0 ] || change_tree=$parent_tree
 build "$parent_tree" "$work/target-parent"
-build "$repo" "$work/target-change"
+build "$change_tree" "$work/target-change"
 
 metrics="setup_s replay_s peak_rss_mb"
 run() { # <side> <workload> <pair>
@@ -124,5 +131,6 @@ for workload in $workloads; do
         awk '{ failed += $NF } END { printf "change %d\n", failed }' "$work/change.runs"
     } >>"$work/summary"
 done
+[ $aa = 0 ] || echo "# A/A: both sides are builds of $parent"
 echo "# summary, seed $seed: median (quartiles), parent spread = q3 - q1, change vs parent, pairs won"
 cat "$work/summary"
