@@ -249,7 +249,7 @@ fn write_obs_artifacts(report: &EngineReport, trace_path: Option<&str>, sampled:
 /// Exits 2 with `msg` and the usage line: an argument this binary does
 /// not take must not run a different experiment than the one asked for.
 fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\nusage: fig12_e2e [--quick] [--fraction F] [--trace PATH]");
+    eprintln!("error: {msg}\nusage: fig12_e2e [--quick | --fraction F] [--trace PATH]");
     std::process::exit(2);
 }
 
@@ -284,6 +284,10 @@ fn main() {
             "--trace" => trace_path = Some(value()),
             _ => usage_error(&format!("unexpected argument {arg:?}")),
         }
+    }
+    // Two scales at once would run one and drop the other.
+    if quick && fraction.is_some() {
+        usage_error("--quick and --fraction pick a scale each; give one");
     }
     // Every engine run of the process (suite run included) records the
     // event stream.

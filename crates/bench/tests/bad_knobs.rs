@@ -136,13 +136,16 @@ fn a_retired_or_misspelled_knob_exits_2_naming_the_variable() {
 /// An argument a binary does not take must stop it with exit 2 naming
 /// the argument, before it runs or writes anything: each of these used
 /// to run (`--fracton 0.2` and `--quikc` ran the full-scale experiment,
-/// `--trace --quick` wrote the trace to a file named `--quick`).
+/// `--trace --quick` wrote the trace to a file named `--quick`, and
+/// `--quick --fraction 0.2` ran the fraction and skipped the suite and
+/// `BENCH_e2e.json` the `--quick` asked for).
 #[test]
 fn an_argument_a_binary_does_not_take_exits_2_naming_it() {
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 5] = [
         (BINS[0], &["--fracton", "0.2"], "--fracton"),
         (BINS[0], &["--trace", "--quick"], "--trace"),
         (BINS[0], &["--quikc"], "--quikc"),
+        (BINS[0], &["--quick", "--fraction", "0.2"], "--fraction"),
         (BINS[1], &["tab01_datasets", "--quikc"], "--quikc"),
     ];
     for (i, (bin, args, named)) in cases.into_iter().enumerate() {

@@ -5,6 +5,7 @@
 
 mod arrival;
 mod failover;
+mod lookahead;
 mod state;
 mod step;
 
@@ -14,7 +15,7 @@ use ic_serving::{KvSwap, PoolConfig, Watermarks};
 
 use crate::engine::ServingEngine;
 use crate::report::EngineReport;
-use state::EngineState;
+use lookahead::Ring;
 
 /// Report name of [`EventDrivenEngine`].
 const ENGINE_NAME: &str = "event-driven";
@@ -61,7 +62,10 @@ pub struct EngineConfig {
     #[doc(hidden)]
     pub selector_batch: usize,
     /// Inert: nothing reads it. Step boundaries are handled on the
-    /// event-loop thread; the field stays only because the frozen
+    /// event-loop thread, and the one other thread a replay may run —
+    /// the stage-1 look-ahead, started on a host with a second core —
+    /// reads no configuration field either: there is no knob for it.
+    /// The field stays only because the frozen
     /// `benchmark/src/workload.rs` names it in a struct literal, and
     /// goes when a benchmark-owning PR drops that line.
     #[doc(hidden)]
@@ -196,6 +200,14 @@ pub struct EventDrivenEngine {
     /// `(model, pool index)` in routing order.
     model_pools: Vec<(ModelId, usize)>,
     pool_configs: Vec<PoolConfig>,
+    /// Test-only: the stage-1 look-ahead forced on (a patient one, which
+    /// waits for each slot) or off, whatever the host's parallelism.
+    #[cfg(test)]
+    force_lookahead: Option<bool>,
+    /// Test-only: arrivals of the last replay whose stage 1 came from a
+    /// look-ahead slot.
+    #[cfg(test)]
+    lookahead_taken: u64,
 }
 
 impl EventDrivenEngine {
@@ -265,7 +277,28 @@ impl EventDrivenEngine {
             config,
             model_pools,
             pool_configs,
+            #[cfg(test)]
+            force_lookahead: None,
+            #[cfg(test)]
+            lookahead_taken: 0,
         }
+    }
+
+    /// The ring of a stage-1 look-ahead for a replay of `n` arrivals, if
+    /// it starts one: on a host with a second core, when there is a probe
+    /// to run ahead of and the index stays unwritten past the first
+    /// arrival. A replay that admits served pairs writes it at the first
+    /// one, so its look-ahead would retire before serving a second slot:
+    /// a thread, a ring and a peak-RSS rise for nothing. No knob reads
+    /// into it.
+    fn lookahead_ring(&self, n: usize) -> Option<Ring> {
+        #[cfg(test)]
+        if let Some(forced) = self.force_lookahead {
+            return (forced && n > 0).then(Ring::patient);
+        }
+        let probes = n > 0 && self.system.selector().indexed_count() > 0;
+        let read_only = !self.config.admit_served_pairs;
+        (probes && read_only && lookahead::second_core()).then(Ring::new)
     }
 
     /// The engine configuration.
@@ -290,9 +323,13 @@ impl ServingEngine for EventDrivenEngine {
             arrivals.len(),
             "one arrival time per request"
         );
-        let mut state = EngineState::new(self, requests, arrivals);
-        state.run();
-        state.into_report()
+        let ring = self.lookahead_ring(requests.len());
+        let report = lookahead::replay(self, requests, arrivals, ring.as_ref());
+        #[cfg(test)]
+        {
+            self.lookahead_taken = ring.as_ref().map_or(0, Ring::taken);
+        }
+        report
     }
 
     fn system(&self) -> &IcCacheSystem {
@@ -532,6 +569,138 @@ mod tests {
             engine.serve_workload(&requests, &arrivals).to_json()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Replays `requests` at `arrivals` on two engines `build` makes
+    /// alike, the stage-1 look-ahead forced off on one and on (patient:
+    /// the event loop waits for each slot) on the other, and checks that
+    /// they are the same replay — `to_json`, every record and every
+    /// `ReplayStats` counter. Returns the look-ahead's report and how
+    /// many arrivals took their stage 1 from a slot.
+    fn same_with_and_without_lookahead(
+        build: impl Fn() -> EventDrivenEngine,
+        requests: &[Request],
+        arrivals: &[f64],
+    ) -> (EngineReport, u64) {
+        let run = |ahead: bool| {
+            let mut engine = build();
+            engine.force_lookahead = Some(ahead);
+            let report = engine.serve_workload(requests, arrivals);
+            (report, engine.lookahead_taken)
+        };
+        let (inline, none) = run(false);
+        let (ahead, taken) = run(true);
+        assert_eq!(none, 0, "no look-ahead, no slot");
+        assert_eq!(inline.to_json(), ahead.to_json());
+        assert_eq!(
+            format!("{:?}", inline.per_request),
+            format!("{:?}", ahead.per_request)
+        );
+        assert_eq!(inline.replay, ahead.replay);
+        (ahead, taken)
+    }
+
+    /// `n` requests for a bank of `bank`, arrivals `gap_s` apart; with
+    /// `repeats`, every odd request is a copy of an earlier one.
+    fn workload(bank: usize, n: usize, gap_s: f64, repeats: bool) -> (Vec<Request>, Vec<f64>) {
+        let (_, mut wg) = seeded_engine(bank, EngineConfig::default(), 441);
+        let mut requests = wg.generate_requests(n);
+        if repeats {
+            for i in (1..n).step_by(2) {
+                requests[i] = requests[i / 3].clone();
+            }
+        }
+        let arrivals = (0..n).map(|i| gap_s * i as f64).collect();
+        (requests, arrivals)
+    }
+
+    #[test]
+    fn lookahead_above_the_memo_bar_is_the_inline_replay() {
+        // 3 000 examples: a probe expects more than the memo's 256
+        // comparisons, so the memo answers the copies and a slot stands
+        // in for every probe the memo does not answer.
+        let (requests, arrivals) = workload(3_000, 120, 0.5, true);
+        let build = || seeded_engine(3_000, EngineConfig::default(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        let replay = report.replay;
+        assert_eq!(replay.probe_memo_lookups, 120);
+        assert!(replay.probe_memo_hits > 0, "{replay:?}");
+        assert_eq!(taken, replay.probe_memo_lookups - replay.probe_memo_hits);
+    }
+
+    #[test]
+    fn a_stage0_hit_skips_its_slot() {
+        // Each request arrives four times in a row: from the sketch's
+        // second sighting on, stage 0 answers and stage 1 never runs.
+        let (base, _) = workload(300, 40, 0.0, false);
+        let requests: Vec<Request> = base.iter().flat_map(|r| [r, r, r, r]).cloned().collect();
+        let arrivals: Vec<f64> = (0..requests.len()).map(|i| 0.25 * i as f64).collect();
+        let config = EngineConfig {
+            resp_cache: true,
+            ..EngineConfig::default()
+        };
+        let build = || seeded_engine(300, config.clone(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        let hits = report.resp_cache.hits;
+        assert!(hits > 0, "{:?}", report.resp_cache);
+        assert_eq!(
+            report.replay.probe_memo_lookups, 0,
+            "a bank of 300 is below the bar"
+        );
+        assert_eq!(taken, requests.len() as u64 - hits);
+    }
+
+    #[test]
+    fn admitting_served_pairs_retires_at_the_first_admission() {
+        // More arrivals than the ring holds: the helper is parked on a
+        // full ring, still holding the index, when the first pair is
+        // admitted.
+        let (requests, arrivals) = workload(300, 400, 0.5, false);
+        let config = EngineConfig {
+            admit_served_pairs: true,
+            ..EngineConfig::default()
+        };
+        let build = || seeded_engine(300, config.clone(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert!(report.cache.examples > 300, "served pairs were admitted");
+        assert_eq!(taken, 1, "only the first arrival, before its admission");
+    }
+
+    #[test]
+    fn an_uncapped_rebalance_keeps_the_lookahead() {
+        // A capacity pass every 5 s over a cache with no byte cap evicts
+        // nothing, so it writes nothing and the look-ahead runs on.
+        let (requests, arrivals) = workload(300, 120, 0.5, false);
+        let config = EngineConfig {
+            rebalance_period_s: 5.0,
+            ..EngineConfig::default()
+        };
+        let build = || seeded_engine(300, config.clone(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert_eq!(report.cache.evicted, 0);
+        assert_eq!(taken, requests.len() as u64);
+    }
+
+    #[test]
+    fn outage_retries_probe_inline() {
+        // Saturated, then the offload pool goes down: its jobs are
+        // served again through `serve_retry`, which probes inline; the
+        // slots are the fresh arrivals'.
+        let config = EngineConfig {
+            pool_outages: vec![PoolOutage {
+                pool: 0,
+                at_s: 10.0,
+                duration_s: 20.0,
+            }],
+            ..EngineConfig::default()
+        };
+        let (_, mut wg) = seeded_engine(400, config.clone(), 441);
+        let arrivals = fixed_qps_arrivals(30.0, 40.0, 442);
+        let requests = wg.generate_requests(arrivals.len());
+        let build = || seeded_engine(400, config.clone(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert!(report.router.failover_requeues > 0, "{:?}", report.router);
+        assert_eq!(taken, requests.len() as u64);
     }
 
     #[test]

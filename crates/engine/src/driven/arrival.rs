@@ -1,6 +1,8 @@
 //! The arrival handler: prologue (load window, stage 0) →
 //! `IcCacheSystem::serve` → epilogue (`dispatch`, cache admissions).
 
+use std::sync::Arc;
+
 use ic_desim::SimTime;
 use ic_obs::EventKind as ObsKind;
 use ic_respcache::CachedResponse;
@@ -9,14 +11,16 @@ use super::state::EngineState;
 use super::step::EventKey;
 
 /// The arrival sequence in firing order, and the one copy of it: which
-/// arrival fires next. Arrivals never enter the event heap.
+/// arrival fires next. Arrivals never enter the event heap. The order is
+/// shared with the stage-1 look-ahead, which walks it ahead of the event
+/// loop.
 pub(super) struct ArrivalCursor {
     /// Arrivals `(time, index)`, sorted: arrival `i` fires under the key
     /// `(time, i)` — the seq it would have drawn had the workload been
     /// scheduled first, in index order (`EngineState::new` reserves
     /// `0..n` for that), so it goes before any event scheduled for the
     /// same instant.
-    order: Vec<(SimTime, usize)>,
+    order: Arc<[(SimTime, usize)]>,
     /// Arrivals fired so far: the current arrival's position in `order`.
     fired: usize,
 }
@@ -24,9 +28,17 @@ pub(super) struct ArrivalCursor {
 impl ArrivalCursor {
     pub(super) fn new(arrivals: &[f64]) -> Self {
         let times = arrivals.iter().map(|&a| SimTime::from_secs_f64(a));
-        let mut order: Vec<(SimTime, usize)> = times.zip(0..).collect();
-        order.sort_unstable();
+        // Collected straight into its one allocation, then sorted there.
+        let mut order: Arc<[(SimTime, usize)]> = times.zip(0..).collect();
+        Arc::get_mut(&mut order)
+            .expect("a fresh order has one owner")
+            .sort_unstable();
         Self { order, fired: 0 }
+    }
+
+    /// The firing order, for the look-ahead.
+    pub(super) fn order(&self) -> Arc<[(SimTime, usize)]> {
+        Arc::clone(&self.order)
     }
 
     /// The `(time, seq)` key of the next arrival, if any is left.
@@ -39,8 +51,12 @@ impl ArrivalCursor {
 impl EngineState<'_> {
     /// Fires the cursor's next arrival.
     pub(super) fn on_arrival(&mut self) {
-        let (at, i) = self.cursor.order[self.cursor.fired];
+        let pos = self.cursor.fired;
+        let (at, i) = self.cursor.order[pos];
         self.cursor.fired += 1;
+        if let Some(lookahead) = &self.lookahead {
+            lookahead.arrive(pos);
+        }
         self.sim.advance_to(at);
         let now = at.as_secs_f64();
         let request = &self.requests[i];
@@ -52,11 +68,16 @@ impl EngineState<'_> {
             return;
         }
 
-        let out = self.system.serve(request);
+        // Stage 1 from the look-ahead's slot when the memo misses and
+        // the slot is ready; probed here otherwise.
+        let lookahead = self.lookahead.as_ref();
+        let out =
+            (self.system).serve_ahead(request, |generation| lookahead?.take(pos, i, generation));
         self.trace(at, i as u64, ObsKind::Stage1Probe);
 
         if self.dispatch(i, &out, at, false) {
             if self.config.admit_served_pairs {
+                self.retire_lookahead();
                 let _ = self
                     .system
                     .update_cache(request, &out.outcome, out.model, now);

@@ -16,6 +16,7 @@ use ic_stats::{PercentileSnapshot, Percentiles};
 use std::collections::VecDeque;
 
 use super::arrival::ArrivalCursor;
+use super::lookahead::LookAhead;
 use super::step::{Armed, EventKey};
 use super::{ENGINE_NAME, EngineConfig, EventDrivenEngine};
 use crate::engine::cache_stats;
@@ -121,6 +122,10 @@ pub(super) struct EngineState<'a> {
     pub(super) armed: Vec<Option<Armed>>,
     /// The arrival sequence in firing order.
     pub(super) cursor: ArrivalCursor,
+    /// The stage-1 look-ahead while it runs (see the `lookahead`
+    /// module): started by `serve_workload` on a host with a second
+    /// core, retired before the replay's first index write.
+    pub(super) lookahead: Option<LookAhead<'a>>,
     /// Stage-0 response cache (`EngineConfig::resp_cache`): probed per
     /// fresh arrival before any selector work. `None` (the default)
     /// keeps every path byte-identical to the pre-stage0 engine.
@@ -172,6 +177,7 @@ impl<'a> EngineState<'a> {
             config,
             model_pools,
             pool_configs,
+            ..
         } = engine;
         let config: &EngineConfig = config;
         let n = requests.len();
@@ -196,6 +202,7 @@ impl<'a> EngineState<'a> {
             requests,
             sim: Simulator::new(),
             cursor: ArrivalCursor::new(arrivals),
+            lookahead: None,
             resp_cache: config.resp_cache.then(|| {
                 ResponseCache::new(RespCacheConfig {
                     threshold: config.resp_threshold,
@@ -258,6 +265,7 @@ impl<'a> EngineState<'a> {
                 continue;
             }
             let Some((at, event)) = self.sim.next() else {
+                retire(&mut self.lookahead);
                 return;
             };
             let now = at.as_secs_f64();
@@ -276,11 +284,15 @@ impl<'a> EngineState<'a> {
                 Event::PoolDown(pool) => self.on_pool_down(pool, at),
                 Event::PoolUp(pool) => self.on_pool_up(pool, at),
                 Event::Maintenance => {
-                    self.evicted += self.system.run_maintenance(now).evicted as u64;
+                    let lookahead = &mut self.lookahead;
+                    let report = (self.system).run_maintenance_with(now, || retire(lookahead));
+                    self.evicted += report.evicted as u64;
                     self.rearm_periodic(self.config.maintenance_period_s, Event::Maintenance);
                 }
                 Event::Rebalance => {
-                    self.evicted += self.system.run_rebalance(now) as u64;
+                    let lookahead = &mut self.lookahead;
+                    let evicted = (self.system).run_rebalance_with(now, || retire(lookahead));
+                    self.evicted += evicted as u64;
                     self.rearm_periodic(self.config.rebalance_period_s, Event::Rebalance);
                 }
                 Event::ObsSample => {
@@ -289,6 +301,11 @@ impl<'a> EngineState<'a> {
                 }
             }
         }
+    }
+
+    /// Stops the stage-1 look-ahead, if it runs, before an index write.
+    pub(super) fn retire_lookahead(&mut self) {
+        retire(&mut self.lookahead);
     }
 
     /// Queues `event` one period from now; a non-positive or non-finite
@@ -602,5 +619,14 @@ impl<'a> EngineState<'a> {
             obs,
             per_request,
         }
+    }
+}
+
+/// Joins the look-ahead, if one runs; its handle on the index goes with
+/// it. A free function, so that a system call can take it as a hook
+/// while the system is borrowed.
+fn retire(lookahead: &mut Option<LookAhead<'_>>) {
+    if let Some(running) = lookahead.take() {
+        running.retire();
     }
 }

@@ -21,14 +21,16 @@
 //!   ├ the router's arrival-rate window           run it is in)
 //!   ├ stage 0: observe in the sketch, then      on_step(pool)
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
-//!   ├ IcCacheSystem::serve: stage 1 + stage 2   │  run, the pool applied it
-//!   │  + routing + generation + feedback        ├ else advance_step: finishers
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  ▶ complete (TTFT/E2E, Little's
-//!                  arm the pool's slot          │  law ▶ the router); then
-//!                                               │  advance_quiet applies the quiet
-//!  the event heap's head                        │  run behind it in closed form,
-//!  (ic_desim::Simulator: every other router     │  up to the next router
-//!   interaction, one handler per event)         │  interaction
+//!   ├ IcCacheSystem::serve_ahead: stage 1       │  run, the pool applied it
+//!   │  (memo, else the look-ahead's slot,       │
+//!   │  else a probe) + stage 2 + routing        ├ else advance_step: finishers
+//!   │  + generation + feedback                  │  ▶ complete (TTFT/E2E, Little's
+//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  law ▶ the router); then
+//!                  arm the pool's slot          │  advance_quiet applies the quiet
+//!                                               │  run behind it in closed form,
+//!  the event heap's head                        │  up to the next router
+//!  (ic_desim::Simulator: every other router     │  interaction
+//!   interaction, one handler per event)         │
 //!  PoolDown(p) ─ flush, clear the pool's slot,  ├ the quiet boundaries before the
 //!                serve_retry ▶ dispatch         │  next pending key are counted,
 //!  PoolUp(p)                                    │  their seqs burned
@@ -92,6 +94,20 @@
 //! requeue counts and the router's decision count ride in the report's
 //! `router` block.
 //!
+//! # Stage-1 look-ahead
+//!
+//! On a host with a second core, `serve_workload` starts one helper
+//! thread that walks the arrival cursor's firing order up to 256
+//! arrivals ahead of the event loop and runs each arrival's stage-1 IVF
+//! probe against a shared handle on the selector's index, leaving the
+//! hits in a ring slot stamped with the arrival's seq and the index
+//! generation. An arrival whose probe memo misses takes its slot when
+//! the stamps match and probes inline otherwise; everything after stage
+//! 1 stays on the event loop. The helper is stopped and joined before
+//! the replay's first index write (a served pair admitted, or a capacity
+//! pass that evicts), and the selector's writes panic while it holds the
+//! index. No configuration field reaches it (`driven/lookahead.rs`).
+//!
 //! # Example cache
 //!
 //! The example cache behind the engine is one `ic_manager::ExampleCache`:
@@ -107,7 +123,9 @@
 //! simultaneous events) and every stochastic choice flows through the
 //! system's seeded RNG, so a given `(config, seed, workload)` triple
 //! produces a byte-identical [`EngineReport::to_json`] — pinned by tests
-//! and by the `fig12_e2e` bench's `BENCH_e2e.json`.
+//! and by the `fig12_e2e` bench's `BENCH_e2e.json`. The stage-1
+//! look-ahead changes which thread runs a probe, never what it returns,
+//! so the bytes are the same with and without a second core.
 
 pub mod driven;
 pub mod engine;

@@ -28,7 +28,11 @@
 //! memo (the `memo` module): a small generation-stamped table that
 //! answers a query whose bits were probed against the unchanged index
 //! with that probe's own bytes, consulted only while a probe costs more
-//! than remembering one.
+//! than remembering one. On a memo miss a caller may hand stage 1 a
+//! result probed ahead of time on another thread
+//! ([`ExampleSelector::stage1_or`], against
+//! [`ExampleSelector::shared_index`]); the index cannot be written while
+//! such a handle lives, so the result is the probe's own bytes.
 
 mod memo;
 pub mod proxy;

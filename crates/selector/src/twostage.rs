@@ -1,6 +1,7 @@
 //! The two-stage selection pipeline (Algorithm 1, `RetrieveExamples`).
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, ExampleStore, ModelSpec, Request};
@@ -81,9 +82,16 @@ impl Selection {
 /// diversity pick reads its stored rows. The plaintext and metadata live
 /// in the Example Manager's cache, whose examples carry no vector, and
 /// are reached through [`ExampleStore`].
+///
+/// The index sits behind an [`Arc`] so that a stage-1 look-ahead on
+/// another thread ([`Self::shared_index`]) can probe it while the
+/// selector is still read on this one. Every write goes through
+/// [`Arc::get_mut`] and panics while such a share is alive: the
+/// look-ahead retires before the first write, and a write it missed
+/// fails loudly instead of racing.
 #[derive(Debug)]
 pub struct ExampleSelector {
-    index: IvfIndex,
+    index: Arc<IvfIndex>,
     /// Recent stage-1 results, stamped with the index generation they
     /// were probed under (see the `memo` module). Behind a `RefCell`
     /// because selection reads the selector through `&self`; `None` only
@@ -96,7 +104,7 @@ impl ExampleSelector {
     /// Creates a selector with an untrained proxy.
     pub fn new(config: SelectorConfig) -> Self {
         Self {
-            index: IvfIndex::new(config.ivf),
+            index: Arc::new(IvfIndex::new(config.ivf)),
             memo: Some(RefCell::new(ProbeMemo::new())),
             proxy: ProxyModel::standard(),
         }
@@ -123,10 +131,27 @@ impl ExampleSelector {
         &self.index
     }
 
+    /// A second handle on the stage-1 index, for a look-ahead that
+    /// probes upcoming queries on another thread. Every index write
+    /// panics until the handle is dropped (see the type docs).
+    pub fn shared_index(&self) -> Arc<IvfIndex> {
+        Arc::clone(&self.index)
+    }
+
+    /// The index, for a write.
+    ///
+    /// # Panics
+    ///
+    /// While a [`Self::shared_index`] handle is alive.
+    fn index_mut(&mut self) -> &mut IvfIndex {
+        Arc::get_mut(&mut self.index)
+            .expect("an index write while a stage-1 look-ahead shares the index")
+    }
+
     /// Indexes a new example (called on admission with the embedding the
     /// Example Manager's cache gave back: the index keeps the one copy).
     pub fn index_example(&mut self, id: ExampleId, embedding: Embedding) {
-        self.index.insert(id.0, embedding);
+        self.index_mut().insert(id.0, embedding);
     }
 
     /// Indexes a whole batch of examples through the IVF bulk build —
@@ -134,13 +159,13 @@ impl ExampleSelector {
     /// [`Self::index_example`] per item, for one k-means fit instead of
     /// one per doubling.
     pub fn index_examples(&mut self, items: Vec<(ExampleId, Embedding)>) {
-        self.index
+        self.index_mut()
             .insert_bulk(items.into_iter().map(|(id, e)| (id.0, e)).collect());
     }
 
     /// Drops an example from the index (called on eviction).
     pub fn unindex_example(&mut self, id: ExampleId) -> bool {
-        self.index.remove(id.0)
+        self.index_mut().remove(id.0)
     }
 
     /// Number of indexed examples.
@@ -156,17 +181,35 @@ impl ExampleSelector {
     /// is answered from the probe memo with the probe's own bytes (see
     /// the `memo` module); below that bar the memo is not consulted.
     pub fn stage1(&self, request: &Request) -> Vec<(ExampleId, f64)> {
+        self.stage1_or(request, |_| None)
+    }
+
+    /// [`Self::stage1`] where the probe may already have run elsewhere:
+    /// when the memo does not answer, `ahead(generation)` is asked first
+    /// and its list, if any, stands in for the probe. It must be what the
+    /// probe returns for this query under the index generation it is
+    /// given (a look-ahead's result stamped with that generation), so
+    /// the bytes, and the memo's counters and contents, are the same
+    /// whichever ran it.
+    pub fn stage1_or(
+        &self,
+        request: &Request,
+        ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
+    ) -> Vec<(ExampleId, f64)> {
+        let generation = self.index.generation();
         let probe = || {
-            self.index
-                .search(&request.embedding, STAGE1_CANDIDATES)
-                .into_iter()
-                .map(|h| (ExampleId(h.id), h.similarity))
-                .collect()
+            ahead(generation).unwrap_or_else(|| {
+                self.index
+                    .search(&request.embedding, STAGE1_CANDIDATES)
+                    .into_iter()
+                    .map(|h| (ExampleId(h.id), h.similarity))
+                    .collect()
+            })
         };
         match &self.memo {
             Some(memo) if self.index.expected_comparisons() >= memo::MIN_COMPARISONS => memo
                 .borrow_mut()
-                .get_or_probe(request.embedding.as_slice(), self.index.generation(), probe),
+                .get_or_probe(request.embedding.as_slice(), generation, probe),
             _ => probe(),
         }
     }
@@ -198,7 +241,20 @@ impl ExampleSelector {
         store: &S,
         target: &ModelSpec,
     ) -> Selection {
-        self.select_with_threshold(request, store, target, UTILITY_CUT)
+        self.select_or(request, store, target, |_| None)
+    }
+
+    /// [`Self::select`] with stage 1 from [`Self::stage1_or`]: a
+    /// look-ahead's result, when `ahead` has one, in place of the probe.
+    pub fn select_or<S: ExampleStore>(
+        &self,
+        request: &Request,
+        store: &S,
+        target: &ModelSpec,
+        ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
+    ) -> Selection {
+        let stage1 = self.stage1_or(request, ahead);
+        self.select_from_stage1(request, stage1, store, target, UTILITY_CUT)
     }
 
     /// Two-stage selection under an explicit utility threshold in place

@@ -102,9 +102,9 @@ use ic_stats::IdMap;
 use ic_stats::rng::rng_from_seed;
 use rand::RngExt;
 
-use crate::kernel::{LANES, LaneBlocks, widen};
+use crate::kernel::{LANES, LaneBlocks};
 use crate::kmeans::{KMeansModel, kmeans_fit_rows};
-use crate::{ItemId, SearchHit, VectorIndex, finalize_hits, sqrt_cluster_count};
+use crate::{ItemId, SearchHit, VectorIndex, finalize_in_place, sqrt_cluster_count};
 
 /// A retrain fits k-means on at most this many rows a centroid (module
 /// docs, "The training sample").
@@ -248,6 +248,39 @@ impl PostingList {
                 similarity: cosine_from_dot(dot, q_norm, self.norms[i]),
             });
         });
+    }
+}
+
+/// The buffers of one probe ([`IvfIndex::search_into`]), kept between
+/// probes so that a caller probing many queries allocates them once.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    /// The query widened to `f64`.
+    q64: Vec<f64>,
+    /// The lists to scan as `(distance, list)`, nearest first: the
+    /// centroid rank, or every list (distance 0) while brute force.
+    probes: Vec<(f64, usize)>,
+    /// Every scored candidate, then the top `k` of them.
+    hits: Vec<SearchHit>,
+    /// The candidates' rank keys for the top-`k` selection.
+    keys: Vec<u64>,
+}
+
+impl ProbeScratch {
+    /// Buffers sized for the largest probe `index` can run as it
+    /// stands — the widest query, every list or `nprobe` of them, and as
+    /// many candidates as the `nprobe` largest lists hold (every row
+    /// while the index is brute force) — so no probe of that index grows
+    /// them.
+    pub fn for_index(index: &IvfIndex) -> Self {
+        let candidates = index.max_candidates();
+        let dim = index.lists.first().map_or(0, |l| l.rows.dim());
+        Self {
+            q64: Vec::with_capacity(dim),
+            probes: Vec::with_capacity(index.lists.len().max(index.config.nprobe.max(1))),
+            hits: Vec::with_capacity(candidates),
+            keys: Vec::with_capacity(candidates),
+        }
     }
 }
 
@@ -546,6 +579,80 @@ impl IvfIndex {
         }
     }
 
+    /// `out` (cleared first) receives exactly what [`VectorIndex::search`]
+    /// returns for `query` and `k`, and every intermediate — the widened
+    /// query, the centroid rank, the scored candidates and their rank
+    /// keys — lives in `scratch`. A scratch from
+    /// [`ProbeScratch::for_index`] on this index as it stands, and an
+    /// `out` with room for `k` hits, make the probe allocate nothing: what
+    /// a thread probing ahead of the event loop needs (`ic-engine`'s
+    /// stage-1 look-ahead). Any other scratch works too and grows as
+    /// needed.
+    pub fn search_into(
+        &self,
+        query: &Embedding,
+        k: usize,
+        scratch: &mut ProbeScratch,
+        out: &mut Vec<SearchHit>,
+    ) {
+        out.clear();
+        self.probe(query, k, scratch);
+        out.extend_from_slice(&scratch.hits);
+    }
+
+    /// The one probe body: leaves the top `k` hits for `query` in
+    /// `scratch.hits`. A scratch short of room for the candidates grows
+    /// to exactly their count, once.
+    fn probe(&self, query: &Embedding, k: usize, scratch: &mut ProbeScratch) {
+        let ProbeScratch {
+            q64,
+            probes,
+            hits,
+            keys,
+        } = scratch;
+        hits.clear();
+        if k == 0 || self.locator.is_empty() {
+            return;
+        }
+        // Hoisted once per query (`Embedding::cosine` recomputes it per
+        // pair); row norms come from the lists' insert-time cache. Both
+        // are pure functions of their vectors, so every similarity is
+        // bit-identical to `query.cosine(item)`.
+        q64.clear();
+        q64.extend(query.as_slice().iter().map(|&x| f64::from(x)));
+        let q_norm = query.norm();
+        match &self.model {
+            Some(model) if !self.is_brute_force() => {
+                model.nearest_n_into(q64, self.config.nprobe.max(1), probes);
+            }
+            _ => {
+                probes.clear();
+                probes.extend((0..self.lists.len()).map(|c| (0.0, c)));
+            }
+        }
+        let candidates = probes.iter().map(|&(_, c)| self.lists[c].rows.len());
+        hits.reserve(candidates.sum());
+        for &(_, c) in probes.iter() {
+            self.lists[c].scan(q64, q_norm, hits);
+        }
+        finalize_in_place(hits, k, keys);
+    }
+
+    /// The most rows one probe can score as the index stands: every row
+    /// while it is brute force, else the `nprobe` largest lists.
+    fn max_candidates(&self) -> usize {
+        if self.is_brute_force() {
+            return self.locator.len();
+        }
+        let mut sizes: Vec<usize> = self.lists.iter().map(|l| l.rows.len()).collect();
+        let nprobe = self.config.nprobe.max(1).min(sizes.len());
+        if nprobe == 0 {
+            return 0;
+        }
+        sizes.select_nth_unstable_by(nprobe - 1, |a, b| b.cmp(a));
+        sizes[..nprobe].iter().sum()
+    }
+
     /// Expected comparison count per query under the current structure;
     /// used by the overhead benchmarks.
     pub fn expected_comparisons(&self) -> f64 {
@@ -582,28 +689,12 @@ impl VectorIndex for IvfIndex {
         true
     }
 
+    /// The probe body with buffers of its own; the hits buffer is the
+    /// result.
     fn search(&self, query: &Embedding, k: usize) -> Vec<SearchHit> {
-        if k == 0 || self.locator.is_empty() {
-            return Vec::new();
-        }
-        // Hoisted once per query (`Embedding::cosine` recomputes it per
-        // pair); row norms come from the lists' insert-time cache. Both
-        // are pure functions of their vectors, so every similarity is
-        // bit-identical to `query.cosine(item)`.
-        let q64 = widen(query.as_slice());
-        let q_norm = query.norm();
-        let probes: Vec<usize> = match &self.model {
-            Some(model) if !self.is_brute_force() => {
-                model.assign_top_n_widened(&q64, self.config.nprobe.max(1))
-            }
-            _ => (0..self.lists.len()).collect(),
-        };
-        let candidates = probes.iter().map(|&c| self.lists[c].rows.len()).sum();
-        let mut hits = Vec::with_capacity(candidates);
-        for c in probes {
-            self.lists[c].scan(&q64, q_norm, &mut hits);
-        }
-        finalize_hits(hits, k)
+        let mut scratch = ProbeScratch::default();
+        self.probe(query, k, &mut scratch);
+        scratch.hits
     }
 
     fn len(&self) -> usize {
@@ -1000,6 +1091,84 @@ mod tests {
         // The per-item path: one fit per retrain point, as `seq` ran.
         assert_eq!(seq.build_stats().fits, 1);
         assert_eq!(bulk.build_stats(), seq.build_stats());
+    }
+
+    /// The probe as it was before it took its buffers from a scratch:
+    /// fresh vectors for the widened query, the probe list and the hits,
+    /// then the allocating top-`k`.
+    fn search_reference(ivf: &IvfIndex, query: &Embedding, k: usize) -> Vec<SearchHit> {
+        if k == 0 || ivf.locator.is_empty() {
+            return Vec::new();
+        }
+        let q64 = crate::kernel::widen(query.as_slice());
+        let q_norm = query.norm();
+        let probes: Vec<usize> = match &ivf.model {
+            Some(model) if !ivf.is_brute_force() => {
+                model.assign_top_n_widened(&q64, ivf.config.nprobe.max(1))
+            }
+            _ => (0..ivf.lists.len()).collect(),
+        };
+        let mut hits = Vec::new();
+        for c in probes {
+            ivf.lists[c].scan(&q64, q_norm, &mut hits);
+        }
+        crate::finalize_hits(hits, k)
+    }
+
+    /// `search_into` through one reused scratch equals the reference
+    /// probe by id and by `to_bits()` — untrained (40 rows, one list),
+    /// trained, and trained but brute force again after removals — with
+    /// `k` below, at and above the candidate count; and a scratch from
+    /// `for_index` never grows, so the probe allocates nothing.
+    /// Mutations that fail it: dropping `hits.clear()` (a query scores
+    /// the previous one's candidates too), sizing `for_index` by the
+    /// smallest lists (its capacities grow), dropping `probes.clear()`
+    /// on the brute-force path (lists scanned twice).
+    #[test]
+    fn search_into_is_the_reference_probe_and_allocates_nothing() {
+        let (trained, _, queries) = build_pair(1000);
+        let (untrained, _, _) = build_pair(40);
+        let mut shrunk = build_pair(600).0;
+        for id in 0..560 {
+            shrunk.remove(id);
+        }
+        assert!(untrained.model.is_none() && trained.model.is_some());
+        assert!(shrunk.model.is_some() && shrunk.is_brute_force());
+        for (label, ivf) in [
+            ("untrained", &untrained),
+            ("trained", &trained),
+            ("shrunk", &shrunk),
+        ] {
+            let mut scratch = ProbeScratch::for_index(ivf);
+            let caps = |s: &ProbeScratch| {
+                (
+                    s.q64.capacity(),
+                    s.probes.capacity(),
+                    s.hits.capacity(),
+                    s.keys.capacity(),
+                )
+            };
+            let before = caps(&scratch);
+            let mut out = Vec::with_capacity(ivf.len() + 1);
+            let bits = |hits: &[SearchHit]| {
+                hits.iter()
+                    .map(|h| (h.id, h.similarity.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let (mut above, mut below) = (false, false);
+            for q in &queries {
+                for k in [0, 1, 32, ivf.len() - 1, ivf.len(), ivf.len() + 1] {
+                    ivf.search_into(q, k, &mut scratch, &mut out);
+                    let want = search_reference(ivf, q, k);
+                    assert_eq!(bits(&out), bits(&want), "{label} k={k}");
+                    assert_eq!(bits(&ivf.search(q, k)), bits(&want), "{label} k={k}");
+                    above |= out.len() < k;
+                    below |= k > 0 && out.len() == k;
+                }
+            }
+            assert!(above && below, "{label}: k on both sides of the candidates");
+            assert_eq!(caps(&scratch), before, "{label}: the scratch grew");
+        }
     }
 
     #[test]

@@ -267,11 +267,20 @@ impl KMeansModel {
     /// probe widens its query once, for the centroid rank and the list
     /// scans alike.
     pub fn assign_top_n_widened(&self, v64: &[f64], n: usize) -> Vec<usize> {
+        let mut top = Vec::with_capacity(n.min(self.k()));
+        self.nearest_n_into(v64, n, &mut top);
+        top.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// [`Self::assign_top_n_widened`] as `(distance, index)` pairs in
+    /// `top` (cleared first), which never holds more than `n`: allocates
+    /// nothing once `top` has room for `n`.
+    pub(crate) fn nearest_n_into(&self, v64: &[f64], n: usize, top: &mut Vec<(f64, usize)>) {
         // The `n` best so far, sorted. Centroids arrive in index order,
         // so placing a newcomer after every distance that is not larger
         // keeps equidistant ones in index order — the `(distance, index)`
         // order a full sort would give.
-        let mut top: Vec<(f64, usize)> = Vec::with_capacity(n.min(self.k()));
+        top.clear();
         if n > 0 {
             self.lanes.sq_dists(v64, |i, d| {
                 debug_assert!(d.is_finite(), "finite distances");
@@ -285,7 +294,6 @@ impl KMeansModel {
                 top.insert(at, (d, i));
             });
         }
-        top.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Total within-cluster squared distance of a dataset under this model.

@@ -73,7 +73,7 @@ pub(crate) mod kernel;
 pub mod kmeans;
 
 pub use flat::FlatIndex;
-pub use ivf::{BuildStats, IvfConfig, IvfIndex, StoredRow};
+pub use ivf::{BuildStats, IvfConfig, IvfIndex, ProbeScratch, StoredRow};
 pub use kmeans::{KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_fit_rows};
 
 use ic_embed::Embedding;
@@ -122,11 +122,20 @@ pub trait VectorIndex {
 /// `truncate(k)`, without sorting what the truncation drops (see "One
 /// scan" in the crate docs). Shared by the index implementations.
 pub(crate) fn finalize_hits(mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
+    finalize_in_place(&mut hits, k, &mut Vec::new());
+    hits
+}
+
+/// [`finalize_hits`] in place, the rank keys in `keys` (cleared first):
+/// allocates nothing once `keys` holds one key a hit.
+pub(crate) fn finalize_in_place(hits: &mut Vec<SearchHit>, k: usize, keys: &mut Vec<u64>) {
     if k == 0 {
-        return Vec::new();
+        hits.clear();
+        return;
     }
     if k < hits.len() {
-        let mut keys: Vec<u64> = hits.iter().map(|h| rank_key(h.similarity)).collect();
+        keys.clear();
+        keys.extend(hits.iter().map(|h| rank_key(h.similarity)));
         let cut = *keys.select_nth_unstable(k - 1).1;
         hits.retain(|h| rank_key(h.similarity) <= cut);
     }
@@ -137,7 +146,6 @@ pub(crate) fn finalize_hits(mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit
             .then(a.id.cmp(&b.id))
     });
     hits.truncate(k);
-    hits
 }
 
 /// `similarity` as an integer that sorts the other way round: a smaller

@@ -56,13 +56,20 @@ else
 fi
 
 # Building rewrites benchmark/Cargo.lock when a crate's dependency edges
-# changed since it was recorded; put a clean one back.
+# changed since it was recorded; put the tree's own copy back, byte for
+# byte. No git call: a parent directory need not be a git checkout.
 build() { # <tree> <target-dir>
-    local clean=0
-    git -C "$1" diff --quiet -- benchmark/Cargo.lock && clean=1
+    local lock=$1/benchmark/Cargo.lock saved
+    saved=$(mktemp)
+    cp -p "$lock" "$saved"
     cargo build --release --offline --quiet \
-        --manifest-path "$1/benchmark/Cargo.toml" --target-dir "$2" >&2
-    [ $clean = 0 ] || git -C "$1" checkout -- benchmark/Cargo.lock
+        --manifest-path "$1/benchmark/Cargo.toml" --target-dir "$2" >&2 || {
+        cp -p "$saved" "$lock"
+        rm -f "$saved"
+        return 1
+    }
+    cp -p "$saved" "$lock"
+    rm -f "$saved"
 }
 change_tree=$repo
 [ $aa = 0 ] || change_tree=$parent_tree
