@@ -11,7 +11,7 @@ use ic_kvmem::BlockPool;
 use ic_llmsim::{Catalog, ExampleId, Generator, ModelSpec};
 use ic_manager::{KnapsackItem, dp_knapsack, greedy_knapsack};
 use ic_router::{RequestRouter, RouterConfig};
-use ic_selector::{ExampleSelector, STAGE1_CANDIDATES};
+use ic_selector::ExampleSelector;
 use ic_serving::{ClusterSim, PoolConfig};
 use ic_stats::rng::rng_from_seed;
 use ic_vecindex::{FlatIndex, IvfConfig, IvfIndex, VectorIndex, kmeans_fit_rows};
@@ -66,132 +66,6 @@ fn bench_index_search(c: &mut Criterion) {
         b.iter(|| {
             turn = (turn + 1) % queries.len();
             black_box(clustered.search(black_box(&queries[turn]), 32))
-        })
-    });
-    g.finish();
-}
-
-/// The stage-1 probe memo on the topic-clustered 20 000-row bank of
-/// `ivf_sqrtN_top32_cold`, through `ExampleSelector::stage1`:
-///
-/// - `plain` — the probe as `stage1` runs it on a miss (the index
-///   search, mapped to the selector's hit type), memo not involved;
-/// - `miss` — `stage1` over the same 2 048 distinct queries in turn:
-///   ≈16 queries share each of the memo's 128 slots, so every lookup
-///   finds another query's entry, probes and stores;
-/// - `hit` — `stage1` over a set of queries that do not evict one
-///   another (the first of the bank's 256 per-topic queries to claim
-///   each slot, ≈110 of them), again and again: every lookup is
-///   answered from the memo.
-///
-/// CI gates on `miss / hit` (the probe a repeat no longer pays) and
-/// prints `miss / plain` (the memo's tax where there is no repeat).
-/// The `shape` line is deterministic: the lookups and hits the two
-/// sets produced while they were being laid out.
-fn bench_stage1_repeat(c: &mut Criterion) {
-    struct Fixture {
-        selector: ExampleSelector,
-        distinct: Vec<ic_llmsim::Request>,
-        repeating: Vec<ic_llmsim::Request>,
-    }
-    fn fixture() -> Fixture {
-        let n = 20_000usize;
-        let mut rng = rng_from_seed(1);
-        let space = TopicSpace::generate(13, TopicSpaceConfig::default());
-        let topics = space.num_topics();
-        let mut selector = ExampleSelector::standard();
-        selector.index_examples(
-            (0..n)
-                .map(|i| {
-                    (
-                        ExampleId(i as u64),
-                        space.sample_member(i % topics, &mut rng),
-                    )
-                })
-                .collect(),
-        );
-        let template = WorkloadGenerator::new(Dataset::MsMarco, 2)
-            .generate_requests(1)
-            .pop()
-            .expect("one request");
-        let mut sample = |count: usize| -> Vec<ic_llmsim::Request> {
-            (0..count)
-                .map(|i| ic_llmsim::Request {
-                    embedding: space.sample_member(i % topics, &mut rng),
-                    ..template.clone()
-                })
-                .collect()
-        };
-        // The memo is direct-mapped and its hash is private: a candidate
-        // joins the repeating set when storing it leaves every member
-        // stored (each member's re-ask is then a hit; an evicted member
-        // re-stores itself on its miss, evicting the candidate back).
-        let mut repeating: Vec<ic_llmsim::Request> = Vec::new();
-        for candidate in sample(topics) {
-            selector.stage1(&candidate);
-            let (_, before) = selector.probe_memo_counts();
-            for member in &repeating {
-                selector.stage1(member);
-            }
-            let (_, after) = selector.probe_memo_counts();
-            if after - before == repeating.len() as u64 {
-                repeating.push(candidate);
-            }
-        }
-        let distinct = sample(2_048);
-        let (lookups, hits) = selector.probe_memo_counts();
-        for r in distinct.iter().chain(&distinct) {
-            selector.stage1(r);
-        }
-        let (lookups_after, hits_after) = selector.probe_memo_counts();
-        println!(
-            "stage1_repeat_20k shape: {} expected comparisons a probe, {} repeating queries; \
-             two passes over {} distinct queries: {} lookups, {} hits",
-            selector.index().expected_comparisons().round(),
-            repeating.len(),
-            distinct.len(),
-            lookups_after - lookups,
-            hits_after - hits,
-        );
-        Fixture {
-            selector,
-            distinct,
-            repeating,
-        }
-    }
-    // Built by the first line a run measures, so a filtered run that
-    // measures none pays nothing.
-    let cell = std::cell::OnceCell::new();
-    let mut g = c.benchmark_group("stage1_repeat_20k");
-    let mut turn = 0usize;
-    g.bench_function("plain", |b| {
-        let f = cell.get_or_init(fixture);
-        let k = STAGE1_CANDIDATES;
-        b.iter(|| {
-            turn = (turn + 1) % f.distinct.len();
-            let hits = f.selector.index().search(&f.distinct[turn].embedding, k);
-            black_box(
-                hits.into_iter()
-                    .map(|h| (ExampleId(h.id), h.similarity))
-                    .collect::<Vec<_>>(),
-            )
-        })
-    });
-    g.bench_function("miss", |b| {
-        let f = cell.get_or_init(fixture);
-        b.iter(|| {
-            turn = (turn + 1) % f.distinct.len();
-            black_box(f.selector.stage1(&f.distinct[turn]))
-        })
-    });
-    g.bench_function("hit", |b| {
-        let f = cell.get_or_init(fixture);
-        for r in &f.repeating {
-            f.selector.stage1(r);
-        }
-        b.iter(|| {
-            turn = (turn + 1) % f.repeating.len();
-            black_box(f.selector.stage1(&f.repeating[turn]))
         })
     });
     g.finish();
@@ -302,9 +176,6 @@ fn bench_selector(c: &mut Criterion) {
         selector.index_example(e.id, e.embedding.clone());
         store.insert(e.id, e);
     }
-    // Enough distinct requests that each of the probe memo's 128 slots
-    // is shared by ≈16 of them: both lines measure the probe, never a
-    // memo hit (`stage1_repeat_20k` measures those).
     let requests = wg.generate_requests(2_048);
     let mut g = c.benchmark_group("selector");
     let mut i = 0usize;
@@ -764,7 +635,6 @@ fn bench_resp_cache(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_index_search,
-    bench_stage1_repeat,
     bench_index_build,
     bench_selector,
     bench_router,

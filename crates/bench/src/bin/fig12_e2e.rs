@@ -208,12 +208,6 @@ fn print_replay_summary(replay: &TimedReplay, peak_rss_mb: f64) {
         r.arm_evaluations,
         r.posterior_refits as f64 / r.arm_evaluations.max(1) as f64 * 100.0,
     );
-    println!(
-        "probe memo: {} of {} stage-1 lookups answered without a probe ({:.1}%)",
-        r.probe_memo_hits,
-        r.probe_memo_lookups,
-        r.probe_memo_hits as f64 / r.probe_memo_lookups.max(1) as f64 * 100.0,
-    );
 }
 
 /// Writes the observability artifacts a traced/sampled report carries:

@@ -59,6 +59,7 @@ fn fig12_trace_path_with_missing_parent_dirs_succeeds() {
     let replay = std::fs::read_to_string(cwd.join("BENCH_replay.json")).expect("BENCH_replay.json");
     assert!(replay.contains("\"wall_s\":"), "{replay}");
     assert!(!replay.contains("\"traced_wall_s\""), "{replay}");
+    assert!(!replay.contains("\"probe_memo_"), "{replay}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         stdout.lines().filter(|l| l.starts_with("replay:")).count(),
@@ -66,6 +67,7 @@ fn fig12_trace_path_with_missing_parent_dirs_succeeds() {
         "{stdout}"
     );
     assert!(!stdout.contains("obs overhead:"), "{stdout}");
+    assert!(!stdout.contains("probe memo:"), "{stdout}");
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 

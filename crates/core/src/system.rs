@@ -171,13 +171,6 @@ impl IcCacheSystem {
         &self.selector
     }
 
-    /// Test support: [`ExampleSelector::disable_probe_memo`] on the
-    /// system's selector — the memo-less reference run.
-    #[doc(hidden)]
-    pub fn disable_probe_memo(&mut self) {
-        self.selector.disable_probe_memo();
-    }
-
     /// Read access to the router.
     pub fn router(&self) -> &RequestRouter {
         &self.router
@@ -276,11 +269,11 @@ impl IcCacheSystem {
         self.serve_as(request, true, |_| None)
     }
 
-    /// [`IcCacheSystem::serve`] with stage 1 supplied: when the probe
-    /// memo does not answer, `ahead(generation)` may hand over the probe's
-    /// result for this request under that index generation, computed
-    /// ahead of time (see [`ExampleSelector::stage1_or`]); `None` probes
-    /// here. Every byte of the outcome is the same either way.
+    /// [`IcCacheSystem::serve`] with stage 1 supplied: `ahead(generation)`
+    /// may hand over the probe's result for this request under that index
+    /// generation, computed ahead of time (see
+    /// [`ExampleSelector::stage1_or`]); `None` probes here. Every byte of
+    /// the outcome is the same either way.
     pub fn serve_ahead(
         &mut self,
         request: &Request,

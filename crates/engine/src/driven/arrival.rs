@@ -68,8 +68,8 @@ impl EngineState<'_> {
             return;
         }
 
-        // Stage 1 from the look-ahead's slot when the memo misses and
-        // the slot is ready; probed here otherwise.
+        // Stage 1 from the look-ahead's slot when it is ready; probed
+        // here otherwise.
         let lookahead = self.lookahead.as_ref();
         let out =
             (self.system).serve_ahead(request, |generation| lookahead?.take(pos, i, generation));

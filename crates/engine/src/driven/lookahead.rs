@@ -10,12 +10,13 @@
 //! ([`ic_selector::ExampleSelector::shared_index`]), writing the top
 //! [`STAGE1_CANDIDATES`] hits into a fixed ring of [`RING`] slots, each
 //! stamped with the arrival's seq and the index generation it was probed
-//! under. The event loop, on a probe-memo miss, takes the arrival's
-//! slot when it is there and its stamps are current, and probes inline
-//! otherwise — today's path. Stage 2, the cut, routing, learning, every
-//! counter and every report byte stay on the event loop; a slot holds
-//! what the inline probe would have returned, so the bytes are the same
-//! whichever side probed.
+//! under. The event loop takes the arrival's slot when it is there and
+//! its stamps are current, and probes inline otherwise — the path of a
+//! one-core host, and of every arrival after the look-ahead retires.
+//! A repeat query takes its own slot like any other arrival. Stage 2,
+//! the cut, routing, learning, every counter and every report byte stay
+//! on the event loop; a slot holds what the inline probe would have
+//! returned, so the bytes are the same whichever side probed.
 //!
 //! - **Never waiting.** The event loop only `try_lock`s a slot: one the
 //!   helper is writing, or has not reached, is probed inline. Per

@@ -149,8 +149,6 @@ pub(super) struct EngineState<'a> {
     /// The router's `posterior_counts` when the run began; the report
     /// carries the growth since.
     posterior_base: (u64, u64),
-    /// The selector's `probe_memo_counts` when the run began, likewise.
-    probe_memo_base: (u64, u64),
     /// Failover bookkeeping: overlapping outage windows per pool, so a
     /// nested window's `PoolUp` cannot revive a pool an enclosing
     /// window still declares down.
@@ -189,7 +187,6 @@ impl<'a> EngineState<'a> {
         }
         system.begin_run();
         let posterior_base = system.router().posterior_counts();
-        let probe_memo_base = system.selector().probe_memo_counts();
 
         let mut state = Self {
             config,
@@ -224,7 +221,6 @@ impl<'a> EngineState<'a> {
             #[cfg(test)]
             stepwise: false,
             posterior_base,
-            probe_memo_base,
             recorder: config.trace.then(|| Recorder::new(config.obs_ring)),
             sampler: Sampler {
                 on: Periodic::every_secs(config.obs_sample_s).enabled(),
@@ -586,9 +582,6 @@ impl<'a> EngineState<'a> {
         let (arm_evaluations, posterior_refits) = self.system.router().posterior_counts();
         self.replay.arm_evaluations = arm_evaluations - self.posterior_base.0;
         self.replay.posterior_refits = posterior_refits - self.posterior_base.1;
-        let (memo_lookups, memo_hits) = self.system.selector().probe_memo_counts();
-        self.replay.probe_memo_lookups = memo_lookups - self.probe_memo_base.0;
-        self.replay.probe_memo_hits = memo_hits - self.probe_memo_base.1;
         EngineReport {
             engine: ENGINE_NAME.to_owned(),
             served: n,

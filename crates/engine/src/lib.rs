@@ -22,8 +22,8 @@
 //!   ├ stage 0: observe in the sketch, then      on_step(pool)
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
 //!   ├ IcCacheSystem::serve_ahead: stage 1       │  run, the pool applied it
-//!   │  (memo, else the look-ahead's slot,       │
-//!   │  else a probe) + stage 2 + routing        ├ else advance_step: finishers
+//!   │  (the look-ahead's slot, else a probe)    │
+//!   │  + stage 2 + routing                      ├ else advance_step: finishers
 //!   │  + generation + feedback                  │  ▶ complete (TTFT/E2E, Little's
 //!   └ dispatch ──▶ pool.offer ── Started ──▶    │  law ▶ the router); then
 //!                  arm the pool's slot          │  advance_quiet applies the quiet
@@ -101,7 +101,7 @@
 //! arrivals ahead of the event loop and runs each arrival's stage-1 IVF
 //! probe against a shared handle on the selector's index, leaving the
 //! hits in a ring slot stamped with the arrival's seq and the index
-//! generation. An arrival whose probe memo misses takes its slot when
+//! generation. An arrival, a repeat query included, takes its slot when
 //! the stamps match and probes inline otherwise; everything after stage
 //! 1 stays on the event loop. The helper is stopped and joined before
 //! the replay's first index write (a served pair admitted, or a capacity

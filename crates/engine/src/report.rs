@@ -106,8 +106,8 @@ pub struct CacheStats {
     pub evicted: u64,
 }
 
-/// Replay counters for one engine run: the pools' quiet runs, the
-/// router's kept posteriors and the selector's probe memo.
+/// Replay counters for one engine run: the pools' quiet runs and the
+/// router's kept posteriors.
 ///
 /// Diagnostics of *how* the replay ran, not of what it served:
 /// deliberately **not** serialized by [`EngineReport::to_json`], so a
@@ -130,14 +130,6 @@ pub struct ReplayStats {
     /// How many of those refactored the arm's precision matrix — the
     /// arm had learned (feedback) since its last decision.
     pub posterior_refits: u64,
-    /// Stage-1 calls that consulted the selector's probe memo: every
-    /// arrival past stage 0 while the index expects a probe to cost
-    /// more than remembering one, `0` below that bar (a bank of 100).
-    pub probe_memo_lookups: u64,
-    /// How many of those were answered from the memo — the same query
-    /// bits, probed under the same index generation — instead of
-    /// running the probe.
-    pub probe_memo_hits: u64,
 }
 
 impl ReplayStats {
@@ -149,15 +141,9 @@ impl ReplayStats {
         format!(
             concat!(
                 "{{\"step_runs\":{},\"quiet_steps\":{},",
-                "\"arm_evaluations\":{},\"posterior_refits\":{},",
-                "\"probe_memo_lookups\":{},\"probe_memo_hits\":{}}}"
+                "\"arm_evaluations\":{},\"posterior_refits\":{}}}"
             ),
-            self.step_runs,
-            self.quiet_steps,
-            self.arm_evaluations,
-            self.posterior_refits,
-            self.probe_memo_lookups,
-            self.probe_memo_hits,
+            self.step_runs, self.quiet_steps, self.arm_evaluations, self.posterior_refits,
         )
     }
 }
@@ -210,10 +196,9 @@ pub struct EngineReport {
     /// pre-populations, stale evictions, stored bytes). All zero when
     /// the tier is off (`EngineConfig::resp_cache`).
     pub resp_cache: ic_respcache::RespCacheStats,
-    /// Replay counters (quiet runs, router posteriors, KV sharing,
-    /// probe memo). Excluded from [`EngineReport::to_json`] by design;
-    /// persisted through the telemetry artifact instead
-    /// ([`ReplayStats::to_json`]).
+    /// Replay counters (quiet runs, router posteriors). Excluded from
+    /// [`EngineReport::to_json`] by design; persisted through the
+    /// telemetry artifact instead ([`ReplayStats::to_json`]).
     pub replay: ReplayStats,
     /// Observability capture (`EngineConfig::trace` /
     /// `EngineConfig::obs_sample_s`): the merged lifecycle event stream

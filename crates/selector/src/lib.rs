@@ -23,18 +23,12 @@
 //! cut online; here it is a constant (`docs/paper-claims.md`).
 //!
 //! Selection is strictly per request, in arrival order (Algorithm 1):
-//! [`ExampleSelector::select`] draws no randomness and changes nothing
-//! a selection depends on. The one thing it writes is the stage-1 probe
-//! memo (the `memo` module): a small generation-stamped table that
-//! answers a query whose bits were probed against the unchanged index
-//! with that probe's own bytes, consulted only while a probe costs more
-//! than remembering one. On a memo miss a caller may hand stage 1 a
-//! result probed ahead of time on another thread
-//! ([`ExampleSelector::stage1_or`], against
+//! [`ExampleSelector::select`] draws no randomness and writes nothing.
+//! A caller may hand stage 1 a result probed ahead of time on another
+//! thread ([`ExampleSelector::stage1_or`], against
 //! [`ExampleSelector::shared_index`]); the index cannot be written while
 //! such a handle lives, so the result is the probe's own bytes.
 
-mod memo;
 pub mod proxy;
 pub mod twostage;
 

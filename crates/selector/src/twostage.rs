@@ -1,13 +1,11 @@
 //! The two-stage selection pipeline (Algorithm 1, `RetrieveExamples`).
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, ExampleStore, ModelSpec, Request};
 use ic_vecindex::{IvfConfig, IvfIndex, StoredRow, VectorIndex};
 
-use crate::memo::{self, ProbeMemo};
 use crate::proxy::ProxyModel;
 
 /// Stage-1 candidate count (relevance pre-selection width).
@@ -92,11 +90,6 @@ impl Selection {
 #[derive(Debug)]
 pub struct ExampleSelector {
     index: Arc<IvfIndex>,
-    /// Recent stage-1 results, stamped with the index generation they
-    /// were probed under (see the `memo` module). Behind a `RefCell`
-    /// because selection reads the selector through `&self`; `None` only
-    /// after [`Self::disable_probe_memo`].
-    memo: Option<RefCell<ProbeMemo>>,
     proxy: ProxyModel,
 }
 
@@ -105,7 +98,6 @@ impl ExampleSelector {
     pub fn new(config: SelectorConfig) -> Self {
         Self {
             index: Arc::new(IvfIndex::new(config.ivf)),
-            memo: Some(RefCell::new(ProbeMemo::new())),
             proxy: ProxyModel::standard(),
         }
     }
@@ -175,63 +167,28 @@ impl ExampleSelector {
 
     /// Stage 1 only: relevance-ranked candidates. Public for the Fig. 9
     /// ablation (stage-1-only selection).
-    ///
-    /// While a probe is expensive enough to be worth remembering, a
-    /// query whose bits were probed under the index's current generation
-    /// is answered from the probe memo with the probe's own bytes (see
-    /// the `memo` module); below that bar the memo is not consulted.
     pub fn stage1(&self, request: &Request) -> Vec<(ExampleId, f64)> {
         self.stage1_or(request, |_| None)
     }
 
     /// [`Self::stage1`] where the probe may already have run elsewhere:
-    /// when the memo does not answer, `ahead(generation)` is asked first
-    /// and its list, if any, stands in for the probe. It must be what the
-    /// probe returns for this query under the index generation it is
-    /// given (a look-ahead's result stamped with that generation), so
-    /// the bytes, and the memo's counters and contents, are the same
+    /// `ahead(generation)` is asked first and its list, if any, stands in
+    /// for the probe. It must be what the probe returns for this query
+    /// under the index generation it is given (a look-ahead's result
+    /// stamped with that generation), so the bytes are the same
     /// whichever ran it.
     pub fn stage1_or(
         &self,
         request: &Request,
         ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
     ) -> Vec<(ExampleId, f64)> {
-        let generation = self.index.generation();
-        let probe = || {
-            ahead(generation).unwrap_or_else(|| {
-                self.index
-                    .search(&request.embedding, STAGE1_CANDIDATES)
-                    .into_iter()
-                    .map(|h| (ExampleId(h.id), h.similarity))
-                    .collect()
-            })
-        };
-        match &self.memo {
-            Some(memo) if self.index.expected_comparisons() >= memo::MIN_COMPARISONS => memo
-                .borrow_mut()
-                .get_or_probe(request.embedding.as_slice(), generation, probe),
-            _ => probe(),
-        }
-    }
-
-    /// `(lookups, hits)` of the probe memo since construction: stage-1
-    /// calls that consulted it, and how many of those it answered.
-    /// Lookups minus hits ran the probe; calls below the memo's
-    /// comparison bar count as neither.
-    pub fn probe_memo_counts(&self) -> (u64, u64) {
-        self.memo.as_ref().map_or((0, 0), |memo| {
-            let memo = memo.borrow();
-            (memo.lookups, memo.hits)
+        ahead(self.index.generation()).unwrap_or_else(|| {
+            self.index
+                .search(&request.embedding, STAGE1_CANDIDATES)
+                .into_iter()
+                .map(|h| (ExampleId(h.id), h.similarity))
+                .collect()
         })
-    }
-
-    /// Test support: drops the probe memo, so every stage-1 call runs the
-    /// probe and the counters stay at zero — the reference a memoized
-    /// run's bytes are compared against. Not reachable from any
-    /// configuration.
-    #[doc(hidden)]
-    pub fn disable_probe_memo(&mut self) {
-        self.memo = None;
     }
 
     /// Full two-stage selection at [`UTILITY_CUT`].

@@ -34,8 +34,9 @@
 //! advances on every row placed or removed and on every retrain, from
 //! inside the three private mutators all writes go through, so a caller
 //! that keeps a hit list next to the generation it was computed under
-//! (`ic-selector`'s probe memo) can tell a still-valid list from a
-//! stale one by comparing two integers.
+//! (`ic-engine`'s stage-1 look-ahead, which stamps every slot it fills)
+//! can tell a still-valid list from a stale one by comparing two
+//! integers.
 //!
 //! # Retraining, and why a bulk load needs only the last one
 //!
@@ -354,8 +355,8 @@ impl IvfIndex {
     /// retrain. [`VectorIndex::search`] is a pure function of the query's
     /// bits and the index contents, so two searches for the same bits
     /// under one generation return the same bytes; a caller that keeps a
-    /// result keeps this stamp with it (`ic-selector`'s probe memo). The
-    /// bumps sit in the three private mutators everything else goes
+    /// result keeps this stamp with it (`ic-engine`'s stage-1 look-ahead).
+    /// The bumps sit in the three private mutators everything else goes
     /// through (`place`, `remove`'s success path, `retrain_with`), so no
     /// new entry point can change the index without advancing it.
     pub fn generation(&self) -> u64 {
@@ -799,6 +800,52 @@ mod tests {
         assert_eq!(ivf.len(), 1);
         let hits = ivf.search(&b, 1);
         assert!(hits[0].similarity > 0.99);
+    }
+
+    /// `generation()` advances on every write that changes the contents
+    /// and on nothing else: the stage-1 look-ahead stamps each slot with
+    /// it, and a write that left it alone would let a slot probed before
+    /// the write answer an arrival after it. Mutations that fail it:
+    /// dropping any one of the three `self.generation += 1` — in `place`
+    /// (the fresh insert), in `remove` (the live removal) or in
+    /// `retrain_with` (the retrain that places no row).
+    #[test]
+    fn generation_advances_on_every_write_and_only_then() {
+        let (mut ivf, _, queries) = build_pair(200);
+        assert!(!ivf.is_brute_force());
+        let mut at = ivf.generation();
+        let mut check = |now: u64, moves: bool, what: &str| {
+            assert!(now >= at, "{what}: {at} -> {now}");
+            assert_eq!(now > at, moves, "{what}: {at} -> {now}");
+            at = now;
+        };
+        let _ = ivf.search(&queries[0], 10);
+        check(ivf.generation(), false, "search");
+        assert!(!ivf.remove(10_000));
+        check(ivf.generation(), false, "remove of an absent id");
+        ivf.insert(10_000, queries[1].clone());
+        check(ivf.generation(), true, "fresh insert");
+        ivf.insert(10_000, queries[2].clone());
+        check(ivf.generation(), true, "overwrite");
+        assert!(ivf.remove(10_000));
+        check(ivf.generation(), true, "remove of a live id");
+        ivf.insert_bulk(vec![
+            (20_000, queries[3].clone()),
+            (20_001, queries[4].clone()),
+        ]);
+        check(ivf.generation(), true, "insert_bulk");
+        ivf.retrain();
+        check(ivf.generation(), true, "retrain");
+        // Every row out, then a retrain that drops the model and places
+        // nothing: only its own bump can advance the generation.
+        for id in (0..200).chain([20_000, 20_001]) {
+            assert!(ivf.remove(id));
+        }
+        check(ivf.generation(), true, "removals");
+        assert!(ivf.num_clusters() > 0);
+        ivf.retrain();
+        assert_eq!(ivf.num_clusters(), 0);
+        check(ivf.generation(), true, "retrain of an emptied index");
     }
 
     #[test]
