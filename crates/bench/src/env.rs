@@ -14,7 +14,6 @@
 //! `Err` too.
 
 use ic_engine::{EngineConfig, PoolOutage};
-use ic_serving::Watermarks;
 
 /// One `IC_*` knob: its name, the values it accepts (`docs/config.md`'s
 /// `accepts` column, word for word) and how a trimmed value sets it
@@ -44,32 +43,18 @@ fn switch(value: &str) -> Option<bool> {
 /// `IC_` in a bench binary's environment is a typo or a retired knob.
 #[rustfmt::skip]
 pub const KNOBS: &[Knob] = &[
-    Knob { name: "IC_PREFILL_CHUNK", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.prefill_chunk_tokens = n) },
     Knob { name: "IC_PREEMPT_QUANTUM", accepts: "integer ≥ 0",
         set: |k, v| v.parse().ok().map(|n| k.preempt_decode_quantum = n) },
     Knob { name: "IC_MAX_QUEUE", accepts: "integer ≥ 0",
         set: |k, v| v.parse().ok().map(|n| k.max_queue = Some(n)) },
-    Knob { name: "IC_KV_BLOCK", accepts: "integer ≥ 1",
-        set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.kv_block_tokens = n) },
     Knob { name: "IC_KV_BUDGET", accepts: "integer ≥ 1",
         set: |k, v| v.parse().ok().filter(|n| *n >= 1).map(|n| k.kv_budget_blocks = n) },
-    Knob { name: "IC_KV_WATERMARKS", accepts: "`high,low`, 0 < low < high ≤ 1",
-        set: |k, v| parse_watermarks(v).map(|w| k.kv_watermarks = w) },
     Knob { name: "IC_KV_HOST_BLOCKS", accepts: "integer ≥ 0",
         set: |k, v| v.parse().ok().map(|n| k.kv_swap.host_capacity_blocks = n) },
     Knob { name: "IC_RESP_CACHE", accepts: "`0` or `1`",
         set: |k, v| switch(v).map(|on| k.resp_cache = on) },
     Knob { name: "IC_RESP_THRESHOLD", accepts: "number in [−1, 1]",
         set: |k, v| number(v, |x| x.abs() <= 1.0).map(|x| k.resp_threshold = x) },
-    Knob { name: "IC_RESP_BYTES", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.resp_budget_bytes = n) },
-    Knob { name: "IC_RESP_TTL", accepts: "finite number > 0",
-        set: |k, v| number(v, |x| x > 0.0).map(|x| k.resp_ttl_s = x) },
-    Knob { name: "IC_RESP_PREPOP", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.resp_prepop_min = n) },
-    Knob { name: "IC_RESP_WINDOW", accepts: "finite number > 0",
-        set: |k, v| number(v, |x| x > 0.0).map(|x| k.resp_window_s = x) },
     Knob { name: "IC_POOL_OUTAGE",
         accepts: "`pool:at:duration[;...]`, a pool the cluster has, finite at ≥ 0, \
                   finite duration > 0",
@@ -78,8 +63,6 @@ pub const KNOBS: &[Knob] = &[
         set: |k, v| switch(v).map(|on| k.trace = on) },
     Knob { name: "IC_OBS_SAMPLE", accepts: "finite number ≥ 0",
         set: |k, v| number(v, |x| x >= 0.0).map(|x| k.obs_sample_s = x) },
-    Knob { name: "IC_OBS_RING", accepts: "integer ≥ 0",
-        set: |k, v| v.parse().ok().map(|n| k.obs_ring = n) },
     // Read by the golden tests, not by a run: a row so that setting it
     // is not a typo.
     Knob { name: "IC_BLESS", accepts: "any (only `1` blesses)", set: |_, _| Some(()) },
@@ -161,18 +144,6 @@ pub fn parse_outages(value: &str) -> Option<Vec<PoolOutage>> {
     (!outages.is_empty()).then_some(outages)
 }
 
-/// Parses a `"high,low"` watermark pair (e.g. `0.9,0.7`): `None` when
-/// malformed or violating `0 < low < high <= 1`. Inverted *and equal*
-/// pairs are malformed: `low == high` is legal at the kvmem level (a
-/// pinned band) but as a knob value it is always a sweep-script typo that
-/// silently kills the pressure band.
-pub fn parse_watermarks(value: &str) -> Option<Watermarks> {
-    let (high, low) = value.split_once(',')?;
-    let high: f64 = high.trim().parse().ok()?;
-    let low: f64 = low.trim().parse().ok()?;
-    (low > 0.0 && low < high && high <= 1.0).then(|| Watermarks::new(high, low))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,12 +187,12 @@ mod tests {
     fn parses_plain_values() {
         // Values are trimmed; names outside `IC_*` are not knobs.
         let k = knobs(&[
-            ("IC_PREFILL_CHUNK", " 42 "),
+            ("IC_PREEMPT_QUANTUM", " 42 "),
             ("IC_MAX_QUEUE", "7\n"),
             ("PATH", "x"),
         ])
         .expect("valid");
-        assert_eq!(k.prefill_chunk_tokens, 42);
+        assert_eq!(k.preempt_decode_quantum, 42);
         assert_eq!(k.max_queue, Some(7));
         let unset = knobs(&[]).expect("nothing set");
         assert_eq!(
@@ -236,13 +207,6 @@ mod tests {
         assert_eq!(err, "IC_KV_BUDGET=\"forty-two\" is not integer ≥ 1");
         let err = knobs(&[("IC_KV_BUDGT", "64")]).expect_err("unknown");
         assert!(err.contains("IC_KV_BUDGT=\"64\""), "{err}");
-    }
-
-    #[test]
-    fn parses_watermark_pairs() {
-        let wm = parse_watermarks("0.95, 0.6").expect("valid pair");
-        assert!((wm.high - 0.95).abs() < 1e-12);
-        assert!((wm.low - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -269,18 +233,6 @@ mod tests {
             ";",              // Empty entries only.
         ] {
             assert_eq!(parse_outages(value), None, "{value}");
-        }
-    }
-
-    #[test]
-    fn rejects_inverted_or_malformed_watermarks() {
-        for value in [
-            "0.5,0.9",
-            // Regression: an equal pair used to parse, pinning a dead
-            // (zero-width) pressure band.
-            "0.8,0.8", "0.9", "0.9,0", "1.2,0.5",
-        ] {
-            assert_eq!(parse_watermarks(value), None, "{value}");
         }
     }
 }

@@ -266,20 +266,20 @@ impl IcCacheSystem {
     /// Algorithm 1 `ServeRequests`: select examples, route, generate,
     /// learn, manage.
     pub fn serve(&mut self, request: &Request) -> ServeOutcome {
-        self.serve_as(request, true, |_| None)
+        self.serve_as(request, true, None)
     }
 
-    /// [`IcCacheSystem::serve`] with stage 1 supplied: `ahead(generation)`
-    /// may hand over the probe's result for this request under that index
-    /// generation, computed ahead of time (see
-    /// [`ExampleSelector::stage1_or`]); `None` probes here. Every byte of
-    /// the outcome is the same either way.
+    /// [`IcCacheSystem::serve`] with stage 1 supplied: `stage1`, when
+    /// given, must be what [`ExampleSelector::stage1`] returns for this
+    /// request against the index as it is now (a probe run ahead of
+    /// time, under the current index generation); `None` probes here.
+    /// Every byte of the outcome is the same either way.
     pub fn serve_ahead(
         &mut self,
         request: &Request,
-        ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
+        stage1: Option<Vec<(ExampleId, f64)>>,
     ) -> ServeOutcome {
-        self.serve_as(request, true, ahead)
+        self.serve_as(request, true, stage1)
     }
 
     /// [`IcCacheSystem::serve`] for a failover *retry* of a request that
@@ -295,7 +295,7 @@ impl IcCacheSystem {
     /// logical request leaves exactly one set of selector/router stats
     /// behind, however many times failover re-enqueues it.
     pub fn serve_retry(&mut self, request: &Request) -> ServeOutcome {
-        self.serve_as(request, false, |_| None)
+        self.serve_as(request, false, None)
     }
 
     /// One serving; `fresh` is false for a failover retry, which skips
@@ -305,13 +305,15 @@ impl IcCacheSystem {
         &mut self,
         request: &Request,
         fresh: bool,
-        ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
+        stage1: Option<Vec<(ExampleId, f64)>>,
     ) -> ServeOutcome {
         // 1. Example Retriever. Examples target the cheapest offload
         //    candidate; the router sees their predicted utilities as
         //    context.
         let spec = self.config.catalog.get(self.offload_target);
-        let selection = (self.selector).select_or(request, self.manager.cache(), spec, ahead);
+        let stage1 = stage1.unwrap_or_else(|| self.selector.stage1(request));
+        let selection =
+            (self.selector).select_with_stage1(request, stage1, self.manager.cache(), spec);
 
         // 2. Request Router. A chosen model whose pool is marked down by
         //    the failover state is overridden by the best-scoring healthy
@@ -543,23 +545,11 @@ impl IcCacheSystem {
     /// model, then knapsack capacity enforcement (§4.3). Run during
     /// off-peak windows.
     pub fn run_maintenance(&mut self, now: f64) -> MaintenanceReport {
-        self.run_maintenance_with(now, || ())
-    }
-
-    /// [`IcCacheSystem::run_maintenance`], calling `before_unindex` once
-    /// before the first index write, if the capacity pass evicts anything
-    /// (the replay rewrites cached responses, never the index). The event
-    /// loop retires its stage-1 look-ahead there.
-    pub fn run_maintenance_with(
-        &mut self,
-        now: f64,
-        before_unindex: impl FnOnce(),
-    ) -> MaintenanceReport {
         let primary_spec = self.config.catalog.get(self.config.primary).clone();
         let replay = self
             .manager
             .run_replay(&primary_spec, &self.config.generator, &mut self.rng);
-        let evicted = self.run_rebalance_with(now, before_unindex);
+        let evicted = self.run_rebalance(now);
         MaintenanceReport {
             replayed: replay.replayed,
             replay_improvement: replay.total_improvement,
@@ -580,17 +570,7 @@ impl IcCacheSystem {
     /// event-driven engine can run it far more often than
     /// [`IcCacheSystem::run_maintenance`]. Returns the eviction count.
     pub fn run_rebalance(&mut self, now: f64) -> usize {
-        self.run_rebalance_with(now, || ())
-    }
-
-    /// [`IcCacheSystem::run_rebalance`], calling `before_unindex` once
-    /// before the first index write, if the pass evicts anything: a pass
-    /// that evicts nothing writes nothing.
-    pub fn run_rebalance_with(&mut self, now: f64, before_unindex: impl FnOnce()) -> usize {
         let evicted = self.manager.enforce_capacity(now);
-        if !evicted.is_empty() {
-            before_unindex();
-        }
         for id in &evicted {
             self.selector.unindex_example(*id);
         }

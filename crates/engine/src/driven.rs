@@ -31,9 +31,10 @@ pub struct PoolOutage {
     /// [`EventDrivenEngine::new`] panics on an index the engine has no
     /// pool for.
     pub pool: usize,
-    /// Failure time, seconds into the run.
+    /// Failure time, seconds into the run: finite and ≥ 0.
     pub at_s: f64,
-    /// Outage length in seconds; non-positive outages are ignored.
+    /// Outage length in seconds, finite; non-positive outages are
+    /// ignored.
     pub duration_s: f64,
 }
 
@@ -120,10 +121,9 @@ pub struct EngineConfig {
     /// `IC_OBS_SAMPLE`); `0` disables sampling. Samples land in the
     /// report's `obs` block, never in [`EngineReport::to_json`].
     pub obs_sample_s: f64,
-    /// Ring-buffer capacity per recording lane, in events (env
-    /// `IC_OBS_RING`). A full ring drops its oldest event and counts
-    /// the eviction, so long runs degrade to a suffix trace instead of
-    /// unbounded memory.
+    /// Ring-buffer capacity per recording lane, in events. A full ring
+    /// drops its oldest event and counts the eviction, so long runs
+    /// degrade to a suffix trace instead of unbounded memory.
     pub obs_ring: usize,
     /// Stage-0 predictive response cache (env `IC_RESP_CACHE` in the
     /// bench binaries). When on, every fresh arrival first probes an
@@ -139,18 +139,16 @@ pub struct EngineConfig {
     /// `IC_RESP_THRESHOLD`). The 0.98 default accepts near-duplicates
     /// only; see `docs/response-cache.md` for the calibration argument.
     pub resp_threshold: f64,
-    /// Byte budget of the stage-0 store (env `IC_RESP_BYTES`); LRU
-    /// entries are evicted past it.
+    /// Byte budget of the stage-0 store; LRU entries are evicted past
+    /// it.
     pub resp_budget_bytes: usize,
-    /// Stage-0 entry time-to-live, seconds (env `IC_RESP_TTL`); older
-    /// entries are stale and evicted lazily on lookup.
+    /// Stage-0 entry time-to-live, seconds; older entries are stale and
+    /// evicted lazily on lookup.
     pub resp_ttl_s: f64,
     /// Duplicate sightings within the trending window required before a
-    /// missed query is admitted into the stage-0 store (env
-    /// `IC_RESP_PREPOP`).
+    /// missed query is admitted into the stage-0 store.
     pub resp_prepop_min: u64,
-    /// Width of the stage-0 trending-query frequency window, seconds
-    /// (env `IC_RESP_WINDOW`).
+    /// Width of the stage-0 trending-query frequency window, seconds.
     pub resp_window_s: f64,
 }
 
@@ -201,7 +199,9 @@ pub struct EventDrivenEngine {
     model_pools: Vec<(ModelId, usize)>,
     pool_configs: Vec<PoolConfig>,
     /// Test-only: the stage-1 look-ahead forced on (a patient one, which
-    /// waits for each slot) or off, whatever the host's parallelism.
+    /// waits for each slot) or off, whatever the host's parallelism. On
+    /// only overrides the core check: a replay that can write the index
+    /// starts none.
     #[cfg(test)]
     force_lookahead: Option<bool>,
     /// Test-only: arrivals of the last replay whose stage 1 came from a
@@ -218,6 +218,9 @@ impl EventDrivenEngine {
     /// Panics if a [`PoolOutage`] names a pool the engine does not
     /// have: a fault schedule that silently injects nothing would
     /// record a fault-free run as if it had survived the outage. Panics
+    /// if an outage's `at_s` is not a finite time ≥ 0 or its
+    /// `duration_s` is not finite: either would go down and come back
+    /// at t = 0 (`SimTime::from_secs_f64` clamps). Panics
     /// on a router replica count other than 1: the replicated router
     /// tier was deleted, and a run that silently used one router would
     /// be recorded as a tier's.
@@ -233,6 +236,16 @@ impl EventDrivenEngine {
                 outage.pool < pools,
                 "pool outage names pool {} but the engine has {pools} pool(s)",
                 outage.pool
+            );
+            assert!(
+                outage.at_s.is_finite() && outage.at_s >= 0.0,
+                "pool outage at_s {} is not a finite time >= 0",
+                outage.at_s
+            );
+            assert!(
+                outage.duration_s.is_finite(),
+                "pool outage duration_s {} is not finite",
+                outage.duration_s
             );
         }
         let primary = sys_cfg.primary;
@@ -285,19 +298,20 @@ impl EventDrivenEngine {
     }
 
     /// The ring of a stage-1 look-ahead for a replay of `n` arrivals, if
-    /// it starts one: on a host with a second core, when there is a probe
-    /// to run ahead of and the index stays unwritten past the first
-    /// arrival. A replay that admits served pairs writes it at the first
-    /// one, so its look-ahead would retire before serving a second slot:
-    /// a thread, a ring and a peak-RSS rise for nothing. No knob reads
-    /// into it.
+    /// it starts one: the one place that knows when the helper may share
+    /// the index. It needs a probe to run ahead of, a replay that cannot
+    /// write the index — no served-pair admission, and no byte cap (with
+    /// none, maintenance only rewrites cached responses and a capacity
+    /// pass evicts nothing) — and a host with a second core. No knob
+    /// reads into it.
     fn lookahead_ring(&self, n: usize) -> Option<Ring> {
+        let probes = n > 0 && self.system.selector().indexed_count() > 0;
+        let uncapped = self.system.config().manager.capacity_bytes.is_none();
+        let read_only = !self.config.admit_served_pairs && uncapped;
         #[cfg(test)]
         if let Some(forced) = self.force_lookahead {
-            return (forced && n > 0).then(Ring::patient);
+            return (forced && probes && read_only).then(Ring::patient);
         }
-        let probes = n > 0 && self.system.selector().indexed_count() > 0;
-        let read_only = !self.config.admit_served_pairs;
         (probes && read_only && lookahead::second_core()).then(Ring::new)
     }
 
@@ -643,20 +657,38 @@ mod tests {
         assert_eq!(taken, requests.len() as u64 - hits);
     }
 
+    /// Each replay that can write the index — served pairs admitted,
+    /// or a byte cap whose 5 s capacity pass evicts — starts no
+    /// look-ahead, even forced on, and is the forced-off replay. More
+    /// arrivals than the ring holds, so a helper started by mistake
+    /// would be parked on a full ring, still holding the index, at the
+    /// first write: dropping either condition from `lookahead_ring`
+    /// panics there.
     #[test]
-    fn admitting_served_pairs_retires_at_the_first_admission() {
-        // More arrivals than the ring holds: the helper is parked on a
-        // full ring, still holding the index, when the first pair is
-        // admitted.
+    fn a_replay_that_can_write_the_index_starts_no_lookahead() {
         let (requests, arrivals) = workload(300, 400, 0.5, false);
-        let config = EngineConfig {
+        let admitting = EngineConfig {
             admit_served_pairs: true,
             ..EngineConfig::default()
         };
-        let build = || seeded_engine(300, config.clone(), 441).0;
+        let build = || seeded_engine(300, admitting.clone(), 441).0;
         let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
         assert!(report.cache.examples > 300, "served pairs were admitted");
-        assert_eq!(taken, 1, "only the first arrival, before its admission");
+        assert_eq!(taken, 0);
+
+        let rebalancing = EngineConfig {
+            rebalance_period_s: 5.0,
+            ..EngineConfig::default()
+        };
+        let build = || {
+            let mut engine = seeded_engine(300, rebalancing.clone(), 441).0;
+            let cap = engine.system().manager().cache().total_bytes() / 2;
+            engine.system_mut().set_cache_capacity(Some(cap));
+            engine
+        };
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert!(report.cache.evicted > 0, "the capacity pass evicted");
+        assert_eq!(taken, 0);
     }
 
     #[test]
@@ -694,6 +726,79 @@ mod tests {
         let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
         assert!(report.router.failover_requeues > 0, "{:?}", report.router);
         assert_eq!(taken, requests.len() as u64);
+    }
+
+    /// Two requests at `arrivals` on an engine with one outage of pool 0
+    /// at `at_s` for `duration_s`, if given.
+    fn serve_two(arrivals: [f64; 2], outage: Option<(f64, f64)>) -> EngineReport {
+        let pool_outages = (outage.into_iter())
+            .map(|(at_s, duration_s)| PoolOutage {
+                pool: 0,
+                at_s,
+                duration_s,
+            })
+            .collect();
+        let config = EngineConfig {
+            pool_outages,
+            ..EngineConfig::default()
+        };
+        let (mut engine, mut wg) = seeded_engine(10, config, 463);
+        engine.serve_workload(&wg.generate_requests(2), &arrivals)
+    }
+
+    #[test]
+    #[should_panic(expected = "pool outage at_s NaN is not a finite time >= 0")]
+    fn an_outage_at_nan_panics() {
+        serve_two([0.0, 1.0], Some((f64::NAN, 60.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pool outage at_s -5 is not a finite time >= 0")]
+    fn an_outage_at_a_negative_time_panics() {
+        serve_two([0.0, 1.0], Some((-5.0, 60.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pool outage at_s inf is not a finite time >= 0")]
+    fn an_outage_at_an_infinite_time_panics() {
+        serve_two([0.0, 1.0], Some((f64::INFINITY, 60.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pool outage duration_s NaN is not finite")]
+    fn an_outage_of_nan_seconds_panics() {
+        serve_two([0.0, 1.0], Some((0.5, f64::NAN)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pool outage duration_s inf is not finite")]
+    fn an_outage_of_infinite_seconds_panics() {
+        serve_two([0.0, 1.0], Some((0.5, f64::INFINITY)));
+    }
+
+    #[test]
+    fn a_non_positive_outage_is_ignored() {
+        let none = serve_two([0.0, 1.0], None).to_json();
+        assert_eq!(serve_two([0.0, 1.0], Some((0.5, 0.0))).to_json(), none);
+        assert_eq!(serve_two([0.0, 1.0], Some((0.5, -10.0))).to_json(), none);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival time NaN is not a finite time >= 0")]
+    fn a_nan_arrival_panics() {
+        serve_two([1.0, f64::NAN], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival time -0.5 is not a finite time >= 0")]
+    fn a_negative_arrival_panics() {
+        serve_two([-0.5, 1.0], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival time inf is not a finite time >= 0")]
+    fn an_infinite_arrival_panics() {
+        serve_two([1.0, f64::INFINITY], None);
     }
 
     #[test]

@@ -26,8 +26,18 @@ pub(super) struct ArrivalCursor {
 }
 
 impl ArrivalCursor {
+    /// # Panics
+    ///
+    /// On an arrival that is not a finite time ≥ 0, which
+    /// `SimTime::from_secs_f64` would clamp to t = 0.
     pub(super) fn new(arrivals: &[f64]) -> Self {
-        let times = arrivals.iter().map(|&a| SimTime::from_secs_f64(a));
+        let times = arrivals.iter().map(|&a| {
+            assert!(
+                a.is_finite() && a >= 0.0,
+                "arrival time {a} is not a finite time >= 0"
+            );
+            SimTime::from_secs_f64(a)
+        });
         // Collected straight into its one allocation, then sorted there.
         let mut order: Arc<[(SimTime, usize)]> = times.zip(0..).collect();
         Arc::get_mut(&mut order)
@@ -68,16 +78,16 @@ impl EngineState<'_> {
             return;
         }
 
-        // Stage 1 from the look-ahead's slot when it is ready; probed
-        // here otherwise.
-        let lookahead = self.lookahead.as_ref();
-        let out =
-            (self.system).serve_ahead(request, |generation| lookahead?.take(pos, i, generation));
+        // Stage 1 from the look-ahead's slot when it is ready and was
+        // probed under the current index; probed in `serve_ahead`
+        // otherwise.
+        let generation = self.system.selector().index().generation();
+        let stage1 = (self.lookahead.as_ref()).and_then(|ahead| ahead.take(pos, i, generation));
+        let out = self.system.serve_ahead(request, stage1);
         self.trace(at, i as u64, ObsKind::Stage1Probe);
 
         if self.dispatch(i, &out, at, false) {
             if self.config.admit_served_pairs {
-                self.retire_lookahead();
                 let _ = self
                     .system
                     .update_cache(request, &out.outcome, out.model, now);

@@ -2,17 +2,17 @@
 //! core.
 //!
 //! A stage-1 probe is a pure function of the query's bits and the index
-//! contents, every arrival's query is known when the replay starts, and
-//! the index does not change until the replay's first index write. So
-//! while the host has a second core, one helper thread walks the arrival
-//! cursor's firing order ahead of the event loop and probes each
-//! arrival against a shared handle on the selector's index
+//! contents, and every arrival's query is known when the replay starts.
+//! So on a replay that never writes the index, while the host has a
+//! second core, one helper thread walks the arrival cursor's firing
+//! order ahead of the event loop and probes each arrival against a
+//! shared handle on the selector's index
 //! ([`ic_selector::ExampleSelector::shared_index`]), writing the top
 //! [`STAGE1_CANDIDATES`] hits into a fixed ring of [`RING`] slots, each
 //! stamped with the arrival's seq and the index generation it was probed
 //! under. The event loop takes the arrival's slot when it is there and
 //! its stamps are current, and probes inline otherwise — the path of a
-//! one-core host, and of every arrival after the look-ahead retires.
+//! one-core host and of every replay that writes the index.
 //! A repeat query takes its own slot like any other arrival. Stage 2,
 //! the cut, routing, learning, every counter and every report byte stay
 //! on the event loop; a slot holds what the inline probe would have
@@ -34,16 +34,18 @@
 //!   sees (`docs/replay-perf.md`, "Stage-1 look-ahead", for what a `Vec`
 //!   per probe, or the same buffers on the event loop's heap, cost in
 //!   peak RSS).
-//! - **Retiring before a write.** Before the replay's first index write
-//!   — a served pair admitted into the cache, or a capacity pass that
-//!   evicts — the event loop stops and joins the helper, which drops
-//!   its handle on the index. The selector writes through
-//!   `Arc::get_mut`, so a write the engine forgot to retire for panics
+//! - **Read-only replays only.** The index changes only at an admission
+//!   and at a capacity pass that evicts, so the engine starts the helper
+//!   only when neither can happen: no served-pair admission and no
+//!   manager byte cap (`EventDrivenEngine::lookahead_ring`). It then
+//!   runs until the replay ends, when [`LookAhead`]'s `Drop` stops it
+//!   and the scope joins it. The selector writes through
+//!   `Arc::get_mut`, so a write under a wrong start condition panics
 //!   instead of racing.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
-use std::thread::{Scope, ScopedJoinHandle, Thread};
+use std::thread::{Scope, Thread};
 
 use ic_desim::SimTime;
 use ic_llmsim::{ExampleId, Request};
@@ -60,8 +62,8 @@ pub(super) fn second_core() -> bool {
 }
 
 /// One replay of `requests` at `arrivals` on `engine`, with a look-ahead
-/// through `ring` when one is given, retired by the time the replay
-/// returns.
+/// through `ring` when one is given, stopped and joined by the time the
+/// replay returns.
 pub(super) fn replay(
     engine: &mut EventDrivenEngine,
     requests: &[Request],
@@ -202,18 +204,17 @@ impl Ring {
     }
 }
 
-/// A running look-ahead, owned by the event loop.
+/// A running look-ahead, owned by the event loop until the replay ends.
 pub(super) struct LookAhead<'s> {
     ring: &'s Ring,
-    helper: Option<ScopedJoinHandle<'s, ()>>,
     thread: Thread,
 }
 
 impl<'s> LookAhead<'s> {
     /// Starts the helper on `scope`: through `ring`, it probes
-    /// `requests` in the firing order `order` against `index`.
-    /// `None` if the thread cannot be spawned: the replay then probes
-    /// inline, as on one core.
+    /// `requests` in the firing order `order` against `index`, and the
+    /// scope joins it. `None` if the thread cannot be spawned: the
+    /// replay then probes inline, as on one core.
     pub(super) fn start(
         scope: &'s Scope<'s, '_>,
         ring: &'s Ring,
@@ -226,7 +227,6 @@ impl<'s> LookAhead<'s> {
             .ok()?;
         Some(Self {
             thread: helper.thread().clone(),
-            helper: Some(helper),
             ring,
         })
     }
@@ -259,30 +259,17 @@ impl<'s> LookAhead<'s> {
         }
         self.ring.take(pos, seq, generation)
     }
-
-    /// Stops the helper and joins it; its handle on the index is
-    /// dropped here, so the index can be written again.
-    pub(super) fn retire(mut self) {
-        self.signal_stop();
-        if let Some(helper) = self.helper.take() {
-            helper.join().expect("the stage-1 look-ahead panicked");
-        }
-    }
-
-    fn signal_stop(&self) {
-        self.ring.stop.store(true, SeqCst);
-        self.thread.unpark();
-    }
 }
 
 impl Drop for LookAhead<'_> {
-    /// An event loop that unwinds (a failed assertion, an index write
-    /// the engine did not retire for) still stops the helper, so the
-    /// scope's join does not wait on a helper parked on a full ring.
+    /// Stops the helper: the one place it stops, when the replay's
+    /// state goes at its end or as its event loop unwinds. A helper
+    /// parked on a full ring is woken to see the flag; the scope joins
+    /// it, its handle on the index goes with it, and a helper panic
+    /// propagates from the scope.
     fn drop(&mut self) {
-        if self.helper.is_some() {
-            self.signal_stop();
-        }
+        self.ring.stop.store(true, SeqCst);
+        self.thread.unpark();
     }
 }
 
@@ -382,8 +369,9 @@ mod tests {
             let order = state.cursor.order();
             state.lookahead = LookAhead::start(scope, &ring, index, &requests, order);
             assert!(state.lookahead.is_some(), "the helper must start");
-            // An admission the event loop did not retire the look-ahead
-            // for: the selector's write finds the index shared.
+            // An admission while the helper runs, as a wrong start
+            // condition would allow: the selector's write finds the
+            // index shared.
             let out = state.system.serve(&requests[0]);
             let admitted = (state.system).update_cache(&requests[0], &out.outcome, out.model, 0.0);
             assert!(admitted.is_some(), "the pair must be admitted to write");

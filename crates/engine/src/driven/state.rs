@@ -12,7 +12,7 @@ use ic_respcache::{CachedResponse, RespCacheConfig, ResponseCache};
 use ic_serving::{
     IterStats, JobId, JobSpec, KvStats, ModelPool, Offer, PoolConfig, busy_interval_rps,
 };
-use ic_stats::{PercentileSnapshot, Percentiles};
+use ic_stats::Percentiles;
 use std::collections::VecDeque;
 
 use super::arrival::ArrivalCursor;
@@ -85,17 +85,15 @@ impl Tally {
 }
 
 /// Telemetry-sampler state (`EngineConfig::obs_sample_s`): running
-/// latency recorders behind the periodic percentile gauges, with the
-/// sorted state memoized between completions
-/// (`ic_stats::PercentileSnapshot`) so back-to-back idle sample ticks
-/// reuse one sort.
+/// latency recorders behind the periodic percentile gauges. Each keeps
+/// its sorted order until the next completion records into it, so
+/// back-to-back idle sample ticks reuse one sort.
 #[derive(Default)]
 struct Sampler {
     on: bool,
     samples: Vec<TelemetrySample>,
     e2e: Percentiles,
     ttft: Percentiles,
-    snapshot: Option<(usize, PercentileSnapshot, PercentileSnapshot)>,
 }
 
 /// Everything one replay mutates, borrowed from the engine for the
@@ -122,9 +120,9 @@ pub(super) struct EngineState<'a> {
     pub(super) armed: Vec<Option<Armed>>,
     /// The arrival sequence in firing order.
     pub(super) cursor: ArrivalCursor,
-    /// The stage-1 look-ahead while it runs (see the `lookahead`
-    /// module): started by `serve_workload` on a host with a second
-    /// core, retired before the replay's first index write.
+    /// The stage-1 look-ahead (see the `lookahead` module): started by
+    /// `serve_workload` on a replay that cannot write the index, on a
+    /// host with a second core; stopped when this state is dropped.
     pub(super) lookahead: Option<LookAhead<'a>>,
     /// Stage-0 response cache (`EngineConfig::resp_cache`): probed per
     /// fresh arrival before any selector work. `None` (the default)
@@ -261,7 +259,6 @@ impl<'a> EngineState<'a> {
                 continue;
             }
             let Some((at, event)) = self.sim.next() else {
-                retire(&mut self.lookahead);
                 return;
             };
             let now = at.as_secs_f64();
@@ -280,14 +277,12 @@ impl<'a> EngineState<'a> {
                 Event::PoolDown(pool) => self.on_pool_down(pool, at),
                 Event::PoolUp(pool) => self.on_pool_up(pool, at),
                 Event::Maintenance => {
-                    let lookahead = &mut self.lookahead;
-                    let report = (self.system).run_maintenance_with(now, || retire(lookahead));
+                    let report = self.system.run_maintenance(now);
                     self.evicted += report.evicted as u64;
                     self.rearm_periodic(self.config.maintenance_period_s, Event::Maintenance);
                 }
                 Event::Rebalance => {
-                    let lookahead = &mut self.lookahead;
-                    let evicted = (self.system).run_rebalance_with(now, || retire(lookahead));
+                    let evicted = self.system.run_rebalance(now);
                     self.evicted += evicted as u64;
                     self.rearm_periodic(self.config.rebalance_period_s, Event::Rebalance);
                 }
@@ -297,11 +292,6 @@ impl<'a> EngineState<'a> {
                 }
             }
         }
-    }
-
-    /// Stops the stage-1 look-ahead, if it runs, before an index write.
-    pub(super) fn retire_lookahead(&mut self) {
-        retire(&mut self.lookahead);
     }
 
     /// Queues `event` one period from now; a non-positive or non-finite
@@ -495,14 +485,7 @@ impl<'a> EngineState<'a> {
     /// One telemetry sample: cluster-state gauges plus the latency
     /// percentiles so far.
     fn on_sample(&mut self, at: SimTime) {
-        // Reuse the memoized sorted snapshot unless a completion landed
-        // since the last tick.
         let s = &mut self.sampler;
-        let snapshot = match s.snapshot.take() {
-            Some(c) if c.0 == s.e2e.len() => c,
-            _ => (s.e2e.len(), s.e2e.snapshot(), s.ttft.snapshot()),
-        };
-        let (_, e2e, ttft) = &snapshot;
         let pools: Vec<PoolSample> = self
             .pools
             .iter()
@@ -524,15 +507,14 @@ impl<'a> EngineState<'a> {
             queue_rejects: total_rejects.saturating_sub(self.retry_rejects),
             retry_rejects: self.retry_rejects,
             failover_requeues: self.failover_requeues,
-            p50_e2e_s: e2e.p50().unwrap_or(0.0),
-            p99_e2e_s: e2e.p99().unwrap_or(0.0),
-            p50_ttft_s: ttft.p50().unwrap_or(0.0),
-            p99_ttft_s: ttft.p99().unwrap_or(0.0),
+            p50_e2e_s: s.e2e.p50().unwrap_or(0.0),
+            p99_e2e_s: s.e2e.p99().unwrap_or(0.0),
+            p50_ttft_s: s.ttft.p50().unwrap_or(0.0),
+            p99_ttft_s: s.ttft.p99().unwrap_or(0.0),
             pools,
             load_estimate: self.system.router().current_load(),
             decisions: self.system.run_decisions(),
         });
-        s.snapshot = Some(snapshot);
     }
 
     /// Folds the finished run into its report.
@@ -612,14 +594,5 @@ impl<'a> EngineState<'a> {
             obs,
             per_request,
         }
-    }
-}
-
-/// Joins the look-ahead, if one runs; its handle on the index goes with
-/// it. A free function, so that a system call can take it as a hook
-/// while the system is borrowed.
-fn retire(lookahead: &mut Option<LookAhead<'_>>) {
-    if let Some(running) = lookahead.take() {
-        running.retire();
     }
 }

@@ -14,12 +14,14 @@ pub trait ServingEngine {
     /// Engine name for reports.
     fn name(&self) -> &'static str;
 
-    /// Serves `requests[i]` at time `arrivals[i]` (seconds, ascending)
-    /// and returns aggregate metrics.
+    /// Serves `requests[i]` at time `arrivals[i]` (seconds, in any
+    /// order: they fire in `(time, i)` order) and returns aggregate
+    /// metrics.
     ///
     /// # Panics
     ///
-    /// Panics if `requests` and `arrivals` lengths differ.
+    /// Panics if `requests` and `arrivals` lengths differ, or if an
+    /// arrival is not a finite time ≥ 0.
     fn serve_workload(&mut self, requests: &[Request], arrivals: &[f64]) -> EngineReport;
 
     /// Read access to the underlying system.

@@ -22,7 +22,9 @@
 //!   ├ stage 0: observe in the sketch, then      on_step(pool)
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
 //!   ├ IcCacheSystem::serve_ahead: stage 1       │  run, the pool applied it
-//!   │  (the look-ahead's slot, else a probe)    │
+//!   │  (a read-only replay's look-ahead slot    │
+//!   │  under the current generation, else a     │
+//!   │  probe)                                   │
 //!   │  + stage 2 + routing                      ├ else advance_step: finishers
 //!   │  + generation + feedback                  │  ▶ complete (TTFT/E2E, Little's
 //!   └ dispatch ──▶ pool.offer ── Started ──▶    │  law ▶ the router); then
@@ -96,17 +98,20 @@
 //!
 //! # Stage-1 look-ahead
 //!
-//! On a host with a second core, `serve_workload` starts one helper
-//! thread that walks the arrival cursor's firing order up to 256
-//! arrivals ahead of the event loop and runs each arrival's stage-1 IVF
-//! probe against a shared handle on the selector's index, leaving the
-//! hits in a ring slot stamped with the arrival's seq and the index
-//! generation. An arrival, a repeat query included, takes its slot when
-//! the stamps match and probes inline otherwise; everything after stage
-//! 1 stays on the event loop. The helper is stopped and joined before
-//! the replay's first index write (a served pair admitted, or a capacity
-//! pass that evicts), and the selector's writes panic while it holds the
-//! index. No configuration field reaches it (`driven/lookahead.rs`).
+//! On a replay that cannot write the index — no served pair admitted,
+//! no byte cap for a capacity pass to enforce — and a host with a
+//! second core, `serve_workload` starts one helper thread that walks the
+//! arrival cursor's firing order up to 256 arrivals ahead of the event
+//! loop and runs each arrival's stage-1 IVF probe against a shared
+//! handle on the selector's index, leaving the hits in a ring slot
+//! stamped with the arrival's seq and the index generation. An arrival,
+//! a repeat query included, reads the index generation, takes its slot
+//! when the stamps match and hands the list to
+//! `IcCacheSystem::serve_ahead`, and probes inline otherwise; everything
+//! after stage 1 stays on the event loop. The helper runs until the
+//! replay ends, and the selector's writes panic while it holds the
+//! index, so a wrong start condition fails loudly. No configuration
+//! field reaches it (`driven/lookahead.rs`).
 //!
 //! # Example cache
 //!

@@ -24,10 +24,11 @@
 //!
 //! Selection is strictly per request, in arrival order (Algorithm 1):
 //! [`ExampleSelector::select`] draws no randomness and writes nothing.
-//! A caller may hand stage 1 a result probed ahead of time on another
-//! thread ([`ExampleSelector::stage1_or`], against
-//! [`ExampleSelector::shared_index`]); the index cannot be written while
-//! such a handle lives, so the result is the probe's own bytes.
+//! A caller may probe stage 1 ahead of time on another thread, against
+//! [`ExampleSelector::shared_index`], and pass the list to
+//! [`ExampleSelector::select_with_stage1`] in place of
+//! [`ExampleSelector::stage1`]; the index cannot be written while such a
+//! handle lives, so the list is the probe's own bytes.
 
 pub mod proxy;
 pub mod twostage;

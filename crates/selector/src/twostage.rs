@@ -84,9 +84,9 @@ impl Selection {
 /// The index sits behind an [`Arc`] so that a stage-1 look-ahead on
 /// another thread ([`Self::shared_index`]) can probe it while the
 /// selector is still read on this one. Every write goes through
-/// [`Arc::get_mut`] and panics while such a share is alive: the
-/// look-ahead retires before the first write, and a write it missed
-/// fails loudly instead of racing.
+/// [`Arc::get_mut`] and panics while such a share is alive: the engine
+/// shares the index only with replays that never write it, and a write
+/// under a wrong start condition fails loudly instead of racing.
 #[derive(Debug)]
 pub struct ExampleSelector {
     index: Arc<IvfIndex>,
@@ -168,27 +168,11 @@ impl ExampleSelector {
     /// Stage 1 only: relevance-ranked candidates. Public for the Fig. 9
     /// ablation (stage-1-only selection).
     pub fn stage1(&self, request: &Request) -> Vec<(ExampleId, f64)> {
-        self.stage1_or(request, |_| None)
-    }
-
-    /// [`Self::stage1`] where the probe may already have run elsewhere:
-    /// `ahead(generation)` is asked first and its list, if any, stands in
-    /// for the probe. It must be what the probe returns for this query
-    /// under the index generation it is given (a look-ahead's result
-    /// stamped with that generation), so the bytes are the same
-    /// whichever ran it.
-    pub fn stage1_or(
-        &self,
-        request: &Request,
-        ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
-    ) -> Vec<(ExampleId, f64)> {
-        ahead(self.index.generation()).unwrap_or_else(|| {
-            self.index
-                .search(&request.embedding, STAGE1_CANDIDATES)
-                .into_iter()
-                .map(|h| (ExampleId(h.id), h.similarity))
-                .collect()
-        })
+        self.index
+            .search(&request.embedding, STAGE1_CANDIDATES)
+            .into_iter()
+            .map(|h| (ExampleId(h.id), h.similarity))
+            .collect()
     }
 
     /// Full two-stage selection at [`UTILITY_CUT`].
@@ -198,20 +182,7 @@ impl ExampleSelector {
         store: &S,
         target: &ModelSpec,
     ) -> Selection {
-        self.select_or(request, store, target, |_| None)
-    }
-
-    /// [`Self::select`] with stage 1 from [`Self::stage1_or`]: a
-    /// look-ahead's result, when `ahead` has one, in place of the probe.
-    pub fn select_or<S: ExampleStore>(
-        &self,
-        request: &Request,
-        store: &S,
-        target: &ModelSpec,
-        ahead: impl FnOnce(u64) -> Option<Vec<(ExampleId, f64)>>,
-    ) -> Selection {
-        let stage1 = self.stage1_or(request, ahead);
-        self.select_from_stage1(request, stage1, store, target, UTILITY_CUT)
+        self.select_from_stage1(request, self.stage1(request), store, target, UTILITY_CUT)
     }
 
     /// Two-stage selection under an explicit utility threshold in place
@@ -228,8 +199,10 @@ impl ExampleSelector {
 
     /// Stage 2 alone at [`UTILITY_CUT`]: two-stage selection
     /// with the stage-1 `candidates` supplied by the caller (what
-    /// [`ExampleSelector::stage1`] returned). Times and differentially
-    /// tests stage 2 apart from the probe (`tests/stage2_oracle.rs`).
+    /// [`ExampleSelector::stage1`] returned, or a list probed ahead of
+    /// time against [`Self::shared_index`] under the current index
+    /// generation, which is the same). Times and differentially tests
+    /// stage 2 apart from the probe (`tests/stage2_oracle.rs`).
     ///
     /// # Panics
     ///

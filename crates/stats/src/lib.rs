@@ -38,7 +38,7 @@ pub use dist::{Beta, Exponential, LogNormal, Normal, Poisson, Zipf};
 pub use ema::{DecayingCounter, Ema};
 pub use histogram::{Cdf, Histogram};
 pub use idmap::IdMap;
-pub use percentile::{PercentileSnapshot, Percentiles};
+pub use percentile::Percentiles;
 pub use rng::{SeedStream, rng_from_seed, split_mix64};
 pub use welford::RunningStats;
 

@@ -129,91 +129,12 @@ impl Percentiles {
         &self.samples
     }
 
-    /// Freezes the current samples into a read-only [`PercentileSnapshot`]
-    /// answering any number of quantile queries without `&mut self` —
-    /// the repeated-query path for periodic samplers, which would
-    /// otherwise pay `ensure_sorted`'s borrow (and, interleaved with
-    /// recording, a re-sort) on every probe.
-    pub fn snapshot(&self) -> PercentileSnapshot {
-        let mut sorted = self.samples.clone();
-        if !self.sorted {
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite by construction"));
-        }
-        PercentileSnapshot { sorted }
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples
                 .sort_by(|a, b| a.partial_cmp(b).expect("finite by construction"));
             self.sorted = true;
         }
-    }
-}
-
-/// An immutable sorted copy of a [`Percentiles`] recorder's samples at
-/// one instant: the memoized read-only query path.
-///
-/// # Examples
-///
-/// ```
-/// use ic_stats::Percentiles;
-///
-/// let mut p = Percentiles::new();
-/// p.record_all([3.0, 1.0, 2.0]);
-/// let snap = p.snapshot();
-/// assert_eq!(snap.quantile(0.5), Some(2.0));
-/// p.record(100.0); // does not disturb the snapshot
-/// assert_eq!(snap.max(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PercentileSnapshot {
-    sorted: Vec<f64>,
-}
-
-impl PercentileSnapshot {
-    /// Samples frozen in the snapshot.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the snapshot froze an empty recorder.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Exact quantile with the same R-7 interpolation as
-    /// [`Percentiles::quantile`]; `q` is clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac)
-    }
-
-    /// Median (P50).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// P99.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
     }
 }
 
@@ -282,25 +203,6 @@ mod tests {
         }
         p.record(1.0);
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_matches_live_queries_and_stays_frozen() {
-        let mut p = Percentiles::new();
-        for i in 0..1000 {
-            p.record((i as f64 * 17.0) % 251.0);
-        }
-        let snap = p.snapshot();
-        for i in 0..=20 {
-            let q = i as f64 / 20.0;
-            assert_eq!(snap.quantile(q), p.quantile(q));
-        }
-        assert_eq!(snap.min(), p.min());
-        assert_eq!(snap.max(), p.max());
-        assert_eq!(snap.len(), p.len());
-        p.record(1e9);
-        assert_ne!(snap.max(), p.max());
-        assert!(PercentileSnapshot::default().p99().is_none());
     }
 
     #[test]
