@@ -328,7 +328,6 @@ pub fn fig07_correlation(scale: Scale) -> Report {
     let sim = Generator::new();
     let small = ModelSpec::gemma_2_2b();
     let large = ModelSpec::gemma_2_27b();
-    let icl = ic_llmsim::icl::IclParams::default();
     for (ds, paper_r) in [
         (Dataset::LmsysChat, 0.044),
         (Dataset::Alpaca, 0.064),
@@ -358,7 +357,7 @@ pub fn fig07_correlation(scale: Scale) -> Report {
                 let e = examples.iter().find(|e| e.id.0 == hit.id).expect("indexed");
                 let base = sim.base_quality(&small, r);
                 sims.push(hit.similarity);
-                helps.push(ic_llmsim::icl::example_utility(e, r, base, &icl));
+                helps.push(ic_llmsim::icl::example_utility(e, r, base));
             }
         }
         let r_val = pearson(&sims, &helps).unwrap_or(0.0);

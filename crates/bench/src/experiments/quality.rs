@@ -10,7 +10,7 @@ use ic_stats::rng::rng_from_seed;
 use ic_workloads::{Dataset, WorkloadGenerator};
 
 use crate::harness::{PairSetup, Scale, side_by_side};
-use crate::report::{Report, Table, f3, pct};
+use crate::report::{Report, Table, f3, pct, shape_check};
 
 /// Paired qualities of (small bare, small+IC, large bare) on a dataset
 /// for an arbitrary model pair, using the full selection pipeline.
@@ -474,12 +474,36 @@ pub fn fig27_distributions(scale: Scale) -> Report {
             ]);
         }
     }
+    for line in fig27_findings(&t.rows) {
+        report.finding(line);
+    }
     report.table(t);
-    report.finding(
-        "shape check: IC raises the mean score and drains the -3 bucket for every \
-         family/dataset cell (paper Fig. 28: mean -2.33 -> -0.89 on Phi-3/NQ)",
-    );
     report
+}
+
+/// fig27's findings, read off its rows `[family, dataset, baseline mean,
+/// IC mean, baseline P(-3), IC P(-3)]`: the cells where IC fails to raise
+/// the mean score, and those where it fails to shrink the -3 bucket.
+fn fig27_findings(rows: &[Vec<String>]) -> Vec<String> {
+    let num = |cell: &str| -> f64 { cell.trim_end_matches('%').parse().expect("a number") };
+    let failing = |bare: usize, ic: usize, better: fn(f64, f64) -> bool| -> Vec<String> {
+        (rows.iter())
+            .filter(|row| !better(num(&row[bare]), num(&row[ic])))
+            .map(|row| format!("{}/{} ({} -> {})", row[0], row[1], row[bare], row[ic]))
+            .collect()
+    };
+    vec![
+        shape_check(
+            "IC raises the mean score in every cell; Fig. 28: -2.33 -> -0.89 on Phi-3/NQ",
+            rows.len(),
+            &failing(2, 3, |bare, ic| ic > bare),
+        ),
+        shape_check(
+            "IC shrinks the -3 bucket in every cell",
+            rows.len(),
+            &failing(4, 5, |bare, ic| ic < bare),
+        ),
+    ]
 }
 
 /// Table 2: IC vs RAG vs IC+RAG on MS MARCO.
@@ -698,6 +722,29 @@ mod tests {
             .collect();
         assert!(wr[1] < wr[0], "OOD SFT must regress: {wr:?}");
         assert!(wr[2] >= wr[1], "IC must beat OOD SFT: {wr:?}");
+    }
+
+    /// Each cell the findings name as failing is one whose row fails the
+    /// predicate, and no other.
+    #[test]
+    fn fig27_findings_match_the_table() {
+        let r = fig27_distributions(Scale::quick());
+        let rows = &r.tables[0].rows;
+        let num =
+            |row: &Vec<String>, k: usize| -> f64 { row[k].trim_end_matches('%').parse().unwrap() };
+        let mut fails = [0, 0];
+        for row in rows {
+            let cell = format!("{}/{} (", row[0], row[1]);
+            let failed = [num(row, 3) <= num(row, 2), num(row, 5) >= num(row, 4)];
+            for i in 0..2 {
+                fails[i] += usize::from(failed[i]);
+                assert_eq!(r.findings[i].contains(&cell), failed[i], "{row:?}");
+            }
+        }
+        for (finding, n) in r.findings.iter().zip(fails) {
+            let holds = format!("holds in {} of {};", rows.len() - n, rows.len());
+            assert!(finding.contains(&holds), "{finding}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Example-selection and example-management experiments: Figs. 9, 10, 11
 //! and 19.
 
-use ic_llmsim::icl::{IclParams, example_utility};
+use ic_llmsim::icl::example_utility;
 use ic_llmsim::{ExampleStore, GenSetup, Generator, ModelSpec};
 use ic_manager::replay::replay_example;
 use ic_manager::{ExampleCache, KnapsackItem, greedy_knapsack};
@@ -12,7 +12,7 @@ use rand::RngExt;
 use std::collections::{BTreeMap, HashMap};
 
 use crate::harness::{Scale, side_by_side};
-use crate::report::{Report, Table, f3, pct};
+use crate::report::{Report, Table, f3, pct, shape_check};
 
 /// Builds a trained selector plus a store for a dataset. The store
 /// iterates in id order, so whatever is drawn per example lands on the
@@ -40,7 +40,6 @@ fn trained_selector(
         selector.index_example(e.id, e.embedding.clone());
         store.insert(e.id, e);
     }
-    let icl = IclParams::default();
     let all_ids: Vec<ic_llmsim::ExampleId> = store.keys().copied().collect();
     let mut neg_rng = rng_from_seed(seed ^ 0x5E1F);
     for r in &wg.generate_requests(n_train) {
@@ -59,7 +58,7 @@ fn trained_selector(
         }
         for id in batch {
             let e = &store[&id];
-            let label = example_utility(e, r, base, &icl);
+            let label = example_utility(e, r, base);
             let f = ProxyFeatures::extract(r, e, &small).as_array();
             for _ in 0..4 {
                 selector.proxy_mut().update(&f, label);
@@ -300,12 +299,11 @@ pub fn fig19_cachesize(scale: Scale) -> Report {
         for e in store.values() {
             cache.insert(e.clone(), 0.0);
         }
-        let icl = IclParams::default();
         for r in &wg.generate_requests(scale.count(6_000, 400)) {
             let sel = selector.select_with_threshold(r, &store, &small, 0.0);
             for id in &sel.ids {
                 let base = sim.base_quality(&small, r);
-                let u = example_utility(&store[id], r, base, &icl);
+                let u = example_utility(&store[id], r, base);
                 cache.record_offload_gain(*id, 0.0, u);
             }
         }
@@ -331,8 +329,10 @@ pub fn fig19_cachesize(scale: Scale) -> Report {
                 .filter(|_| rng.random::<f64>() < keep_frac)
                 .copied()
                 .collect();
-            let mean_q = |keep: &std::collections::HashSet<ic_llmsim::ExampleId>,
-                          rng: &mut rand::rngs::StdRng| {
+            // Common random numbers: both arms draw the same generation
+            // noise, so a row differs only in the examples kept.
+            let mean_q = |keep: &std::collections::HashSet<ic_llmsim::ExampleId>| {
+                let mut rng = rng_from_seed(scale.seed ^ 16);
                 let sub: HashMap<_, _> = store
                     .iter()
                     .filter(|(id, _)| keep.contains(id))
@@ -343,27 +343,54 @@ pub fn fig19_cachesize(scale: Scale) -> Report {
                     let sel = selector.select_with_threshold(r, &sub, &small, 0.0);
                     let refs = sel.resolve(&sub);
                     sum += sim
-                        .generate(&small, r, &GenSetup::with_examples(refs), rng)
+                        .generate(&small, r, &GenSetup::with_examples(refs), &mut rng)
                         .quality;
                 }
                 sum / eval_requests.len() as f64
             };
-            let naive = mean_q(&naive_keep, &mut rng);
-            let smart = mean_q(&smart_keep, &mut rng);
             table.row(vec![
                 wg.spec().name.to_string(),
                 pct(keep_frac),
-                f3(naive),
-                f3(smart),
+                f3(mean_q(&naive_keep)),
+                f3(mean_q(&smart_keep)),
             ]);
         }
     }
+    for line in fig19_findings(&table.rows) {
+        report.finding(line);
+    }
     report.table(table);
-    report.finding(
-        "shape check: utility-aware retention at 5-25% of the pool tracks the full \
-         cache closely and never trails naive random retention",
-    );
     report
+}
+
+/// fig19's findings, read off its rows `[dataset, cache %, random keep,
+/// utility keep]`, three per dataset with the full cache last: the cells
+/// where utility-aware retention trails random retention, and the
+/// smaller caches' quality as a share of the full one's.
+fn fig19_findings(rows: &[Vec<String>]) -> Vec<String> {
+    let q = |cell: &str| -> f64 { cell.parse().expect("a quality cell") };
+    let trailing: Vec<String> = (rows.iter())
+        .filter(|row| q(&row[3]) < q(&row[2]))
+        .map(|row| format!("{} {} ({} vs {})", row[0], row[1], row[3], row[2]))
+        .collect();
+    let shares: Vec<String> = (rows.chunks(3))
+        .flat_map(|d| {
+            let full = q(&d[2][3]);
+            (d[..2].iter())
+                .map(move |row| format!("{} {} {}", row[0], row[1], pct(q(&row[3]) / full)))
+        })
+        .collect();
+    vec![
+        shape_check(
+            "utility-aware retention never trails random retention",
+            rows.len(),
+            &trailing,
+        ),
+        format!(
+            "utility-aware retention's quality as a share of the full cache's: {}",
+            shares.join(", ")
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -411,9 +438,24 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The finding names exactly the cells where the utility keep's
+    /// quality is below the random keep's, and the full-cache rows, where
+    /// both arms keep every example and draw the same generation noise,
+    /// read the same.
     #[test]
     fn fig19_smart_keeps_up_with_full_cache() {
         let r = fig19_cachesize(Scale::quick());
-        assert!(!r.tables[0].rows.is_empty());
+        let rows = &r.tables[0].rows;
+        let q = |cell: &str| -> f64 { cell.parse().unwrap() };
+        let mut trailing = 0;
+        for row in rows {
+            let trails = q(&row[3]) < q(&row[2]);
+            trailing += usize::from(trails);
+            let cell = format!("{} {} (", row[0], row[1]);
+            assert_eq!(r.findings[0].contains(&cell), trails, "{row:?}");
+            assert!(row[1] != "100.0%" || row[2] == row[3], "{row:?}");
+        }
+        let holds = format!("holds in {} of {};", rows.len() - trailing, rows.len());
+        assert!(r.findings[0].contains(&holds), "{}", r.findings[0]);
     }
 }

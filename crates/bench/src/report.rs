@@ -116,6 +116,18 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
+/// A `shape check:` finding read off a table: the paper's claim, in how
+/// many of the `total` cells it holds, and the cells where it fails.
+pub fn shape_check(claim: &str, total: usize, fails: &[String]) -> String {
+    let listed = if fails.is_empty() {
+        "none".to_string()
+    } else {
+        fails.join(", ")
+    };
+    let holds = total - fails.len();
+    format!("shape check (paper: {claim}): holds in {holds} of {total}; fails in: {listed}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

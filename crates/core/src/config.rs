@@ -1,12 +1,15 @@
 //! System configuration.
 
-use ic_llmsim::{Catalog, Generator, ModelId};
+use ic_llmsim::{Catalog, ModelId};
 use ic_manager::ManagerConfig;
 use ic_router::RouterConfig;
 
-/// Full IC-Cache configuration: which models serve, and the router's and
-/// manager's knobs (the Example Selector's settings are constants of
-/// `ic_selector`).
+/// Full IC-Cache configuration: which models serve, the router's cost
+/// weight and seed, the manager's byte cap, the feedback rate and the
+/// system seed — eight settable values. Everything else is a constant
+/// where it is read: the selector's in `ic_selector`, the router's
+/// calibration in `ic_router::router`, admission and replay in
+/// `ic_manager`, and the generator's and ICL model's in `ic_llmsim`.
 #[derive(Debug)]
 pub struct IcCacheConfig {
     /// The model catalog.
@@ -22,8 +25,6 @@ pub struct IcCacheConfig {
     pub router: RouterConfig,
     /// Example Manager knobs.
     pub manager: ManagerConfig,
-    /// Generation simulator (latent mechanics).
-    pub generator: Generator,
     /// Probability that a served request yields quality feedback even
     /// without the router's uncertainty gate (production systems sample
     /// ~1%, §4.1; experiments use more to converge faster).
@@ -52,7 +53,6 @@ impl IcCacheConfig {
             primary: large_id,
             router: RouterConfig::default(),
             manager: ManagerConfig::default(),
-            generator: Generator::new(),
             feedback_sample_rate: 0.3,
             seed: 0x1C_CAC4E,
         }

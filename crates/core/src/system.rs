@@ -1,7 +1,8 @@
 //! The assembled IC-Cache system: Algorithm 1's `ServeRequests`.
 
 use ic_llmsim::{
-    Example, ExampleId, ExampleStore, GenOutcome, GenSetup, ModelId, Request, signal_noise,
+    Example, ExampleId, ExampleStore, GenOutcome, GenSetup, Generator, ModelId, Request,
+    signal_noise,
 };
 use ic_manager::ExampleManager;
 use ic_router::{ROUTE_FEATURE_DIM, RequestRouter};
@@ -361,10 +362,7 @@ impl IcCacheSystem {
             ..GenSetup::default()
         };
         let spec = self.config.catalog.get(chosen);
-        let outcome = self
-            .config
-            .generator
-            .generate(spec, request, &setup, &mut self.rng);
+        let outcome = Generator.generate(spec, request, &setup, &mut self.rng);
 
         if fresh {
             // 4. Learn from feedback. User feedback arrives for solicited
@@ -428,10 +426,7 @@ impl IcCacheSystem {
             } else {
                 GenSetup::bare()
             };
-            let alt =
-                self.config
-                    .generator
-                    .generate(other_spec, request, &other_setup, &mut self.rng);
+            let alt = Generator.generate(other_spec, request, &other_setup, &mut self.rng);
             let alt_fb = (alt.quality + 0.1 * (self.rng.random::<f64>() - 0.5)).clamp(0.0, 1.0);
             let (preferred, loser) = if fb >= alt_fb {
                 (chosen, other)
@@ -548,7 +543,7 @@ impl IcCacheSystem {
         let primary_spec = self.config.catalog.get(self.config.primary).clone();
         let replay = self
             .manager
-            .run_replay(&primary_spec, &self.config.generator, &mut self.rng);
+            .run_replay(&primary_spec, &Generator, &mut self.rng);
         let evicted = self.run_rebalance(now);
         MaintenanceReport {
             replayed: replay.replayed,
@@ -621,7 +616,7 @@ fn render_response_text(topic: usize, tokens: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_llmsim::{Generator, ModelSpec};
+    use ic_llmsim::ModelSpec;
     use ic_workloads::{Dataset, WorkloadGenerator};
 
     fn seeded_system(dataset: Dataset, n_examples: usize) -> (IcCacheSystem, WorkloadGenerator) {

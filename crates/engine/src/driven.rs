@@ -108,7 +108,9 @@ pub struct EngineConfig {
     /// disables. A no-op while the manager has no byte cap.
     pub rebalance_period_s: f64,
     /// Cache served request-response pairs back into the example store
-    /// (Fig. 6 `update_cache`) at completion time.
+    /// (Fig. 6 `update_cache`) at the arrival instant: `on_arrival`
+    /// admits each pair a pool accepted straight after `dispatch`, before
+    /// the response completes (a failover retry admits nothing again).
     pub admit_served_pairs: bool,
     /// Record the full request-lifecycle event stream into the report's
     /// `obs` block (env `IC_OBS_TRACE` / `fig12_e2e --trace` in the

@@ -37,6 +37,9 @@ use rand::Rng;
 /// The paper's tie band: a mean score within `[-0.3, 0.3]` is a tie (§6.1).
 pub const TIE_BAND: f64 = 0.3;
 
+/// Perceived-gap thresholds for Likert magnitudes 1, 2 and 3.
+pub const SCORE_THRESHOLDS: [f64; 3] = [0.04, 0.13, 0.28];
+
 /// Configuration of one autorater.
 #[derive(Debug, Clone)]
 pub struct JudgeConfig {
@@ -45,8 +48,6 @@ pub struct JudgeConfig {
     /// Additive bias toward the first-listed response (position bias that
     /// balanced sampling cancels out).
     pub order_bias: f64,
-    /// Perceived-gap thresholds for scores 1, 2 and 3.
-    pub thresholds: [f64; 3],
 }
 
 impl Default for JudgeConfig {
@@ -54,7 +55,6 @@ impl Default for JudgeConfig {
         Self {
             noise: 0.10,
             order_bias: 0.03,
-            thresholds: [0.04, 0.13, 0.28],
         }
     }
 }
@@ -73,7 +73,6 @@ impl JudgeConfig {
         Self {
             noise: 0.22,
             order_bias: 0.05,
-            ..Self::default()
         }
     }
 }
@@ -95,11 +94,6 @@ impl Autorater {
         Self::new(JudgeConfig::default())
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &JudgeConfig {
-        &self.config
-    }
-
     /// One order-sensitive comparison: response A (listed first, latent
     /// quality `q_a`) versus response B. Returns a Likert score in
     /// `{-3..3}`; positive favours A.
@@ -110,7 +104,7 @@ impl Autorater {
         let perceived = (q_a - q_b) + self.config.order_bias + noise;
         let sign = if perceived >= 0.0 { 1i8 } else { -1i8 };
         let mag = perceived.abs();
-        let [t1, t2, t3] = self.config.thresholds;
+        let [t1, t2, t3] = SCORE_THRESHOLDS;
         let level = if mag < t1 {
             0
         } else if mag < t2 {

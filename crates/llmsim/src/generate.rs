@@ -5,7 +5,10 @@ use ic_stats::dist::Normal;
 use ic_stats::{clamp01, sigmoid};
 use rand::Rng;
 
-use crate::icl::{IclParams, RagDoc, aggregate_boost, effectiveness_at, rag_utility};
+use crate::icl::{
+    DECODE_SHORTENING, DISTRACTION_PENALTY, RELEVANCE_FLOOR, RagDoc, aggregate_boost,
+    effectiveness_at, rag_utility,
+};
 use crate::latency::{LatencyBreakdown, zero_load_latency};
 use crate::model::ModelSpec;
 use crate::request::{Example, Request};
@@ -84,43 +87,33 @@ pub struct GenOutcome {
     pub latency: LatencyBreakdown,
 }
 
-/// The generation simulator. One instance is shared across models; all
-/// model-specific behaviour flows through [`ModelSpec`].
-#[derive(Debug, Clone)]
-pub struct Generator {
-    /// Latent ICL mechanics.
-    pub icl: IclParams,
-    /// Standard deviation of per-generation quality noise (the variance
-    /// that best-of-n replay harvests, §4.3).
-    pub quality_noise: f64,
-    /// Temperature of the capability-vs-difficulty sigmoid.
-    pub difficulty_scale: f64,
-    /// Standard deviation of the multiplicative output-length noise.
-    pub length_noise: f64,
-}
+/// Standard deviation of per-generation quality noise (the variance
+/// that best-of-n replay harvests, §4.3).
+pub const QUALITY_NOISE: f64 = 0.08;
 
-impl Default for Generator {
-    fn default() -> Self {
-        Self {
-            icl: IclParams::default(),
-            quality_noise: 0.08,
-            difficulty_scale: 0.13,
-            length_noise: 0.15,
-        }
-    }
-}
+/// Temperature of the capability-vs-difficulty sigmoid.
+pub const DIFFICULTY_SCALE: f64 = 0.13;
+
+/// Standard deviation of the multiplicative output-length noise.
+pub const LENGTH_NOISE: f64 = 0.15;
+
+/// The generation simulator. One instance is shared across models; all
+/// model-specific behaviour flows through [`ModelSpec`], and its
+/// calibration is this module's and [`crate::icl`]'s constants.
+#[derive(Debug, Clone, Default)]
+pub struct Generator;
 
 impl Generator {
-    /// Creates the default-calibrated generator.
+    /// Creates the generator.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Latent base quality of `spec` on `request`: a logistic curve over
     /// (effective capability − difficulty).
     pub fn base_quality(&self, spec: &ModelSpec, request: &Request) -> f64 {
         let cap = request.skills.weighted_score(&spec.capability);
-        sigmoid((cap - request.difficulty) / self.difficulty_scale)
+        sigmoid((cap - request.difficulty) / DIFFICULTY_SCALE)
     }
 
     /// Simulates one generation.
@@ -170,14 +163,14 @@ impl Generator {
             .map(|e| {
                 let rel =
                     cosine_from_dot(e.latent.dot(&request.latent), e.latent.norm(), request_norm);
-                distractions += usize::from(rel < self.icl.relevance_floor);
-                effectiveness_at(rel, e, request, &self.icl)
+                distractions += usize::from(rel < RELEVANCE_FLOOR);
+                effectiveness_at(rel, e, request)
             })
             .collect();
-        let icl_boost = aggregate_boost(&effectiveness, &self.icl);
-        let distraction = distractions as f64 * self.icl.distraction_penalty;
+        let icl_boost = aggregate_boost(&effectiveness);
+        let distraction = distractions as f64 * DISTRACTION_PENALTY;
         let knowledge_share = request.skills.weight(Skill::Knowledge);
-        let rag_boost = rag_utility(&setup.rag_docs, &self.icl) * knowledge_share;
+        let rag_boost = rag_utility(&setup.rag_docs) * knowledge_share;
 
         let headroom = 1.0 - base;
         // ICL and RAG close overlapping headroom: apply sequentially so
@@ -185,7 +178,7 @@ impl Generator {
         // IC+RAG > IC > RAG ordering emerges from the shares).
         let after_icl = base + headroom * icl_boost;
         let after_rag = after_icl + (1.0 - after_icl) * rag_boost;
-        let noise = Normal::new(0.0, self.quality_noise)
+        let noise = Normal::new(0.0, QUALITY_NOISE)
             .expect("valid params")
             .sample(rng);
         let quality = clamp01(after_rag - distraction + noise);
@@ -194,9 +187,9 @@ impl Generator {
         let shortening = if kept.is_empty() {
             1.0
         } else {
-            self.icl.decode_shortening
+            DECODE_SHORTENING
         };
-        let length_mult = Normal::new(1.0, self.length_noise)
+        let length_mult = Normal::new(1.0, LENGTH_NOISE)
             .expect("valid params")
             .sample(rng)
             .clamp(0.3, 2.0);

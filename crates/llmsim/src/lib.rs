@@ -22,6 +22,14 @@
 //! - Retrieval-augmented documents boost mostly factual knowledge, not
 //!   compositional reasoning (§2.3, Table 2).
 //!
+//! The calibration is fixed: the latent ICL model's six values are
+//! constants of [`icl`] (`RELEVANCE_FLOOR`, `BOOST_EFFICIENCY`,
+//! `DISTRACTION_PENALTY`, `MAX_EFFECTIVE`, `DECODE_SHORTENING`,
+//! `RAG_EFFICIENCY`) and the generator's noise and sigmoid temperature
+//! constants of [`generate`] (`QUALITY_NOISE`, `DIFFICULTY_SCALE`,
+//! `LENGTH_NOISE`); [`Generator`] itself holds no state. A re-fit
+//! changes the constant where it is read.
+//!
 //! Components of IC-Cache must treat [`GenOutcome::quality`] as *latent*:
 //! they may only observe it through `ic-judge` scores or simulated user
 //! feedback, exactly as the production system would.
@@ -35,7 +43,7 @@ pub mod skill;
 pub mod store;
 
 pub use generate::{GenOutcome, GenSetup, Generator};
-pub use icl::{IclParams, RagDoc, example_utility, rag_utility};
+pub use icl::{RagDoc, example_utility, rag_utility};
 pub use latency::{LatencyBreakdown, zero_load_latency};
 pub use model::{Catalog, ModelFamily, ModelId, ModelSpec};
 pub use request::{Example, ExampleId, Request, RequestId, TaskKind, signal_noise};

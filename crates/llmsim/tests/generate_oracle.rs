@@ -12,8 +12,13 @@
 //! roomy and tight (trailing examples dropped before any cosine).
 
 use ic_embed::{Embedding, TopicSpace, TopicSpaceConfig};
-use ic_llmsim::generate::{TEMPLATE_BASE_TOKENS, TEMPLATE_IC_EXTRA_TOKENS};
-use ic_llmsim::icl::{aggregate_boost, distraction_count, example_effectiveness};
+use ic_llmsim::generate::{
+    LENGTH_NOISE, QUALITY_NOISE, TEMPLATE_BASE_TOKENS, TEMPLATE_IC_EXTRA_TOKENS,
+};
+use ic_llmsim::icl::{
+    DECODE_SHORTENING, DISTRACTION_PENALTY, aggregate_boost, distraction_count,
+    example_effectiveness,
+};
 use ic_llmsim::{
     Example, ExampleId, GenSetup, Generator, ModelId, ModelSpec, Request, RequestId, TaskKind,
     signal_noise,
@@ -51,25 +56,24 @@ fn oracle(
     }
     let effectiveness: Vec<f64> = kept
         .iter()
-        .map(|e| example_effectiveness(e, request, &generator.icl))
+        .map(|e| example_effectiveness(e, request))
         .collect();
-    let icl_boost = aggregate_boost(&effectiveness, &generator.icl);
-    let distraction = distraction_count(&kept, request, &generator.icl) as f64
-        * generator.icl.distraction_penalty;
+    let icl_boost = aggregate_boost(&effectiveness);
+    let distraction = distraction_count(&kept, request) as f64 * DISTRACTION_PENALTY;
     let after_icl = base + (1.0 - base) * icl_boost;
     // No RAG documents: the RAG step multiplies the remaining headroom
     // by 0.0.
     let after_rag = after_icl + (1.0 - after_icl) * 0.0;
-    let noise = Normal::new(0.0, generator.quality_noise)
+    let noise = Normal::new(0.0, QUALITY_NOISE)
         .expect("valid params")
         .sample(rng);
     let quality = clamp01(after_rag - distraction + noise);
     let shortening = if kept.is_empty() {
         1.0
     } else {
-        generator.icl.decode_shortening
+        DECODE_SHORTENING
     };
-    let length_mult = Normal::new(1.0, generator.length_noise)
+    let length_mult = Normal::new(1.0, LENGTH_NOISE)
         .expect("valid params")
         .sample(rng)
         .clamp(0.3, 2.0);

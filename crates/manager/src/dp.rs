@@ -14,43 +14,37 @@ use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, signal_noise};
 use ic_stats::rng::rng_from_seed;
 
+/// Failure probability delta in (0, 1).
+pub const DP_DELTA: f64 = 1e-5;
+
+/// L2 sensitivity of the released vector. Synthesis aggregates over topic
+/// clusters of records before releasing (as DP synthesizers do), so the
+/// per-record sensitivity is well below the 2.0 bound of a raw unit
+/// embedding.
+pub const DP_SENSITIVITY: f64 = 0.5;
+
+/// Response-quality penalty of synthesis artifacts.
+pub const DP_QUALITY_PENALTY: f64 = 0.05;
+
 /// Differential-privacy configuration for pool synthesis.
 #[derive(Debug, Clone)]
 pub struct DpConfig {
     /// Privacy budget epsilon (> 0); smaller = more private = more noise.
     pub epsilon: f64,
-    /// Failure probability delta in (0, 1).
-    pub delta: f64,
-    /// L2 sensitivity of the released vector. Synthesis aggregates over
-    /// topic clusters of records before releasing (as DP synthesizers
-    /// do), so the per-record sensitivity is well below the 2.0 bound of
-    /// a raw unit embedding.
-    pub sensitivity: f64,
-    /// Response-quality penalty of synthesis artifacts.
-    pub quality_penalty: f64,
 }
 
 impl Default for DpConfig {
     fn default() -> Self {
-        Self {
-            epsilon: 8.0,
-            delta: 1e-5,
-            sensitivity: 0.5,
-            quality_penalty: 0.05,
-        }
+        Self { epsilon: 8.0 }
     }
 }
 
 impl DpConfig {
     /// Gaussian-mechanism noise scale:
-    /// `sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon`.
+    /// `sigma = DP_SENSITIVITY * sqrt(2 ln(1.25/DP_DELTA)) / epsilon`.
     pub fn noise_sigma(&self) -> f64 {
         assert!(self.epsilon > 0.0, "epsilon must be positive");
-        assert!(
-            self.delta > 0.0 && self.delta < 1.0,
-            "delta must be in (0, 1)"
-        );
-        self.sensitivity * (2.0 * (1.25 / self.delta).ln()).sqrt() / self.epsilon
+        DP_SENSITIVITY * (2.0 * (1.25 / DP_DELTA).ln()).sqrt() / self.epsilon
     }
 }
 
@@ -92,7 +86,7 @@ pub fn synthesize_pool(originals: &[Example], config: &DpConfig, seed: u64) -> V
                 response_text: format!("dp-synthetic response #{i}").into(),
                 request_tokens: orig.request_tokens,
                 response_tokens: orig.response_tokens,
-                quality: (orig.quality - config.quality_penalty).max(0.0),
+                quality: (orig.quality - DP_QUALITY_PENALTY).max(0.0),
                 source_model: orig.source_model,
                 replay_count: 0,
                 signal_noise: signal_noise(id),
@@ -119,14 +113,8 @@ mod tests {
 
     #[test]
     fn noise_sigma_follows_gaussian_mechanism() {
-        let strict = DpConfig {
-            epsilon: 1.0,
-            ..DpConfig::default()
-        };
-        let loose = DpConfig {
-            epsilon: 10.0,
-            ..DpConfig::default()
-        };
+        let strict = DpConfig { epsilon: 1.0 };
+        let loose = DpConfig { epsilon: 10.0 };
         assert!(strict.noise_sigma() > loose.noise_sigma() * 5.0);
     }
 
@@ -145,14 +133,7 @@ mod tests {
     fn smaller_epsilon_means_less_similarity_to_original() {
         let orig = originals(60);
         let sim_under = |eps: f64| -> f64 {
-            let synth = synthesize_pool(
-                &orig,
-                &DpConfig {
-                    epsilon: eps,
-                    ..DpConfig::default()
-                },
-                2,
-            );
+            let synth = synthesize_pool(&orig, &DpConfig { epsilon: eps }, 2);
             let mut s = RunningStats::new();
             for (o, n) in orig.iter().zip(&synth) {
                 s.push(o.latent.cosine(&n.latent));
@@ -174,7 +155,7 @@ mod tests {
         let synth = synthesize_pool(&orig, &DpConfig::default(), 3);
         for (o, s) in orig.iter().zip(&synth) {
             assert!(s.quality <= o.quality);
-            assert!((o.quality - s.quality - 0.05).abs() < 1e-9 || s.quality == 0.0);
+            assert!((o.quality - s.quality - DP_QUALITY_PENALTY).abs() < 1e-9 || s.quality == 0.0);
         }
     }
 
@@ -191,10 +172,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "epsilon must be positive")]
     fn zero_epsilon_is_rejected() {
-        let cfg = DpConfig {
-            epsilon: 0.0,
-            ..DpConfig::default()
-        };
+        let cfg = DpConfig { epsilon: 0.0 };
         let _ = cfg.noise_sigma();
     }
 }

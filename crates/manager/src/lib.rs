@@ -8,18 +8,20 @@
 //! - [`replay`] — cost-aware example replay: rank by `G(e)`, replay
 //!   best-of-n during off-peak hours, stop at the online cut-off where
 //!   resource savings no longer exceed the one-time replay cost, and cap
-//!   any example at five replay iterations (§5).
+//!   any example at five replay iterations (§5). The four values are
+//!   constants of the module (`REPLAY_ROUNDS`, `MAX_REPLAYS`,
+//!   `REPLAY_COST`, `REPLAY_BATCH_LIMIT`), not configuration.
 //! - [`evict`] — the knapsack eviction policy for bounded memory: weights
 //!   are plaintext bytes, values are decayed offload gains; one capacity
 //!   pass runs the greedy density solver over the whole cache, and an
 //!   exact DP solver validates it (and serves small instances).
 //! - [`admission`] — privacy admission control: sensitive-span scrubbing
-//!   (the spaCy path) or rejection, per-application choice (§4.3
-//!   "How Does IC-Cache Respect Privacy?").
+//!   (the spaCy path, §4.3 "How Does IC-Cache Respect Privacy?") and a
+//!   `MIN_RESPONSE_TOKENS` floor; one fixed policy.
 //! - [`dp`] — the differentially-private synthetic example pool for
 //!   deployments that need formal guarantees (Fig. 21).
 //! - [`manager`] — the [`ExampleManager`] facade the serving pipeline
-//!   talks to.
+//!   talks to; its [`ManagerConfig`] is the byte cap alone.
 
 pub mod admission;
 pub mod cache;
@@ -28,9 +30,8 @@ pub mod evict;
 pub mod manager;
 pub mod replay;
 
-pub use admission::{Admission, AdmissionPolicy};
 pub use cache::{CachedExample, ExampleCache};
 pub use dp::{DpConfig, synthesize_pool};
 pub use evict::{KnapsackItem, dp_knapsack, greedy_knapsack};
 pub use manager::{ExampleManager, ManagerConfig, ReplayReport};
-pub use replay::{ReplayConfig, plan_replay, replay_example};
+pub use replay::{plan_replay, replay_example};

@@ -4,21 +4,18 @@ use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, Generator, ModelSpec};
 use rand::Rng;
 
-use crate::admission::{Admission, AdmissionPolicy};
+use crate::admission::evaluate;
 use crate::cache::ExampleCache;
 use crate::evict::evict_to;
-use crate::replay::{ReplayConfig, plan_replay, replay_example};
+use crate::replay::{REPLAY_ROUNDS, plan_replay, replay_example};
 
-/// Manager configuration.
+/// Manager configuration: the byte cap. Admission and replay are fixed
+/// policies ([`crate::admission`], [`crate::replay`]'s constants).
 #[derive(Debug, Clone, Default)]
 pub struct ManagerConfig {
     /// Byte cap on the plaintext cache; `None` = unbounded (§4.3 notes
     /// plaintext footprints are small, so many deployments can skip caps).
     pub capacity_bytes: Option<usize>,
-    /// Admission policy.
-    pub admission: AdmissionPolicy,
-    /// Replay policy.
-    pub replay: ReplayConfig,
 }
 
 /// Result of one offline replay round.
@@ -84,28 +81,19 @@ impl ExampleManager {
         &mut self.cache
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ManagerConfig {
-        &self.config
-    }
-
     /// Runs admission control and caches the example if admitted.
     /// Returns the admitted example's id and its embedding, which the
     /// cache does not keep (callers move it into the selector's index),
     /// or `None` when rejected.
     pub fn admit(&mut self, example: Example, now: f64) -> Option<(ExampleId, Embedding)> {
-        match self.config.admission.evaluate(example) {
-            Admission::Admit(clean) => {
-                let id = clean.id;
-                let embedding = self.cache.insert(*clean, now);
-                self.admitted += 1;
-                Some((id, embedding))
-            }
-            Admission::Reject(_) => {
-                self.rejected += 1;
-                None
-            }
-        }
+        let Some(clean) = evaluate(example) else {
+            self.rejected += 1;
+            return None;
+        };
+        let id = clean.id;
+        let embedding = self.cache.insert(clean, now);
+        self.admitted += 1;
+        Some((id, embedding))
     }
 
     /// Makes room for `additional` more examples up front — for a caller
@@ -126,14 +114,17 @@ impl ExampleManager {
     }
 
     /// Plans and executes one off-peak replay round on the source model:
-    /// the store's `replay.batch_limit` highest-G(e) examples.
+    /// the store's [`REPLAY_BATCH_LIMIT`] highest-G(e) examples, each
+    /// best-of-[`REPLAY_ROUNDS`].
+    ///
+    /// [`REPLAY_BATCH_LIMIT`]: crate::replay::REPLAY_BATCH_LIMIT
     pub fn run_replay(
         &mut self,
         source_spec: &ModelSpec,
         generator: &Generator,
         rng: &mut impl Rng,
     ) -> ReplayReport {
-        let plan = plan_replay(&self.cache, &self.config.replay);
+        let plan = plan_replay(&self.cache);
         let mut report = ReplayReport::default();
         for id in plan {
             if let Some(entry) = self.cache.entry_mut(id) {
@@ -141,7 +132,7 @@ impl ExampleManager {
                     &mut entry.example,
                     source_spec,
                     generator,
-                    self.config.replay.rounds,
+                    REPLAY_ROUNDS,
                     rng,
                 );
                 report.replayed += 1;

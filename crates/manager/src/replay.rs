@@ -15,47 +15,35 @@ use rand::Rng;
 use crate::cache::ExampleCache;
 use ic_llmsim::ExampleId;
 
-/// Replay configuration.
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// Best-of-n rounds per replayed example.
-    pub rounds: u32,
-    /// Maximum lifetime replay iterations per example (§5 uses 5).
-    pub max_replays: u32,
-    /// One-time replay cost in `G(e)` units: the cut-off — examples whose
-    /// potential gain falls below this are not replayed.
-    pub replay_cost: f64,
-    /// Maximum examples replayed per planning round (off-peak budget).
-    pub batch_limit: usize,
-}
+/// Best-of-n rounds per replayed example.
+pub const REPLAY_ROUNDS: u32 = 4;
 
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            rounds: 4,
-            max_replays: 5,
-            replay_cost: 0.15,
-            batch_limit: 64,
-        }
-    }
-}
+/// Maximum lifetime replay iterations per example (§5 uses 5).
+pub const MAX_REPLAYS: u32 = 5;
+
+/// One-time replay cost in `G(e)` units: the cut-off — examples whose
+/// potential gain falls below this are not replayed.
+pub const REPLAY_COST: f64 = 0.15;
+
+/// Maximum examples replayed per planning round (off-peak budget).
+pub const REPLAY_BATCH_LIMIT: usize = 64;
 
 /// Ranks cache entries by replay potential and applies the cut-off.
 ///
 /// Returns ids in descending `G(e)` order.
-pub fn plan_replay(cache: &ExampleCache, config: &ReplayConfig) -> Vec<ExampleId> {
+pub fn plan_replay(cache: &ExampleCache) -> Vec<ExampleId> {
     let mut ranked: Vec<(ExampleId, f64)> = cache
         .iter()
-        .filter(|(_, e)| e.example.replay_count < config.max_replays)
+        .filter(|(_, e)| e.example.replay_count < MAX_REPLAYS)
         .map(|(&id, e)| (id, e.replay_gain.value()))
-        .filter(|&(_, g)| g >= config.replay_cost)
+        .filter(|&(_, g)| g >= REPLAY_COST)
         .collect();
     ranked.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .expect("finite gains")
             .then(a.0.cmp(&b.0))
     });
-    ranked.truncate(config.batch_limit);
+    ranked.truncate(REPLAY_BATCH_LIMIT);
     ranked.into_iter().map(|(id, _)| id).collect()
 }
 
@@ -184,13 +172,7 @@ mod tests {
         cache.record_usage_feedback(ids[0], 0.1, 1.0); // G = 0.9: replay.
         cache.record_usage_feedback(ids[1], 0.5, 0.8); // G = 0.4: replay.
         cache.record_usage_feedback(ids[2], 0.95, 0.2); // G = 0.01: skip.
-        let plan = plan_replay(
-            &cache,
-            &ReplayConfig {
-                replay_cost: 0.15,
-                ..ReplayConfig::default()
-            },
-        );
+        let plan = plan_replay(&cache);
         assert_eq!(plan, vec![ids[0], ids[1]]);
     }
 
@@ -198,8 +180,8 @@ mod tests {
     fn planner_respects_max_replays() {
         let (mut cache, ids) = cache_with(3);
         cache.record_usage_feedback(ids[0], 0.1, 1.0);
-        cache.entry_mut(ids[0]).unwrap().example.replay_count = 5;
-        let plan = plan_replay(&cache, &ReplayConfig::default());
+        cache.entry_mut(ids[0]).unwrap().example.replay_count = MAX_REPLAYS;
+        let plan = plan_replay(&cache);
         assert!(
             !plan.contains(&ids[0]),
             "over-replayed example must be skipped"
@@ -208,24 +190,17 @@ mod tests {
 
     #[test]
     fn planner_respects_batch_limit() {
-        let (mut cache, ids) = cache_with(30);
+        let (mut cache, ids) = cache_with(REPLAY_BATCH_LIMIT + 6);
         for id in &ids {
             cache.record_usage_feedback(*id, 0.2, 0.9);
         }
-        let plan = plan_replay(
-            &cache,
-            &ReplayConfig {
-                batch_limit: 7,
-                ..ReplayConfig::default()
-            },
-        );
-        assert_eq!(plan.len(), 7);
+        assert_eq!(plan_replay(&cache).len(), REPLAY_BATCH_LIMIT);
     }
 
     #[test]
     fn fresh_cache_plans_nothing() {
         let (cache, _) = cache_with(10);
         // No feedback yet: all G(e) are 0 < cut-off.
-        assert!(plan_replay(&cache, &ReplayConfig::default()).is_empty());
+        assert!(plan_replay(&cache).is_empty());
     }
 }

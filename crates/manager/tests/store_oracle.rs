@@ -4,24 +4,28 @@
 //! ranked over all of them, and the capacity pass as the greedy knapsack
 //! over every entry in id order.
 //!
-//! A random sequence of inserts (fresh and replacing, also with another
-//! topic and size), removals, accesses, offload gains, usage feedback,
-//! replay rounds and capacity passes runs on both; after every op the
-//! test compares `len`, `total_bytes`, `sorted_ids`, `access_counts` and
-//! each entry's statistics, and that no entry keeps a vector (`insert`
-//! hands it back). A capacity pass must evict exactly the ids
-//! the model evicts, in id order, leave `total_bytes() <= cap`, and do
-//! nothing when the cache already fits.
+//! Both start from a pool of [`REPLAY_BATCH_LIMIT`] + 16 examples, so a
+//! replay round can be cut at the batch limit. A random sequence of
+//! inserts (fresh and replacing, also with another topic and size),
+//! removals, accesses, offload gains, usage feedback (on one entry or on
+//! all of them), replay rounds and capacity passes runs on both; after
+//! every op the test compares `len`, `total_bytes`, `sorted_ids`,
+//! `access_counts` and each entry's statistics, and that no entry keeps
+//! a vector (`insert` hands it back). A capacity pass must evict exactly
+//! the ids the model evicts, in id order, leave `total_bytes() <= cap`,
+//! and do nothing when the cache already fits.
 //!
-//! Mutation that bites: in `ExampleCache::insert`, drop the line that
+//! Mutations that bite: in `ExampleCache::insert`, drop the line that
 //! takes a replaced entry's bytes off `total_bytes`; the first
-//! replacement leaves the total above the re-summed reference.
+//! replacement leaves the total above the re-summed reference. In
+//! `plan_replay`, truncate at `REPLAY_BATCH_LIMIT + 1`; the first full
+//! round replays one example more than the model.
 
 use ic_llmsim::{Example, ExampleId, Generator, ModelId, ModelSpec};
 use ic_manager::cache::{GAIN_DECAY, GAIN_PERIOD_S};
+use ic_manager::replay::{MAX_REPLAYS, REPLAY_BATCH_LIMIT, REPLAY_COST, REPLAY_ROUNDS};
 use ic_manager::{
-    ExampleCache, ExampleManager, KnapsackItem, ManagerConfig, ReplayConfig, greedy_knapsack,
-    replay_example,
+    ExampleCache, ExampleManager, KnapsackItem, ManagerConfig, greedy_knapsack, replay_example,
 };
 use ic_stats::rng::rng_from_seed;
 use ic_stats::{DecayingCounter, Ema};
@@ -82,16 +86,17 @@ impl MapStore {
         evicted
     }
 
-    /// `(replayed, total_improvement)` of one round: the `batch_limit`
-    /// highest-G(e) entries at or above the cut-off, best first.
-    fn run_replay(&mut self, config: &ReplayConfig, seed: u64) -> (usize, f64) {
+    /// `(replayed, total_improvement)` of one round: the
+    /// `REPLAY_BATCH_LIMIT` highest-G(e) entries at or above the cut-off,
+    /// best first.
+    fn run_replay(&mut self, seed: u64) -> (usize, f64) {
         let mut ranked: Vec<(ExampleId, f64)> = (self.entries.iter())
-            .filter(|(_, e)| e.example.replay_count < config.max_replays)
+            .filter(|(_, e)| e.example.replay_count < MAX_REPLAYS)
             .map(|(&id, e)| (id, e.replay_gain.value()))
-            .filter(|&(_, g)| g >= config.replay_cost)
+            .filter(|&(_, g)| g >= REPLAY_COST)
             .collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        ranked.truncate(config.batch_limit);
+        ranked.truncate(REPLAY_BATCH_LIMIT);
         let (spec, generator) = (ModelSpec::gemma_2_27b(), Generator::new());
         let mut rng = rng_from_seed(seed);
         let (mut replayed, mut improvement) = (0, 0.0);
@@ -101,7 +106,7 @@ impl MapStore {
                 &mut entry.example,
                 &spec,
                 &generator,
-                config.rounds,
+                REPLAY_ROUNDS,
                 &mut rng,
             );
             replayed += 1;
@@ -145,21 +150,20 @@ proptest! {
 
     #[test]
     fn one_cache_matches_a_plain_map(
-        batch_limit in 1usize..7,
         ops in proptest::collection::vec(0u64..u64::MAX, 1..160),
     ) {
         let pool = WorkloadGenerator::new(Dataset::MsMarco, 97).generate_examples(
-            24,
+            REPLAY_BATCH_LIMIT + 16,
             &ModelSpec::gemma_2_27b(),
             ModelId(0),
             &Generator::new(),
         );
-        let replay = ReplayConfig { batch_limit, ..ReplayConfig::default() };
-        let mut manager = ExampleManager::new(ManagerConfig {
-            replay: replay.clone(),
-            ..ManagerConfig::default()
-        });
+        let mut manager = ExampleManager::new(ManagerConfig::default());
         let mut model = MapStore::default();
+        for e in &pool {
+            manager.cache_mut().insert(e.clone(), 0.0);
+            model.insert(e.clone(), 0.0);
+        }
         let mut now = 0.0f64;
         for word in ops {
             // Independent fields of the op, cut from one random word.
@@ -204,11 +208,20 @@ proptest! {
                 }
                 8..=10 => {
                     // Mostly poor answers from a dear model: G(e) clears
-                    // the replay cut-off often enough to fill a batch.
+                    // the replay cut-off often, and feedback on every
+                    // entry (one op in three) fills more than a batch.
                     let (quality, cost) = (pick(24, 13) as f64 / 16.0, pick(32, 13) as f64 / 12.0);
-                    real.record_usage_feedback(id, quality, cost);
-                    if let Some(e) = model.entries.get_mut(&id) {
-                        e.replay_gain.observe((1.0 - quality) * cost.min(1.0));
+                    let g = (1.0 - quality) * cost.min(1.0);
+                    if pick(40, 3) == 0 {
+                        for (&other, e) in &mut model.entries {
+                            real.record_usage_feedback(other, quality, cost);
+                            e.replay_gain.observe(g);
+                        }
+                    } else {
+                        real.record_usage_feedback(id, quality, cost);
+                        if let Some(e) = model.entries.get_mut(&id) {
+                            e.replay_gain.observe(g);
+                        }
                     }
                 }
                 11 => {
@@ -240,7 +253,7 @@ proptest! {
                         &Generator::new(),
                         &mut rng_from_seed(seed),
                     );
-                    let want = model.run_replay(&replay, seed);
+                    let want = model.run_replay(seed);
                     prop_assert_eq!((got.replayed, got.total_improvement), want);
                 }
             }

@@ -29,7 +29,6 @@ struct Arm {
     model: ModelId,
     a: Matrix,
     b: Vec<f64>,
-    pulls: u64,
     /// What a decision reads of the current `(a, b)`. `None` from
     /// construction and from every change of `a` or `b` until the next
     /// decision refits it.
@@ -42,7 +41,6 @@ impl Arm {
             model,
             a: Matrix::scaled_identity(dim, lambda),
             b: vec![0.0; dim],
-            pulls: 0,
             posterior: None,
         }
     }
@@ -122,14 +120,6 @@ impl ContextualBandit {
         self.arms.iter().map(|a| a.model).collect()
     }
 
-    /// Number of updates an arm has absorbed.
-    pub fn pulls(&self, model: ModelId) -> u64 {
-        self.arms
-            .iter()
-            .find(|a| a.model == model)
-            .map_or(0, |a| a.pulls)
-    }
-
     /// Posterior-mean score of every arm on `x` (no exploration noise).
     pub fn mean_scores(&self, x: &[f64]) -> Vec<(ModelId, f64)> {
         assert_eq!(x.len(), self.dim, "feature dimension mismatch");
@@ -195,7 +185,6 @@ impl ContextualBandit {
         for (bi, xi) in arm.b.iter_mut().zip(x) {
             *bi += reward * xi;
         }
-        arm.pulls += 1;
         arm.posterior = None;
     }
 
@@ -294,9 +283,10 @@ mod tests {
     #[test]
     fn unknown_arm_updates_are_ignored() {
         let mut b = ContextualBandit::new(vec![ModelId(0)], 2, 1.0, 0.1);
+        let before = b.mean_scores(&[1.0, 0.0]);
         b.update(ModelId(9), &[1.0, 0.0], 1.0);
-        assert_eq!(b.pulls(ModelId(9)), 0);
-        assert_eq!(b.pulls(ModelId(0)), 0);
+        assert_eq!(b.models(), vec![ModelId(0)]);
+        assert_eq!(b.mean_scores(&[1.0, 0.0]), before);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //!
 //! The serving system routes through one logical router, as the paper
 //! does: one bandit posterior and one load view.
+//!
+//! [`RouterConfig`] carries what callers vary — the always-on cost
+//! weight (Fig. 13 sweeps it) and the feature-projection seed. The
+//! calibration is constants of [`router`]: `RIDGE_PRIOR`, `EXPLORATION`,
+//! `BIAS_LAMBDA0`, `BIAS_GAMMA`, `LOAD_THRESHOLD`, `LOAD_ALPHA` and
+//! `UNCERTAINTY_GATE` (the paper's 0.1).
 
 pub mod bandit;
 pub mod features;

@@ -229,7 +229,7 @@ impl ProxyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_llmsim::icl::{IclParams, example_utility};
+    use ic_llmsim::icl::example_utility;
     use ic_llmsim::{Generator, ModelSpec};
     use ic_stats::pearson;
     use ic_workloads::{Dataset, WorkloadGenerator};
@@ -298,12 +298,11 @@ mod tests {
             &generator,
         );
         let reqs = wg.generate_requests(400);
-        let icl = IclParams::default();
         let mut data = Vec::new();
         let mut rng = ic_stats::rng::rng_from_seed(6);
         for (r, e) in reqs.iter().zip(&exs) {
             let base = generator.base_quality(&small, r);
-            let label = example_utility(e, r, base, &icl) + 0.05 * (rng.random::<f64>() - 0.5); // Feedback noise.
+            let label = example_utility(e, r, base) + 0.05 * (rng.random::<f64>() - 0.5); // Feedback noise.
             let f = ProxyFeatures::extract(r, e, &small).as_array();
             data.push((f, label));
         }
@@ -336,7 +335,6 @@ mod tests {
             &generator,
         );
         let reqs = wg.generate_requests(1_200);
-        let icl = IclParams::default();
         let mut model = ProxyModel::standard();
         // Train on the first half, several epochs: the proxy-vs-similarity
         // correlation gap is a few points, so the proxy must actually
@@ -344,7 +342,7 @@ mod tests {
         for _ in 0..10 {
             for (r, e) in reqs.iter().zip(&exs).take(600) {
                 let base = generator.base_quality(&small, r);
-                let label = example_utility(e, r, base, &icl);
+                let label = example_utility(e, r, base);
                 model.update(&ProxyFeatures::extract(r, e, &small).as_array(), label);
             }
         }
@@ -354,7 +352,7 @@ mod tests {
         let mut truths = Vec::new();
         for (r, e) in reqs.iter().zip(&exs).skip(600) {
             let base = generator.base_quality(&small, r);
-            truths.push(example_utility(e, r, base, &icl));
+            truths.push(example_utility(e, r, base));
             preds.push(model.predict(&ProxyFeatures::extract(r, e, &small).as_array()));
             sims.push(r.embedding.cosine(&e.embedding));
         }

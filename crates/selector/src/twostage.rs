@@ -295,7 +295,7 @@ impl ExampleSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_llmsim::icl::{IclParams, example_utility};
+    use ic_llmsim::icl::example_utility;
     use ic_llmsim::{Generator, ModelId};
     use ic_workloads::{Dataset, WorkloadGenerator};
     use std::collections::HashMap;
@@ -329,12 +329,11 @@ mod tests {
             // Offline proxy training on held-out traffic, as the deployed
             // system would do from sampled feedback.
             let train_reqs = wg.generate_requests(300);
-            let icl = IclParams::default();
             for r in &train_reqs {
                 for (id, _) in selector.stage1(r).into_iter().take(8) {
                     let e = &store[&id];
                     let base = generator.base_quality(&small, r);
-                    let label = example_utility(e, r, base, &icl);
+                    let label = example_utility(e, r, base);
                     let f = crate::proxy::ProxyFeatures::extract(r, e, &small).as_array();
                     for _ in 0..4 {
                         selector.proxy_mut().update(&f, label);
@@ -388,7 +387,6 @@ mod tests {
     #[test]
     fn two_stage_picks_better_examples_than_stage1_fig9() {
         let f = fixture(1200, 60, true);
-        let icl = IclParams::default();
         let mut u_two_stage = 0.0;
         let mut u_stage1 = 0.0;
         let mut n = 0.0;
@@ -396,12 +394,12 @@ mod tests {
             let base = f.generator.base_quality(&f.small, r);
             let sel = f.selector.select_with_threshold(r, &f.store, &f.small, 0.0);
             for id in &sel.ids {
-                u_two_stage += example_utility(&f.store[id], r, base, &icl);
+                u_two_stage += example_utility(&f.store[id], r, base);
                 n += 1.0;
             }
             // Stage-1-only: top-k by similarity.
             for (id, _) in f.selector.stage1(r).into_iter().take(sel.ids.len()) {
-                u_stage1 += example_utility(&f.store[&id], r, base, &icl);
+                u_stage1 += example_utility(&f.store[&id], r, base);
             }
         }
         assert!(n > 0.0, "no examples selected at all");

@@ -41,8 +41,8 @@
 //! # Retraining, and why a bulk load needs only the last one
 //!
 //! The index retrains lazily: inserts are routed to the nearest existing
-//! centroid, and when the pool has grown or shrunk past a configurable
-//! factor since the last training, the insert that crosses it retrains
+//! centroid, and when the pool has grown or shrunk past
+//! [`RETRAIN_GROWTH`] since the last training, the insert that crosses it retrains
 //! with the sqrt rule — so loading N items one by one fits k-means at
 //! every doubling.
 //!
@@ -111,6 +111,9 @@ use crate::{ItemId, SearchHit, VectorIndex, finalize_in_place, sqrt_cluster_coun
 /// docs, "The training sample").
 const TRAIN_ROWS_PER_CENTROID: usize = 39;
 
+/// Retrain when the pool grows/shrinks by this factor since training.
+pub const RETRAIN_GROWTH: f64 = 2.0;
+
 /// Tuning knobs for [`IvfIndex`].
 #[derive(Debug, Clone)]
 pub struct IvfConfig {
@@ -118,8 +121,6 @@ pub struct IvfConfig {
     pub nprobe: usize,
     /// Below this size queries scan everything (clustering not worth it).
     pub brute_force_below: usize,
-    /// Retrain when the pool grows/shrinks by this factor since training.
-    pub retrain_growth: f64,
     /// Lloyd iterations per training run.
     pub train_iters: usize,
     /// Seed for K-means.
@@ -131,7 +132,6 @@ impl Default for IvfConfig {
         Self {
             nprobe: 4,
             brute_force_below: 64,
-            retrain_growth: 2.0,
             train_iters: 15,
             seed: 0x1CC0FFEE,
         }
@@ -508,7 +508,7 @@ impl IvfIndex {
         }
         trained_at.is_none_or(|at| {
             let ratio = n as f64 / at.max(1) as f64;
-            ratio >= self.config.retrain_growth || ratio <= 1.0 / self.config.retrain_growth
+            ratio >= RETRAIN_GROWTH || ratio <= 1.0 / RETRAIN_GROWTH
         })
     }
 
