@@ -273,7 +273,8 @@ impl IcCacheSystem {
     /// [`IcCacheSystem::serve`] with stage 1 supplied: `stage1`, when
     /// given, must be what [`ExampleSelector::stage1`] returns for this
     /// request against the index as it is now (a probe run ahead of
-    /// time, under the current index generation); `None` probes here.
+    /// time through a view of the index and refreshed to its current
+    /// generation); `None` probes here.
     /// Every byte of the outcome is the same either way.
     pub fn serve_ahead(
         &mut self,

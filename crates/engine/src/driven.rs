@@ -201,9 +201,7 @@ pub struct EventDrivenEngine {
     model_pools: Vec<(ModelId, usize)>,
     pool_configs: Vec<PoolConfig>,
     /// Test-only: the stage-1 look-ahead forced on (a patient one, which
-    /// waits for each slot) or off, whatever the host's parallelism. On
-    /// only overrides the core check: a replay that can write the index
-    /// starts none.
+    /// waits for each slot) or off, whatever the host's parallelism.
     #[cfg(test)]
     force_lookahead: Option<bool>,
     /// Test-only: arrivals of the last replay whose stage 1 came from a
@@ -300,21 +298,15 @@ impl EventDrivenEngine {
     }
 
     /// The ring of a stage-1 look-ahead for a replay of `n` arrivals, if
-    /// it starts one: the one place that knows when the helper may share
-    /// the index. It needs a probe to run ahead of, a replay that cannot
-    /// write the index — no served-pair admission, and no byte cap (with
-    /// none, maintenance only rewrites cached responses and a capacity
-    /// pass evicts nothing) — and a host with a second core. No knob
-    /// reads into it.
+    /// it starts one: there are arrivals to probe ahead of, and the host
+    /// has a second core. Index writes do not stop it (see
+    /// `driven/lookahead.rs`), and no knob reads into it.
     fn lookahead_ring(&self, n: usize) -> Option<Ring> {
-        let probes = n > 0 && self.system.selector().indexed_count() > 0;
-        let uncapped = self.system.config().manager.capacity_bytes.is_none();
-        let read_only = !self.config.admit_served_pairs && uncapped;
         #[cfg(test)]
         if let Some(forced) = self.force_lookahead {
-            return (forced && probes && read_only).then(Ring::patient);
+            return (forced && n > 0).then(Ring::patient);
         }
-        (probes && read_only && lookahead::second_core()).then(Ring::new)
+        (n > 0 && lookahead::second_core()).then(Ring::new)
     }
 
     /// The engine configuration.
@@ -659,38 +651,66 @@ mod tests {
         assert_eq!(taken, requests.len() as u64 - hits);
     }
 
-    /// Each replay that can write the index — served pairs admitted,
-    /// or a byte cap whose 5 s capacity pass evicts — starts no
-    /// look-ahead, even forced on, and is the forced-off replay. More
-    /// arrivals than the ring holds, so a helper started by mistake
-    /// would be parked on a full ring, still holding the index, at the
-    /// first write: dropping either condition from `lookahead_ring`
-    /// panics there.
+    /// Each replay that writes the index keeps its look-ahead and is the
+    /// forced-off replay, byte for byte: served pairs admitted (an
+    /// insert per arrival: slots merged through the insert log), a byte
+    /// cap whose 5 s capacity pass evicts (an epoch per pass: slots
+    /// refused, the helper restarted), both with a pool outage on top,
+    /// and admission from an empty bank (brute force while the pool is
+    /// small, then the flip and the retrains). More arrivals than the
+    /// ring holds. Mutations that fail it: dropping the list filter or the
+    /// epoch check from `IvfIndex::refresh`, or the refresh from
+    /// `Ring::take`.
     #[test]
-    fn a_replay_that_can_write_the_index_starts_no_lookahead() {
+    fn a_replay_that_writes_the_index_keeps_its_lookahead() {
         let (requests, arrivals) = workload(300, 400, 0.5, false);
         let admitting = EngineConfig {
             admit_served_pairs: true,
             ..EngineConfig::default()
         };
-        let build = || seeded_engine(300, admitting.clone(), 441).0;
-        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
-        assert!(report.cache.examples > 300, "served pairs were admitted");
-        assert_eq!(taken, 0);
-
         let rebalancing = EngineConfig {
             rebalance_period_s: 5.0,
             ..EngineConfig::default()
         };
-        let build = || {
-            let mut engine = seeded_engine(300, rebalancing.clone(), 441).0;
+        let both = EngineConfig {
+            admit_served_pairs: true,
+            pool_outages: vec![PoolOutage {
+                pool: 0,
+                at_s: 50.0,
+                duration_s: 30.0,
+            }],
+            ..rebalancing.clone()
+        };
+        let capped = |config: &EngineConfig| {
+            let mut engine = seeded_engine(300, config.clone(), 441).0;
             let cap = engine.system().manager().cache().total_bytes() / 2;
             engine.system_mut().set_cache_capacity(Some(cap));
             engine
         };
+
+        let build = || seeded_engine(300, admitting.clone(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert!(report.cache.examples > 300, "served pairs were admitted");
+        assert!(taken > 0, "admitting: no slot taken");
+
+        let build = || capped(&rebalancing);
         let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
         assert!(report.cache.evicted > 0, "the capacity pass evicted");
-        assert_eq!(taken, 0);
+        assert!(taken > 0, "evicting: no slot taken");
+
+        let build = || capped(&both);
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert!(report.cache.evicted > 0, "the capacity pass evicted");
+        assert!(report.router.failover_requeues > 0, "{:?}", report.router);
+        assert!(
+            taken > 0,
+            "admitting, evicting, failing over: no slot taken"
+        );
+
+        let build = || seeded_engine(0, admitting.clone(), 441).0;
+        let (report, taken) = same_with_and_without_lookahead(build, &requests, &arrivals);
+        assert!(report.cache.examples > 64, "past the brute-force boundary");
+        assert!(taken > 0, "from an empty bank: no slot taken");
     }
 
     #[test]

@@ -64,7 +64,8 @@ impl EngineState<'_> {
         let pos = self.cursor.fired;
         let (at, i) = self.cursor.order[pos];
         self.cursor.fired += 1;
-        if let Some(lookahead) = &self.lookahead {
+        if let Some(lookahead) = &mut self.lookahead {
+            lookahead.publish(self.system.selector().index());
             lookahead.arrive(pos);
         }
         self.sim.advance_to(at);
@@ -79,10 +80,10 @@ impl EngineState<'_> {
         }
 
         // Stage 1 from the look-ahead's slot when it is ready and was
-        // probed under the current index; probed in `serve_ahead`
-        // otherwise.
-        let generation = self.system.selector().index().generation();
-        let stage1 = (self.lookahead.as_ref()).and_then(|ahead| ahead.take(pos, i, generation));
+        // probed in the index's current epoch, brought up to its current
+        // generation; probed in `serve_ahead` otherwise.
+        let index = self.system.selector().index();
+        let stage1 = (self.lookahead.as_ref()).and_then(|ahead| ahead.take(pos, i, index, request));
         let out = self.system.serve_ahead(request, stage1);
         self.trace(at, i as u64, ObsKind::Stage1Probe);
 

@@ -121,8 +121,8 @@ pub(super) struct EngineState<'a> {
     /// The arrival sequence in firing order.
     pub(super) cursor: ArrivalCursor,
     /// The stage-1 look-ahead (see the `lookahead` module): started by
-    /// `serve_workload` on a replay that cannot write the index, on a
-    /// host with a second core; stopped when this state is dropped.
+    /// `serve_workload` on a host with a second core; stopped when this
+    /// state is dropped.
     pub(super) lookahead: Option<LookAhead<'a>>,
     /// Stage-0 response cache (`EngineConfig::resp_cache`): probed per
     /// fresh arrival before any selector work. `None` (the default)
@@ -277,11 +277,13 @@ impl<'a> EngineState<'a> {
                 Event::PoolDown(pool) => self.on_pool_down(pool, at),
                 Event::PoolUp(pool) => self.on_pool_up(pool, at),
                 Event::Maintenance => {
+                    self.before_eviction();
                     let report = self.system.run_maintenance(now);
                     self.evicted += report.evicted as u64;
                     self.rearm_periodic(self.config.maintenance_period_s, Event::Maintenance);
                 }
                 Event::Rebalance => {
+                    self.before_eviction();
                     let evicted = self.system.run_rebalance(now);
                     self.evicted += evicted as u64;
                     self.rearm_periodic(self.config.rebalance_period_s, Event::Rebalance);
@@ -291,6 +293,17 @@ impl<'a> EngineState<'a> {
                     self.rearm_periodic(self.config.obs_sample_s, Event::ObsSample);
                 }
             }
+        }
+    }
+
+    /// Before a capacity pass: if it will evict, the stage-1 look-ahead
+    /// lets go of its view first, so the removals edit the posting lists
+    /// in place instead of copying every segment they touch.
+    fn before_eviction(&mut self) {
+        if let Some(lookahead) = &mut self.lookahead
+            && self.system.manager().over_capacity()
+        {
+            lookahead.release();
         }
     }
 

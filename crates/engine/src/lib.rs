@@ -22,14 +22,14 @@
 //!   ├ stage 0: observe in the sketch, then      on_step(pool)
 //!   │  lookup ── hit ──▶ Stage0Complete(i)      ├ a quiet boundary: nothing to
 //!   ├ IcCacheSystem::serve_ahead: stage 1       │  run, the pool applied it
-//!   │  (a read-only replay's look-ahead slot    │
-//!   │  under the current generation, else a     │
-//!   │  probe)                                   │
+//!   │  (the look-ahead's slot if probed in      │
+//!   │  this index epoch, refreshed to this      │
+//!   │  generation; else a probe)                │
 //!   │  + stage 2 + routing                      ├ else advance_step: finishers
 //!   │  + generation + feedback                  │  ▶ complete (TTFT/E2E, Little's
-//!   └ dispatch ──▶ pool.offer ── Started ──▶    │  law ▶ the router); then
-//!                  arm the pool's slot          │  advance_quiet applies the quiet
-//!                                               │  run behind it in closed form,
+//!   ├ dispatch ──▶ pool.offer ── Started ──▶    │  law ▶ the router); then
+//!   │              arm the pool's slot          │  advance_quiet applies the quiet
+//!   └ admission: an index insert, logged        │  run behind it in closed form,
 //!  the event heap's head                        │  up to the next router
 //!  (ic_desim::Simulator: every other router     │  interaction
 //!   interaction, one handler per event)         │
@@ -37,7 +37,9 @@
 //!                serve_retry ▶ dispatch         │  next pending key are counted,
 //!  PoolUp(p)                                    │  their seqs burned
 //!  Maintenance / Rebalance / ObsSample          └ re-arm the slot while the pool
-//!  (periodic, re-armed while work remains)         stays busy
+//!  (periodic, re-armed while work remains; a       stays busy
+//!   pass that will evict takes the look-ahead's
+//!   view back first: a new epoch)
 //!  Stage0Complete(i) ▶ complete
 //! ```
 //!
@@ -98,20 +100,24 @@
 //!
 //! # Stage-1 look-ahead
 //!
-//! On a replay that cannot write the index — no served pair admitted,
-//! no byte cap for a capacity pass to enforce — and a host with a
-//! second core, `serve_workload` starts one helper thread that walks the
-//! arrival cursor's firing order up to 256 arrivals ahead of the event
-//! loop and runs each arrival's stage-1 IVF probe against a shared
-//! handle on the selector's index, leaving the hits in a ring slot
-//! stamped with the arrival's seq and the index generation. An arrival,
-//! a repeat query included, reads the index generation, takes its slot
-//! when the stamps match and hands the list to
-//! `IcCacheSystem::serve_ahead`, and probes inline otherwise; everything
-//! after stage 1 stays on the event loop. The helper runs until the
-//! replay ends, and the selector's writes panic while it holds the
-//! index, so a wrong start condition fails loudly. No configuration
-//! field reaches it (`driven/lookahead.rs`).
+//! On a host with a second core, `serve_workload` starts one helper
+//! thread that walks the arrival cursor's firing order up to 256
+//! arrivals ahead of the event loop and runs each arrival's stage-1 IVF
+//! probe against a read-only view of the selector's index
+//! (`IvfIndex::view`: copy-on-write, so the event loop's admissions and
+//! evictions neither wait for it nor race it), leaving the hits in a
+//! ring slot stamped with the arrival's seq and the probe's generation,
+//! epoch and scanned lists. An arrival, a repeat query included, takes
+//! its slot when it was probed in the index's current epoch, brings it
+//! up to the current generation (`IvfIndex::refresh`: the rows admitted
+//! since, in the lists the probe scanned, merged exactly) and hands the
+//! list to `IcCacheSystem::serve_ahead`; it probes inline otherwise.
+//! Before an arrival, the event loop publishes a fresh view when the
+//! index started an epoch (an evicting capacity pass, a retrain) or took
+//! 256 inserts, and the helper restarts from the event loop's position
+//! on a new epoch. Everything after stage 1, and every index write,
+//! stays on the event loop. No configuration field reaches it
+//! (`driven/lookahead.rs`).
 //!
 //! # Example cache
 //!

@@ -154,6 +154,12 @@ impl ExampleManager {
         };
         evict_to(&mut self.cache, cap, now)
     }
+
+    /// Whether the cache holds more bytes than its cap, i.e. whether
+    /// the next [`Self::enforce_capacity`] evicts.
+    pub fn over_capacity(&self) -> bool {
+        (self.config.capacity_bytes).is_some_and(|cap| self.cache.total_bytes() > cap)
+    }
 }
 
 #[cfg(test)]

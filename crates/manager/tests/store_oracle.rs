@@ -230,7 +230,9 @@ proptest! {
                     let capacity = real.total_bytes() * pick(24, 10) as usize / 8;
                     let before = real.len();
                     manager.set_capacity_bytes(Some(capacity));
+                    let over = manager.over_capacity();
                     let evicted = manager.enforce_capacity(now);
+                    prop_assert_eq!(over, !evicted.is_empty(), "over_capacity names the evicting passes");
                     prop_assert_eq!(
                         &evicted,
                         &model.evict_to(capacity, now),
@@ -243,6 +245,7 @@ proptest! {
                         prop_assert!(cache.entry(*id).is_none());
                     }
                     // A second pass at the same cap finds nothing to do.
+                    prop_assert!(!manager.over_capacity());
                     prop_assert!(manager.enforce_capacity(now).is_empty());
                     manager.set_capacity_bytes(None);
                 }

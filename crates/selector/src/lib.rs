@@ -24,11 +24,12 @@
 //!
 //! Selection is strictly per request, in arrival order (Algorithm 1):
 //! [`ExampleSelector::select`] draws no randomness and writes nothing.
-//! A caller may probe stage 1 ahead of time on another thread, against
-//! [`ExampleSelector::shared_index`], and pass the list to
+//! A caller may probe stage 1 ahead of time on another thread, through a
+//! view of [`ExampleSelector::index`] (`IvfIndex::view`), bring the hits
+//! up to the index as it then stands (`IvfIndex::refresh`, which refuses
+//! a probe whose epoch has moved), and pass the list to
 //! [`ExampleSelector::select_with_stage1`] in place of
-//! [`ExampleSelector::stage1`]; the index cannot be written while such a
-//! handle lives, so the list is the probe's own bytes.
+//! [`ExampleSelector::stage1`]: it is the inline probe's bytes.
 
 pub mod proxy;
 pub mod twostage;

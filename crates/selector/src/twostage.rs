@@ -1,7 +1,5 @@
 //! The two-stage selection pipeline (Algorithm 1, `RetrieveExamples`).
 
-use std::sync::Arc;
-
 use ic_embed::Embedding;
 use ic_llmsim::{Example, ExampleId, ExampleStore, ModelSpec, Request};
 use ic_vecindex::{IvfConfig, IvfIndex, StoredRow, VectorIndex};
@@ -81,15 +79,16 @@ impl Selection {
 /// in the Example Manager's cache, whose examples carry no vector, and
 /// are reached through [`ExampleStore`].
 ///
-/// The index sits behind an [`Arc`] so that a stage-1 look-ahead on
-/// another thread ([`Self::shared_index`]) can probe it while the
-/// selector is still read on this one. Every write goes through
-/// [`Arc::get_mut`] and panics while such a share is alive: the engine
-/// shares the index only with replays that never write it, and a write
-/// under a wrong start condition fails loudly instead of racing.
+/// A stage-1 look-ahead on another thread probes a read-only view of the
+/// index ([`IvfIndex::view`]) while the selector reads and writes the
+/// index on this one: the index copies a posting list before it writes
+/// one a view shares, so admissions and evictions neither wait for the
+/// look-ahead nor race it, and [`IvfIndex::refresh`] brings the
+/// look-ahead's hits up to the index as it stands before they reach
+/// [`Self::select_with_stage1`].
 #[derive(Debug)]
 pub struct ExampleSelector {
-    index: Arc<IvfIndex>,
+    index: IvfIndex,
     proxy: ProxyModel,
 }
 
@@ -97,7 +96,7 @@ impl ExampleSelector {
     /// Creates a selector with an untrained proxy.
     pub fn new(config: SelectorConfig) -> Self {
         Self {
-            index: Arc::new(IvfIndex::new(config.ivf)),
+            index: IvfIndex::new(config.ivf),
             proxy: ProxyModel::standard(),
         }
     }
@@ -123,27 +122,10 @@ impl ExampleSelector {
         &self.index
     }
 
-    /// A second handle on the stage-1 index, for a look-ahead that
-    /// probes upcoming queries on another thread. Every index write
-    /// panics until the handle is dropped (see the type docs).
-    pub fn shared_index(&self) -> Arc<IvfIndex> {
-        Arc::clone(&self.index)
-    }
-
-    /// The index, for a write.
-    ///
-    /// # Panics
-    ///
-    /// While a [`Self::shared_index`] handle is alive.
-    fn index_mut(&mut self) -> &mut IvfIndex {
-        Arc::get_mut(&mut self.index)
-            .expect("an index write while a stage-1 look-ahead shares the index")
-    }
-
     /// Indexes a new example (called on admission with the embedding the
     /// Example Manager's cache gave back: the index keeps the one copy).
     pub fn index_example(&mut self, id: ExampleId, embedding: Embedding) {
-        self.index_mut().insert(id.0, embedding);
+        self.index.insert(id.0, embedding);
     }
 
     /// Indexes a whole batch of examples through the IVF bulk build —
@@ -151,13 +133,13 @@ impl ExampleSelector {
     /// [`Self::index_example`] per item, for one k-means fit instead of
     /// one per doubling.
     pub fn index_examples(&mut self, items: Vec<(ExampleId, Embedding)>) {
-        self.index_mut()
+        self.index
             .insert_bulk(items.into_iter().map(|(id, e)| (id.0, e)).collect());
     }
 
     /// Drops an example from the index (called on eviction).
     pub fn unindex_example(&mut self, id: ExampleId) -> bool {
-        self.index_mut().remove(id.0)
+        self.index.remove(id.0)
     }
 
     /// Number of indexed examples.
@@ -200,8 +182,8 @@ impl ExampleSelector {
     /// Stage 2 alone at [`UTILITY_CUT`]: two-stage selection
     /// with the stage-1 `candidates` supplied by the caller (what
     /// [`ExampleSelector::stage1`] returned, or a list probed ahead of
-    /// time against [`Self::shared_index`] under the current index
-    /// generation, which is the same). Times and differentially tests
+    /// time through a view of [`Self::index`] and brought up to the
+    /// current generation by [`IvfIndex::refresh`], which is the same). Times and differentially tests
     /// stage 2 apart from the probe (`tests/stage2_oracle.rs`).
     ///
     /// # Panics

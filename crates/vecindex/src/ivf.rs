@@ -10,10 +10,12 @@
 //!
 //! Each posting list owns its members' rows — cluster-major, and within
 //! the list lane-transposed (groups of eight rows, component-major, see
-//! the `kernel` module) — next to parallel `ids` and insert-time `norms`.
-//! A probe therefore streams `nprobe` contiguous blocks with eight
-//! independent accumulators per pass, instead of chasing one hashed id →
-//! row lookup and one dependent 64-step add chain per candidate. One
+//! the `kernel` module) — next to their ids and insert-time norms: one
+//! contiguous block per list, plus a short block for the rows appended
+//! while a view held the list (below). A probe therefore streams
+//! `nprobe` lists with eight independent accumulators per pass, instead
+//! of chasing one hashed id → row lookup and one dependent 64-step add
+//! chain per candidate. One
 //! `id -> (list, position)` map locates a row for removal and
 //! re-insertion; there is no other copy of the rows. The scan is a
 //! schedule change, not a numeric one: every similarity is bit-identical
@@ -25,18 +27,38 @@
 //! training — so exact search over a small pool is the same scan, not a
 //! second code path.
 //!
-//! # One widen a probe, and a generation stamp for whoever keeps a result
+//! # One widen a probe, and views a probe on another thread can read
 //!
 //! A probe widens its query to `f64` once: the centroid rank
 //! ([`KMeansModel::assign_top_n_widened`]) and every list scan read the
 //! same buffer. A search is a pure function of the query's bits and the
-//! index contents, and [`IvfIndex::generation`] names the contents: it
-//! advances on every row placed or removed and on every retrain, from
-//! inside the three private mutators all writes go through, so a caller
-//! that keeps a hit list next to the generation it was computed under
-//! (`ic-engine`'s stage-1 look-ahead, which stamps every slot it fills)
-//! can tell a still-valid list from a stale one by comparing two
-//! integers.
+//! index contents, and [`IvfIndex::generation`] names the contents.
+//!
+//! The model and every segment of a posting list sit behind an [`Arc`],
+//! and every write goes through [`Arc::make_mut`]. So
+//! [`IvfIndex::view`] hands out a read-only [`IndexView`] that shares
+//! them, for the price of a copy of each list's table of segments. A
+//! later write never changes what the view reads: an insert into a list
+//! the view holds appends to a segment of its own, a removal copies the
+//! one or two segments it writes, and a retrain replaces the model, it
+//! never edits it. So a write never
+//! waits for a probe on the view or races one, and the view answers for
+//! its own generation however far the index moves on. (Copying the
+//! whole list instead showed in the peak RSS of a replay that admits a
+//! pair per arrival: +3 MiB on 29, about one index.) A probe through
+//! a view returns a [`ProbeStamp`] — the generation and **epoch** it ran
+//! under and the lists it scanned — and [`IvfIndex::refresh`] brings its
+//! hits up to the index as it stands: within one epoch the index only
+//! gains rows, and it logs each insert with the list it went to, so the
+//! rows a probe missed are the logged ones in the lists it scanned.
+//! Scoring those with the scan's own arithmetic and re-taking the top
+//! `k` under `(similarity desc, id asc)` is, bit for bit, what a search
+//! at the current generation returns. A write the log cannot describe —
+//! a removal, an overwrite, a retrain, or an insert that flips
+//! [`IvfIndex::is_brute_force`] — starts a new epoch, and `refresh`
+//! refuses a stamp from an older one. `ic-engine`'s stage-1 look-ahead
+//! probes upcoming arrivals through views on a second core this way
+//! while the event loop writes the index.
 //!
 //! # Retraining, and why a bulk load needs only the last one
 //!
@@ -98,6 +120,8 @@
 //! centroids a bank gets, hence which lists a probe reads), not how it
 //! is searched.
 
+use std::sync::Arc;
+
 use ic_embed::{Embedding, cosine_from_dot, norm_slice};
 use ic_stats::IdMap;
 use ic_stats::rng::rng_from_seed;
@@ -105,7 +129,12 @@ use rand::RngExt;
 
 use crate::kernel::{LANES, LaneBlocks};
 use crate::kmeans::{KMeansModel, kmeans_fit_rows};
-use crate::{ItemId, SearchHit, VectorIndex, finalize_in_place, sqrt_cluster_count};
+use crate::{ItemId, SearchHit, VectorIndex, finalize_in_place, hit_order, sqrt_cluster_count};
+
+/// The most posting lists a [`ProbeStamp`] names one by one; a probe of
+/// more (an `nprobe` above it) can be refreshed only at its own
+/// generation.
+const STAMP_LISTS: usize = 8;
 
 /// A retrain fits k-means on at most this many rows a centroid (module
 /// docs, "The training sample").
@@ -158,9 +187,11 @@ impl Default for IvfConfig {
 #[derive(Debug)]
 pub struct IvfIndex {
     config: IvfConfig,
-    model: Option<KMeansModel>,
+    /// Shared with every [`IndexView`] taken since the last retrain.
+    model: Option<Arc<KMeansModel>>,
     /// One list per cluster once trained; before that, at most one list
-    /// holding everything. Rebuilt on retrain, patched on insert/remove.
+    /// holding everything. Rebuilt on retrain, patched on insert/remove;
+    /// what a patch writes of a list a view shares is copied first.
     lists: Vec<PostingList>,
     /// Where each stored item lives: `(list, position in the list)`.
     locator: IdMap<ItemId, (u32, u32)>,
@@ -169,6 +200,11 @@ pub struct IvfIndex {
     /// Advanced by every change to what a search reads (see
     /// [`IvfIndex::generation`]).
     generation: u64,
+    /// Advanced by every write the insert log cannot describe.
+    epoch: u64,
+    /// This epoch's inserts in order: `(generation, id, list)`, the
+    /// generation the insert advanced the index to.
+    inserts: Vec<(u64, ItemId, u32)>,
     stats: BuildStats,
 }
 
@@ -197,17 +233,35 @@ pub struct BuildStats {
     pub exact_resolves: u64,
 }
 
-/// The members of one cluster: row `i` of `rows` belongs to `ids[i]` and
-/// has Euclidean norm `norms[i]` (computed once, at insert).
-#[derive(Debug)]
+/// Room of the segment an append opens past a view (two lane groups,
+/// 4 KiB of rows at dim 64).
+const SEGMENT_ROWS: usize = 2 * LANES;
+
+/// The members of one cluster, in order across its segments. A retrain
+/// builds a list as one segment, and appends grow the last segment in
+/// place while no view shares it, so a list no view has seen is one
+/// contiguous block, as a list without segments would be. An append
+/// past a view opens a segment of [`SEGMENT_ROWS`] rows instead of
+/// copying the shared one. A removal moves the last member into the
+/// hole, copying the one or two segments it writes if a view shares
+/// them, and drops the last segment once it is empty, so no segment is.
+#[derive(Debug, Clone)]
 struct PostingList {
+    dim: usize,
+    len: usize,
+    segments: Vec<Arc<Segment>>,
+}
+
+/// Members in order: row `i` of `rows` belongs to `ids[i]` and has
+/// Euclidean norm `norms[i]` (computed once, at insert).
+#[derive(Debug, Clone)]
+struct Segment {
     ids: Vec<ItemId>,
     norms: Vec<f64>,
     rows: LaneBlocks<f32>,
 }
 
-impl PostingList {
-    /// An empty list of `dim`-wide rows sized for exactly `n` members.
+impl Segment {
     fn with_capacity(dim: usize, n: usize) -> Self {
         Self {
             ids: Vec::with_capacity(n),
@@ -222,37 +276,319 @@ impl PostingList {
         self.rows.reserve_exact(additional);
     }
 
-    /// Appends a member; returns its position.
-    fn push(&mut self, id: ItemId, row: &[f32], norm: f64) -> u32 {
-        let pos = u32::try_from(self.ids.len()).expect("posting list overflow");
+    fn push(&mut self, id: ItemId, row: &[f32], norm: f64) {
         self.ids.push(id);
         self.norms.push(norm);
         self.rows.push(row);
+    }
+
+    /// Removes row `at` by moving the last row into its place.
+    fn swap_remove(&mut self, at: usize) {
+        self.ids.swap_remove(at);
+        self.norms.swap_remove(at);
+        self.rows.swap_remove(at);
+    }
+}
+
+impl PostingList {
+    /// An empty list of `dim`-wide rows: one segment with room for
+    /// exactly `n` members, or none.
+    fn with_capacity(dim: usize, n: usize) -> Self {
+        let segments = (n > 0)
+            .then(|| Arc::new(Segment::with_capacity(dim, n)))
+            .into_iter()
+            .collect();
+        Self {
+            dim,
+            len: 0,
+            segments,
+        }
+    }
+
+    /// Room for exactly `additional` more members in the last segment,
+    /// if no view shares it; the appends open segments otherwise.
+    fn reserve_exact(&mut self, additional: usize) {
+        match self.segments.last_mut().map(Arc::get_mut) {
+            Some(Some(last)) => last.reserve_exact(additional),
+            None if additional > 0 => {
+                let first = Segment::with_capacity(self.dim, additional);
+                self.segments.push(Arc::new(first));
+            }
+            _ => {}
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The segment holding member `pos` and its row there, as indexes.
+    fn locate(&self, mut pos: usize) -> (usize, usize) {
+        assert!(pos < self.len, "member out of range");
+        for (s, segment) in self.segments.iter().enumerate() {
+            if pos < segment.ids.len() {
+                return (s, pos);
+            }
+            pos -= segment.ids.len();
+        }
+        unreachable!("the segments hold `len` members")
+    }
+
+    /// The segment holding member `pos` and its row there.
+    fn member(&self, pos: usize) -> (&Segment, usize) {
+        let (s, at) = self.locate(pos);
+        (&self.segments[s], at)
+    }
+
+    /// Appends a member; returns its position.
+    fn push(&mut self, id: ItemId, row: &[f32], norm: f64) -> u32 {
+        let pos = u32::try_from(self.len).expect("posting list overflow");
+        let open = (self.segments.last_mut()).is_some_and(|last| Arc::get_mut(last).is_some());
+        if !open {
+            let next = Segment::with_capacity(self.dim, SEGMENT_ROWS);
+            self.segments.push(Arc::new(next));
+        }
+        let last = self.segments.last_mut().and_then(Arc::get_mut);
+        last.expect("an open segment").push(id, row, norm);
+        self.len += 1;
         pos
     }
 
     /// Removes the member at `pos` by moving the last member into its
     /// place; returns the id that moved, if any.
     fn swap_remove(&mut self, pos: usize) -> Option<ItemId> {
-        self.ids.swap_remove(pos);
-        self.norms.swap_remove(pos);
-        self.rows.swap_remove(pos);
-        self.ids.get(pos).copied()
+        let (s, at) = self.locate(pos);
+        self.len -= 1;
+        let ls = self.segments.len() - 1;
+        let (head, tail) = self.segments.split_at_mut(ls);
+        let last = &mut tail[0];
+        let lat = last.ids.len() - 1;
+        let moved = (pos != self.len).then(|| last.ids[lat]);
+        if let Some(hole) = head.get_mut(s) {
+            let hole = Arc::make_mut(hole);
+            hole.ids[at] = last.ids[lat];
+            hole.norms[at] = last.norms[lat];
+            hole.rows.copy_row(at, &last.rows, lat);
+        }
+        if lat == 0 {
+            self.segments.pop();
+        } else {
+            // The hole's row is the last's own when they share a segment.
+            Arc::make_mut(last).swap_remove(if s == ls { at } else { lat });
+        }
+        moved
     }
 
     /// Scores every member against the query (`q64` its widened
     /// components, `q_norm` its norm), one hit per member.
     fn scan(&self, q64: &[f64], q_norm: f64, hits: &mut Vec<SearchHit>) {
-        self.rows.dots(q64, |i, dot| {
-            hits.push(SearchHit {
-                id: self.ids[i],
-                similarity: cosine_from_dot(dot, q_norm, self.norms[i]),
+        for segment in &self.segments {
+            segment.rows.dots(q64, |i, dot| {
+                hits.push(SearchHit {
+                    id: segment.ids[i],
+                    similarity: cosine_from_dot(dot, q_norm, segment.norms[i]),
+                });
             });
-        });
+        }
+    }
+
+    /// The hit [`Self::scan`] gives the member at `pos`: its lane's
+    /// chain alone.
+    fn score(&self, pos: usize, q64: &[f64], q_norm: f64) -> SearchHit {
+        let (segment, at) = self.member(pos);
+        SearchHit {
+            id: segment.ids[at],
+            similarity: cosine_from_dot(segment.rows.dot(at, q64), q_norm, segment.norms[at]),
+        }
+    }
+
+    /// Member `pos`'s id.
+    #[cfg(test)]
+    fn id(&self, pos: usize) -> ItemId {
+        let (segment, at) = self.member(pos);
+        segment.ids[at]
+    }
+
+    /// Member `pos`'s row, read in place.
+    fn row(&self, pos: usize) -> StoredRow<'_> {
+        let (segment, at) = self.member(pos);
+        StoredRow {
+            lanes: segment.rows.row_lanes(at),
+            dim: self.dim,
+            norm: segment.norms[at],
+        }
     }
 }
 
-/// The buffers of one probe ([`IvfIndex::search_into`]), kept between
+/// A read-only snapshot of an [`IvfIndex`] at one generation
+/// ([`IvfIndex::view`]): the model and posting lists it shares with the
+/// index, which copies what it writes of a list the view still holds.
+/// A probe through it returns what a search of the index at the
+/// view's generation returned, whatever was written since, and a stamp
+/// that [`IvfIndex::refresh`] brings up to a later generation. `Send`
+/// and `Sync`: what a thread probing ahead of the index's writer reads.
+#[derive(Debug, Clone)]
+pub struct IndexView {
+    nprobe: usize,
+    brute_force: bool,
+    model: Option<Arc<KMeansModel>>,
+    lists: Vec<PostingList>,
+    generation: u64,
+    epoch: u64,
+}
+
+impl IndexView {
+    /// The index generation the view was taken at.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The index epoch the view was taken in.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// `out` (cleared first) receives exactly what [`VectorIndex::search`]
+    /// returned for `query` and `k` on the index as it stood when the view
+    /// was taken, and the stamp of the probe comes back. Every
+    /// intermediate — the widened query, the centroid rank, the scored
+    /// candidates and their rank keys — lives in `scratch`, which grows
+    /// to the largest probe it has run and allocates nothing after: what
+    /// a thread probing ahead of the index's writer needs (`ic-engine`'s
+    /// stage-1 look-ahead).
+    pub fn search_into(
+        &self,
+        query: &Embedding,
+        k: usize,
+        scratch: &mut ProbeScratch,
+        out: &mut Vec<SearchHit>,
+    ) -> ProbeStamp {
+        let scanned = self.reader().probe(query, k, scratch);
+        out.clear();
+        out.extend_from_slice(&scratch.hits);
+        ProbeStamp {
+            generation: self.generation,
+            epoch: self.epoch,
+            scanned,
+        }
+    }
+
+    fn reader(&self) -> Reader<'_> {
+        Reader {
+            nprobe: self.nprobe,
+            brute_force: self.brute_force,
+            model: self.model.as_deref(),
+            lists: &self.lists,
+        }
+    }
+}
+
+/// What one probe read: the index generation and epoch it ran under,
+/// and which posting lists it scanned — what [`IvfIndex::refresh`]
+/// needs to bring its hits up to a later generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeStamp {
+    generation: u64,
+    epoch: u64,
+    scanned: Scanned,
+}
+
+impl ProbeStamp {
+    /// The index generation the probe ran under.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The index epoch the probe ran in.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
+/// The posting lists a probe scanned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scanned {
+    /// Every list, those created after the probe included: a brute-force
+    /// probe, which scans whatever lists there are.
+    All,
+    /// `lists[..len]`, the `nprobe` nearest centroids' lists.
+    Lists {
+        lists: [u32; STAMP_LISTS],
+        len: usize,
+    },
+    /// More lists than a stamp names.
+    Many,
+}
+
+impl Scanned {
+    /// The lists of a centroid rank, `(distance, list)` pairs.
+    fn ranked(probes: &[(f64, usize)]) -> Self {
+        if probes.len() > STAMP_LISTS {
+            return Scanned::Many;
+        }
+        let mut lists = [0; STAMP_LISTS];
+        for (slot, &(_, c)) in lists.iter_mut().zip(probes) {
+            *slot = u32::try_from(c).expect("cluster count fits u32");
+        }
+        Scanned::Lists {
+            lists,
+            len: probes.len(),
+        }
+    }
+}
+
+/// What one probe reads, borrowed from an index or from a view of one.
+struct Reader<'a> {
+    nprobe: usize,
+    brute_force: bool,
+    model: Option<&'a KMeansModel>,
+    lists: &'a [PostingList],
+}
+
+impl Reader<'_> {
+    /// The one probe body: leaves the top `k` hits for `query` in
+    /// `scratch.hits` and returns the lists it scanned. A scratch short
+    /// of room for the candidates grows to exactly their count, once.
+    fn probe(&self, query: &Embedding, k: usize, scratch: &mut ProbeScratch) -> Scanned {
+        let ProbeScratch {
+            q64,
+            probes,
+            hits,
+            keys,
+        } = scratch;
+        hits.clear();
+        if k == 0 {
+            return Scanned::All;
+        }
+        // Hoisted once per query (`Embedding::cosine` recomputes it per
+        // pair); row norms come from the lists' insert-time cache. Both
+        // are pure functions of their vectors, so every similarity is
+        // bit-identical to `query.cosine(item)`.
+        q64.clear();
+        q64.extend(query.as_slice().iter().map(|&x| f64::from(x)));
+        let q_norm = query.norm();
+        let scanned = match self.model {
+            Some(model) if !self.brute_force => {
+                model.nearest_n_into(q64, self.nprobe.max(1), probes);
+                Scanned::ranked(probes)
+            }
+            _ => {
+                probes.clear();
+                probes.extend((0..self.lists.len()).map(|c| (0.0, c)));
+                Scanned::All
+            }
+        };
+        let candidates = probes.iter().map(|&(_, c)| self.lists[c].len());
+        hits.reserve(candidates.sum());
+        for &(_, c) in probes.iter() {
+            self.lists[c].scan(q64, q_norm, hits);
+        }
+        finalize_in_place(hits, k, keys);
+        scanned
+    }
+}
+
+/// The buffers of one probe ([`IndexView::search_into`]), kept between
 /// probes so that a caller probing many queries allocates them once.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
@@ -265,24 +601,6 @@ pub struct ProbeScratch {
     hits: Vec<SearchHit>,
     /// The candidates' rank keys for the top-`k` selection.
     keys: Vec<u64>,
-}
-
-impl ProbeScratch {
-    /// Buffers sized for the largest probe `index` can run as it
-    /// stands — the widest query, every list or `nprobe` of them, and as
-    /// many candidates as the `nprobe` largest lists hold (every row
-    /// while the index is brute force) — so no probe of that index grows
-    /// them.
-    pub fn for_index(index: &IvfIndex) -> Self {
-        let candidates = index.max_candidates();
-        let dim = index.lists.first().map_or(0, |l| l.rows.dim());
-        Self {
-            q64: Vec::with_capacity(dim),
-            probes: Vec::with_capacity(index.lists.len().max(index.config.nprobe.max(1))),
-            hits: Vec::with_capacity(candidates),
-            keys: Vec::with_capacity(candidates),
-        }
-    }
 }
 
 /// One stored row, read where it lies in its posting list, with the
@@ -344,23 +662,101 @@ impl IvfIndex {
             locator: IdMap::default(),
             trained_at_len: 0,
             generation: 0,
+            epoch: 0,
+            inserts: Vec::new(),
             stats: BuildStats::default(),
         }
     }
 
     /// The mutation generation: a counter that advances whenever the
     /// stored rows, the posting lists or the model change — every row a
-    /// [`VectorIndex::insert`], [`IvfIndex::insert_bulk`] or retrain
-    /// places, every row a [`VectorIndex::remove`] takes out, every
-    /// retrain. [`VectorIndex::search`] is a pure function of the query's
-    /// bits and the index contents, so two searches for the same bits
-    /// under one generation return the same bytes; a caller that keeps a
-    /// result keeps this stamp with it (`ic-engine`'s stage-1 look-ahead).
-    /// The bumps sit in the three private mutators everything else goes
-    /// through (`place`, `remove`'s success path, `retrain_with`), so no
-    /// new entry point can change the index without advancing it.
+    /// [`VectorIndex::insert`] or [`IvfIndex::insert_bulk`] places
+    /// outside a retrain, every row a [`VectorIndex::remove`] takes out,
+    /// every retrain. [`VectorIndex::search`] is a pure function of the
+    /// query's bits and the index contents, so two searches for the same
+    /// bits under one generation return the same bytes; a probe keeps
+    /// this stamp with its result ([`ProbeStamp`]).
+    ///
+    /// Generations are grouped into **epochs** ([`IvfIndex::epoch`]): a
+    /// removal (an overwrite's included), a retrain, and an insert that
+    /// flips [`IvfIndex::is_brute_force`] each start a new one. Within an
+    /// epoch the index only gains rows, the model and the probed lists
+    /// of every query stay put, and the index keeps a log of its inserts
+    /// — the generation each one advanced it to, the id, the list — so
+    /// [`IvfIndex::refresh`] can bring a probe stamped at an earlier
+    /// generation of the epoch up to this one. The bumps sit in the
+    /// three private mutators everything else goes through (`place`,
+    /// `remove`'s success path, `retrain_with`), so no new entry point
+    /// can change the index without advancing them.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The current epoch (see [`IvfIndex::generation`]).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// A read-only view of the index as it stands, sharing its model and
+    /// posting lists: a later write leaves what the view reads alone
+    /// (module docs), so writes never wait for the view, and the view
+    /// keeps answering for this generation.
+    pub fn view(&self) -> IndexView {
+        IndexView {
+            nprobe: self.config.nprobe,
+            brute_force: self.is_brute_force(),
+            model: self.model.clone(),
+            lists: self.lists.clone(),
+            generation: self.generation,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Brings `hits` — what a probe stamped `stamp` returned for `query`
+    /// and `k` — up to the index as it stands: every row the insert log
+    /// places after the stamp's generation in a list the probe scanned is
+    /// scored as the list scan scores it and put where the hit order
+    /// (similarity descending, id ascending) places it, and what falls
+    /// past `k` is dropped. `hits` is then, bit for bit, what
+    /// [`VectorIndex::search`] returns now: the order is total over
+    /// distinct ids, and within an epoch no id is inserted twice.
+    /// Returns `false`, leaving `hits` as they were, when the stamp is
+    /// from an earlier epoch, or named no lists (more than a stamp holds)
+    /// and rows came in since.
+    pub fn refresh(
+        &self,
+        query: &Embedding,
+        k: usize,
+        stamp: &ProbeStamp,
+        hits: &mut Vec<SearchHit>,
+    ) -> bool {
+        if stamp.epoch != self.epoch {
+            return false;
+        }
+        let from =
+            (self.inserts).partition_point(|&(generation, ..)| generation <= stamp.generation);
+        let fresh = &self.inserts[from..];
+        let scanned = |c: u32| match stamp.scanned {
+            Scanned::All => true,
+            Scanned::Lists { lists, len } => lists[..len].contains(&c),
+            Scanned::Many => false,
+        };
+        if stamp.scanned == Scanned::Many && !fresh.is_empty() {
+            return false;
+        }
+        let mut widened = None;
+        for &(_, id, c) in fresh.iter().filter(|&&(_, _, c)| scanned(c)) {
+            let &(_, pos) = self.locator.get(&id).expect("a logged insert is live");
+            let (q64, q_norm) = widened
+                .get_or_insert_with(|| (crate::kernel::widen(query.as_slice()), query.norm()));
+            let hit = self.lists[c as usize].score(pos as usize, q64, *q_norm);
+            let at = hits.partition_point(|h| hit_order(h, &hit).is_lt());
+            if at < k {
+                hits.insert(at, hit);
+                hits.truncate(k);
+            }
+        }
+        true
     }
 
     /// Training work done so far.
@@ -374,12 +770,7 @@ impl IvfIndex {
     /// insert reads it here.
     pub fn row(&self, id: ItemId) -> Option<StoredRow<'_>> {
         let &(c, pos) = self.locator.get(&id)?;
-        let list = &self.lists[c as usize];
-        Some(StoredRow {
-            lanes: list.rows.row_lanes(pos as usize),
-            dim: list.rows.dim(),
-            norm: list.norms[pos as usize],
-        })
+        Some(self.lists[c as usize].row(pos as usize))
     }
 
     /// Current number of clusters (0 before first training).
@@ -405,6 +796,7 @@ impl IvfIndex {
     /// result.
     fn retrain_with(&mut self, staged: &[(ItemId, Embedding)]) {
         self.generation += 1;
+        self.new_epoch();
         let resident = self.locator.len();
         let n = resident + staged.len();
         let old = std::mem::take(&mut self.lists);
@@ -417,15 +809,14 @@ impl IvfIndex {
         // into a scratch buffer (the old lists are dropped before the new
         // ones are allocated); staged rows are row-major where they are
         // and are borrowed, not copied.
-        let dim = old
-            .first()
-            .map_or_else(|| staged[0].1.dim(), |l| l.rows.dim());
+        let dim = old.first().map_or_else(|| staged[0].1.dim(), |l| l.dim);
         let mut points = Vec::with_capacity(resident * dim);
         let mut stored = Vec::with_capacity(resident);
         for (&id, &(c, pos)) in &self.locator {
             let list = &old[c as usize];
-            list.rows.extend_row_into(pos as usize, &mut points);
-            stored.push((id, list.norms[pos as usize]));
+            let row = list.row(pos as usize);
+            points.extend(row.components());
+            stored.push((id, row.norm()));
         }
         drop(old);
         // Deterministic training order: sort by id.
@@ -479,23 +870,44 @@ impl IvfIndex {
             .map(|&size| PostingList::with_capacity(dim, size))
             .collect();
         for (&(id, row, norm), &c) in order.iter().zip(&fit.assignment) {
-            self.place(c, id, row, norm);
+            self.push_row(c, id, row, norm);
         }
-        self.model = Some(fit.model);
+        self.model = Some(Arc::new(fit.model));
         self.trained_at_len = n;
     }
 
-    /// Appends a row to list `c` and records where it went. While the
-    /// index is untrained, `c` is 0: the one catch-all list, created on
-    /// first use.
-    fn place(&mut self, c: usize, id: ItemId, row: &[f32], norm: f64) {
+    /// Appends a row to list `c`, copying the list first if a view
+    /// shares it, and records where it went. While the index is
+    /// untrained, `c` is 0: the one catch-all list, created on first
+    /// use. Stamps nothing: a retrain's rebuild is one write.
+    fn push_row(&mut self, c: usize, id: ItemId, row: &[f32], norm: f64) -> u32 {
         if self.lists.is_empty() {
             self.lists.push(PostingList::with_capacity(row.len(), 0));
         }
         let pos = self.lists[c].push(id, row, norm);
         let c = u32::try_from(c).expect("cluster count fits u32");
         self.locator.insert(id, (c, pos));
+        c
+    }
+
+    /// [`Self::push_row`] outside a retrain: a new generation, and a line
+    /// in the insert log — or a new epoch, when the row flips
+    /// [`Self::is_brute_force`] and with it the lists a probe scans.
+    fn place(&mut self, c: usize, id: ItemId, row: &[f32], norm: f64) {
+        let brute_force = self.is_brute_force();
+        let c = self.push_row(c, id, row, norm);
         self.generation += 1;
+        if self.is_brute_force() == brute_force {
+            self.inserts.push((self.generation, id, c));
+        } else {
+            self.new_epoch();
+        }
+    }
+
+    /// Starts an epoch: the log of the last one's inserts goes.
+    fn new_epoch(&mut self) {
+        self.epoch += 1;
+        self.inserts.clear();
     }
 
     /// Whether the lazy retrain fires at pool size `n` when the model was
@@ -580,78 +992,13 @@ impl IvfIndex {
         }
     }
 
-    /// `out` (cleared first) receives exactly what [`VectorIndex::search`]
-    /// returns for `query` and `k`, and every intermediate — the widened
-    /// query, the centroid rank, the scored candidates and their rank
-    /// keys — lives in `scratch`. A scratch from
-    /// [`ProbeScratch::for_index`] on this index as it stands, and an
-    /// `out` with room for `k` hits, make the probe allocate nothing: what
-    /// a thread probing ahead of the event loop needs (`ic-engine`'s
-    /// stage-1 look-ahead). Any other scratch works too and grows as
-    /// needed.
-    pub fn search_into(
-        &self,
-        query: &Embedding,
-        k: usize,
-        scratch: &mut ProbeScratch,
-        out: &mut Vec<SearchHit>,
-    ) {
-        out.clear();
-        self.probe(query, k, scratch);
-        out.extend_from_slice(&scratch.hits);
-    }
-
-    /// The one probe body: leaves the top `k` hits for `query` in
-    /// `scratch.hits`. A scratch short of room for the candidates grows
-    /// to exactly their count, once.
-    fn probe(&self, query: &Embedding, k: usize, scratch: &mut ProbeScratch) {
-        let ProbeScratch {
-            q64,
-            probes,
-            hits,
-            keys,
-        } = scratch;
-        hits.clear();
-        if k == 0 || self.locator.is_empty() {
-            return;
+    fn reader(&self) -> Reader<'_> {
+        Reader {
+            nprobe: self.config.nprobe,
+            brute_force: self.is_brute_force(),
+            model: self.model.as_deref(),
+            lists: &self.lists,
         }
-        // Hoisted once per query (`Embedding::cosine` recomputes it per
-        // pair); row norms come from the lists' insert-time cache. Both
-        // are pure functions of their vectors, so every similarity is
-        // bit-identical to `query.cosine(item)`.
-        q64.clear();
-        q64.extend(query.as_slice().iter().map(|&x| f64::from(x)));
-        let q_norm = query.norm();
-        match &self.model {
-            Some(model) if !self.is_brute_force() => {
-                model.nearest_n_into(q64, self.config.nprobe.max(1), probes);
-            }
-            _ => {
-                probes.clear();
-                probes.extend((0..self.lists.len()).map(|c| (0.0, c)));
-            }
-        }
-        let candidates = probes.iter().map(|&(_, c)| self.lists[c].rows.len());
-        hits.reserve(candidates.sum());
-        for &(_, c) in probes.iter() {
-            self.lists[c].scan(q64, q_norm, hits);
-        }
-        finalize_in_place(hits, k, keys);
-    }
-
-    /// The most rows one probe can score as the index stands: every row
-    /// while it is brute force, else the `nprobe` largest lists.
-    fn max_candidates(&self) -> usize {
-        if self.is_brute_force() {
-            return self.locator.len();
-        }
-        let mut sizes: Vec<usize> = self.lists.iter().map(|l| l.rows.len()).collect();
-        let nprobe = self.config.nprobe.max(1).min(sizes.len());
-        if nprobe == 0 {
-            return 0;
-        }
-        sizes.select_nth_unstable_by(nprobe - 1, |a, b| b.cmp(a));
-        sizes[..nprobe].iter().sum()
     }
 
     /// Expected comparison count per query under the current structure;
@@ -683,10 +1030,12 @@ impl VectorIndex for IvfIndex {
         let Some((c, pos)) = self.locator.remove(&id) else {
             return false;
         };
-        if let Some(moved) = self.lists[c as usize].swap_remove(pos as usize) {
+        let list = &mut self.lists[c as usize];
+        if let Some(moved) = list.swap_remove(pos as usize) {
             self.locator.insert(moved, (c, pos));
         }
         self.generation += 1;
+        self.new_epoch();
         true
     }
 
@@ -694,7 +1043,7 @@ impl VectorIndex for IvfIndex {
     /// result.
     fn search(&self, query: &Embedding, k: usize) -> Vec<SearchHit> {
         let mut scratch = ProbeScratch::default();
-        self.probe(query, k, &mut scratch);
+        self.reader().probe(query, k, &mut scratch);
         scratch.hits
     }
 
@@ -803,49 +1152,57 @@ mod tests {
     }
 
     /// `generation()` advances on every write that changes the contents
-    /// and on nothing else: the stage-1 look-ahead stamps each slot with
-    /// it, and a write that left it alone would let a slot probed before
-    /// the write answer an arrival after it. Mutations that fail it:
-    /// dropping any one of the three `self.generation += 1` — in `place`
-    /// (the fresh insert), in `remove` (the live removal) or in
-    /// `retrain_with` (the retrain that places no row).
+    /// and on nothing else, and `epoch()` on every such write but an
+    /// insert of a fresh id: the stage-1 look-ahead stamps each slot with
+    /// both. A write that left the generation alone would let a slot
+    /// probed before it answer an arrival after it; one that left the
+    /// epoch alone would let `refresh` merge into a slot that still holds
+    /// a removed row. Mutations that fail it: dropping any one of the
+    /// three `self.generation += 1` — in `place` (the fresh insert), in
+    /// `remove` (the live removal) or in `retrain_with` (the retrain that
+    /// places no row) — or the `new_epoch()` in `remove` or in
+    /// `retrain_with`.
     #[test]
     fn generation_advances_on_every_write_and_only_then() {
         let (mut ivf, _, queries) = build_pair(200);
         assert!(!ivf.is_brute_force());
-        let mut at = ivf.generation();
-        let mut check = |now: u64, moves: bool, what: &str| {
-            assert!(now >= at, "{what}: {at} -> {now}");
-            assert_eq!(now > at, moves, "{what}: {at} -> {now}");
+        let mut at = (ivf.generation(), ivf.epoch());
+        let mut check = |ivf: &IvfIndex, moves: bool, new_epoch: bool, what: &str| {
+            let now = (ivf.generation(), ivf.epoch());
+            assert!(now >= at, "{what}: {at:?} -> {now:?}");
+            assert_eq!(now.0 > at.0, moves, "{what}: {at:?} -> {now:?}");
+            assert_eq!(now.1 > at.1, new_epoch, "{what}: {at:?} -> {now:?}");
             at = now;
         };
         let _ = ivf.search(&queries[0], 10);
-        check(ivf.generation(), false, "search");
+        check(&ivf, false, false, "search");
+        let _ = ivf.view();
+        check(&ivf, false, false, "a view");
         assert!(!ivf.remove(10_000));
-        check(ivf.generation(), false, "remove of an absent id");
+        check(&ivf, false, false, "remove of an absent id");
         ivf.insert(10_000, queries[1].clone());
-        check(ivf.generation(), true, "fresh insert");
+        check(&ivf, true, false, "fresh insert");
         ivf.insert(10_000, queries[2].clone());
-        check(ivf.generation(), true, "overwrite");
+        check(&ivf, true, true, "overwrite");
         assert!(ivf.remove(10_000));
-        check(ivf.generation(), true, "remove of a live id");
+        check(&ivf, true, true, "remove of a live id");
         ivf.insert_bulk(vec![
             (20_000, queries[3].clone()),
             (20_001, queries[4].clone()),
         ]);
-        check(ivf.generation(), true, "insert_bulk");
+        check(&ivf, true, false, "insert_bulk");
         ivf.retrain();
-        check(ivf.generation(), true, "retrain");
+        check(&ivf, true, true, "retrain");
         // Every row out, then a retrain that drops the model and places
-        // nothing: only its own bump can advance the generation.
+        // nothing: only its own bumps can advance the stamps.
         for id in (0..200).chain([20_000, 20_001]) {
             assert!(ivf.remove(id));
         }
-        check(ivf.generation(), true, "removals");
+        check(&ivf, true, true, "removals");
         assert!(ivf.num_clusters() > 0);
         ivf.retrain();
         assert_eq!(ivf.num_clusters(), 0);
-        check(ivf.generation(), true, "retrain of an emptied index");
+        check(&ivf, true, true, "retrain of an emptied index");
     }
 
     #[test]
@@ -906,27 +1263,31 @@ mod tests {
         }
         assert_eq!(a.lists.len(), b.lists.len(), "{label}: list counts differ");
         for (la, lb) in a.lists.iter().zip(&b.lists) {
-            assert_eq!(la.ids, lb.ids, "{label}: posting lists differ");
-            let bits = |l: &PostingList| l.norms.iter().map(|n| n.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(la), bits(lb), "{label}: norms differ");
-            for i in 0..la.ids.len() {
-                let (mut ra, mut rb) = (Vec::new(), Vec::new());
-                la.rows.extend_row_into(i, &mut ra);
-                lb.rows.extend_row_into(i, &mut rb);
-                assert_eq!(ra, rb, "{label}: row {}", la.ids[i]);
+            assert_eq!(la.len(), lb.len(), "{label}: posting lists differ");
+            for i in 0..la.len() {
+                assert_eq!(la.id(i), lb.id(i), "{label}: posting lists differ");
+                let (ra, rb) = (la.row(i), lb.row(i));
+                assert_eq!(ra.norm().to_bits(), rb.norm().to_bits(), "{label}: norms");
+                let bits = |r: StoredRow<'_>| r.components().map(f32::to_bits).collect::<Vec<_>>();
+                assert_eq!(bits(ra), bits(rb), "{label}: row {}", la.id(i));
             }
         }
     }
 
     /// Every stored id is where the locator says it is, and nowhere else.
     fn assert_locator_consistent(ivf: &IvfIndex) {
-        let members: usize = ivf.lists.iter().map(|l| l.ids.len()).sum();
+        let members: usize = ivf.lists.iter().map(|l| l.len()).sum();
         assert_eq!(members, ivf.locator.len());
         for (&id, &(c, pos)) in &ivf.locator {
             let list = &ivf.lists[c as usize];
-            assert_eq!(list.ids[pos as usize], id);
-            assert_eq!(list.ids.len(), list.norms.len());
-            assert_eq!(list.ids.len(), list.rows.len());
+            assert_eq!(list.id(pos as usize), id);
+            for segment in &list.segments {
+                assert!(!segment.ids.is_empty(), "an empty segment");
+                assert_eq!(segment.ids.len(), segment.norms.len());
+                assert_eq!(segment.ids.len(), segment.rows.len());
+            }
+            let rows: usize = list.segments.iter().map(|s| s.ids.len()).sum();
+            assert_eq!(list.len(), rows);
         }
     }
 
@@ -1162,15 +1523,15 @@ mod tests {
         crate::finalize_hits(hits, k)
     }
 
-    /// `search_into` through one reused scratch equals the reference
-    /// probe by id and by `to_bits()` — untrained (40 rows, one list),
-    /// trained, and trained but brute force again after removals — with
-    /// `k` below, at and above the candidate count; and a scratch from
-    /// `for_index` never grows, so the probe allocates nothing.
-    /// Mutations that fail it: dropping `hits.clear()` (a query scores
-    /// the previous one's candidates too), sizing `for_index` by the
-    /// smallest lists (its capacities grow), dropping `probes.clear()`
-    /// on the brute-force path (lists scanned twice).
+    /// A view's `search_into` through one reused scratch equals the
+    /// reference probe by id and by `to_bits()` — untrained (40 rows, one
+    /// list), trained, and trained but brute force again after removals
+    /// — with `k` below, at and above the candidate count; and once the
+    /// scratch has run every probe, running them again grows nothing, so
+    /// a warm probe allocates nothing. Mutations that fail it: dropping
+    /// `hits.clear()` (a query scores the previous one's candidates too),
+    /// dropping `probes.clear()` on the brute-force path (lists scanned
+    /// twice).
     #[test]
     fn search_into_is_the_reference_probe_and_allocates_nothing() {
         let (trained, _, queries) = build_pair(1000);
@@ -1186,7 +1547,8 @@ mod tests {
             ("trained", &trained),
             ("shrunk", &shrunk),
         ] {
-            let mut scratch = ProbeScratch::for_index(ivf);
+            let view = ivf.view();
+            let mut scratch = ProbeScratch::default();
             let caps = |s: &ProbeScratch| {
                 (
                     s.q64.capacity(),
@@ -1195,26 +1557,32 @@ mod tests {
                     s.keys.capacity(),
                 )
             };
-            let before = caps(&scratch);
             let mut out = Vec::with_capacity(ivf.len() + 1);
             let bits = |hits: &[SearchHit]| {
                 hits.iter()
                     .map(|h| (h.id, h.similarity.to_bits()))
                     .collect::<Vec<_>>()
             };
-            let (mut above, mut below) = (false, false);
-            for q in &queries {
-                for k in [0, 1, 32, ivf.len() - 1, ivf.len(), ivf.len() + 1] {
-                    ivf.search_into(q, k, &mut scratch, &mut out);
-                    let want = search_reference(ivf, q, k);
-                    assert_eq!(bits(&out), bits(&want), "{label} k={k}");
-                    assert_eq!(bits(&ivf.search(q, k)), bits(&want), "{label} k={k}");
-                    above |= out.len() < k;
-                    below |= k > 0 && out.len() == k;
+            let (mut above, mut below, mut warm) = (false, false, None);
+            for round in 0..2 {
+                for q in &queries {
+                    for k in [0, 1, 32, ivf.len() - 1, ivf.len(), ivf.len() + 1] {
+                        view.search_into(q, k, &mut scratch, &mut out);
+                        let want = search_reference(ivf, q, k);
+                        assert_eq!(bits(&out), bits(&want), "{label} k={k}");
+                        assert_eq!(bits(&ivf.search(q, k)), bits(&want), "{label} k={k}");
+                        above |= out.len() < k;
+                        below |= k > 0 && out.len() == k;
+                    }
                 }
+                let now = caps(&scratch);
+                assert!(
+                    round == 0 || warm == Some(now),
+                    "{label}: a warm scratch grew"
+                );
+                warm = Some(now);
             }
             assert!(above && below, "{label}: k on both sides of the candidates");
-            assert_eq!(caps(&scratch), before, "{label}: the scratch grew");
         }
     }
 

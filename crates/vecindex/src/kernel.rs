@@ -120,6 +120,7 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
     }
 
     /// Number of rows.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -169,7 +170,18 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
             .truncate(self.len.div_ceil(LANES) * self.dim * LANES);
     }
 
+    /// Overwrites row `to` with row `from` of `src`.
+    pub(crate) fn copy_row(&mut self, to: usize, src: &Self, from: usize) {
+        assert!(to < self.len && from < src.len, "row out of range");
+        assert_eq!(self.dim, src.dim, "embedding dimension mismatch");
+        let (to, from) = (self.offset(to), src.offset(from));
+        for j in 0..self.dim {
+            self.blocks[to + j * LANES] = src.blocks[from + j * LANES];
+        }
+    }
+
     /// Appends the components of row `pos` to `out`.
+    #[cfg(test)]
     pub(crate) fn extend_row_into(&self, pos: usize, out: &mut Vec<T>) {
         assert!(pos < self.len, "row out of range");
         let at = self.offset(pos);
@@ -215,6 +227,20 @@ impl<T: Copy + Default + From<f32> + Into<f64>> LaneBlocks<T> {
     /// each value bit-identical to [`ic_embed::dot_slices`].
     pub(crate) fn dots(&self, v64: &[f64], sink: impl FnMut(usize, f64)) {
         self.scan(0..self.groups(), v64, dot_term, sink);
+    }
+
+    /// [`Self::dots`]'s value for row `pos` alone: its lane's chain, the
+    /// same terms added to the same identity in component order, without
+    /// the other seven lanes of its group.
+    pub(crate) fn dot(&self, pos: usize, v64: &[f64]) -> f64 {
+        assert!(pos < self.len, "row out of range");
+        assert_eq!(v64.len(), self.dim, "embedding dimension mismatch");
+        let at = self.offset(pos);
+        let mut acc = sum_identity();
+        for (j, &x) in v64.iter().enumerate() {
+            acc += dot_term(x, self.blocks[at + j * LANES].into());
+        }
+        acc
     }
 
     /// `(argmin, min)` of [`Self::sq_dists`] with a strict `<` update in
@@ -406,6 +432,8 @@ mod tests {
                     (0..n).map(dot).collect::<Vec<_>>(),
                     "dots dim={dim} n={n}"
                 );
+                let one: Vec<_> = (0..n).map(|i| (i, t.dot(i, &q64).to_bits())).collect();
+                assert_eq!(one, got, "dot dim={dim} n={n}");
             }
         }
     }
@@ -423,6 +451,10 @@ mod tests {
         let mut dispatched = Vec::new();
         t.dots(&q64, |i, s| dispatched.push((i, s.to_bits())));
         bodies.push(("dots", dispatched));
+        bodies.push((
+            "dot",
+            (0..9).map(|i| (i, t.dot(i, &q64).to_bits())).collect(),
+        ));
         for (body, got) in bodies {
             let want: Vec<_> = (0..9).map(|i| (i, want)).collect();
             assert_eq!(got, want, "{body}");

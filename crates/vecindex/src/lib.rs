@@ -73,7 +73,7 @@ pub(crate) mod kernel;
 pub mod kmeans;
 
 pub use flat::FlatIndex;
-pub use ivf::{BuildStats, IvfConfig, IvfIndex, ProbeScratch, StoredRow};
+pub use ivf::{BuildStats, IndexView, IvfConfig, IvfIndex, ProbeScratch, ProbeStamp, StoredRow};
 pub use kmeans::{KMeansFit, KMeansModel, kmeans, kmeans_best_of, kmeans_fit_rows};
 
 use ic_embed::Embedding;
@@ -139,13 +139,17 @@ pub(crate) fn finalize_in_place(hits: &mut Vec<SearchHit>, k: usize, keys: &mut 
         let cut = *keys.select_nth_unstable(k - 1).1;
         hits.retain(|h| rank_key(h.similarity) <= cut);
     }
-    hits.sort_by(|a, b| {
-        b.similarity
-            .partial_cmp(&a.similarity)
-            .expect("similarities are finite")
-            .then(a.id.cmp(&b.id))
-    });
+    hits.sort_by(hit_order);
     hits.truncate(k);
+}
+
+/// The order of every hit list: descending similarity, ties (`0.0` and
+/// `-0.0` among them) by ascending id.
+pub(crate) fn hit_order(a: &SearchHit, b: &SearchHit) -> std::cmp::Ordering {
+    b.similarity
+        .partial_cmp(&a.similarity)
+        .expect("similarities are finite")
+        .then(a.id.cmp(&b.id))
 }
 
 /// `similarity` as an integer that sorts the other way round: a smaller

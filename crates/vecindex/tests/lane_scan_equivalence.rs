@@ -13,17 +13,14 @@
 //! are all `-0.0` (`Iterator::sum` starts from `-0.0`, so must the lane
 //! accumulators).
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::{DIMS, LENS, embedding, negative_query, negative_zero_row};
 use ic_embed::Embedding;
 use ic_vecindex::{ItemId, IvfConfig, IvfIndex, SearchHit, VectorIndex, kmeans};
 use proptest::prelude::*;
-
-/// Components from a tiny signed set, so zero vectors, duplicate rows
-/// (exact ties) and sign-only differences occur routinely.
-fn embedding(raw: &[i32], dim: usize) -> Embedding {
-    Embedding::from_vec(raw.iter().take(dim).map(|&v| v as f32 * 0.5).collect())
-}
 
 /// The scalar oracle: every stored item scored with `Embedding::cosine`,
 /// fully sorted by `(similarity desc, id asc)`.
@@ -79,25 +76,6 @@ fn check(idx: &IvfIndex, store: &[(ItemId, Embedding)], q: &Embedding, k: usize,
             assert_eq!(g.id, w.id, "{context}: exact order");
         }
     }
-}
-
-/// Dims on both sides of the lane width, none but 64 a multiple of it.
-const DIMS: [usize; 5] = [1, 7, 9, 64, 70];
-/// Pool sizes that leave every partial-group shape in a posting list.
-const LENS: [usize; 6] = [0, 1, 7, 8, 9, 17];
-
-/// A row with a non-zero norm whose products with [`negative_query`]
-/// are all `-0.0` (`1 * -0.0`, then `0 * -1` per remaining component).
-fn negative_zero_row(dim: usize) -> Embedding {
-    let mut row = vec![0.0f32; dim];
-    row[0] = 1.0;
-    Embedding::from_vec(row)
-}
-
-fn negative_query(dim: usize) -> Embedding {
-    let mut q = vec![-1.0f32; dim];
-    q[0] = -0.0;
-    Embedding::from_vec(q)
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 # "same bytes, host metrics not worse" line in docs/replay-perf.md.
 #
 #   tools/icbench-pairs.sh [--aa] <parent-rev|parent-dir> <workload|--all> \
-#       [--seed N] [--pairs N] [--seconds N]
+#       [--seed N] [--pairs N] [--seconds N] [--cpus LIST]
 #
 # Builds the parent (a revision is checked out as a detached `git
 # worktree` under .bench_build/pairs/; an existing directory is used as
@@ -19,7 +19,9 @@
 # not move come from one command. `--aa` builds the given revision (or
 # directory) into both target dirs instead of the working tree, and
 # prints the same rotation and table: the host's own A/A spread and
-# "won k of n", to read a change's rows against.
+# "won k of n", to read a change's rows against. `--cpus LIST` runs
+# both sides under `taskset -c LIST` (`--cpus 0`: the one-core row,
+# where the engine starts no helper thread).
 # Offline; nothing under benchmark/ is left modified.
 set -euo pipefail
 
@@ -33,12 +35,13 @@ aa=0
 parent=$1 workloads=$2
 [ "$workloads" != --all ] || workloads="coldstart_lowload bigbank_select trending_dups churn_writes"
 shift 2
-seed=7 pairs=10 seconds=20
+seed=7 pairs=10 seconds=20 pin=()
 while [ $# -gt 0 ]; do
     case $1 in
     --seed) seed=$2 ;;
     --pairs) pairs=$2 ;;
     --seconds) seconds=$2 ;;
+    --cpus) pin=(taskset -c "$2") ;;
     *) usage ;;
     esac
     shift 2 || usage
@@ -79,7 +82,7 @@ build "$change_tree" "$work/target-change"
 metrics="setup_s replay_s peak_rss_mb"
 run() { # <side> <workload> <pair>
     local out hash failed row
-    out=$("$work/target-$1/release/icbench" \
+    out=$("${pin[@]}" "$work/target-$1/release/icbench" \
         --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0)
     hash=$(sed -n 's/.*report fnv64 \([0-9a-f]*\).*/\1/p' <<<"$out")
     failed=$(sed -n 's/.* failed \([0-9]*\) (failed_share.*/\1/p' <<<"$out")
@@ -105,7 +108,7 @@ quartiles() { # <file> <col>
 for workload in $workloads; do
     : >"$work/parent.runs"
     : >"$work/change.runs"
-    echo "# $workload seed $seed, $seconds s, $pairs pairs: hash $metrics"
+    echo "# $workload seed $seed, $seconds s, $pairs pairs${pin:+, under ${pin[*]}}: hash $metrics"
     for ((k = 1; k <= pairs; k++)); do
         if ((k % 2)); then
             run parent "$workload" "$k" && run change "$workload" "$k"
@@ -139,5 +142,6 @@ for workload in $workloads; do
     } >>"$work/summary"
 done
 [ $aa = 0 ] || echo "# A/A: both sides are builds of $parent"
+[ ${#pin[@]} = 0 ] || echo "# both sides ran under ${pin[*]}"
 echo "# summary, seed $seed: median (quartiles), parent spread = q3 - q1, change vs parent, pairs won"
 cat "$work/summary"
